@@ -12,50 +12,86 @@
 //! simulation tick therefore touches only the rows the optimizer actually
 //! reads (the hosts of deployed circuits), not all `n` of them.
 //!
-//! # Repair contract (dynamic SSSP)
+//! # Repair contract (demand-driven dynamic SSSP)
 //!
 //! Edge mutations go through [`LazyLatency::apply_edge_deltas`] (or the
 //! single-edge [`LazyLatency::set_edge_latency`] / jitter convenience
-//! [`LazyLatency::scale_edge_clamped`]). Under the default
-//! [`DeltaPolicy::Repair`], a weight change does **not** drop cached rows:
-//! each resident row is patched in place in two phases.
+//! [`LazyLatency::scale_edge_clamped`]). Weights must stay finite and
+//! non-negative — the precondition of the bit-identity argument below —
+//! and a hostile value panics before anything is mutated.
 //!
-//! * **Raises** (`w_new > w_old`) can only *increase* distances. The
+//! Under the default [`DeltaPolicy::Repair`], a weight change neither
+//! drops nor touches cached rows. `apply_edge_deltas` mutates the graph,
+//! advances a batch **epoch** and appends `(epoch, edge, weight before)`
+//! to a **delta log** — `O(batch)`. Every resident row carries the epoch
+//! it is exact for, and a row is brought up to date **when it is next
+//! read**: the first [`LatencyProvider::latency`] or
+//! [`LazyLatency::ensure_rows`] that touches a stale row folds the log
+//! suffix the row missed into one net delta per edge (the *first* logged
+//! weight is the one the row was computed under; the graph holds the
+//! current one; an edge that returned exactly to its start drops out) and
+//! patches the row in place once, however many batches it lagged, in two
+//! phases. A row nobody reads again is never repaired, and a cache hit
+//! pays one integer comparison while no resident row is stale (always,
+//! on a graph nobody mutates) and a second one, against the row's own
+//! epoch, otherwise.
+//!
+//! * **Raises** (`w_now > w_start`) can only *increase* distances. The
 //!   vertices a raise can affect are exactly those reachable from a raised
 //!   edge's far endpoint by a chain of *old-tight* edges
-//!   (`d[x] + w_old(e) ≤ d[y] + ε`, with `ε =` [`TIGHT_EPS_MS`] absorbing
+//!   (`d[x] + w_start(e) ≤ d[y] + ε`, with `ε =` [`TIGHT_EPS_MS`] absorbing
 //!   float ties) — a cheap BFS over old labels marks that region. The
 //!   marked labels are reset and recomputed by a Dijkstra *restricted to
 //!   the region*, seeded with the best boundary relaxation of each marked
 //!   vertex (unmarked labels are provably unchanged and act as fixed
-//!   sources). If the region exceeds a quarter of the graph the row falls
-//!   back to a full [`single_source`] rebuild instead.
-//! * **Lowers** (`w_new < w_old`) can only *decrease* distances. Each
+//!   sources). The graph already holds *every* change of the window, so
+//!   this phase reads edge weights through an edge-indexed overlay of the
+//!   window's start weights: the BFS sees each changed edge at its start
+//!   weight, the Dijkstra sees lowered edges at their start weight and
+//!   everything else as it is now — i.e. the intermediate graph with the
+//!   raises applied and the lowers still pending. If the region exceeds a
+//!   quarter of the graph the row is rebuilt outright by [`single_source`]
+//!   on the current graph, which is final (the lower phase is skipped).
+//! * **Lowers** (`w_now < w_start`) can only *decrease* distances. Each
 //!   lowered edge seeds at most two heap entries
-//!   (`d[a] + w_new < d[b]` and symmetrically) and a standard
+//!   (`d[a] + w_now < d[b]` and symmetrically) and a standard
 //!   improvement-propagation Dijkstra pushes the shortcut outward.
 //!
-//! Cost per (row, delta-batch): `O(|A| log |A| + edges(A))` where `A` is
-//! the affected region — against `O(n log n + m)` for the
-//! invalidate-and-recompute policy the provider previously used, a win whenever
-//! jitter touches a small fraction of each row (the common case; the
-//! `bench_control_plane` `jitter_tick` group measures the ratio at 10k
-//! nodes). The two phases split one batch so each phase's precondition
-//! (monotone effect on distances) holds exactly.
+//! Cost: `O(batch)` per delta batch, and per (row, read-after-change)
+//! `O(L + |A| log |A| + edges(A))`, where `L` is the length of the log
+//! suffix folded and `A` the affected region of the *net* change — against
+//! `O(n log n + m)` per dropped row for the invalidate-and-recompute
+//! policy, and against one repair per resident row *per batch* for an
+//! eager scheme. The `bench_control_plane` `jitter_tick` group measures
+//! both ratios at 10k nodes. The two phases split one window so each
+//! phase's precondition (monotone effect on distances) holds exactly.
+//!
+//! **The log is bounded by the graph's edge count, with no knob.** When an
+//! append outgrows that, the rows that still need the oldest entries are
+//! dropped (counted in `rows_invalidated`; folding that many deltas would
+//! have escalated to a rebuild anyway, and a dropped row is rebuilt only
+//! if it is read again), and the log is cut back to the oldest epoch a
+//! surviving row needs. Rows inserted by a miss or by `ensure_rows` are
+//! stamped with the current epoch.
 //!
 //! Repaired rows are **bit-identical** to recomputing with
-//! [`single_source`] on the mutated graph. This is not approximate: with
-//! non-negative weights, float addition is monotone under rounding, so a
-//! row's value at `v` equals the minimum over all paths of the fold-left
-//! float sum — independent of the order any correct algorithm relaxes
-//! edges in. Both the region recompute and the improvement propagation
-//! compose exactly such fold-left sums. The property suite in
+//! [`single_source`] on the mutated graph, whatever the number of batches
+//! one repair spans. This is not approximate: with non-negative weights,
+//! float addition is monotone under rounding, so a row's value at `v`
+//! equals the minimum over all paths of the fold-left float sum — a
+//! function of the *current* graph alone, independent of the order any
+//! correct algorithm relaxes edges in and of the weights the graph passed
+//! through in between. Both the region recompute and the improvement
+//! propagation compose exactly such fold-left sums, and the only history
+//! they need is which labels may be wrong, which the net delta against
+//! the row's own epoch determines. The property suite in
 //! `tests/properties.rs` pins this equivalence across random topologies,
-//! delta batches, and cache capacities.
+//! delta batches, read patterns (rows lagging by differing numbers of
+//! batches), and cache capacities.
 //!
-//! [`DeltaPolicy::Invalidate`] keeps the previous behavior — drop every
-//! row the change could affect, recompute on next query — as a baseline
-//! for benchmarks and differential tests.
+//! [`DeltaPolicy::Invalidate`] keeps the original behavior — eagerly drop
+//! every row the change could affect, recompute on next query — as a
+//! baseline for benchmarks and differential tests.
 //!
 //! # Memory bound
 //!
@@ -63,10 +99,11 @@
 //! FIFO eviction, bounding memory at `O(capacity · n)` regardless of query
 //! pattern; [`LazyLatency::evict_all`] drops the whole cache (useful after
 //! a warm-up phase whose rows the steady state will never read again).
-//! [`LazyLatency::ensure_rows`] batch-computes missing rows — optionally
-//! sharded across a thread pool, with insertion order (and therefore FIFO
-//! order, statistics, and every served value) independent of the thread
-//! count.
+//! [`LazyLatency::ensure_rows`] makes a set of rows resident and current:
+//! it repairs the stale ones and batch-computes the missing ones —
+//! optionally sharded across a thread pool, with insertion order (and
+//! therefore FIFO order, statistics, and every served value) independent
+//! of the thread count. The delta log adds at most one entry per edge.
 
 use std::cell::RefCell;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -85,8 +122,9 @@ const TIGHT_EPS_MS: f64 = 1e-9;
 /// How a [`LazyLatency`] reacts to edge-weight deltas.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DeltaPolicy {
-    /// Patch affected rows in place (dynamic SSSP; see the
-    /// [module docs](self)). The default.
+    /// Log the delta; patch each affected row in place when it is next
+    /// read (demand-driven dynamic SSSP; see the [module docs](self)).
+    /// The default.
     #[default]
     Repair,
     /// Drop every row the delta could affect; recompute on next query.
@@ -96,24 +134,35 @@ pub enum DeltaPolicy {
 }
 
 /// Counters describing how a [`LazyLatency`] has been exercised.
+///
+/// Under [`DeltaPolicy::Repair`] repair work happens when a stale row is
+/// *read*, not when the delta arrives, so `rows_repaired`,
+/// `vertices_settled` and `rows_rebuilt` move inside
+/// [`LatencyProvider::latency`] / [`LazyLatency::ensure_rows`] and stay
+/// put across [`LazyLatency::apply_edge_deltas`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LazyLatencyStats {
     /// Dijkstra rows computed (cache misses and [`LazyLatency::ensure_rows`]).
     pub rows_computed: u64,
-    /// Queries answered from a cached row.
+    /// Queries answered from a cached row (current, or repaired on the
+    /// spot).
     pub cache_hits: u64,
-    /// Rows dropped because an edge mutation made them stale (only under
-    /// [`DeltaPolicy::Invalidate`]).
+    /// Rows dropped because an edge mutation made them stale: every
+    /// affected row under [`DeltaPolicy::Invalidate`]; under
+    /// [`DeltaPolicy::Repair`] only rows so far behind that the bounded
+    /// delta log had to let go of the entries they needed.
     pub rows_invalidated: u64,
     /// Rows dropped while still valid: capacity-bound evictions plus
     /// explicit [`LazyLatency::evict_all`] calls (e.g. the runtime's
     /// post-embedding warm-up flush).
     pub rows_evicted: u64,
-    /// Row × delta-batch events where dynamic repair patched at least one
-    /// distance (only under [`DeltaPolicy::Repair`]).
+    /// Repair phases that changed at least one distance: up to two (the
+    /// raises, then the lowers) per read of a stale row, however many
+    /// delta batches that read caught up on (only under
+    /// [`DeltaPolicy::Repair`]).
     pub rows_repaired: u64,
-    /// Distance labels recomputed by dynamic repair, summed over rows and
-    /// batches — the per-tick work the repair path actually did.
+    /// Distance labels recomputed by dynamic repair, summed over repairs —
+    /// the work the repair path actually did, all of it at read time.
     pub vertices_settled: u64,
     /// Repairs whose affected region exceeded the rebuild threshold and
     /// fell back to a full-row [`single_source`] recompute.
@@ -122,11 +171,33 @@ pub struct LazyLatencyStats {
     pub rows_cached: usize,
 }
 
+/// One logged weight change: `edge` held `w_before` until batch `epoch`.
+#[derive(Clone, Copy)]
+struct LogEntry {
+    epoch: u64,
+    edge: EdgeId,
+    w_before: f64,
+}
+
 struct RowCache {
     /// `rows[src]` — cached SSSP distances from `src`, if resident.
     rows: Vec<Option<Box<[f64]>>>,
+    /// `epochs[src]` — the delta epoch a resident `rows[src]` is exact for.
+    epochs: Vec<u64>,
+    /// Number of non-empty delta batches logged so far: the epoch the
+    /// graph is at. A resident row is exact iff its own epoch equals this.
+    head: u64,
+    /// Resident rows behind `head`. While it is zero — always, for a graph
+    /// nobody mutates — a cache hit never looks at `epochs`.
+    stale: usize,
     /// Insertion order of resident rows, for FIFO eviction.
     order: VecDeque<u32>,
+    /// Weight changes some resident row may not have absorbed yet, in
+    /// epoch order ([`DeltaPolicy::Repair`] only).
+    log: VecDeque<LogEntry>,
+    /// Boxed: only the (cold) repair path looks inside, and the provider
+    /// stays small enough to sit inline in an enum next to a dense matrix.
+    scratch: Box<RepairScratch>,
     rows_computed: u64,
     cache_hits: u64,
     rows_invalidated: u64,
@@ -140,7 +211,12 @@ impl RowCache {
     fn new(n: usize) -> Self {
         RowCache {
             rows: vec![None; n],
+            epochs: vec![0; n],
+            head: 0,
+            stale: 0,
             order: VecDeque::new(),
+            log: VecDeque::new(),
+            scratch: Box::default(),
             rows_computed: 0,
             cache_hits: 0,
             rows_invalidated: 0,
@@ -151,46 +227,144 @@ impl RowCache {
         }
     }
 
-    /// Inserts a freshly computed row, evicting FIFO victims to stay under
-    /// `capacity`. The single insertion path keeps the `order` invariant
-    /// (each resident source appears exactly once).
+    /// Inserts a row freshly computed on the current graph, evicting FIFO
+    /// victims to stay under `capacity`. The single insertion path keeps
+    /// the `order` invariant (each resident source appears exactly once).
     fn insert(&mut self, src: NodeId, row: Box<[f64]>, capacity: Option<usize>) {
         self.rows_computed += 1;
         if let Some(cap) = capacity {
             while self.order.len() >= cap {
-                let victim = self.order.pop_front().expect("capacity >= 1");
-                self.rows[victim as usize] = None;
+                let victim = self.order.pop_front().expect("capacity >= 1") as usize;
+                self.rows[victim] = None;
+                self.stale -= usize::from(self.epochs[victim] != self.head);
                 self.rows_evicted += 1;
             }
         }
         self.rows[src.index()] = Some(row);
+        self.epochs[src.index()] = self.head;
         self.order.push_back(src.0);
+    }
+
+    /// Keeps the delta log within `max_len` entries. If it has outgrown
+    /// that, the rows needing the entries that must go are dropped, then
+    /// everything no surviving row needs is cut.
+    fn bound_log(&mut self, max_len: usize) {
+        if self.log.len() <= max_len {
+            return;
+        }
+        // A deduped batch never exceeds the edge count, so `cut` is always
+        // behind the newest epoch.
+        let cut = self.log[self.log.len() - max_len - 1].epoch;
+        let (rows, epochs) = (&mut self.rows, &self.epochs);
+        let mut oldest = u64::MAX;
+        let before = self.order.len();
+        self.order.retain(|&src| {
+            let epoch = epochs[src as usize];
+            if epoch < cut {
+                rows[src as usize] = None;
+                return false;
+            }
+            oldest = oldest.min(epoch);
+            true
+        });
+        let dropped = before - self.order.len();
+        self.stale -= dropped;
+        self.rows_invalidated += dropped as u64;
+        let keep_from = self.log.partition_point(|entry| entry.epoch <= oldest);
+        self.log.drain(..keep_from);
+    }
+
+    /// Brings the resident, stale row of `src` from its own epoch up to
+    /// `head` (the epoch `graph` is at): folds the log suffix it missed
+    /// into one net delta per edge and runs the two repair phases once.
+    #[cold]
+    fn sync_row(&mut self, graph: &Graph, src: NodeId) {
+        let row = self.rows[src.index()].as_mut().expect("synced rows are resident");
+        let epoch = &mut self.epochs[src.index()];
+        let scratch = &mut self.scratch;
+        scratch.begin(graph);
+        // The first logged weight of an edge is the one the row was built
+        // under; the graph holds where the window ended up.
+        let missed = self.log.partition_point(|entry| entry.epoch <= *epoch);
+        for entry in self.log.range(missed..) {
+            scratch.window.open(graph, entry.edge, entry.w_before);
+        }
+        let (raised, rebuilt) = repair_increase(graph, row, src, scratch);
+        // A rebuilt row was computed on the current graph: already final.
+        let lowered = if rebuilt { 0 } else { repair_decrease(graph, row, &scratch.window.deltas) };
+        *epoch = self.head;
+        self.stale -= 1;
+        self.rows_rebuilt += u64::from(rebuilt);
+        self.rows_repaired += u64::from(raised > 0) + u64::from(lowered > 0);
+        self.vertices_settled += (raised + lowered) as u64;
     }
 }
 
-/// Scratch buffers reused across repairs so a steady jitter tick allocates
-/// only heap entries proportional to the affected region.
+/// Scratch buffers reused across repairs so a repair allocates only heap
+/// entries proportional to the affected region.
 #[derive(Default)]
 struct RepairScratch {
-    /// `mark[v] == epoch` ⇔ `v` is in the current repair's affected region.
+    /// Bumped once per repair; validates `mark` entries.
+    stamp: u64,
+    /// `mark[v] == stamp` ⇔ `v` is in the current repair's affected region.
     mark: Vec<u64>,
-    epoch: u64,
     /// The marked region, in BFS discovery order.
     region: Vec<u32>,
+    window: Window,
+}
+
+/// What one repair has to absorb: the net change of every edge logged
+/// since the row's epoch, as a sparse set keyed by edge.
+#[derive(Default)]
+struct Window {
+    /// One delta per touched edge, in first-logged order: `w_old` is the
+    /// weight the row was built under, `w_new` the graph's current one
+    /// (equal for an edge that came back to its start).
+    deltas: Vec<EdgeDelta>,
+    /// Edge-indexed position in `deltas`: edge `e` is in the window iff
+    /// `deltas[slot[e]].id == e`, so stale slots never need resetting.
+    slot: Vec<u32>,
+}
+
+impl Window {
+    /// The weight edge `e` held when the window opened, if it is in it.
+    #[inline]
+    fn start_weight(&self, e: EdgeId) -> Option<f64> {
+        self.deltas.get(self.slot[e.index()] as usize).filter(|d| d.id == e).map(|d| d.w_old)
+    }
+
+    /// Adds edge `e`, which weighed `w_before` when the window opened,
+    /// unless an earlier log entry already did.
+    fn open(&mut self, graph: &Graph, e: EdgeId, w_before: f64) {
+        if self.start_weight(e).is_none() {
+            let edge = graph.edge(e);
+            self.slot[e.index()] = self.deltas.len() as u32;
+            self.deltas.push(EdgeDelta {
+                id: e,
+                a: edge.a,
+                b: edge.b,
+                w_old: w_before,
+                w_new: edge.latency_ms,
+            });
+        }
+    }
 }
 
 impl RepairScratch {
-    fn begin(&mut self, n: usize) -> u64 {
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
+    fn begin(&mut self, graph: &Graph) {
+        if self.mark.len() < graph.num_nodes() {
+            self.mark.resize(graph.num_nodes(), 0);
         }
-        self.epoch += 1;
+        if self.window.slot.len() < graph.num_edges() {
+            self.window.slot.resize(graph.num_edges(), 0);
+        }
+        self.stamp += 1;
         self.region.clear();
-        self.epoch
+        self.window.deltas.clear();
     }
 }
 
-/// One edge-weight change, resolved against the pre-batch graph.
+/// One edge-weight change, resolved against the graph it applies to.
 #[derive(Clone, Copy)]
 struct EdgeDelta {
     id: EdgeId,
@@ -215,8 +389,8 @@ struct EdgeDelta {
 /// let e = g.add_edge(NodeId(1), NodeId(2), 3.0);
 /// let mut lat = LazyLatency::new(g);
 /// assert_eq!(lat.latency(NodeId(0), NodeId(2)), 5.0);
-/// lat.set_edge_latency(e, 1.0); // repairs the cached row in place
-/// assert_eq!(lat.latency(NodeId(0), NodeId(2)), 3.0);
+/// lat.set_edge_latency(e, 1.0); // logged; the cached row is untouched...
+/// assert_eq!(lat.latency(NodeId(0), NodeId(2)), 3.0); // ...until read again
 /// ```
 pub struct LazyLatency {
     graph: Graph,
@@ -224,7 +398,6 @@ pub struct LazyLatency {
     base_edges: Vec<f64>,
     capacity: Option<usize>,
     policy: DeltaPolicy,
-    scratch: RepairScratch,
     cache: RefCell<RowCache>,
 }
 
@@ -248,7 +421,6 @@ impl LazyLatency {
             base_edges,
             capacity,
             policy: DeltaPolicy::default(),
-            scratch: RepairScratch::default(),
             cache: RefCell::new(RowCache::new(n)),
         }
     }
@@ -275,9 +447,10 @@ impl LazyLatency {
         self.base_edges[id.index()]
     }
 
-    /// Overwrites the latency of edge `id`, repairing (or, under
-    /// [`DeltaPolicy::Invalidate`], dropping) affected cached rows. Returns
-    /// the previous latency. No-op if the value is unchanged.
+    /// Overwrites the latency of edge `id`; affected cached rows are
+    /// repaired when next read (or, under [`DeltaPolicy::Invalidate`],
+    /// dropped now). Returns the previous latency. No-op if the value is
+    /// unchanged; panics if it is not finite and non-negative.
     pub fn set_edge_latency(&mut self, id: EdgeId, latency_ms: f64) -> f64 {
         let old = self.graph.edge(id).latency_ms;
         if latency_ms != old {
@@ -288,7 +461,8 @@ impl LazyLatency {
 
     /// Jitter convenience: multiplies edge `id` by `factor` and clamps the
     /// result to `band` × the edge's *base* latency, giving mean-reverting
-    /// edge-granular jitter. Returns the new latency.
+    /// edge-granular jitter. Returns the new latency. Panics if the result
+    /// is not finite and non-negative (e.g. a NaN `factor`).
     pub fn scale_edge_clamped(&mut self, id: EdgeId, factor: f64, band: (f64, f64)) -> f64 {
         let base = self.base_edges[id.index()];
         let cur = self.graph.edge(id).latency_ms;
@@ -297,21 +471,32 @@ impl LazyLatency {
         next
     }
 
-    /// Applies a batch of edge-weight deltas `(edge, new_latency_ms)` and
-    /// brings every cached row up to date in one pass.
+    /// Applies a batch of edge-weight deltas `(edge, new_latency_ms)` to
+    /// the graph in `O(batch)`, touching no cached row.
     ///
-    /// Duplicate edges collapse to their final value (no query can observe
-    /// an intermediate weight), so a jitter tick should batch its whole
-    /// delta set into one call: each resident row is then repaired once
-    /// per phase instead of once per delta. Served values afterwards are
+    /// Under [`DeltaPolicy::Repair`] the batch is logged under a new epoch
+    /// and each resident row absorbs it — together with every other batch
+    /// it has missed — the next time it is read; a row that is never read
+    /// again never pays. Duplicate edges collapse to their final value (no
+    /// query can observe an intermediate weight), and a batch that changes
+    /// nothing does not advance the epoch. Values served afterwards are
     /// bit-identical to fresh [`single_source`] rows on the mutated graph
     /// (see the [module docs](self)).
+    ///
+    /// # Panics
+    ///
+    /// If any new latency is NaN, infinite or negative — before the graph
+    /// or the cache is touched.
     pub fn apply_edge_deltas(&mut self, deltas: &[(EdgeId, f64)]) {
         // sbon-lint: allow(unordered-iteration): slot map for last-write-wins
         // dedup; iteration happens over `net` (a Vec), never over the map.
         let mut index: HashMap<u32, usize> = HashMap::new();
         let mut net: Vec<EdgeDelta> = Vec::new();
         for &(id, w) in deltas {
+            assert!(
+                w.is_finite() && w >= 0.0,
+                "edge {id:?} latency must be finite and non-negative, got {w}"
+            );
             match index.entry(id.0) {
                 std::collections::hash_map::Entry::Occupied(slot) => {
                     net[*slot.get()].w_new = w;
@@ -341,16 +526,27 @@ impl LazyLatency {
                 }
             }
             DeltaPolicy::Repair => {
-                let (raises, lowers): (Vec<_>, Vec<_>) =
-                    net.into_iter().partition(|d| d.w_new > d.w_old);
-                self.repair_rows(&raises, &lowers);
+                let cache = self.cache.get_mut();
+                cache.head += 1;
+                cache.stale = cache.order.len();
+                for d in &net {
+                    self.graph.set_edge_latency(d.id, d.w_new);
+                    cache.log.push_back(LogEntry {
+                        epoch: cache.head,
+                        edge: d.id,
+                        w_before: d.w_old,
+                    });
+                }
+                cache.bound_log(self.graph.num_edges());
             }
         }
     }
 
-    /// Batch-computes the rows for `sources` that are not already resident
-    /// and inserts them in first-occurrence order (duplicates ignored).
-    /// Returns the number of rows computed.
+    /// Makes the rows for `sources` resident **and current**: resident
+    /// rows that have fallen behind the latest delta batch are repaired
+    /// (serially), and the missing ones are batch-computed and inserted in
+    /// first-occurrence order (duplicates ignored). Returns the number of
+    /// rows computed.
     ///
     /// With a `pool`, the independent [`single_source`] computations are
     /// sharded across its threads; insertion happens afterwards on the
@@ -359,7 +555,7 @@ impl LazyLatency {
     /// value are identical at any thread count.
     pub fn ensure_rows(&self, sources: &[NodeId], pool: Option<&rayon::ThreadPool>) -> u64 {
         let missing: Vec<NodeId> = {
-            let cache = self.cache.borrow();
+            let mut cache = self.cache.borrow_mut();
             let mut seen = vec![false; self.graph.num_nodes()];
             sources
                 .iter()
@@ -368,7 +564,13 @@ impl LazyLatency {
                     if std::mem::replace(&mut seen[s.index()], true) {
                         return false;
                     }
-                    cache.rows[s.index()].is_none()
+                    if cache.rows[s.index()].is_none() {
+                        return true;
+                    }
+                    if cache.epochs[s.index()] != cache.head {
+                        cache.sync_row(&self.graph, *s);
+                    }
+                    false
                 })
                 .collect()
         };
@@ -396,6 +598,7 @@ impl LazyLatency {
         let dropped = cache.order.len() as u64;
         cache.rows_evicted += dropped;
         cache.order.clear();
+        cache.stale = 0;
         for row in cache.rows.iter_mut() {
             *row = None;
         }
@@ -416,51 +619,10 @@ impl LazyLatency {
         }
     }
 
-    /// Repairs every resident row through one delta batch: weight raises
-    /// first (against the pre-batch labels), then lowers (against the
-    /// raised intermediate), so each phase sees only monotone changes.
-    fn repair_rows(&mut self, raises: &[EdgeDelta], lowers: &[EdgeDelta]) {
-        for d in raises {
-            self.graph.set_edge_latency(d.id, d.w_new);
-        }
-        if !raises.is_empty() {
-            // Marking must test tightness under *pre-batch* weights; for
-            // raised edges the graph now holds w_new, so carry the old ones.
-            // sbon-lint: allow(unordered-iteration): point lookups by edge id
-            // during repair; never iterated.
-            let old_w: HashMap<u32, f64> = raises.iter().map(|d| (d.id.0, d.w_old)).collect();
-            let graph = &self.graph;
-            let cache = self.cache.get_mut();
-            for i in 0..cache.order.len() {
-                let src = NodeId(cache.order[i]);
-                let row = cache.rows[src.index()].as_mut().expect("ordered rows are resident");
-                let (settled, rebuilt) =
-                    repair_increase(graph, row, src, raises, &old_w, &mut self.scratch);
-                if rebuilt {
-                    cache.rows_rebuilt += 1;
-                }
-                if settled > 0 {
-                    cache.rows_repaired += 1;
-                    cache.vertices_settled += settled as u64;
-                }
-            }
-        }
-        for d in lowers {
-            self.graph.set_edge_latency(d.id, d.w_new);
-        }
-        if !lowers.is_empty() {
-            let graph = &self.graph;
-            let cache = self.cache.get_mut();
-            for i in 0..cache.order.len() {
-                let src = NodeId(cache.order[i]);
-                let row = cache.rows[src.index()].as_mut().expect("ordered rows are resident");
-                let settled = repair_decrease(graph, row, src, lowers);
-                if settled > 0 {
-                    cache.rows_repaired += 1;
-                    cache.vertices_settled += settled as u64;
-                }
-            }
-        }
+    /// Resident rows that are behind the latest delta batch, i.e. whose
+    /// next read will run a repair.
+    pub fn rows_stale(&self) -> usize {
+        self.cache.borrow().stale
     }
 
     /// Drops cached rows for which the `(u, v)` edge changing `w_old →
@@ -491,10 +653,11 @@ impl LazyLatency {
     }
 }
 
-/// Phase 1 of row repair: weight raises. `graph` already holds the raised
-/// weights; `row` holds pre-batch labels; `old_w` maps raised edge ids to
-/// their pre-batch weights. Returns `(labels recomputed, fell back to full
-/// rebuild)`.
+/// Phase 1 of row repair: the net raises of `scratch.window`. `row` holds
+/// labels exact for the graph at the window's start; `graph` already holds
+/// every change of the window. Returns `(labels recomputed, fell back to
+/// full rebuild)`; without a rebuild the row is left exact for the
+/// intermediate graph (raises applied, lowers pending).
 ///
 /// Only vertices reachable from a raised edge's far endpoint through a
 /// chain of old-tight edges can change (any vertex whose distance grows
@@ -505,55 +668,56 @@ fn repair_increase(
     graph: &Graph,
     row: &mut [f64],
     src: NodeId,
-    raises: &[EdgeDelta],
-    // sbon-lint: allow(unordered-iteration): lookup-only map, see caller.
-    old_w: &HashMap<u32, f64>,
     scratch: &mut RepairScratch,
 ) -> (usize, bool) {
     let n = graph.num_nodes();
-    let epoch = scratch.begin(n);
+    let RepairScratch { stamp, mark, region, window } = scratch;
+    let stamp = *stamp;
+    // Weight of edge `e` (now `w_now`) when the window opened, and on the
+    // intermediate graph: lowered edges still at their start weight.
+    let w_start = |e: EdgeId, w_now: f64| window.start_weight(e).unwrap_or(w_now);
+    let w_mid = |e: EdgeId, w_now: f64| w_start(e, w_now).max(w_now);
 
     // Seed: far endpoints of raised edges that were old-tight. The source
     // itself never moves (d[src] = 0 by definition).
-    for d in raises {
+    for d in window.deltas.iter().filter(|d| d.w_new > d.w_old) {
         let (da, db) = (row[d.a.index()], row[d.b.index()]);
         if !da.is_finite() || !db.is_finite() {
             continue;
         }
-        if d.b != src && scratch.mark[d.b.index()] != epoch && da + d.w_old <= db + TIGHT_EPS_MS {
-            scratch.mark[d.b.index()] = epoch;
-            scratch.region.push(d.b.0);
+        if d.b != src && mark[d.b.index()] != stamp && da + d.w_old <= db + TIGHT_EPS_MS {
+            mark[d.b.index()] = stamp;
+            region.push(d.b.0);
         }
-        if d.a != src && scratch.mark[d.a.index()] != epoch && db + d.w_old <= da + TIGHT_EPS_MS {
-            scratch.mark[d.a.index()] = epoch;
-            scratch.region.push(d.a.0);
+        if d.a != src && mark[d.a.index()] != stamp && db + d.w_old <= da + TIGHT_EPS_MS {
+            mark[d.a.index()] = stamp;
+            region.push(d.a.0);
         }
     }
-    if scratch.region.is_empty() {
+    if region.is_empty() {
         return (0, false);
     }
 
-    // Propagate through old-tight edges (old labels, pre-batch weights).
+    // Propagate through old-tight edges (old labels, start weights).
     let mut qi = 0;
-    while qi < scratch.region.len() {
-        let x = NodeId(scratch.region[qi]);
+    while qi < region.len() {
+        let x = NodeId(region[qi]);
         qi += 1;
         let dx = row[x.index()];
-        for (y, e, w_cur) in graph.neighbors_with_ids(x) {
-            if y == src || scratch.mark[y.index()] == epoch || !row[y.index()].is_finite() {
+        for (y, e, w_now) in graph.neighbors_with_ids(x) {
+            if y == src || mark[y.index()] == stamp || !row[y.index()].is_finite() {
                 continue;
             }
-            let w_pre = old_w.get(&e.0).copied().unwrap_or(w_cur);
-            if dx + w_pre <= row[y.index()] + TIGHT_EPS_MS {
-                scratch.mark[y.index()] = epoch;
-                scratch.region.push(y.0);
+            if dx + w_start(e, w_now) <= row[y.index()] + TIGHT_EPS_MS {
+                mark[y.index()] = stamp;
+                region.push(y.0);
             }
         }
     }
 
     // Past a quarter of the graph, a restricted Dijkstra stops paying for
     // its bookkeeping; rebuild the row outright.
-    if scratch.region.len() * 4 >= n {
+    if region.len() * 4 >= n {
         let fresh = single_source(graph, src);
         row.copy_from_slice(&fresh);
         return (n, true);
@@ -562,16 +726,16 @@ fn repair_increase(
     // Recompute the region: unmarked labels are fixed and correct, so each
     // marked vertex restarts from its best boundary relaxation and the
     // heap settles the region's interior in distance order.
-    for &x in &scratch.region {
+    for &x in region.iter() {
         row[x as usize] = f64::INFINITY;
     }
-    let mut heap = BinaryHeap::with_capacity(scratch.region.len());
-    for &x in &scratch.region {
+    let mut heap = BinaryHeap::with_capacity(region.len());
+    for &x in region.iter() {
         let x = NodeId(x);
         let mut best = f64::INFINITY;
-        for (y, _e, w) in graph.neighbors_with_ids(x) {
-            if scratch.mark[y.index()] != epoch {
-                let cand = row[y.index()] + w;
+        for (y, e, w_now) in graph.neighbors_with_ids(x) {
+            if mark[y.index()] != stamp {
+                let cand = row[y.index()] + w_mid(e, w_now);
                 if cand < best {
                     best = cand;
                 }
@@ -586,29 +750,29 @@ fn repair_increase(
         if d > row[v.index()] {
             continue; // stale entry
         }
-        for (u, _e, w) in graph.neighbors_with_ids(v) {
-            if scratch.mark[u.index()] != epoch {
+        for (u, e, w_now) in graph.neighbors_with_ids(v) {
+            if mark[u.index()] != stamp {
                 continue; // outside the region: label fixed
             }
-            let nd = d + w;
+            let nd = d + w_mid(e, w_now);
             if nd < row[u.index()] {
                 row[u.index()] = nd;
                 heap.push(HeapEntry { dist: nd, node: u });
             }
         }
     }
-    (scratch.region.len(), false)
+    (region.len(), false)
 }
 
-/// Phase 2 of row repair: weight lowers. `graph` holds the final weights;
-/// `row` holds exact labels for the pre-lower intermediate graph. Each
-/// lowered edge seeds at most two improvements and a standard
+/// Phase 2 of row repair: the net lowers of `window`. `graph` holds the
+/// final weights; `row` holds exact labels for the pre-lower intermediate
+/// graph. Each lowered edge seeds at most two improvements and a standard
 /// improvement-propagation Dijkstra pushes them outward. Returns the
-/// number of labels improved.
-fn repair_decrease(graph: &Graph, row: &mut [f64], src: NodeId, lowers: &[EdgeDelta]) -> usize {
-    let _ = src; // d[src] = 0 can never improve; no special-casing needed.
+/// number of labels improved. (`d[src] = 0` can never improve, so the
+/// source needs no special-casing.)
+fn repair_decrease(graph: &Graph, row: &mut [f64], window: &[EdgeDelta]) -> usize {
     let mut heap = BinaryHeap::new();
-    for d in lowers {
+    for d in window.iter().filter(|d| d.w_new < d.w_old) {
         // INF endpoints fall out naturally: INF + w < x is never true.
         let nd = row[d.a.index()] + d.w_new;
         if nd < row[d.b.index()] {
@@ -644,16 +808,24 @@ impl LatencyProvider for LazyLatency {
     }
 
     fn latency(&self, a: NodeId, b: NodeId) -> f64 {
-        let mut cache = self.cache.borrow_mut();
-        if let Some(row) = cache.rows[a.index()].as_deref() {
-            let value = row[b.index()];
-            cache.cache_hits += 1;
-            return value;
+        let cache = &mut *self.cache.borrow_mut();
+        match cache.rows[a.index()].as_deref() {
+            Some(row) if cache.stale == 0 || cache.epochs[a.index()] == cache.head => {
+                cache.cache_hits += 1;
+                row[b.index()]
+            }
+            Some(_) => {
+                cache.sync_row(&self.graph, a);
+                cache.cache_hits += 1;
+                cache.rows[a.index()].as_deref().expect("sync keeps the row resident")[b.index()]
+            }
+            None => {
+                let row = single_source(&self.graph, a).into_boxed_slice();
+                let value = row[b.index()];
+                cache.insert(a, row, self.capacity);
+                value
+            }
         }
-        let row = single_source(&self.graph, a).into_boxed_slice();
-        let value = row[b.index()];
-        cache.insert(a, row, self.capacity);
-        value
     }
 }
 
@@ -668,6 +840,11 @@ mod tests {
     /// Every (source, destination) latency must be bit-identical to the
     /// dense matrix built from the same graph.
     fn assert_matches_dense(lazy: &LazyLatency) {
+        {
+            let cache = lazy.cache.borrow();
+            let behind = |&&src: &&u32| cache.epochs[src as usize] != cache.head;
+            assert_eq!(cache.stale, cache.order.iter().filter(behind).count(), "stale-row count");
+        }
         let dense = all_pairs_latency(lazy.graph());
         let n = lazy.len();
         for a in 0..n as u32 {
@@ -811,13 +988,15 @@ mod tests {
         lazy.latency(NodeId(2), NodeId(0));
         lazy.set_edge_latency(e, 10.0);
         let s = lazy.stats();
-        assert_eq!(s.rows_cached, 2, "repair keeps rows resident");
-        assert_eq!(s.rows_repaired, 2);
-        assert!(s.vertices_settled > 0);
+        assert_eq!(s.rows_cached, 2, "a delta keeps rows resident");
+        assert_eq!(s.rows_repaired, 0, "nothing is repaired before it is read");
         let computed_before = s.rows_computed;
         assert_eq!(lazy.latency(NodeId(0), NodeId(2)), 11.0);
         assert_eq!(lazy.latency(NodeId(2), NodeId(0)), 11.0);
-        assert_eq!(lazy.stats().rows_computed, computed_before, "no recompute after repair");
+        let s = lazy.stats();
+        assert_eq!(s.rows_repaired, 2, "each stale row is repaired by its first read");
+        assert!(s.vertices_settled > 0);
+        assert_eq!(s.rows_computed, computed_before, "repair, not recompute");
     }
 
     /// A lower that creates a shortcut propagates through the row.
@@ -851,10 +1030,129 @@ mod tests {
         let mut lazy = LazyLatency::new(g);
         lazy.latency(NodeId(0), NodeId(7));
         lazy.set_edge_latency(first, 5.0);
+        assert_eq!(lazy.latency(NodeId(0), NodeId(7)), 11.0);
         let s = lazy.stats();
         assert_eq!(s.rows_rebuilt, 1, "7 of 8 vertices affected: rebuild threshold");
-        assert_eq!(lazy.latency(NodeId(0), NodeId(7)), 11.0);
         assert_matches_dense(&lazy);
+    }
+
+    /// Delta batches nobody reads after cost no repair work at all; the
+    /// one read that finally comes folds all of them into a single repair
+    /// and serves exactly what a fresh Dijkstra on the current graph would.
+    #[test]
+    fn unread_batches_settle_nothing_until_a_read() {
+        let t = generate(&TransitStubConfig::with_total_nodes(60), 29);
+        let mut lazy = LazyLatency::new(t.graph);
+        let m = lazy.graph().num_edges() as u32;
+        let mut rng = rng_from_seed(29);
+        let src = NodeId(7);
+        lazy.latency(src, NodeId(1));
+        for _ in 0..5 {
+            let deltas: Vec<(EdgeId, f64)> =
+                (0..6).map(|_| (EdgeId(rng.gen_range(0..m)), rng.gen_range(0.5..12.0))).collect();
+            lazy.apply_edge_deltas(&deltas);
+        }
+        let s = lazy.stats();
+        assert_eq!((s.rows_repaired, s.vertices_settled, s.rows_rebuilt), (0, 0, 0));
+        assert_eq!(lazy.rows_stale(), 1);
+        let fresh = single_source(lazy.graph(), src);
+        for (b, want) in fresh.iter().enumerate() {
+            assert_eq!(lazy.latency(src, NodeId(b as u32)).to_bits(), want.to_bits(), "7->{b}");
+        }
+        let s = lazy.stats();
+        assert!(s.rows_repaired <= 2, "five batches, one repair of two phases");
+        assert_eq!(s.rows_computed, 1);
+        assert_eq!(lazy.rows_stale(), 0);
+    }
+
+    /// One repair window holding every sign pattern at once: an edge raised
+    /// and then lowered below its start, one lowered and then raised above
+    /// it, and one returned exactly to its start (which must drop out).
+    #[test]
+    fn mixed_sign_window_folds_to_the_net_delta() {
+        let t = generate(&TransitStubConfig::with_total_nodes(60), 31);
+        let mut lazy = LazyLatency::new(t.graph);
+        let w = |lazy: &LazyLatency, e: u32| lazy.graph().edge(EdgeId(e)).latency_ms;
+        let (w0, w1, w2) = (w(&lazy, 0), w(&lazy, 1), w(&lazy, 2));
+        for src in 0..lazy.len() as u32 {
+            lazy.latency(NodeId(src), NodeId(0));
+        }
+        lazy.apply_edge_deltas(&[(EdgeId(0), w0 * 3.0), (EdgeId(1), w1 * 0.25)]);
+        lazy.apply_edge_deltas(&[(EdgeId(2), w2 * 5.0)]);
+        lazy.apply_edge_deltas(&[(EdgeId(0), w0 * 0.5), (EdgeId(1), w1 * 4.0), (EdgeId(2), w2)]);
+        assert_eq!(lazy.stats().vertices_settled, 0);
+        assert_matches_dense(&lazy);
+        assert_eq!(
+            lazy.stats().rows_computed,
+            lazy.len() as u64,
+            "rows are repaired, never recomputed"
+        );
+    }
+
+    /// A stale row pushed out by the capacity bound and faulted back in is
+    /// computed on the current graph and stamped current: no repair runs.
+    #[test]
+    fn evicted_stale_row_refaults_current() {
+        let t = generate(&TransitStubConfig::with_total_nodes(40), 33);
+        let mut lazy = LazyLatency::with_capacity(t.graph, 2);
+        lazy.latency(NodeId(0), NodeId(5));
+        lazy.latency(NodeId(1), NodeId(5));
+        let e = EdgeId(0);
+        lazy.set_edge_latency(e, lazy.graph().edge(e).latency_ms * 4.0);
+        assert_eq!(lazy.rows_stale(), 2);
+        lazy.latency(NodeId(2), NodeId(5)); // evicts stale row 0
+        lazy.latency(NodeId(0), NodeId(5)); // evicts stale row 1, re-faults 0
+        let s = lazy.stats();
+        assert_eq!((s.rows_computed, s.rows_evicted, s.rows_cached), (4, 2, 2));
+        assert_eq!(lazy.rows_stale(), 0, "rows computed after the delta are current");
+        assert_eq!(s.rows_repaired + s.rows_rebuilt, 0);
+        assert_matches_dense(&lazy);
+    }
+
+    /// The delta log never outgrows the edge count: rows too far behind are
+    /// let go (and recomputed if read again), rows that keep up survive,
+    /// and every served value stays exact.
+    #[test]
+    fn many_unread_batches_keep_the_log_bounded() {
+        let t = generate(&TransitStubConfig::with_total_nodes(40), 35);
+        let mut lazy = LazyLatency::new(t.graph);
+        let m = lazy.graph().num_edges();
+        let mut rng = rng_from_seed(35);
+        let (read, unread) = (NodeId(3), NodeId(11));
+        lazy.latency(read, NodeId(0));
+        lazy.latency(unread, NodeId(0));
+        for _ in 0..m {
+            let deltas: Vec<(EdgeId, f64)> = (0..4)
+                .map(|_| (EdgeId(rng.gen_range(0..m as u32)), rng.gen_range(0.5..12.0)))
+                .collect();
+            lazy.apply_edge_deltas(&deltas);
+            assert!(lazy.cache.borrow().log.len() <= m);
+            lazy.latency(read, NodeId(0));
+        }
+        let s = lazy.stats();
+        assert_eq!(s.rows_invalidated, 1, "only the row nobody read fell behind the log");
+        assert_eq!(s.rows_cached, 1);
+        assert!(lazy.cache.borrow().log.len() <= 4, "a row that keeps up needs one batch");
+        assert_matches_dense(&lazy);
+    }
+
+    #[test]
+    #[should_panic(expected = "EdgeId(0) latency must be finite and non-negative, got NaN")]
+    fn nan_jitter_factor_is_rejected() {
+        let mut g = Graph::new(2);
+        let e = g.add_edge(NodeId(0), NodeId(1), 4.0);
+        LazyLatency::new(g).scale_edge_clamped(e, f64::NAN, (0.5, 3.0));
+    }
+
+    /// A hostile weight anywhere in a batch panics before the graph or the
+    /// log has been touched by the deltas ahead of it.
+    #[test]
+    #[should_panic(expected = "EdgeId(1) latency must be finite and non-negative, got -1")]
+    fn negative_weight_is_rejected() {
+        let mut g = Graph::new(3);
+        let e0 = g.add_edge(NodeId(0), NodeId(1), 4.0);
+        let e1 = g.add_edge(NodeId(1), NodeId(2), 4.0);
+        LazyLatency::new(g).apply_edge_deltas(&[(e0, 2.0), (e1, -1.0)]);
     }
 
     #[test]

@@ -1049,7 +1049,8 @@ enum LatencyState {
     /// the unperturbed edge latencies as the jitter band reference.
     Dense { current: LatencyMatrix, graph: Graph, base_edges: Vec<f64> },
     /// Demand-driven rows; the provider carries its own graph and base
-    /// edge weights, and repairs cached rows in place on edge deltas.
+    /// edge weights, logs edge deltas and repairs a cached row in place
+    /// when it is next read.
     Lazy(LazyLatency),
 }
 
@@ -2483,17 +2484,11 @@ impl OverlayRuntime {
                 });
             }
             LatencyState::Lazy(lazy) => {
-                let before = lazy.stats();
+                // Only logs the batch: each row is repaired by its next
+                // read, so the point reports how many now await one.
                 lazy.apply_edge_deltas(&deltas);
-                let after = lazy.stats();
-                let repaired = after.rows_repaired - before.rows_repaired;
-                let rebuilt = after.rows_rebuilt - before.rows_rebuilt;
                 self.obs.point("latency.repair", || {
-                    vec![
-                        ("edges", delta_count.into()),
-                        ("rows_repaired", repaired.into()),
-                        ("rows_rebuilt", rebuilt.into()),
-                    ]
+                    vec![("edges", delta_count.into()), ("rows_stale", lazy.rows_stale().into())]
                 });
             }
         }
@@ -2838,9 +2833,16 @@ mod tests {
         assert!(last > first, "persistent edge inflation must raise usage: {first} -> {last}");
         assert!(
             sa.rows_repaired + sa.rows_rebuilt > 0,
-            "edge jitter must repair cached rows in place"
+            "rows read after edge jitter must be repaired in place"
         );
-        assert_eq!(sa.rows_invalidated, 0, "the repair policy never drops rows on deltas");
+        // 25 deltas a tick against a ~100-edge underlay: rows the run stops
+        // reading fall behind the edge-count-bounded delta log within a few
+        // ticks and are let go instead of repaired. Nothing else leaves.
+        assert_eq!(
+            sa.rows_computed,
+            sa.rows_cached as u64 + sa.rows_evicted + sa.rows_invalidated,
+            "every computed row is resident, flushed after warm-up, or fell behind the log"
+        );
     }
 
     #[test]

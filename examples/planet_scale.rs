@@ -7,10 +7,10 @@
 //!
 //! * **Lazy latency backend with row repair** — ground-truth shortest-path
 //!   rows are computed on demand, and when jitter rescales underlay edges
-//!   each resident row is *repaired in place* (dynamic SSSP over the
-//!   affected region) instead of dropped and recomputed; a steady tick
-//!   touches only the vertices whose distances actually changed, never the
-//!   `O(n²)` matrix.
+//!   a resident row is *repaired in place when next read* (dynamic SSSP
+//!   over the affected region) instead of dropped and recomputed; a steady
+//!   tick touches only the vertices whose distances actually changed in
+//!   rows somebody still reads, never the `O(n²)` matrix.
 //! * **Landmark Vivaldi with join-time placement** — the embedding warm-up
 //!   samples against `k` frozen landmarks instead of gossiping all-pairs,
 //!   so only `k` Dijkstra rows are ever demanded during bring-up; every

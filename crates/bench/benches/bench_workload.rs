@@ -5,6 +5,12 @@
 //! Alongside the timing, each configuration prints the reuse economics of
 //! its standing population (marginal vs standalone usage at deploy time) —
 //! the quantity reuse buys at the cost of the discovery scan being timed.
+//!
+//! `deploy_lazy_cold` is the micro counterpart of the benchmark's
+//! `planet-100k` `setup_s`: one deploy at 10k nodes on `Lazy` + `Dht` whose
+//! hosts no earlier deploy touched, so every latency row it needs is cold.
+//! It reports µs/deploy and rows/deploy; the rows are the deployed circuit's
+//! link sources (7 for a 4-way join), never a rejected candidate's.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sbon_coords::vivaldi::VivaldiConfig;
@@ -87,5 +93,45 @@ fn bench_workload(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_workload);
+fn bench_deploy_lazy_cold(c: &mut Criterion) {
+    use rand::seq::SliceRandom;
+    let seed = 0xC01D;
+    let topo = generate(&TransitStubConfig::with_total_nodes(10_000), seed);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        seed,
+        RuntimeConfig::builder()
+            .churn(ChurnProcess::None)
+            .latency_backend(LatencyBackend::Lazy)
+            .vivaldi(VivaldiConfig { landmarks: Some(32), ..Default::default() })
+            .build(),
+    );
+    // Disjoint 5-host groups: iteration i deploys onto hosts nobody has
+    // read a latency out of yet.
+    let mut hosts = topo.host_candidates();
+    hosts.shuffle(&mut derive_rng(seed, 0xCA7));
+    let bank: Vec<QuerySpec> =
+        hosts.chunks_exact(5).map(|h| QuerySpec::join_star(&h[..4], h[4], 10.0, 0.02)).collect();
+
+    let rows_before = rt.lazy_latency_stats().expect("lazy backend").rows_computed;
+    let mut deploys = 0usize;
+    let mut group = c.benchmark_group("deploy_lazy_cold_10000_nodes");
+    group.bench_function("deploy_undeploy", |b| {
+        b.iter(|| {
+            let h = rt.deploy(bank[deploys].clone()).expect("arrival deploys");
+            deploys += 1;
+            black_box(rt.undeploy(h))
+        })
+    });
+    group.finish();
+    let rows = rt.lazy_latency_stats().expect("lazy backend").rows_computed - rows_before;
+    println!(
+        "  [deploy_lazy_cold] {rows} rows over {deploys} deploys = {:.2} rows/deploy \
+         ({} worker threads)",
+        rows as f64 / deploys as f64,
+        std::thread::available_parallelism().map_or(1, usize::from)
+    );
+}
+
+criterion_group!(benches, bench_workload, bench_deploy_lazy_cold);
 criterion_main!(benches);

@@ -299,7 +299,7 @@ impl MultiQueryOptimizer {
         let integrated = crate::optimizer::IntegratedOptimizer::new(self.config.clone());
         let placer = self.config.placer.build();
         let mut total_candidates = 0usize;
-        let mut best: Option<MultiQueryOutcome> = None;
+        let mut best: Option<(MultiQueryOutcome, Placement)> = None;
 
         for plan in integrated.candidate_plans(query) {
             let outcome = self.place_one_plan(
@@ -314,7 +314,9 @@ impl MultiQueryOptimizer {
             );
             let better = match (&best, &outcome) {
                 (None, Some(_)) => true,
-                (Some(b), Some(o)) => o.marginal_cost.network_usage < b.marginal_cost.network_usage,
+                (Some((b, _)), Some((o, _))) => {
+                    o.marginal_cost.network_usage < b.marginal_cost.network_usage
+                }
                 _ => false,
             };
             if better {
@@ -322,7 +324,11 @@ impl MultiQueryOptimizer {
             }
         }
 
-        let mut chosen = best?;
+        let (mut chosen, standalone) = best?;
+        // The no-reuse reference is reporting only — it never ranks a
+        // candidate — so it is measured for the chosen plan alone.
+        chosen.standalone_cost =
+            chosen.circuit.cost_with(&standalone, |a, b| latency.latency(a, b));
         chosen.candidates_examined = total_candidates;
         chosen.id = CircuitId(self.next_id);
         self.next_id += 1;
@@ -339,7 +345,8 @@ impl MultiQueryOptimizer {
     }
 
     /// Places one candidate plan with reuse, returning its outcome (not yet
-    /// registered).
+    /// registered, `standalone_cost` not yet measured) and its standalone —
+    /// no-reuse — placement.
     #[allow(clippy::too_many_arguments)]
     fn place_one_plan(
         &mut self,
@@ -351,15 +358,13 @@ impl MultiQueryOptimizer {
         placer: &dyn VirtualPlacer,
         mapper: &mut dyn PhysicalMapper,
         candidates_examined: &mut usize,
-    ) -> Option<MultiQueryOutcome> {
+    ) -> Option<(MultiQueryOutcome, Placement)> {
         let mut circuit =
             Circuit::from_plan(plan, &query.stats, |s| query.producer_of(s), query.consumer);
 
         // Standalone reference: no reuse.
         let vp0 = placer.place(&circuit, space);
-        let standalone_mapped = map_circuit(&circuit, &vp0, space, mapper);
-        let standalone_cost =
-            circuit.cost_with(&standalone_mapped.placement, |a, b| latency.latency(a, b));
+        let standalone = map_circuit(&circuit, &vp0, space, mapper).placement;
 
         // Reuse pass: walk services top-down (higher ids are closer to the
         // root in construction order); the first (largest) reusable subtree
@@ -444,18 +449,19 @@ impl MultiQueryOptimizer {
             total_link_latency: marginal_cost.total_link_latency - free_cost.1,
         };
 
-        Some(MultiQueryOutcome {
+        let outcome = MultiQueryOutcome {
             plan: plan.clone(),
             placement: mapped.placement,
             circuit,
             marginal_cost: marginal,
-            standalone_cost,
+            standalone_cost: CircuitCost::ZERO, // caller measures the chosen plan's
             reused,
             reused_at,
             shared,
             candidates_examined: 0,  // caller overwrites with the total
             id: CircuitId(u64::MAX), // caller assigns
-        })
+        };
+        Some((outcome, standalone))
     }
 
     /// Finds the closest reusable instance with the given signature inside

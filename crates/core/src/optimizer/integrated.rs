@@ -1,4 +1,11 @@
 //! The integrated optimizer (Section 3.3).
+//!
+//! Candidates are ranked **in the cost space**: coordinates are the cheap
+//! estimate that spares the optimizer from probing the network, so the
+//! estimate alone decides. Measured (ground-truth latency) cost therefore
+//! exists for the *selected* circuit only — a rejected candidate's measured
+//! cost could not have changed the decision, and on a demand-driven latency
+//! provider each one costs a shortest-path row per link-source host.
 
 use sbon_netsim::latency::LatencyProvider;
 use sbon_query::enumerate::{all_join_trees, all_left_deep_trees, dp_top_k_plans};
@@ -6,7 +13,7 @@ use sbon_query::plan::LogicalPlan;
 
 use crate::circuit::Circuit;
 use crate::costspace::CostSpace;
-use crate::optimizer::{cost_both, OptimizerConfig, PlacedCircuit, QuerySpec};
+use crate::optimizer::{OptimizerConfig, PlacedCircuit, QuerySpec};
 use crate::placement::{map_circuit, OracleMapper, PhysicalMapper};
 
 /// Integrated plan generation + service placement: every candidate plan is
@@ -59,7 +66,8 @@ impl IntegratedOptimizer {
     }
 
     /// Optimizes with an explicit physical mapper (e.g. the Hilbert-DHT
-    /// mapper, which charges routing hops).
+    /// mapper, which charges routing hops): selects by estimate, then costs
+    /// the selected circuit — and only it — under `latency`.
     pub fn optimize_with_mapper(
         &self,
         query: &QuerySpec,
@@ -67,57 +75,20 @@ impl IntegratedOptimizer {
         latency: &dyn LatencyProvider,
         mapper: &mut dyn PhysicalMapper,
     ) -> Option<PlacedCircuit> {
-        let placer = self.config.placer.build();
-        let candidates = self.candidate_plans(query);
-        let examined = candidates.len();
-        let mut best: Option<PlacedCircuit> = None;
-
-        for plan in candidates {
-            let circuit =
-                Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
-            let vp = placer.place(&circuit, space);
-            let mapped = map_circuit(&circuit, &vp, space, mapper);
-            let (measured, estimated) = cost_both(&circuit, &mapped.placement, space, latency);
-            let candidate = PlacedCircuit {
-                plan,
-                mapping_hops: mapped.total_hops(),
-                mean_mapping_error: mapped.mean_mapping_error(),
-                placement: mapped.placement,
-                circuit,
-                cost: measured,
-                estimated,
-                candidates_examined: examined,
-            };
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    let (new, old) = if self.config.select_by_estimate {
-                        (candidate.estimated.network_usage, b.estimated.network_usage)
-                    } else {
-                        (candidate.cost.network_usage, b.cost.network_usage)
-                    };
-                    new < old
-                }
-            };
-            if better {
-                best = Some(candidate);
-            }
-        }
-        best
+        Some(self.optimize_with_mapper_estimated(query, space, mapper)?.measured(latency))
     }
 
-    /// [`IntegratedOptimizer::optimize_with_mapper`] without the measured
-    /// cost: candidates are costed from the cost space **estimate only** and
-    /// selection is by estimate regardless of
-    /// `OptimizerConfig::select_by_estimate` (there is no measured cost to
-    /// select by — the returned circuit's `cost` is a copy of `estimated`).
+    /// The selection step of [`IntegratedOptimizer::optimize_with_mapper`]:
+    /// every candidate is virtually placed, physically mapped and costed
+    /// from the cost space **estimate only**, and the cheapest estimate
+    /// wins. No latency provider is touched, so the returned circuit's
+    /// `cost` is a copy of `estimated` until [`PlacedCircuit::measured`]
+    /// replaces it.
     ///
-    /// This is the re-optimization path: with the default
-    /// `select_by_estimate = true` it picks exactly the circuit
-    /// `optimize_with_mapper` would, while never touching a latency
-    /// provider — which keeps a full re-opt pass free of on-demand
-    /// shortest-path row computations and safe to run against a read-only
-    /// mapper view.
+    /// Re-optimization stops here — which keeps a full re-opt pass free of
+    /// on-demand shortest-path row computations and safe to run against a
+    /// read-only mapper view — and so does a caller that wants to make the
+    /// winner's latency rows resident before measuring it.
     pub fn optimize_with_mapper_estimated(
         &self,
         query: &QuerySpec,
@@ -278,6 +249,131 @@ mod tests {
         assert_eq!(placed.circuit.len(), 7);
     }
 
+    /// The cost-every-candidate loop `optimize_with_mapper` used to run,
+    /// kept as the oracle: every candidate is costed under measured latency
+    /// *and* the estimate, and the cheapest estimate wins.
+    fn reference_optimize(
+        opt: &IntegratedOptimizer,
+        query: &QuerySpec,
+        space: &CostSpace,
+        latency: &dyn LatencyProvider,
+        mapper: &mut dyn PhysicalMapper,
+    ) -> Option<PlacedCircuit> {
+        let placer = opt.config.placer.build();
+        let candidates = opt.candidate_plans(query);
+        let examined = candidates.len();
+        let mut best: Option<PlacedCircuit> = None;
+        for plan in candidates {
+            let circuit =
+                Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
+            let vp = placer.place(&circuit, space);
+            let mapped = map_circuit(&circuit, &vp, space, mapper);
+            let measured = circuit.cost_with(&mapped.placement, |a, b| latency.latency(a, b));
+            let estimated =
+                circuit.cost_with(&mapped.placement, |a, b| space.vector_distance(a, b));
+            let candidate = PlacedCircuit {
+                plan,
+                mapping_hops: mapped.total_hops(),
+                mean_mapping_error: mapped.mean_mapping_error(),
+                placement: mapped.placement,
+                circuit,
+                cost: measured,
+                estimated,
+                candidates_examined: examined,
+            };
+            if best
+                .as_ref()
+                .is_none_or(|b| candidate.estimated.network_usage < b.estimated.network_usage)
+            {
+                best = Some(candidate);
+            }
+        }
+        best
+    }
+
+    /// Everything about a [`PlacedCircuit`] except its measured `cost`,
+    /// floats as bit patterns.
+    fn selection_of(p: &PlacedCircuit) -> (String, Vec<NodeId>, [u64; 3], usize, u64, usize) {
+        (
+            p.plan.render(),
+            p.placement.as_slice().to_vec(),
+            cost_bits(&p.estimated),
+            p.mapping_hops,
+            p.mean_mapping_error.to_bits(),
+            p.candidates_examined,
+        )
+    }
+
+    fn cost_bits(c: &crate::circuit::CircuitCost) -> [u64; 3] {
+        [c.network_usage.to_bits(), c.max_path_latency.to_bits(), c.total_link_latency.to_bits()]
+    }
+
+    /// Records the `from` node of every latency read it serves.
+    struct CountingLatency<'a> {
+        inner: &'a sbon_netsim::latency::LatencyMatrix,
+        reads_from: std::cell::RefCell<Vec<NodeId>>,
+    }
+
+    impl LatencyProvider for CountingLatency<'_> {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn latency(&self, a: NodeId, b: NodeId) -> f64 {
+            self.reads_from.borrow_mut().push(a);
+            self.inner.latency(a, b)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 24 })]
+        #[test]
+        fn selected_only_costing_matches_the_cost_every_candidate_reference(
+            seed in 0u64..1_000_000,
+            n in 24usize..56,
+            ways in 2usize..=5,
+            use_dht in 0u8..2,
+        ) {
+            let (space, lat) = exact_world(n, seed);
+            // Distinct producers and a consumer, spread by a seed-derived stride.
+            let stride = 1 + (seed as usize % 3);
+            let producers: Vec<NodeId> =
+                (0..ways).map(|i| NodeId(((seed as usize + i * stride) % (n - 1)) as u32)).collect();
+            let q = QuerySpec::join_star(&producers, NodeId(n as u32 - 1), 10.0, 0.02);
+            let opt = IntegratedOptimizer::new(OptimizerConfig::default());
+            let counting = CountingLatency { inner: &lat, reads_from: Default::default() };
+
+            let run = |old: &mut dyn PhysicalMapper, new: &mut dyn PhysicalMapper| {
+                (
+                    reference_optimize(&opt, &q, &space, &lat, old).unwrap(),
+                    opt.optimize_with_mapper(&q, &space, &counting, new).unwrap(),
+                )
+            };
+            let (reference, new) = if use_dht == 1 {
+                let mut old_dht = crate::placement::DhtMapper::build(&space, 10, 8);
+                let mut new_dht = crate::placement::DhtMapper::build(&space, 10, 8);
+                let placed = run(&mut old_dht, &mut new_dht);
+                proptest::prop_assert_eq!(new_dht.stats(), old_dht.stats());
+                placed
+            } else {
+                run(&mut OracleMapper, &mut OracleMapper)
+            };
+
+            proptest::prop_assert_eq!(selection_of(&new), selection_of(&reference));
+            proptest::prop_assert_eq!(cost_bits(&new.cost), cost_bits(&reference.cost));
+            // Measured latency was read for the winner alone: every read
+            // goes out of one of its link sources.
+            let sources: Vec<NodeId> =
+                new.circuit.links().iter().map(|l| new.placement.node_of(l.from)).collect();
+            let reads = counting.reads_from.borrow();
+            proptest::prop_assert!(!reads.is_empty());
+            proptest::prop_assert!(
+                reads.iter().all(|a| sources.contains(a)),
+                "reads from {:?}, link sources {:?}", reads, sources
+            );
+        }
+    }
+
     #[test]
     fn estimated_path_selects_the_same_circuit_as_the_full_path() {
         let (space, lat) = exact_world(40, 7);
@@ -287,19 +383,12 @@ mod tests {
             10.0,
             0.02,
         );
-        // Default config selects by estimate, so the estimate-only path must
-        // land on the identical plan and placement.
         let opt = IntegratedOptimizer::new(OptimizerConfig::default());
-        let full = opt.optimize(&q, &space, &lat).unwrap();
-        let mut mapper = OracleMapper;
-        let est = opt.optimize_with_mapper_estimated(&q, &space, &mut mapper).unwrap();
-        assert_eq!(est.plan.render(), full.plan.render());
-        assert_eq!(est.placement.as_slice(), full.placement.as_slice());
-        assert_eq!(est.estimated.network_usage, full.estimated.network_usage);
-        assert_eq!(
-            est.cost.network_usage, est.estimated.network_usage,
-            "estimate-only cost is the estimate"
-        );
+        let full = reference_optimize(&opt, &q, &space, &lat, &mut OracleMapper).unwrap();
+        let est = opt.optimize_with_mapper_estimated(&q, &space, &mut OracleMapper).unwrap();
+        assert_eq!(selection_of(&est), selection_of(&full));
+        assert_eq!(est.cost, est.estimated, "estimate-only cost is the estimate");
+        assert_eq!(cost_bits(&est.measured(&lat).cost), cost_bits(&full.cost));
     }
 
     #[test]

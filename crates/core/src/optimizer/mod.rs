@@ -20,7 +20,6 @@ use sbon_netsim::latency::LatencyProvider;
 use sbon_query::plan::LogicalPlan;
 
 use crate::circuit::{Circuit, CircuitCost, Placement};
-use crate::costspace::CostSpace;
 use crate::placement::{
     CentroidPlacer, GradientConfig, GradientPlacer, RelaxationConfig, RelaxationPlacer,
     VirtualPlacer,
@@ -66,10 +65,6 @@ pub struct OptimizerConfig {
     pub exhaustive_below: usize,
     /// Virtual-placement algorithm.
     pub placer: PlacerKind,
-    /// Rank candidate circuits by the cost-space *estimate* (what a
-    /// decentralized optimizer can see) rather than ground-truth latency.
-    /// Experiments report both costs either way.
-    pub select_by_estimate: bool,
     /// Restrict exhaustive enumeration to the classic left-deep (System R)
     /// search space instead of all bushy trees.
     pub left_deep_only: bool,
@@ -81,7 +76,6 @@ impl Default for OptimizerConfig {
             candidate_plans: 8,
             exhaustive_below: 5,
             placer: PlacerKind::default(),
-            select_by_estimate: true,
             left_deep_only: false,
         }
     }
@@ -108,14 +102,11 @@ pub struct PlacedCircuit {
     pub candidates_examined: usize,
 }
 
-/// Shared helper: cost a mapped circuit both ways.
-pub(crate) fn cost_both(
-    circuit: &Circuit,
-    placement: &Placement,
-    space: &CostSpace,
-    latency: &dyn LatencyProvider,
-) -> (CircuitCost, CircuitCost) {
-    let measured = circuit.cost_with(placement, |a, b| latency.latency(a, b));
-    let estimated = circuit.cost_with(placement, |a, b| space.vector_distance(a, b));
-    (measured, estimated)
+impl PlacedCircuit {
+    /// Replaces `cost` with the circuit's cost under ground-truth
+    /// `latency`. Every read goes out of a link's upstream host.
+    pub fn measured(mut self, latency: &dyn LatencyProvider) -> Self {
+        self.cost = self.circuit.cost_with(&self.placement, |a, b| latency.latency(a, b));
+        self
+    }
 }

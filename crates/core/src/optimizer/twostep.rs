@@ -12,7 +12,7 @@ use sbon_query::enumerate::dp_best_plan;
 
 use crate::circuit::Circuit;
 use crate::costspace::CostSpace;
-use crate::optimizer::{cost_both, OptimizerConfig, PlacedCircuit, QuerySpec};
+use crate::optimizer::{OptimizerConfig, PlacedCircuit, QuerySpec};
 use crate::placement::{map_circuit, OracleMapper, PhysicalMapper};
 
 /// Plan first on statistics alone, place second.
@@ -57,17 +57,18 @@ impl TwoStepOptimizer {
             Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
         let vp = placer.place(&circuit, space);
         let mapped = map_circuit(&circuit, &vp, space, mapper);
-        let (measured, estimated) = cost_both(&circuit, &mapped.placement, space, latency);
-        Some(PlacedCircuit {
+        let estimated = circuit.cost_with(&mapped.placement, |a, b| space.vector_distance(a, b));
+        let placed = PlacedCircuit {
             plan,
             mapping_hops: mapped.total_hops(),
             mean_mapping_error: mapped.mean_mapping_error(),
             placement: mapped.placement,
             circuit,
-            cost: measured,
+            cost: estimated,
             estimated,
             candidates_examined: 1,
-        })
+        };
+        Some(placed.measured(latency))
     }
 }
 

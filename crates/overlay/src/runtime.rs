@@ -36,7 +36,7 @@ use rand::Rng;
 use rayon::prelude::*;
 
 use sbon_coords::vivaldi::{LandmarkPlacer, VivaldiConfig, VivaldiEmbedding};
-use sbon_core::circuit::{Circuit, Placement, ServiceId};
+use sbon_core::circuit::{Circuit, Link, Placement, ServiceId};
 use sbon_core::costspace::{CostSpace, CostSpaceBuilder};
 use sbon_core::multiquery::{CircuitId, MultiQueryOptimizer, ReuseScope};
 use sbon_core::optimizer::{IntegratedOptimizer, OptimizerConfig, QuerySpec};
@@ -641,6 +641,15 @@ fn subtree_mask(circuit: &Circuit, roots: &[ServiceId]) -> Vec<bool> {
         mark(circuit, root, &mut in_subtree);
     }
     in_subtree
+}
+
+/// The upstream host of each of `links`, in order — the node whose
+/// shortest-path row a ground-truth latency read of that link is served from.
+fn link_sources<'a>(
+    placement: &'a Placement,
+    links: impl Iterator<Item = &'a Link> + 'a,
+) -> impl Iterator<Item = NodeId> + 'a {
+    links.map(|l| placement.node_of(l.from))
 }
 
 /// `charge[link]`: the link feeds a subtree rooted at one of `roots` and the
@@ -1752,31 +1761,40 @@ impl OverlayRuntime {
         }
     }
 
-    /// Demand-computes every shortest-path row the next usage accounting
-    /// pass will read — the upstream endpoint of each charged link — in
-    /// parallel across the worker pool when one is active. A no-op under
-    /// the dense backend and for rows already resident. Row *computation*
-    /// is pure and order-free; insertion happens on this thread in
-    /// first-occurrence order, so cache state and all served values are
-    /// identical at any thread count.
+    /// Makes the shortest-path rows of `sources` resident before they are
+    /// read, computing the missing ones in parallel across the worker pool
+    /// when one is active. A no-op under the dense backend and for rows
+    /// already resident. Row *computation* is pure and order-free; insertion
+    /// happens on this thread in first-occurrence order — for sources listed
+    /// in read order, the order serial reads would first touch them — so
+    /// cache state and all served values are identical at any thread count.
+    fn prewarm_rows(&self, sources: &[NodeId]) {
+        if let LatencyState::Lazy(lazy) = &self.latency {
+            lazy.ensure_rows(sources, self.pool.as_ref());
+        }
+    }
+
+    /// Prewarms every row the next usage accounting pass will read: the
+    /// upstream endpoint of each charged link.
     fn prewarm_usage_rows(&self) {
-        let LatencyState::Lazy(lazy) = &self.latency else { return };
+        if !matches!(self.latency, LatencyState::Lazy(_)) {
+            return;
+        }
         let mut sources: Vec<NodeId> = Vec::new();
         for d in &self.circuits {
-            for l in d.circuit.links() {
-                if !d.shared.get(l.to.index()).copied().unwrap_or(false) {
-                    sources.push(d.placement.node_of(l.from));
-                }
-            }
+            let charged = d
+                .circuit
+                .links()
+                .iter()
+                .filter(|l| !d.shared.get(l.to.index()).copied().unwrap_or(false));
+            sources.extend(link_sources(&d.placement, charged));
         }
         for r in &self.retained {
-            for (l, &charged) in r.circuit.links().iter().zip(&r.charge) {
-                if charged {
-                    sources.push(r.placement.node_of(l.from));
-                }
-            }
+            let charged =
+                r.circuit.links().iter().zip(&r.charge).filter(|&(_, &c)| c).map(|(l, _)| l);
+            sources.extend(link_sources(&r.placement, charged));
         }
-        lazy.ensure_rows(&sources, self.pool.as_ref());
+        self.prewarm_rows(&sources);
     }
 
     /// Current instantaneous network usage: every live circuit's *charged*
@@ -1872,12 +1890,17 @@ impl OverlayRuntime {
                 (out.plan, out.circuit, out.placement, Some(out.id), out.shared, out.reused)
             }
             None => {
-                let placed = self.optimizer.optimize_with_mapper(
+                // Select in the cost space, then measure the winner alone,
+                // its link-source rows faulted in as one batch in link order.
+                let placed = self.optimizer.optimize_with_mapper_estimated(
                     &query,
                     &self.space,
-                    self.latency.provider(),
                     self.mapper.as_dyn(),
                 )?;
+                let sources: Vec<NodeId> =
+                    link_sources(&placed.placement, placed.circuit.links().iter()).collect();
+                self.prewarm_rows(&sources);
+                let placed = placed.measured(self.latency.provider());
                 self.obs.registry.gauge_add(self.obs.h.marginal_usage, placed.cost.network_usage);
                 self.obs.registry.gauge_add(self.obs.h.standalone_usage, placed.cost.network_usage);
                 (placed.plan, placed.circuit, placed.placement, None, Vec::new(), Vec::new())

@@ -1,0 +1,49 @@
+//! A deploy pays shortest-path rows for the circuit it deploys, and for
+//! nothing else: candidates are ranked in the cost space, so on the lazy
+//! latency backend the only rows a `deploy` may fault in are those of the
+//! winner's link-source hosts that are not resident yet.
+
+use std::collections::BTreeSet;
+
+use sbon_core::optimizer::QuerySpec;
+use sbon_netsim::graph::NodeId;
+use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
+use sbon_overlay::{LatencyBackend, MapperBackend, OverlayRuntime, RuntimeConfig};
+
+#[test]
+fn deploy_computes_only_the_deployed_circuits_missing_link_source_rows() {
+    let topo = generate(&TransitStubConfig::with_total_nodes(200), 2005);
+    let config = RuntimeConfig::builder()
+        .latency_backend(LatencyBackend::Lazy)
+        .mapper_backend(MapperBackend::Dht { bits: 12, scan_width: 8 })
+        .threads(2)
+        .build();
+    let mut rt = OverlayRuntime::new(&topo, 2005, config);
+    let rows = |rt: &OverlayRuntime| rt.lazy_latency_stats().expect("lazy backend");
+    // Full-membership bring-up embeds over every row, then drops them all.
+    assert_eq!(rows(&rt).rows_cached, 0);
+
+    let hosts = topo.host_candidates();
+    let mut resident: BTreeSet<NodeId> = BTreeSet::new();
+    // The second query shares two producers with the first, so some of its
+    // link sources are already resident when it deploys.
+    for producers in [[0usize, 9, 18, 27], [9, 18, 40, 51]] {
+        let consumer = hosts[63];
+        let query = QuerySpec::join_star(&producers.map(|i| hosts[i]), consumer, 10.0, 0.02);
+        let before = rows(&rt).rows_computed;
+        let handle = rt.deploy(query).expect("query must deploy");
+        let computed = rows(&rt).rows_computed - before;
+
+        // A circuit is a tree: every service but the root (the consumer,
+        // built last) is the upstream end of exactly one link.
+        let (root, upstream) =
+            rt.placement(handle).expect("deployed").as_slice().split_last().expect("services");
+        assert_eq!(*root, consumer);
+        let sources: BTreeSet<NodeId> = upstream.iter().copied().collect();
+        let missing = sources.difference(&resident).count();
+        assert!(missing > 0, "each query brings at least one new producer");
+        assert_eq!(computed as usize, missing, "link sources {sources:?}, resident {resident:?}");
+        resident.extend(sources);
+    }
+    assert_eq!(rows(&rt).rows_cached, resident.len());
+}

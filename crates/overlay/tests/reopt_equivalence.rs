@@ -9,13 +9,16 @@
 //! schedules, both latency backends, both mapper backends, reuse on/off, and
 //! mid-run node failures.
 //!
-//! A second pin holds the sharded read-only evaluation phase to the serial
-//! one: `threads = 8` ≡ `threads = 1`, again on the whole report.
+//! A second pin holds the sharded phases — read-only re-opt evaluation, and
+//! the batch that faults a deployed circuit's latency rows in — to the serial
+//! ones: `threads = 8` ≡ `threads = 1`, on the whole report and on the lazy
+//! row cache's counters, with a query deployed mid-run.
 
 use proptest::prelude::*;
 use sbon_core::multiquery::ReuseScope;
 use sbon_core::optimizer::QuerySpec;
 use sbon_netsim::graph::NodeId;
+use sbon_netsim::lazy::LazyLatencyStats;
 use sbon_netsim::load::ChurnProcess;
 use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
 use sbon_netsim::topology::Topology;
@@ -35,6 +38,8 @@ struct Scenario {
     jitter: bool,
     failure: bool,
     reuse: bool,
+    /// `RuntimeConfig::lazy_row_cache` (FIFO bound on resident rows).
+    row_cache: Option<usize>,
 }
 
 impl Scenario {
@@ -49,6 +54,7 @@ impl Scenario {
             jitter: flags & 2 != 0,
             failure: flags & 4 != 0,
             reuse: flags & 8 != 0,
+            row_cache: None,
         }
     }
 }
@@ -67,9 +73,15 @@ fn star(hosts: &[NodeId], base: usize, rate: f64) -> QuerySpec {
 /// Runs the drawn scenario once. `incremental` toggles relevance-index
 /// skipping; `threads` sets the worker pool for the parallel phases. All
 /// three re-optimization pass kinds fire within the 8-tick horizon
-/// (intervals 2 s / 3 s / 4 s), and the optional failure lands between the
-/// first and second local pass.
-fn run_once(s: &Scenario, topo: &Topology, incremental: bool, threads: usize) -> RunReport {
+/// (intervals 2 s / 3 s / 4 s), a third query is deployed after tick 3, and
+/// the optional failure lands between the first and second local pass.
+/// Returns the report and, on the lazy backend, the row cache's counters.
+fn run_once(
+    s: &Scenario,
+    topo: &Topology,
+    incremental: bool,
+    threads: usize,
+) -> (RunReport, Option<LazyLatencyStats>) {
     let (latency, mapper) = match s.backend {
         0 => (LatencyBackend::Dense, MapperBackend::Dht { bits: 12, scan_width: 8 }),
         1 => (LatencyBackend::Dense, MapperBackend::Oracle),
@@ -101,6 +113,7 @@ fn run_once(s: &Scenario, topo: &Topology, incremental: bool, threads: usize) ->
         .churn(churn)
         .latency_jitter(jitter)
         .latency_backend(latency)
+        .lazy_row_cache(s.row_cache)
         .mapper_backend(mapper)
         .reuse(reuse)
         .threads(threads)
@@ -116,7 +129,11 @@ fn run_once(s: &Scenario, topo: &Topology, incremental: bool, threads: usize) ->
         // teardown, if it strands the circuit) must stay equivalent too.
         rt.schedule_failure(3_500.0, hosts[7 % hosts.len()]);
     }
-    rt.run()
+    let mut session = rt.start_run();
+    rt.advance_ticks(&mut session, 3);
+    rt.deploy(star(&hosts, 5, 8.0)).expect("mid-run query must deploy");
+    rt.advance_ticks(&mut session, usize::MAX);
+    (rt.finish_run(session), rt.lazy_latency_stats())
 }
 
 proptest! {
@@ -133,8 +150,8 @@ proptest! {
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);
-        let incremental = run_once(&s, &topo, true, 1);
-        let full_scan = run_once(&s, &topo, false, 1);
+        let (incremental, _) = run_once(&s, &topo, true, 1);
+        let (full_scan, _) = run_once(&s, &topo, false, 1);
         prop_assert_eq!(incremental, full_scan);
     }
 }
@@ -143,7 +160,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
     /// The sharded read-only evaluation phase commits serially in circuit
-    /// order, so the thread count must never show up in the report.
+    /// order, and a deploy's row batch inserts in link order, so the thread
+    /// count must never show up in the report or in the row cache.
     #[test]
     fn parallel_reopt_equals_serial(
         (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..4, 0u8..16)
@@ -153,5 +171,30 @@ proptest! {
         let parallel = run_once(&s, &topo, true, 8);
         let serial = run_once(&s, &topo, true, 1);
         prop_assert_eq!(parallel, serial);
+    }
+}
+
+/// The same pin with the row cache bounded below one circuit's link sources:
+/// the deploy batch then evicts as it inserts, so FIFO order — prewarm order
+/// = serial first-touch order — decides which rows survive.
+#[test]
+fn parallel_equals_serial_with_a_bounded_row_cache() {
+    for (seed, reuse) in [(11u64, false), (12, true)] {
+        let s = Scenario {
+            seed,
+            nodes: 100,
+            backend: 2, // Lazy + Dht
+            sparse_churn: true,
+            jitter: true,
+            failure: false,
+            reuse,
+            row_cache: Some(4),
+        };
+        let topo = topology(&s);
+        let (parallel, parallel_rows) = run_once(&s, &topo, true, 8);
+        let (serial, serial_rows) = run_once(&s, &topo, true, 1);
+        assert_eq!(parallel, serial, "seed {seed}");
+        assert_eq!(parallel_rows, serial_rows, "seed {seed}");
+        assert!(serial_rows.expect("lazy backend").rows_evicted > 0, "the bound must bind");
     }
 }

@@ -226,15 +226,28 @@ fn run_tier(
         topo.host_candidates().into_iter().filter(|&h| rt.is_arrived(h)).collect();
     let mut rng = derive_rng(seed, 0x9a7e);
     let start = Instant::now();
+    let rows_before = rt.lazy_latency_stats().expect("lazy backend").rows_computed;
+    let mut link_sources = 0;
     for q in 0..tier.queries {
         let mut picked = hosts.clone();
         picked.shuffle(&mut rng);
         let query = QuerySpec::join_star(&picked[..4], picked[4], 10.0, 0.02);
-        rt.deploy(query).unwrap_or_else(|| panic!("query {q} deploys"));
+        let handle = rt.deploy(query).unwrap_or_else(|| panic!("query {q} deploys"));
+        // Every service but the consumer is the upstream end of one link.
+        link_sources += rt.placement(handle).expect("just deployed").as_slice().len() - 1;
     }
+    // Work-counter gate (exact in the seed, so it cannot flake): candidates
+    // are ranked in the cost space, so a deploy may fault in rows for the
+    // deployed circuit's link sources only — never for a rejected candidate.
+    let deploy_rows = rt.lazy_latency_stats().expect("lazy backend").rows_computed - rows_before;
+    assert!(
+        deploy_rows as usize <= link_sources,
+        "the deploy phase computed {deploy_rows} rows for {link_sources} link sources"
+    );
     if chatty {
         println!(
-            "  deployed {} join circuits in {:.2} s",
+            "  deployed {} join circuits in {:.2} s — {deploy_rows} Dijkstra rows computed \
+             (bound: {link_sources} link sources)",
             tier.queries,
             start.elapsed().as_secs_f64()
         );

@@ -57,7 +57,7 @@ use sbon_core::reopt::{reoptimize_rewrite, ReoptPolicy};
 use sbon_dht::{DhtConfig, DhtRing, ProtoConfig, RingKey};
 use sbon_netsim::graph::{EdgeId, NodeId};
 use sbon_netsim::latency::LatencyProvider;
-use sbon_netsim::lazy::{DeltaPolicy, LazyLatency};
+use sbon_netsim::lazy::LazyLatency;
 use sbon_netsim::load::{Attr, ChurnProcess, NodeAttrs};
 use sbon_netsim::metrics::Summary;
 use sbon_netsim::rng::derive_rng;
@@ -257,11 +257,11 @@ fn bench_ring_maintenance(c: &mut Criterion) {
 /// One jitter tick against the lazy row cache at 10k nodes: apply a batch
 /// of 200 edge-weight deltas (0.1% of edges, clamped to the (0.5, 3.0)
 /// band around base latency) and bring rows of the 64-row resident set
-/// back to servable. Under [`DeltaPolicy::Repair`] the batch is only
-/// logged and `ensure_rows` fixes the rows it names in place (dynamic
-/// SSSP over the affected region); under [`DeltaPolicy::Invalidate`]
-/// every touched row was dropped and `ensure_rows` pays a full
-/// `O((n + m) log n)` Dijkstra per victim. `repair_read_8_of_64` keeps
+/// back to servable. The batch is only logged and `ensure_rows` fixes the
+/// rows it names in place (dynamic SSSP over the affected region); the
+/// `invalidate_recompute` baseline drops the resident set (`evict_all`)
+/// instead, so `ensure_rows` pays a full `O((n + m) log n)` Dijkstra per
+/// row. `repair_read_8_of_64` keeps
 /// reading only 8 of the 64 resident rows — the other 56 are never read
 /// again, so they are never repaired (and are let go once the bounded
 /// delta log moves past them) — showing that a tick costs what the rows
@@ -294,18 +294,21 @@ fn bench_row_repair(c: &mut Criterion) {
         .collect();
 
     let mut group = c.benchmark_group(format!("jitter_tick_{n}_nodes_64_rows"));
-    for (label, policy, read) in [
-        ("repair", DeltaPolicy::Repair, 64),
-        ("repair_read_8_of_64", DeltaPolicy::Repair, 8),
-        ("invalidate_recompute", DeltaPolicy::Invalidate, 64),
+    for (label, drop_rows, read) in [
+        ("repair", false, 64),
+        ("repair_read_8_of_64", false, 8),
+        ("invalidate_recompute", true, 64),
     ] {
-        let mut lat = LazyLatency::new(topo.graph.clone()).with_delta_policy(policy);
+        let mut lat = LazyLatency::new(topo.graph.clone());
         lat.ensure_rows(&sources, None);
         group.bench_function(label, |b| {
             let mut i = 0;
             b.iter(|| {
                 i += 1;
                 lat.apply_edge_deltas(&batches[i % batches.len()][i / batches.len() % 2]);
+                if drop_rows {
+                    lat.evict_all();
+                }
                 black_box(lat.ensure_rows(&sources[..read], None))
             })
         });

@@ -4,7 +4,7 @@
 //! The paper's figure is a scatter plot of a 600-node simulated transit-stub
 //! network. We regenerate the underlying data: the Vivaldi 2-D latency
 //! embedding (with its error report — the paper's feasibility argument
-//! rests on the error being "slight" [16]) plus the squared-load z
+//! rests on the error being "slight" \[16\]) plus the squared-load z
 //! coordinate, and verify that overloaded nodes (the figure's "node a")
 //! stand out on the z axis.
 

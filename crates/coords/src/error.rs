@@ -1,9 +1,9 @@
 //! Embedding-error metrics.
 //!
 //! The ICDE paper's feasibility argument rests on Ng & Zhang's observation
-//! that latency "can be [embedded in] a metric space with only a slight
+//! that latency "can be \[embedded in\] a metric space with only a slight
 //! error while using a small number of dimensions" (Section 3.1, citing
-//! [16]). These helpers quantify that error for a concrete embedding so the
+//! \[16\]). These helpers quantify that error for a concrete embedding so the
 //! F2 experiment can report it.
 
 use rand::Rng;

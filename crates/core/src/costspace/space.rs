@@ -112,7 +112,7 @@ impl CostSpace {
     /// the delta path of the maintenance contract. Returns `true` when any
     /// component actually changed (bit-level), which is the signal to
     /// re-register the node with coordinate consumers such as
-    /// [`crate::placement::DhtMapper::update_node`]; clamped or repeated
+    /// [`PhysicalMapper::update_node`](crate::placement::PhysicalMapper::update_node); clamped or repeated
     /// attribute writes that leave the weighted value unchanged return
     /// `false` so downstream sync can be skipped.
     pub fn update_scalars(&mut self, node: NodeId, attrs: &NodeAttrs) -> bool {

@@ -43,6 +43,6 @@ pub use optimizer::{
 };
 pub use placement::{
     CentroidPlacer, DhtMapper, DhtMapperConfig, GradientPlacer, LiveOracleMapper, MappedService,
-    OracleMapper, PhysicalMapper, RelaxationConfig, RelaxationPlacer, RoutedMapper,
+    MapperDelta, OracleMapper, PhysicalMapper, RelaxationConfig, RelaxationPlacer, RoutedMapper,
     VectorOnlyOracleMapper, VirtualPlacement, VirtualPlacer,
 };

@@ -13,7 +13,8 @@
 //!   in `O(log n)` routed hops. Kept current through the
 //!   [`PhysicalMapper`] maintenance contract (`update_node` on every
 //!   cost-point delta, `remove_node` on failure — liveness lives in the
-//!   catalog itself). Adds a (small) additional error over the oracle,
+//!   catalog itself; each call reports the ring keys it moved as a
+//!   [`MapperDelta`]). Adds a (small) additional error over the oracle,
 //!   which the A1 ablation quantifies.
 //! * [`OracleMapper`] — exhaustive full-space nearest node, `O(n)` per
 //!   call. Zero routing cost, zero *algorithmic* error; the residual error
@@ -32,8 +33,9 @@
 //!   the owner calls [`RoutedMapper::settle`], yielding *experienced*
 //!   per-query latency instead of abstract hop counts.
 
-use sbon_dht::catalog::CoordinateCatalog;
+use sbon_dht::catalog::{CatalogStats, CoordinateCatalog};
 use sbon_dht::proto::{LinkFn, ProtoConfig, QueryId, RoutedCatalog, RoutedLookup, RoutedStats};
+use sbon_dht::RingKey;
 use sbon_hilbert::{HilbertCurve, Quantizer};
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::sim::SimTime;
@@ -42,15 +44,41 @@ use crate::circuit::{Circuit, Placement, ServicePin};
 use crate::costspace::{CostPoint, CostSpace};
 use crate::placement::traits::VirtualPlacement;
 
+/// What a maintenance call changed, as far as any *other* lookup can tell —
+/// the owner's relevance index consumes it
+/// ([`RelevanceIndex::touch_mapper`](crate::reopt::relevance::RelevanceIndex::touch_mapper))
+/// to invalidate exactly the recorded evaluations the change can reach.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MapperDelta {
+    /// The node's catalog registration moved from ring key `old` to `new`
+    /// (`None` = not registered before / after). Only lookups whose scanned
+    /// ring region covers one of the two keys can answer differently.
+    Keys {
+        /// Key the node was registered under before the call.
+        old: Option<RingKey>,
+        /// Key it is registered under now.
+        new: Option<RingKey>,
+    },
+    /// Any lookup may answer differently: the mapper re-scans the live space
+    /// on every call, so it has no bounded read region to report. Also the
+    /// trait default — over-invalidating costs a re-evaluation, never a
+    /// wrong skip.
+    WholeSpace,
+}
+
 /// A physical-mapping strategy: ideal full-space point → real node.
 ///
 /// Beyond resolving points, the trait carries the **maintenance contract**
 /// that keeps a long-lived mapper in sync with a delta-updated
 /// [`CostSpace`]: the owner calls [`PhysicalMapper::update_node`] for every
-/// cost-point delta and [`PhysicalMapper::remove_node`] on node failure.
-/// Stateless mappers that re-scan the live space on every call (the
-/// oracles) implement these as no-ops; stateful ones (the Hilbert-DHT
-/// catalog) re-register or unregister the node.
+/// cost-point delta, [`PhysicalMapper::add_node`] for every arrival and
+/// [`PhysicalMapper::remove_node`] on node failure. Each call returns the
+/// [`MapperDelta`] it caused, so "which recorded lookups does this mutation
+/// invalidate" is decided by the mapper that knows its own read pattern,
+/// not by its owner. Stateless mappers that re-scan the live space on every
+/// call (the oracles) keep the no-op defaults and report
+/// [`MapperDelta::WholeSpace`]; stateful ones (the Hilbert-DHT catalog)
+/// re-register or unregister the node and report the exact keys.
 pub trait PhysicalMapper {
     /// Resolves the node to host a service whose ideal coordinate is
     /// `ideal`. Returns the node and the routing hops charged.
@@ -62,8 +90,9 @@ pub trait PhysicalMapper {
     /// Informs the mapper that `node`'s cost point changed (scalar churn or
     /// embedding refinement). Default: no-op, for mappers without derived
     /// state.
-    fn update_node(&mut self, space: &CostSpace, node: NodeId) {
+    fn update_node(&mut self, space: &CostSpace, node: NodeId) -> MapperDelta {
         let _ = (space, node);
+        MapperDelta::WholeSpace
     }
 
     /// Registers a node **arriving** in a deployment wave: from now on
@@ -72,14 +101,15 @@ pub trait PhysicalMapper {
     /// mappers whose registration is an idempotent (re-)insert. The owner
     /// must not re-add a node it already removed via
     /// [`PhysicalMapper::remove_node`].
-    fn add_node(&mut self, space: &CostSpace, node: NodeId) {
-        self.update_node(space, node);
+    fn add_node(&mut self, space: &CostSpace, node: NodeId) -> MapperDelta {
+        self.update_node(space, node)
     }
 
     /// Informs the mapper that `node` failed or left: it must never be
     /// returned by [`PhysicalMapper::map_point`] again. Default: no-op.
-    fn remove_node(&mut self, node: NodeId) {
+    fn remove_node(&mut self, node: NodeId) -> MapperDelta {
         let _ = node;
+        MapperDelta::WholeSpace
     }
 }
 
@@ -197,17 +227,19 @@ impl PhysicalMapper for LiveOracleMapper {
 
     /// A joining node becomes mappable (the scan reads its coordinate live
     /// from the space, so there is nothing else to register).
-    fn add_node(&mut self, space: &CostSpace, node: NodeId) {
+    fn add_node(&mut self, space: &CostSpace, node: NodeId) -> MapperDelta {
         let _ = space;
         if let Some(slot) = self.alive.get_mut(node.index()) {
             *slot = true;
         }
+        MapperDelta::WholeSpace
     }
 
-    fn remove_node(&mut self, node: NodeId) {
+    fn remove_node(&mut self, node: NodeId) -> MapperDelta {
         if let Some(slot) = self.alive.get_mut(node.index()) {
             *slot = false;
         }
+        MapperDelta::WholeSpace
     }
 }
 
@@ -339,7 +371,7 @@ impl DhtMapper {
     }
 
     /// Accumulated catalog traffic statistics.
-    pub fn stats(&self) -> sbon_dht::catalog::CatalogStats {
+    pub fn stats(&self) -> CatalogStats {
         self.catalog.stats()
     }
 
@@ -360,35 +392,13 @@ impl DhtMapper {
     }
 
     /// A read-only view for one circuit evaluation (see
-    /// [`MapperReadView`]). `memo` enables the per-view mapping memo that
-    /// collapses repeated lookups of bit-identical ideal points.
+    /// [`DhtMapperReadView::new`]).
     pub fn read_view(&self, memo: bool) -> DhtMapperReadView<'_> {
-        DhtMapperReadView {
-            catalog: &self.catalog,
-            stats: sbon_dht::catalog::CatalogStats::default(),
-            spans: Vec::new(),
-            memo: if memo { Some(std::collections::BTreeMap::new()) } else { None },
-        }
-    }
-
-    /// [`PhysicalMapper::update_node`] that reports the exact `(old, new)`
-    /// ring keys touched, for relevance-index invalidation.
-    pub fn update_node_traced(
-        &mut self,
-        space: &CostSpace,
-        node: NodeId,
-    ) -> (Option<sbon_dht::RingKey>, sbon_dht::RingKey) {
-        self.catalog.insert_traced(node.0, space.point(node).as_slice().to_vec())
-    }
-
-    /// [`PhysicalMapper::remove_node`] that reports the ring key the node
-    /// was registered under.
-    pub fn remove_node_traced(&mut self, node: NodeId) -> Option<sbon_dht::RingKey> {
-        self.catalog.remove_traced(node.0)
+        DhtMapperReadView::new(&self.catalog, memo)
     }
 
     /// Applies a traffic delta observed by a read view.
-    pub fn charge_stats(&mut self, delta: sbon_dht::catalog::CatalogStats) {
+    pub fn charge_stats(&mut self, delta: CatalogStats) {
         self.catalog.charge_stats(delta);
     }
 }
@@ -462,25 +472,10 @@ impl RoutedMapper {
         &mut self.routed
     }
 
-    /// Accumulated omniscient-catalog statistics (hops, candidates).
-    pub fn stats(&self) -> sbon_dht::catalog::CatalogStats {
-        self.routed.catalog().stats()
-    }
-
     /// Accumulated control-plane traffic statistics (messages, retries,
     /// experienced latency percentiles).
     pub fn routed_stats(&self) -> &RoutedStats {
         self.routed.stats()
-    }
-
-    /// Registered members still in the catalog.
-    pub fn len(&self) -> usize {
-        self.routed.catalog().len()
-    }
-
-    /// True when every member has been removed.
-    pub fn is_empty(&self) -> bool {
-        self.routed.catalog().is_empty()
     }
 
     /// The origin member settled lookups are issued from.
@@ -491,51 +486,6 @@ impl RoutedMapper {
     /// Lookups and refreshes parked for the next [`RoutedMapper::settle`].
     pub fn pending_traffic(&self) -> usize {
         self.pending_lookups.len() + self.pending_refresh.len()
-    }
-
-    /// A read-only view for one circuit evaluation — the same
-    /// [`DhtMapperReadView`] the DHT backend hands out, over the routed
-    /// catalog's state. **Does not** park outbox entries: the owner settles
-    /// view traffic by re-issuing the observed lookups itself if it wants
-    /// them experienced (the runtime charges view stats back and settles
-    /// only live-path lookups).
-    pub fn read_view(&self, memo: bool) -> DhtMapperReadView<'_> {
-        DhtMapperReadView {
-            catalog: self.routed.catalog(),
-            stats: sbon_dht::catalog::CatalogStats::default(),
-            spans: Vec::new(),
-            memo: if memo { Some(std::collections::BTreeMap::new()) } else { None },
-        }
-    }
-
-    /// [`PhysicalMapper::update_node`] reporting the exact `(old, new)` ring
-    /// keys touched, for relevance-index invalidation. Applies
-    /// synchronously (`register_direct`) and parks a refresh round trip.
-    pub fn update_node_traced(
-        &mut self,
-        space: &CostSpace,
-        node: NodeId,
-    ) -> (Option<sbon_dht::RingKey>, sbon_dht::RingKey) {
-        self.pending_refresh.push(node);
-        self.routed.register_direct(node.0, space.point(node).as_slice().to_vec())
-    }
-
-    /// [`PhysicalMapper::remove_node`] reporting the ring key the node was
-    /// registered under.
-    pub fn remove_node_traced(&mut self, node: NodeId) -> Option<sbon_dht::RingKey> {
-        self.routed.remove_direct(node.0)
-    }
-
-    /// Applies a traffic delta observed by a read view.
-    pub fn charge_stats(&mut self, delta: sbon_dht::catalog::CatalogStats) {
-        self.routed.catalog_mut().charge_stats(delta);
-    }
-
-    /// Parks an ideal point for the next settle without answering it — for
-    /// owners that resolved the point through a read view but still want it
-    /// experienced as routed traffic.
-    pub fn park_lookup(&mut self, ideal: &CostPoint) {
-        self.pending_lookups.push(ideal.as_slice().to_vec());
     }
 
     /// Replays everything parked since the last settle as routed control
@@ -586,12 +536,16 @@ impl PhysicalMapper for RoutedMapper {
         "routed-dht"
     }
 
-    fn update_node(&mut self, space: &CostSpace, node: NodeId) {
-        self.update_node_traced(space, node);
+    /// Applies synchronously (`register_direct`) and parks a refresh round
+    /// trip for the next settle.
+    fn update_node(&mut self, space: &CostSpace, node: NodeId) -> MapperDelta {
+        self.pending_refresh.push(node);
+        let (old, new) = self.routed.register_direct(node.0, space.point(node).as_slice().to_vec());
+        MapperDelta::Keys { old, new: Some(new) }
     }
 
-    fn remove_node(&mut self, node: NodeId) {
-        self.remove_node_traced(node);
+    fn remove_node(&mut self, node: NodeId) -> MapperDelta {
+        MapperDelta::Keys { old: self.routed.remove_direct(node.0), new: None }
     }
 }
 
@@ -602,7 +556,7 @@ impl PhysicalMapper for RoutedMapper {
 #[derive(Clone, Debug, Default)]
 pub struct ReadObservation {
     /// Catalog traffic to charge via [`DhtMapper::charge_stats`].
-    pub stats: sbon_dht::catalog::CatalogStats,
+    pub stats: CatalogStats,
     /// Ring regions the lookups scanned (empty for oracle views).
     pub spans: Vec<sbon_dht::catalog::ScanSpan>,
     /// True when the evaluation read the whole space (oracle scans): any
@@ -624,12 +578,25 @@ pub struct ReadObservation {
 /// the first miss already recorded the covering span.
 pub struct DhtMapperReadView<'a> {
     catalog: &'a CoordinateCatalog<HilbertCurve>,
-    stats: sbon_dht::catalog::CatalogStats,
+    stats: CatalogStats,
     spans: Vec<sbon_dht::catalog::ScanSpan>,
     memo: Option<std::collections::BTreeMap<Vec<u64>, (NodeId, usize)>>,
 }
 
-impl DhtMapperReadView<'_> {
+impl<'a> DhtMapperReadView<'a> {
+    /// A view over `catalog` — the [`DhtMapper`]'s own, or the one a
+    /// [`RoutedMapper`] wraps (`routed().catalog()`): a routed view answers
+    /// from the catalog alone and parks no outbox entry. `memo` enables the
+    /// per-view mapping memo.
+    pub fn new(catalog: &'a CoordinateCatalog<HilbertCurve>, memo: bool) -> Self {
+        DhtMapperReadView {
+            catalog,
+            stats: CatalogStats::default(),
+            spans: Vec::new(),
+            memo: memo.then(std::collections::BTreeMap::new),
+        }
+    }
+
     /// Consumes the view, yielding everything it observed.
     pub fn into_observation(self) -> ReadObservation {
         ReadObservation { stats: self.stats, spans: self.spans, whole_space: false }
@@ -663,11 +630,11 @@ impl PhysicalMapper for DhtMapperReadView<'_> {
         "hilbert-dht (read view)"
     }
 
-    fn update_node(&mut self, _space: &CostSpace, _node: NodeId) {
+    fn update_node(&mut self, _space: &CostSpace, _node: NodeId) -> MapperDelta {
         panic!("read-only mapper view cannot mutate the catalog");
     }
 
-    fn remove_node(&mut self, _node: NodeId) {
+    fn remove_node(&mut self, _node: NodeId) -> MapperDelta {
         panic!("read-only mapper view cannot mutate the catalog");
     }
 }
@@ -688,11 +655,11 @@ impl PhysicalMapper for LiveOracleReadView<'_> {
         "live-oracle (read view)"
     }
 
-    fn update_node(&mut self, _space: &CostSpace, _node: NodeId) {
+    fn update_node(&mut self, _space: &CostSpace, _node: NodeId) -> MapperDelta {
         panic!("read-only mapper view cannot mutate the oracle");
     }
 
-    fn remove_node(&mut self, _node: NodeId) {
+    fn remove_node(&mut self, _node: NodeId) -> MapperDelta {
         panic!("read-only mapper view cannot mutate the oracle");
     }
 }
@@ -733,14 +700,14 @@ impl PhysicalMapper for MapperReadView<'_> {
         }
     }
 
-    fn update_node(&mut self, space: &CostSpace, node: NodeId) {
+    fn update_node(&mut self, space: &CostSpace, node: NodeId) -> MapperDelta {
         match self {
             MapperReadView::Dht(v) => v.update_node(space, node),
             MapperReadView::Oracle(v) => v.update_node(space, node),
         }
     }
 
-    fn remove_node(&mut self, node: NodeId) {
+    fn remove_node(&mut self, node: NodeId) -> MapperDelta {
         match self {
             MapperReadView::Dht(v) => v.remove_node(node),
             MapperReadView::Oracle(v) => v.remove_node(node),
@@ -764,14 +731,15 @@ impl PhysicalMapper for DhtMapper {
 
     /// Re-registers one node after its coordinate changed (scalar churn or
     /// embedding refinement).
-    fn update_node(&mut self, space: &CostSpace, node: NodeId) {
-        self.catalog.insert(node.0, space.point(node).as_slice().to_vec());
+    fn update_node(&mut self, space: &CostSpace, node: NodeId) -> MapperDelta {
+        let (old, new) = self.catalog.insert_traced(node.0, space.point(node).as_slice().to_vec());
+        MapperDelta::Keys { old, new: Some(new) }
     }
 
     /// Unregisters a failed node: liveness filtering is folded into the
     /// catalog itself, so lookups can never return a dead host.
-    fn remove_node(&mut self, node: NodeId) {
-        self.catalog.remove(node.0);
+    fn remove_node(&mut self, node: NodeId) -> MapperDelta {
+        MapperDelta::Keys { old: self.catalog.remove_traced(node.0), new: None }
     }
 }
 
@@ -1132,6 +1100,61 @@ mod tests {
         assert!(view.into_observation().whole_space);
     }
 
+    /// The deltas are exactly what the runtime used to derive by hand from
+    /// the `*_traced` catalog calls: the member's registered key before and
+    /// after for the catalog mappers, the whole space for the scanning oracle.
+    #[test]
+    fn maintenance_calls_report_the_keys_they_moved() {
+        let space = figure3_space();
+        let present = [NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
+        let config = DhtMapperConfig::default();
+        let mut moved = figure3_space();
+        let mut attrs = NodeAttrs::idle(5);
+        attrs.set(NodeId(3), Attr::CpuLoad, 0.1);
+        moved.refresh_scalars(&attrs);
+
+        fn check<M: PhysicalMapper>(
+            mut mapper: M,
+            key_of: impl Fn(&M, NodeId) -> Option<RingKey>,
+            space: &CostSpace,
+            moved: &CostSpace,
+        ) {
+            assert_eq!(key_of(&mapper, NodeId(4)), None);
+            let joined = mapper.add_node(space, NodeId(4));
+            let held = key_of(&mapper, NodeId(4));
+            assert!(held.is_some());
+            assert_eq!(joined, MapperDelta::Keys { old: None, new: held }, "first-time add");
+
+            let before = key_of(&mapper, NodeId(3));
+            let updated = mapper.update_node(moved, NodeId(3));
+            let after = key_of(&mapper, NodeId(3));
+            assert_ne!(before, after, "the load change must move the registration");
+            assert_eq!(updated, MapperDelta::Keys { old: before, new: after });
+
+            assert_eq!(mapper.remove_node(NodeId(3)), MapperDelta::Keys { old: after, new: None });
+            assert_eq!(key_of(&mapper, NodeId(3)), None);
+            assert_eq!(mapper.remove_node(NodeId(3)), MapperDelta::Keys { old: None, new: None });
+        }
+        check(
+            DhtMapper::build_with_members(&space, &config, &present),
+            |m, node| m.catalog.registered_key(node.0),
+            &space,
+            &moved,
+        );
+        check(
+            RoutedMapper::build_with_members(&space, &config, ProtoConfig::default(), &present),
+            |m, node| m.routed().catalog().registered_key(node.0),
+            &space,
+            &moved,
+        );
+
+        let mut live = LiveOracleMapper::with_members(space.num_nodes(), present);
+        assert_eq!(live.add_node(&space, NodeId(4)), MapperDelta::WholeSpace);
+        assert_eq!(live.update_node(&moved, NodeId(3)), MapperDelta::WholeSpace);
+        assert_eq!(live.remove_node(NodeId(3)), MapperDelta::WholeSpace);
+        assert!(live.is_alive(NodeId(4)) && !live.is_alive(NodeId(3)));
+    }
+
     #[test]
     #[should_panic(expected = "read-only mapper view")]
     fn read_view_rejects_mutation() {
@@ -1139,6 +1162,13 @@ mod tests {
         let dht = DhtMapper::build(&space, 10, 8);
         let mut view = dht.read_view(false);
         view.update_node(&space, NodeId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "read-only mapper view")]
+    fn oracle_read_view_rejects_mutation() {
+        let live = LiveOracleMapper::new(5);
+        MapperReadView::Oracle(live.read_view()).remove_node(NodeId(0));
     }
 
     /// Deterministic per-link latency for routed-mapper tests: symmetric,
@@ -1172,7 +1202,7 @@ mod tests {
         dht.remove_node(NodeId(0));
         routed.remove_node(NodeId(0));
         assert_eq!(routed.map_point(&space2, &ideal), dht.map_point(&space2, &ideal));
-        assert_eq!(routed.len(), dht.len());
+        assert_eq!(routed.routed().catalog().len(), dht.len());
     }
 
     #[test]
@@ -1215,11 +1245,12 @@ mod tests {
         let mut routed =
             RoutedMapper::build_with(&space, &DhtMapperConfig::default(), ProtoConfig::default());
         let live = routed.map_point(&space, &ideal);
-        let mut view = routed.read_view(false);
+        let mut view = DhtMapperReadView::new(routed.routed().catalog(), false);
         assert_eq!(view.map_point(&space, &ideal), live);
         let obs = view.into_observation();
-        routed.charge_stats(obs.stats);
-        assert_eq!(routed.stats().lookups, 2);
+        assert_eq!(routed.pending_traffic(), 1, "a view parks nothing in the outbox");
+        routed.routed_mut().catalog_mut().charge_stats(obs.stats);
+        assert_eq!(routed.routed().catalog().stats().lookups, 2);
     }
 
     #[test]

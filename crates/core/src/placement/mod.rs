@@ -2,7 +2,7 @@
 //! vector dimensions, then physical mapping back to real nodes.
 //!
 //! "This physical placement of services is preceded by two decision phases:
-//! **Virtual Placement** — a service placement algorithm ... compute[s] the
+//! **Virtual Placement** — a service placement algorithm ... compute\[s\] the
 //! coordinates of the ideal placement locations for unpinned services in the
 //! cost space ... computationally inexpensive as they do not instantiate
 //! services. **Physical Mapping** — ... find a physical node that is close
@@ -29,8 +29,8 @@ pub use exhaustive::optimal_tree_placement;
 pub use gradient::{GradientConfig, GradientPlacer};
 pub use mapping::{
     map_circuit, DhtMapper, DhtMapperConfig, DhtMapperReadView, LiveOracleMapper,
-    LiveOracleReadView, MappedCircuit, MappedService, MapperReadView, OracleMapper, PhysicalMapper,
-    ReadObservation, RoutedMapper, VectorOnlyOracleMapper,
+    LiveOracleReadView, MappedCircuit, MappedService, MapperDelta, MapperReadView, OracleMapper,
+    PhysicalMapper, ReadObservation, RoutedMapper, VectorOnlyOracleMapper,
 };
 pub use relaxation::{RelaxationConfig, RelaxationPlacer};
 pub use traits::{VirtualPlacement, VirtualPlacer};

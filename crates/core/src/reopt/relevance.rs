@@ -11,12 +11,14 @@
 //!   lookups scanned, the circuit's host nodes (whose cost points feed the
 //!   estimate), or `whole_space` for oracle-backed evaluations. The circuit
 //!   is now *clean* for that pass kind.
-//! * Every control-plane delta is translated into touches: a catalog
-//!   (re-)registration touches its exact old and new ring keys
-//!   ([`RelevanceIndex::touch_key`]), a coordinate change at a node touches
-//!   that host ([`RelevanceIndex::touch_host`]), and oracle-backend deltas
-//!   touch everything ([`RelevanceIndex::touch_all`]). A touch wipes the
-//!   clean records whose read sets it stabs.
+//! * Every control-plane delta is translated into touches. A mapper
+//!   mutation reports its own reach as a [`MapperDelta`] and
+//!   [`RelevanceIndex::touch_mapper`] — the one place that rule is written —
+//!   applies it: a catalog (re-)registration touches its exact old and new
+//!   ring keys ([`RelevanceIndex::touch_key`]), a scanning oracle touches
+//!   everything ([`RelevanceIndex::touch_all`]). A coordinate change at a
+//!   node also touches that host ([`RelevanceIndex::touch_host`]). A touch
+//!   wipes the clean records whose read sets it stabs.
 //! * Any mutation *of* a circuit — migration, rewrite, replacement,
 //!   evacuation, pin/unpin, reuse subscription — marks it dirty for every
 //!   pass kind ([`RelevanceIndex::mark_dirty`]): its placement (and with it
@@ -36,6 +38,8 @@ use std::collections::BTreeMap;
 use sbon_dht::catalog::ScanSpan;
 use sbon_dht::RingKey;
 use sbon_netsim::graph::NodeId;
+
+use crate::placement::MapperDelta;
 
 /// The three re-optimization pass kinds with distinct cadences and read
 /// patterns.
@@ -140,6 +144,20 @@ impl RelevanceIndex {
         }
     }
 
+    /// A mapper maintenance call (`update_node` / `add_node` /
+    /// `remove_node`) returned `delta`: the keys it moved are touched, or
+    /// everything when the mapper could not bound its reach.
+    pub fn touch_mapper(&mut self, delta: MapperDelta) {
+        match delta {
+            MapperDelta::Keys { old, new } => {
+                for key in old.into_iter().chain(new) {
+                    self.touch_key(key);
+                }
+            }
+            MapperDelta::WholeSpace => self.touch_all(),
+        }
+    }
+
     /// How many circuits are currently clean for `kind`.
     pub fn clean_count(&self, kind: ReoptKind) -> usize {
         self.clean[kind as usize].len()
@@ -232,6 +250,29 @@ mod tests {
             assert!(idx.is_dirty(kind, 2));
             assert_eq!(idx.clean_count(kind), 0);
         }
+    }
+
+    #[test]
+    fn touch_mapper_applies_both_keys_or_everything() {
+        let record = |idx: &mut RelevanceIndex| {
+            for (handle, center) in [(1, 100), (2, 1000), (3, 5000)] {
+                idx.record_clean(
+                    ReoptKind::Local,
+                    handle,
+                    ReadSet { spans: vec![span(center, 10)], ..Default::default() },
+                );
+            }
+        };
+        let mut idx = RelevanceIndex::new();
+        record(&mut idx);
+        idx.touch_mapper(MapperDelta::Keys { old: Some(105), new: Some(995) });
+        assert!(idx.is_dirty(ReoptKind::Local, 1), "old key stabs 100±10");
+        assert!(idx.is_dirty(ReoptKind::Local, 2), "new key stabs 1000±10");
+        assert!(!idx.is_dirty(ReoptKind::Local, 3));
+        idx.touch_mapper(MapperDelta::Keys { old: None, new: None });
+        assert!(!idx.is_dirty(ReoptKind::Local, 3), "an unregistered no-op touches nothing");
+        idx.touch_mapper(MapperDelta::WholeSpace);
+        assert_eq!(idx.clean_count(ReoptKind::Local), 0);
     }
 
     #[test]

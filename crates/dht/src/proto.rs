@@ -59,10 +59,10 @@
 //! On a quiescent, unpartitioned network the routed answer is *identical*
 //! to the omniscient [`CoordinateCatalog`] answer: both rank the same
 //! `scan_width` ring neighborhood of the target key by true cost-space
-//! distance with first-wins ties. [`RoutedCatalog::lookup_quiescent`] is a
-//! pure transcription of the queue-driven automaton (kept in lock-step by
-//! the `queue_path_matches_pure_path` tests) for read-only parallel
-//! passes.
+//! distance with first-wins ties. There is one lookup automaton — the
+//! queue-driven one above. Read-only parallel passes do not route at all:
+//! they answer from the catalog through `sbon_core`'s `DhtMapperReadView`,
+//! and only the serial settle points replay lookups as message traffic.
 
 use std::collections::BTreeMap;
 
@@ -977,113 +977,6 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
             None => (answerer, 0),
         }
     }
-
-    /// Pure transcription of the queue-driven lookup automaton: the exact
-    /// answer, hop count, message count, and experienced latency a routed
-    /// lookup issued at time `at` would complete with — without touching
-    /// the queue or the statistics. Kept in lock-step with the handlers
-    /// above (pinned by the `queue_path_matches_pure_path` tests); safe
-    /// for read-only parallel passes because it takes `&self`.
-    pub fn lookup_quiescent(
-        &self,
-        origin: MemberId,
-        target: &[f64],
-        at: SimTime,
-        link: &LinkFn,
-    ) -> Option<RoutedLookup> {
-        let ring = self.catalog.ring();
-        let origin_key = self.catalog.registered_key(origin)?;
-        let target_key = self.catalog.key_of(target);
-        let started = self.clamp(at).millis();
-        let mut t = started;
-        let mut suspects: Vec<RingKey> = Vec::new();
-        let (mut hops, mut messages, mut retries, mut timeouts) = (0u32, 0u64, 0u64, 0u64);
-        let max_hops = self.max_hops();
-
-        // Querier-local first decision (mirrors `lookup_routed`).
-        let mut next = match member_step(ring, origin_key, target_key, &suspects)? {
-            Step::Owns => {
-                let (member, candidates) = self.answer_at(origin, target_key, target);
-                return Some(RoutedLookup {
-                    member,
-                    hops: 0,
-                    messages: 0,
-                    retries: 0,
-                    timeouts: 0,
-                    latency_ms: 0.0,
-                    candidates,
-                });
-            }
-            Step::Forward { key, member } => (key, member),
-        };
-        loop {
-            let (ck, cm) = next;
-            if !self.reachable(origin, cm) {
-                // Full retry ladder, then suspect and re-route — mirrors
-                // `contact` + `lookup_timer`. Clock arithmetic matches the
-                // queue's incremental `after` additions exactly.
-                messages += 1;
-                for attempt in 1..=(1 + self.config.max_retries) {
-                    t += self.config.backoff_ms(attempt);
-                    timeouts += 1;
-                    if attempt <= self.config.max_retries {
-                        retries += 1;
-                        messages += 1;
-                    }
-                }
-                if let Err(pos) = suspects.binary_search(&ck) {
-                    suspects.insert(pos, ck);
-                }
-                if hops >= max_hops {
-                    next = first_live(ring, target_key, &suspects)
-                        .expect("querier itself is always live");
-                    continue;
-                }
-                match member_step(ring, origin_key, target_key, &suspects)? {
-                    Step::Owns => {
-                        let (member, candidates) = self.answer_at(origin, target_key, target);
-                        return Some(RoutedLookup {
-                            member,
-                            hops,
-                            messages,
-                            retries,
-                            timeouts,
-                            latency_ms: t - started,
-                            candidates,
-                        });
-                    }
-                    Step::Forward { key, member } => next = (key, member),
-                }
-                continue;
-            }
-            // Round trip: request out, reply back (self-contacts cost 0).
-            messages += 2;
-            t = (t + link(origin, cm)) + link(cm, origin);
-            hops += 1;
-            match member_step(ring, ck, target_key, &suspects)? {
-                Step::Owns => {
-                    let (member, candidates) = self.answer_at(cm, target_key, target);
-                    return Some(RoutedLookup {
-                        member,
-                        hops,
-                        messages,
-                        retries,
-                        timeouts,
-                        latency_ms: t - started,
-                        candidates,
-                    });
-                }
-                Step::Forward { key, member } => {
-                    next = if hops >= max_hops {
-                        first_live(ring, target_key, &suspects)
-                            .expect("querier itself is always live")
-                    } else {
-                        (key, member)
-                    };
-                }
-            }
-        }
-    }
 }
 
 /// The first live (non-excluded) ring entry clockwise from `from`
@@ -1184,23 +1077,10 @@ mod tests {
         assert_eq!(routed.stats().timeouts, 0);
     }
 
+    /// Under a partition the routed answer must come from the querier's
+    /// side — `answer_at` filters the neighbourhood by reachability.
     #[test]
-    fn queue_path_matches_pure_path_bit_for_bit() {
-        let mut rng = rng_from_seed(4);
-        let mut routed = populated(120, 4, 6);
-        for _ in 0..100 {
-            let target = [rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)];
-            let origin = rng.gen_range(0..120);
-            let at = routed.now();
-            let pure = routed.lookup_quiescent(origin, &target, at, &link).unwrap();
-            routed.lookup_routed(origin, &target, at, &link).unwrap();
-            let (_, queued) = routed.run_to_quiescence(&link).last().copied().unwrap();
-            assert_eq!(queued, pure);
-        }
-    }
-
-    #[test]
-    fn queue_path_matches_pure_path_under_partition() {
+    fn partitioned_lookup_answers_from_the_queriers_side() {
         let mut rng = rng_from_seed(5);
         for trial in 0..20 {
             let mut routed = populated(80, 100 + trial, 6);
@@ -1212,14 +1092,12 @@ mod tests {
             let target = [rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)];
             let origin = rng.gen_range(0..80);
             let at = routed.now();
-            let pure = routed.lookup_quiescent(origin, &target, at, &link).unwrap();
             routed.lookup_routed(origin, &target, at, &link).unwrap();
             let (_, queued) = routed.run_to_quiescence(&link).last().copied().unwrap();
-            assert_eq!(queued, pure, "trial {trial} origin {origin}");
             assert_eq!(
                 routed.is_severed(queued.member),
                 routed.is_severed(origin),
-                "answer must come from the querier's side"
+                "trial {trial} origin {origin}: answer must come from the querier's side"
             );
         }
     }

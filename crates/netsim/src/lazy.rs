@@ -20,8 +20,8 @@
 //! non-negative — the precondition of the bit-identity argument below —
 //! and a hostile value panics before anything is mutated.
 //!
-//! Under the default [`DeltaPolicy::Repair`], a weight change neither
-//! drops nor touches cached rows. `apply_edge_deltas` mutates the graph,
+//! A weight change neither drops nor touches cached rows.
+//! `apply_edge_deltas` mutates the graph,
 //! advances a batch **epoch** and appends `(epoch, edge, weight before)`
 //! to a **delta log** — `O(batch)`. Every resident row carries the epoch
 //! it is exact for, and a row is brought up to date **when it is next
@@ -39,7 +39,7 @@
 //! * **Raises** (`w_now > w_start`) can only *increase* distances. The
 //!   vertices a raise can affect are exactly those reachable from a raised
 //!   edge's far endpoint by a chain of *old-tight* edges
-//!   (`d[x] + w_start(e) ≤ d[y] + ε`, with `ε =` [`TIGHT_EPS_MS`] absorbing
+//!   (`d[x] + w_start(e) ≤ d[y] + ε`, with `ε = TIGHT_EPS_MS` (1e-9 ms) absorbing
 //!   float ties) — a cheap BFS over old labels marks that region. The
 //!   marked labels are reset and recomputed by a Dijkstra *restricted to
 //!   the region*, seeded with the best boundary relaxation of each marked
@@ -60,11 +60,11 @@
 //! Cost: `O(batch)` per delta batch, and per (row, read-after-change)
 //! `O(L + |A| log |A| + edges(A))`, where `L` is the length of the log
 //! suffix folded and `A` the affected region of the *net* change — against
-//! `O(n log n + m)` per dropped row for the invalidate-and-recompute
-//! policy, and against one repair per resident row *per batch* for an
-//! eager scheme. The `bench_control_plane` `jitter_tick` group measures
-//! both ratios at 10k nodes. The two phases split one window so each
-//! phase's precondition (monotone effect on distances) holds exactly.
+//! `O(n log n + m)` per row for dropping and recomputing it, and against
+//! one repair per resident row *per batch* for an eager scheme. The
+//! `bench_control_plane` `jitter_tick` group measures both ratios at 10k
+//! nodes. The two phases split one window so each phase's precondition
+//! (monotone effect on distances) holds exactly.
 //!
 //! **The log is bounded by the graph's edge count, with no knob.** When an
 //! append outgrows that, the rows that still need the oldest entries are
@@ -88,10 +88,6 @@
 //! `tests/properties.rs` pins this equivalence across random topologies,
 //! delta batches, read patterns (rows lagging by differing numbers of
 //! batches), and cache capacities.
-//!
-//! [`DeltaPolicy::Invalidate`] keeps the original behavior — eagerly drop
-//! every row the change could affect, recompute on next query — as a
-//! baseline for benchmarks and differential tests.
 //!
 //! # Memory bound
 //!
@@ -119,24 +115,10 @@ use crate::latency::LatencyProvider;
 /// far below any real tie yet far above accumulated float error.
 const TIGHT_EPS_MS: f64 = 1e-9;
 
-/// How a [`LazyLatency`] reacts to edge-weight deltas.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DeltaPolicy {
-    /// Log the delta; patch each affected row in place when it is next
-    /// read (demand-driven dynamic SSSP; see the [module docs](self)).
-    /// The default.
-    #[default]
-    Repair,
-    /// Drop every row the delta could affect; recompute on next query.
-    /// The pre-repair behavior, kept as a benchmark / differential-test
-    /// baseline.
-    Invalidate,
-}
-
 /// Counters describing how a [`LazyLatency`] has been exercised.
 ///
-/// Under [`DeltaPolicy::Repair`] repair work happens when a stale row is
-/// *read*, not when the delta arrives, so `rows_repaired`,
+/// Repair work happens when a stale row is *read*, not when the delta
+/// arrives, so `rows_repaired`,
 /// `vertices_settled` and `rows_rebuilt` move inside
 /// [`LatencyProvider::latency`] / [`LazyLatency::ensure_rows`] and stay
 /// put across [`LazyLatency::apply_edge_deltas`].
@@ -147,10 +129,9 @@ pub struct LazyLatencyStats {
     /// Queries answered from a cached row (current, or repaired on the
     /// spot).
     pub cache_hits: u64,
-    /// Rows dropped because an edge mutation made them stale: every
-    /// affected row under [`DeltaPolicy::Invalidate`]; under
-    /// [`DeltaPolicy::Repair`] only rows so far behind that the bounded
-    /// delta log had to let go of the entries they needed.
+    /// Rows dropped because edge mutations made them stale: rows so far
+    /// behind that the bounded delta log had to let go of the entries they
+    /// needed.
     pub rows_invalidated: u64,
     /// Rows dropped while still valid: capacity-bound evictions plus
     /// explicit [`LazyLatency::evict_all`] calls (e.g. the runtime's
@@ -158,8 +139,7 @@ pub struct LazyLatencyStats {
     pub rows_evicted: u64,
     /// Repair phases that changed at least one distance: up to two (the
     /// raises, then the lowers) per read of a stale row, however many
-    /// delta batches that read caught up on (only under
-    /// [`DeltaPolicy::Repair`]).
+    /// delta batches that read caught up on.
     pub rows_repaired: u64,
     /// Distance labels recomputed by dynamic repair, summed over repairs —
     /// the work the repair path actually did, all of it at read time.
@@ -193,7 +173,7 @@ struct RowCache {
     /// Insertion order of resident rows, for FIFO eviction.
     order: VecDeque<u32>,
     /// Weight changes some resident row may not have absorbed yet, in
-    /// epoch order ([`DeltaPolicy::Repair`] only).
+    /// epoch order.
     log: VecDeque<LogEntry>,
     /// Boxed: only the (cold) repair path looks inside, and the provider
     /// stays small enough to sit inline in an enum next to a dense matrix.
@@ -397,7 +377,6 @@ pub struct LazyLatency {
     /// Edge latencies at construction time — the reference for jitter bands.
     base_edges: Vec<f64>,
     capacity: Option<usize>,
-    policy: DeltaPolicy,
     cache: RefCell<RowCache>,
 }
 
@@ -416,25 +395,7 @@ impl LazyLatency {
     fn build(graph: Graph, capacity: Option<usize>) -> Self {
         let n = graph.num_nodes();
         let base_edges = graph.edges().iter().map(|e| e.latency_ms).collect();
-        LazyLatency {
-            graph,
-            base_edges,
-            capacity,
-            policy: DeltaPolicy::default(),
-            cache: RefCell::new(RowCache::new(n)),
-        }
-    }
-
-    /// Sets how edge deltas are absorbed (builder-style). The default is
-    /// [`DeltaPolicy::Repair`].
-    pub fn with_delta_policy(mut self, policy: DeltaPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The active delta policy.
-    pub fn delta_policy(&self) -> DeltaPolicy {
-        self.policy
+        LazyLatency { graph, base_edges, capacity, cache: RefCell::new(RowCache::new(n)) }
     }
 
     /// The underlying (possibly mutated) topology graph.
@@ -448,9 +409,8 @@ impl LazyLatency {
     }
 
     /// Overwrites the latency of edge `id`; affected cached rows are
-    /// repaired when next read (or, under [`DeltaPolicy::Invalidate`],
-    /// dropped now). Returns the previous latency. No-op if the value is
-    /// unchanged; panics if it is not finite and non-negative.
+    /// repaired when next read. Returns the previous latency. No-op if the
+    /// value is unchanged; panics if it is not finite and non-negative.
     pub fn set_edge_latency(&mut self, id: EdgeId, latency_ms: f64) -> f64 {
         let old = self.graph.edge(id).latency_ms;
         if latency_ms != old {
@@ -474,8 +434,8 @@ impl LazyLatency {
     /// Applies a batch of edge-weight deltas `(edge, new_latency_ms)` to
     /// the graph in `O(batch)`, touching no cached row.
     ///
-    /// Under [`DeltaPolicy::Repair`] the batch is logged under a new epoch
-    /// and each resident row absorbs it — together with every other batch
+    /// The batch is logged under a new epoch and each resident row absorbs
+    /// it — together with every other batch
     /// it has missed — the next time it is read; a row that is never read
     /// again never pays. Duplicate edges collapse to their final value (no
     /// query can observe an intermediate weight), and a batch that changes
@@ -518,28 +478,14 @@ impl LazyLatency {
         if net.is_empty() {
             return;
         }
-        match self.policy {
-            DeltaPolicy::Invalidate => {
-                for d in &net {
-                    self.graph.set_edge_latency(d.id, d.w_new);
-                    self.invalidate_stale(d.a, d.b, d.w_old, d.w_new);
-                }
-            }
-            DeltaPolicy::Repair => {
-                let cache = self.cache.get_mut();
-                cache.head += 1;
-                cache.stale = cache.order.len();
-                for d in &net {
-                    self.graph.set_edge_latency(d.id, d.w_new);
-                    cache.log.push_back(LogEntry {
-                        epoch: cache.head,
-                        edge: d.id,
-                        w_before: d.w_old,
-                    });
-                }
-                cache.bound_log(self.graph.num_edges());
-            }
+        let cache = self.cache.get_mut();
+        cache.head += 1;
+        cache.stale = cache.order.len();
+        for d in &net {
+            self.graph.set_edge_latency(d.id, d.w_new);
+            cache.log.push_back(LogEntry { epoch: cache.head, edge: d.id, w_before: d.w_old });
         }
+        cache.bound_log(self.graph.num_edges());
     }
 
     /// Makes the rows for `sources` resident **and current**: resident
@@ -623,33 +569,6 @@ impl LazyLatency {
     /// next read will run a repair.
     pub fn rows_stale(&self) -> usize {
         self.cache.borrow().stale
-    }
-
-    /// Drops cached rows for which the `(u, v)` edge changing `w_old →
-    /// w_new` could alter any distance ([`DeltaPolicy::Invalidate`] only).
-    fn invalidate_stale(&mut self, u: NodeId, v: NodeId, w_old: f64, w_new: f64) {
-        let cache = self.cache.get_mut();
-        let mut dropped = 0u64;
-        cache.order.retain(|&src| {
-            let row = cache.rows[src as usize].as_deref().expect("ordered rows are resident");
-            let (du, dv) = (row[u.index()], row[v.index()]);
-            // A weight change cannot connect a component the source does not
-            // already reach (edges are never *added* through this path), so
-            // doubly-unreachable endpoints leave the row valid. A mixed
-            // finite/infinite pair is impossible while the edge exists.
-            if du.is_infinite() && dv.is_infinite() {
-                return true;
-            }
-            let relevant = |w: f64| du + w <= dv + TIGHT_EPS_MS || dv + w <= du + TIGHT_EPS_MS;
-            if relevant(w_old) || relevant(w_new) {
-                cache.rows[src as usize] = None;
-                dropped += 1;
-                false
-            } else {
-                true
-            }
-        });
-        cache.rows_invalidated += dropped;
     }
 }
 
@@ -886,30 +805,6 @@ mod tests {
             assert_matches_dense(&lazy);
             assert!(lazy.stats().rows_computed > 0, "round {round}");
         }
-    }
-
-    /// The same churn through the legacy invalidation path still matches.
-    #[test]
-    fn invalidate_policy_matches_dense_after_random_edge_churn() {
-        let t = generate(&TransitStubConfig::with_total_nodes(60), 3);
-        let mut lazy = LazyLatency::new(t.graph).with_delta_policy(DeltaPolicy::Invalidate);
-        let mut rng = rng_from_seed(4);
-        let m = lazy.graph().num_edges();
-        for _ in 0..4 {
-            for _ in 0..10 {
-                let a = NodeId(rng.gen_range(0..lazy.len() as u32));
-                let b = NodeId(rng.gen_range(0..lazy.len() as u32));
-                lazy.latency(a, b);
-            }
-            for _ in 0..8 {
-                let e = EdgeId(rng.gen_range(0..m as u32));
-                let f = rng.gen_range(0.5..2.0);
-                lazy.scale_edge_clamped(e, f, (0.25, 4.0));
-            }
-            assert_matches_dense(&lazy);
-        }
-        assert!(lazy.stats().rows_invalidated > 0, "churn must have hit the invalidate path");
-        assert_eq!(lazy.stats().rows_repaired, 0);
     }
 
     /// A batched delta set must leave rows identical to applying the same
@@ -1186,28 +1081,36 @@ mod tests {
     /// one capacity eviction pop the ghost and a later one over-evict a
     /// still-valid row (and `rows_cached` would double-count). Pins the
     /// invariant that `order` holds each resident source exactly once.
-    /// (Invalidate policy: only that path removes rows mid-order.)
+    /// (The bounded delta log's drop in `bound_log` is the one path that
+    /// removes rows mid-order.)
     #[test]
     fn invalidated_then_refetched_row_does_not_duplicate_in_fifo() {
-        // Square: 0 —10— 1, 0 —1— 2 —1— 3 —1— 1. The (0,1) edge has an
-        // alternate 3-hop path, so re-weighting it to 1.5 invalidates row 0
-        // (new shortcut: 1.5 < 3) but leaves row 2 valid (2 + 1.5 > 1 and
-        // 1 + 1.5 > 2).
+        // Square: 0 —10— 1, 0 —1— 2 —1— 3 —1— 1. The (0,1) edge stays the
+        // long way round whatever it is re-weighted to below, so no served
+        // distance ever changes — only the log grows.
         let mut g = Graph::new(4);
         let e01 = g.add_edge(NodeId(0), NodeId(1), 10.0);
         g.add_edge(NodeId(0), NodeId(2), 1.0);
         g.add_edge(NodeId(2), NodeId(3), 1.0);
         g.add_edge(NodeId(3), NodeId(1), 1.0);
-        let mut lazy = LazyLatency::with_capacity(g, 2).with_delta_policy(DeltaPolicy::Invalidate);
+        let m = g.num_edges();
+        let mut lazy = LazyLatency::with_capacity(g, 2);
         assert_eq!(lazy.latency(NodeId(0), NodeId(1)), 3.0); // order: [0]
         assert_eq!(lazy.latency(NodeId(2), NodeId(1)), 2.0); // order: [0, 2]
         assert_eq!(lazy.stats().rows_cached, 2);
 
-        // Invalidate row 0 only, then refetch it: the FIFO order must
-        // become [2, 0] with each source present exactly once.
-        lazy.set_edge_latency(e01, 1.5);
-        assert_eq!(lazy.stats().rows_invalidated, 1, "only row 0 is stale");
-        assert_eq!(lazy.latency(NodeId(0), NodeId(1)), 1.5); // recompute
+        // Row 2 is read after every batch and keeps up; row 0 is never read
+        // and falls one delta more than the log holds behind, so the log
+        // lets go of row 0 only. The FIFO order must become [2].
+        for step in 0..=m {
+            lazy.set_edge_latency(e01, 9.0 - step as f64);
+            assert_eq!(lazy.latency(NodeId(2), NodeId(1)), 2.0);
+        }
+        assert_eq!(lazy.stats().rows_invalidated, 1, "only row 0 fell behind the log");
+        assert_eq!(lazy.stats().rows_cached, 1);
+        // Refetch it: [2, 0], each source present exactly once.
+        assert_eq!(lazy.latency(NodeId(0), NodeId(1)), 3.0); // recompute
+        assert_eq!(lazy.stats().rows_computed, 3);
         assert_eq!(lazy.stats().rows_cached, 2);
 
         // One more source at capacity 2 evicts exactly one row — the

@@ -40,9 +40,9 @@
 //! edges(region))` per row); a weight lower seeds an improvement
 //! propagation from the edge's endpoints; untouched labels are provably
 //! exact, and repaired rows are bit-identical to fresh Dijkstra on the
-//! mutated graph. The previous drop-the-row behavior survives as
-//! [`lazy::DeltaPolicy::Invalidate`] for baselines. See the [`lazy`]
-//! module docs for the full repair-vs-invalidate contract and complexity.
+//! mutated graph. A row is dropped only when it falls a whole edge-count of
+//! deltas behind the bounded log. See the [`lazy`] module docs for the full
+//! repair contract and complexity.
 
 #![forbid(unsafe_code)]
 
@@ -58,6 +58,6 @@ pub mod topology;
 
 pub use graph::{EdgeId, Graph, NodeId};
 pub use latency::{LatencyMatrix, LatencyProvider};
-pub use lazy::{DeltaPolicy, LazyLatency, LazyLatencyStats};
+pub use lazy::{LazyLatency, LazyLatencyStats};
 pub use load::{ChurnProcess, LoadModel, NodeAttrs};
 pub use sim::{EventQueue, SimTime};

@@ -23,9 +23,11 @@
 //! ([`RuntimeConfig::incremental_reopt`]): a runtime-maintained relevance
 //! index ([`sbon_core::reopt::relevance`]) remembers the exact read set of
 //! every no-op circuit evaluation and invalidates it from the control-plane
-//! deltas above, so each adaptation pass evaluates only the circuits a
-//! delta could actually have affected — bit-identically to evaluating
-//! everything. The evaluations themselves are read-only (per-circuit
+//! deltas above (each mapper maintenance call returns the [`MapperDelta`]
+//! it caused; `RelevanceIndex::touch_mapper` applies it), so each
+//! adaptation pass evaluates only the circuits a delta could actually have
+//! affected — bit-identically to evaluating everything. All three pass
+//! kinds run through one driver: evaluations are read-only (per-circuit
 //! [`MapperReadView`]s) and shard across the worker pool; mutations commit
 //! serially in circuit order, so thread count never changes results.
 
@@ -39,13 +41,16 @@ use sbon_coords::vivaldi::{LandmarkPlacer, VivaldiConfig, VivaldiEmbedding};
 use sbon_core::circuit::{Circuit, Link, Placement, ServiceId};
 use sbon_core::costspace::{CostSpace, CostSpaceBuilder};
 use sbon_core::multiquery::{CircuitId, MultiQueryOptimizer, ReuseScope};
-use sbon_core::optimizer::{IntegratedOptimizer, OptimizerConfig, QuerySpec};
+use sbon_core::optimizer::{IntegratedOptimizer, OptimizerConfig, PlacedCircuit, QuerySpec};
 use sbon_core::placement::{
-    DhtMapper, DhtMapperConfig, LiveOracleMapper, MapperReadView, PhysicalMapper, ReadObservation,
-    RelaxationPlacer, RoutedMapper,
+    DhtMapper, DhtMapperConfig, DhtMapperReadView, LiveOracleMapper, MapperDelta, MapperReadView,
+    PhysicalMapper, ReadObservation, RelaxationPlacer, RoutedMapper,
 };
 use sbon_core::reopt::relevance::{ReadSet, RelevanceIndex, ReoptKind};
-use sbon_core::reopt::{reoptimize_full, reoptimize_local, FullReoptOutcome, ReoptPolicy};
+use sbon_core::reopt::{
+    reoptimize_full, reoptimize_local, reoptimize_rewrite, FullReoptOutcome, Migration,
+    ReoptPolicy, RewriteOutcome,
+};
 use sbon_dht::catalog::CatalogStats;
 use sbon_dht::proto::{ProtoConfig, RoutedStats};
 use sbon_netsim::dijkstra::all_pairs_latency;
@@ -262,12 +267,6 @@ pub struct RuntimeConfig {
     /// `false` restores the evaluate-everything scan, useful as the
     /// equivalence baseline.
     incremental_reopt: bool,
-    /// Per-evaluation mapping memo (default `true`): within one circuit
-    /// evaluation, repeated physical-mapping lookups of bit-identical ideal
-    /// points are answered from a local memo instead of re-routing through
-    /// the catalog. Answers are identical by construction (the catalog
-    /// never mutates mid-evaluation); only the per-lookup traffic changes.
-    mapping_memo: bool,
     /// Observability: virtual-time span tracing and the flight recorder
     /// (see [`sbon_obs::ObsConfig`]). Defaults to everything off — the
     /// metrics registry backing the stats views runs regardless, at the
@@ -300,7 +299,6 @@ impl Default for RuntimeConfig {
             reuse: ReuseScope::None,
             threads: 0,
             incremental_reopt: true,
-            mapping_memo: true,
             obs: ObsConfig::default(),
         }
     }
@@ -412,11 +410,6 @@ impl RuntimeConfig {
     /// Whether dirty-driven re-optimization is on.
     pub fn incremental_reopt(&self) -> bool {
         self.incremental_reopt
-    }
-
-    /// Whether the per-evaluation mapping memo is on.
-    pub fn mapping_memo(&self) -> bool {
-        self.mapping_memo
     }
 
     /// Observability configuration (tracing, flight recorder).
@@ -571,13 +564,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Enables/disables the per-evaluation mapping memo — see
-    /// [`RuntimeConfig::mapping_memo`].
-    pub fn mapping_memo(mut self, v: bool) -> Self {
-        self.config.mapping_memo = v;
-        self
-    }
-
     /// Sets the observability configuration — see [`sbon_obs::ObsConfig`].
     /// Instrumentation never changes results, only what gets reported.
     pub fn obs(mut self, v: ObsConfig) -> Self {
@@ -586,7 +572,25 @@ impl RuntimeConfigBuilder {
     }
 
     /// Finalizes the configuration.
+    ///
+    /// # Panics
+    ///
+    /// If `tick_ms`, `horizon_ms` or an enabled re-optimization interval is
+    /// not finite and positive — a zero interval would reschedule its pass
+    /// at the same instant forever.
     pub fn build(self) -> RuntimeConfig {
+        let c = &self.config;
+        for (field, value) in [
+            ("tick_ms", Some(c.tick_ms)),
+            ("horizon_ms", Some(c.horizon_ms)),
+            ("reopt_interval_ms", c.reopt_interval_ms),
+            ("rewrite_interval_ms", c.rewrite_interval_ms),
+            ("full_reopt_interval_ms", c.full_reopt_interval_ms),
+        ] {
+            if let Some(v) = value {
+                assert!(v.is_finite() && v > 0.0, "{field} must be finite and positive, got {v}");
+            }
+        }
         self.config
     }
 }
@@ -611,6 +615,21 @@ struct Deployed {
     shared: Vec<bool>,
 }
 
+impl Deployed {
+    /// The running circuit's network usage as the cost space estimates it —
+    /// what a plan-replacing pass must beat by the replacement threshold.
+    fn running_est(&self, space: &CostSpace) -> f64 {
+        self.circuit.cost_with(&self.placement, |a, b| space.vector_distance(a, b)).network_usage
+    }
+
+    /// The links usage accounting bills to this circuit: all but those
+    /// whose downstream endpoint another circuit's instance pays for.
+    fn charged_links(&self) -> impl Iterator<Item = &Link> {
+        let links = self.circuit.links().iter();
+        links.filter(|l| !self.shared.get(l.to.index()).copied().unwrap_or(false))
+    }
+}
+
 /// A departed circuit's subtree kept alive because other circuits still
 /// subscribe to one of its operator instances. Its charged links keep
 /// accruing network usage until the last subscriber releases.
@@ -625,6 +644,13 @@ struct RetainedShared {
     /// `charge[link]` — the link still carries data for a retained subtree
     /// and is billed to this entry.
     charge: Vec<bool>,
+}
+
+impl RetainedShared {
+    /// The links still billed to this entry.
+    fn charged_links(&self) -> impl Iterator<Item = &Link> {
+        self.circuit.links().iter().zip(&self.charge).filter(|&(_, &c)| c).map(|(l, _)| l)
+    }
 }
 
 /// `mask[service]`: the service is one of `roots` or sits beneath one.
@@ -714,10 +740,18 @@ impl RunSession {
 /// Events driving the simulation.
 enum Event {
     Tick,
-    LocalReopt,
-    FullReopt,
-    Rewrite,
+    Reopt(ReoptKind),
     Fail(NodeId),
+}
+
+/// What one read-only circuit evaluation asks the serial commit to do.
+enum Verdict {
+    /// A no-op: the circuit stays as it is (and may be recorded clean).
+    Keep,
+    /// Local pass: adopt the placement these migrations lead to.
+    Migrate(Placement, Vec<Migration>),
+    /// Rewrite / full pass: swap in the replacement circuit.
+    Replace(Box<PlacedCircuit>),
 }
 
 /// The runtime-owned mapper behind [`MapperBackend`].
@@ -740,15 +774,18 @@ impl MapperState {
     }
 
     /// A read-only view for one circuit evaluation: answers exactly like
-    /// the live mapper, accumulates traffic/read-set observations locally.
-    /// The routed backend hands out the same catalog-only view the DHT
-    /// backend does — routed traffic is replayed only for live-path
-    /// lookups, on the serial settle points.
-    fn read_view(&self, memo: bool) -> MapperReadView<'_> {
+    /// the live mapper, accumulates traffic/read-set observations locally,
+    /// and memoises repeated lookups of bit-identical ideal points. The
+    /// routed backend hands out the same catalog-only view the DHT backend
+    /// does — routed traffic is replayed only for live-path lookups, on the
+    /// serial settle points.
+    fn read_view(&self) -> MapperReadView<'_> {
         match self {
-            MapperState::Dht(m) => MapperReadView::Dht(m.read_view(memo)),
+            MapperState::Dht(m) => MapperReadView::Dht(m.read_view(true)),
             MapperState::Oracle(m) => MapperReadView::Oracle(m.read_view()),
-            MapperState::Routed(m) => MapperReadView::Dht(m.read_view(memo)),
+            MapperState::Routed(m) => {
+                MapperReadView::Dht(DhtMapperReadView::new(m.routed().catalog(), true))
+            }
         }
     }
 
@@ -758,7 +795,7 @@ impl MapperState {
         match self {
             MapperState::Dht(m) => m.charge_stats(obs.stats),
             MapperState::Oracle(_) => {}
-            MapperState::Routed(m) => m.charge_stats(obs.stats),
+            MapperState::Routed(m) => m.routed_mut().catalog_mut().charge_stats(obs.stats),
         }
     }
 }
@@ -1319,27 +1356,26 @@ impl OverlayRuntime {
             CostSpaceBuilder::latency_load_space_scaled(&embedding, &attrs, config.load_scale);
         let members: Vec<NodeId> =
             (0..n as u32).map(NodeId).filter(|node| arrived[node.index()]).collect();
+        // The catalog backends share one sizing: grid resolution capped so
+        // the Hilbert key fits the 128-bit ring whatever the space's
+        // dimensionality, and the full scalar range — load churn must never
+        // push a registered coordinate outside the quantizer box.
+        let catalog_config = |bits: u32, scan_width| DhtMapperConfig {
+            bits: bits.min((128 / space.dims() as u32).max(1)),
+            scan_width,
+            ..DhtMapperConfig::default()
+        };
         let mapper = match config.mapper_backend {
-            MapperBackend::Dht { bits, scan_width } => {
-                // Cap the grid resolution so the Hilbert key fits the
-                // 128-bit ring whatever the space's dimensionality.
-                let bits = bits.min((128 / space.dims() as u32).max(1));
-                MapperState::Dht(DhtMapper::build_with_members(
-                    &space,
-                    // Full scalar range: load churn must never push a
-                    // registered coordinate outside the quantizer box.
-                    &DhtMapperConfig { bits, scan_width, ..DhtMapperConfig::default() },
-                    &members,
-                ))
-            }
+            MapperBackend::Dht { bits, scan_width } => MapperState::Dht(
+                DhtMapper::build_with_members(&space, &catalog_config(bits, scan_width), &members),
+            ),
             MapperBackend::Oracle => {
                 MapperState::Oracle(LiveOracleMapper::with_members(n, members))
             }
             MapperBackend::Routed { bits, scan_width, proto } => {
-                let bits = bits.min((128 / space.dims() as u32).max(1));
                 MapperState::Routed(RoutedMapper::build_with_members(
                     &space,
-                    &DhtMapperConfig { bits, scan_width, ..DhtMapperConfig::default() },
+                    &catalog_config(bits, scan_width),
                     proto,
                     &members,
                 ))
@@ -1415,22 +1451,7 @@ impl OverlayRuntime {
         // The maintenance contract: the dead node leaves the mapper, so no
         // control-plane path can ever map onto it again. Clean records that
         // scanned its registration (or read its cost point) go dirty.
-        match &mut self.mapper {
-            MapperState::Dht(m) => {
-                if let Some(key) = m.remove_node_traced(node) {
-                    self.relevance.touch_key(key);
-                }
-            }
-            MapperState::Oracle(m) => {
-                m.remove_node(node);
-                self.relevance.touch_all();
-            }
-            MapperState::Routed(m) => {
-                if let Some(key) = m.remove_node_traced(node) {
-                    self.relevance.touch_key(key);
-                }
-            }
-        }
+        self.relevance.touch_mapper(self.mapper.as_dyn().remove_node(node));
         self.relevance.touch_host(node);
         let placer = RelaxationPlacer::default();
         let mut evacuated = 0;
@@ -1626,7 +1647,7 @@ impl OverlayRuntime {
         match &self.mapper {
             MapperState::Dht(m) => Some(m.stats()),
             MapperState::Oracle(_) => None,
-            MapperState::Routed(m) => Some(m.stats()),
+            MapperState::Routed(m) => Some(m.routed().catalog().stats()),
         }
     }
 
@@ -1661,16 +1682,9 @@ impl OverlayRuntime {
             reopt_evaluated: r.counter_value(h.reopt_evaluated) as usize,
             reopt_skipped: r.counter_value(h.reopt_skipped) as usize,
             usage_ns: u128::from(r.counter_value(h.usage_ns)),
-            routed_messages: 0,
-            routed_lookups: 0,
-            routed_retries: 0,
-            routed_timeouts: 0,
-            routed_hop_histogram: Vec::new(),
-            routed_p50_latency_ms: None,
-            routed_p99_latency_ms: None,
+            ..ControlPlaneStats::default()
         };
-        if let MapperState::Routed(m) = &self.mapper {
-            let rs = m.routed_stats();
+        if let Some(rs) = self.routed_stats() {
             cp.routed_messages = rs.messages;
             cp.routed_lookups = rs.lookups;
             cp.routed_retries = rs.retries;
@@ -1688,8 +1702,7 @@ impl OverlayRuntime {
     /// snapshots [`MetricsSnapshot::diff`] into a per-interval view.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.obs.registry.snapshot();
-        if let MapperState::Routed(m) = &self.mapper {
-            let rs = m.routed_stats();
+        if let Some(rs) = self.routed_stats() {
             snap.counters.insert("routed.messages".into(), rs.messages);
             snap.counters.insert("routed.lookups".into(), rs.lookups);
             snap.counters.insert("routed.registrations".into(), rs.registrations);
@@ -1782,17 +1795,10 @@ impl OverlayRuntime {
         }
         let mut sources: Vec<NodeId> = Vec::new();
         for d in &self.circuits {
-            let charged = d
-                .circuit
-                .links()
-                .iter()
-                .filter(|l| !d.shared.get(l.to.index()).copied().unwrap_or(false));
-            sources.extend(link_sources(&d.placement, charged));
+            sources.extend(link_sources(&d.placement, d.charged_links()));
         }
         for r in &self.retained {
-            let charged =
-                r.circuit.links().iter().zip(&r.charge).filter(|&(_, &c)| c).map(|(l, _)| l);
-            sources.extend(link_sources(&r.placement, charged));
+            sources.extend(link_sources(&r.placement, r.charged_links()));
         }
         self.prewarm_rows(&sources);
     }
@@ -1802,40 +1808,20 @@ impl OverlayRuntime {
     /// instance's owner are skipped) plus the links of retained shared
     /// subtrees whose owners departed but whose subscribers remain.
     pub fn instantaneous_usage(&self) -> f64 {
+        let usage = |placement: &Placement, l: &Link| {
+            l.rate * self.latency.query(placement.node_of(l.from), placement.node_of(l.to))
+        };
+        // Summed per circuit, then across circuits: the order is part of the
+        // bit-identical usage contract.
         let live: f64 = self
             .circuits
             .iter()
-            .map(|d| {
-                d.circuit
-                    .links()
-                    .iter()
-                    .filter(|l| !d.shared.get(l.to.index()).copied().unwrap_or(false))
-                    .map(|l| {
-                        l.rate
-                            * self
-                                .latency
-                                .query(d.placement.node_of(l.from), d.placement.node_of(l.to))
-                    })
-                    .sum::<f64>()
-            })
+            .map(|d| d.charged_links().map(|l| usage(&d.placement, l)).sum::<f64>())
             .sum();
         let retained: f64 = self
             .retained
             .iter()
-            .map(|r| {
-                r.circuit
-                    .links()
-                    .iter()
-                    .zip(&r.charge)
-                    .filter(|&(_, &charged)| charged)
-                    .map(|(l, _)| {
-                        l.rate
-                            * self
-                                .latency
-                                .query(r.placement.node_of(l.from), r.placement.node_of(l.to))
-                    })
-                    .sum::<f64>()
-            })
+            .map(|r| r.charged_links().map(|l| usage(&r.placement, l)).sum::<f64>())
             .sum();
         // `+ 0.0` normalizes the empty-sum identity `-0.0` to `+0.0` (and
         // changes nothing else), so idle baselines print and compare as
@@ -2025,13 +2011,13 @@ impl OverlayRuntime {
         let mut queue: EventQueue<Event> = EventQueue::new();
         queue.schedule(SimTime(self.config.tick_ms), Event::Tick);
         if let Some(interval) = self.config.reopt_interval_ms {
-            queue.schedule(SimTime(interval), Event::LocalReopt);
+            queue.schedule(SimTime(interval), Event::Reopt(ReoptKind::Local));
         }
         if let Some(interval) = self.config.full_reopt_interval_ms {
-            queue.schedule(SimTime(interval), Event::FullReopt);
+            queue.schedule(SimTime(interval), Event::Reopt(ReoptKind::Full));
         }
         if let Some(interval) = self.config.rewrite_interval_ms {
-            queue.schedule(SimTime(interval), Event::Rewrite);
+            queue.schedule(SimTime(interval), Event::Reopt(ReoptKind::Rewrite));
         }
         for (at_ms, node) in std::mem::take(&mut self.pending_failures) {
             queue.schedule(SimTime(at_ms), Event::Fail(node));
@@ -2111,159 +2097,7 @@ impl OverlayRuntime {
                     s.queue.schedule(now.after(self.config.tick_ms), Event::Tick);
                 }
             }
-            Event::LocalReopt => {
-                let t0 = WallTimer::start();
-                let sp = self.obs.span_start("reopt.local", Vec::new);
-                let placer = RelaxationPlacer::default();
-                // Dirty filter: clean circuits would reproduce their last
-                // no-op evaluation exactly, so they are skipped outright.
-                let eval_idx = self.dirty_circuits(ReoptKind::Local, false);
-                // Read-only evaluation, shardable across the pool: each
-                // circuit gets a fresh mapper view and a placement clone;
-                // nothing shared mutates, so evaluations are independent.
-                let results: Vec<(
-                    Placement,
-                    sbon_core::reopt::LocalReoptOutcome,
-                    ReadObservation,
-                )> = {
-                    let circuits = &self.circuits;
-                    let space = &self.space;
-                    let mapper = &self.mapper;
-                    let placer = &placer;
-                    let policy = self.config.policy;
-                    let memo = self.config.mapping_memo;
-                    run_parallel(&self.pool, &eval_idx, move |i| {
-                        let d = &circuits[i];
-                        let mut view = mapper.read_view(memo);
-                        let mut placement = d.placement.clone();
-                        let outcome = reoptimize_local(
-                            &d.circuit,
-                            &mut placement,
-                            space,
-                            placer,
-                            &mut view,
-                            policy,
-                        );
-                        (placement, outcome, view.into_observation())
-                    })
-                };
-                // Serial commit in circuit order: placements, the
-                // reuse-discovery index, deferred catalog traffic, and the
-                // relevance verdict (clean record vs dirty-on-mutation).
-                let mut moved = 0;
-                for (&i, (placement, outcome, obs)) in eval_idx.iter().zip(results) {
-                    self.mapper.charge_observed(&obs);
-                    let handle = self.circuits[i].handle.0 as u64;
-                    if outcome.migrations.is_empty() {
-                        if self.config.incremental_reopt {
-                            let d = &self.circuits[i];
-                            let hosts = circuit_hosts(&d.circuit, &d.placement);
-                            self.relevance.record_clean(
-                                ReoptKind::Local,
-                                handle,
-                                ReadSet { spans: obs.spans, hosts, whole_space: obs.whole_space },
-                            );
-                        }
-                        continue;
-                    }
-                    let d = &mut self.circuits[i];
-                    d.placement = placement;
-                    // Keep the reuse-discovery index truthful about hosts.
-                    if let (Some(mq), Some(id)) = (&mut self.multiquery, d.mq_id) {
-                        for m in &outcome.migrations {
-                            mq.relocate(id, m.service, m.to, &self.space);
-                        }
-                    }
-                    self.relevance.mark_dirty(handle);
-                    moved += outcome.migrations.len();
-                }
-                self.obs.registry.inc(self.obs.h.local_reopt_ns, t0.elapsed_ns());
-                let evaluated = eval_idx.len();
-                self.obs.span_end(sp, || {
-                    vec![("evaluated", evaluated.into()), ("migrations", moved.into())]
-                });
-                s.report.migrations += moved;
-                s.report.adaptation_cost += moved as f64 * self.config.migration_penalty;
-                if let Some(interval) = self.config.reopt_interval_ms {
-                    if now.after(interval) <= s.horizon {
-                        s.queue.schedule(now.after(interval), Event::LocalReopt);
-                    }
-                }
-            }
-            Event::Rewrite => {
-                let t0 = WallTimer::start();
-                let sp = self.obs.span_start("reopt.rewrite", Vec::new);
-                let placer = RelaxationPlacer::default();
-                // Tenancy-entangled circuits are not rewritten (a plan swap
-                // under live subscriptions would strand tenants); clean ones
-                // are skipped by the dirty filter.
-                let eval_idx = self.dirty_circuits(ReoptKind::Rewrite, true);
-                let results: Vec<(sbon_core::reopt::RewriteOutcome, ReadObservation)> = {
-                    let circuits = &self.circuits;
-                    let space = &self.space;
-                    let mapper = &self.mapper;
-                    let placer = &placer;
-                    let policy = self.config.policy;
-                    let memo = self.config.mapping_memo;
-                    run_parallel(&self.pool, &eval_idx, move |i| {
-                        let d = &circuits[i];
-                        let running_est = d
-                            .circuit
-                            .cost_with(&d.placement, |a, b| space.vector_distance(a, b))
-                            .network_usage;
-                        let mut view = mapper.read_view(memo);
-                        let outcome = sbon_core::reopt::reoptimize_rewrite(
-                            &d.running_plan,
-                            running_est,
-                            &d.query,
-                            space,
-                            placer,
-                            &mut view,
-                            policy,
-                        );
-                        (outcome, view.into_observation())
-                    })
-                };
-                let mut swaps = 0;
-                for (&i, (outcome, obs)) in eval_idx.iter().zip(results) {
-                    self.mapper.charge_observed(&obs);
-                    let handle = self.circuits[i].handle.0 as u64;
-                    if let sbon_core::reopt::RewriteOutcome::Rewrite { replacement, .. } = outcome {
-                        let d = &mut self.circuits[i];
-                        d.running_plan = replacement.plan.clone();
-                        d.circuit = replacement.circuit;
-                        d.placement = replacement.placement;
-                        d.shared = Vec::new();
-                        // The swap invalidates the old registration; the
-                        // replacement's operators take its place.
-                        if let (Some(mq), Some(id)) = (&mut self.multiquery, d.mq_id) {
-                            mq.reregister(id, &d.circuit, &d.placement, &self.space);
-                        }
-                        self.relevance.mark_dirty(handle);
-                        swaps += 1;
-                    } else if self.config.incremental_reopt {
-                        let d = &self.circuits[i];
-                        let hosts = circuit_hosts(&d.circuit, &d.placement);
-                        self.relevance.record_clean(
-                            ReoptKind::Rewrite,
-                            handle,
-                            ReadSet { spans: obs.spans, hosts, whole_space: obs.whole_space },
-                        );
-                    }
-                }
-                self.obs.registry.inc(self.obs.h.rewrite_ns, t0.elapsed_ns());
-                let evaluated = eval_idx.len();
-                self.obs.span_end(sp, || {
-                    vec![("evaluated", evaluated.into()), ("swaps", swaps.into())]
-                });
-                s.report.replacements += swaps;
-                s.report.adaptation_cost += swaps as f64 * self.config.replacement_penalty;
-                if let Some(interval) = self.config.rewrite_interval_ms {
-                    if now.after(interval) <= s.horizon {
-                        s.queue.schedule(now.after(interval), Event::Rewrite);
-                    }
-                }
-            }
+            Event::Reopt(kind) => self.reopt_pass(s, now, kind),
             Event::Fail(node) => {
                 let t0 = WallTimer::start();
                 let sp =
@@ -2281,72 +2115,138 @@ impl OverlayRuntime {
                 s.report.migrations += evacuated;
                 s.report.adaptation_cost += evacuated as f64 * self.config.migration_penalty;
             }
-            Event::FullReopt => {
-                let t0 = WallTimer::start();
-                let sp = self.obs.span_start("reopt.full", Vec::new);
-                // See the rewrite pass: no plan swaps under tenancy, and
-                // clean circuits skip the whole optimizer run.
-                let eval_idx = self.dirty_circuits(ReoptKind::Full, true);
-                let results: Vec<(FullReoptOutcome, ReadObservation)> = {
-                    let circuits = &self.circuits;
-                    let space = &self.space;
-                    let mapper = &self.mapper;
-                    let policy = self.config.policy;
-                    let memo = self.config.mapping_memo;
-                    run_parallel(&self.pool, &eval_idx, move |i| {
-                        let d = &circuits[i];
-                        let running_est = d
-                            .circuit
-                            .cost_with(&d.placement, |a, b| space.vector_distance(a, b))
-                            .network_usage;
-                        let mut view = mapper.read_view(memo);
-                        let outcome = reoptimize_full(
-                            running_est,
-                            &d.query,
-                            space,
-                            &mut view,
-                            OptimizerConfig::default(),
-                            policy,
-                        );
-                        (outcome, view.into_observation())
-                    })
-                };
-                let mut swaps = 0;
-                for (&i, (outcome, obs)) in eval_idx.iter().zip(results) {
-                    self.mapper.charge_observed(&obs);
-                    let handle = self.circuits[i].handle.0 as u64;
-                    if let FullReoptOutcome::Replace { replacement, .. } = outcome {
-                        let d = &mut self.circuits[i];
-                        d.circuit = replacement.circuit;
-                        d.placement = replacement.placement;
-                        d.shared = Vec::new();
-                        if let (Some(mq), Some(id)) = (&mut self.multiquery, d.mq_id) {
-                            mq.reregister(id, &d.circuit, &d.placement, &self.space);
+        }
+    }
+
+    /// One adaptation pass — the skeleton all three kinds share.
+    /// Tenancy-entangled circuits are left out of the plan-replacing kinds
+    /// (a plan swap under live subscriptions would strand tenants), and
+    /// clean circuits are skipped by the dirty filter: they would reproduce
+    /// their last no-op evaluation exactly. The rest are evaluated
+    /// **read-only** — each with a fresh mapper view and nothing shared
+    /// mutating, so the evaluations are independent and shard across the
+    /// pool — and then committed serially in circuit order: deferred catalog
+    /// traffic, the mutation (keeping the reuse-discovery index truthful
+    /// about hosts and registrations), and the relevance verdict — dirty on
+    /// change, else a clean record with the evaluation's observed read set.
+    fn reopt_pass(&mut self, s: &mut RunSession, now: SimTime, kind: ReoptKind) {
+        let (c, h) = (&self.config, &self.obs.h);
+        let (span, wall_ns, interval, migrates) = match kind {
+            ReoptKind::Local => ("reopt.local", h.local_reopt_ns, c.reopt_interval_ms, true),
+            ReoptKind::Rewrite => ("reopt.rewrite", h.rewrite_ns, c.rewrite_interval_ms, false),
+            ReoptKind::Full => ("reopt.full", h.full_reopt_ns, c.full_reopt_interval_ms, false),
+        };
+        let (changes, penalty) = if migrates {
+            ("migrations", c.migration_penalty)
+        } else {
+            ("swaps", c.replacement_penalty)
+        };
+        let t0 = WallTimer::start();
+        let sp = self.obs.span_start(span, Vec::new);
+        let eval_idx = self.dirty_circuits(kind, !migrates);
+        let results: Vec<(Verdict, ReadObservation)> = {
+            let (circuits, space, mapper) = (&self.circuits, &self.space, &self.mapper);
+            let (placer, policy) = (RelaxationPlacer::default(), self.config.policy);
+            run_parallel(&self.pool, &eval_idx, |i| {
+                let d = &circuits[i];
+                let mut view = mapper.read_view();
+                let verdict = match kind {
+                    ReoptKind::Local => {
+                        let mut to = d.placement.clone();
+                        let moved = reoptimize_local(
+                            &d.circuit, &mut to, space, &placer, &mut view, policy,
+                        )
+                        .migrations;
+                        if moved.is_empty() {
+                            Verdict::Keep
+                        } else {
+                            Verdict::Migrate(to, moved)
                         }
-                        self.relevance.mark_dirty(handle);
-                        swaps += 1;
-                    } else if self.config.incremental_reopt {
-                        let d = &self.circuits[i];
+                    }
+                    ReoptKind::Rewrite => match reoptimize_rewrite(
+                        &d.running_plan,
+                        d.running_est(space),
+                        &d.query,
+                        space,
+                        &placer,
+                        &mut view,
+                        policy,
+                    ) {
+                        RewriteOutcome::Rewrite { replacement, .. } => {
+                            Verdict::Replace(replacement)
+                        }
+                        RewriteOutcome::Keep => Verdict::Keep,
+                    },
+                    ReoptKind::Full => match reoptimize_full(
+                        d.running_est(space),
+                        &d.query,
+                        space,
+                        &mut view,
+                        OptimizerConfig::default(),
+                        policy,
+                    ) {
+                        FullReoptOutcome::Replace { replacement, .. } => {
+                            Verdict::Replace(replacement)
+                        }
+                        FullReoptOutcome::Keep => Verdict::Keep,
+                    },
+                };
+                (verdict, view.into_observation())
+            })
+        };
+        let mut changed = 0;
+        for (&i, (verdict, obs)) in eval_idx.iter().zip(results) {
+            self.mapper.charge_observed(&obs);
+            let d = &mut self.circuits[i];
+            let handle = d.handle.0 as u64;
+            let registry = self.multiquery.as_mut().zip(d.mq_id);
+            match verdict {
+                Verdict::Keep => {
+                    if self.config.incremental_reopt {
                         let hosts = circuit_hosts(&d.circuit, &d.placement);
                         self.relevance.record_clean(
-                            ReoptKind::Full,
+                            kind,
                             handle,
                             ReadSet { spans: obs.spans, hosts, whole_space: obs.whole_space },
                         );
                     }
+                    continue;
                 }
-                self.obs.registry.inc(self.obs.h.full_reopt_ns, t0.elapsed_ns());
-                let evaluated = eval_idx.len();
-                self.obs.span_end(sp, || {
-                    vec![("evaluated", evaluated.into()), ("swaps", swaps.into())]
-                });
-                s.report.replacements += swaps;
-                s.report.adaptation_cost += swaps as f64 * self.config.replacement_penalty;
-                if let Some(interval) = self.config.full_reopt_interval_ms {
-                    if now.after(interval) <= s.horizon {
-                        s.queue.schedule(now.after(interval), Event::FullReopt);
+                Verdict::Migrate(placement, migrations) => {
+                    d.placement = placement;
+                    if let Some((mq, id)) = registry {
+                        for m in &migrations {
+                            mq.relocate(id, m.service, m.to, &self.space);
+                        }
                     }
+                    changed += migrations.len();
                 }
+                Verdict::Replace(replacement) => {
+                    if kind == ReoptKind::Rewrite {
+                        d.running_plan = replacement.plan;
+                    }
+                    d.circuit = replacement.circuit;
+                    d.placement = replacement.placement;
+                    d.shared = Vec::new();
+                    // The swap invalidates the old registration; the
+                    // replacement's operators take its place.
+                    if let Some((mq, id)) = registry {
+                        mq.reregister(id, &d.circuit, &d.placement, &self.space);
+                    }
+                    changed += 1;
+                }
+            }
+            self.relevance.mark_dirty(handle);
+        }
+        self.obs.registry.inc(wall_ns, t0.elapsed_ns());
+        let evaluated = eval_idx.len();
+        self.obs.span_end(sp, || vec![("evaluated", evaluated.into()), (changes, changed.into())]);
+        let tally = if migrates { &mut s.report.migrations } else { &mut s.report.replacements };
+        *tally += changed;
+        s.report.adaptation_cost += changed as f64 * penalty;
+        if let Some(interval) = interval {
+            if now.after(interval) <= s.horizon {
+                s.queue.schedule(now.after(interval), Event::Reopt(kind));
             }
         }
     }
@@ -2385,22 +2285,12 @@ impl OverlayRuntime {
                 // The arrival's catalog registration can change lookups
                 // whose scanned region covers its key: invalidate exactly
                 // those clean records (everything, under the oracle scan).
-                match &mut self.mapper {
-                    MapperState::Dht(m) => {
-                        let (old, new) = m.update_node_traced(&self.space, node);
-                        debug_assert!(old.is_none(), "a joining node cannot be registered yet");
-                        self.relevance.touch_key(new);
-                    }
-                    MapperState::Oracle(m) => {
-                        m.add_node(&self.space, node);
-                        self.relevance.touch_all();
-                    }
-                    MapperState::Routed(m) => {
-                        let (old, new) = m.update_node_traced(&self.space, node);
-                        debug_assert!(old.is_none(), "a joining node cannot be registered yet");
-                        self.relevance.touch_key(new);
-                    }
-                }
+                let delta = self.mapper.as_dyn().add_node(&self.space, node);
+                debug_assert!(
+                    !matches!(delta, MapperDelta::Keys { old: Some(_), .. }),
+                    "a joining node cannot be registered yet"
+                );
+                self.relevance.touch_mapper(delta);
                 joined += 1;
             }
             self.obs.registry.inc(self.obs.h.nodes_joined, joined as u64);
@@ -2445,26 +2335,7 @@ impl OverlayRuntime {
                 // registration stabs clean records whose scanned ring
                 // region covers either key, and the changed cost point
                 // stabs every record that read this host's estimate.
-                match &mut self.mapper {
-                    MapperState::Dht(m) => {
-                        let (old, new) = m.update_node_traced(&self.space, node);
-                        if let Some(old) = old {
-                            self.relevance.touch_key(old);
-                        }
-                        self.relevance.touch_key(new);
-                    }
-                    MapperState::Oracle(m) => {
-                        m.update_node(&self.space, node);
-                        self.relevance.touch_all();
-                    }
-                    MapperState::Routed(m) => {
-                        let (old, new) = m.update_node_traced(&self.space, node);
-                        if let Some(old) = old {
-                            self.relevance.touch_key(old);
-                        }
-                        self.relevance.touch_key(new);
-                    }
-                }
+                self.relevance.touch_mapper(self.mapper.as_dyn().update_node(&self.space, node));
                 self.relevance.touch_host(node);
                 updated += 1;
             }
@@ -3527,6 +3398,32 @@ mod tests {
             rt.run()
         };
         assert_eq!(run(built), run(literal));
+    }
+
+    /// `build()` rejects every time value the event loop cannot advance on
+    /// — zero reschedules a pass at the same instant forever — and the
+    /// panic names the field and the value.
+    #[test]
+    fn builder_rejects_non_positive_and_non_finite_times() {
+        type Setter = fn(RuntimeConfigBuilder, f64) -> RuntimeConfigBuilder;
+        let fields: [(&str, Setter); 5] = [
+            ("tick_ms", |b, v| b.tick_ms(v)),
+            ("horizon_ms", |b, v| b.horizon_ms(v)),
+            ("reopt_interval_ms", |b, v| b.reopt_interval_ms(v)),
+            ("rewrite_interval_ms", |b, v| b.rewrite_interval_ms(v)),
+            ("full_reopt_interval_ms", |b, v| b.full_reopt_interval_ms(v)),
+        ];
+        for (field, set) in fields {
+            for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+                let built = std::panic::catch_unwind(|| set(RuntimeConfig::builder(), bad).build());
+                let panic = built.expect_err(&format!("{field} = {bad} must be rejected"));
+                let message = panic.downcast_ref::<String>().expect("formatted panic message");
+                assert_eq!(message, &format!("{field} must be finite and positive, got {bad}"));
+            }
+            set(RuntimeConfig::builder(), 1.5).build();
+        }
+        // Disabled cadences carry no value to check.
+        RuntimeConfig::builder().reopt_interval_ms(None).full_reopt_interval_ms(None).build();
     }
 
     /// Landmark mode under a deployment wave: construction computes only

@@ -6,8 +6,8 @@
 //! every migration, every usage figure — a run with skipping enabled must be
 //! bit-identical to one that evaluates every circuit at every pass. These
 //! properties pin that contract across random topologies, churn and jitter
-//! schedules, both latency backends, both mapper backends, reuse on/off, and
-//! mid-run node failures.
+//! schedules, both latency backends, all three mapper backends, reuse on/off,
+//! and mid-run node failures.
 //!
 //! A second pin holds the sharded phases — read-only re-opt evaluation, and
 //! the batch that faults a deployed circuit's latency rows in — to the serial
@@ -17,6 +17,7 @@
 use proptest::prelude::*;
 use sbon_core::multiquery::ReuseScope;
 use sbon_core::optimizer::QuerySpec;
+use sbon_dht::ProtoConfig;
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::lazy::LazyLatencyStats;
 use sbon_netsim::load::ChurnProcess;
@@ -32,7 +33,7 @@ use sbon_overlay::{
 struct Scenario {
     seed: u64,
     nodes: usize,
-    /// Selects (latency backend, mapper backend) out of the 2×2 grid.
+    /// Selects (latency backend, mapper backend) out of the 2×3 grid.
     backend: u8,
     sparse_churn: bool,
     jitter: bool,
@@ -82,11 +83,14 @@ fn run_once(
     incremental: bool,
     threads: usize,
 ) -> (RunReport, Option<LazyLatencyStats>) {
+    let routed = MapperBackend::Routed { bits: 12, scan_width: 8, proto: ProtoConfig::default() };
     let (latency, mapper) = match s.backend {
         0 => (LatencyBackend::Dense, MapperBackend::Dht { bits: 12, scan_width: 8 }),
         1 => (LatencyBackend::Dense, MapperBackend::Oracle),
         2 => (LatencyBackend::Lazy, MapperBackend::Dht { bits: 12, scan_width: 8 }),
-        _ => (LatencyBackend::Lazy, MapperBackend::Oracle),
+        3 => (LatencyBackend::Lazy, MapperBackend::Oracle),
+        4 => (LatencyBackend::Dense, routed),
+        _ => (LatencyBackend::Lazy, routed),
     };
     // Kept light on purpose: heavy churn dirties every circuit every tick
     // and the skip path never fires. At ~2 touched nodes per tick a good
@@ -146,7 +150,7 @@ proptest! {
     /// produces the bit-identical `RunReport` to evaluating everything.
     #[test]
     fn incremental_reopt_equals_full_scan(
-        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..4, 0u8..16)
+        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..16)
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);
@@ -164,7 +168,7 @@ proptest! {
     /// count must never show up in the report or in the row cache.
     #[test]
     fn parallel_reopt_equals_serial(
-        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..4, 0u8..16)
+        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..16)
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);

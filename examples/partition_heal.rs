@@ -183,7 +183,9 @@ fn main() {
         let origin = rng.gen_range(0..n as u32);
         let target = random_coord(&mut rng);
         let truth = omni.lookup_closest_traced(&target).expect("populated").member;
-        let res = routed.lookup_quiescent(origin, &target, routed.now(), &link).expect("populated");
+        let at = routed.now();
+        routed.lookup_routed(origin, &target, at, &link).expect("populated");
+        let (_, res) = routed.run_to_quiescence(&link).pop().expect("one lookup in flight");
         assert_eq!(res.member, truth, "post-heal answers must equal the omniscient one");
     }
     let healed = routed.stats();

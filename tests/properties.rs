@@ -18,7 +18,7 @@ use sbon::hilbert::{HilbertCurve, Quantizer};
 use sbon::netsim::dijkstra::all_pairs_latency;
 use sbon::netsim::graph::{EdgeId, NodeId};
 use sbon::netsim::latency::{EuclideanLatency, LatencyProvider};
-use sbon::netsim::lazy::{DeltaPolicy, LazyLatency};
+use sbon::netsim::lazy::LazyLatency;
 use sbon::netsim::load::{Attr, ChurnProcess, NodeAttrs};
 use sbon::netsim::rng::derive_rng;
 use sbon::netsim::topology::transit_stub::{self, TransitStubConfig};
@@ -284,9 +284,8 @@ proptest! {
     /// (`apply_edge_deltas`) — must leave every *served* value bit-identical
     /// to a fresh all-pairs Dijkstra of the mutated graph, across random
     /// topology families, delta batches (with intra-batch duplicate edges,
-    /// where the last write wins), cache capacities, and **both** delta
-    /// policies: dynamic-SSSP `Repair` and the `Invalidate` baseline must
-    /// be observationally indistinguishable. Repair is demand-driven, so
+    /// where the last write wins) and cache capacities. Repair is
+    /// demand-driven, so
     /// between batches only `reads` random rows are read: rows reach the
     /// final full sweep anywhere from 1 to `batches` batches behind, and
     /// one repair has to absorb a window in which one edge was raised and
@@ -306,9 +305,7 @@ proptest! {
         };
         let mut lazy = match seed % 3 {
             0 => LazyLatency::with_capacity(topo.graph.clone(), 1 + nodes / 8),
-            1 => LazyLatency::new(topo.graph.clone()),
-            _ => LazyLatency::new(topo.graph.clone())
-                .with_delta_policy(DeltaPolicy::Invalidate),
+            _ => LazyLatency::new(topo.graph.clone()),
         };
         let n = lazy.len();
         let m = lazy.graph().num_edges();
@@ -712,7 +709,8 @@ proptest! {
                     let origin = live[rng.gen_range(0..live.len())];
                     let truth = omni.lookup_closest_traced(&target).unwrap();
                     let at = routed.now();
-                    let res = routed.lookup_quiescent(origin, &target, at, &link).unwrap();
+                    prop_assert!(routed.lookup_routed(origin, &target, at, &link).is_some());
+                    let (_, res) = routed.run_to_quiescence(&link).pop().unwrap();
                     prop_assert_eq!(res.member, truth.member);
                     prop_assert!(res.hops == 0 || res.latency_ms > 0.0);
                 }
@@ -733,9 +731,9 @@ proptest! {
             let target = [rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)];
             let origin = live[rng.gen_range(0..live.len())];
             let truth = omni.lookup_closest_traced(&target).unwrap();
-            let res = routed
-                .lookup_quiescent(origin, &target, routed.now(), &link)
-                .unwrap();
+            let at = routed.now();
+            prop_assert!(routed.lookup_routed(origin, &target, at, &link).is_some());
+            let (_, res) = routed.run_to_quiescence(&link).pop().unwrap();
             prop_assert_eq!(res.member, truth.member);
         }
         // A healthy underlay never times out, retries, or defers.

@@ -90,6 +90,55 @@ impl Circuit {
         }
     }
 
+    /// A lower bound on [`CircuitCost::network_usage`] over **every**
+    /// placement of the unpinned services, for any `dist` that obeys the
+    /// triangle inequality (the cost space's Euclidean
+    /// `CostSpace::vector_distance` does). `O(services)`; reads `dist`
+    /// between pinned hosts only.
+    ///
+    /// Path packing: route flows between pinned services along the service
+    /// tree so that the flows sharing a link never exceed its rate. A flow
+    /// `w` between pinned hosts `a` and `b` costs any placement at least
+    /// `w · dist(a, b)` — the path's links each carry `w`, and their lengths
+    /// sum to at least `dist(a, b)`. Links are walked children-first, each
+    /// subtree offering its parent one *open end* `(pinned host, flow still
+    /// unrouted)`, capped by every link it climbs: a pinned parent terminates
+    /// the end on itself and opens a fresh one; an unpinned parent pairs the
+    /// end with the one it already holds — the smaller flow is routed between
+    /// the two hosts, the larger side's remainder stays open.
+    pub fn usage_lower_bound(&self, mut dist: impl FnMut(NodeId, NodeId) -> f64) -> f64 {
+        // `from_plan` numbers services children-first and pushes a service's
+        // input links right after it, so by the time a link is walked its
+        // upstream end is final.
+        let mut open: Vec<Option<(NodeId, f64)>> = self
+            .services()
+            .iter()
+            .map(|s| match s.pin {
+                ServicePin::Pinned(n) => Some((n, f64::INFINITY)),
+                ServicePin::Unpinned => None,
+            })
+            .collect();
+        let mut bound = 0.0;
+        for l in self.links() {
+            debug_assert!(l.from < l.to, "services are numbered children-first");
+            let Some((host, flow)) = open[l.from.index()] else { continue };
+            let flow = flow.min(l.rate);
+            match (self.service(l.to).pin, open[l.to.index()]) {
+                (ServicePin::Pinned(pin), _) => bound += flow * dist(host, pin),
+                (ServicePin::Unpinned, None) => open[l.to.index()] = Some((host, flow)),
+                (ServicePin::Unpinned, Some((held, held_flow))) => {
+                    bound += flow.min(held_flow) * dist(held, host);
+                    open[l.to.index()] = Some(if held_flow >= flow {
+                        (held, held_flow - flow)
+                    } else {
+                        (host, flow - held_flow)
+                    });
+                }
+            }
+        }
+        bound
+    }
+
     /// Longest leaf→root path distance under `dist`.
     fn max_path_latency(
         &self,

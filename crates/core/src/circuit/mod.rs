@@ -11,7 +11,7 @@ mod cost;
 pub use cost::{CircuitCost, Placement};
 
 use sbon_netsim::graph::NodeId;
-use sbon_query::plan::LogicalPlan;
+use sbon_query::plan::{BinaryOp, LogicalPlan, UnaryOp};
 use sbon_query::stats::StatsCatalog;
 use sbon_query::stream::StreamId;
 
@@ -107,9 +107,17 @@ impl Circuit {
         producer_of: impl Fn(StreamId) -> NodeId,
         consumer: NodeId,
     ) -> Circuit {
-        let mut circuit = Circuit { services: Vec::new(), links: Vec::new(), root: ServiceId(0) };
-        let plan_root = circuit.build_subtree(plan, stats, &producer_of);
-        let root_rate = stats.output_rate(plan);
+        // One service per plan node plus the consumer, one link out of each
+        // but the consumer: reserve exactly that, nothing speculative.
+        let mut nodes = 0;
+        plan.visit(&mut |_| nodes += 1);
+        let mut circuit = Circuit {
+            services: Vec::with_capacity(nodes + 1),
+            links: Vec::with_capacity(nodes),
+            root: ServiceId(0),
+        };
+        let plan_root = circuit.build_subtree(plan, stats, &producer_of, &mut Vec::new());
+        let root_rate = circuit.services[plan_root.index()].output_rate;
         let consumer_id =
             circuit.push_service(ServiceKind::Consumer, ServicePin::Pinned(consumer), 0.0);
         circuit.links.push(Link { from: plan_root, to: consumer_id, rate: root_rate });
@@ -117,44 +125,84 @@ impl Circuit {
         circuit
     }
 
+    /// Builds the services of `plan` children-first, returns its root
+    /// service and appends the subtree's source streams to `sources`
+    /// (first-visit order, each once, as [`LogicalPlan::sources`]). Rate,
+    /// sources and signature of a node are each one step from its
+    /// children's — the same steps [`StatsCatalog::output_rate`] and
+    /// [`canonical_signature`] take, so the results are bit- and
+    /// string-equal to calling those per node, without re-walking every
+    /// subtree at every node.
     fn build_subtree(
         &mut self,
         plan: &LogicalPlan,
         stats: &StatsCatalog,
         producer_of: &impl Fn(StreamId) -> NodeId,
+        sources: &mut Vec<StreamId>,
     ) -> ServiceId {
-        let rate = stats.output_rate(plan);
         match plan {
-            LogicalPlan::Source(id) => self.push_service(
-                ServiceKind::Producer(*id),
-                ServicePin::Pinned(producer_of(*id)),
-                rate,
-            ),
-            LogicalPlan::Unary { input, .. } => {
-                let child = self.build_subtree(input, stats, producer_of);
+            LogicalPlan::Source(id) => {
+                sources.push(*id);
+                self.push_service(
+                    ServiceKind::Producer(*id),
+                    ServicePin::Pinned(producer_of(*id)),
+                    stats.rate(*id),
+                )
+            }
+            LogicalPlan::Unary { op, input } => {
+                let child = self.build_subtree(input, stats, producer_of, sources);
                 let child_rate = self.services[child.index()].output_rate;
+                let signature = unary_signature(*op, &self.signature_of(child));
                 let me = self.push_service(
-                    ServiceKind::Operator { signature: canonical_signature(plan, producer_of) },
+                    ServiceKind::Operator { signature },
                     ServicePin::Unpinned,
-                    rate,
+                    op.rate_ratio() * child_rate,
                 );
                 self.links.push(Link { from: child, to: me, rate: child_rate });
                 me
             }
-            LogicalPlan::Binary { left, right, .. } => {
-                let l = self.build_subtree(left, stats, producer_of);
-                let r = self.build_subtree(right, stats, producer_of);
+            LogicalPlan::Binary { op, left, right } => {
+                let start = sources.len();
+                let l = self.build_subtree(left, stats, producer_of, sources);
+                let mid = sources.len();
+                let r = self.build_subtree(right, stats, producer_of, sources);
                 let l_rate = self.services[l.index()].output_rate;
                 let r_rate = self.services[r.index()].output_rate;
+                let (l_sources, r_sources) = sources[start..].split_at(mid - start);
+                let rate = stats.binary_output_rate(*op, (l_rate, l_sources), (r_rate, r_sources));
+                let signature = binary_signature(*op, &self.signature_of(l), &self.signature_of(r));
                 let me = self.push_service(
-                    ServiceKind::Operator { signature: canonical_signature(plan, producer_of) },
+                    ServiceKind::Operator { signature },
                     ServicePin::Unpinned,
                     rate,
                 );
                 self.links.push(Link { from: l, to: me, rate: l_rate });
                 self.links.push(Link { from: r, to: me, rate: r_rate });
+                // This subtree's sources: the left's, then the right's that
+                // the left does not already list.
+                let mut end = mid;
+                for i in mid..sources.len() {
+                    if !sources[start..mid].contains(&sources[i]) {
+                        sources[end] = sources[i];
+                        end += 1;
+                    }
+                }
+                sources.truncate(end);
                 me
             }
+        }
+    }
+
+    /// The [`canonical_signature`] of the sub-plan rooted at an already-built
+    /// service: stored on operators, one `format!` away for producers.
+    fn signature_of(&self, sid: ServiceId) -> std::borrow::Cow<'_, str> {
+        let s = &self.services[sid.index()];
+        match (&s.kind, s.pin) {
+            (ServiceKind::Operator { signature }, _) => signature.as_str().into(),
+            (ServiceKind::Producer(id), ServicePin::Pinned(node)) => {
+                source_signature(*id, node).into()
+            }
+            _ => unreachable!("only producers and operators have a sub-plan"),
         }
     }
 
@@ -244,29 +292,45 @@ pub fn canonical_signature(
     producer_of: &impl Fn(StreamId) -> NodeId,
 ) -> String {
     match plan {
-        LogicalPlan::Source(id) => format!("{id}@{}", producer_of(*id)),
+        LogicalPlan::Source(id) => source_signature(*id, producer_of(*id)),
         LogicalPlan::Unary { op, input } => {
-            let inner = canonical_signature(input, producer_of);
-            // Reuse the shape-key operator labels by rendering a one-level
-            // shape key and substituting the qualified child.
-            let label = match op {
-                sbon_query::plan::UnaryOp::Select { selectivity } => format!("σ{selectivity}"),
-                sbon_query::plan::UnaryOp::Project { ratio } => format!("π{ratio}"),
-                sbon_query::plan::UnaryOp::Aggregate { ratio } => format!("γ{ratio}"),
-            };
-            format!("{label}({inner})")
+            unary_signature(*op, &canonical_signature(input, producer_of))
         }
-        LogicalPlan::Binary { op, left, right } => {
-            let (a, b) =
-                (canonical_signature(left, producer_of), canonical_signature(right, producer_of));
-            let (a, b) = if a <= b { (a, b) } else { (b, a) };
-            let label = match op {
-                sbon_query::plan::BinaryOp::Join => "⋈",
-                sbon_query::plan::BinaryOp::Union => "∪",
-            };
-            format!("({a} {label} {b})")
-        }
+        LogicalPlan::Binary { op, left, right } => binary_signature(
+            *op,
+            &canonical_signature(left, producer_of),
+            &canonical_signature(right, producer_of),
+        ),
     }
+}
+
+fn source_signature(id: StreamId, producer: NodeId) -> String {
+    format!("{id}@{producer}")
+}
+
+/// The shape-key operator label carrying its parameter, around the qualified
+/// child.
+fn unary_signature(op: UnaryOp, inner: &str) -> String {
+    match op {
+        UnaryOp::Select { selectivity } => format!("σ{selectivity}({inner})"),
+        UnaryOp::Project { ratio } => format!("π{ratio}({inner})"),
+        UnaryOp::Aggregate { ratio } => format!("γ{ratio}({inner})"),
+    }
+}
+
+fn binary_signature(op: BinaryOp, a: &str, b: &str) -> String {
+    let (a, b) = if a <= b { (a, b) } else { (b, a) };
+    let label = match op {
+        BinaryOp::Join => "⋈",
+        BinaryOp::Union => "∪",
+    };
+    // `({a} {label} {b})`, allocated once at its exact length: the signature
+    // lives as long as its circuit, and thousands of circuits can be live.
+    let mut signature = String::with_capacity(a.len() + label.len() + b.len() + 4);
+    for part in ["(", a, " ", label, " ", b, ")"] {
+        signature.push_str(part);
+    }
+    signature
 }
 
 #[cfg(test)]
@@ -411,5 +475,192 @@ mod tests {
         assert_eq!(c.links().len(), 2);
         let filter = c.unpinned_services()[0];
         assert_eq!(c.service(filter).output_rate, 5.0);
+    }
+
+    /// Uniform draws handed in by proptest, consumed in order.
+    struct Draws(std::vec::IntoIter<f64>);
+
+    impl Draws {
+        fn unit(&mut self) -> f64 {
+            self.0.next().expect("enough draws")
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            ((self.unit() * n as f64) as usize).min(n - 1)
+        }
+
+        fn between(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * self.unit()
+        }
+    }
+
+    /// A random bushy tree of joins and unions over `ways` leaves, filters
+    /// and aggregates sprinkled on leaves and inner nodes; now and then a
+    /// leaf repeats an earlier stream (a self-join), so source lists must
+    /// dedup.
+    fn random_plan(d: &mut Draws, ways: usize) -> LogicalPlan {
+        fn decorate(d: &mut Draws, plan: LogicalPlan) -> LogicalPlan {
+            match d.below(4) {
+                0 => LogicalPlan::select(d.between(0.05, 1.0), plan),
+                1 => LogicalPlan::aggregate(d.between(0.05, 1.0), plan),
+                _ => plan,
+            }
+        }
+        let mut forest: Vec<LogicalPlan> = (0..ways)
+            .map(|i| {
+                let stream = if i > 0 && d.below(6) == 0 { d.below(i) } else { i };
+                decorate(d, LogicalPlan::source(StreamId(stream as u32)))
+            })
+            .collect();
+        while forest.len() > 1 {
+            let a = forest.swap_remove(d.below(forest.len()));
+            let b = forest.swap_remove(d.below(forest.len()));
+            let merged =
+                if d.below(4) == 0 { LogicalPlan::union(a, b) } else { LogicalPlan::join(a, b) };
+            forest.push(decorate(d, merged));
+        }
+        forest.pop().unwrap()
+    }
+
+    fn random_stats(d: &mut Draws, ways: usize) -> StatsCatalog {
+        let mut stats = StatsCatalog::new(d.between(0.001, 0.5));
+        stats.set_window(d.between(0.5, 3.0));
+        for i in 0..ways as u32 {
+            stats.set_rate(StreamId(i), d.between(0.1, 100.0));
+            if i > 0 && d.below(2) == 0 {
+                stats.set_join_selectivity(StreamId(i), StreamId(i - 1), d.between(0.001, 1.0));
+            }
+        }
+        stats
+    }
+
+    /// Sub-plans in the order `from_plan` numbers their services:
+    /// children first, left before right.
+    fn build_order<'a>(plan: &'a LogicalPlan, out: &mut Vec<&'a LogicalPlan>) {
+        match plan {
+            LogicalPlan::Source(_) => {}
+            LogicalPlan::Unary { input, .. } => build_order(input, out),
+            LogicalPlan::Binary { left, right, .. } => {
+                build_order(left, out);
+                build_order(right, out);
+            }
+        }
+        out.push(plan);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 64 })]
+        /// The one-recursion build carries exactly what the public per-node
+        /// functions compute from scratch: each service's rate (by bits) is
+        /// its sub-plan's `output_rate`, each operator's signature its
+        /// sub-plan's `canonical_signature`, each link carries its source's
+        /// rate.
+        #[test]
+        fn from_plan_matches_the_per_node_reference_functions(
+            ways in 2usize..=6,
+            draws in proptest::collection::vec(0.0f64..1.0, 96),
+        ) {
+            let mut d = Draws(draws.into_iter());
+            let plan = random_plan(&mut d, ways);
+            let stats = random_stats(&mut d, ways);
+            let producer_of = |s: StreamId| NodeId(100 + 7 * s.0);
+            let c = Circuit::from_plan(&plan, &stats, producer_of, NodeId(5));
+
+            let mut subs = Vec::new();
+            build_order(&plan, &mut subs);
+            proptest::prop_assert_eq!(c.len(), subs.len() + 1);
+            for (service, sub) in c.services().iter().zip(&subs) {
+                proptest::prop_assert_eq!(
+                    service.output_rate.to_bits(), stats.output_rate(sub).to_bits()
+                );
+                match (&service.kind, sub) {
+                    (ServiceKind::Producer(id), LogicalPlan::Source(sid)) => {
+                        proptest::prop_assert_eq!(id, sid);
+                        proptest::prop_assert_eq!(service.pin, ServicePin::Pinned(producer_of(*id)));
+                    }
+                    (ServiceKind::Operator { signature }, _) => {
+                        proptest::prop_assert_eq!(
+                            signature, &canonical_signature(sub, &producer_of)
+                        );
+                    }
+                    other => proptest::prop_assert!(false, "mismatched service {:?}", other),
+                }
+            }
+            proptest::prop_assert_eq!(c.links().len(), c.len() - 1);
+            for l in c.links() {
+                proptest::prop_assert_eq!(l.rate.to_bits(), c.service(l.from).output_rate.to_bits());
+            }
+            let root_link = c.links().last().unwrap();
+            proptest::prop_assert_eq!(root_link.to, c.root());
+            proptest::prop_assert_eq!(root_link.rate.to_bits(), stats.output_rate(&plan).to_bits());
+        }
+
+        /// The path-packing bound never exceeds the usage of any placement:
+        /// random trees and rates, reuse-style pins on random operators,
+        /// unpinned services scattered anywhere, Euclidean distance.
+        #[test]
+        fn usage_lower_bound_is_below_every_placement(
+            ways in 2usize..=6,
+            dims in 1usize..=3,
+            draws in proptest::collection::vec(0.0f64..1.0, 200),
+        ) {
+            let mut d = Draws(draws.into_iter());
+            let plan = random_plan(&mut d, ways);
+            let stats = random_stats(&mut d, ways);
+            let nodes = 12;
+            let points: Vec<Vec<f64>> = (0..nodes)
+                .map(|_| (0..dims).map(|_| d.between(-100.0, 100.0)).collect())
+                .collect();
+            let dist = |a: NodeId, b: NodeId| {
+                let (a, b) = (&points[a.index()], &points[b.index()]);
+                a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
+            };
+            let producers: Vec<NodeId> =
+                (0..ways).map(|_| NodeId(d.below(nodes) as u32)).collect();
+            let mut c = Circuit::from_plan(
+                &plan, &stats, |s| producers[s.0 as usize], NodeId(d.below(nodes) as u32),
+            );
+            for sid in c.unpinned_services() {
+                if d.below(4) == 0 {
+                    c.pin_service(sid, NodeId(d.below(nodes) as u32));
+                }
+            }
+            let bound = c.usage_lower_bound(dist);
+            proptest::prop_assert!(bound >= 0.0);
+            for _ in 0..6 {
+                let hosts = c
+                    .services()
+                    .iter()
+                    .map(|s| match s.pin {
+                        ServicePin::Pinned(n) => n,
+                        ServicePin::Unpinned => NodeId(d.below(nodes) as u32),
+                    })
+                    .collect();
+                let usage = c.cost_with(&Placement::new(&c, hosts), dist).network_usage;
+                proptest::prop_assert!(
+                    bound * (1.0 - 1e-12) <= usage,
+                    "bound {} above usage {} of {}", bound, usage, plan
+                );
+            }
+        }
+    }
+
+    /// On a line the bound is easy to follow by hand, and exact whenever the
+    /// surplus of the larger input is what the output link carries on.
+    #[test]
+    fn usage_lower_bound_packs_paths_between_pinned_hosts() {
+        let line = |a: NodeId, b: NodeId| (a.0 as f64 - b.0 as f64).abs();
+        let plan =
+            LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
+        // p0@100 (rate 10), p1@101 (rate 20), join out 0.1·10·20 = 20, consumer@7.
+        let mut c = Circuit::from_plan(&plan, &stats2(), producer_map, NodeId(7));
+        // 10 units p0↔p1 over distance 1; p1's other 10 climb to the
+        // consumer, 94 away.
+        assert_eq!(c.usage_lower_bound(line), 10.0 * 1.0 + 10.0 * 94.0);
+        // Pin the join (a reused instance) at 50: every link is now fixed.
+        let join = c.unpinned_services()[0];
+        c.pin_service(join, NodeId(50));
+        let pinned = Placement::new(&c, vec![NodeId(100), NodeId(101), NodeId(50), NodeId(7)]);
+        assert_eq!(c.usage_lower_bound(line), c.cost_with(&pinned, line).network_usage);
     }
 }

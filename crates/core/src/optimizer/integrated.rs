@@ -6,6 +6,17 @@
 //! exists for the *selected* circuit only — a rejected candidate's measured
 //! cost could not have changed the decision, and on a demand-driven latency
 //! provider each one costs a shortest-path row per link-source host.
+//!
+//! Ranking is **rank → bound → place/map the survivors**
+//! ([`select_cheapest`], the one candidate loop deploy, full re-opt and
+//! rewrite re-opt share): every candidate plan is built into a circuit, but
+//! only a candidate whose [`Circuit::usage_lower_bound`] — a floor under its
+//! estimate for *every* placement, read off the pinned hosts' coordinates
+//! alone — can still undercut the cheapest estimate so far (and, on re-opt,
+//! the estimate a replacement must reach) is virtually placed, physically
+//! mapped and costed. A pruned candidate's estimate is at least its bound,
+//! so it could not have been selected: the choice is the one the
+//! evaluate-everything loop makes, bit for bit.
 
 use sbon_netsim::latency::LatencyProvider;
 use sbon_query::enumerate::{all_join_trees, all_left_deep_trees, dp_top_k_plans};
@@ -14,7 +25,7 @@ use sbon_query::plan::LogicalPlan;
 use crate::circuit::Circuit;
 use crate::costspace::CostSpace;
 use crate::optimizer::{OptimizerConfig, PlacedCircuit, QuerySpec};
-use crate::placement::{map_circuit, OracleMapper, PhysicalMapper};
+use crate::placement::{map_circuit, OracleMapper, PhysicalMapper, VirtualPlacer};
 
 /// Integrated plan generation + service placement: every candidate plan is
 /// virtually placed, physically mapped, and costed as a *circuit*; the
@@ -96,18 +107,64 @@ impl IntegratedOptimizer {
         mapper: &mut dyn PhysicalMapper,
     ) -> Option<PlacedCircuit> {
         let placer = self.config.placer.build();
-        let candidates = self.candidate_plans(query);
-        let examined = candidates.len();
-        let mut best: Option<PlacedCircuit> = None;
+        let plans = self.candidate_plans(query);
+        select_cheapest(plans, f64::INFINITY, query, space, placer.as_ref(), mapper).best
+    }
+}
 
-        for plan in candidates {
-            let circuit =
-                Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
-            let vp = placer.place(&circuit, space);
-            let mapped = map_circuit(&circuit, &vp, space, mapper);
-            let estimated =
-                circuit.cost_with(&mapped.placement, |a, b| space.vector_distance(a, b));
-            let candidate = PlacedCircuit {
+/// What [`select_cheapest`] found.
+pub(crate) struct Selection {
+    /// The first candidate of minimum estimate, if its estimate could be at
+    /// or under the ceiling; `candidates_examined` counts every candidate
+    /// considered, pruned ones included.
+    pub best: Option<PlacedCircuit>,
+    /// Candidates the bound rejected before any placement or mapping work.
+    pub pruned: usize,
+}
+
+/// Relative slack on the pruning test (and on the ceiling re-optimization
+/// derives from its threshold): far above the rounding of a handful of
+/// multiply-adds, far below any difference a threshold acts on. It only ever
+/// keeps a candidate that exact arithmetic would prune.
+pub(crate) const BOUND_SLACK: f64 = 1e-9;
+
+/// The candidate loop: builds each plan's circuit, virtually places,
+/// physically maps and costs it **by estimate**, and keeps the first of
+/// minimum estimated network usage (strict `<`).
+///
+/// Branch and bound: a candidate whose [`Circuit::usage_lower_bound`]
+/// exceeds `min(cheapest estimate so far, ceiling)` is skipped before
+/// `place` — its estimate is at least the bound, so it can neither become
+/// the strict-`<` minimum nor come in under `ceiling`. Callers that accept
+/// any winner pass `f64::INFINITY`; callers that will discard a winner above
+/// some estimate pass that estimate, and must still apply their own test to
+/// what is returned (a survivor may sit above the ceiling). Every comparison
+/// with a NaN is false, so NaNs never prune.
+pub(crate) fn select_cheapest(
+    plans: Vec<LogicalPlan>,
+    ceiling: f64,
+    query: &QuerySpec,
+    space: &CostSpace,
+    placer: &dyn VirtualPlacer,
+    mapper: &mut dyn PhysicalMapper,
+) -> Selection {
+    let examined = plans.len();
+    let mut best: Option<PlacedCircuit> = None;
+    let mut pruned = 0;
+    for plan in plans {
+        let circuit =
+            Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
+        let bar = best.as_ref().map_or(ceiling, |b| ceiling.min(b.estimated.network_usage));
+        let bound = circuit.usage_lower_bound(|a, b| space.vector_distance(a, b));
+        if bound * (1.0 - BOUND_SLACK) > bar {
+            pruned += 1;
+            continue;
+        }
+        let vp = placer.place(&circuit, space);
+        let mapped = map_circuit(&circuit, &vp, space, mapper);
+        let estimated = circuit.cost_with(&mapped.placement, |a, b| space.vector_distance(a, b));
+        if best.as_ref().is_none_or(|b| estimated.network_usage < b.estimated.network_usage) {
+            best = Some(PlacedCircuit {
                 plan,
                 mapping_hops: mapped.total_hops(),
                 mean_mapping_error: mapped.mean_mapping_error(),
@@ -116,20 +173,14 @@ impl IntegratedOptimizer {
                 cost: estimated,
                 estimated,
                 candidates_examined: examined,
-            };
-            let better = best
-                .as_ref()
-                .is_none_or(|b| candidate.estimated.network_usage < b.estimated.network_usage);
-            if better {
-                best = Some(candidate);
-            }
+            });
         }
-        best
     }
+    Selection { best, pruned }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::costspace::CostSpaceBuilder;
 
@@ -140,7 +191,7 @@ mod tests {
     /// A small world where coordinates are exact, so estimated == measured
     /// up to shortest-path-vs-euclidean discrepancies are avoided entirely
     /// by using the euclidean world as ground truth too.
-    fn exact_world(
+    pub(crate) fn exact_world(
         n: usize,
         seed: u64,
     ) -> (crate::costspace::CostSpace, sbon_netsim::latency::LatencyMatrix) {
@@ -249,35 +300,38 @@ mod tests {
         assert_eq!(placed.circuit.len(), 7);
     }
 
-    /// The cost-every-candidate loop `optimize_with_mapper` used to run,
-    /// kept as the oracle: every candidate is costed under measured latency
-    /// *and* the estimate, and the cheapest estimate wins.
-    fn reference_optimize(
-        opt: &IntegratedOptimizer,
+    /// The evaluate-everything loop [`select_cheapest`] replaced, kept as the
+    /// oracle: every candidate is placed, mapped and costed — under
+    /// `latency` too when one is given, as deploy did before it measured the
+    /// winner only — and the first of minimum estimate wins.
+    pub(crate) fn select_exhaustive(
+        plans: Vec<LogicalPlan>,
         query: &QuerySpec,
         space: &CostSpace,
-        latency: &dyn LatencyProvider,
+        placer: &dyn VirtualPlacer,
         mapper: &mut dyn PhysicalMapper,
+        latency: Option<&dyn LatencyProvider>,
     ) -> Option<PlacedCircuit> {
-        let placer = opt.config.placer.build();
-        let candidates = opt.candidate_plans(query);
-        let examined = candidates.len();
+        let examined = plans.len();
         let mut best: Option<PlacedCircuit> = None;
-        for plan in candidates {
+        for plan in plans {
             let circuit =
                 Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
             let vp = placer.place(&circuit, space);
             let mapped = map_circuit(&circuit, &vp, space, mapper);
-            let measured = circuit.cost_with(&mapped.placement, |a, b| latency.latency(a, b));
             let estimated =
                 circuit.cost_with(&mapped.placement, |a, b| space.vector_distance(a, b));
+            let cost = match latency {
+                Some(latency) => circuit.cost_with(&mapped.placement, |a, b| latency.latency(a, b)),
+                None => estimated,
+            };
             let candidate = PlacedCircuit {
                 plan,
                 mapping_hops: mapped.total_hops(),
                 mean_mapping_error: mapped.mean_mapping_error(),
                 placement: mapped.placement,
                 circuit,
-                cost: measured,
+                cost,
                 estimated,
                 candidates_examined: examined,
             };
@@ -291,9 +345,25 @@ mod tests {
         best
     }
 
+    /// `optimize_with_mapper` as it was: cost every candidate under measured
+    /// latency *and* the estimate.
+    fn reference_optimize(
+        opt: &IntegratedOptimizer,
+        query: &QuerySpec,
+        space: &CostSpace,
+        latency: &dyn LatencyProvider,
+        mapper: &mut dyn PhysicalMapper,
+    ) -> Option<PlacedCircuit> {
+        let placer = opt.config.placer.build();
+        let plans = opt.candidate_plans(query);
+        select_exhaustive(plans, query, space, placer.as_ref(), mapper, Some(latency))
+    }
+
     /// Everything about a [`PlacedCircuit`] except its measured `cost`,
     /// floats as bit patterns.
-    fn selection_of(p: &PlacedCircuit) -> (String, Vec<NodeId>, [u64; 3], usize, u64, usize) {
+    pub(crate) fn selection_of(
+        p: &PlacedCircuit,
+    ) -> (String, Vec<NodeId>, [u64; 3], usize, u64, usize) {
         (
             p.plan.render(),
             p.placement.as_slice().to_vec(),
@@ -302,6 +372,16 @@ mod tests {
             p.mean_mapping_error.to_bits(),
             p.candidates_examined,
         )
+    }
+
+    /// `new ≤ old`, field by field.
+    pub(crate) fn no_more_traffic(
+        new: sbon_dht::catalog::CatalogStats,
+        old: sbon_dht::catalog::CatalogStats,
+    ) -> bool {
+        new.lookups <= old.lookups
+            && new.hops <= old.hops
+            && new.candidates_examined <= old.candidates_examined
     }
 
     fn cost_bits(c: &crate::circuit::CircuitCost) -> [u64; 3] {
@@ -353,7 +433,8 @@ mod tests {
                 let mut old_dht = crate::placement::DhtMapper::build(&space, 10, 8);
                 let mut new_dht = crate::placement::DhtMapper::build(&space, 10, 8);
                 let placed = run(&mut old_dht, &mut new_dht);
-                proptest::prop_assert_eq!(new_dht.stats(), old_dht.stats());
+                // The bound only ever spares lookups.
+                proptest::prop_assert!(no_more_traffic(new_dht.stats(), old_dht.stats()));
                 placed
             } else {
                 run(&mut OracleMapper, &mut OracleMapper)
@@ -371,6 +452,88 @@ mod tests {
                 reads.iter().all(|a| sources.contains(a)),
                 "reads from {:?}, link sources {:?}", reads, sources
             );
+        }
+    }
+
+    /// A random query over `space`: 2–5 producers and a consumer on distinct
+    /// seed-derived hosts, uneven rates, sometimes a source filter and a
+    /// root aggregate.
+    pub(crate) fn random_query(n: usize, ways: usize, seed: u64) -> QuerySpec {
+        use sbon_netsim::rng::derive_seed;
+        use sbon_query::stream::StreamId;
+        let stride = 1 + (seed as usize % 3);
+        let producers: Vec<NodeId> =
+            (0..ways).map(|i| NodeId(((seed as usize + i * stride) % (n - 1)) as u32)).collect();
+        let unit = |stream: u64| (derive_seed(seed, stream) % 1000) as f64 / 1000.0;
+        let mut q =
+            QuerySpec::join_star(&producers, NodeId(n as u32 - 1), 10.0, 0.005 + 0.1 * unit(0));
+        for i in 0..ways {
+            q = q.with_rate(StreamId(i as u32), 1.0 + 30.0 * unit(1 + i as u64));
+        }
+        if seed % 3 == 0 {
+            q = q.with_source_filter(StreamId(0), 0.1 + 0.8 * unit(10));
+        }
+        if seed % 4 == 0 {
+            q = q.with_root_aggregate(0.2 + 0.7 * unit(11));
+        }
+        q
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 24 })]
+        /// Branch and bound selects what evaluate-everything selects: under
+        /// every ceiling, either both loops return the same circuit (every
+        /// selection field, floats by bits) or neither found one at or
+        /// under the ceiling — on oracle and DHT mappers alike, the latter
+        /// never routing more than the exhaustive loop.
+        #[test]
+        fn pruned_selection_matches_the_exhaustive_loop(
+            seed in 0u64..1_000_000,
+            n in 24usize..56,
+            ways in 2usize..=5,
+            use_dht in 0u8..2,
+        ) {
+            let (space, _lat) = exact_world(n, seed);
+            let q = random_query(n, ways, seed);
+            let opt = IntegratedOptimizer::new(OptimizerConfig::default());
+            let placer = opt.config.placer.build();
+            let plans = opt.candidate_plans(&q);
+            // The incumbent: some candidate as deployed a while ago.
+            let incumbent = select_exhaustive(
+                vec![plans[seed as usize % plans.len()].clone()],
+                &q, &space, placer.as_ref(), &mut OracleMapper, None,
+            ).unwrap().estimated.network_usage;
+
+            let mut pruned_any = 0;
+            for scale in [f64::INFINITY, 0.5, 0.9, 1.1] {
+                let ceiling = scale * incumbent;
+                let run = |old: &mut dyn PhysicalMapper, new: &mut dyn PhysicalMapper| {
+                    (
+                        select_exhaustive(plans.clone(), &q, &space, placer.as_ref(), old, None),
+                        select_cheapest(plans.clone(), ceiling, &q, &space, placer.as_ref(), new),
+                    )
+                };
+                let (exhaustive, pruned) = if use_dht == 1 {
+                    let mut old_dht = crate::placement::DhtMapper::build(&space, 10, 8);
+                    let mut new_dht = crate::placement::DhtMapper::build(&space, 10, 8);
+                    let out = run(&mut old_dht, &mut new_dht);
+                    proptest::prop_assert!(no_more_traffic(new_dht.stats(), old_dht.stats()));
+                    out
+                } else {
+                    run(&mut OracleMapper, &mut OracleMapper)
+                };
+                let under = |p: &Option<PlacedCircuit>| {
+                    p.as_ref().filter(|p| p.estimated.network_usage <= ceiling).map(selection_of)
+                };
+                proptest::prop_assert_eq!(under(&pruned.best), under(&exhaustive));
+                // Whatever was not pruned was evaluated, and the first of
+                // those is at least a provisional best.
+                proptest::prop_assert_eq!(pruned.best.is_none(), pruned.pruned == plans.len());
+                pruned_any += pruned.pruned;
+            }
+            // Not vacuous: with three or more ways some plan pairs distant
+            // producers first, and the 0.5× ceiling alone rejects most.
+            proptest::prop_assert!(ways < 3 || pruned_any > 0, "nothing was ever pruned");
         }
     }
 

@@ -12,7 +12,10 @@ mod integrated;
 mod query;
 mod twostep;
 
+#[cfg(test)]
+pub(crate) use integrated::tests as oracle;
 pub use integrated::IntegratedOptimizer;
+pub(crate) use integrated::{select_cheapest, BOUND_SLACK};
 pub use query::QuerySpec;
 pub use twostep::TwoStepOptimizer;
 

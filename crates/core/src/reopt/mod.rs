@@ -30,13 +30,31 @@
 //! circuit (migration, rewrite, replacement, evacuation, pin changes) marks
 //! it dirty for every pass kind.
 //!
+//! The plan-replacing passes add a third input that stays inside that set:
+//! the **pruning bound** (see [`crate::optimizer`]'s candidate loop). A
+//! candidate's [`Circuit::usage_lower_bound`] reads the vector coordinates
+//! of its *pinned* hosts — the query's producers and consumer, which every
+//! candidate shares with the running circuit — and it is compared against
+//! the running estimate and the estimates of the candidates mapped before
+//! it; all of that is either in the recorded host set or derived from reads
+//! that are. A pruned candidate is never mapped, so it contributes no scan
+//! spans — and needs none: replay the evaluation with the recorded hosts and
+//! spans untouched and the bounds, the running estimate and every surviving
+//! candidate's mapping come out the same, hence the same bar at every step,
+//! hence the same candidates pruned. The read set of the survivors alone is
+//! a complete read set.
+//!
 //! [`ScanSpan`]: sbon_dht::catalog::ScanSpan
 
 pub mod relevance;
 
-use crate::circuit::{Circuit, Placement, ServiceId, ServiceKind, ServicePin};
+use sbon_query::plan::LogicalPlan;
+
+use crate::circuit::{Circuit, Placement, ServiceId, ServicePin};
 use crate::costspace::CostSpace;
-use crate::optimizer::{IntegratedOptimizer, OptimizerConfig, PlacedCircuit, QuerySpec};
+use crate::optimizer::{
+    select_cheapest, IntegratedOptimizer, OptimizerConfig, PlacedCircuit, QuerySpec, BOUND_SLACK,
+};
 use crate::placement::{PhysicalMapper, VirtualPlacer};
 
 /// One executed migration.
@@ -125,64 +143,33 @@ pub fn reoptimize_local(
 #[derive(Debug)]
 pub enum RewriteOutcome {
     /// No one-step rewrite cleared the threshold.
-    Keep,
+    Keep {
+        /// Candidates the lower bound rejected unplaced.
+        pruned: usize,
+    },
     /// A rewritten plan placed cheaper.
     Rewrite {
         /// The rewritten, re-placed circuit.
         replacement: Box<PlacedCircuit>,
         /// Estimated relative improvement in `[0, 1]`.
         improvement: f64,
+        /// Candidates the lower bound rejected unplaced.
+        pruned: usize,
     },
-}
-
-/// The canonical structural identity of a circuit: services (role,
-/// operator signature, pin, output-rate bits) in id order plus links
-/// (endpoints, rate bits). Two candidate plans with equal keys build
-/// byte-identical circuits, so they place, map, and cost identically —
-/// which makes skipping the later one safe under the strict-`<` candidate
-/// selection (the first occurrence wins ties either way). Note a commuted
-/// join is *not* a duplicate: its services are built in a different
-/// traversal order, so the key differs.
-fn structural_key(circuit: &Circuit) -> String {
-    use std::fmt::Write;
-    let mut key = String::new();
-    for s in circuit.services() {
-        match &s.kind {
-            ServiceKind::Producer(id) => {
-                let _ = write!(key, "P{id}");
-            }
-            ServiceKind::Consumer => key.push('C'),
-            ServiceKind::Operator { signature } => {
-                let _ = write!(key, "O[{signature}]");
-            }
-        }
-        match s.pin {
-            ServicePin::Pinned(n) => {
-                let _ = write!(key, "@{n}");
-            }
-            ServicePin::Unpinned => key.push('*'),
-        }
-        let _ = write!(key, ":{:016x};", s.output_rate.to_bits());
-    }
-    for l in circuit.links() {
-        let _ = write!(key, "{}>{}:{:016x};", l.from.0, l.to.0, l.rate.to_bits());
-    }
-    key
 }
 
 /// The paper's "limited plan re-writing" (Section 3.3): explore the local
 /// rewrite neighbourhood — join reorderings, filter decomposition and
 /// re-composition (see [`sbon_query::rewrite`]) up to two rewrite steps —
-/// re-place each candidate, and return the best if it beats the running
-/// circuit's estimate by the replacement threshold. Cheaper than full
-/// re-optimization: the candidate set is the rewrite neighbourhood, not the
-/// whole plan space. (Depth two, because commutations are cost-neutral on
-/// their own but unlock rotations.) Candidates whose circuits are
-/// structurally identical to an earlier candidate are skipped before any
-/// placement work; the returned circuit's `cost` is its estimate (see the
-/// module docs — measured latency is never a re-opt input).
+/// re-place each candidate that could still win, and return the best if it
+/// beats the running circuit's estimate by the replacement threshold.
+/// Cheaper than full re-optimization: the candidate set is the rewrite
+/// neighbourhood, not the whole plan space. (Depth two, because commutations
+/// are cost-neutral on their own but unlock rotations.) The returned
+/// circuit's `cost` is its estimate (see the module docs — measured latency
+/// is never a re-opt input).
 pub fn reoptimize_rewrite(
-    running_plan: &sbon_query::plan::LogicalPlan,
+    running_plan: &LogicalPlan,
     running_cost_estimate: f64,
     query: &QuerySpec,
     space: &CostSpace,
@@ -190,45 +177,12 @@ pub fn reoptimize_rewrite(
     mapper: &mut dyn PhysicalMapper,
     policy: ReoptPolicy,
 ) -> RewriteOutcome {
-    if running_cost_estimate <= 0.0 {
-        return RewriteOutcome::Keep;
-    }
-    let mut best: Option<PlacedCircuit> = None;
-    let mut seen = std::collections::BTreeSet::new();
-    for plan in sbon_query::rewrite::neighbors_within(running_plan, 2, 128) {
-        let circuit =
-            Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
-        if !seen.insert(structural_key(&circuit)) {
-            continue;
+    let plans = || sbon_query::rewrite::neighbors_within(running_plan, 2, 128);
+    match replacement_among(plans, running_cost_estimate, query, space, placer, mapper, policy) {
+        (Some((replacement, improvement)), pruned) => {
+            RewriteOutcome::Rewrite { replacement, improvement, pruned }
         }
-        let vp = placer.place(&circuit, space);
-        let mapped = crate::placement::map_circuit(&circuit, &vp, space, mapper);
-        let estimated = circuit.cost_with(&mapped.placement, |a, b| space.vector_distance(a, b));
-        let candidate = PlacedCircuit {
-            plan,
-            mapping_hops: mapped.total_hops(),
-            mean_mapping_error: mapped.mean_mapping_error(),
-            placement: mapped.placement,
-            circuit,
-            cost: estimated,
-            estimated,
-            candidates_examined: 1,
-        };
-        if best
-            .as_ref()
-            .is_none_or(|b| candidate.estimated.network_usage < b.estimated.network_usage)
-        {
-            best = Some(candidate);
-        }
-    }
-    let Some(best) = best else {
-        return RewriteOutcome::Keep;
-    };
-    let improvement = 1.0 - best.estimated.network_usage / running_cost_estimate;
-    if improvement >= policy.replacement_threshold {
-        RewriteOutcome::Rewrite { replacement: Box::new(best), improvement }
-    } else {
-        RewriteOutcome::Keep
+        (None, pruned) => RewriteOutcome::Keep { pruned },
     }
 }
 
@@ -236,7 +190,10 @@ pub fn reoptimize_rewrite(
 #[derive(Debug)]
 pub enum FullReoptOutcome {
     /// The running circuit is still good enough.
-    Keep,
+    Keep {
+        /// Candidates the lower bound rejected unplaced.
+        pruned: usize,
+    },
     /// A cheaper circuit was found; deploy it in parallel, then cancel the
     /// original ("a new parallel circuit is deployed, cancelling the
     /// original less ideal circuit").
@@ -245,6 +202,8 @@ pub enum FullReoptOutcome {
         replacement: Box<PlacedCircuit>,
         /// Estimated relative improvement in `[0, 1]`.
         improvement: f64,
+        /// Candidates the lower bound rejected unplaced.
+        pruned: usize,
     },
 }
 
@@ -263,22 +222,46 @@ pub fn reoptimize_full(
     config: OptimizerConfig,
     policy: ReoptPolicy,
 ) -> FullReoptOutcome {
+    let placer = config.placer.build();
+    let plans = || IntegratedOptimizer::new(config).candidate_plans(query);
+    match replacement_among(plans, running_cost_estimate, query, space, &*placer, mapper, policy) {
+        (Some((replacement, improvement)), pruned) => {
+            FullReoptOutcome::Replace { replacement, improvement, pruned }
+        }
+        (None, pruned) => FullReoptOutcome::Keep { pruned },
+    }
+}
+
+/// The decision both plan-replacing passes make: the cheapest of `plans` by
+/// estimate, if it undercuts the running circuit's estimate by the
+/// replacement threshold — with its relative improvement — and how many
+/// candidates the bound pruned on the way.
+///
+/// The threshold is handed to the selection as a ceiling, so a candidate
+/// that provably cannot clear it is never placed or mapped; the threshold
+/// test itself still runs on whatever comes back.
+fn replacement_among(
+    plans: impl FnOnce() -> Vec<LogicalPlan>,
+    running_cost_estimate: f64,
+    query: &QuerySpec,
+    space: &CostSpace,
+    placer: &dyn VirtualPlacer,
+    mapper: &mut dyn PhysicalMapper,
+    policy: ReoptPolicy,
+) -> (Option<(Box<PlacedCircuit>, f64)>, usize) {
     // A non-positive running estimate is an unconditional Keep — bail out
-    // before paying for a full optimization pass whose answer is discarded.
+    // before paying for candidate enumeration whose answer is discarded.
     if running_cost_estimate <= 0.0 {
-        return FullReoptOutcome::Keep;
+        return (None, 0);
     }
-    let optimizer = IntegratedOptimizer::new(config);
-    let Some(candidate) = optimizer.optimize_with_mapper_estimated(query, space, mapper) else {
-        return FullReoptOutcome::Keep;
-    };
-    let new_cost = candidate.estimated.network_usage;
-    let improvement = 1.0 - new_cost / running_cost_estimate;
-    if improvement >= policy.replacement_threshold {
-        FullReoptOutcome::Replace { replacement: Box::new(candidate), improvement }
-    } else {
-        FullReoptOutcome::Keep
-    }
+    let ceiling =
+        (1.0 - policy.replacement_threshold) * running_cost_estimate * (1.0 + BOUND_SLACK);
+    let selection = select_cheapest(plans(), ceiling, query, space, placer, mapper);
+    let replacement = selection.best.and_then(|best| {
+        let improvement = 1.0 - best.estimated.network_usage / running_cost_estimate;
+        (improvement >= policy.replacement_threshold).then(|| (Box::new(best), improvement))
+    });
+    (replacement, selection.pruned)
 }
 
 #[cfg(test)]
@@ -411,7 +394,7 @@ mod tests {
             FullReoptOutcome::Replace { improvement, .. } => {
                 assert!(improvement > 0.8, "improvement {improvement}");
             }
-            FullReoptOutcome::Keep => panic!("must replace a 10× overpriced circuit"),
+            FullReoptOutcome::Keep { .. } => panic!("must replace a 10× overpriced circuit"),
         }
     }
 
@@ -457,11 +440,11 @@ mod tests {
             &mut mapper,
             ReoptPolicy { migration_threshold: 0.05, replacement_threshold: 0.05 },
         ) {
-            RewriteOutcome::Rewrite { replacement, improvement } => {
+            RewriteOutcome::Rewrite { replacement, improvement, .. } => {
                 assert!(improvement > 0.05, "improvement {improvement}");
                 assert_ne!(replacement.plan.shape_key(), bad_plan.shape_key());
             }
-            RewriteOutcome::Keep => panic!("a one-step reorder must beat the bad plan"),
+            RewriteOutcome::Keep { .. } => panic!("a one-step reorder must beat the bad plan"),
         }
     }
 
@@ -485,7 +468,7 @@ mod tests {
             &mut mapper,
             ReoptPolicy::default(),
         ) {
-            RewriteOutcome::Keep => {}
+            RewriteOutcome::Keep { .. } => {}
             RewriteOutcome::Rewrite { improvement, .. } => panic!(
                 "the integrated optimum must not be beaten by a local rewrite ({improvement})"
             ),
@@ -529,74 +512,12 @@ mod tests {
                 OptimizerConfig::default(),
                 ReoptPolicy::default(),
             ) {
-                FullReoptOutcome::Keep => {}
+                FullReoptOutcome::Keep { .. } => {}
                 FullReoptOutcome::Replace { .. } => {
                     panic!("estimate {estimate} must be an unconditional Keep")
                 }
             }
         }
-    }
-
-    /// Structurally identical rewrite candidates are deduplicated before
-    /// placement work, and dedup never changes the winner: a counting
-    /// mapper sees at most one mapping per *distinct* circuit structure.
-    #[test]
-    fn rewrite_dedup_skips_structural_duplicates_without_changing_the_outcome() {
-        struct CountingMapper {
-            inner: OracleMapper,
-            calls: usize,
-        }
-        impl PhysicalMapper for CountingMapper {
-            fn map_point(
-                &mut self,
-                space: &CostSpace,
-                ideal: &crate::costspace::CostPoint,
-            ) -> (NodeId, usize) {
-                self.calls += 1;
-                self.inner.map_point(space, ideal)
-            }
-            fn name(&self) -> &'static str {
-                "counting"
-            }
-        }
-
-        let (pts, lat) = world();
-        let emb = VivaldiEmbedding::exact(pts.clone());
-        let space = CostSpaceBuilder::latency_space(&emb);
-        let q = QuerySpec::join_star(&[NodeId(0), NodeId(4), NodeId(8)], NodeId(7), 10.0, 0.01);
-        let opt = IntegratedOptimizer::new(OptimizerConfig::default());
-        let fresh = opt.optimize(&q, &space, &lat).unwrap();
-        let placer = crate::placement::RelaxationPlacer::default();
-
-        // Count distinct circuit structures in the rewrite neighbourhood;
-        // the mapper must be consulted once per unpinned service of each.
-        let mut distinct = 0usize;
-        let mut unpinned = 0usize;
-        let mut seen = std::collections::BTreeSet::new();
-        for plan in sbon_query::rewrite::neighbors_within(&fresh.plan, 2, 128) {
-            let circuit = Circuit::from_plan(&plan, &q.stats, |s| q.producer_of(s), q.consumer);
-            if seen.insert(structural_key(&circuit)) {
-                distinct += 1;
-                unpinned += circuit.unpinned_services().len();
-            }
-        }
-        assert!(distinct > 0);
-
-        let mut mapper = CountingMapper { inner: OracleMapper, calls: 0 };
-        let outcome = reoptimize_rewrite(
-            &fresh.plan,
-            fresh.estimated.network_usage,
-            &q,
-            &space,
-            &placer,
-            &mut mapper,
-            ReoptPolicy::default(),
-        );
-        assert_eq!(mapper.calls, unpinned, "one mapping per unpinned service per distinct circuit");
-        assert!(
-            matches!(outcome, RewriteOutcome::Keep),
-            "the integrated optimum must still be kept"
-        );
     }
 
     #[test]
@@ -616,9 +537,146 @@ mod tests {
             OptimizerConfig::default(),
             ReoptPolicy::default(),
         ) {
-            FullReoptOutcome::Keep => {}
+            FullReoptOutcome::Keep { .. } => {}
             FullReoptOutcome::Replace { improvement, .. } => {
                 panic!("an optimal circuit must be kept, claimed improvement {improvement}")
+            }
+        }
+    }
+
+    /// The mapper the runtime hands a pass, counting the points it maps.
+    struct CountingMapper {
+        inner: crate::placement::DhtMapper,
+        calls: usize,
+    }
+
+    impl PhysicalMapper for CountingMapper {
+        fn map_point(
+            &mut self,
+            space: &CostSpace,
+            ideal: &crate::costspace::CostPoint,
+        ) -> (NodeId, usize) {
+            self.calls += 1;
+            self.inner.map_point(space, ideal)
+        }
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    /// The tier-1 work-counter gate for branch and bound: a full re-opt of
+    /// an incumbent — the circuit the optimizer itself would deploy — on a
+    /// 320-node world keeps it while placing and mapping fewer than half of
+    /// the 15 join orders of a 4-way star (3 unpinned joins each).
+    #[test]
+    fn full_reopt_of_an_incumbent_maps_fewer_than_half_its_candidates() {
+        use crate::optimizer::oracle::exact_world;
+        let (space, _lat) = exact_world(320, 11);
+        let q = QuerySpec::join_star(
+            &[NodeId(3), NodeId(90), NodeId(170), NodeId(250)],
+            NodeId(319),
+            10.0,
+            0.02,
+        );
+        let mut dht = crate::placement::DhtMapper::build(&space, 10, 8);
+        let incumbent = IntegratedOptimizer::new(OptimizerConfig::default())
+            .optimize_with_mapper_estimated(&q, &space, &mut dht)
+            .unwrap();
+        assert_eq!(incumbent.candidates_examined, 15);
+
+        let mut mapper = CountingMapper { inner: dht, calls: 0 };
+        let outcome = reoptimize_full(
+            incumbent.estimated.network_usage,
+            &q,
+            &space,
+            &mut mapper,
+            OptimizerConfig::default(),
+            ReoptPolicy::default(),
+        );
+        let FullReoptOutcome::Keep { pruned } = outcome else {
+            panic!("the optimizer's own choice must be kept: {outcome:?}")
+        };
+        assert_eq!(mapper.calls, 3 * (15 - pruned), "three joins mapped per surviving candidate");
+        assert!(pruned > 7, "only {pruned} of 15 candidates pruned");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 24 })]
+        /// Full and rewrite re-opt decide exactly what the exhaustive loop
+        /// plus the threshold test decides — same verdict, same replacement
+        /// (every selection field, floats by bits), same improvement — for
+        /// incumbents cheaper and dearer than the field and thresholds from
+        /// "any change at all" (negative) to "halve it".
+        #[test]
+        fn plan_replacing_passes_match_the_exhaustive_reference(
+            seed in 0u64..1_000_000,
+            n in 24usize..56,
+            ways in 2usize..=5,
+            use_dht in 0u8..2,
+        ) {
+            use crate::optimizer::oracle::{
+                exact_world, no_more_traffic, random_query, select_exhaustive, selection_of,
+            };
+            let (space, _lat) = exact_world(n, seed);
+            let q = random_query(n, ways, seed);
+            let config = OptimizerConfig::default();
+            let placer = config.placer.build();
+            let plans = IntegratedOptimizer::new(config.clone()).candidate_plans(&q);
+            // The running circuit: some candidate plan, placed a while ago.
+            let running = select_exhaustive(
+                vec![plans[seed as usize % plans.len()].clone()],
+                &q, &space, placer.as_ref(), &mut OracleMapper, None,
+            ).unwrap();
+
+            for estimate_scale in [0.5, 1.0, 1.5] {
+                for threshold in [-0.5, 0.0, 0.1, 0.5] {
+                    let estimate = estimate_scale * running.estimated.network_usage;
+                    let policy =
+                        ReoptPolicy { migration_threshold: 0.05, replacement_threshold: threshold };
+                    let reference = |plans: Vec<LogicalPlan>, mapper: &mut dyn PhysicalMapper| {
+                        select_exhaustive(plans, &q, &space, placer.as_ref(), mapper, None)
+                            .map(|best| {
+                                (1.0 - best.estimated.network_usage / estimate, best)
+                            })
+                            .filter(|(improvement, _)| *improvement >= threshold)
+                            .map(|(improvement, best)| (selection_of(&best), improvement.to_bits()))
+                    };
+                    let run = |old: &mut dyn PhysicalMapper, new: &mut dyn PhysicalMapper| {
+                        let full = match reoptimize_full(
+                            estimate, &q, &space, new, config.clone(), policy,
+                        ) {
+                            FullReoptOutcome::Replace { replacement, improvement, .. } => {
+                                Some((selection_of(&replacement), improvement.to_bits()))
+                            }
+                            FullReoptOutcome::Keep { .. } => None,
+                        };
+                        let rewrite = match reoptimize_rewrite(
+                            &running.plan, estimate, &q, &space, placer.as_ref(), new, policy,
+                        ) {
+                            RewriteOutcome::Rewrite { replacement, improvement, .. } => {
+                                Some((selection_of(&replacement), improvement.to_bits()))
+                            }
+                            RewriteOutcome::Keep { .. } => None,
+                        };
+                        let neighbourhood =
+                            sbon_query::rewrite::neighbors_within(&running.plan, 2, 128);
+                        (
+                            (full, rewrite),
+                            (reference(plans.clone(), old), reference(neighbourhood, old)),
+                        )
+                    };
+                    let (new, old) = if use_dht == 1 {
+                        let mut old_dht = crate::placement::DhtMapper::build(&space, 10, 8);
+                        let mut new_dht = crate::placement::DhtMapper::build(&space, 10, 8);
+                        let out = run(&mut old_dht, &mut new_dht);
+                        proptest::prop_assert!(no_more_traffic(new_dht.stats(), old_dht.stats()));
+                        out
+                    } else {
+                        run(&mut OracleMapper, &mut OracleMapper)
+                    };
+                    proptest::prop_assert_eq!(new, old);
+                }
             }
         }
     }

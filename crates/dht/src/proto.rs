@@ -1011,7 +1011,12 @@ fn member_step(ring: &DhtRing, at_key: RingKey, target: RingKey, excl: &[RingKey
     if in_open_closed(target, at_key, succ_key) {
         return Some(Step::Forward { key: succ_key, member: succ_member });
     }
-    // Largest finger strictly inside (me, target).
+    // Largest finger strictly inside (me, target). Every level is probed:
+    // `DhtRing::lookup` skips the levels that reach past the target because
+    // its `cur` is a ring member and closes the arc behind such a probe, but
+    // `at_key` need not be — it is excluded once suspected, and gone from the
+    // ring if a registration re-keyed the member mid-flight — and then a far
+    // probe's live successor can wrap round into (me, target).
     for i in (0..ring.finger_bits()).rev() {
         let probe = at_key.wrapping_add(1u128 << i);
         let (fk, fm) = first_live(ring, probe, excl)?;

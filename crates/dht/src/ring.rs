@@ -264,7 +264,8 @@ impl DhtRing {
             // Otherwise forward to the closest preceding finger: the largest
             // finger of `cur` that lands strictly inside (cur, target).
             let mut next: Option<RingKey> = None;
-            for i in (0..self.config.finger_bits).rev() {
+            let levels = finger_levels_inside(clockwise_dist(cur_key, target));
+            for i in (0..levels.min(self.config.finger_bits)).rev() {
                 let probe = cur_key.wrapping_add(1u128 << i);
                 let (fk, _) = self.successor(probe)?;
                 if fk != cur_key && crate::id::in_open_open(fk, cur_key, target) {
@@ -304,10 +305,110 @@ impl DhtRing {
     }
 }
 
+/// How many finger levels of a member `dist` short of a target (clockwise)
+/// can land strictly inside the gap: level `i` probes `2^i` ahead, and a
+/// probe at or past the target has its successor in `[target, member]` — the
+/// member itself closes that arc — never in `(member, target)`. So only the
+/// levels with `2^i < dist`, i.e. `i ≤ log2(dist − 1)`, need a ring query.
+/// (`dist == 0` is the whole ring: all 128.) Holds only for a `member` that
+/// is on the ring.
+fn finger_levels_inside(dist: u128) -> u32 {
+    u128::BITS - dist.wrapping_sub(1).leading_zeros()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use sbon_netsim::rng::rng_from_seed;
+
+    /// `DhtRing::lookup` as it was before the finger scan was capped: every
+    /// hop probes all `finger_bits` levels, top down.
+    fn lookup_scanning_every_level(
+        ring: &DhtRing,
+        start_key: RingKey,
+        target: RingKey,
+    ) -> Option<LookupOutcome> {
+        let (mut cur_key, cur_member) = ring.successor(start_key)?;
+        if target == cur_key {
+            return Some(LookupOutcome { owner: cur_member, owner_key: cur_key, hops: 0 });
+        }
+        let mut hops = 0usize;
+        let max_hops = (2 * ring.config.finger_bits as usize).max(8);
+        loop {
+            let (succ_key, succ_member) = ring.successor(cur_key.wrapping_add(1))?;
+            if in_open_closed(target, cur_key, succ_key) {
+                return Some(LookupOutcome {
+                    owner: succ_member,
+                    owner_key: succ_key,
+                    hops: hops + 1,
+                });
+            }
+            let next = (0..ring.config.finger_bits).rev().find_map(|i| {
+                let (fk, _) = ring.successor(cur_key.wrapping_add(1u128 << i))?;
+                (fk != cur_key && crate::id::in_open_open(fk, cur_key, target)).then_some(fk)
+            });
+            hops += 1;
+            let Some(nk) = next else {
+                let (k, m) = ring.successor(target)?;
+                return Some(LookupOutcome { owner: m, owner_key: k, hops });
+            };
+            cur_key = nk;
+            if hops > max_hops {
+                let (k, m) = ring.successor(target)?;
+                return Some(LookupOutcome { owner: m, owner_key: k, hops: hops + 1 });
+            }
+        }
+    }
+
+    /// The capped finger scan takes the same hops to the same owner as
+    /// scanning every level — over random and clustered rings, every
+    /// `finger_bits`, member and off-ring starts, and targets on, next to
+    /// and far from members.
+    #[test]
+    fn capped_finger_scan_matches_scanning_every_level() {
+        let mut rng = rng_from_seed(33);
+        for case in 0..60 {
+            let n = rng.gen_range(1..200usize);
+            let finger_bits = [128, 128, 64, 16, 3][case % 5];
+            let mut ring = DhtRing::new(DhtConfig { finger_bits });
+            for m in 0..n {
+                // Every third ring is clustered into a sliver of the key
+                // space (Hilbert keys of nearby coordinates look like this).
+                let key: RingKey = if case % 3 == 0 { rng.gen::<u128>() >> 100 } else { rng.gen() };
+                ring.join(key, m as MemberId);
+            }
+            let members: Vec<RingKey> = ring.iter().map(|(k, _)| k).collect();
+            for _ in 0..80 {
+                let start = match rng.gen_range(0..4) {
+                    0 => rng.gen(),
+                    _ => members[rng.gen_range(0..n)],
+                };
+                let near = members[rng.gen_range(0..n)];
+                let target = match rng.gen_range(0..5) {
+                    0 => near,
+                    1 => near.wrapping_add(1),
+                    2 => near.wrapping_sub(1),
+                    3 => near.wrapping_add(rng.gen::<u128>() >> rng.gen_range(0..128)),
+                    _ => rng.gen(),
+                };
+                assert_eq!(
+                    ring.lookup(start, target),
+                    lookup_scanning_every_level(&ring, start, target),
+                    "case {case}: n={n} bits={finger_bits} start={start} target={target}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn finger_levels_inside_counts_probes_short_of_the_target() {
+        assert_eq!(finger_levels_inside(1), 0, "nothing fits in a gap of one");
+        assert_eq!(finger_levels_inside(2), 1, "2^0 < 2");
+        assert_eq!(finger_levels_inside(4), 2, "2^2 is not < 4");
+        assert_eq!(finger_levels_inside(5), 3);
+        assert_eq!(finger_levels_inside(u128::MAX), 128);
+        assert_eq!(finger_levels_inside(0), 128, "cur == target spans the ring");
+    }
 
     fn ring_with(keys: &[RingKey]) -> DhtRing {
         let mut r = DhtRing::new(DhtConfig::default());

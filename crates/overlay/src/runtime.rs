@@ -838,6 +838,10 @@ pub struct ControlPlaneStats {
     /// Circuit evaluations skipped because the relevance index proved the
     /// circuit's re-opt inputs unchanged since its last no-op evaluation.
     pub reopt_skipped: usize,
+    /// Candidate plans the rewrite and full passes rejected on their
+    /// network-usage lower bound alone, before any placement or mapping
+    /// work (see `sbon_core::optimizer`).
+    pub candidates_pruned: usize,
     /// Wall time reading the ground-truth latency provider for usage
     /// accounting (the data-plane proxy, for comparison).
     pub usage_ns: u128,
@@ -892,10 +896,12 @@ impl ControlPlaneStats {
         let candidates = self.reopt_evaluated + self.reopt_skipped;
         if candidates > 0 {
             out.push_str(&format!(
-                "  re-opt: {} evaluated, {} skipped clean ({:.1}% saved)\n",
+                "  re-opt: {} evaluated, {} skipped clean ({:.1}% saved), \
+                 {} candidate plans pruned by bound\n",
                 self.reopt_evaluated,
                 self.reopt_skipped,
                 100.0 * self.reopt_skipped as f64 / candidates as f64,
+                self.candidates_pruned,
             ));
         }
         if self.routed_messages > 0 {
@@ -945,6 +951,7 @@ struct StatHandles {
     evac_ns: CounterId,
     reopt_evaluated: CounterId,
     reopt_skipped: CounterId,
+    candidates_pruned: CounterId,
     usage_ns: CounterId,
     arrivals: CounterId,
     departures: CounterId,
@@ -990,6 +997,7 @@ impl RuntimeObs {
             evac_ns: registry.counter("control_plane", "evac_ns"),
             reopt_evaluated: registry.counter("control_plane", "reopt_evaluated"),
             reopt_skipped: registry.counter("control_plane", "reopt_skipped"),
+            candidates_pruned: registry.counter("control_plane", "candidates_pruned"),
             usage_ns: registry.counter("control_plane", "usage_ns"),
             arrivals: registry.counter("lifecycle", "arrivals"),
             departures: registry.counter("lifecycle", "departures"),
@@ -1681,6 +1689,7 @@ impl OverlayRuntime {
             evac_ns: u128::from(r.counter_value(h.evac_ns)),
             reopt_evaluated: r.counter_value(h.reopt_evaluated) as usize,
             reopt_skipped: r.counter_value(h.reopt_skipped) as usize,
+            candidates_pruned: r.counter_value(h.candidates_pruned) as usize,
             usage_ns: u128::from(r.counter_value(h.usage_ns)),
             ..ControlPlaneStats::default()
         };
@@ -2144,13 +2153,13 @@ impl OverlayRuntime {
         let t0 = WallTimer::start();
         let sp = self.obs.span_start(span, Vec::new);
         let eval_idx = self.dirty_circuits(kind, !migrates);
-        let results: Vec<(Verdict, ReadObservation)> = {
+        let results: Vec<(Verdict, usize, ReadObservation)> = {
             let (circuits, space, mapper) = (&self.circuits, &self.space, &self.mapper);
             let (placer, policy) = (RelaxationPlacer::default(), self.config.policy);
             run_parallel(&self.pool, &eval_idx, |i| {
                 let d = &circuits[i];
                 let mut view = mapper.read_view();
-                let verdict = match kind {
+                let (verdict, pruned) = match kind {
                     ReoptKind::Local => {
                         let mut to = d.placement.clone();
                         let moved = reoptimize_local(
@@ -2158,9 +2167,9 @@ impl OverlayRuntime {
                         )
                         .migrations;
                         if moved.is_empty() {
-                            Verdict::Keep
+                            (Verdict::Keep, 0)
                         } else {
-                            Verdict::Migrate(to, moved)
+                            (Verdict::Migrate(to, moved), 0)
                         }
                     }
                     ReoptKind::Rewrite => match reoptimize_rewrite(
@@ -2172,10 +2181,10 @@ impl OverlayRuntime {
                         &mut view,
                         policy,
                     ) {
-                        RewriteOutcome::Rewrite { replacement, .. } => {
-                            Verdict::Replace(replacement)
+                        RewriteOutcome::Rewrite { replacement, pruned, .. } => {
+                            (Verdict::Replace(replacement), pruned)
                         }
-                        RewriteOutcome::Keep => Verdict::Keep,
+                        RewriteOutcome::Keep { pruned } => (Verdict::Keep, pruned),
                     },
                     ReoptKind::Full => match reoptimize_full(
                         d.running_est(space),
@@ -2185,17 +2194,18 @@ impl OverlayRuntime {
                         OptimizerConfig::default(),
                         policy,
                     ) {
-                        FullReoptOutcome::Replace { replacement, .. } => {
-                            Verdict::Replace(replacement)
+                        FullReoptOutcome::Replace { replacement, pruned, .. } => {
+                            (Verdict::Replace(replacement), pruned)
                         }
-                        FullReoptOutcome::Keep => Verdict::Keep,
+                        FullReoptOutcome::Keep { pruned } => (Verdict::Keep, pruned),
                     },
                 };
-                (verdict, view.into_observation())
+                (verdict, pruned, view.into_observation())
             })
         };
-        let mut changed = 0;
-        for (&i, (verdict, obs)) in eval_idx.iter().zip(results) {
+        let (mut changed, mut pruned) = (0, 0);
+        for (&i, (verdict, spared, obs)) in eval_idx.iter().zip(results) {
+            pruned += spared;
             self.mapper.charge_observed(&obs);
             let d = &mut self.circuits[i];
             let handle = d.handle.0 as u64;
@@ -2239,8 +2249,15 @@ impl OverlayRuntime {
             self.relevance.mark_dirty(handle);
         }
         self.obs.registry.inc(wall_ns, t0.elapsed_ns());
+        self.obs.registry.inc(self.obs.h.candidates_pruned, pruned as u64);
         let evaluated = eval_idx.len();
-        self.obs.span_end(sp, || vec![("evaluated", evaluated.into()), (changes, changed.into())]);
+        self.obs.span_end(sp, || {
+            let mut fields = vec![("evaluated", evaluated.into()), (changes, changed.into())];
+            if !migrates {
+                fields.push(("pruned", pruned.into()));
+            }
+            fields
+        });
         let tally = if migrates { &mut s.report.migrations } else { &mut s.report.replacements };
         *tally += changed;
         s.report.adaptation_cost += changed as f64 * penalty;
@@ -3236,6 +3253,54 @@ mod tests {
         // Replacements re-register under the same ids: no duplicate or
         // stale instances accumulate across swaps.
         assert_eq!(mq.num_instances(), instances_before);
+    }
+
+    /// Branch-and-bound accounting: what the rewrite and full passes prune
+    /// lands in `ControlPlaneStats::candidates_pruned`, and the same counts
+    /// ride on those passes' span ends as `pruned` (local passes examine no
+    /// candidate plans and carry no such attribute).
+    #[test]
+    fn pruned_candidates_are_counted_and_traced() {
+        let topo = small_world(41);
+        let path =
+            std::env::temp_dir().join(format!("sbon_pruned_trace_{}.jsonl", std::process::id()));
+        let mut rt = OverlayRuntime::new(
+            &topo,
+            41,
+            RuntimeConfig {
+                horizon_ms: 12_000.0,
+                churn: ChurnProcess::RandomWalk { std_dev: 0.1 },
+                full_reopt_interval_ms: Some(3_000.0),
+                rewrite_interval_ms: Some(4_000.0),
+                obs: ObsConfig {
+                    trace: Some(sbon_obs::TraceSpec::jsonl(41, path.clone())),
+                    flight_capacity: 0,
+                },
+                ..Default::default()
+            },
+        );
+        rt.deploy(demo_query(&topo)).unwrap();
+        rt.run();
+        let pruned = rt.control_plane_stats().candidates_pruned;
+        assert!(pruned > 0, "a 4-way star has join orders no placement can rescue");
+        assert_eq!(
+            rt.metrics_snapshot().counters["control_plane.candidates_pruned"],
+            pruned as u64
+        );
+        drop(rt.finish_trace());
+        let trace = std::fs::read_to_string(&path).expect("trace written");
+        let _ = std::fs::remove_file(&path);
+        let mut traced = 0;
+        for line in trace.lines().filter(|l| l.contains(r#""ev":"end""#)) {
+            let attr = line.split_once(r#""pruned":"#).map(|(_, rest)| {
+                rest.split(|c: char| !c.is_ascii_digit()).next().unwrap().parse::<usize>().unwrap()
+            });
+            let plan_replacing = line.contains(r#""kind":"reopt.rewrite""#)
+                || line.contains(r#""kind":"reopt.full""#);
+            assert_eq!(attr.is_some(), plan_replacing, "{line}");
+            traced += attr.unwrap_or(0);
+        }
+        assert_eq!(traced, pruned, "span attributes add up to the counter");
     }
 
     /// The session API: a run can be advanced tick-by-tick with mid-run

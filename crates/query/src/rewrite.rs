@@ -90,46 +90,45 @@ pub fn split_filter(plan: &LogicalPlan) -> Option<LogicalPlan> {
 }
 
 /// Every plan reachable from `plan` by applying exactly one rewrite at one
-/// node (any depth), deduplicated by exact rendering (left/right order
-/// matters: a commuted join is a *different* circuit even though its shape
-/// key is equal, and composite rewrites like commute-then-rotate need the
-/// intermediate to be reachable).
+/// node (any depth), deduplicated by exact structure — shape, left/right
+/// order and operator parameters (left/right order matters: a commuted join
+/// is a *different* circuit even though its shape key is equal, and
+/// composite rewrites like commute-then-rotate need the intermediate to be
+/// reachable).
 pub fn neighbors(plan: &LogicalPlan) -> Vec<LogicalPlan> {
-    let mut out = Vec::new();
-    rewrite_everywhere(plan, &mut out);
-    // sbon-lint: allow(unordered-iteration): membership-only dedup; the
-    // output order comes from `out` (a Vec), never from the set.
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(plan.render());
-    out.retain(|p| seen.insert(p.render()));
-    out
+    neighbors_within(plan, 1, usize::MAX)
 }
 
 /// Every plan within `depth` rewrite steps of `plan` (excluding `plan`
-/// itself), BFS over rendered plans, capped at `max_plans` results. Depth 2
-/// matters in practice: commutations are cost-neutral on their own but open
-/// up rotations that one-step search cannot reach.
+/// itself), BFS in generation order, each distinct plan once, capped at
+/// `max_plans` results. Depth 2 matters in practice: commutations are
+/// cost-neutral on their own but open up rotations that one-step search
+/// cannot reach.
 pub fn neighbors_within(plan: &LogicalPlan, depth: usize, max_plans: usize) -> Vec<LogicalPlan> {
     // sbon-lint: allow(unordered-iteration): membership-only BFS visited
-    // set; result order comes from the Vec frontier.
+    // set; result order comes from `out` (a Vec), never from the set.
     let mut seen = std::collections::HashSet::new();
-    seen.insert(plan.render());
+    seen.insert(plan.identity_key());
     let mut out: Vec<LogicalPlan> = Vec::new();
-    let mut frontier = vec![plan.clone()];
-    for _ in 0..depth {
-        let mut next = Vec::new();
-        for p in &frontier {
-            for n in neighbors(p) {
+    let mut generated = Vec::new();
+    // The frontier is `plan` itself at the first level, then the slice of
+    // `out` the previous level appended.
+    let mut frontier = 0..0;
+    for level in 0..depth {
+        let level_start = out.len();
+        for i in if level == 0 { 0..1 } else { frontier } {
+            let from = if level == 0 { plan } else { &out[i] };
+            rewrite_everywhere(from, &mut generated);
+            for n in generated.drain(..) {
                 if out.len() >= max_plans {
                     return out;
                 }
-                if seen.insert(n.render()) {
-                    out.push(n.clone());
-                    next.push(n);
+                if seen.insert(n.identity_key()) {
+                    out.push(n);
                 }
             }
         }
-        frontier = next;
+        frontier = level_start..out.len();
         if frontier.is_empty() {
             break;
         }
@@ -277,6 +276,104 @@ mod tests {
         for n in neighbors(&p) {
             let r = c.output_rate(&n);
             assert!((r - base).abs() < 1e-9 * base.max(1.0), "{n}");
+        }
+    }
+
+    /// The two-level, render-keyed implementation `neighbors_within`
+    /// replaced: a per-plan dedup pass feeding a global one. Exact on plans
+    /// without unary operators, where `render` is already injective.
+    fn reference_neighbors_within(
+        plan: &LogicalPlan,
+        depth: usize,
+        max_plans: usize,
+    ) -> Vec<LogicalPlan> {
+        fn reference_neighbors(plan: &LogicalPlan) -> Vec<LogicalPlan> {
+            let mut out = Vec::new();
+            rewrite_everywhere(plan, &mut out);
+            // sbon-lint: allow(unordered-iteration): membership-only dedup.
+            let mut seen = std::collections::HashSet::new();
+            seen.insert(plan.render());
+            out.retain(|p| seen.insert(p.render()));
+            out
+        }
+        // sbon-lint: allow(unordered-iteration): membership-only dedup.
+        let mut seen = std::collections::HashSet::new();
+        seen.insert(plan.render());
+        let mut out: Vec<LogicalPlan> = Vec::new();
+        let mut frontier = vec![plan.clone()];
+        for _ in 0..depth {
+            let mut next = Vec::new();
+            for p in &frontier {
+                for n in reference_neighbors(p) {
+                    if out.len() >= max_plans {
+                        return out;
+                    }
+                    if seen.insert(n.render()) {
+                        out.push(n.clone());
+                        next.push(n);
+                    }
+                }
+            }
+            frontier = next;
+            if frontier.is_empty() {
+                break;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn join_only_neighbourhoods_match_the_render_keyed_reference() {
+        for case in 0..50u64 {
+            // A random bushy join (or union) tree over 2–6 sources.
+            let mut draws = 0;
+            let mut pick = |n: usize| {
+                draws += 1;
+                (sbon_netsim::rng::derive_seed(case, draws) % n as u64) as usize
+            };
+            let mut forest: Vec<LogicalPlan> = (0..2 + pick(5) as u32).map(s).collect();
+            while forest.len() > 1 {
+                let a = forest.swap_remove(pick(forest.len()));
+                let b = forest.swap_remove(pick(forest.len()));
+                forest.push(if pick(5) == 0 {
+                    LogicalPlan::union(a, b)
+                } else {
+                    LogicalPlan::join(a, b)
+                });
+            }
+            let plan = forest.pop().unwrap();
+            for (depth, max_plans) in [(1, usize::MAX), (2, 128), (2, 7), (3, 40), (0, 5)] {
+                assert_eq!(
+                    neighbors_within(&plan, depth, max_plans),
+                    reference_neighbors_within(&plan, depth, max_plans),
+                    "case {case}: {plan} depth {depth} max {max_plans}"
+                );
+            }
+        }
+    }
+
+    /// Regression: dedup used to key on `render()`, which prints every
+    /// selectivity as `σ`. Splitting the outer or the inner filter of
+    /// `σ_a(σ_b(P))` gives two different circuits that both render
+    /// `σ(σ(σ(P)))`; the second was dropped as a duplicate of the first.
+    #[test]
+    fn filter_splits_with_equal_rendering_are_both_explored() {
+        let plan = LogicalPlan::select(0.25, LogicalPlan::select(0.81, s(0)));
+        let split_outer =
+            LogicalPlan::select(0.5, LogicalPlan::select(0.5, LogicalPlan::select(0.81, s(0))));
+        let split_inner =
+            LogicalPlan::select(0.25, LogicalPlan::select(0.9, LogicalPlan::select(0.9, s(0))));
+        assert_eq!(split_outer.render(), split_inner.render());
+        let ns = neighbors(&plan);
+        assert!(ns.contains(&split_outer), "{ns:?}");
+        assert!(ns.contains(&split_inner), "{ns:?}");
+        // The fused filter is the third and last one-step rewrite.
+        assert_eq!(ns.len(), 3, "{ns:?}");
+        // Plans that really are equal are still listed once.
+        let within = neighbors_within(&plan, 2, 128);
+        for (i, a) in within.iter().enumerate() {
+            assert!(!within[i + 1..].contains(a), "{a} listed twice");
+            assert_ne!(a, &plan, "the start plan is not its own neighbour");
         }
     }
 

@@ -114,19 +114,27 @@ impl StatsCatalog {
         match plan {
             LogicalPlan::Source(id) => self.rate(*id),
             LogicalPlan::Unary { op, input } => op.rate_ratio() * self.output_rate(input),
-            LogicalPlan::Binary { op, left, right } => {
-                let rl = self.output_rate(left);
-                let rr = self.output_rate(right);
-                match op {
-                    BinaryOp::Join => {
-                        self.cross_selectivity(&left.sources(), &right.sources())
-                            * rl
-                            * rr
-                            * self.window
-                    }
-                    BinaryOp::Union => rl + rr,
-                }
-            }
+            LogicalPlan::Binary { op, left, right } => self.binary_output_rate(
+                *op,
+                (self.output_rate(left), &left.sources()),
+                (self.output_rate(right), &right.sources()),
+            ),
+        }
+    }
+
+    /// Output rate of a binary operator given each input's `(output rate,
+    /// source streams)` — the one-level step of
+    /// [`StatsCatalog::output_rate`], for callers that already walk the plan
+    /// bottom-up and carry both per subtree.
+    pub fn binary_output_rate(
+        &self,
+        op: BinaryOp,
+        (rl, left): (f64, &[StreamId]),
+        (rr, right): (f64, &[StreamId]),
+    ) -> f64 {
+        match op {
+            BinaryOp::Join => self.cross_selectivity(left, right) * rl * rr * self.window,
+            BinaryOp::Union => rl + rr,
         }
     }
 

@@ -18,10 +18,9 @@
 //! protocol vs `landmarks ∈ {16, 64}`.
 //!
 //! The **reopt_pass** group measures one dirty-driven re-optimization pass
-//! over 100 circuits at dirty fractions 0/1/10/100% (2k and 10k nodes),
-//! with and without the per-evaluation mapping memo: pass cost must track
-//! the dirty fraction, with a clean pass costing only the relevance-index
-//! probes.
+//! over 100 circuits at dirty fractions 0/1/10/100% (2k and 10k nodes):
+//! pass cost must track the dirty fraction, with a clean pass costing only
+//! the relevance-index probes.
 //!
 //! The **routed_lookup** group compares the omniscient shared-structure
 //! catalog read against the full message-passing protocol
@@ -323,10 +322,7 @@ fn bench_row_repair(c: &mut Criterion) {
 /// mapping, and cost estimation through a fresh
 /// [`DhtMapper::read_view`]), while every clean circuit costs exactly what
 /// the runtime's pre-filter pays: one relevance-index probe. The claim:
-/// pass cost scales with the dirty fraction, not the circuit count. The
-/// `_no_memo` variants disable the per-evaluation mapping memo, exposing
-/// how much of the evaluation is repeated lookups of the same ideal points
-/// across the rewrite neighbourhood.
+/// pass cost scales with the dirty fraction, not the circuit count.
 fn bench_reopt_pass(c: &mut Criterion) {
     const CIRCUITS: usize = 100;
     for nodes in [2_048usize, 10_000] {
@@ -365,14 +361,9 @@ fn bench_reopt_pass(c: &mut Criterion) {
 
         let mut group = c.benchmark_group(format!("reopt_pass_{n}_nodes_{CIRCUITS}_circuits"));
         group.sample_size(10);
-        for (label, pct, memo) in [
-            ("dirty_0pct", 0usize, true),
-            ("dirty_1pct", 1, true),
-            ("dirty_10pct", 10, true),
-            ("dirty_100pct", 100, true),
-            ("dirty_10pct_no_memo", 10, false),
-            ("dirty_100pct_no_memo", 100, false),
-        ] {
+        for (label, pct) in
+            [("dirty_0pct", 0usize), ("dirty_1pct", 1), ("dirty_10pct", 10), ("dirty_100pct", 100)]
+        {
             let dirty = CIRCUITS * pct / 100;
             group.bench_function(label, |b| {
                 b.iter(|| {
@@ -381,7 +372,7 @@ fn bench_reopt_pass(c: &mut Criterion) {
                         if i >= dirty && !relevance.is_dirty(ReoptKind::Rewrite, i as u64) {
                             continue;
                         }
-                        let mut view = dht.read_view(memo);
+                        let mut view = dht.read_view();
                         black_box(reoptimize_rewrite(
                             &pc.plan,
                             pc.estimated.network_usage,

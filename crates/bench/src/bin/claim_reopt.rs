@@ -11,7 +11,7 @@
 use sbon_bench::{section, subsection};
 use sbon_core::optimizer::QuerySpec;
 use sbon_core::reopt::ReoptPolicy;
-use sbon_netsim::load::{ChurnProcess, LoadModel};
+use sbon_netsim::load::ChurnProcess;
 use sbon_netsim::rng::derive_rng;
 use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
 use sbon_overlay::{JitterModel, OverlayRuntime, RuntimeConfig};
@@ -30,7 +30,6 @@ fn run(policy_label: &str, local: bool, full: bool, seed: u64) -> (String, f64, 
         .latency_jitter(JitterModel { edges_per_tick: 160, ..Default::default() })
         .migration_penalty(25.0)
         .replacement_penalty(100.0)
-        .initial_load(LoadModel::Random { lo: 0.0, hi: 0.6 })
         .build();
     let mut rt = OverlayRuntime::new(&topo, seed, config);
     let mut rng = derive_rng(seed, 0xC2);

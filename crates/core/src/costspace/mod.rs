@@ -23,9 +23,7 @@
 //!   `DhtMapper::update_node`).
 //! * [`CostSpace::set_vector_coord`] is the same delta path for embedding
 //!   refinement of the vector (latency) prefix.
-//! * [`CostSpaceRegistry::refresh_dirty`] fans one churn delta out to every
-//!   registered space; [`CostSpace::refresh_scalars`] /
-//!   [`CostSpaceRegistry::refresh_all`] remain as the full-universe sweeps.
+//! * [`CostSpace::refresh_scalars`] remains as the full-universe sweep.
 //!
 //! Both paths evaluate the identical weighting expression, so a sequence of
 //! delta updates is **bit-identical** to a rebuild from the same inputs —
@@ -38,5 +36,5 @@ mod space;
 mod weight;
 
 pub use point::CostPoint;
-pub use space::{CostSpace, CostSpaceBuilder, CostSpaceRegistry, DimensionSpec, ScalarSource};
+pub use space::{CostSpace, CostSpaceBuilder, DimensionSpec, ScalarSource};
 pub use weight::WeightFn;

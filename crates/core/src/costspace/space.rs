@@ -1,7 +1,5 @@
 //! The cost space itself: per-node coordinates assembled from an embedding
-//! plus weighted scalar attributes, and the registry of multiple spaces.
-
-use std::collections::BTreeMap;
+//! plus weighted scalar attributes.
 
 use sbon_coords::vivaldi::VivaldiEmbedding;
 use sbon_netsim::graph::NodeId;
@@ -73,11 +71,6 @@ impl CostSpace {
         &self.points
     }
 
-    /// Full-space distance between two nodes.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> f64 {
-        self.point(a).full_distance(self.point(b))
-    }
-
     /// Vector-only distance between two nodes (the latency estimate).
     pub fn vector_distance(&self, a: NodeId, b: NodeId) -> f64 {
         self.point(a).vector_distance(self.point(b), self.vector_dims)
@@ -123,43 +116,6 @@ impl CostSpace {
                 ScalarSource::Attr(a) => attrs.get(node, a),
             };
             let next = spec.weight.apply(raw);
-            let slot = &mut point.0[self.vector_dims + d];
-            if slot.to_bits() != next.to_bits() {
-                *slot = next;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    /// The pure half of [`CostSpace::update_scalars`]: evaluates the scalar
-    /// component values for `node` from the attribute table without touching
-    /// the space. Evaluating is side-effect free and reads only shared
-    /// state, so a runtime can compute many nodes' values in parallel and
-    /// then commit them serially with [`CostSpace::apply_scalars`] — the
-    /// committed result is bit-identical to calling `update_scalars`
-    /// directly (both evaluate the identical weighting expression).
-    pub fn scalar_values(&self, node: NodeId, attrs: &NodeAttrs) -> Vec<f64> {
-        self.scalar_specs
-            .iter()
-            .map(|spec| {
-                let raw = match spec.source {
-                    ScalarSource::Attr(a) => attrs.get(node, a),
-                };
-                spec.weight.apply(raw)
-            })
-            .collect()
-    }
-
-    /// The write half of [`CostSpace::update_scalars`]: commits values
-    /// produced by [`CostSpace::scalar_values`]. Returns `true` when any
-    /// component actually changed (bit-level), same contract as
-    /// `update_scalars`.
-    pub fn apply_scalars(&mut self, node: NodeId, values: &[f64]) -> bool {
-        assert_eq!(values.len(), self.scalar_specs.len(), "scalar component count");
-        let point = &mut self.points[node.index()];
-        let mut changed = false;
-        for (d, &next) in values.iter().enumerate() {
             let slot = &mut point.0[self.vector_dims + d];
             if slot.to_bits() != next.to_bits() {
                 *slot = next;
@@ -258,76 +214,6 @@ impl CostSpaceBuilder {
     }
 }
 
-/// "The SBON can support multiple independent cost spaces, each to suit
-/// different classes of applications" (Section 3.1).
-#[derive(Debug, Default)]
-pub struct CostSpaceRegistry {
-    // Ordered so `refresh_all`/`refresh_dirty` visit spaces in a stable
-    // order (sbon-lint: unordered-iteration).
-    spaces: BTreeMap<String, CostSpace>,
-}
-
-impl CostSpaceRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a space under its name, replacing any previous space of
-    /// the same name.
-    pub fn register(&mut self, space: CostSpace) {
-        self.spaces.insert(space.name.clone(), space);
-    }
-
-    /// Looks up a space by name.
-    pub fn get(&self, name: &str) -> Option<&CostSpace> {
-        self.spaces.get(name)
-    }
-
-    /// Mutable lookup (for scalar refresh).
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut CostSpace> {
-        self.spaces.get_mut(name)
-    }
-
-    /// Bulk-refreshes the scalar components of **every** registered space
-    /// from one attribute table (all spaces observe the same physical
-    /// nodes). The full-universe counterpart of
-    /// [`CostSpaceRegistry::refresh_dirty`].
-    pub fn refresh_all(&mut self, attrs: &NodeAttrs) {
-        for space in self.spaces.values_mut() {
-            space.refresh_scalars(attrs);
-        }
-    }
-
-    /// Fans a churn delta out to every registered space: only the `dirty`
-    /// nodes are recomputed, so a tick touching `k` nodes costs
-    /// `O(spaces · k · dims)` regardless of overlay size. Returns the number
-    /// of `(space, node)` points that actually changed. Bit-identical to
-    /// [`CostSpaceRegistry::refresh_all`] when `dirty` covers the nodes
-    /// whose attributes changed since the last refresh.
-    pub fn refresh_dirty(&mut self, attrs: &NodeAttrs, dirty: &[NodeId]) -> usize {
-        let mut changed = 0;
-        for space in self.spaces.values_mut() {
-            for &node in dirty {
-                if space.update_scalars(node, attrs) {
-                    changed += 1;
-                }
-            }
-        }
-        changed
-    }
-
-    /// Number of registered spaces.
-    pub fn len(&self) -> usize {
-        self.spaces.len()
-    }
-
-    /// True when no space is registered.
-    pub fn is_empty(&self) -> bool {
-        self.spaces.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,7 +229,7 @@ mod tests {
         let s = CostSpaceBuilder::latency_space(&embedding3());
         assert_eq!(s.dims(), 2);
         assert_eq!(s.vector_dims(), 2);
-        assert_eq!(s.distance(NodeId(0), NodeId(1)), 10.0);
+        assert_eq!(s.point(NodeId(0)).full_distance(s.point(NodeId(1))), 10.0);
         assert_eq!(s.vector_distance(NodeId(0), NodeId(1)), 10.0);
     }
 
@@ -357,31 +243,10 @@ mod tests {
         assert_eq!(s.point(NodeId(1)).scalar_part(2), &[25.0]);
         assert_eq!(s.point(NodeId(0)).scalar_part(2), &[0.0]);
         // Full distance between 0 and 1 mixes latency (10) and load (25).
-        let d = s.distance(NodeId(0), NodeId(1));
+        let d = s.point(NodeId(0)).full_distance(s.point(NodeId(1)));
         assert!((d - (10.0f64 * 10.0 + 25.0 * 25.0).sqrt()).abs() < 1e-12);
         // Vector distance ignores load.
         assert_eq!(s.vector_distance(NodeId(0), NodeId(1)), 10.0);
-    }
-
-    /// The compute/apply split must commit bit-identical state to the
-    /// one-shot `update_scalars`, with matching change reporting — the
-    /// contract the parallel refresh in the overlay runtime leans on.
-    #[test]
-    fn scalar_values_then_apply_matches_update_scalars() {
-        let mut rng = rng_from_seed(9);
-        let mut attrs = LoadModel::Uniform(0.3).generate(3, &mut rng);
-        let mut direct = CostSpaceBuilder::latency_load_space_scaled(&embedding3(), &attrs, 100.0);
-        let mut split = direct.clone();
-        attrs.set(NodeId(1), Attr::CpuLoad, 0.9);
-        for node in [NodeId(0), NodeId(1), NodeId(2)] {
-            let changed_direct = direct.update_scalars(node, &attrs);
-            let values = split.scalar_values(node, &attrs);
-            let changed_split = split.apply_scalars(node, &values);
-            assert_eq!(changed_direct, changed_split, "{node}");
-            assert_eq!(direct.point(node).as_slice(), split.point(node).as_slice(), "{node}");
-        }
-        // Only node 1's attribute moved.
-        assert_eq!(split.point(NodeId(1)).scalar_part(2), &[100.0 * 0.81]);
     }
 
     #[test]
@@ -437,63 +302,6 @@ mod tests {
         let attrs = NodeAttrs::idle(3);
         let mut s = CostSpaceBuilder::latency_load_space(&embedding3(), &attrs);
         s.set_vector_coord(NodeId(0), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn registry_refresh_dirty_matches_refresh_all() {
-        let mut attrs = NodeAttrs::idle(3);
-        let mut delta_reg = CostSpaceRegistry::new();
-        delta_reg.register(CostSpaceBuilder::latency_load_space(&embedding3(), &attrs));
-        delta_reg.register(CostSpaceBuilder::latency_space(&embedding3()));
-        let mut full_reg = CostSpaceRegistry::new();
-        full_reg.register(CostSpaceBuilder::latency_load_space(&embedding3(), &attrs));
-        full_reg.register(CostSpaceBuilder::latency_space(&embedding3()));
-
-        attrs.set(NodeId(0), Attr::CpuLoad, 0.9);
-        attrs.set(NodeId(2), Attr::CpuLoad, 0.4);
-        // Only the load space has a scalar dimension, so 2 points change.
-        assert_eq!(delta_reg.refresh_dirty(&attrs, &[NodeId(0), NodeId(2)]), 2);
-        full_reg.refresh_all(&attrs);
-        for name in ["latency+cpu²", "latency"] {
-            let d = delta_reg.get(name).unwrap();
-            let f = full_reg.get(name).unwrap();
-            for i in 0..3u32 {
-                assert_eq!(d.point(NodeId(i)), f.point(NodeId(i)), "{name} node {i}");
-            }
-        }
-        // Nothing changed since: the delta path reports zero.
-        assert_eq!(delta_reg.refresh_dirty(&attrs, &[NodeId(0), NodeId(1), NodeId(2)]), 0);
-    }
-
-    #[test]
-    fn registry_supports_multiple_spaces() {
-        let mut reg = CostSpaceRegistry::new();
-        reg.register(CostSpaceBuilder::latency_space(&embedding3()));
-        let attrs = NodeAttrs::idle(3);
-        reg.register(CostSpaceBuilder::latency_load_space(&embedding3(), &attrs));
-        assert_eq!(reg.len(), 2);
-        assert!(reg.get("latency").is_some());
-        assert!(reg.get("latency+cpu²").is_some());
-        assert!(reg.get("nope").is_none());
-    }
-
-    #[test]
-    fn registry_get_mut_supports_refresh() {
-        let mut reg = CostSpaceRegistry::new();
-        let mut attrs = NodeAttrs::idle(3);
-        reg.register(CostSpaceBuilder::latency_load_space(&embedding3(), &attrs));
-        attrs.set(NodeId(2), Attr::CpuLoad, 1.0);
-        reg.get_mut("latency+cpu²").unwrap().refresh_scalars(&attrs);
-        let space = reg.get("latency+cpu²").unwrap();
-        assert_eq!(space.point(NodeId(2)).scalar_part(2), &[100.0]);
-    }
-
-    #[test]
-    fn reregistering_replaces_the_space() {
-        let mut reg = CostSpaceRegistry::new();
-        reg.register(CostSpaceBuilder::latency_space(&embedding3()));
-        reg.register(CostSpaceBuilder::latency_space(&embedding3()));
-        assert_eq!(reg.len(), 1);
     }
 
     #[test]

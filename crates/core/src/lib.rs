@@ -37,7 +37,7 @@ pub mod placement;
 pub mod reopt;
 
 pub use circuit::{Circuit, CircuitCost, Placement, Service, ServiceId, ServiceKind, ServicePin};
-pub use costspace::{CostPoint, CostSpace, CostSpaceBuilder, CostSpaceRegistry, WeightFn};
+pub use costspace::{CostPoint, CostSpace, CostSpaceBuilder, WeightFn};
 pub use optimizer::{
     IntegratedOptimizer, OptimizerConfig, PlacedCircuit, PlacerKind, QuerySpec, TwoStepOptimizer,
 };

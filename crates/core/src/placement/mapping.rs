@@ -267,6 +267,10 @@ impl Default for DhtMapperConfig {
     }
 }
 
+/// The coordinate catalog behind both catalog mappers ([`DhtMapper`], and
+/// [`RoutedMapper`] through its `RoutedCatalog`).
+pub type MapperCatalog = CoordinateCatalog<HilbertCurve>;
+
 /// The decentralized Hilbert-DHT mapper.
 ///
 /// Once built it is **self-contained**: lookups read only the registered
@@ -277,7 +281,7 @@ impl Default for DhtMapperConfig {
 /// the same quantizer — pinned by the `dht_mapper_deltas_match_fresh_build`
 /// property test.
 pub struct DhtMapper {
-    catalog: CoordinateCatalog<HilbertCurve>,
+    catalog: MapperCatalog,
 }
 
 impl DhtMapper {
@@ -385,21 +389,21 @@ impl DhtMapper {
         self.catalog.is_empty()
     }
 
-    /// Direct access to the catalog (multi-query radius search needs
-    /// k-nearest queries).
-    pub fn catalog_mut(&mut self) -> &mut CoordinateCatalog<HilbertCurve> {
+    /// The catalog this mapper answers from.
+    pub fn catalog(&self) -> &MapperCatalog {
+        &self.catalog
+    }
+
+    /// Mutable catalog access — where a read view's observed traffic is
+    /// charged back (`charge_stats`).
+    pub fn catalog_mut(&mut self) -> &mut MapperCatalog {
         &mut self.catalog
     }
 
     /// A read-only view for one circuit evaluation (see
     /// [`DhtMapperReadView::new`]).
-    pub fn read_view(&self, memo: bool) -> DhtMapperReadView<'_> {
-        DhtMapperReadView::new(&self.catalog, memo)
-    }
-
-    /// Applies a traffic delta observed by a read view.
-    pub fn charge_stats(&mut self, delta: CatalogStats) {
-        self.catalog.charge_stats(delta);
+    pub fn read_view(&self) -> DhtMapperReadView<'_> {
+        DhtMapperReadView::new(&self.catalog)
     }
 }
 
@@ -555,7 +559,7 @@ impl PhysicalMapper for RoutedMapper {
 /// relevance index.
 #[derive(Clone, Debug, Default)]
 pub struct ReadObservation {
-    /// Catalog traffic to charge via [`DhtMapper::charge_stats`].
+    /// Catalog traffic to charge via [`CoordinateCatalog::charge_stats`].
     pub stats: CatalogStats,
     /// Ring regions the lookups scanned (empty for oracle views).
     pub spans: Vec<sbon_dht::catalog::ScanSpan>,
@@ -567,33 +571,32 @@ pub struct ReadObservation {
 /// Read-only [`PhysicalMapper`] over a [`DhtMapper`]'s catalog, for one
 /// circuit evaluation. Lookups run through the traced catalog path: the
 /// answers are identical to the live mapper's, but statistics accumulate
-/// locally (fold them back with [`DhtMapper::charge_stats`]) and every
-/// scanned ring region is recorded, so the evaluation's full read set is
-/// known when it finishes.
+/// locally (fold them back with [`CoordinateCatalog::charge_stats`]) and
+/// every scanned ring region is recorded, so the evaluation's full read set
+/// is known when it finishes.
 ///
-/// The optional memo collapses repeated lookups of **bit-identical** ideal
+/// A per-view memo collapses repeated lookups of **bit-identical** ideal
 /// points (keyed on the exact `f64` bit patterns). The catalog never
 /// mutates during a view's lifetime, so a memo hit returns exactly what the
 /// lookup would have; it charges no new traffic and records no new span —
 /// the first miss already recorded the covering span.
 pub struct DhtMapperReadView<'a> {
-    catalog: &'a CoordinateCatalog<HilbertCurve>,
+    catalog: &'a MapperCatalog,
     stats: CatalogStats,
     spans: Vec<sbon_dht::catalog::ScanSpan>,
-    memo: Option<std::collections::BTreeMap<Vec<u64>, (NodeId, usize)>>,
+    memo: std::collections::BTreeMap<Vec<u64>, (NodeId, usize)>,
 }
 
 impl<'a> DhtMapperReadView<'a> {
     /// A view over `catalog` — the [`DhtMapper`]'s own, or the one a
     /// [`RoutedMapper`] wraps (`routed().catalog()`): a routed view answers
-    /// from the catalog alone and parks no outbox entry. `memo` enables the
-    /// per-view mapping memo.
-    pub fn new(catalog: &'a CoordinateCatalog<HilbertCurve>, memo: bool) -> Self {
+    /// from the catalog alone and parks no outbox entry.
+    pub fn new(catalog: &'a MapperCatalog) -> Self {
         DhtMapperReadView {
             catalog,
             stats: CatalogStats::default(),
             spans: Vec::new(),
-            memo: memo.then(std::collections::BTreeMap::new),
+            memo: std::collections::BTreeMap::new(),
         }
     }
 
@@ -606,12 +609,9 @@ impl<'a> DhtMapperReadView<'a> {
 impl PhysicalMapper for DhtMapperReadView<'_> {
     fn map_point(&mut self, space: &CostSpace, ideal: &CostPoint) -> (NodeId, usize) {
         let _ = space; // coordinates were registered at build/update time
-        let key: Option<Vec<u64>> =
-            self.memo.as_ref().map(|_| ideal.as_slice().iter().map(|v| v.to_bits()).collect());
-        if let (Some(memo), Some(key)) = (&self.memo, &key) {
-            if let Some(&(node, hops)) = memo.get(key) {
-                return (node, hops);
-            }
+        let key: Vec<u64> = ideal.as_slice().iter().map(|v| v.to_bits()).collect();
+        if let Some(&answer) = self.memo.get(&key) {
+            return answer;
         }
         let traced = self
             .catalog
@@ -620,9 +620,7 @@ impl PhysicalMapper for DhtMapperReadView<'_> {
         self.stats.merge(traced.stats);
         self.spans.push(traced.span);
         let answer = (NodeId(traced.member), traced.hops);
-        if let (Some(memo), Some(key)) = (&mut self.memo, key) {
-            memo.insert(key, answer);
-        }
+        self.memo.insert(key, answer);
         answer
     }
 
@@ -1049,7 +1047,7 @@ mod tests {
         let mut dht = DhtMapper::build(&space, 10, 8);
         let baseline = dht.stats();
 
-        let mut view = dht.read_view(false);
+        let mut view = dht.read_view();
         let viewed = view.map_point(&space, &ideal);
         let obs = view.into_observation();
         assert_eq!(dht.stats(), baseline, "view lookups charge nothing until folded back");
@@ -1059,7 +1057,7 @@ mod tests {
 
         let live = dht.map_point(&space, &ideal);
         assert_eq!(viewed, live, "read view answers exactly like the live mapper");
-        dht.charge_stats(obs.stats);
+        dht.catalog_mut().charge_stats(obs.stats);
         assert_eq!(dht.stats().lookups, baseline.lookups + 2);
     }
 
@@ -1070,20 +1068,16 @@ mod tests {
         let vp = RelaxationPlacer::default().place(&circuit, &space);
         let join = circuit.unpinned_services()[0];
         let ideal = space.ideal_point(vp.coord_of(join));
-        let dht = DhtMapper::build(&space, 10, 8);
+        let mut dht = DhtMapper::build(&space, 10, 8);
+        let live = dht.map_point(&space, &ideal);
 
-        let mut plain = dht.read_view(false);
-        let a = plain.map_point(&space, &ideal);
-        let b = plain.map_point(&space, &ideal);
-        assert_eq!(plain.into_observation().stats.lookups, 2);
-
-        let mut memoized = dht.read_view(true);
+        let mut memoized = dht.read_view();
         let c = memoized.map_point(&space, &ideal);
         let d = memoized.map_point(&space, &ideal);
         let obs = memoized.into_observation();
         assert_eq!(obs.stats.lookups, 1, "second identical lookup hits the memo");
         assert_eq!(obs.spans.len(), 1);
-        assert_eq!((a, b), (c, d), "memoized answers are identical");
+        assert_eq!((live, live), (c, d), "memoized answers are identical");
     }
 
     #[test]
@@ -1160,7 +1154,7 @@ mod tests {
     fn read_view_rejects_mutation() {
         let space = figure3_space();
         let dht = DhtMapper::build(&space, 10, 8);
-        let mut view = dht.read_view(false);
+        let mut view = dht.read_view();
         view.update_node(&space, NodeId(0));
     }
 
@@ -1245,7 +1239,7 @@ mod tests {
         let mut routed =
             RoutedMapper::build_with(&space, &DhtMapperConfig::default(), ProtoConfig::default());
         let live = routed.map_point(&space, &ideal);
-        let mut view = DhtMapperReadView::new(routed.routed().catalog(), false);
+        let mut view = DhtMapperReadView::new(routed.routed().catalog());
         assert_eq!(view.map_point(&space, &ideal), live);
         let obs = view.into_observation();
         assert_eq!(routed.pending_traffic(), 1, "a view parks nothing in the outbox");

@@ -87,20 +87,11 @@ impl Default for ReoptPolicy {
     }
 }
 
-/// Result of a local re-optimization pass.
-#[derive(Clone, Debug, Default)]
-pub struct LocalReoptOutcome {
-    /// Executed migrations, in application order.
-    pub migrations: Vec<Migration>,
-    /// Estimated network usage before the pass.
-    pub cost_before: f64,
-    /// Estimated network usage after the pass.
-    pub cost_after: f64,
-}
-
 /// Re-runs virtual placement + physical mapping for every unpinned service
 /// of a running circuit, migrating those whose move clears the policy
 /// threshold. This is the cheap, local adaptation path — no plan rewrite.
+/// Returns the executed migrations, in application order; `placement` ends
+/// where they lead.
 pub fn reoptimize_local(
     circuit: &Circuit,
     placement: &mut Placement,
@@ -108,11 +99,10 @@ pub fn reoptimize_local(
     placer: &dyn VirtualPlacer,
     mapper: &mut dyn PhysicalMapper,
     policy: ReoptPolicy,
-) -> LocalReoptOutcome {
+) -> Vec<Migration> {
     let estimate =
         |p: &Placement| circuit.cost_with(p, |a, b| space.vector_distance(a, b)).network_usage;
-    let cost_before = estimate(placement);
-    let mut outcome = LocalReoptOutcome { cost_before, ..Default::default() };
+    let mut migrations = Vec::new();
 
     let vp = placer.place(circuit, space);
     for s in circuit.services() {
@@ -130,26 +120,28 @@ pub fn reoptimize_local(
         placement.move_service(s.id, candidate);
         let after = estimate(placement);
         if after < before * (1.0 - policy.migration_threshold) {
-            outcome.migrations.push(Migration { service: s.id, from: current, to: candidate });
+            migrations.push(Migration { service: s.id, from: current, to: candidate });
         } else {
             placement.move_service(s.id, current); // revert
         }
     }
-    outcome.cost_after = estimate(placement);
-    outcome
+    migrations
 }
 
-/// Result of a local plan-rewrite pass.
+/// Result of a plan-replacing pass ([`reoptimize_rewrite`] or
+/// [`reoptimize_full`]).
 #[derive(Debug)]
-pub enum RewriteOutcome {
-    /// No one-step rewrite cleared the threshold.
+pub enum ReplaceOutcome {
+    /// No candidate cleared the threshold: the running circuit stays.
     Keep {
         /// Candidates the lower bound rejected unplaced.
         pruned: usize,
     },
-    /// A rewritten plan placed cheaper.
-    Rewrite {
-        /// The rewritten, re-placed circuit.
+    /// A cheaper circuit was found; deploy it in parallel, then cancel the
+    /// original ("a new parallel circuit is deployed, cancelling the
+    /// original less ideal circuit").
+    Replace {
+        /// The replacement circuit.
         replacement: Box<PlacedCircuit>,
         /// Estimated relative improvement in `[0, 1]`.
         improvement: f64,
@@ -176,35 +168,9 @@ pub fn reoptimize_rewrite(
     placer: &dyn VirtualPlacer,
     mapper: &mut dyn PhysicalMapper,
     policy: ReoptPolicy,
-) -> RewriteOutcome {
+) -> ReplaceOutcome {
     let plans = || sbon_query::rewrite::neighbors_within(running_plan, 2, 128);
-    match replacement_among(plans, running_cost_estimate, query, space, placer, mapper, policy) {
-        (Some((replacement, improvement)), pruned) => {
-            RewriteOutcome::Rewrite { replacement, improvement, pruned }
-        }
-        (None, pruned) => RewriteOutcome::Keep { pruned },
-    }
-}
-
-/// Result of a full re-optimization check.
-#[derive(Debug)]
-pub enum FullReoptOutcome {
-    /// The running circuit is still good enough.
-    Keep {
-        /// Candidates the lower bound rejected unplaced.
-        pruned: usize,
-    },
-    /// A cheaper circuit was found; deploy it in parallel, then cancel the
-    /// original ("a new parallel circuit is deployed, cancelling the
-    /// original less ideal circuit").
-    Replace {
-        /// The replacement circuit.
-        replacement: Box<PlacedCircuit>,
-        /// Estimated relative improvement in `[0, 1]`.
-        improvement: f64,
-        /// Candidates the lower bound rejected unplaced.
-        pruned: usize,
-    },
+    replacement_among(plans, running_cost_estimate, query, space, placer, mapper, policy)
 }
 
 /// Re-runs the full integrated optimization against (possibly updated)
@@ -221,15 +187,10 @@ pub fn reoptimize_full(
     mapper: &mut dyn PhysicalMapper,
     config: OptimizerConfig,
     policy: ReoptPolicy,
-) -> FullReoptOutcome {
+) -> ReplaceOutcome {
     let placer = config.placer.build();
     let plans = || IntegratedOptimizer::new(config).candidate_plans(query);
-    match replacement_among(plans, running_cost_estimate, query, space, &*placer, mapper, policy) {
-        (Some((replacement, improvement)), pruned) => {
-            FullReoptOutcome::Replace { replacement, improvement, pruned }
-        }
-        (None, pruned) => FullReoptOutcome::Keep { pruned },
-    }
+    replacement_among(plans, running_cost_estimate, query, space, &*placer, mapper, policy)
 }
 
 /// The decision both plan-replacing passes make: the cheapest of `plans` by
@@ -248,20 +209,25 @@ fn replacement_among(
     placer: &dyn VirtualPlacer,
     mapper: &mut dyn PhysicalMapper,
     policy: ReoptPolicy,
-) -> (Option<(Box<PlacedCircuit>, f64)>, usize) {
+) -> ReplaceOutcome {
     // A non-positive running estimate is an unconditional Keep — bail out
     // before paying for candidate enumeration whose answer is discarded.
     if running_cost_estimate <= 0.0 {
-        return (None, 0);
+        return ReplaceOutcome::Keep { pruned: 0 };
     }
     let ceiling =
         (1.0 - policy.replacement_threshold) * running_cost_estimate * (1.0 + BOUND_SLACK);
     let selection = select_cheapest(plans(), ceiling, query, space, placer, mapper);
-    let replacement = selection.best.and_then(|best| {
-        let improvement = 1.0 - best.estimated.network_usage / running_cost_estimate;
-        (improvement >= policy.replacement_threshold).then(|| (Box::new(best), improvement))
-    });
-    (replacement, selection.pruned)
+    let pruned = selection.pruned;
+    let improved = |best: PlacedCircuit| {
+        (1.0 - best.estimated.network_usage / running_cost_estimate, Box::new(best))
+    };
+    match selection.best.map(improved) {
+        Some((improvement, replacement)) if improvement >= policy.replacement_threshold => {
+            ReplaceOutcome::Replace { replacement, improvement, pruned }
+        }
+        _ => ReplaceOutcome::Keep { pruned },
+    }
 }
 
 #[cfg(test)]
@@ -303,7 +269,7 @@ mod tests {
         let mut placement = placed.placement.clone();
         let placer = RelaxationPlacer::default();
         let mut mapper = OracleMapper;
-        let outcome = reoptimize_local(
+        let migrations = reoptimize_local(
             &placed.circuit,
             &mut placement,
             &space,
@@ -313,7 +279,7 @@ mod tests {
             // move the full-space mapper proposes.
             ReoptPolicy { migration_threshold: -1.0, replacement_threshold: 0.1 },
         );
-        assert_eq!(outcome.migrations.len(), 1);
+        assert_eq!(migrations.len(), 1);
         assert_ne!(placement.node_of(join), host0, "service must flee the hot node");
     }
 
@@ -328,7 +294,7 @@ mod tests {
         let mut placement = placed.placement.clone();
         let placer = RelaxationPlacer::default();
         let mut mapper = OracleMapper;
-        let outcome = reoptimize_local(
+        let migrations = reoptimize_local(
             &placed.circuit,
             &mut placement,
             &space,
@@ -336,9 +302,8 @@ mod tests {
             &mut mapper,
             ReoptPolicy::default(),
         );
-        assert!(outcome.migrations.is_empty(), "{:?}", outcome.migrations);
+        assert!(migrations.is_empty(), "{migrations:?}");
         assert_eq!(placement, placed.placement);
-        assert!((outcome.cost_after - outcome.cost_before).abs() < 1e-12);
     }
 
     #[test]
@@ -360,7 +325,7 @@ mod tests {
 
         let placer = RelaxationPlacer::default();
         let mut mapper = OracleMapper;
-        let outcome = reoptimize_local(
+        let migrations = reoptimize_local(
             &placed.circuit,
             &mut placement,
             &space,
@@ -368,7 +333,7 @@ mod tests {
             &mut mapper,
             ReoptPolicy { migration_threshold: 0.9, replacement_threshold: 0.1 },
         );
-        assert!(outcome.migrations.is_empty(), "90% threshold must reject a one-hop gain");
+        assert!(migrations.is_empty(), "90% threshold must reject a one-hop gain");
         assert_eq!(placement.node_of(join), neighbour);
     }
 
@@ -391,10 +356,10 @@ mod tests {
             OptimizerConfig::default(),
             ReoptPolicy::default(),
         ) {
-            FullReoptOutcome::Replace { improvement, .. } => {
+            ReplaceOutcome::Replace { improvement, .. } => {
                 assert!(improvement > 0.8, "improvement {improvement}");
             }
-            FullReoptOutcome::Keep { .. } => panic!("must replace a 10× overpriced circuit"),
+            ReplaceOutcome::Keep { .. } => panic!("must replace a 10× overpriced circuit"),
         }
     }
 
@@ -440,11 +405,11 @@ mod tests {
             &mut mapper,
             ReoptPolicy { migration_threshold: 0.05, replacement_threshold: 0.05 },
         ) {
-            RewriteOutcome::Rewrite { replacement, improvement, .. } => {
+            ReplaceOutcome::Replace { replacement, improvement, .. } => {
                 assert!(improvement > 0.05, "improvement {improvement}");
                 assert_ne!(replacement.plan.shape_key(), bad_plan.shape_key());
             }
-            RewriteOutcome::Keep { .. } => panic!("a one-step reorder must beat the bad plan"),
+            ReplaceOutcome::Keep { .. } => panic!("a one-step reorder must beat the bad plan"),
         }
     }
 
@@ -468,8 +433,8 @@ mod tests {
             &mut mapper,
             ReoptPolicy::default(),
         ) {
-            RewriteOutcome::Keep { .. } => {}
-            RewriteOutcome::Rewrite { improvement, .. } => panic!(
+            ReplaceOutcome::Keep { .. } => {}
+            ReplaceOutcome::Replace { improvement, .. } => panic!(
                 "the integrated optimum must not be beaten by a local rewrite ({improvement})"
             ),
         }
@@ -512,8 +477,8 @@ mod tests {
                 OptimizerConfig::default(),
                 ReoptPolicy::default(),
             ) {
-                FullReoptOutcome::Keep { .. } => {}
-                FullReoptOutcome::Replace { .. } => {
+                ReplaceOutcome::Keep { .. } => {}
+                ReplaceOutcome::Replace { .. } => {
                     panic!("estimate {estimate} must be an unconditional Keep")
                 }
             }
@@ -537,8 +502,8 @@ mod tests {
             OptimizerConfig::default(),
             ReoptPolicy::default(),
         ) {
-            FullReoptOutcome::Keep { .. } => {}
-            FullReoptOutcome::Replace { improvement, .. } => {
+            ReplaceOutcome::Keep { .. } => {}
+            ReplaceOutcome::Replace { improvement, .. } => {
                 panic!("an optimal circuit must be kept, claimed improvement {improvement}")
             }
         }
@@ -594,7 +559,7 @@ mod tests {
             OptimizerConfig::default(),
             ReoptPolicy::default(),
         );
-        let FullReoptOutcome::Keep { pruned } = outcome else {
+        let ReplaceOutcome::Keep { pruned } = outcome else {
             panic!("the optimizer's own choice must be kept: {outcome:?}")
         };
         assert_eq!(mapper.calls, 3 * (15 - pruned), "three joins mapped per surviving candidate");
@@ -646,18 +611,18 @@ mod tests {
                         let full = match reoptimize_full(
                             estimate, &q, &space, new, config.clone(), policy,
                         ) {
-                            FullReoptOutcome::Replace { replacement, improvement, .. } => {
+                            ReplaceOutcome::Replace { replacement, improvement, .. } => {
                                 Some((selection_of(&replacement), improvement.to_bits()))
                             }
-                            FullReoptOutcome::Keep { .. } => None,
+                            ReplaceOutcome::Keep { .. } => None,
                         };
                         let rewrite = match reoptimize_rewrite(
                             &running.plan, estimate, &q, &space, placer.as_ref(), new, policy,
                         ) {
-                            RewriteOutcome::Rewrite { replacement, improvement, .. } => {
+                            ReplaceOutcome::Replace { replacement, improvement, .. } => {
                                 Some((selection_of(&replacement), improvement.to_bits()))
                             }
-                            RewriteOutcome::Keep { .. } => None,
+                            ReplaceOutcome::Keep { .. } => None,
                         };
                         let neighbourhood =
                             sbon_query::rewrite::neighbors_within(&running.plan, 2, 128);

@@ -32,7 +32,7 @@
 //!   stats-timing files ([`Policy::wall_clock_allowed`]). Why: simulation
 //!   results must be a function of `(topology, seed, config)` only;
 //!   wall-clock reads belong to *reporting* (tick timings in
-//!   `overlay/runtime.rs`, the bench harness), never to control flow.
+//!   `overlay/runtime/`, the bench harness), never to control flow.
 //!
 //! * **`ambient-rng`** — `thread_rng` / `from_entropy` / `RandomState`
 //!   anywhere, including imports. Why: all randomness is seed-threaded
@@ -402,7 +402,7 @@ impl PartialOrd for T {
         assert!(lint("examples/foo.rs", src).is_empty());
         // The runtime lost its blanket exemption when phase timing moved
         // onto `sbon_obs::WallTimer`; raw `Instant` there is a defect again.
-        assert!(!lint("crates/overlay/src/runtime.rs", src).is_empty());
+        assert!(!lint("crates/overlay/src/runtime/mod.rs", src).is_empty());
         assert!(!lint("crates/overlay/src/traffic.rs", src).is_empty());
     }
 

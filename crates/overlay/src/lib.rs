@@ -24,12 +24,15 @@
 //! Queries have a full **lifecycle**: `deploy` admits them mid-run through
 //! the long-lived mapper, `undeploy` tears them down and returns usage
 //! accounting to the pre-deploy baseline, and with
-//! [`runtime::RuntimeConfig::reuse`] enabled arrivals attach to running
-//! operator subtrees (refcounted, multi-query reuse §3.4) and departures
-//! release shared services only when the last subscriber leaves. The
-//! session API (`start_run` / `advance_ticks` / `finish_run`) lets external
-//! drivers — the `sbon_workload` scenario engine — interleave arrivals and
-//! departures with the simulation clock.
+//! [`runtime::RuntimeConfigBuilder::reuse`] enabled arrivals attach to
+//! running operator subtrees (refcounted, multi-query reuse §3.4) and
+//! departures release shared services only when the last subscriber leaves.
+//! The session API (`start_run` / `advance_ticks` / `finish_run`) lets
+//! external drivers — the `sbon_workload` scenario engine — interleave
+//! arrivals and departures with the simulation clock.
+//!
+//! The runtime is a module tree cut along the state it owns — see the
+//! module map at the top of [`runtime`].
 //!
 //! [`dataplane`] additionally simulates circuits at the level of individual
 //! tuples (Poisson producers, per-hop delays, probabilistic operator

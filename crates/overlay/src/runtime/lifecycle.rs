@@ -1,0 +1,334 @@
+//! Query lifecycle: per-circuit state, reuse-aware tenancy (subscription
+//! pins, retained shared subtrees) and the usage accounting that bills it.
+//!
+//! `impl OverlayRuntime` here **reads** `config.reuse`, `space`, `latency`,
+//! `pool`, `optimizer` and **writes** `circuits`, `retained`, `multiquery`,
+//! `mapper`, `relevance`, `next_handle`, `obs`.
+
+use sbon_core::circuit::{Circuit, Link, Placement, ServiceId};
+use sbon_core::costspace::CostSpace;
+use sbon_core::multiquery::{CircuitId, MultiQueryOptimizer};
+use sbon_core::optimizer::QuerySpec;
+use sbon_netsim::graph::NodeId;
+use sbon_netsim::sim::SimTime;
+
+use super::OverlayRuntime;
+
+/// Handle to a deployed circuit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct CircuitHandle(pub usize);
+
+/// Internal per-circuit state.
+pub(super) struct Deployed {
+    pub(super) handle: CircuitHandle,
+    pub(super) query: QuerySpec,
+    pub(super) running_plan: sbon_query::plan::LogicalPlan,
+    pub(super) circuit: Circuit,
+    pub(super) placement: Placement,
+    /// Registry id when the circuit was deployed through the multi-query
+    /// optimizer (reuse enabled).
+    pub(super) mq_id: Option<CircuitId>,
+    /// `shared[service]` — paid for by another circuit's instance; empty
+    /// when the circuit was deployed standalone. Usage accounting skips
+    /// links whose downstream endpoint is shared.
+    pub(super) shared: Vec<bool>,
+}
+
+impl Deployed {
+    /// The running circuit's network usage as the cost space estimates it —
+    /// what a plan-replacing pass must beat by the replacement threshold.
+    pub(super) fn running_est(&self, space: &CostSpace) -> f64 {
+        self.circuit.cost_with(&self.placement, |a, b| space.vector_distance(a, b)).network_usage
+    }
+
+    /// The links usage accounting bills to this circuit: all but those
+    /// whose downstream endpoint another circuit's instance pays for.
+    fn charged_links(&self) -> impl Iterator<Item = &Link> {
+        let links = self.circuit.links().iter();
+        links.filter(|l| !self.shared.get(l.to.index()).copied().unwrap_or(false))
+    }
+}
+
+/// A departed circuit's subtree kept alive because other circuits still
+/// subscribe to one of its operator instances. Its charged links keep
+/// accruing network usage until the last subscriber releases.
+pub(super) struct RetainedShared {
+    pub(super) owner: CircuitId,
+    pub(super) circuit: Circuit,
+    pub(super) placement: Placement,
+    /// The owner's own shared mask (links it never paid for stay unpaid).
+    pub(super) owner_shared: Vec<bool>,
+    /// Still-subscribed instance roots.
+    pub(super) roots: Vec<ServiceId>,
+    /// `charge[link]` — the link still carries data for a retained subtree
+    /// and is billed to this entry.
+    pub(super) charge: Vec<bool>,
+}
+
+impl RetainedShared {
+    /// The links still billed to this entry.
+    fn charged_links(&self) -> impl Iterator<Item = &Link> {
+        self.circuit.links().iter().zip(&self.charge).filter(|&(_, &c)| c).map(|(l, _)| l)
+    }
+}
+
+/// `mask[service]`: the service is one of `roots` or sits beneath one.
+pub(super) fn subtree_mask(circuit: &Circuit, roots: &[ServiceId]) -> Vec<bool> {
+    fn mark(circuit: &Circuit, sid: ServiceId, flags: &mut [bool]) {
+        for child in circuit.children(sid) {
+            flags[child.index()] = true;
+            mark(circuit, child, flags);
+        }
+    }
+    let mut in_subtree = vec![false; circuit.len()];
+    for &root in roots {
+        in_subtree[root.index()] = true;
+        mark(circuit, root, &mut in_subtree);
+    }
+    in_subtree
+}
+
+/// The upstream host of each of `links`, in order — the node whose
+/// shortest-path row a ground-truth latency read of that link is served from.
+fn link_sources<'a>(
+    placement: &'a Placement,
+    links: impl Iterator<Item = &'a Link> + 'a,
+) -> impl Iterator<Item = NodeId> + 'a {
+    links.map(|l| placement.node_of(l.from))
+}
+
+/// `charge[link]`: the link feeds a subtree rooted at one of `roots` and the
+/// owner actually paid for it (it is not inside a subtree the owner itself
+/// borrowed).
+fn charge_mask(circuit: &Circuit, roots: &[ServiceId], owner_shared: &[bool]) -> Vec<bool> {
+    let in_subtree = subtree_mask(circuit, roots);
+    circuit
+        .links()
+        .iter()
+        .map(|l| {
+            in_subtree[l.to.index()] && !owner_shared.get(l.to.index()).copied().unwrap_or(false)
+        })
+        .collect()
+}
+
+impl OverlayRuntime {
+    /// Applies cascaded drains reported by the registry: retained subtrees
+    /// whose last subscriber left stop accruing usage.
+    pub(super) fn apply_drains(&mut self, drained: &[(CircuitId, ServiceId)]) {
+        for &(owner, root) in drained {
+            let Some(pos) = self.retained.iter().position(|r| r.owner == owner) else {
+                continue;
+            };
+            let entry = &mut self.retained[pos];
+            entry.roots.retain(|&s| s != root);
+            if entry.roots.is_empty() {
+                self.retained.remove(pos);
+            } else {
+                entry.charge = charge_mask(&entry.circuit, &entry.roots, &entry.owner_shared);
+            }
+        }
+    }
+
+    /// Lifts the tenancy pin from instances whose last subscriber left
+    /// while their owner keeps running — they are migratable again.
+    pub(super) fn apply_idle(&mut self, idle: &[(CircuitId, ServiceId)]) {
+        for &(owner, service) in idle {
+            if let Some(d) = self.circuits.iter_mut().find(|d| d.mq_id == Some(owner)) {
+                d.circuit.unpin_service(service);
+                // The unpin changes what the passes may migrate/replace.
+                self.relevance.mark_dirty(d.handle.0 as u64);
+            }
+        }
+    }
+
+    /// Prewarms every row the next usage accounting pass will read: the
+    /// upstream endpoint of each charged link.
+    pub(super) fn prewarm_usage_rows(&self) {
+        if self.latency.lazy().is_none() {
+            return;
+        }
+        let mut sources: Vec<NodeId> = Vec::new();
+        for d in &self.circuits {
+            sources.extend(link_sources(&d.placement, d.charged_links()));
+        }
+        for r in &self.retained {
+            sources.extend(link_sources(&r.placement, r.charged_links()));
+        }
+        self.latency.prewarm_rows(&sources, self.pool.as_ref());
+    }
+
+    /// Current instantaneous network usage: every live circuit's *charged*
+    /// links (marginal links under reuse — links paid for by a reused
+    /// instance's owner are skipped) plus the links of retained shared
+    /// subtrees whose owners departed but whose subscribers remain.
+    pub fn instantaneous_usage(&self) -> f64 {
+        let latency = self.latency.provider();
+        let usage = |placement: &Placement, l: &Link| {
+            l.rate * latency.latency(placement.node_of(l.from), placement.node_of(l.to))
+        };
+        // Summed per circuit, then across circuits: the order is part of the
+        // bit-identical usage contract.
+        let live: f64 = self
+            .circuits
+            .iter()
+            .map(|d| d.charged_links().map(|l| usage(&d.placement, l)).sum::<f64>())
+            .sum();
+        let retained: f64 = self
+            .retained
+            .iter()
+            .map(|r| r.charged_links().map(|l| usage(&r.placement, l)).sum::<f64>())
+            .sum();
+        // `+ 0.0` normalizes the empty-sum identity `-0.0` to `+0.0` (and
+        // changes nothing else), so idle baselines print and compare as
+        // plain zero.
+        live + retained + 0.0
+    }
+
+    /// Optimizes and deploys a query; returns its handle. Candidate plans
+    /// are physically mapped through the runtime-owned mapper (routed DHT
+    /// lookups under the default backend). With reuse enabled
+    /// ([`RuntimeConfigBuilder::reuse`](super::RuntimeConfigBuilder::reuse))
+    /// the query may attach to running operator subtrees; each
+    /// attachment subscribes to (refcounts) the instance and pins it in its
+    /// owner's circuit so re-optimization stops migrating it.
+    pub fn deploy(&mut self, query: QuerySpec) -> Option<CircuitHandle> {
+        let sp = self.obs.span_start("deploy", Vec::new);
+        let deployed = self.deploy_inner(query);
+        match deployed {
+            Some(handle) => {
+                self.obs.span_end(sp, || vec![("handle", handle.0.into())]);
+                self.obs.flight("runtime", "deploy", || format!("handle {}", handle.0));
+            }
+            None => {
+                self.obs.span_end(sp, || vec![("failed", 1u64.into())]);
+                self.obs.flight_anomaly("runtime", "deploy_failed", || {
+                    "optimizer produced no deployable plan".to_string()
+                });
+            }
+        }
+        deployed
+    }
+
+    fn deploy_inner(&mut self, query: QuerySpec) -> Option<CircuitHandle> {
+        let (running_plan, circuit, placement, mq_id, shared, reused) = match &mut self.multiquery {
+            Some(mq) => {
+                let out = mq.optimize_and_deploy_with_mapper(
+                    &query,
+                    &self.space,
+                    self.latency.provider(),
+                    self.config.reuse,
+                    self.mapper.as_dyn_mut(),
+                )?;
+                self.obs
+                    .registry
+                    .gauge_add(self.obs.h.marginal_usage, out.marginal_cost.network_usage);
+                self.obs
+                    .registry
+                    .gauge_add(self.obs.h.standalone_usage, out.standalone_cost.network_usage);
+                if !out.reused.is_empty() {
+                    self.obs.registry.inc(self.obs.h.reuse_hits, 1);
+                }
+                self.obs.registry.inc(self.obs.h.reused_services, out.reused.len() as u64);
+                (out.plan, out.circuit, out.placement, Some(out.id), out.shared, out.reused)
+            }
+            None => {
+                // Select in the cost space, then measure the winner alone,
+                // its link-source rows faulted in as one batch in link order.
+                let placed = self.optimizer.optimize_with_mapper_estimated(
+                    &query,
+                    &self.space,
+                    self.mapper.as_dyn_mut(),
+                )?;
+                let sources: Vec<NodeId> =
+                    link_sources(&placed.placement, placed.circuit.links().iter()).collect();
+                self.latency.prewarm_rows(&sources, self.pool.as_ref());
+                let placed = placed.measured(self.latency.provider());
+                self.obs.registry.gauge_add(self.obs.h.marginal_usage, placed.cost.network_usage);
+                self.obs.registry.gauge_add(self.obs.h.standalone_usage, placed.cost.network_usage);
+                (placed.plan, placed.circuit, placed.placement, None, Vec::new(), Vec::new())
+            }
+        };
+        // Tenancy pin: a subscribed instance is load-bearing for its new
+        // tenant, so its owner must stop migrating it.
+        for inst in &reused {
+            if let Some(owner) = self.circuits.iter_mut().find(|d| d.mq_id == Some(inst.circuit)) {
+                owner.circuit.pin_service(inst.service, inst.node);
+                // The pin changes the owner's adaptation surface.
+                self.relevance.mark_dirty(owner.handle.0 as u64);
+            }
+        }
+        let handle = CircuitHandle(self.next_handle);
+        self.next_handle += 1;
+        self.obs.registry.inc(self.obs.h.arrivals, 1);
+        self.circuits.push(Deployed {
+            handle,
+            query,
+            running_plan,
+            circuit,
+            placement,
+            mq_id,
+            shared,
+        });
+        // Routed backend: the deployment's mapping lookups are parked in
+        // the mapper's outbox — replay them as message traffic now (the
+        // routed clock carries the time forward between run ticks).
+        self.mapper.settle(SimTime::ZERO, self.latency.provider(), &mut self.obs);
+        Some(handle)
+    }
+
+    /// Tears a circuit down — the inverse of [`OverlayRuntime::deploy`].
+    /// Its traffic is discharged from usage accounting immediately; under
+    /// reuse, shared services it owns are **retained** while subscribers
+    /// remain and released only when their refcount drains to zero.
+    /// Returns `false` for unknown (or already failed / undeployed)
+    /// handles.
+    pub fn undeploy(&mut self, handle: CircuitHandle) -> bool {
+        let Some(idx) = self.circuits.iter().position(|d| d.handle == handle) else {
+            return false;
+        };
+        let d = self.circuits.remove(idx);
+        self.obs.registry.inc(self.obs.h.departures, 1);
+        self.obs.point("undeploy", || vec![("handle", handle.0.into())]);
+        self.relevance.remove(d.handle.0 as u64);
+        if let (Some(mq), Some(mq_id)) = (&mut self.multiquery, d.mq_id) {
+            if let Some(rep) = mq.release(mq_id) {
+                if !rep.retained.is_empty() {
+                    let charge = charge_mask(&d.circuit, &rep.retained, &d.shared);
+                    self.retained.push(RetainedShared {
+                        owner: mq_id,
+                        circuit: d.circuit,
+                        placement: d.placement,
+                        owner_shared: d.shared,
+                        roots: rep.retained,
+                        charge,
+                    });
+                }
+                self.apply_drains(&rep.drained);
+                self.apply_idle(&rep.idle);
+            }
+        }
+        true
+    }
+
+    /// Queries currently running (the active-query gauge; retained shared
+    /// subtrees of departed queries are not counted).
+    pub fn active_queries(&self) -> usize {
+        self.circuits.len()
+    }
+
+    /// Departed circuits' shared subtrees still running for subscribers.
+    pub fn retained_shared_subtrees(&self) -> usize {
+        self.retained.len()
+    }
+
+    /// The reuse registry, when reuse is enabled — for inspecting refcounts
+    /// and instance counts.
+    pub fn multiquery(&self) -> Option<&MultiQueryOptimizer> {
+        self.multiquery.as_ref()
+    }
+
+    /// The current placement of a circuit. `None` after the circuit failed.
+    pub fn placement(&self, handle: CircuitHandle) -> Option<&Placement> {
+        self.circuits.iter().find(|d| d.handle == handle).map(|d| &d.placement)
+    }
+}

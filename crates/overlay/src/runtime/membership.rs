@@ -1,0 +1,215 @@
+//! Membership: which nodes are in the overlay, and keeping the control
+//! plane's view of them current. Wave bring-up (arrival order and the
+//! embedding, landmark mode included) runs once inside
+//! [`OverlayRuntime::new`]; join admission and churn refresh are the first
+//! two steps of every tick.
+//!
+//! `impl OverlayRuntime` here **reads** `config.{deployment, churn}`, `seed`,
+//! `placer`, `latency`, `alive` and **writes** `arrived`, `pending_joins`,
+//! `attrs`, `rng`, `space`, `mapper`, `relevance`, `obs`.
+
+use std::collections::VecDeque;
+
+use rand::seq::SliceRandom;
+
+use sbon_coords::vivaldi::{LandmarkPlacer, VivaldiEmbedding, VivaldiNode};
+use sbon_core::costspace::CostSpace;
+use sbon_core::placement::MapperDelta;
+use sbon_netsim::graph::NodeId;
+use sbon_netsim::rng::derive_rng;
+use sbon_obs::WallTimer;
+
+use super::config::{DeploymentModel, RuntimeConfig};
+use super::latency::LatencyState;
+use super::OverlayRuntime;
+
+/// RNG stream salt for per-node join-time Vivaldi placement; the high bits
+/// keep `salt ^ node` disjoint from every other derivation stream.
+const PLACE_STREAM: u64 = 0x517e_9a4e << 32;
+
+/// Membership bring-up: everyone at once, or an initial subset with the
+/// rest queued behind a deterministic shuffled arrival order. Returns the
+/// `arrived` flags and the pending queue.
+pub(super) fn arrival_order(
+    deployment: DeploymentModel,
+    n: usize,
+    seed: u64,
+) -> (Vec<bool>, VecDeque<NodeId>) {
+    match deployment {
+        DeploymentModel::Full => (vec![true; n], VecDeque::new()),
+        DeploymentModel::Wave { initial, .. } => {
+            let initial = initial.clamp(1, n);
+            let mut order: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+            order.shuffle(&mut derive_rng(seed, 0x77a1_e5e7));
+            let mut arrived = vec![false; n];
+            for node in &order[..initial] {
+                arrived[node.index()] = true;
+            }
+            (arrived, order[initial..].iter().copied().collect())
+        }
+    }
+}
+
+/// Embedding bring-up. A deployment wave with landmark mode active never
+/// embeds all n coordinates up front: the landmark half of the protocol
+/// runs once, the initial members are placed against the frozen landmarks,
+/// and everyone else is placed the tick they join (the returned placer).
+/// Each node's placement uses its own derived RNG stream, so *when* a node
+/// joins does not change *where* it lands.
+pub(super) fn embed(
+    config: &RuntimeConfig,
+    seed: u64,
+    latency: &LatencyState,
+    pool: Option<&rayon::ThreadPool>,
+    arrived: &[bool],
+) -> (VivaldiEmbedding, Option<LandmarkPlacer>) {
+    let n = arrived.len();
+    let landmark_draw = match config.deployment {
+        DeploymentModel::Wave { .. } => config.vivaldi.landmark_ids(n, seed),
+        DeploymentModel::Full => None,
+    };
+    let Some(landmark_ids) = landmark_draw else {
+        let embedding = config.vivaldi.embed(&latency.provider(), seed);
+        if let Some(lazy) = latency.lazy() {
+            // The embedding touched every row once; the steady state only
+            // reads rows of circuit hosts, so free the warm-up cache.
+            lazy.evict_all();
+        }
+        return (embedding, None);
+    };
+    // The landmark rows are the only latency sources the protocol and every
+    // placement read; compute them in parallel up front and keep them
+    // resident.
+    let sources: Vec<NodeId> = landmark_ids.iter().map(|&i| NodeId(i as u32)).collect();
+    latency.prewarm_rows(&sources, pool);
+    let placer = config.vivaldi.embed_landmarks_only(&latency.provider(), seed);
+    // Unarrived non-landmark nodes sit at the origin until they join; they
+    // are unmapped until then, so the placeholder is never served.
+    let mut embedding = VivaldiEmbedding {
+        coords: vec![vec![0.0; config.vivaldi.dims]; n],
+        heights: vec![0.0; n],
+        errors: vec![1.0; n],
+    };
+    let mut place = |node: usize, state: &VivaldiNode| {
+        embedding.coords[node].copy_from_slice(&state.coord);
+        embedding.heights[node] = state.height;
+        embedding.errors[node] = state.error;
+    };
+    let mut is_landmark = vec![false; n];
+    for (idx, &lm) in placer.landmark_ids().iter().enumerate() {
+        place(lm, placer.landmark_state(idx));
+        is_landmark[lm] = true;
+    }
+    for node in (0..n).filter(|&node| arrived[node] && !is_landmark[node]) {
+        let mut rng = derive_rng(seed, PLACE_STREAM ^ node as u64);
+        place(node, &placer.place(&latency.provider(), NodeId(node as u32), &mut rng));
+    }
+    (embedding, Some(placer))
+}
+
+impl OverlayRuntime {
+    /// The cost space (for inspection).
+    pub fn space(&self) -> &CostSpace {
+        &self.space
+    }
+
+    /// Whether a node is alive.
+    pub fn is_alive(&self, node: NodeId) -> bool {
+        self.alive[node.index()]
+    }
+
+    /// Whether a node has arrived (always true under
+    /// [`DeploymentModel::Full`]).
+    pub fn is_arrived(&self, node: NodeId) -> bool {
+        self.arrived[node.index()]
+    }
+
+    /// Number of nodes that have arrived so far.
+    pub fn arrived_count(&self) -> usize {
+        self.arrived.iter().filter(|&&a| a).count()
+    }
+
+    /// Deployment wave: admits this tick's arrivals — before churn, so a
+    /// node can report load the tick it joins. Each arrival is one O(log n)
+    /// mapper registration (`add_node`), preceded — under landmark mode —
+    /// by a join-time Vivaldi placement against the frozen landmarks that
+    /// gives the node its vector coordinate the moment it becomes mappable.
+    pub(super) fn admit_joins(&mut self) {
+        let DeploymentModel::Wave { joins_per_tick, .. } = self.config.deployment else { return };
+        let t_join = WallTimer::start();
+        let mut joined = 0;
+        while joined < joins_per_tick {
+            let Some(node) = self.pending_joins.pop_front() else { break };
+            if !self.alive[node.index()] {
+                continue; // failed before arrival: never joins
+            }
+            self.arrived[node.index()] = true;
+            if let Some(placer) = &self.placer {
+                // Landmarks froze their coordinates at construction;
+                // everyone else is placed on arrival with a per-node RNG
+                // stream, so join order and batching cannot move the
+                // landing spot.
+                if !placer.landmark_ids().contains(&node.index()) {
+                    let mut rng = derive_rng(self.seed, PLACE_STREAM ^ node.index() as u64);
+                    let state = placer.place(&self.latency.provider(), node, &mut rng);
+                    self.space.set_vector_coord(node, &state.coord);
+                }
+            }
+            // The arrival's catalog registration can change lookups whose
+            // scanned region covers its key: invalidate exactly those clean
+            // records (everything, under the oracle scan).
+            let delta = self.mapper.as_dyn_mut().add_node(&self.space, node);
+            debug_assert!(
+                !matches!(delta, MapperDelta::Keys { old: Some(_), .. }),
+                "a joining node cannot be registered yet"
+            );
+            self.relevance.touch_mapper(delta);
+            joined += 1;
+        }
+        self.obs.registry.inc(self.obs.h.nodes_joined, joined as u64);
+        self.obs.registry.inc(self.obs.h.join_ns, t_join.elapsed_ns());
+        if joined > 0 {
+            self.obs.point("join.admit", || vec![("joined", joined.into())]);
+        }
+    }
+
+    /// One tick of load churn and the control plane's reaction to it.
+    /// Cost-point maintenance is delta-driven: only the nodes the churn
+    /// touched are recomputed, and only the points that actually changed
+    /// are re-registered with the mapper — work proportional to the churned
+    /// set, not the overlay.
+    pub(super) fn refresh_churn(&mut self) {
+        let dirty = self.config.churn.tick_dirty(&mut self.attrs, &mut self.rng);
+        // Timing starts after the churn simulation itself: refresh_ns bills
+        // only the control plane's reaction (point refresh + mapper sync).
+        let t0 = WallTimer::start();
+        self.obs.registry.inc(self.obs.h.ticks, 1);
+        self.obs.registry.inc(self.obs.h.dirty_nodes, dirty.len() as u64);
+        self.obs.registry.observe(self.obs.h.dirty_per_tick, dirty.len() as f64);
+        let (mut refreshed, mut updated) = (0usize, 0u64);
+        for node in dirty {
+            // Dead nodes must not be re-registered with the mapper — their
+            // catalog entry was removed on failure — and nodes still waiting
+            // in the deployment wave are not registered yet.
+            if !(self.alive[node.index()] && self.arrived[node.index()]) {
+                continue;
+            }
+            refreshed += 1;
+            if self.space.update_scalars(node, &self.attrs) {
+                // Relevance invalidation rides the mapper sync: the moved
+                // registration stabs clean records whose scanned ring
+                // region covers either key, and the changed cost point
+                // stabs every record that read this host's estimate.
+                let delta = self.mapper.as_dyn_mut().update_node(&self.space, node);
+                self.relevance.touch_mapper(delta);
+                self.relevance.touch_host(node);
+                updated += 1;
+            }
+        }
+        self.obs.registry.inc(self.obs.h.points_updated, updated);
+        self.obs.registry.inc(self.obs.h.refresh_ns, t0.elapsed_ns());
+        self.obs.point("churn.refresh", || {
+            vec![("dirty", refreshed.into()), ("updated", updated.into())]
+        });
+    }
+}

@@ -1,0 +1,247 @@
+//! Re-optimization: the one pass driver all three kinds share — dirty
+//! filter, read-only parallel evaluation, serial commit.
+//!
+//! `impl OverlayRuntime` here **reads** `config.{policy, *_interval_ms,
+//! *_penalty}`, `space`, `pool` and **writes** `circuits`, `mapper` (traffic
+//! charge-back), `multiquery`, `relevance`, `obs`, plus the session's
+//! report and queue.
+
+use rayon::prelude::*;
+
+use sbon_core::circuit::{Circuit, Placement};
+use sbon_core::multiquery::MultiQueryOptimizer;
+use sbon_core::optimizer::{OptimizerConfig, PlacedCircuit};
+use sbon_core::placement::{ReadObservation, RelaxationPlacer};
+use sbon_core::reopt::relevance::{ReadSet, ReoptKind};
+use sbon_core::reopt::{
+    reoptimize_full, reoptimize_local, reoptimize_rewrite, Migration, ReplaceOutcome,
+};
+use sbon_netsim::graph::NodeId;
+use sbon_netsim::sim::SimTime;
+use sbon_obs::WallTimer;
+
+use super::lifecycle::Deployed;
+use super::{Event, OverlayRuntime, RunSession};
+
+/// What one read-only circuit evaluation asks the serial commit to do.
+enum Verdict {
+    /// A no-op: the circuit stays as it is (and may be recorded clean).
+    Keep,
+    /// Local pass: adopt the placement these migrations lead to.
+    Migrate(Placement, Vec<Migration>),
+    /// Rewrite / full pass: swap in the replacement circuit.
+    Replace(Box<PlacedCircuit>),
+}
+
+impl Verdict {
+    /// The verdict of a plan-replacing pass, with the candidates it pruned.
+    fn of_replacing(outcome: ReplaceOutcome) -> (Verdict, usize) {
+        match outcome {
+            ReplaceOutcome::Replace { replacement, pruned, .. } => {
+                (Verdict::Replace(replacement), pruned)
+            }
+            ReplaceOutcome::Keep { pruned } => (Verdict::Keep, pruned),
+        }
+    }
+}
+
+/// Runs `f` over `indices` on the pool when one is active (and there is
+/// enough work to shard), serially otherwise. Results come back in input
+/// order either way, and `f` is pure per index, so thread count never
+/// changes what the caller commits.
+fn run_parallel<T: Send>(
+    pool: &Option<rayon::ThreadPool>,
+    indices: &[usize],
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    match pool {
+        Some(pool) if indices.len() > 1 => {
+            pool.install(|| indices.par_iter().map(|&i| f(i)).collect())
+        }
+        _ => indices.iter().map(|&i| f(i)).collect(),
+    }
+}
+
+/// The host set an evaluation's cost estimates read: every placement node
+/// of the circuit, deduplicated. Cost-point changes at any of them can
+/// change the estimate (and with it the pass's decision).
+fn circuit_hosts(circuit: &Circuit, placement: &Placement) -> Vec<NodeId> {
+    let mut hosts: Vec<NodeId> =
+        circuit.services().iter().map(|s| placement.node_of(s.id)).collect();
+    hosts.sort_unstable();
+    hosts.dedup();
+    hosts
+}
+
+impl OverlayRuntime {
+    /// Whether a circuit is tenancy-entangled: it borrows shared subtrees
+    /// from others, or others subscribe to one of its instances. Entangled
+    /// circuits must not have their plan replaced (the swap would strand
+    /// tenants); untenanted ones may, with a registry re-registration.
+    fn is_entangled(multiquery: &Option<MultiQueryOptimizer>, d: &Deployed) -> bool {
+        let Some(mq) = multiquery else { return false };
+        let Some(id) = d.mq_id else { return false };
+        d.shared.iter().any(|&s| s)
+            || d.circuit.services().iter().any(|s| mq.refcount(id, s.id) > 0)
+    }
+
+    /// Serial pre-filter of one adaptation pass: the indices of circuits
+    /// the pass must evaluate. `skip_entangled` applies the tenancy rule of
+    /// the plan-replacing passes; the dirty filter drops circuits whose
+    /// re-opt inputs are unchanged since their last no-op `kind`
+    /// evaluation. Entangled circuits count toward neither evaluated nor
+    /// skipped — they were never candidates.
+    fn dirty_circuits(&mut self, kind: ReoptKind, skip_entangled: bool) -> Vec<usize> {
+        let mut eval = Vec::new();
+        let mut skipped = 0u64;
+        for (i, d) in self.circuits.iter().enumerate() {
+            if skip_entangled && Self::is_entangled(&self.multiquery, d) {
+                continue;
+            }
+            if !self.relevance.is_dirty(kind, d.handle.0 as u64) {
+                skipped += 1;
+                continue;
+            }
+            eval.push(i);
+        }
+        self.obs.registry.inc(self.obs.h.reopt_skipped, skipped);
+        self.obs.registry.inc(self.obs.h.reopt_evaluated, eval.len() as u64);
+        eval
+    }
+
+    /// The evaluate-everything reference of the incremental ≡ full-scan
+    /// contract: with every clean record forgotten, the next pass of each
+    /// kind evaluates every circuit.
+    #[cfg(test)]
+    pub(super) fn forget_clean_records(&mut self) {
+        self.relevance.touch_all();
+    }
+
+    /// One adaptation pass — the skeleton all three kinds share.
+    /// Tenancy-entangled circuits are left out of the plan-replacing kinds
+    /// (a plan swap under live subscriptions would strand tenants), and
+    /// clean circuits are skipped by the dirty filter: they would reproduce
+    /// their last no-op evaluation exactly. The rest are evaluated
+    /// **read-only** — each with a fresh mapper view and nothing shared
+    /// mutating, so the evaluations are independent and shard across the
+    /// pool — and then committed serially in circuit order: deferred catalog
+    /// traffic, the mutation (keeping the reuse-discovery index truthful
+    /// about hosts and registrations), and the relevance verdict — dirty on
+    /// change, else a clean record with the evaluation's observed read set.
+    pub(super) fn reopt_pass(&mut self, s: &mut RunSession, now: SimTime, kind: ReoptKind) {
+        let (c, h) = (&self.config, &self.obs.h);
+        let (span, wall_ns, interval, migrates) = match kind {
+            ReoptKind::Local => ("reopt.local", h.local_reopt_ns, c.reopt_interval_ms, true),
+            ReoptKind::Rewrite => ("reopt.rewrite", h.rewrite_ns, c.rewrite_interval_ms, false),
+            ReoptKind::Full => ("reopt.full", h.full_reopt_ns, c.full_reopt_interval_ms, false),
+        };
+        let (changes, penalty) = if migrates {
+            ("migrations", c.migration_penalty)
+        } else {
+            ("swaps", c.replacement_penalty)
+        };
+        let t0 = WallTimer::start();
+        let sp = self.obs.span_start(span, Vec::new);
+        let eval_idx = self.dirty_circuits(kind, !migrates);
+        let results: Vec<(Verdict, usize, ReadObservation)> = {
+            let (circuits, space, mapper) = (&self.circuits, &self.space, &self.mapper);
+            let (placer, policy) = (RelaxationPlacer::default(), self.config.policy);
+            run_parallel(&self.pool, &eval_idx, |i| {
+                let d = &circuits[i];
+                let mut view = mapper.read_view();
+                let (verdict, pruned) = match kind {
+                    ReoptKind::Local => {
+                        let mut to = d.placement.clone();
+                        let moved = reoptimize_local(
+                            &d.circuit, &mut to, space, &placer, &mut view, policy,
+                        );
+                        if moved.is_empty() {
+                            (Verdict::Keep, 0)
+                        } else {
+                            (Verdict::Migrate(to, moved), 0)
+                        }
+                    }
+                    ReoptKind::Rewrite => Verdict::of_replacing(reoptimize_rewrite(
+                        &d.running_plan,
+                        d.running_est(space),
+                        &d.query,
+                        space,
+                        &placer,
+                        &mut view,
+                        policy,
+                    )),
+                    ReoptKind::Full => Verdict::of_replacing(reoptimize_full(
+                        d.running_est(space),
+                        &d.query,
+                        space,
+                        &mut view,
+                        OptimizerConfig::default(),
+                        policy,
+                    )),
+                };
+                (verdict, pruned, view.into_observation())
+            })
+        };
+        let (mut changed, mut pruned) = (0, 0);
+        for (&i, (verdict, spared, obs)) in eval_idx.iter().zip(results) {
+            pruned += spared;
+            self.mapper.charge_observed(&obs);
+            let d = &mut self.circuits[i];
+            let handle = d.handle.0 as u64;
+            let registry = self.multiquery.as_mut().zip(d.mq_id);
+            match verdict {
+                Verdict::Keep => {
+                    let hosts = circuit_hosts(&d.circuit, &d.placement);
+                    self.relevance.record_clean(
+                        kind,
+                        handle,
+                        ReadSet { spans: obs.spans, hosts, whole_space: obs.whole_space },
+                    );
+                    continue;
+                }
+                Verdict::Migrate(placement, migrations) => {
+                    d.placement = placement;
+                    if let Some((mq, id)) = registry {
+                        for m in &migrations {
+                            mq.relocate(id, m.service, m.to, &self.space);
+                        }
+                    }
+                    changed += migrations.len();
+                }
+                Verdict::Replace(replacement) => {
+                    if kind == ReoptKind::Rewrite {
+                        d.running_plan = replacement.plan;
+                    }
+                    d.circuit = replacement.circuit;
+                    d.placement = replacement.placement;
+                    d.shared = Vec::new();
+                    // The swap invalidates the old registration; the
+                    // replacement's operators take its place.
+                    if let Some((mq, id)) = registry {
+                        mq.reregister(id, &d.circuit, &d.placement, &self.space);
+                    }
+                    changed += 1;
+                }
+            }
+            self.relevance.mark_dirty(handle);
+        }
+        self.obs.registry.inc(wall_ns, t0.elapsed_ns());
+        self.obs.registry.inc(self.obs.h.candidates_pruned, pruned as u64);
+        let evaluated = eval_idx.len();
+        self.obs.span_end(sp, || {
+            let mut fields = vec![("evaluated", evaluated.into()), (changes, changed.into())];
+            if !migrates {
+                fields.push(("pruned", pruned.into()));
+            }
+            fields
+        });
+        let tally = if migrates { &mut s.report.migrations } else { &mut s.report.replacements };
+        *tally += changed;
+        s.report.adaptation_cost += changed as f64 * penalty;
+        if let Some(interval) = interval {
+            if now.after(interval) <= s.horizon {
+                s.queue.schedule(now.after(interval), Event::Reopt(kind));
+            }
+        }
+    }
+}

@@ -15,6 +15,7 @@
 //! row cache's counters, with a query deployed mid-run.
 
 use proptest::prelude::*;
+use sbon_coords::vivaldi::VivaldiConfig;
 use sbon_core::multiquery::ReuseScope;
 use sbon_core::optimizer::QuerySpec;
 use sbon_dht::ProtoConfig;
@@ -23,8 +24,10 @@ use sbon_netsim::lazy::LazyLatencyStats;
 use sbon_netsim::load::ChurnProcess;
 use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
 use sbon_netsim::topology::Topology;
-use sbon_overlay::{
-    JitterModel, LatencyBackend, MapperBackend, OverlayRuntime, RunReport, RuntimeConfig,
+
+use crate::{
+    DeploymentModel, JitterModel, LatencyBackend, MapperBackend, OverlayRuntime, RunReport,
+    RuntimeConfig,
 };
 
 /// One randomly drawn run scenario. Everything that shapes the simulation is
@@ -39,12 +42,15 @@ struct Scenario {
     jitter: bool,
     failure: bool,
     reuse: bool,
-    /// `RuntimeConfig::lazy_row_cache` (FIFO bound on resident rows).
+    /// Deployment wave (about half the nodes initially, an eighth more per
+    /// tick) with landmark Vivaldi and join-time placement.
+    wave: bool,
+    /// `RuntimeConfigBuilder::lazy_row_cache` (FIFO bound on resident rows).
     row_cache: Option<usize>,
 }
 
 impl Scenario {
-    /// Decodes a strategy draw: `flags` carries the four booleans as bits so
+    /// Decodes a strategy draw: `flags` carries the five booleans as bits so
     /// the whole scenario fits the shim's tuple-strategy arity.
     fn decode(seed: u64, nodes: usize, backend: u8, flags: u8) -> Scenario {
         Scenario {
@@ -55,6 +61,7 @@ impl Scenario {
             jitter: flags & 2 != 0,
             failure: flags & 4 != 0,
             reuse: flags & 8 != 0,
+            wave: flags & 16 != 0,
             row_cache: None,
         }
     }
@@ -71,12 +78,15 @@ fn star(hosts: &[NodeId], base: usize, rate: f64) -> QuerySpec {
     QuerySpec::join_star(&[pick(0), pick(1), pick(2), pick(3)], pick(4), rate, 0.02)
 }
 
-/// Runs the drawn scenario once. `incremental` toggles relevance-index
-/// skipping; `threads` sets the worker pool for the parallel phases. All
-/// three re-optimization pass kinds fire within the 8-tick horizon
-/// (intervals 2 s / 3 s / 4 s), a third query is deployed after tick 3, and
-/// the optional failure lands between the first and second local pass.
-/// Returns the report and, on the lazy backend, the row cache's counters.
+/// Runs the drawn scenario once. `incremental = false` is the
+/// evaluate-everything reference: it forgets every clean record after each
+/// deploy and each tick, and since a tick always separates consecutive
+/// same-kind passes (cadences 2 s / 3 s / 4 s at a 1 s tick) every pass then
+/// evaluates every circuit. `threads` sets the worker pool for the parallel
+/// phases. All three re-optimization pass kinds fire within the 8-tick
+/// horizon, a third query is deployed after tick 3, and the optional failure
+/// lands between the first and second local pass. Returns the report and, on
+/// the lazy backend, the row cache's counters.
 fn run_once(
     s: &Scenario,
     topo: &Topology,
@@ -109,7 +119,7 @@ fn run_once(
     });
     let reuse = if s.reuse { ReuseScope::All } else { ReuseScope::None };
 
-    let config = RuntimeConfig::builder()
+    let mut config = RuntimeConfig::builder()
         .horizon_ms(8_000.0)
         .reopt_interval_ms(2_000.0)
         .rewrite_interval_ms(3_000.0)
@@ -120,23 +130,42 @@ fn run_once(
         .lazy_row_cache(s.row_cache)
         .mapper_backend(mapper)
         .reuse(reuse)
-        .threads(threads)
-        .incremental_reopt(incremental)
-        .build();
+        .threads(threads);
+    if s.wave {
+        let n = topo.num_nodes();
+        config = config
+            .deployment(DeploymentModel::Wave { initial: n / 2, joins_per_tick: n / 8 })
+            .vivaldi(VivaldiConfig { landmarks: Some(8), ..Default::default() });
+    }
 
-    let mut rt = OverlayRuntime::new(topo, s.seed, config);
-    let hosts = topo.host_candidates();
+    let mut rt = OverlayRuntime::new(topo, s.seed, config.build());
+    let reference = |rt: &mut OverlayRuntime| {
+        if !incremental {
+            rt.forget_clean_records();
+        }
+    };
+    // Queries are pinned on hosts present from tick 0 (all of them, unless
+    // the scenario is a wave).
+    let hosts: Vec<NodeId> =
+        topo.host_candidates().into_iter().filter(|&h| rt.is_arrived(h)).collect();
     rt.deploy(star(&hosts, 0, 10.0)).expect("first query must deploy");
     rt.deploy(star(&hosts, 3, 6.0)).expect("second query must deploy");
+    reference(&mut rt);
     if s.failure {
         // Kill a producer host of the first query mid-run: evacuation (or
         // teardown, if it strands the circuit) must stay equivalent too.
         rt.schedule_failure(3_500.0, hosts[7 % hosts.len()]);
     }
     let mut session = rt.start_run();
-    rt.advance_ticks(&mut session, 3);
-    rt.deploy(star(&hosts, 5, 8.0)).expect("mid-run query must deploy");
-    rt.advance_ticks(&mut session, usize::MAX);
+    let mut more = true;
+    while more {
+        if session.ticks_done() == 3 {
+            rt.deploy(star(&hosts, 5, 8.0)).expect("mid-run query must deploy");
+            reference(&mut rt);
+        }
+        more = rt.advance_ticks(&mut session, 1);
+        reference(&mut rt);
+    }
     (rt.finish_run(session), rt.lazy_latency_stats())
 }
 
@@ -150,7 +179,7 @@ proptest! {
     /// produces the bit-identical `RunReport` to evaluating everything.
     #[test]
     fn incremental_reopt_equals_full_scan(
-        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..16)
+        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..32)
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);
@@ -192,6 +221,7 @@ fn parallel_equals_serial_with_a_bounded_row_cache() {
             jitter: true,
             failure: false,
             reuse,
+            wave: false,
             row_cache: Some(4),
         };
         let topo = topology(&s);

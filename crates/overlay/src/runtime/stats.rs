@@ -1,0 +1,412 @@
+//! Control-plane and lifecycle accounting: the public stats structs, the
+//! registry handles behind them, [`RuntimeObs`] — the runtime's whole
+//! observability state, no method of which takes [`OverlayRuntime`] — and
+//! the stats views.
+//!
+//! `impl OverlayRuntime` here **reads** `obs`, `mapper` (routed traffic) and
+//! **writes** `obs.tracer` (`finish_trace` only).
+
+use sbon_obs::{
+    CounterId, FieldValue, FlightRecorder, GaugeId, HistId, Histogram, HistogramSnapshot,
+    JsonlSink, MetricsRegistry, MetricsSnapshot, NullSink, ObsConfig, SinkSpec, SpanId, TraceSink,
+    Tracer,
+};
+
+use super::OverlayRuntime;
+
+/// Accumulated query-lifecycle accounting: arrivals, departures, and the
+/// reuse economics (marginal vs standalone cost of every deployed query).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct QueryLifecycleStats {
+    /// Successful `deploy` calls.
+    pub arrivals: usize,
+    /// `undeploy` calls.
+    pub departures: usize,
+    /// Arrivals that attached to ≥ 1 running operator instance.
+    pub reuse_hits: usize,
+    /// Running instances attached to, summed over arrivals.
+    pub reused_services: usize,
+    /// Σ marginal network usage at deploy time (standalone usage minus what
+    /// reuse made free; equals `standalone_usage` when reuse is off).
+    pub marginal_usage: f64,
+    /// Σ standalone network usage the same queries would have cost with no
+    /// reuse.
+    pub standalone_usage: f64,
+}
+
+/// Accumulated control-plane accounting of a runtime, split so the cost of
+/// *maintaining* the optimizer's view (coordinate refresh + mapper sync)
+/// is visible separately from the cost of *using* it (re-optimization and
+/// evacuation mapping) and from plain latency-provider reads.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ControlPlaneStats {
+    /// Churn ticks processed.
+    pub ticks: usize,
+    /// Nodes the churn process reported touched (dirty set sizes, summed).
+    pub dirty_nodes: usize,
+    /// Cost points that actually changed — each one cost a mapper
+    /// re-registration (`update_node`).
+    pub points_updated: usize,
+    /// Nodes that arrived through the deployment wave — each one cost a
+    /// mapper registration (`add_node`).
+    pub nodes_joined: usize,
+    /// Wall time admitting deployment-wave arrivals (mapper `add_node`).
+    pub join_ns: u128,
+    /// Wall time in coordinate maintenance: dirty-set scalar refresh plus
+    /// mapper re-registrations (and relevance-index invalidation).
+    pub refresh_ns: u128,
+    /// Wall time in local re-optimization passes (per-service migration
+    /// checks).
+    pub local_reopt_ns: u128,
+    /// Wall time in plan-rewrite passes (rewrite-neighbourhood
+    /// exploration).
+    pub rewrite_ns: u128,
+    /// Wall time in full re-optimization passes.
+    pub full_reopt_ns: u128,
+    /// Wall time in failure handling: teardown cascade plus service
+    /// evacuation.
+    pub evac_ns: u128,
+    /// Circuit evaluations actually run by the adaptation passes (summed
+    /// over local/rewrite/full events).
+    pub reopt_evaluated: usize,
+    /// Circuit evaluations skipped because the relevance index proved the
+    /// circuit's re-opt inputs unchanged since its last no-op evaluation.
+    pub reopt_skipped: usize,
+    /// Candidate plans the rewrite and full passes rejected on their
+    /// network-usage lower bound alone, before any placement or mapping
+    /// work (see `sbon_core::optimizer`).
+    pub candidates_pruned: usize,
+    /// Wall time reading the ground-truth latency provider for usage
+    /// accounting (the data-plane proxy, for comparison).
+    pub usage_ns: u128,
+    /// Routed control-plane messages sent (requests, replies, acks).
+    /// Populated only under [`MapperBackend::Routed`](super::MapperBackend::Routed), from the settled
+    /// message traffic; zero otherwise.
+    pub routed_messages: u64,
+    /// Routed lookups completed.
+    pub routed_lookups: u64,
+    /// Routed retransmissions after first sends.
+    pub routed_retries: u64,
+    /// Routed retransmit timers that fired.
+    pub routed_timeouts: u64,
+    /// `routed_hop_histogram[h]` = routed lookups that took `h` round
+    /// trips.
+    pub routed_hop_histogram: Vec<u64>,
+    /// Median experienced routed-lookup latency (simulated ms); `None`
+    /// before the first settled lookup (and always under other backends).
+    pub routed_p50_latency_ms: Option<f64>,
+    /// Tail (p99) experienced routed-lookup latency (simulated ms).
+    pub routed_p99_latency_ms: Option<f64>,
+}
+
+/// A multi-line human-readable breakdown: maintenance volume, wall time per
+/// control-plane phase, re-opt dirty-filter effectiveness, and — when the
+/// routed backend ran — the experienced message traffic. The examples print
+/// this instead of hand-rolling their own tables.
+impl std::fmt::Display for ControlPlaneStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ms = |ns: u128| ns as f64 / 1e6;
+        writeln!(
+            f,
+            "control plane: {} ticks, {} dirty nodes, {} points re-registered, {} joined",
+            self.ticks, self.dirty_nodes, self.points_updated, self.nodes_joined
+        )?;
+        writeln!(
+            f,
+            "  wall time (ms): join {:.1} | refresh {:.1} | local re-opt {:.1} | rewrite {:.1} \
+             | full re-opt {:.1} | evac {:.1} | usage reads {:.1}",
+            ms(self.join_ns),
+            ms(self.refresh_ns),
+            ms(self.local_reopt_ns),
+            ms(self.rewrite_ns),
+            ms(self.full_reopt_ns),
+            ms(self.evac_ns),
+            ms(self.usage_ns),
+        )?;
+        let candidates = self.reopt_evaluated + self.reopt_skipped;
+        if candidates > 0 {
+            writeln!(
+                f,
+                "  re-opt: {} evaluated, {} skipped clean ({:.1}% saved), \
+                 {} candidate plans pruned by bound",
+                self.reopt_evaluated,
+                self.reopt_skipped,
+                100.0 * self.reopt_skipped as f64 / candidates as f64,
+                self.candidates_pruned,
+            )?;
+        }
+        if self.routed_messages > 0 {
+            let hops: u64 =
+                self.routed_hop_histogram.iter().enumerate().map(|(h, &c)| h as u64 * c).sum();
+            let mean_hops = if self.routed_lookups > 0 {
+                hops as f64 / self.routed_lookups as f64
+            } else {
+                0.0
+            };
+            writeln!(
+                f,
+                "  routed: {} messages, {} lookups ({:.2} hops/lookup), {} retries, \
+                 {} timeouts, p50 {:.2} ms, p99 {:.2} ms",
+                self.routed_messages,
+                self.routed_lookups,
+                mean_hops,
+                self.routed_retries,
+                self.routed_timeouts,
+                self.routed_p50_latency_ms.unwrap_or(0.0),
+                self.routed_p99_latency_ms.unwrap_or(0.0),
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// Registry handles for every control-plane and lifecycle counter the
+/// runtime maintains. Resolved once at construction; the hot paths
+/// increment through these (a plain `Vec` index in the registry), so the
+/// migration off ad-hoc struct fields costs nothing measurable.
+pub(super) struct StatHandles {
+    pub(super) ticks: CounterId,
+    pub(super) dirty_nodes: CounterId,
+    pub(super) points_updated: CounterId,
+    pub(super) nodes_joined: CounterId,
+    pub(super) join_ns: CounterId,
+    pub(super) refresh_ns: CounterId,
+    pub(super) local_reopt_ns: CounterId,
+    pub(super) rewrite_ns: CounterId,
+    pub(super) full_reopt_ns: CounterId,
+    pub(super) evac_ns: CounterId,
+    pub(super) reopt_evaluated: CounterId,
+    pub(super) reopt_skipped: CounterId,
+    pub(super) candidates_pruned: CounterId,
+    pub(super) usage_ns: CounterId,
+    pub(super) arrivals: CounterId,
+    pub(super) departures: CounterId,
+    pub(super) reuse_hits: CounterId,
+    pub(super) reused_services: CounterId,
+    pub(super) marginal_usage: GaugeId,
+    pub(super) standalone_usage: GaugeId,
+    pub(super) dirty_per_tick: HistId,
+}
+
+/// The runtime's observability state: the metrics registry backing the
+/// [`ControlPlaneStats`] / [`QueryLifecycleStats`] views, the optional
+/// virtual-time tracer, and the optional flight recorder.
+///
+/// **Bit-invisibility contract:** nothing in here feeds back into the
+/// simulation. Counters are written, never read by control flow; spans are
+/// emitted only from the serial orchestration paths with `SimTime`
+/// stamps; the flight recorder is written and dumped, never consulted.
+/// An instrumented run's [`RunReport`](crate::RunReport) is bit-identical to a
+/// bare one.
+pub(super) struct RuntimeObs {
+    pub(super) registry: MetricsRegistry,
+    pub(super) h: StatHandles,
+    pub(super) tracer: Option<Tracer>,
+    pub(super) flight: Option<FlightRecorder>,
+    /// Virtual time (ms) of the event currently being processed; deploys
+    /// and undeploys between ticks stamp at the last processed event.
+    pub(super) now_ms: f64,
+}
+
+impl RuntimeObs {
+    pub(super) fn new(config: &ObsConfig) -> RuntimeObs {
+        let mut registry = MetricsRegistry::new();
+        let h = StatHandles {
+            ticks: registry.counter("control_plane", "ticks"),
+            dirty_nodes: registry.counter("control_plane", "dirty_nodes"),
+            points_updated: registry.counter("control_plane", "points_updated"),
+            nodes_joined: registry.counter("control_plane", "nodes_joined"),
+            join_ns: registry.counter("control_plane", "join_ns"),
+            refresh_ns: registry.counter("control_plane", "refresh_ns"),
+            local_reopt_ns: registry.counter("control_plane", "local_reopt_ns"),
+            rewrite_ns: registry.counter("control_plane", "rewrite_ns"),
+            full_reopt_ns: registry.counter("control_plane", "full_reopt_ns"),
+            evac_ns: registry.counter("control_plane", "evac_ns"),
+            reopt_evaluated: registry.counter("control_plane", "reopt_evaluated"),
+            reopt_skipped: registry.counter("control_plane", "reopt_skipped"),
+            candidates_pruned: registry.counter("control_plane", "candidates_pruned"),
+            usage_ns: registry.counter("control_plane", "usage_ns"),
+            arrivals: registry.counter("lifecycle", "arrivals"),
+            departures: registry.counter("lifecycle", "departures"),
+            reuse_hits: registry.counter("lifecycle", "reuse_hits"),
+            reused_services: registry.counter("lifecycle", "reused_services"),
+            marginal_usage: registry.gauge("lifecycle", "marginal_usage"),
+            standalone_usage: registry.gauge("lifecycle", "standalone_usage"),
+            dirty_per_tick: registry.histogram_with(
+                sbon_obs::MetricKey::plain("control_plane", "dirty_per_tick"),
+                Histogram::with_bounds(vec![8.0, 32.0, 128.0, 512.0, 4096.0]),
+            ),
+        };
+        let tracer = config.trace.as_ref().map(|spec| {
+            let mut t = Tracer::new(spec.sampler());
+            match &spec.sink {
+                SinkSpec::Null => t.add_sink(Box::new(NullSink::default())),
+                SinkSpec::JsonlFile(path) => {
+                    let file = std::fs::File::create(path)
+                        .unwrap_or_else(|e| panic!("create trace file {}: {e}", path.display()));
+                    t.add_sink(Box::new(JsonlSink::new(std::io::BufWriter::new(file))));
+                }
+            }
+            t
+        });
+        let flight =
+            (config.flight_capacity > 0).then(|| FlightRecorder::new(config.flight_capacity));
+        RuntimeObs { registry, h, tracer, flight, now_ms: 0.0 }
+    }
+
+    /// Opens a span at the current virtual time. The fields closure runs
+    /// only when tracing is on and the sampler keeps the span, so the
+    /// disabled path costs one branch.
+    #[inline]
+    pub(super) fn span_start(
+        &mut self,
+        kind: &'static str,
+        fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>,
+    ) -> Option<SpanId> {
+        let t = self.tracer.as_mut()?;
+        t.span_start(kind, self.now_ms, fields())
+    }
+
+    /// Closes a span; `None` (tracing off or sampled out) is free.
+    #[inline]
+    pub(super) fn span_end(
+        &mut self,
+        span: Option<SpanId>,
+        fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>,
+    ) {
+        if span.is_some() {
+            if let Some(t) = self.tracer.as_mut() {
+                t.span_end(span, self.now_ms, fields());
+            }
+        }
+    }
+
+    /// Emits an instantaneous event at the current virtual time.
+    #[inline]
+    pub(super) fn point(
+        &mut self,
+        kind: &'static str,
+        fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>,
+    ) {
+        if let Some(t) = self.tracer.as_mut() {
+            t.point(kind, self.now_ms, fields());
+        }
+    }
+
+    /// Records a flight-recorder event (detail rendered only when one is
+    /// configured).
+    #[inline]
+    pub(super) fn flight(
+        &mut self,
+        subsystem: &'static str,
+        code: &'static str,
+        detail: impl FnOnce() -> String,
+    ) {
+        let now = self.now_ms;
+        if let Some(f) = self.flight.as_mut() {
+            f.record(now, subsystem, code, detail());
+        }
+    }
+
+    /// Records a flight-recorder anomaly.
+    #[inline]
+    pub(super) fn flight_anomaly(
+        &mut self,
+        subsystem: &'static str,
+        code: &'static str,
+        detail: impl FnOnce() -> String,
+    ) {
+        let now = self.now_ms;
+        if let Some(f) = self.flight.as_mut() {
+            f.record_anomaly(now, subsystem, code, detail());
+        }
+    }
+}
+
+impl OverlayRuntime {
+    /// Accumulated control-plane accounting (refresh vs mapping vs
+    /// latency-read time), assembled as a view over the metrics registry.
+    /// Under [`MapperBackend::Routed`](super::MapperBackend::Routed) the
+    /// routed message-traffic summary (experienced latency percentiles, hop
+    /// histogram, retries) is folded in at call time.
+    pub fn control_plane_stats(&self) -> ControlPlaneStats {
+        let r = &self.obs.registry;
+        let h = &self.obs.h;
+        let mut cp = ControlPlaneStats {
+            ticks: r.counter_value(h.ticks) as usize,
+            dirty_nodes: r.counter_value(h.dirty_nodes) as usize,
+            points_updated: r.counter_value(h.points_updated) as usize,
+            nodes_joined: r.counter_value(h.nodes_joined) as usize,
+            join_ns: u128::from(r.counter_value(h.join_ns)),
+            refresh_ns: u128::from(r.counter_value(h.refresh_ns)),
+            local_reopt_ns: u128::from(r.counter_value(h.local_reopt_ns)),
+            rewrite_ns: u128::from(r.counter_value(h.rewrite_ns)),
+            full_reopt_ns: u128::from(r.counter_value(h.full_reopt_ns)),
+            evac_ns: u128::from(r.counter_value(h.evac_ns)),
+            reopt_evaluated: r.counter_value(h.reopt_evaluated) as usize,
+            reopt_skipped: r.counter_value(h.reopt_skipped) as usize,
+            candidates_pruned: r.counter_value(h.candidates_pruned) as usize,
+            usage_ns: u128::from(r.counter_value(h.usage_ns)),
+            ..ControlPlaneStats::default()
+        };
+        if let Some(rs) = self.routed_stats() {
+            cp.routed_messages = rs.messages;
+            cp.routed_lookups = rs.lookups;
+            cp.routed_retries = rs.retries;
+            cp.routed_timeouts = rs.timeouts;
+            cp.routed_hop_histogram = rs.hop_histogram();
+            cp.routed_p50_latency_ms = rs.p50_latency_ms();
+            cp.routed_p99_latency_ms = rs.p99_latency_ms();
+        }
+        cp
+    }
+
+    /// Query-lifecycle accounting so far, assembled as a view over the
+    /// metrics registry.
+    pub fn lifecycle_stats(&self) -> QueryLifecycleStats {
+        let r = &self.obs.registry;
+        let h = &self.obs.h;
+        QueryLifecycleStats {
+            arrivals: r.counter_value(h.arrivals) as usize,
+            departures: r.counter_value(h.departures) as usize,
+            reuse_hits: r.counter_value(h.reuse_hits) as usize,
+            reused_services: r.counter_value(h.reused_services) as usize,
+            marginal_usage: r.gauge_value(h.marginal_usage),
+            standalone_usage: r.gauge_value(h.standalone_usage),
+        }
+    }
+
+    /// A point-in-time snapshot of the runtime's metrics registry. Under
+    /// [`MapperBackend::Routed`](super::MapperBackend::Routed) the routed
+    /// traffic counters and the hop/latency histograms are folded in under
+    /// `routed.*` keys. Two snapshots [`MetricsSnapshot::diff`] into a
+    /// per-interval view.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let mut snap = self.obs.registry.snapshot();
+        if let Some(rs) = self.routed_stats() {
+            snap.counters.insert("routed.messages".into(), rs.messages);
+            snap.counters.insert("routed.lookups".into(), rs.lookups);
+            snap.counters.insert("routed.registrations".into(), rs.registrations);
+            snap.counters.insert("routed.unregistrations".into(), rs.unregistrations);
+            snap.counters.insert("routed.retries".into(), rs.retries);
+            snap.counters.insert("routed.timeouts".into(), rs.timeouts);
+            snap.histograms.insert("routed.hops".into(), HistogramSnapshot::of(&rs.hops));
+            snap.histograms
+                .insert("routed.latency_ms".into(), HistogramSnapshot::of(&rs.latency_ms));
+        }
+        snap
+    }
+
+    /// Trace events emitted so far; `None` when tracing is off.
+    pub fn trace_events_emitted(&self) -> Option<u64> {
+        self.obs.tracer.as_ref().map(|t| t.emitted)
+    }
+
+    /// Finishes tracing: flushes every sink and detaches them (subsequent
+    /// spans are dropped). Returns the sinks for inspection. Dropping the
+    /// runtime flushes implicitly; call this to read a trace file while
+    /// the runtime is still alive.
+    pub fn finish_trace(&mut self) -> Option<Vec<Box<dyn TraceSink>>> {
+        self.obs.tracer.take().map(Tracer::finish)
+    }
+}

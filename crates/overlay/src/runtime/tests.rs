@@ -1,0 +1,1270 @@
+//! Unit tests of the runtime, end to end through its public and
+//! crate-private surface.
+
+use super::*;
+use sbon_coords::vivaldi::VivaldiConfig;
+use sbon_core::circuit::ServiceId;
+use sbon_core::optimizer::QuerySpec;
+use sbon_dht::proto::ProtoConfig;
+use sbon_netsim::load::ChurnProcess;
+use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
+use sbon_obs::ObsConfig;
+
+fn small_world(seed: u64) -> Topology {
+    generate(&TransitStubConfig::with_total_nodes(80), seed)
+}
+
+fn demo_query(topo: &Topology) -> QuerySpec {
+    let hosts = topo.host_candidates();
+    QuerySpec::join_star(&[hosts[0], hosts[10], hosts[20], hosts[30]], hosts[40], 10.0, 0.02)
+}
+
+#[test]
+fn deploy_and_run_produces_samples() {
+    let topo = small_world(1);
+    let mut rt =
+        OverlayRuntime::new(&topo, 1, RuntimeConfig { horizon_ms: 10_000.0, ..Default::default() });
+    let q = demo_query(&topo);
+    rt.deploy(q).unwrap();
+    let report = rt.run();
+    assert_eq!(report.samples.len(), 10);
+    assert!(report.samples.iter().all(|s| s.network_usage > 0.0));
+    // Cumulative usage must be non-decreasing.
+    for w in report.samples.windows(2) {
+        assert!(w[1].cumulative_usage >= w[0].cumulative_usage);
+    }
+}
+
+#[test]
+fn run_is_deterministic() {
+    let topo = small_world(2);
+    let build = || {
+        let mut rt = OverlayRuntime::new(
+            &topo,
+            7,
+            RuntimeConfig { horizon_ms: 8_000.0, ..Default::default() },
+        );
+        rt.deploy(demo_query(&topo)).unwrap();
+        rt.run()
+    };
+    let a = build();
+    let b = build();
+    assert_eq!(a.samples.len(), b.samples.len());
+    for (x, y) in a.samples.iter().zip(&b.samples) {
+        assert_eq!(x.network_usage, y.network_usage);
+    }
+    assert_eq!(a.migrations, b.migrations);
+}
+
+#[test]
+fn no_reopt_means_no_migrations() {
+    let topo = small_world(3);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        3,
+        RuntimeConfig {
+            horizon_ms: 10_000.0,
+            reopt_interval_ms: None,
+            full_reopt_interval_ms: None,
+            ..Default::default()
+        },
+    );
+    rt.deploy(demo_query(&topo)).unwrap();
+    let report = rt.run();
+    assert_eq!(report.migrations, 0);
+    assert_eq!(report.replacements, 0);
+    assert_eq!(report.adaptation_cost, 0.0);
+}
+
+#[test]
+fn static_network_without_churn_has_constant_usage() {
+    let topo = small_world(4);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        4,
+        RuntimeConfig {
+            horizon_ms: 5_000.0,
+            churn: ChurnProcess::None,
+            latency_jitter: None,
+            reopt_interval_ms: None,
+            ..Default::default()
+        },
+    );
+    rt.deploy(demo_query(&topo)).unwrap();
+    let report = rt.run();
+    let first = report.samples[0].network_usage;
+    assert!(report.samples.iter().all(|s| (s.network_usage - first).abs() < 1e-9));
+}
+
+#[test]
+fn latency_jitter_moves_usage() {
+    let topo = small_world(5);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        5,
+        RuntimeConfig {
+            horizon_ms: 5_000.0,
+            churn: ChurnProcess::None,
+            latency_jitter: Some(JitterModel {
+                // Gradual edge inflation: a small slice of the
+                // ~100-edge underlay rescales upward each tick, so
+                // usage keeps rising across the horizon instead of
+                // saturating the band inside tick 1.
+                edges_per_tick: 25,
+                factor_range: (1.5, 2.0),
+                band: (0.5, 3.0),
+            }),
+            reopt_interval_ms: None,
+            ..Default::default()
+        },
+    );
+    rt.deploy(demo_query(&topo)).unwrap();
+    let report = rt.run();
+    let first = report.samples[0].network_usage;
+    let last = report.samples.last().unwrap().network_usage;
+    assert!(last > first, "persistent inflation must raise usage: {first} -> {last}");
+}
+
+#[test]
+fn multiple_circuits_add_usage() {
+    let topo = small_world(6);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        6,
+        RuntimeConfig { horizon_ms: 3_000.0, churn: ChurnProcess::None, ..Default::default() },
+    );
+    rt.deploy(demo_query(&topo)).unwrap();
+    let one = rt.instantaneous_usage();
+    rt.deploy(demo_query(&topo)).unwrap();
+    let two = rt.instantaneous_usage();
+    assert!(two > one * 1.5, "second circuit must add usage: {one} -> {two}");
+}
+
+#[test]
+fn failing_an_operator_host_evacuates_the_service() {
+    // Deterministically scan seeds for a deployment where some unpinned
+    // service lives apart from every pinned (producer/consumer) host —
+    // killing a pinned host would tear the circuit down instead of
+    // evacuating, which is not the scenario under test.
+    let (mut rt, handle, victim) = (7u64..32)
+        .find_map(|seed| {
+            let topo = small_world(seed);
+            let mut rt = OverlayRuntime::new(
+                &topo,
+                seed,
+                RuntimeConfig {
+                    horizon_ms: 5_000.0,
+                    churn: ChurnProcess::None,
+                    reopt_interval_ms: None,
+                    ..Default::default()
+                },
+            );
+            let handle = rt.deploy(demo_query(&topo))?;
+            let placement = rt.placement(handle)?.clone();
+            let d = &rt.circuits[0];
+            let pinned: Vec<NodeId> = d
+                .circuit
+                .services()
+                .iter()
+                .filter_map(|s| match s.pin {
+                    sbon_core::circuit::ServicePin::Pinned(n) => Some(n),
+                    sbon_core::circuit::ServicePin::Unpinned => None,
+                })
+                .collect();
+            let victim = d
+                .circuit
+                .unpinned_services()
+                .iter()
+                .map(|&sid| placement.node_of(sid))
+                .find(|n| !pinned.contains(n))?;
+            Some((rt, handle, victim))
+        })
+        .expect("some seed separates an unpinned service from the pinned hosts");
+    rt.schedule_failure(2_000.0, victim);
+    let report = rt.run();
+    assert!(!rt.is_alive(victim));
+    assert!(report.migrations >= 1, "evacuation counts as migration");
+    // The circuit survived and no service remains on the dead node.
+    let after = rt.placement(handle).unwrap();
+    assert!(after.as_slice().iter().all(|&n| n != victim));
+    assert!(rt.failed_circuits().is_empty());
+}
+
+#[test]
+fn failing_a_producer_kills_the_circuit() {
+    let topo = small_world(8);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        8,
+        RuntimeConfig {
+            horizon_ms: 5_000.0,
+            churn: ChurnProcess::None,
+            reopt_interval_ms: None,
+            ..Default::default()
+        },
+    );
+    let q = demo_query(&topo);
+    let producer = q.producer_of(sbon_query::stream::StreamId(0));
+    let handle = rt.deploy(q).unwrap();
+    rt.schedule_failure(2_000.0, producer);
+    let report = rt.run();
+    assert_eq!(rt.failed_circuits(), &[handle]);
+    assert!(rt.placement(handle).is_none(), "dead circuits have no placement");
+    // Usage drops to zero once the only circuit is gone.
+    let last = report.samples.last().unwrap();
+    assert_eq!(last.network_usage, 0.0);
+}
+
+#[test]
+fn rewrite_adaptation_runs_and_preserves_query_semantics() {
+    let topo = small_world(10);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        10,
+        RuntimeConfig {
+            horizon_ms: 30_000.0,
+            reopt_interval_ms: None,
+            rewrite_interval_ms: Some(5_000.0),
+            churn: ChurnProcess::RandomWalk { std_dev: 0.15 },
+            latency_jitter: Some(JitterModel { edges_per_tick: 500, ..Default::default() }),
+            ..Default::default()
+        },
+    );
+    let q = demo_query(&topo);
+    let sources_before: Vec<_> = q.join_set.clone();
+    let handle = rt.deploy(q).unwrap();
+    let plan_before = rt.circuits[0].running_plan.clone();
+    let report = rt.run();
+    // Whether or not a rewrite fired (churn-dependent), the running plan
+    // must still cover exactly the original sources.
+    let plan_after = &rt.circuits[0].running_plan;
+    let mut srcs = plan_after.sources();
+    srcs.sort();
+    let mut expect = sources_before;
+    expect.sort();
+    assert_eq!(srcs, expect);
+    assert!(rt.placement(handle).is_some());
+    // Replacements counted if any happened.
+    if plan_after.render() != plan_before.render() {
+        assert!(report.replacements > 0);
+    }
+}
+
+/// Without jitter the two backends see bit-identical latencies at every
+/// query, so entire runs — embedding, deployment, churn, re-opt — must
+/// produce bit-identical reports.
+#[test]
+fn lazy_backend_run_is_bit_identical_to_dense() {
+    let topo = small_world(11);
+    let run = |backend| {
+        let mut rt = OverlayRuntime::new(
+            &topo,
+            11,
+            RuntimeConfig { horizon_ms: 10_000.0, latency_backend: backend, ..Default::default() },
+        );
+        rt.deploy(demo_query(&topo)).unwrap();
+        rt.run()
+    };
+    let dense = run(LatencyBackend::Dense);
+    let lazy = run(LatencyBackend::Lazy);
+    assert_eq!(dense.samples.len(), lazy.samples.len());
+    for (d, l) in dense.samples.iter().zip(&lazy.samples) {
+        assert_eq!(d.network_usage, l.network_usage);
+        assert_eq!(d.cumulative_usage, l.cumulative_usage);
+    }
+    assert_eq!(dense.migrations, lazy.migrations);
+    assert_eq!(dense.replacements, lazy.replacements);
+}
+
+#[test]
+fn lazy_backend_jitter_run_is_deterministic_and_moves_usage() {
+    let topo = small_world(12);
+    let run = || {
+        let mut rt = OverlayRuntime::new(
+            &topo,
+            12,
+            RuntimeConfig {
+                horizon_ms: 6_000.0,
+                churn: ChurnProcess::None,
+                reopt_interval_ms: None,
+                latency_backend: LatencyBackend::Lazy,
+                latency_jitter: Some(JitterModel {
+                    // Gradual edge inflation: a small slice of the
+                    // ~100-edge underlay rescales upward each tick, so
+                    // usage keeps rising across the horizon instead of
+                    // saturating the band inside tick 1.
+                    edges_per_tick: 25,
+                    factor_range: (1.5, 2.0),
+                    band: (0.5, 3.0),
+                }),
+                ..Default::default()
+            },
+        );
+        rt.deploy(demo_query(&topo)).unwrap();
+        let report = rt.run();
+        let stats = rt.lazy_latency_stats().expect("lazy backend exposes stats");
+        (report, stats)
+    };
+    let (a, sa) = run();
+    let (b, sb) = run();
+    for (x, y) in a.samples.iter().zip(&b.samples) {
+        assert_eq!(x.network_usage, y.network_usage);
+    }
+    assert_eq!(sa, sb);
+    let first = a.samples[0].network_usage;
+    let last = a.samples.last().unwrap().network_usage;
+    assert!(last > first, "persistent edge inflation must raise usage: {first} -> {last}");
+    assert!(
+        sa.rows_repaired + sa.rows_rebuilt > 0,
+        "rows read after edge jitter must be repaired in place"
+    );
+    // 25 deltas a tick against a ~100-edge underlay: rows the run stops
+    // reading fall behind the edge-count-bounded delta log within a few
+    // ticks and are let go instead of repaired. Nothing else leaves.
+    assert_eq!(
+        sa.rows_computed,
+        sa.rows_cached as u64 + sa.rows_evicted + sa.rows_invalidated,
+        "every computed row is resident, flushed after warm-up, or fell behind the log"
+    );
+}
+
+#[test]
+fn lazy_row_cache_capacity_is_respected() {
+    let topo = small_world(13);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        13,
+        RuntimeConfig {
+            horizon_ms: 5_000.0,
+            latency_backend: LatencyBackend::Lazy,
+            lazy_row_cache: Some(4),
+            ..Default::default()
+        },
+    );
+    rt.deploy(demo_query(&topo)).unwrap();
+    rt.run();
+    let stats = rt.lazy_latency_stats().unwrap();
+    assert!(stats.rows_cached <= 4, "cache holds {} rows", stats.rows_cached);
+    assert!(rt.lazy_latency_stats().is_some());
+    // Dense runtimes expose no lazy stats.
+    let dense = OverlayRuntime::new(&topo, 13, RuntimeConfig::default());
+    assert!(dense.lazy_latency_stats().is_none());
+}
+
+#[test]
+fn default_backend_is_dht_and_charges_catalog_traffic() {
+    let topo = small_world(14);
+    let mut rt =
+        OverlayRuntime::new(&topo, 14, RuntimeConfig { horizon_ms: 5_000.0, ..Default::default() });
+    assert_eq!(rt.mapper_name(), "hilbert-dht");
+    rt.deploy(demo_query(&topo)).unwrap();
+    let stats = rt.dht_stats().expect("dht backend exposes catalog stats");
+    assert!(stats.lookups > 0, "deployment must route through the catalog");
+}
+
+#[test]
+fn oracle_backend_runs_and_exposes_no_dht_stats() {
+    let topo = small_world(15);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        15,
+        RuntimeConfig {
+            horizon_ms: 5_000.0,
+            mapper_backend: MapperBackend::Oracle,
+            ..Default::default()
+        },
+    );
+    assert_eq!(rt.mapper_name(), "live-oracle");
+    rt.deploy(demo_query(&topo)).unwrap();
+    assert!(rt.dht_stats().is_none());
+    let report = rt.run();
+    assert_eq!(report.samples.len(), 5);
+}
+
+#[test]
+fn control_plane_stats_track_churned_nodes_only() {
+    let topo = small_world(16);
+    let n = topo.num_nodes();
+    let run = |churn: ChurnProcess| {
+        let mut rt = OverlayRuntime::new(
+            &topo,
+            16,
+            RuntimeConfig {
+                horizon_ms: 10_000.0,
+                churn,
+                reopt_interval_ms: None,
+                ..Default::default()
+            },
+        );
+        rt.deploy(demo_query(&topo)).unwrap();
+        rt.run();
+        rt.control_plane_stats()
+    };
+    let none = run(ChurnProcess::None);
+    assert_eq!(none.dirty_nodes, 0);
+    assert_eq!(none.points_updated, 0);
+    assert_eq!(none.ticks, 10);
+
+    let sparse = run(ChurnProcess::SparseWalk { nodes_per_tick: 4, std_dev: 0.2 });
+    assert_eq!(sparse.dirty_nodes, 4 * 10, "sparse churn dirties its budget per tick");
+    assert!(sparse.points_updated <= sparse.dirty_nodes);
+    assert!(sparse.points_updated > 0);
+
+    let full = run(ChurnProcess::RandomWalk { std_dev: 0.2 });
+    assert_eq!(full.dirty_nodes, n * 10, "a full walk dirties every node every tick");
+    assert!(
+        sparse.dirty_nodes < full.dirty_nodes / 10,
+        "delta maintenance must track churn, not overlay size"
+    );
+}
+
+#[test]
+fn high_dimensional_space_caps_dht_bits_instead_of_panicking() {
+    // 10 Vivaldi dims + 1 scalar = 11 dims; a fixed 12-bit grid would
+    // need 132 key bits. The runtime must degrade to a coarser grid.
+    let topo = small_world(18);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        18,
+        RuntimeConfig {
+            horizon_ms: 3_000.0,
+            vivaldi: VivaldiConfig { dims: 10, ..Default::default() },
+            ..Default::default()
+        },
+    );
+    assert_eq!(rt.mapper_name(), "hilbert-dht");
+    rt.deploy(demo_query(&topo)).unwrap();
+    let report = rt.run();
+    assert_eq!(report.samples.len(), 3);
+}
+
+#[test]
+fn dht_evacuation_never_lands_on_dead_nodes() {
+    // Kill several hosts mid-run under the DHT backend with churn and
+    // re-opt active: every surviving placement must be on live nodes.
+    let topo = small_world(17);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        17,
+        RuntimeConfig { horizon_ms: 20_000.0, ..Default::default() },
+    );
+    let handles: Vec<_> = (0..2).filter_map(|_| rt.deploy(demo_query(&topo))).collect();
+    let victims = [topo.host_candidates()[55], topo.host_candidates()[61]];
+    rt.schedule_failure(3_000.0, victims[0]);
+    rt.schedule_failure(9_000.0, victims[1]);
+    rt.run();
+    for &h in &handles {
+        if let Some(p) = rt.placement(h) {
+            assert!(p.as_slice().iter().all(|&n| rt.is_alive(n)));
+        }
+    }
+}
+
+/// Deployment wave: the overlay grows over ticks, every admitted node
+/// registers with the mapper, and placements stay confined to arrived
+/// nodes throughout.
+#[test]
+fn deployment_wave_grows_the_overlay_over_ticks() {
+    let topo = small_world(20);
+    let n = topo.num_nodes();
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        20,
+        RuntimeConfig {
+            horizon_ms: 10_000.0,
+            deployment: DeploymentModel::Wave { initial: 30, joins_per_tick: 10 },
+            churn: ChurnProcess::SparseWalk { nodes_per_tick: 8, std_dev: 0.1 },
+            ..Default::default()
+        },
+    );
+    assert_eq!(rt.arrived_count(), 30);
+    // Deploy a query pinned on arrived hosts only.
+    let hosts: Vec<NodeId> =
+        topo.host_candidates().into_iter().filter(|&h| rt.is_arrived(h)).collect();
+    assert!(hosts.len() >= 5, "initial wave must include some stub hosts");
+    let q = QuerySpec::join_star(&[hosts[0], hosts[1], hosts[2], hosts[3]], hosts[4], 10.0, 0.02);
+    let handle = rt.deploy(q).unwrap();
+    // Everything mapped so far must be on arrived nodes.
+    let placed = rt.placement(handle).unwrap().clone();
+    assert!(placed.as_slice().iter().all(|&node| rt.is_arrived(node)));
+    let report = rt.run();
+    assert_eq!(report.samples.len(), 10);
+    // 30 initial + 10 ticks × 10 joins ≥ 80 total: everyone arrived.
+    assert_eq!(rt.arrived_count(), n);
+    let cp = rt.control_plane_stats();
+    assert_eq!(cp.nodes_joined, n - 30, "every pending node joined exactly once");
+    // The DHT catalog holds the whole overlay after the wave.
+    assert_eq!(rt.mapper_name(), "hilbert-dht");
+}
+
+/// With `joins_per_tick: 0` the wave never advances: the runtime must
+/// keep every placement confined to the initial membership.
+#[test]
+fn stalled_wave_confines_placements_to_initial_members() {
+    let topo = small_world(21);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        21,
+        RuntimeConfig {
+            horizon_ms: 10_000.0,
+            deployment: DeploymentModel::Wave { initial: 40, joins_per_tick: 0 },
+            ..Default::default()
+        },
+    );
+    let hosts: Vec<NodeId> =
+        topo.host_candidates().into_iter().filter(|&h| rt.is_arrived(h)).collect();
+    let q = QuerySpec::join_star(&[hosts[0], hosts[1], hosts[2], hosts[3]], hosts[4], 10.0, 0.02);
+    let handle = rt.deploy(q).unwrap();
+    rt.run();
+    assert_eq!(rt.arrived_count(), 40);
+    assert_eq!(rt.control_plane_stats().nodes_joined, 0);
+    let placed = rt.placement(handle).unwrap();
+    assert!(
+        placed.as_slice().iter().all(|&node| rt.is_arrived(node)),
+        "re-optimization must never migrate onto an unarrived node"
+    );
+}
+
+#[test]
+fn deployment_wave_is_deterministic() {
+    let topo = small_world(22);
+    let run = || {
+        let mut rt = OverlayRuntime::new(
+            &topo,
+            22,
+            RuntimeConfig {
+                horizon_ms: 8_000.0,
+                deployment: DeploymentModel::Wave { initial: 25, joins_per_tick: 7 },
+                churn: ChurnProcess::SparseWalk { nodes_per_tick: 4, std_dev: 0.1 },
+                ..Default::default()
+            },
+        );
+        let hosts: Vec<NodeId> =
+            topo.host_candidates().into_iter().filter(|&h| rt.is_arrived(h)).collect();
+        let q =
+            QuerySpec::join_star(&[hosts[0], hosts[1], hosts[2], hosts[3]], hosts[4], 10.0, 0.02);
+        rt.deploy(q).unwrap();
+        let report = rt.run();
+        (report, rt.control_plane_stats())
+    };
+    let (a, ca) = run();
+    let (b, cb) = run();
+    assert_eq!(ca.nodes_joined, cb.nodes_joined);
+    for (x, y) in a.samples.iter().zip(&b.samples) {
+        assert_eq!(x.network_usage, y.network_usage);
+    }
+}
+
+/// A wave under the oracle backend behaves the same way: unarrived
+/// nodes are invisible to mapping until admitted.
+#[test]
+fn deployment_wave_works_under_oracle_backend() {
+    let topo = small_world(23);
+    let n = topo.num_nodes();
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        23,
+        RuntimeConfig {
+            horizon_ms: 10_000.0,
+            deployment: DeploymentModel::Wave { initial: 20, joins_per_tick: 20 },
+            mapper_backend: MapperBackend::Oracle,
+            ..Default::default()
+        },
+    );
+    assert_eq!(rt.mapper_name(), "live-oracle");
+    let hosts: Vec<NodeId> =
+        topo.host_candidates().into_iter().filter(|&h| rt.is_arrived(h)).collect();
+    let q = QuerySpec::join_star(&[hosts[0], hosts[1], hosts[2], hosts[3]], hosts[4], 10.0, 0.02);
+    rt.deploy(q).unwrap();
+    rt.run();
+    assert_eq!(rt.arrived_count(), n);
+    assert_eq!(rt.control_plane_stats().nodes_joined, n - 20);
+}
+
+/// A node that fails while still queued in the wave must never join.
+#[test]
+fn failed_pending_node_never_joins() {
+    let topo = small_world(24);
+    let n = topo.num_nodes();
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        24,
+        RuntimeConfig {
+            horizon_ms: 10_000.0,
+            deployment: DeploymentModel::Wave { initial: 10, joins_per_tick: 20 },
+            churn: ChurnProcess::None,
+            reopt_interval_ms: None,
+            ..Default::default()
+        },
+    );
+    let victim = (0..n as u32)
+        .map(NodeId)
+        .find(|&node| !rt.is_arrived(node))
+        .expect("some node is still pending");
+    rt.schedule_failure(500.0, victim); // before the first join tick
+    rt.run();
+    assert!(!rt.is_alive(victim));
+    assert!(!rt.is_arrived(victim), "a dead pending node must not arrive");
+    assert_eq!(rt.arrived_count(), n - 1);
+}
+
+/// deploy → undeploy restores instantaneous usage bit-identically and
+/// redeploying the same query reproduces the original placement.
+#[test]
+fn undeploy_restores_usage_and_redeploy_is_identical() {
+    let topo = small_world(30);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        30,
+        RuntimeConfig { horizon_ms: 5_000.0, churn: ChurnProcess::None, ..Default::default() },
+    );
+    let baseline = rt.deploy(demo_query(&topo)).unwrap();
+    let usage_before = rt.instantaneous_usage();
+    let h = rt.deploy(demo_query(&topo)).unwrap();
+    let usage_with = rt.instantaneous_usage();
+    let placement_first = rt.placement(h).unwrap().clone();
+    assert!(usage_with > usage_before);
+    assert!(rt.undeploy(h));
+    assert_eq!(rt.instantaneous_usage().to_bits(), usage_before.to_bits());
+    assert!(!rt.undeploy(h), "double undeploy must fail");
+    let h2 = rt.deploy(demo_query(&topo)).unwrap();
+    assert_eq!(rt.placement(h2).unwrap(), &placement_first);
+    assert_eq!(rt.instantaneous_usage().to_bits(), usage_with.to_bits());
+    let stats = rt.lifecycle_stats();
+    assert_eq!((stats.arrivals, stats.departures), (3, 1));
+    assert_eq!(rt.active_queries(), 2);
+    let _ = baseline;
+}
+
+/// With reuse enabled, identical queries attach to the running join,
+/// the marginal cost tally stays below standalone, and full departure
+/// drains every refcount and returns usage to the pre-workload state.
+#[test]
+fn reuse_tenancy_attaches_and_drains_to_baseline() {
+    let topo = small_world(31);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        31,
+        RuntimeConfig {
+            horizon_ms: 5_000.0,
+            churn: ChurnProcess::None,
+            reuse: ReuseScope::All,
+            ..Default::default()
+        },
+    );
+    let baseline = rt.instantaneous_usage();
+    assert_eq!(baseline, 0.0);
+    let q = demo_query(&topo);
+    let a = rt.deploy(q.clone()).unwrap();
+    let b = rt.deploy(q.clone()).unwrap();
+    let stats = rt.lifecycle_stats();
+    assert_eq!(stats.reuse_hits, 1, "the second identical query attaches");
+    assert!(stats.marginal_usage < stats.standalone_usage);
+    let mq = rt.multiquery().expect("reuse registry active");
+    assert_eq!(mq.total_subscriptions(), 1);
+
+    // Owner departs first: the shared join is retained for b.
+    assert!(rt.undeploy(a));
+    assert_eq!(rt.retained_shared_subtrees(), 1);
+    assert!(rt.instantaneous_usage() > 0.0, "retained subtree keeps accruing usage");
+    // Last subscriber departs: everything drains to the baseline.
+    assert!(rt.undeploy(b));
+    assert_eq!(rt.retained_shared_subtrees(), 0);
+    assert_eq!(rt.active_queries(), 0);
+    assert_eq!(rt.instantaneous_usage().to_bits(), baseline.to_bits());
+    let mq = rt.multiquery().unwrap();
+    assert_eq!(mq.total_subscriptions(), 0);
+    assert_eq!(mq.num_instances(), 0);
+    assert_eq!(mq.num_retained(), 0);
+}
+
+/// A tenancy pin is lifted once the last subscriber departs: the
+/// owner's instance is migratable again, and the borrower's phantom
+/// copies of the shared subtree are co-pinned at the instance's host.
+#[test]
+fn tenancy_pin_is_lifted_when_refcount_drains() {
+    let topo = small_world(33);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        33,
+        RuntimeConfig {
+            horizon_ms: 5_000.0,
+            churn: ChurnProcess::None,
+            reuse: ReuseScope::All,
+            ..Default::default()
+        },
+    );
+    let q = demo_query(&topo);
+    rt.deploy(q.clone()).unwrap();
+    let owner_unpinned_before = rt.circuits[0].circuit.unpinned_services();
+    assert!(!owner_unpinned_before.is_empty(), "owner operators start unpinned");
+    let b = rt.deploy(q).unwrap();
+    // The subscribed instance is pinned in the owner's circuit...
+    assert!(
+        rt.circuits[0].circuit.unpinned_services().len() < owner_unpinned_before.len(),
+        "subscription must pin the reused instance"
+    );
+    // ...and the borrower's shared subtree is fully pinned (phantoms
+    // co-located with the instance: no phantom migrations possible).
+    let borrower = &rt.circuits[1];
+    for (idx, &is_shared) in borrower.shared.iter().enumerate() {
+        if is_shared {
+            assert!(!borrower.circuit.service(ServiceId(idx as u32)).is_unpinned());
+        }
+    }
+    assert!(rt.undeploy(b));
+    assert_eq!(
+        rt.circuits[0].circuit.unpinned_services(),
+        owner_unpinned_before,
+        "draining the refcount must lift the tenancy pin"
+    );
+}
+
+/// Failure cascades through tenancy: killing the node that hosts a
+/// reused instance tears down the owner AND its subscribers, and a
+/// retained subtree with a service on the dead node drains instead of
+/// accruing usage (or serving reuse) forever.
+#[test]
+fn failure_of_shared_instance_host_cascades_to_subscribers() {
+    let topo = small_world(34);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        34,
+        RuntimeConfig {
+            horizon_ms: 8_000.0,
+            churn: ChurnProcess::None,
+            reopt_interval_ms: None,
+            reuse: ReuseScope::All,
+            ..Default::default()
+        },
+    );
+    let q = demo_query(&topo);
+    let a = rt.deploy(q.clone()).unwrap();
+    let b = rt.deploy(q.clone()).unwrap();
+    assert_eq!(rt.lifecycle_stats().reuse_hits, 1);
+    // Find the shared instance's host: the node the borrower's reused
+    // root is pinned at (an operator host, not a producer/consumer).
+    let pinned_ops: Vec<NodeId> = rt.circuits[1]
+        .circuit
+        .services()
+        .iter()
+        .filter(|s| matches!(s.kind, sbon_core::circuit::ServiceKind::Operator { .. }))
+        .filter_map(|s| match s.pin {
+            sbon_core::circuit::ServicePin::Pinned(n) => Some(n),
+            sbon_core::circuit::ServicePin::Unpinned => None,
+        })
+        .collect();
+    let victim = *pinned_ops.first().expect("borrower has a pinned shared instance");
+    // Owner departs first so the instance survives only as a retained
+    // shared subtree, then the host dies mid-run.
+    assert!(rt.undeploy(a));
+    assert_eq!(rt.retained_shared_subtrees(), 1);
+    rt.schedule_failure(2_000.0, victim);
+    rt.run();
+    assert!(!rt.is_alive(victim));
+    // The retained subtree is gone, the subscriber was torn down, and
+    // the registry holds nothing stale.
+    assert_eq!(rt.retained_shared_subtrees(), 0);
+    assert_eq!(rt.active_queries(), 0);
+    assert!(rt.failed_circuits().contains(&b));
+    let mq = rt.multiquery().unwrap();
+    assert_eq!(mq.num_instances(), 0, "no stale instance may serve future reuse");
+    assert_eq!(mq.total_subscriptions(), 0);
+    assert_eq!(mq.num_retained(), 0);
+    assert_eq!(rt.instantaneous_usage(), 0.0);
+}
+
+/// Plan-replacement adaptation stays alive under reuse for untenanted
+/// circuits: a run with full re-opt + rewrite enabled, churn, and no
+/// overlapping queries keeps the registry consistent with the live
+/// circuit set whether or not swaps fire.
+#[test]
+fn adaptation_under_reuse_keeps_registry_consistent() {
+    let topo = small_world(35);
+    let hosts = topo.host_candidates();
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        35,
+        RuntimeConfig {
+            horizon_ms: 30_000.0,
+            churn: ChurnProcess::RandomWalk { std_dev: 0.35 },
+            full_reopt_interval_ms: Some(3_000.0),
+            rewrite_interval_ms: Some(4_000.0),
+            policy: sbon_core::reopt::ReoptPolicy {
+                migration_threshold: 0.05,
+                // Any strictly-better circuit replaces: guarantees the
+                // swap → reregister path actually runs.
+                replacement_threshold: 0.0,
+            },
+            reuse: ReuseScope::All,
+            ..Default::default()
+        },
+    );
+    // Disjoint producer sets: no reuse possible, nothing entangled.
+    let qa = QuerySpec::join_star(&[hosts[0], hosts[5], hosts[10]], hosts[15], 10.0, 0.02);
+    let qb = QuerySpec::join_star(&[hosts[20], hosts[25], hosts[30]], hosts[35], 10.0, 0.02);
+    rt.deploy(qa).unwrap();
+    rt.deploy(qb).unwrap();
+    assert_eq!(rt.lifecycle_stats().reuse_hits, 0);
+    let instances_before = rt.multiquery().unwrap().num_instances();
+    let report = rt.run();
+    assert!(report.replacements > 0, "reuse must not silence plan replacement");
+    let mq = rt.multiquery().unwrap();
+    assert_eq!(mq.num_circuits(), rt.active_queries());
+    assert_eq!(mq.total_subscriptions(), 0);
+    // Replacements re-register under the same ids: no duplicate or
+    // stale instances accumulate across swaps.
+    assert_eq!(mq.num_instances(), instances_before);
+}
+
+/// Branch-and-bound accounting: what the rewrite and full passes prune
+/// lands in `ControlPlaneStats::candidates_pruned`, and the same counts
+/// ride on those passes' span ends as `pruned` (local passes examine no
+/// candidate plans and carry no such attribute).
+#[test]
+fn pruned_candidates_are_counted_and_traced() {
+    let topo = small_world(41);
+    let path = std::env::temp_dir().join(format!("sbon_pruned_trace_{}.jsonl", std::process::id()));
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        41,
+        RuntimeConfig {
+            horizon_ms: 12_000.0,
+            churn: ChurnProcess::RandomWalk { std_dev: 0.1 },
+            full_reopt_interval_ms: Some(3_000.0),
+            rewrite_interval_ms: Some(4_000.0),
+            obs: ObsConfig {
+                trace: Some(sbon_obs::TraceSpec::jsonl(41, path.clone())),
+                flight_capacity: 0,
+            },
+            ..Default::default()
+        },
+    );
+    rt.deploy(demo_query(&topo)).unwrap();
+    rt.run();
+    let pruned = rt.control_plane_stats().candidates_pruned;
+    assert!(pruned > 0, "a 4-way star has join orders no placement can rescue");
+    assert_eq!(rt.metrics_snapshot().counters["control_plane.candidates_pruned"], pruned as u64);
+    drop(rt.finish_trace());
+    let trace = std::fs::read_to_string(&path).expect("trace written");
+    let _ = std::fs::remove_file(&path);
+    let mut traced = 0;
+    for line in trace.lines().filter(|l| l.contains(r#""ev":"end""#)) {
+        let attr = line.split_once(r#""pruned":"#).map(|(_, rest)| {
+            rest.split(|c: char| !c.is_ascii_digit()).next().unwrap().parse::<usize>().unwrap()
+        });
+        let plan_replacing =
+            line.contains(r#""kind":"reopt.rewrite""#) || line.contains(r#""kind":"reopt.full""#);
+        assert_eq!(attr.is_some(), plan_replacing, "{line}");
+        traced += attr.unwrap_or(0);
+    }
+    assert_eq!(traced, pruned, "span attributes add up to the counter");
+}
+
+/// The session API: a run can be advanced tick-by-tick with mid-run
+/// arrivals and departures, and matches `run()` when driven to the end
+/// with no interleaved workload.
+#[test]
+fn session_api_matches_run_and_supports_midrun_lifecycle() {
+    let topo = small_world(32);
+    let build = || {
+        let mut rt = OverlayRuntime::new(
+            &topo,
+            32,
+            RuntimeConfig { horizon_ms: 8_000.0, ..Default::default() },
+        );
+        rt.deploy(demo_query(&topo)).unwrap();
+        rt
+    };
+    let whole = {
+        let mut rt = build();
+        rt.run()
+    };
+    let stepped = {
+        let mut rt = build();
+        let mut session = rt.start_run();
+        while rt.advance_ticks(&mut session, 1) {}
+        rt.finish_run(session)
+    };
+    assert_eq!(whole.samples.len(), stepped.samples.len());
+    for (a, b) in whole.samples.iter().zip(&stepped.samples) {
+        assert_eq!(a.network_usage.to_bits(), b.network_usage.to_bits());
+        assert_eq!(a.active_queries, b.active_queries);
+    }
+    assert_eq!(whole.migrations, stepped.migrations);
+
+    // Mid-run lifecycle: deploy at tick 3, undeploy at tick 6; the
+    // active-query gauge tracks it in the samples.
+    let mut rt = build();
+    let mut session = rt.start_run();
+    assert!(rt.advance_ticks(&mut session, 3));
+    let h = rt.deploy(demo_query(&topo)).unwrap();
+    assert!(rt.advance_ticks(&mut session, 3));
+    assert!(rt.undeploy(h));
+    while rt.advance_ticks(&mut session, 1) {}
+    let report = rt.finish_run(session);
+    assert_eq!(report.samples.len(), 8);
+    assert_eq!(report.samples[2].active_queries, 1);
+    assert_eq!(report.samples[4].active_queries, 2);
+    assert_eq!(report.samples[7].active_queries, 1);
+    assert_eq!(report.arrivals, 2);
+    assert_eq!(report.departures, 1);
+}
+
+/// With the unified edge-granular jitter, both backends draw the same
+/// delta sequence from the run RNG and derive pairwise latencies from
+/// the same mutated graph — whole jittered runs must be bit-identical.
+#[test]
+fn jittered_run_is_bit_identical_across_backends() {
+    let topo = small_world(40);
+    let run = |backend| {
+        let mut rt = OverlayRuntime::new(
+            &topo,
+            40,
+            RuntimeConfig::builder()
+                .horizon_ms(8_000.0)
+                .churn(ChurnProcess::None)
+                .latency_backend(backend)
+                .latency_jitter(JitterModel {
+                    edges_per_tick: 40,
+                    factor_range: (0.8, 1.6),
+                    band: (0.5, 3.0),
+                })
+                .build(),
+        );
+        rt.deploy(demo_query(&topo)).unwrap();
+        rt.run()
+    };
+    let dense = run(LatencyBackend::Dense);
+    let lazy = run(LatencyBackend::Lazy);
+    assert_eq!(dense, lazy, "jittered runs must agree bit-for-bit across backends");
+    let first = dense.samples[0].network_usage;
+    assert!(
+        dense.samples.iter().any(|s| s.network_usage != first),
+        "jitter must actually move usage for the comparison to mean anything"
+    );
+}
+
+/// The tentpole determinism contract: a run on an 8-thread pool is
+/// bit-identical to a serial run, across seeds, with every parallel
+/// stage active (row prewarm, scalar refresh, landmark placement wave,
+/// jitter-driven row repair).
+#[test]
+fn parallel_run_is_bit_identical_to_serial() {
+    let topo = small_world(41);
+    let run = |seed: u64, threads: usize| {
+        let mut rt = OverlayRuntime::new(
+            &topo,
+            seed,
+            RuntimeConfig::builder()
+                .horizon_ms(10_000.0)
+                .threads(threads)
+                .latency_backend(LatencyBackend::Lazy)
+                .deployment(DeploymentModel::Wave { initial: 30, joins_per_tick: 10 })
+                .vivaldi(VivaldiConfig { landmarks: Some(8), ..Default::default() })
+                .churn(ChurnProcess::SparseWalk { nodes_per_tick: 12, std_dev: 0.15 })
+                .latency_jitter(JitterModel { edges_per_tick: 30, ..Default::default() })
+                .build(),
+        );
+        let hosts: Vec<NodeId> =
+            topo.host_candidates().into_iter().filter(|&h| rt.is_arrived(h)).collect();
+        let q =
+            QuerySpec::join_star(&[hosts[0], hosts[1], hosts[2], hosts[3]], hosts[4], 10.0, 0.02);
+        rt.deploy(q).unwrap();
+        let report = rt.run();
+        (report, rt.lazy_latency_stats().unwrap(), rt.control_plane_stats())
+    };
+    for seed in [41u64, 97, 1234] {
+        let (serial, serial_stats, serial_cp) = run(seed, 1);
+        let (parallel, parallel_stats, parallel_cp) = run(seed, 8);
+        assert_eq!(serial, parallel, "seed {seed}: thread count must not change the run");
+        assert_eq!(serial_stats, parallel_stats, "seed {seed}: cache traffic must match");
+        assert_eq!(
+            (serial_cp.points_updated, serial_cp.nodes_joined, serial_cp.dirty_nodes),
+            (parallel_cp.points_updated, parallel_cp.nodes_joined, parallel_cp.dirty_nodes),
+            "seed {seed}: control-plane counters must match"
+        );
+    }
+}
+
+/// The builder is a pure constructor: a chained configuration and the
+/// equivalent struct literal run identically.
+#[test]
+fn builder_run_matches_struct_literal_run() {
+    let topo = small_world(42);
+    let built = RuntimeConfig::builder()
+        .horizon_ms(6_000.0)
+        .churn(ChurnProcess::SparseWalk { nodes_per_tick: 6, std_dev: 0.1 })
+        .reopt_interval_ms(2_000.0)
+        .full_reopt_interval_ms(None)
+        .lazy_row_cache(16)
+        .latency_backend(LatencyBackend::Lazy)
+        .threads(1)
+        .build();
+    let literal = RuntimeConfig {
+        horizon_ms: 6_000.0,
+        churn: ChurnProcess::SparseWalk { nodes_per_tick: 6, std_dev: 0.1 },
+        reopt_interval_ms: Some(2_000.0),
+        full_reopt_interval_ms: None,
+        lazy_row_cache: Some(16),
+        latency_backend: LatencyBackend::Lazy,
+        threads: 1,
+        ..Default::default()
+    };
+    let run = |config: RuntimeConfig| {
+        let mut rt = OverlayRuntime::new(&topo, 42, config);
+        rt.deploy(demo_query(&topo)).unwrap();
+        rt.run()
+    };
+    assert_eq!(run(built), run(literal));
+}
+
+/// `build()` rejects every time value the event loop cannot advance on
+/// — zero reschedules a pass at the same instant forever — every penalty
+/// that would poison the report's total cost, and every jitter model the
+/// first jitter tick would panic on; the panic names the field and the
+/// value.
+#[test]
+fn builder_rejects_non_positive_and_non_finite_times() {
+    type Setter = fn(RuntimeConfigBuilder, f64) -> RuntimeConfigBuilder;
+    let mut rows: Vec<(RuntimeConfigBuilder, String)> = Vec::new();
+    let times: [(&str, Setter); 5] = [
+        ("tick_ms", |b, v| b.tick_ms(v)),
+        ("horizon_ms", |b, v| b.horizon_ms(v)),
+        ("reopt_interval_ms", |b, v| b.reopt_interval_ms(v)),
+        ("rewrite_interval_ms", |b, v| b.rewrite_interval_ms(v)),
+        ("full_reopt_interval_ms", |b, v| b.full_reopt_interval_ms(v)),
+    ];
+    for (field, set) in times {
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let message = format!("{field} must be finite and positive, got {bad}");
+            rows.push((set(RuntimeConfig::builder(), bad), message));
+        }
+        set(RuntimeConfig::builder(), 1.5).build();
+    }
+    let penalties: [(&str, Setter); 2] = [
+        ("migration_penalty", |b, v| b.migration_penalty(v)),
+        ("replacement_penalty", |b, v| b.replacement_penalty(v)),
+    ];
+    for (field, set) in penalties {
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let message = format!("{field} must be finite and non-negative, got {bad}");
+            rows.push((set(RuntimeConfig::builder(), bad), message));
+        }
+        set(RuntimeConfig::builder(), 0.0).build();
+    }
+    let jitter = |factor_range, band| {
+        RuntimeConfig::builder().latency_jitter(JitterModel {
+            edges_per_tick: 1,
+            factor_range,
+            band,
+        })
+    };
+    let nan = f64::NAN;
+    for bad in [(1.2, 1.2), (1.5, 0.7), (0.0, 1.5), (-0.5, 1.5), (nan, 1.5), (0.7, f64::INFINITY)] {
+        let message =
+            format!("latency_jitter.factor_range must be finite with 0 < lo < hi, got {bad:?}");
+        rows.push((jitter(bad, (0.5, 3.0)), message));
+    }
+    for bad in [(3.0, 0.5), (-0.5, 3.0), (0.5, nan), (0.5, f64::INFINITY)] {
+        let message = format!("latency_jitter.band must be finite with 0 <= lo <= hi, got {bad:?}");
+        rows.push((jitter((0.7, 1.45), bad), message));
+    }
+    // A degenerate band is legal: it pins every jittered edge to one value.
+    jitter((0.7, 1.45), (1.0, 1.0)).build();
+    for (builder, expected) in rows {
+        let built = std::panic::catch_unwind(|| builder.build());
+        let panic = built.expect_err(&format!("must be rejected: {expected}"));
+        let message = panic.downcast_ref::<String>().expect("formatted panic message");
+        assert_eq!(message, &expected);
+    }
+    // Disabled cadences carry no value to check.
+    RuntimeConfig::builder().reopt_interval_ms(None).full_reopt_interval_ms(None).build();
+}
+
+/// Landmark mode under a deployment wave: construction computes only
+/// the k landmark rows (never one per node), joiners are placed the
+/// tick they arrive, and the whole run is deterministic.
+#[test]
+fn wave_with_landmarks_embeds_k_rows_and_places_joiners() {
+    let topo = small_world(43);
+    let n = topo.num_nodes();
+    let build = || {
+        OverlayRuntime::new(
+            &topo,
+            43,
+            RuntimeConfig::builder()
+                .horizon_ms(10_000.0)
+                .latency_backend(LatencyBackend::Lazy)
+                .deployment(DeploymentModel::Wave { initial: 25, joins_per_tick: 10 })
+                .vivaldi(VivaldiConfig { landmarks: Some(8), ..Default::default() })
+                .build(),
+        )
+    };
+    let rt = build();
+    let stats = rt.lazy_latency_stats().unwrap();
+    assert_eq!(
+        stats.rows_computed, 8,
+        "bring-up must touch exactly the landmark rows, not all {n}"
+    );
+    let run = || {
+        let mut rt = build();
+        let hosts: Vec<NodeId> =
+            topo.host_candidates().into_iter().filter(|&h| rt.is_arrived(h)).collect();
+        let q =
+            QuerySpec::join_star(&[hosts[0], hosts[1], hosts[2], hosts[3]], hosts[4], 10.0, 0.02);
+        let handle = rt.deploy(q).unwrap();
+        let report = rt.run();
+        (report, rt.arrived_count(), rt.placement(handle).cloned())
+    };
+    let (a, arrived_a, placement_a) = run();
+    let (b, arrived_b, placement_b) = run();
+    assert_eq!(arrived_a, n, "the wave must complete");
+    assert_eq!(arrived_a, arrived_b);
+    assert_eq!(a, b, "landmark-mode wave runs must be deterministic");
+    assert_eq!(placement_a, placement_b);
+}
+
+#[test]
+fn double_failure_is_idempotent() {
+    let topo = small_world(9);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        9,
+        RuntimeConfig { horizon_ms: 5_000.0, churn: ChurnProcess::None, ..Default::default() },
+    );
+    rt.deploy(demo_query(&topo)).unwrap();
+    let victim = topo.host_candidates()[70];
+    rt.schedule_failure(1_000.0, victim);
+    rt.schedule_failure(2_000.0, victim);
+    rt.run();
+    assert!(!rt.is_alive(victim));
+}
+
+fn routed_backend() -> MapperBackend {
+    MapperBackend::Routed { bits: 12, scan_width: 8, proto: ProtoConfig::default() }
+}
+
+/// The routed backend answers every mapping from the same catalog state
+/// as the Dht backend, so whole runs — placements, samples, migrations —
+/// must be bit-identical; only the traffic accounting differs.
+#[test]
+fn routed_backend_run_is_bit_identical_to_dht_backend() {
+    let topo = small_world(50);
+    let run = |backend| {
+        let mut rt = OverlayRuntime::new(
+            &topo,
+            50,
+            RuntimeConfig::builder()
+                .horizon_ms(10_000.0)
+                .mapper_backend(backend)
+                .churn(ChurnProcess::SparseWalk { nodes_per_tick: 8, std_dev: 0.15 })
+                .latency_jitter(JitterModel { edges_per_tick: 25, ..Default::default() })
+                .reopt_interval_ms(2_000.0)
+                .build(),
+        );
+        let handle = rt.deploy(demo_query(&topo)).unwrap();
+        let report = rt.run();
+        let placement = rt.placement(handle).cloned();
+        (report, placement, rt.control_plane_stats())
+    };
+    let (dht_report, dht_placement, dht_cp) = run(MapperBackend::Dht { bits: 12, scan_width: 8 });
+    let (routed_report, routed_placement, routed_cp) = run(routed_backend());
+    assert_eq!(dht_report, routed_report, "routed answers must match the omniscient-state Dht");
+    assert_eq!(dht_placement, routed_placement);
+    // The Dht backend experiences nothing; the routed backend replayed
+    // every deploy/reopt lookup and churn refresh over the underlay.
+    assert_eq!(dht_cp.routed_messages, 0);
+    assert!(routed_cp.routed_messages > 0, "routed traffic must be charged");
+    assert!(routed_cp.routed_lookups > 0);
+    assert!(routed_cp.routed_p50_latency_ms.is_some());
+    let p50 = routed_cp.routed_p50_latency_ms.unwrap();
+    let p99 = routed_cp.routed_p99_latency_ms.unwrap();
+    assert!(p50 > 0.0 && p99 >= p50, "experienced latency must be positive: {p50} / {p99}");
+    assert!(routed_cp.routed_hop_histogram.iter().sum::<u64>() > 0);
+}
+
+/// The routed protocol settles only on serial paths (tick boundary,
+/// failures, deploy), so its clock and stats — like the run itself —
+/// must not depend on the worker-pool width.
+#[test]
+fn routed_run_is_bit_identical_across_thread_counts() {
+    let topo = small_world(51);
+    let run = |threads: usize| {
+        let mut rt = OverlayRuntime::new(
+            &topo,
+            51,
+            RuntimeConfig::builder()
+                .horizon_ms(8_000.0)
+                .threads(threads)
+                .mapper_backend(routed_backend())
+                .churn(ChurnProcess::SparseWalk { nodes_per_tick: 10, std_dev: 0.15 })
+                .latency_jitter(JitterModel { edges_per_tick: 20, ..Default::default() })
+                .reopt_interval_ms(2_000.0)
+                .build(),
+        );
+        rt.deploy(demo_query(&topo)).unwrap();
+        let report = rt.run();
+        let routed = rt.routed_stats().cloned().unwrap();
+        (report, rt.control_plane_stats(), routed)
+    };
+    let (serial, serial_cp, serial_routed) = run(1);
+    let (parallel, parallel_cp, parallel_routed) = run(8);
+    assert_eq!(serial, parallel, "thread count must not change a routed run");
+    // ControlPlaneStats carries wall-clock timing fields; compare the
+    // deterministic routed summary only.
+    assert_eq!(
+        (
+            serial_cp.routed_messages,
+            serial_cp.routed_lookups,
+            serial_cp.routed_retries,
+            serial_cp.routed_timeouts,
+            &serial_cp.routed_hop_histogram,
+            serial_cp.routed_p50_latency_ms,
+            serial_cp.routed_p99_latency_ms,
+        ),
+        (
+            parallel_cp.routed_messages,
+            parallel_cp.routed_lookups,
+            parallel_cp.routed_retries,
+            parallel_cp.routed_timeouts,
+            &parallel_cp.routed_hop_histogram,
+            parallel_cp.routed_p50_latency_ms,
+            parallel_cp.routed_p99_latency_ms,
+        ),
+        "routed control-plane summary must match across thread counts"
+    );
+    assert_eq!(serial_routed, parallel_routed, "full routed stats must match bit-for-bit");
+    assert!(serial_routed.messages > 0);
+}
+
+/// A node failure under the routed backend re-maps the evacuated
+/// services through the live protocol and the catalog converges on
+/// surviving nodes only.
+#[test]
+fn routed_backend_survives_failures_and_reconverges() {
+    let topo = small_world(52);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        52,
+        RuntimeConfig::builder()
+            .horizon_ms(8_000.0)
+            .mapper_backend(routed_backend())
+            .churn(ChurnProcess::None)
+            .build(),
+    );
+    assert_eq!(rt.mapper_name(), "routed-dht");
+    let handles: Vec<_> = [demo_query(&topo)].into_iter().map(|q| rt.deploy(q).unwrap()).collect();
+    let victim = topo.host_candidates()[60];
+    rt.schedule_failure(3_000.0, victim);
+    rt.run();
+    assert!(!rt.is_alive(victim));
+    for &h in &handles {
+        if let Some(p) = rt.placement(h) {
+            assert!(p.as_slice().iter().all(|&n| rt.is_alive(n)));
+        }
+    }
+    let routed = rt.routed_stats().unwrap();
+    assert!(routed.messages > 0, "failure evacuation must re-register over the wire");
+    assert_eq!(routed.timeouts, 0, "an unpartitioned underlay never times out");
+}

@@ -20,11 +20,11 @@
 //!   subset and grows on a per-tick join budget; every arrival, coordinate
 //!   re-registration, and failure is one `O(log n)` B-tree ring update in
 //!   the runtime's Hilbert-DHT catalog.
-//! * **Parallel tick loop** — per-source row computation and per-point
-//!   scalar refresh shard across a deterministic threadpool
-//!   (`RuntimeConfig::threads`, default all cores); the reduction order is
-//!   pinned so a parallel run is *bit-identical* to a serial one, which
-//!   this example asserts by running the same tier twice.
+//! * **Parallel tick loop** — per-source row computation and re-opt
+//!   evaluation shard across a deterministic threadpool
+//!   (`RuntimeConfigBuilder::threads`, default all cores); the reduction
+//!   order is pinned so a parallel run is *bit-identical* to a serial one,
+//!   which this example asserts by running the same tier twice.
 //!
 //! A final **routed control-plane pass** re-runs a tier under
 //! `MapperBackend::Routed` (a dedicated ~10k-node tier in the full run):
@@ -151,13 +151,7 @@ impl Tier {
         }
     }
 
-    fn config(
-        &self,
-        threads: usize,
-        incremental: bool,
-        backend: MapperBackend,
-        obs: ObsConfig,
-    ) -> RuntimeConfig {
+    fn config(&self, threads: usize, backend: MapperBackend, obs: ObsConfig) -> RuntimeConfig {
         RuntimeConfig::builder()
             .obs(obs)
             .mapper_backend(backend)
@@ -183,9 +177,6 @@ impl Tier {
                 joins_per_tick: self.joins_per_tick,
             })
             .threads(threads)
-            // Dirty-driven re-optimization (the default); `false` restores
-            // the evaluate-everything scan for the equivalence smoke.
-            .incremental_reopt(incremental)
             .build()
     }
 }
@@ -193,20 +184,18 @@ impl Tier {
 /// Builds the runtime, deploys the tier's query set, and runs to the
 /// horizon. Deterministic in `seed` (and, by the parallel-tick contract,
 /// in `threads`).
-#[allow(clippy::too_many_arguments)] // flat knob list keeps the call sites greppable
 fn run_tier(
     tier: &Tier,
     topo: &Topology,
     seed: u64,
     threads: usize,
-    incremental: bool,
     backend: MapperBackend,
     chatty: bool,
     obs: ObsConfig,
 ) -> RunReport {
     let n = topo.num_nodes();
     let start = Instant::now();
-    let mut rt = OverlayRuntime::new(topo, seed, tier.config(threads, incremental, backend, obs));
+    let mut rt = OverlayRuntime::new(topo, seed, tier.config(threads, backend, obs));
     if chatty {
         let warmup = rt.lazy_latency_stats().expect("lazy backend");
         println!(
@@ -381,60 +370,25 @@ fn main() {
     };
     let traced = obs.trace.is_some();
     let report =
-        run_tier(&tier, &topo, seed, parallel_threads, true, MapperBackend::default(), true, obs);
+        run_tier(&tier, &topo, seed, parallel_threads, MapperBackend::default(), true, obs);
     if traced {
         println!("  wrote JSONL span trace to {:?}", std::env::var_os("SBON_TRACE").unwrap());
     }
 
     // ── Determinism pin: the serial run must be bit-identical ────────────
     // The parallel-tick contract: sharding per-source row computation and
-    // per-point scalar refresh across a threadpool changes wall time only.
+    // re-opt evaluation across a threadpool changes wall time only.
     // `RunReport` equality is bit-for-bit over every sample and counter.
     println!("\nre-running the tier serially (threads: 1) to pin determinism...");
     let start = Instant::now();
-    let serial = run_tier(
-        &tier,
-        &topo,
-        seed,
-        1,
-        true,
-        MapperBackend::default(),
-        false,
-        ObsConfig::disabled(),
-    );
+    let serial =
+        run_tier(&tier, &topo, seed, 1, MapperBackend::default(), false, ObsConfig::disabled());
     println!("  serial run finished in {:.2} s", start.elapsed().as_secs_f64());
     assert_eq!(
         report, serial,
         "parallel and serial runs of the same tier must produce bit-identical RunReports"
     );
     println!("  parallel ≡ serial: RunReports are bit-identical ✓");
-
-    // ── Incremental-vs-full equivalence pin (XL smoke) ───────────────────
-    // Dirty-driven re-optimization skips only circuits whose last no-op
-    // evaluation provably had unchanged inputs, so the run must be
-    // bit-identical to the evaluate-everything scan. Asserted on the
-    // reduced 100k-tier shape; the full tier relies on the same contract.
-    if smoke_xl {
-        println!("\nre-running with incremental re-opt disabled (full scan) to pin equivalence...");
-        let start = Instant::now();
-        let full_scan = run_tier(
-            &tier,
-            &topo,
-            seed,
-            parallel_threads,
-            false,
-            MapperBackend::default(),
-            false,
-            ObsConfig::disabled(),
-        );
-        println!("  full-scan run finished in {:.2} s", start.elapsed().as_secs_f64());
-        assert_eq!(
-            report, full_scan,
-            "dirty-driven and evaluate-everything re-optimization must produce bit-identical \
-             RunReports"
-        );
-        println!("  incremental ≡ full scan: RunReports are bit-identical ✓");
-    }
 
     // ── Routed control-plane pass: the message-passing backend ───────────
     // `MapperBackend::Routed` answers placements from the same catalog
@@ -465,7 +419,6 @@ fn main() {
         topo_r,
         seed,
         parallel_threads,
-        true,
         MapperBackend::default(),
         false,
         ObsConfig::disabled(),
@@ -477,7 +430,6 @@ fn main() {
         topo_r,
         seed,
         parallel_threads,
-        true,
         routed_backend,
         true,
         ObsConfig::disabled(),

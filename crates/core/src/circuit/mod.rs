@@ -265,6 +265,18 @@ impl Circuit {
         self.links.iter().filter(|l| l.to == sid).map(|l| l.from).collect()
     }
 
+    /// `mask[service]`: the service is one of `roots` or sits beneath one
+    /// (streams into it, directly or through other services).
+    pub fn subtree_mask(&self, roots: &[ServiceId]) -> Vec<bool> {
+        let mut mask = vec![false; self.len()];
+        let mut pending = roots.to_vec();
+        while let Some(sid) = pending.pop() {
+            mask[sid.index()] = true;
+            pending.extend(self.links.iter().filter(|l| l.to == sid).map(|l| l.from));
+        }
+        mask
+    }
+
     /// Pins an (operator) service to a node — used when multi-query
     /// optimization reuses an existing instance.
     pub fn pin_service(&mut self, sid: ServiceId, node: NodeId) {

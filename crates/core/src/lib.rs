@@ -39,7 +39,7 @@ pub mod reopt;
 pub use circuit::{Circuit, CircuitCost, Placement, Service, ServiceId, ServiceKind, ServicePin};
 pub use costspace::{CostPoint, CostSpace, CostSpaceBuilder, WeightFn};
 pub use optimizer::{
-    IntegratedOptimizer, OptimizerConfig, PlacedCircuit, PlacerKind, QuerySpec, TwoStepOptimizer,
+    IntegratedOptimizer, OptimizerConfig, PlacedCircuit, QuerySpec, TwoStepOptimizer,
 };
 pub use placement::{
     CentroidPlacer, DhtMapper, DhtMapperConfig, GradientPlacer, LiveOracleMapper, MappedService,

@@ -12,6 +12,18 @@
 //! signature canonically encodes the operator *and its whole input subtree*,
 //! so reusing the instance also reuses everything beneath it.
 //!
+//! # Who owns what
+//!
+//! The registry owns **tenancy facts**, keyed by the [`CircuitId`] its
+//! caller deploys under: which operator instances each circuit registered
+//! (and where the discovery index keeps them), the subscription refcount of
+//! every instance, and each circuit's borrows. It keeps no copy of any
+//! [`Circuit`], [`Placement`] or shared mask — those, and the tenancy pins
+//! on subscribed instances, belong to the caller, which reports the changes
+//! that concern the registry ([`MultiQueryOptimizer::relocate`],
+//! [`MultiQueryOptimizer::reregister`]) and acts on what a departure
+//! reports back ([`ReleaseReport`]).
+//!
 //! # Tenancy and refcounts
 //!
 //! The registry is **reuse-aware across query lifecycles**: every reuse of a
@@ -32,22 +44,24 @@
 //! Refcounts never go negative (underflow panics — it would mean a
 //! double-release bug) and fully drain to zero once every circuit has been
 //! released, which the workspace pins with a property test over random
-//! arrival/departure interleavings.
+//! arrival/departure/failure interleavings.
 
 use std::collections::BTreeMap;
 
 use sbon_dht::catalog::CoordinateCatalog;
+use sbon_dht::ring::MemberId;
 use sbon_hilbert::{HilbertCurve, Quantizer};
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::latency::LatencyProvider;
 
 use crate::circuit::{Circuit, CircuitCost, Placement, ServiceId, ServiceKind};
 use crate::costspace::CostSpace;
-use crate::optimizer::{OptimizerConfig, QuerySpec};
+use crate::optimizer::{IntegratedOptimizer, OptimizerConfig, QuerySpec};
 use crate::placement::{map_circuit, OracleMapper, PhysicalMapper, VirtualPlacer};
 
 /// Identifier of a deployed circuit in the [`MultiQueryOptimizer`]'s
-/// registry.
+/// registry — chosen by whoever deploys
+/// ([`MultiQueryOptimizer::optimize_and_deploy_as`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CircuitId(pub u64);
 
@@ -62,8 +76,6 @@ pub struct ServiceInstance {
     pub node: NodeId,
     /// Canonical subtree signature.
     pub signature: String,
-    /// Its output rate (new subscribers add a link carrying this rate).
-    pub output_rate: f64,
 }
 
 /// How the reuse search is bounded.
@@ -105,7 +117,7 @@ pub struct MultiQueryOutcome {
     /// Reuse candidates examined across all considered plans — the quantity
     /// radius pruning bounds.
     pub candidates_examined: usize,
-    /// Assigned id in the registry.
+    /// The id it is registered under.
     pub id: CircuitId,
 }
 
@@ -134,28 +146,41 @@ pub struct ReleaseReport {
     pub orphaned: Vec<CircuitId>,
 }
 
+/// Where one of a circuit's own operator instances sits in the discovery
+/// index — the handle that makes removing or re-homing it touch that one
+/// entry and nothing else.
+#[derive(Clone)]
+struct Registered {
+    service: ServiceId,
+    /// Key of the `by_signature` list holding the instance.
+    signature: String,
+    /// Its DHT member id, when the DHT index is configured.
+    member: Option<MemberId>,
+}
+
 /// A subscription this circuit holds on another circuit's instance.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 struct Borrow {
-    /// The local service that was substituted by the instance.
-    at: ServiceId,
     /// The instance's owner.
     from: CircuitId,
     /// The instance's id within its owner.
     service: ServiceId,
+    /// This circuit's own operator instances the substituted service sits
+    /// beneath. While any of them is still subscribed, the retained subtree
+    /// under it keeps consuming the borrowed feed.
+    beneath: Vec<ServiceId>,
+    /// Given back already.
+    released: bool,
 }
 
 /// Registry record of one deployed (possibly departed-but-retained) circuit.
 #[derive(Clone)]
 struct CircuitRecord {
-    circuit: Circuit,
-    placement: Placement,
-    /// Per-service shared flag (see [`MultiQueryOutcome::shared`]).
-    shared: Vec<bool>,
+    /// Its own operator instances still in the discovery index, in service
+    /// order.
+    instances: Vec<Registered>,
     /// Subscriptions held on other circuits' instances.
     borrows: Vec<Borrow>,
-    /// `released[i]` — `borrows[i]` has been given back already.
-    released: Vec<bool>,
     /// The circuit departed; only still-subscribed subtrees survive.
     departed: bool,
 }
@@ -168,9 +193,12 @@ struct CircuitRecord {
 #[derive(Clone)]
 struct InstanceIndex {
     catalog: CoordinateCatalog<HilbertCurve>,
-    /// `slots[member]` — the instance registered under DHT member id
-    /// `member`; `None` after teardown.
-    slots: Vec<Option<ServiceInstance>>,
+    /// The instance registered under each live DHT member id.
+    members: BTreeMap<MemberId, ServiceInstance>,
+    /// Member ids of departed instances, reissued before a new one is
+    /// minted: the catalog is dense by member id, so index storage tracks
+    /// the peak number of live instances, not the number ever registered.
+    free: Vec<MemberId>,
     /// k for the k-nearest discovery lookups.
     k: usize,
 }
@@ -187,12 +215,15 @@ struct InstanceIndex {
 /// reuse scopes against an identical running workload.
 #[derive(Clone)]
 pub struct MultiQueryOptimizer {
-    config: OptimizerConfig,
+    optimizer: IntegratedOptimizer,
+    /// Next id [`MultiQueryOptimizer::optimize_and_deploy`] hands out; a
+    /// caller with ids of its own never advances it.
     next_id: u64,
     // The registries are ordered maps: `.values()` folds over them feed
     // counts and cost sums into reports, and hash iteration order is
     // process-random (sbon-lint: unordered-iteration).
-    /// Running instances indexed by signature.
+    /// Running instances indexed by signature, each list in registration
+    /// order (discovery breaks distance ties towards the first registered).
     by_signature: BTreeMap<String, Vec<ServiceInstance>>,
     /// All deployed circuits, including departed ones that still own
     /// retained (subscribed) subtrees.
@@ -207,7 +238,7 @@ impl MultiQueryOptimizer {
     /// An empty registry with exact (registry-scan) instance discovery.
     pub fn new(config: OptimizerConfig) -> Self {
         MultiQueryOptimizer {
-            config,
+            optimizer: IntegratedOptimizer::new(config),
             next_id: 0,
             by_signature: BTreeMap::new(),
             deployed: BTreeMap::new(),
@@ -227,14 +258,8 @@ impl MultiQueryOptimizer {
         let points: Vec<Vec<f64>> = space.points().iter().map(|p| p.as_slice().to_vec()).collect();
         let quantizer = Quantizer::covering(&points, bits, 0.25);
         let catalog = CoordinateCatalog::new(HilbertCurve::new(dims, bits), quantizer, 8);
-        MultiQueryOptimizer {
-            config,
-            next_id: 0,
-            by_signature: BTreeMap::new(),
-            deployed: BTreeMap::new(),
-            subscribers: BTreeMap::new(),
-            dht_index: Some(InstanceIndex { catalog, slots: Vec::new(), k }),
-        }
+        let index = InstanceIndex { catalog, members: BTreeMap::new(), free: Vec::new(), k };
+        MultiQueryOptimizer { dht_index: Some(index), ..Self::new(config) }
     }
 
     /// Discovery traffic statistics (zeroes when the registry oracle is in
@@ -270,12 +295,9 @@ impl MultiQueryOptimizer {
         self.subscribers.values().sum()
     }
 
-    /// Optimizes and deploys a new query. For each candidate plan the
-    /// optimizer (1) virtually places it, (2) tries to substitute each
-    /// operator service with a running instance of the same signature within
-    /// the reuse scope, (3) maps the remaining services, and (4) costs the
-    /// *marginal* circuit. The cheapest marginal circuit is deployed and
-    /// registered.
+    /// Optimizes and deploys a new query under the next id of the
+    /// registry's own numbering, mapping through the centralized oracle.
+    /// See [`Self::optimize_and_deploy_as`].
     pub fn optimize_and_deploy(
         &mut self,
         query: &QuerySpec,
@@ -283,44 +305,38 @@ impl MultiQueryOptimizer {
         latency: &dyn LatencyProvider,
         scope: ReuseScope,
     ) -> Option<MultiQueryOutcome> {
-        let mut mapper = OracleMapper;
-        self.optimize_and_deploy_with_mapper(query, space, latency, scope, &mut mapper)
+        let id = CircuitId(self.next_id);
+        let outcome =
+            self.optimize_and_deploy_as(id, query, space, latency, scope, &mut OracleMapper)?;
+        self.next_id += 1;
+        Some(outcome)
     }
 
-    /// [`Self::optimize_and_deploy`] with an explicit physical mapper.
-    pub fn optimize_and_deploy_with_mapper(
+    /// Optimizes and deploys a new query as circuit `id` — the caller's
+    /// numbering; panics if `id` is already registered. For each candidate
+    /// plan the optimizer (1) virtually places it, (2) tries to substitute
+    /// each operator service with a running instance of the same signature
+    /// within the reuse scope, (3) maps the remaining services through
+    /// `mapper`, and (4) costs the *marginal* circuit. The cheapest marginal
+    /// circuit is deployed and registered.
+    pub fn optimize_and_deploy_as(
         &mut self,
+        id: CircuitId,
         query: &QuerySpec,
         space: &CostSpace,
         latency: &dyn LatencyProvider,
         scope: ReuseScope,
         mapper: &mut dyn PhysicalMapper,
     ) -> Option<MultiQueryOutcome> {
-        let integrated = crate::optimizer::IntegratedOptimizer::new(self.config.clone());
-        let placer = self.config.placer.build();
         let mut total_candidates = 0usize;
         let mut best: Option<(MultiQueryOutcome, Placement)> = None;
 
-        for plan in integrated.candidate_plans(query) {
-            let outcome = self.place_one_plan(
-                &plan,
-                query,
-                space,
-                latency,
-                scope,
-                placer.as_ref(),
-                mapper,
-                &mut total_candidates,
-            );
-            let better = match (&best, &outcome) {
-                (None, Some(_)) => true,
-                (Some((b, _)), Some((o, _))) => {
-                    o.marginal_cost.network_usage < b.marginal_cost.network_usage
-                }
-                _ => false,
-            };
-            if better {
-                best = outcome;
+        for plan in self.optimizer.candidate_plans(query) {
+            let candidate = self.place_one_plan(id, plan, query, space, latency, scope, mapper);
+            total_candidates += candidate.0.candidates_examined;
+            let cheapest = best.as_ref().map(|(b, _)| b.marginal_cost.network_usage);
+            if cheapest.is_none_or(|b| candidate.0.marginal_cost.network_usage < b) {
+                best = Some(candidate);
             }
         }
 
@@ -330,10 +346,8 @@ impl MultiQueryOptimizer {
         chosen.standalone_cost =
             chosen.circuit.cost_with(&standalone, |a, b| latency.latency(a, b));
         chosen.candidates_examined = total_candidates;
-        chosen.id = CircuitId(self.next_id);
-        self.next_id += 1;
         self.register(
-            chosen.id,
+            id,
             &chosen.circuit,
             &chosen.placement,
             &chosen.shared,
@@ -345,42 +359,36 @@ impl MultiQueryOptimizer {
     }
 
     /// Places one candidate plan with reuse, returning its outcome (not yet
-    /// registered, `standalone_cost` not yet measured) and its standalone —
-    /// no-reuse — placement.
+    /// registered, `standalone_cost` not yet measured, `candidates_examined`
+    /// counting this plan alone) and its standalone — no-reuse — placement.
     #[allow(clippy::too_many_arguments)]
     fn place_one_plan(
         &mut self,
-        plan: &sbon_query::plan::LogicalPlan,
+        id: CircuitId,
+        plan: sbon_query::plan::LogicalPlan,
         query: &QuerySpec,
         space: &CostSpace,
         latency: &dyn LatencyProvider,
         scope: ReuseScope,
-        placer: &dyn VirtualPlacer,
         mapper: &mut dyn PhysicalMapper,
-        candidates_examined: &mut usize,
-    ) -> Option<(MultiQueryOutcome, Placement)> {
+    ) -> (MultiQueryOutcome, Placement) {
+        let placer = *self.optimizer.placer();
         let mut circuit =
-            Circuit::from_plan(plan, &query.stats, |s| query.producer_of(s), query.consumer);
+            Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
 
         // Standalone reference: no reuse.
         let vp0 = placer.place(&circuit, space);
         let standalone = map_circuit(&circuit, &vp0, space, mapper).placement;
 
-        // Reuse pass: walk services top-down (higher ids are closer to the
-        // root in construction order); the first (largest) reusable subtree
-        // wins, and everything beneath it is marked shared.
+        // Reuse pass: walk services top-down (construction is post-order, so
+        // descending ids visit parents before children); the first (largest)
+        // reusable subtree wins, and everything beneath it is marked shared.
         let mut shared = vec![false; circuit.len()];
         let mut reused = Vec::new();
         let mut reused_at = Vec::new();
+        let mut candidates_examined = 0;
         if scope != ReuseScope::None {
-            let order: Vec<ServiceId> = {
-                let mut ids: Vec<ServiceId> = circuit.services().iter().map(|s| s.id).collect();
-                // Construction is post-order, so reverse id order visits
-                // parents before children.
-                ids.sort_by(|a, b| b.cmp(a));
-                ids
-            };
-            for sid in order {
+            for sid in (0..circuit.len() as u32).rev().map(ServiceId) {
                 if shared[sid.index()] {
                     continue;
                 }
@@ -390,7 +398,7 @@ impl MultiQueryOptimizer {
                 };
                 let ideal = space.ideal_point(vp0.coord_of(sid));
                 let (found, examined) = self.discover(&signature, &ideal, scope, space);
-                *candidates_examined += examined;
+                candidates_examined += examined;
                 if let Some(inst) = found {
                     // Reuse: pin this service at the instance's node and
                     // mark its subtree shared. The subtree's services are
@@ -400,13 +408,8 @@ impl MultiQueryOptimizer {
                     // where the data actually materializes, shared links
                     // cost exactly zero (co-located), and no re-opt pass
                     // can ever "migrate" a phantom.
-                    let mut subtree = vec![false; circuit.len()];
-                    subtree[sid.index()] = true;
-                    mark_subtree(&circuit, sid, &mut subtree);
-                    for (idx, &in_subtree) in subtree.iter().enumerate() {
-                        if !in_subtree {
-                            continue;
-                        }
+                    let subtree = circuit.subtree_mask(&[sid]);
+                    for idx in (0..circuit.len()).filter(|&idx| subtree[idx]) {
                         shared[idx] = true;
                         // Producers keep their real pins (a producer death
                         // must still kill this circuit); phantom operators
@@ -450,7 +453,7 @@ impl MultiQueryOptimizer {
         };
 
         let outcome = MultiQueryOutcome {
-            plan: plan.clone(),
+            plan,
             placement: mapped.placement,
             circuit,
             marginal_cost: marginal,
@@ -458,10 +461,10 @@ impl MultiQueryOptimizer {
             reused,
             reused_at,
             shared,
-            candidates_examined: 0,  // caller overwrites with the total
-            id: CircuitId(u64::MAX), // caller assigns
+            candidates_examined, // caller overwrites with the total
+            id,
         };
-        Some((outcome, standalone))
+        (outcome, standalone)
     }
 
     /// Finds the closest reusable instance with the given signature inside
@@ -490,8 +493,9 @@ impl MultiQueryOptimizer {
                 .into_iter()
                 .filter(|&(_, d)| in_radius(d))
                 .filter_map(|(member, d)| {
-                    index.slots[member as usize]
-                        .as_ref()
+                    index
+                        .members
+                        .get(&member)
                         .filter(|inst| inst.signature == signature)
                         .map(|inst| (inst.clone(), d))
                 })
@@ -502,18 +506,18 @@ impl MultiQueryOptimizer {
                 return (None, 0);
             };
             let mut examined = 0;
-            let mut best: Option<(ServiceInstance, f64)> = None;
+            let mut best: Option<(&ServiceInstance, f64)> = None;
             for inst in instances {
                 let d = space.point(inst.node).full_distance(ideal);
                 if !in_radius(d) {
                     continue;
                 }
                 examined += 1;
-                if best.as_ref().is_none_or(|(_, bd)| d < *bd) {
-                    best = Some((inst.clone(), d));
+                if best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((inst, d));
                 }
             }
-            (best.map(|(inst, _)| inst), examined)
+            (best.map(|(inst, _)| inst.clone()), examined)
         }
     }
 
@@ -534,60 +538,51 @@ impl MultiQueryOptimizer {
         reused_at: &[ServiceId],
         space: &CostSpace,
     ) {
+        assert!(!self.deployed.contains_key(&id), "circuit {id:?} is already registered");
+        let mut instances = Vec::new();
         for s in circuit.services() {
+            let ServiceKind::Operator { signature } = &s.kind else { continue };
             if shared[s.id.index()] {
                 continue;
             }
-            if let ServiceKind::Operator { signature } = &s.kind {
-                let node = placement.node_of(s.id);
-                let instance = ServiceInstance {
-                    circuit: id,
-                    service: s.id,
-                    node,
-                    signature: signature.clone(),
-                    output_rate: s.output_rate,
-                };
-                if let Some(index) = &mut self.dht_index {
-                    let member = index.slots.len() as u32;
-                    index.slots.push(Some(instance.clone()));
-                    index.catalog.insert(member, space.point(node).as_slice().to_vec());
-                }
-                self.by_signature.entry(signature.clone()).or_default().push(instance);
-            }
+            let node = placement.node_of(s.id);
+            let instance =
+                ServiceInstance { circuit: id, service: s.id, node, signature: signature.clone() };
+            let member = self.dht_index.as_mut().map(|index| {
+                // With no id to reissue, ids `0..members.len()` are all live.
+                let member = index.free.pop().unwrap_or(index.members.len() as MemberId);
+                index.members.insert(member, instance.clone());
+                index.catalog.insert(member, space.point(node).as_slice().to_vec());
+                member
+            });
+            self.by_signature.entry(signature.clone()).or_default().push(instance);
+            instances.push(Registered { service: s.id, signature: signature.clone(), member });
         }
         let borrows: Vec<Borrow> = reused
             .iter()
             .zip(reused_at)
-            .map(|(inst, &at)| Borrow { at, from: inst.circuit, service: inst.service })
+            .map(|(inst, &at)| Borrow {
+                from: inst.circuit,
+                service: inst.service,
+                beneath: instances
+                    .iter()
+                    .map(|own| own.service)
+                    .filter(|&own| circuit.subtree_mask(&[own])[at.index()])
+                    .collect(),
+                released: false,
+            })
             .collect();
         for b in &borrows {
             *self.subscribers.entry((b.from, b.service)).or_default() += 1;
         }
-        let released = vec![false; borrows.len()];
-        self.deployed.insert(
-            id,
-            CircuitRecord {
-                circuit: circuit.clone(),
-                placement: placement.clone(),
-                shared: shared.to_vec(),
-                borrows,
-                released,
-                departed: false,
-            },
-        );
+        self.deployed.insert(id, CircuitRecord { instances, borrows, departed: false });
     }
 
     /// The departing-or-departed circuit's still-subscribed own services.
     fn subscribed_roots(&self, id: CircuitId) -> Vec<ServiceId> {
         let Some(rec) = self.deployed.get(&id) else { return Vec::new() };
-        rec.circuit
-            .services()
-            .iter()
-            .filter(|s| matches!(s.kind, ServiceKind::Operator { .. }))
-            .filter(|s| !rec.shared[s.id.index()])
-            .filter(|s| self.refcount(id, s.id) > 0)
-            .map(|s| s.id)
-            .collect()
+        let own = rec.instances.iter().map(|own| own.service);
+        own.filter(|&s| self.refcount(id, s) > 0).collect()
     }
 
     /// Marks as released — and returns — every not-yet-released borrow of
@@ -599,49 +594,47 @@ impl MultiQueryOptimizer {
         keep: &[ServiceId],
     ) -> Vec<(CircuitId, ServiceId)> {
         let Some(rec) = self.deployed.get_mut(&id) else { return Vec::new() };
-        let mut keep_mask = vec![false; rec.circuit.len()];
-        for &root in keep {
-            keep_mask[root.index()] = true;
-            mark_subtree(&rec.circuit, root, &mut keep_mask);
-        }
         let mut freed = Vec::new();
-        for i in 0..rec.borrows.len() {
-            if !rec.released[i] && !keep_mask[rec.borrows[i].at.index()] {
-                rec.released[i] = true;
-                freed.push((rec.borrows[i].from, rec.borrows[i].service));
+        for b in &mut rec.borrows {
+            if !b.released && !b.beneath.iter().any(|own| keep.contains(own)) {
+                b.released = true;
+                freed.push((b.from, b.service));
             }
         }
         freed
     }
 
-    /// Removes one instance from the discovery index (registry + DHT).
+    /// Takes one instance out of the discovery index (registry list + DHT
+    /// member); its member id becomes reusable.
+    fn unindex(&mut self, circuit: CircuitId, own: &Registered) {
+        let list = self.by_signature.get_mut(&own.signature).expect("listed under its signature");
+        list.retain(|inst| !(inst.circuit == circuit && inst.service == own.service));
+        if list.is_empty() {
+            self.by_signature.remove(&own.signature);
+        }
+        if let (Some(index), Some(member)) = (&mut self.dht_index, own.member) {
+            index.members.remove(&member);
+            index.catalog.remove(member);
+            index.free.push(member);
+        }
+    }
+
+    /// Removes one of `circuit`'s instances from its record and the index.
     fn remove_instance(&mut self, circuit: CircuitId, service: ServiceId) {
-        for v in self.by_signature.values_mut() {
-            v.retain(|inst| !(inst.circuit == circuit && inst.service == service));
-        }
-        self.by_signature.retain(|_, v| !v.is_empty());
-        if let Some(index) = &mut self.dht_index {
-            for member in 0..index.slots.len() {
-                let dead = index.slots[member]
-                    .as_ref()
-                    .is_some_and(|inst| inst.circuit == circuit && inst.service == service);
-                if dead {
-                    index.slots[member] = None;
-                    index.catalog.remove(member as u32);
-                }
-            }
-        }
+        let Some(rec) = self.deployed.get_mut(&circuit) else { return };
+        let Some(pos) = rec.instances.iter().position(|own| own.service == service) else {
+            return;
+        };
+        let own = rec.instances.remove(pos);
+        self.unindex(circuit, &own);
     }
 
     /// Decrements subscriptions along `queue`, draining retained subtrees
     /// whose refcount hits zero and cascading the releases their owners
     /// held. Fully drained (departed, subscriber-free) records are removed.
-    fn drain_subscriptions(
-        &mut self,
-        mut queue: Vec<(CircuitId, ServiceId)>,
-        drained: &mut Vec<(CircuitId, ServiceId)>,
-        idle: &mut Vec<(CircuitId, ServiceId)>,
-    ) {
+    /// Reports what `drained` and what went `idle`.
+    fn drain_subscriptions(&mut self, mut queue: Vec<(CircuitId, ServiceId)>) -> ReleaseReport {
+        let mut report = ReleaseReport::default();
         while let Some((oc, os)) = queue.pop() {
             let hit_zero = match self.subscribers.get_mut(&(oc, os)) {
                 // The owner was force-torn down (`teardown`) and took its
@@ -664,19 +657,20 @@ impl MultiQueryOptimizer {
             if !owner_departed {
                 // The owner still runs it for itself; report the instance
                 // idle so the caller can lift the tenancy pin.
-                idle.push((oc, os));
+                report.idle.push((oc, os));
                 continue;
             }
             // The retained subtree drains: out of the index, usage stops,
             // and the borrows only it was holding cascade.
             self.remove_instance(oc, os);
-            drained.push((oc, os));
+            report.drained.push((oc, os));
             let surviving = self.subscribed_roots(oc);
             queue.extend(self.release_borrows_outside(oc, &surviving));
             if surviving.is_empty() {
                 self.deployed.remove(&oc);
             }
         }
+        report
     }
 
     /// Releases a circuit — the graceful departure path. Its unsubscribed
@@ -690,30 +684,20 @@ impl MultiQueryOptimizer {
         let retained = self.subscribed_roots(id);
         // Unsubscribed own instances leave the index now; retained ones stay
         // discoverable (they keep running, new arrivals may still attach).
-        let gone: Vec<ServiceId> = {
-            let rec = &self.deployed[&id];
-            rec.circuit
-                .services()
-                .iter()
-                .filter(|s| matches!(s.kind, ServiceKind::Operator { .. }))
-                .filter(|s| !rec.shared[s.id.index()])
-                .filter(|s| !retained.contains(&s.id))
-                .map(|s| s.id)
-                .collect()
-        };
-        for s in gone {
-            self.remove_instance(id, s);
+        let rec = self.deployed.get_mut(&id).expect("checked above");
+        rec.departed = true;
+        let (kept, gone) = std::mem::take(&mut rec.instances)
+            .into_iter()
+            .partition(|own| retained.contains(&own.service));
+        rec.instances = kept;
+        for own in &gone {
+            self.unindex(id, own);
         }
         let freed = self.release_borrows_outside(id, &retained);
         if retained.is_empty() {
             self.deployed.remove(&id);
-        } else {
-            self.deployed.get_mut(&id).expect("retained record stays").departed = true;
         }
-        let mut drained = Vec::new();
-        let mut idle = Vec::new();
-        self.drain_subscriptions(freed, &mut drained, &mut idle);
-        Some(ReleaseReport { retained, drained, idle, orphaned: Vec::new() })
+        Some(ReleaseReport { retained, ..self.drain_subscriptions(freed) })
     }
 
     /// Re-homes one instance after its host changed (migration or failure
@@ -726,36 +710,27 @@ impl MultiQueryOptimizer {
         node: NodeId,
         space: &CostSpace,
     ) {
-        for v in self.by_signature.values_mut() {
-            for inst in v.iter_mut() {
-                if inst.circuit == circuit && inst.service == service {
-                    inst.node = node;
-                }
-            }
+        let record = self.deployed.get(&circuit);
+        let Some(own) = record.and_then(|r| r.instances.iter().find(|own| own.service == service))
+        else {
+            return;
+        };
+        let list = self.by_signature.get_mut(&own.signature).expect("listed under its signature");
+        for inst in list.iter_mut().filter(|i| i.circuit == circuit && i.service == service) {
+            inst.node = node;
         }
-        if let Some(index) = &mut self.dht_index {
-            for member in 0..index.slots.len() {
-                let hit = index.slots[member]
-                    .as_ref()
-                    .is_some_and(|inst| inst.circuit == circuit && inst.service == service);
-                if hit {
-                    if let Some(inst) = index.slots[member].as_mut() {
-                        inst.node = node;
-                    }
-                    index.catalog.remove(member as u32);
-                    index.catalog.insert(member as u32, space.point(node).as_slice().to_vec());
-                }
-            }
-        }
-        if let Some(rec) = self.deployed.get_mut(&circuit) {
-            rec.placement.move_service(service, node);
+        if let (Some(index), Some(member)) = (&mut self.dht_index, own.member) {
+            index.members.get_mut(&member).expect("live member").node = node;
+            // `insert` re-registers: the member leaves its old key first.
+            index.catalog.insert(member, space.point(node).as_slice().to_vec());
         }
     }
 
     /// Replaces a running circuit's registration after a plan swap
     /// (rewrite / full re-optimization): the old circuit's instances leave
     /// the discovery index and the replacement's operators register in
-    /// their place under the same [`CircuitId`].
+    /// their place — behind every older registration — under the same
+    /// [`CircuitId`].
     ///
     /// Only **untenanted** circuits may be swapped — panics if the circuit
     /// borrows from others or any of its instances has subscribers (a swap
@@ -770,25 +745,17 @@ impl MultiQueryOptimizer {
         let rec = self.deployed.get(&id).expect("reregister of an unknown circuit");
         assert!(!rec.departed, "cannot reregister a departed circuit");
         assert!(
-            rec.borrows.iter().zip(&rec.released).all(|(_, &released)| released),
+            rec.borrows.iter().all(|b| b.released),
             "cannot reregister a circuit that borrows from others"
         );
-        let old_instances: Vec<ServiceId> = rec
-            .circuit
-            .services()
-            .iter()
-            .filter(|s| matches!(s.kind, ServiceKind::Operator { .. }))
-            .filter(|s| !rec.shared[s.id.index()])
-            .map(|s| s.id)
-            .collect();
         assert!(
-            old_instances.iter().all(|&s| self.refcount(id, s) == 0),
+            rec.instances.iter().all(|own| self.refcount(id, own.service) == 0),
             "cannot reregister a circuit with subscribed instances"
         );
-        for s in old_instances {
-            self.remove_instance(id, s);
+        let rec = self.deployed.remove(&id).expect("checked above");
+        for own in &rec.instances {
+            self.unindex(id, own);
         }
-        self.deployed.remove(&id);
         let shared = vec![false; circuit.len()];
         self.register(id, circuit, placement, &shared, &[], &[], space);
     }
@@ -812,47 +779,20 @@ impl MultiQueryOptimizer {
         let orphaned: Vec<CircuitId> = self
             .deployed
             .iter()
-            .filter(|(_, r)| {
-                r.borrows.iter().zip(&r.released).any(|(b, &released)| !released && b.from == id)
-            })
+            .filter(|(_, r)| r.borrows.iter().any(|b| !b.released && b.from == id))
             .map(|(&c, _)| c)
             .collect();
-        for v in self.by_signature.values_mut() {
-            v.retain(|inst| inst.circuit != id);
+        // Its refcounts die with its instances; later releases by its
+        // subscribers are tolerated as no-ops (drain_subscriptions' None
+        // branch).
+        for own in &rec.instances {
+            self.unindex(id, own);
+            self.subscribers.remove(&(id, own.service));
         }
-        self.by_signature.retain(|_, v| !v.is_empty());
-        if let Some(index) = &mut self.dht_index {
-            for member in 0..index.slots.len() {
-                let dead = index.slots[member].as_ref().is_some_and(|inst| inst.circuit == id);
-                if dead {
-                    index.slots[member] = None;
-                    index.catalog.remove(member as u32);
-                }
-            }
-        }
-        // Its refcounts die with it; later releases by its subscribers are
-        // tolerated as no-ops (drain_subscriptions' None branch).
-        self.subscribers.retain(|&(c, _), _| c != id);
         // Its own outstanding subscriptions cascade like a release.
-        let freed: Vec<(CircuitId, ServiceId)> = rec
-            .borrows
-            .iter()
-            .zip(&rec.released)
-            .filter(|(_, &released)| !released)
-            .map(|(b, _)| (b.from, b.service))
-            .collect();
-        let mut drained = Vec::new();
-        let mut idle = Vec::new();
-        self.drain_subscriptions(freed, &mut drained, &mut idle);
-        Some(ReleaseReport { retained: Vec::new(), drained, idle, orphaned })
-    }
-}
-
-/// Marks all services strictly below `sid` as shared.
-fn mark_subtree(circuit: &Circuit, sid: ServiceId, shared: &mut [bool]) {
-    for child in circuit.children(sid) {
-        shared[child.index()] = true;
-        mark_subtree(circuit, child, shared);
+        let freed: Vec<(CircuitId, ServiceId)> =
+            rec.borrows.iter().filter(|b| !b.released).map(|b| (b.from, b.service)).collect();
+        Some(ReleaseReport { orphaned, ..self.drain_subscriptions(freed) })
     }
 }
 
@@ -969,6 +909,47 @@ mod tests {
         assert!(mq.teardown(first.id));
         let second = mq.optimize_and_deploy(&query(6), &space, &lat, ReuseScope::All).unwrap();
         assert!(second.reused.is_empty(), "DHT-indexed instance must be gone after teardown");
+    }
+
+    /// Member ids of departed instances are reissued: index storage tracks
+    /// the live instances, not the circuits ever deployed.
+    #[test]
+    fn dht_index_storage_is_bounded_by_peak_live_instances() {
+        let (space, lat) = world();
+        let mut mq = MultiQueryOptimizer::with_dht_index(OptimizerConfig::default(), &space, 16);
+        let anchor = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::None).unwrap();
+        let mut peak = mq.num_instances();
+        for i in 0..1_000 {
+            let scope = if i % 2 == 0 { ReuseScope::None } else { ReuseScope::All };
+            let out = mq.optimize_and_deploy(&query(6 + i % 4), &space, &lat, scope).unwrap();
+            peak = peak.max(mq.num_instances());
+            mq.release(out.id).expect("released once");
+        }
+        let index = mq.dht_index.as_ref().unwrap();
+        let minted = index.members.len() + index.free.len();
+        assert!(minted <= peak, "{minted} member ids for a peak of {peak} live instances");
+        assert_eq!(index.catalog.len(), mq.num_instances());
+        assert_eq!(index.members.len(), mq.num_instances());
+        let late = mq.optimize_and_deploy(&query(9), &space, &lat, ReuseScope::All).unwrap();
+        assert_eq!(late.reused.len(), 1, "the live instance is still discoverable");
+        assert_eq!(late.reused[0].circuit, anchor.id);
+    }
+
+    /// Among same-signature instances at equal distance the first
+    /// *registered* wins, and a re-registration queues behind older ones.
+    #[test]
+    fn equidistant_instances_tie_break_by_registration_order() {
+        let (space, lat) = world();
+        let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
+        let a = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::None).unwrap();
+        let b = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::None).unwrap();
+        assert_eq!(a.placement, b.placement, "identical queries co-locate their joins");
+        let c = mq.optimize_and_deploy(&query(7), &space, &lat, ReuseScope::All).unwrap();
+        assert_eq!(c.reused[0].circuit, a.id, "first registered wins the tie");
+        mq.release(c.id).unwrap();
+        mq.reregister(a.id, &a.circuit, &a.placement, &space);
+        let d = mq.optimize_and_deploy(&query(7), &space, &lat, ReuseScope::All).unwrap();
+        assert_eq!(d.reused[0].circuit, b.id, "a's re-registration queued behind b");
     }
 
     #[test]

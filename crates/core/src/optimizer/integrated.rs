@@ -19,13 +19,15 @@
 //! evaluate-everything loop makes, bit for bit.
 
 use sbon_netsim::latency::LatencyProvider;
-use sbon_query::enumerate::{all_join_trees, all_left_deep_trees, dp_top_k_plans};
+use sbon_query::enumerate::{all_join_trees, dp_top_k_plans};
 use sbon_query::plan::LogicalPlan;
 
 use crate::circuit::Circuit;
 use crate::costspace::CostSpace;
 use crate::optimizer::{OptimizerConfig, PlacedCircuit, QuerySpec};
-use crate::placement::{map_circuit, OracleMapper, PhysicalMapper, VirtualPlacer};
+use crate::placement::{
+    map_circuit, OracleMapper, PhysicalMapper, RelaxationPlacer, VirtualPlacer,
+};
 
 /// Integrated plan generation + service placement: every candidate plan is
 /// virtually placed, physically mapped, and costed as a *circuit*; the
@@ -33,12 +35,13 @@ use crate::placement::{map_circuit, OracleMapper, PhysicalMapper, VirtualPlacer}
 #[derive(Clone, Debug, Default)]
 pub struct IntegratedOptimizer {
     config: OptimizerConfig,
+    placer: RelaxationPlacer,
 }
 
 impl IntegratedOptimizer {
     /// Creates an optimizer.
     pub fn new(config: OptimizerConfig) -> Self {
-        IntegratedOptimizer { config }
+        IntegratedOptimizer { config, placer: RelaxationPlacer::default() }
     }
 
     /// The configuration in use.
@@ -46,15 +49,17 @@ impl IntegratedOptimizer {
         &self.config
     }
 
+    /// The virtual placer every candidate is placed with — and the one a
+    /// caller re-placing a circuit this optimizer produced should use.
+    pub fn placer(&self) -> &RelaxationPlacer {
+        &self.placer
+    }
+
     /// Candidate logical plans for a query: the full bushy space for small
     /// join sets, the k-best DP plans otherwise; source filters attached.
     pub fn candidate_plans(&self, query: &QuerySpec) -> Vec<LogicalPlan> {
         let bare: Vec<LogicalPlan> = if query.join_set.len() <= self.config.exhaustive_below {
-            if self.config.left_deep_only {
-                all_left_deep_trees(&query.join_set)
-            } else {
-                all_join_trees(&query.join_set)
-            }
+            all_join_trees(&query.join_set)
         } else {
             dp_top_k_plans(&query.stats, &query.join_set, self.config.candidate_plans)
                 .into_iter()
@@ -106,9 +111,8 @@ impl IntegratedOptimizer {
         space: &CostSpace,
         mapper: &mut dyn PhysicalMapper,
     ) -> Option<PlacedCircuit> {
-        let placer = self.config.placer.build();
         let plans = self.candidate_plans(query);
-        select_cheapest(plans, f64::INFINITY, query, space, placer.as_ref(), mapper).best
+        select_cheapest(plans, f64::INFINITY, query, space, &self.placer, mapper).best
     }
 }
 
@@ -235,7 +239,7 @@ pub(crate) mod tests {
         let best = opt.optimize(&q, &space, &lat).unwrap();
         // Re-run each candidate plan individually; none may beat the
         // optimizer's selection on the selection metric (the estimate).
-        let placer = opt.config().placer.build();
+        let placer = opt.placer();
         for plan in opt.candidate_plans(&q) {
             let circuit = Circuit::from_plan(&plan, &q.stats, |s| q.producer_of(s), q.consumer);
             let vp = placer.place(&circuit, &space);
@@ -259,31 +263,6 @@ pub(crate) mod tests {
         let placed = opt.optimize(&q, &space, &lat).unwrap();
         assert!(placed.candidates_examined <= 6);
         assert!(placed.cost.network_usage > 0.0);
-    }
-
-    #[test]
-    fn left_deep_restriction_shrinks_the_candidate_space() {
-        let (space, lat) = exact_world(40, 5);
-        let q = QuerySpec::join_star(
-            &[NodeId(0), NodeId(5), NodeId(10), NodeId(15)],
-            NodeId(20),
-            10.0,
-            0.02,
-        );
-        let bushy = IntegratedOptimizer::new(OptimizerConfig::default())
-            .optimize(&q, &space, &lat)
-            .unwrap();
-        let left_deep = IntegratedOptimizer::new(OptimizerConfig {
-            left_deep_only: true,
-            ..Default::default()
-        })
-        .optimize(&q, &space, &lat)
-        .unwrap();
-        assert_eq!(bushy.candidates_examined, 15);
-        assert_eq!(left_deep.candidates_examined, 12);
-        // The bushy space contains every left-deep tree, so its winner
-        // cannot be worse on the selection metric.
-        assert!(bushy.estimated.network_usage <= left_deep.estimated.network_usage + 1e-9);
     }
 
     #[test]
@@ -354,9 +333,9 @@ pub(crate) mod tests {
         latency: &dyn LatencyProvider,
         mapper: &mut dyn PhysicalMapper,
     ) -> Option<PlacedCircuit> {
-        let placer = opt.config.placer.build();
+        let placer = opt.placer();
         let plans = opt.candidate_plans(query);
-        select_exhaustive(plans, query, space, placer.as_ref(), mapper, Some(latency))
+        select_exhaustive(plans, query, space, placer, mapper, Some(latency))
     }
 
     /// Everything about a [`PlacedCircuit`] except its measured `cost`,
@@ -496,12 +475,12 @@ pub(crate) mod tests {
             let (space, _lat) = exact_world(n, seed);
             let q = random_query(n, ways, seed);
             let opt = IntegratedOptimizer::new(OptimizerConfig::default());
-            let placer = opt.config.placer.build();
+            let placer = opt.placer();
             let plans = opt.candidate_plans(&q);
             // The incumbent: some candidate as deployed a while ago.
             let incumbent = select_exhaustive(
                 vec![plans[seed as usize % plans.len()].clone()],
-                &q, &space, placer.as_ref(), &mut OracleMapper, None,
+                &q, &space, placer, &mut OracleMapper, None,
             ).unwrap().estimated.network_usage;
 
             let mut pruned_any = 0;
@@ -509,8 +488,8 @@ pub(crate) mod tests {
                 let ceiling = scale * incumbent;
                 let run = |old: &mut dyn PhysicalMapper, new: &mut dyn PhysicalMapper| {
                     (
-                        select_exhaustive(plans.clone(), &q, &space, placer.as_ref(), old, None),
-                        select_cheapest(plans.clone(), ceiling, &q, &space, placer.as_ref(), new),
+                        select_exhaustive(plans.clone(), &q, &space, placer, old, None),
+                        select_cheapest(plans.clone(), ceiling, &q, &space, placer, new),
                     )
                 };
                 let (exhaustive, pruned) = if use_dht == 1 {

@@ -23,40 +23,12 @@ use sbon_netsim::latency::LatencyProvider;
 use sbon_query::plan::LogicalPlan;
 
 use crate::circuit::{Circuit, CircuitCost, Placement};
-use crate::placement::{
-    CentroidPlacer, GradientConfig, GradientPlacer, RelaxationConfig, RelaxationPlacer,
-    VirtualPlacer,
-};
 
-/// Which virtual-placement algorithm an optimizer uses.
-#[derive(Clone, Copy, Debug)]
-pub enum PlacerKind {
-    /// Spring relaxation (the paper's reference algorithm).
-    Relaxation(RelaxationConfig),
-    /// One-shot rate-weighted centroid.
-    Centroid,
-    /// Weiszfeld refinement of the relaxation solution.
-    Gradient(GradientConfig),
-}
-
-impl PlacerKind {
-    /// Instantiates the placer.
-    pub fn build(&self) -> Box<dyn VirtualPlacer> {
-        match *self {
-            PlacerKind::Relaxation(cfg) => Box::new(RelaxationPlacer::new(cfg)),
-            PlacerKind::Centroid => Box::new(CentroidPlacer),
-            PlacerKind::Gradient(cfg) => Box::new(GradientPlacer::new(cfg)),
-        }
-    }
-}
-
-impl Default for PlacerKind {
-    fn default() -> Self {
-        PlacerKind::Relaxation(RelaxationConfig::default())
-    }
-}
-
-/// Optimizer tunables shared by the integrated and two-step optimizers.
+/// Optimizer tunables: how the integrated optimizer sizes its plan space.
+/// Virtual placement is not one of them — every optimizer places with the
+/// paper's reference algorithm, [`crate::placement::RelaxationPlacer`] at its
+/// defaults ([`IntegratedOptimizer::placer`]); the centroid and gradient
+/// placers are ablation subjects their benches call directly.
 #[derive(Clone, Debug)]
 pub struct OptimizerConfig {
     /// Candidate plans the integrated optimizer places (`k` of the k-best
@@ -66,21 +38,11 @@ pub struct OptimizerConfig {
     /// many streams (the F1 experiment wants the full 15-tree space of a
     /// 4-way join).
     pub exhaustive_below: usize,
-    /// Virtual-placement algorithm.
-    pub placer: PlacerKind,
-    /// Restrict exhaustive enumeration to the classic left-deep (System R)
-    /// search space instead of all bushy trees.
-    pub left_deep_only: bool,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
-        OptimizerConfig {
-            candidate_plans: 8,
-            exhaustive_below: 5,
-            placer: PlacerKind::default(),
-            left_deep_only: false,
-        }
+        OptimizerConfig { candidate_plans: 8, exhaustive_below: 5 }
     }
 }
 

@@ -13,19 +13,21 @@ use sbon_query::enumerate::dp_best_plan;
 use crate::circuit::Circuit;
 use crate::costspace::CostSpace;
 use crate::optimizer::{OptimizerConfig, PlacedCircuit, QuerySpec};
-use crate::placement::{map_circuit, OracleMapper, PhysicalMapper};
+use crate::placement::{
+    map_circuit, OracleMapper, PhysicalMapper, RelaxationPlacer, VirtualPlacer,
+};
 
 /// Plan first on statistics alone, place second.
 #[derive(Clone, Debug, Default)]
-pub struct TwoStepOptimizer {
-    config: OptimizerConfig,
-}
+pub struct TwoStepOptimizer;
 
 impl TwoStepOptimizer {
-    /// Creates an optimizer. Only the placer settings of the configuration
-    /// matter — plan choice never sees the network.
-    pub fn new(config: OptimizerConfig) -> Self {
-        TwoStepOptimizer { config }
+    /// Creates an optimizer. The configuration sizes a candidate space, and
+    /// this baseline has none (one statistics-only plan), so nothing of it
+    /// is read; the argument stays for symmetry with
+    /// [`crate::optimizer::IntegratedOptimizer::new`].
+    pub fn new(_config: OptimizerConfig) -> Self {
+        TwoStepOptimizer
     }
 
     /// Optimizes with the centralized oracle mapper.
@@ -52,10 +54,9 @@ impl TwoStepOptimizer {
         let plan = query.apply_filters(bare_plan);
 
         // Step 2: place that single plan.
-        let placer = self.config.placer.build();
         let circuit =
             Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
-        let vp = placer.place(&circuit, space);
+        let vp = RelaxationPlacer::default().place(&circuit, space);
         let mapped = map_circuit(&circuit, &vp, space, mapper);
         let estimated = circuit.cost_with(&mapped.placement, |a, b| space.vector_distance(a, b));
         let placed = PlacedCircuit {

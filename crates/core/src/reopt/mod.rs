@@ -53,7 +53,7 @@ use sbon_query::plan::LogicalPlan;
 use crate::circuit::{Circuit, Placement, ServiceId, ServicePin};
 use crate::costspace::CostSpace;
 use crate::optimizer::{
-    select_cheapest, IntegratedOptimizer, OptimizerConfig, PlacedCircuit, QuerySpec, BOUND_SLACK,
+    select_cheapest, IntegratedOptimizer, PlacedCircuit, QuerySpec, BOUND_SLACK,
 };
 use crate::placement::{PhysicalMapper, VirtualPlacer};
 
@@ -175,22 +175,22 @@ pub fn reoptimize_rewrite(
 
 /// Re-runs the full integrated optimization against (possibly updated)
 /// statistics and compares with the running circuit's current cost. The
-/// caller supplies the physical mapper — typically the same long-lived,
-/// delta-maintained instance that served the initial deployment — so full
-/// re-opt shares the control-plane state instead of instantiating mappers
+/// caller supplies the optimizer and the physical mapper — typically the
+/// same long-lived instances that served the initial deployment — so full
+/// re-opt shares the control-plane state instead of instantiating either
 /// per call. Candidates are costed and selected by estimate only (see the
 /// module docs — measured latency is never a re-opt input).
 pub fn reoptimize_full(
     running_cost_estimate: f64,
     query: &QuerySpec,
     space: &CostSpace,
+    optimizer: &IntegratedOptimizer,
     mapper: &mut dyn PhysicalMapper,
-    config: OptimizerConfig,
     policy: ReoptPolicy,
 ) -> ReplaceOutcome {
-    let placer = config.placer.build();
-    let plans = || IntegratedOptimizer::new(config).candidate_plans(query);
-    replacement_among(plans, running_cost_estimate, query, space, &*placer, mapper, policy)
+    let plans = || optimizer.candidate_plans(query);
+    let placer = optimizer.placer();
+    replacement_among(plans, running_cost_estimate, query, space, placer, mapper, policy)
 }
 
 /// The decision both plan-replacing passes make: the cheapest of `plans` by
@@ -234,7 +234,7 @@ fn replacement_among(
 mod tests {
     use super::*;
     use crate::costspace::CostSpaceBuilder;
-    use crate::optimizer::QuerySpec;
+    use crate::optimizer::{OptimizerConfig, QuerySpec};
     use crate::placement::{OracleMapper, RelaxationPlacer};
     use sbon_coords::vivaldi::VivaldiEmbedding;
     use sbon_netsim::graph::NodeId;
@@ -348,14 +348,7 @@ mod tests {
         let fresh = opt.optimize(&q, &space, &lat).unwrap();
         let inflated = fresh.estimated.network_usage * 10.0;
         let mut mapper = OracleMapper;
-        match reoptimize_full(
-            inflated,
-            &q,
-            &space,
-            &mut mapper,
-            OptimizerConfig::default(),
-            ReoptPolicy::default(),
-        ) {
+        match reoptimize_full(inflated, &q, &space, &opt, &mut mapper, ReoptPolicy::default()) {
             ReplaceOutcome::Replace { improvement, .. } => {
                 assert!(improvement > 0.8, "improvement {improvement}");
             }
@@ -468,15 +461,9 @@ mod tests {
         let space = CostSpaceBuilder::latency_space(&emb);
         let q = QuerySpec::join_star(&[NodeId(0), NodeId(8)], NodeId(4), 10.0, 0.01);
         let mut mapper = PanickingMapper;
+        let opt = IntegratedOptimizer::new(OptimizerConfig::default());
         for estimate in [0.0, -1.0] {
-            match reoptimize_full(
-                estimate,
-                &q,
-                &space,
-                &mut mapper,
-                OptimizerConfig::default(),
-                ReoptPolicy::default(),
-            ) {
+            match reoptimize_full(estimate, &q, &space, &opt, &mut mapper, ReoptPolicy::default()) {
                 ReplaceOutcome::Keep { .. } => {}
                 ReplaceOutcome::Replace { .. } => {
                     panic!("estimate {estimate} must be an unconditional Keep")
@@ -498,8 +485,8 @@ mod tests {
             fresh.estimated.network_usage,
             &q,
             &space,
+            &opt,
             &mut mapper,
-            OptimizerConfig::default(),
             ReoptPolicy::default(),
         ) {
             ReplaceOutcome::Keep { .. } => {}
@@ -545,9 +532,8 @@ mod tests {
             0.02,
         );
         let mut dht = crate::placement::DhtMapper::build(&space, 10, 8);
-        let incumbent = IntegratedOptimizer::new(OptimizerConfig::default())
-            .optimize_with_mapper_estimated(&q, &space, &mut dht)
-            .unwrap();
+        let opt = IntegratedOptimizer::new(OptimizerConfig::default());
+        let incumbent = opt.optimize_with_mapper_estimated(&q, &space, &mut dht).unwrap();
         assert_eq!(incumbent.candidates_examined, 15);
 
         let mut mapper = CountingMapper { inner: dht, calls: 0 };
@@ -555,8 +541,8 @@ mod tests {
             incumbent.estimated.network_usage,
             &q,
             &space,
+            &opt,
             &mut mapper,
-            OptimizerConfig::default(),
             ReoptPolicy::default(),
         );
         let ReplaceOutcome::Keep { pruned } = outcome else {
@@ -585,13 +571,13 @@ mod tests {
             };
             let (space, _lat) = exact_world(n, seed);
             let q = random_query(n, ways, seed);
-            let config = OptimizerConfig::default();
-            let placer = config.placer.build();
-            let plans = IntegratedOptimizer::new(config.clone()).candidate_plans(&q);
+            let opt = IntegratedOptimizer::new(OptimizerConfig::default());
+            let placer = opt.placer();
+            let plans = opt.candidate_plans(&q);
             // The running circuit: some candidate plan, placed a while ago.
             let running = select_exhaustive(
                 vec![plans[seed as usize % plans.len()].clone()],
-                &q, &space, placer.as_ref(), &mut OracleMapper, None,
+                &q, &space, placer, &mut OracleMapper, None,
             ).unwrap();
 
             for estimate_scale in [0.5, 1.0, 1.5] {
@@ -600,7 +586,7 @@ mod tests {
                     let policy =
                         ReoptPolicy { migration_threshold: 0.05, replacement_threshold: threshold };
                     let reference = |plans: Vec<LogicalPlan>, mapper: &mut dyn PhysicalMapper| {
-                        select_exhaustive(plans, &q, &space, placer.as_ref(), mapper, None)
+                        select_exhaustive(plans, &q, &space, placer, mapper, None)
                             .map(|best| {
                                 (1.0 - best.estimated.network_usage / estimate, best)
                             })
@@ -608,16 +594,14 @@ mod tests {
                             .map(|(improvement, best)| (selection_of(&best), improvement.to_bits()))
                     };
                     let run = |old: &mut dyn PhysicalMapper, new: &mut dyn PhysicalMapper| {
-                        let full = match reoptimize_full(
-                            estimate, &q, &space, new, config.clone(), policy,
-                        ) {
+                        let full = match reoptimize_full(estimate, &q, &space, &opt, new, policy) {
                             ReplaceOutcome::Replace { replacement, improvement, .. } => {
                                 Some((selection_of(&replacement), improvement.to_bits()))
                             }
                             ReplaceOutcome::Keep { .. } => None,
                         };
                         let rewrite = match reoptimize_rewrite(
-                            &running.plan, estimate, &q, &space, placer.as_ref(), new, policy,
+                            &running.plan, estimate, &q, &space, placer, new, policy,
                         ) {
                             ReplaceOutcome::Replace { replacement, improvement, .. } => {
                                 Some((selection_of(&replacement), improvement.to_bits()))

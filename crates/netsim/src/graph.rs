@@ -172,11 +172,6 @@ impl Graph {
             .map(move |&(n, e)| (n, e, self.edges[e.index()].latency_ms))
     }
 
-    /// Degree of `v`.
-    pub fn degree(&self, v: NodeId) -> usize {
-        self.adjacency[v.index()].len()
-    }
-
     /// Returns true if an edge between `a` and `b` exists (either direction).
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
         self.adjacency[a.index()].iter().any(|&(n, _)| n == b)
@@ -231,8 +226,8 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), 3.5);
         assert!(g.has_edge(NodeId(0), NodeId(1)));
         assert!(g.has_edge(NodeId(1), NodeId(0)));
-        assert_eq!(g.degree(NodeId(0)), 1);
-        assert_eq!(g.degree(NodeId(1)), 1);
+        assert_eq!(g.neighbors(NodeId(0)).count(), 1);
+        assert_eq!(g.neighbors(NodeId(1)).count(), 1);
         assert_eq!(g.neighbors(NodeId(0)).next(), Some((NodeId(1), 3.5)));
     }
 

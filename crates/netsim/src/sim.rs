@@ -113,11 +113,6 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedules `event` after a relative delay from the current time.
-    pub fn schedule_in(&mut self, delay_ms: f64, event: E) {
-        self.schedule(self.now().after(delay_ms), event);
-    }
-
     /// Pops the next event and advances the clock to it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|s| {
@@ -183,15 +178,6 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime(10.0));
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(5.0), "a");
-        q.pop();
-        q.schedule_in(2.5, "b");
-        assert_eq!(q.pop().unwrap(), (SimTime(7.5), "b"));
     }
 
     #[test]

@@ -141,12 +141,6 @@ impl MetricsRegistry {
         self.gauges[id.0] += v;
     }
 
-    /// Overwrites a gauge.
-    #[inline]
-    pub fn gauge_set(&mut self, id: GaugeId, v: f64) {
-        self.gauges[id.0] = v;
-    }
-
     /// Current value of a gauge.
     pub fn gauge_value(&self, id: GaugeId) -> f64 {
         self.gauges[id.0]

@@ -241,11 +241,6 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// Keep-all sampler (rate 1 for every kind).
-    pub fn keep_all(seed: u64) -> Sampler {
-        Sampler::new(seed, 1, Vec::new())
-    }
-
     /// A sampler keeping 1 in `default_rate` events per kind, with
     /// per-kind overrides. A rate of 0 drops every event of that kind.
     pub fn new(seed: u64, default_rate: u64, rates: Vec<(String, u64)>) -> Sampler {

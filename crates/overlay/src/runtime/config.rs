@@ -408,7 +408,12 @@ impl RuntimeConfigBuilder {
     /// jitter model has a `factor_range` that is not finite with
     /// `0 < lo < hi` (the sampler needs a non-empty range) or a `band` that
     /// is not finite with `0 <= lo <= hi` (edge latencies must stay finite
-    /// and non-negative).
+    /// and non-negative); if a reuse radius is NaN or negative (no instance
+    /// is ever within it: reuse silently off, registry still paid for); if
+    /// a policy threshold is not finite in `[0, 1)` (a NaN never adapts, a
+    /// negative one adopts worse placements); or if a DHT-backed mapper has
+    /// `bits` outside `1..=32` or a zero `scan_width` (the quantizer and
+    /// the catalog reject those without naming the field).
     pub fn build(self) -> RuntimeConfig {
         let c = &self.config;
         for (field, value) in [
@@ -436,6 +441,24 @@ impl RuntimeConfigBuilder {
             assert!(
                 b.0.is_finite() && b.1.is_finite() && 0.0 <= b.0 && b.0 <= b.1,
                 "latency_jitter.band must be finite with 0 <= lo <= hi, got {b:?}"
+            );
+        }
+        if let ReuseScope::Radius(r) = c.reuse {
+            assert!(r >= 0.0, "reuse radius must be non-negative, got {r}");
+        }
+        for (field, v) in [
+            ("policy.migration_threshold", c.policy.migration_threshold),
+            ("policy.replacement_threshold", c.policy.replacement_threshold),
+        ] {
+            assert!((0.0..1.0).contains(&v), "{field} must be finite in [0, 1), got {v}");
+        }
+        if let MapperBackend::Dht { bits, scan_width }
+        | MapperBackend::Routed { bits, scan_width, .. } = c.mapper_backend
+        {
+            assert!((1..=32).contains(&bits), "mapper_backend.bits must be in 1..=32, got {bits}");
+            assert!(
+                scan_width >= 1,
+                "mapper_backend.scan_width must be at least 1, got {scan_width}"
             );
         }
         self.config

@@ -1,24 +1,41 @@
 //! Node failure: mapper removal, the tenancy-aware teardown cascade, and
 //! evacuation of stranded services through the runtime-owned mapper.
 //!
-//! `impl OverlayRuntime` here **reads** `space` and **writes** `alive`,
-//! `mapper`, `relevance`, `circuits`, `retained`, `multiquery`,
+//! `impl OverlayRuntime` here **reads** `space`, `optimizer` (its placer)
+//! and **writes** `alive`, `mapper`, `relevance`, `circuits` (keyed remove of
+//! every dead or orphaned circuit, evacuated placements), `retained` (the
+//! torn-down owners' entries), `multiquery` (teardown, relocate),
 //! `failed_circuits`.
 
-use std::collections::VecDeque;
-
-use sbon_core::circuit::{ServiceId, ServicePin};
-use sbon_core::multiquery::CircuitId;
-use sbon_core::placement::{RelaxationPlacer, VirtualPlacer};
+use sbon_core::circuit::ServicePin;
+use sbon_core::multiquery::{CircuitId, ReleaseReport};
+use sbon_core::placement::VirtualPlacer;
 use sbon_netsim::graph::NodeId;
 
-use super::lifecycle::{subtree_mask, CircuitHandle};
+use super::lifecycle::{CircuitHandle, Deployed};
 use super::OverlayRuntime;
 
 impl OverlayRuntime {
     /// Circuits lost to pinned-service failures so far.
     pub fn failed_circuits(&self) -> &[CircuitHandle] {
         &self.failed_circuits
+    }
+
+    /// Force-removes circuit `id` — live (it is reported failed) or departed
+    /// with a retained subtree — from the table, the retained list and the
+    /// reuse registry, adding what the registry reports to `cascade`.
+    fn tear_down(&mut self, id: CircuitId, cascade: &mut ReleaseReport) {
+        let handle = CircuitHandle::of(id);
+        if self.circuits.remove(&handle).is_some() {
+            self.failed_circuits.push(handle);
+            self.relevance.remove(id.0);
+        }
+        self.retained.retain(|r| r.owner != id);
+        if let Some(rep) = self.multiquery.as_mut().and_then(|mq| mq.teardown_reporting(id)) {
+            cascade.drained.extend(rep.drained);
+            cascade.idle.extend(rep.idle);
+            cascade.orphaned.extend(rep.orphaned);
+        }
     }
 
     /// Kills `node` now: evacuates unpinned services, tears down circuits
@@ -33,7 +50,6 @@ impl OverlayRuntime {
         // scanned its registration (or read its cost point) go dirty.
         self.relevance.touch_mapper(self.mapper.as_dyn_mut().remove_node(node));
         self.relevance.touch_host(node);
-        let placer = RelaxationPlacer::default();
         let mut evacuated = 0;
 
         // Tear down circuits whose pinned services died. Under reuse, each
@@ -41,35 +57,19 @@ impl OverlayRuntime {
         // it), and the failure **cascades**: circuits subscribed to a
         // torn-down instance lose their feed and are torn down too, as are
         // retained shared subtrees with a service on the dead node.
-        let mut drained: Vec<(CircuitId, ServiceId)> = Vec::new();
-        let mut idle: Vec<(CircuitId, ServiceId)> = Vec::new();
-        let mut orphans: VecDeque<CircuitId> = VecDeque::new();
-        let mut idx = 0;
-        while idx < self.circuits.len() {
-            let dead_pin = self.circuits[idx]
-                .circuit
-                .services()
-                .iter()
-                .any(|s| matches!(s.pin, ServicePin::Pinned(n) if n == node));
-            if dead_pin {
-                let d = self.circuits.remove(idx);
-                self.failed_circuits.push(d.handle);
-                self.relevance.remove(d.handle.0 as u64);
-                if let (Some(mq), Some(id)) = (&mut self.multiquery, d.mq_id) {
-                    if let Some(rep) = mq.teardown_reporting(id) {
-                        drained.extend(rep.drained);
-                        idle.extend(rep.idle);
-                        orphans.extend(rep.orphaned);
-                    }
-                }
-            } else {
-                idx += 1;
-            }
+        let mut cascade = ReleaseReport::default();
+        let dead_pin = |d: &Deployed| {
+            d.circuit.services().iter().any(|s| matches!(s.pin, ServicePin::Pinned(n) if n == node))
+        };
+        let dead: Vec<CircuitId> =
+            self.circuits.iter().filter(|(_, d)| dead_pin(d)).map(|(h, _)| h.id()).collect();
+        for id in dead {
+            self.tear_down(id, &mut cascade);
         }
         // Retained shared subtrees with any service on the dead node are
         // broken: their (departed) owners join the teardown worklist.
-        orphans.extend(self.retained.iter().filter_map(|r| {
-            let mask = subtree_mask(&r.circuit, &r.roots);
+        cascade.orphaned.extend(self.retained.iter().filter_map(|r| {
+            let mask = r.circuit.subtree_mask(&r.roots);
             let broken = r
                 .circuit
                 .services()
@@ -77,29 +77,19 @@ impl OverlayRuntime {
                 .any(|s| mask[s.id.index()] && r.placement.node_of(s.id) == node);
             broken.then_some(r.owner)
         }));
-        // Cascade: tear down orphaned subscribers (and whatever their
-        // teardown orphans in turn).
-        while let Some(id) = orphans.pop_front() {
-            if let Some(pos) = self.circuits.iter().position(|d| d.mq_id == Some(id)) {
-                let d = self.circuits.remove(pos);
-                self.failed_circuits.push(d.handle);
-                self.relevance.remove(d.handle.0 as u64);
-            }
-            self.retained.retain(|r| r.owner != id);
-            if let Some(mq) = &mut self.multiquery {
-                if let Some(rep) = mq.teardown_reporting(id) {
-                    drained.extend(rep.drained);
-                    idle.extend(rep.idle);
-                    orphans.extend(rep.orphaned);
-                }
-            }
+        // Cascade: tear down orphaned subscribers in the order they were
+        // reported (and whatever their teardown orphans in turn).
+        let mut next = 0;
+        while let Some(&id) = cascade.orphaned.get(next) {
+            next += 1;
+            self.tear_down(id, &mut cascade);
         }
-        self.apply_drains(&drained);
-        self.apply_idle(&idle);
+        self.apply_drains(&cascade.drained);
+        self.apply_idle(&cascade.idle);
 
         // Evacuate unpinned services stranded on the dead node, through the
         // same runtime-owned mapper every other control-plane path uses.
-        for d in &mut self.circuits {
+        for (handle, d) in &mut self.circuits {
             let stranded: Vec<_> = d
                 .circuit
                 .services()
@@ -112,15 +102,15 @@ impl OverlayRuntime {
             }
             // Evacuation rewrites the placement: the circuit is dirty for
             // every pass kind.
-            self.relevance.mark_dirty(d.handle.0 as u64);
-            let vp = placer.place(&d.circuit, &self.space);
+            self.relevance.mark_dirty(handle.id().0);
+            let vp = self.optimizer.placer().place(&d.circuit, &self.space);
             for sid in stranded {
                 let ideal = self.space.ideal_point(vp.coord_of(sid));
                 let (new_node, _) = self.mapper.as_dyn_mut().map_point(&self.space, &ideal);
                 d.placement.move_service(sid, new_node);
                 // Keep the reuse-discovery index truthful about the host.
-                if let (Some(mq), Some(id)) = (&mut self.multiquery, d.mq_id) {
-                    mq.relocate(id, sid, new_node, &self.space);
+                if let Some(mq) = &mut self.multiquery {
+                    mq.relocate(handle.id(), sid, new_node, &self.space);
                 }
                 evacuated += 1;
             }

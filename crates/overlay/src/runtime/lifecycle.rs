@@ -1,9 +1,16 @@
 //! Query lifecycle: per-circuit state, reuse-aware tenancy (subscription
 //! pins, retained shared subtrees) and the usage accounting that bills it.
 //!
+//! The runtime owns every circuit, placement, shared mask and tenancy pin —
+//! `circuits` is the one table of them, keyed by [`CircuitHandle`] — and the
+//! reuse registry (`multiquery`) owns instances, refcounts and borrows under
+//! the same id ([`CircuitHandle::id`]); nothing is stored on both sides.
+//!
 //! `impl OverlayRuntime` here **reads** `config.reuse`, `space`, `latency`,
-//! `pool`, `optimizer` and **writes** `circuits`, `retained`, `multiquery`,
-//! `mapper`, `relevance`, `next_handle`, `obs`.
+//! `pool`, `optimizer` and **writes** `circuits` (insert at deploy, keyed
+//! remove at undeploy, keyed pin / unpin of a subscribed owner), `retained`
+//! (push in departure order, drained by owner), `multiquery` (deploy-as,
+//! release), `mapper`, `relevance`, `next_handle`, `obs`.
 
 use sbon_core::circuit::{Circuit, Link, Placement, ServiceId};
 use sbon_core::costspace::CostSpace;
@@ -15,19 +22,28 @@ use sbon_netsim::sim::SimTime;
 use super::OverlayRuntime;
 
 /// Handle to a deployed circuit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CircuitHandle(pub usize);
 
-/// Internal per-circuit state.
+impl CircuitHandle {
+    /// The id this circuit is registered under in the reuse registry — the
+    /// one place the two id types convert.
+    pub(super) fn id(self) -> CircuitId {
+        CircuitId(self.0 as u64)
+    }
+
+    /// The handle of the circuit the registry calls `id`.
+    pub(super) fn of(id: CircuitId) -> CircuitHandle {
+        CircuitHandle(id.0 as usize)
+    }
+}
+
+/// Internal per-circuit state; its handle is its key in `circuits`.
 pub(super) struct Deployed {
-    pub(super) handle: CircuitHandle,
     pub(super) query: QuerySpec,
     pub(super) running_plan: sbon_query::plan::LogicalPlan,
     pub(super) circuit: Circuit,
     pub(super) placement: Placement,
-    /// Registry id when the circuit was deployed through the multi-query
-    /// optimizer (reuse enabled).
-    pub(super) mq_id: Option<CircuitId>,
     /// `shared[service]` — paid for by another circuit's instance; empty
     /// when the circuit was deployed standalone. Usage accounting skips
     /// links whose downstream endpoint is shared.
@@ -72,22 +88,6 @@ impl RetainedShared {
     }
 }
 
-/// `mask[service]`: the service is one of `roots` or sits beneath one.
-pub(super) fn subtree_mask(circuit: &Circuit, roots: &[ServiceId]) -> Vec<bool> {
-    fn mark(circuit: &Circuit, sid: ServiceId, flags: &mut [bool]) {
-        for child in circuit.children(sid) {
-            flags[child.index()] = true;
-            mark(circuit, child, flags);
-        }
-    }
-    let mut in_subtree = vec![false; circuit.len()];
-    for &root in roots {
-        in_subtree[root.index()] = true;
-        mark(circuit, root, &mut in_subtree);
-    }
-    in_subtree
-}
-
 /// The upstream host of each of `links`, in order — the node whose
 /// shortest-path row a ground-truth latency read of that link is served from.
 fn link_sources<'a>(
@@ -101,7 +101,7 @@ fn link_sources<'a>(
 /// owner actually paid for it (it is not inside a subtree the owner itself
 /// borrowed).
 fn charge_mask(circuit: &Circuit, roots: &[ServiceId], owner_shared: &[bool]) -> Vec<bool> {
-    let in_subtree = subtree_mask(circuit, roots);
+    let in_subtree = circuit.subtree_mask(roots);
     circuit
         .links()
         .iter()
@@ -133,10 +133,10 @@ impl OverlayRuntime {
     /// while their owner keeps running — they are migratable again.
     pub(super) fn apply_idle(&mut self, idle: &[(CircuitId, ServiceId)]) {
         for &(owner, service) in idle {
-            if let Some(d) = self.circuits.iter_mut().find(|d| d.mq_id == Some(owner)) {
+            if let Some(d) = self.circuits.get_mut(&CircuitHandle::of(owner)) {
                 d.circuit.unpin_service(service);
                 // The unpin changes what the passes may migrate/replace.
-                self.relevance.mark_dirty(d.handle.0 as u64);
+                self.relevance.mark_dirty(owner.0);
             }
         }
     }
@@ -148,7 +148,7 @@ impl OverlayRuntime {
             return;
         }
         let mut sources: Vec<NodeId> = Vec::new();
-        for d in &self.circuits {
+        for d in self.circuits.values() {
             sources.extend(link_sources(&d.placement, d.charged_links()));
         }
         for r in &self.retained {
@@ -170,7 +170,7 @@ impl OverlayRuntime {
         // bit-identical usage contract.
         let live: f64 = self
             .circuits
-            .iter()
+            .values()
             .map(|d| d.charged_links().map(|l| usage(&d.placement, l)).sum::<f64>())
             .sum();
         let retained: f64 = self
@@ -210,9 +210,11 @@ impl OverlayRuntime {
     }
 
     fn deploy_inner(&mut self, query: QuerySpec) -> Option<CircuitHandle> {
-        let (running_plan, circuit, placement, mq_id, shared, reused) = match &mut self.multiquery {
+        let handle = CircuitHandle(self.next_handle);
+        let (running_plan, circuit, placement, shared, reused) = match &mut self.multiquery {
             Some(mq) => {
-                let out = mq.optimize_and_deploy_with_mapper(
+                let out = mq.optimize_and_deploy_as(
+                    handle.id(),
                     &query,
                     &self.space,
                     self.latency.provider(),
@@ -229,7 +231,7 @@ impl OverlayRuntime {
                     self.obs.registry.inc(self.obs.h.reuse_hits, 1);
                 }
                 self.obs.registry.inc(self.obs.h.reused_services, out.reused.len() as u64);
-                (out.plan, out.circuit, out.placement, Some(out.id), out.shared, out.reused)
+                (out.plan, out.circuit, out.placement, out.shared, out.reused)
             }
             None => {
                 // Select in the cost space, then measure the winner alone,
@@ -245,30 +247,22 @@ impl OverlayRuntime {
                 let placed = placed.measured(self.latency.provider());
                 self.obs.registry.gauge_add(self.obs.h.marginal_usage, placed.cost.network_usage);
                 self.obs.registry.gauge_add(self.obs.h.standalone_usage, placed.cost.network_usage);
-                (placed.plan, placed.circuit, placed.placement, None, Vec::new(), Vec::new())
+                (placed.plan, placed.circuit, placed.placement, Vec::new(), Vec::new())
             }
         };
         // Tenancy pin: a subscribed instance is load-bearing for its new
         // tenant, so its owner must stop migrating it.
         for inst in &reused {
-            if let Some(owner) = self.circuits.iter_mut().find(|d| d.mq_id == Some(inst.circuit)) {
+            if let Some(owner) = self.circuits.get_mut(&CircuitHandle::of(inst.circuit)) {
                 owner.circuit.pin_service(inst.service, inst.node);
                 // The pin changes the owner's adaptation surface.
-                self.relevance.mark_dirty(owner.handle.0 as u64);
+                self.relevance.mark_dirty(inst.circuit.0);
             }
         }
-        let handle = CircuitHandle(self.next_handle);
         self.next_handle += 1;
         self.obs.registry.inc(self.obs.h.arrivals, 1);
-        self.circuits.push(Deployed {
-            handle,
-            query,
-            running_plan,
-            circuit,
-            placement,
-            mq_id,
-            shared,
-        });
+        let deployed = Deployed { query, running_plan, circuit, placement, shared };
+        self.circuits.insert(handle, Box::new(deployed));
         // Routed backend: the deployment's mapping lookups are parked in
         // the mapper's outbox — replay them as message traffic now (the
         // routed clock carries the time forward between run ticks).
@@ -283,19 +277,18 @@ impl OverlayRuntime {
     /// Returns `false` for unknown (or already failed / undeployed)
     /// handles.
     pub fn undeploy(&mut self, handle: CircuitHandle) -> bool {
-        let Some(idx) = self.circuits.iter().position(|d| d.handle == handle) else {
+        let Some(d) = self.circuits.remove(&handle).map(|boxed| *boxed) else {
             return false;
         };
-        let d = self.circuits.remove(idx);
         self.obs.registry.inc(self.obs.h.departures, 1);
         self.obs.point("undeploy", || vec![("handle", handle.0.into())]);
-        self.relevance.remove(d.handle.0 as u64);
-        if let (Some(mq), Some(mq_id)) = (&mut self.multiquery, d.mq_id) {
-            if let Some(rep) = mq.release(mq_id) {
+        self.relevance.remove(handle.id().0);
+        if let Some(mq) = &mut self.multiquery {
+            if let Some(rep) = mq.release(handle.id()) {
                 if !rep.retained.is_empty() {
                     let charge = charge_mask(&d.circuit, &rep.retained, &d.shared);
                     self.retained.push(RetainedShared {
-                        owner: mq_id,
+                        owner: handle.id(),
                         circuit: d.circuit,
                         placement: d.placement,
                         owner_shared: d.shared,
@@ -329,6 +322,6 @@ impl OverlayRuntime {
 
     /// The current placement of a circuit. `None` after the circuit failed.
     pub fn placement(&self, handle: CircuitHandle) -> Option<&Placement> {
-        self.circuits.iter().find(|d| d.handle == handle).map(|d| &d.placement)
+        self.circuits.get(&handle).map(|d| &d.placement)
     }
 }

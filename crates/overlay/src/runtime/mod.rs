@@ -42,7 +42,8 @@
 //! * `latency` — `LatencyState`: provider, row prewarm, the jitter step.
 //! * `mapper` — `MapperState`: read view, charge-back, routed settle.
 //! * `membership` — wave bring-up, join admission, churn refresh.
-//! * `lifecycle` — deploy / undeploy, tenancy, usage accounting.
+//! * `lifecycle` — the circuit table's entries, deploy / undeploy, tenancy,
+//!   usage accounting.
 //! * `failure` — `fail_node`: teardown cascade and evacuation.
 //! * `reopt` — the one pass driver: dirty filter, evaluate, commit.
 
@@ -59,7 +60,7 @@ mod stats;
 #[cfg(test)]
 mod tests;
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use sbon_coords::vivaldi::LandmarkPlacer;
 use sbon_core::costspace::{CostSpace, CostSpaceBuilder};
@@ -139,7 +140,10 @@ pub struct OverlayRuntime {
     placer: Option<LandmarkPlacer>,
     /// Worker pool for the parallel per-tick stages; `None` runs serial.
     pool: Option<rayon::ThreadPool>,
-    circuits: Vec<Deployed>,
+    /// The one table of live circuits. Ascending handle order is deploy
+    /// order, which usage sums, row prewarm and re-opt commits all follow;
+    /// boxed, so removing one circuit moves no other.
+    circuits: BTreeMap<CircuitHandle, Box<Deployed>>,
     rng: rand::rngs::StdRng,
     optimizer: IntegratedOptimizer,
     /// Reuse-aware tenancy registry; `Some` iff `config.reuse` ≠ `None`.
@@ -166,7 +170,8 @@ pub struct OverlayRuntime {
     pending_failures: Vec<(f64, NodeId)>,
     /// Circuits killed because a *pinned* service (producer/consumer) died.
     failed_circuits: Vec<CircuitHandle>,
-    /// Monotonic handle counter.
+    /// Monotonic handle counter — the only circuit-id counter: the reuse
+    /// registry is keyed by the handles it issues.
     next_handle: usize,
 }
 
@@ -202,12 +207,13 @@ impl OverlayRuntime {
         let space = CostSpaceBuilder::latency_load_space_scaled(&embedding, &attrs, LOAD_SCALE);
         let members = (0..n as u32).map(NodeId).filter(|node| arrived[node.index()]).collect();
         let mapper = MapperState::build(config.mapper_backend, &space, members);
-        let multiquery = match config.reuse {
-            ReuseScope::None => None,
-            _ => Some(MultiQueryOptimizer::new(OptimizerConfig::default())),
-        };
+        // The one optimizer (and, through it, the one virtual placer) every
+        // control-plane path of this runtime uses.
+        let optimizer = IntegratedOptimizer::new(OptimizerConfig::default());
+        let multiquery = (config.reuse != ReuseScope::None)
+            .then(|| MultiQueryOptimizer::new(optimizer.config().clone()));
         OverlayRuntime {
-            optimizer: IntegratedOptimizer::new(OptimizerConfig::default()),
+            optimizer,
             obs: RuntimeObs::new(&config.obs),
             config,
             seed,
@@ -216,7 +222,7 @@ impl OverlayRuntime {
             space,
             placer,
             pool,
-            circuits: Vec::new(),
+            circuits: BTreeMap::new(),
             rng,
             multiquery,
             retained: Vec::new(),

@@ -2,16 +2,18 @@
 //! filter, read-only parallel evaluation, serial commit.
 //!
 //! `impl OverlayRuntime` here **reads** `config.{policy, *_interval_ms,
-//! *_penalty}`, `space`, `pool` and **writes** `circuits`, `mapper` (traffic
-//! charge-back), `multiquery`, `relevance`, `obs`, plus the session's
-//! report and queue.
+//! *_penalty}`, `space`, `pool`, `optimizer` (candidate plans and placer of
+//! every kind) and **writes** `circuits` (keyed, in ascending handle order:
+//! placement on migrate, circuit / plan / shared mask on replace), `mapper`
+//! (traffic charge-back), `multiquery` (relocate, reregister — refcounts
+//! are only read), `relevance`, `obs`, plus the session's report and queue.
 
 use rayon::prelude::*;
 
 use sbon_core::circuit::{Circuit, Placement};
-use sbon_core::multiquery::MultiQueryOptimizer;
-use sbon_core::optimizer::{OptimizerConfig, PlacedCircuit};
-use sbon_core::placement::{ReadObservation, RelaxationPlacer};
+use sbon_core::multiquery::{CircuitId, MultiQueryOptimizer};
+use sbon_core::optimizer::PlacedCircuit;
+use sbon_core::placement::ReadObservation;
 use sbon_core::reopt::relevance::{ReadSet, ReoptKind};
 use sbon_core::reopt::{
     reoptimize_full, reoptimize_local, reoptimize_rewrite, Migration, ReplaceOutcome,
@@ -20,7 +22,7 @@ use sbon_netsim::graph::NodeId;
 use sbon_netsim::sim::SimTime;
 use sbon_obs::WallTimer;
 
-use super::lifecycle::Deployed;
+use super::lifecycle::{CircuitHandle, Deployed};
 use super::{Event, OverlayRuntime, RunSession};
 
 /// What one read-only circuit evaluation asks the serial commit to do.
@@ -45,20 +47,20 @@ impl Verdict {
     }
 }
 
-/// Runs `f` over `indices` on the pool when one is active (and there is
+/// Runs `f` over `handles` on the pool when one is active (and there is
 /// enough work to shard), serially otherwise. Results come back in input
-/// order either way, and `f` is pure per index, so thread count never
+/// order either way, and `f` is pure per circuit, so thread count never
 /// changes what the caller commits.
 fn run_parallel<T: Send>(
     pool: &Option<rayon::ThreadPool>,
-    indices: &[usize],
-    f: impl Fn(usize) -> T + Sync,
+    handles: &[CircuitHandle],
+    f: impl Fn(CircuitHandle) -> T + Sync,
 ) -> Vec<T> {
     match pool {
-        Some(pool) if indices.len() > 1 => {
-            pool.install(|| indices.par_iter().map(|&i| f(i)).collect())
+        Some(pool) if handles.len() > 1 => {
+            pool.install(|| handles.par_iter().map(|&h| f(h)).collect())
         }
-        _ => indices.iter().map(|&i| f(i)).collect(),
+        _ => handles.iter().map(|&h| f(h)).collect(),
     }
 }
 
@@ -78,31 +80,30 @@ impl OverlayRuntime {
     /// from others, or others subscribe to one of its instances. Entangled
     /// circuits must not have their plan replaced (the swap would strand
     /// tenants); untenanted ones may, with a registry re-registration.
-    fn is_entangled(multiquery: &Option<MultiQueryOptimizer>, d: &Deployed) -> bool {
-        let Some(mq) = multiquery else { return false };
-        let Some(id) = d.mq_id else { return false };
+    fn is_entangled(mq: &MultiQueryOptimizer, id: CircuitId, d: &Deployed) -> bool {
         d.shared.iter().any(|&s| s)
             || d.circuit.services().iter().any(|s| mq.refcount(id, s.id) > 0)
     }
 
-    /// Serial pre-filter of one adaptation pass: the indices of circuits
-    /// the pass must evaluate. `skip_entangled` applies the tenancy rule of
-    /// the plan-replacing passes; the dirty filter drops circuits whose
-    /// re-opt inputs are unchanged since their last no-op `kind`
-    /// evaluation. Entangled circuits count toward neither evaluated nor
-    /// skipped — they were never candidates.
-    fn dirty_circuits(&mut self, kind: ReoptKind, skip_entangled: bool) -> Vec<usize> {
+    /// Serial pre-filter of one adaptation pass: the circuits the pass must
+    /// evaluate, in ascending handle order. `skip_entangled` applies the
+    /// tenancy rule of the plan-replacing passes; the dirty filter drops
+    /// circuits whose re-opt inputs are unchanged since their last no-op
+    /// `kind` evaluation. Entangled circuits count toward neither evaluated
+    /// nor skipped — they were never candidates.
+    fn dirty_circuits(&mut self, kind: ReoptKind, skip_entangled: bool) -> Vec<CircuitHandle> {
+        let tenancy = self.multiquery.as_ref().filter(|_| skip_entangled);
         let mut eval = Vec::new();
         let mut skipped = 0u64;
-        for (i, d) in self.circuits.iter().enumerate() {
-            if skip_entangled && Self::is_entangled(&self.multiquery, d) {
+        for (&handle, d) in &self.circuits {
+            if tenancy.is_some_and(|mq| Self::is_entangled(mq, handle.id(), d)) {
                 continue;
             }
-            if !self.relevance.is_dirty(kind, d.handle.0 as u64) {
+            if !self.relevance.is_dirty(kind, handle.id().0) {
                 skipped += 1;
                 continue;
             }
-            eval.push(i);
+            eval.push(handle);
         }
         self.obs.registry.inc(self.obs.h.reopt_skipped, skipped);
         self.obs.registry.inc(self.obs.h.reopt_evaluated, eval.len() as u64);
@@ -142,19 +143,19 @@ impl OverlayRuntime {
         };
         let t0 = WallTimer::start();
         let sp = self.obs.span_start(span, Vec::new);
-        let eval_idx = self.dirty_circuits(kind, !migrates);
+        let eval = self.dirty_circuits(kind, !migrates);
         let results: Vec<(Verdict, usize, ReadObservation)> = {
             let (circuits, space, mapper) = (&self.circuits, &self.space, &self.mapper);
-            let (placer, policy) = (RelaxationPlacer::default(), self.config.policy);
-            run_parallel(&self.pool, &eval_idx, |i| {
-                let d = &circuits[i];
+            let (optimizer, policy) = (&self.optimizer, self.config.policy);
+            let placer = optimizer.placer();
+            run_parallel(&self.pool, &eval, |handle| {
+                let d = &circuits[&handle];
                 let mut view = mapper.read_view();
                 let (verdict, pruned) = match kind {
                     ReoptKind::Local => {
                         let mut to = d.placement.clone();
-                        let moved = reoptimize_local(
-                            &d.circuit, &mut to, space, &placer, &mut view, policy,
-                        );
+                        let moved =
+                            reoptimize_local(&d.circuit, &mut to, space, placer, &mut view, policy);
                         if moved.is_empty() {
                             (Verdict::Keep, 0)
                         } else {
@@ -166,7 +167,7 @@ impl OverlayRuntime {
                         d.running_est(space),
                         &d.query,
                         space,
-                        &placer,
+                        placer,
                         &mut view,
                         policy,
                     )),
@@ -174,8 +175,8 @@ impl OverlayRuntime {
                         d.running_est(space),
                         &d.query,
                         space,
+                        optimizer,
                         &mut view,
-                        OptimizerConfig::default(),
                         policy,
                     )),
                 };
@@ -183,25 +184,24 @@ impl OverlayRuntime {
             })
         };
         let (mut changed, mut pruned) = (0, 0);
-        for (&i, (verdict, spared, obs)) in eval_idx.iter().zip(results) {
+        for (&handle, (verdict, spared, obs)) in eval.iter().zip(results) {
             pruned += spared;
             self.mapper.charge_observed(&obs);
-            let d = &mut self.circuits[i];
-            let handle = d.handle.0 as u64;
-            let registry = self.multiquery.as_mut().zip(d.mq_id);
+            let d = self.circuits.get_mut(&handle).expect("evaluated circuits are live");
+            let id = handle.id();
             match verdict {
                 Verdict::Keep => {
                     let hosts = circuit_hosts(&d.circuit, &d.placement);
                     self.relevance.record_clean(
                         kind,
-                        handle,
+                        id.0,
                         ReadSet { spans: obs.spans, hosts, whole_space: obs.whole_space },
                     );
                     continue;
                 }
                 Verdict::Migrate(placement, migrations) => {
                     d.placement = placement;
-                    if let Some((mq, id)) = registry {
+                    if let Some(mq) = &mut self.multiquery {
                         for m in &migrations {
                             mq.relocate(id, m.service, m.to, &self.space);
                         }
@@ -217,17 +217,17 @@ impl OverlayRuntime {
                     d.shared = Vec::new();
                     // The swap invalidates the old registration; the
                     // replacement's operators take its place.
-                    if let Some((mq, id)) = registry {
+                    if let Some(mq) = &mut self.multiquery {
                         mq.reregister(id, &d.circuit, &d.placement, &self.space);
                     }
                     changed += 1;
                 }
             }
-            self.relevance.mark_dirty(handle);
+            self.relevance.mark_dirty(id.0);
         }
         self.obs.registry.inc(wall_ns, t0.elapsed_ns());
         self.obs.registry.inc(self.obs.h.candidates_pruned, pruned as u64);
-        let evaluated = eval_idx.len();
+        let evaluated = eval.len();
         self.obs.span_end(sp, || {
             let mut fields = vec![("evaluated", evaluated.into()), (changes, changed.into())];
             if !migrates {

@@ -5,6 +5,7 @@ use super::*;
 use sbon_coords::vivaldi::VivaldiConfig;
 use sbon_core::circuit::ServiceId;
 use sbon_core::optimizer::QuerySpec;
+use sbon_core::reopt::ReoptPolicy;
 use sbon_dht::proto::ProtoConfig;
 use sbon_netsim::load::ChurnProcess;
 use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
@@ -161,7 +162,7 @@ fn failing_an_operator_host_evacuates_the_service() {
             );
             let handle = rt.deploy(demo_query(&topo))?;
             let placement = rt.placement(handle)?.clone();
-            let d = &rt.circuits[0];
+            let d = &rt.circuits[&CircuitHandle(0)];
             let pinned: Vec<NodeId> = d
                 .circuit
                 .services()
@@ -233,11 +234,11 @@ fn rewrite_adaptation_runs_and_preserves_query_semantics() {
     let q = demo_query(&topo);
     let sources_before: Vec<_> = q.join_set.clone();
     let handle = rt.deploy(q).unwrap();
-    let plan_before = rt.circuits[0].running_plan.clone();
+    let plan_before = rt.circuits[&CircuitHandle(0)].running_plan.clone();
     let report = rt.run();
     // Whether or not a rewrite fired (churn-dependent), the running plan
     // must still cover exactly the original sources.
-    let plan_after = &rt.circuits[0].running_plan;
+    let plan_after = &rt.circuits[&CircuitHandle(0)].running_plan;
     let mut srcs = plan_after.sources();
     srcs.sort();
     let mut expect = sources_before;
@@ -696,17 +697,18 @@ fn tenancy_pin_is_lifted_when_refcount_drains() {
     );
     let q = demo_query(&topo);
     rt.deploy(q.clone()).unwrap();
-    let owner_unpinned_before = rt.circuits[0].circuit.unpinned_services();
+    let owner_unpinned_before = rt.circuits[&CircuitHandle(0)].circuit.unpinned_services();
     assert!(!owner_unpinned_before.is_empty(), "owner operators start unpinned");
     let b = rt.deploy(q).unwrap();
     // The subscribed instance is pinned in the owner's circuit...
     assert!(
-        rt.circuits[0].circuit.unpinned_services().len() < owner_unpinned_before.len(),
+        rt.circuits[&CircuitHandle(0)].circuit.unpinned_services().len()
+            < owner_unpinned_before.len(),
         "subscription must pin the reused instance"
     );
     // ...and the borrower's shared subtree is fully pinned (phantoms
     // co-located with the instance: no phantom migrations possible).
-    let borrower = &rt.circuits[1];
+    let borrower = &rt.circuits[&CircuitHandle(1)];
     for (idx, &is_shared) in borrower.shared.iter().enumerate() {
         if is_shared {
             assert!(!borrower.circuit.service(ServiceId(idx as u32)).is_unpinned());
@@ -714,7 +716,7 @@ fn tenancy_pin_is_lifted_when_refcount_drains() {
     }
     assert!(rt.undeploy(b));
     assert_eq!(
-        rt.circuits[0].circuit.unpinned_services(),
+        rt.circuits[&CircuitHandle(0)].circuit.unpinned_services(),
         owner_unpinned_before,
         "draining the refcount must lift the tenancy pin"
     );
@@ -744,7 +746,7 @@ fn failure_of_shared_instance_host_cascades_to_subscribers() {
     assert_eq!(rt.lifecycle_stats().reuse_hits, 1);
     // Find the shared instance's host: the node the borrower's reused
     // root is pinned at (an operator host, not a producer/consumer).
-    let pinned_ops: Vec<NodeId> = rt.circuits[1]
+    let pinned_ops: Vec<NodeId> = rt.circuits[&CircuitHandle(1)]
         .circuit
         .services()
         .iter()
@@ -790,7 +792,7 @@ fn adaptation_under_reuse_keeps_registry_consistent() {
             churn: ChurnProcess::RandomWalk { std_dev: 0.35 },
             full_reopt_interval_ms: Some(3_000.0),
             rewrite_interval_ms: Some(4_000.0),
-            policy: sbon_core::reopt::ReoptPolicy {
+            policy: ReoptPolicy {
                 migration_threshold: 0.05,
                 // Any strictly-better circuit replaces: guarantees the
                 // swap → reregister path actually runs.
@@ -1072,6 +1074,39 @@ fn builder_rejects_non_positive_and_non_finite_times() {
     }
     // A degenerate band is legal: it pins every jittered edge to one value.
     jitter((0.7, 1.45), (1.0, 1.0)).build();
+    for bad in [-1.0, nan] {
+        let message = format!("reuse radius must be non-negative, got {bad}");
+        rows.push((RuntimeConfig::builder().reuse(ReuseScope::Radius(bad)), message));
+    }
+    // An unbounded radius is `ReuseScope::All` by another name.
+    RuntimeConfig::builder().reuse(ReuseScope::Radius(f64::INFINITY)).build();
+    for bad in [-0.1, 1.0, nan, f64::INFINITY] {
+        for (field, migration, replacement) in
+            [("policy.migration_threshold", bad, 0.1), ("policy.replacement_threshold", 0.05, bad)]
+        {
+            let policy =
+                ReoptPolicy { migration_threshold: migration, replacement_threshold: replacement };
+            let message = format!("{field} must be finite in [0, 1), got {bad}");
+            rows.push((RuntimeConfig::builder().policy(policy), message));
+        }
+    }
+    let zero = ReoptPolicy { migration_threshold: 0.0, replacement_threshold: 0.0 };
+    RuntimeConfig::builder().policy(zero).build();
+    for (bits, scan_width, field, bad) in [
+        (0, 8, "bits must be in 1..=32", 0),
+        (33, 8, "bits must be in 1..=32", 33),
+        (12, 0, "scan_width must be at least 1", 0),
+    ] {
+        let message = format!("mapper_backend.{field}, got {bad}");
+        let proto = ProtoConfig::default();
+        for backend in [
+            MapperBackend::Dht { bits, scan_width },
+            MapperBackend::Routed { bits, scan_width, proto },
+        ] {
+            rows.push((RuntimeConfig::builder().mapper_backend(backend), message.clone()));
+        }
+    }
+    RuntimeConfig::builder().mapper_backend(MapperBackend::Dht { bits: 32, scan_width: 1 }).build();
     for (builder, expected) in rows {
         let built = std::panic::catch_unwind(|| builder.build());
         let panic = built.expect_err(&format!("must be rejected: {expected}"));

@@ -135,7 +135,7 @@ proptest! {
         );
         let opt = IntegratedOptimizer::new(OptimizerConfig::default());
         let best = opt.optimize(&q, &space, &lat).unwrap();
-        let placer = opt.config().placer.build();
+        let placer = opt.placer();
         for plan in opt.candidate_plans(&q) {
             let circuit = Circuit::from_plan(&plan, &q.stats, |s| q.producer_of(s), q.consumer);
             let vp = placer.place(&circuit, &space);

@@ -6,6 +6,7 @@ use rand::Rng;
 
 use sbon::core::multiquery::ReuseScope;
 use sbon::core::optimizer::{IntegratedOptimizer, OptimizerConfig};
+use sbon::core::reopt::ReoptPolicy;
 use sbon::netsim::load::ChurnProcess;
 use sbon::netsim::rng::derive_rng;
 use sbon::overlay::{CircuitHandle, LinkTraffic, OverlayRuntime, RuntimeConfig};
@@ -132,14 +133,16 @@ proptest! {
     }
 
     /// Under random arrival/departure interleavings with reuse enabled —
-    /// interleaved with simulation ticks and churn — shared-service
-    /// refcounts never go negative (an underflow panics inside the
-    /// registry) and fully drain to zero once every query departs, with
-    /// usage back at the empty baseline.
+    /// interleaved with simulation ticks, churn, plan-replacing re-opt
+    /// passes and up to two node failures — shared-service refcounts never
+    /// go negative (an underflow panics inside the registry) and fully
+    /// drain to zero once every surviving query departs, with usage back at
+    /// the empty baseline.
     #[test]
     fn random_interleavings_drain_refcounts_to_zero(
         seed in 0u64..1_000_000,
         ops in 8usize..60,
+        failures in 0usize..3,
     ) {
         let topo = world(seed);
         let mut rt = OverlayRuntime::new(
@@ -150,12 +153,31 @@ proptest! {
                 // how many ticks actually run.
                 .horizon_ms(1e12)
                 .churn(ChurnProcess::SparseWalk { nodes_per_tick: 4, std_dev: 0.1 })
+                // Any strictly cheaper plan replaces, so untenanted circuits
+                // do get swapped (and re-registered) under this much churn.
+                .rewrite_interval_ms(2_000.0)
+                .full_reopt_interval_ms(3_000.0)
+                .policy(ReoptPolicy { migration_threshold: 0.05, replacement_threshold: 0.0 })
                 .reuse(ReuseScope::All)
                 .build(),
         );
         let baseline = rt.instantaneous_usage().to_bits();
         let pool = query_pool(&topo);
         let mut rng = derive_rng(seed, 0x0b5e);
+        // Failures land while ticks are still running (about a quarter of
+        // the ops are ticks), mostly on the hosts the pool pins producers
+        // and consumers to: any other host only ever evacuates, and it is
+        // the teardown cascade through subscribers this test is after.
+        let hosts = topo.host_candidates();
+        for _ in 0..failures {
+            let pinned = [0, 7, 14, 21, 30, 35, 40, 45];
+            let host = match rng.gen_range(0..8) {
+                0 => hosts[rng.gen_range(0..hosts.len())],
+                _ => hosts[pinned[rng.gen_range(0..pinned.len())]],
+            };
+            let tick = rng.gen_range(1..=ops / 4 + 1);
+            rt.schedule_failure(tick as f64 * 1_000.0 + 500.0, host);
+        }
         let mut session = rt.start_run();
         let mut live: Vec<CircuitHandle> = Vec::new();
         for _ in 0..ops {
@@ -180,6 +202,7 @@ proptest! {
                     prop_assert!(rt.advance_ticks(&mut session, 1));
                 }
             }
+            live.retain(|h| !rt.failed_circuits().contains(h));
             let mq = rt.multiquery().expect("reuse registry active");
             // The gauge invariants that must hold at every step.
             prop_assert!(mq.num_retained() >= rt.retained_shared_subtrees());

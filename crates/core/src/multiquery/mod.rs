@@ -57,7 +57,7 @@ use sbon_netsim::latency::LatencyProvider;
 use crate::circuit::{Circuit, CircuitCost, Placement, ServiceId, ServiceKind};
 use crate::costspace::CostSpace;
 use crate::optimizer::{IntegratedOptimizer, OptimizerConfig, QuerySpec};
-use crate::placement::{map_circuit, OracleMapper, PhysicalMapper, VirtualPlacer};
+use crate::placement::{map_circuit, DhtMapper, OracleMapper, PhysicalMapper, VirtualPlacer};
 
 /// Identifier of a deployed circuit in the [`MultiQueryOptimizer`]'s
 /// registry — chosen by whoever deploys
@@ -256,7 +256,7 @@ impl MultiQueryOptimizer {
         let dims = space.dims();
         let bits = (96 / dims as u32).clamp(2, 12);
         let points: Vec<Vec<f64>> = space.points().iter().map(|p| p.as_slice().to_vec()).collect();
-        let quantizer = Quantizer::covering(&points, bits, 0.25);
+        let quantizer = Quantizer::covering(&points, bits, DhtMapper::QUANTIZER_MARGIN);
         let catalog = CoordinateCatalog::new(HilbertCurve::new(dims, bits), quantizer, 8);
         let index = InstanceIndex { catalog, members: BTreeMap::new(), free: Vec::new(), k };
         MultiQueryOptimizer { dht_index: Some(index), ..Self::new(config) }

@@ -32,8 +32,27 @@
 //!   replayed as routed `ControlMsg` traffic on the simulated underlay when
 //!   the owner calls [`RoutedMapper::settle`], yielding *experienced*
 //!   per-query latency instead of abstract hop counts.
+//!
+//! # Who owns what
+//!
+//! The mapping stack is five layers, and every fact in it has one owner:
+//!
+//! * **ring** ([`sbon_dht::ring`]) — membership order and the member→key
+//!   index (`DhtRing::key_of`); nothing above re-keeps a key.
+//! * **catalog** ([`CoordinateCatalog`]) — the registered coordinates and
+//!   the traffic statistics; `insert` / `remove` report the keys they moved.
+//! * **routed catalog** ([`RoutedCatalog`]) — last-writer-wins stamps,
+//!   partition state and the message queue, around the catalog it wraps.
+//! * **mapper** (this module) — the [`CostSpace`] → registration sync and
+//!   the [`MapperDelta`] each maintenance call reports; [`MapperReadView`]
+//!   is the one read-only view of any backend.
+//! * **runtime** (`sbon_overlay`'s `MapperState`) — which backend runs,
+//!   when routed traffic settles, and charging a view's deferred traffic
+//!   back ([`CoordinateCatalog::charge_stats`]).
 
-use sbon_dht::catalog::{CatalogStats, CoordinateCatalog};
+use std::collections::BTreeMap;
+
+use sbon_dht::catalog::{CatalogStats, CoordinateCatalog, ScanSpan, TracedLookup};
 use sbon_dht::proto::{LinkFn, ProtoConfig, QueryId, RoutedCatalog, RoutedLookup, RoutedStats};
 use sbon_dht::RingKey;
 use sbon_hilbert::{HilbertCurve, Quantizer};
@@ -113,21 +132,33 @@ pub trait PhysicalMapper {
     }
 }
 
+/// Every node of `space`, in id order.
+fn all_nodes(space: &CostSpace) -> impl Iterator<Item = NodeId> {
+    (0..space.num_nodes() as u32).map(NodeId)
+}
+
+/// The oracle scan behind all three oracle mappers: the `eligible` node
+/// whose cost point is nearest by `distance`, first minimum (lowest node id)
+/// winning ties. `O(n)`, charges no routing hops.
+fn nearest_node(
+    space: &CostSpace,
+    eligible: impl Fn(NodeId) -> bool,
+    distance: impl Fn(&CostPoint) -> f64,
+) -> (NodeId, usize) {
+    let best = all_nodes(space)
+        .filter(|&n| eligible(n))
+        .min_by(|&a, &b| distance(space.point(a)).total_cmp(&distance(space.point(b))))
+        .expect("the cost space has at least one mappable node");
+    (best, 0)
+}
+
 /// Exhaustive full-space nearest-node mapper (centralized oracle).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OracleMapper;
 
 impl PhysicalMapper for OracleMapper {
     fn map_point(&mut self, space: &CostSpace, ideal: &CostPoint) -> (NodeId, usize) {
-        let best = (0..space.num_nodes())
-            .map(|i| NodeId(i as u32))
-            .min_by(|&a, &b| {
-                let da = space.point(a).full_distance(ideal);
-                let db = space.point(b).full_distance(ideal);
-                da.total_cmp(&db)
-            })
-            .expect("cost space has at least one node");
-        (best, 0)
+        nearest_node(space, |_| true, |p| p.full_distance(ideal))
     }
 
     fn name(&self) -> &'static str {
@@ -143,15 +174,7 @@ pub struct VectorOnlyOracleMapper;
 impl PhysicalMapper for VectorOnlyOracleMapper {
     fn map_point(&mut self, space: &CostSpace, ideal: &CostPoint) -> (NodeId, usize) {
         let vd = space.vector_dims();
-        let best = (0..space.num_nodes())
-            .map(|i| NodeId(i as u32))
-            .min_by(|&a, &b| {
-                let da = space.point(a).vector_distance(ideal, vd);
-                let db = space.point(b).vector_distance(ideal, vd);
-                da.total_cmp(&db)
-            })
-            .expect("cost space has at least one node");
-        (best, 0)
+        nearest_node(space, |_| true, |p| p.vector_distance(ideal, vd))
     }
 
     fn name(&self) -> &'static str {
@@ -190,29 +213,19 @@ impl LiveOracleMapper {
     pub fn is_alive(&self, node: NodeId) -> bool {
         self.alive.get(node.index()).copied().unwrap_or(false)
     }
-}
 
-impl LiveOracleMapper {
     /// The oracle scan as a pure read — `map_point` delegates here, and the
-    /// read-only views use it directly, so the two answer identically by
+    /// read-only view uses it directly, so the two answer identically by
     /// construction.
     pub fn map_point_ro(&self, space: &CostSpace, ideal: &CostPoint) -> (NodeId, usize) {
-        let best = (0..space.num_nodes())
-            .map(|i| NodeId(i as u32))
-            .filter(|n| self.is_alive(*n))
-            .min_by(|&a, &b| {
-                let da = space.point(a).full_distance(ideal);
-                let db = space.point(b).full_distance(ideal);
-                da.total_cmp(&db)
-            })
-            .expect("at least one node is alive");
-        (best, 0)
+        nearest_node(space, |n| self.is_alive(n), |p| p.full_distance(ideal))
     }
 
-    /// A read-only view for one circuit evaluation (see
-    /// [`MapperReadView`]).
-    pub fn read_view(&self) -> LiveOracleReadView<'_> {
-        LiveOracleReadView { mapper: self }
+    /// A read-only view for one circuit evaluation. The scan reads every
+    /// live node's full cost point, so the view's read set is the whole
+    /// space.
+    pub fn read_view(&self) -> MapperReadView<'_> {
+        MapperReadView::over(ViewSource::Oracle(self))
     }
 }
 
@@ -251,8 +264,6 @@ pub struct DhtMapperConfig {
     pub bits: u32,
     /// Successor-list correction window of the catalog lookup.
     pub scan_width: usize,
-    /// Proportional headroom added around the covered coordinates.
-    pub margin: f64,
     /// When `true`, each scalar dimension's quantizer range is the weight
     /// function's full output range `[0, w(1.0)]` instead of the span of
     /// the current points — so attribute churn can never push a registered
@@ -263,7 +274,7 @@ pub struct DhtMapperConfig {
 
 impl Default for DhtMapperConfig {
     fn default() -> Self {
-        DhtMapperConfig { bits: 12, scan_width: 8, margin: 0.25, scalar_full_range: true }
+        DhtMapperConfig { bits: 12, scan_width: 8, scalar_full_range: true }
     }
 }
 
@@ -290,17 +301,17 @@ impl DhtMapper {
     /// `bits` is the per-dimension grid resolution (12 is plenty at 600-node
     /// scale); `scan_width` is the successor-list correction window.
     pub fn build(space: &CostSpace, bits: u32, scan_width: usize) -> Self {
-        Self::build_with(
-            space,
-            &DhtMapperConfig { bits, scan_width, margin: 0.25, scalar_full_range: false },
-        )
+        Self::build_with(space, &DhtMapperConfig { bits, scan_width, scalar_full_range: false })
     }
 
     /// Builds the catalog per `config` (see [`DhtMapperConfig`]).
     pub fn build_with(space: &CostSpace, config: &DhtMapperConfig) -> Self {
-        let members: Vec<NodeId> = (0..space.num_nodes() as u32).map(NodeId).collect();
-        Self::build_with_members(space, config, &members)
+        Self::build_with_members(space, config, &all_nodes(space).collect::<Vec<_>>())
     }
+
+    /// Proportional headroom every catalog quantizer adds around the
+    /// coordinates it covers.
+    pub(crate) const QUANTIZER_MARGIN: f64 = 0.25;
 
     /// Builds the catalog registering only `members` — the deployment-wave
     /// constructor. The quantizer is still sized over **every** node of the
@@ -321,7 +332,7 @@ impl DhtMapper {
         let covering = Quantizer::covering_iter(
             space.points().iter().map(|p| p.as_slice()),
             config.bits,
-            config.margin,
+            Self::QUANTIZER_MARGIN,
         );
         let quantizer = if config.scalar_full_range {
             let vd = space.vector_dims();
@@ -348,7 +359,7 @@ impl DhtMapper {
         quantizer: Quantizer,
         scan_width: usize,
     ) -> Self {
-        let members: Vec<NodeId> = (0..space.num_nodes() as u32).map(NodeId).collect();
+        let members: Vec<NodeId> = all_nodes(space).collect();
         Self::build_members_over_quantizer(space, quantizer, scan_width, &members)
     }
 
@@ -360,13 +371,8 @@ impl DhtMapper {
         scan_width: usize,
         members: &[NodeId],
     ) -> Self {
-        let dims = space.dims();
-        let bits = quantizer.bits();
-        assert!(
-            (dims as u32) * bits <= 128,
-            "dims×bits must fit the 128-bit ring; lower `bits` for high-dimensional spaces"
-        );
-        let curve = HilbertCurve::new(dims, bits);
+        // (`HilbertCurve::new` re-checks that dims × bits fits the ring.)
+        let curve = HilbertCurve::new(space.dims(), quantizer.bits());
         let mut catalog = CoordinateCatalog::new(curve, quantizer, scan_width);
         for &node in members {
             catalog.insert(node.0, space.point(node).as_slice().to_vec());
@@ -401,9 +407,9 @@ impl DhtMapper {
     }
 
     /// A read-only view for one circuit evaluation (see
-    /// [`DhtMapperReadView::new`]).
-    pub fn read_view(&self) -> DhtMapperReadView<'_> {
-        DhtMapperReadView::new(&self.catalog)
+    /// [`MapperReadView::new`]).
+    pub fn read_view(&self) -> MapperReadView<'_> {
+        MapperReadView::new(&self.catalog)
     }
 }
 
@@ -462,8 +468,7 @@ impl RoutedMapper {
 
     /// Builds over every node of the space.
     pub fn build_with(space: &CostSpace, config: &DhtMapperConfig, proto: ProtoConfig) -> Self {
-        let members: Vec<NodeId> = (0..space.num_nodes() as u32).map(NodeId).collect();
-        Self::build_with_members(space, config, proto, &members)
+        Self::build_with_members(space, config, proto, &all_nodes(space).collect::<Vec<_>>())
     }
 
     /// The underlying routed catalog (partition scenarios sever/heal here).
@@ -528,12 +533,7 @@ impl PhysicalMapper for RoutedMapper {
     fn map_point(&mut self, space: &CostSpace, ideal: &CostPoint) -> (NodeId, usize) {
         let _ = space; // coordinates were registered at build/update time
         self.pending_lookups.push(ideal.as_slice().to_vec());
-        let (member, hops) = self
-            .routed
-            .catalog_mut()
-            .lookup_closest(ideal.as_slice())
-            .expect("catalog is non-empty by construction");
-        (NodeId(member), hops)
+        lookup_charged(self.routed.catalog_mut(), ideal)
     }
 
     fn name(&self) -> &'static str {
@@ -553,6 +553,20 @@ impl PhysicalMapper for RoutedMapper {
     }
 }
 
+/// The one catalog lookup every catalog-backed answer comes from: the
+/// member closest to `ideal`, with its traffic and scanned span for the
+/// caller to charge or record.
+fn lookup_traced(catalog: &MapperCatalog, ideal: &CostPoint) -> TracedLookup {
+    catalog.lookup_closest_traced(ideal.as_slice()).expect("catalog is non-empty by construction")
+}
+
+/// A live mapper's lookup: [`lookup_traced`], charged to the catalog at once.
+fn lookup_charged(catalog: &mut MapperCatalog, ideal: &CostPoint) -> (NodeId, usize) {
+    let traced = lookup_traced(catalog, ideal);
+    catalog.charge_stats(traced.stats);
+    (NodeId(traced.member), traced.hops)
+}
+
 /// What a read-only mapping phase observed: the traffic it would have
 /// charged and the region of the catalog it depended on. The owner charges
 /// the stats back onto the live mapper and records the read set in the
@@ -562,61 +576,77 @@ pub struct ReadObservation {
     /// Catalog traffic to charge via [`CoordinateCatalog::charge_stats`].
     pub stats: CatalogStats,
     /// Ring regions the lookups scanned (empty for oracle views).
-    pub spans: Vec<sbon_dht::catalog::ScanSpan>,
+    pub spans: Vec<ScanSpan>,
     /// True when the evaluation read the whole space (oracle scans): any
     /// cost-point change anywhere invalidates it.
     pub whole_space: bool,
 }
 
-/// Read-only [`PhysicalMapper`] over a [`DhtMapper`]'s catalog, for one
-/// circuit evaluation. Lookups run through the traced catalog path: the
-/// answers are identical to the live mapper's, but statistics accumulate
-/// locally (fold them back with [`CoordinateCatalog::charge_stats`]) and
-/// every scanned ring region is recorded, so the evaluation's full read set
-/// is known when it finishes.
+/// What a [`MapperReadView`] answers from.
+#[derive(Clone, Copy)]
+enum ViewSource<'a> {
+    Catalog(&'a MapperCatalog),
+    Oracle(&'a LiveOracleMapper),
+}
+
+/// A backend-agnostic read-only [`PhysicalMapper`] for one circuit
+/// evaluation — what the overlay runtime hands to the parallel
+/// re-optimization phase. Its answers are identical to the live mapper's.
 ///
+/// Over a catalog, lookups run through the traced catalog path: statistics
+/// accumulate locally (fold them back with
+/// [`CoordinateCatalog::charge_stats`]) and every scanned ring region is
+/// recorded, so the evaluation's full read set is known when it finishes.
 /// A per-view memo collapses repeated lookups of **bit-identical** ideal
 /// points (keyed on the exact `f64` bit patterns). The catalog never
 /// mutates during a view's lifetime, so a memo hit returns exactly what the
 /// lookup would have; it charges no new traffic and records no new span —
 /// the first miss already recorded the covering span.
-pub struct DhtMapperReadView<'a> {
-    catalog: &'a MapperCatalog,
+///
+/// Over a [`LiveOracleMapper`] every lookup is the oracle scan, which has
+/// no traffic and no bounded read region: the read set is the whole space.
+pub struct MapperReadView<'a> {
+    source: ViewSource<'a>,
     stats: CatalogStats,
-    spans: Vec<sbon_dht::catalog::ScanSpan>,
-    memo: std::collections::BTreeMap<Vec<u64>, (NodeId, usize)>,
+    spans: Vec<ScanSpan>,
+    memo: BTreeMap<Vec<u64>, (NodeId, usize)>,
 }
 
-impl<'a> DhtMapperReadView<'a> {
+impl<'a> MapperReadView<'a> {
     /// A view over `catalog` — the [`DhtMapper`]'s own, or the one a
     /// [`RoutedMapper`] wraps (`routed().catalog()`): a routed view answers
     /// from the catalog alone and parks no outbox entry.
     pub fn new(catalog: &'a MapperCatalog) -> Self {
-        DhtMapperReadView {
-            catalog,
+        Self::over(ViewSource::Catalog(catalog))
+    }
+
+    fn over(source: ViewSource<'a>) -> Self {
+        MapperReadView {
+            source,
             stats: CatalogStats::default(),
             spans: Vec::new(),
-            memo: std::collections::BTreeMap::new(),
+            memo: BTreeMap::new(),
         }
     }
 
-    /// Consumes the view, yielding everything it observed.
+    /// Consumes the view, yielding the evaluation's read set and traffic.
     pub fn into_observation(self) -> ReadObservation {
-        ReadObservation { stats: self.stats, spans: self.spans, whole_space: false }
+        let whole_space = matches!(self.source, ViewSource::Oracle(_));
+        ReadObservation { stats: self.stats, spans: self.spans, whole_space }
     }
 }
 
-impl PhysicalMapper for DhtMapperReadView<'_> {
+impl PhysicalMapper for MapperReadView<'_> {
     fn map_point(&mut self, space: &CostSpace, ideal: &CostPoint) -> (NodeId, usize) {
-        let _ = space; // coordinates were registered at build/update time
+        let catalog = match self.source {
+            ViewSource::Catalog(catalog) => catalog,
+            ViewSource::Oracle(live) => return live.map_point_ro(space, ideal),
+        };
         let key: Vec<u64> = ideal.as_slice().iter().map(|v| v.to_bits()).collect();
         if let Some(&answer) = self.memo.get(&key) {
             return answer;
         }
-        let traced = self
-            .catalog
-            .lookup_closest_traced(ideal.as_slice())
-            .expect("catalog is non-empty by construction");
+        let traced = lookup_traced(catalog, ideal);
         self.stats.merge(traced.stats);
         self.spans.push(traced.span);
         let answer = (NodeId(traced.member), traced.hops);
@@ -625,102 +655,25 @@ impl PhysicalMapper for DhtMapperReadView<'_> {
     }
 
     fn name(&self) -> &'static str {
-        "hilbert-dht (read view)"
+        match self.source {
+            ViewSource::Catalog(_) => "hilbert-dht (read view)",
+            ViewSource::Oracle(_) => "live-oracle (read view)",
+        }
     }
 
     fn update_node(&mut self, _space: &CostSpace, _node: NodeId) -> MapperDelta {
-        panic!("read-only mapper view cannot mutate the catalog");
+        panic!("read-only mapper view cannot mutate its mapper");
     }
 
     fn remove_node(&mut self, _node: NodeId) -> MapperDelta {
-        panic!("read-only mapper view cannot mutate the catalog");
-    }
-}
-
-/// Read-only [`PhysicalMapper`] over a [`LiveOracleMapper`]. The oracle
-/// scan reads every live node's full cost point, so its read set is the
-/// whole space.
-pub struct LiveOracleReadView<'a> {
-    mapper: &'a LiveOracleMapper,
-}
-
-impl PhysicalMapper for LiveOracleReadView<'_> {
-    fn map_point(&mut self, space: &CostSpace, ideal: &CostPoint) -> (NodeId, usize) {
-        self.mapper.map_point_ro(space, ideal)
-    }
-
-    fn name(&self) -> &'static str {
-        "live-oracle (read view)"
-    }
-
-    fn update_node(&mut self, _space: &CostSpace, _node: NodeId) -> MapperDelta {
-        panic!("read-only mapper view cannot mutate the oracle");
-    }
-
-    fn remove_node(&mut self, _node: NodeId) -> MapperDelta {
-        panic!("read-only mapper view cannot mutate the oracle");
-    }
-}
-
-/// A backend-agnostic read-only mapper view for one circuit evaluation —
-/// what the overlay runtime hands to the parallel re-optimization phase.
-pub enum MapperReadView<'a> {
-    /// View over the Hilbert-DHT catalog.
-    Dht(DhtMapperReadView<'a>),
-    /// View over the live-oracle scan.
-    Oracle(LiveOracleReadView<'a>),
-}
-
-impl MapperReadView<'_> {
-    /// Consumes the view, yielding the evaluation's read set and traffic.
-    pub fn into_observation(self) -> ReadObservation {
-        match self {
-            MapperReadView::Dht(v) => v.into_observation(),
-            MapperReadView::Oracle(_) => {
-                ReadObservation { whole_space: true, ..ReadObservation::default() }
-            }
-        }
-    }
-}
-
-impl PhysicalMapper for MapperReadView<'_> {
-    fn map_point(&mut self, space: &CostSpace, ideal: &CostPoint) -> (NodeId, usize) {
-        match self {
-            MapperReadView::Dht(v) => v.map_point(space, ideal),
-            MapperReadView::Oracle(v) => v.map_point(space, ideal),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            MapperReadView::Dht(v) => v.name(),
-            MapperReadView::Oracle(v) => v.name(),
-        }
-    }
-
-    fn update_node(&mut self, space: &CostSpace, node: NodeId) -> MapperDelta {
-        match self {
-            MapperReadView::Dht(v) => v.update_node(space, node),
-            MapperReadView::Oracle(v) => v.update_node(space, node),
-        }
-    }
-
-    fn remove_node(&mut self, node: NodeId) -> MapperDelta {
-        match self {
-            MapperReadView::Dht(v) => v.remove_node(node),
-            MapperReadView::Oracle(v) => v.remove_node(node),
-        }
+        panic!("read-only mapper view cannot mutate its mapper");
     }
 }
 
 impl PhysicalMapper for DhtMapper {
     fn map_point(&mut self, space: &CostSpace, ideal: &CostPoint) -> (NodeId, usize) {
         let _ = space; // coordinates were registered at build/update time
-        let (member, hops) = self
-            .catalog
-            .lookup_closest(ideal.as_slice())
-            .expect("catalog is non-empty by construction");
-        (NodeId(member), hops)
+        lookup_charged(&mut self.catalog, ideal)
     }
 
     fn name(&self) -> &'static str {
@@ -730,14 +683,14 @@ impl PhysicalMapper for DhtMapper {
     /// Re-registers one node after its coordinate changed (scalar churn or
     /// embedding refinement).
     fn update_node(&mut self, space: &CostSpace, node: NodeId) -> MapperDelta {
-        let (old, new) = self.catalog.insert_traced(node.0, space.point(node).as_slice().to_vec());
+        let (old, new) = self.catalog.insert(node.0, space.point(node).as_slice().to_vec());
         MapperDelta::Keys { old, new: Some(new) }
     }
 
     /// Unregisters a failed node: liveness filtering is folded into the
     /// catalog itself, so lookups can never return a dead host.
     fn remove_node(&mut self, node: NodeId) -> MapperDelta {
-        MapperDelta::Keys { old: self.catalog.remove_traced(node.0), new: None }
+        MapperDelta::Keys { old: self.catalog.remove(node.0), new: None }
     }
 }
 
@@ -930,6 +883,32 @@ mod tests {
         assert!(!live.is_alive(winner));
         let (second, _) = live.map_point(&space, &ideal);
         assert_ne!(second, winner);
+
+        // Exact ties go to the lower node id, in every form of the scan.
+        // N0 and N1 sit at bit-identical cost points; N2 and N3 are equal in
+        // the vector dimensions only (N2 is the loaded one).
+        let emb = VivaldiEmbedding::exact(vec![
+            vec![0.0, 0.0],
+            vec![0.0, 0.0],
+            vec![10.0, 0.0],
+            vec![10.0, 0.0],
+        ]);
+        let mut attrs = NodeAttrs::idle(4);
+        attrs.set(NodeId(2), Attr::CpuLoad, 0.5);
+        let space = CostSpaceBuilder::latency_load_space_scaled(&emb, &attrs, 100.0);
+        assert_eq!(space.point(NodeId(0)), space.point(NodeId(1)));
+        let (near_pair, near_split) =
+            (space.ideal_point(&[1.0, 0.0]), space.ideal_point(&[9.0, 0.0]));
+        let mut live = LiveOracleMapper::new(4);
+        assert_eq!(OracleMapper.map_point(&space, &near_pair).0, NodeId(0));
+        assert_eq!(live.map_point(&space, &near_pair).0, NodeId(0));
+        assert_eq!(live.read_view().map_point(&space, &near_pair).0, NodeId(0));
+        assert_eq!(VectorOnlyOracleMapper.map_point(&space, &near_pair).0, NodeId(0));
+        assert_eq!(VectorOnlyOracleMapper.map_point(&space, &near_split).0, NodeId(2));
+        assert_eq!(OracleMapper.map_point(&space, &near_split).0, NodeId(3), "load breaks it");
+        live.remove_node(NodeId(0));
+        assert_eq!(live.map_point(&space, &near_pair).0, NodeId(1), "the tie's survivor");
+        assert_eq!(live.read_view().map_point(&space, &near_pair).0, NodeId(1));
     }
 
     #[test]
@@ -1089,7 +1068,7 @@ mod tests {
         let ideal = space.ideal_point(vp.coord_of(join));
         let mut live = LiveOracleMapper::new(space.num_nodes());
         let expect = live.map_point(&space, &ideal);
-        let mut view = MapperReadView::Oracle(live.read_view());
+        let mut view = live.read_view();
         assert_eq!(view.map_point(&space, &ideal), expect);
         assert!(view.into_observation().whole_space);
     }
@@ -1162,7 +1141,7 @@ mod tests {
     #[should_panic(expected = "read-only mapper view")]
     fn oracle_read_view_rejects_mutation() {
         let live = LiveOracleMapper::new(5);
-        MapperReadView::Oracle(live.read_view()).remove_node(NodeId(0));
+        live.read_view().remove_node(NodeId(0));
     }
 
     /// Deterministic per-link latency for routed-mapper tests: symmetric,
@@ -1239,7 +1218,7 @@ mod tests {
         let mut routed =
             RoutedMapper::build_with(&space, &DhtMapperConfig::default(), ProtoConfig::default());
         let live = routed.map_point(&space, &ideal);
-        let mut view = DhtMapperReadView::new(routed.routed().catalog());
+        let mut view = MapperReadView::new(routed.routed().catalog());
         assert_eq!(view.map_point(&space, &ideal), live);
         let obs = view.into_observation();
         assert_eq!(routed.pending_traffic(), 1, "a view parks nothing in the outbox");

@@ -28,9 +28,9 @@ pub use centroid::CentroidPlacer;
 pub use exhaustive::optimal_tree_placement;
 pub use gradient::{GradientConfig, GradientPlacer};
 pub use mapping::{
-    map_circuit, DhtMapper, DhtMapperConfig, DhtMapperReadView, LiveOracleMapper,
-    LiveOracleReadView, MappedCircuit, MappedService, MapperCatalog, MapperDelta, MapperReadView,
-    OracleMapper, PhysicalMapper, ReadObservation, RoutedMapper, VectorOnlyOracleMapper,
+    map_circuit, DhtMapper, DhtMapperConfig, LiveOracleMapper, MappedCircuit, MappedService,
+    MapperCatalog, MapperDelta, MapperReadView, OracleMapper, PhysicalMapper, ReadObservation,
+    RoutedMapper, VectorOnlyOracleMapper,
 };
 pub use relaxation::{RelaxationConfig, RelaxationPlacer};
 pub use traits::{VirtualPlacement, VirtualPlacer};

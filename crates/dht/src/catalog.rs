@@ -90,12 +90,10 @@ pub struct CoordinateCatalog<C: SpaceFillingCurve> {
     curve: C,
     quantizer: Quantizer,
     ring: DhtRing,
-    /// `coords[member]` = registered coordinate (dense by MemberId).
+    /// `coords[member]` = registered coordinate (dense by MemberId). The
+    /// key it is registered under is the ring's to know
+    /// ([`CoordinateCatalog::registered_key`]).
     coords: Vec<Option<Vec<f64>>>,
-    /// `keys[member]` = the ring key the member is actually registered
-    /// under (after collision probing) — the exact key to invalidate when
-    /// the member re-registers or leaves.
-    keys: Vec<Option<RingKey>>,
     /// How many ring neighbors to examine around a lookup's landing point.
     scan_width: usize,
     stats: CatalogStats,
@@ -114,7 +112,6 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
             quantizer,
             ring: DhtRing::new(DhtConfig::default()),
             coords: Vec::new(),
-            keys: Vec::new(),
             scan_width,
             stats: CatalogStats::default(),
         }
@@ -142,9 +139,10 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
     }
 
     /// The ring key `member` is currently registered under (the exact
-    /// post-collision-probing key), if registered.
+    /// post-collision-probing key — the one to invalidate when the member
+    /// re-registers or leaves), if registered.
     pub fn registered_key(&self, member: MemberId) -> Option<RingKey> {
-        self.keys.get(member as usize).copied().flatten()
+        self.ring.key_of(member)
     }
 
     /// Neighborhood size examined around a lookup's landing point.
@@ -168,48 +166,34 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
 
     /// Registers (or re-registers) a member under its coordinate. Coordinate
     /// updates are how nodes "constantly refine" their position as the
-    /// network drifts.
-    pub fn insert(&mut self, member: MemberId, coord: Vec<f64>) {
-        self.insert_traced(member, coord);
-    }
-
-    /// [`CoordinateCatalog::insert`] that also reports the exact ring keys
-    /// affected: `(previous registered key if any, new registered key)`.
-    /// Both are post-collision-probing keys, so span stabbing against them
-    /// is exact, not approximate.
-    pub fn insert_traced(
-        &mut self,
-        member: MemberId,
-        coord: Vec<f64>,
-    ) -> (Option<RingKey>, RingKey) {
+    /// network drifts. Reports the exact ring keys affected: `(previous
+    /// registered key if any, new registered key)` — both post-collision-
+    /// probing keys, so span stabbing against them is exact, not
+    /// approximate. A coordinate that cannot be keyed (wrong dimensionality,
+    /// a NaN component) panics before anything is mutated.
+    pub fn insert(&mut self, member: MemberId, coord: Vec<f64>) -> (Option<RingKey>, RingKey) {
         assert_eq!(coord.len(), self.quantizer.dims(), "coordinate dimensionality");
+        let key = self.key_of(&coord);
         let idx = member as usize;
         if self.coords.len() <= idx {
             self.coords.resize(idx + 1, None);
-            self.keys.resize(idx + 1, None);
         }
-        let old_key = self.keys[idx].take();
+        let old_key = self.ring.key_of(member);
         self.ring.leave(member);
-        let key = self.key_of(&coord);
         let registered = self.ring.join(key, member);
-        self.keys[idx] = Some(registered);
         self.coords[idx] = Some(coord);
         (old_key, registered)
     }
 
-    /// Unregisters a member (node failure / leave).
-    pub fn remove(&mut self, member: MemberId) {
-        self.remove_traced(member);
-    }
-
-    /// [`CoordinateCatalog::remove`] that reports the ring key the member
+    /// Unregisters a member (node failure / leave). Reports the ring key it
     /// was registered under, if it was registered.
-    pub fn remove_traced(&mut self, member: MemberId) -> Option<RingKey> {
+    pub fn remove(&mut self, member: MemberId) -> Option<RingKey> {
+        let old_key = self.ring.key_of(member);
         self.ring.leave(member);
         if let Some(slot) = self.coords.get_mut(member as usize) {
             *slot = None;
         }
-        self.keys.get_mut(member as usize).and_then(|slot| slot.take())
+        old_key
     }
 
     /// The registered coordinate of a member, if any.
@@ -481,7 +465,7 @@ mod tests {
             expected.merge(traced.stats);
             assert_eq!(c.stats(), expected);
             // The chosen member's registered key lies inside the span.
-            let key = c.keys[m as usize].unwrap();
+            let key = c.registered_key(m).unwrap();
             assert!(traced.span.contains(key), "winner's key must be in the scanned span");
         }
     }
@@ -505,8 +489,8 @@ mod tests {
             // the answer must be unchanged.
             let mut pruned = c.clone();
             for m in 0..200 {
-                if pruned.keys[m as usize].is_some_and(|k| !traced.span.contains(k)) {
-                    pruned.remove(m as MemberId);
+                if pruned.registered_key(m).is_some_and(|k| !traced.span.contains(k)) {
+                    pruned.remove(m);
                 }
             }
             // Only the *member* answer is the decision surface — routing
@@ -523,16 +507,24 @@ mod tests {
     #[test]
     fn traced_insert_and_remove_report_exact_registered_keys() {
         let mut c = unit_catalog(4);
-        let (old, first) = c.insert_traced(0, vec![0.2, 0.2]);
+        let (old, first) = c.insert(0, vec![0.2, 0.2]);
         assert!(old.is_none(), "first registration has no prior key");
         // Collision probing can shift the key; the catalog must remember the
         // key actually registered, not the nominal key_of.
-        let (_, probed) = c.insert_traced(1, vec![0.2, 0.2]);
+        let (_, probed) = c.insert(1, vec![0.2, 0.2]);
         assert_ne!(first, probed, "collision probe must produce a distinct key");
-        let (old, second) = c.insert_traced(0, vec![0.8, 0.8]);
+        c.insert(1, vec![0.6, 0.6]);
+        // A coordinate that cannot be keyed panics before the member's live
+        // registration is touched.
+        let hostile = std::panic::AssertUnwindSafe(|| c.insert(0, vec![f64::NAN, 0.8]));
+        assert!(std::panic::catch_unwind(hostile).is_err(), "a NaN coordinate must panic");
+        assert_eq!(c.registered_key(0), Some(first));
+        assert_eq!(c.coord_of(0), Some(&[0.2, 0.2][..]));
+        assert_eq!(c.lookup_closest(&[0.2, 0.2]).map(|(m, _)| m), Some(0));
+        let (old, second) = c.insert(0, vec![0.8, 0.8]);
         assert_eq!(old, Some(first), "re-registration reports the prior key");
-        assert_eq!(c.remove_traced(0), Some(second));
-        assert_eq!(c.remove_traced(0), None, "double remove reports nothing");
+        assert_eq!(c.remove(0), Some(second));
+        assert_eq!(c.remove(0), None, "double remove reports nothing");
     }
 
     #[test]

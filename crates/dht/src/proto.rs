@@ -61,10 +61,10 @@
 //! `scan_width` ring neighborhood of the target key by true cost-space
 //! distance with first-wins ties. There is one lookup automaton — the
 //! queue-driven one above. Read-only parallel passes do not route at all:
-//! they answer from the catalog through `sbon_core`'s `DhtMapperReadView`,
+//! they answer from the catalog through `sbon_core`'s `MapperReadView`,
 //! and only the serial settle points replay lookups as message traffic.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use sbon_hilbert::SpaceFillingCurve;
 use sbon_netsim::sim::{EventQueue, SimTime};
@@ -279,11 +279,6 @@ impl RoutedStats {
         self.hops.unit_counts()
     }
 
-    /// Experienced per-lookup latencies, in completion order.
-    pub fn lookup_latencies_ms(&self) -> &[f64] {
-        self.latency_ms.samples()
-    }
-
     /// Nearest-rank percentile (`q` in `[0, 1]`) of experienced lookup
     /// latency; `None` before the first completed lookup.
     pub fn latency_percentile_ms(&self, q: f64) -> Option<f64> {
@@ -309,11 +304,14 @@ impl RoutedStats {
         // equals the historical `Σ h · hop_histogram[h] / lookups`.
         self.hops.sum() / self.lookups as f64
     }
+}
 
-    /// One-paragraph human-readable summary of the experienced control
-    /// traffic (used by the examples in place of hand-rolled printing).
-    pub fn summary(&self) -> String {
-        format!(
+/// One-paragraph human-readable summary of the experienced control traffic
+/// (used by the examples in place of hand-rolled printing).
+impl std::fmt::Display for RoutedStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
             "{} lookups, {} registrations, {} unregistrations over {} messages; \
              experienced latency p50 {:.1} ms, p99 {:.1} ms; {:.1} hops/lookup; \
              {} timeouts -> {} retries, {} deferred, {} stale-rejected",
@@ -329,12 +327,6 @@ impl RoutedStats {
             self.deferred,
             self.stale_rejected,
         )
-    }
-}
-
-impl std::fmt::Display for RoutedStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.summary())
     }
 }
 
@@ -440,11 +432,6 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
         &mut self.catalog
     }
 
-    /// Timeout / retry policy in force.
-    pub fn config(&self) -> ProtoConfig {
-        self.config
-    }
-
     /// Aggregated traffic statistics.
     pub fn stats(&self) -> &RoutedStats {
         &self.stats
@@ -465,15 +452,18 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
     /// Directly applies a registration with a fresh stamp, bypassing the
     /// message protocol — the runtime's synchronous path (bootstrap and
     /// tick-quiescent churn), which keeps catalog evolution bit-identical
-    /// to the omniscient backend. Returns the traced key pair.
+    /// to the omniscient backend. Returns the key pair the catalog reports.
+    /// The stamp advances only once the coordinate is in: one that cannot
+    /// be keyed panics with nothing mutated.
     pub fn register_direct(
         &mut self,
         member: MemberId,
         coord: Vec<f64>,
     ) -> (Option<RingKey>, RingKey) {
+        let keys = self.catalog.insert(member, coord);
         let stamp = self.fresh_stamp();
         self.set_stamp(member, stamp);
-        self.catalog.insert_traced(member, coord)
+        keys
     }
 
     /// Directly removes a registration with a fresh stamp (synchronous
@@ -481,7 +471,7 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
     pub fn remove_direct(&mut self, member: MemberId) -> Option<RingKey> {
         let stamp = self.fresh_stamp();
         self.set_stamp(member, stamp);
-        self.catalog.remove_traced(member)
+        self.catalog.remove(member)
     }
 
     /// Marks `members` as severed: every message between a severed and an
@@ -512,10 +502,7 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
         for mut p in deferred {
             // Re-resolve the owner: the ring may have changed while the
             // registration was parked.
-            let excl = [p.key];
-            let probe = if matches!(p.op, RegOp::Unregister) { &excl[..] } else { &[][..] };
-            if let Some((_, owner)) = first_live(self.catalog.ring(), p.key.wrapping_add(1), probe)
-            {
+            if let Some(owner) = self.owner_of(&p.op, p.key) {
                 p.owner = owner;
                 p.attempt = 1;
                 let reg = self.next_seq;
@@ -572,7 +559,7 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
         let at = self.clamp(at);
         let query = self.next_query;
         self.next_query += 1;
-        let mut p = PendingLookup {
+        let p = PendingLookup {
             origin,
             origin_key,
             target_key,
@@ -588,27 +575,7 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
             timeouts: 0,
             started: at.millis(),
         };
-        match self.choose_contact(&p, None) {
-            None => {
-                // The querier owns the key: answer locally, zero traffic.
-                let (member, candidates) = self.answer_at(origin, target_key, target);
-                let done = RoutedLookup {
-                    member,
-                    hops: 0,
-                    messages: 0,
-                    retries: 0,
-                    timeouts: 0,
-                    latency_ms: 0.0,
-                    candidates,
-                };
-                self.stats.record_lookup(&done);
-                self.completed.push((query, done));
-            }
-            Some((key, member)) => {
-                self.contact(query, &mut p, key, member, at, link);
-                self.pending_lookups.insert(query, p);
-            }
-        }
+        self.route(query, p, None, at, link);
         Some(query)
     }
 
@@ -652,6 +619,15 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
         self.issue_reg(member, RegOp::Refresh, key, at, link)
     }
 
+    /// The owner a registrant resolves from its local routing state for a
+    /// registration under `key`: the key's live successor. A departing
+    /// member excludes itself.
+    fn owner_of(&self, op: &RegOp, key: RingKey) -> Option<MemberId> {
+        let own = [key];
+        let excl = if matches!(op, RegOp::Unregister) { &own[..] } else { &[][..] };
+        first_live(self.catalog.ring(), key.wrapping_add(1), excl).map(|(_, owner)| owner)
+    }
+
     fn issue_reg(
         &mut self,
         member: MemberId,
@@ -663,15 +639,10 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
         let at = self.clamp(at);
         let stamp = Stamp { time_ms: at.millis(), seq: self.next_seq };
         self.next_seq += 1;
-        // The registrant resolves the owner from its local routing state:
-        // the key's live successor. A departing member excludes itself.
-        let own = [key];
-        let excl = if matches!(op, RegOp::Unregister) { &own[..] } else { &[][..] };
-        let (_, owner) = first_live(self.catalog.ring(), key.wrapping_add(1), excl)?;
+        let owner = self.owner_of(&op, key)?;
         match op {
-            RegOp::Register(_) => self.stats.registrations += 1,
             RegOp::Unregister => self.stats.unregistrations += 1,
-            RegOp::Refresh => self.stats.registrations += 1,
+            RegOp::Register(_) | RegOp::Refresh => self.stats.registrations += 1,
         }
         let reg = self.next_seq;
         self.next_seq += 1;
@@ -679,15 +650,37 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
         Some(reg)
     }
 
+    /// Puts `msg` on the wire from `from` to `to` at time `at`. A message
+    /// crossing the partition boundary is dropped: paid for by its sender,
+    /// never delivered.
+    fn send(&mut self, at: SimTime, from: MemberId, to: MemberId, msg: ControlMsg, link: &LinkFn) {
+        if self.reachable(from, to) {
+            self.queue.schedule(at.after(link(from, to)), Event::Deliver(msg));
+        }
+    }
+
+    /// Sends (or retransmits) a lookup's request to its current hop, arms
+    /// the retransmit timer of `p.attempt`, and files the lookup as pending.
+    fn send_lookup(&mut self, query: QueryId, mut p: PendingLookup, at: SimTime, link: &LinkFn) {
+        p.messages += 1;
+        self.send(at, p.origin, p.current, ControlMsg::Lookup { query, at: p.current }, link);
+        self.queue.schedule(
+            at.after(self.config.backoff_ms(p.attempt)),
+            Event::LookupTimer { query, contact: p.contact, attempt: p.attempt },
+        );
+        self.pending_lookups.insert(query, p);
+    }
+
+    /// Sends (or retransmits) a registration's request to its resolved
+    /// owner, arms the retransmit timer of `p.attempt`, and files the
+    /// registration as pending.
     fn send_reg(&mut self, reg: RegSeq, p: PendingReg, at: SimTime, link: &LinkFn) {
         self.stats.messages += 1;
         let msg = match p.op {
             RegOp::Unregister => ControlMsg::Unregister { reg, owner: p.owner },
             _ => ControlMsg::Register { reg, owner: p.owner },
         };
-        if self.reachable(p.member, p.owner) {
-            self.queue.schedule(at.after(link(p.member, p.owner)), Event::Deliver(msg));
-        }
+        self.send(at, p.member, p.owner, msg, link);
         self.queue.schedule(
             at.after(self.config.backoff_ms(p.attempt)),
             Event::RegTimer { reg, attempt: p.attempt },
@@ -734,39 +727,21 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
                 let p = self.pending_lookups.get_mut(&query).expect("checked above");
                 p.messages += 1;
                 let origin = p.origin;
-                let reply = ControlMsg::LookupReply { query, from: at, step };
-                if self.reachable(at, origin) {
-                    self.queue.schedule(t.after(link(at, origin)), Event::Deliver(reply));
-                }
+                self.send(t, at, origin, ControlMsg::LookupReply { query, from: at, step }, link);
             }
             ControlMsg::LookupReply { query, from, step } => {
-                let Some(p) = self.pending_lookups.get_mut(&query) else { return };
-                if p.current != from {
+                let Entry::Occupied(e) = self.pending_lookups.entry(query) else { return };
+                if e.get().current != from {
                     return;
                 }
+                let mut p = e.remove();
                 p.hops += 1;
                 match step {
                     LookupStep::Answer { member, candidates } => {
-                        let p = self.pending_lookups.remove(&query).expect("present");
-                        let done = RoutedLookup {
-                            member,
-                            hops: p.hops,
-                            messages: p.messages,
-                            retries: p.retries,
-                            timeouts: p.timeouts,
-                            latency_ms: t.millis() - p.started,
-                            candidates,
-                        };
-                        self.stats.record_lookup(&done);
-                        self.completed.push((query, done));
+                        self.complete(query, &p, (member, candidates), t)
                     }
                     LookupStep::Forward { key, member } => {
-                        let mut p = self.pending_lookups.remove(&query).expect("present");
-                        let (key, member) = self
-                            .choose_contact(&p, Some((key, member)))
-                            .expect("forward step always yields a contact");
-                        self.contact(query, &mut p, key, member, t, link);
-                        self.pending_lookups.insert(query, p);
+                        self.route(query, p, Some((key, member)), t, link)
                     }
                 }
             }
@@ -777,23 +752,22 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
                 if stale {
                     self.stats.stale_rejected += 1;
                 } else {
-                    match &op {
+                    match op {
+                        // The stamp advances only once the coordinate is in
+                        // (see `register_direct`).
                         RegOp::Register(coord) => {
+                            self.catalog.insert(member, coord);
                             self.set_stamp(member, stamp);
-                            self.catalog.insert_traced(member, coord.clone());
                         }
                         RegOp::Unregister => {
+                            self.catalog.remove(member);
                             self.set_stamp(member, stamp);
-                            self.catalog.remove_traced(member);
                         }
                         RegOp::Refresh => {}
                     }
                 }
                 self.stats.messages += 1;
-                let ack = ControlMsg::Ack { reg, to: member };
-                if self.reachable(owner, member) {
-                    self.queue.schedule(t.after(link(owner, member)), Event::Deliver(ack));
-                }
+                self.send(t, owner, member, ControlMsg::Ack { reg, to: member }, link);
             }
             ControlMsg::Ack { reg, .. } => {
                 self.pending_regs.remove(&reg);
@@ -809,114 +783,86 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
         attempt: u32,
         link: &LinkFn,
     ) {
-        let Some(p) = self.pending_lookups.get_mut(&query) else { return };
-        if p.contact != contact || p.attempt != attempt {
+        let Entry::Occupied(e) = self.pending_lookups.entry(query) else { return };
+        if e.get().contact != contact || e.get().attempt != attempt {
             return; // a reply (or later retransmit) superseded this timer
         }
+        let mut p = e.remove();
         p.timeouts += 1;
         if attempt <= self.config.max_retries {
             // Retransmit to the same hop with doubled timeout.
             p.attempt = attempt + 1;
             p.retries += 1;
-            p.messages += 1;
-            let (origin, current) = (p.origin, p.current);
-            let next_attempt = attempt + 1;
-            if self.reachable(origin, current) {
-                self.queue.schedule(
-                    t.after(link(origin, current)),
-                    Event::Deliver(ControlMsg::Lookup { query, at: current }),
-                );
-            }
-            self.queue.schedule(
-                t.after(self.config.backoff_ms(next_attempt)),
-                Event::LookupTimer { query, contact, attempt: next_attempt },
-            );
+            self.send_lookup(query, p, t, link);
         } else {
             // Retries exhausted: suspect the hop and re-route from the
             // querier's own state.
-            let mut p = self.pending_lookups.remove(&query).expect("present");
-            let suspect = p.current_key;
-            if let Err(pos) = p.suspects.binary_search(&suspect) {
-                p.suspects.insert(pos, suspect);
+            if let Err(pos) = p.suspects.binary_search(&p.current_key) {
+                p.suspects.insert(pos, p.current_key);
             }
-            match self.choose_contact(&p, None) {
-                None => {
-                    let (member, candidates) = self.answer_at(p.origin, p.target_key, &p.target);
-                    let done = RoutedLookup {
-                        member,
-                        hops: p.hops,
-                        messages: p.messages,
-                        retries: p.retries,
-                        timeouts: p.timeouts,
-                        latency_ms: t.millis() - p.started,
-                        candidates,
-                    };
-                    self.stats.record_lookup(&done);
-                    self.completed.push((query, done));
-                }
-                Some((key, member)) => {
-                    self.contact(query, &mut p, key, member, t, link);
-                    self.pending_lookups.insert(query, p);
-                }
-            }
+            self.route(query, p, None, t, link);
         }
     }
 
     fn reg_timer(&mut self, t: SimTime, reg: RegSeq, attempt: u32, link: &LinkFn) {
-        let Some(p) = self.pending_regs.get_mut(&reg) else { return };
-        if p.attempt != attempt {
+        let Entry::Occupied(e) = self.pending_regs.entry(reg) else { return };
+        if e.get().attempt != attempt {
             return;
         }
+        let mut p = e.remove();
         self.stats.timeouts += 1;
         if attempt <= self.config.max_retries {
             p.attempt = attempt + 1;
             self.stats.retries += 1;
-            self.stats.messages += 1;
-            let (member, owner) = (p.member, p.owner);
-            let msg = match p.op {
-                RegOp::Unregister => ControlMsg::Unregister { reg, owner },
-                _ => ControlMsg::Register { reg, owner },
-            };
-            let next_attempt = attempt + 1;
-            if self.reachable(member, owner) {
-                self.queue.schedule(t.after(link(member, owner)), Event::Deliver(msg));
-            }
-            self.queue.schedule(
-                t.after(self.config.backoff_ms(next_attempt)),
-                Event::RegTimer { reg, attempt: next_attempt },
-            );
+            self.send_reg(reg, p, t, link);
         } else {
-            let p = self.pending_regs.remove(&reg).expect("present");
             self.stats.deferred += 1;
             self.deferred.push(p);
         }
     }
 
-    /// Sends `Lookup` to `(key, member)` and arms the attempt-1 timer.
-    fn contact(
+    /// Advances lookup `query` at time `t`: contacts the next hop
+    /// ([`Self::choose_contact`]) as attempt 1 of a new contact, or — when
+    /// the querier owns the key itself — answers locally with no traffic.
+    fn route(
         &mut self,
         query: QueryId,
-        p: &mut PendingLookup,
-        key: RingKey,
-        member: MemberId,
-        at: SimTime,
+        mut p: PendingLookup,
+        hint: Option<(RingKey, MemberId)>,
+        t: SimTime,
         link: &LinkFn,
     ) {
-        p.current = member;
-        p.current_key = key;
-        p.contact += 1;
-        p.attempt = 1;
-        p.messages += 1;
-        if self.reachable(p.origin, member) {
-            self.queue.schedule(
-                at.after(link(p.origin, member)),
-                Event::Deliver(ControlMsg::Lookup { query, at: member }),
-            );
+        match self.choose_contact(&p, hint) {
+            None => {
+                let answer = self.answer_at(p.origin, p.target_key, &p.target);
+                self.complete(query, &p, answer, t);
+            }
+            Some((key, member)) => {
+                p.current = member;
+                p.current_key = key;
+                p.contact += 1;
+                p.attempt = 1;
+                self.send_lookup(query, p, t, link);
+            }
         }
-        self.queue.schedule(
-            at.after(self.config.backoff_ms(1)),
-            Event::LookupTimer { query, contact: p.contact, attempt: 1 },
-        );
+    }
+
+    /// Closes lookup `query` at time `t` with the owner-side `answer`
+    /// `(member, candidates)`: the one place a [`RoutedLookup`] is made,
+    /// counted, and queued for [`RoutedCatalog::run_to_quiescence`].
+    fn complete(&mut self, query: QueryId, p: &PendingLookup, answer: (MemberId, u32), t: SimTime) {
+        let (member, candidates) = answer;
+        let done = RoutedLookup {
+            member,
+            hops: p.hops,
+            messages: p.messages,
+            retries: p.retries,
+            timeouts: p.timeouts,
+            latency_ms: t.millis() - p.started,
+            candidates,
+        };
+        self.stats.record_lookup(&done);
+        self.completed.push((query, done));
     }
 
     /// Querier-side choice of the next hop to contact. `hint` is the
@@ -1247,12 +1193,12 @@ mod tests {
         let stats = routed.stats().clone();
         assert_eq!(stats.lookups, 60);
         assert_eq!(stats.hop_histogram().iter().sum::<u64>(), 60);
-        assert_eq!(stats.lookup_latencies_ms().len(), 60);
+        assert_eq!(stats.latency_ms.samples().len(), 60);
         let p50 = stats.p50_latency_ms().unwrap();
         let p99 = stats.p99_latency_ms().unwrap();
         assert!(p50 <= p99, "p50 {p50} must not exceed p99 {p99}");
         assert!(stats.mean_hops() > 0.0);
-        let mut sorted = stats.lookup_latencies_ms().to_vec();
+        let mut sorted = stats.latency_ms.samples().to_vec();
         sorted.sort_by(|a, b| a.total_cmp(b));
         assert_eq!(stats.latency_percentile_ms(1.0), sorted.last().copied());
     }

@@ -9,11 +9,13 @@
 //!
 //! # Per-update cost model
 //!
-//! Members live in a `BTreeMap<RingKey, MemberId>` plus a reverse
-//! member→keys index, so **every maintenance primitive is `O(log n)`**:
-//! `join` is an ordered insert (plus a clockwise probe over the — almost
-//! always empty — run of colliding keys), `leave` is one reverse-index
-//! lookup and one ordered removal per held key, and
+//! Members live in a `BTreeMap<RingKey, MemberId>` plus a member→key index
+//! that is dense by member id — a member holds exactly one key, and the
+//! index is sized by the highest id ever joined (callers number members
+//! densely: node ids, recycled instance ids). So **every maintenance
+//! primitive is `O(log n)`**: `join` is an ordered insert (plus a clockwise
+//! probe over the — almost always empty — run of colliding keys) and one
+//! slot write, `leave` is one slot read and one ordered removal, and
 //! `successor`/`predecessor`/`neighbors` are ordered range scans. The
 //! original `Vec`-backed ring answered the same queries from one sorted
 //! array, which made join/leave a binary search **plus an `O(n)` memmove**
@@ -23,7 +25,7 @@
 //! property test pins the new ring bit-for-bit against the seed Vec
 //! implementation over random join/leave/lookup interleavings.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use rand::Rng;
 
@@ -66,22 +68,18 @@ pub struct LookupOutcome {
 #[derive(Clone, Debug, Default)]
 pub struct DhtRing {
     /// Members ordered by ring key. Invariant: exactly the entries recorded
-    /// in `keys_of`, one per (member, key) registration.
+    /// in `keys`, one per member.
     members: BTreeMap<RingKey, MemberId>,
-    /// Reverse index: every key a member currently holds (normally exactly
-    /// one), so `leave` needs no ring scan.
-    // sbon-lint: allow(unordered-iteration): entry/remove by member id only,
-    // never iterated; O(1) lookups matter on the 100k-member join path.
-    keys_of: HashMap<MemberId, Vec<RingKey>>,
+    /// `keys[member]` = the key the member holds (dense by `MemberId`), so
+    /// `leave` needs no ring scan.
+    keys: Vec<Option<RingKey>>,
     config: DhtConfig,
 }
 
 impl DhtRing {
     /// An empty ring.
     pub fn new(config: DhtConfig) -> Self {
-        // sbon-lint: allow(unordered-iteration): lookup-only reverse index,
-        // see the field declaration.
-        DhtRing { members: BTreeMap::new(), keys_of: HashMap::new(), config }
+        DhtRing { members: BTreeMap::new(), keys: Vec::new(), config }
     }
 
     /// Number of members.
@@ -104,15 +102,28 @@ impl DhtRing {
         self.members.iter().map(|(&k, &m)| (k, m))
     }
 
+    /// The key `member` currently holds (the exact post-probing key
+    /// [`DhtRing::join`] returned), if it is on the ring.
+    pub fn key_of(&self, member: MemberId) -> Option<RingKey> {
+        self.keys.get(member as usize).copied().flatten()
+    }
+
     /// Joins a member under `key`. If the key is taken, linear-probes
     /// clockwise for the next free key (coordinate collisions after
-    /// quantization are common). Returns the key actually used.
+    /// quantization are common). Returns the key actually used. Panics if
+    /// `member` is already on the ring: a member holds one key, and moves
+    /// by [`DhtRing::leave`] then `join`.
     pub fn join(&mut self, key: RingKey, member: MemberId) -> RingKey {
+        assert!(self.key_of(member).is_none(), "member {member} is already on the ring");
         assert!(self.members.len() < u32::MAX as usize, "ring is absurdly over-populated");
         let key = self.first_free_key(key);
         let evicted = self.members.insert(key, member);
         debug_assert!(evicted.is_none(), "probe must land on a free key");
-        self.keys_of.entry(member).or_default().push(key);
+        let idx = member as usize;
+        if self.keys.len() <= idx {
+            self.keys.resize(idx + 1, None);
+        }
+        self.keys[idx] = Some(key);
         key
     }
 
@@ -138,21 +149,15 @@ impl DhtRing {
         candidate
     }
 
-    /// Removes a member (all of its keys; a member normally has exactly
-    /// one). Returns how many entries were removed.
+    /// Removes a member. Returns how many entries were removed: 1, or 0 if
+    /// it was not on the ring.
     pub fn leave(&mut self, member: MemberId) -> usize {
-        match self.keys_of.remove(&member) {
-            None => 0,
-            Some(keys) => {
-                let mut removed = 0;
-                for k in keys {
-                    let entry = self.members.remove(&k);
-                    debug_assert_eq!(entry, Some(member), "reverse index tracks ring entries");
-                    removed += usize::from(entry.is_some());
-                }
-                removed
-            }
-        }
+        let Some(key) = self.keys.get_mut(member as usize).and_then(Option::take) else {
+            return 0;
+        };
+        let entry = self.members.remove(&key);
+        debug_assert_eq!(entry, Some(member), "member→key index tracks ring entries");
+        usize::from(entry.is_some())
     }
 
     /// The member owning `key`: its successor on the ring (first member with
@@ -181,7 +186,7 @@ impl DhtRing {
     ///
     /// No ring entry can be emitted twice, for any `count` (including
     /// `count ≥ n`) — and hence no member either, given each holds one key
-    /// (a multi-key member's entries are distinct entries): the walk draws
+    /// ([`DhtRing::join`] rejects a second for the same member): the walk draws
     /// from two full-cycle cursors — clockwise from the target's successor,
     /// counter-clockwise from its predecessor — and stops after
     /// `min(count, n)` picks. After `f` clockwise and `b` counter-clockwise
@@ -457,22 +462,27 @@ mod tests {
     #[test]
     fn leave_removes_member() {
         let mut r = ring_with(&[10, 20, 30]);
+        assert_eq!(r.key_of(1), Some(20));
         assert_eq!(r.leave(1), 1);
         assert_eq!(r.len(), 2);
         assert_eq!(r.successor(15).unwrap().0, 30);
-        assert_eq!(r.leave(99), 0);
+        assert_eq!(r.key_of(1), None);
+        assert_eq!(r.leave(1), 0, "a second leave finds nothing");
+        assert_eq!((r.leave(99), r.key_of(99)), (0, None), "never joined, beyond the index");
+        // The index holds the probed key, not the requested one, and a
+        // member that left may join again under a new key.
+        assert_eq!(r.join(30, 1), 31);
+        assert_eq!((r.key_of(1), r.key_of(2)), (Some(31), Some(30)));
+        assert_eq!(r.leave(2), 1);
+        assert_eq!((r.key_of(1), r.key_of(2), r.len()), (Some(31), None, 2));
     }
 
     #[test]
-    fn leave_removes_every_key_of_a_multi_key_member() {
+    #[should_panic(expected = "member 7 is already on the ring")]
+    fn double_join_is_rejected() {
         let mut r = DhtRing::new(DhtConfig::default());
         r.join(10, 7);
         r.join(500, 7);
-        r.join(20, 8);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.leave(7), 2);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.successor(0).unwrap().1, 8);
     }
 
     #[test]
@@ -575,21 +585,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// A member holding several keys is several distinct ring entries: the
-    /// walk may (and must) return each of them — distinctness is per
-    /// entry, not per member.
-    #[test]
-    fn neighbors_returns_every_entry_of_a_multi_key_member() {
-        let mut r = DhtRing::new(DhtConfig::default());
-        r.join(10, 7);
-        r.join(500, 7);
-        let out = r.neighbors(0, 2);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|&(_, m)| m == 7));
-        let keys: Vec<RingKey> = out.iter().map(|&(k, _)| k).collect();
-        assert!(keys.contains(&10) && keys.contains(&500));
     }
 
     /// With `count == n`, the walk must enumerate the whole ring — the

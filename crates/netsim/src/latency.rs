@@ -64,13 +64,6 @@ impl LatencyMatrix {
         self.data[b.index() * self.n + a.index()] = v;
     }
 
-    /// Multiplies the `(a, b)` entry (both directions) by `factor`; the churn
-    /// processes use this to model transient latency inflation.
-    pub fn scale(&mut self, a: NodeId, b: NodeId, factor: f64) {
-        let v = self.latency(a, b) * factor;
-        self.set(a, b, v);
-    }
-
     /// Maximum finite latency in the matrix; used to normalize plots.
     pub fn max_latency(&self) -> f64 {
         self.data.iter().copied().filter(|v| v.is_finite()).fold(0.0, f64::max)
@@ -156,13 +149,11 @@ mod tests {
     }
 
     #[test]
-    fn set_and_scale_are_symmetric() {
+    fn set_is_symmetric() {
         let mut m = LatencyMatrix::zeros(3);
         m.set(NodeId(0), NodeId(2), 8.0);
+        assert_eq!(m.latency(NodeId(0), NodeId(2)), 8.0);
         assert_eq!(m.latency(NodeId(2), NodeId(0)), 8.0);
-        m.scale(NodeId(0), NodeId(2), 0.5);
-        assert_eq!(m.latency(NodeId(0), NodeId(2)), 4.0);
-        assert_eq!(m.latency(NodeId(2), NodeId(0)), 4.0);
     }
 
     #[test]

@@ -52,35 +52,18 @@ impl RunReport {
     pub fn total_cost(&self) -> f64 {
         self.samples.last().map_or(0.0, |s| s.cumulative_usage) + self.adaptation_cost
     }
-
-    /// Mean instantaneous network usage across samples.
-    ///
-    /// **Defined as `0.0` for an empty sample set** — a run that never
-    /// ticked carried no traffic. (The naive `sum / len` would be `0/0 =
-    /// NaN`, which then poisons any aggregate it flows into; every report
-    /// aggregate in the workspace pins this same empty-set convention:
-    /// [`RunReport::total_cost`], `DataPlaneReport::mean_delivery_latency_ms`,
-    /// `MappedCircuit::mean_mapping_error`, and `Summary::of`.)
-    pub fn mean_usage(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(|s| s.network_usage).sum::<f64>() / self.samples.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Regression guard for the empty-sample-set convention: neither
-    /// aggregate may return NaN when a run produced no samples.
+    /// Regression guard for the empty-sample-set convention: a run that
+    /// produced no samples carried no traffic.
     #[test]
     fn empty_report_is_zero() {
         let r = RunReport::default();
         assert_eq!(r.total_cost(), 0.0);
-        assert_eq!(r.mean_usage(), 0.0);
-        assert!(!r.mean_usage().is_nan() && !r.total_cost().is_nan());
     }
 
     #[test]
@@ -100,6 +83,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(r.total_cost(), 7.5);
-        assert_eq!(r.mean_usage(), 5.0);
     }
 }

@@ -8,8 +8,8 @@
 
 use sbon_core::costspace::CostSpace;
 use sbon_core::placement::{
-    DhtMapper, DhtMapperConfig, DhtMapperReadView, LiveOracleMapper, MapperCatalog, MapperReadView,
-    PhysicalMapper, ReadObservation, RoutedMapper,
+    DhtMapper, DhtMapperConfig, LiveOracleMapper, MapperCatalog, MapperReadView, PhysicalMapper,
+    ReadObservation, RoutedMapper,
 };
 use sbon_dht::catalog::CatalogStats;
 use sbon_dht::proto::RoutedStats;
@@ -61,14 +61,6 @@ impl MapperState {
         }
     }
 
-    pub(super) fn as_dyn(&self) -> &dyn PhysicalMapper {
-        match self {
-            MapperState::Dht(m) => m,
-            MapperState::Oracle(m) => m,
-            MapperState::Routed(m) => m,
-        }
-    }
-
     pub(super) fn as_dyn_mut(&mut self) -> &mut dyn PhysicalMapper {
         match self {
             MapperState::Dht(m) => m,
@@ -102,11 +94,11 @@ impl MapperState {
     /// does — routed traffic is replayed only for live-path lookups, on the
     /// serial settle points.
     pub(super) fn read_view(&self) -> MapperReadView<'_> {
-        if let MapperState::Oracle(m) = self {
-            return MapperReadView::Oracle(m.read_view());
+        match self {
+            MapperState::Dht(m) => m.read_view(),
+            MapperState::Oracle(m) => m.read_view(),
+            MapperState::Routed(m) => MapperReadView::new(m.routed().catalog()),
         }
-        let catalog = self.catalog().expect("every backend but the oracle answers from a catalog");
-        MapperReadView::Dht(DhtMapperReadView::new(catalog))
     }
 
     /// Folds a read view's deferred catalog traffic back onto the live
@@ -132,21 +124,15 @@ impl MapperState {
         if m.pending_traffic() == 0 && m.routed().is_quiescent() {
             return;
         }
-        let before = {
+        let counts = |m: &RoutedMapper| {
             let rs = m.routed_stats();
-            (rs.messages, rs.lookups, rs.registrations, rs.timeouts)
+            [rs.messages, rs.lookups, rs.registrations, rs.timeouts]
         };
+        let before = counts(m);
         let link = |a: u32, b: u32| latency.latency(NodeId(a), NodeId(b));
         m.settle(at, &link);
-        let (msgs, lookups, regs, timeouts) = {
-            let rs = m.routed_stats();
-            (
-                rs.messages - before.0,
-                rs.lookups - before.1,
-                rs.registrations - before.2,
-                rs.timeouts - before.3,
-            )
-        };
+        let after = counts(m);
+        let [msgs, lookups, regs, timeouts] = std::array::from_fn(|i| after[i] - before[i]);
         obs.point("routed.settle", || {
             vec![
                 ("messages", msgs.into()),
@@ -165,7 +151,11 @@ impl MapperState {
 impl OverlayRuntime {
     /// Name of the active physical-mapping backend.
     pub fn mapper_name(&self) -> &'static str {
-        self.mapper.as_dyn().name()
+        match &self.mapper {
+            MapperState::Dht(m) => m.name(),
+            MapperState::Oracle(m) => m.name(),
+            MapperState::Routed(m) => m.name(),
+        }
     }
 
     /// Catalog traffic counters of the DHT mapper; `None` under the oracle

@@ -195,7 +195,7 @@ fn backend_comparison(smoke: bool) {
         for _ in 0..64 {
             let e = EdgeId(rng.gen_range(0..m) as u32);
             let f = rng.gen_range(0.7..1.45);
-            lazy.scale_edge_clamped(e, f, (0.5, 3.0));
+            lazy.scale_edges_clamped(&[(e, f)], (0.5, 3.0));
         }
         let start = Instant::now();
         let refreshed = all_pairs_latency(lazy.graph());

@@ -50,7 +50,7 @@
 //!
 //! Runs are bit-reproducible because every source of ordering is
 //! deterministic: the event queue pops by `(time, insertion seq)` (pinned
-//! by `drain_until_preserves_equal_time_insertion_order` in
+//! by `pop_until_loop_preserves_equal_time_insertion_order` in
 //! `sbon_netsim`), link latencies come from the deterministic provider,
 //! timeout schedules are pure functions of the config, suspect sets are
 //! kept sorted, and per-lookup latency arithmetic happens in a fixed

@@ -9,12 +9,12 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::{EdgeId, Graph, NodeId};
 use crate::latency::LatencyMatrix;
 
 /// A heap entry: `Reverse`-ordered by distance so `BinaryHeap` pops minimums.
-/// `pub(crate)` so the dynamic repair in [`crate::lazy`] reuses the exact
-/// ordering (distance, then node id) of the from-scratch computation.
+/// `pub(crate)` so the dynamic repair in [`crate::lazy`] seeds [`settle`]'s
+/// heap itself.
 #[derive(PartialEq)]
 pub(crate) struct HeapEntry {
     pub(crate) dist: f64,
@@ -39,6 +39,51 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// The one Dijkstra relaxation loop: from-scratch rows, path search and
+/// both phases of [`crate::lazy`]'s row repair run it, so they pop in the
+/// same (distance, node id) order and relax by the same strict `<`.
+///
+/// The caller seeds `dist` and `heap`. An entry above its vertex's label is
+/// stale and skipped; every other pop settles its vertex `v` and relaxes
+/// each neighbour `u` that is `in_scope`, reading edge `e` at
+/// `weight(e, current latency)`. A strict improvement stores the label,
+/// calls `on_improve(u, v, e)` and pushes `u`. The loop ends when the heap
+/// is empty or `stop_at` is popped (its label is final by then). Returns
+/// the number of vertices settled.
+#[inline]
+pub(crate) fn settle(
+    graph: &Graph,
+    dist: &mut [f64],
+    heap: &mut BinaryHeap<HeapEntry>,
+    stop_at: Option<NodeId>,
+    weight: impl Fn(EdgeId, f64) -> f64,
+    in_scope: impl Fn(NodeId) -> bool,
+    mut on_improve: impl FnMut(NodeId, NodeId, EdgeId),
+) -> usize {
+    let mut settled = 0;
+    while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
+        if Some(v) == stop_at {
+            break;
+        }
+        if d > dist[v.index()] {
+            continue; // stale entry
+        }
+        settled += 1;
+        for (u, e, w) in graph.neighbors(v) {
+            if !in_scope(u) {
+                continue;
+            }
+            let nd = d + weight(e, w);
+            if nd < dist[u.index()] {
+                dist[u.index()] = nd;
+                on_improve(u, v, e);
+                heap.push(HeapEntry { dist: nd, node: u });
+            }
+        }
+    }
+    settled
+}
+
 /// Single-source shortest path latencies from `src`.
 ///
 /// Unreachable nodes get `f64::INFINITY`.
@@ -48,64 +93,34 @@ pub fn single_source(graph: &Graph, src: NodeId) -> Vec<f64> {
     let mut heap = BinaryHeap::with_capacity(n);
     dist[src.index()] = 0.0;
     heap.push(HeapEntry { dist: 0.0, node: src });
-
-    while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-        if d > dist[v.index()] {
-            continue; // stale entry
-        }
-        for (u, w) in graph.neighbors(v) {
-            let nd = d + w;
-            if nd < dist[u.index()] {
-                dist[u.index()] = nd;
-                heap.push(HeapEntry { dist: nd, node: u });
-            }
-        }
-    }
+    settle(graph, &mut dist, &mut heap, None, |_, w| w, |_| true, |_, _, _| {});
     dist
 }
 
-/// Shortest path from `src` to `dst` as a node sequence (inclusive), or
-/// `None` if unreachable. Used by the overlay runtime to charge per-hop
-/// traffic to underlay links.
-pub fn shortest_path(graph: &Graph, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+/// Shortest path from `src` to `dst` as the edges it walks, in order from
+/// `src` (empty when `src == dst`), or `None` if unreachable. Used by the
+/// overlay's link-stress accounting to charge per-hop traffic to underlay
+/// links.
+pub fn shortest_path(graph: &Graph, src: NodeId, dst: NodeId) -> Option<Vec<EdgeId>> {
     let n = graph.num_nodes();
     let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
+    let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
     let mut heap = BinaryHeap::new();
     dist[src.index()] = 0.0;
     heap.push(HeapEntry { dist: 0.0, node: src });
-
-    while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-        if v == dst {
-            break;
-        }
-        if d > dist[v.index()] {
-            continue;
-        }
-        for (u, w) in graph.neighbors(v) {
-            let nd = d + w;
-            if nd < dist[u.index()] {
-                dist[u.index()] = nd;
-                prev[u.index()] = Some(v);
-                heap.push(HeapEntry { dist: nd, node: u });
-            }
-        }
-    }
+    let keep_prev = |u: NodeId, v, e| prev[u.index()] = Some((v, e));
+    settle(graph, &mut dist, &mut heap, Some(dst), |_, w| w, |_| true, keep_prev);
 
     if dist[dst.index()].is_infinite() {
         return None;
     }
-    let mut path = vec![dst];
+    // `src` never improves (weights are non-negative), so the chain of
+    // predecessors of a reached `dst` ends exactly there.
+    let mut path = Vec::new();
     let mut cur = dst;
-    while let Some(p) = prev[cur.index()] {
-        path.push(p);
+    while let Some((p, e)) = prev[cur.index()] {
+        path.push(e);
         cur = p;
-    }
-    if cur != src {
-        // src == dst case: loop above never ran.
-        if src != dst {
-            return None;
-        }
     }
     path.reverse();
     Some(path)
@@ -161,17 +176,32 @@ mod tests {
         assert!(d[1].is_infinite());
     }
 
+    /// The node sequence a returned edge path visits, `src` included.
+    fn nodes_along(g: &Graph, src: NodeId, path: &[EdgeId]) -> Vec<NodeId> {
+        let mut nodes = vec![src];
+        for &e in path {
+            let (edge, at) = (g.edge(e), nodes[nodes.len() - 1]);
+            assert!(at == edge.a || at == edge.b, "{e:?} does not leave {at}");
+            nodes.push(if at == edge.a { edge.b } else { edge.a });
+        }
+        nodes
+    }
+
     #[test]
     fn shortest_path_reconstruction() {
         let g = line_graph();
         let p = shortest_path(&g, NodeId(0), NodeId(3)).unwrap();
-        assert_eq!(p, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
+        assert_eq!(
+            nodes_along(&g, NodeId(0), &p),
+            vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]
+        );
     }
 
     #[test]
     fn shortest_path_self_is_singleton() {
         let g = line_graph();
-        assert_eq!(shortest_path(&g, NodeId(2), NodeId(2)).unwrap(), vec![NodeId(2)]);
+        let p = shortest_path(&g, NodeId(2), NodeId(2)).unwrap();
+        assert_eq!(nodes_along(&g, NodeId(2), &p), vec![NodeId(2)]);
     }
 
     #[test]
@@ -188,16 +218,8 @@ mod tests {
         for (a, b) in [(0u32, 40u32), (5, 70), (12, 33)] {
             let (a, b) = (NodeId(a), NodeId(b));
             let path = shortest_path(&t.graph, a, b).unwrap();
-            let mut total = 0.0;
-            for w in path.windows(2) {
-                let hop = t
-                    .graph
-                    .neighbors(w[0])
-                    .filter(|&(n, _)| n == w[1])
-                    .map(|(_, d)| d)
-                    .fold(f64::INFINITY, f64::min);
-                total += hop;
-            }
+            assert_eq!(*nodes_along(&t.graph, a, &path).last().unwrap(), b);
+            let total: f64 = path.iter().map(|&e| t.graph.edge(e).latency_ms).sum();
             assert!((total - m.latency(a, b)).abs() < 1e-9, "{a}->{b}");
         }
     }

@@ -155,26 +155,15 @@ impl Graph {
         old
     }
 
-    /// Neighbors of `v` with the latency of the connecting edge.
-    pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.adjacency[v.index()].iter().map(move |&(n, e)| (n, self.edges[e.index()].latency_ms))
-    }
-
-    /// Neighbors of `v` with the connecting edge's id and latency. The
-    /// edge-id form lets dynamic shortest-path repair look up *historical*
-    /// weights for specific edges while walking the adjacency structure.
-    pub fn neighbors_with_ids(
-        &self,
-        v: NodeId,
-    ) -> impl Iterator<Item = (NodeId, EdgeId, f64)> + '_ {
+    /// Neighbors of `v` with the connecting edge's id and current latency —
+    /// the one adjacency accessor: every shortest-path relaxation reads the
+    /// graph through it ([`crate::dijkstra`]), and the edge id lets repair
+    /// look up *historical* weights and path reconstruction name the edge
+    /// it walked.
+    pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, f64)> + '_ {
         self.adjacency[v.index()]
             .iter()
             .map(move |&(n, e)| (n, e, self.edges[e.index()].latency_ms))
-    }
-
-    /// Returns true if an edge between `a` and `b` exists (either direction).
-    pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.adjacency[a.index()].iter().any(|&(n, _)| n == b)
     }
 
     /// Returns true if every node can reach every other node.
@@ -223,12 +212,9 @@ mod tests {
     #[test]
     fn add_edge_updates_adjacency_both_ways() {
         let mut g = Graph::new(2);
-        g.add_edge(NodeId(0), NodeId(1), 3.5);
-        assert!(g.has_edge(NodeId(0), NodeId(1)));
-        assert!(g.has_edge(NodeId(1), NodeId(0)));
-        assert_eq!(g.neighbors(NodeId(0)).count(), 1);
-        assert_eq!(g.neighbors(NodeId(1)).count(), 1);
-        assert_eq!(g.neighbors(NodeId(0)).next(), Some((NodeId(1), 3.5)));
+        let e = g.add_edge(NodeId(0), NodeId(1), 3.5);
+        assert_eq!(g.neighbors(NodeId(0)).collect::<Vec<_>>(), vec![(NodeId(1), e, 3.5)]);
+        assert_eq!(g.neighbors(NodeId(1)).collect::<Vec<_>>(), vec![(NodeId(0), e, 3.5)]);
     }
 
     #[test]
@@ -261,8 +247,8 @@ mod tests {
         let old = g.set_edge_latency(e, 9.0);
         assert_eq!(old, 3.0);
         assert_eq!(g.edge(e).latency_ms, 9.0);
-        assert_eq!(g.neighbors(NodeId(0)).next(), Some((NodeId(1), 9.0)));
-        assert_eq!(g.neighbors(NodeId(1)).next(), Some((NodeId(0), 9.0)));
+        assert_eq!(g.neighbors(NodeId(0)).next(), Some((NodeId(1), e, 9.0)));
+        assert_eq!(g.neighbors(NodeId(1)).next(), Some((NodeId(0), e, 9.0)));
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! # Repair contract (demand-driven dynamic SSSP)
 //!
 //! Edge mutations go through [`LazyLatency::apply_edge_deltas`] (or the
-//! single-edge [`LazyLatency::set_edge_latency`] / jitter convenience
-//! [`LazyLatency::scale_edge_clamped`]). Weights must stay finite and
-//! non-negative — the precondition of the bit-identity argument below —
-//! and a hostile value panics before anything is mutated.
+//! single-edge [`LazyLatency::set_edge_latency`] / the jitter step
+//! [`LazyLatency::scale_edges_clamped`], which both end in it). Weights
+//! must stay finite and non-negative — the precondition of the
+//! bit-identity argument below — and a hostile value panics before
+//! anything is mutated.
 //!
 //! A weight change neither drops nor touches cached rows.
 //! `apply_edge_deltas` mutates the graph,
@@ -42,9 +43,11 @@
 //!   (`d[x] + w_start(e) ≤ d[y] + ε`, with `ε = TIGHT_EPS_MS` (1e-9 ms) absorbing
 //!   float ties) — a cheap BFS over old labels marks that region. The
 //!   marked labels are reset and recomputed by a Dijkstra *restricted to
-//!   the region*, seeded with the best boundary relaxation of each marked
-//!   vertex (unmarked labels are provably unchanged and act as fixed
-//!   sources). The graph already holds *every* change of the window, so
+//!   the region* — [`crate::dijkstra`]'s one relaxation loop (`settle`),
+//!   with the region as its scope — seeded with the best boundary
+//!   relaxation of each marked vertex (unmarked labels are provably
+//!   unchanged and act as fixed sources). The graph already holds *every*
+//!   change of the window, so
 //!   this phase reads edge weights through an edge-indexed overlay of the
 //!   window's start weights: the BFS sees each changed edge at its start
 //!   weight, the Dijkstra sees lowered edges at their start weight and
@@ -55,7 +58,8 @@
 //! * **Lowers** (`w_now < w_start`) can only *decrease* distances. Each
 //!   lowered edge seeds at most two heap entries
 //!   (`d[a] + w_now < d[b]` and symmetrically) and a standard
-//!   improvement-propagation Dijkstra pushes the shortcut outward.
+//!   improvement-propagation Dijkstra — the same `settle` loop, unscoped,
+//!   over current weights — pushes the shortcut outward.
 //!
 //! Cost: `O(batch)` per delta batch, and per (row, read-after-change)
 //! `O(L + |A| log |A| + edges(A))`, where `L` is the length of the log
@@ -102,11 +106,11 @@
 //! of the thread count. The delta log adds at most one entry per edge.
 
 use std::cell::RefCell;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use rayon::prelude::*;
 
-use crate::dijkstra::{single_source, HeapEntry};
+use crate::dijkstra::{settle, single_source, HeapEntry};
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::latency::LatencyProvider;
 
@@ -176,15 +180,11 @@ struct RowCache {
     /// epoch order.
     log: VecDeque<LogEntry>,
     /// Boxed: only the (cold) repair path looks inside, and the provider
-    /// stays small enough to sit inline in an enum next to a dense matrix.
+    /// stays small enough to sit inline next to a dense matrix.
     scratch: Box<RepairScratch>,
-    rows_computed: u64,
-    cache_hits: u64,
-    rows_invalidated: u64,
-    rows_evicted: u64,
-    rows_repaired: u64,
-    vertices_settled: u64,
-    rows_rebuilt: u64,
+    /// The usage counters; `rows_cached` is filled in from `order` when
+    /// [`LazyLatency::stats`] hands a copy out.
+    stats: LazyLatencyStats,
 }
 
 impl RowCache {
@@ -197,13 +197,7 @@ impl RowCache {
             order: VecDeque::new(),
             log: VecDeque::new(),
             scratch: Box::default(),
-            rows_computed: 0,
-            cache_hits: 0,
-            rows_invalidated: 0,
-            rows_evicted: 0,
-            rows_repaired: 0,
-            vertices_settled: 0,
-            rows_rebuilt: 0,
+            stats: LazyLatencyStats::default(),
         }
     }
 
@@ -211,13 +205,13 @@ impl RowCache {
     /// victims to stay under `capacity`. The single insertion path keeps
     /// the `order` invariant (each resident source appears exactly once).
     fn insert(&mut self, src: NodeId, row: Box<[f64]>, capacity: Option<usize>) {
-        self.rows_computed += 1;
+        self.stats.rows_computed += 1;
         if let Some(cap) = capacity {
             while self.order.len() >= cap {
                 let victim = self.order.pop_front().expect("capacity >= 1") as usize;
                 self.rows[victim] = None;
                 self.stale -= usize::from(self.epochs[victim] != self.head);
-                self.rows_evicted += 1;
+                self.stats.rows_evicted += 1;
             }
         }
         self.rows[src.index()] = Some(row);
@@ -249,7 +243,7 @@ impl RowCache {
         });
         let dropped = before - self.order.len();
         self.stale -= dropped;
-        self.rows_invalidated += dropped as u64;
+        self.stats.rows_invalidated += dropped as u64;
         let keep_from = self.log.partition_point(|entry| entry.epoch <= oldest);
         self.log.drain(..keep_from);
     }
@@ -274,9 +268,9 @@ impl RowCache {
         let lowered = if rebuilt { 0 } else { repair_decrease(graph, row, &scratch.window.deltas) };
         *epoch = self.head;
         self.stale -= 1;
-        self.rows_rebuilt += u64::from(rebuilt);
-        self.rows_repaired += u64::from(raised > 0) + u64::from(lowered > 0);
-        self.vertices_settled += (raised + lowered) as u64;
+        self.stats.rows_rebuilt += u64::from(rebuilt);
+        self.stats.rows_repaired += u64::from(raised > 0) + u64::from(lowered > 0);
+        self.stats.vertices_settled += (raised + lowered) as u64;
     }
 }
 
@@ -313,9 +307,18 @@ impl Window {
         self.deltas.get(self.slot[e.index()] as usize).filter(|d| d.id == e).map(|d| d.w_old)
     }
 
-    /// Adds edge `e`, which weighed `w_before` when the window opened,
-    /// unless an earlier log entry already did.
-    fn open(&mut self, graph: &Graph, e: EdgeId, w_before: f64) {
+    /// Empties the window and sizes its slots for `graph`.
+    fn reset(&mut self, graph: &Graph) {
+        if self.slot.len() < graph.num_edges() {
+            self.slot.resize(graph.num_edges(), 0);
+        }
+        self.deltas.clear();
+    }
+
+    /// The window's delta for edge `e`, added — as weighing `w_before` when
+    /// the window opened and what `graph` holds now — unless an earlier
+    /// call already did. This is the one dedup of an edge batch.
+    fn open(&mut self, graph: &Graph, e: EdgeId, w_before: f64) -> &mut EdgeDelta {
         if self.start_weight(e).is_none() {
             let edge = graph.edge(e);
             self.slot[e.index()] = self.deltas.len() as u32;
@@ -327,6 +330,7 @@ impl Window {
                 w_new: edge.latency_ms,
             });
         }
+        &mut self.deltas[self.slot[e.index()] as usize]
     }
 }
 
@@ -335,12 +339,9 @@ impl RepairScratch {
         if self.mark.len() < graph.num_nodes() {
             self.mark.resize(graph.num_nodes(), 0);
         }
-        if self.window.slot.len() < graph.num_edges() {
-            self.window.slot.resize(graph.num_edges(), 0);
-        }
         self.stamp += 1;
         self.region.clear();
-        self.window.deltas.clear();
+        self.window.reset(graph);
     }
 }
 
@@ -419,16 +420,25 @@ impl LazyLatency {
         old
     }
 
-    /// Jitter convenience: multiplies edge `id` by `factor` and clamps the
-    /// result to `band` × the edge's *base* latency, giving mean-reverting
-    /// edge-granular jitter. Returns the new latency. Panics if the result
-    /// is not finite and non-negative (e.g. a NaN `factor`).
-    pub fn scale_edge_clamped(&mut self, id: EdgeId, factor: f64, band: (f64, f64)) -> f64 {
-        let base = self.base_edges[id.index()];
-        let cur = self.graph.edge(id).latency_ms;
-        let next = (cur * factor).clamp(base * band.0, base * band.1);
-        self.set_edge_latency(id, next);
-        next
+    /// The jitter step: multiplies each drawn edge by its factor and clamps
+    /// the result to `band` × the edge's *base* latency, giving
+    /// mean-reverting edge-granular jitter. Repeated draws of an edge
+    /// compose in order (the second factor applies to the first's clamped
+    /// result), and the net weights land as **one**
+    /// [`apply_edge_deltas`](Self::apply_edge_deltas) batch. Returns the
+    /// number of distinct edges drawn. Panics if a result is not finite and
+    /// non-negative (e.g. a NaN factor) — before anything is mutated.
+    pub fn scale_edges_clamped(&mut self, draws: &[(EdgeId, f64)], band: (f64, f64)) -> usize {
+        let window = &mut self.cache.get_mut().scratch.window;
+        window.reset(&self.graph);
+        for &(id, factor) in draws {
+            let base = self.base_edges[id.index()];
+            let delta = window.open(&self.graph, id, self.graph.edge(id).latency_ms);
+            delta.w_new = (delta.w_new * factor).clamp(base * band.0, base * band.1);
+        }
+        let net: Vec<(EdgeId, f64)> = window.deltas.iter().map(|d| (d.id, d.w_new)).collect();
+        self.apply_edge_deltas(&net);
+        net.len()
     }
 
     /// Applies a batch of edge-weight deltas `(edge, new_latency_ms)` to
@@ -448,40 +458,23 @@ impl LazyLatency {
     /// If any new latency is NaN, infinite or negative — before the graph
     /// or the cache is touched.
     pub fn apply_edge_deltas(&mut self, deltas: &[(EdgeId, f64)]) {
-        // sbon-lint: allow(unordered-iteration): slot map for last-write-wins
-        // dedup; iteration happens over `net` (a Vec), never over the map.
-        let mut index: HashMap<u32, usize> = HashMap::new();
-        let mut net: Vec<EdgeDelta> = Vec::new();
+        let cache = self.cache.get_mut();
+        let window = &mut cache.scratch.window;
+        window.reset(&self.graph);
         for &(id, w) in deltas {
             assert!(
                 w.is_finite() && w >= 0.0,
                 "edge {id:?} latency must be finite and non-negative, got {w}"
             );
-            match index.entry(id.0) {
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    net[*slot.get()].w_new = w;
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    let edge = self.graph.edge(id);
-                    slot.insert(net.len());
-                    net.push(EdgeDelta {
-                        id,
-                        a: edge.a,
-                        b: edge.b,
-                        w_old: edge.latency_ms,
-                        w_new: w,
-                    });
-                }
-            }
+            window.open(&self.graph, id, self.graph.edge(id).latency_ms).w_new = w;
         }
-        net.retain(|d| d.w_new != d.w_old);
-        if net.is_empty() {
+        let net = || window.deltas.iter().filter(|d| d.w_new != d.w_old);
+        if net().next().is_none() {
             return;
         }
-        let cache = self.cache.get_mut();
         cache.head += 1;
         cache.stale = cache.order.len();
-        for d in &net {
+        for d in net() {
             self.graph.set_edge_latency(d.id, d.w_new);
             cache.log.push_back(LogEntry { epoch: cache.head, edge: d.id, w_before: d.w_old });
         }
@@ -542,7 +535,7 @@ impl LazyLatency {
     pub fn evict_all(&self) {
         let mut cache = self.cache.borrow_mut();
         let dropped = cache.order.len() as u64;
-        cache.rows_evicted += dropped;
+        cache.stats.rows_evicted += dropped;
         cache.order.clear();
         cache.stale = 0;
         for row in cache.rows.iter_mut() {
@@ -553,16 +546,7 @@ impl LazyLatency {
     /// Usage counters so far.
     pub fn stats(&self) -> LazyLatencyStats {
         let cache = self.cache.borrow();
-        LazyLatencyStats {
-            rows_computed: cache.rows_computed,
-            cache_hits: cache.cache_hits,
-            rows_invalidated: cache.rows_invalidated,
-            rows_evicted: cache.rows_evicted,
-            rows_repaired: cache.rows_repaired,
-            vertices_settled: cache.vertices_settled,
-            rows_rebuilt: cache.rows_rebuilt,
-            rows_cached: cache.order.len(),
-        }
+        LazyLatencyStats { rows_cached: cache.order.len(), ..cache.stats }
     }
 
     /// Resident rows that are behind the latest delta batch, i.e. whose
@@ -623,7 +607,7 @@ fn repair_increase(
         let x = NodeId(region[qi]);
         qi += 1;
         let dx = row[x.index()];
-        for (y, e, w_now) in graph.neighbors_with_ids(x) {
+        for (y, e, w_now) in graph.neighbors(x) {
             if y == src || mark[y.index()] == stamp || !row[y.index()].is_finite() {
                 continue;
             }
@@ -652,7 +636,7 @@ fn repair_increase(
     for &x in region.iter() {
         let x = NodeId(x);
         let mut best = f64::INFINITY;
-        for (y, e, w_now) in graph.neighbors_with_ids(x) {
+        for (y, e, w_now) in graph.neighbors(x) {
             if mark[y.index()] != stamp {
                 let cand = row[y.index()] + w_mid(e, w_now);
                 if cand < best {
@@ -665,21 +649,8 @@ fn repair_increase(
             heap.push(HeapEntry { dist: best, node: x });
         }
     }
-    while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-        if d > row[v.index()] {
-            continue; // stale entry
-        }
-        for (u, e, w_now) in graph.neighbors_with_ids(v) {
-            if mark[u.index()] != stamp {
-                continue; // outside the region: label fixed
-            }
-            let nd = d + w_mid(e, w_now);
-            if nd < row[u.index()] {
-                row[u.index()] = nd;
-                heap.push(HeapEntry { dist: nd, node: u });
-            }
-        }
-    }
+    // Outside the region every label is fixed.
+    settle(graph, row, &mut heap, None, w_mid, |u| mark[u.index()] == stamp, |_, _, _| {});
     (region.len(), false)
 }
 
@@ -704,21 +675,7 @@ fn repair_decrease(graph: &Graph, row: &mut [f64], window: &[EdgeDelta]) -> usiz
             heap.push(HeapEntry { dist: nd, node: d.a });
         }
     }
-    let mut settled = 0usize;
-    while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-        if d > row[v.index()] {
-            continue; // stale entry
-        }
-        settled += 1;
-        for (u, w) in graph.neighbors(v) {
-            let nd = d + w;
-            if nd < row[u.index()] {
-                row[u.index()] = nd;
-                heap.push(HeapEntry { dist: nd, node: u });
-            }
-        }
-    }
-    settled
+    settle(graph, row, &mut heap, None, |_, w| w, |_| true, |_, _, _| {})
 }
 
 impl LatencyProvider for LazyLatency {
@@ -730,12 +687,12 @@ impl LatencyProvider for LazyLatency {
         let cache = &mut *self.cache.borrow_mut();
         match cache.rows[a.index()].as_deref() {
             Some(row) if cache.stale == 0 || cache.epochs[a.index()] == cache.head => {
-                cache.cache_hits += 1;
+                cache.stats.cache_hits += 1;
                 row[b.index()]
             }
             Some(_) => {
                 cache.sync_row(&self.graph, a);
-                cache.cache_hits += 1;
+                cache.stats.cache_hits += 1;
                 cache.rows[a.index()].as_deref().expect("sync keeps the row resident")[b.index()]
             }
             None => {
@@ -800,7 +757,7 @@ mod tests {
             for _ in 0..8 {
                 let e = EdgeId(rng.gen_range(0..m as u32));
                 let f = rng.gen_range(0.5..2.0);
-                lazy.scale_edge_clamped(e, f, (0.25, 4.0));
+                lazy.scale_edges_clamped(&[(e, f)], (0.25, 4.0));
             }
             assert_matches_dense(&lazy);
             assert!(lazy.stats().rows_computed > 0, "round {round}");
@@ -1031,12 +988,32 @@ mod tests {
         assert_matches_dense(&lazy);
     }
 
+    /// Runs `mutate`, which must panic, on the line 0 -4- 1 -4- 2 with row 0
+    /// resident; checks that no weight, epoch or log entry moved — a
+    /// hostile value fails before anything but the scratch window is
+    /// written — and re-raises the panic for `#[should_panic]` to match.
+    fn rejected_leaving_all_untouched(mutate: impl FnOnce(&mut LazyLatency, [EdgeId; 2])) {
+        let mut g = Graph::new(3);
+        let edges = [g.add_edge(NodeId(0), NodeId(1), 4.0), g.add_edge(NodeId(1), NodeId(2), 4.0)];
+        let mut lazy = LazyLatency::new(g);
+        lazy.latency(NodeId(0), NodeId(2));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            mutate(&mut lazy, edges);
+        }));
+        for e in edges {
+            assert_eq!(lazy.graph().edge(e).latency_ms, 4.0);
+        }
+        assert_eq!(lazy.rows_stale(), 0);
+        assert!(lazy.cache.borrow().log.is_empty());
+        std::panic::resume_unwind(caught.expect_err("a hostile weight must panic"));
+    }
+
     #[test]
     #[should_panic(expected = "EdgeId(0) latency must be finite and non-negative, got NaN")]
     fn nan_jitter_factor_is_rejected() {
-        let mut g = Graph::new(2);
-        let e = g.add_edge(NodeId(0), NodeId(1), 4.0);
-        LazyLatency::new(g).scale_edge_clamped(e, f64::NAN, (0.5, 3.0));
+        rejected_leaving_all_untouched(|lazy, [e0, e1]| {
+            lazy.scale_edges_clamped(&[(e1, 2.0), (e0, f64::NAN)], (0.5, 3.0));
+        });
     }
 
     /// A hostile weight anywhere in a batch panics before the graph or the
@@ -1044,10 +1021,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "EdgeId(1) latency must be finite and non-negative, got -1")]
     fn negative_weight_is_rejected() {
-        let mut g = Graph::new(3);
-        let e0 = g.add_edge(NodeId(0), NodeId(1), 4.0);
-        let e1 = g.add_edge(NodeId(1), NodeId(2), 4.0);
-        LazyLatency::new(g).apply_edge_deltas(&[(e0, 2.0), (e1, -1.0)]);
+        rejected_leaving_all_untouched(|lazy, [e0, e1]| {
+            lazy.apply_edge_deltas(&[(e0, 2.0), (e1, -1.0)]);
+        });
     }
 
     #[test]
@@ -1057,6 +1033,10 @@ mod tests {
         let mut lazy = LazyLatency::new(g);
         lazy.latency(NodeId(0), NodeId(1));
         lazy.set_edge_latency(e, 4.0);
+        // Last write wins: a batch that ends where it started is one too.
+        lazy.apply_edge_deltas(&[(e, 9.0), (e, 4.0)]);
+        assert_eq!(lazy.rows_stale(), 0, "no epoch advanced");
+        assert!(lazy.cache.borrow().log.is_empty());
         assert_eq!(lazy.stats().rows_repaired, 0);
         assert_eq!(lazy.stats().rows_cached, 1);
     }
@@ -1187,19 +1167,39 @@ mod tests {
 
     #[test]
     fn scale_edge_respects_band() {
-        let mut g = Graph::new(2);
-        let e = g.add_edge(NodeId(0), NodeId(1), 10.0);
-        let mut lazy = LazyLatency::new(g);
+        let mut graph = Graph::new(2);
+        let e = graph.add_edge(NodeId(0), NodeId(1), 10.0);
+        let mut lazy = LazyLatency::new(graph.clone());
         // Repeated inflation saturates at band.1 × base.
         for _ in 0..10 {
-            lazy.scale_edge_clamped(e, 2.0, (0.5, 3.0));
+            lazy.scale_edges_clamped(&[(e, 2.0)], (0.5, 3.0));
         }
         assert_eq!(lazy.latency(NodeId(0), NodeId(1)), 30.0);
         assert_eq!(lazy.base_edge_latency(e), 10.0);
         // And repeated deflation saturates at band.0 × base.
         for _ in 0..10 {
-            lazy.scale_edge_clamped(e, 0.5, (0.5, 3.0));
+            lazy.scale_edges_clamped(&[(e, 0.5)], (0.5, 3.0));
         }
         assert_eq!(lazy.latency(NodeId(0), NodeId(1)), 5.0);
+
+        // Two draws of one edge in one call compose like two one-draw calls
+        // (the first is clamped before the second applies: 10 → 30 → 27, not
+        // 10 · 8 · 0.9 = 72 → 30), count as one edge, and land as one batch
+        // where the two calls are two.
+        let fresh = || {
+            let lazy = LazyLatency::new(graph.clone());
+            lazy.latency(NodeId(0), NodeId(1));
+            lazy
+        };
+        let (mut once, mut twice) = (fresh(), fresh());
+        assert_eq!(once.scale_edges_clamped(&[(e, 8.0), (e, 0.9)], (0.5, 3.0)), 1);
+        twice.scale_edges_clamped(&[(e, 8.0)], (0.5, 3.0));
+        twice.scale_edges_clamped(&[(e, 0.9)], (0.5, 3.0));
+        assert_eq!((once.cache.borrow().head, twice.cache.borrow().head), (1, 2));
+        assert_eq!(once.rows_stale(), 1);
+        let composed = once.graph().edge(e).latency_ms;
+        assert_eq!(composed.to_bits(), twice.graph().edge(e).latency_ms.to_bits());
+        assert_eq!(once.latency(NodeId(0), NodeId(1)), 27.0);
+        assert_eq!(once.stats().rows_repaired, 1, "one raise phase for the one batch");
     }
 }

@@ -43,6 +43,23 @@
 //! mutated graph. A row is dropped only when it falls a whole edge-count of
 //! deltas behind the bounded log. See the [`lazy`] module docs for the full
 //! repair contract and complexity.
+//!
+//! # Who owns what in the latency substrate
+//!
+//! Every fact has one owner and every behaviour one spelling:
+//!
+//! * [`graph::Graph`] — the topology, the *current* edge weights, and the
+//!   one adjacency accessor ([`graph::Graph::neighbors`]) every
+//!   shortest-path relaxation reads the graph through.
+//! * [`dijkstra`] — the one relaxation loop and its pop order (distance,
+//!   then node id): fresh rows, path search and both repair phases run it.
+//! * [`lazy::LazyLatency`] — the mutable graph, the *base* edge weights,
+//!   the jitter step ([`lazy::LazyLatency::scale_edges_clamped`]), the
+//!   delta log with its one edge-batch dedup, and the row cache.
+//! * `sbon_overlay`'s `LatencyState` — the backend choice and, under the
+//!   dense backend, the all-pairs matrix derived from that graph.
+//! * `sbon_overlay`'s `LinkTraffic` — per-edge rate multisets, keyed by the
+//!   edges [`dijkstra::shortest_path`] returns.
 
 #![forbid(unsafe_code)]
 

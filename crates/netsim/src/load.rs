@@ -172,43 +172,23 @@ pub enum ChurnProcess {
 }
 
 impl ChurnProcess {
-    /// Applies one tick of dynamics to the CPU-load column.
-    pub fn tick<R: Rng + ?Sized>(&self, attrs: &mut NodeAttrs, rng: &mut R) {
-        self.tick_with(attrs, rng, |_| {});
-    }
-
-    /// Applies one tick of dynamics and reports which nodes were touched, so
-    /// downstream state (cost points, DHT registrations) can be refreshed as
-    /// a delta instead of a full-universe rebuild. A touched node's value may
-    /// still be unchanged (a step clamped at 0 or 1); callers that need
-    /// change detection compare before/after themselves. Consumes the RNG
-    /// identically to [`ChurnProcess::tick`].
+    /// Applies one tick of dynamics to the CPU-load column and reports which
+    /// nodes were touched, so downstream state (cost points, DHT
+    /// registrations) can be refreshed as a delta instead of a full-universe
+    /// rebuild. A touched node's value may still be unchanged (a step
+    /// clamped at 0 or 1); callers that need change detection compare
+    /// before/after themselves.
     pub fn tick_dirty<R: Rng + ?Sized>(&self, attrs: &mut NodeAttrs, rng: &mut R) -> Vec<NodeId> {
-        let mut dirty = match *self {
-            ChurnProcess::None | ChurnProcess::Step { .. } => Vec::new(),
-            ChurnProcess::RandomWalk { .. } => Vec::with_capacity(attrs.len()),
-            ChurnProcess::SparseWalk { nodes_per_tick, .. } => Vec::with_capacity(nodes_per_tick),
-        };
-        self.tick_with(attrs, rng, |node| dirty.push(node));
-        dirty
-    }
-
-    /// The single churn implementation behind [`ChurnProcess::tick`] and
-    /// [`ChurnProcess::tick_dirty`]: `on_touch` observes every touched node.
-    fn tick_with<R: Rng + ?Sized, F: FnMut(NodeId)>(
-        &self,
-        attrs: &mut NodeAttrs,
-        rng: &mut R,
-        mut on_touch: F,
-    ) {
+        let mut dirty = Vec::new();
         match *self {
             ChurnProcess::None => {}
             ChurnProcess::RandomWalk { std_dev } => {
+                dirty.reserve(attrs.len());
                 for i in 0..attrs.len() {
                     let node = NodeId(i as u32);
                     let step = sample_normal(rng, 0.0, std_dev);
                     attrs.add(node, Attr::CpuLoad, step);
-                    on_touch(node);
+                    dirty.push(node);
                 }
             }
             ChurnProcess::Step { p } => {
@@ -216,23 +196,25 @@ impl ChurnProcess {
                     if rng.gen_bool(p) {
                         let node = NodeId(i as u32);
                         attrs.set(node, Attr::CpuLoad, rng.gen_range(0.0..1.0));
-                        on_touch(node);
+                        dirty.push(node);
                     }
                 }
             }
             ChurnProcess::SparseWalk { nodes_per_tick, std_dev } => {
                 let n = attrs.len();
                 if n == 0 {
-                    return;
+                    return dirty;
                 }
+                dirty.reserve(nodes_per_tick);
                 for _ in 0..nodes_per_tick {
                     let node = NodeId(rng.gen_range(0..n as u32));
                     let step = sample_normal(rng, 0.0, std_dev);
                     attrs.add(node, Attr::CpuLoad, step);
-                    on_touch(node);
+                    dirty.push(node);
                 }
             }
         }
+        dirty
     }
 }
 
@@ -296,7 +278,7 @@ mod tests {
         let mut a = LoadModel::Uniform(0.5).generate(20, &mut rng);
         let churn = ChurnProcess::RandomWalk { std_dev: 0.3 };
         for _ in 0..50 {
-            churn.tick(&mut a, &mut rng);
+            churn.tick_dirty(&mut a, &mut rng);
         }
         assert!(a.column(Attr::CpuLoad).iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
@@ -305,7 +287,7 @@ mod tests {
     fn step_churn_changes_some_loads() {
         let mut rng = rng_from_seed(5);
         let mut a = LoadModel::Uniform(0.5).generate(200, &mut rng);
-        ChurnProcess::Step { p: 0.5 }.tick(&mut a, &mut rng);
+        ChurnProcess::Step { p: 0.5 }.tick_dirty(&mut a, &mut rng);
         let changed = a.column(Attr::CpuLoad).iter().filter(|&&v| v != 0.5).count();
         assert!(changed > 50, "changed={changed}");
     }
@@ -317,18 +299,20 @@ mod tests {
         let mut rng_b = rng_from_seed(7);
         let mut a = LoadModel::Uniform(0.5).generate(100, &mut rng_a);
         let mut b = a.clone();
-        let churn = ChurnProcess::Step { p: 0.3 };
-        let dirty = churn.tick_dirty(&mut a, &mut rng_b);
-        // Same seed, same process: `tick` consumes the RNG identically.
-        churn.tick(&mut b, &mut rng_a);
-        assert_eq!(a.column(Attr::CpuLoad), b.column(Attr::CpuLoad));
+        let dirty = ChurnProcess::Step { p: 0.3 }.tick_dirty(&mut a, &mut rng_b);
+        // Same seed, the draws spelled out: one coin per node in id order,
+        // and a fresh load right after each coin that came up.
+        let mut flipped = Vec::new();
         for i in 0..100u32 {
-            let changed = a.get(NodeId(i), Attr::CpuLoad) != 0.5;
-            if changed {
-                assert!(dirty.contains(&NodeId(i)), "changed node {i} missing from dirty set");
+            if rng_a.gen_bool(0.3) {
+                b.set(NodeId(i), Attr::CpuLoad, rng_a.gen_range(0.0..1.0));
+                flipped.push(NodeId(i));
             }
         }
+        assert_eq!(a.column(Attr::CpuLoad), b.column(Attr::CpuLoad));
+        assert_eq!(dirty, flipped);
         assert!(!dirty.is_empty());
+        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "no draw beyond those");
     }
 
     #[test]
@@ -361,7 +345,9 @@ mod tests {
         let mut rng = rng_from_seed(6);
         let mut a = LoadModel::Uniform(0.3).generate(10, &mut rng);
         let before = a.column(Attr::CpuLoad).to_vec();
-        ChurnProcess::None.tick(&mut a, &mut rng);
+        let mut untouched = rng.clone();
+        assert!(ChurnProcess::None.tick_dirty(&mut a, &mut rng).is_empty());
         assert_eq!(a.column(Attr::CpuLoad), &before[..]);
+        assert_eq!(rng.gen::<u64>(), untouched.gen::<u64>(), "a static network draws nothing");
     }
 }

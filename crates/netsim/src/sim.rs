@@ -128,24 +128,6 @@ impl<E> EventQueue<E> {
             _ => None,
         }
     }
-
-    /// Drains every event at or before `deadline` into a `Vec`, advancing
-    /// the clock past each one. Events come out in the queue's canonical
-    /// order: ascending time, equal times in insertion (sequence) order —
-    /// the same order a `pop` loop would observe. Handlers that schedule
-    /// follow-up events while iterating the result must re-enter the queue
-    /// via [`schedule`](Self::schedule); `drain_until` itself takes a fixed
-    /// snapshot of what was pending when it was called plus nothing else,
-    /// so it is only appropriate when the drained events do not spawn more
-    /// work inside the same window. Message-driven control planes should
-    /// instead loop `pop_until` so chained hops fire in the same drain.
-    pub fn drain_until(&mut self, deadline: SimTime) -> Vec<(SimTime, E)> {
-        let mut out = Vec::new();
-        while let Some(ev) = self.pop_until(deadline) {
-            out.push(ev);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -232,13 +214,13 @@ mod tests {
     }
 
     /// Regression pin for the tie-break contract the routed control plane
-    /// depends on: events drained at one deadline come out ascending by
+    /// depends on: events popped up to one deadline come out ascending by
     /// time, and *equal* times come out in insertion (sequence) order — a
     /// documented invariant, not an accident of the heap. If `Scheduled`'s
     /// `Ord` ever drops the seq tie-break, equal-time messages would pop in
     /// arbitrary heap order and routed runs would stop being reproducible.
     #[test]
-    fn drain_until_preserves_equal_time_insertion_order() {
+    fn pop_until_loop_preserves_equal_time_insertion_order() {
         let mut q = EventQueue::new();
         q.schedule(SimTime(2.0), "t2-first");
         q.schedule(SimTime(1.0), "t1-first");
@@ -246,7 +228,8 @@ mod tests {
         q.schedule(SimTime(1.0), "t1-second");
         q.schedule(SimTime(2.0), "t2-third");
         q.schedule(SimTime(3.0), "beyond");
-        let drained: Vec<&str> = q.drain_until(SimTime(2.0)).into_iter().map(|(_, e)| e).collect();
+        let drained: Vec<&str> =
+            std::iter::from_fn(|| q.pop_until(SimTime(2.0)).map(|(_, e)| e)).collect();
         assert_eq!(drained, vec!["t1-first", "t1-second", "t2-first", "t2-second", "t2-third"]);
         assert_eq!(q.now(), SimTime(2.0));
         assert_eq!(q.len(), 1, "event past the deadline stays queued");

@@ -99,7 +99,7 @@ fn component_labels(g: &Graph) -> Vec<usize> {
         let mut stack = vec![start];
         label[start] = next;
         while let Some(v) = stack.pop() {
-            for (u, _) in g.neighbors((v as u32).into()) {
+            for (u, _, _) in g.neighbors((v as u32).into()) {
                 if label[u.index()] == usize::MAX {
                     label[u.index()] = next;
                     stack.push(u.index());

@@ -1,11 +1,10 @@
-//! Ground-truth latency state: the backend-selected provider, row prewarm
-//! for the lazy backend, and the per-tick jitter step. `LatencyState` is
-//! self-contained — no method takes [`OverlayRuntime`]; the jitter step
-//! borrows the run RNG and [`RuntimeObs`] from its caller.
+//! Ground-truth latency state: the backend choice, the dense matrix it may
+//! call for, row prewarm for the lazy backend, and the per-tick jitter
+//! draw. `LatencyState` is self-contained — no method takes
+//! [`OverlayRuntime`]; the jitter step borrows the run RNG and
+//! [`RuntimeObs`] from its caller.
 //!
 //! `impl OverlayRuntime` here **reads** `latency` and writes nothing.
-
-use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -20,48 +19,40 @@ use super::stats::RuntimeObs;
 use super::OverlayRuntime;
 
 /// Backend-selected ground-truth latency state.
-pub(super) enum LatencyState {
-    /// Materialized all-pairs matrix, re-derived from the (possibly
-    /// jittered) underlay graph whenever edges change. `base_edges` keeps
-    /// the unperturbed edge latencies as the jitter band reference.
-    Dense { current: LatencyMatrix, graph: Graph, base_edges: Vec<f64> },
-    /// Demand-driven rows; the provider carries its own graph and base
-    /// edge weights, logs edge deltas and repairs a cached row in place
-    /// when it is next read.
-    Lazy(LazyLatency),
+pub(super) struct LatencyState {
+    /// Owner of the mutable underlay graph, the base edge weights and the
+    /// jitter step under either backend; under [`LatencyBackend::Lazy`]
+    /// also the provider (demand-driven rows, repaired when next read).
+    lazy: LazyLatency,
+    /// Under [`LatencyBackend::Dense`]: the all-pairs matrix, which serves
+    /// every read — `lazy`'s row cache stays empty — and is re-derived
+    /// from `lazy`'s graph after each jitter batch.
+    dense: Option<LatencyMatrix>,
 }
 
 impl LatencyState {
     /// Builds the state over `graph`: the all-pairs matrix up front, or an
     /// empty row cache bounded by `row_cache` (`None` = unbounded).
     pub(super) fn build(graph: Graph, backend: LatencyBackend, row_cache: Option<usize>) -> Self {
-        match backend {
-            LatencyBackend::Dense => {
-                let base_edges = graph.edges().iter().map(|e| e.latency_ms).collect();
-                let current = all_pairs_latency(&graph);
-                LatencyState::Dense { current, graph, base_edges }
-            }
-            LatencyBackend::Lazy => LatencyState::Lazy(match row_cache {
-                Some(cap) => LazyLatency::with_capacity(graph, cap),
-                None => LazyLatency::new(graph),
-            }),
-        }
+        let dense = (backend == LatencyBackend::Dense).then(|| all_pairs_latency(&graph));
+        let lazy = match row_cache {
+            Some(cap) => LazyLatency::with_capacity(graph, cap),
+            None => LazyLatency::new(graph),
+        };
+        LatencyState { lazy, dense }
     }
 
     /// The active provider as a trait object.
     pub(super) fn provider(&self) -> &dyn LatencyProvider {
-        match self {
-            LatencyState::Dense { current, .. } => current,
-            LatencyState::Lazy(lazy) => lazy,
+        match &self.dense {
+            Some(matrix) => matrix,
+            None => &self.lazy,
         }
     }
 
     /// The lazy row cache; `None` under the dense backend.
     pub(super) fn lazy(&self) -> Option<&LazyLatency> {
-        match self {
-            LatencyState::Lazy(lazy) => Some(lazy),
-            LatencyState::Dense { .. } => None,
-        }
+        self.dense.is_none().then_some(&self.lazy)
     }
 
     /// Makes the shortest-path rows of `sources` resident before they are
@@ -77,82 +68,38 @@ impl LatencyState {
         }
     }
 
-    /// One tick of [`JitterModel`]: draws the tick's edge deltas from the
-    /// run RNG and brings this backend's derived state up to date. Both
-    /// backends draw the identical sequence (see [`sample_edge_deltas`]) and
-    /// differ only in that second half.
+    /// One tick of [`JitterModel`]: `edges_per_tick` uniform (edge, factor)
+    /// draws from the run RNG, applied by
+    /// [`LazyLatency::scale_edges_clamped`] as one delta batch — the same
+    /// draws and the same weights under either backend, which is what keeps
+    /// jittered runs bit-identical across them. The backends differ only
+    /// in what is derived afterwards.
     pub(super) fn jitter(&mut self, model: &JitterModel, rng: &mut StdRng, obs: &mut RuntimeObs) {
-        match self {
-            LatencyState::Dense { current, graph, base_edges } => {
-                let deltas = sample_edge_deltas(rng, model, graph, |e| base_edges[e.index()]);
-                if deltas.is_empty() {
-                    return;
-                }
-                for &(e, w) in &deltas {
-                    graph.set_edge_latency(e, w);
-                }
-                *current = all_pairs_latency(graph);
-                obs.point("latency.repair", || {
-                    vec![("edges", deltas.len().into()), ("dense_rebuild", 1u64.into())]
-                });
-            }
-            LatencyState::Lazy(lazy) => {
-                let deltas =
-                    sample_edge_deltas(rng, model, lazy.graph(), |e| lazy.base_edge_latency(e));
-                if deltas.is_empty() {
-                    return;
-                }
-                // Only logs the batch: each row is repaired by its next
-                // read, so the point reports how many now await one.
-                lazy.apply_edge_deltas(&deltas);
-                obs.point("latency.repair", || {
-                    vec![("edges", deltas.len().into()), ("rows_stale", lazy.rows_stale().into())]
-                });
-            }
+        let m = self.lazy.graph().num_edges();
+        if m == 0 {
+            return;
         }
-    }
-}
-
-/// Draws one tick of [`JitterModel`] edge deltas against the current graph
-/// weights: `edges_per_tick` uniform edge draws, each composing a factor
-/// onto the edge's running value and clamping to `band` × its base
-/// latency. Repeated draws of an edge compose within the tick (the second
-/// factor applies to the first's result); the returned list holds one
-/// final `(edge, latency)` per distinct edge, in first-draw order. Both
-/// latency backends feed the identical sequence to their own apply step,
-/// which is what keeps jittered runs bit-identical across backends.
-fn sample_edge_deltas<R: Rng, B: Fn(EdgeId) -> f64>(
-    rng: &mut R,
-    jitter: &JitterModel,
-    graph: &Graph,
-    base: B,
-) -> Vec<(EdgeId, f64)> {
-    let m = graph.num_edges();
-    if m == 0 {
-        return Vec::new();
-    }
-    // sbon-lint: allow(unordered-iteration): slot map for compounding
-    // repeated jitter on one edge; iteration happens over `deltas` (a Vec).
-    let mut index: HashMap<u32, usize> = HashMap::new();
-    let mut deltas: Vec<(EdgeId, f64)> = Vec::new();
-    for _ in 0..jitter.edges_per_tick {
-        let e = EdgeId(rng.gen_range(0..m) as u32);
-        let f = rng.gen_range(jitter.factor_range.0..jitter.factor_range.1);
-        let cur = match index.get(&e.0) {
-            Some(&slot) => deltas[slot].1,
-            None => graph.edge(e).latency_ms,
+        let draws: Vec<(EdgeId, f64)> = (0..model.edges_per_tick)
+            .map(|_| {
+                let e = EdgeId(rng.gen_range(0..m) as u32);
+                (e, rng.gen_range(model.factor_range.0..model.factor_range.1))
+            })
+            .collect();
+        let edges = self.lazy.scale_edges_clamped(&draws, model.band);
+        if edges == 0 {
+            return;
+        }
+        let derived = match &mut self.dense {
+            Some(matrix) => {
+                *matrix = all_pairs_latency(self.lazy.graph());
+                ("dense_rebuild", 1u64.into())
+            }
+            // The batch is only logged: each row is repaired by its next
+            // read, so the point reports how many now await one.
+            None => ("rows_stale", self.lazy.rows_stale().into()),
         };
-        let b = base(e);
-        let next = (cur * f).clamp(b * jitter.band.0, b * jitter.band.1);
-        match index.entry(e.0) {
-            std::collections::hash_map::Entry::Occupied(slot) => deltas[*slot.get()].1 = next,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(deltas.len());
-                deltas.push((e, next));
-            }
-        }
+        obs.point("latency.repair", || vec![("edges", edges.into()), derived]);
     }
-    deltas
 }
 
 impl OverlayRuntime {
@@ -167,5 +114,37 @@ impl OverlayRuntime {
     /// Row-cache counters of the lazy backend; `None` under the dense one.
     pub fn lazy_latency_stats(&self) -> Option<LazyLatencyStats> {
         self.latency.lazy().map(LazyLatency::stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use sbon_core::optimizer::QuerySpec;
+    use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
+
+    use super::super::RuntimeConfig;
+    use super::*;
+
+    /// Under the dense backend `LazyLatency` is the owner of the graph and
+    /// the jitter step only: the matrix serves every read, so a jittered
+    /// run leaves the row cache untouched and reports no lazy stats.
+    #[test]
+    fn dense_backend_jitters_through_lazy_but_never_fills_its_row_cache() {
+        let topo = generate(&TransitStubConfig::with_total_nodes(80), 40);
+        let config = RuntimeConfig::builder()
+            .horizon_ms(8_000.0)
+            .latency_backend(LatencyBackend::Dense)
+            .latency_jitter(JitterModel { edges_per_tick: 40, ..Default::default() })
+            .build();
+        let mut rt = OverlayRuntime::new(&topo, 40, config);
+        let hosts = topo.host_candidates();
+        rt.deploy(QuerySpec::join_star(&[hosts[0], hosts[10], hosts[20]], hosts[40], 10.0, 0.02))
+            .unwrap();
+        rt.run();
+        let lazy = &rt.latency.lazy;
+        assert_ne!(lazy.graph().total_edge_latency(), topo.graph.total_edge_latency());
+        let stats = lazy.stats();
+        assert_eq!((stats.rows_computed, stats.rows_cached, stats.cache_hits), (0, 0, 0));
+        assert!(rt.lazy_latency_stats().is_none());
     }
 }

@@ -39,7 +39,8 @@
 //!   below), the session API, `handle_event`, `Drop`.
 //! * `config` — the backend / bring-up enums, [`RuntimeConfig`], its builder.
 //! * `stats` — the stats structs and `RuntimeObs` (registry, tracer, flight).
-//! * `latency` — `LatencyState`: provider, row prewarm, the jitter step.
+//! * `latency` — `LatencyState`: backend choice, the dense matrix, row
+//!   prewarm, the jitter draw (the graph and the step are `LazyLatency`'s).
 //! * `mapper` — `MapperState`: read view, charge-back, routed settle.
 //! * `membership` — wave bring-up, join admission, churn refresh.
 //! * `lifecycle` — the circuit table's entries, deploy / undeploy, tenancy,

@@ -18,7 +18,6 @@
 
 use sbon_core::circuit::{Circuit, Placement};
 use sbon_netsim::dijkstra::shortest_path;
-use sbon_netsim::graph::NodeId;
 use sbon_netsim::topology::Topology;
 
 /// Data rate carried by each underlay edge (indexed like
@@ -84,9 +83,8 @@ impl LinkTraffic {
             }
             let path = shortest_path(&topology.graph, from, to)
                 .expect("placed circuits connect reachable nodes");
-            for hop in path.windows(2) {
-                let edge = edge_between(topology, hop[0], hop[1]).expect("path hops are adjacent");
-                let rates = &mut self.contributions[edge];
+            for edge in path {
+                let rates = &mut self.contributions[edge.index()];
                 let pos = rates.partition_point(|r| r.total_cmp(&l.rate).is_lt());
                 if charge {
                     rates.insert(pos, l.rate);
@@ -133,18 +131,6 @@ impl LinkTraffic {
     pub fn loaded_edges(&self) -> usize {
         (0..self.contributions.len()).filter(|&e| self.rate_on(e) > 0.0).count()
     }
-}
-
-/// Finds the index of the minimum-latency edge joining `a` and `b`.
-fn edge_between(topology: &Topology, a: NodeId, b: NodeId) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, e) in topology.graph.edges().iter().enumerate() {
-        let joins = (e.a == a && e.b == b) || (e.a == b && e.b == a);
-        if joins && best.is_none_or(|(_, l)| e.latency_ms < l) {
-            best = Some((i, e.latency_ms));
-        }
-    }
-    best.map(|(i, _)| i)
 }
 
 #[cfg(test)]

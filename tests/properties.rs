@@ -262,7 +262,7 @@ proptest! {
                 } else {
                     let e = EdgeId(rng.gen_range(0..m as u32));
                     let f = rng.gen_range(0.4..2.2);
-                    lazy.scale_edge_clamped(e, f, (0.25, 4.0));
+                    lazy.scale_edges_clamped(&[(e, f)], (0.25, 4.0));
                 }
             }
             // Full equivalence sweep against a fresh dense recompute.

@@ -303,11 +303,11 @@ impl LandmarkPlacer {
         &self.states[idx]
     }
 
-    /// Places one node against the frozen landmarks: the same
-    /// rounds × samples refinement loop the batch embedding runs in its
-    /// second phase, but for a single node with a caller-supplied RNG.
-    /// Latency is only queried with a landmark as the source, so a lazy
-    /// provider serves every sample from the `k` already-computed rows.
+    /// Places one node against the frozen landmarks: `k` latency reads —
+    /// one per landmark, each with the landmark as the source, so a lazy
+    /// provider serves them from the `k` already-computed rows — then the
+    /// rounds × samples refinement of [`LandmarkPlacer::place_from_rtts`]
+    /// over those `k` values.
     ///
     /// Deterministic in the RNG: seeding per node (rather than sharing one
     /// stream across joins) makes the placement independent of join
@@ -318,8 +318,38 @@ impl LandmarkPlacer {
         node: NodeId,
         rng: &mut R,
     ) -> VivaldiNode {
+        self.place_from_rtts(&self.gather_rtts(latency, &[node]), rng)
+    }
+
+    /// The latency reads of a batch of placements, as one flat
+    /// `nodes × k` table: `table[j * k + li]` is the latency from landmark
+    /// `li` (draw order) to `nodes[j]`, so `chunks(k)` yields what
+    /// [`LandmarkPlacer::place_from_rtts`] takes per node. Reads run
+    /// landmark-major — all of one landmark's row before the next — and
+    /// always with the landmark as the source: only landmark rows are ever
+    /// demanded from the provider, and a stale row is repaired by its
+    /// first read.
+    pub fn gather_rtts<L: LatencyProvider>(&self, latency: &L, nodes: &[NodeId]) -> Vec<f64> {
+        let k = self.landmarks.len();
+        let mut table = vec![0.0; nodes.len() * k];
+        for (li, &l) in self.landmarks.iter().enumerate() {
+            for (j, &node) in nodes.iter().enumerate() {
+                table[j * k + li] = latency.latency(NodeId(l as u32), node);
+            }
+        }
+        table
+    }
+
+    /// The placement kernel: the same rounds × samples refinement loop the
+    /// batch embedding runs in its second phase, for a single node whose
+    /// latency from landmark `li` (draw order) is `rtts[li]`. Each sample
+    /// draws its landmark from `rng`; a non-finite latency (unreachable
+    /// landmark) skips the sample. Pure — it reads only the frozen
+    /// landmark states — so a batch of placements can run on any threads.
+    pub fn place_from_rtts<R: Rng + ?Sized>(&self, rtts: &[f64], rng: &mut R) -> VivaldiNode {
         let cfg = &self.config;
         let k = self.landmarks.len();
+        assert_eq!(rtts.len(), k, "one latency per landmark");
         let mut state = VivaldiNode::random_start(cfg.dims, rng);
         if cfg.use_height {
             state.height = cfg.min_height;
@@ -327,10 +357,7 @@ impl LandmarkPlacer {
         for _round in 0..cfg.rounds {
             for _ in 0..cfg.samples_per_round {
                 let li = rng.gen_range(0..k);
-                let l = self.landmarks[li];
-                // Landmark as the latency *source*: only landmark rows are
-                // ever demanded from the provider.
-                let rtt = latency.latency(NodeId(l as u32), node);
+                let rtt = rtts[li];
                 if !rtt.is_finite() {
                     continue;
                 }
@@ -408,19 +435,26 @@ impl VivaldiNode {
         // the height model, the "unit vector" of `(v, h)` scales the planar
         // part by `v/‖·‖` and pushes the height by `h_sum/‖·‖` (heights only
         // ever push *apart*; Dabek et al., §5.4).
-        let delta = cfg.ce * w;
-        let force = rtt - dist;
-        let dir = unit_vector_from(&self.coord, &remote.coord, rng);
+        let push = cfg.ce * w * (rtt - dist);
+        let mut planar_frac = 1.0;
         if cfg.use_height && dist > 1e-12 {
             let height_frac = (self.height + remote.height) / dist.max(1e-12);
-            let planar_frac = 1.0 - height_frac.min(1.0);
+            planar_frac = (1.0 - height_frac.min(1.0)).max(0.0);
+            self.height = (self.height + push * height_frac).max(cfg.min_height);
+        }
+        // The direction `(self − remote) / planar` is written straight into
+        // the update: no per-sample buffer.
+        if planar < 1e-12 {
+            // Coincident points: pick a random direction (rare; the one
+            // case that needs every component before it can normalize).
+            let dir: Vec<f64> = self.coord.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let norm = dir.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-12);
             for (x, u) in self.coord.iter_mut().zip(dir) {
-                *x += delta * force * u * planar_frac.max(0.0);
+                *x += push * (u / norm) * planar_frac;
             }
-            self.height = (self.height + delta * force * height_frac).max(cfg.min_height);
         } else {
-            for (x, u) in self.coord.iter_mut().zip(dir) {
-                *x += delta * force * u;
+            for (x, r) in self.coord.iter_mut().zip(&remote.coord) {
+                *x += push * ((*x - r) / planar) * planar_frac;
             }
         }
     }
@@ -497,32 +531,11 @@ fn euclidean(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
 }
 
-/// Unit vector pointing from `to` toward `from` (the push direction on
-/// `from`); random direction when the points coincide.
-fn unit_vector_from<R: Rng + ?Sized>(from: &[f64], to: &[f64], rng: &mut R) -> Vec<f64> {
-    let mut v: Vec<f64> = from.iter().zip(to).map(|(a, b)| a - b).collect();
-    let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if norm < 1e-12 {
-        // Coincident points: pick a random direction.
-        for x in v.iter_mut() {
-            *x = rng.gen_range(-1.0..1.0);
-        }
-        let n2 = v.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-12);
-        for x in v.iter_mut() {
-            *x /= n2;
-        }
-    } else {
-        for x in v.iter_mut() {
-            *x /= norm;
-        }
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::relative_errors;
+    use proptest::prelude::*;
     use sbon_netsim::latency::EuclideanLatency;
     use sbon_netsim::metrics::Summary;
     use sbon_netsim::rng::rng_from_seed;
@@ -824,6 +837,151 @@ mod tests {
             k as u64,
             "placement must be served entirely from landmark rows"
         );
+    }
+
+    /// A provider with one node cut off: every latency to or from `cut`
+    /// reads ∞ — an unreachable landmark.
+    struct Severed<'a, L> {
+        inner: &'a L,
+        cut: Option<NodeId>,
+    }
+
+    impl<L: LatencyProvider> LatencyProvider for Severed<'_, L> {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn latency(&self, a: NodeId, b: NodeId) -> f64 {
+            if a != b && (self.cut == Some(a) || self.cut == Some(b)) {
+                return f64::INFINITY;
+            }
+            self.inner.latency(a, b)
+        }
+    }
+
+    fn bits(v: &VivaldiNode) -> (Vec<u64>, u64, u64) {
+        (v.coord.iter().map(|x| x.to_bits()).collect(), v.height.to_bits(), v.error.to_bits())
+    }
+
+    /// The read-per-sample loop `place` was before it became gather +
+    /// kernel: the reference the split is pinned bit-identical to.
+    fn place_reading_every_sample<L: LatencyProvider, R: Rng + ?Sized>(
+        placer: &LandmarkPlacer,
+        latency: &L,
+        node: NodeId,
+        rng: &mut R,
+    ) -> VivaldiNode {
+        let cfg = &placer.config;
+        let k = placer.landmarks.len();
+        let mut state = VivaldiNode::random_start(cfg.dims, rng);
+        if cfg.use_height {
+            state.height = cfg.min_height;
+        }
+        for _round in 0..cfg.rounds {
+            for _ in 0..cfg.samples_per_round {
+                let li = rng.gen_range(0..k);
+                let rtt = latency.latency(NodeId(placer.landmarks[li] as u32), node);
+                if !rtt.is_finite() {
+                    continue;
+                }
+                state.observe_with(&placer.states[li], rtt, cfg, rng);
+            }
+        }
+        state
+    }
+
+    /// Every non-landmark node placed three ways — one batch gather over
+    /// `fast` fed to the kernel chunk by chunk, `place` on `fast`, and the
+    /// read-per-sample reference on `truth` — with the same per-node RNG.
+    fn placements_match_reference<A: LatencyProvider, B: LatencyProvider>(
+        placer: &LandmarkPlacer,
+        fast: &A,
+        truth: &B,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let k = placer.landmark_ids().len();
+        let nodes: Vec<NodeId> = (0..fast.len())
+            .filter(|i| !placer.landmark_ids().contains(i))
+            .map(|i| NodeId(i as u32))
+            .collect();
+        let table = placer.gather_rtts(fast, &nodes);
+        prop_assert_eq!(table.len(), nodes.len() * k);
+        for (&node, rtts) in nodes.iter().zip(table.chunks(k)) {
+            let rng = || derive_rng(seed, u64::from(node.0));
+            let reference = bits(&place_reading_every_sample(placer, truth, node, &mut rng()));
+            prop_assert_eq!(bits(&placer.place_from_rtts(rtts, &mut rng())), reference.clone());
+            prop_assert_eq!(bits(&placer.place(fast, node, &mut rng())), reference);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16 })]
+
+        /// Gather + kernel is the read-per-sample loop, bit for bit (coord,
+        /// height, error): random worlds × seeds × height model on/off ×
+        /// one unreachable landmark.
+        #[test]
+        fn place_equals_reading_every_sample_on_euclidean_worlds(
+            (seed, n, flags) in (0u64..u64::MAX, 12usize..48, 0u8..4)
+        ) {
+            let cfg = VivaldiConfig {
+                rounds: 12,
+                landmarks: Some(6),
+                use_height: flags & 1 != 0,
+                ..Default::default()
+            };
+            let world = euclidean_world(n, seed);
+            let ids = cfg.landmark_ids(n, seed).expect("landmark mode active");
+            let cut = (flags & 2 != 0).then(|| NodeId(ids[seed as usize % ids.len()] as u32));
+            let world = Severed { inner: &world, cut };
+            let placer = cfg.embed_landmarks_only(&world, seed);
+            placements_match_reference(&placer, &world, &world, seed)?;
+        }
+
+        /// The same pin on a lazy provider whose landmark rows are all
+        /// stale when the gather runs (a delta batch is pending): the
+        /// reference reads the dense matrix of the mutated graph.
+        #[test]
+        fn place_equals_reading_every_sample_on_stale_lazy_rows(
+            (seed, n, flags) in (0u64..u64::MAX, 40usize..90, 0u8..4)
+        ) {
+            use sbon_netsim::dijkstra::all_pairs_latency;
+            use sbon_netsim::graph::EdgeId;
+            use sbon_netsim::lazy::LazyLatency;
+            use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
+            let cfg = VivaldiConfig {
+                rounds: 12,
+                landmarks: Some(6),
+                use_height: flags & 1 != 0,
+                ..Default::default()
+            };
+            let topo = generate(&TransitStubConfig::with_total_nodes(n), seed);
+            let n = topo.num_nodes();
+            let ids = cfg.landmark_ids(n, seed).expect("landmark mode active");
+            let cut = (flags & 2 != 0).then(|| NodeId(ids[seed as usize % ids.len()] as u32));
+            let mut lazy = LazyLatency::new(topo.graph.clone());
+            let placer = cfg.embed_landmarks_only(&Severed { inner: &lazy, cut }, seed);
+            let mut rng = rng_from_seed(seed);
+            let m = lazy.graph().num_edges();
+            let batch: Vec<(EdgeId, f64)> = (0..8)
+                .map(|_| {
+                    let e = EdgeId(rng.gen_range(0..m) as u32);
+                    (e, lazy.graph().edge(e).latency_ms * rng.gen_range(0.5..2.0))
+                })
+                .collect();
+            lazy.apply_edge_deltas(&batch);
+            // `Severed` never reads the cut landmark's row: it is not resident.
+            prop_assert_eq!(lazy.rows_stale(), ids.len() - usize::from(cut.is_some()));
+            let truth = all_pairs_latency(lazy.graph());
+            placements_match_reference(
+                &placer,
+                &Severed { inner: &lazy, cut },
+                &Severed { inner: &truth, cut },
+                seed,
+            )?;
+            prop_assert_eq!(lazy.rows_stale(), 0);
+        }
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! two steps of every tick.
 //!
 //! `impl OverlayRuntime` here **reads** `config.{deployment, churn}`, `seed`,
-//! `placer`, `latency`, `alive` and **writes** `arrived`, `pending_joins`,
-//! `attrs`, `rng`, `space`, `mapper`, `relevance`, `obs`.
+//! `placer`, `latency`, `pool`, `alive` and **writes** `arrived`,
+//! `pending_joins`, `attrs`, `rng`, `space`, `mapper`, `relevance`, `obs`.
 
 use std::collections::VecDeque;
 
 use rand::seq::SliceRandom;
+use rayon::prelude::*;
 
 use sbon_coords::vivaldi::{LandmarkPlacer, VivaldiEmbedding, VivaldiNode};
 use sbon_core::costspace::CostSpace;
@@ -95,16 +96,44 @@ pub(super) fn embed(
         embedding.heights[node] = state.height;
         embedding.errors[node] = state.error;
     };
-    let mut is_landmark = vec![false; n];
     for (idx, &lm) in placer.landmark_ids().iter().enumerate() {
         place(lm, placer.landmark_state(idx));
-        is_landmark[lm] = true;
     }
-    for node in (0..n).filter(|&node| arrived[node] && !is_landmark[node]) {
-        let mut rng = derive_rng(seed, PLACE_STREAM ^ node as u64);
-        place(node, &placer.place(&latency.provider(), NodeId(node as u32), &mut rng));
+    let initial = (0..n as u32).map(NodeId).filter(|node| arrived[node.index()]);
+    for (node, state) in place_batch(&placer, latency, pool, seed, initial) {
+        place(node.index(), &state);
     }
     (embedding, Some(placer))
+}
+
+/// The one placement call site — gather, place: every non-landmark of
+/// `nodes` (landmarks froze their coordinates at construction) placed
+/// against the frozen landmarks, in input order. The `nodes × k` latency
+/// table is gathered on the calling thread (the row cache is
+/// single-threaded, and a stale landmark row is repaired by its first
+/// read); the kernel is pure and draws from each node's own derived RNG
+/// stream, so it shards across `pool` and neither batching, join order nor
+/// thread count can move a landing spot.
+fn place_batch(
+    placer: &LandmarkPlacer,
+    latency: &LatencyState,
+    pool: Option<&rayon::ThreadPool>,
+    seed: u64,
+    nodes: impl Iterator<Item = NodeId>,
+) -> Vec<(NodeId, VivaldiNode)> {
+    let landmarks = placer.landmark_ids();
+    let nodes: Vec<NodeId> = nodes.filter(|node| !landmarks.contains(&node.index())).collect();
+    let rtts = placer.gather_rtts(&latency.provider(), &nodes);
+    let jobs: Vec<(NodeId, &[f64])> =
+        nodes.iter().copied().zip(rtts.chunks(landmarks.len())).collect();
+    let place = |&(node, rtts): &(NodeId, &[f64])| {
+        let mut rng = derive_rng(seed, PLACE_STREAM ^ node.index() as u64);
+        (node, placer.place_from_rtts(rtts, &mut rng))
+    };
+    match pool {
+        Some(pool) if jobs.len() > 1 => pool.install(|| jobs.par_iter().map(place).collect()),
+        _ => jobs.iter().map(place).collect(),
+    }
 }
 
 impl OverlayRuntime {
@@ -130,31 +159,32 @@ impl OverlayRuntime {
     }
 
     /// Deployment wave: admits this tick's arrivals — before churn, so a
-    /// node can report load the tick it joins. Each arrival is one O(log n)
-    /// mapper registration (`add_node`), preceded — under landmark mode —
-    /// by a join-time Vivaldi placement against the frozen landmarks that
-    /// gives the node its vector coordinate the moment it becomes mappable.
+    /// node can report load the tick it joins. Under landmark mode the
+    /// arrivals are first placed against the frozen landmarks as one batch
+    /// ([`place_batch`]: serial gather, kernel across the pool), so each
+    /// has its vector coordinate before it becomes mappable; then each is
+    /// committed, serially and in join order, by one O(log n) mapper
+    /// registration (`add_node`).
     pub(super) fn admit_joins(&mut self) {
         let DeploymentModel::Wave { joins_per_tick, .. } = self.config.deployment else { return };
         let t_join = WallTimer::start();
-        let mut joined = 0;
-        while joined < joins_per_tick {
+        let mut joiners = Vec::new();
+        while joiners.len() < joins_per_tick {
             let Some(node) = self.pending_joins.pop_front() else { break };
-            if !self.alive[node.index()] {
-                continue; // failed before arrival: never joins
+            // Failed before arrival: never joins.
+            if self.alive[node.index()] {
+                joiners.push(node);
             }
+        }
+        if let Some(placer) = &self.placer {
+            let joiners = joiners.iter().copied();
+            let pool = self.pool.as_ref();
+            for (node, state) in place_batch(placer, &self.latency, pool, self.seed, joiners) {
+                self.space.set_vector_coord(node, &state.coord);
+            }
+        }
+        for &node in &joiners {
             self.arrived[node.index()] = true;
-            if let Some(placer) = &self.placer {
-                // Landmarks froze their coordinates at construction;
-                // everyone else is placed on arrival with a per-node RNG
-                // stream, so join order and batching cannot move the
-                // landing spot.
-                if !placer.landmark_ids().contains(&node.index()) {
-                    let mut rng = derive_rng(self.seed, PLACE_STREAM ^ node.index() as u64);
-                    let state = placer.place(&self.latency.provider(), node, &mut rng);
-                    self.space.set_vector_coord(node, &state.coord);
-                }
-            }
             // The arrival's catalog registration can change lookups whose
             // scanned region covers its key: invalidate exactly those clean
             // records (everything, under the oracle scan).
@@ -164,8 +194,8 @@ impl OverlayRuntime {
                 "a joining node cannot be registered yet"
             );
             self.relevance.touch_mapper(delta);
-            joined += 1;
         }
+        let joined = joiners.len();
         self.obs.registry.inc(self.obs.h.nodes_joined, joined as u64);
         self.obs.registry.inc(self.obs.h.join_ns, t_join.elapsed_ns());
         if joined > 0 {

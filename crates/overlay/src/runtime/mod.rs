@@ -18,7 +18,10 @@
 //! Membership itself can also grow over ticks ([`DeploymentModel::Wave`]):
 //! pending nodes arrive on a per-tick budget and register through the same
 //! maintenance contract (`add_node`), so bring-up is incremental rather
-//! than one bulk build.
+//! than one bulk build. A tick's arrivals get their vector coordinates as
+//! one batch: their landmark latencies are gathered serially (`k` reads
+//! each), the placements computed across the worker pool, and the results
+//! committed serially in join order.
 //!
 //! Re-optimization is **dirty-driven**: a runtime-maintained relevance
 //! index ([`sbon_core::reopt::relevance`]) remembers the exact read set of
@@ -42,7 +45,8 @@
 //! * `latency` — `LatencyState`: backend choice, the dense matrix, row
 //!   prewarm, the jitter draw (the graph and the step are `LazyLatency`'s).
 //! * `mapper` — `MapperState`: read view, charge-back, routed settle.
-//! * `membership` — wave bring-up, join admission, churn refresh.
+//! * `membership` — wave bring-up, join admission (gather, place across
+//!   the pool, commit in join order), churn refresh.
 //! * `lifecycle` — the circuit table's entries, deploy / undeploy, tenancy,
 //!   usage accounting.
 //! * `failure` — `fail_node`: teardown cascade and evacuation.

@@ -9,10 +9,11 @@
 //! schedules, both latency backends, all three mapper backends, reuse on/off,
 //! and mid-run node failures.
 //!
-//! A second pin holds the sharded phases — read-only re-opt evaluation, and
-//! the batch that faults a deployed circuit's latency rows in — to the serial
-//! ones: `threads = 8` ≡ `threads = 1`, on the whole report and on the lazy
-//! row cache's counters, with a query deployed mid-run.
+//! A second pin holds the sharded phases — read-only re-opt evaluation, the
+//! batch that faults a deployed circuit's latency rows in, and the join
+//! wave's placement batch (wave scenarios admit `n / 8` ≥ 7 joiners a tick)
+//! — to the serial ones: `threads = 8` ≡ `threads = 1`, on the whole report
+//! and on the lazy row cache's counters, with a query deployed mid-run.
 
 use proptest::prelude::*;
 use sbon_coords::vivaldi::VivaldiConfig;
@@ -193,11 +194,13 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
     /// The sharded read-only evaluation phase commits serially in circuit
-    /// order, and a deploy's row batch inserts in link order, so the thread
-    /// count must never show up in the report or in the row cache.
+    /// order, a deploy's row batch inserts in link order, and a tick's
+    /// joiners are placed from a serially gathered table and committed in
+    /// join order, so the thread count must never show up in the report or
+    /// in the row cache.
     #[test]
     fn parallel_reopt_equals_serial(
-        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..16)
+        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..32)
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);

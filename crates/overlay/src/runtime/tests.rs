@@ -949,11 +949,15 @@ fn jittered_run_is_bit_identical_across_backends() {
 
 /// The tentpole determinism contract: a run on an 8-thread pool is
 /// bit-identical to a serial run, across seeds, with every parallel
-/// stage active (row prewarm, scalar refresh, landmark placement wave,
-/// jitter-driven row repair).
+/// stage active (row prewarm, scalar refresh, jitter-driven row repair,
+/// and the landmark placement wave: 16 joiners a tick sharded over the
+/// pool, one pending node failed before its turn) — on the report, every
+/// node's final cost point, the row cache's counters and the control
+/// plane's.
 #[test]
 fn parallel_run_is_bit_identical_to_serial() {
     let topo = small_world(41);
+    let n = topo.num_nodes();
     let run = |seed: u64, threads: usize| {
         let mut rt = OverlayRuntime::new(
             &topo,
@@ -962,7 +966,7 @@ fn parallel_run_is_bit_identical_to_serial() {
                 .horizon_ms(10_000.0)
                 .threads(threads)
                 .latency_backend(LatencyBackend::Lazy)
-                .deployment(DeploymentModel::Wave { initial: 30, joins_per_tick: 10 })
+                .deployment(DeploymentModel::Wave { initial: 30, joins_per_tick: 16 })
                 .vivaldi(VivaldiConfig { landmarks: Some(8), ..Default::default() })
                 .churn(ChurnProcess::SparseWalk { nodes_per_tick: 12, std_dev: 0.15 })
                 .latency_jitter(JitterModel { edges_per_tick: 30, ..Default::default() })
@@ -973,19 +977,29 @@ fn parallel_run_is_bit_identical_to_serial() {
         let q =
             QuerySpec::join_star(&[hosts[0], hosts[1], hosts[2], hosts[3]], hosts[4], 10.0, 0.02);
         rt.deploy(q).unwrap();
+        // The last node of the arrival order dies before the first join
+        // tick: the wave skips it and still fills its per-tick budget.
+        let victim = *rt.pending_joins.back().expect("the wave has pending nodes");
+        rt.schedule_failure(500.0, victim);
         let report = rt.run();
-        (report, rt.lazy_latency_stats().unwrap(), rt.control_plane_stats())
+        assert_eq!(rt.arrived_count(), n - 1, "everyone but the victim joins");
+        let points: Vec<Vec<u64>> = (rt.space().points().iter())
+            .map(|p| p.as_slice().iter().map(|x| x.to_bits()).collect())
+            .collect();
+        (report, points, rt.lazy_latency_stats().unwrap(), rt.control_plane_stats())
     };
     for seed in [41u64, 97, 1234] {
-        let (serial, serial_stats, serial_cp) = run(seed, 1);
-        let (parallel, parallel_stats, parallel_cp) = run(seed, 8);
+        let (serial, serial_points, serial_stats, serial_cp) = run(seed, 1);
+        let (parallel, parallel_points, parallel_stats, parallel_cp) = run(seed, 8);
         assert_eq!(serial, parallel, "seed {seed}: thread count must not change the run");
+        assert_eq!(serial_points, parallel_points, "seed {seed}: nor where any node landed");
         assert_eq!(serial_stats, parallel_stats, "seed {seed}: cache traffic must match");
         assert_eq!(
             (serial_cp.points_updated, serial_cp.nodes_joined, serial_cp.dirty_nodes),
             (parallel_cp.points_updated, parallel_cp.nodes_joined, parallel_cp.dirty_nodes),
             "seed {seed}: control-plane counters must match"
         );
+        assert_eq!(serial_cp.nodes_joined, n - 1 - 30);
     }
 }
 
@@ -1024,8 +1038,10 @@ fn builder_run_matches_struct_literal_run() {
 /// `build()` rejects every time value the event loop cannot advance on
 /// — zero reschedules a pass at the same instant forever — every penalty
 /// that would poison the report's total cost, and every jitter model the
-/// first jitter tick would panic on; the panic names the field and the
-/// value.
+/// first jitter tick would panic on, and every Vivaldi setting that
+/// would embed nothing (no dimension, no round, no sample, a dead or
+/// poisoned step constant, fewer than two landmarks); the panic names the
+/// field and the value.
 #[test]
 fn builder_rejects_non_positive_and_non_finite_times() {
     type Setter = fn(RuntimeConfigBuilder, f64) -> RuntimeConfigBuilder;
@@ -1107,6 +1123,36 @@ fn builder_rejects_non_positive_and_non_finite_times() {
         }
     }
     RuntimeConfig::builder().mapper_backend(MapperBackend::Dht { bits: 32, scan_width: 1 }).build();
+    let vivaldi = |v: VivaldiConfig| RuntimeConfig::builder().vivaldi(v);
+    let base = VivaldiConfig::default;
+    for (field, bad) in [
+        ("dims", VivaldiConfig { dims: 0, ..base() }),
+        ("rounds", VivaldiConfig { rounds: 0, ..base() }),
+        ("samples_per_round", VivaldiConfig { samples_per_round: 0, ..base() }),
+    ] {
+        rows.push((vivaldi(bad), format!("vivaldi.{field} must be at least 1, got 0")));
+    }
+    for bad in [0.0, -0.25, nan, f64::INFINITY] {
+        for (field, config) in [
+            ("ce", VivaldiConfig { ce: bad, ..base() }),
+            ("cc", VivaldiConfig { cc: bad, ..base() }),
+        ] {
+            let message = format!("vivaldi.{field} must be finite and positive, got {bad}");
+            rows.push((vivaldi(config), message));
+        }
+    }
+    for bad in [0, 1] {
+        let message = format!("vivaldi.landmarks must be at least 2, got {bad}");
+        rows.push((vivaldi(VivaldiConfig { landmarks: Some(bad), ..base() }), message));
+    }
+    vivaldi(VivaldiConfig {
+        dims: 1,
+        rounds: 1,
+        samples_per_round: 1,
+        landmarks: Some(2),
+        ..base()
+    })
+    .build();
     for (builder, expected) in rows {
         let built = std::panic::catch_unwind(|| builder.build());
         let panic = built.expect_err(&format!("must be rejected: {expected}"));

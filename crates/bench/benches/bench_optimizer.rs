@@ -18,7 +18,7 @@ fn bench_optimizer(c: &mut Criterion) {
         .collect();
 
     let integrated = IntegratedOptimizer::new(OptimizerConfig::default());
-    let two_step = TwoStepOptimizer::new(OptimizerConfig::default());
+    let two_step = TwoStepOptimizer::new();
 
     let mut group = c.benchmark_group("optimizer_300_nodes_4way");
     group.sample_size(30);

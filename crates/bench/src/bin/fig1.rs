@@ -47,7 +47,7 @@ fn run_trial(world: &sbon_bench::World, rng: &mut impl Rng, skewed: bool) -> Tri
     }
 
     let cfg = OptimizerConfig::default();
-    let two = TwoStepOptimizer::new(cfg.clone())
+    let two = TwoStepOptimizer::new()
         .optimize(&query, &world.space, &world.latency)
         .expect("two-step always yields a plan");
     let int = IntegratedOptimizer::new(cfg)

@@ -72,22 +72,19 @@ impl Circuit {
     ) -> CircuitCost {
         let mut network_usage = 0.0;
         let mut total_link_latency = 0.0;
+        // Longest leaf → service path so far. Children-first numbering (see
+        // `Circuit`): every in-link of a service is walked before its uplink
+        // reads its depth.
+        let mut depth = vec![0.0_f64; self.len()];
         for l in self.links() {
             let d = dist(placement.node_of(l.from), placement.node_of(l.to));
             debug_assert!(d.is_finite() && d >= 0.0, "distance must be finite");
             network_usage += l.rate * d;
             total_link_latency += d;
+            depth[l.to.index()] = depth[l.to.index()].max(depth[l.from.index()] + d);
         }
-        CircuitCost {
-            network_usage,
-            max_path_latency: self.max_path_latency(placement, |a, b| {
-                // Recompute rather than caching per-link: circuits are small
-                // (≤ tens of links) and this keeps the closure signature
-                // simple for callers.
-                dist(a, b)
-            }),
-            total_link_latency,
-        }
+        let max_path_latency = depth[self.root().index()];
+        CircuitCost { network_usage, max_path_latency, total_link_latency }
     }
 
     /// A lower bound on [`CircuitCost::network_usage`] over **every**
@@ -107,9 +104,8 @@ impl Circuit {
     /// end with the one it already holds — the smaller flow is routed between
     /// the two hosts, the larger side's remainder stays open.
     pub fn usage_lower_bound(&self, mut dist: impl FnMut(NodeId, NodeId) -> f64) -> f64 {
-        // `from_plan` numbers services children-first and pushes a service's
-        // input links right after it, so by the time a link is walked its
-        // upstream end is final.
+        // Children-first numbering (see `Circuit`): by the time a link is
+        // walked its upstream end is final.
         let mut open: Vec<Option<(NodeId, f64)>> = self
             .services()
             .iter()
@@ -137,30 +133,6 @@ impl Circuit {
             }
         }
         bound
-    }
-
-    /// Longest leaf→root path distance under `dist`.
-    fn max_path_latency(
-        &self,
-        placement: &Placement,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
-    ) -> f64 {
-        fn walk(
-            circuit: &Circuit,
-            placement: &Placement,
-            dist: &mut impl FnMut(NodeId, NodeId) -> f64,
-            sid: ServiceId,
-        ) -> f64 {
-            let children = circuit.children(sid);
-            let mut worst: f64 = 0.0;
-            for child in children {
-                let hop = dist(placement.node_of(child), placement.node_of(sid));
-                let below = walk(circuit, placement, dist, child);
-                worst = worst.max(below + hop);
-            }
-            worst
-        }
-        walk(self, placement, &mut dist, self.root())
     }
 }
 

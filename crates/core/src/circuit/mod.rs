@@ -89,6 +89,18 @@ pub struct Link {
 }
 
 /// A circuit: the service tree of one query.
+///
+/// **Numbering invariant.** [`Circuit::from_plan`] numbers services
+/// children-first (left subtree, right subtree, then the operator; the
+/// consumer last) and pushes a service's in-links when it numbers it. So
+/// every link has `from < to`, every service but the consumer has exactly
+/// one uplink, and in [`Circuit::links`] a service's in-links precede its
+/// uplink. Ascending ids — or links in order — therefore visit children
+/// before parents, descending ids parents before children, with no
+/// recursion and no adjacency map: [`Circuit::usage_lower_bound`],
+/// [`Circuit::cost_with`]'s path depth,
+/// [`optimal_tree_placement`](crate::placement::optimal_tree_placement) and
+/// multi-query reuse's top-down discovery all rest on it.
 #[derive(Clone, Debug)]
 pub struct Circuit {
     services: Vec<Service>,
@@ -129,10 +141,10 @@ impl Circuit {
     /// service and appends the subtree's source streams to `sources`
     /// (first-visit order, each once, as [`LogicalPlan::sources`]). Rate,
     /// sources and signature of a node are each one step from its
-    /// children's — the same steps [`StatsCatalog::output_rate`] and
-    /// [`canonical_signature`] take, so the results are bit- and
-    /// string-equal to calling those per node, without re-walking every
-    /// subtree at every node.
+    /// children's — the same steps [`StatsCatalog::output_rate`] and the
+    /// per-node reference the tests keep (`canonical_signature`) take, so
+    /// the results are bit- and string-equal to calling those per node,
+    /// without re-walking every subtree at every node.
     fn build_subtree(
         &mut self,
         plan: &LogicalPlan,
@@ -193,7 +205,7 @@ impl Circuit {
         }
     }
 
-    /// The [`canonical_signature`] of the sub-plan rooted at an already-built
+    /// The reuse signature of the sub-plan rooted at an already-built
     /// service: stored on operators, one `format!` away for producers.
     fn signature_of(&self, sid: ServiceId) -> std::borrow::Cow<'_, str> {
         let s = &self.services[sid.index()];
@@ -296,26 +308,6 @@ impl Circuit {
     }
 }
 
-/// The canonical reuse signature of a plan subtree: its shape key with each
-/// source leaf qualified by its producer node (`s0@n5`), order-insensitive
-/// for commutative joins.
-pub fn canonical_signature(
-    plan: &LogicalPlan,
-    producer_of: &impl Fn(StreamId) -> NodeId,
-) -> String {
-    match plan {
-        LogicalPlan::Source(id) => source_signature(*id, producer_of(*id)),
-        LogicalPlan::Unary { op, input } => {
-            unary_signature(*op, &canonical_signature(input, producer_of))
-        }
-        LogicalPlan::Binary { op, left, right } => binary_signature(
-            *op,
-            &canonical_signature(left, producer_of),
-            &canonical_signature(right, producer_of),
-        ),
-    }
-}
-
 fn source_signature(id: StreamId, producer: NodeId) -> String {
     format!("{id}@{producer}")
 }
@@ -348,6 +340,7 @@ fn binary_signature(op: BinaryOp, a: &str, b: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costspace::euclidean;
 
     fn stats2() -> StatsCatalog {
         let mut s = StatsCatalog::new(0.1);
@@ -359,6 +352,26 @@ mod tests {
 
     fn producer_map(id: StreamId) -> NodeId {
         NodeId(id.0 + 100)
+    }
+
+    /// The canonical reuse signature of a plan subtree: its shape key with each
+    /// source leaf qualified by its producer node (`s0@n5`), order-insensitive
+    /// for commutative joins.
+    fn canonical_signature(
+        plan: &LogicalPlan,
+        producer_of: &impl Fn(StreamId) -> NodeId,
+    ) -> String {
+        match plan {
+            LogicalPlan::Source(id) => source_signature(*id, producer_of(*id)),
+            LogicalPlan::Unary { op, input } => {
+                unary_signature(*op, &canonical_signature(input, producer_of))
+            }
+            LogicalPlan::Binary { op, left, right } => binary_signature(
+                *op,
+                &canonical_signature(left, producer_of),
+                &canonical_signature(right, producer_of),
+            ),
+        }
     }
 
     #[test]
@@ -546,6 +559,36 @@ mod tests {
         stats
     }
 
+    /// A `random_plan` circuit whose producers, consumer and reuse-style
+    /// pins (on random operators) sit among 12 hosts scattered in `dims`
+    /// dimensions; returns the hosts' points with it.
+    fn random_pinned_circuit(d: &mut Draws, ways: usize, dims: usize) -> (Circuit, Vec<Vec<f64>>) {
+        let plan = random_plan(d, ways);
+        let stats = random_stats(d, ways);
+        let points: Vec<Vec<f64>> =
+            (0..HOSTS).map(|_| (0..dims).map(|_| d.between(-100.0, 100.0)).collect()).collect();
+        let producers: Vec<NodeId> = (0..ways).map(|_| NodeId(d.below(HOSTS) as u32)).collect();
+        let consumer = NodeId(d.below(HOSTS) as u32);
+        let mut c = Circuit::from_plan(&plan, &stats, |s| producers[s.0 as usize], consumer);
+        for sid in c.unpinned_services() {
+            if d.below(4) == 0 {
+                c.pin_service(sid, NodeId(d.below(HOSTS) as u32));
+            }
+        }
+        (c, points)
+    }
+
+    const HOSTS: usize = 12;
+
+    /// Pinned services at their pins, unpinned ones scattered anywhere.
+    fn random_hosts(d: &mut Draws, c: &Circuit) -> Placement {
+        let host = |s: &Service| match s.pin {
+            ServicePin::Pinned(n) => n,
+            ServicePin::Unpinned => NodeId(d.below(HOSTS) as u32),
+        };
+        Placement::new(c, c.services().iter().map(host).collect())
+    }
+
     /// Sub-plans in the order `from_plan` numbers their services:
     /// children first, left before right.
     fn build_order<'a>(plan: &'a LogicalPlan, out: &mut Vec<&'a LogicalPlan>) {
@@ -617,42 +660,73 @@ mod tests {
             draws in proptest::collection::vec(0.0f64..1.0, 200),
         ) {
             let mut d = Draws(draws.into_iter());
-            let plan = random_plan(&mut d, ways);
-            let stats = random_stats(&mut d, ways);
-            let nodes = 12;
-            let points: Vec<Vec<f64>> = (0..nodes)
-                .map(|_| (0..dims).map(|_| d.between(-100.0, 100.0)).collect())
-                .collect();
-            let dist = |a: NodeId, b: NodeId| {
-                let (a, b) = (&points[a.index()], &points[b.index()]);
-                a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
-            };
-            let producers: Vec<NodeId> =
-                (0..ways).map(|_| NodeId(d.below(nodes) as u32)).collect();
-            let mut c = Circuit::from_plan(
-                &plan, &stats, |s| producers[s.0 as usize], NodeId(d.below(nodes) as u32),
-            );
-            for sid in c.unpinned_services() {
-                if d.below(4) == 0 {
-                    c.pin_service(sid, NodeId(d.below(nodes) as u32));
-                }
-            }
+            let (c, points) = random_pinned_circuit(&mut d, ways, dims);
+            let dist = |a: NodeId, b: NodeId| euclidean(&points[a.index()], &points[b.index()]);
             let bound = c.usage_lower_bound(dist);
             proptest::prop_assert!(bound >= 0.0);
             for _ in 0..6 {
-                let hosts = c
-                    .services()
-                    .iter()
-                    .map(|s| match s.pin {
-                        ServicePin::Pinned(n) => n,
-                        ServicePin::Unpinned => NodeId(d.below(nodes) as u32),
-                    })
-                    .collect();
-                let usage = c.cost_with(&Placement::new(&c, hosts), dist).network_usage;
+                let usage = c.cost_with(&random_hosts(&mut d, &c), dist).network_usage;
                 proptest::prop_assert!(
                     bound * (1.0 - 1e-12) <= usage,
-                    "bound {} above usage {} of {}", bound, usage, plan
+                    "bound {} above usage {} of {:?}", bound, usage, c
                 );
+            }
+        }
+
+        /// One pass over the links costs a placement: `dist` is read once per
+        /// link, and the path depth carried along them is, bit for bit, the
+        /// longest leaf → consumer path walked link by link.
+        #[test]
+        fn cost_with_reads_each_link_once_and_finds_the_longest_path(
+            ways in 2usize..=6,
+            dims in 1usize..=3,
+            draws in proptest::collection::vec(0.0f64..1.0, 200),
+        ) {
+            let mut d = Draws(draws.into_iter());
+            let (c, points) = random_pinned_circuit(&mut d, ways, dims);
+            let placement = random_hosts(&mut d, &c);
+            let reads = std::cell::Cell::new(0);
+            let cost = c.cost_with(&placement, |a, b| {
+                reads.set(reads.get() + 1);
+                euclidean(&points[a.index()], &points[b.index()])
+            });
+            proptest::prop_assert_eq!(reads.get(), c.links().len());
+
+            let mut longest = 0.0_f64;
+            let is_leaf = |s: &&Service| matches!(s.kind, ServiceKind::Producer(_));
+            for leaf in c.services().iter().filter(is_leaf) {
+                let (mut at, mut path) = (leaf.id, 0.0);
+                while let Some(up) = c.links().iter().find(|l| l.from == at) {
+                    let (a, b) = (placement.node_of(up.from), placement.node_of(up.to));
+                    path += euclidean(&points[a.index()], &points[b.index()]);
+                    at = up.to;
+                }
+                proptest::prop_assert_eq!(at, c.root());
+                longest = longest.max(path);
+            }
+            proptest::prop_assert_eq!(cost.max_path_latency.to_bits(), longest.to_bits());
+        }
+
+        /// The numbering invariant `Circuit`'s docs state, which every
+        /// recursion-free walker rests on.
+        #[test]
+        fn services_are_numbered_children_first(
+            ways in 2usize..=6,
+            draws in proptest::collection::vec(0.0f64..1.0, 96),
+        ) {
+            let mut d = Draws(draws.into_iter());
+            let plan = random_plan(&mut d, ways);
+            let stats = random_stats(&mut d, ways);
+            let c = Circuit::from_plan(&plan, &stats, |s| NodeId(s.0), NodeId(9));
+            proptest::prop_assert_eq!(c.root().index(), c.len() - 1);
+            for s in c.services() {
+                let uplinks: Vec<usize> =
+                    (0..c.links().len()).filter(|&i| c.links()[i].from == s.id).collect();
+                proptest::prop_assert_eq!(uplinks.len(), usize::from(s.id != c.root()));
+                for (i, l) in c.links().iter().enumerate().filter(|(_, l)| l.to == s.id) {
+                    proptest::prop_assert!(l.from < l.to);
+                    proptest::prop_assert!(uplinks.iter().all(|&up| i < up), "after its uplink");
+                }
             }
         }
     }

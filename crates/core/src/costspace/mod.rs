@@ -35,6 +35,7 @@ mod point;
 mod space;
 mod weight;
 
+pub(crate) use point::euclidean;
 pub use point::CostPoint;
 pub use space::{CostSpace, CostSpaceBuilder, DimensionSpec, ScalarSource};
 pub use weight::WeightFn;

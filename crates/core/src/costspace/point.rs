@@ -1,5 +1,13 @@
 //! Points in a cost space.
 
+/// Euclidean distance between two equally long coordinate slices — the one
+/// expression behind [`CostPoint::full_distance`],
+/// [`CostPoint::vector_distance`] and the virtual placers.
+pub(crate) fn euclidean(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
+}
+
 /// A full cost-space coordinate: the vector (latency) components followed by
 /// the weighted scalar components. Which prefix is "vector" is defined by
 /// the owning [`crate::costspace::CostSpace`].
@@ -34,7 +42,7 @@ impl CostPoint {
     /// considered", Figure 3).
     pub fn full_distance(&self, other: &CostPoint) -> f64 {
         assert_eq!(self.len(), other.len(), "dimensionality mismatch");
-        self.0.iter().zip(&other.0).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt()
+        euclidean(&self.0, &other.0)
     }
 
     /// Euclidean distance over the first `vector_dims` dimensions only —
@@ -43,12 +51,7 @@ impl CostPoint {
     /// placement decision", Figure 3).
     pub fn vector_distance(&self, other: &CostPoint, vector_dims: usize) -> f64 {
         assert!(vector_dims <= self.len() && vector_dims <= other.len());
-        self.0[..vector_dims]
-            .iter()
-            .zip(&other.0[..vector_dims])
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
+        euclidean(&self.0[..vector_dims], &other.0[..vector_dims])
     }
 
     /// The vector-dimension prefix.

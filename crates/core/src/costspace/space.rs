@@ -107,15 +107,26 @@ impl CostSpace {
     /// re-register the node with coordinate consumers such as
     /// [`PhysicalMapper::update_node`](crate::placement::PhysicalMapper::update_node); clamped or repeated
     /// attribute writes that leave the weighted value unchanged return
-    /// `false` so downstream sync can be skipped.
+    /// `false` so downstream sync can be skipped. Panics, before anything is
+    /// written, on a component that is not finite (a NaN attribute, a
+    /// non-finite [`WeightFn`] parameter), naming node, dimension and value.
     pub fn update_scalars(&mut self, node: NodeId, attrs: &NodeAttrs) -> bool {
+        let weighted = |spec: &DimensionSpec| {
+            let ScalarSource::Attr(attr) = spec.source;
+            spec.weight.apply(attrs.get(node, attr))
+        };
+        for spec in &self.scalar_specs {
+            let next = weighted(spec);
+            assert!(
+                next.is_finite(),
+                "node {node}: scalar dimension {:?} weighs to {next}, coordinates must be finite",
+                spec.name
+            );
+        }
         let point = &mut self.points[node.index()];
         let mut changed = false;
         for (d, spec) in self.scalar_specs.iter().enumerate() {
-            let raw = match spec.source {
-                ScalarSource::Attr(a) => attrs.get(node, a),
-            };
-            let next = spec.weight.apply(raw);
+            let next = weighted(spec);
             let slot = &mut point.0[self.vector_dims + d];
             if slot.to_bits() != next.to_bits() {
                 *slot = next;
@@ -197,20 +208,17 @@ impl CostSpaceBuilder {
             "embedding and attribute table must cover the same nodes"
         );
         let vector_dims = embedding.dims();
-        let mut points = Vec::with_capacity(embedding.len());
-        for (i, vec_coord) in embedding.coords.iter().enumerate() {
-            let node = NodeId(i as u32);
-            let mut full = Vec::with_capacity(vector_dims + scalar_specs.len());
-            full.extend_from_slice(vec_coord);
-            for spec in &scalar_specs {
-                let raw = match spec.source {
-                    ScalarSource::Attr(a) => attrs.get(node, a),
-                };
-                full.push(spec.weight.apply(raw));
-            }
-            points.push(CostPoint::new(full));
-        }
-        CostSpace { name: name.to_string(), vector_dims, scalar_specs, points }
+        let dims = vector_dims + scalar_specs.len();
+        let unweighted = |coord: &Vec<f64>| {
+            let mut full = Vec::with_capacity(dims);
+            full.extend_from_slice(coord);
+            full.resize(dims, 0.0);
+            CostPoint::new(full)
+        };
+        let points = embedding.coords.iter().map(unweighted).collect();
+        let mut space = CostSpace { name: name.to_string(), vector_dims, scalar_specs, points };
+        space.refresh_scalars(attrs);
+        space
     }
 }
 
@@ -285,6 +293,35 @@ mod tests {
         // A clamped write that leaves the weighted value unchanged too.
         attrs.set(NodeId(0), Attr::CpuLoad, -5.0);
         assert!(!delta.update_scalars(NodeId(0), &attrs));
+    }
+
+    /// A NaN attribute (`NodeAttrs::set`'s clamp and `WeightFn::apply`'s both
+    /// propagate it) is refused before any dimension of the point is written,
+    /// naming node, dimension and value.
+    #[test]
+    fn update_scalars_rejects_a_non_finite_scalar_before_mutating() {
+        let spec = |name: &str, attr| DimensionSpec {
+            name: name.to_string(),
+            source: ScalarSource::Attr(attr),
+            weight: WeightFn::Linear { scale: 10.0 },
+        };
+        let specs = vec![spec("cpu", Attr::CpuLoad), spec("mem", Attr::MemLoad)];
+        let mut attrs = NodeAttrs::idle(3);
+        let mut s = CostSpaceBuilder::custom(&embedding3(), &attrs, specs, "cpu+mem");
+        let before = s.point(NodeId(1)).clone();
+
+        let good = attrs.clone();
+        attrs.set(NodeId(1), Attr::CpuLoad, 0.5); // a real change in the first dimension…
+        attrs.set(NodeId(1), Attr::MemLoad, f64::NAN); // …and poison in the second
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.update_scalars(NodeId(1), &attrs)
+        }))
+        .expect_err("a NaN scalar must not be stored");
+        let message = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(message.contains("node n1") && message.contains("\"mem\""), "{message}");
+        assert!(message.contains("NaN") && message.contains("finite"), "{message}");
+        assert_eq!(s.point(NodeId(1)), &before, "nothing was written");
+        assert!(!s.update_scalars(NodeId(1), &good), "and the old attributes are still a no-op");
     }
 
     #[test]

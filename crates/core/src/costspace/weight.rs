@@ -34,8 +34,11 @@ pub enum WeightFn {
 }
 
 impl WeightFn {
-    /// Applies the function. Input is clamped to `[0, 1]`; output is always
-    /// finite and non-negative, with `apply(0) == 0` (zero = ideal).
+    /// Applies the function. Input is clamped to `[0, 1]`; for a finite
+    /// `scale` (and `k > 0`) the output is finite and non-negative, with
+    /// `apply(0) == 0` (zero = ideal). A NaN `raw` survives the clamp and a
+    /// non-finite parameter the arithmetic: such a result is rejected where
+    /// it would enter a space (`CostSpace::update_scalars`).
     pub fn apply(self, raw: f64) -> f64 {
         let v = raw.clamp(0.0, 1.0);
         match self {

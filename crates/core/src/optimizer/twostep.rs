@@ -10,23 +10,19 @@
 use sbon_netsim::latency::LatencyProvider;
 use sbon_query::enumerate::dp_best_plan;
 
-use crate::circuit::Circuit;
 use crate::costspace::CostSpace;
-use crate::optimizer::{OptimizerConfig, PlacedCircuit, QuerySpec};
-use crate::placement::{
-    map_circuit, OracleMapper, PhysicalMapper, RelaxationPlacer, VirtualPlacer,
-};
+use crate::optimizer::{select_cheapest, PlacedCircuit, QuerySpec};
+use crate::placement::{OracleMapper, PhysicalMapper, RelaxationPlacer};
 
 /// Plan first on statistics alone, place second.
 #[derive(Clone, Debug, Default)]
 pub struct TwoStepOptimizer;
 
 impl TwoStepOptimizer {
-    /// Creates an optimizer. The configuration sizes a candidate space, and
-    /// this baseline has none (one statistics-only plan), so nothing of it
-    /// is read; the argument stays for symmetry with
-    /// [`crate::optimizer::IntegratedOptimizer::new`].
-    pub fn new(_config: OptimizerConfig) -> Self {
+    /// Creates an optimizer. It takes no configuration: `OptimizerConfig`
+    /// sizes a candidate space, and this baseline has none (one
+    /// statistics-only plan).
+    pub fn new() -> Self {
         TwoStepOptimizer
     }
 
@@ -53,23 +49,11 @@ impl TwoStepOptimizer {
         let (bare_plan, _stat_cost) = dp_best_plan(&query.stats, &query.join_set);
         let plan = query.apply_filters(bare_plan);
 
-        // Step 2: place that single plan.
-        let circuit =
-            Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
-        let vp = RelaxationPlacer::default().place(&circuit, space);
-        let mapped = map_circuit(&circuit, &vp, space, mapper);
-        let estimated = circuit.cost_with(&mapped.placement, |a, b| space.vector_distance(a, b));
-        let placed = PlacedCircuit {
-            plan,
-            mapping_hops: mapped.total_hops(),
-            mean_mapping_error: mapped.mean_mapping_error(),
-            placement: mapped.placement,
-            circuit,
-            cost: estimated,
-            estimated,
-            candidates_examined: 1,
-        };
-        Some(placed.measured(latency))
+        // Step 2: place that single plan — the candidate loop over one
+        // candidate, under a ceiling that never prunes.
+        let placer = RelaxationPlacer::default();
+        let only = select_cheapest(vec![plan], f64::INFINITY, query, space, &placer, mapper);
+        only.best.map(|placed| placed.measured(latency))
     }
 }
 
@@ -77,7 +61,7 @@ impl TwoStepOptimizer {
 mod tests {
     use super::*;
     use crate::costspace::CostSpaceBuilder;
-    use crate::optimizer::IntegratedOptimizer;
+    use crate::optimizer::{IntegratedOptimizer, OptimizerConfig};
     use sbon_coords::vivaldi::VivaldiEmbedding;
     use sbon_netsim::graph::NodeId;
     use sbon_netsim::latency::{EuclideanLatency, LatencyProvider};
@@ -118,8 +102,7 @@ mod tests {
             10.0,
             0.01,
         );
-        let two =
-            TwoStepOptimizer::new(OptimizerConfig::default()).optimize(&q, &space, &lat).unwrap();
+        let two = TwoStepOptimizer::new().optimize(&q, &space, &lat).unwrap();
         let int = IntegratedOptimizer::new(OptimizerConfig::default())
             .optimize(&q, &space, &lat)
             .unwrap();
@@ -140,8 +123,7 @@ mod tests {
             10.0,
             0.01,
         );
-        let two =
-            TwoStepOptimizer::new(OptimizerConfig::default()).optimize(&q, &space, &lat).unwrap();
+        let two = TwoStepOptimizer::new().optimize(&q, &space, &lat).unwrap();
         assert_eq!(two.candidates_examined, 1);
     }
 
@@ -162,8 +144,7 @@ mod tests {
             sbon_query::stream::StreamId(3),
             0.0001,
         );
-        let two =
-            TwoStepOptimizer::new(OptimizerConfig::default()).optimize(&q, &space, &lat).unwrap();
+        let two = TwoStepOptimizer::new().optimize(&q, &space, &lat).unwrap();
         assert!(
             two.plan.render().contains("(s2 ⋈ s3)") || two.plan.render().contains("(s3 ⋈ s2)"),
             "stats-best plan should join the selective pair first: {}",
@@ -175,8 +156,7 @@ mod tests {
     fn measured_cost_uses_ground_truth() {
         let (space, lat) = planted_world();
         let q = QuerySpec::join_star(&[NodeId(0), NodeId(2)], NodeId(4), 10.0, 0.01);
-        let two =
-            TwoStepOptimizer::new(OptimizerConfig::default()).optimize(&q, &space, &lat).unwrap();
+        let two = TwoStepOptimizer::new().optimize(&q, &space, &lat).unwrap();
         // Exact embedding → estimate equals measurement.
         assert!(
             (two.cost.network_usage - two.estimated.network_usage).abs()

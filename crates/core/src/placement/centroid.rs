@@ -7,9 +7,9 @@
 //! of a circuit land on the same coordinate, which is exactly why the A2
 //! ablation shows relaxation beating it on deep circuits.
 
-use crate::circuit::{Circuit, ServicePin};
+use crate::circuit::{Circuit, Service};
 use crate::costspace::CostSpace;
-use crate::placement::traits::{VirtualPlacement, VirtualPlacer};
+use crate::placement::traits::{seed_coords, VirtualPlacement, VirtualPlacer};
 
 /// One-shot rate-weighted centroid placer.
 #[derive(Clone, Copy, Debug, Default)]
@@ -17,44 +17,16 @@ pub struct CentroidPlacer;
 
 impl VirtualPlacer for CentroidPlacer {
     fn place(&self, circuit: &Circuit, space: &CostSpace) -> VirtualPlacement {
-        let vd = space.vector_dims();
-        // Rate-weighted centroid of pinned services; a pinned service's
-        // weight is its output rate (producers) or, for the consumer (rate
-        // 0), the rate it receives.
-        let mut acc = vec![0.0; vd];
-        let mut total = 0.0;
-        for s in circuit.services() {
-            if let ServicePin::Pinned(n) = s.pin {
-                let w = if s.output_rate > 0.0 {
-                    s.output_rate
-                } else {
-                    // Consumer: weight by inbound rate so the sink pulls too.
-                    circuit.links().iter().filter(|l| l.to == s.id).map(|l| l.rate).sum::<f64>()
-                };
-                if w <= 0.0 {
-                    continue;
-                }
-                total += w;
-                for (a, c) in acc.iter_mut().zip(space.point(n).vector_part(vd)) {
-                    *a += w * c;
-                }
+        // A pinned service's weight is its output rate (producers) or, for
+        // the consumer (rate 0), the rate it receives, so the sink pulls too.
+        let weight = |s: &Service| {
+            if s.output_rate > 0.0 {
+                s.output_rate
+            } else {
+                circuit.links().iter().filter(|l| l.to == s.id).map(|l| l.rate).sum::<f64>()
             }
-        }
-        if total > 0.0 {
-            for a in acc.iter_mut() {
-                *a /= total;
-            }
-        }
-
-        let coords = circuit
-            .services()
-            .iter()
-            .map(|s| match s.pin {
-                ServicePin::Pinned(n) => space.point(n).vector_part(vd).to_vec(),
-                ServicePin::Unpinned => acc.clone(),
-            })
-            .collect();
-        VirtualPlacement::new(coords)
+        };
+        VirtualPlacement::new(seed_coords(circuit, space, weight))
     }
 
     fn name(&self) -> &'static str {

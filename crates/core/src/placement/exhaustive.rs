@@ -20,60 +20,46 @@ use crate::circuit::{Circuit, Placement, ServiceId, ServicePin};
 /// services. Pinned services stay put. Returns the placement and its
 /// optimal network usage.
 ///
-/// Panics if `hosts` is empty or the circuit is not a tree (shared
-/// children). [`Circuit::from_plan`] always builds trees.
+/// Panics if `hosts` is empty. The circuit must be a tree, which
+/// [`Circuit::from_plan`] always builds.
 pub fn optimal_tree_placement(
     circuit: &Circuit,
     hosts: &[NodeId],
     mut dist: impl FnMut(NodeId, NodeId) -> f64,
 ) -> (Placement, f64) {
     assert!(!hosts.is_empty(), "need at least one candidate host");
-    let root = circuit.root();
 
-    // Candidate set per service: the pin for pinned services, `hosts`
-    // otherwise.
-    let candidates = |sid: ServiceId| -> Vec<NodeId> {
-        match circuit.service(sid).pin {
-            ServicePin::Pinned(n) => vec![n],
-            ServicePin::Unpinned => hosts.to_vec(),
-        }
-    };
-
-    // Post-order DP: best[sid][ci] = minimal cost of the subtree rooted at
-    // sid when sid is hosted at candidates(sid)[ci], counting the links
-    // below sid (not sid's own uplink).
+    /// One service's row of the DP.
     struct Dp {
-        /// Per candidate host: (subtree cost, chosen child candidate indices).
+        /// Per candidate host: (minimal cost of the links below this service
+        /// — not its own uplink — when it is hosted there, the candidate
+        /// index that choice gives each child).
         table: Vec<(f64, Vec<usize>)>,
+        /// The pin for a pinned service, `hosts` otherwise.
         cands: Vec<NodeId>,
         children: Vec<ServiceId>,
     }
 
-    fn solve(
-        circuit: &Circuit,
-        sid: ServiceId,
-        candidates: &impl Fn(ServiceId) -> Vec<NodeId>,
-        dist: &mut impl FnMut(NodeId, NodeId) -> f64,
-        out: &mut std::collections::BTreeMap<ServiceId, Dp>,
-    ) {
-        let children = circuit.children(sid);
-        for &c in &children {
-            solve(circuit, c, candidates, dist, out);
-        }
-        let cands = candidates(sid);
+    // Children-first numbering (see `Circuit`): in id order a service's
+    // children are solved before it, so `dp` is indexed by service.
+    let mut dp: Vec<Dp> = Vec::with_capacity(circuit.len());
+    for s in circuit.services() {
+        let children = circuit.children(s.id);
+        let cands = match s.pin {
+            ServicePin::Pinned(n) => vec![n],
+            ServicePin::Unpinned => hosts.to_vec(),
+        };
         let mut table = Vec::with_capacity(cands.len());
-        // Rate of each child's uplink.
-        let child_rates: Vec<f64> =
-            children.iter().map(|&c| circuit.service(c).output_rate).collect();
         for &host in &cands {
             let mut cost = 0.0;
             let mut picks = Vec::with_capacity(children.len());
-            for (k, &child) in children.iter().enumerate() {
-                let cdp = &out[&child];
+            for &child in &children {
+                let cdp = &dp[child.index()];
+                let uplink_rate = circuit.service(child).output_rate;
                 let mut best = f64::INFINITY;
                 let mut best_i = 0;
                 for (i, &cn) in cdp.cands.iter().enumerate() {
-                    let total = cdp.table[i].0 + child_rates[k] * dist(cn, host);
+                    let total = cdp.table[i].0 + uplink_rate * dist(cn, host);
                     if total < best {
                         best = total;
                         best_i = i;
@@ -84,39 +70,24 @@ pub fn optimal_tree_placement(
             }
             table.push((cost, picks));
         }
-        out.insert(sid, Dp { table, cands, children });
+        dp.push(Dp { table, cands, children });
     }
 
-    let mut dp = std::collections::BTreeMap::new();
-    solve(circuit, root, &candidates, &mut dist, &mut dp);
-
-    // Root: pick its best candidate, then back-trace.
-    let root_dp = &dp[&root];
-    let (best_i, _) = root_dp
-        .table
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
-        .map(|(i, t)| (i, t.0))
-        .expect("root has at least one candidate");
-    let best_cost = root_dp.table[best_i].0;
-
+    // The consumer picks its best candidate; descending ids hand each choice
+    // down to the children.
+    let root = circuit.root().index();
+    let root_costs = dp[root].table.iter().map(|t| t.0).enumerate();
+    let (best_i, best_cost) =
+        root_costs.min_by(|a, b| a.1.total_cmp(&b.1)).expect("root has at least one candidate");
+    let mut choice = vec![0; circuit.len()];
+    choice[root] = best_i;
     let mut nodes = vec![NodeId(0); circuit.len()];
-    fn assign(
-        dp: &std::collections::BTreeMap<ServiceId, Dp>,
-        sid: ServiceId,
-        choice: usize,
-        nodes: &mut [NodeId],
-    ) {
-        let d = &dp[&sid];
-        nodes[sid.index()] = d.cands[choice];
-        for (k, &child) in d.children.iter().enumerate() {
-            let child_choice = d.table[choice].1[k];
-            assign(dp, child, child_choice, nodes);
+    for (sid, d) in dp.iter().enumerate().rev() {
+        nodes[sid] = d.cands[choice[sid]];
+        for (&child, &pick) in d.children.iter().zip(&d.table[choice[sid]].1) {
+            choice[child.index()] = pick;
         }
     }
-    assign(&dp, root, best_i, &mut nodes);
-
     (Placement::new(circuit, nodes), best_cost)
 }
 

@@ -10,9 +10,10 @@
 //! small epsilon guards it anyway).
 
 use crate::circuit::Circuit;
+use crate::costspace::euclidean;
 use crate::costspace::CostSpace;
-use crate::placement::relaxation::{RelaxationConfig, RelaxationPlacer};
-use crate::placement::traits::{euclidean, VirtualPlacement, VirtualPlacer};
+use crate::placement::relaxation::RelaxationPlacer;
+use crate::placement::traits::{sweep, VirtualPlacement, VirtualPlacer};
 
 /// Tunables for [`GradientPlacer`].
 #[derive(Clone, Copy, Debug)]
@@ -48,45 +49,12 @@ impl GradientPlacer {
 impl VirtualPlacer for GradientPlacer {
     fn place(&self, circuit: &Circuit, space: &CostSpace) -> VirtualPlacement {
         // Warm start from the spring solution.
-        let warm = RelaxationPlacer::new(RelaxationConfig::default()).place(circuit, space);
-        let mut coords: Vec<Vec<f64>> = (0..circuit.len())
-            .map(|i| warm.coord_of(crate::circuit::ServiceId(i as u32)).to_vec())
-            .collect();
-        let unpinned = circuit.unpinned_services();
-        if unpinned.is_empty() {
-            return VirtualPlacement::new(coords);
-        }
-
-        for _ in 0..self.config.max_iters {
-            let mut max_move: f64 = 0.0;
-            for &sid in &unpinned {
-                let incident = circuit.incident(sid);
-                let here = coords[sid.index()].clone();
-                let mut weight_sum = 0.0;
-                let mut target = vec![0.0; space.vector_dims()];
-                for (other, rate) in incident {
-                    let d = euclidean(&here, &coords[other.index()]).max(self.config.epsilon);
-                    // Weiszfeld weight: rate / distance.
-                    let w = rate / d;
-                    weight_sum += w;
-                    for (t, c) in target.iter_mut().zip(&coords[other.index()]) {
-                        *t += w * c;
-                    }
-                }
-                if weight_sum <= 0.0 {
-                    continue;
-                }
-                for t in target.iter_mut() {
-                    *t /= weight_sum;
-                }
-                let moved = euclidean(&here, &target);
-                max_move = max_move.max(moved);
-                coords[sid.index()] = target;
-            }
-            if max_move < self.config.tolerance {
-                break;
-            }
-        }
+        let mut coords = RelaxationPlacer::default().place(circuit, space).coords;
+        let GradientConfig { max_iters, tolerance, epsilon } = self.config;
+        // Weiszfeld weight: rate / distance.
+        let weight =
+            |rate: f64, here: &[f64], there: &[f64]| rate / euclidean(here, there).max(epsilon);
+        sweep(circuit, &mut coords, max_iters, tolerance, weight);
         VirtualPlacement::new(coords)
     }
 

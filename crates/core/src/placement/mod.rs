@@ -16,6 +16,27 @@
 //! runtime's default; the `O(n)` oracle scans survive as verification
 //! backends. See [`mapping`](self) and the `costspace` module docs for the
 //! contract details.
+//!
+//! # Who owns what
+//!
+//! Evaluating a candidate is build → place → map → cost; each step's
+//! behaviour is spelled once:
+//!
+//! * **distance** — `costspace::euclidean`, behind `CostPoint`'s
+//!   `full_distance` / `vector_distance` and every placer.
+//! * **seed** — `traits::seed_coords`: pinned services at their hosts,
+//!   unpinned at a weighted centroid of the pinned. [`CentroidPlacer`] is
+//!   that seed under rate weights; relaxation starts from it unweighted.
+//! * **sweep** — `traits::sweep`, the one Gauss–Seidel loop (adjacency built
+//!   once, no allocation inside a sweep): [`RelaxationPlacer`] weighs a link
+//!   by its rate, [`GradientPlacer`] by `rate / distance`, warm-started.
+//! * **link pass** — [`Circuit::cost_with`](crate::circuit::Circuit::cost_with):
+//!   usage, stretch and longest path in one walk, `dist` read once per link,
+//!   on the numbering invariant [`Circuit`](crate::circuit::Circuit) states
+//!   ([`optimal_tree_placement`] rests on it too).
+//! * **candidate body** — `optimizer::select_cheapest`: bound, place,
+//!   [`map_circuit`], estimate, keep the cheapest — for deploy, the two-step
+//!   baseline (one candidate) and both plan-replacing re-opt passes.
 
 mod centroid;
 mod exhaustive;

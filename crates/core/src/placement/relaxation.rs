@@ -17,7 +17,7 @@
 
 use crate::circuit::Circuit;
 use crate::costspace::CostSpace;
-use crate::placement::traits::{seed_coords, VirtualPlacement, VirtualPlacer};
+use crate::placement::traits::{seed_coords, sweep, VirtualPlacement, VirtualPlacer};
 
 /// Tunables for [`RelaxationPlacer`].
 #[derive(Clone, Copy, Debug)]
@@ -50,39 +50,9 @@ impl RelaxationPlacer {
     /// Runs the relaxation and additionally reports the number of sweeps
     /// used (for the A2 ablation).
     pub fn place_counted(&self, circuit: &Circuit, space: &CostSpace) -> (VirtualPlacement, usize) {
-        let mut coords = seed_coords(circuit, space);
-        let unpinned = circuit.unpinned_services();
-        if unpinned.is_empty() {
-            return (VirtualPlacement::new(coords), 0);
-        }
-        let mut sweeps = 0;
-        for _ in 0..self.config.max_iters {
-            sweeps += 1;
-            let mut max_move: f64 = 0.0;
-            for &sid in &unpinned {
-                let incident = circuit.incident(sid);
-                let mut weight_sum = 0.0;
-                let mut target = vec![0.0; space.vector_dims()];
-                for (other, rate) in incident {
-                    weight_sum += rate;
-                    for (t, c) in target.iter_mut().zip(&coords[other.index()]) {
-                        *t += rate * c;
-                    }
-                }
-                if weight_sum <= 0.0 {
-                    continue; // isolated service: leave at seed
-                }
-                for t in target.iter_mut() {
-                    *t /= weight_sum;
-                }
-                let moved = super::traits::euclidean(&coords[sid.index()], &target);
-                max_move = max_move.max(moved);
-                coords[sid.index()] = target;
-            }
-            if max_move < self.config.tolerance {
-                break;
-            }
-        }
+        let mut coords = seed_coords(circuit, space, |_| 1.0);
+        let RelaxationConfig { max_iters, tolerance } = self.config;
+        let sweeps = sweep(circuit, &mut coords, max_iters, tolerance, |rate, _, _| rate);
         (VirtualPlacement::new(coords), sweeps)
     }
 }
@@ -152,7 +122,7 @@ mod tests {
         let circuit = join_circuit(30.0, 10.0);
         let space = space_line();
         let placer = RelaxationPlacer::default();
-        let seeded = VirtualPlacement::new(super::super::traits::seed_coords(&circuit, &space));
+        let seeded = VirtualPlacement::new(seed_coords(&circuit, &space, |_| 1.0));
         let relaxed = placer.place(&circuit, &space);
         assert!(relaxed.spring_energy(&circuit) <= seeded.spring_energy(&circuit) + 1e-9);
     }
@@ -198,7 +168,7 @@ mod tests {
         );
         let circuit = Circuit::from_plan(&plan, &stats, |s| NodeId(s.0), NodeId(3));
         let placer = RelaxationPlacer::default();
-        let seeded = VirtualPlacement::new(super::super::traits::seed_coords(&circuit, &space));
+        let seeded = VirtualPlacement::new(seed_coords(&circuit, &space, |_| 1.0));
         let relaxed = placer.place(&circuit, &space);
         assert!(relaxed.virtual_cost(&circuit) < seeded.virtual_cost(&circuit));
         let unpinned = circuit.unpinned_services();

@@ -1,7 +1,7 @@
 //! Virtual-placement interface.
 
-use crate::circuit::{Circuit, ServiceId, ServicePin};
-use crate::costspace::CostSpace;
+use crate::circuit::{Circuit, Link, Service, ServiceId, ServicePin};
+use crate::costspace::{euclidean, CostSpace};
 
 /// The result of virtual placement: an ideal *vector-dimension* coordinate
 /// for every service. Pinned services sit at their host's coordinate;
@@ -9,7 +9,7 @@ use crate::costspace::CostSpace;
 #[derive(Clone, Debug, PartialEq)]
 pub struct VirtualPlacement {
     /// `coords[service.index()]` = vector coordinate.
-    coords: Vec<Vec<f64>>,
+    pub(super) coords: Vec<Vec<f64>>,
 }
 
 impl VirtualPlacement {
@@ -37,15 +37,7 @@ impl VirtualPlacement {
     /// the ideal coordinates — the network-usage objective, evaluated on
     /// ideal coordinates before any mapping error enters.
     pub fn virtual_cost(&self, circuit: &Circuit) -> f64 {
-        circuit
-            .links()
-            .iter()
-            .map(|l| {
-                let a = self.coord_of(l.from);
-                let b = self.coord_of(l.to);
-                l.rate * euclidean(a, b)
-            })
-            .sum()
+        self.link_sum(circuit, |rate, d| rate * d)
     }
 
     /// The spring potential energy `½ Σ rate × distance²` — the smooth
@@ -54,61 +46,104 @@ impl VirtualPlacement {
     /// this convex quadratic). The linear [`Self::virtual_cost`] usually
     /// improves too, but only the energy is guaranteed to.
     pub fn spring_energy(&self, circuit: &Circuit) -> f64 {
-        circuit
-            .links()
-            .iter()
-            .map(|l| {
-                let a = self.coord_of(l.from);
-                let b = self.coord_of(l.to);
-                let d = euclidean(a, b);
-                0.5 * l.rate * d * d
-            })
-            .sum()
+        self.link_sum(circuit, |rate, d| 0.5 * rate * d * d)
+    }
+
+    /// Σ over links of `term(rate, distance between the ends' coordinates)`.
+    fn link_sum(&self, circuit: &Circuit, term: impl Fn(f64, f64) -> f64) -> f64 {
+        let length = |l: &Link| euclidean(self.coord_of(l.from), self.coord_of(l.to));
+        circuit.links().iter().map(|l| term(l.rate, length(l))).sum()
     }
 }
 
-/// Euclidean distance helper shared by the placers.
-pub(crate) fn euclidean(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
-}
-
-/// Pinned services' vector coordinates; the starting point every placer
-/// shares.
-pub(crate) fn seed_coords(circuit: &Circuit, space: &CostSpace) -> Vec<Vec<f64>> {
+/// The starting point every placer shares: pinned services at their hosts'
+/// vector coordinates, unpinned ones at the `weight`ed centroid of the pinned
+/// (a pinned service of weight ≤ 0 pulls nothing; the origin if none does,
+/// which [`crate::circuit::Circuit::from_plan`] never produces).
+pub(crate) fn seed_coords(
+    circuit: &Circuit,
+    space: &CostSpace,
+    weight: impl Fn(&Service) -> f64,
+) -> Vec<Vec<f64>> {
     let vd = space.vector_dims();
-    let pinned_mean = pinned_centroid(circuit, space);
+    let mut centroid = vec![0.0; vd];
+    let mut total = 0.0;
+    for s in circuit.services() {
+        let ServicePin::Pinned(n) = s.pin else { continue };
+        let w = weight(s);
+        if w <= 0.0 {
+            continue;
+        }
+        total += w;
+        for (a, c) in centroid.iter_mut().zip(space.point(n).vector_part(vd)) {
+            *a += w * c;
+        }
+    }
+    if total > 0.0 {
+        for a in centroid.iter_mut() {
+            *a /= total;
+        }
+    }
     circuit
         .services()
         .iter()
         .map(|s| match s.pin {
             ServicePin::Pinned(n) => space.point(n).vector_part(vd).to_vec(),
-            ServicePin::Unpinned => pinned_mean.clone(),
+            ServicePin::Unpinned => centroid.clone(),
         })
         .collect()
 }
 
-/// Unweighted centroid of the pinned services' vector coordinates (origin
-/// if none are pinned, which [`crate::circuit::Circuit::from_plan`] never
-/// produces).
-pub(crate) fn pinned_centroid(circuit: &Circuit, space: &CostSpace) -> Vec<f64> {
-    let vd = space.vector_dims();
-    let mut acc = vec![0.0; vd];
-    let mut count = 0usize;
-    for s in circuit.services() {
-        if let ServicePin::Pinned(n) = s.pin {
-            for (a, c) in acc.iter_mut().zip(space.point(n).vector_part(vd)) {
-                *a += c;
+/// The one Gauss–Seidel loop: sweep the unpinned services in id order, moving
+/// each to the weighted mean of its link neighbours' *current* coordinates,
+/// until a sweep moves nothing as far as `tolerance` or `max_iters` sweeps
+/// have run. `weight(rate, here, there)` is what a link of that rate to a
+/// neighbour at `there` pulls with on a service at `here`: the rate itself
+/// for springs, `rate / distance` for a Weiszfeld step. A service whose
+/// weights sum to ≤ 0 stays where it is. Returns the sweeps run (0 for a
+/// fully pinned circuit).
+pub(crate) fn sweep(
+    circuit: &Circuit,
+    coords: &mut [Vec<f64>],
+    max_iters: usize,
+    tolerance: f64,
+    weight: impl Fn(f64, &[f64], &[f64]) -> f64,
+) -> usize {
+    let adjacency: Vec<(usize, Vec<(ServiceId, f64)>)> = circuit
+        .unpinned_services()
+        .into_iter()
+        .map(|sid| (sid.index(), circuit.incident(sid)))
+        .collect();
+    let mut target = vec![0.0; coords[0].len()];
+    let mut sweeps = 0;
+    while sweeps < max_iters && !adjacency.is_empty() {
+        sweeps += 1;
+        let mut max_move: f64 = 0.0;
+        for (me, incident) in &adjacency {
+            let mut weight_sum = 0.0;
+            target.fill(0.0);
+            for &(other, rate) in incident {
+                let there = &coords[other.index()];
+                let w = weight(rate, &coords[*me], there);
+                weight_sum += w;
+                for (t, c) in target.iter_mut().zip(there) {
+                    *t += w * c;
+                }
             }
-            count += 1;
+            if weight_sum <= 0.0 {
+                continue;
+            }
+            for t in target.iter_mut() {
+                *t /= weight_sum;
+            }
+            max_move = max_move.max(euclidean(&coords[*me], &target));
+            coords[*me].copy_from_slice(&target);
+        }
+        if max_move < tolerance {
+            break;
         }
     }
-    if count > 0 {
-        for a in acc.iter_mut() {
-            *a /= count as f64;
-        }
-    }
-    acc
+    sweeps
 }
 
 /// A virtual-placement algorithm.
@@ -146,7 +181,7 @@ mod tests {
     #[test]
     fn seed_puts_pinned_at_their_nodes() {
         let (circuit, space) = fixture();
-        let coords = seed_coords(&circuit, &space);
+        let coords = seed_coords(&circuit, &space, |_| 1.0);
         assert_eq!(coords[0], vec![0.0, 0.0]); // producer 0 at node 0
         assert_eq!(coords[1], vec![10.0, 0.0]); // producer 1 at node 1
         assert_eq!(coords[3], vec![5.0, 10.0]); // consumer at node 2
@@ -158,11 +193,11 @@ mod tests {
     #[test]
     fn virtual_cost_is_rate_weighted_distance() {
         let (circuit, space) = fixture();
-        let vp = VirtualPlacement::new(seed_coords(&circuit, &space));
+        let vp = VirtualPlacement::new(seed_coords(&circuit, &space, |_| 1.0));
         let cost = vp.virtual_cost(&circuit);
         assert!(cost > 0.0);
         // Moving the join on top of producer 0 changes the cost.
-        let mut coords = seed_coords(&circuit, &space);
+        let mut coords = seed_coords(&circuit, &space, |_| 1.0);
         coords[2] = vec![0.0, 0.0];
         let vp2 = VirtualPlacement::new(coords);
         assert_ne!(vp2.virtual_cost(&circuit), cost);

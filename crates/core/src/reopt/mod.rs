@@ -50,7 +50,7 @@ pub mod relevance;
 
 use sbon_query::plan::LogicalPlan;
 
-use crate::circuit::{Circuit, Placement, ServiceId, ServicePin};
+use crate::circuit::{Circuit, Placement, ServiceId};
 use crate::costspace::CostSpace;
 use crate::optimizer::{
     select_cheapest, IntegratedOptimizer, PlacedCircuit, QuerySpec, BOUND_SLACK,
@@ -103,12 +103,10 @@ pub fn reoptimize_local(
     let estimate =
         |p: &Placement| circuit.cost_with(p, |a, b| space.vector_distance(a, b)).network_usage;
     let mut migrations = Vec::new();
+    let mut standing = None;
 
     let vp = placer.place(circuit, space);
-    for s in circuit.services() {
-        if !matches!(s.pin, ServicePin::Unpinned) {
-            continue;
-        }
+    for s in circuit.services().iter().filter(|s| s.is_unpinned()) {
         let ideal = space.ideal_point(vp.coord_of(s.id));
         let (candidate, _hops) = mapper.map_point(space, &ideal);
         let current = placement.node_of(s.id);
@@ -116,11 +114,14 @@ pub fn reoptimize_local(
             continue;
         }
         // Trial move; keep it only if the improvement clears the threshold.
-        let before = estimate(placement);
+        // The estimate it must beat is costed once and then carried: a
+        // revert restores it, an accepted move's estimate succeeds it.
+        let before = *standing.get_or_insert_with(|| estimate(placement));
         placement.move_service(s.id, candidate);
         let after = estimate(placement);
         if after < before * (1.0 - policy.migration_threshold) {
             migrations.push(Migration { service: s.id, from: current, to: candidate });
+            standing = Some(after);
         } else {
             placement.move_service(s.id, current); // revert
         }

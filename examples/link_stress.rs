@@ -65,9 +65,7 @@ fn main() {
                     .optimize(q, &space, &latency)
                     .expect("optimizes")
             } else {
-                TwoStepOptimizer::new(OptimizerConfig::default())
-                    .optimize(q, &space, &latency)
-                    .expect("optimizes")
+                TwoStepOptimizer::new().optimize(q, &space, &latency).expect("optimizes")
             };
             traffic.charge_circuit(&topo, &placed.circuit, &placed.placement);
             usage += placed.cost.network_usage;

@@ -55,9 +55,8 @@ fn main() {
     println!("worst path:       {:.1} ms", placed.cost.max_path_latency);
 
     // 5. Compare with the classic two-step optimizer.
-    let two_step = TwoStepOptimizer::new(OptimizerConfig::default())
-        .optimize(&query, &space, &latency)
-        .expect("optimization succeeds");
+    let two_step =
+        TwoStepOptimizer::new().optimize(&query, &space, &latency).expect("optimization succeeds");
     println!("\ntwo-step plan:    {}", two_step.plan);
     println!("two-step usage:   {:.1}", two_step.cost.network_usage);
     println!(

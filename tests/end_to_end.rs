@@ -38,9 +38,7 @@ fn integrated_dominates_two_step_on_its_selection_metric() {
         let int = IntegratedOptimizer::new(OptimizerConfig::default())
             .optimize(&q, &space, &latency)
             .unwrap();
-        let two = TwoStepOptimizer::new(OptimizerConfig::default())
-            .optimize(&q, &space, &latency)
-            .unwrap();
+        let two = TwoStepOptimizer::new().optimize(&q, &space, &latency).unwrap();
         // The two-step plan is within the integrated candidate set, placed
         // by the same pipeline, so the integrated estimate can never lose.
         assert!(
@@ -62,9 +60,7 @@ fn integrated_usually_beats_two_step_on_measured_usage() {
         let int = IntegratedOptimizer::new(OptimizerConfig::default())
             .optimize(&q, &space, &latency)
             .unwrap();
-        let two = TwoStepOptimizer::new(OptimizerConfig::default())
-            .optimize(&q, &space, &latency)
-            .unwrap();
+        let two = TwoStepOptimizer::new().optimize(&q, &space, &latency).unwrap();
         if int.cost.network_usage <= two.cost.network_usage + 1e-9 {
             wins += 1;
         }

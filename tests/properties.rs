@@ -160,7 +160,7 @@ proptest! {
         );
         let int = IntegratedOptimizer::new(OptimizerConfig::default())
             .optimize(&q, &space, &lat).unwrap();
-        let two = TwoStepOptimizer::new(OptimizerConfig::default())
+        let two = TwoStepOptimizer::new()
             .optimize(&q, &space, &lat).unwrap();
         prop_assert!(int.cost.network_usage <= two.cost.network_usage + 1e-6);
     }

@@ -89,12 +89,24 @@ pub(crate) fn settle(
 /// Unreachable nodes get `f64::INFINITY`.
 pub fn single_source(graph: &Graph, src: NodeId) -> Vec<f64> {
     let n = graph.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut heap = BinaryHeap::with_capacity(n);
+    let mut dist = vec![0.0; n];
+    fill_single_source(graph, src, &mut dist, &mut BinaryHeap::with_capacity(n));
+    dist
+}
+
+/// [`single_source`] into a row the caller owns: overwrites all of `dist`
+/// through `heap` (empty on entry and on return). Row repair rebuilds a
+/// cached row in place with it.
+pub(crate) fn fill_single_source(
+    graph: &Graph,
+    src: NodeId,
+    dist: &mut [f64],
+    heap: &mut BinaryHeap<HeapEntry>,
+) {
+    dist.fill(f64::INFINITY);
     dist[src.index()] = 0.0;
     heap.push(HeapEntry { dist: 0.0, node: src });
-    settle(graph, &mut dist, &mut heap, None, |_, w| w, |_| true, |_, _, _| {});
-    dist
+    settle(graph, dist, heap, None, |_, w| w, |_| true, |_, _, _| {});
 }
 
 /// Shortest path from `src` to `dst` as the edges it walks, in order from
@@ -131,12 +143,7 @@ pub fn shortest_path(graph: &Graph, src: NodeId, dst: NodeId) -> Option<Vec<Edge
 /// O(n · (m log n)); fine for the paper's 600-node scale and the ≤2000-node
 /// sweeps in the bench harness.
 pub fn all_pairs_latency(graph: &Graph) -> LatencyMatrix {
-    let n = graph.num_nodes();
-    let mut rows = Vec::with_capacity(n);
-    for v in graph.nodes() {
-        rows.push(single_source(graph, v));
-    }
-    LatencyMatrix::from_rows(rows)
+    LatencyMatrix::from_rows(graph.nodes().map(|v| single_source(graph, v)).collect())
 }
 
 #[cfg(test)]

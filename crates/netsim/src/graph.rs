@@ -1,9 +1,19 @@
 //! Compact weighted undirected graph.
 //!
 //! Nodes are dense `u32` indices so the all-pairs latency matrix and the
-//! per-node attribute tables in [`crate::load`] can be plain vectors.
+//! per-node attribute tables in [`crate::load`] can be plain vectors. A
+//! graph owns its node count and edge table (16 B an edge), all an
+//! unsearched graph holds. The adjacency is derived: a CSR built by
+//! counting sort on the first [`Graph::neighbors`] call (once, even from a
+//! pool), dropped by `add_node` / `add_edge`. Vertex `v`'s slots,
+//! `slots[offsets[v]..offsets[v + 1]]`, are 16 B `(neighbour, edge,
+//! weight)`, one per edge end, in edge-id order — the push-built lists'
+//! order, so equal-cost ties and the edges `shortest_path` walks are
+//! unchanged. Searched: 48 B an edge + 4 B a node. Ids and offsets are
+//! `u32`; a count past that panics before anything is mutated.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a physical node in the simulated network.
 ///
@@ -61,7 +71,58 @@ pub struct Edge {
     pub latency_ms: f64,
 }
 
-/// A weighted undirected graph stored in adjacency-list form.
+/// One edge end as its vertex sees it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Slot {
+    to: u32,
+    edge: u32,
+    w: f64,
+}
+
+/// The derived adjacency (module docs).
+#[derive(Clone, Debug, PartialEq)]
+struct Csr {
+    offsets: Vec<u32>,
+    slots: Vec<Slot>,
+}
+
+impl Csr {
+    /// Counting sort of the edge ends by vertex, each run in edge-id order.
+    fn build(nodes: usize, edges: &[Edge]) -> Csr {
+        let mut offsets = vec![0u32; nodes + 1];
+        for e in edges {
+            offsets[e.a.index() + 1] += 1;
+            offsets[e.b.index() + 1] += 1;
+        }
+        for v in 0..nodes {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut next = offsets.clone();
+        let mut slots = vec![Slot { to: 0, edge: 0, w: 0.0 }; 2 * edges.len()];
+        for (id, e) in edges.iter().enumerate() {
+            for (at, to) in [(e.a, e.b), (e.b, e.a)] {
+                let slot = &mut next[at.index()];
+                slots[*slot as usize] = Slot { to: to.0, edge: id as u32, w: e.latency_ms };
+                *slot += 1;
+            }
+        }
+        Csr { offsets, slots }
+    }
+
+    #[inline]
+    fn run(&self, v: NodeId) -> std::ops::Range<usize> {
+        self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize
+    }
+}
+
+/// Panics, naming the count, unless `count` items of `width` `u32` ids or
+/// offsets each still fit a `u32`, where an `as` cast would wrap.
+fn assert_fits_u32(count: usize, width: usize, what: &str) {
+    let fits = u32::try_from(count.saturating_mul(width)).is_ok();
+    assert!(fits, "{count} {what} overflow the graph's u32 ids and offsets");
+}
+
+/// A weighted undirected graph: an edge table and its derived adjacency.
 ///
 /// ```
 /// use sbon_netsim::graph::Graph;
@@ -75,21 +136,25 @@ pub struct Edge {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Graph {
+    nodes: u32,
     edges: Vec<Edge>,
-    /// adjacency[v] = list of (neighbor, edge id)
-    adjacency: Vec<Vec<(NodeId, EdgeId)>>,
+    csr: OnceLock<Csr>,
+    /// Times `csr` was derived (shared with clones): what the tests count.
+    #[cfg(test)]
+    pub(crate) csr_builds: std::sync::Arc<std::sync::atomic::AtomicUsize>,
 }
 
 impl Graph {
     /// Creates a graph with `n` isolated nodes.
     pub fn new(n: usize) -> Self {
-        Graph { edges: Vec::new(), adjacency: vec![Vec::new(); n] }
+        assert_fits_u32(n, 1, "nodes");
+        Graph { nodes: n as u32, ..Graph::default() }
     }
 
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.adjacency.len()
+        self.nodes as usize
     }
 
     /// Number of undirected edges.
@@ -100,7 +165,7 @@ impl Graph {
 
     /// All node ids, in order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.adjacency.len() as u32).map(NodeId)
+        (0..self.nodes).map(NodeId)
     }
 
     /// The edge table.
@@ -111,9 +176,10 @@ impl Graph {
 
     /// Appends a new isolated node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.adjacency.len() as u32);
-        self.adjacency.push(Vec::new());
-        id
+        assert_fits_u32(self.num_nodes() + 1, 1, "nodes");
+        self.csr = OnceLock::new();
+        self.nodes += 1;
+        NodeId(self.nodes - 1)
     }
 
     /// Adds an undirected edge. Panics if an endpoint is out of range, the
@@ -125,11 +191,10 @@ impl Graph {
             latency_ms.is_finite() && latency_ms >= 0.0,
             "edge latency must be finite and non-negative, got {latency_ms}"
         );
-        let id = EdgeId(self.edges.len() as u32);
+        assert_fits_u32(self.edges.len() + 1, 2, "edges");
+        self.csr = OnceLock::new();
         self.edges.push(Edge { a, b, latency_ms });
-        self.adjacency[a.index()].push((b, id));
-        self.adjacency[b.index()].push((a, id));
-        id
+        EdgeId(self.edges.len() as u32 - 1)
     }
 
     /// The edge with the given id. Panics if `id` is out of range.
@@ -143,49 +208,66 @@ impl Graph {
     /// finite or is negative — the same contract as [`Graph::add_edge`].
     ///
     /// This is the mutation hook used by churn/jitter processes that perturb
-    /// the underlay over time; consumers holding derived state (such as
-    /// cached shortest-path rows) must be invalidated by the caller.
+    /// the underlay over time, and the one weight writer: a derived
+    /// adjacency has both of the edge's slots rewritten, so nothing the
+    /// graph holds goes stale ([`crate::lazy`] logs the change for its rows).
     pub fn set_edge_latency(&mut self, id: EdgeId, latency_ms: f64) -> f64 {
         assert!(
             latency_ms.is_finite() && latency_ms >= 0.0,
             "edge latency must be finite and non-negative, got {latency_ms}"
         );
-        let old = self.edges[id.index()].latency_ms;
-        self.edges[id.index()].latency_ms = latency_ms;
-        old
+        let edge = &mut self.edges[id.index()];
+        if let Some(csr) = self.csr.get_mut() {
+            for v in [edge.a, edge.b] {
+                let run = csr.run(v);
+                csr.slots[run].iter_mut().filter(|s| s.edge == id.0).for_each(|s| s.w = latency_ms);
+            }
+        }
+        std::mem::replace(&mut edge.latency_ms, latency_ms)
     }
 
     /// Neighbors of `v` with the connecting edge's id and current latency —
     /// the one adjacency accessor: every shortest-path relaxation reads the
     /// graph through it ([`crate::dijkstra`]), and the edge id lets repair
     /// look up *historical* weights and path reconstruction name the edge
-    /// it walked.
+    /// it walked. The first call derives the adjacency.
+    #[inline]
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, f64)> + '_ {
-        self.adjacency[v.index()]
-            .iter()
-            .map(move |&(n, e)| (n, e, self.edges[e.index()].latency_ms))
+        let csr = self.csr.get_or_init(|| {
+            #[cfg(test)]
+            self.csr_builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Csr::build(self.num_nodes(), &self.edges)
+        });
+        csr.slots[csr.run(v)].iter().map(|s| (NodeId(s.to), EdgeId(s.edge), s.w))
     }
 
     /// Returns true if every node can reach every other node.
     pub fn is_connected(&self) -> bool {
-        let n = self.num_nodes();
-        if n == 0 {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![NodeId(0)];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(v) = stack.pop() {
-            for &(u, _) in &self.adjacency[v.index()] {
-                if !seen[u.index()] {
-                    seen[u.index()] = true;
-                    count += 1;
-                    stack.push(u);
+        self.component_labels().iter().all(|&c| c == 0)
+    }
+
+    /// Connected-component label of every node, numbered in order of each
+    /// component's smallest node.
+    pub(crate) fn component_labels(&self) -> Vec<usize> {
+        let mut label = vec![usize::MAX; self.num_nodes()];
+        let mut next = 0;
+        for start in self.nodes() {
+            if label[start.index()] != usize::MAX {
+                continue;
+            }
+            let mut stack = vec![start];
+            label[start.index()] = next;
+            while let Some(v) = stack.pop() {
+                for (u, _, _) in self.neighbors(v) {
+                    if label[u.index()] == usize::MAX {
+                        label[u.index()] = next;
+                        stack.push(u);
+                    }
                 }
             }
+            next += 1;
         }
-        count == n
+        label
     }
 
     /// Sum of all edge latencies; used by tests as a cheap fingerprint.
@@ -196,7 +278,16 @@ impl Graph {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::Ordering;
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
+
+    fn builds(g: &Graph) -> usize {
+        g.csr_builds.load(Ordering::Relaxed)
+    }
 
     #[test]
     fn empty_graph_is_connected() {
@@ -267,5 +358,143 @@ mod tests {
         assert!(!g.is_connected());
         g.add_edge(NodeId(2), NodeId(3), 1.0);
         assert!(g.is_connected());
+    }
+
+    /// The check `add_node` / `add_edge` run first: the largest counts pass,
+    /// one more panics naming it — 2³¹ edges need 2³² slots.
+    #[test]
+    #[should_panic(expected = "2147483648 edges overflow the graph's u32 ids and offsets")]
+    fn id_check_names_the_overflowing_count() {
+        assert_fits_u32(u32::MAX as usize, 1, "nodes");
+        assert_fits_u32(u32::MAX as usize / 2, 2, "edges");
+        assert_fits_u32(u32::MAX as usize / 2 + 1, 2, "edges");
+    }
+
+    #[test]
+    fn a_clone_of_an_unsearched_graph_holds_no_csr() {
+        let mut g = Graph::new(3);
+        g.add_edge(NodeId(0), NodeId(1), 1.0);
+        let copy = g.clone();
+        assert!(copy.csr.get().is_none());
+        assert!(!copy.is_connected());
+        assert!(copy.csr.get().is_some());
+        assert!(g.csr.get().is_none(), "searching the clone derives nothing for the original");
+    }
+
+    #[test]
+    fn the_first_search_builds_the_csr_once_and_adding_drops_it() {
+        let mut g = Graph::new(3);
+        g.add_edge(NodeId(0), NodeId(1), 1.0);
+        assert_eq!(builds(&g), 0, "adding builds nothing");
+        g.neighbors(NodeId(0)).count();
+        g.neighbors(NodeId(2)).count();
+        assert!(!g.is_connected());
+        assert_eq!(builds(&g), 1);
+        g.add_edge(NodeId(1), NodeId(2), 1.0);
+        assert!(g.csr.get().is_none(), "add_edge drops it");
+        assert!(g.is_connected());
+        g.add_node();
+        assert!(g.csr.get().is_none(), "add_node drops it");
+        assert_eq!(g.neighbors(NodeId(3)).count(), 0);
+        assert_eq!(builds(&g), 3);
+    }
+
+    /// Written through a built CSR, an edge's weight lands in both of its
+    /// slots — a self-loop's two included — and nowhere else: the CSR stays
+    /// what a fresh derivation from the edge table gives.
+    #[test]
+    fn set_edge_latency_on_a_built_csr_rewrites_both_slots() {
+        let mut g = Graph::new(3);
+        g.add_edge(NodeId(0), NodeId(1), 1.0);
+        let parallel = g.add_edge(NodeId(1), NodeId(0), 2.0);
+        let self_loop = g.add_edge(NodeId(1), NodeId(1), 3.0);
+        g.add_edge(NodeId(1), NodeId(2), 4.0);
+        g.neighbors(NodeId(0)).count();
+        g.set_edge_latency(parallel, 20.0);
+        g.set_edge_latency(self_loop, 30.0);
+        let loop_weights: Vec<f64> =
+            g.neighbors(NodeId(1)).filter(|&(_, e, _)| e == self_loop).map(|(.., w)| w).collect();
+        assert_eq!(loop_weights, [30.0, 30.0]);
+        assert_eq!(g.csr.get(), Some(&Csr::build(g.num_nodes(), g.edges())));
+        assert_eq!(builds(&g), 1);
+    }
+
+    /// The representation the CSR replaced, as its reference: per-vertex
+    /// lists pushed to by `add_edge`, weights read from their own table.
+    struct PushBuilt {
+        adjacency: Vec<Vec<(NodeId, EdgeId)>>,
+        weights: Vec<f64>,
+    }
+
+    impl PushBuilt {
+        fn add_edge(&mut self, a: NodeId, b: NodeId, w: f64) {
+            let id = EdgeId(self.weights.len() as u32);
+            self.weights.push(w);
+            self.adjacency[a.index()].push((b, id));
+            self.adjacency[b.index()].push((a, id));
+        }
+
+        fn neighbors(&self, v: usize) -> Vec<(NodeId, EdgeId, u64)> {
+            self.adjacency[v]
+                .iter()
+                .map(|&(u, e)| (u, e, self.weights[e.index()].to_bits()))
+                .collect()
+        }
+    }
+
+    fn same_neighbors(g: &Graph, reference: &PushBuilt) -> Result<(), TestCaseError> {
+        prop_assert_eq!(g.num_nodes(), reference.adjacency.len());
+        for v in 0..g.num_nodes() {
+            let csr: Vec<_> =
+                g.neighbors(NodeId(v as u32)).map(|(u, e, w)| (u, e, w.to_bits())).collect();
+            prop_assert_eq!((v, csr), (v, reference.neighbors(v)));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random multigraphs — self-loops, parallel edges, isolated
+        /// vertices — grown and re-weighted with searches interleaved, so
+        /// nodes and edges arrive after a search and weights change both
+        /// before and after the CSR exists: every `neighbors(v)` (ids, edge
+        /// ids, weight bits) equals the push-built lists'.
+        #[test]
+        fn csr_neighbors_equal_the_push_built_lists(
+            n in 0usize..5,
+            ops in vec((0u8..6, 0u32..1000, 0u32..1000, 0.0f64..50.0), 0..48),
+        ) {
+            let mut g = Graph::new(n);
+            let mut reference = PushBuilt { adjacency: vec![Vec::new(); n], weights: Vec::new() };
+            for (op, x, y, w) in ops {
+                let (n, m) = (g.num_nodes() as u32, g.num_edges() as u32);
+                match op {
+                    0 => {
+                        g.add_node();
+                        reference.adjacency.push(Vec::new());
+                    }
+                    // An edge between two vertices, or a self-loop.
+                    1 | 2 if n > 0 => {
+                        let (a, b) = (NodeId(x % n), NodeId(if op == 1 { y % n } else { x % n }));
+                        g.add_edge(a, b, w);
+                        reference.add_edge(a, b, w);
+                    }
+                    // A parallel copy of an existing edge, reversed.
+                    3 if m > 0 => {
+                        let Edge { a, b, .. } = g.edge(EdgeId(x % m));
+                        g.add_edge(b, a, w);
+                        reference.add_edge(b, a, w);
+                    }
+                    4 if m > 0 => {
+                        g.set_edge_latency(EdgeId(x % m), w);
+                        reference.weights[(x % m) as usize] = w;
+                    }
+                    5 => same_neighbors(&g, &reference)?,
+                    _ => {}
+                }
+            }
+            same_neighbors(&g, &reference)?;
+        }
     }
 }

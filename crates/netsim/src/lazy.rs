@@ -53,8 +53,9 @@
 //!   weight, the Dijkstra sees lowered edges at their start weight and
 //!   everything else as it is now — i.e. the intermediate graph with the
 //!   raises applied and the lowers still pending. If the region exceeds a
-//!   quarter of the graph the row is rebuilt outright by [`single_source`]
-//!   on the current graph, which is final (the lower phase is skipped).
+//!   quarter of the graph the row is rebuilt outright, in place, as
+//!   [`single_source`] computes it on the current graph, which is final
+//!   (the lower phase is skipped).
 //! * **Lowers** (`w_now < w_start`) can only *decrease* distances. Each
 //!   lowered edge seeds at most two heap entries
 //!   (`d[a] + w_now < d[b]` and symmetrically) and a standard
@@ -110,7 +111,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use rayon::prelude::*;
 
-use crate::dijkstra::{settle, single_source, HeapEntry};
+use crate::dijkstra::{fill_single_source, settle, single_source, HeapEntry};
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::latency::LatencyProvider;
 
@@ -265,7 +266,7 @@ impl RowCache {
         }
         let (raised, rebuilt) = repair_increase(graph, row, src, scratch);
         // A rebuilt row was computed on the current graph: already final.
-        let lowered = if rebuilt { 0 } else { repair_decrease(graph, row, &scratch.window.deltas) };
+        let lowered = if rebuilt { 0 } else { repair_decrease(graph, row, scratch) };
         *epoch = self.head;
         self.stale -= 1;
         self.stats.rows_rebuilt += u64::from(rebuilt);
@@ -274,8 +275,8 @@ impl RowCache {
     }
 }
 
-/// Scratch buffers reused across repairs so a repair allocates only heap
-/// entries proportional to the affected region.
+/// Scratch buffers reused across repairs, so a repair — a rebuild included
+/// — allocates nothing once they have grown.
 #[derive(Default)]
 struct RepairScratch {
     /// Bumped once per repair; validates `mark` entries.
@@ -285,6 +286,8 @@ struct RepairScratch {
     /// The marked region, in BFS discovery order.
     region: Vec<u32>,
     window: Window,
+    /// Both phases' Dijkstra heap; empty between them.
+    heap: BinaryHeap<HeapEntry>,
 }
 
 /// What one repair has to absorb: the net change of every edge logged
@@ -574,7 +577,7 @@ fn repair_increase(
     scratch: &mut RepairScratch,
 ) -> (usize, bool) {
     let n = graph.num_nodes();
-    let RepairScratch { stamp, mark, region, window } = scratch;
+    let RepairScratch { stamp, mark, region, window, heap } = scratch;
     let stamp = *stamp;
     // Weight of edge `e` (now `w_now`) when the window opened, and on the
     // intermediate graph: lowered edges still at their start weight.
@@ -619,10 +622,9 @@ fn repair_increase(
     }
 
     // Past a quarter of the graph, a restricted Dijkstra stops paying for
-    // its bookkeeping; rebuild the row outright.
+    // its bookkeeping; rebuild the row outright, in place.
     if region.len() * 4 >= n {
-        let fresh = single_source(graph, src);
-        row.copy_from_slice(&fresh);
+        fill_single_source(graph, src, row, heap);
         return (n, true);
     }
 
@@ -632,7 +634,6 @@ fn repair_increase(
     for &x in region.iter() {
         row[x as usize] = f64::INFINITY;
     }
-    let mut heap = BinaryHeap::with_capacity(region.len());
     for &x in region.iter() {
         let x = NodeId(x);
         let mut best = f64::INFINITY;
@@ -650,19 +651,19 @@ fn repair_increase(
         }
     }
     // Outside the region every label is fixed.
-    settle(graph, row, &mut heap, None, w_mid, |u| mark[u.index()] == stamp, |_, _, _| {});
+    settle(graph, row, heap, None, w_mid, |u| mark[u.index()] == stamp, |_, _, _| {});
     (region.len(), false)
 }
 
-/// Phase 2 of row repair: the net lowers of `window`. `graph` holds the
+/// Phase 2 of row repair: the net lowers of `scratch.window`. `graph` holds the
 /// final weights; `row` holds exact labels for the pre-lower intermediate
 /// graph. Each lowered edge seeds at most two improvements and a standard
 /// improvement-propagation Dijkstra pushes them outward. Returns the
 /// number of labels improved. (`d[src] = 0` can never improve, so the
 /// source needs no special-casing.)
-fn repair_decrease(graph: &Graph, row: &mut [f64], window: &[EdgeDelta]) -> usize {
-    let mut heap = BinaryHeap::new();
-    for d in window.iter().filter(|d| d.w_new < d.w_old) {
+fn repair_decrease(graph: &Graph, row: &mut [f64], scratch: &mut RepairScratch) -> usize {
+    let RepairScratch { window, heap, .. } = scratch;
+    for d in window.deltas.iter().filter(|d| d.w_new < d.w_old) {
         // INF endpoints fall out naturally: INF + w < x is never true.
         let nd = row[d.a.index()] + d.w_new;
         if nd < row[d.b.index()] {
@@ -675,7 +676,7 @@ fn repair_decrease(graph: &Graph, row: &mut [f64], window: &[EdgeDelta]) -> usiz
             heap.push(HeapEntry { dist: nd, node: d.a });
         }
     }
-    settle(graph, row, &mut heap, None, |_, w| w, |_| true, |_, _, _| {})
+    settle(graph, row, heap, None, |_, w| w, |_| true, |_, _, _| {})
 }
 
 impl LatencyProvider for LazyLatency {
@@ -710,8 +711,10 @@ mod tests {
     use super::*;
     use crate::dijkstra::all_pairs_latency;
     use crate::rng::rng_from_seed;
+    use crate::topology::simple::grid;
     use crate::topology::transit_stub::{generate, TransitStubConfig};
     use rand::Rng;
+    use std::sync::atomic::Ordering;
 
     /// Every (source, destination) latency must be bit-identical to the
     /// dense matrix built from the same graph.
@@ -1145,6 +1148,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Eight pool threads computing the first rows at once derive the
+    /// graph's adjacency exactly once, and later searches reuse it.
+    #[test]
+    fn rows_first_computed_on_a_pool_derive_the_adjacency_once() {
+        let lazy = LazyLatency::new(grid(8, 8, 1.0).graph);
+        let builds = || lazy.graph().csr_builds.load(Ordering::Relaxed);
+        assert_eq!(builds(), 0, "an unsearched graph holds no adjacency");
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(8).build().expect("pool");
+        let sources: Vec<NodeId> = (0..64u32).map(NodeId).collect();
+        assert_eq!(lazy.ensure_rows(&sources, Some(&pool)), 64);
+        assert_eq!(builds(), 1);
+        assert_matches_dense(&lazy);
+        assert_eq!(builds(), 1);
     }
 
     #[test]

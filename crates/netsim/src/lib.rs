@@ -48,9 +48,12 @@
 //!
 //! Every fact has one owner and every behaviour one spelling:
 //!
-//! * [`graph::Graph`] — the topology, the *current* edge weights, and the
-//!   one adjacency accessor ([`graph::Graph::neighbors`]) every
-//!   shortest-path relaxation reads the graph through.
+//! * [`graph::Graph`] — the topology, the *current* edge weights (the edge
+//!   table; [`graph::Graph::set_edge_latency`] is their one writer), and
+//!   the one adjacency accessor ([`graph::Graph::neighbors`]) every
+//!   shortest-path relaxation reads the graph through. The adjacency is
+//!   one CSR with the weights inline, derived on the first search and
+//!   dropped by `add_node` / `add_edge`; an unsearched graph holds none.
 //! * [`dijkstra`] — the one relaxation loop and its pop order (distance,
 //!   then node id): fresh rows, path search and both repair phases run it.
 //! * [`lazy::LazyLatency`] — the mutable graph, the *base* edge weights,

@@ -87,6 +87,32 @@ impl Topology {
     }
 }
 
+/// Connects `graph` by adding, one edge at a time, the closest
+/// cross-component pair — the first `i < j` minimising `dist(i, j)` — at
+/// latency `dist(i, j).max(floor)`.
+fn stitch(graph: &mut Graph, dist: impl Fn(usize, usize) -> f64, floor: f64) {
+    let n = graph.num_nodes();
+    loop {
+        let comp = graph.component_labels();
+        if comp.iter().all(|&c| c == 0) {
+            return;
+        }
+        let mut best: Option<(usize, usize, f64)> = None;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if comp[i] != comp[j] {
+                    let d = dist(i, j);
+                    if best.is_none_or(|(_, _, bd)| d < bd) {
+                        best = Some((i, j, d));
+                    }
+                }
+            }
+        }
+        let (i, j, d) = best.expect("a disconnected graph has a cross pair");
+        graph.add_edge((i as u32).into(), (j as u32).into(), d.max(floor));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

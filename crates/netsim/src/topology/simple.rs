@@ -68,47 +68,8 @@ pub fn random_geometric(n: usize, side_ms: f64, radius_ms: f64, seed: u64) -> To
             }
         }
     }
-    // Stitch: repeatedly connect the closest cross-component pair.
-    while !g.is_connected() && n > 1 {
-        let comp = component_labels(&g);
-        let mut best: Option<(usize, usize, f64)> = None;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if comp[i] != comp[j] {
-                    let d = dist(i, j);
-                    if best.is_none_or(|(_, _, bd)| d < bd) {
-                        best = Some((i, j, d));
-                    }
-                }
-            }
-        }
-        let (i, j, d) = best.expect("disconnected graph has a cross pair");
-        g.add_edge((i as u32).into(), (j as u32).into(), d.max(0.05));
-    }
+    super::stitch(&mut g, dist, 0.05);
     Topology::plain(g)
-}
-
-fn component_labels(g: &Graph) -> Vec<usize> {
-    let n = g.num_nodes();
-    let mut label = vec![usize::MAX; n];
-    let mut next = 0;
-    for start in 0..n {
-        if label[start] != usize::MAX {
-            continue;
-        }
-        let mut stack = vec![start];
-        label[start] = next;
-        while let Some(v) = stack.pop() {
-            for (u, _, _) in g.neighbors((v as u32).into()) {
-                if label[u.index()] == usize::MAX {
-                    label[u.index()] = next;
-                    stack.push(u.index());
-                }
-            }
-        }
-        next += 1;
-    }
-    label
 }
 
 #[cfg(test)]

@@ -60,48 +60,7 @@ pub fn generate(cfg: &WaxmanConfig, seed: u64) -> Topology {
         }
     }
 
-    // Stitch components: union-find over current edges, then connect each
-    // component to the closest node outside it.
-    let mut parent: Vec<usize> = (0..cfg.nodes).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-        if parent[x] != x {
-            let r = find(parent, parent[x]);
-            parent[x] = r;
-        }
-        parent[x]
-    }
-    for e in graph.edges().to_vec() {
-        let (ra, rb) = (find(&mut parent, e.a.index()), find(&mut parent, e.b.index()));
-        if ra != rb {
-            parent[ra] = rb;
-        }
-    }
-    loop {
-        // Collect roots; stop when a single component remains.
-        let mut roots: Vec<usize> = (0..cfg.nodes).map(|i| find(&mut parent, i)).collect();
-        roots.sort_unstable();
-        roots.dedup();
-        if roots.len() <= 1 {
-            break;
-        }
-        // Find the minimum-distance cross-component pair and connect it.
-        let mut best: Option<(usize, usize, f64)> = None;
-        for i in 0..cfg.nodes {
-            for j in (i + 1)..cfg.nodes {
-                if find(&mut parent, i) != find(&mut parent, j) {
-                    let d = dist(i, j);
-                    if best.is_none_or(|(_, _, bd)| d < bd) {
-                        best = Some((i, j, d));
-                    }
-                }
-            }
-        }
-        let (i, j, d) = best.expect("at least two components exist");
-        graph.add_edge((i as u32).into(), (j as u32).into(), d.max(0.1));
-        let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-        parent[ri] = rj;
-    }
-
+    super::stitch(&mut graph, dist, 0.1);
     debug_assert!(graph.is_connected());
     Topology::plain(graph)
 }

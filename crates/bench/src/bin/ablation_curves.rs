@@ -11,6 +11,7 @@ use rand::Rng;
 use sbon_bench::{build_world, pct, section, WorldConfig};
 use sbon_dht::catalog::CoordinateCatalog;
 use sbon_hilbert::{HilbertCurve, MortonCurve, Quantizer, SpaceFillingCurve};
+use sbon_netsim::latency::euclidean;
 use sbon_netsim::metrics::Summary;
 use sbon_netsim::rng::derive_rng;
 
@@ -45,7 +46,7 @@ fn evaluate<C: SpaceFillingCurve>(
         if dht_m == oracle_m {
             nn_agree += 1;
         } else {
-            let dht_d = dist(&points[dht_m as usize], &target);
+            let dht_d = euclidean(&points[dht_m as usize], &target);
             excess.push(dht_d - oracle_d);
         }
         // k-nearest recall vs exhaustive top-k.
@@ -54,7 +55,7 @@ fn evaluate<C: SpaceFillingCurve>(
         let approx: std::collections::HashSet<u32> =
             catalog.k_nearest(&target, k).into_iter().map(|(m, _)| m).collect();
         let mut exact: Vec<(u32, f64)> =
-            points.iter().enumerate().map(|(i, p)| (i as u32, dist(p, &target))).collect();
+            points.iter().enumerate().map(|(i, p)| (i as u32, euclidean(p, &target))).collect();
         exact.sort_by(|a, b| a.1.total_cmp(&b.1));
         let hit = exact[..k].iter().filter(|(m, _)| approx.contains(m)).count();
         recall.push(hit as f64 / k as f64);
@@ -67,10 +68,6 @@ fn evaluate<C: SpaceFillingCurve>(
         if excess.is_empty() { 0.0 } else { Summary::of(&excess).p50 },
         pct(Summary::of(&recall).mean),
     );
-}
-
-fn dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
 }
 
 fn main() {

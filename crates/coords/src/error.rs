@@ -13,11 +13,11 @@ use sbon_netsim::latency::LatencyProvider;
 use sbon_netsim::metrics::Summary;
 use sbon_netsim::rng::derive_rng;
 
-use crate::vivaldi::VivaldiEmbedding;
+use crate::vivaldi::{gossip_partner, VivaldiEmbedding};
 
 /// Relative errors `|est − true| / true` over up to `max_pairs` random node
-/// pairs (ground-truth zero-latency pairs are skipped). Deterministic in
-/// `seed`.
+/// pairs, uniform over ordered pairs of distinct nodes (ground-truth
+/// zero-latency pairs are skipped). Deterministic in `seed`.
 pub fn relative_errors<L: LatencyProvider>(
     embedding: &VivaldiEmbedding,
     truth: &L,
@@ -35,10 +35,7 @@ pub fn relative_errors<L: LatencyProvider>(
     while errs.len() < max_pairs && attempts < max_pairs * 4 {
         attempts += 1;
         let a = rng.gen_range(0..n);
-        let mut b = rng.gen_range(0..n);
-        if a == b {
-            b = (b + 1) % n;
-        }
+        let b = gossip_partner(&mut rng, a, n);
         let (a, b) = (NodeId(a as u32), NodeId(b as u32));
         let t = truth.latency(a, b);
         if !t.is_finite() || t <= 1e-9 {
@@ -79,6 +76,7 @@ mod tests {
     use super::*;
     use crate::vivaldi::VivaldiEmbedding;
     use sbon_netsim::latency::{EuclideanLatency, LatencyMatrix};
+    use std::cell::RefCell;
 
     #[test]
     fn exact_embedding_has_zero_relative_error() {
@@ -113,6 +111,48 @@ mod tests {
         let r = EmbeddingErrorReport::measure(&emb, &truth, 50, 1);
         assert_eq!(r.node_estimates.mean, 0.0);
         assert!(r.relative.p99 < 1e-9);
+    }
+
+    /// Frequency test for the sampled pairs: every ordered pair of distinct
+    /// nodes is drawn (close to) uniformly — in particular `(a, a + 1)` must
+    /// NOT appear at 1.5× frequency, which the old `(b + 1) % n` self-pair
+    /// remap caused at `n = 4`.
+    #[test]
+    fn sampled_pairs_are_uniform() {
+        struct Counting {
+            truth: EuclideanLatency,
+            counts: RefCell<Vec<usize>>,
+        }
+        impl LatencyProvider for Counting {
+            fn len(&self) -> usize {
+                self.truth.len()
+            }
+            fn latency(&self, a: NodeId, b: NodeId) -> f64 {
+                self.counts.borrow_mut()[a.index() * self.len() + b.index()] += 1;
+                self.truth.latency(a, b)
+            }
+        }
+        let (n, draws) = (4, 60_000);
+        let pts: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64, (i * i) as f64]).collect();
+        let truth = Counting {
+            truth: EuclideanLatency::new(pts.clone()),
+            counts: RefCell::new(vec![0; n * n]),
+        };
+        let errs = relative_errors(&VivaldiEmbedding::exact(pts), &truth, draws, 42);
+        assert_eq!(errs.len(), draws, "no pair of distinct points is skipped");
+        let counts = truth.counts.into_inner();
+        let expected = draws as f64 / (n * (n - 1)) as f64;
+        for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))) {
+            let c = counts[a * n + b];
+            if a == b {
+                assert_eq!(c, 0, "a node is never paired with itself");
+                continue;
+            }
+            let ratio = c as f64 / expected;
+            // ±10% is ≈ 7σ slack at these counts; the old remap put every
+            // ring-successor pair at ratio 1.5.
+            assert!((0.9..1.1).contains(&ratio), "pair ({a}, {b}): count {c}, ratio {ratio:.3}");
+        }
     }
 
     #[test]

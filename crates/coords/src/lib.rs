@@ -11,6 +11,31 @@
 //!   so that Euclidean distance approximates measured latency.
 //! * [`error`] — embedding-error metrics (the paper's argument depends on
 //!   the embedding error being "slight" \[16\]).
+//!
+//! # Who owns what in the coordinate stack
+//!
+//! Every fact has one owner and every behaviour one spelling:
+//!
+//! * [`VivaldiConfig::validate`] — whether a configuration can embed at all
+//!   (the runtime's config builder calls it too).
+//! * `VivaldiConfig::gossip` — the one gossip loop, over all `n` nodes (the
+//!   full protocol) or over the landmarks (landmark mode's first phase),
+//!   and [`VivaldiNode::random_start`] the one node start.
+//! * [`LandmarkPlacer`] — the frozen landmarks and where every other node
+//!   lands: [`LandmarkPlacer::place_from_rtts`] is the one non-landmark
+//!   refinement loop, and [`LandmarkPlacer::place_node`] runs it on the
+//!   node's own RNG stream, a function of the seed and the node alone. So
+//!   [`VivaldiConfig::embed`] in landmark mode and `sbon_overlay`'s
+//!   join-time placement land a node on the same coordinate, bit for bit.
+//! * `VivaldiEmbedding::from_states` — the one writer of an embedding's
+//!   coordinates, heights and errors, behind the full protocol and
+//!   [`LandmarkPlacer::embedding`].
+//! * [`vivaldi::gossip_partner`] — the one uniform draw of "another node",
+//!   for the gossip and for [`relative_errors`]' sampled pairs.
+//! * `sbon_netsim::latency::euclidean` — the distance, shared with the cost
+//!   space.
+//! * `sbon_overlay`'s `membership` — when a node is placed: once at
+//!   bring-up for every arrived node, at its join tick for the rest.
 
 #![forbid(unsafe_code)]
 

@@ -7,12 +7,22 @@
 //! along the spring force `(rtt − |x_i − x_j|)·u(x_i − x_j)` with a step
 //! size weighted by how confident `i` is relative to `j`.
 
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use sbon_netsim::graph::NodeId;
-use sbon_netsim::latency::LatencyProvider;
+use sbon_netsim::latency::{euclidean, LatencyProvider};
 use sbon_netsim::rng::derive_rng;
+
+/// RNG stream salt of the full protocol: the `n` starts and the gossip.
+const GOSSIP_STREAM: u64 = 0x0071_7141;
+/// RNG stream salt of landmark mode's first phase: the landmark draw, the
+/// `n` starts and the landmarks' gossip.
+const LANDMARK_STREAM: u64 = 0x1a4d_3a4c;
+/// RNG stream salt of a non-landmark node's placement; the high bits keep
+/// `PLACE_STREAM ^ node` disjoint from every other derivation stream.
+const PLACE_STREAM: u64 = 0x517e_9a4e << 32;
 
 /// Tunables of the Vivaldi run. Defaults follow the SIGCOMM paper
 /// (`ce = cc = 0.25`).
@@ -42,7 +52,8 @@ pub struct VivaldiConfig {
     pub min_height: f64,
     /// `Some(k)`: **landmark mode** — embed `k` landmark nodes with the
     /// full all-pairs gossip protocol, then place every remaining node
-    /// against the (frozen) landmarks only. Cuts the warm-up's latency
+    /// against the (frozen) landmarks only, each on its own RNG stream
+    /// ([`LandmarkPlacer::place_node`]). Cuts the warm-up's latency
     /// sampling from all `n` sources to `k` sources: under a lazy
     /// shortest-path backend only `k` Dijkstra rows are ever computed,
     /// instead of one per node. Costs accuracy — non-landmark nodes
@@ -69,6 +80,34 @@ impl Default for VivaldiConfig {
 }
 
 impl VivaldiConfig {
+    /// The one validity check, run by every entry point that embeds and by
+    /// the runtime's config builder.
+    ///
+    /// # Panics
+    ///
+    /// Naming the field and the value, if `dims`, `rounds` or
+    /// `samples_per_round` is zero (no rounds or no samples would serve
+    /// every node its random start coordinate), if `ce` or `cc` is not
+    /// finite and positive, or if `landmarks` is `Some(k)` with `k < 2`.
+    pub fn validate(&self) {
+        for (field, value) in [
+            ("dims", self.dims),
+            ("rounds", self.rounds),
+            ("samples_per_round", self.samples_per_round),
+        ] {
+            assert!(value >= 1, "vivaldi.{field} must be at least 1, got {value}");
+        }
+        for (field, value) in [("ce", self.ce), ("cc", self.cc)] {
+            assert!(
+                value.is_finite() && value > 0.0,
+                "vivaldi.{field} must be finite and positive, got {value}"
+            );
+        }
+        if let Some(k) = self.landmarks {
+            assert!(k >= 2, "vivaldi.landmarks must be at least 2, got {k}");
+        }
+    }
+
     /// The deterministic landmark draw for an `n`-node overlay, or `None`
     /// when landmark mode is off (or would fall back to the full
     /// protocol because `k ≥ n`). The same ids — in the same order — that
@@ -77,129 +116,52 @@ impl VivaldiConfig {
     /// so callers can pre-warm exactly the latency rows the embedding
     /// will demand.
     pub fn landmark_ids(&self, n: usize, seed: u64) -> Option<Vec<usize>> {
-        let k = self.landmarks?;
-        if k >= n {
-            return None;
-        }
-        assert!(k >= 2, "landmark embedding needs at least two landmarks, got {k}");
-        let mut rng = derive_rng(seed, 0x1a4d_3a4c);
-        Some(draw_landmarks(&mut rng, n, k))
+        self.validate();
+        let k = self.landmarks.filter(|&k| k < n)?;
+        Some(draw_landmarks(&mut derive_rng(seed, LANDMARK_STREAM), n, k))
     }
 
     /// Runs the protocol over `latency` and returns the converged
-    /// embedding: the full decentralized gossip by default, or the
-    /// landmark/sampled variant when [`VivaldiConfig::landmarks`] is set.
+    /// embedding: the full decentralized gossip by default; in landmark
+    /// mode, [`VivaldiConfig::embed_landmarks_only`] followed by
+    /// [`LandmarkPlacer::place`] for every non-landmark on its own stream —
+    /// the coordinate [`LandmarkPlacer::place_node`] gives it at a join.
     /// Deterministic in `seed`.
     pub fn embed<L: LatencyProvider>(&self, latency: &L, seed: u64) -> VivaldiEmbedding {
-        assert!(self.dims >= 1, "need at least one dimension");
-        assert!(self.rounds >= 1 && self.samples_per_round >= 1);
+        self.validate();
         let n = latency.len();
-        if let Some(k) = self.landmarks {
-            assert!(k >= 2, "landmark embedding needs at least two landmarks, got {k}");
-            if k < n {
-                return self.embed_landmarks(latency, seed, k);
-            }
-            // k ≥ n: the landmark set would be the whole overlay — the
-            // full protocol is both cheaper and more accurate.
+        if self.landmarks.is_some_and(|k| k < n) {
+            let placer = self.embed_landmarks_only(latency, seed);
+            let placed: Vec<(NodeId, VivaldiNode)> = (0..n as u32)
+                .map(NodeId)
+                .filter(|v| !placer.landmarks.contains(&v.index()))
+                .map(|v| (v, placer.place(latency, v, &mut placer.node_rng(v))))
+                .collect();
+            return placer.embedding(n, &placed);
         }
-        let mut rng = derive_rng(seed, 0x0071_7141);
-
-        let mut nodes: Vec<VivaldiNode> = (0..n)
-            .map(|_| {
-                let mut node = VivaldiNode::random_start(self.dims, &mut rng);
-                if self.use_height {
-                    node.height = self.min_height;
-                }
-                node
-            })
-            .collect();
-
-        if n >= 2 {
-            for _round in 0..self.rounds {
-                for i in 0..n {
-                    for _ in 0..self.samples_per_round {
-                        let j = gossip_partner(&mut rng, i, n);
-                        let rtt = latency.latency(NodeId(i as u32), NodeId(j as u32));
-                        if !rtt.is_finite() {
-                            continue; // partitioned pair; skip the sample
-                        }
-                        let remote = nodes[j].clone();
-                        nodes[i].observe_with(&remote, rtt, self, &mut rng);
-                    }
-                }
-            }
-        }
-
-        VivaldiEmbedding {
-            coords: nodes.iter().map(|v| v.coord.clone()).collect(),
-            heights: nodes.iter().map(|v| v.height).collect(),
-            errors: nodes.iter().map(|v| v.error).collect(),
-        }
-    }
-
-    /// The landmark variant behind [`VivaldiConfig::landmarks`]. Phase 1
-    /// embeds `k` deterministically drawn landmarks with the standard
-    /// gossip protocol restricted to the landmark set; phase 2 freezes them
-    /// and lets every other node converge against random landmarks.
-    ///
-    /// Latency is only ever queried **with a landmark as the source**
-    /// (`rtt(i, ℓ)` is read as `latency(ℓ, i)`; the underlay is
-    /// undirected, so rows are symmetric) — that is what caps a lazy
-    /// backend's warm-up at `k` shortest-path rows total.
-    fn embed_landmarks<L: LatencyProvider>(
-        &self,
-        latency: &L,
-        seed: u64,
-        k: usize,
-    ) -> VivaldiEmbedding {
-        let n = latency.len();
-        debug_assert!((2..n).contains(&k));
-        let (landmarks, mut nodes, mut rng) = self.landmark_phase1(latency, seed, k);
-        let mut is_landmark = vec![false; n];
-        for &l in &landmarks {
-            is_landmark[l] = true;
-        }
-
-        // Phase 2: place the remaining nodes against the frozen landmarks.
-        for _round in 0..self.rounds {
-            for i in 0..n {
-                if is_landmark[i] {
-                    continue;
-                }
-                for _ in 0..self.samples_per_round {
-                    let l = landmarks[rng.gen_range(0..k)];
-                    // Landmark as the latency *source*: only landmark rows
-                    // are ever demanded from the provider.
-                    let rtt = latency.latency(NodeId(l as u32), NodeId(i as u32));
-                    if !rtt.is_finite() {
-                        continue;
-                    }
-                    let remote = nodes[l].clone();
-                    nodes[i].observe_with(&remote, rtt, self, &mut rng);
-                }
-            }
-        }
-
-        VivaldiEmbedding {
-            coords: nodes.iter().map(|v| v.coord.clone()).collect(),
-            heights: nodes.iter().map(|v| v.height).collect(),
-            errors: nodes.iter().map(|v| v.error).collect(),
-        }
+        // No landmarks, or k ≥ n: the landmark set would be the whole
+        // overlay — the full protocol is both cheaper and more accurate.
+        let members: Vec<usize> = (0..n).collect();
+        let nodes = self.gossip(latency, &mut derive_rng(seed, GOSSIP_STREAM), &members);
+        VivaldiEmbedding::from_states(n, self.dims, nodes.iter().enumerate())
     }
 
     /// Runs only the landmark half of the protocol and returns a
     /// [`LandmarkPlacer`]: the `k` deterministically drawn landmarks,
     /// frozen at their converged coordinates, ready to place individual
-    /// nodes on demand via [`LandmarkPlacer::place`].
+    /// nodes on demand via [`LandmarkPlacer::place_node`].
     ///
     /// This is the bring-up path for incremental deployments: instead of
     /// embedding all `n` coordinates up front (and touching `n` rows of
     /// the latency provider), the runtime embeds the landmarks once and
-    /// places each node when it actually joins. Landmark coordinates are
-    /// bit-identical to the ones [`VivaldiConfig::embed`] produces for the
-    /// same world and seed (the two paths share their RNG stream through
-    /// phase 1); non-landmark placements use per-node RNGs supplied by the
-    /// caller, so *when* a node joins does not change *where* it lands.
+    /// places each node when it actually joins. [`VivaldiConfig::embed`]
+    /// runs the same two steps for every node at once, so a node lands on
+    /// the same coordinate whichever way it is placed.
+    ///
+    /// Latency is only ever queried **with a landmark as the source**
+    /// (here and by every placement; the underlay is undirected, so rows
+    /// are symmetric) — that is what caps a lazy backend's warm-up at `k`
+    /// shortest-path rows total.
     ///
     /// Panics unless [`VivaldiConfig::landmarks`] is `Some(k)` with
     /// `2 ≤ k < n`.
@@ -208,64 +170,53 @@ impl VivaldiConfig {
         latency: &L,
         seed: u64,
     ) -> LandmarkPlacer {
+        self.validate();
         let n = latency.len();
         let k = self.landmarks.expect("embed_landmarks_only requires VivaldiConfig::landmarks");
-        assert!(k >= 2, "landmark embedding needs at least two landmarks, got {k}");
         assert!(k < n, "landmark set ({k}) must be smaller than the overlay ({n})");
-        let (landmarks, nodes, _rng) = self.landmark_phase1(latency, seed, k);
+        let mut rng = derive_rng(seed, LANDMARK_STREAM);
+        let landmarks = draw_landmarks(&mut rng, n, k);
+        let nodes = self.gossip(latency, &mut rng, &landmarks);
         let states = landmarks.iter().map(|&l| nodes[l].clone()).collect();
-        LandmarkPlacer { config: self.clone(), landmarks, states }
+        LandmarkPlacer { config: self.clone(), seed, landmarks, states }
     }
 
-    /// Shared phase 1: the deterministic landmark draw, the node-state
-    /// initialization for all `n` nodes (keeping the RNG stream identical
-    /// between the batch and incremental paths), and the all-pairs gossip
-    /// restricted to the landmark set. Returns the landmark ids, the node
-    /// states, and the RNG advanced past phase 1.
-    fn landmark_phase1<L: LatencyProvider>(
+    /// The one gossip loop: `rounds` rounds in which every member takes
+    /// `samples_per_round` latency samples against uniformly drawn other
+    /// members — all `n` nodes under the full protocol, the landmarks in
+    /// landmark mode. All `n` nodes draw their random start first, members
+    /// or not. A non-finite latency (partitioned pair) skips the sample.
+    fn gossip<L: LatencyProvider, R: Rng + ?Sized>(
         &self,
         latency: &L,
-        seed: u64,
-        k: usize,
-    ) -> (Vec<usize>, Vec<VivaldiNode>, rand::rngs::StdRng) {
-        let n = latency.len();
-        let mut rng = derive_rng(seed, 0x1a4d_3a4c);
-        let landmarks = draw_landmarks(&mut rng, n, k);
-
-        let mut nodes: Vec<VivaldiNode> = (0..n)
-            .map(|_| {
-                let mut node = VivaldiNode::random_start(self.dims, &mut rng);
-                if self.use_height {
-                    node.height = self.min_height;
-                }
-                node
-            })
-            .collect();
-
-        // Phase 1: all-pairs gossip among the landmarks only.
+        rng: &mut R,
+        members: &[usize],
+    ) -> Vec<VivaldiNode> {
+        let mut nodes: Vec<VivaldiNode> =
+            (0..latency.len()).map(|_| VivaldiNode::random_start(self, rng)).collect();
+        if members.len() < 2 {
+            return nodes;
+        }
         for _round in 0..self.rounds {
-            for li in 0..k {
-                let i = landmarks[li];
+            for (mi, &i) in members.iter().enumerate() {
                 for _ in 0..self.samples_per_round {
-                    let lj = gossip_partner(&mut rng, li, k);
-                    let j = landmarks[lj];
+                    let j = members[gossip_partner(rng, mi, members.len())];
                     let rtt = latency.latency(NodeId(i as u32), NodeId(j as u32));
                     if !rtt.is_finite() {
-                        continue; // partitioned pair; skip the sample
+                        continue;
                     }
                     let remote = nodes[j].clone();
-                    nodes[i].observe_with(&remote, rtt, self, &mut rng);
+                    nodes[i].observe_with(&remote, rtt, self, rng);
                 }
             }
         }
-        (landmarks, nodes, rng)
+        nodes
     }
 }
 
 /// Deterministic landmark draw: `k` distinct node ids out of `n`,
 /// consuming one full shuffle of the caller's RNG. Factored out so the
-/// batch embedding, the incremental placer, and
-/// [`VivaldiConfig::landmark_ids`] can never drift apart.
+/// embedding and [`VivaldiConfig::landmark_ids`] can never drift apart.
 fn draw_landmarks<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
     let mut ids: Vec<usize> = (0..n).collect();
     ids.shuffle(rng);
@@ -273,13 +224,16 @@ fn draw_landmarks<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<usize
     ids
 }
 
-/// Frozen landmark coordinates plus the Vivaldi configuration — everything
-/// needed to place one node at a time against the landmark set, long after
-/// the warm-up embedding ran. Produced by
+/// Frozen landmark coordinates plus the Vivaldi configuration and the
+/// seed — everything needed to place one node at a time against the
+/// landmark set, long after the warm-up embedding ran. Produced by
 /// [`VivaldiConfig::embed_landmarks_only`].
 #[derive(Clone, Debug)]
 pub struct LandmarkPlacer {
     config: VivaldiConfig,
+    /// The seed the landmarks were embedded under; each node's placement
+    /// stream derives from it.
+    seed: u64,
     /// Landmark node ids, in draw order.
     landmarks: Vec<usize>,
     /// Converged landmark states, index-aligned with `landmarks`.
@@ -293,25 +247,11 @@ impl LandmarkPlacer {
         &self.landmarks
     }
 
-    /// Embedding dimensionality.
-    pub fn dims(&self) -> usize {
-        self.config.dims
-    }
-
-    /// The frozen state of landmark `idx` (draw order).
-    pub fn landmark_state(&self, idx: usize) -> &VivaldiNode {
-        &self.states[idx]
-    }
-
     /// Places one node against the frozen landmarks: `k` latency reads —
     /// one per landmark, each with the landmark as the source, so a lazy
     /// provider serves them from the `k` already-computed rows — then the
     /// rounds × samples refinement of [`LandmarkPlacer::place_from_rtts`]
-    /// over those `k` values.
-    ///
-    /// Deterministic in the RNG: seeding per node (rather than sharing one
-    /// stream across joins) makes the placement independent of join
-    /// batching and ordering.
+    /// over those `k` values, drawing from `rng`.
     pub fn place<L: LatencyProvider, R: Rng + ?Sized>(
         &self,
         latency: &L,
@@ -319,6 +259,18 @@ impl LandmarkPlacer {
         rng: &mut R,
     ) -> VivaldiNode {
         self.place_from_rtts(&self.gather_rtts(latency, &[node]), rng)
+    }
+
+    /// Where `node` lands, given its latency from each landmark (draw
+    /// order): the kernel on the node's own RNG stream, derived from the
+    /// embedding seed and the node id alone — so neither the bring-up
+    /// model, batching, join order nor thread count can move it.
+    pub fn place_node(&self, node: NodeId, rtts: &[f64]) -> VivaldiNode {
+        self.place_from_rtts(rtts, &mut self.node_rng(node))
+    }
+
+    fn node_rng(&self, node: NodeId) -> StdRng {
+        derive_rng(self.seed, PLACE_STREAM ^ node.index() as u64)
     }
 
     /// The latency reads of a batch of placements, as one flat
@@ -340,8 +292,8 @@ impl LandmarkPlacer {
         table
     }
 
-    /// The placement kernel: the same rounds × samples refinement loop the
-    /// batch embedding runs in its second phase, for a single node whose
+    /// The placement kernel — the one non-landmark refinement loop: a
+    /// fresh start, then rounds × samples steps for a single node whose
     /// latency from landmark `li` (draw order) is `rtts[li]`. Each sample
     /// draws its landmark from `rng`; a non-finite latency (unreachable
     /// landmark) skips the sample. Pure — it reads only the frozen
@@ -350,10 +302,7 @@ impl LandmarkPlacer {
         let cfg = &self.config;
         let k = self.landmarks.len();
         assert_eq!(rtts.len(), k, "one latency per landmark");
-        let mut state = VivaldiNode::random_start(cfg.dims, rng);
-        if cfg.use_height {
-            state.height = cfg.min_height;
-        }
+        let mut state = VivaldiNode::random_start(cfg, rng);
         for _round in 0..cfg.rounds {
             for _ in 0..cfg.samples_per_round {
                 let li = rng.gen_range(0..k);
@@ -365,6 +314,16 @@ impl LandmarkPlacer {
             }
         }
         state
+    }
+
+    /// The embedding of an `n`-node overlay whose landmarks sit at their
+    /// frozen coordinates and whose `placed` nodes at theirs; every other
+    /// node is a placeholder at the origin (height 0, error 1) — a node not
+    /// yet placed is not yet mapped, so the placeholder is never served.
+    pub fn embedding(&self, n: usize, placed: &[(NodeId, VivaldiNode)]) -> VivaldiEmbedding {
+        let landmarks = self.landmarks.iter().copied().zip(&self.states);
+        let placed = placed.iter().map(|(v, state)| (v.index(), state));
+        VivaldiEmbedding::from_states(n, self.config.dims, landmarks.chain(placed))
     }
 }
 
@@ -382,32 +341,19 @@ pub struct VivaldiNode {
 impl VivaldiNode {
     /// A fresh node at a small random coordinate (symmetric starts at the
     /// exact origin make the force direction degenerate for every pair, so a
-    /// tiny random jitter is the standard bootstrap).
-    pub fn random_start<R: Rng + ?Sized>(dims: usize, rng: &mut R) -> Self {
+    /// tiny random jitter is the standard bootstrap), at the height floor
+    /// when the height model is on.
+    pub fn random_start<R: Rng + ?Sized>(cfg: &VivaldiConfig, rng: &mut R) -> Self {
         VivaldiNode {
-            coord: (0..dims).map(|_| rng.gen_range(-0.5..0.5)).collect(),
-            height: 0.0,
+            coord: (0..cfg.dims).map(|_| rng.gen_range(-0.5..0.5)).collect(),
+            height: if cfg.use_height { cfg.min_height } else { 0.0 },
             error: 1.0,
         }
     }
 
-    /// Processes one latency sample against a remote node with explicit
-    /// constants and the height model off. `rtt` must be finite and
+    /// Processes one latency sample against a remote node (height model
+    /// honoured when `cfg` enables it). `rtt` must be finite and
     /// non-negative.
-    pub fn observe<R: Rng + ?Sized>(
-        &mut self,
-        remote: &VivaldiNode,
-        rtt: f64,
-        ce: f64,
-        cc: f64,
-        rng: &mut R,
-    ) {
-        let cfg = VivaldiConfig { ce, cc, ..Default::default() };
-        self.observe_with(remote, rtt, &cfg, rng);
-    }
-
-    /// Processes one latency sample under a full configuration (height
-    /// model honoured).
     pub fn observe_with<R: Rng + ?Sized>(
         &mut self,
         remote: &VivaldiNode,
@@ -505,6 +451,27 @@ impl VivaldiEmbedding {
         let n = points.len();
         VivaldiEmbedding { coords: points, heights: vec![0.0; n], errors: vec![0.0; n] }
     }
+
+    /// The one embedding writer: `n` nodes of `dims` dimensions, each node
+    /// of `states` written from its state, every other one a placeholder
+    /// at the origin with height 0 and error 1.
+    fn from_states<'a>(
+        n: usize,
+        dims: usize,
+        states: impl IntoIterator<Item = (usize, &'a VivaldiNode)>,
+    ) -> Self {
+        let mut embedding = VivaldiEmbedding {
+            coords: vec![vec![0.0; dims]; n],
+            heights: vec![0.0; n],
+            errors: vec![1.0; n],
+        };
+        for (v, state) in states {
+            embedding.coords[v].copy_from_slice(&state.coord);
+            embedding.heights[v] = state.height;
+            embedding.errors[v] = state.error;
+        }
+        embedding
+    }
 }
 
 /// Draws a uniform gossip partner for node `i` among the other `n - 1`
@@ -524,11 +491,6 @@ pub fn gossip_partner<R: Rng + ?Sized>(rng: &mut R, i: usize, n: usize) -> usize
             return j;
         }
     }
-}
-
-fn euclidean(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
 }
 
 #[cfg(test)]
@@ -609,7 +571,7 @@ mod tests {
         // True rtt 2ms but embedded distance 10 → the spring is compressed
         // and must push a *away* from b... wait: force = rtt − dist = −8,
         // direction = a − b = (−1, 0), so a moves +x toward b. Verify that.
-        a.observe(&b, 2.0, 0.25, 0.25, &mut rng);
+        a.observe_with(&b, 2.0, &VivaldiConfig::default(), &mut rng);
         assert!(a.coord[0] > 0.0, "a should move toward b, got {:?}", a.coord);
     }
 
@@ -716,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least two landmarks")]
+    #[should_panic(expected = "vivaldi.landmarks must be at least 2, got 1")]
     fn single_landmark_is_rejected() {
         let world = euclidean_world(10, 24);
         VivaldiConfig { landmarks: Some(1), ..Default::default() }.embed(&world, 0);
@@ -751,23 +713,50 @@ mod tests {
         assert!(emb.heights.iter().all(|&h| h >= 0.1), "heights respect the floor");
     }
 
-    /// The incremental path must agree with the batch path on the
-    /// landmarks: both run the identical phase-1 stream.
+    /// One answer for where a node lands: the batch embedding is the
+    /// incremental path — the landmarks' frozen states, and every other
+    /// node placed by `place` on the placer's per-node stream — bit for bit,
+    /// coordinate, height and error, height model on and off.
     #[test]
     fn embed_landmarks_only_matches_batch_landmark_coords() {
         let world = euclidean_world(50, 31);
-        let cfg = VivaldiConfig { landmarks: Some(12), ..Default::default() };
-        let batch = cfg.embed(&world, 31);
-        let placer = cfg.embed_landmarks_only(&world, 31);
-        let ids = cfg.landmark_ids(50, 31).expect("landmark mode active");
-        assert_eq!(placer.landmark_ids(), &ids[..]);
-        for (idx, &l) in ids.iter().enumerate() {
-            assert_eq!(
-                placer.landmark_state(idx).coord,
-                batch.coords[l],
-                "landmark {l} must embed identically in both paths"
-            );
+        for use_height in [false, true] {
+            let cfg = VivaldiConfig { landmarks: Some(12), use_height, ..Default::default() };
+            let batch = cfg.embed(&world, 31);
+            let placer = cfg.embed_landmarks_only(&world, 31);
+            let ids = cfg.landmark_ids(50, 31).expect("landmark mode active");
+            assert_eq!(placer.landmark_ids(), &ids[..]);
+            for v in (0..50u32).map(NodeId) {
+                let state = match ids.iter().position(|&l| l == v.index()) {
+                    Some(idx) => placer.states[idx].clone(),
+                    None => placer.place(&world, v, &mut placer.node_rng(v)),
+                };
+                let embedded = VivaldiNode {
+                    coord: batch.coords[v.index()].clone(),
+                    height: batch.heights[v.index()],
+                    error: batch.errors[v.index()],
+                };
+                assert_eq!(bits(&embedded), bits(&state), "node {v:?} lands apart");
+            }
         }
+    }
+
+    /// `VivaldiConfig::validate` guards every entry point: a config that
+    /// would embed nothing, or poison every step, is refused by name.
+    #[test]
+    #[should_panic(expected = "vivaldi.rounds must be at least 1, got 0")]
+    fn embed_landmarks_only_rejects_zero_rounds() {
+        let world = euclidean_world(20, 34);
+        VivaldiConfig { rounds: 0, landmarks: Some(4), ..Default::default() }
+            .embed_landmarks_only(&world, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "vivaldi.ce must be finite and positive, got NaN")]
+    fn embed_landmarks_only_rejects_nan_ce() {
+        let world = euclidean_world(20, 35);
+        VivaldiConfig { ce: f64::NAN, landmarks: Some(4), ..Default::default() }
+            .embed_landmarks_only(&world, 0);
     }
 
     #[test]
@@ -873,10 +862,7 @@ mod tests {
     ) -> VivaldiNode {
         let cfg = &placer.config;
         let k = placer.landmarks.len();
-        let mut state = VivaldiNode::random_start(cfg.dims, rng);
-        if cfg.use_height {
-            state.height = cfg.min_height;
-        }
+        let mut state = VivaldiNode::random_start(cfg, rng);
         for _round in 0..cfg.rounds {
             for _ in 0..cfg.samples_per_round {
                 let li = rng.gen_range(0..k);
@@ -989,7 +975,7 @@ mod tests {
         let mut rng = rng_from_seed(6);
         let mut a = VivaldiNode { coord: vec![1.0, 1.0], height: 0.0, error: 1.0 };
         let b = VivaldiNode { coord: vec![1.0, 1.0], height: 0.0, error: 1.0 };
-        a.observe(&b, 5.0, 0.25, 0.25, &mut rng);
+        a.observe_with(&b, 5.0, &VivaldiConfig::default(), &mut rng);
         // Must have moved off the coincident point in SOME direction.
         assert!(euclidean(&a.coord, &b.coord) > 0.0);
     }

@@ -35,7 +35,9 @@ mod point;
 mod space;
 mod weight;
 
-pub(crate) use point::euclidean;
 pub use point::CostPoint;
+// The one distance behind `CostPoint::{full_distance, vector_distance}` and
+// the virtual placers.
+pub(crate) use sbon_netsim::latency::euclidean;
 pub use space::{CostSpace, CostSpaceBuilder, DimensionSpec, ScalarSource};
 pub use weight::WeightFn;

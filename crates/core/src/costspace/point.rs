@@ -1,12 +1,6 @@
 //! Points in a cost space.
 
-/// Euclidean distance between two equally long coordinate slices — the one
-/// expression behind [`CostPoint::full_distance`],
-/// [`CostPoint::vector_distance`] and the virtual placers.
-pub(crate) fn euclidean(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
-}
+use super::euclidean;
 
 /// A full cost-space coordinate: the vector (latency) components followed by
 /// the weighted scalar components. Which prefix is "vector" is defined by

@@ -11,6 +11,7 @@
 //! free from the owner's successor/predecessor lists).
 
 use sbon_hilbert::{Quantizer, SpaceFillingCurve};
+use sbon_netsim::latency::euclidean;
 
 use crate::ring::{DhtConfig, DhtRing, MemberId};
 use crate::RingKey;
@@ -290,7 +291,7 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
     /// Euclidean distance from a member's registered coordinate to `target`.
     pub(crate) fn distance_to(&self, member: MemberId, target: &[f64]) -> f64 {
         match self.coord_of(member) {
-            Some(c) => c.iter().zip(target).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt(),
+            Some(c) => euclidean(c, target),
             // Stale ring entry without a coordinate: rank it last.
             None => f64::INFINITY,
         }

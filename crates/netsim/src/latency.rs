@@ -8,6 +8,15 @@
 
 use crate::graph::NodeId;
 
+/// Euclidean distance between two equally long coordinate slices — the one
+/// spelling of the expression in the workspace: [`EuclideanLatency`], the
+/// Vivaldi spring, the cost space's distances and the DHT catalog's ranking
+/// call it.
+pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
+}
+
 /// Source of pairwise node-to-node latencies in milliseconds.
 pub trait LatencyProvider {
     /// Number of nodes covered by this provider (ids `0..len`).
@@ -121,12 +130,7 @@ impl LatencyProvider for EuclideanLatency {
     }
 
     fn latency(&self, a: NodeId, b: NodeId) -> f64 {
-        self.points[a.index()]
-            .iter()
-            .zip(&self.points[b.index()])
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum::<f64>()
-            .sqrt()
+        euclidean(&self.points[a.index()], &self.points[b.index()])
     }
 }
 

@@ -63,6 +63,8 @@
 //!   dense backend, the all-pairs matrix derived from that graph.
 //! * `sbon_overlay`'s `LinkTraffic` — per-edge rate multisets, keyed by the
 //!   edges [`dijkstra::shortest_path`] returns.
+//! * [`latency::euclidean`] — the one Euclidean distance, shared by the
+//!   coordinate layer, the cost space and the DHT catalog.
 
 #![forbid(unsafe_code)]
 

@@ -414,11 +414,8 @@ impl RuntimeConfigBuilder {
     /// a policy threshold is not finite in `[0, 1)` (a NaN never adapts, a
     /// negative one adopts worse placements); or if a DHT-backed mapper has
     /// `bits` outside `1..=32` or a zero `scan_width` (the quantizer and
-    /// the catalog reject those without naming the field); or if
-    /// `vivaldi.{dims, rounds, samples_per_round}` is zero (no rounds or no
-    /// samples would serve every node its random start coordinate),
-    /// `vivaldi.{ce, cc}` is not finite and positive, or
-    /// `vivaldi.landmarks` is `Some(k)` with `k < 2`.
+    /// the catalog reject those without naming the field); or if the
+    /// Vivaldi configuration fails [`VivaldiConfig::validate`].
     pub fn build(self) -> RuntimeConfig {
         let c = &self.config;
         for (field, value) in [
@@ -466,21 +463,7 @@ impl RuntimeConfigBuilder {
                 "mapper_backend.scan_width must be at least 1, got {scan_width}"
             );
         }
-        let v = &c.vivaldi;
-        for (field, value) in
-            [("dims", v.dims), ("rounds", v.rounds), ("samples_per_round", v.samples_per_round)]
-        {
-            assert!(value >= 1, "vivaldi.{field} must be at least 1, got {value}");
-        }
-        for (field, value) in [("ce", v.ce), ("cc", v.cc)] {
-            assert!(
-                value.is_finite() && value > 0.0,
-                "vivaldi.{field} must be finite and positive, got {value}"
-            );
-        }
-        if let Some(k) = v.landmarks {
-            assert!(k >= 2, "vivaldi.landmarks must be at least 2, got {k}");
-        }
+        c.vivaldi.validate();
         self.config
     }
 }

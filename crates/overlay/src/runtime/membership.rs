@@ -1,10 +1,10 @@
 //! Membership: which nodes are in the overlay, and keeping the control
-//! plane's view of them current. Wave bring-up (arrival order and the
+//! plane's view of them current. Bring-up (arrival order and the
 //! embedding, landmark mode included) runs once inside
 //! [`OverlayRuntime::new`]; join admission and churn refresh are the first
 //! two steps of every tick.
 //!
-//! `impl OverlayRuntime` here **reads** `config.{deployment, churn}`, `seed`,
+//! `impl OverlayRuntime` here **reads** `config.{deployment, churn}`,
 //! `placer`, `latency`, `pool`, `alive` and **writes** `arrived`,
 //! `pending_joins`, `attrs`, `rng`, `space`, `mapper`, `relevance`, `obs`.
 
@@ -13,20 +13,16 @@ use std::collections::VecDeque;
 use rand::seq::SliceRandom;
 use rayon::prelude::*;
 
-use sbon_coords::vivaldi::{LandmarkPlacer, VivaldiEmbedding, VivaldiNode};
+use sbon_coords::vivaldi::{LandmarkPlacer, VivaldiConfig, VivaldiEmbedding, VivaldiNode};
 use sbon_core::costspace::CostSpace;
 use sbon_core::placement::MapperDelta;
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::rng::derive_rng;
 use sbon_obs::WallTimer;
 
-use super::config::{DeploymentModel, RuntimeConfig};
+use super::config::DeploymentModel;
 use super::latency::LatencyState;
 use super::OverlayRuntime;
-
-/// RNG stream salt for per-node join-time Vivaldi placement; the high bits
-/// keep `salt ^ node` disjoint from every other derivation stream.
-const PLACE_STREAM: u64 = 0x517e_9a4e << 32;
 
 /// Membership bring-up: everyone at once, or an initial subset with the
 /// rest queued behind a deterministic shuffled arrival order. Returns the
@@ -51,59 +47,39 @@ pub(super) fn arrival_order(
     }
 }
 
-/// Embedding bring-up. A deployment wave with landmark mode active never
-/// embeds all n coordinates up front: the landmark half of the protocol
-/// runs once, the initial members are placed against the frozen landmarks,
-/// and everyone else is placed the tick they join (the returned placer).
-/// Each node's placement uses its own derived RNG stream, so *when* a node
-/// joins does not change *where* it lands.
+/// Embedding bring-up, one path whatever the deployment model. In landmark
+/// mode the landmark half of the protocol runs once over prewarmed rows and
+/// the arrived nodes (every node under [`DeploymentModel::Full`]) are
+/// placed against the frozen landmarks; the rest are placed the tick they
+/// join, through the returned placer. Otherwise the full protocol embeds
+/// everyone. When no join is pending, the rows the embedding read are
+/// evicted — the steady state only reads rows of circuit hosts.
 pub(super) fn embed(
-    config: &RuntimeConfig,
+    vivaldi: &VivaldiConfig,
     seed: u64,
     latency: &LatencyState,
     pool: Option<&rayon::ThreadPool>,
     arrived: &[bool],
 ) -> (VivaldiEmbedding, Option<LandmarkPlacer>) {
     let n = arrived.len();
-    let landmark_draw = match config.deployment {
-        DeploymentModel::Wave { .. } => config.vivaldi.landmark_ids(n, seed),
-        DeploymentModel::Full => None,
-    };
-    let Some(landmark_ids) = landmark_draw else {
-        let embedding = config.vivaldi.embed(&latency.provider(), seed);
-        if let Some(lazy) = latency.lazy() {
-            // The embedding touched every row once; the steady state only
-            // reads rows of circuit hosts, so free the warm-up cache.
-            lazy.evict_all();
+    let (embedding, placer) = match vivaldi.landmark_ids(n, seed) {
+        None => (vivaldi.embed(&latency.provider(), seed), None),
+        Some(landmarks) => {
+            // The landmark rows are the only latency sources the protocol
+            // and every placement read: compute them in parallel up front.
+            let sources: Vec<NodeId> = landmarks.iter().map(|&i| NodeId(i as u32)).collect();
+            latency.prewarm_rows(&sources, pool);
+            let placer = vivaldi.embed_landmarks_only(&latency.provider(), seed);
+            let initial = (0..n as u32).map(NodeId).filter(|node| arrived[node.index()]);
+            let placed = place_batch(&placer, latency, pool, initial);
+            (placer.embedding(n, &placed), Some(placer))
         }
-        return (embedding, None);
     };
-    // The landmark rows are the only latency sources the protocol and every
-    // placement read; compute them in parallel up front and keep them
-    // resident.
-    let sources: Vec<NodeId> = landmark_ids.iter().map(|&i| NodeId(i as u32)).collect();
-    latency.prewarm_rows(&sources, pool);
-    let placer = config.vivaldi.embed_landmarks_only(&latency.provider(), seed);
-    // Unarrived non-landmark nodes sit at the origin until they join; they
-    // are unmapped until then, so the placeholder is never served.
-    let mut embedding = VivaldiEmbedding {
-        coords: vec![vec![0.0; config.vivaldi.dims]; n],
-        heights: vec![0.0; n],
-        errors: vec![1.0; n],
-    };
-    let mut place = |node: usize, state: &VivaldiNode| {
-        embedding.coords[node].copy_from_slice(&state.coord);
-        embedding.heights[node] = state.height;
-        embedding.errors[node] = state.error;
-    };
-    for (idx, &lm) in placer.landmark_ids().iter().enumerate() {
-        place(lm, placer.landmark_state(idx));
+    let placer = placer.filter(|_| arrived.contains(&false));
+    if let (None, Some(lazy)) = (&placer, latency.lazy()) {
+        lazy.evict_all();
     }
-    let initial = (0..n as u32).map(NodeId).filter(|node| arrived[node.index()]);
-    for (node, state) in place_batch(&placer, latency, pool, seed, initial) {
-        place(node.index(), &state);
-    }
-    (embedding, Some(placer))
+    (embedding, placer)
 }
 
 /// The one placement call site — gather, place: every non-landmark of
@@ -111,14 +87,13 @@ pub(super) fn embed(
 /// against the frozen landmarks, in input order. The `nodes × k` latency
 /// table is gathered on the calling thread (the row cache is
 /// single-threaded, and a stale landmark row is repaired by its first
-/// read); the kernel is pure and draws from each node's own derived RNG
-/// stream, so it shards across `pool` and neither batching, join order nor
-/// thread count can move a landing spot.
+/// read); the kernel is pure and draws from each node's own stream
+/// ([`LandmarkPlacer::place_node`]), so it shards across `pool` and
+/// neither batching, join order nor thread count can move a landing spot.
 fn place_batch(
     placer: &LandmarkPlacer,
     latency: &LatencyState,
     pool: Option<&rayon::ThreadPool>,
-    seed: u64,
     nodes: impl Iterator<Item = NodeId>,
 ) -> Vec<(NodeId, VivaldiNode)> {
     let landmarks = placer.landmark_ids();
@@ -126,10 +101,7 @@ fn place_batch(
     let rtts = placer.gather_rtts(&latency.provider(), &nodes);
     let jobs: Vec<(NodeId, &[f64])> =
         nodes.iter().copied().zip(rtts.chunks(landmarks.len())).collect();
-    let place = |&(node, rtts): &(NodeId, &[f64])| {
-        let mut rng = derive_rng(seed, PLACE_STREAM ^ node.index() as u64);
-        (node, placer.place_from_rtts(rtts, &mut rng))
-    };
+    let place = |&(node, rtts): &(NodeId, &[f64])| (node, placer.place_node(node, rtts));
     match pool {
         Some(pool) if jobs.len() > 1 => pool.install(|| jobs.par_iter().map(place).collect()),
         _ => jobs.iter().map(place).collect(),
@@ -179,7 +151,7 @@ impl OverlayRuntime {
         if let Some(placer) = &self.placer {
             let joiners = joiners.iter().copied();
             let pool = self.pool.as_ref();
-            for (node, state) in place_batch(placer, &self.latency, pool, self.seed, joiners) {
+            for (node, state) in place_batch(placer, &self.latency, pool, joiners) {
                 self.space.set_vector_coord(node, &state.coord);
             }
         }

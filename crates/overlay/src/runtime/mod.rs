@@ -134,14 +134,12 @@ enum Event {
 /// The simulated SBON.
 pub struct OverlayRuntime {
     config: RuntimeConfig,
-    /// The construction seed, kept for per-node derived RNG streams
-    /// (join-time placement must not depend on join batching).
-    seed: u64,
     latency: LatencyState,
     attrs: NodeAttrs,
     space: CostSpace,
-    /// Frozen landmark set for join-time Vivaldi placement; `Some` iff the
-    /// deployment is a wave and landmark mode is active with `k < n`.
+    /// Frozen landmark set for join-time Vivaldi placement; `Some` iff
+    /// landmark mode is active with `k < n` and a join is pending at
+    /// bring-up.
     placer: Option<LandmarkPlacer>,
     /// Worker pool for the parallel per-tick stages; `None` runs serial.
     pool: Option<rayon::ThreadPool>,
@@ -206,7 +204,7 @@ impl OverlayRuntime {
         );
         let (arrived, pending_joins) = membership::arrival_order(config.deployment, n, seed);
         let (embedding, placer) =
-            membership::embed(&config, seed, &latency, pool.as_ref(), &arrived);
+            membership::embed(&config.vivaldi, seed, &latency, pool.as_ref(), &arrived);
         let mut rng = derive_rng(seed, 0x0ead);
         let attrs = INITIAL_LOAD.generate(n, &mut rng);
         let space = CostSpaceBuilder::latency_load_space_scaled(&embedding, &attrs, LOAD_SCALE);
@@ -221,7 +219,6 @@ impl OverlayRuntime {
             optimizer,
             obs: RuntimeObs::new(&config.obs),
             config,
-            seed,
             latency,
             attrs,
             space,

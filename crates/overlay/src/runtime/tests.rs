@@ -1206,6 +1206,45 @@ fn wave_with_landmarks_embeds_k_rows_and_places_joiners() {
     assert_eq!(placement_a, placement_b);
 }
 
+/// One answer for where a node lands in landmark mode: every node's vector
+/// coordinate is the same bit for bit whether the overlay came up all at
+/// once (`Full`), joined in a wave that has since drained, or was embedded
+/// directly by `VivaldiConfig::embed` — and the `Full` bring-up keeps no
+/// placer and no landmark row, since no join is pending.
+#[test]
+fn full_and_drained_wave_land_every_node_where_embed_does() {
+    use sbon_netsim::dijkstra::all_pairs_latency;
+    let topo = small_world(44);
+    let n = topo.num_nodes();
+    let vivaldi = VivaldiConfig { landmarks: Some(8), ..Default::default() };
+    let runtime = |deployment| {
+        let config = RuntimeConfig::builder()
+            .horizon_ms(10_000.0)
+            .latency_backend(LatencyBackend::Lazy)
+            .deployment(deployment)
+            .vivaldi(vivaldi.clone())
+            .build();
+        OverlayRuntime::new(&topo, 44, config)
+    };
+    let vector_bits = |rt: &OverlayRuntime| -> Vec<Vec<u64>> {
+        (rt.space().points().iter())
+            .map(|p| p.vector_part(2).iter().map(|x| x.to_bits()).collect())
+            .collect()
+    };
+    let full = runtime(DeploymentModel::Full);
+    assert!(full.placer.is_none(), "no join is pending: the placer is dropped");
+    assert_eq!(full.lazy_latency_stats().unwrap().rows_cached, 0, "and its rows evicted");
+    let mut wave = runtime(DeploymentModel::Wave { initial: 20, joins_per_tick: 10 });
+    assert!(wave.placer.is_some());
+    wave.run();
+    assert_eq!(wave.arrived_count(), n, "the wave must drain");
+    let embedded = vivaldi.embed(&all_pairs_latency(&topo.graph), 44);
+    let embedded: Vec<Vec<u64>> =
+        (embedded.coords.iter()).map(|c| c.iter().map(|x| x.to_bits()).collect()).collect();
+    assert_eq!(vector_bits(&full), embedded, "Full bring-up lands every node where embed does");
+    assert_eq!(vector_bits(&wave), embedded, "and so does a drained wave");
+}
+
 #[test]
 fn double_failure_is_idempotent() {
     let topo = small_world(9);

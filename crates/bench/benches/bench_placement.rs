@@ -15,8 +15,8 @@ fn bench_placement(c: &mut Criterion) {
         .map(|_| {
             let hosts = pick_hosts(&world, 6, &mut rng);
             let query = QuerySpec::join_star(&hosts[..5], hosts[5], 10.0, 0.02);
-            let plan = sbon_query::enumerate::dp_best_plan(&query.stats, &query.join_set).0;
-            Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer)
+            let plan = sbon_query::enumerate::dp_best_plan(&query.catalog, &query.join_set).0;
+            Circuit::from_plan(&plan, &query.catalog, query.consumer)
         })
         .collect();
 

@@ -46,8 +46,8 @@ fn bench_scale(c: &mut Criterion) {
         let circuits: Vec<Circuit> = queries
             .iter()
             .map(|q| {
-                let plan = sbon_query::enumerate::dp_best_plan(&q.stats, &q.join_set).0;
-                Circuit::from_plan(&plan, &q.stats, |s| q.producer_of(s), q.consumer)
+                let plan = sbon_query::enumerate::dp_best_plan(&q.catalog, &q.join_set).0;
+                Circuit::from_plan(&plan, &q.catalog, q.consumer)
             })
             .collect();
         group.bench_with_input(BenchmarkId::new("omniscient_tree_dp", nodes), &nodes, |b, _| {

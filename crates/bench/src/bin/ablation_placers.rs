@@ -43,9 +43,8 @@ fn main() {
     for _ in 0..trials {
         let picked = pick_hosts(&world, 6, &mut rng);
         let query = QuerySpec::join_star(&picked[..5], picked[5], 10.0, 0.02);
-        let plan = sbon_query::enumerate::dp_best_plan(&query.stats, &query.join_set).0;
-        let circuit =
-            Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
+        let plan = sbon_query::enumerate::dp_best_plan(&query.catalog, &query.join_set).0;
+        let circuit = Circuit::from_plan(&plan, &query.catalog, query.consumer);
         let (_, optimal) =
             optimal_tree_placement(&circuit, &hosts_all, |a, b| world.latency.latency(a, b));
         circuits.push((circuit, optimal));

@@ -68,9 +68,8 @@ fn main() {
             let query = QuerySpec::join_star(&picked[..4], picked[4], 10.0, 0.02);
             // One representative plan (the optimizers' candidate loop would
             // multiply all columns identically).
-            let plan = sbon_query::enumerate::dp_best_plan(&query.stats, &query.join_set).0;
-            let circuit =
-                Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
+            let plan = sbon_query::enumerate::dp_best_plan(&query.catalog, &query.join_set).0;
+            let circuit = Circuit::from_plan(&plan, &query.catalog, query.consumer);
 
             // Baseline: omniscient tree DP over all candidate hosts.
             let start = Instant::now();

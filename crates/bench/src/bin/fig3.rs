@@ -60,8 +60,7 @@ fn main() {
             sbon_query::plan::LogicalPlan::source(sbon_query::stream::StreamId(0)),
             sbon_query::plan::LogicalPlan::source(sbon_query::stream::StreamId(1)),
         );
-        let circuit =
-            Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
+        let circuit = Circuit::from_plan(&plan, &query.catalog, query.consumer);
         let placer = RelaxationPlacer::default();
         let vp = placer.place(&circuit, &world.space);
 

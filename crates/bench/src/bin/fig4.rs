@@ -25,14 +25,12 @@ use sbon_core::multiquery::{MultiQueryOptimizer, ReuseScope};
 use sbon_core::optimizer::{OptimizerConfig, QuerySpec};
 use sbon_netsim::metrics::Summary;
 use sbon_netsim::rng::{derive_rng, Zipf};
-use sbon_query::stats::StatsCatalog;
 use sbon_query::stream::{StreamCatalog, StreamId};
 
 /// Draws a query over the shared stream pool: 2–3 Zipf-popular streams and
 /// a random stub consumer.
 fn draw_query(
     streams: &StreamCatalog,
-    stats: &StatsCatalog,
     hosts: &[sbon_netsim::graph::NodeId],
     zipf: &Zipf,
     rng: &mut impl Rng,
@@ -46,7 +44,7 @@ fn draw_query(
         }
     }
     let consumer = hosts[rng.gen_range(0..hosts.len())];
-    QuerySpec::new(streams.clone(), stats.clone(), set, consumer)
+    QuerySpec::new(streams.clone(), set, consumer)
 }
 
 fn main() {
@@ -58,18 +56,18 @@ fn main() {
 
     // Shared pool of popular streams pinned around the network.
     let mut streams = StreamCatalog::new();
+    streams.set_default_selectivity(0.02);
     for i in 0..24 {
         let host = hosts[rng.gen_range(0..hosts.len())];
         streams.register(format!("feed{i}"), 10.0, host);
     }
-    let stats = StatsCatalog::from_streams(&streams, 0.02);
     let zipf = Zipf::new(24, 1.1);
 
     // Pre-deploy the running workload (no reuse, so the instance pool is
     // maximal and identical for every scope).
     let mut base = MultiQueryOptimizer::new(OptimizerConfig::default());
     for _ in 0..120 {
-        let q = draw_query(&streams, &stats, &hosts, &zipf, &mut rng);
+        let q = draw_query(&streams, &hosts, &zipf, &mut rng);
         base.optimize_and_deploy(&q, &world.space, &world.latency, ReuseScope::None)
             .expect("pre-deployment always succeeds");
     }
@@ -80,7 +78,7 @@ fn main() {
     );
 
     let new_queries: Vec<QuerySpec> =
-        (0..40).map(|_| draw_query(&streams, &stats, &hosts, &zipf, &mut rng)).collect();
+        (0..40).map(|_| draw_query(&streams, &hosts, &zipf, &mut rng)).collect();
 
     let scopes: Vec<(String, ReuseScope)> = vec![
         ("r = 0 (no reuse)".into(), ReuseScope::None),
@@ -138,7 +136,7 @@ fn main() {
         MultiQueryOptimizer::with_dht_index(OptimizerConfig::default(), &world.space, 16);
     let mut rng2 = derive_rng(11, 0xF4);
     for _ in 0..120 {
-        let q = draw_query(&streams, &stats, &hosts, &zipf, &mut rng2);
+        let q = draw_query(&streams, &hosts, &zipf, &mut rng2);
         dht_base
             .optimize_and_deploy(&q, &world.space, &world.latency, ReuseScope::None)
             .expect("pre-deployment succeeds");

@@ -139,17 +139,15 @@ impl Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::tests::catalog;
     use sbon_query::plan::LogicalPlan;
-    use sbon_query::stats::StatsCatalog;
     use sbon_query::stream::StreamId;
 
     fn simple_circuit() -> Circuit {
-        let mut stats = StatsCatalog::new(0.1);
-        stats.set_rate(StreamId(0), 10.0);
-        stats.set_rate(StreamId(1), 20.0);
+        let stats = catalog(0.1, &[(10.0, NodeId(0)), (20.0, NodeId(1))]);
         let plan =
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
-        Circuit::from_plan(&plan, &stats, |s| NodeId(s.0), NodeId(9))
+        Circuit::from_plan(&plan, &stats, NodeId(9))
     }
 
     /// Distance = |a − b| over node indices: a 1-D line network.

@@ -12,8 +12,7 @@ pub use cost::{CircuitCost, Placement};
 
 use sbon_netsim::graph::NodeId;
 use sbon_query::plan::{BinaryOp, LogicalPlan, UnaryOp};
-use sbon_query::stats::StatsCatalog;
-use sbon_query::stream::StreamId;
+use sbon_query::stream::{StreamCatalog, StreamId};
 
 /// Identifier of a service within one circuit (dense).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -109,16 +108,12 @@ pub struct Circuit {
 }
 
 impl Circuit {
-    /// Builds the circuit for `plan`: one pinned producer service per source
-    /// leaf (at `producer_of(stream)`), one unpinned operator service per
-    /// operator node, and a pinned consumer service at `consumer` fed by the
-    /// plan root. Link rates come from the statistics catalog.
-    pub fn from_plan(
-        plan: &LogicalPlan,
-        stats: &StatsCatalog,
-        producer_of: impl Fn(StreamId) -> NodeId,
-        consumer: NodeId,
-    ) -> Circuit {
+    /// Builds the circuit for `plan`: one producer service per source leaf,
+    /// pinned where the catalog says the stream is produced, one unpinned
+    /// operator service per operator node, and a pinned consumer service at
+    /// `consumer` fed by the plan root. Link rates come from the catalog's
+    /// statistics.
+    pub fn from_plan(plan: &LogicalPlan, catalog: &StreamCatalog, consumer: NodeId) -> Circuit {
         // One service per plan node plus the consumer, one link out of each
         // but the consumer: reserve exactly that, nothing speculative.
         let mut nodes = 0;
@@ -128,7 +123,7 @@ impl Circuit {
             links: Vec::with_capacity(nodes),
             root: ServiceId(0),
         };
-        let plan_root = circuit.build_subtree(plan, stats, &producer_of, &mut Vec::new());
+        let plan_root = circuit.build_subtree(plan, catalog, &mut Vec::new());
         let root_rate = circuit.services[plan_root.index()].output_rate;
         let consumer_id =
             circuit.push_service(ServiceKind::Consumer, ServicePin::Pinned(consumer), 0.0);
@@ -141,28 +136,28 @@ impl Circuit {
     /// service and appends the subtree's source streams to `sources`
     /// (first-visit order, each once, as [`LogicalPlan::sources`]). Rate,
     /// sources and signature of a node are each one step from its
-    /// children's — the same steps [`StatsCatalog::output_rate`] and the
+    /// children's — the same steps [`StreamCatalog::output_rate`] and the
     /// per-node reference the tests keep (`canonical_signature`) take, so
     /// the results are bit- and string-equal to calling those per node,
     /// without re-walking every subtree at every node.
     fn build_subtree(
         &mut self,
         plan: &LogicalPlan,
-        stats: &StatsCatalog,
-        producer_of: &impl Fn(StreamId) -> NodeId,
+        catalog: &StreamCatalog,
         sources: &mut Vec<StreamId>,
     ) -> ServiceId {
         match plan {
             LogicalPlan::Source(id) => {
                 sources.push(*id);
+                let stream = catalog.get(*id);
                 self.push_service(
                     ServiceKind::Producer(*id),
-                    ServicePin::Pinned(producer_of(*id)),
-                    stats.rate(*id),
+                    ServicePin::Pinned(stream.producer),
+                    stream.rate,
                 )
             }
             LogicalPlan::Unary { op, input } => {
-                let child = self.build_subtree(input, stats, producer_of, sources);
+                let child = self.build_subtree(input, catalog, sources);
                 let child_rate = self.services[child.index()].output_rate;
                 let signature = unary_signature(*op, &self.signature_of(child));
                 let me = self.push_service(
@@ -175,13 +170,14 @@ impl Circuit {
             }
             LogicalPlan::Binary { op, left, right } => {
                 let start = sources.len();
-                let l = self.build_subtree(left, stats, producer_of, sources);
+                let l = self.build_subtree(left, catalog, sources);
                 let mid = sources.len();
-                let r = self.build_subtree(right, stats, producer_of, sources);
+                let r = self.build_subtree(right, catalog, sources);
                 let l_rate = self.services[l.index()].output_rate;
                 let r_rate = self.services[r.index()].output_rate;
                 let (l_sources, r_sources) = sources[start..].split_at(mid - start);
-                let rate = stats.binary_output_rate(*op, (l_rate, l_sources), (r_rate, r_sources));
+                let rate =
+                    catalog.binary_output_rate(*op, (l_rate, l_sources), (r_rate, r_sources));
                 let signature = binary_signature(*op, &self.signature_of(l), &self.signature_of(r));
                 let me = self.push_service(
                     ServiceKind::Operator { signature },
@@ -315,19 +311,12 @@ fn source_signature(id: StreamId, producer: NodeId) -> String {
 /// The shape-key operator label carrying its parameter, around the qualified
 /// child.
 fn unary_signature(op: UnaryOp, inner: &str) -> String {
-    match op {
-        UnaryOp::Select { selectivity } => format!("σ{selectivity}({inner})"),
-        UnaryOp::Project { ratio } => format!("π{ratio}({inner})"),
-        UnaryOp::Aggregate { ratio } => format!("γ{ratio}({inner})"),
-    }
+    format!("{}{}({inner})", op.label(), op.rate_ratio())
 }
 
 fn binary_signature(op: BinaryOp, a: &str, b: &str) -> String {
     let (a, b) = if a <= b { (a, b) } else { (b, a) };
-    let label = match op {
-        BinaryOp::Join => "⋈",
-        BinaryOp::Union => "∪",
-    };
+    let label = op.label();
     // `({a} {label} {b})`, allocated once at its exact length: the signature
     // lives as long as its circuit, and thousands of circuits can be live.
     let mut signature = String::with_capacity(a.len() + label.len() + b.len() + 4);
@@ -338,38 +327,45 @@ fn binary_signature(op: BinaryOp, a: &str, b: &str) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::costspace::euclidean;
 
-    fn stats2() -> StatsCatalog {
-        let mut s = StatsCatalog::new(0.1);
-        s.set_rate(StreamId(0), 10.0);
-        s.set_rate(StreamId(1), 20.0);
-        s.set_rate(StreamId(2), 5.0);
-        s
+    /// A catalog of `(rate, producer)` streams s0, s1, … joining at
+    /// `default_selectivity`.
+    pub(crate) fn catalog(default_selectivity: f64, streams: &[(f64, NodeId)]) -> StreamCatalog {
+        let mut c = StreamCatalog::new();
+        c.set_default_selectivity(default_selectivity);
+        for (i, &(rate, producer)) in streams.iter().enumerate() {
+            c.register(format!("s{i}"), rate, producer);
+        }
+        c
     }
 
-    fn producer_map(id: StreamId) -> NodeId {
-        NodeId(id.0 + 100)
+    /// Streams s0–s2 at rates 10, 20 and 5, produced at nodes `first`,
+    /// `first + 1`, `first + 2`; default selectivity 0.1.
+    fn stats_at(first: u32) -> StreamCatalog {
+        catalog(0.1, &[(10.0, NodeId(first)), (20.0, NodeId(first + 1)), (5.0, NodeId(first + 2))])
+    }
+
+    /// [`stats_at`] with producers at nodes 100–102.
+    fn stats2() -> StreamCatalog {
+        stats_at(100)
     }
 
     /// The canonical reuse signature of a plan subtree: its shape key with each
     /// source leaf qualified by its producer node (`s0@n5`), order-insensitive
     /// for commutative joins.
-    fn canonical_signature(
-        plan: &LogicalPlan,
-        producer_of: &impl Fn(StreamId) -> NodeId,
-    ) -> String {
+    fn canonical_signature(plan: &LogicalPlan, catalog: &StreamCatalog) -> String {
         match plan {
-            LogicalPlan::Source(id) => source_signature(*id, producer_of(*id)),
+            LogicalPlan::Source(id) => source_signature(*id, catalog.get(*id).producer),
             LogicalPlan::Unary { op, input } => {
-                unary_signature(*op, &canonical_signature(input, producer_of))
+                unary_signature(*op, &canonical_signature(input, catalog))
             }
             LogicalPlan::Binary { op, left, right } => binary_signature(
                 *op,
-                &canonical_signature(left, producer_of),
-                &canonical_signature(right, producer_of),
+                &canonical_signature(left, catalog),
+                &canonical_signature(right, catalog),
             ),
         }
     }
@@ -378,7 +374,7 @@ mod tests {
     fn two_way_join_circuit_shape() {
         let plan =
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
-        let c = Circuit::from_plan(&plan, &stats2(), producer_map, NodeId(7));
+        let c = Circuit::from_plan(&plan, &stats2(), NodeId(7));
         // Services: 2 producers + 1 join + 1 consumer.
         assert_eq!(c.len(), 4);
         assert_eq!(c.links().len(), 3);
@@ -401,7 +397,7 @@ mod tests {
         let plan =
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
         let stats = stats2();
-        let c = Circuit::from_plan(&plan, &stats, producer_map, NodeId(7));
+        let c = Circuit::from_plan(&plan, &stats, NodeId(7));
         let rates: Vec<f64> = c.links().iter().map(|l| l.rate).collect();
         // Producer links carry base rates; root link carries join output.
         assert!(rates.contains(&10.0));
@@ -415,7 +411,7 @@ mod tests {
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1))),
             LogicalPlan::source(StreamId(2)),
         );
-        let c = Circuit::from_plan(&plan, &stats2(), producer_map, NodeId(7));
+        let c = Circuit::from_plan(&plan, &stats2(), NodeId(7));
         assert_eq!(c.unpinned_services().len(), 2);
         assert_eq!(c.len(), 6);
     }
@@ -426,8 +422,8 @@ mod tests {
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
         let p2 =
             LogicalPlan::join(LogicalPlan::source(StreamId(1)), LogicalPlan::source(StreamId(0)));
-        let c1 = Circuit::from_plan(&p1, &stats2(), producer_map, NodeId(7));
-        let c2 = Circuit::from_plan(&p2, &stats2(), producer_map, NodeId(8));
+        let c1 = Circuit::from_plan(&p1, &stats2(), NodeId(7));
+        let c2 = Circuit::from_plan(&p2, &stats2(), NodeId(8));
         let sig = |c: &Circuit| -> String {
             c.services()
                 .iter()
@@ -446,8 +442,8 @@ mod tests {
         // share a signature (this would falsely merge unrelated queries).
         let plan =
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
-        let c1 = Circuit::from_plan(&plan, &stats2(), |s| NodeId(s.0), NodeId(7));
-        let c2 = Circuit::from_plan(&plan, &stats2(), |s| NodeId(s.0 + 50), NodeId(7));
+        let c1 = Circuit::from_plan(&plan, &stats_at(0), NodeId(7));
+        let c2 = Circuit::from_plan(&plan, &stats_at(50), NodeId(7));
         let sig = |c: &Circuit| -> String {
             c.services()
                 .iter()
@@ -464,7 +460,7 @@ mod tests {
     fn filter_selectivity_is_part_of_the_signature() {
         let mk = |sel: f64| {
             let plan = LogicalPlan::select(sel, LogicalPlan::source(StreamId(0)));
-            canonical_signature(&plan, &|s: StreamId| NodeId(s.0))
+            canonical_signature(&plan, &stats_at(0))
         };
         assert_ne!(mk(0.5), mk(0.25), "different filters must not merge");
         assert_eq!(mk(0.5), mk(0.5));
@@ -474,7 +470,7 @@ mod tests {
     fn children_and_incident_agree() {
         let plan =
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
-        let c = Circuit::from_plan(&plan, &stats2(), producer_map, NodeId(7));
+        let c = Circuit::from_plan(&plan, &stats2(), NodeId(7));
         let join_sid = c.unpinned_services()[0];
         assert_eq!(c.children(join_sid).len(), 2);
         // Incident: 2 children + 1 parent (consumer).
@@ -485,7 +481,7 @@ mod tests {
     fn pin_service_changes_pinning() {
         let plan =
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
-        let mut c = Circuit::from_plan(&plan, &stats2(), producer_map, NodeId(7));
+        let mut c = Circuit::from_plan(&plan, &stats2(), NodeId(7));
         let sid = c.unpinned_services()[0];
         c.pin_service(sid, NodeId(3));
         assert!(c.unpinned_services().is_empty());
@@ -495,7 +491,7 @@ mod tests {
     #[test]
     fn unary_chain_builds_linear_circuit() {
         let plan = LogicalPlan::select(0.5, LogicalPlan::source(StreamId(0)));
-        let c = Circuit::from_plan(&plan, &stats2(), producer_map, NodeId(7));
+        let c = Circuit::from_plan(&plan, &stats2(), NodeId(7));
         assert_eq!(c.len(), 3); // producer, filter, consumer
         assert_eq!(c.links().len(), 2);
         let filter = c.unpinned_services()[0];
@@ -547,13 +543,16 @@ mod tests {
         forest.pop().unwrap()
     }
 
-    fn random_stats(d: &mut Draws, ways: usize) -> StatsCatalog {
-        let mut stats = StatsCatalog::new(d.between(0.001, 0.5));
+    /// Random rates, default and pairwise selectivities and window over one
+    /// stream per producer.
+    fn random_stats(d: &mut Draws, producers: &[NodeId]) -> StreamCatalog {
+        let mut stats = StreamCatalog::new();
+        stats.set_default_selectivity(d.between(0.001, 0.5));
         stats.set_window(d.between(0.5, 3.0));
-        for i in 0..ways as u32 {
-            stats.set_rate(StreamId(i), d.between(0.1, 100.0));
+        for (i, &producer) in producers.iter().enumerate() {
+            let id = stats.register(format!("s{i}"), d.between(0.1, 100.0), producer);
             if i > 0 && d.below(2) == 0 {
-                stats.set_join_selectivity(StreamId(i), StreamId(i - 1), d.between(0.001, 1.0));
+                stats.set_join_selectivity(id, StreamId(id.0 - 1), d.between(0.001, 1.0));
             }
         }
         stats
@@ -564,12 +563,12 @@ mod tests {
     /// dimensions; returns the hosts' points with it.
     fn random_pinned_circuit(d: &mut Draws, ways: usize, dims: usize) -> (Circuit, Vec<Vec<f64>>) {
         let plan = random_plan(d, ways);
-        let stats = random_stats(d, ways);
         let points: Vec<Vec<f64>> =
             (0..HOSTS).map(|_| (0..dims).map(|_| d.between(-100.0, 100.0)).collect()).collect();
         let producers: Vec<NodeId> = (0..ways).map(|_| NodeId(d.below(HOSTS) as u32)).collect();
         let consumer = NodeId(d.below(HOSTS) as u32);
-        let mut c = Circuit::from_plan(&plan, &stats, |s| producers[s.0 as usize], consumer);
+        let stats = random_stats(d, &producers);
+        let mut c = Circuit::from_plan(&plan, &stats, consumer);
         for sid in c.unpinned_services() {
             if d.below(4) == 0 {
                 c.pin_service(sid, NodeId(d.below(HOSTS) as u32));
@@ -617,9 +616,9 @@ mod tests {
         ) {
             let mut d = Draws(draws.into_iter());
             let plan = random_plan(&mut d, ways);
-            let stats = random_stats(&mut d, ways);
-            let producer_of = |s: StreamId| NodeId(100 + 7 * s.0);
-            let c = Circuit::from_plan(&plan, &stats, producer_of, NodeId(5));
+            let producers: Vec<NodeId> = (0..ways as u32).map(|i| NodeId(100 + 7 * i)).collect();
+            let stats = random_stats(&mut d, &producers);
+            let c = Circuit::from_plan(&plan, &stats, NodeId(5));
 
             let mut subs = Vec::new();
             build_order(&plan, &mut subs);
@@ -631,11 +630,11 @@ mod tests {
                 match (&service.kind, sub) {
                     (ServiceKind::Producer(id), LogicalPlan::Source(sid)) => {
                         proptest::prop_assert_eq!(id, sid);
-                        proptest::prop_assert_eq!(service.pin, ServicePin::Pinned(producer_of(*id)));
+                        proptest::prop_assert_eq!(service.pin, ServicePin::Pinned(producers[id.index()]));
                     }
                     (ServiceKind::Operator { signature }, _) => {
                         proptest::prop_assert_eq!(
-                            signature, &canonical_signature(sub, &producer_of)
+                            signature, &canonical_signature(sub, &stats)
                         );
                     }
                     other => proptest::prop_assert!(false, "mismatched service {:?}", other),
@@ -716,8 +715,8 @@ mod tests {
         ) {
             let mut d = Draws(draws.into_iter());
             let plan = random_plan(&mut d, ways);
-            let stats = random_stats(&mut d, ways);
-            let c = Circuit::from_plan(&plan, &stats, |s| NodeId(s.0), NodeId(9));
+            let stats = random_stats(&mut d, &(0..ways as u32).map(NodeId).collect::<Vec<_>>());
+            let c = Circuit::from_plan(&plan, &stats, NodeId(9));
             proptest::prop_assert_eq!(c.root().index(), c.len() - 1);
             for s in c.services() {
                 let uplinks: Vec<usize> =
@@ -739,7 +738,7 @@ mod tests {
         let plan =
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
         // p0@100 (rate 10), p1@101 (rate 20), join out 0.1·10·20 = 20, consumer@7.
-        let mut c = Circuit::from_plan(&plan, &stats2(), producer_map, NodeId(7));
+        let mut c = Circuit::from_plan(&plan, &stats2(), NodeId(7));
         // 10 units p0↔p1 over distance 1; p1's other 10 climb to the
         // consumer, 94 away.
         assert_eq!(c.usage_lower_bound(line), 10.0 * 1.0 + 10.0 * 94.0);

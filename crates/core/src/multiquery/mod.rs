@@ -373,8 +373,7 @@ impl MultiQueryOptimizer {
         mapper: &mut dyn PhysicalMapper,
     ) -> (MultiQueryOutcome, Placement) {
         let placer = *self.optimizer.placer();
-        let mut circuit =
-            Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
+        let mut circuit = Circuit::from_plan(&plan, &query.catalog, query.consumer);
 
         // Standalone reference: no reuse.
         let vp0 = placer.place(&circuit, space);

@@ -19,7 +19,7 @@
 //! evaluate-everything loop makes, bit for bit.
 
 use sbon_netsim::latency::LatencyProvider;
-use sbon_query::enumerate::{all_join_trees, dp_top_k_plans};
+use sbon_query::enumerate::{all_join_trees, dp_top_k_plans, MAX_EXHAUSTIVE_STREAMS};
 use sbon_query::plan::LogicalPlan;
 
 use crate::circuit::Circuit;
@@ -39,8 +39,21 @@ pub struct IntegratedOptimizer {
 }
 
 impl IntegratedOptimizer {
-    /// Creates an optimizer.
+    /// Creates an optimizer. Panics, naming the field and its value, on a
+    /// config whose plan space cannot be enumerated: `candidate_plans` 0
+    /// (the DP keeps no plan) or `exhaustive_below` above
+    /// [`MAX_EXHAUSTIVE_STREAMS`].
     pub fn new(config: OptimizerConfig) -> Self {
+        assert!(
+            config.candidate_plans >= 1,
+            "OptimizerConfig::candidate_plans must be at least 1, got {}",
+            config.candidate_plans
+        );
+        assert!(
+            config.exhaustive_below <= MAX_EXHAUSTIVE_STREAMS,
+            "OptimizerConfig::exhaustive_below must be at most {MAX_EXHAUSTIVE_STREAMS}, got {}",
+            config.exhaustive_below
+        );
         IntegratedOptimizer { config, placer: RelaxationPlacer::default() }
     }
 
@@ -61,7 +74,7 @@ impl IntegratedOptimizer {
         let bare: Vec<LogicalPlan> = if query.join_set.len() <= self.config.exhaustive_below {
             all_join_trees(&query.join_set)
         } else {
-            dp_top_k_plans(&query.stats, &query.join_set, self.config.candidate_plans)
+            dp_top_k_plans(&query.catalog, &query.join_set, self.config.candidate_plans)
                 .into_iter()
                 .map(|(p, _)| p)
                 .collect()
@@ -156,8 +169,7 @@ pub(crate) fn select_cheapest(
     let mut best: Option<PlacedCircuit> = None;
     let mut pruned = 0;
     for plan in plans {
-        let circuit =
-            Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
+        let circuit = Circuit::from_plan(&plan, &query.catalog, query.consumer);
         let bar = best.as_ref().map_or(ceiling, |b| ceiling.min(b.estimated.network_usage));
         let bound = circuit.usage_lower_bound(|a, b| space.vector_distance(a, b));
         if bound * (1.0 - BOUND_SLACK) > bar {
@@ -241,7 +253,7 @@ pub(crate) mod tests {
         // optimizer's selection on the selection metric (the estimate).
         let placer = opt.placer();
         for plan in opt.candidate_plans(&q) {
-            let circuit = Circuit::from_plan(&plan, &q.stats, |s| q.producer_of(s), q.consumer);
+            let circuit = Circuit::from_plan(&plan, &q.catalog, q.consumer);
             let vp = placer.place(&circuit, &space);
             let mut mapper = OracleMapper;
             let mapped = map_circuit(&circuit, &vp, &space, &mut mapper);
@@ -263,6 +275,18 @@ pub(crate) mod tests {
         let placed = opt.optimize(&q, &space, &lat).unwrap();
         assert!(placed.candidates_examined <= 6);
         assert!(placed.cost.network_usage > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "OptimizerConfig::candidate_plans must be at least 1, got 0")]
+    fn zero_candidate_plans_are_rejected_at_construction() {
+        IntegratedOptimizer::new(OptimizerConfig { candidate_plans: 0, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "OptimizerConfig::exhaustive_below must be at most 8, got 9")]
+    fn exhaustive_below_beyond_the_enumerable_is_rejected_at_construction() {
+        IntegratedOptimizer::new(OptimizerConfig { exhaustive_below: 9, ..Default::default() });
     }
 
     #[test]
@@ -294,8 +318,7 @@ pub(crate) mod tests {
         let examined = plans.len();
         let mut best: Option<PlacedCircuit> = None;
         for plan in plans {
-            let circuit =
-                Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
+            let circuit = Circuit::from_plan(&plan, &query.catalog, query.consumer);
             let vp = placer.place(&circuit, space);
             let mapped = map_circuit(&circuit, &vp, space, mapper);
             let estimated =

@@ -2,18 +2,16 @@
 
 use sbon_netsim::graph::NodeId;
 use sbon_query::plan::LogicalPlan;
-use sbon_query::stats::StatsCatalog;
 use sbon_query::stream::{StreamCatalog, StreamId};
 
 /// A continuous query: which streams to combine, where the consumer lives,
-/// and the statistics the optimizer may use.
+/// and the catalog the optimizer reads producers and statistics from.
 #[derive(Clone, Debug)]
 pub struct QuerySpec {
-    /// The source streams (rates + pinned producers).
-    pub streams: StreamCatalog,
-    /// Rates and selectivities.
-    pub stats: StatsCatalog,
-    /// The streams this query joins (ids into `streams`).
+    /// The source streams (rates + pinned producers), selectivities and
+    /// window.
+    pub catalog: StreamCatalog,
+    /// The streams this query joins (ids into `catalog`).
     pub join_set: Vec<StreamId>,
     /// The consumer's node (pinned).
     pub consumer: NodeId,
@@ -33,69 +31,49 @@ impl QuerySpec {
     /// two-way joins and then placed in the SBON".
     pub fn join_star(producers: &[NodeId], consumer: NodeId, rate: f64, join_sel: f64) -> Self {
         assert!(!producers.is_empty(), "need at least one producer");
-        let mut streams = StreamCatalog::new();
-        for (i, &p) in producers.iter().enumerate() {
-            streams.register(format!("stream{i}"), rate, p);
-        }
-        let stats = StatsCatalog::from_streams(&streams, join_sel);
-        let join_set = streams.iter().map(|s| s.id).collect();
-        QuerySpec {
-            streams,
-            stats,
-            join_set,
-            consumer,
-            source_filters: Vec::new(),
-            root_aggregate: None,
-        }
+        let mut catalog = StreamCatalog::new();
+        catalog.set_default_selectivity(join_sel);
+        let join_set = producers
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| catalog.register(format!("stream{i}"), rate, p))
+            .collect();
+        QuerySpec::new(catalog, join_set, consumer)
     }
 
-    /// Builds a query over existing catalogs.
-    pub fn new(
-        streams: StreamCatalog,
-        stats: StatsCatalog,
-        join_set: Vec<StreamId>,
-        consumer: NodeId,
-    ) -> Self {
+    /// Builds a query over an existing catalog.
+    pub fn new(catalog: StreamCatalog, join_set: Vec<StreamId>, consumer: NodeId) -> Self {
         assert!(!join_set.is_empty(), "join set may not be empty");
-        QuerySpec {
-            streams,
-            stats,
-            join_set,
-            consumer,
-            source_filters: Vec::new(),
-            root_aggregate: None,
-        }
+        QuerySpec { catalog, join_set, consumer, source_filters: Vec::new(), root_aggregate: None }
     }
 
     /// Overrides one stream's rate (builder style).
     pub fn with_rate(mut self, stream: StreamId, rate: f64) -> Self {
-        self.stats.set_rate(stream, rate);
+        self.catalog.set_rate(stream, rate);
         self
     }
 
     /// Overrides one pairwise selectivity (builder style).
     pub fn with_selectivity(mut self, a: StreamId, b: StreamId, sel: f64) -> Self {
-        self.stats.set_join_selectivity(a, b, sel);
+        self.catalog.set_join_selectivity(a, b, sel);
         self
     }
 
     /// Adds a source-side filter (builder style).
     pub fn with_source_filter(mut self, stream: StreamId, selectivity: f64) -> Self {
-        assert!(selectivity > 0.0 && selectivity <= 1.0);
+        assert!(
+            selectivity > 0.0 && selectivity <= 1.0,
+            "source filter selectivity must be in (0, 1], got {selectivity}"
+        );
         self.source_filters.push((stream, selectivity));
         self
     }
 
     /// Adds a root aggregation with the given output ratio (builder style).
     pub fn with_root_aggregate(mut self, ratio: f64) -> Self {
-        assert!(ratio > 0.0 && ratio <= 1.0);
+        assert!(ratio > 0.0 && ratio <= 1.0, "root aggregate ratio must be in (0, 1], got {ratio}");
         self.root_aggregate = Some(ratio);
         self
-    }
-
-    /// The pinned producer of a stream.
-    pub fn producer_of(&self, id: StreamId) -> NodeId {
-        self.streams.get(id).producer
     }
 
     /// Wraps a raw join tree with this query's decorations: source filters
@@ -144,9 +122,9 @@ mod tests {
     fn join_star_registers_all_streams() {
         let q = QuerySpec::join_star(&[NodeId(1), NodeId(2), NodeId(3)], NodeId(9), 10.0, 0.05);
         assert_eq!(q.join_set.len(), 3);
-        assert_eq!(q.producer_of(StreamId(1)), NodeId(2));
-        assert_eq!(q.stats.rate(StreamId(0)), 10.0);
-        assert_eq!(q.stats.join_selectivity(StreamId(0), StreamId(2)), 0.05);
+        assert_eq!(q.catalog.get(StreamId(1)).producer, NodeId(2));
+        assert_eq!(q.catalog.rate(StreamId(0)), 10.0);
+        assert_eq!(q.catalog.join_selectivity(StreamId(0), StreamId(2)), 0.05);
     }
 
     #[test]
@@ -154,8 +132,30 @@ mod tests {
         let q = QuerySpec::join_star(&[NodeId(1), NodeId(2)], NodeId(9), 10.0, 0.05)
             .with_rate(StreamId(0), 99.0)
             .with_selectivity(StreamId(0), StreamId(1), 0.5);
-        assert_eq!(q.stats.rate(StreamId(0)), 99.0);
-        assert_eq!(q.stats.join_selectivity(StreamId(1), StreamId(0)), 0.5);
+        assert_eq!(q.catalog.rate(StreamId(0)), 99.0);
+        assert_eq!(q.catalog.join_selectivity(StreamId(1), StreamId(0)), 0.5);
+    }
+
+    /// A rate override is one write: the catalog reports it, and the
+    /// producer's link carries it in every candidate circuit.
+    #[test]
+    fn with_rate_reaches_the_catalog_and_every_candidate_circuit() {
+        use crate::circuit::{Circuit, ServiceKind};
+        use crate::optimizer::{IntegratedOptimizer, OptimizerConfig};
+
+        let producers = [NodeId(1), NodeId(2), NodeId(3)];
+        let q = QuerySpec::join_star(&producers, NodeId(9), 10.0, 0.05).with_rate(StreamId(1), 4.0);
+        assert_eq!(q.catalog.get(StreamId(1)).rate, 4.0);
+        let plans = IntegratedOptimizer::new(OptimizerConfig::default()).candidate_plans(&q);
+        assert_eq!(plans.len(), 3);
+        for plan in &plans {
+            let c = Circuit::from_plan(plan, &q.catalog, q.consumer);
+            let link = c
+                .links()
+                .iter()
+                .find(|l| matches!(c.service(l.from).kind, ServiceKind::Producer(StreamId(1))));
+            assert_eq!(link.map(|l| l.rate), Some(4.0), "{plan}");
+        }
     }
 
     #[test]
@@ -185,7 +185,8 @@ mod tests {
             LogicalPlan::source(StreamId(1)),
         );
         assert!(
-            (q.stats.output_rate(&decorated) - 0.1 * q.stats.output_rate(&join_only)).abs() < 1e-12
+            (q.catalog.output_rate(&decorated) - 0.1 * q.catalog.output_rate(&join_only)).abs()
+                < 1e-12
         );
     }
 
@@ -193,5 +194,18 @@ mod tests {
     #[should_panic(expected = "at least one producer")]
     fn empty_join_star_rejected() {
         QuerySpec::join_star(&[], NodeId(0), 1.0, 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "source filter selectivity must be in (0, 1], got 1.5")]
+    fn source_filter_outside_the_unit_interval_is_rejected() {
+        QuerySpec::join_star(&[NodeId(1)], NodeId(9), 10.0, 0.05)
+            .with_source_filter(StreamId(0), 1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "root aggregate ratio must be in (0, 1], got 0")]
+    fn root_aggregate_outside_the_unit_interval_is_rejected() {
+        QuerySpec::join_star(&[NodeId(1)], NodeId(9), 10.0, 0.05).with_root_aggregate(0.0);
     }
 }

@@ -46,7 +46,7 @@ impl TwoStepOptimizer {
         mapper: &mut dyn PhysicalMapper,
     ) -> Option<PlacedCircuit> {
         // Step 1: statistics-only plan choice (network-blind).
-        let (bare_plan, _stat_cost) = dp_best_plan(&query.stats, &query.join_set);
+        let (bare_plan, _stat_cost) = dp_best_plan(&query.catalog, &query.join_set);
         let plan = query.apply_filters(bare_plan);
 
         // Step 2: place that single plan — the candidate loop over one

@@ -37,24 +37,22 @@ impl VirtualPlacer for CentroidPlacer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::tests::catalog;
     use crate::circuit::Circuit;
     use crate::costspace::CostSpaceBuilder;
     use sbon_coords::vivaldi::VivaldiEmbedding;
     use sbon_netsim::graph::NodeId;
     use sbon_query::plan::LogicalPlan;
-    use sbon_query::stats::StatsCatalog;
     use sbon_query::stream::StreamId;
 
     #[test]
     fn equal_rates_put_service_at_geometric_centroid() {
         let emb = VivaldiEmbedding::exact(vec![vec![0.0, 0.0], vec![12.0, 0.0], vec![0.0, 12.0]]);
         let space = CostSpaceBuilder::latency_space(&emb);
-        let mut stats = StatsCatalog::new(0.1);
-        stats.set_rate(StreamId(0), 10.0);
-        stats.set_rate(StreamId(1), 10.0);
+        let stats = catalog(0.1, &[(10.0, NodeId(0)), (10.0, NodeId(1))]);
         let plan =
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
-        let circuit = Circuit::from_plan(&plan, &stats, |s| NodeId(s.0), NodeId(2));
+        let circuit = Circuit::from_plan(&plan, &stats, NodeId(2));
         let vp = CentroidPlacer.place(&circuit, &space);
         let join = circuit.unpinned_services()[0];
         let c = vp.coord_of(join);
@@ -73,15 +71,12 @@ mod tests {
             vec![2.0, 8.0],
         ]);
         let space = CostSpaceBuilder::latency_space(&emb);
-        let mut stats = StatsCatalog::new(0.1);
-        for i in 0..3 {
-            stats.set_rate(StreamId(i), 10.0);
-        }
+        let stats = catalog(0.1, &[(10.0, NodeId(0)), (10.0, NodeId(1)), (10.0, NodeId(2))]);
         let plan = LogicalPlan::join(
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1))),
             LogicalPlan::source(StreamId(2)),
         );
-        let circuit = Circuit::from_plan(&plan, &stats, |s| NodeId(s.0), NodeId(3));
+        let circuit = Circuit::from_plan(&plan, &stats, NodeId(3));
         let vp = CentroidPlacer.place(&circuit, &space);
         let unpinned = circuit.unpinned_services();
         assert_eq!(unpinned.len(), 2);

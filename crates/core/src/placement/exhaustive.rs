@@ -94,8 +94,8 @@ pub fn optimal_tree_placement(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::tests::catalog;
     use sbon_query::plan::LogicalPlan;
-    use sbon_query::stats::StatsCatalog;
     use sbon_query::stream::StreamId;
 
     fn line_dist(a: NodeId, b: NodeId) -> f64 {
@@ -103,13 +103,11 @@ mod tests {
     }
 
     fn join_circuit() -> Circuit {
-        let mut stats = StatsCatalog::new(0.01);
-        stats.set_rate(StreamId(0), 10.0);
-        stats.set_rate(StreamId(1), 10.0);
+        // Producers at nodes 0 and 10, consumer at node 5.
+        let stats = catalog(0.01, &[(10.0, NodeId(0)), (10.0, NodeId(10))]);
         let plan =
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
-        // Producers at nodes 0 and 10, consumer at node 5.
-        Circuit::from_plan(&plan, &stats, |s| NodeId(s.0 * 10), NodeId(5))
+        Circuit::from_plan(&plan, &stats, NodeId(5))
     }
 
     #[test]
@@ -134,15 +132,12 @@ mod tests {
 
     #[test]
     fn dp_matches_brute_force_on_two_services() {
-        let mut stats = StatsCatalog::new(0.05);
-        for i in 0..3 {
-            stats.set_rate(StreamId(i), 10.0);
-        }
+        let stats = catalog(0.05, &[(10.0, NodeId(0)), (10.0, NodeId(6)), (10.0, NodeId(12))]);
         let plan = LogicalPlan::join(
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1))),
             LogicalPlan::source(StreamId(2)),
         );
-        let circuit = Circuit::from_plan(&plan, &stats, |s| NodeId(s.0 * 6), NodeId(3));
+        let circuit = Circuit::from_plan(&plan, &stats, NodeId(3));
         let hosts: Vec<NodeId> = (0..13).map(NodeId).collect();
         let (placement, cost) = optimal_tree_placement(&circuit, &hosts, line_dist);
 

@@ -66,23 +66,21 @@ impl VirtualPlacer for GradientPlacer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::tests::catalog;
     use crate::circuit::Circuit;
     use crate::costspace::CostSpaceBuilder;
     use sbon_coords::vivaldi::VivaldiEmbedding;
     use sbon_netsim::graph::NodeId;
     use sbon_query::plan::LogicalPlan;
-    use sbon_query::stats::StatsCatalog;
     use sbon_query::stream::StreamId;
 
     fn fixture(rates: &[f64]) -> (Circuit, crate::costspace::CostSpace) {
         let emb = VivaldiEmbedding::exact(vec![vec![0.0, 0.0], vec![100.0, 0.0], vec![50.0, 80.0]]);
         let space = CostSpaceBuilder::latency_space(&emb);
-        let mut stats = StatsCatalog::new(0.001);
-        stats.set_rate(StreamId(0), rates[0]);
-        stats.set_rate(StreamId(1), rates[1]);
+        let stats = catalog(0.001, &[(rates[0], NodeId(0)), (rates[1], NodeId(1))]);
         let plan =
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
-        (Circuit::from_plan(&plan, &stats, |s| NodeId(s.0), NodeId(2)), space)
+        (Circuit::from_plan(&plan, &stats, NodeId(2)), space)
     }
 
     #[test]

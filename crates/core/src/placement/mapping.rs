@@ -766,12 +766,12 @@ pub fn map_circuit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::tests::catalog;
     use crate::costspace::CostSpaceBuilder;
     use crate::placement::{RelaxationPlacer, VirtualPlacer};
     use sbon_coords::vivaldi::VivaldiEmbedding;
     use sbon_netsim::load::{Attr, NodeAttrs};
     use sbon_query::plan::LogicalPlan;
-    use sbon_query::stats::StatsCatalog;
     use sbon_query::stream::StreamId;
 
     /// Figure 3's scenario: two candidate hosts near the star; the closer
@@ -790,12 +790,10 @@ mod tests {
     }
 
     fn figure3_circuit() -> Circuit {
-        let mut stats = StatsCatalog::new(0.002);
-        stats.set_rate(StreamId(0), 10.0);
-        stats.set_rate(StreamId(1), 10.0);
+        let stats = catalog(0.002, &[(10.0, NodeId(0)), (10.0, NodeId(1))]);
         let plan =
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
-        Circuit::from_plan(&plan, &stats, |s| NodeId(s.0), NodeId(2))
+        Circuit::from_plan(&plan, &stats, NodeId(2))
     }
 
     #[test]

@@ -70,12 +70,12 @@ impl VirtualPlacer for RelaxationPlacer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::tests::catalog;
     use crate::circuit::Circuit;
     use crate::costspace::CostSpaceBuilder;
     use sbon_coords::vivaldi::VivaldiEmbedding;
     use sbon_netsim::graph::NodeId;
     use sbon_query::plan::LogicalPlan;
-    use sbon_query::stats::StatsCatalog;
     use sbon_query::stream::StreamId;
 
     fn space_line() -> crate::costspace::CostSpace {
@@ -87,12 +87,10 @@ mod tests {
     }
 
     fn join_circuit(rate0: f64, rate1: f64) -> Circuit {
-        let mut stats = StatsCatalog::new(0.001);
-        stats.set_rate(StreamId(0), rate0);
-        stats.set_rate(StreamId(1), rate1);
+        let stats = catalog(0.001, &[(rate0, NodeId(0)), (rate1, NodeId(1))]);
         let plan =
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
-        Circuit::from_plan(&plan, &stats, |s| NodeId(s.0), NodeId(2))
+        Circuit::from_plan(&plan, &stats, NodeId(2))
     }
 
     #[test]
@@ -158,15 +156,12 @@ mod tests {
             vec![0.0, 0.0],
             vec![90.0, 0.0],
         ]));
-        let mut stats = StatsCatalog::new(0.01);
-        for i in 0..3 {
-            stats.set_rate(StreamId(i), 10.0);
-        }
+        let stats = catalog(0.01, &[(10.0, NodeId(0)), (10.0, NodeId(1)), (10.0, NodeId(2))]);
         let plan = LogicalPlan::join(
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1))),
             LogicalPlan::source(StreamId(2)),
         );
-        let circuit = Circuit::from_plan(&plan, &stats, |s| NodeId(s.0), NodeId(3));
+        let circuit = Circuit::from_plan(&plan, &stats, NodeId(3));
         let placer = RelaxationPlacer::default();
         let seeded = VirtualPlacement::new(seed_coords(&circuit, &space, |_| 1.0));
         let relaxed = placer.place(&circuit, &space);

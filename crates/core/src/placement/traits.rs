@@ -158,23 +158,21 @@ pub trait VirtualPlacer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::tests::catalog;
     use crate::circuit::Circuit;
     use crate::costspace::CostSpaceBuilder;
     use sbon_coords::vivaldi::VivaldiEmbedding;
     use sbon_netsim::graph::NodeId;
     use sbon_query::plan::LogicalPlan;
-    use sbon_query::stats::StatsCatalog;
     use sbon_query::stream::StreamId;
 
     fn fixture() -> (Circuit, crate::costspace::CostSpace) {
         let emb = VivaldiEmbedding::exact(vec![vec![0.0, 0.0], vec![10.0, 0.0], vec![5.0, 10.0]]);
         let space = CostSpaceBuilder::latency_space(&emb);
-        let mut stats = StatsCatalog::new(0.1);
-        stats.set_rate(StreamId(0), 10.0);
-        stats.set_rate(StreamId(1), 10.0);
+        let stats = catalog(0.1, &[(10.0, NodeId(0)), (10.0, NodeId(1))]);
         let plan =
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
-        let circuit = Circuit::from_plan(&plan, &stats, |s| NodeId(s.0), NodeId(2));
+        let circuit = Circuit::from_plan(&plan, &stats, NodeId(2));
         (circuit, space)
     }
 

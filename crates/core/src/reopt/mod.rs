@@ -382,7 +382,7 @@ mod tests {
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(2))),
             LogicalPlan::source(StreamId(1)),
         );
-        let circuit = Circuit::from_plan(&bad_plan, &q.stats, |s| q.producer_of(s), q.consumer);
+        let circuit = Circuit::from_plan(&bad_plan, &q.catalog, q.consumer);
         let placer = crate::placement::RelaxationPlacer::default();
         let mut mapper = crate::placement::OracleMapper;
         let vp = crate::placement::VirtualPlacer::place(&placer, &circuit, &space);

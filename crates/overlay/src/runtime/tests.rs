@@ -205,7 +205,7 @@ fn failing_a_producer_kills_the_circuit() {
         },
     );
     let q = demo_query(&topo);
-    let producer = q.producer_of(sbon_query::stream::StreamId(0));
+    let producer = q.catalog.get(sbon_query::stream::StreamId(0)).producer;
     let handle = rt.deploy(q).unwrap();
     rt.schedule_failure(2_000.0, producer);
     let report = rt.run();

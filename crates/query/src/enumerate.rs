@@ -15,17 +15,22 @@
 //!   plans is created ... each plan is virtually placed and physically
 //!   mapped" (Section 3.3).
 
-use crate::plan::LogicalPlan;
-use crate::stats::StatsCatalog;
-use crate::stream::StreamId;
+use crate::plan::{BinaryOp, LogicalPlan};
+use crate::stream::{StreamCatalog, StreamId};
+
+/// The most streams [`all_join_trees`] and [`all_left_deep_trees`]
+/// enumerate: 135,135 bushy trees, 20,160 left-deep ones.
+pub const MAX_EXHAUSTIVE_STREAMS: usize = 8;
 
 /// All distinct bushy join trees over `streams` (commutative mirrors are
-/// generated once). Panics above 8 streams — use the DP there.
+/// generated once). Panics above [`MAX_EXHAUSTIVE_STREAMS`] — use the DP
+/// there.
 pub fn all_join_trees(streams: &[StreamId]) -> Vec<LogicalPlan> {
     assert!(!streams.is_empty(), "need at least one stream");
     assert!(
-        streams.len() <= 8,
-        "exhaustive enumeration beyond 8 streams is intractable; use dp_top_k_plans"
+        streams.len() <= MAX_EXHAUSTIVE_STREAMS,
+        "exhaustive enumeration beyond {MAX_EXHAUSTIVE_STREAMS} streams is intractable; \
+         use dp_top_k_plans"
     );
     build_trees(streams)
 }
@@ -64,10 +69,14 @@ fn build_trees(set: &[StreamId]) -> Vec<LogicalPlan> {
 /// All *left-deep* join trees over `streams`: every permutation where the
 /// right input of each join is a base stream (the classic System R /
 /// Selinger search space — `n!/2` trees after removing the mirrored first
-/// pair instead of the bushy `(2n−3)!!`). Panics above 8 streams.
+/// pair instead of the bushy `(2n−3)!!`). Panics above
+/// [`MAX_EXHAUSTIVE_STREAMS`].
 pub fn all_left_deep_trees(streams: &[StreamId]) -> Vec<LogicalPlan> {
     assert!(!streams.is_empty(), "need at least one stream");
-    assert!(streams.len() <= 8, "left-deep enumeration beyond 8 streams is intractable");
+    assert!(
+        streams.len() <= MAX_EXHAUSTIVE_STREAMS,
+        "left-deep enumeration beyond {MAX_EXHAUSTIVE_STREAMS} streams is intractable"
+    );
     if streams.len() == 1 {
         return vec![LogicalPlan::source(streams[0])];
     }
@@ -100,19 +109,20 @@ fn permute_left_deep(perm: &mut Vec<StreamId>, k: usize, out: &mut Vec<LogicalPl
 
 /// The statistically cheapest bushy plan and its cost, via subset DP.
 /// Supports up to 20 streams.
-pub fn dp_best_plan(stats: &StatsCatalog, streams: &[StreamId]) -> (LogicalPlan, f64) {
-    let mut best = dp_top_k_plans(stats, streams, 1);
+pub fn dp_best_plan(catalog: &StreamCatalog, streams: &[StreamId]) -> (LogicalPlan, f64) {
+    let mut best = dp_top_k_plans(catalog, streams, 1);
     best.pop().expect("k=1 DP always returns a plan")
 }
 
 /// The `k` statistically cheapest bushy plans (ascending cost).
 ///
 /// Classic k-best DP: each subset keeps its `k` cheapest subplans; a
-/// subset's candidates combine the k-lists of every split. The result is the
-/// full set's k-list. `k = 1` degenerates to Selinger DP. Panics on more
-/// than 20 streams or `k == 0`.
+/// subset's candidates combine the k-lists of every split, each join's rate
+/// the catalog's [`StreamCatalog::binary_output_rate`] over the two sides'
+/// streams in mask order. The result is the full set's k-list. `k = 1`
+/// degenerates to Selinger DP. Panics on more than 20 streams or `k == 0`.
 pub fn dp_top_k_plans(
-    stats: &StatsCatalog,
+    catalog: &StreamCatalog,
     streams: &[StreamId],
     k: usize,
 ) -> Vec<(LogicalPlan, f64)> {
@@ -120,12 +130,15 @@ pub fn dp_top_k_plans(
     assert!(!streams.is_empty(), "need at least one stream");
     assert!(streams.len() <= 20, "DP beyond 20 streams would exhaust memory");
     let n = streams.len();
-    let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
+    let full: u32 = (1u32 << n) - 1;
+    let members = |m: u32| -> Vec<StreamId> {
+        (0..n).filter(|i| m & (1u32 << i) != 0).map(|i| streams[i]).collect()
+    };
 
     // dp[mask] = up to k of (plan, statistical cost, output rate), cost-sorted.
     let mut dp: Vec<Vec<(LogicalPlan, f64, f64)>> = vec![Vec::new(); (full as usize) + 1];
     for (i, &s) in streams.iter().enumerate() {
-        dp[1usize << i] = vec![(LogicalPlan::source(s), 0.0, stats.rate(s))];
+        dp[1usize << i] = vec![(LogicalPlan::source(s), 0.0, catalog.rate(s))];
     }
 
     for mask in 1..=full {
@@ -141,10 +154,14 @@ pub fn dp_top_k_plans(
             if sub & low_bit != 0 {
                 let other = mask & !sub;
                 if other != 0 && !dp[sub as usize].is_empty() && !dp[other as usize].is_empty() {
-                    let cross = cross_selectivity_masks(stats, streams, sub, other);
+                    let (left, right) = (members(sub), members(other));
                     for (lp, lc, lr) in &dp[sub as usize] {
                         for (rp, rc, rr) in &dp[other as usize] {
-                            let out_rate = cross * lr * rr * stats.window_factor();
+                            let out_rate = catalog.binary_output_rate(
+                                BinaryOp::Join,
+                                (*lr, &left),
+                                (*rr, &right),
+                            );
                             let cost = lc + rc + out_rate;
                             candidates.push((
                                 LogicalPlan::join(lp.clone(), rp.clone()),
@@ -165,18 +182,6 @@ pub fn dp_top_k_plans(
     dp[full as usize].iter().map(|(p, c, _)| (p.clone(), *c)).collect()
 }
 
-fn cross_selectivity_masks(
-    stats: &StatsCatalog,
-    streams: &[StreamId],
-    left: u32,
-    right: u32,
-) -> f64 {
-    let members = |m: u32| -> Vec<StreamId> {
-        (0..streams.len()).filter(|i| m & (1u32 << i) != 0).map(|i| streams[i]).collect()
-    };
-    stats.cross_selectivity(&members(left), &members(right))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,12 +190,121 @@ mod tests {
         (0..n).map(StreamId).collect()
     }
 
-    fn uniform_stats(n: u32, rate: f64, sel: f64) -> StatsCatalog {
-        let mut c = StatsCatalog::new(sel);
+    fn uniform_stats(n: u32, rate: f64, sel: f64) -> StreamCatalog {
+        let mut c = StreamCatalog::new();
+        c.set_default_selectivity(sel);
         for i in 0..n {
-            c.set_rate(StreamId(i), rate);
+            c.register(format!("s{i}"), rate, sbon_netsim::graph::NodeId(i));
         }
         c
+    }
+
+    /// `dp_top_k_plans` before it took its join rate from
+    /// `binary_output_rate`, verbatim but for the window read: its own
+    /// cross-selectivity per split and its own `cross * lr * rr * window`.
+    fn reference_dp_top_k_plans(
+        stats: &StreamCatalog,
+        streams: &[StreamId],
+        k: usize,
+    ) -> Vec<(LogicalPlan, f64)> {
+        assert!(k >= 1, "k must be at least 1");
+        assert!(!streams.is_empty(), "need at least one stream");
+        assert!(streams.len() <= 20, "DP beyond 20 streams would exhaust memory");
+        let n = streams.len();
+        let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
+
+        // dp[mask] = up to k of (plan, statistical cost, output rate), cost-sorted.
+        let mut dp: Vec<Vec<(LogicalPlan, f64, f64)>> = vec![Vec::new(); (full as usize) + 1];
+        for (i, &s) in streams.iter().enumerate() {
+            dp[1usize << i] = vec![(LogicalPlan::source(s), 0.0, stats.rate(s))];
+        }
+
+        for mask in 1..=full {
+            if mask.count_ones() < 2 {
+                continue; // singletons were seeded above
+            }
+            let mut candidates: Vec<(LogicalPlan, f64, f64)> = Vec::new();
+            // Enumerate proper submask splits; anchor the lowest set bit on the
+            // left to visit each unordered split once.
+            let low_bit = mask & mask.wrapping_neg();
+            let mut sub = (mask - 1) & mask;
+            while sub != 0 {
+                if sub & low_bit != 0 {
+                    let other = mask & !sub;
+                    if other != 0 && !dp[sub as usize].is_empty() && !dp[other as usize].is_empty()
+                    {
+                        let cross = cross_selectivity_masks(stats, streams, sub, other);
+                        for (lp, lc, lr) in &dp[sub as usize] {
+                            for (rp, rc, rr) in &dp[other as usize] {
+                                let out_rate = cross * lr * rr * stats.window;
+                                let cost = lc + rc + out_rate;
+                                candidates.push((
+                                    LogicalPlan::join(lp.clone(), rp.clone()),
+                                    cost,
+                                    out_rate,
+                                ));
+                            }
+                        }
+                    }
+                }
+                sub = (sub - 1) & mask;
+            }
+            candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
+            candidates.truncate(k);
+            dp[mask as usize] = candidates;
+        }
+
+        dp[full as usize].iter().map(|(p, c, _)| (p.clone(), *c)).collect()
+    }
+
+    fn cross_selectivity_masks(
+        stats: &StreamCatalog,
+        streams: &[StreamId],
+        left: u32,
+        right: u32,
+    ) -> f64 {
+        let members = |m: u32| -> Vec<StreamId> {
+            (0..streams.len()).filter(|i| m & (1u32 << i) != 0).map(|i| streams[i]).collect()
+        };
+        stats.cross_selectivity(&members(left), &members(right))
+    }
+
+    /// One rate step, same result: for k ∈ {1, 3, 8} and 2–9 streams under
+    /// random rates, default and pairwise selectivities and windows, the DP
+    /// returns the reference's plans in the reference's order with the same
+    /// cost bits. Seeded cases, each (ways, k) pair twice.
+    #[test]
+    fn dp_matches_the_inline_rate_reference() {
+        for case in 0..48u64 {
+            let mut draws = 0;
+            let mut unit = || {
+                draws += 1;
+                (sbon_netsim::rng::derive_seed(case, draws) % 1_000_000) as f64 / 1_000_000.0
+            };
+            let (ways, k) = (2 + (case % 8) as u32, [1, 3, 8][(case / 8 % 3) as usize]);
+            let mut c = StreamCatalog::new();
+            c.set_default_selectivity(0.001 + 0.5 * unit());
+            c.set_window(0.5 + 2.5 * unit());
+            for i in 0..ways {
+                c.register(format!("s{i}"), 0.1 + 100.0 * unit(), sbon_netsim::graph::NodeId(i));
+                for j in 0..i {
+                    if unit() < 0.5 {
+                        c.set_join_selectivity(StreamId(i), StreamId(j), 0.001 + unit());
+                    }
+                }
+            }
+            // A join set in a scrambled order, so masks do not follow ids.
+            let mut ids = streams(ways);
+            ids.rotate_left(case as usize % ways as usize);
+            let bits = |plans: Vec<(LogicalPlan, f64)>| -> Vec<(LogicalPlan, u64)> {
+                plans.into_iter().map(|(p, cost)| (p, cost.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(dp_top_k_plans(&c, &ids, k)),
+                bits(reference_dp_top_k_plans(&c, &ids, k)),
+                "case {case}: {ways} ways, k = {k}"
+            );
+        }
     }
 
     #[test]

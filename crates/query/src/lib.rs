@@ -1,23 +1,40 @@
-//! Continuous-query model: streams, operators, logical plans, statistics,
-//! and plan enumeration.
+//! Continuous-query model: streams and their statistics, operators, logical
+//! plans, and plan enumeration.
 //!
-//! This crate is deliberately network-agnostic — it knows about data rates
-//! and selectivities, not about nodes or latencies. The classic two-step
-//! optimizer uses *only* this crate's statistics to rank plans; the paper's
-//! integrated optimizer (in `sbon-core`) re-ranks the same candidate plans
-//! by their placed-circuit cost.
+//! This crate is deliberately latency-agnostic — it knows about data rates,
+//! selectivities and the node each stream's producer is pinned to, not about
+//! latencies or where operators run. The classic two-step optimizer uses
+//! *only* this crate's statistics to rank plans; the paper's integrated
+//! optimizer (in `sbon-core`) re-ranks the same candidate plans by their
+//! placed-circuit cost.
 //!
-//! * [`stream`] — source streams with publication rates and pinned
-//!   producers.
+//! * [`stream`] — the catalog: source streams with publication rates and
+//!   pinned producers, pairwise join selectivities and the join window.
 //! * [`plan`] — logical plan trees (sources, unary and binary operators).
-//! * [`stats`] — the statistics catalog: base rates and pairwise join
-//!   selectivities; rate propagation through a plan; the statistics-only
-//!   plan cost used by the two-step baseline.
+//! * [`stats`] — rate propagation through a plan over the catalog, and the
+//!   statistics-only plan cost used by the two-step baseline.
 //! * [`rewrite`] — local plan rewriting (reorder / decompose / re-compose
 //!   services) used by re-optimization (paper §3.3).
 //! * [`enumerate`] — exhaustive bushy join-tree enumeration for small
 //!   queries and Selinger-style dynamic programming (with a k-best
 //!   generalization) for larger ones.
+//!
+//! # Who owns what in the query model
+//!
+//! Every fact has one owner and every behaviour one spelling:
+//!
+//! * [`StreamCatalog`] — each stream's rate and producer (dense by
+//!   [`StreamId`]), the pairwise selectivities (an ordered map, a default for
+//!   unlisted pairs) and the window. Nothing else stores a rate; a
+//!   `QuerySpec` (in `sbon-core`) holds one catalog, and `Circuit::from_plan`
+//!   reads producers and rates from it.
+//! * [`StreamCatalog::binary_output_rate`] — the one rate step of a join or
+//!   union, taken bottom-up by [`dp_top_k_plans`] and `Circuit::from_plan`;
+//!   [`StreamCatalog::output_rate`] and [`StreamCatalog::statistical_cost`]
+//!   recompute top-down, the per-node references both are tested against.
+//! * [`UnaryOp::label`] / [`BinaryOp::label`] — the σ/γ/⋈/∪ table that
+//!   [`LogicalPlan::render`], the rewrite dedup key and circuit signatures
+//!   print.
 
 #![forbid(unsafe_code)]
 
@@ -30,5 +47,4 @@ pub mod stream;
 pub use enumerate::{all_join_trees, all_left_deep_trees, dp_best_plan, dp_top_k_plans};
 pub use plan::{BinaryOp, LogicalPlan, UnaryOp};
 pub use rewrite::{commute, fuse_filters, neighbors, rotate_left, rotate_right, split_filter};
-pub use stats::StatsCatalog;
 pub use stream::{StreamCatalog, StreamDef, StreamId};

@@ -15,11 +15,6 @@ pub enum UnaryOp {
         /// Fraction of input data passed through, `(0, 1]`.
         selectivity: f64,
     },
-    /// Projection / compression reducing data volume by the given ratio.
-    Project {
-        /// Output-to-input data ratio, `(0, 1]`.
-        ratio: f64,
-    },
     /// Windowed aggregation emitting summaries.
     Aggregate {
         /// Output-to-input data ratio, `(0, 1]`.
@@ -32,15 +27,15 @@ impl UnaryOp {
     pub fn rate_ratio(self) -> f64 {
         match self {
             UnaryOp::Select { selectivity } => selectivity,
-            UnaryOp::Project { ratio } | UnaryOp::Aggregate { ratio } => ratio,
+            UnaryOp::Aggregate { ratio } => ratio,
         }
     }
 
-    /// Short label for plan rendering.
-    fn label(self) -> &'static str {
+    /// Short label: the one operator-symbol table plan rendering, the
+    /// rewrite dedup key and circuit signatures print.
+    pub fn label(self) -> &'static str {
         match self {
             UnaryOp::Select { .. } => "σ",
-            UnaryOp::Project { .. } => "π",
             UnaryOp::Aggregate { .. } => "γ",
         }
     }
@@ -57,7 +52,8 @@ pub enum BinaryOp {
 }
 
 impl BinaryOp {
-    fn label(self) -> &'static str {
+    /// Short label, as [`UnaryOp::label`].
+    pub fn label(self) -> &'static str {
         match self {
             BinaryOp::Join => "⋈",
             BinaryOp::Union => "∪",
@@ -115,7 +111,7 @@ impl LogicalPlan {
 
     /// Aggregation over a subplan.
     pub fn aggregate(ratio: f64, input: LogicalPlan) -> Self {
-        assert!(ratio > 0.0 && ratio <= 1.0, "aggregate ratio must be in (0, 1]");
+        assert!(ratio > 0.0 && ratio <= 1.0, "aggregate ratio must be in (0, 1], got {ratio}");
         LogicalPlan::Unary { op: UnaryOp::Aggregate { ratio }, input: Box::new(input) }
     }
 

@@ -173,17 +173,17 @@ fn rewrite_everywhere(plan: &LogicalPlan, out: &mut Vec<LogicalPlan>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::StatsCatalog;
-    use crate::stream::StreamId;
+    use crate::stream::{StreamCatalog, StreamId};
 
     fn s(i: u32) -> LogicalPlan {
         LogicalPlan::source(StreamId(i))
     }
 
-    fn stats(n: u32) -> StatsCatalog {
-        let mut c = StatsCatalog::new(0.1);
+    fn stats(n: u32) -> StreamCatalog {
+        let mut c = StreamCatalog::new();
+        c.set_default_selectivity(0.1);
         for i in 0..n {
-            c.set_rate(StreamId(i), 10.0);
+            c.register(format!("s{i}"), 10.0, sbon_netsim::graph::NodeId(i));
         }
         c
     }

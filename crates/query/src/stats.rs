@@ -1,11 +1,12 @@
-//! The statistics catalog and rate propagation.
+//! Rate propagation over the catalog's statistics.
 //!
 //! "Table summary information is used to estimate costs for performing
 //! different service orderings" (Section 2.1). For streams the summary is a
-//! publication *rate* per source plus pairwise join selectivities; an
-//! operator's output rate follows the standard windowed stream-join model:
+//! publication *rate* per source plus pairwise join selectivities and a join
+//! window, all held by the [`StreamCatalog`]; an operator's output rate
+//! follows the standard windowed stream-join model:
 //!
-//! * `rate(σ/π/γ (P))      = ratio · rate(P)`
+//! * `rate(σ/γ (P))        = ratio · rate(P)`
 //! * `rate(P₁ ⋈ P₂)        = sel(S₁, S₂) · rate(P₁) · rate(P₂) · window`
 //! * `rate(P₁ ∪ P₂)        = rate(P₁) + rate(P₂)`
 //!
@@ -16,88 +17,10 @@
 //! `Σ operator output rates` — depend on it. That asymmetry is exactly what
 //! gives the classic two-step optimizer something to optimize.
 
-use std::collections::HashMap;
-
 use crate::plan::{BinaryOp, LogicalPlan};
 use crate::stream::{StreamCatalog, StreamId};
 
-/// Rates and selectivities for a deployment. Mutable: "the selectivity
-/// estimates used to favor one plan over another may change as a circuit
-/// matures" (Section 3.3), and re-optimization reacts to such updates.
-#[derive(Clone, Debug)]
-pub struct StatsCatalog {
-    // sbon-lint: allow(unordered-iteration): point lookups only (insert/get
-    // by stream id); neither map is ever iterated.
-    rates: HashMap<StreamId, f64>,
-    // sbon-lint: allow(unordered-iteration): point lookups only, see above.
-    join_sel: HashMap<(StreamId, StreamId), f64>,
-    default_join_sel: f64,
-    window: f64,
-}
-
-impl StatsCatalog {
-    /// An empty catalog with the given default pairwise join selectivity.
-    pub fn new(default_join_sel: f64) -> Self {
-        assert!(
-            default_join_sel > 0.0 && default_join_sel.is_finite(),
-            "default selectivity must be positive"
-        );
-        StatsCatalog {
-            // sbon-lint: allow(unordered-iteration): lookup-only maps, see
-            // the field declarations.
-            rates: HashMap::new(),
-            // sbon-lint: allow(unordered-iteration): as above.
-            join_sel: HashMap::new(),
-            default_join_sel,
-            window: 1.0,
-        }
-    }
-
-    /// Seeds rates from a stream catalog.
-    pub fn from_streams(streams: &StreamCatalog, default_join_sel: f64) -> Self {
-        let mut cat = StatsCatalog::new(default_join_sel);
-        for s in streams.iter() {
-            cat.set_rate(s.id, s.rate);
-        }
-        cat
-    }
-
-    /// Sets the join window factor (seconds of stream state joined against).
-    pub fn set_window(&mut self, window: f64) {
-        assert!(window > 0.0 && window.is_finite());
-        self.window = window;
-    }
-
-    /// The current join window factor.
-    pub fn window_factor(&self) -> f64 {
-        self.window
-    }
-
-    /// Sets one stream's base rate.
-    pub fn set_rate(&mut self, id: StreamId, rate: f64) {
-        assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
-        self.rates.insert(id, rate);
-    }
-
-    /// Base rate of a stream. Panics if the stream is unknown — the
-    /// optimizer must never cost a plan over unregistered sources.
-    pub fn rate(&self, id: StreamId) -> f64 {
-        *self.rates.get(&id).unwrap_or_else(|| panic!("no rate registered for {id}"))
-    }
-
-    /// Sets the pairwise selectivity between two streams (symmetric).
-    pub fn set_join_selectivity(&mut self, a: StreamId, b: StreamId, sel: f64) {
-        assert!(sel > 0.0 && sel.is_finite(), "selectivity must be positive");
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.join_sel.insert(key, sel);
-    }
-
-    /// Pairwise selectivity (falls back to the default).
-    pub fn join_selectivity(&self, a: StreamId, b: StreamId) -> f64 {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        *self.join_sel.get(&key).unwrap_or(&self.default_join_sel)
-    }
-
+impl StreamCatalog {
     /// Cross selectivity of joining two stream sets: product over pairs.
     pub fn cross_selectivity(&self, left: &[StreamId], right: &[StreamId]) -> f64 {
         let mut sel = 1.0;
@@ -109,7 +32,9 @@ impl StatsCatalog {
         sel
     }
 
-    /// Output rate of a plan node (the rate flowing over its output link).
+    /// Output rate of a plan node (the rate flowing over its output link),
+    /// recomputed top-down: the per-node reference the bottom-up builders
+    /// are tested against.
     pub fn output_rate(&self, plan: &LogicalPlan) -> f64 {
         match plan {
             LogicalPlan::Source(id) => self.rate(*id),
@@ -123,9 +48,9 @@ impl StatsCatalog {
     }
 
     /// Output rate of a binary operator given each input's `(output rate,
-    /// source streams)` — the one-level step of
-    /// [`StatsCatalog::output_rate`], for callers that already walk the plan
-    /// bottom-up and carry both per subtree.
+    /// source streams)` — the one rate step of the model, taken by
+    /// [`StreamCatalog::output_rate`], the k-best DP and every caller that
+    /// walks a plan bottom-up carrying both per subtree.
     pub fn binary_output_rate(
         &self,
         op: BinaryOp,
@@ -160,11 +85,12 @@ mod tests {
         LogicalPlan::source(StreamId(i))
     }
 
-    fn catalog3() -> StatsCatalog {
-        let mut c = StatsCatalog::new(0.1);
-        c.set_rate(StreamId(0), 10.0);
-        c.set_rate(StreamId(1), 20.0);
-        c.set_rate(StreamId(2), 5.0);
+    fn catalog3() -> StreamCatalog {
+        let mut c = StreamCatalog::new();
+        c.set_default_selectivity(0.1);
+        for (i, rate) in [10.0, 20.0, 5.0].into_iter().enumerate() {
+            c.register(format!("s{i}"), rate, NodeId(i as u32));
+        }
         c
     }
 
@@ -236,16 +162,8 @@ mod tests {
     }
 
     #[test]
-    fn from_streams_copies_rates() {
-        let mut sc = StreamCatalog::new();
-        let a = sc.register("a", 7.0, NodeId(0));
-        let c = StatsCatalog::from_streams(&sc, 0.1);
-        assert_eq!(c.rate(a), 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no rate registered")]
+    #[should_panic(expected = "unknown stream s9")]
     fn unknown_stream_panics() {
-        StatsCatalog::new(0.1).rate(StreamId(9));
+        catalog3().rate(StreamId(9));
     }
 }

@@ -1,10 +1,15 @@
-//! Source streams.
+//! Source streams and the statistics over them: the one catalog.
 //!
 //! An SBON "often relays real-time data from a particular data source ...
 //! and no other source can provide this particular data" (Section 2 — "one
-//! cannot move mountains"). A [`StreamDef`] therefore carries a *pinned*
-//! producer node along with its publication rate; there is no data-placement
-//! problem.
+//! cannot move mountains"). A stream therefore carries a *pinned* producer
+//! node along with its publication rate; there is no data-placement problem.
+//! The catalog also holds what the windowed join model needs beyond the
+//! per-stream rates — pairwise selectivities and the window — so every fact
+//! the optimizer reads has this one home; [`crate::stats`] derives the rates
+//! that follow from them.
+
+use std::collections::BTreeMap;
 
 use sbon_netsim::graph::NodeId;
 
@@ -28,8 +33,6 @@ impl std::fmt::Display for StreamId {
 /// Definition of one source stream.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StreamDef {
-    /// The stream's id in its catalog.
-    pub id: StreamId,
     /// Human-readable name for harness output.
     pub name: String,
     /// Publication rate in normalized data units per second.
@@ -38,24 +41,47 @@ pub struct StreamDef {
     pub producer: NodeId,
 }
 
-/// The set of streams known to a deployment.
-#[derive(Clone, Debug, Default)]
+/// The streams known to a deployment and their statistics. Mutable: "the
+/// selectivity estimates used to favor one plan over another may change as a
+/// circuit matures" (Section 3.3), and re-optimization reacts to such
+/// updates.
+#[derive(Clone, Debug)]
 pub struct StreamCatalog {
+    /// Dense by [`StreamId`].
     streams: Vec<StreamDef>,
+    /// Pairwise join selectivities keyed `(low id, high id)`; a pair not
+    /// listed joins at `default_selectivity`.
+    selectivities: BTreeMap<(StreamId, StreamId), f64>,
+    default_selectivity: f64,
+    /// Seconds of stream state a join matches against.
+    pub(crate) window: f64,
+}
+
+impl Default for StreamCatalog {
+    fn default() -> Self {
+        StreamCatalog {
+            streams: Vec::new(),
+            selectivities: BTreeMap::new(),
+            default_selectivity: 1.0,
+            window: 1.0,
+        }
+    }
 }
 
 impl StreamCatalog {
-    /// An empty catalog.
+    /// An empty catalog: window 1, and every pair joins at selectivity 1
+    /// until [`StreamCatalog::set_default_selectivity`] or
+    /// [`StreamCatalog::set_join_selectivity`] says otherwise.
     pub fn new() -> Self {
         StreamCatalog::default()
     }
 
-    /// Registers a stream and returns its id. Panics on non-finite or
-    /// negative rate.
+    /// Registers a stream and returns its id. Panics on a non-finite or
+    /// non-positive rate.
     pub fn register(&mut self, name: impl Into<String>, rate: f64, producer: NodeId) -> StreamId {
-        assert!(rate.is_finite() && rate > 0.0, "stream rate must be positive, got {rate}");
+        check_positive("stream rate", rate);
         let id = StreamId(self.streams.len() as u32);
-        self.streams.push(StreamDef { id, name: name.into(), rate, producer });
+        self.streams.push(StreamDef { name: name.into(), rate, producer });
         id
     }
 
@@ -69,15 +95,56 @@ impl StreamCatalog {
         self.streams.is_empty()
     }
 
-    /// Looks up one stream.
+    /// Looks up one stream. Panics if it is unknown — the optimizer must
+    /// never cost a plan over unregistered sources.
     pub fn get(&self, id: StreamId) -> &StreamDef {
-        &self.streams[id.index()]
+        let len = self.len();
+        self.streams.get(id.index()).unwrap_or_else(|| unknown_stream(id, len))
     }
 
-    /// All streams, in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &StreamDef> {
-        self.streams.iter()
+    /// Base rate of a stream.
+    pub fn rate(&self, id: StreamId) -> f64 {
+        self.get(id).rate
     }
+
+    /// Overrides one stream's base rate.
+    pub fn set_rate(&mut self, id: StreamId, rate: f64) {
+        check_positive("stream rate", rate);
+        let len = self.len();
+        self.streams.get_mut(id.index()).unwrap_or_else(|| unknown_stream(id, len)).rate = rate;
+    }
+
+    /// Sets the selectivity of every pair that
+    /// [`StreamCatalog::set_join_selectivity`] does not name.
+    pub fn set_default_selectivity(&mut self, sel: f64) {
+        check_positive("default join selectivity", sel);
+        self.default_selectivity = sel;
+    }
+
+    /// Sets the pairwise selectivity between two streams (symmetric).
+    pub fn set_join_selectivity(&mut self, a: StreamId, b: StreamId, sel: f64) {
+        check_positive("join selectivity", sel);
+        self.selectivities.insert((a.min(b), a.max(b)), sel);
+    }
+
+    /// Pairwise selectivity (falls back to the default).
+    pub fn join_selectivity(&self, a: StreamId, b: StreamId) -> f64 {
+        *self.selectivities.get(&(a.min(b), a.max(b))).unwrap_or(&self.default_selectivity)
+    }
+
+    /// Sets the join window factor (seconds of stream state joined against).
+    pub fn set_window(&mut self, window: f64) {
+        check_positive("join window", window);
+        self.window = window;
+    }
+}
+
+fn check_positive(what: &str, value: f64) {
+    assert!(value.is_finite() && value > 0.0, "{what} must be positive and finite, got {value}");
+}
+
+fn unknown_stream(id: StreamId, len: usize) -> ! {
+    panic!("unknown stream {id}: the catalog registers {len}")
 }
 
 #[cfg(test)]
@@ -104,5 +171,16 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(StreamId(4).to_string(), "s4");
+    }
+
+    /// The rate a stream registers with and the rate the model reads are one
+    /// value: an override is what `get` reports too.
+    #[test]
+    fn set_rate_overrides_the_registered_rate() {
+        let mut c = StreamCatalog::new();
+        let a = c.register("a", 7.0, NodeId(0));
+        assert_eq!(c.rate(a), 7.0);
+        c.set_rate(a, 3.0);
+        assert_eq!((c.rate(a), c.get(a).rate), (3.0, 3.0));
     }
 }

@@ -12,7 +12,6 @@ use rand::Rng;
 use sbon_core::optimizer::QuerySpec;
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::rng::Zipf;
-use sbon_query::stats::StatsCatalog;
 use sbon_query::stream::{StreamCatalog, StreamId};
 
 /// One query shape an arriving tenant may ask for.
@@ -49,7 +48,6 @@ pub enum QueryTemplate {
 #[derive(Clone, Debug)]
 pub struct QueryGenerator {
     catalog: StreamCatalog,
-    stats: StatsCatalog,
     zipf: Zipf,
     consumers: Vec<NodeId>,
     /// `(template, cumulative weight)` for roulette selection.
@@ -58,12 +56,14 @@ pub struct QueryGenerator {
 
 impl QueryGenerator {
     /// Builds a generator. `zipf_exponent` skews feed popularity (0 =
-    /// uniform); `join_selectivity` is the uniform pairwise selectivity
-    /// recorded in the stats catalog; `consumers` are the candidate
-    /// consumer hosts (drawn uniformly). Panics on an empty catalog,
-    /// consumer set, or template mix, or on non-positive weights.
+    /// uniform); `join_selectivity` becomes the catalog's default pairwise
+    /// selectivity; `consumers` are the candidate consumer hosts (drawn
+    /// uniformly). Panics on an empty catalog, consumer set, or template
+    /// mix, on non-positive weights, and — naming the template and the
+    /// value — on a `ChainFilter` selectivity or `FanInAggregate` ratio
+    /// outside `(0, 1]`.
     pub fn new(
-        catalog: StreamCatalog,
+        mut catalog: StreamCatalog,
         join_selectivity: f64,
         zipf_exponent: f64,
         consumers: Vec<NodeId>,
@@ -72,18 +72,23 @@ impl QueryGenerator {
         assert!(!catalog.is_empty(), "need at least one stream");
         assert!(!consumers.is_empty(), "need at least one consumer host");
         assert!(!mix.is_empty(), "need at least one template");
-        let stats = StatsCatalog::from_streams(&catalog, join_selectivity);
+        catalog.set_default_selectivity(join_selectivity);
         let zipf = Zipf::new(catalog.len(), zipf_exponent);
         let mut acc = 0.0;
         let mix_cdf = mix
             .iter()
             .map(|&(t, w)| {
                 assert!(w > 0.0 && w.is_finite(), "template weights must be positive");
+                if let QueryTemplate::FanInAggregate { ratio: x, .. }
+                | QueryTemplate::ChainFilter { selectivity: x, .. } = t
+                {
+                    assert!(x > 0.0 && x <= 1.0, "{t:?}: fraction must be in (0, 1], got {x}");
+                }
                 acc += w;
                 (t, acc)
             })
             .collect();
-        QueryGenerator { catalog, stats, zipf, consumers, mix_cdf }
+        QueryGenerator { catalog, zipf, consumers, mix_cdf }
     }
 
     /// The catalog the generator draws from.
@@ -105,17 +110,16 @@ impl QueryGenerator {
         match template {
             QueryTemplate::PopularFeedJoin { ways } => {
                 let set = self.draw_streams(ways, rng);
-                QuerySpec::new(self.catalog.clone(), self.stats.clone(), set, consumer)
+                QuerySpec::new(self.catalog.clone(), set, consumer)
             }
             QueryTemplate::FanInAggregate { ways, ratio } => {
                 let set = self.draw_streams(ways, rng);
-                QuerySpec::new(self.catalog.clone(), self.stats.clone(), set, consumer)
-                    .with_root_aggregate(ratio)
+                QuerySpec::new(self.catalog.clone(), set, consumer).with_root_aggregate(ratio)
             }
             QueryTemplate::ChainFilter { filters, selectivity } => {
                 let set = self.draw_streams(1, rng);
                 let stream = set[0];
-                let mut q = QuerySpec::new(self.catalog.clone(), self.stats.clone(), set, consumer);
+                let mut q = QuerySpec::new(self.catalog.clone(), set, consumer);
                 for _ in 0..filters.max(1) {
                     q = q.with_source_filter(stream, selectivity);
                 }
@@ -243,5 +247,24 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(draw(), draw());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "ChainFilter { filters: 2, selectivity: 0.0 }: fraction must be in (0, 1], got 0"
+    )]
+    fn chain_filter_selectivity_outside_the_unit_interval_is_rejected() {
+        generator(&[(QueryTemplate::ChainFilter { filters: 2, selectivity: 0.0 }, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "FanInAggregate { ways: 3, ratio: 1.5 }: fraction must be in (0, 1], got 1.5"
+    )]
+    fn fan_in_ratio_outside_the_unit_interval_is_rejected() {
+        generator(&[
+            (QueryTemplate::PopularFeedJoin { ways: 2 }, 1.0),
+            (QueryTemplate::FanInAggregate { ways: 3, ratio: 1.5 }, 1.0),
+        ]);
     }
 }

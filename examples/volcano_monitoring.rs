@@ -53,12 +53,12 @@ fn main() {
 
     // Streams: two seismometers and one infrasound microphone, high-rate.
     let mut streams = StreamCatalog::new();
+    streams.set_default_selectivity(0.01);
     let seismo_a = streams.register("seismo-a", 50.0, volcano_domain[0]);
     let seismo_b = streams.register("seismo-b", 50.0, volcano_domain[1 % volcano_domain.len()]);
     let infra = streams.register("infrasound", 20.0, volcano_domain[2 % volcano_domain.len()]);
-    let stats = StatsCatalog::from_streams(&streams, 0.01);
 
-    let base = QuerySpec::new(streams, stats, vec![seismo_a, seismo_b, infra], observatory);
+    let base = QuerySpec::new(streams, vec![seismo_a, seismo_b, infra], observatory);
 
     // Variant 1: raw correlation (no source filtering).
     let optimizer = IntegratedOptimizer::new(OptimizerConfig::default());

@@ -94,7 +94,7 @@ pub mod prelude {
     pub use sbon_netsim::topology::transit_stub::{self, TransitStubConfig};
     pub use sbon_netsim::topology::Topology;
     pub use sbon_query::plan::LogicalPlan;
-    pub use sbon_query::stats::StatsCatalog;
+    pub use sbon_query::stream::StreamCatalog;
     pub use sbon_workload::{
         ArrivalProcess, CatalogSpec, QueryTemplate, Scenario, ScenarioReport, SessionDuration,
         WorkloadSpec,

@@ -122,7 +122,7 @@ fn consumer_and_producers_never_move() {
     assert_eq!(placed.placement.node_of(placed.circuit.root()), q.consumer);
     for s in placed.circuit.services() {
         if let sbon::core::circuit::ServiceKind::Producer(stream) = &s.kind {
-            assert_eq!(placed.placement.node_of(s.id), q.producer_of(*stream));
+            assert_eq!(placed.placement.node_of(s.id), q.catalog.get(*stream).producer);
         }
     }
 }

@@ -12,7 +12,6 @@ struct Fixture {
     latency: LatencyMatrix,
     space: sbon::core::costspace::CostSpace,
     streams: StreamCatalog,
-    stats: StatsCatalog,
     hosts: Vec<NodeId>,
 }
 
@@ -25,18 +24,17 @@ fn fixture(seed: u64) -> Fixture {
     let space = CostSpaceBuilder::latency_load_space(&embedding, &loads);
     let hosts = topo.host_candidates();
     let mut streams = StreamCatalog::new();
+    streams.set_default_selectivity(0.02);
     for i in 0..8 {
         let host = hosts[rng.gen_range(0..hosts.len())];
         streams.register(format!("feed{i}"), 10.0, host);
     }
-    let stats = StatsCatalog::from_streams(&streams, 0.02);
-    Fixture { latency, space, streams, stats, hosts }
+    Fixture { latency, space, streams, hosts }
 }
 
 fn query(f: &Fixture, streams: &[u32], consumer_idx: usize) -> QuerySpec {
     QuerySpec::new(
         f.streams.clone(),
-        f.stats.clone(),
         streams.iter().map(|&i| StreamId(i)).collect(),
         f.hosts[consumer_idx],
     )

@@ -25,8 +25,7 @@ use sbon::netsim::topology::transit_stub::{self, TransitStubConfig};
 use sbon::netsim::topology::waxman::{self, WaxmanConfig};
 use sbon::overlay::{JitterModel, LatencyBackend, OverlayRuntime, RuntimeConfig};
 use sbon::query::enumerate::{all_join_trees, dp_best_plan};
-use sbon::query::stats::StatsCatalog;
-use sbon::query::stream::StreamId;
+use sbon::query::stream::{StreamCatalog, StreamId};
 
 /// Strategy: a small Euclidean world of 6–20 nodes in a 200×200 box.
 fn euclidean_world() -> impl Strategy<Value = Vec<(f64, f64)>> {
@@ -137,7 +136,7 @@ proptest! {
         let best = opt.optimize(&q, &space, &lat).unwrap();
         let placer = opt.placer();
         for plan in opt.candidate_plans(&q) {
-            let circuit = Circuit::from_plan(&plan, &q.stats, |s| q.producer_of(s), q.consumer);
+            let circuit = Circuit::from_plan(&plan, &q.catalog, q.consumer);
             let vp = placer.place(&circuit, &space);
             let mut mapper = OracleMapper;
             let mapped = map_circuit(&circuit, &vp, &space, &mut mapper);
@@ -173,8 +172,8 @@ proptest! {
         let (_, space) = world_from(&points);
         let n = points.len() as u32;
         let q = QuerySpec::join_star(&[NodeId(0), NodeId(1), NodeId(2)], NodeId(n - 1), rate, 0.05);
-        let plan = dp_best_plan(&q.stats, &q.join_set).0;
-        let circuit = Circuit::from_plan(&plan, &q.stats, |s| q.producer_of(s), q.consumer);
+        let plan = dp_best_plan(&q.catalog, &q.join_set).0;
+        let circuit = Circuit::from_plan(&plan, &q.catalog, q.consumer);
         let placer = RelaxationPlacer::default();
         let vp = placer.place(&circuit, &space);
         // The optimum of the spring system is ≤ any specific assignment,
@@ -212,8 +211,8 @@ proptest! {
         let (lat, space) = world_from(&points);
         let n = points.len() as u32;
         let q = QuerySpec::join_star(&[NodeId(0), NodeId(1), NodeId(2)], NodeId(n - 1), 10.0, 0.05);
-        let plan = dp_best_plan(&q.stats, &q.join_set).0;
-        let circuit = Circuit::from_plan(&plan, &q.stats, |s| q.producer_of(s), q.consumer);
+        let plan = dp_best_plan(&q.catalog, &q.join_set).0;
+        let circuit = Circuit::from_plan(&plan, &q.catalog, q.consumer);
         let hosts: Vec<NodeId> = (0..n).map(NodeId).collect();
         let (_, optimal) = optimal_tree_placement(&circuit, &hosts, |a, b| lat.latency(a, b));
         let placer = RelaxationPlacer::default();
@@ -750,9 +749,10 @@ proptest! {
         rates in proptest::collection::vec(1.0f64..50.0, 4),
     ) {
         let ids: Vec<StreamId> = (0..4).map(StreamId).collect();
-        let mut stats = StatsCatalog::new(0.1);
+        let mut stats = StreamCatalog::new();
+        stats.set_default_selectivity(0.1);
         for (i, &r) in rates.iter().enumerate() {
-            stats.set_rate(StreamId(i as u32), r);
+            stats.register(format!("s{i}"), r, NodeId(i as u32));
         }
         let mut k = 0;
         for i in 0..4u32 {

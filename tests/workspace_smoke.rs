@@ -42,6 +42,6 @@ fn facade_module_paths_match_member_crates() {
     let plan: Option<LogicalPlan> = None;
     assert!(plan.is_none());
 
-    let stats = StatsCatalog::new(0.1);
-    let _: &sbon::query::stats::StatsCatalog = &stats;
+    let catalog = StreamCatalog::new();
+    let _: &sbon::query::stream::StreamCatalog = &catalog;
 }

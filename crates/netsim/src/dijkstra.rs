@@ -39,32 +39,41 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// The one Dijkstra relaxation loop: from-scratch rows, path search and
-/// both phases of [`crate::lazy`]'s row repair run it, so they pop in the
-/// same (distance, node id) order and relax by the same strict `<`.
+/// The one Dijkstra relaxation loop: from-scratch rows, path search, both
+/// phases of [`crate::lazy`]'s row repair and both sides of its
+/// point-to-point search run it, so they pop in the same (distance, node
+/// id) order and relax by the same strict `<`.
 ///
-/// The caller seeds `dist` and `heap`. An entry above its vertex's label is
-/// stale and skipped; every other pop settles its vertex `v` and relaxes
-/// each neighbour `u` that is `in_scope`, reading edge `e` at
-/// `weight(e, current latency)`. A strict improvement stores the label,
-/// calls `on_improve(u, v, e)` and pushes `u`. The loop ends when the heap
-/// is empty or `stop_at` is popped (its label is final by then). Returns
-/// the number of vertices settled.
+/// The caller seeds `dist` and `heap`. Before each pop the loop asks
+/// `stop(dist, node)` of the heap's top entry; on `true` it returns and
+/// leaves that entry in the heap, so a caller can pause a search and resume
+/// it with another call (the point-to-point search alternates two heaps
+/// this way). The top is the heap's minimum, stale or not, so its distance
+/// is a lower bound on every label still to settle, and a vertex whose
+/// entry reaches the top has a final label. Otherwise the entry is popped:
+/// one above its vertex's label is stale and skipped; every other pop
+/// settles its vertex `v` and relaxes each neighbour `u` that is
+/// `in_scope`, reading edge `e` at `weight(e, current latency)`. A strict
+/// improvement stores the label `nd`, calls `on_improve(u, v, e, nd)` and
+/// pushes `u`. Rows and repairs stop only when the heap is empty (`|_, _|
+/// false`); [`shortest_path`] stops when its target reaches the top.
+/// Returns the number of vertices settled.
 #[inline]
 pub(crate) fn settle(
     graph: &Graph,
     dist: &mut [f64],
     heap: &mut BinaryHeap<HeapEntry>,
-    stop_at: Option<NodeId>,
+    stop: impl Fn(f64, NodeId) -> bool,
     weight: impl Fn(EdgeId, f64) -> f64,
     in_scope: impl Fn(NodeId) -> bool,
-    mut on_improve: impl FnMut(NodeId, NodeId, EdgeId),
+    mut on_improve: impl FnMut(NodeId, NodeId, EdgeId, f64),
 ) -> usize {
     let mut settled = 0;
-    while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-        if Some(v) == stop_at {
+    while let Some(&HeapEntry { dist: d, node: v }) = heap.peek() {
+        if stop(d, v) {
             break;
         }
+        heap.pop();
         if d > dist[v.index()] {
             continue; // stale entry
         }
@@ -76,7 +85,7 @@ pub(crate) fn settle(
             let nd = d + weight(e, w);
             if nd < dist[u.index()] {
                 dist[u.index()] = nd;
-                on_improve(u, v, e);
+                on_improve(u, v, e, nd);
                 heap.push(HeapEntry { dist: nd, node: u });
             }
         }
@@ -106,7 +115,7 @@ pub(crate) fn fill_single_source(
     dist.fill(f64::INFINITY);
     dist[src.index()] = 0.0;
     heap.push(HeapEntry { dist: 0.0, node: src });
-    settle(graph, dist, heap, None, |_, w| w, |_| true, |_, _, _| {});
+    settle(graph, dist, heap, |_, _| false, |_, w| w, |_| true, |_, _, _, _| {});
 }
 
 /// Shortest path from `src` to `dst` as the edges it walks, in order from
@@ -120,8 +129,8 @@ pub fn shortest_path(graph: &Graph, src: NodeId, dst: NodeId) -> Option<Vec<Edge
     let mut heap = BinaryHeap::new();
     dist[src.index()] = 0.0;
     heap.push(HeapEntry { dist: 0.0, node: src });
-    let keep_prev = |u: NodeId, v, e| prev[u.index()] = Some((v, e));
-    settle(graph, &mut dist, &mut heap, Some(dst), |_, w| w, |_| true, keep_prev);
+    let keep_prev = |u: NodeId, v, e, _| prev[u.index()] = Some((v, e));
+    settle(graph, &mut dist, &mut heap, |_, v| v == dst, |_, w| w, |_| true, keep_prev);
 
     if dist[dst.index()].is_infinite() {
         return None;

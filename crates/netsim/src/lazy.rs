@@ -94,6 +94,45 @@
 //! delta batches, read patterns (rows lagging by differing numbers of
 //! batches), and cache capacities.
 //!
+//! # Point-to-point reads
+//!
+//! [`LazyLatency::latency_pair`] answers one `(a, b)` without an SSSP row.
+//! **Contract:** its value is bit-identical to
+//! `single_source(graph, a)[b]` on the current graph — to what
+//! [`LatencyProvider::latency`] serves — and it never computes, inserts or
+//! evicts a row. When `a`'s row is resident it is read exactly as
+//! `latency` reads it (repaired first if stale, counted in `cache_hits`);
+//! `a == b` is `0.0`; any other pair runs one search, counted in
+//! `pairs_searched`, whose buffers are allocated on the first search,
+//! reset through touched-lists and never shrunk.
+//!
+//! The search is bidirectional, both sides running `settle`: a forward
+//! heap grows from `a` and a backward heap from `b`, the side with the
+//! smaller top advancing, and every label improvement updates
+//! `μ = min(d_f[u] + d_b[u])`. Phase 1 ends when `b` reaches the forward
+//! top (its label is final: done), when a side exhausts its component
+//! with `μ` still infinite (`b` is unreachable: `INFINITY`), or when
+//! `top_f + top_b > μ + TIGHT_EPS_MS`. At that point a vertex `v` on any
+//! path no longer than `μ` has `d(a, v) + d(v, b) ≤ μ < top_f + top_b − ε`,
+//! so it lies below one of the two tops: one side has settled it. The
+//! fold-left-optimal path is such a path (its real length is within float
+//! rounding of the optimum, which is at most `μ`; ε absorbs the rounding,
+//! as it does for the repair's tight edges). Phase 2 continues the
+//! **forward** side alone until `b` reaches its top, relaxing only into
+//! vertices the backward side labelled. Forward-settled vertices are final
+//! and never improve, so that scope needs no second mark array. Every label
+//! is the fold-left sum of a real path from `a`, and the optimal path's
+//! prefix up to its last forward-settled vertex can be replaced by that
+//! vertex's settled path, whose fold-left sum is no larger (adding a
+//! non-negative weight is monotone under rounding), leaving the rest of the
+//! path inside the scope. So `d_f[b]` is the minimum fold-left sum from
+//! `a` — the row's value — and not `d_f[u] + w + d_b[v]`, whose additions
+//! run in another order.
+//!
+//! For the same reason a resident row of the *receiver* `b` is not used:
+//! `row_b[a]` is the minimum of the fold-left sums from `b`, and summing a
+//! path's edges from the other end can round differently in the last bits.
+//!
 //! # Memory bound
 //!
 //! [`LazyLatency::with_capacity`] caps the number of resident rows with
@@ -106,7 +145,7 @@
 //! therefore FIFO order, statistics, and every served value) independent
 //! of the thread count. The delta log adds at most one entry per edge.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BinaryHeap, VecDeque};
 
 use rayon::prelude::*;
@@ -152,6 +191,9 @@ pub struct LazyLatencyStats {
     /// Repairs whose affected region exceeded the rebuild threshold and
     /// fell back to a full-row [`single_source`] recompute.
     pub rows_rebuilt: u64,
+    /// Point-to-point searches run by [`LazyLatency::latency_pair`]: its
+    /// reads of a pair whose source row was not resident.
+    pub pairs_searched: u64,
     /// Rows currently resident.
     pub rows_cached: usize,
 }
@@ -183,6 +225,9 @@ struct RowCache {
     /// Boxed: only the (cold) repair path looks inside, and the provider
     /// stays small enough to sit inline next to a dense matrix.
     scratch: Box<RepairScratch>,
+    /// The point-to-point search's buffers, allocated by the first search:
+    /// a provider that only serves rows never holds them.
+    pair: Option<Box<PairScratch>>,
     /// The usage counters; `rows_cached` is filled in from `order` when
     /// [`LazyLatency::stats`] hands a copy out.
     stats: LazyLatencyStats,
@@ -198,8 +243,27 @@ impl RowCache {
             order: VecDeque::new(),
             log: VecDeque::new(),
             scratch: Box::default(),
+            pair: None,
             stats: LazyLatencyStats::default(),
         }
+    }
+
+    /// `row(a)[b]` when `a`'s row is resident — repaired first if it is
+    /// stale — counted as a cache hit; `None` when it is not resident.
+    /// `always`: left to the compiler, a provider hit (a join's landmark
+    /// gather is millions of them) measured ≈ 4 ns slower than inline.
+    #[inline(always)]
+    fn read(&mut self, graph: &Graph, a: NodeId, b: NodeId) -> Option<f64> {
+        let row = match self.rows[a.index()].as_deref() {
+            Some(row) if self.stale == 0 || self.epochs[a.index()] == self.head => row,
+            Some(_) => {
+                self.sync_row(graph, a);
+                self.rows[a.index()].as_deref().expect("sync keeps the row resident")
+            }
+            None => return None,
+        };
+        self.stats.cache_hits += 1;
+        Some(row[b.index()])
     }
 
     /// Inserts a row freshly computed on the current graph, evicting FIFO
@@ -484,6 +548,36 @@ impl LazyLatency {
         cache.bound_log(self.graph.num_edges());
     }
 
+    /// The latency from `a` to `b` without an SSSP row: bit-identical to
+    /// [`LatencyProvider::latency`], served from `a`'s resident row when
+    /// there is one and otherwise by a bidirectional point-to-point search
+    /// that caches nothing (see the [module docs](self)). Never computes,
+    /// inserts or evicts a row.
+    ///
+    /// ```
+    /// use sbon_netsim::graph::{Graph, NodeId};
+    /// use sbon_netsim::lazy::LazyLatency;
+    ///
+    /// let mut g = Graph::new(3);
+    /// g.add_edge(NodeId(0), NodeId(1), 2.0);
+    /// g.add_edge(NodeId(1), NodeId(2), 3.0);
+    /// let lat = LazyLatency::new(g);
+    /// assert_eq!(lat.latency_pair(NodeId(0), NodeId(2)), 5.0);
+    /// let stats = lat.stats();
+    /// assert_eq!((stats.pairs_searched, stats.rows_computed, stats.rows_cached), (1, 0, 0));
+    /// ```
+    pub fn latency_pair(&self, a: NodeId, b: NodeId) -> f64 {
+        let cache = &mut *self.cache.borrow_mut();
+        if let Some(value) = cache.read(&self.graph, a, b) {
+            return value;
+        }
+        if a == b {
+            return 0.0;
+        }
+        cache.stats.pairs_searched += 1;
+        cache.pair.get_or_insert_with(Box::default).search(&self.graph, a, b)
+    }
+
     /// Makes the rows for `sources` resident **and current**: resident
     /// rows that have fallen behind the latest delta batch are repaired
     /// (serially), and the missing ones are batch-computed and inserted in
@@ -651,7 +745,7 @@ fn repair_increase(
         }
     }
     // Outside the region every label is fixed.
-    settle(graph, row, heap, None, w_mid, |u| mark[u.index()] == stamp, |_, _, _| {});
+    settle(graph, row, heap, |_, _| false, w_mid, |u| mark[u.index()] == stamp, |_, _, _, _| {});
     (region.len(), false)
 }
 
@@ -676,7 +770,109 @@ fn repair_decrease(graph: &Graph, row: &mut [f64], scratch: &mut RepairScratch) 
             heap.push(HeapEntry { dist: nd, node: d.a });
         }
     }
-    settle(graph, row, heap, None, |_, w| w, |_| true, |_, _, _| {})
+    settle(graph, row, heap, |_, _| false, |_, w| w, |_| true, |_, _, _, _| {})
+}
+
+/// One side of the point-to-point search: labels from its root, its heap,
+/// and the vertices it labelled. Outside a search every label is
+/// `INFINITY` and the heap and the list are empty.
+#[derive(Default)]
+struct Side {
+    dist: Vec<f64>,
+    heap: BinaryHeap<HeapEntry>,
+    /// Every vertex labelled this search (repeats allowed): the reset list.
+    touched: Vec<u32>,
+}
+
+impl Side {
+    /// Starts a search from `root` over `n` vertices, growing the labels
+    /// on first use.
+    fn begin(&mut self, n: usize, root: NodeId) {
+        if self.dist.len() < n {
+            self.dist.resize(n, f64::INFINITY);
+        }
+        self.dist[root.index()] = 0.0;
+        self.touched.push(root.0);
+        self.heap.push(HeapEntry { dist: 0.0, node: root });
+    }
+
+    /// The heap's smallest distance — a lower bound on every label this
+    /// side has still to settle — or `INFINITY` once it is exhausted.
+    fn top(&self) -> f64 {
+        self.heap.peek().map_or(f64::INFINITY, |e| e.dist)
+    }
+
+    /// Runs this side's `settle` until `stop`, relaxing into `in_scope`
+    /// vertices only; each improvement goes on the touched-list and into
+    /// `mu` against `other`'s label of the same vertex.
+    fn advance(
+        &mut self,
+        graph: &Graph,
+        other: &[f64],
+        mu: &Cell<f64>,
+        stop: impl Fn(f64, NodeId) -> bool,
+        in_scope: impl Fn(NodeId) -> bool,
+    ) {
+        let Side { dist, heap, touched } = self;
+        let improve = |u: NodeId, _, _, d: f64| {
+            touched.push(u.0);
+            mu.set(mu.get().min(d + other[u.index()]));
+        };
+        settle(graph, dist, heap, stop, |_, w| w, in_scope, improve);
+    }
+
+    /// Restores the between-searches state through the touched-list.
+    fn end(&mut self) {
+        for v in self.touched.drain(..) {
+            self.dist[v as usize] = f64::INFINITY;
+        }
+        self.heap.clear();
+    }
+}
+
+/// The two sides of [`LazyLatency::latency_pair`]'s search.
+#[derive(Default)]
+struct PairScratch {
+    fwd: Side,
+    bwd: Side,
+}
+
+impl PairScratch {
+    /// `single_source(graph, a)[b]`, bit for bit, by the bidirectional
+    /// search with the ε stop and the restricted forward completion the
+    /// [module docs](self) describe. Requires `a != b`.
+    fn search(&mut self, graph: &Graph, a: NodeId, b: NodeId) -> f64 {
+        let PairScratch { fwd, bwd } = self;
+        fwd.begin(graph.num_nodes(), a);
+        bwd.begin(graph.num_nodes(), b);
+        let mu = Cell::new(f64::INFINITY);
+        let past = |tf: f64, tb: f64| tf + tb > mu.get() + TIGHT_EPS_MS;
+        let value = loop {
+            if fwd.heap.peek().is_some_and(|e| e.node == b) {
+                break fwd.dist[b.index()];
+            }
+            let (tf, tb) = (fwd.top(), bwd.top());
+            if mu.get() == f64::INFINITY && (tf == f64::INFINITY || tb == f64::INFINITY) {
+                break f64::INFINITY; // a side exhausted its component unmet
+            }
+            if past(tf, tb) {
+                // The completion: the forward side alone, into the backward
+                // side's labelled vertices only, until `b` reaches its top.
+                let scope = |u: NodeId| bwd.dist[u.index()] != f64::INFINITY;
+                fwd.advance(graph, &bwd.dist, &mu, |_, v| v == b, scope);
+                break fwd.dist[b.index()];
+            }
+            if tf <= tb {
+                let stop = |d: f64, v| v == b || d > tb || past(d, tb);
+                fwd.advance(graph, &bwd.dist, &mu, stop, |_| true);
+            } else {
+                bwd.advance(graph, &fwd.dist, &mu, |d, _| d > tf || past(tf, d), |_| true);
+            }
+        };
+        fwd.end();
+        bwd.end();
+        value
+    }
 }
 
 impl LatencyProvider for LazyLatency {
@@ -686,23 +882,13 @@ impl LatencyProvider for LazyLatency {
 
     fn latency(&self, a: NodeId, b: NodeId) -> f64 {
         let cache = &mut *self.cache.borrow_mut();
-        match cache.rows[a.index()].as_deref() {
-            Some(row) if cache.stale == 0 || cache.epochs[a.index()] == cache.head => {
-                cache.stats.cache_hits += 1;
-                row[b.index()]
-            }
-            Some(_) => {
-                cache.sync_row(&self.graph, a);
-                cache.stats.cache_hits += 1;
-                cache.rows[a.index()].as_deref().expect("sync keeps the row resident")[b.index()]
-            }
-            None => {
-                let row = single_source(&self.graph, a).into_boxed_slice();
-                let value = row[b.index()];
-                cache.insert(a, row, self.capacity);
-                value
-            }
+        if let Some(value) = cache.read(&self.graph, a, b) {
+            return value;
         }
+        let row = single_source(&self.graph, a).into_boxed_slice();
+        let value = row[b.index()];
+        cache.insert(a, row, self.capacity);
+        value
     }
 }
 
@@ -713,6 +899,8 @@ mod tests {
     use crate::rng::rng_from_seed;
     use crate::topology::simple::grid;
     use crate::topology::transit_stub::{generate, TransitStubConfig};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use rand::Rng;
     use std::sync::atomic::Ordering;
 
@@ -1181,6 +1369,137 @@ mod tests {
         let lazy = LazyLatency::new(g);
         assert!(lazy.latency(NodeId(0), NodeId(1)).is_infinite());
         assert_eq!(lazy.latency(NodeId(0), NodeId(0)), 0.0);
+    }
+
+    /// A graph from one of the families the pair-read proptest covers:
+    /// 0 transit-stub; 1 an integer-weight grid (ties everywhere); 2 a
+    /// random multigraph where a third of the edges weigh zero; 3 the same
+    /// split into components plus isolated vertices (most pairs
+    /// unreachable).
+    fn pair_test_graph(kind: u8, seed: u64) -> Graph {
+        let mut rng = rng_from_seed(seed);
+        let weight = |rng: &mut rand::rngs::StdRng| {
+            if rng.gen_range(0..3) == 0 {
+                0.0
+            } else {
+                rng.gen_range(0.1..20.0)
+            }
+        };
+        match kind {
+            0 => generate(&TransitStubConfig::with_total_nodes(rng.gen_range(30..120)), seed).graph,
+            1 => {
+                let mut g = grid(rng.gen_range(1..9), rng.gen_range(2..9), 1.0).graph;
+                for e in 0..g.num_edges() as u32 {
+                    g.set_edge_latency(EdgeId(e), rng.gen_range(1..4) as f64);
+                }
+                g
+            }
+            _ => {
+                let n = rng.gen_range(2..60u32);
+                let mut g = Graph::new(n as usize);
+                // Family 3 keeps every edge inside one of `parts` id classes
+                // and leaves the last vertex isolated.
+                let parts = if kind == 3 { rng.gen_range(2..4u32) } else { 1 };
+                let span = if kind == 3 { n - 1 } else { n };
+                for _ in 0..rng.gen_range(0..3 * n) {
+                    let a = rng.gen_range(0..span);
+                    let b = rng.gen_range(0..span);
+                    if a % parts == b % parts {
+                        let w = weight(&mut rng);
+                        g.add_edge(NodeId(a), NodeId(b), w);
+                    }
+                }
+                g
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Pair reads are bit-identical to a fresh `single_source` row on
+        /// the current graph — over the four graph families, with `a == b`
+        /// and adjacent pairs drawn on purpose, and with `a`'s row absent,
+        /// resident, or resident several delta batches (random
+        /// `apply_edge_deltas` and `scale_edges_clamped`) behind. A search
+        /// computes and caches no row; a resident row is read as a hit.
+        #[test]
+        fn latency_pair_equals_the_single_source_row(
+            kind in 0u8..4,
+            seed in 0u64..1_000_000,
+            steps in vec((0u8..8, 0u32..1_000_000, 0u32..1_000_000), 1..40),
+        ) {
+            let mut lazy = LazyLatency::new(pair_test_graph(kind, seed));
+            let mut rng = rng_from_seed(seed ^ 0x9a1);
+            let (n, m) = (lazy.len() as u32, lazy.graph().num_edges() as u32);
+            for (op, x, y) in steps {
+                let (mut a, mut b) = (NodeId(x % n), NodeId(y % n));
+                match op {
+                    // Fault `a`'s row in, so later reads find it resident
+                    // and, after a delta, stale.
+                    0 => {
+                        lazy.latency(a, b);
+                        continue;
+                    }
+                    1 if m > 0 => {
+                        let batch: Vec<(EdgeId, f64)> = (0..rng.gen_range(1..6))
+                            .map(|_| {
+                                let zero = rng.gen_range(0..4) == 0;
+                                let w = if zero { 0.0 } else { rng.gen_range(0.1..30.0) };
+                                (EdgeId(rng.gen_range(0..m)), w)
+                            })
+                            .collect();
+                        lazy.apply_edge_deltas(&batch);
+                        continue;
+                    }
+                    2 if m > 0 => {
+                        let draws: Vec<(EdgeId, f64)> = (0..rng.gen_range(1..6))
+                            .map(|_| (EdgeId(rng.gen_range(0..m)), rng.gen_range(0.5..2.0)))
+                            .collect();
+                        lazy.scale_edges_clamped(&draws, (0.0, 3.0));
+                        continue;
+                    }
+                    3 => b = a,
+                    4 if m > 0 => {
+                        let edge = lazy.graph().edge(EdgeId(x % m));
+                        (a, b) = if y % 2 == 0 { (edge.a, edge.b) } else { (edge.b, edge.a) };
+                    }
+                    _ => {}
+                }
+                let resident = lazy.cache.borrow().rows[a.index()].is_some();
+                let before = lazy.stats();
+                let got = lazy.latency_pair(a, b);
+                let want = single_source(lazy.graph(), a)[b.index()];
+                prop_assert_eq!((a, b, got.to_bits()), (a, b, want.to_bits()));
+                let after = lazy.stats();
+                prop_assert_eq!(after.rows_computed, before.rows_computed);
+                prop_assert_eq!(after.rows_cached, before.rows_cached);
+                let searched = u64::from(!resident && a != b);
+                prop_assert_eq!(after.pairs_searched, before.pairs_searched + searched);
+                prop_assert_eq!(after.cache_hits, before.cache_hits + u64::from(resident));
+            }
+        }
+    }
+
+    /// The pair search's buffers exist only once a search has run, and
+    /// a search leaves them clean: every label back at `INFINITY`, both
+    /// heaps and touched-lists empty.
+    #[test]
+    fn pair_scratch_is_allocated_by_the_first_search_and_left_clean() {
+        let lazy = LazyLatency::new(grid(6, 6, 1.0).graph);
+        lazy.latency(NodeId(0), NodeId(35));
+        lazy.latency_pair(NodeId(0), NodeId(35));
+        lazy.latency_pair(NodeId(3), NodeId(3));
+        assert!(lazy.cache.borrow().pair.is_none(), "row reads and a == b search nothing");
+        assert_eq!(lazy.latency_pair(NodeId(35), NodeId(0)), 10.0);
+        let cache = lazy.cache.borrow();
+        let pair = cache.pair.as_deref().expect("allocated by the search");
+        for side in [&pair.fwd, &pair.bwd] {
+            assert_eq!(side.dist.len(), 36);
+            assert!(side.dist.iter().all(|d| *d == f64::INFINITY));
+            assert!(side.heap.is_empty() && side.touched.is_empty());
+        }
+        assert_eq!(cache.stats.pairs_searched, 1);
     }
 
     #[test]

@@ -55,12 +55,15 @@
 //!   one CSR with the weights inline, derived on the first search and
 //!   dropped by `add_node` / `add_edge`; an unsearched graph holds none.
 //! * [`dijkstra`] — the one relaxation loop and its pop order (distance,
-//!   then node id): fresh rows, path search and both repair phases run it.
+//!   then node id): fresh rows, path search, both repair phases and both
+//!   sides of the point-to-point search run it.
 //! * [`lazy::LazyLatency`] — the mutable graph, the *base* edge weights,
 //!   the jitter step ([`lazy::LazyLatency::scale_edges_clamped`]), the
-//!   delta log with its one edge-batch dedup, and the row cache.
-//! * `sbon_overlay`'s `LatencyState` — the backend choice and, under the
-//!   dense backend, the all-pairs matrix derived from that graph.
+//!   delta log with its one edge-batch dedup, the row cache, and the
+//!   row-free point-to-point read ([`lazy::LazyLatency::latency_pair`]).
+//! * `sbon_overlay`'s `LatencyState` — the backend choice, under the dense
+//!   backend the all-pairs matrix derived from that graph, and the pair
+//!   read routed messages are priced with.
 //! * `sbon_overlay`'s `LinkTraffic` — per-edge rate multisets, keyed by the
 //!   edges [`dijkstra::shortest_path`] returns.
 //! * [`latency::euclidean`] — the one Euclidean distance, shared by the

@@ -414,7 +414,11 @@ impl RuntimeConfigBuilder {
     /// a policy threshold is not finite in `[0, 1)` (a NaN never adapts, a
     /// negative one adopts worse placements); or if a DHT-backed mapper has
     /// `bits` outside `1..=32` or a zero `scan_width` (the quantizer and
-    /// the catalog reject those without naming the field); or if the
+    /// the catalog reject those without naming the field); if a routed
+    /// mapper's `proto.timeout_ms` is not finite and positive (NaN or ∞
+    /// dies at the first routed send, a negative one inside the event
+    /// queue, and zero fires every retransmit timer at its send's instant,
+    /// so every hop is spuriously retried and suspected); or if the
     /// Vivaldi configuration fails [`VivaldiConfig::validate`].
     pub fn build(self) -> RuntimeConfig {
         let c = &self.config;
@@ -461,6 +465,14 @@ impl RuntimeConfigBuilder {
             assert!(
                 scan_width >= 1,
                 "mapper_backend.scan_width must be at least 1, got {scan_width}"
+            );
+        }
+        if let MapperBackend::Routed { proto: ProtoConfig { timeout_ms: t, .. }, .. } =
+            c.mapper_backend
+        {
+            assert!(
+                t.is_finite() && t > 0.0,
+                "mapper_backend.proto.timeout_ms must be finite and positive, got {t}"
             );
         }
         c.vivaldi.validate();

@@ -1,6 +1,7 @@
 //! Ground-truth latency state: the backend choice, the dense matrix it may
-//! call for, row prewarm for the lazy backend, and the per-tick jitter
-//! draw. `LatencyState` is self-contained — no method takes
+//! call for, row prewarm for the lazy backend, the row-free point-to-point
+//! read that prices routed messages, and the per-tick jitter draw.
+//! `LatencyState` is self-contained — no method takes
 //! [`OverlayRuntime`]; the jitter step borrows the run RNG and
 //! [`RuntimeObs`] from its caller.
 //!
@@ -28,6 +29,10 @@ pub(super) struct LatencyState {
     /// every read — `lazy`'s row cache stays empty — and is re-derived
     /// from `lazy`'s graph after each jitter batch.
     dense: Option<LatencyMatrix>,
+    /// The reference `latency_pair` is pinned against: price every pair
+    /// with the row-faulting `provider().latency(a, b)` it replaced.
+    #[cfg(test)]
+    pub(super) pairs_by_rows: bool,
 }
 
 impl LatencyState {
@@ -39,7 +44,12 @@ impl LatencyState {
             Some(cap) => LazyLatency::with_capacity(graph, cap),
             None => LazyLatency::new(graph),
         };
-        LatencyState { lazy, dense }
+        LatencyState {
+            lazy,
+            dense,
+            #[cfg(test)]
+            pairs_by_rows: false,
+        }
     }
 
     /// The active provider as a trait object.
@@ -47,6 +57,21 @@ impl LatencyState {
         match &self.dense {
             Some(matrix) => matrix,
             None => &self.lazy,
+        }
+    }
+
+    /// One point-to-point latency, for a reader that needs no row of its
+    /// own — a routed message's delay: the matrix under the dense backend,
+    /// [`LazyLatency::latency_pair`] under the lazy one. Either way the
+    /// value is bit-identical to `provider().latency(a, b)`.
+    pub(super) fn latency_pair(&self, a: NodeId, b: NodeId) -> f64 {
+        #[cfg(test)]
+        if self.pairs_by_rows {
+            return self.provider().latency(a, b);
+        }
+        match &self.dense {
+            Some(matrix) => matrix.latency(a, b),
+            None => self.lazy.latency_pair(a, b),
         }
     }
 

@@ -266,7 +266,7 @@ impl OverlayRuntime {
         // Routed backend: the deployment's mapping lookups are parked in
         // the mapper's outbox — replay them as message traffic now (the
         // routed clock carries the time forward between run ticks).
-        self.mapper.settle(SimTime::ZERO, self.latency.provider(), &mut self.obs);
+        self.mapper.settle(SimTime::ZERO, &self.latency, &mut self.obs);
         Some(handle)
     }
 

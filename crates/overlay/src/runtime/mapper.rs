@@ -1,8 +1,14 @@
 //! The runtime-owned physical mapper behind [`MapperBackend`]: build, the
 //! per-evaluation read view, charging a view's traffic back, the routed
 //! settle, and the backend stats. `MapperState` is self-contained — no
-//! method takes [`OverlayRuntime`]; `settle` borrows the latency provider
+//! method takes [`OverlayRuntime`]; `settle` borrows the [`LatencyState`]
 //! and [`RuntimeObs`] from its caller.
+//!
+//! A routed message's delay is `LatencyState::latency_pair(sender,
+//! receiver)` — the dense matrix, or the lazy backend's row-free
+//! point-to-point read, bit-identical to the row value — so settling faults
+//! in no latency row. The one row `settle` makes resident is the origin
+//! member's, which sends every lookup request of the run.
 //!
 //! `impl OverlayRuntime` here **reads** `mapper` and writes nothing.
 
@@ -14,10 +20,10 @@ use sbon_core::placement::{
 use sbon_dht::catalog::CatalogStats;
 use sbon_dht::proto::RoutedStats;
 use sbon_netsim::graph::NodeId;
-use sbon_netsim::latency::LatencyProvider;
 use sbon_netsim::sim::SimTime;
 
 use super::config::MapperBackend;
+use super::latency::LatencyState;
 use super::stats::RuntimeObs;
 use super::OverlayRuntime;
 
@@ -110,26 +116,29 @@ impl MapperState {
     }
 
     /// Replays lookups and registrations parked by the routed mapper as
-    /// message traffic on the live latency provider, driving the control
+    /// message traffic over the live latencies, driving the control
     /// plane's event queue to quiescence. A no-op under the other
     /// backends. Runs only on serial paths (tick boundaries, deploy,
     /// failure handling), so thread count never touches the routed clock.
-    pub(super) fn settle(
-        &mut self,
-        at: SimTime,
-        latency: &dyn LatencyProvider,
-        obs: &mut RuntimeObs,
-    ) {
+    ///
+    /// Each message is priced by [`LatencyState::latency_pair`]. Iterative
+    /// routing sends every lookup request from the origin member, so its
+    /// row is prewarmed first and serves those; every other delay is a
+    /// point-to-point read that caches nothing.
+    pub(super) fn settle(&mut self, at: SimTime, latency: &LatencyState, obs: &mut RuntimeObs) {
         let MapperState::Routed(m) = self else { return };
         if m.pending_traffic() == 0 && m.routed().is_quiescent() {
             return;
+        }
+        if let Some(origin) = m.origin_member() {
+            latency.prewarm_rows(&[NodeId(origin)], None);
         }
         let counts = |m: &RoutedMapper| {
             let rs = m.routed_stats();
             [rs.messages, rs.lookups, rs.registrations, rs.timeouts]
         };
         let before = counts(m);
-        let link = |a: u32, b: u32| latency.latency(NodeId(a), NodeId(b));
+        let link = |a: u32, b: u32| latency.latency_pair(NodeId(a), NodeId(b));
         m.settle(at, &link);
         let after = counts(m);
         let [msgs, lookups, regs, timeouts] = std::array::from_fn(|i| after[i] - before[i]);

@@ -335,7 +335,7 @@ impl OverlayRuntime {
                 // (and any deploy-time lookups since the last boundary) as
                 // message traffic over the *current* (possibly jittered)
                 // latencies.
-                self.mapper.settle(now, self.latency.provider(), &mut self.obs);
+                self.mapper.settle(now, &self.latency, &mut self.obs);
                 // Accrue usage over the elapsed tick (usage·seconds). The
                 // prewarm shards the tick's missing shortest-path rows
                 // across the pool; the accounting pass then reads cached
@@ -367,7 +367,7 @@ impl OverlayRuntime {
                 let evacuated = self.fail_node(node);
                 // Evacuation lookups ran through the live mapper: replay
                 // them as routed traffic at the failure time.
-                self.mapper.settle(now, self.latency.provider(), &mut self.obs);
+                self.mapper.settle(now, &self.latency, &mut self.obs);
                 self.obs.registry.inc(self.obs.h.evac_ns, t0.elapsed_ns());
                 self.obs.span_end(sp, || vec![("evacuated", evacuated.into())]);
                 self.obs.flight("runtime", "node_fail", || {

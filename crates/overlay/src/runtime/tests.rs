@@ -6,7 +6,7 @@ use sbon_coords::vivaldi::VivaldiConfig;
 use sbon_core::circuit::ServiceId;
 use sbon_core::optimizer::QuerySpec;
 use sbon_core::reopt::ReoptPolicy;
-use sbon_dht::proto::ProtoConfig;
+use sbon_dht::proto::{ProtoConfig, RoutedStats};
 use sbon_netsim::load::ChurnProcess;
 use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
 use sbon_obs::ObsConfig;
@@ -1163,6 +1163,43 @@ fn builder_rejects_non_positive_and_non_finite_times() {
     RuntimeConfig::builder().reopt_interval_ms(None).full_reopt_interval_ms(None).build();
 }
 
+/// Builds a routed-mapper config whose retransmit timeout is `timeout_ms`.
+fn build_routed_with_timeout(timeout_ms: f64) -> RuntimeConfig {
+    let proto = ProtoConfig { timeout_ms, ..ProtoConfig::default() };
+    RuntimeConfig::builder()
+        .mapper_backend(MapperBackend::Routed { bits: 12, scan_width: 8, proto })
+        .build()
+}
+
+/// A NaN timeout used to die at the first routed send, in `SimTime::after`.
+#[test]
+#[should_panic(expected = "mapper_backend.proto.timeout_ms must be finite and positive, got NaN")]
+fn builder_rejects_a_nan_routed_timeout() {
+    build_routed_with_timeout(f64::NAN);
+}
+
+/// An infinite timeout used to die at the first routed send, too.
+#[test]
+#[should_panic(expected = "mapper_backend.proto.timeout_ms must be finite and positive, got inf")]
+fn builder_rejects_an_infinite_routed_timeout() {
+    build_routed_with_timeout(f64::INFINITY);
+}
+
+/// A negative timeout used to die inside `EventQueue::schedule`.
+#[test]
+#[should_panic(expected = "mapper_backend.proto.timeout_ms must be finite and positive, got -1")]
+fn builder_rejects_a_negative_routed_timeout() {
+    build_routed_with_timeout(-1.0);
+}
+
+/// A zero timeout fired every retransmit timer at the instant of its
+/// send: every hop spuriously retried and suspected.
+#[test]
+#[should_panic(expected = "mapper_backend.proto.timeout_ms must be finite and positive, got 0")]
+fn builder_rejects_a_zero_routed_timeout() {
+    build_routed_with_timeout(0.0);
+}
+
 /// Landmark mode under a deployment wave: construction computes only
 /// the k landmark rows (never one per node), joiners are placed the
 /// tick they arrive, and the whole run is deterministic.
@@ -1356,6 +1393,53 @@ fn routed_run_is_bit_identical_across_thread_counts() {
     );
     assert_eq!(serial_routed, parallel_routed, "full routed stats must match bit-for-bit");
     assert!(serial_routed.messages > 0);
+}
+
+/// Routed messages priced by the row-free point-to-point read experience
+/// exactly what the row-faulting read they replaced made them experience
+/// (`pairs_by_rows`, the reference): on the lazy backend, with jitter
+/// between settles, through deploy, tick and failure settles, the run and
+/// every `RoutedStats` field are equal and the latency percentiles equal
+/// bit for bit — while the reference faults in a row per sender.
+#[test]
+fn routed_pair_pricing_equals_the_row_faulting_reference() {
+    let topo = small_world(53);
+    let run = |by_rows: bool| {
+        let mut rt = OverlayRuntime::new(
+            &topo,
+            53,
+            RuntimeConfig::builder()
+                .horizon_ms(8_000.0)
+                .latency_backend(LatencyBackend::Lazy)
+                .mapper_backend(routed_backend())
+                .churn(ChurnProcess::SparseWalk { nodes_per_tick: 10, std_dev: 0.15 })
+                .latency_jitter(JitterModel { edges_per_tick: 30, ..Default::default() })
+                .reopt_interval_ms(2_000.0)
+                .build(),
+        );
+        rt.latency.pairs_by_rows = by_rows;
+        rt.deploy(demo_query(&topo)).unwrap();
+        rt.schedule_failure(3_000.0, topo.host_candidates()[60]);
+        let report = rt.run();
+        (report, rt.routed_stats().cloned().unwrap(), rt.lazy_latency_stats().unwrap())
+    };
+    let (reference, reference_routed, reference_rows) = run(true);
+    let (report, routed, rows) = run(false);
+    assert_eq!(report, reference);
+    assert_eq!(routed, reference_routed);
+    for q in [0.5, 0.95, 0.99] {
+        let bits = |s: &RoutedStats| s.latency_percentile_ms(q).map(f64::to_bits);
+        assert_eq!(bits(&routed), bits(&reference_routed), "percentile {q}");
+    }
+    assert!(routed.messages > 0 && routed.registrations > 0);
+    assert_eq!(reference_rows.pairs_searched, 0);
+    assert!(rows.pairs_searched > 0);
+    assert!(
+        rows.rows_computed < reference_rows.rows_computed,
+        "pairs fault in no row: {} rows against {}",
+        rows.rows_computed,
+        reference_rows.rows_computed
+    );
 }
 
 /// A node failure under the routed backend re-maps the evacuated

@@ -1,21 +1,28 @@
 //! A deploy pays shortest-path rows for the circuit it deploys, and for
 //! nothing else: candidates are ranked in the cost space, so on the lazy
 //! latency backend the only rows a `deploy` may fault in are those of the
-//! winner's link-source hosts that are not resident yet.
+//! winner's link-source hosts that are not resident yet. Under the routed
+//! mapper the deploy's lookups are then settled as messages, priced by
+//! row-free point-to-point reads; the one row that settle makes resident is
+//! the origin member's, which sends every lookup request.
 
 use std::collections::BTreeSet;
 
 use sbon_core::optimizer::QuerySpec;
+use sbon_dht::proto::ProtoConfig;
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
 use sbon_overlay::{LatencyBackend, MapperBackend, OverlayRuntime, RuntimeConfig};
 
-#[test]
-fn deploy_computes_only_the_deployed_circuits_missing_link_source_rows() {
+/// Deploys two overlapping join queries under `backend` and checks that
+/// each computes exactly its missing link-source rows, plus — routed only,
+/// once over the run — the origin member's row. Returns how many origin
+/// rows were computed.
+fn deploy_rows(backend: MapperBackend) -> usize {
     let topo = generate(&TransitStubConfig::with_total_nodes(200), 2005);
     let config = RuntimeConfig::builder()
         .latency_backend(LatencyBackend::Lazy)
-        .mapper_backend(MapperBackend::Dht { bits: 12, scan_width: 8 })
+        .mapper_backend(backend)
         .threads(2)
         .build();
     let mut rt = OverlayRuntime::new(&topo, 2005, config);
@@ -25,6 +32,7 @@ fn deploy_computes_only_the_deployed_circuits_missing_link_source_rows() {
 
     let hosts = topo.host_candidates();
     let mut resident: BTreeSet<NodeId> = BTreeSet::new();
+    let mut origin_rows = 0;
     // The second query shares two producers with the first, so some of its
     // link sources are already resident when it deploys.
     for producers in [[0usize, 9, 18, 27], [9, 18, 40, 51]] {
@@ -32,7 +40,7 @@ fn deploy_computes_only_the_deployed_circuits_missing_link_source_rows() {
         let query = QuerySpec::join_star(&producers.map(|i| hosts[i]), consumer, 10.0, 0.02);
         let before = rows(&rt).rows_computed;
         let handle = rt.deploy(query).expect("query must deploy");
-        let computed = rows(&rt).rows_computed - before;
+        let computed = (rows(&rt).rows_computed - before) as usize;
 
         // A circuit is a tree: every service but the root (the consumer,
         // built last) is the upstream end of exactly one link.
@@ -42,8 +50,29 @@ fn deploy_computes_only_the_deployed_circuits_missing_link_source_rows() {
         let sources: BTreeSet<NodeId> = upstream.iter().copied().collect();
         let missing = sources.difference(&resident).count();
         assert!(missing > 0, "each query brings at least one new producer");
-        assert_eq!(computed as usize, missing, "link sources {sources:?}, resident {resident:?}");
+        let extra = computed.checked_sub(missing).unwrap_or_else(|| {
+            panic!("{computed} rows for link sources {sources:?}, resident {resident:?}")
+        });
+        assert!(extra <= 1, "{computed} rows for {missing} missing link sources");
+        origin_rows += extra;
         resident.extend(sources);
     }
-    assert_eq!(rows(&rt).rows_cached, resident.len());
+    assert!(origin_rows <= 1, "the origin's row stays resident once computed");
+    assert_eq!(rows(&rt).rows_cached, resident.len() + origin_rows);
+    assert_eq!(rows(&rt).pairs_searched > 0, rt.routed_stats().is_some());
+    origin_rows
+}
+
+#[test]
+fn deploy_computes_only_the_deployed_circuits_missing_link_source_rows() {
+    assert_eq!(deploy_rows(MapperBackend::Dht { bits: 12, scan_width: 8 }), 0);
+}
+
+/// Settling the deploys' lookups as routed messages faults in no sender's
+/// row: the bound is the link sources plus the origin member, which hosts
+/// no service here, so its row is the one extra, computed once.
+#[test]
+fn routed_deploy_computes_its_link_source_rows_plus_at_most_the_origins() {
+    let proto = ProtoConfig::default();
+    assert_eq!(deploy_rows(MapperBackend::Routed { bits: 12, scan_width: 8, proto }), 1);
 }

@@ -228,17 +228,20 @@ fn run_tier(
     // Work-counter gate (exact in the seed, so it cannot flake): candidates
     // are ranked in the cost space, so a deploy may fault in rows for the
     // deployed circuit's link sources only — never for a rejected candidate.
-    // (The routed backend is exempt: settling a deploy's lookups as message
-    // traffic also faults in the row of every member that sends one.)
+    // The routed backend settles each deploy's lookups as messages priced
+    // by row-free point-to-point reads; its one extra row is the origin
+    // member's, which sends every lookup request.
     let deploy_rows = rt.lazy_latency_stats().expect("lazy backend").rows_computed - rows_before;
+    let bound = link_sources + usize::from(rt.routed_stats().is_some());
     assert!(
-        rt.routed_stats().is_some() || deploy_rows as usize <= link_sources,
-        "the deploy phase computed {deploy_rows} rows for {link_sources} link sources"
+        deploy_rows as usize <= bound,
+        "the deploy phase computed {deploy_rows} rows for {link_sources} link sources \
+         (bound {bound})"
     );
     if chatty {
         println!(
             "  deployed {} join circuits in {:.2} s — {deploy_rows} Dijkstra rows computed \
-             (bound: {link_sources} link sources)",
+             (bound: {bound})",
             tier.queries,
             start.elapsed().as_secs_f64()
         );

@@ -88,7 +88,9 @@ impl VivaldiConfig {
     /// Naming the field and the value, if `dims`, `rounds` or
     /// `samples_per_round` is zero (no rounds or no samples would serve
     /// every node its random start coordinate), if `ce` or `cc` is not
-    /// finite and positive, or if `landmarks` is `Some(k)` with `k < 2`.
+    /// finite and positive, if `min_height` is not finite and non-negative
+    /// (a NaN floor poisons every height through `.max(min_height)`), or if
+    /// `landmarks` is `Some(k)` with `k < 2`.
     pub fn validate(&self) {
         for (field, value) in [
             ("dims", self.dims),
@@ -103,6 +105,11 @@ impl VivaldiConfig {
                 "vivaldi.{field} must be finite and positive, got {value}"
             );
         }
+        assert!(
+            self.min_height.is_finite() && self.min_height >= 0.0,
+            "vivaldi.min_height must be finite and non-negative, got {}",
+            self.min_height
+        );
         if let Some(k) = self.landmarks {
             assert!(k >= 2, "vivaldi.landmarks must be at least 2, got {k}");
         }
@@ -756,6 +763,29 @@ mod tests {
     fn embed_landmarks_only_rejects_nan_ce() {
         let world = euclidean_world(20, 35);
         VivaldiConfig { ce: f64::NAN, landmarks: Some(4), ..Default::default() }
+            .embed_landmarks_only(&world, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "vivaldi.min_height must be finite and non-negative, got NaN")]
+    fn embed_rejects_nan_min_height() {
+        let world = euclidean_world(10, 36);
+        VivaldiConfig { use_height: true, min_height: f64::NAN, ..Default::default() }
+            .embed(&world, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "vivaldi.min_height must be finite and non-negative, got inf")]
+    fn landmark_ids_rejects_infinite_min_height() {
+        VivaldiConfig { min_height: f64::INFINITY, landmarks: Some(4), ..Default::default() }
+            .landmark_ids(20, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "vivaldi.min_height must be finite and non-negative, got -1")]
+    fn embed_landmarks_only_rejects_negative_min_height() {
+        let world = euclidean_world(20, 37);
+        VivaldiConfig { min_height: -1.0, landmarks: Some(4), ..Default::default() }
             .embed_landmarks_only(&world, 0);
     }
 

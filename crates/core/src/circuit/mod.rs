@@ -34,25 +34,29 @@ pub enum ServicePin {
     Unpinned,
 }
 
+/// The plan operator an operator service runs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Operator {
+    /// A one-input operator (filter, aggregate).
+    Unary(UnaryOp),
+    /// A two-input operator (join, union).
+    Binary(BinaryOp),
+}
+
 /// What a service does.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ServiceKind {
     /// A data source for one stream.
     Producer(StreamId),
     /// The query's sink.
     Consumer,
-    /// An operator service. `signature` canonically identifies the operator
-    /// *and its whole input subtree*: the [`LogicalPlan::shape_key`] with
-    /// every source leaf qualified by its producer node. Two circuits
-    /// computing the same sub-result over the same physical sources have
-    /// equal signatures — the identity used by multi-query reuse ("merge
-    /// identical services (serving different queries) into one physical
-    /// service instance", Section 2.2). Qualifying by producer prevents
-    /// false merges between unrelated queries that happen to number their
-    /// local streams identically.
+    /// An operator service, carrying the plan operator it runs. Its reuse
+    /// identity — the operator *and its whole input subtree* — is not
+    /// stored: [`Circuit::signatures`] derives it where multi-query reuse
+    /// reads it.
     Operator {
-        /// Canonical subtree identity.
-        signature: String,
+        /// The plan operator.
+        op: Operator,
     },
 }
 
@@ -110,9 +114,10 @@ pub struct Circuit {
 impl Circuit {
     /// Builds the circuit for `plan`: one producer service per source leaf,
     /// pinned where the catalog says the stream is produced, one unpinned
-    /// operator service per operator node, and a pinned consumer service at
-    /// `consumer` fed by the plan root. Link rates come from the catalog's
-    /// statistics.
+    /// operator service per operator node (carrying its plan operator), and
+    /// a pinned consumer service at `consumer` fed by the plan root. Link
+    /// rates come from the catalog's statistics. Nothing is formatted: reuse
+    /// signatures are derived on demand by [`Circuit::signatures`].
     pub fn from_plan(plan: &LogicalPlan, catalog: &StreamCatalog, consumer: NodeId) -> Circuit {
         // One service per plan node plus the consumer, one link out of each
         // but the consumer: reserve exactly that, nothing speculative.
@@ -134,12 +139,11 @@ impl Circuit {
 
     /// Builds the services of `plan` children-first, returns its root
     /// service and appends the subtree's source streams to `sources`
-    /// (first-visit order, each once, as [`LogicalPlan::sources`]). Rate,
-    /// sources and signature of a node are each one step from its
-    /// children's — the same steps [`StreamCatalog::output_rate`] and the
-    /// per-node reference the tests keep (`canonical_signature`) take, so
-    /// the results are bit- and string-equal to calling those per node,
-    /// without re-walking every subtree at every node.
+    /// (first-visit order, each once, as [`LogicalPlan::sources`]). Rate and
+    /// sources of a node are each one step from its children's — the same
+    /// step [`StreamCatalog::output_rate`] takes, so the rates are
+    /// bit-equal to calling it per node, without re-walking every subtree
+    /// at every node.
     fn build_subtree(
         &mut self,
         plan: &LogicalPlan,
@@ -159,9 +163,8 @@ impl Circuit {
             LogicalPlan::Unary { op, input } => {
                 let child = self.build_subtree(input, catalog, sources);
                 let child_rate = self.services[child.index()].output_rate;
-                let signature = unary_signature(*op, &self.signature_of(child));
                 let me = self.push_service(
-                    ServiceKind::Operator { signature },
+                    ServiceKind::Operator { op: Operator::Unary(*op) },
                     ServicePin::Unpinned,
                     op.rate_ratio() * child_rate,
                 );
@@ -178,9 +181,8 @@ impl Circuit {
                 let (l_sources, r_sources) = sources[start..].split_at(mid - start);
                 let rate =
                     catalog.binary_output_rate(*op, (l_rate, l_sources), (r_rate, r_sources));
-                let signature = binary_signature(*op, &self.signature_of(l), &self.signature_of(r));
                 let me = self.push_service(
-                    ServiceKind::Operator { signature },
+                    ServiceKind::Operator { op: Operator::Binary(*op) },
                     ServicePin::Unpinned,
                     rate,
                 );
@@ -198,19 +200,6 @@ impl Circuit {
                 sources.truncate(end);
                 me
             }
-        }
-    }
-
-    /// The reuse signature of the sub-plan rooted at an already-built
-    /// service: stored on operators, one `format!` away for producers.
-    fn signature_of(&self, sid: ServiceId) -> std::borrow::Cow<'_, str> {
-        let s = &self.services[sid.index()];
-        match (&s.kind, s.pin) {
-            (ServiceKind::Operator { signature }, _) => signature.as_str().into(),
-            (ServiceKind::Producer(id), ServicePin::Pinned(node)) => {
-                source_signature(*id, node).into()
-            }
-            _ => unreachable!("only producers and operators have a sub-plan"),
         }
     }
 
@@ -285,17 +274,79 @@ impl Circuit {
         mask
     }
 
-    /// Pins an (operator) service to a node — used when multi-query
-    /// optimization reuses an existing instance.
+    /// Every service's reuse signature, indexed by service id: the
+    /// operator *and its whole input subtree* as the plan's shape key with
+    /// every source leaf qualified by its producer node (`s0@n5`),
+    /// order-insensitive for commutative joins. Two circuits computing the
+    /// same sub-result over the same physical sources have equal signatures
+    /// — the identity multi-query reuse merges on ("merge identical
+    /// services (serving different queries) into one physical service
+    /// instance", Section 2.2); qualifying by producer prevents false
+    /// merges between queries that number their local streams alike. A
+    /// producer's entry is its qualified leaf, the consumer's is empty.
+    ///
+    /// One bottom-up pass: services ascend children-first and a service's
+    /// in-links sit together, left before right (the numbering invariant),
+    /// so walking services and links side by side hands each operator its
+    /// inputs' finished signatures. A signature reads producers' pins
+    /// only, and a producer is never re-pinned — [`Circuit::pin_service`]
+    /// and [`Circuit::unpin_service`] touch operators alone — so the
+    /// result is the same before and after any reuse pinning.
+    pub fn signatures(&self) -> Vec<String> {
+        let mut signatures: Vec<String> = Vec::with_capacity(self.len());
+        let mut links = self.links.iter().peekable();
+        for s in &self.services {
+            let mut inputs = [ServiceId(0); 2];
+            let mut arity = 0;
+            while let Some(l) = links.next_if(|l| l.to == s.id) {
+                inputs[arity] = l.from;
+                arity += 1;
+            }
+            let input = |i: usize| signatures[inputs[i].index()].as_str();
+            let signature = match (s.kind, s.pin) {
+                (ServiceKind::Producer(id), ServicePin::Pinned(node)) => source_signature(id, node),
+                (ServiceKind::Operator { op: Operator::Unary(op) }, _) => {
+                    debug_assert_eq!(arity, 1);
+                    unary_signature(op, input(0))
+                }
+                (ServiceKind::Operator { op: Operator::Binary(op) }, _) => {
+                    debug_assert_eq!(arity, 2);
+                    binary_signature(op, input(0), input(1))
+                }
+                (ServiceKind::Consumer, _) => String::new(),
+                (ServiceKind::Producer(_), ServicePin::Unpinned) => {
+                    unreachable!("producers are pinned at construction and never unpinned")
+                }
+            };
+            signatures.push(signature);
+        }
+        signatures
+    }
+
+    /// Pins an operator service to a node — used when multi-query
+    /// optimization reuses an existing instance. Producers and the
+    /// consumer keep the pins [`Circuit::from_plan`] gave them.
     pub fn pin_service(&mut self, sid: ServiceId, node: NodeId) {
+        self.debug_assert_operator(sid);
         self.services[sid.index()].pin = ServicePin::Pinned(node);
     }
 
-    /// Returns a service to the placeable pool — the inverse of
+    /// Returns an operator service to the placeable pool — the inverse of
     /// [`Circuit::pin_service`], used when the last reuse subscription on
     /// an instance drains while its owner keeps running.
     pub fn unpin_service(&mut self, sid: ServiceId) {
+        self.debug_assert_operator(sid);
         self.services[sid.index()].pin = ServicePin::Unpinned;
+    }
+
+    /// [`Circuit::signatures`] reads producers' pins: only operators may be
+    /// re-pinned.
+    fn debug_assert_operator(&self, sid: ServiceId) {
+        debug_assert!(
+            matches!(self.services[sid.index()].kind, ServiceKind::Operator { .. }),
+            "only operators are re-pinned, not {:?}",
+            self.services[sid.index()].kind
+        );
     }
 
     /// A service by id.
@@ -317,8 +368,8 @@ fn unary_signature(op: UnaryOp, inner: &str) -> String {
 fn binary_signature(op: BinaryOp, a: &str, b: &str) -> String {
     let (a, b) = if a <= b { (a, b) } else { (b, a) };
     let label = op.label();
-    // `({a} {label} {b})`, allocated once at its exact length: the signature
-    // lives as long as its circuit, and thousands of circuits can be live.
+    // `({a} {label} {b})`, allocated once at its exact length: a registered
+    // signature lives as long as its instance, and thousands can be live.
     let mut signature = String::with_capacity(a.len() + label.len() + b.len() + 4);
     for part in ["(", a, " ", label, " ", b, ")"] {
         signature.push_str(part);
@@ -424,16 +475,14 @@ pub(crate) mod tests {
             LogicalPlan::join(LogicalPlan::source(StreamId(1)), LogicalPlan::source(StreamId(0)));
         let c1 = Circuit::from_plan(&p1, &stats2(), NodeId(7));
         let c2 = Circuit::from_plan(&p2, &stats2(), NodeId(8));
-        let sig = |c: &Circuit| -> String {
-            c.services()
-                .iter()
-                .find_map(|s| match &s.kind {
-                    ServiceKind::Operator { signature } => Some(signature.clone()),
-                    _ => None,
-                })
-                .unwrap()
-        };
-        assert_eq!(sig(&c1), sig(&c2), "commutative joins share a signature");
+        assert_eq!(join_signature(&c1), join_signature(&c2), "commutative joins share a signature");
+        assert_eq!(join_signature(&c1), "(s0@n100 ⋈ s1@n101)");
+    }
+
+    /// The signature of a one-operator circuit's operator.
+    fn join_signature(c: &Circuit) -> String {
+        let join = c.unpinned_services()[0];
+        c.signatures().swap_remove(join.index())
     }
 
     #[test]
@@ -444,16 +493,7 @@ pub(crate) mod tests {
             LogicalPlan::join(LogicalPlan::source(StreamId(0)), LogicalPlan::source(StreamId(1)));
         let c1 = Circuit::from_plan(&plan, &stats_at(0), NodeId(7));
         let c2 = Circuit::from_plan(&plan, &stats_at(50), NodeId(7));
-        let sig = |c: &Circuit| -> String {
-            c.services()
-                .iter()
-                .find_map(|s| match &s.kind {
-                    ServiceKind::Operator { signature } => Some(signature.clone()),
-                    _ => None,
-                })
-                .unwrap()
-        };
-        assert_ne!(sig(&c1), sig(&c2));
+        assert_ne!(join_signature(&c1), join_signature(&c2));
     }
 
     #[test]
@@ -604,11 +644,14 @@ pub(crate) mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig { cases: 64 })]
-        /// The one-recursion build carries exactly what the public per-node
-        /// functions compute from scratch: each service's rate (by bits) is
-        /// its sub-plan's `output_rate`, each operator's signature its
-        /// sub-plan's `canonical_signature`, each link carries its source's
-        /// rate.
+        /// The one-recursion build and the one-pass signature derivation
+        /// carry exactly what the per-node functions compute from scratch:
+        /// each service's rate (by bits) is its sub-plan's `output_rate`,
+        /// each operator runs its sub-plan's operator, each signature —
+        /// producers' and operators' — is its sub-plan's
+        /// `canonical_signature` (byte for byte), each link carries its
+        /// source's rate. Plans are random bushy trees with self-joins,
+        /// unions, filters and aggregates.
         #[test]
         fn from_plan_matches_the_per_node_reference_functions(
             ways in 2usize..=6,
@@ -619,23 +662,36 @@ pub(crate) mod tests {
             let producers: Vec<NodeId> = (0..ways as u32).map(|i| NodeId(100 + 7 * i)).collect();
             let stats = random_stats(&mut d, &producers);
             let c = Circuit::from_plan(&plan, &stats, NodeId(5));
+            let signatures = c.signatures();
 
             let mut subs = Vec::new();
             build_order(&plan, &mut subs);
             proptest::prop_assert_eq!(c.len(), subs.len() + 1);
+            proptest::prop_assert_eq!(signatures.len(), c.len());
+            proptest::prop_assert_eq!(&signatures[c.root().index()], "");
             for (service, sub) in c.services().iter().zip(&subs) {
                 proptest::prop_assert_eq!(
                     service.output_rate.to_bits(), stats.output_rate(sub).to_bits()
+                );
+                proptest::prop_assert_eq!(
+                    &signatures[service.id.index()], &canonical_signature(sub, &stats)
                 );
                 match (&service.kind, sub) {
                     (ServiceKind::Producer(id), LogicalPlan::Source(sid)) => {
                         proptest::prop_assert_eq!(id, sid);
                         proptest::prop_assert_eq!(service.pin, ServicePin::Pinned(producers[id.index()]));
                     }
-                    (ServiceKind::Operator { signature }, _) => {
-                        proptest::prop_assert_eq!(
-                            signature, &canonical_signature(sub, &stats)
-                        );
+                    (
+                        ServiceKind::Operator { op: Operator::Unary(op) },
+                        LogicalPlan::Unary { op: sub_op, .. },
+                    ) => {
+                        proptest::prop_assert_eq!(op, sub_op);
+                    }
+                    (
+                        ServiceKind::Operator { op: Operator::Binary(op) },
+                        LogicalPlan::Binary { op: sub_op, .. },
+                    ) => {
+                        proptest::prop_assert_eq!(op, sub_op);
                     }
                     other => proptest::prop_assert!(false, "mismatched service {:?}", other),
                 }
@@ -647,6 +703,37 @@ pub(crate) mod tests {
             let root_link = c.links().last().unwrap();
             proptest::prop_assert_eq!(root_link.to, c.root());
             proptest::prop_assert_eq!(root_link.rate.to_bits(), stats.output_rate(&plan).to_bits());
+        }
+
+        /// Signatures read producers' pins only: pinning random operators
+        /// (a reuse subtree's phantoms, a tenancy pin) and unpinning some
+        /// again (a drained subscription) leaves every signature byte-equal
+        /// to the freshly built circuit's.
+        #[test]
+        fn reuse_pins_leave_signatures_unchanged(
+            ways in 2usize..=6,
+            draws in proptest::collection::vec(0.0f64..1.0, 200),
+        ) {
+            let mut d = Draws(draws.into_iter());
+            let plan = random_plan(&mut d, ways);
+            let producers: Vec<NodeId> = (0..ways).map(|_| NodeId(d.below(HOSTS) as u32)).collect();
+            let mut c = Circuit::from_plan(&plan, &random_stats(&mut d, &producers), NodeId(0));
+            let expected = c.signatures();
+            let operators: Vec<ServiceId> = c
+                .services()
+                .iter()
+                .filter(|s| matches!(s.kind, ServiceKind::Operator { .. }))
+                .map(|s| s.id)
+                .collect();
+            for _ in 0..8 {
+                let sid = operators[d.below(operators.len())];
+                if d.below(2) == 0 {
+                    c.pin_service(sid, NodeId(d.below(HOSTS) as u32));
+                } else {
+                    c.unpin_service(sid);
+                }
+                proptest::prop_assert_eq!(&c.signatures(), &expected);
+            }
         }
 
         /// The path-packing bound never exceeds the usage of any placement:

@@ -8,9 +8,11 @@
 //! space are less likely to be useful and thus can be ignored."
 //!
 //! Reuse identity: two operator services are mergeable when their
-//! [`crate::circuit::ServiceKind::Operator`] signatures match — the
-//! signature canonically encodes the operator *and its whole input subtree*,
-//! so reusing the instance also reuses everything beneath it.
+//! [`Circuit::signatures`] match — the signature canonically encodes the
+//! operator *and its whole input subtree*, so reusing the instance also
+//! reuses everything beneath it. Circuits carry no signature; signatures are
+//! derived where they are read: once per candidate plan at discovery (only
+//! when the scope allows reuse) and once per circuit at registration.
 //!
 //! # Who owns what
 //!
@@ -387,16 +389,17 @@ impl MultiQueryOptimizer {
         let mut reused_at = Vec::new();
         let mut candidates_examined = 0;
         if scope != ReuseScope::None {
+            // Derived once, before any pin: the pins below touch operators
+            // only, which no signature reads.
+            let signatures = circuit.signatures();
             for sid in (0..circuit.len() as u32).rev().map(ServiceId) {
-                if shared[sid.index()] {
+                let is_operator = matches!(circuit.service(sid).kind, ServiceKind::Operator { .. });
+                if shared[sid.index()] || !is_operator {
                     continue;
                 }
-                let signature = match &circuit.service(sid).kind {
-                    ServiceKind::Operator { signature } => signature.clone(),
-                    _ => continue,
-                };
                 let ideal = space.ideal_point(vp0.coord_of(sid));
-                let (found, examined) = self.discover(&signature, &ideal, scope, space);
+                let (found, examined) =
+                    self.discover(&signatures[sid.index()], &ideal, scope, space);
                 candidates_examined += examined;
                 if let Some(inst) = found {
                     // Reuse: pin this service at the instance's node and
@@ -538,12 +541,13 @@ impl MultiQueryOptimizer {
         space: &CostSpace,
     ) {
         assert!(!self.deployed.contains_key(&id), "circuit {id:?} is already registered");
+        let mut signatures = circuit.signatures();
         let mut instances = Vec::new();
         for s in circuit.services() {
-            let ServiceKind::Operator { signature } = &s.kind else { continue };
-            if shared[s.id.index()] {
+            if shared[s.id.index()] || !matches!(s.kind, ServiceKind::Operator { .. }) {
                 continue;
             }
+            let signature = std::mem::take(&mut signatures[s.id.index()]);
             let node = placement.node_of(s.id);
             let instance =
                 ServiceInstance { circuit: id, service: s.id, node, signature: signature.clone() };
@@ -555,7 +559,7 @@ impl MultiQueryOptimizer {
                 member
             });
             self.by_signature.entry(signature.clone()).or_default().push(instance);
-            instances.push(Registered { service: s.id, signature: signature.clone(), member });
+            instances.push(Registered { service: s.id, signature, member });
         }
         let borrows: Vec<Borrow> = reused
             .iter()

@@ -33,8 +33,10 @@
 //!   [`StreamCatalog::output_rate`] and [`StreamCatalog::statistical_cost`]
 //!   recompute top-down, the per-node references both are tested against.
 //! * [`UnaryOp::label`] / [`BinaryOp::label`] — the σ/γ/⋈/∪ table that
-//!   [`LogicalPlan::render`], the rewrite dedup key and circuit signatures
-//!   print.
+//!   [`LogicalPlan::render`] and circuit reuse signatures
+//!   (`Circuit::signatures`) print. The rewrite neighbourhood prints
+//!   nothing: [`rewrite::neighbors_within`] dedups on exact structure
+//!   through a structural hash.
 
 #![forbid(unsafe_code)]
 

@@ -31,8 +31,8 @@ impl UnaryOp {
         }
     }
 
-    /// Short label: the one operator-symbol table plan rendering, the
-    /// rewrite dedup key and circuit signatures print.
+    /// Short label: the one operator-symbol table plan rendering and
+    /// circuit reuse signatures print.
     pub fn label(self) -> &'static str {
         match self {
             UnaryOp::Select { .. } => "σ",
@@ -174,38 +174,6 @@ impl LogicalPlan {
                 format!("({} {} {})", left.render(), op.label(), right.render())
             }
         }
-    }
-
-    /// The plan's exact identity as a string: [`LogicalPlan::render`] with
-    /// every unary operator's parameter spelled out (as bits), so two plans
-    /// share a key only if they build the same circuit. The rewrite
-    /// neighbourhood deduplicates on it: `render` alone made
-    /// `σ_√a(σ_√a(σ_b(P)))` and `σ_a(σ_√b(σ_√b(P)))` — the two ways to split
-    /// one filter of a pair — collide, and the second was never explored.
-    pub(crate) fn identity_key(&self) -> String {
-        fn write(plan: &LogicalPlan, key: &mut String) {
-            use std::fmt::Write;
-            match plan {
-                LogicalPlan::Source(id) => {
-                    let _ = write!(key, "{id}");
-                }
-                LogicalPlan::Unary { op, input } => {
-                    let _ = write!(key, "{}{:x}(", op.label(), op.rate_ratio().to_bits());
-                    write(input, key);
-                    key.push(')');
-                }
-                LogicalPlan::Binary { op, left, right } => {
-                    key.push('(');
-                    write(left, key);
-                    key.push_str(op.label());
-                    write(right, key);
-                    key.push(')');
-                }
-            }
-        }
-        let mut key = String::new();
-        write(self, &mut key);
-        key
     }
 
     /// A *shape* key that ignores left/right order of commutative joins, so

@@ -19,6 +19,8 @@
 //! All rewrites preserve the plan's final output rate (the cost model's
 //! invariant currency); only the *intermediate* shape changes.
 
+use std::collections::BTreeMap;
+
 use crate::plan::{BinaryOp, LogicalPlan, UnaryOp};
 
 /// Swaps the two inputs of a commutative binary root. Returns `None` for
@@ -104,11 +106,18 @@ pub fn neighbors(plan: &LogicalPlan) -> Vec<LogicalPlan> {
 /// `max_plans` results. Depth 2 matters in practice: commutations are
 /// cost-neutral on their own but open up rotations that one-step search
 /// cannot reach.
+///
+/// Distinct means distinct in exact structure — shape, left/right order,
+/// operators and their parameters by bits — so two plans are one only if
+/// they build the same circuit. Plans are bucketed by a deterministic
+/// structural hash and compared exactly within a bucket: a hash collision
+/// costs one comparison and never drops a plan.
 pub fn neighbors_within(plan: &LogicalPlan, depth: usize, max_plans: usize) -> Vec<LogicalPlan> {
-    // sbon-lint: allow(unordered-iteration): membership-only BFS visited
-    // set; result order comes from `out` (a Vec), never from the set.
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(plan.identity_key());
+    // The start plan's slot in `seen`: it is listed, but not in `out`.
+    const START: usize = usize::MAX;
+    // Structural hash → indices into `out` of the plans listed under it.
+    let mut seen: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    seen.insert(structural_hash(plan), vec![START]);
     let mut out: Vec<LogicalPlan> = Vec::new();
     let mut generated = Vec::new();
     // The frontier is `plan` itself at the first level, then the slice of
@@ -123,7 +132,10 @@ pub fn neighbors_within(plan: &LogicalPlan, depth: usize, max_plans: usize) -> V
                 if out.len() >= max_plans {
                     return out;
                 }
-                if seen.insert(n.identity_key()) {
+                let listed = seen.entry(structural_hash(&n)).or_default();
+                let plan_at = |i: usize| if i == START { plan } else { &out[i] };
+                if !listed.iter().any(|&i| same_structure(plan_at(i), &n)) {
+                    listed.push(out.len());
                     out.push(n);
                 }
             }
@@ -134,6 +146,50 @@ pub fn neighbors_within(plan: &LogicalPlan, depth: usize, max_plans: usize) -> V
         }
     }
     out
+}
+
+/// A deterministic hash of what [`same_structure`] compares: node kinds,
+/// stream ids, operators, unary parameters' bits, children in order. Plain
+/// multiply-rotate word mixing with fixed constants — no seed, no
+/// per-process state.
+fn structural_hash(plan: &LogicalPlan) -> u64 {
+    fn mix(h: u64, word: u64) -> u64 {
+        (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+    }
+    match plan {
+        LogicalPlan::Source(id) => mix(mix(0, 1), u64::from(id.0)),
+        LogicalPlan::Unary { op, input } => {
+            let kind = match op {
+                UnaryOp::Select { .. } => 2,
+                UnaryOp::Aggregate { .. } => 3,
+            };
+            mix(mix(mix(0, kind), op.rate_ratio().to_bits()), structural_hash(input))
+        }
+        LogicalPlan::Binary { op, left, right } => {
+            let kind = match op {
+                BinaryOp::Join => 4,
+                BinaryOp::Union => 5,
+            };
+            mix(mix(mix(0, kind), structural_hash(left)), structural_hash(right))
+        }
+    }
+}
+
+/// Exact structural equality: `==` with unary parameters compared by bits.
+fn same_structure(a: &LogicalPlan, b: &LogicalPlan) -> bool {
+    match (a, b) {
+        (LogicalPlan::Source(x), LogicalPlan::Source(y)) => x == y,
+        (LogicalPlan::Unary { op: p, input: x }, LogicalPlan::Unary { op: q, input: y }) => {
+            std::mem::discriminant(p) == std::mem::discriminant(q)
+                && p.rate_ratio().to_bits() == q.rate_ratio().to_bits()
+                && same_structure(x, y)
+        }
+        (
+            LogicalPlan::Binary { op: p, left: a, right: b },
+            LogicalPlan::Binary { op: q, left: c, right: d },
+        ) => p == q && same_structure(a, c) && same_structure(b, d),
+        _ => false,
+    }
 }
 
 /// Applies every root rewrite at every position of the tree, collecting the
@@ -322,27 +378,116 @@ mod tests {
         out
     }
 
+    /// The plan's exact identity as a string: [`LogicalPlan::render`] with
+    /// every unary operator's parameter spelled out (as bits) — the key the
+    /// string-keyed dedup below used.
+    fn identity_key(plan: &LogicalPlan) -> String {
+        fn write(plan: &LogicalPlan, key: &mut String) {
+            use std::fmt::Write;
+            match plan {
+                LogicalPlan::Source(id) => {
+                    let _ = write!(key, "{id}");
+                }
+                LogicalPlan::Unary { op, input } => {
+                    let _ = write!(key, "{}{:x}(", op.label(), op.rate_ratio().to_bits());
+                    write(input, key);
+                    key.push(')');
+                }
+                LogicalPlan::Binary { op, left, right } => {
+                    key.push('(');
+                    write(left, key);
+                    key.push_str(op.label());
+                    write(right, key);
+                    key.push(')');
+                }
+            }
+        }
+        let mut key = String::new();
+        write(plan, &mut key);
+        key
+    }
+
+    /// The string-keyed implementation the structural dedup replaced: one
+    /// `identity_key` per generated plan in a visited set.
+    fn identity_keyed_neighbors_within(
+        plan: &LogicalPlan,
+        depth: usize,
+        max_plans: usize,
+    ) -> Vec<LogicalPlan> {
+        // sbon-lint: allow(unordered-iteration): membership-only BFS visited
+        // set; result order comes from `out` (a Vec), never from the set.
+        let mut seen = std::collections::HashSet::new();
+        seen.insert(identity_key(plan));
+        let mut out: Vec<LogicalPlan> = Vec::new();
+        let mut generated = Vec::new();
+        let mut frontier = 0..0;
+        for level in 0..depth {
+            let level_start = out.len();
+            for i in if level == 0 { 0..1 } else { frontier } {
+                let from = if level == 0 { plan } else { &out[i] };
+                rewrite_everywhere(from, &mut generated);
+                for n in generated.drain(..) {
+                    if out.len() >= max_plans {
+                        return out;
+                    }
+                    if seen.insert(identity_key(&n)) {
+                        out.push(n);
+                    }
+                }
+            }
+            frontier = level_start..out.len();
+            if frontier.is_empty() {
+                break;
+            }
+        }
+        out
+    }
+
+    /// A random bushy join (or union) tree over 2–6 sources, drawn from
+    /// `case`. With `unary`, leaves and inner nodes carry zero to two
+    /// stacked filters or aggregates, their parameters from a small set
+    /// (1 among them) so that splits, fusions and equal renderings recur.
+    fn random_plan(case: u64, unary: bool) -> LogicalPlan {
+        fn decorate(mut plan: LogicalPlan, pick: &mut impl FnMut(usize) -> usize) -> LogicalPlan {
+            const PARAMS: [f64; 4] = [0.25, 0.5, 0.81, 1.0];
+            for _ in 0..pick(3) {
+                let param = PARAMS[pick(PARAMS.len())];
+                plan = if pick(4) == 0 {
+                    LogicalPlan::aggregate(param, plan)
+                } else {
+                    LogicalPlan::select(param, plan)
+                };
+            }
+            plan
+        }
+        let mut draws = 0;
+        let mut pick = |n: usize| {
+            draws += 1;
+            (sbon_netsim::rng::derive_seed(case, draws) % n as u64) as usize
+        };
+        let ways = 2 + pick(5) as u32;
+        let mut forest: Vec<LogicalPlan> = Vec::new();
+        for i in 0..ways {
+            forest.push(if unary { decorate(s(i), &mut pick) } else { s(i) });
+        }
+        while forest.len() > 1 {
+            let a = forest.swap_remove(pick(forest.len()));
+            let b = forest.swap_remove(pick(forest.len()));
+            let merged =
+                if pick(5) == 0 { LogicalPlan::union(a, b) } else { LogicalPlan::join(a, b) };
+            forest.push(if unary { decorate(merged, &mut pick) } else { merged });
+        }
+        forest.pop().unwrap()
+    }
+
+    const DEPTHS_AND_CAPS: [(usize, usize); 5] =
+        [(1, usize::MAX), (2, 128), (2, 7), (3, 40), (0, 5)];
+
     #[test]
     fn join_only_neighbourhoods_match_the_render_keyed_reference() {
         for case in 0..50u64 {
-            // A random bushy join (or union) tree over 2–6 sources.
-            let mut draws = 0;
-            let mut pick = |n: usize| {
-                draws += 1;
-                (sbon_netsim::rng::derive_seed(case, draws) % n as u64) as usize
-            };
-            let mut forest: Vec<LogicalPlan> = (0..2 + pick(5) as u32).map(s).collect();
-            while forest.len() > 1 {
-                let a = forest.swap_remove(pick(forest.len()));
-                let b = forest.swap_remove(pick(forest.len()));
-                forest.push(if pick(5) == 0 {
-                    LogicalPlan::union(a, b)
-                } else {
-                    LogicalPlan::join(a, b)
-                });
-            }
-            let plan = forest.pop().unwrap();
-            for (depth, max_plans) in [(1, usize::MAX), (2, 128), (2, 7), (3, 40), (0, 5)] {
+            let plan = random_plan(case, false);
+            for (depth, max_plans) in DEPTHS_AND_CAPS {
                 assert_eq!(
                     neighbors_within(&plan, depth, max_plans),
                     reference_neighbors_within(&plan, depth, max_plans),
@@ -350,6 +495,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The structural dedup lists exactly what the `identity_key` dedup
+    /// listed — same plans, same order — on plans with filters and
+    /// aggregates, where `render` is not injective and filter splits
+    /// collide in rendering.
+    #[test]
+    fn neighbourhoods_match_the_identity_keyed_reference() {
+        let mut collisions = 0;
+        for case in 0..60u64 {
+            let plan = random_plan(case, true);
+            for (depth, max_plans) in DEPTHS_AND_CAPS {
+                let got = neighbors_within(&plan, depth, max_plans);
+                let want = identity_keyed_neighbors_within(&plan, depth, max_plans);
+                // Compared by key: `==` on plans would hide a parameter that
+                // differs only in its bits.
+                let keys = |ps: &[LogicalPlan]| ps.iter().map(identity_key).collect::<Vec<_>>();
+                assert_eq!(keys(&got), keys(&want), "case {case}: {plan} depth {depth}");
+                // sbon-lint: allow(unordered-iteration): distinct-count only.
+                let renders: std::collections::HashSet<String> =
+                    got.iter().map(LogicalPlan::render).collect();
+                collisions += got.len() - renders.len();
+            }
+        }
+        // Not vacuous: plans that render alike but differ were listed apart.
+        assert!(collisions > 0, "no rendering collision was ever exercised");
     }
 
     /// Regression: dedup used to key on `render()`, which prints every

@@ -345,7 +345,7 @@ fn bench_reopt_pass(c: &mut Criterion) {
                 let hosts = pick_hosts(&world, 5, &mut rng);
                 let query = QuerySpec::join_star(&hosts[..4], hosts[4], 10.0, 0.02);
                 let pc = optimizer
-                    .optimize_with_mapper_estimated(&query, &world.space, &mut dht)
+                    .optimize_with_mapper_estimated(&query, &world.space, &mut dht, None)
                     .expect("query places");
                 (query, pc)
             })

@@ -67,7 +67,7 @@ fn main() {
             let mut mapper = OracleMapper;
             let mapped = map_circuit(circuit, &vp, &world.space, &mut mapper);
             let usage = circuit
-                .cost_with(&mapped.placement, |a, b| world.latency.latency(a, b))
+                .cost_with(&mapped.placement, &[], |a, b| world.latency.latency(a, b))
                 .network_usage;
             mapped_usage.push(usage);
             vs_optimal.push(usage / optimal.max(1e-9));

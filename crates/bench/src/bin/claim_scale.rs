@@ -92,7 +92,7 @@ fn main() {
             let mut oracle = OracleMapper;
             let mapped_oracle = map_circuit(&circuit, &vp, &world.space, &mut oracle);
             let cs_cost = circuit
-                .cost_with(&mapped_oracle.placement, |a, b| world.latency.latency(a, b))
+                .cost_with(&mapped_oracle.placement, &[], |a, b| world.latency.latency(a, b))
                 .network_usage;
             quality.push(cs_cost / optimal.max(1e-9));
         }

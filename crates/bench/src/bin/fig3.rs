@@ -75,7 +75,8 @@ fn main() {
                 stats.mapping_error.push(m.mapping_error);
                 stats.hops.push(m.lookup_hops as f64);
             }
-            let cost = circuit.cost_with(&mapped.placement, |a, b| world.latency.latency(a, b));
+            let cost =
+                circuit.cost_with(&mapped.placement, &[], |a, b| world.latency.latency(a, b));
             stats.circuit_usage.push(cost.network_usage);
         };
 

@@ -22,7 +22,7 @@ use rand::Rng;
 
 use sbon_bench::{build_world, pct, section, WorldConfig};
 use sbon_core::multiquery::{MultiQueryOptimizer, ReuseScope};
-use sbon_core::optimizer::{OptimizerConfig, QuerySpec};
+use sbon_core::optimizer::{IntegratedOptimizer, OptimizerConfig, QuerySpec};
 use sbon_netsim::metrics::Summary;
 use sbon_netsim::rng::{derive_rng, Zipf};
 use sbon_query::stream::{StreamCatalog, StreamId};
@@ -62,13 +62,14 @@ fn main() {
         streams.register(format!("feed{i}"), 10.0, host);
     }
     let zipf = Zipf::new(24, 1.1);
+    let optimizer = IntegratedOptimizer::new(OptimizerConfig::default());
 
     // Pre-deploy the running workload (no reuse, so the instance pool is
     // maximal and identical for every scope).
-    let mut base = MultiQueryOptimizer::new(OptimizerConfig::default());
+    let mut base = MultiQueryOptimizer::default();
     for _ in 0..120 {
         let q = draw_query(&streams, &hosts, &zipf, &mut rng);
-        base.optimize_and_deploy(&q, &world.space, &world.latency, ReuseScope::None)
+        base.optimize_and_deploy(&optimizer, &q, &world.space, &world.latency, ReuseScope::None)
             .expect("pre-deployment always succeeds");
     }
     println!(
@@ -106,12 +107,12 @@ fn main() {
             // footing and new deployments don't leak across measurements.
             let mut mq = base.clone();
             let out = mq
-                .optimize_and_deploy(q, &world.space, &world.latency, scope)
+                .optimize_and_deploy(&optimizer, q, &world.space, &world.latency, scope)
                 .expect("optimization succeeds");
             candidates.push(out.candidates_examined as f64);
-            marginal.push(out.marginal_cost.network_usage);
+            marginal.push(out.placed.cost.network_usage);
             standalone.push(out.standalone_cost.network_usage);
-            if !out.reused.is_empty() {
+            if !out.placed.reused.is_empty() {
                 reused_queries += 1;
             }
         }
@@ -132,13 +133,12 @@ fn main() {
     // exact registry scan used above.
     println!();
     println!("decentralized discovery (Hilbert-DHT k-nearest, k = 16), r = 40:");
-    let mut dht_base =
-        MultiQueryOptimizer::with_dht_index(OptimizerConfig::default(), &world.space, 16);
+    let mut dht_base = MultiQueryOptimizer::with_dht_index(&world.space, 16);
     let mut rng2 = derive_rng(11, 0xF4);
     for _ in 0..120 {
         let q = draw_query(&streams, &hosts, &zipf, &mut rng2);
         dht_base
-            .optimize_and_deploy(&q, &world.space, &world.latency, ReuseScope::None)
+            .optimize_and_deploy(&optimizer, &q, &world.space, &world.latency, ReuseScope::None)
             .expect("pre-deployment succeeds");
     }
     let mut marginal = Vec::new();
@@ -148,10 +148,16 @@ fn main() {
     for q in &new_queries {
         let mut mq = dht_base.clone();
         let out = mq
-            .optimize_and_deploy(q, &world.space, &world.latency, ReuseScope::Radius(40.0))
+            .optimize_and_deploy(
+                &optimizer,
+                q,
+                &world.space,
+                &world.latency,
+                ReuseScope::Radius(40.0),
+            )
             .expect("optimization succeeds");
-        marginal.push(out.marginal_cost.network_usage);
-        if !out.reused.is_empty() {
+        marginal.push(out.placed.cost.network_usage);
+        if !out.placed.reused.is_empty() {
             reused_queries += 1;
         }
         // Stats accumulate on the per-query clone, not the shared base.

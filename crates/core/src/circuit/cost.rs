@@ -65,9 +65,17 @@ impl Circuit {
     /// ground-truth latency for *measured* cost or the cost-space vector
     /// distance for the *estimated* cost a decentralized optimizer would
     /// act on.
+    ///
+    /// `free` is the circuit's shared mask under multi-query reuse
+    /// ([`Link::is_free`](crate::circuit::Link::is_free)): a free link is
+    /// paid for by the reused instance's owner, so it adds nothing to
+    /// `network_usage` or `total_link_latency` — the result is the circuit's
+    /// *marginal* cost. `max_path_latency` still walks every link, because
+    /// the data still crosses them. An empty mask frees nothing.
     pub fn cost_with(
         &self,
         placement: &Placement,
+        free: &[bool],
         mut dist: impl FnMut(NodeId, NodeId) -> f64,
     ) -> CircuitCost {
         let mut network_usage = 0.0;
@@ -79,8 +87,10 @@ impl Circuit {
         for l in self.links() {
             let d = dist(placement.node_of(l.from), placement.node_of(l.to));
             debug_assert!(d.is_finite() && d >= 0.0, "distance must be finite");
-            network_usage += l.rate * d;
-            total_link_latency += d;
+            if !l.is_free(free) {
+                network_usage += l.rate * d;
+                total_link_latency += d;
+            }
             depth[l.to.index()] = depth[l.to.index()].max(depth[l.from.index()] + d);
         }
         let max_path_latency = depth[self.root().index()];
@@ -103,7 +113,17 @@ impl Circuit {
     /// the end on itself and opens a fresh one; an unpinned parent pairs the
     /// end with the one it already holds — the smaller flow is routed between
     /// the two hosts, the larger side's remainder stays open.
-    pub fn usage_lower_bound(&self, mut dist: impl FnMut(NodeId, NodeId) -> f64) -> f64 {
+    ///
+    /// Under a shared mask `free` the bound floors the *marginal* usage
+    /// [`Circuit::cost_with`] reports for the same mask: free links are
+    /// skipped, which only drops the flows that would have been routed along
+    /// them, and a reused root — pinned at its instance's host — opens a
+    /// fresh end for the links above it, as any pinned service does.
+    pub fn usage_lower_bound(
+        &self,
+        free: &[bool],
+        mut dist: impl FnMut(NodeId, NodeId) -> f64,
+    ) -> f64 {
         // Children-first numbering (see `Circuit`): by the time a link is
         // walked its upstream end is final.
         let mut open: Vec<Option<(NodeId, f64)>> = self
@@ -117,6 +137,9 @@ impl Circuit {
         let mut bound = 0.0;
         for l in self.links() {
             debug_assert!(l.from < l.to, "services are numbered children-first");
+            if l.is_free(free) {
+                continue;
+            }
             let Some((host, flow)) = open[l.from.index()] else { continue };
             let flow = flow.min(l.rate);
             match (self.service(l.to).pin, open[l.to.index()]) {
@@ -183,7 +206,7 @@ mod tests {
         let p = Placement::new(&c, vec![NodeId(0), NodeId(1), NodeId(1), NodeId(9)]);
         // Links: p0(rate 10) 0→1 dist 1; p1(rate 20) 1→1 dist 0;
         // join out (rate 0.1·10·20=20) 1→9 dist 8.
-        let cost = c.cost_with(&p, line_dist);
+        let cost = c.cost_with(&p, &[], line_dist);
         assert!((cost.network_usage - (10.0 * 1.0 + 20.0 * 0.0 + 20.0 * 8.0)).abs() < 1e-9);
         assert!((cost.total_link_latency - 9.0).abs() < 1e-9);
     }
@@ -193,7 +216,7 @@ mod tests {
         let c = simple_circuit();
         let p = Placement::new(&c, vec![NodeId(0), NodeId(1), NodeId(4), NodeId(9)]);
         // Paths: p0: |0−4| + |4−9| = 9; p1: |1−4| + |4−9| = 8.
-        let cost = c.cost_with(&p, line_dist);
+        let cost = c.cost_with(&p, &[], line_dist);
         assert!((cost.max_path_latency - 9.0).abs() < 1e-9);
     }
 
@@ -203,8 +226,8 @@ mod tests {
         let bad = Placement::new(&c, vec![NodeId(0), NodeId(1), NodeId(20), NodeId(9)]);
         let good = Placement::new(&c, vec![NodeId(0), NodeId(1), NodeId(3), NodeId(9)]);
         assert!(
-            c.cost_with(&good, line_dist).network_usage
-                < c.cost_with(&bad, line_dist).network_usage
+            c.cost_with(&good, &[], line_dist).network_usage
+                < c.cost_with(&bad, &[], line_dist).network_usage
         );
     }
 
@@ -212,9 +235,9 @@ mod tests {
     fn move_service_changes_cost() {
         let c = simple_circuit();
         let mut p = Placement::new(&c, vec![NodeId(0), NodeId(1), NodeId(20), NodeId(9)]);
-        let before = c.cost_with(&p, line_dist).network_usage;
+        let before = c.cost_with(&p, &[], line_dist).network_usage;
         let join_sid = c.unpinned_services()[0];
         p.move_service(join_sid, NodeId(2));
-        assert!(c.cost_with(&p, line_dist).network_usage < before);
+        assert!(c.cost_with(&p, &[], line_dist).network_usage < before);
     }
 }

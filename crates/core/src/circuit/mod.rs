@@ -91,6 +91,15 @@ pub struct Link {
     pub rate: f64,
 }
 
+impl Link {
+    /// True when `shared` marks the link's downstream service: it is a
+    /// reused instance's root or sits beneath one, so another circuit pays
+    /// for the data arriving there. An empty mask marks nothing.
+    pub fn is_free(&self, shared: &[bool]) -> bool {
+        shared.get(self.to.index()).copied().unwrap_or(false)
+    }
+}
+
 /// A circuit: the service tree of one query.
 ///
 /// **Numbering invariant.** [`Circuit::from_plan`] numbers services
@@ -748,13 +757,46 @@ pub(crate) mod tests {
             let mut d = Draws(draws.into_iter());
             let (c, points) = random_pinned_circuit(&mut d, ways, dims);
             let dist = |a: NodeId, b: NodeId| euclidean(&points[a.index()], &points[b.index()]);
-            let bound = c.usage_lower_bound(dist);
+            let bound = c.usage_lower_bound(&[], dist);
             proptest::prop_assert!(bound >= 0.0);
             for _ in 0..6 {
-                let usage = c.cost_with(&random_hosts(&mut d, &c), dist).network_usage;
+                let usage = c.cost_with(&random_hosts(&mut d, &c), &[], dist).network_usage;
                 proptest::prop_assert!(
                     bound * (1.0 - 1e-12) <= usage,
                     "bound {} above usage {} of {:?}", bound, usage, c
+                );
+            }
+        }
+
+        /// Under a reuse outcome the bound still floors the marginal usage:
+        /// a random operator's subtree is shared, its phantom operators
+        /// co-pinned at a random host, its producers at their real pins, and
+        /// both sides skip the free links into it.
+        #[test]
+        fn masked_usage_lower_bound_is_below_every_masked_placement(
+            ways in 2usize..=6,
+            dims in 1usize..=3,
+            draws in proptest::collection::vec(0.0f64..1.0, 220),
+        ) {
+            let mut d = Draws(draws.into_iter());
+            let (mut c, points) = random_pinned_circuit(&mut d, ways, dims);
+            let is_operator = |s: &&Service| matches!(s.kind, ServiceKind::Operator { .. });
+            let operators: Vec<ServiceId> =
+                c.services().iter().filter(is_operator).map(|s| s.id).collect();
+            let root = operators[d.below(operators.len())];
+            let host = NodeId(d.below(HOSTS) as u32);
+            let shared = c.subtree_mask(&[root]);
+            for &sid in operators.iter().filter(|s| shared[s.index()]) {
+                c.pin_service(sid, host);
+            }
+            let dist = |a: NodeId, b: NodeId| euclidean(&points[a.index()], &points[b.index()]);
+            let bound = c.usage_lower_bound(&shared, dist);
+            proptest::prop_assert!(bound >= 0.0);
+            for _ in 0..6 {
+                let usage = c.cost_with(&random_hosts(&mut d, &c), &shared, dist).network_usage;
+                proptest::prop_assert!(
+                    bound * (1.0 - 1e-12) <= usage,
+                    "bound {} above marginal usage {} of {:?} sharing {:?}", bound, usage, c, shared
                 );
             }
         }
@@ -772,7 +814,7 @@ pub(crate) mod tests {
             let (c, points) = random_pinned_circuit(&mut d, ways, dims);
             let placement = random_hosts(&mut d, &c);
             let reads = std::cell::Cell::new(0);
-            let cost = c.cost_with(&placement, |a, b| {
+            let cost = c.cost_with(&placement, &[], |a, b| {
                 reads.set(reads.get() + 1);
                 euclidean(&points[a.index()], &points[b.index()])
             });
@@ -828,11 +870,11 @@ pub(crate) mod tests {
         let mut c = Circuit::from_plan(&plan, &stats2(), NodeId(7));
         // 10 units p0↔p1 over distance 1; p1's other 10 climb to the
         // consumer, 94 away.
-        assert_eq!(c.usage_lower_bound(line), 10.0 * 1.0 + 10.0 * 94.0);
+        assert_eq!(c.usage_lower_bound(&[], line), 10.0 * 1.0 + 10.0 * 94.0);
         // Pin the join (a reused instance) at 50: every link is now fixed.
         let join = c.unpinned_services()[0];
         c.pin_service(join, NodeId(50));
         let pinned = Placement::new(&c, vec![NodeId(100), NodeId(101), NodeId(50), NodeId(7)]);
-        assert_eq!(c.usage_lower_bound(line), c.cost_with(&pinned, line).network_usage);
+        assert_eq!(c.usage_lower_bound(&[], line), c.cost_with(&pinned, &[], line).network_usage);
     }
 }

@@ -8,23 +8,39 @@
 //! space are less likely to be useful and thus can be ignored."
 //!
 //! Reuse identity: two operator services are mergeable when their
-//! [`Circuit::signatures`] match — the signature canonically encodes the
-//! operator *and its whole input subtree*, so reusing the instance also
-//! reuses everything beneath it. Circuits carry no signature; signatures are
-//! derived where they are read: once per candidate plan at discovery (only
-//! when the scope allows reuse) and once per circuit at registration.
+//! [`Circuit::signatures`](crate::circuit::Circuit::signatures) match — the
+//! signature canonically encodes the operator *and its whole input
+//! subtree*, so reusing the instance also reuses everything beneath it.
+//! Circuits carry no signature; signatures are derived where they are read:
+//! once per candidate at the attach step (only when the scope allows reuse)
+//! and once per circuit at registration.
 //!
 //! # Who owns what
 //!
-//! The registry owns **tenancy facts**, keyed by the [`CircuitId`] its
-//! caller deploys under: which operator instances each circuit registered
-//! (and where the discovery index keeps them), the subscription refcount of
-//! every instance, and each circuit's borrows. It keeps no copy of any
-//! [`Circuit`], [`Placement`] or shared mask — those, and the tenancy pins
-//! on subscribed instances, belong to the caller, which reports the changes
-//! that concern the registry ([`MultiQueryOptimizer::relocate`],
-//! [`MultiQueryOptimizer::reregister`]) and acts on what a departure
-//! reports back ([`ReleaseReport`]).
+//! The registry is not an optimizer. Candidates are selected by the one
+//! candidate loop every deploy and re-optimization shares
+//! ([`IntegratedOptimizer::optimize_with_mapper_estimated`]), ranked by their
+//! *marginal* cost-space estimate; the registry has three jobs:
+//!
+//! * **tenancy facts**, keyed by the [`CircuitId`] its caller deploys under:
+//!   which operator instances each circuit registered (and where the
+//!   discovery index keeps them), the subscription refcount of every
+//!   instance, and each circuit's borrows;
+//! * **discovery**: the closest running instance of a signature inside a
+//!   [`ReuseScope`], by exact registry scan or Hilbert-DHT lookup;
+//! * **the attach step** the candidate loop runs on every candidate before
+//!   its bound: discovery top-down over the candidate's operators, each hit
+//!   pinning its subtree at the instance's host and marking it shared.
+//!
+//! It keeps no copy of any [`Circuit`](crate::circuit::Circuit),
+//! [`Placement`](crate::circuit::Placement) or shared mask — those, and the
+//! tenancy pins on subscribed instances, belong to the caller, which
+//! reports the changes that concern the registry
+//! ([`MultiQueryOptimizer::relocate`], [`MultiQueryOptimizer::reregister`])
+//! and acts on what a departure reports back ([`ReleaseReport`]). The
+//! marginal and standalone costs a deploy reports are the measured costs of
+//! the winner alone ([`PlacedCircuit::measured`],
+//! [`IntegratedOptimizer::standalone_cost`]).
 //!
 //! # Tenancy and refcounts
 //!
@@ -56,19 +72,18 @@ use sbon_hilbert::{HilbertCurve, Quantizer};
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::latency::LatencyProvider;
 
-use crate::circuit::{Circuit, CircuitCost, Placement, ServiceId, ServiceKind};
+use crate::circuit::{CircuitCost, ServiceId, ServiceKind};
 use crate::costspace::CostSpace;
-use crate::optimizer::{IntegratedOptimizer, OptimizerConfig, QuerySpec};
-use crate::placement::{map_circuit, DhtMapper, OracleMapper, PhysicalMapper, VirtualPlacer};
+use crate::optimizer::{Candidate, IntegratedOptimizer, PlacedCircuit, QuerySpec};
+use crate::placement::{DhtMapper, OracleMapper, VirtualPlacer};
 
 /// Identifier of a deployed circuit in the [`MultiQueryOptimizer`]'s
-/// registry — chosen by whoever deploys
-/// ([`MultiQueryOptimizer::optimize_and_deploy_as`]).
+/// registry — chosen by whoever deploys ([`MultiQueryOptimizer::register`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CircuitId(pub u64);
 
 /// A running service instance available for reuse.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServiceInstance {
     /// Which circuit deployed it.
     pub circuit: CircuitId,
@@ -92,32 +107,19 @@ pub enum ReuseScope {
     All,
 }
 
-/// Outcome of one multi-query optimization.
+/// What [`MultiQueryOptimizer::optimize_and_deploy`] deployed.
 #[derive(Clone, Debug)]
 pub struct MultiQueryOutcome {
-    /// The circuit as deployed (reused services pinned to their hosts).
-    pub circuit: Circuit,
-    /// Host assignment (covers reused services too).
-    pub placement: Placement,
-    /// The chosen plan (after filter attachment).
-    pub plan: sbon_query::plan::LogicalPlan,
-    /// *Marginal* measured cost: network usage added by the new circuit,
-    /// excluding links already paid for by the reused subtrees.
-    pub marginal_cost: CircuitCost,
-    /// Cost the circuit would have had with no reuse (for reporting the
-    /// savings).
+    /// The winner as deployed — reused subtrees pinned at their instances'
+    /// hosts — with its plan, placement and reuse. Its `cost` is the
+    /// measured *marginal* cost: the network usage the new circuit adds,
+    /// the links its reused subtrees' owners pay for excluded.
+    pub placed: PlacedCircuit,
+    /// The measured cost the winner would have had with no reuse, for
+    /// reporting the savings ([`IntegratedOptimizer::standalone_cost`]).
     pub standalone_cost: CircuitCost,
-    /// Services reused from running circuits.
-    pub reused: Vec<ServiceInstance>,
-    /// For each entry of `reused` (same order): the service id *within this
-    /// circuit* that was substituted by the running instance.
-    pub reused_at: Vec<ServiceId>,
-    /// `shared[service]` — the service is a reused root or sits beneath
-    /// one: its physical work (and the links feeding it) are paid for by
-    /// the instance's owner, not by this circuit.
-    pub shared: Vec<bool>,
-    /// Reuse candidates examined across all considered plans — the quantity
-    /// radius pruning bounds.
+    /// Reuse candidates discovery examined across all candidate plans — the
+    /// quantity radius pruning bounds.
     pub candidates_examined: usize,
     /// The id it is registered under.
     pub id: CircuitId,
@@ -205,22 +207,23 @@ struct InstanceIndex {
     k: usize,
 }
 
-/// The multi-query optimizer: an integrated optimizer plus a registry of
-/// running circuits, the radius-pruned reuse search, and the subscription
-/// refcounts that govern shared-service lifetime (module docs).
+/// The reuse registry: tenancy facts, the radius-pruned instance discovery
+/// and the attach step built on it, and the subscription refcounts that
+/// govern shared-service lifetime (module docs).
 ///
-/// Instance discovery runs either against the in-memory registry (default;
-/// an exact oracle) or against a Hilbert-DHT catalog
+/// Instance discovery runs either against the in-memory registry (the
+/// `Default`; an exact oracle) or against a Hilbert-DHT catalog
 /// ([`MultiQueryOptimizer::with_dht_index`]) as §3.4 prescribes.
 ///
 /// `Clone` snapshots the whole registry, which the harnesses use to compare
 /// reuse scopes against an identical running workload.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct MultiQueryOptimizer {
-    optimizer: IntegratedOptimizer,
     /// Next id [`MultiQueryOptimizer::optimize_and_deploy`] hands out; a
     /// caller with ids of its own never advances it.
     next_id: u64,
+    /// Reuse candidates discovery has examined, summed over every lookup.
+    examined: usize,
     // The registries are ordered maps: `.values()` folds over them feed
     // counts and cost sums into reports, and hash iteration order is
     // process-random (sbon-lint: unordered-iteration).
@@ -237,23 +240,11 @@ pub struct MultiQueryOptimizer {
 }
 
 impl MultiQueryOptimizer {
-    /// An empty registry with exact (registry-scan) instance discovery.
-    pub fn new(config: OptimizerConfig) -> Self {
-        MultiQueryOptimizer {
-            optimizer: IntegratedOptimizer::new(config),
-            next_id: 0,
-            by_signature: BTreeMap::new(),
-            deployed: BTreeMap::new(),
-            subscribers: BTreeMap::new(),
-            dht_index: None,
-        }
-    }
-
     /// An empty registry with decentralized Hilbert-DHT instance discovery
     /// over `space` (the paper's §3.4 mechanism). `k` bounds each discovery
     /// lookup ("look up the closest n nodes"); 16 is plenty for the paper's
     /// workloads.
-    pub fn with_dht_index(config: OptimizerConfig, space: &CostSpace, k: usize) -> Self {
+    pub fn with_dht_index(space: &CostSpace, k: usize) -> Self {
         assert!(k >= 1);
         let dims = space.dims();
         let bits = (96 / dims as u32).clamp(2, 12);
@@ -261,7 +252,7 @@ impl MultiQueryOptimizer {
         let quantizer = Quantizer::covering(&points, bits, DhtMapper::QUANTIZER_MARGIN);
         let catalog = CoordinateCatalog::new(HilbertCurve::new(dims, bits), quantizer, 8);
         let index = InstanceIndex { catalog, members: BTreeMap::new(), free: Vec::new(), k };
-        MultiQueryOptimizer { dht_index: Some(index), ..Self::new(config) }
+        MultiQueryOptimizer { dht_index: Some(index), ..Self::default() }
     }
 
     /// Discovery traffic statistics (zeroes when the registry oracle is in
@@ -297,188 +288,98 @@ impl MultiQueryOptimizer {
         self.subscribers.values().sum()
     }
 
-    /// Optimizes and deploys a new query under the next id of the
-    /// registry's own numbering, mapping through the centralized oracle.
-    /// See [`Self::optimize_and_deploy_as`].
+    /// Optimizes and deploys `query` under the registry's own numbering,
+    /// mapping through the centralized oracle — the steps the overlay
+    /// runtime's deploy takes, bar its row prewarm: `optimizer` selects among
+    /// the candidates this registry attached
+    /// ([`IntegratedOptimizer::optimize_with_mapper_estimated`]), and the
+    /// winner alone is measured, costed standalone and registered.
     pub fn optimize_and_deploy(
         &mut self,
+        optimizer: &IntegratedOptimizer,
         query: &QuerySpec,
         space: &CostSpace,
         latency: &dyn LatencyProvider,
         scope: ReuseScope,
     ) -> Option<MultiQueryOutcome> {
+        let examined = self.examined;
+        let mapper = &mut OracleMapper;
+        let placed = optimizer
+            .optimize_with_mapper_estimated(query, space, mapper, Some((&mut *self, scope)))?
+            .measured(latency);
+        let standalone_cost = optimizer.standalone_cost(&placed, query, space, mapper, latency);
         let id = CircuitId(self.next_id);
-        let outcome =
-            self.optimize_and_deploy_as(id, query, space, latency, scope, &mut OracleMapper)?;
         self.next_id += 1;
-        Some(outcome)
+        self.register(id, &placed, space);
+        Some(MultiQueryOutcome {
+            placed,
+            standalone_cost,
+            candidates_examined: self.examined - examined,
+            id,
+        })
     }
 
-    /// Optimizes and deploys a new query as circuit `id` — the caller's
-    /// numbering; panics if `id` is already registered. For each candidate
-    /// plan the optimizer (1) virtually places it, (2) tries to substitute
-    /// each operator service with a running instance of the same signature
-    /// within the reuse scope, (3) maps the remaining services through
-    /// `mapper`, and (4) costs the *marginal* circuit. The cheapest marginal
-    /// circuit is deployed and registered.
-    pub fn optimize_and_deploy_as(
+    /// The attach step of the candidate loop: substitutes running instances
+    /// for `candidate`'s operators. It places the bare circuit virtually and
+    /// walks its operators top-down (descending ids visit parents before
+    /// children); an operator with a running instance of its signature in
+    /// `scope` ([`Self::discover`]) is substituted, and its whole subtree —
+    /// the largest reusable one wins — is marked shared, so its links are
+    /// free. Under [`ReuseScope::None`] the candidate passes unchanged.
+    pub(crate) fn attach(
         &mut self,
-        id: CircuitId,
-        query: &QuerySpec,
+        mut candidate: Candidate,
         space: &CostSpace,
-        latency: &dyn LatencyProvider,
         scope: ReuseScope,
-        mapper: &mut dyn PhysicalMapper,
-    ) -> Option<MultiQueryOutcome> {
-        let mut total_candidates = 0usize;
-        let mut best: Option<(MultiQueryOutcome, Placement)> = None;
-
-        for plan in self.optimizer.candidate_plans(query) {
-            let candidate = self.place_one_plan(id, plan, query, space, latency, scope, mapper);
-            total_candidates += candidate.0.candidates_examined;
-            let cheapest = best.as_ref().map(|(b, _)| b.marginal_cost.network_usage);
-            if cheapest.is_none_or(|b| candidate.0.marginal_cost.network_usage < b) {
-                best = Some(candidate);
-            }
+        placer: &dyn VirtualPlacer,
+    ) -> Candidate {
+        if scope == ReuseScope::None {
+            return candidate;
         }
-
-        let (mut chosen, standalone) = best?;
-        // The no-reuse reference is reporting only — it never ranks a
-        // candidate — so it is measured for the chosen plan alone.
-        chosen.standalone_cost =
-            chosen.circuit.cost_with(&standalone, |a, b| latency.latency(a, b));
-        chosen.candidates_examined = total_candidates;
-        self.register(
-            id,
-            &chosen.circuit,
-            &chosen.placement,
-            &chosen.shared,
-            &chosen.reused,
-            &chosen.reused_at,
-            space,
-        );
-        Some(chosen)
-    }
-
-    /// Places one candidate plan with reuse, returning its outcome (not yet
-    /// registered, `standalone_cost` not yet measured, `candidates_examined`
-    /// counting this plan alone) and its standalone — no-reuse — placement.
-    #[allow(clippy::too_many_arguments)]
-    fn place_one_plan(
-        &mut self,
-        id: CircuitId,
-        plan: sbon_query::plan::LogicalPlan,
-        query: &QuerySpec,
-        space: &CostSpace,
-        latency: &dyn LatencyProvider,
-        scope: ReuseScope,
-        mapper: &mut dyn PhysicalMapper,
-    ) -> (MultiQueryOutcome, Placement) {
-        let placer = *self.optimizer.placer();
-        let mut circuit = Circuit::from_plan(&plan, &query.catalog, query.consumer);
-
-        // Standalone reference: no reuse.
-        let vp0 = placer.place(&circuit, space);
-        let standalone = map_circuit(&circuit, &vp0, space, mapper).placement;
-
-        // Reuse pass: walk services top-down (construction is post-order, so
-        // descending ids visit parents before children); the first (largest)
-        // reusable subtree wins, and everything beneath it is marked shared.
-        let mut shared = vec![false; circuit.len()];
-        let mut reused = Vec::new();
-        let mut reused_at = Vec::new();
-        let mut candidates_examined = 0;
-        if scope != ReuseScope::None {
-            // Derived once, before any pin: the pins below touch operators
-            // only, which no signature reads.
-            let signatures = circuit.signatures();
-            for sid in (0..circuit.len() as u32).rev().map(ServiceId) {
-                let is_operator = matches!(circuit.service(sid).kind, ServiceKind::Operator { .. });
-                if shared[sid.index()] || !is_operator {
-                    continue;
-                }
-                let ideal = space.ideal_point(vp0.coord_of(sid));
-                let (found, examined) =
-                    self.discover(&signatures[sid.index()], &ideal, scope, space);
-                candidates_examined += examined;
-                if let Some(inst) = found {
-                    // Reuse: pin this service at the instance's node and
-                    // mark its subtree shared. The subtree's services are
-                    // phantom copies of work that runs inside the instance,
-                    // so they are co-pinned at the instance's host: the
-                    // placer then anchors genuinely-new services against
-                    // where the data actually materializes, shared links
-                    // cost exactly zero (co-located), and no re-opt pass
-                    // can ever "migrate" a phantom.
-                    let subtree = circuit.subtree_mask(&[sid]);
-                    for idx in (0..circuit.len()).filter(|&idx| subtree[idx]) {
-                        shared[idx] = true;
-                        // Producers keep their real pins (a producer death
-                        // must still kill this circuit); phantom operators
-                        // co-locate with the instance.
-                        if circuit.service(ServiceId(idx as u32)).is_unpinned() {
-                            circuit.pin_service(ServiceId(idx as u32), inst.node);
-                        }
-                    }
-                    reused.push(inst);
-                    reused_at.push(sid);
+        let circuit = &mut candidate.circuit;
+        let vp = placer.place(circuit, space);
+        // Derived once, before any pin: the pins below touch operators only,
+        // which no signature reads.
+        let signatures = circuit.signatures();
+        for sid in (0..circuit.len() as u32).rev().map(ServiceId) {
+            let is_operator = matches!(circuit.service(sid).kind, ServiceKind::Operator { .. });
+            if !is_operator || candidate.shared.get(sid.index()) == Some(&true) {
+                continue;
+            }
+            let ideal = space.ideal_point(vp.coord_of(sid));
+            let Some(inst) = self.discover(&signatures[sid.index()], &ideal, scope, space) else {
+                continue;
+            };
+            // The subtree's services are phantom copies of work that runs
+            // inside the instance, so they are co-pinned at the instance's
+            // host: the placer then anchors genuinely-new services against
+            // where the data actually materializes, and no re-opt pass can
+            // ever "migrate" a phantom. Producers keep their real pins (a
+            // producer death must still kill this circuit).
+            let subtree = circuit.subtree_mask(&[sid]);
+            candidate.shared.resize(circuit.len(), false);
+            for idx in (0..circuit.len()).filter(|&idx| subtree[idx]) {
+                candidate.shared[idx] = true;
+                if circuit.service(ServiceId(idx as u32)).is_unpinned() {
+                    circuit.pin_service(ServiceId(idx as u32), inst.node);
                 }
             }
+            candidate.reused.push(inst);
+            candidate.reused_at.push(sid);
         }
-
-        // Re-place the (partially pinned) circuit and map what remains.
-        let vp = placer.place(&circuit, space);
-        let mapped = map_circuit(&circuit, &vp, space, mapper);
-
-        // Marginal cost: links internal to a shared subtree are already paid
-        // for. A link is free iff its *downstream* endpoint is shared (the
-        // reused service and everything below it already runs; the link from
-        // the reused service up to its new parent is new).
-        let marginal_cost = circuit.cost_with(&mapped.placement, |a, b| latency.latency(a, b));
-        let free_cost = {
-            let mut usage = 0.0;
-            let mut link_lat = 0.0;
-            for l in circuit.links() {
-                if shared[l.to.index()] {
-                    let d = latency
-                        .latency(mapped.placement.node_of(l.from), mapped.placement.node_of(l.to));
-                    usage += l.rate * d;
-                    link_lat += d;
-                }
-            }
-            (usage, link_lat)
-        };
-        let marginal = CircuitCost {
-            network_usage: marginal_cost.network_usage - free_cost.0,
-            max_path_latency: marginal_cost.max_path_latency,
-            total_link_latency: marginal_cost.total_link_latency - free_cost.1,
-        };
-
-        let outcome = MultiQueryOutcome {
-            plan,
-            placement: mapped.placement,
-            circuit,
-            marginal_cost: marginal,
-            standalone_cost: CircuitCost::ZERO, // caller measures the chosen plan's
-            reused,
-            reused_at,
-            shared,
-            candidates_examined, // caller overwrites with the total
-            id,
-        };
-        (outcome, standalone)
+        candidate
     }
 
     /// Finds the closest reusable instance with the given signature inside
-    /// `scope`, plus how many candidates were examined. Uses the DHT index
-    /// when configured, otherwise the exact registry scan.
+    /// `scope`, counting the candidates it examines. Uses the DHT index when
+    /// configured, otherwise the exact registry scan.
     fn discover(
         &mut self,
         signature: &str,
         ideal: &crate::costspace::CostPoint,
         scope: ReuseScope,
         space: &CostSpace,
-    ) -> (Option<ServiceInstance>, usize) {
+    ) -> Option<ServiceInstance> {
         let in_radius = |d: f64| match scope {
             ReuseScope::None => false,
             ReuseScope::Radius(r) => d <= r,
@@ -490,7 +391,7 @@ impl MultiQueryOptimizer {
             // instance beyond the k nearest hosts — that is the paper's
             // accepted approximation.
             let nearest = index.catalog.k_nearest(ideal.as_slice(), index.k);
-            let examined = nearest.len();
+            self.examined += nearest.len();
             let best = nearest
                 .into_iter()
                 .filter(|&(_, d)| in_radius(d))
@@ -502,49 +403,39 @@ impl MultiQueryOptimizer {
                         .map(|inst| (inst.clone(), d))
                 })
                 .min_by(|a, b| a.1.total_cmp(&b.1));
-            (best.map(|(inst, _)| inst), examined)
+            best.map(|(inst, _)| inst)
         } else {
-            let Some(instances) = self.by_signature.get(signature) else {
-                return (None, 0);
-            };
-            let mut examined = 0;
+            let instances = self.by_signature.get(signature)?;
             let mut best: Option<(&ServiceInstance, f64)> = None;
             for inst in instances {
                 let d = space.point(inst.node).full_distance(ideal);
                 if !in_radius(d) {
                     continue;
                 }
-                examined += 1;
+                self.examined += 1;
                 if best.is_none_or(|(_, bd)| d < bd) {
                     best = Some((inst, d));
                 }
             }
-            (best.map(|(inst, _)| inst.clone()), examined)
+            best.map(|(inst, _)| inst.clone())
         }
     }
 
-    /// Registers a deployed circuit: its *own* (non-shared) operator
+    /// Registers a deployed circuit as `id` — the caller's numbering; panics
+    /// if `id` is already registered. Its *own* (non-shared) operator
     /// services become reusable instances, and every reused instance gains
     /// a subscription. Shared services are deliberately **not** registered —
     /// they are someone else's physical instance, and a duplicate phantom
     /// registration would let future queries subscribe to a circuit that
     /// merely borrows the service.
-    #[allow(clippy::too_many_arguments)]
-    fn register(
-        &mut self,
-        id: CircuitId,
-        circuit: &Circuit,
-        placement: &Placement,
-        shared: &[bool],
-        reused: &[ServiceInstance],
-        reused_at: &[ServiceId],
-        space: &CostSpace,
-    ) {
+    pub fn register(&mut self, id: CircuitId, placed: &PlacedCircuit, space: &CostSpace) {
         assert!(!self.deployed.contains_key(&id), "circuit {id:?} is already registered");
+        let PlacedCircuit { circuit, placement, shared, reused, reused_at, .. } = placed;
         let mut signatures = circuit.signatures();
         let mut instances = Vec::new();
         for s in circuit.services() {
-            if shared[s.id.index()] || !matches!(s.kind, ServiceKind::Operator { .. }) {
+            let is_operator = matches!(s.kind, ServiceKind::Operator { .. });
+            if !is_operator || shared.get(s.id.index()) == Some(&true) {
                 continue;
             }
             let signature = std::mem::take(&mut signatures[s.id.index()]);
@@ -738,13 +629,7 @@ impl MultiQueryOptimizer {
     /// Only **untenanted** circuits may be swapped — panics if the circuit
     /// borrows from others or any of its instances has subscribers (a swap
     /// would strand those tenants; the caller must check first).
-    pub fn reregister(
-        &mut self,
-        id: CircuitId,
-        circuit: &Circuit,
-        placement: &Placement,
-        space: &CostSpace,
-    ) {
+    pub fn reregister(&mut self, id: CircuitId, replacement: &PlacedCircuit, space: &CostSpace) {
         let rec = self.deployed.get(&id).expect("reregister of an unknown circuit");
         assert!(!rec.departed, "cannot reregister a departed circuit");
         assert!(
@@ -759,8 +644,7 @@ impl MultiQueryOptimizer {
         for own in &rec.instances {
             self.unindex(id, own);
         }
-        let shared = vec![false; circuit.len()];
-        self.register(id, circuit, placement, &shared, &[], &[], space);
+        self.register(id, replacement, space);
     }
 
     /// Force-tears a circuit down, removing its instances from the reuse
@@ -819,22 +703,28 @@ mod tests {
         QuerySpec::join_star(&[NodeId(0), NodeId(2)], NodeId(consumer), 10.0, 0.01)
     }
 
+    fn opt() -> IntegratedOptimizer {
+        IntegratedOptimizer::default()
+    }
+
     #[test]
     fn identical_queries_reuse_the_join() {
         let (space, lat) = world();
-        let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
-        let first =
-            mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::Radius(50.0)).unwrap();
-        assert!(first.reused.is_empty(), "nothing to reuse yet");
+        let mut mq = MultiQueryOptimizer::default();
+        let first = mq
+            .optimize_and_deploy(&opt(), &query(5), &space, &lat, ReuseScope::Radius(50.0))
+            .unwrap();
+        assert!(first.placed.reused.is_empty(), "nothing to reuse yet");
         assert_eq!(mq.num_circuits(), 1);
 
-        let second =
-            mq.optimize_and_deploy(&query(6), &space, &lat, ReuseScope::Radius(50.0)).unwrap();
-        assert_eq!(second.reused.len(), 1, "the s0⋈s2 instance should be shared");
+        let second = mq
+            .optimize_and_deploy(&opt(), &query(6), &space, &lat, ReuseScope::Radius(50.0))
+            .unwrap();
+        assert_eq!(second.placed.reused.len(), 1, "the s0⋈s2 instance should be shared");
         assert!(
-            second.marginal_cost.network_usage < second.standalone_cost.network_usage,
+            second.placed.cost.network_usage < second.standalone_cost.network_usage,
             "reuse must cut the marginal cost: {} vs {}",
-            second.marginal_cost.network_usage,
+            second.placed.cost.network_usage,
             second.standalone_cost.network_usage
         );
     }
@@ -842,10 +732,11 @@ mod tests {
     #[test]
     fn zero_radius_blocks_reuse() {
         let (space, lat) = world();
-        let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
-        mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::None).unwrap();
-        let second = mq.optimize_and_deploy(&query(6), &space, &lat, ReuseScope::None).unwrap();
-        assert!(second.reused.is_empty());
+        let mut mq = MultiQueryOptimizer::default();
+        mq.optimize_and_deploy(&opt(), &query(5), &space, &lat, ReuseScope::None).unwrap();
+        let second =
+            mq.optimize_and_deploy(&opt(), &query(6), &space, &lat, ReuseScope::None).unwrap();
+        assert!(second.placed.reused.is_empty());
         assert_eq!(second.candidates_examined, 0);
     }
 
@@ -853,52 +744,55 @@ mod tests {
     fn all_scope_examines_more_than_small_radius() {
         let (space, lat) = world();
         // Deploy several identical joins with different consumers.
-        let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
+        let mut mq = MultiQueryOptimizer::default();
         for c in [5, 6, 7, 8] {
-            mq.optimize_and_deploy(&query(c), &space, &lat, ReuseScope::None).unwrap();
+            mq.optimize_and_deploy(&opt(), &query(c), &space, &lat, ReuseScope::None).unwrap();
         }
         let mut mq_all = mq; // continue on the same registry
-        let all = mq_all.optimize_and_deploy(&query(9), &space, &lat, ReuseScope::All).unwrap();
+        let all =
+            mq_all.optimize_and_deploy(&opt(), &query(9), &space, &lat, ReuseScope::All).unwrap();
         assert!(all.candidates_examined >= 4, "examined {}", all.candidates_examined);
     }
 
     #[test]
     fn radius_prunes_far_instances() {
         let (space, lat) = world();
-        let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
+        let mut mq = MultiQueryOptimizer::default();
         // A join far to the right: its operator lives near x≈100+.
         let far = QuerySpec::join_star(&[NodeId(10), NodeId(11)], NodeId(9), 10.0, 0.01);
-        mq.optimize_and_deploy(&far, &space, &lat, ReuseScope::None).unwrap();
+        mq.optimize_and_deploy(&opt(), &far, &space, &lat, ReuseScope::None).unwrap();
         // A new query near x≈0 with a *different* join signature would not
         // match anyway; use the same signature but far away:
         let near = QuerySpec::join_star(&[NodeId(10), NodeId(11)], NodeId(0), 10.0, 0.01);
-        let tiny = mq.optimize_and_deploy(&near, &space, &lat, ReuseScope::Radius(5.0)).unwrap();
+        let tiny =
+            mq.optimize_and_deploy(&opt(), &near, &space, &lat, ReuseScope::Radius(5.0)).unwrap();
         // The reusable instance sits ~100 away in the cost space, far
         // outside radius 5 as measured from the new virtual coordinate...
         // but virtual placement for the same producers lands close to it.
         // The meaningful assertion: radius ∞ reuses, and the candidate
         // count under the small radius is no larger than under All.
-        let mut mq2 = MultiQueryOptimizer::new(OptimizerConfig::default());
-        mq2.optimize_and_deploy(&far, &space, &lat, ReuseScope::None).unwrap();
-        let all = mq2.optimize_and_deploy(&near, &space, &lat, ReuseScope::All).unwrap();
+        let mut mq2 = MultiQueryOptimizer::default();
+        mq2.optimize_and_deploy(&opt(), &far, &space, &lat, ReuseScope::None).unwrap();
+        let all = mq2.optimize_and_deploy(&opt(), &near, &space, &lat, ReuseScope::All).unwrap();
         assert!(tiny.candidates_examined <= all.candidates_examined);
-        assert_eq!(all.reused.len(), 1);
+        assert_eq!(all.placed.reused.len(), 1);
     }
 
     #[test]
     fn dht_index_discovers_reuse_like_the_registry() {
         let (space, lat) = world();
-        let mut registry = MultiQueryOptimizer::new(OptimizerConfig::default());
-        let mut dht = MultiQueryOptimizer::with_dht_index(OptimizerConfig::default(), &space, 16);
+        let mut registry = MultiQueryOptimizer::default();
+        let mut dht = MultiQueryOptimizer::with_dht_index(&space, 16);
         for mq in [&mut registry, &mut dht] {
-            mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::All).unwrap();
+            mq.optimize_and_deploy(&opt(), &query(5), &space, &lat, ReuseScope::All).unwrap();
         }
         let from_registry =
-            registry.optimize_and_deploy(&query(6), &space, &lat, ReuseScope::All).unwrap();
-        let from_dht = dht.optimize_and_deploy(&query(6), &space, &lat, ReuseScope::All).unwrap();
-        assert_eq!(from_registry.reused.len(), 1);
-        assert_eq!(from_dht.reused.len(), 1);
-        assert_eq!(from_dht.reused[0].node, from_registry.reused[0].node);
+            registry.optimize_and_deploy(&opt(), &query(6), &space, &lat, ReuseScope::All).unwrap();
+        let from_dht =
+            dht.optimize_and_deploy(&opt(), &query(6), &space, &lat, ReuseScope::All).unwrap();
+        assert_eq!(from_registry.placed.reused.len(), 1);
+        assert_eq!(from_dht.placed.reused.len(), 1);
+        assert_eq!(from_dht.placed.reused[0].node, from_registry.placed.reused[0].node);
         // The DHT path did actual catalog work.
         assert!(dht.discovery_stats().lookups > 0);
         assert_eq!(registry.discovery_stats().lookups, 0);
@@ -907,11 +801,16 @@ mod tests {
     #[test]
     fn dht_index_teardown_blocks_future_reuse() {
         let (space, lat) = world();
-        let mut mq = MultiQueryOptimizer::with_dht_index(OptimizerConfig::default(), &space, 16);
-        let first = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::All).unwrap();
+        let mut mq = MultiQueryOptimizer::with_dht_index(&space, 16);
+        let first =
+            mq.optimize_and_deploy(&opt(), &query(5), &space, &lat, ReuseScope::All).unwrap();
         assert!(mq.teardown(first.id));
-        let second = mq.optimize_and_deploy(&query(6), &space, &lat, ReuseScope::All).unwrap();
-        assert!(second.reused.is_empty(), "DHT-indexed instance must be gone after teardown");
+        let second =
+            mq.optimize_and_deploy(&opt(), &query(6), &space, &lat, ReuseScope::All).unwrap();
+        assert!(
+            second.placed.reused.is_empty(),
+            "DHT-indexed instance must be gone after teardown"
+        );
     }
 
     /// Member ids of departed instances are reissued: index storage tracks
@@ -919,12 +818,14 @@ mod tests {
     #[test]
     fn dht_index_storage_is_bounded_by_peak_live_instances() {
         let (space, lat) = world();
-        let mut mq = MultiQueryOptimizer::with_dht_index(OptimizerConfig::default(), &space, 16);
-        let anchor = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::None).unwrap();
+        let mut mq = MultiQueryOptimizer::with_dht_index(&space, 16);
+        let anchor =
+            mq.optimize_and_deploy(&opt(), &query(5), &space, &lat, ReuseScope::None).unwrap();
         let mut peak = mq.num_instances();
         for i in 0..1_000 {
             let scope = if i % 2 == 0 { ReuseScope::None } else { ReuseScope::All };
-            let out = mq.optimize_and_deploy(&query(6 + i % 4), &space, &lat, scope).unwrap();
+            let out =
+                mq.optimize_and_deploy(&opt(), &query(6 + i % 4), &space, &lat, scope).unwrap();
             peak = peak.max(mq.num_instances());
             mq.release(out.id).expect("released once");
         }
@@ -933,9 +834,10 @@ mod tests {
         assert!(minted <= peak, "{minted} member ids for a peak of {peak} live instances");
         assert_eq!(index.catalog.len(), mq.num_instances());
         assert_eq!(index.members.len(), mq.num_instances());
-        let late = mq.optimize_and_deploy(&query(9), &space, &lat, ReuseScope::All).unwrap();
-        assert_eq!(late.reused.len(), 1, "the live instance is still discoverable");
-        assert_eq!(late.reused[0].circuit, anchor.id);
+        let late =
+            mq.optimize_and_deploy(&opt(), &query(9), &space, &lat, ReuseScope::All).unwrap();
+        assert_eq!(late.placed.reused.len(), 1, "the live instance is still discoverable");
+        assert_eq!(late.placed.reused[0].circuit, anchor.id);
     }
 
     /// Among same-signature instances at equal distance the first
@@ -943,23 +845,27 @@ mod tests {
     #[test]
     fn equidistant_instances_tie_break_by_registration_order() {
         let (space, lat) = world();
-        let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
-        let a = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::None).unwrap();
-        let b = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::None).unwrap();
-        assert_eq!(a.placement, b.placement, "identical queries co-locate their joins");
-        let c = mq.optimize_and_deploy(&query(7), &space, &lat, ReuseScope::All).unwrap();
-        assert_eq!(c.reused[0].circuit, a.id, "first registered wins the tie");
+        let mut mq = MultiQueryOptimizer::default();
+        let a = mq.optimize_and_deploy(&opt(), &query(5), &space, &lat, ReuseScope::None).unwrap();
+        let b = mq.optimize_and_deploy(&opt(), &query(5), &space, &lat, ReuseScope::None).unwrap();
+        assert_eq!(
+            a.placed.placement, b.placed.placement,
+            "identical queries co-locate their joins"
+        );
+        let c = mq.optimize_and_deploy(&opt(), &query(7), &space, &lat, ReuseScope::All).unwrap();
+        assert_eq!(c.placed.reused[0].circuit, a.id, "first registered wins the tie");
         mq.release(c.id).unwrap();
-        mq.reregister(a.id, &a.circuit, &a.placement, &space);
-        let d = mq.optimize_and_deploy(&query(7), &space, &lat, ReuseScope::All).unwrap();
-        assert_eq!(d.reused[0].circuit, b.id, "a's re-registration queued behind b");
+        mq.reregister(a.id, &a.placed, &space);
+        let d = mq.optimize_and_deploy(&opt(), &query(7), &space, &lat, ReuseScope::All).unwrap();
+        assert_eq!(d.placed.reused[0].circuit, b.id, "a's re-registration queued behind b");
     }
 
     #[test]
     fn teardown_removes_instances() {
         let (space, lat) = world();
-        let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
-        let first = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::None).unwrap();
+        let mut mq = MultiQueryOptimizer::default();
+        let first =
+            mq.optimize_and_deploy(&opt(), &query(5), &space, &lat, ReuseScope::None).unwrap();
         assert!(mq.num_instances() > 0);
         assert!(mq.teardown(first.id));
         assert_eq!(mq.num_instances(), 0);
@@ -970,31 +876,34 @@ mod tests {
     #[test]
     fn reused_subtree_is_pinned_in_new_circuit() {
         let (space, lat) = world();
-        let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
-        let first = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::All).unwrap();
+        let mut mq = MultiQueryOptimizer::default();
+        let first =
+            mq.optimize_and_deploy(&opt(), &query(5), &space, &lat, ReuseScope::All).unwrap();
         let join_node = first
+            .placed
             .circuit
             .services()
             .iter()
             .find_map(|s| match &s.kind {
-                ServiceKind::Operator { .. } => Some(first.placement.node_of(s.id)),
+                ServiceKind::Operator { .. } => Some(first.placed.placement.node_of(s.id)),
                 _ => None,
             })
             .unwrap();
-        let second = mq.optimize_and_deploy(&query(7), &space, &lat, ReuseScope::All).unwrap();
-        let reused_node = second.reused[0].node;
+        let second =
+            mq.optimize_and_deploy(&opt(), &query(7), &space, &lat, ReuseScope::All).unwrap();
+        let reused_node = second.placed.reused[0].node;
         assert_eq!(reused_node, join_node, "second circuit reuses the first's host");
     }
 
     #[test]
     fn reuse_increments_and_release_decrements_refcounts() {
         let (space, lat) = world();
-        let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
-        let a = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::All).unwrap();
-        let b = mq.optimize_and_deploy(&query(6), &space, &lat, ReuseScope::All).unwrap();
-        assert_eq!(b.reused.len(), 1);
-        let (oc, os) = (b.reused[0].circuit, b.reused[0].service);
-        assert_eq!((oc, os), (a.id, b.reused[0].service));
+        let mut mq = MultiQueryOptimizer::default();
+        let a = mq.optimize_and_deploy(&opt(), &query(5), &space, &lat, ReuseScope::All).unwrap();
+        let b = mq.optimize_and_deploy(&opt(), &query(6), &space, &lat, ReuseScope::All).unwrap();
+        assert_eq!(b.placed.reused.len(), 1);
+        let (oc, os) = (b.placed.reused[0].circuit, b.placed.reused[0].service);
+        assert_eq!((oc, os), (a.id, b.placed.reused[0].service));
         assert_eq!(mq.refcount(oc, os), 1);
         assert_eq!(mq.total_subscriptions(), 1);
 
@@ -1009,11 +918,11 @@ mod tests {
     #[test]
     fn departed_owner_retains_subscribed_instance_until_drain() {
         let (space, lat) = world();
-        let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
-        let a = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::All).unwrap();
-        let b = mq.optimize_and_deploy(&query(6), &space, &lat, ReuseScope::All).unwrap();
-        assert_eq!(b.reused.len(), 1);
-        let shared_sid = b.reused[0].service;
+        let mut mq = MultiQueryOptimizer::default();
+        let a = mq.optimize_and_deploy(&opt(), &query(5), &space, &lat, ReuseScope::All).unwrap();
+        let b = mq.optimize_and_deploy(&opt(), &query(6), &space, &lat, ReuseScope::All).unwrap();
+        assert_eq!(b.placed.reused.len(), 1);
+        let shared_sid = b.placed.reused[0].service;
 
         // Owner departs first: the subscribed join must be retained and
         // stay discoverable.
@@ -1025,9 +934,9 @@ mod tests {
         assert!(mq.num_instances() > 0, "retained instance stays discoverable");
 
         // New arrival can still attach to the retained instance.
-        let c = mq.optimize_and_deploy(&query(7), &space, &lat, ReuseScope::All).unwrap();
-        assert_eq!(c.reused.len(), 1);
-        assert_eq!(c.reused[0].circuit, a.id, "c attaches to the retained instance");
+        let c = mq.optimize_and_deploy(&opt(), &query(7), &space, &lat, ReuseScope::All).unwrap();
+        assert_eq!(c.placed.reused.len(), 1);
+        assert_eq!(c.placed.reused[0].circuit, a.id, "c attaches to the retained instance");
         assert_eq!(mq.refcount(a.id, shared_sid), 2);
 
         // Last subscriber out drains the retained subtree.
@@ -1044,63 +953,64 @@ mod tests {
     #[test]
     fn shared_services_are_not_reregistered_by_borrowers() {
         let (space, lat) = world();
-        let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
-        let a = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::All).unwrap();
+        let mut mq = MultiQueryOptimizer::default();
+        let a = mq.optimize_and_deploy(&opt(), &query(5), &space, &lat, ReuseScope::All).unwrap();
         let before = mq.num_instances();
-        let b = mq.optimize_and_deploy(&query(6), &space, &lat, ReuseScope::All).unwrap();
-        assert_eq!(b.reused.len(), 1);
+        let b = mq.optimize_and_deploy(&opt(), &query(6), &space, &lat, ReuseScope::All).unwrap();
+        assert_eq!(b.placed.reused.len(), 1);
         // b's only operator is the reused join: no new instance appears.
         assert_eq!(mq.num_instances(), before);
         // So any third subscriber necessarily attaches to a's registration.
-        let c = mq.optimize_and_deploy(&query(8), &space, &lat, ReuseScope::All).unwrap();
-        assert_eq!(c.reused[0].circuit, a.id);
+        let c = mq.optimize_and_deploy(&opt(), &query(8), &space, &lat, ReuseScope::All).unwrap();
+        assert_eq!(c.placed.reused[0].circuit, a.id);
     }
 
     #[test]
     fn reregister_swaps_instances_under_the_same_id() {
         let (space, lat) = world();
-        let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
-        let a = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::None).unwrap();
+        let mut mq = MultiQueryOptimizer::default();
+        let a = mq.optimize_and_deploy(&opt(), &query(5), &space, &lat, ReuseScope::None).unwrap();
         assert_eq!(mq.num_instances(), 1);
         // Swap in a replacement circuit (same query re-optimized alone —
         // shape is what matters) and move its operator host.
-        let mut replacement = a.circuit.clone();
-        let mut placement = a.placement.clone();
+        let mut replacement = a.placed.clone();
         let join = replacement
+            .circuit
             .services()
             .iter()
             .find(|s| matches!(s.kind, ServiceKind::Operator { .. }))
             .unwrap()
             .id;
-        placement.move_service(join, NodeId(9));
-        replacement.pin_service(join, NodeId(9));
-        mq.reregister(a.id, &replacement, &placement, &space);
+        replacement.placement.move_service(join, NodeId(9));
+        replacement.circuit.pin_service(join, NodeId(9));
+        mq.reregister(a.id, &replacement, &space);
         assert_eq!(mq.num_circuits(), 1, "same circuit count after the swap");
         assert_eq!(mq.num_instances(), 1, "old instance replaced, not duplicated");
         // Future reuse attaches to the replacement's host under a's id.
-        let b = mq.optimize_and_deploy(&query(6), &space, &lat, ReuseScope::All).unwrap();
-        assert_eq!(b.reused.len(), 1);
-        assert_eq!(b.reused[0].circuit, a.id);
-        assert_eq!(b.reused[0].node, NodeId(9));
+        let b = mq.optimize_and_deploy(&opt(), &query(6), &space, &lat, ReuseScope::All).unwrap();
+        assert_eq!(b.placed.reused.len(), 1);
+        assert_eq!(b.placed.reused[0].circuit, a.id);
+        assert_eq!(b.placed.reused[0].node, NodeId(9));
     }
 
     #[test]
     #[should_panic(expected = "subscribed instances")]
     fn reregister_rejects_subscribed_circuits() {
         let (space, lat) = world();
-        let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
-        let a = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::None).unwrap();
-        let b = mq.optimize_and_deploy(&query(6), &space, &lat, ReuseScope::All).unwrap();
-        assert_eq!(b.reused.len(), 1);
-        mq.reregister(a.id, &a.circuit, &a.placement, &space);
+        let mut mq = MultiQueryOptimizer::default();
+        let a = mq.optimize_and_deploy(&opt(), &query(5), &space, &lat, ReuseScope::None).unwrap();
+        let b = mq.optimize_and_deploy(&opt(), &query(6), &space, &lat, ReuseScope::All).unwrap();
+        assert_eq!(b.placed.reused.len(), 1);
+        mq.reregister(a.id, &a.placed, &space);
     }
 
     #[test]
     fn relocate_moves_future_reuse_to_the_new_host() {
         let (space, lat) = world();
-        let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
-        let a = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::All).unwrap();
+        let mut mq = MultiQueryOptimizer::default();
+        let a = mq.optimize_and_deploy(&opt(), &query(5), &space, &lat, ReuseScope::All).unwrap();
         let join_sid = a
+            .placed
             .circuit
             .services()
             .iter()
@@ -1108,8 +1018,8 @@ mod tests {
             .unwrap()
             .id;
         mq.relocate(a.id, join_sid, NodeId(11), &space);
-        let b = mq.optimize_and_deploy(&query(6), &space, &lat, ReuseScope::All).unwrap();
-        assert_eq!(b.reused.len(), 1);
-        assert_eq!(b.reused[0].node, NodeId(11));
+        let b = mq.optimize_and_deploy(&opt(), &query(6), &space, &lat, ReuseScope::All).unwrap();
+        assert_eq!(b.placed.reused.len(), 1);
+        assert_eq!(b.placed.reused[0].node, NodeId(11));
     }
 }

@@ -8,22 +8,24 @@
 //! provider each one costs a shortest-path row per link-source host.
 //!
 //! Ranking is **rank → bound → place/map the survivors**
-//! ([`select_cheapest`], the one candidate loop deploy, full re-opt and
-//! rewrite re-opt share): every candidate plan is built into a circuit, but
-//! only a candidate whose [`Circuit::usage_lower_bound`] — a floor under its
-//! estimate for *every* placement, read off the pinned hosts' coordinates
-//! alone — can still undercut the cheapest estimate so far (and, on re-opt,
-//! the estimate a replacement must reach) is virtually placed, physically
-//! mapped and costed. A pruned candidate's estimate is at least its bound,
-//! so it could not have been selected: the choice is the one the
+//! ([`select_cheapest`], the one candidate loop plain and reuse deploys,
+//! full re-opt and rewrite re-opt share): every candidate plan is built into
+//! a circuit (on a reuse deploy, attached to running instances), but only a
+//! candidate whose [`Circuit::usage_lower_bound`] — a floor under its
+//! (marginal) estimate for *every* placement, read off the pinned hosts'
+//! coordinates alone — can still undercut the cheapest estimate so far (and,
+//! on re-opt, the estimate a replacement must reach) is virtually placed,
+//! physically mapped and costed. A pruned candidate's estimate is at least
+//! its bound, so it could not have been selected: the choice is the one the
 //! evaluate-everything loop makes, bit for bit.
 
 use sbon_netsim::latency::LatencyProvider;
 use sbon_query::enumerate::{all_join_trees, dp_top_k_plans, MAX_EXHAUSTIVE_STREAMS};
 use sbon_query::plan::LogicalPlan;
 
-use crate::circuit::Circuit;
+use crate::circuit::{Circuit, CircuitCost, ServiceId};
 use crate::costspace::CostSpace;
+use crate::multiquery::{MultiQueryOptimizer, ReuseScope, ServiceInstance};
 use crate::optimizer::{OptimizerConfig, PlacedCircuit, QuerySpec};
 use crate::placement::{
     map_circuit, OracleMapper, PhysicalMapper, RelaxationPlacer, VirtualPlacer,
@@ -104,7 +106,7 @@ impl IntegratedOptimizer {
         latency: &dyn LatencyProvider,
         mapper: &mut dyn PhysicalMapper,
     ) -> Option<PlacedCircuit> {
-        Some(self.optimize_with_mapper_estimated(query, space, mapper)?.measured(latency))
+        Some(self.optimize_with_mapper_estimated(query, space, mapper, None)?.measured(latency))
     }
 
     /// The selection step of [`IntegratedOptimizer::optimize_with_mapper`]:
@@ -114,18 +116,68 @@ impl IntegratedOptimizer {
     /// `cost` is a copy of `estimated` until [`PlacedCircuit::measured`]
     /// replaces it.
     ///
+    /// With a reuse registry (§3.4) every candidate first passes through
+    /// its attach step, so candidates are ranked by their *marginal*
+    /// estimate; with nothing to attach the selection is the plain one.
+    ///
     /// Re-optimization stops here — which keeps a full re-opt pass free of
     /// on-demand shortest-path row computations and safe to run against a
-    /// read-only mapper view — and so does a caller that wants to make the
+    /// read-only mapper view — and so does a deploy, which makes the
     /// winner's latency rows resident before measuring it.
     pub fn optimize_with_mapper_estimated(
         &self,
         query: &QuerySpec,
         space: &CostSpace,
         mapper: &mut dyn PhysicalMapper,
+        mut reuse: Option<(&mut MultiQueryOptimizer, ReuseScope)>,
     ) -> Option<PlacedCircuit> {
-        let plans = self.candidate_plans(query);
-        select_cheapest(plans, f64::INFINITY, query, space, &self.placer, mapper).best
+        let candidates = self.candidate_plans(query).into_iter().map(|plan| {
+            let bare = Candidate::bare(plan, query);
+            match &mut reuse {
+                Some((registry, scope)) => registry.attach(bare, space, *scope, &self.placer),
+                None => bare,
+            }
+        });
+        select_cheapest(candidates, f64::INFINITY, space, &self.placer, mapper).best
+    }
+
+    /// The measured cost the [`measured`](PlacedCircuit::measured) `placed`
+    /// would have had with no reuse: its plan's bare circuit mapped at its
+    /// first virtual placement — `placed.cost` when nothing was reused.
+    pub fn standalone_cost(
+        &self,
+        placed: &PlacedCircuit,
+        query: &QuerySpec,
+        space: &CostSpace,
+        mapper: &mut dyn PhysicalMapper,
+        latency: &dyn LatencyProvider,
+    ) -> CircuitCost {
+        if placed.reused.is_empty() {
+            return placed.cost;
+        }
+        let bare = Circuit::from_plan(&placed.plan, &query.catalog, query.consumer);
+        let vp = self.placer.place(&bare, space);
+        let mapped = map_circuit(&bare, &vp, space, mapper);
+        bare.cost_with(&mapped.placement, &[], |a, b| latency.latency(a, b))
+    }
+}
+
+/// One entry of the candidate loop: a plan, its circuit, and what it
+/// reuses (the [`PlacedCircuit`] fields of the same names) — nothing, until
+/// the reuse registry's attach step fills them in.
+pub(crate) struct Candidate {
+    pub(crate) plan: LogicalPlan,
+    pub(crate) circuit: Circuit,
+    pub(crate) shared: Vec<bool>,
+    pub(crate) reused: Vec<ServiceInstance>,
+    pub(crate) reused_at: Vec<ServiceId>,
+}
+
+impl Candidate {
+    /// `plan`'s circuit for `query`, reusing nothing.
+    pub(crate) fn bare(plan: LogicalPlan, query: &QuerySpec) -> Candidate {
+        let circuit = Circuit::from_plan(&plan, &query.catalog, query.consumer);
+        Candidate { plan, circuit, shared: Vec::new(), reused: Vec::new(), reused_at: Vec::new() }
     }
 }
 
@@ -145,9 +197,10 @@ pub(crate) struct Selection {
 /// keeps a candidate that exact arithmetic would prune.
 pub(crate) const BOUND_SLACK: f64 = 1e-9;
 
-/// The candidate loop: builds each plan's circuit, virtually places,
-/// physically maps and costs it **by estimate**, and keeps the first of
-/// minimum estimated network usage (strict `<`).
+/// The candidate loop: virtually places, physically maps and costs each
+/// candidate's circuit **by estimate** — its marginal estimate under its
+/// shared mask — and keeps the first of minimum estimated network usage
+/// (strict `<`).
 ///
 /// Branch and bound: a candidate whose [`Circuit::usage_lower_bound`]
 /// exceeds `min(cheapest estimate so far, ceiling)` is skipped before
@@ -158,27 +211,27 @@ pub(crate) const BOUND_SLACK: f64 = 1e-9;
 /// what is returned (a survivor may sit above the ceiling). Every comparison
 /// with a NaN is false, so NaNs never prune.
 pub(crate) fn select_cheapest(
-    plans: Vec<LogicalPlan>,
+    candidates: impl IntoIterator<Item = Candidate, IntoIter: ExactSizeIterator>,
     ceiling: f64,
-    query: &QuerySpec,
     space: &CostSpace,
     placer: &dyn VirtualPlacer,
     mapper: &mut dyn PhysicalMapper,
 ) -> Selection {
-    let examined = plans.len();
+    let dist = |a, b| space.vector_distance(a, b);
+    let candidates = candidates.into_iter();
+    let examined = candidates.len();
     let mut best: Option<PlacedCircuit> = None;
     let mut pruned = 0;
-    for plan in plans {
-        let circuit = Circuit::from_plan(&plan, &query.catalog, query.consumer);
+    for Candidate { plan, circuit, shared, reused, reused_at } in candidates {
         let bar = best.as_ref().map_or(ceiling, |b| ceiling.min(b.estimated.network_usage));
-        let bound = circuit.usage_lower_bound(|a, b| space.vector_distance(a, b));
+        let bound = circuit.usage_lower_bound(&shared, dist);
         if bound * (1.0 - BOUND_SLACK) > bar {
             pruned += 1;
             continue;
         }
         let vp = placer.place(&circuit, space);
         let mapped = map_circuit(&circuit, &vp, space, mapper);
-        let estimated = circuit.cost_with(&mapped.placement, |a, b| space.vector_distance(a, b));
+        let estimated = circuit.cost_with(&mapped.placement, &shared, dist);
         if best.as_ref().is_none_or(|b| estimated.network_usage < b.estimated.network_usage) {
             best = Some(PlacedCircuit {
                 plan,
@@ -189,6 +242,9 @@ pub(crate) fn select_cheapest(
                 cost: estimated,
                 estimated,
                 candidates_examined: examined,
+                shared,
+                reused,
+                reused_at,
             });
         }
     }
@@ -199,6 +255,7 @@ pub(crate) fn select_cheapest(
 pub(crate) mod tests {
     use super::*;
     use crate::costspace::CostSpaceBuilder;
+    use crate::multiquery::CircuitId;
 
     use sbon_netsim::dijkstra::all_pairs_latency;
     use sbon_netsim::graph::NodeId;
@@ -257,7 +314,7 @@ pub(crate) mod tests {
             let vp = placer.place(&circuit, &space);
             let mut mapper = OracleMapper;
             let mapped = map_circuit(&circuit, &vp, &space, &mut mapper);
-            let est = circuit.cost_with(&mapped.placement, |a, b| space.vector_distance(a, b));
+            let est = circuit.cost_with(&mapped.placement, &[], |a, b| space.vector_distance(a, b));
             assert!(
                 best.estimated.network_usage <= est.network_usage + 1e-9,
                 "candidate {plan} beat the optimizer"
@@ -308,23 +365,23 @@ pub(crate) mod tests {
     /// `latency` too when one is given, as deploy did before it measured the
     /// winner only — and the first of minimum estimate wins.
     pub(crate) fn select_exhaustive(
-        plans: Vec<LogicalPlan>,
-        query: &QuerySpec,
+        candidates: Vec<Candidate>,
         space: &CostSpace,
         placer: &dyn VirtualPlacer,
         mapper: &mut dyn PhysicalMapper,
         latency: Option<&dyn LatencyProvider>,
     ) -> Option<PlacedCircuit> {
-        let examined = plans.len();
+        let examined = candidates.len();
         let mut best: Option<PlacedCircuit> = None;
-        for plan in plans {
-            let circuit = Circuit::from_plan(&plan, &query.catalog, query.consumer);
+        for Candidate { plan, circuit, shared, reused, reused_at } in candidates {
             let vp = placer.place(&circuit, space);
             let mapped = map_circuit(&circuit, &vp, space, mapper);
             let estimated =
-                circuit.cost_with(&mapped.placement, |a, b| space.vector_distance(a, b));
+                circuit.cost_with(&mapped.placement, &shared, |a, b| space.vector_distance(a, b));
             let cost = match latency {
-                Some(latency) => circuit.cost_with(&mapped.placement, |a, b| latency.latency(a, b)),
+                Some(latency) => {
+                    circuit.cost_with(&mapped.placement, &shared, |a, b| latency.latency(a, b))
+                }
                 None => estimated,
             };
             let candidate = PlacedCircuit {
@@ -336,6 +393,9 @@ pub(crate) mod tests {
                 cost,
                 estimated,
                 candidates_examined: examined,
+                shared,
+                reused,
+                reused_at,
             };
             if best
                 .as_ref()
@@ -347,6 +407,11 @@ pub(crate) mod tests {
         best
     }
 
+    /// `plans` as bare candidates for `query`.
+    pub(crate) fn bare(plans: Vec<LogicalPlan>, query: &QuerySpec) -> Vec<Candidate> {
+        plans.into_iter().map(|plan| Candidate::bare(plan, query)).collect()
+    }
+
     /// `optimize_with_mapper` as it was: cost every candidate under measured
     /// latency *and* the estimate.
     fn reference_optimize(
@@ -356,16 +421,19 @@ pub(crate) mod tests {
         latency: &dyn LatencyProvider,
         mapper: &mut dyn PhysicalMapper,
     ) -> Option<PlacedCircuit> {
-        let placer = opt.placer();
-        let plans = opt.candidate_plans(query);
-        select_exhaustive(plans, query, space, placer, mapper, Some(latency))
+        let candidates = bare(opt.candidate_plans(query), query);
+        select_exhaustive(candidates, space, opt.placer(), mapper, Some(latency))
     }
+
+    /// What a [`PlacedCircuit`] borrows: shared mask, reused instances and
+    /// the services they stand in for.
+    pub(crate) type Reuse = (Vec<bool>, Vec<ServiceInstance>, Vec<ServiceId>);
 
     /// Everything about a [`PlacedCircuit`] except its measured `cost`,
     /// floats as bit patterns.
     pub(crate) fn selection_of(
         p: &PlacedCircuit,
-    ) -> (String, Vec<NodeId>, [u64; 3], usize, u64, usize) {
+    ) -> (String, Vec<NodeId>, [u64; 3], usize, u64, usize, Reuse) {
         (
             p.plan.render(),
             p.placement.as_slice().to_vec(),
@@ -373,6 +441,7 @@ pub(crate) mod tests {
             p.mapping_hops,
             p.mean_mapping_error.to_bits(),
             p.candidates_examined,
+            (p.shared.clone(), p.reused.clone(), p.reused_at.clone()),
         )
     }
 
@@ -485,15 +554,18 @@ pub(crate) mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig { cases: 24 })]
         /// Branch and bound selects what evaluate-everything selects: under
         /// every ceiling, either both loops return the same circuit (every
-        /// selection field, floats by bits) or neither found one at or
-        /// under the ceiling — on oracle and DHT mappers alike, the latter
-        /// never routing more than the exhaustive loop.
+        /// selection field, floats by bits, shared mask and reused
+        /// instances included) or neither found one at or under the ceiling
+        /// — on bare and reuse-attached candidates, on oracle and DHT
+        /// mappers alike, the latter never routing more than the exhaustive
+        /// loop.
         #[test]
         fn pruned_selection_matches_the_exhaustive_loop(
             seed in 0u64..1_000_000,
             n in 24usize..56,
             ways in 2usize..=5,
             use_dht in 0u8..2,
+            reuse in 0u8..2,
         ) {
             let (space, _lat) = exact_world(n, seed);
             let q = random_query(n, ways, seed);
@@ -502,17 +574,41 @@ pub(crate) mod tests {
             let plans = opt.candidate_plans(&q);
             // The incumbent: some candidate as deployed a while ago.
             let incumbent = select_exhaustive(
-                vec![plans[seed as usize % plans.len()].clone()],
-                &q, &space, placer, &mut OracleMapper, None,
-            ).unwrap().estimated.network_usage;
+                bare(vec![plans[seed as usize % plans.len()].clone()], &q),
+                &space, placer, &mut OracleMapper, None,
+            ).unwrap();
+            // The reuse dimension: the incumbent and the plain winner run,
+            // and every candidate is attached to what they registered.
+            let mut registry = (reuse == 1).then(|| {
+                let winner = opt.optimize_with_mapper_estimated(&q, &space, &mut OracleMapper, None);
+                let mut registry = MultiQueryOptimizer::default();
+                registry.register(CircuitId(0), &incumbent, &space);
+                registry.register(CircuitId(1), &winner.unwrap(), &space);
+                registry
+            });
+            let mut candidates = || match &mut registry {
+                Some(registry) => plans
+                    .iter()
+                    .map(|p| {
+                        let bare = Candidate::bare(p.clone(), &q);
+                        registry.attach(bare, &space, ReuseScope::All, placer)
+                    })
+                    .collect(),
+                None => bare(plans.clone(), &q),
+            };
+            let attached: Vec<Candidate> = candidates();
+            let reusing = attached.iter().filter(|c| !c.reused.is_empty()).count();
+            // Not vacuous: the incumbent's own plan reuses at least its root.
+            proptest::prop_assert_eq!(reusing > 0, reuse == 1);
 
             let mut pruned_any = 0;
             for scale in [f64::INFINITY, 0.5, 0.9, 1.1] {
-                let ceiling = scale * incumbent;
+                let ceiling = scale * incumbent.estimated.network_usage;
+                let (all, again) = (candidates(), candidates());
                 let run = |old: &mut dyn PhysicalMapper, new: &mut dyn PhysicalMapper| {
                     (
-                        select_exhaustive(plans.clone(), &q, &space, placer, old, None),
-                        select_cheapest(plans.clone(), ceiling, &q, &space, placer, new),
+                        select_exhaustive(all, &space, placer, old, None),
+                        select_cheapest(again, ceiling, &space, placer, new),
                     )
                 };
                 let (exhaustive, pruned) = if use_dht == 1 {
@@ -530,12 +626,46 @@ pub(crate) mod tests {
                 proptest::prop_assert_eq!(under(&pruned.best), under(&exhaustive));
                 // Whatever was not pruned was evaluated, and the first of
                 // those is at least a provisional best.
-                proptest::prop_assert_eq!(pruned.best.is_none(), pruned.pruned == plans.len());
+                proptest::prop_assert_eq!(pruned.best.is_none(), pruned.pruned == attached.len());
                 pruned_any += pruned.pruned;
             }
             // Not vacuous: with three or more ways some plan pairs distant
             // producers first, and the 0.5× ceiling alone rejects most.
             proptest::prop_assert!(ways < 3 || pruned_any > 0, "nothing was ever pruned");
+        }
+
+        /// With nothing to reuse — `ReuseScope::None` over a populated
+        /// registry, or any scope over an empty one — a reuse deploy selects
+        /// bit for bit what a plain deploy selects, and the composed entry
+        /// point measures it as `optimize` does, its standalone cost equal
+        /// to its marginal one.
+        #[test]
+        fn reuse_with_nothing_to_reuse_selects_the_plain_circuit(
+            seed in 0u64..1_000_000,
+            n in 24usize..56,
+            ways in 2usize..=5,
+        ) {
+            let (space, lat) = exact_world(n, seed);
+            let q = random_query(n, ways, seed);
+            let opt = IntegratedOptimizer::new(OptimizerConfig::default());
+            let plain = opt.optimize_with_mapper_estimated(&q, &space, &mut OracleMapper, None).unwrap();
+            let measured = opt.optimize(&q, &space, &lat).unwrap();
+            let mut populated = MultiQueryOptimizer::default();
+            populated.register(CircuitId(7), &measured, &space);
+            for (mut registry, scope) in [
+                (MultiQueryOptimizer::default(), ReuseScope::All),
+                (MultiQueryOptimizer::default(), ReuseScope::Radius(f64::INFINITY)),
+                (populated, ReuseScope::None),
+            ] {
+                let reuse = Some((&mut registry, scope));
+                let selected =
+                    opt.optimize_with_mapper_estimated(&q, &space, &mut OracleMapper, reuse);
+                proptest::prop_assert_eq!(selection_of(&selected.unwrap()), selection_of(&plain));
+                let out = registry.optimize_and_deploy(&opt, &q, &space, &lat, scope).unwrap();
+                proptest::prop_assert_eq!(selection_of(&out.placed), selection_of(&measured));
+                proptest::prop_assert_eq!(cost_bits(&out.placed.cost), cost_bits(&measured.cost));
+                proptest::prop_assert_eq!(cost_bits(&out.standalone_cost), cost_bits(&measured.cost));
+            }
         }
     }
 
@@ -550,7 +680,7 @@ pub(crate) mod tests {
         );
         let opt = IntegratedOptimizer::new(OptimizerConfig::default());
         let full = reference_optimize(&opt, &q, &space, &lat, &mut OracleMapper).unwrap();
-        let est = opt.optimize_with_mapper_estimated(&q, &space, &mut OracleMapper).unwrap();
+        let est = opt.optimize_with_mapper_estimated(&q, &space, &mut OracleMapper, None).unwrap();
         assert_eq!(selection_of(&est), selection_of(&full));
         assert_eq!(est.cost, est.estimated, "estimate-only cost is the estimate");
         assert_eq!(cost_bits(&est.measured(&lat).cost), cost_bits(&full.cost));

@@ -15,14 +15,15 @@ mod twostep;
 #[cfg(test)]
 pub(crate) use integrated::tests as oracle;
 pub use integrated::IntegratedOptimizer;
-pub(crate) use integrated::{select_cheapest, BOUND_SLACK};
+pub(crate) use integrated::{select_cheapest, Candidate, BOUND_SLACK};
 pub use query::QuerySpec;
 pub use twostep::TwoStepOptimizer;
 
 use sbon_netsim::latency::LatencyProvider;
 use sbon_query::plan::LogicalPlan;
 
-use crate::circuit::{Circuit, CircuitCost, Placement};
+use crate::circuit::{Circuit, CircuitCost, Placement, ServiceId};
+use crate::multiquery::ServiceInstance;
 
 /// Optimizer tunables: how the integrated optimizer sizes its plan space.
 /// Virtual placement is not one of them — every optimizer places with the
@@ -65,13 +66,24 @@ pub struct PlacedCircuit {
     pub mean_mapping_error: f64,
     /// How many candidate plans were examined.
     pub candidates_examined: usize,
+    /// `shared[service]` — the service is a reused instance's root or sits
+    /// beneath one, so the links into it are free: `cost` and `estimated`
+    /// are *marginal* ([`Circuit::cost_with`]). Empty when nothing is reused.
+    pub shared: Vec<bool>,
+    /// Running instances the circuit reuses, in discovery order (empty for
+    /// a standalone circuit).
+    pub reused: Vec<ServiceInstance>,
+    /// For each entry of `reused`: the service of this circuit it stands in
+    /// for.
+    pub reused_at: Vec<ServiceId>,
 }
 
 impl PlacedCircuit {
-    /// Replaces `cost` with the circuit's cost under ground-truth
-    /// `latency`. Every read goes out of a link's upstream host.
+    /// Replaces `cost` with the circuit's (marginal) cost under
+    /// ground-truth `latency`. Every read goes out of a link's upstream host.
     pub fn measured(mut self, latency: &dyn LatencyProvider) -> Self {
-        self.cost = self.circuit.cost_with(&self.placement, |a, b| latency.latency(a, b));
+        self.cost =
+            self.circuit.cost_with(&self.placement, &self.shared, |a, b| latency.latency(a, b));
         self
     }
 }

@@ -11,7 +11,7 @@ use sbon_netsim::latency::LatencyProvider;
 use sbon_query::enumerate::dp_best_plan;
 
 use crate::costspace::CostSpace;
-use crate::optimizer::{select_cheapest, PlacedCircuit, QuerySpec};
+use crate::optimizer::{select_cheapest, Candidate, PlacedCircuit, QuerySpec};
 use crate::placement::{OracleMapper, PhysicalMapper, RelaxationPlacer};
 
 /// Plan first on statistics alone, place second.
@@ -52,7 +52,8 @@ impl TwoStepOptimizer {
         // Step 2: place that single plan — the candidate loop over one
         // candidate, under a ceiling that never prunes.
         let placer = RelaxationPlacer::default();
-        let only = select_cheapest(vec![plan], f64::INFINITY, query, space, &placer, mapper);
+        let only = [Candidate::bare(plan, query)];
+        let only = select_cheapest(only, f64::INFINITY, space, &placer, mapper);
         only.best.map(|placed| placed.measured(latency))
     }
 }

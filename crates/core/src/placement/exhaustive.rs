@@ -121,11 +121,11 @@ mod tests {
         for &h in &hosts {
             let mut p = placement.clone();
             p.move_service(join, h);
-            best = best.min(circuit.cost_with(&p, line_dist).network_usage);
+            best = best.min(circuit.cost_with(&p, &[], line_dist).network_usage);
         }
         assert!((cost - best).abs() < 1e-9, "dp={cost} brute={best}");
         assert!(
-            (circuit.cost_with(&placement, line_dist).network_usage - cost).abs() < 1e-9,
+            (circuit.cost_with(&placement, &[], line_dist).network_usage - cost).abs() < 1e-9,
             "reported cost must match the reconstructed placement"
         );
     }
@@ -149,7 +149,7 @@ mod tests {
                 let mut p = placement.clone();
                 p.move_service(unpinned[0], h1);
                 p.move_service(unpinned[1], h2);
-                best = best.min(circuit.cost_with(&p, line_dist).network_usage);
+                best = best.min(circuit.cost_with(&p, &[], line_dist).network_usage);
             }
         }
         assert!((cost - best).abs() < 1e-9, "dp={cost} brute={best}");

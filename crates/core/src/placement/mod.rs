@@ -32,11 +32,13 @@
 //!   by its rate, [`GradientPlacer`] by `rate / distance`, warm-started.
 //! * **link pass** — [`Circuit::cost_with`](crate::circuit::Circuit::cost_with):
 //!   usage, stretch and longest path in one walk, `dist` read once per link,
-//!   on the numbering invariant [`Circuit`](crate::circuit::Circuit) states
-//!   ([`optimal_tree_placement`] rests on it too).
+//!   shared (reused) links left out of usage, on the numbering invariant
+//!   [`Circuit`](crate::circuit::Circuit) states ([`optimal_tree_placement`]
+//!   rests on it too).
 //! * **candidate body** — `optimizer::select_cheapest`: bound, place,
-//!   [`map_circuit`], estimate, keep the cheapest — for deploy, the two-step
-//!   baseline (one candidate) and both plan-replacing re-opt passes.
+//!   [`map_circuit`], estimate, keep the cheapest — for plain and reuse
+//!   deploys, the two-step baseline (one candidate) and both plan-replacing
+//!   re-opt passes.
 
 mod centroid;
 mod exhaustive;

@@ -53,7 +53,7 @@ use sbon_query::plan::LogicalPlan;
 use crate::circuit::{Circuit, Placement, ServiceId};
 use crate::costspace::CostSpace;
 use crate::optimizer::{
-    select_cheapest, IntegratedOptimizer, PlacedCircuit, QuerySpec, BOUND_SLACK,
+    select_cheapest, Candidate, IntegratedOptimizer, PlacedCircuit, QuerySpec, BOUND_SLACK,
 };
 use crate::placement::{PhysicalMapper, VirtualPlacer};
 
@@ -101,7 +101,7 @@ pub fn reoptimize_local(
     policy: ReoptPolicy,
 ) -> Vec<Migration> {
     let estimate =
-        |p: &Placement| circuit.cost_with(p, |a, b| space.vector_distance(a, b)).network_usage;
+        |p: &Placement| circuit.cost_with(p, &[], |a, b| space.vector_distance(a, b)).network_usage;
     let mut migrations = Vec::new();
     let mut standing = None;
 
@@ -218,7 +218,8 @@ fn replacement_among(
     }
     let ceiling =
         (1.0 - policy.replacement_threshold) * running_cost_estimate * (1.0 + BOUND_SLACK);
-    let selection = select_cheapest(plans(), ceiling, query, space, placer, mapper);
+    let candidates = plans().into_iter().map(|plan| Candidate::bare(plan, query));
+    let selection = select_cheapest(candidates, ceiling, space, placer, mapper);
     let pruned = selection.pruned;
     let improved = |best: PlacedCircuit| {
         (1.0 - best.estimated.network_usage / running_cost_estimate, Box::new(best))
@@ -387,8 +388,9 @@ mod tests {
         let mut mapper = crate::placement::OracleMapper;
         let vp = crate::placement::VirtualPlacer::place(&placer, &circuit, &space);
         let mapped = crate::placement::map_circuit(&circuit, &vp, &space, &mut mapper);
-        let running_est =
-            circuit.cost_with(&mapped.placement, |a, b| space.vector_distance(a, b)).network_usage;
+        let running_est = circuit
+            .cost_with(&mapped.placement, &[], |a, b| space.vector_distance(a, b))
+            .network_usage;
 
         match reoptimize_rewrite(
             &bad_plan,
@@ -534,7 +536,7 @@ mod tests {
         );
         let mut dht = crate::placement::DhtMapper::build(&space, 10, 8);
         let opt = IntegratedOptimizer::new(OptimizerConfig::default());
-        let incumbent = opt.optimize_with_mapper_estimated(&q, &space, &mut dht).unwrap();
+        let incumbent = opt.optimize_with_mapper_estimated(&q, &space, &mut dht, None).unwrap();
         assert_eq!(incumbent.candidates_examined, 15);
 
         let mut mapper = CountingMapper { inner: dht, calls: 0 };
@@ -568,7 +570,7 @@ mod tests {
             use_dht in 0u8..2,
         ) {
             use crate::optimizer::oracle::{
-                exact_world, no_more_traffic, random_query, select_exhaustive, selection_of,
+                bare, exact_world, no_more_traffic, random_query, select_exhaustive, selection_of,
             };
             let (space, _lat) = exact_world(n, seed);
             let q = random_query(n, ways, seed);
@@ -577,8 +579,8 @@ mod tests {
             let plans = opt.candidate_plans(&q);
             // The running circuit: some candidate plan, placed a while ago.
             let running = select_exhaustive(
-                vec![plans[seed as usize % plans.len()].clone()],
-                &q, &space, placer, &mut OracleMapper, None,
+                bare(vec![plans[seed as usize % plans.len()].clone()], &q),
+                &space, placer, &mut OracleMapper, None,
             ).unwrap();
 
             for estimate_scale in [0.5, 1.0, 1.5] {
@@ -587,7 +589,7 @@ mod tests {
                     let policy =
                         ReoptPolicy { migration_threshold: 0.05, replacement_threshold: threshold };
                     let reference = |plans: Vec<LogicalPlan>, mapper: &mut dyn PhysicalMapper| {
-                        select_exhaustive(plans, &q, &space, placer, mapper, None)
+                        select_exhaustive(bare(plans, &q), &space, placer, mapper, None)
                             .map(|best| {
                                 (1.0 - best.estimated.network_usage / estimate, best)
                             })

@@ -175,7 +175,7 @@ pub fn simulate_circuit(
     }
 
     let duration_s = config.duration_ms / 1_000.0;
-    let fluid = circuit.cost_with(placement, |a, b| latency.latency(a, b));
+    let fluid = circuit.cost_with(placement, &[], |a, b| latency.latency(a, b));
     let mean_latency = if delivery_latencies.is_empty() {
         0.0
     } else {

@@ -352,10 +352,12 @@ impl RuntimeConfigBuilder {
 
     /// Sets the multi-query reuse scope for arriving queries.
     ///
-    /// Anything other than [`ReuseScope::None`] routes every `deploy`
-    /// through a runtime-owned
-    /// [`MultiQueryOptimizer`](sbon_core::multiquery::MultiQueryOptimizer):
-    /// arriving queries may attach to running operator subtrees (a
+    /// Anything other than [`ReuseScope::None`] gives the runtime a reuse
+    /// registry
+    /// ([`MultiQueryOptimizer`](sbon_core::multiquery::MultiQueryOptimizer)):
+    /// every `deploy` attaches its candidates to the running instances it
+    /// discovers and ranks them by marginal estimate, so arriving queries
+    /// may attach to running operator subtrees (a
     /// *subscription* refcount on the instance), departures release shared
     /// services only when their refcount drains to zero, and usage
     /// accounting charges each circuit its **marginal** links only. A

@@ -9,13 +9,13 @@
 //! `impl OverlayRuntime` here **reads** `config.reuse`, `space`, `latency`,
 //! `pool`, `optimizer` and **writes** `circuits` (insert at deploy, keyed
 //! remove at undeploy, keyed pin / unpin of a subscribed owner), `retained`
-//! (push in departure order, drained by owner), `multiquery` (deploy-as,
-//! release), `mapper`, `relevance`, `next_handle`, `obs`.
+//! (push in departure order, drained by owner), `multiquery` (attach,
+//! register, release), `mapper`, `relevance`, `next_handle`, `obs`.
 
 use sbon_core::circuit::{Circuit, Link, Placement, ServiceId};
 use sbon_core::costspace::CostSpace;
 use sbon_core::multiquery::{CircuitId, MultiQueryOptimizer};
-use sbon_core::optimizer::QuerySpec;
+use sbon_core::optimizer::{PlacedCircuit, QuerySpec};
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::sim::SimTime;
 
@@ -54,14 +54,15 @@ impl Deployed {
     /// The running circuit's network usage as the cost space estimates it —
     /// what a plan-replacing pass must beat by the replacement threshold.
     pub(super) fn running_est(&self, space: &CostSpace) -> f64 {
-        self.circuit.cost_with(&self.placement, |a, b| space.vector_distance(a, b)).network_usage
+        self.circuit
+            .cost_with(&self.placement, &[], |a, b| space.vector_distance(a, b))
+            .network_usage
     }
 
     /// The links usage accounting bills to this circuit: all but those
     /// whose downstream endpoint another circuit's instance pays for.
     fn charged_links(&self) -> impl Iterator<Item = &Link> {
-        let links = self.circuit.links().iter();
-        links.filter(|l| !self.shared.get(l.to.index()).copied().unwrap_or(false))
+        self.circuit.links().iter().filter(|l| !l.is_free(&self.shared))
     }
 }
 
@@ -102,13 +103,7 @@ fn link_sources<'a>(
 /// borrowed).
 fn charge_mask(circuit: &Circuit, roots: &[ServiceId], owner_shared: &[bool]) -> Vec<bool> {
     let in_subtree = circuit.subtree_mask(roots);
-    circuit
-        .links()
-        .iter()
-        .map(|l| {
-            in_subtree[l.to.index()] && !owner_shared.get(l.to.index()).copied().unwrap_or(false)
-        })
-        .collect()
+    circuit.links().iter().map(|l| in_subtree[l.to.index()] && !l.is_free(owner_shared)).collect()
 }
 
 impl OverlayRuntime {
@@ -211,48 +206,36 @@ impl OverlayRuntime {
 
     fn deploy_inner(&mut self, query: QuerySpec) -> Option<CircuitHandle> {
         let handle = CircuitHandle(self.next_handle);
-        let (running_plan, circuit, placement, shared, reused) = match &mut self.multiquery {
-            Some(mq) => {
-                let out = mq.optimize_and_deploy_as(
-                    handle.id(),
-                    &query,
-                    &self.space,
-                    self.latency.provider(),
-                    self.config.reuse,
-                    self.mapper.as_dyn_mut(),
-                )?;
-                self.obs
-                    .registry
-                    .gauge_add(self.obs.h.marginal_usage, out.marginal_cost.network_usage);
-                self.obs
-                    .registry
-                    .gauge_add(self.obs.h.standalone_usage, out.standalone_cost.network_usage);
-                if !out.reused.is_empty() {
-                    self.obs.registry.inc(self.obs.h.reuse_hits, 1);
-                }
-                self.obs.registry.inc(self.obs.h.reused_services, out.reused.len() as u64);
-                (out.plan, out.circuit, out.placement, out.shared, out.reused)
+        // Select in the cost space — candidates attached to running
+        // instances first when reuse is on — then measure the winner alone,
+        // its link-source rows faulted in as one batch in link order.
+        let reuse = self.multiquery.as_mut().map(|mq| (mq, self.config.reuse));
+        let (space, mapper) = (&self.space, self.mapper.as_dyn_mut());
+        let placed = self.optimizer.optimize_with_mapper_estimated(&query, space, mapper, reuse)?;
+        let sources: Vec<NodeId> =
+            link_sources(&placed.placement, placed.circuit.links().iter()).collect();
+        self.latency.prewarm_rows(&sources, self.pool.as_ref());
+        let placed = placed.measured(self.latency.provider());
+        let standalone = self.optimizer.standalone_cost(
+            &placed,
+            &query,
+            &self.space,
+            self.mapper.as_dyn_mut(),
+            self.latency.provider(),
+        );
+        let h = &self.obs.h;
+        self.obs.registry.gauge_add(h.marginal_usage, placed.cost.network_usage);
+        self.obs.registry.gauge_add(h.standalone_usage, standalone.network_usage);
+        if let Some(mq) = &mut self.multiquery {
+            mq.register(handle.id(), &placed, &self.space);
+            if !placed.reused.is_empty() {
+                self.obs.registry.inc(h.reuse_hits, 1);
             }
-            None => {
-                // Select in the cost space, then measure the winner alone,
-                // its link-source rows faulted in as one batch in link order.
-                let placed = self.optimizer.optimize_with_mapper_estimated(
-                    &query,
-                    &self.space,
-                    self.mapper.as_dyn_mut(),
-                )?;
-                let sources: Vec<NodeId> =
-                    link_sources(&placed.placement, placed.circuit.links().iter()).collect();
-                self.latency.prewarm_rows(&sources, self.pool.as_ref());
-                let placed = placed.measured(self.latency.provider());
-                self.obs.registry.gauge_add(self.obs.h.marginal_usage, placed.cost.network_usage);
-                self.obs.registry.gauge_add(self.obs.h.standalone_usage, placed.cost.network_usage);
-                (placed.plan, placed.circuit, placed.placement, Vec::new(), Vec::new())
-            }
-        };
+            self.obs.registry.inc(h.reused_services, placed.reused.len() as u64);
+        }
         // Tenancy pin: a subscribed instance is load-bearing for its new
         // tenant, so its owner must stop migrating it.
-        for inst in &reused {
+        for inst in &placed.reused {
             if let Some(owner) = self.circuits.get_mut(&CircuitHandle::of(inst.circuit)) {
                 owner.circuit.pin_service(inst.service, inst.node);
                 // The pin changes the owner's adaptation surface.
@@ -261,6 +244,7 @@ impl OverlayRuntime {
         }
         self.next_handle += 1;
         self.obs.registry.inc(self.obs.h.arrivals, 1);
+        let PlacedCircuit { plan: running_plan, circuit, placement, shared, .. } = placed;
         let deployed = Deployed { query, running_plan, circuit, placement, shared };
         self.circuits.insert(handle, Box::new(deployed));
         // Routed backend: the deployment's mapping lookups are parked in

@@ -149,7 +149,8 @@ pub struct OverlayRuntime {
     circuits: BTreeMap<CircuitHandle, Box<Deployed>>,
     rng: rand::rngs::StdRng,
     optimizer: IntegratedOptimizer,
-    /// Reuse-aware tenancy registry; `Some` iff `config.reuse` ≠ `None`.
+    /// Reuse-aware tenancy registry, whose attach step deploys run their
+    /// candidates through; `Some` iff `config.reuse` ≠ `None`.
     multiquery: Option<MultiQueryOptimizer>,
     /// Departed circuits' subtrees still running for their subscribers.
     retained: Vec<RetainedShared>,
@@ -211,10 +212,9 @@ impl OverlayRuntime {
         let members = (0..n as u32).map(NodeId).filter(|node| arrived[node.index()]).collect();
         let mapper = MapperState::build(config.mapper_backend, &space, members);
         // The one optimizer (and, through it, the one virtual placer) every
-        // control-plane path of this runtime uses.
+        // control-plane path of this runtime uses, reuse deploys included.
         let optimizer = IntegratedOptimizer::new(OptimizerConfig::default());
-        let multiquery = (config.reuse != ReuseScope::None)
-            .then(|| MultiQueryOptimizer::new(optimizer.config().clone()));
+        let multiquery = (config.reuse != ReuseScope::None).then(MultiQueryOptimizer::default);
         OverlayRuntime {
             optimizer,
             obs: RuntimeObs::new(&config.obs),

@@ -209,17 +209,16 @@ impl OverlayRuntime {
                     changed += migrations.len();
                 }
                 Verdict::Replace(replacement) => {
-                    if kind == ReoptKind::Rewrite {
-                        d.running_plan = replacement.plan;
-                    }
-                    d.circuit = replacement.circuit;
-                    d.placement = replacement.placement;
-                    d.shared = Vec::new();
                     // The swap invalidates the old registration; the
                     // replacement's operators take its place.
                     if let Some(mq) = &mut self.multiquery {
-                        mq.reregister(id, &d.circuit, &d.placement, &self.space);
+                        mq.reregister(id, &replacement, &self.space);
                     }
+                    // Either kind records the plan that now runs: the next
+                    // rewrite pass explores *its* neighbourhood.
+                    let PlacedCircuit { plan, circuit, placement, shared, .. } = *replacement;
+                    (d.running_plan, d.circuit, d.placement, d.shared) =
+                        (plan, circuit, placement, shared);
                     changed += 1;
                 }
             }

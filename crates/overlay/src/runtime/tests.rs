@@ -3,7 +3,7 @@
 
 use super::*;
 use sbon_coords::vivaldi::VivaldiConfig;
-use sbon_core::circuit::ServiceId;
+use sbon_core::circuit::{Circuit, ServiceId};
 use sbon_core::optimizer::QuerySpec;
 use sbon_core::reopt::ReoptPolicy;
 use sbon_dht::proto::{ProtoConfig, RoutedStats};
@@ -817,6 +817,38 @@ fn adaptation_under_reuse_keeps_registry_consistent() {
     // Replacements re-register under the same ids: no duplicate or
     // stale instances accumulate across swaps.
     assert_eq!(mq.num_instances(), instances_before);
+}
+
+/// A full re-opt swap records the replacement's plan: after a run whose
+/// full passes replace plans, every live circuit is the one its
+/// `running_plan` builds, signature for signature — so the next rewrite
+/// pass explores the neighbourhood of the plan that actually runs.
+#[test]
+fn full_replacement_records_the_running_plan() {
+    let topo = small_world(36);
+    let hosts = topo.host_candidates();
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        36,
+        RuntimeConfig {
+            horizon_ms: 30_000.0,
+            churn: ChurnProcess::RandomWalk { std_dev: 0.35 },
+            reopt_interval_ms: None,
+            full_reopt_interval_ms: Some(3_000.0),
+            policy: ReoptPolicy { migration_threshold: 0.05, replacement_threshold: 0.0 },
+            ..Default::default()
+        },
+    );
+    for i in 0..6 {
+        let producers = [hosts[i], hosts[10 + i], hosts[20 + i], hosts[30 + i]];
+        rt.deploy(QuerySpec::join_star(&producers, hosts[40 + i], 10.0, 0.02)).unwrap();
+    }
+    let report = rt.run();
+    assert!(report.replacements > 0, "the full passes must swap some plan");
+    for d in rt.circuits.values() {
+        let built = Circuit::from_plan(&d.running_plan, &d.query.catalog, d.query.consumer);
+        assert_eq!(d.circuit.signatures(), built.signatures(), "running plan {}", d.running_plan);
+    }
 }
 
 /// Branch-and-bound accounting: what the rewrite and full passes prune

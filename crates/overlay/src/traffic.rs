@@ -157,7 +157,8 @@ mod tests {
         let p = IntegratedOptimizer::new(OptimizerConfig::default())
             .optimize(&q, &space, &latency)
             .unwrap();
-        let usage = p.circuit.cost_with(&p.placement, |a, b| latency.latency(a, b)).network_usage;
+        let usage =
+            p.circuit.cost_with(&p.placement, &[], |a, b| latency.latency(a, b)).network_usage;
         (topo, p.circuit, p.placement, usage)
     }
 

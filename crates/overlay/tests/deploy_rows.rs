@@ -8,6 +8,7 @@
 
 use std::collections::BTreeSet;
 
+use sbon_core::multiquery::ReuseScope;
 use sbon_core::optimizer::QuerySpec;
 use sbon_dht::proto::ProtoConfig;
 use sbon_netsim::graph::NodeId;
@@ -75,4 +76,46 @@ fn deploy_computes_only_the_deployed_circuits_missing_link_source_rows() {
 fn routed_deploy_computes_its_link_source_rows_plus_at_most_the_origins() {
     let proto = ProtoConfig::default();
     assert_eq!(deploy_rows(MapperBackend::Routed { bits: 12, scan_width: 8, proto }), 1);
+}
+
+/// A reuse deploy ranks its attached candidates in the cost space as well,
+/// so it computes only the winner's missing link-source rows: those of its
+/// marginal placement, plus — when it reused something — those of its
+/// standalone placement, whose link sources are the same producers and one
+/// host per operator at most. The second query here reuses the first one's
+/// join.
+#[test]
+fn reuse_deploy_computes_only_the_winners_missing_link_source_rows() {
+    let topo = generate(&TransitStubConfig::with_total_nodes(200), 2005);
+    let config = RuntimeConfig::builder()
+        .latency_backend(LatencyBackend::Lazy)
+        .mapper_backend(MapperBackend::Dht { bits: 12, scan_width: 8 })
+        .reuse(ReuseScope::Radius(100.0))
+        .threads(2)
+        .build();
+    let mut rt = OverlayRuntime::new(&topo, 2005, config);
+    let rows = |rt: &OverlayRuntime| rt.lazy_latency_stats().expect("lazy backend").rows_computed;
+    let hosts = topo.host_candidates();
+    let mut resident: BTreeSet<NodeId> = BTreeSet::new();
+    for (producers, consumer) in [(&[0usize, 9][..], 63), (&[0, 9, 40, 51][..], 70)] {
+        let producers: Vec<NodeId> = producers.iter().map(|&i| hosts[i]).collect();
+        let query = QuerySpec::join_star(&producers, hosts[consumer], 10.0, 0.02);
+        let (before, hits) = (rows(&rt), rt.lifecycle_stats().reuse_hits);
+        let handle = rt.deploy(query).expect("query must deploy");
+        let computed = (rows(&rt) - before) as usize;
+        let reused = rt.lifecycle_stats().reuse_hits > hits;
+
+        let placement = rt.placement(handle).expect("deployed").as_slice();
+        let (_, upstream) = placement.split_last().expect("services");
+        let sources: BTreeSet<NodeId> = upstream.iter().copied().collect();
+        let missing = sources.difference(&resident).count();
+        let operators = placement.len() - producers.len() - 1;
+        let standalone = if reused { operators } else { 0 };
+        assert!(
+            (missing..=missing + standalone).contains(&computed),
+            "{computed} rows for {missing} missing link sources (reused: {reused})"
+        );
+        resident.extend(sources);
+    }
+    assert_eq!(rt.lifecycle_stats().reuse_hits, 1, "the 4-way query reuses the 2-way join");
 }

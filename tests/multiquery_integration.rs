@@ -13,6 +13,7 @@ struct Fixture {
     space: sbon::core::costspace::CostSpace,
     streams: StreamCatalog,
     hosts: Vec<NodeId>,
+    optimizer: IntegratedOptimizer,
 }
 
 fn fixture(seed: u64) -> Fixture {
@@ -29,7 +30,7 @@ fn fixture(seed: u64) -> Fixture {
         let host = hosts[rng.gen_range(0..hosts.len())];
         streams.register(format!("feed{i}"), 10.0, host);
     }
-    Fixture { latency, space, streams, hosts }
+    Fixture { latency, space, streams, hosts, optimizer: IntegratedOptimizer::default() }
 }
 
 fn query(f: &Fixture, streams: &[u32], consumer_idx: usize) -> QuerySpec {
@@ -43,33 +44,58 @@ fn query(f: &Fixture, streams: &[u32], consumer_idx: usize) -> QuerySpec {
 #[test]
 fn identical_queries_from_different_consumers_share_work() {
     let f = fixture(1);
-    let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
+    let mut mq = MultiQueryOptimizer::default();
     let first = mq
-        .optimize_and_deploy(&query(&f, &[0, 1], 5), &f.space, &f.latency, ReuseScope::All)
+        .optimize_and_deploy(
+            &f.optimizer,
+            &query(&f, &[0, 1], 5),
+            &f.space,
+            &f.latency,
+            ReuseScope::All,
+        )
         .unwrap();
-    assert!(first.reused.is_empty());
+    assert!(first.placed.reused.is_empty());
     let second = mq
-        .optimize_and_deploy(&query(&f, &[0, 1], 50), &f.space, &f.latency, ReuseScope::All)
+        .optimize_and_deploy(
+            &f.optimizer,
+            &query(&f, &[0, 1], 50),
+            &f.space,
+            &f.latency,
+            ReuseScope::All,
+        )
         .unwrap();
-    assert_eq!(second.reused.len(), 1);
-    assert!(second.marginal_cost.network_usage < second.standalone_cost.network_usage);
+    assert_eq!(second.placed.reused.len(), 1);
+    assert!(second.placed.cost.network_usage < second.standalone_cost.network_usage);
 }
 
 #[test]
 fn different_stream_sets_never_merge() {
     let f = fixture(2);
-    let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
-    mq.optimize_and_deploy(&query(&f, &[0, 1], 5), &f.space, &f.latency, ReuseScope::All).unwrap();
+    let mut mq = MultiQueryOptimizer::default();
+    mq.optimize_and_deploy(
+        &f.optimizer,
+        &query(&f, &[0, 1], 5),
+        &f.space,
+        &f.latency,
+        ReuseScope::All,
+    )
+    .unwrap();
     let other = mq
-        .optimize_and_deploy(&query(&f, &[2, 3], 6), &f.space, &f.latency, ReuseScope::All)
+        .optimize_and_deploy(
+            &f.optimizer,
+            &query(&f, &[2, 3], 6),
+            &f.space,
+            &f.latency,
+            ReuseScope::All,
+        )
         .unwrap();
-    assert!(other.reused.is_empty(), "disjoint joins must not merge");
+    assert!(other.placed.reused.is_empty(), "disjoint joins must not merge");
 }
 
 #[test]
 fn wider_radius_never_examines_fewer_candidates() {
     let f = fixture(3);
-    let mut base = MultiQueryOptimizer::new(OptimizerConfig::default());
+    let mut base = MultiQueryOptimizer::default();
     let mut rng = derive_rng(3, 0x3a);
     for i in 0..20 {
         let a = rng.gen_range(0..8u32);
@@ -78,6 +104,7 @@ fn wider_radius_never_examines_fewer_candidates() {
             b = (b + 1) % 8;
         }
         base.optimize_and_deploy(
+            &f.optimizer,
             &query(&f, &[a, b], 10 + i),
             &f.space,
             &f.latency,
@@ -90,7 +117,8 @@ fn wider_radius_never_examines_fewer_candidates() {
     for r in [0.0, 20.0, 60.0, 200.0] {
         let scope = if r == 0.0 { ReuseScope::None } else { ReuseScope::Radius(r) };
         let mut mq = base.clone();
-        let out = mq.optimize_and_deploy(&probe, &f.space, &f.latency, scope).unwrap();
+        let out =
+            mq.optimize_and_deploy(&f.optimizer, &probe, &f.space, &f.latency, scope).unwrap();
         assert!(
             out.candidates_examined >= last,
             "radius {r}: {} < {last}",
@@ -103,7 +131,7 @@ fn wider_radius_never_examines_fewer_candidates() {
 #[test]
 fn marginal_cost_never_exceeds_standalone_under_all_scope() {
     let f = fixture(4);
-    let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
+    let mut mq = MultiQueryOptimizer::default();
     let mut rng = derive_rng(4, 0x4b);
     for i in 0..15 {
         let a = rng.gen_range(0..8u32);
@@ -112,12 +140,18 @@ fn marginal_cost_never_exceeds_standalone_under_all_scope() {
             b = (b + 1) % 8;
         }
         let out = mq
-            .optimize_and_deploy(&query(&f, &[a, b], 10 + i), &f.space, &f.latency, ReuseScope::All)
+            .optimize_and_deploy(
+                &f.optimizer,
+                &query(&f, &[a, b], 10 + i),
+                &f.space,
+                &f.latency,
+                ReuseScope::All,
+            )
             .unwrap();
         assert!(
-            out.marginal_cost.network_usage <= out.standalone_cost.network_usage + 1e-6,
+            out.placed.cost.network_usage <= out.standalone_cost.network_usage + 1e-6,
             "query {i}: marginal {} > standalone {}",
-            out.marginal_cost.network_usage,
+            out.placed.cost.network_usage,
             out.standalone_cost.network_usage
         );
     }
@@ -126,32 +160,57 @@ fn marginal_cost_never_exceeds_standalone_under_all_scope() {
 #[test]
 fn teardown_makes_instances_unavailable() {
     let f = fixture(5);
-    let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
+    let mut mq = MultiQueryOptimizer::default();
     let first = mq
-        .optimize_and_deploy(&query(&f, &[0, 1], 5), &f.space, &f.latency, ReuseScope::All)
+        .optimize_and_deploy(
+            &f.optimizer,
+            &query(&f, &[0, 1], 5),
+            &f.space,
+            &f.latency,
+            ReuseScope::All,
+        )
         .unwrap();
     assert!(mq.teardown(first.id));
     let second = mq
-        .optimize_and_deploy(&query(&f, &[0, 1], 6), &f.space, &f.latency, ReuseScope::All)
+        .optimize_and_deploy(
+            &f.optimizer,
+            &query(&f, &[0, 1], 6),
+            &f.space,
+            &f.latency,
+            ReuseScope::All,
+        )
         .unwrap();
-    assert!(second.reused.is_empty(), "torn-down instances must not be reused");
+    assert!(second.placed.reused.is_empty(), "torn-down instances must not be reused");
 }
 
 #[test]
 fn three_way_queries_can_reuse_two_way_subjoins() {
     let f = fixture(6);
-    let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
+    let mut mq = MultiQueryOptimizer::default();
     // Deploy a 2-way join of feeds 0 and 1.
-    mq.optimize_and_deploy(&query(&f, &[0, 1], 5), &f.space, &f.latency, ReuseScope::All).unwrap();
+    mq.optimize_and_deploy(
+        &f.optimizer,
+        &query(&f, &[0, 1], 5),
+        &f.space,
+        &f.latency,
+        ReuseScope::All,
+    )
+    .unwrap();
     // A 3-way query over feeds 0, 1, 2 can reuse the (0 ⋈ 1) instance when
     // its chosen plan contains that subtree.
     let out = mq
-        .optimize_and_deploy(&query(&f, &[0, 1, 2], 40), &f.space, &f.latency, ReuseScope::All)
+        .optimize_and_deploy(
+            &f.optimizer,
+            &query(&f, &[0, 1, 2], 40),
+            &f.space,
+            &f.latency,
+            ReuseScope::All,
+        )
         .unwrap();
     // Reuse is plan-dependent, but the optimizer saw the candidates; at
     // minimum the accounting stayed consistent.
-    assert!(out.marginal_cost.network_usage <= out.standalone_cost.network_usage + 1e-6);
-    if !out.reused.is_empty() {
-        assert!(out.reused.iter().all(|r| r.signature.contains('⋈')));
+    assert!(out.placed.cost.network_usage <= out.standalone_cost.network_usage + 1e-6);
+    if !out.placed.reused.is_empty() {
+        assert!(out.placed.reused.iter().all(|r| r.signature.contains('⋈')));
     }
 }

@@ -140,7 +140,7 @@ proptest! {
             let vp = placer.place(&circuit, &space);
             let mut mapper = OracleMapper;
             let mapped = map_circuit(&circuit, &vp, &space, &mut mapper);
-            let est = circuit.cost_with(&mapped.placement, |a, b| space.vector_distance(a, b));
+            let est = circuit.cost_with(&mapped.placement, &[], |a, b| space.vector_distance(a, b));
             prop_assert!(best.estimated.network_usage <= est.network_usage + 1e-6);
         }
     }
@@ -219,7 +219,7 @@ proptest! {
         let vp = placer.place(&circuit, &space);
         let mut mapper = OracleMapper;
         let mapped = map_circuit(&circuit, &vp, &space, &mut mapper);
-        let usage = circuit.cost_with(&mapped.placement, |a, b| lat.latency(a, b)).network_usage;
+        let usage = circuit.cost_with(&mapped.placement, &[], |a, b| lat.latency(a, b)).network_usage;
         prop_assert!(usage + 1e-6 >= optimal, "mapped {usage} < optimal {optimal}");
     }
 

@@ -16,7 +16,7 @@ fn bench_dht(c: &mut Criterion) {
     let quantizer = Quantizer::covering(&points, 12, 0.25);
     let mut catalog = CoordinateCatalog::new(HilbertCurve::new(dims, 12), quantizer, 8);
     for (i, p) in points.iter().enumerate() {
-        catalog.insert(i as u32, p.clone());
+        catalog.insert(i as u32, p);
     }
 
     let mut rng = derive_rng(3, 0xd47);
@@ -53,7 +53,7 @@ fn bench_dht(c: &mut Criterion) {
         let mut i = 0;
         b.iter(|| {
             i = (i + 1) % points.len();
-            catalog.insert(i as u32, points[i].clone());
+            catalog.insert(i as u32, &points[i]);
         })
     });
     group.finish();

@@ -22,7 +22,7 @@ fn evaluate<C: SpaceFillingCurve>(
     rng: &mut impl Rng,
 ) {
     for (i, p) in points.iter().enumerate() {
-        catalog.insert(i as u32, p.clone());
+        catalog.insert(i as u32, p);
     }
     let dims = points[0].len();
     let mut mins = vec![f64::INFINITY; dims];

@@ -446,7 +446,7 @@ impl MultiQueryOptimizer {
                 // With no id to reissue, ids `0..members.len()` are all live.
                 let member = index.free.pop().unwrap_or(index.members.len() as MemberId);
                 index.members.insert(member, instance.clone());
-                index.catalog.insert(member, space.point(node).as_slice().to_vec());
+                index.catalog.insert(member, space.point(node).as_slice());
                 member
             });
             self.by_signature.entry(signature.clone()).or_default().push(instance);
@@ -616,7 +616,7 @@ impl MultiQueryOptimizer {
         if let (Some(index), Some(member)) = (&mut self.dht_index, own.member) {
             index.members.get_mut(&member).expect("live member").node = node;
             // `insert` re-registers: the member leaves its old key first.
-            index.catalog.insert(member, space.point(node).as_slice().to_vec());
+            index.catalog.insert(member, space.point(node).as_slice());
         }
     }
 

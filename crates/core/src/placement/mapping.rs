@@ -65,7 +65,7 @@ use crate::placement::traits::VirtualPlacement;
 
 /// What a maintenance call changed, as far as any *other* lookup can tell —
 /// the owner's relevance index consumes it
-/// ([`RelevanceIndex::touch_mapper`](crate::reopt::relevance::RelevanceIndex::touch_mapper))
+/// ([`Touches::mapper`](crate::reopt::relevance::Touches::mapper))
 /// to invalidate exactly the recorded evaluations the change can reach.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MapperDelta {
@@ -375,7 +375,7 @@ impl DhtMapper {
         let curve = HilbertCurve::new(space.dims(), quantizer.bits());
         let mut catalog = CoordinateCatalog::new(curve, quantizer, scan_width);
         for &node in members {
-            catalog.insert(node.0, space.point(node).as_slice().to_vec());
+            catalog.insert(node.0, space.point(node).as_slice());
         }
         DhtMapper { catalog }
     }
@@ -545,7 +545,7 @@ impl PhysicalMapper for RoutedMapper {
     /// trip for the next settle.
     fn update_node(&mut self, space: &CostSpace, node: NodeId) -> MapperDelta {
         self.pending_refresh.push(node);
-        let (old, new) = self.routed.register_direct(node.0, space.point(node).as_slice().to_vec());
+        let (old, new) = self.routed.register_direct(node.0, space.point(node).as_slice());
         MapperDelta::Keys { old, new: Some(new) }
     }
 
@@ -684,7 +684,7 @@ impl PhysicalMapper for DhtMapper {
     /// Re-registers one node after its coordinate changed (scalar churn or
     /// embedding refinement).
     fn update_node(&mut self, space: &CostSpace, node: NodeId) -> MapperDelta {
-        let (old, new) = self.catalog.insert(node.0, space.point(node).as_slice().to_vec());
+        let (old, new) = self.catalog.insert(node.0, space.point(node).as_slice());
         MapperDelta::Keys { old, new: Some(new) }
     }
 

@@ -91,10 +91,12 @@ pub struct CoordinateCatalog<C: SpaceFillingCurve> {
     curve: C,
     quantizer: Quantizer,
     ring: DhtRing,
-    /// `coords[member]` = registered coordinate (dense by MemberId). The
-    /// key it is registered under is the ring's to know
-    /// ([`CoordinateCatalog::registered_key`]).
-    coords: Vec<Option<Vec<f64>>>,
+    /// Registered coordinates, dense by MemberId with stride `dims`:
+    /// member `m`'s is `coords[m·dims..(m+1)·dims]`, written in place on
+    /// every (re-)registration. Whether `m` is registered — and under which
+    /// key — is the ring's to know ([`CoordinateCatalog::registered_key`]);
+    /// an unregistered member's slots are never read.
+    coords: Vec<f64>,
     /// How many ring neighbors to examine around a lookup's landing point.
     scan_width: usize,
     stats: CatalogStats,
@@ -172,17 +174,18 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
     /// probing keys, so span stabbing against them is exact, not
     /// approximate. A coordinate that cannot be keyed (wrong dimensionality,
     /// a NaN component) panics before anything is mutated.
-    pub fn insert(&mut self, member: MemberId, coord: Vec<f64>) -> (Option<RingKey>, RingKey) {
-        assert_eq!(coord.len(), self.quantizer.dims(), "coordinate dimensionality");
-        let key = self.key_of(&coord);
-        let idx = member as usize;
-        if self.coords.len() <= idx {
-            self.coords.resize(idx + 1, None);
+    pub fn insert(&mut self, member: MemberId, coord: &[f64]) -> (Option<RingKey>, RingKey) {
+        let dims = self.quantizer.dims();
+        assert_eq!(coord.len(), dims, "coordinate dimensionality");
+        let key = self.key_of(coord);
+        let start = member as usize * dims;
+        if self.coords.len() < start + dims {
+            self.coords.resize(start + dims, 0.0);
         }
         let old_key = self.ring.key_of(member);
         self.ring.leave(member);
         let registered = self.ring.join(key, member);
-        self.coords[idx] = Some(coord);
+        self.coords[start..start + dims].copy_from_slice(coord);
         (old_key, registered)
     }
 
@@ -191,15 +194,20 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
     pub fn remove(&mut self, member: MemberId) -> Option<RingKey> {
         let old_key = self.ring.key_of(member);
         self.ring.leave(member);
-        if let Some(slot) = self.coords.get_mut(member as usize) {
-            *slot = None;
-        }
         old_key
     }
 
     /// The registered coordinate of a member, if any.
     pub fn coord_of(&self, member: MemberId) -> Option<&[f64]> {
-        self.coords.get(member as usize)?.as_deref()
+        self.ring.key_of(member)?;
+        Some(self.stored_coord(member))
+    }
+
+    /// The coordinate `member` last registered — a ring member's live one.
+    fn stored_coord(&self, member: MemberId) -> &[f64] {
+        let dims = self.quantizer.dims();
+        let start = member as usize * dims;
+        &self.coords[start..start + dims]
     }
 
     /// Resolves `target` to the registered member closest to it in the cost
@@ -288,13 +296,10 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
             .min_by(|a, b| a.1.total_cmp(&b.1))
     }
 
-    /// Euclidean distance from a member's registered coordinate to `target`.
+    /// Euclidean distance from a ring member's registered coordinate to
+    /// `target` (every ring member registered one: only `insert` joins).
     pub(crate) fn distance_to(&self, member: MemberId, target: &[f64]) -> f64 {
-        match self.coord_of(member) {
-            Some(c) => euclidean(c, target),
-            // Stale ring entry without a coordinate: rank it last.
-            None => f64::INFINITY,
-        }
+        euclidean(self.stored_coord(member), target)
     }
 }
 
@@ -316,8 +321,8 @@ mod tests {
     #[test]
     fn insert_then_lookup_self() {
         let mut c = unit_catalog(4);
-        c.insert(0, vec![0.25, 0.25]);
-        c.insert(1, vec![0.75, 0.75]);
+        c.insert(0, &[0.25, 0.25]);
+        c.insert(1, &[0.75, 0.75]);
         let (m, _) = c.lookup_closest(&[0.26, 0.24]).unwrap();
         assert_eq!(m, 0);
         let (m, _) = c.lookup_closest(&[0.8, 0.7]).unwrap();
@@ -327,10 +332,10 @@ mod tests {
     #[test]
     fn reinsert_moves_member() {
         let mut c = unit_catalog(4);
-        c.insert(0, vec![0.1, 0.1]);
-        c.insert(1, vec![0.9, 0.9]);
+        c.insert(0, &[0.1, 0.1]);
+        c.insert(1, &[0.9, 0.9]);
         // Member 0 drifts to the other corner.
-        c.insert(0, vec![0.95, 0.95]);
+        c.insert(0, &[0.95, 0.95]);
         assert_eq!(c.len(), 2);
         let (m, _) = c.lookup_closest(&[0.12, 0.1]).unwrap();
         assert_eq!(m, 1, "old registration must be gone");
@@ -339,8 +344,8 @@ mod tests {
     #[test]
     fn remove_unregisters() {
         let mut c = unit_catalog(4);
-        c.insert(0, vec![0.1, 0.1]);
-        c.insert(1, vec![0.9, 0.9]);
+        c.insert(0, &[0.1, 0.1]);
+        c.insert(1, &[0.9, 0.9]);
         c.remove(0);
         assert_eq!(c.len(), 1);
         let (m, _) = c.lookup_closest(&[0.1, 0.1]).unwrap();
@@ -363,7 +368,7 @@ mod tests {
         let coords: Vec<Vec<f64>> =
             (0..300).map(|_| vec![rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]).collect();
         for (i, coord) in coords.iter().enumerate() {
-            c.insert(i as MemberId, coord.clone());
+            c.insert(i as MemberId, coord);
         }
         let mut agree = 0;
         let mut excess = Vec::new();
@@ -399,7 +404,7 @@ mod tests {
         let mut rng = rng_from_seed(2);
         let mut c = unit_catalog(8);
         for i in 0..50 {
-            c.insert(i, vec![rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]);
+            c.insert(i, &[rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]);
         }
         let res = c.k_nearest(&[0.5, 0.5], 5);
         assert_eq!(res.len(), 5);
@@ -414,8 +419,8 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut c = unit_catalog(4);
-        c.insert(0, vec![0.2, 0.2]);
-        c.insert(1, vec![0.8, 0.8]);
+        c.insert(0, &[0.2, 0.2]);
+        c.insert(1, &[0.8, 0.8]);
         assert_eq!(c.stats(), CatalogStats::default());
         c.lookup_closest(&[0.5, 0.5]);
         c.k_nearest(&[0.5, 0.5], 1);
@@ -431,8 +436,8 @@ mod tests {
             Quantizer::new(vec![0.0, 0.0], vec![1.0, 1.0], 8),
             8,
         );
-        c.insert(0, vec![0.3, 0.3]);
-        c.insert(1, vec![0.6, 0.6]);
+        c.insert(0, &[0.3, 0.3]);
+        c.insert(1, &[0.6, 0.6]);
         let (m, _) = c.lookup_closest(&[0.31, 0.3]).unwrap();
         assert_eq!(m, 0);
     }
@@ -452,7 +457,7 @@ mod tests {
         let mut rng = rng_from_seed(7);
         let mut c = unit_catalog(8);
         for i in 0..120 {
-            c.insert(i, vec![rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]);
+            c.insert(i, &[rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]);
         }
         for _ in 0..100 {
             let target = [rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)];
@@ -476,7 +481,7 @@ mod tests {
         let mut rng = rng_from_seed(8);
         let mut c = unit_catalog(4);
         for i in 0..200 {
-            c.insert(i, vec![rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]);
+            c.insert(i, &[rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]);
         }
         let mut checked = 0;
         for _ in 0..50 {
@@ -508,21 +513,21 @@ mod tests {
     #[test]
     fn traced_insert_and_remove_report_exact_registered_keys() {
         let mut c = unit_catalog(4);
-        let (old, first) = c.insert(0, vec![0.2, 0.2]);
+        let (old, first) = c.insert(0, &[0.2, 0.2]);
         assert!(old.is_none(), "first registration has no prior key");
         // Collision probing can shift the key; the catalog must remember the
         // key actually registered, not the nominal key_of.
-        let (_, probed) = c.insert(1, vec![0.2, 0.2]);
+        let (_, probed) = c.insert(1, &[0.2, 0.2]);
         assert_ne!(first, probed, "collision probe must produce a distinct key");
-        c.insert(1, vec![0.6, 0.6]);
+        c.insert(1, &[0.6, 0.6]);
         // A coordinate that cannot be keyed panics before the member's live
         // registration is touched.
-        let hostile = std::panic::AssertUnwindSafe(|| c.insert(0, vec![f64::NAN, 0.8]));
+        let hostile = std::panic::AssertUnwindSafe(|| c.insert(0, &[f64::NAN, 0.8]));
         assert!(std::panic::catch_unwind(hostile).is_err(), "a NaN coordinate must panic");
         assert_eq!(c.registered_key(0), Some(first));
         assert_eq!(c.coord_of(0), Some(&[0.2, 0.2][..]));
         assert_eq!(c.lookup_closest(&[0.2, 0.2]).map(|(m, _)| m), Some(0));
-        let (old, second) = c.insert(0, vec![0.8, 0.8]);
+        let (old, second) = c.insert(0, &[0.8, 0.8]);
         assert_eq!(old, Some(first), "re-registration reports the prior key");
         assert_eq!(c.remove(0), Some(second));
         assert_eq!(c.remove(0), None, "double remove reports nothing");
@@ -543,8 +548,8 @@ mod tests {
     #[test]
     fn colliding_coordinates_both_registered() {
         let mut c = unit_catalog(4);
-        c.insert(0, vec![0.5, 0.5]);
-        c.insert(1, vec![0.5, 0.5]); // same cell → ring key collision probe
+        c.insert(0, &[0.5, 0.5]);
+        c.insert(1, &[0.5, 0.5]); // same cell → ring key collision probe
         assert_eq!(c.len(), 2);
         let res = c.k_nearest(&[0.5, 0.5], 2);
         assert_eq!(res.len(), 2);

@@ -458,7 +458,7 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
     pub fn register_direct(
         &mut self,
         member: MemberId,
-        coord: Vec<f64>,
+        coord: &[f64],
     ) -> (Option<RingKey>, RingKey) {
         let keys = self.catalog.insert(member, coord);
         let stamp = self.fresh_stamp();
@@ -756,7 +756,7 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
                         // The stamp advances only once the coordinate is in
                         // (see `register_direct`).
                         RegOp::Register(coord) => {
-                            self.catalog.insert(member, coord);
+                            self.catalog.insert(member, &coord);
                             self.set_stamp(member, stamp);
                         }
                         RegOp::Unregister => {
@@ -993,7 +993,7 @@ mod tests {
         let mut rng = rng_from_seed(seed);
         let mut routed = RoutedCatalog::from_catalog(unit_catalog(scan), ProtoConfig::default());
         for m in 0..n {
-            routed.register_direct(m, vec![rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]);
+            routed.register_direct(m, &[rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]);
         }
         routed
     }
@@ -1172,7 +1172,7 @@ mod tests {
         // While the old registration is parked, member 2 registers again
         // with a newer stamp via the direct path.
         let newer = vec![0.7, 0.2];
-        routed.register_direct(2, newer.clone());
+        routed.register_direct(2, &newer);
         routed.heal(routed.now(), &link);
         routed.run_to_quiescence(&link);
         // The stale flush must lose by last-writer-wins.

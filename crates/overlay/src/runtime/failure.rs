@@ -10,6 +10,7 @@
 use sbon_core::circuit::ServicePin;
 use sbon_core::multiquery::{CircuitId, ReleaseReport};
 use sbon_core::placement::VirtualPlacer;
+use sbon_core::reopt::relevance::Touches;
 use sbon_netsim::graph::NodeId;
 
 use super::lifecycle::{CircuitHandle, Deployed};
@@ -48,8 +49,10 @@ impl OverlayRuntime {
         // The maintenance contract: the dead node leaves the mapper, so no
         // control-plane path can ever map onto it again. Clean records that
         // scanned its registration (or read its cost point) go dirty.
-        self.relevance.touch_mapper(self.mapper.as_dyn_mut().remove_node(node));
-        self.relevance.touch_host(node);
+        let mut touches = Touches::default();
+        touches.mapper(self.mapper.as_dyn_mut().remove_node(node));
+        touches.host(node);
+        self.relevance.touch(touches);
         let mut evacuated = 0;
 
         // Tear down circuits whose pinned services died. Under reuse, each

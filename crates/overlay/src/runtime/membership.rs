@@ -16,6 +16,7 @@ use rayon::prelude::*;
 use sbon_coords::vivaldi::{LandmarkPlacer, VivaldiConfig, VivaldiEmbedding, VivaldiNode};
 use sbon_core::costspace::CostSpace;
 use sbon_core::placement::MapperDelta;
+use sbon_core::reopt::relevance::Touches;
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::rng::derive_rng;
 use sbon_obs::WallTimer;
@@ -155,23 +156,27 @@ impl OverlayRuntime {
                 self.space.set_vector_coord(node, &state.coord);
             }
         }
+        let mut touches = Touches::default();
         for &node in &joiners {
             self.arrived[node.index()] = true;
             // The arrival's catalog registration can change lookups whose
-            // scanned region covers its key: invalidate exactly those clean
-            // records (everything, under the oracle scan).
+            // scanned region covers its key: the tick's batch invalidates
+            // exactly those clean records (everything, under the oracle
+            // scan).
             let delta = self.mapper.as_dyn_mut().add_node(&self.space, node);
             debug_assert!(
                 !matches!(delta, MapperDelta::Keys { old: Some(_), .. }),
                 "a joining node cannot be registered yet"
             );
-            self.relevance.touch_mapper(delta);
+            touches.mapper(delta);
         }
+        let wiped = self.relevance.touch(touches);
         let joined = joiners.len();
         self.obs.registry.inc(self.obs.h.nodes_joined, joined as u64);
         self.obs.registry.inc(self.obs.h.join_ns, t_join.elapsed_ns());
         if joined > 0 {
-            self.obs.point("join.admit", || vec![("joined", joined.into())]);
+            self.obs
+                .point("join.admit", || vec![("joined", joined.into()), ("wiped", wiped.into())]);
         }
     }
 
@@ -189,6 +194,7 @@ impl OverlayRuntime {
         self.obs.registry.inc(self.obs.h.dirty_nodes, dirty.len() as u64);
         self.obs.registry.observe(self.obs.h.dirty_per_tick, dirty.len() as f64);
         let (mut refreshed, mut updated) = (0usize, 0u64);
+        let mut touches = Touches::default();
         for node in dirty {
             // Dead nodes must not be re-registered with the mapper — their
             // catalog entry was removed on failure — and nodes still waiting
@@ -201,17 +207,18 @@ impl OverlayRuntime {
                 // Relevance invalidation rides the mapper sync: the moved
                 // registration stabs clean records whose scanned ring
                 // region covers either key, and the changed cost point
-                // stabs every record that read this host's estimate.
-                let delta = self.mapper.as_dyn_mut().update_node(&self.space, node);
-                self.relevance.touch_mapper(delta);
-                self.relevance.touch_host(node);
+                // stabs every record that read this host's estimate. The
+                // tick's touches are applied once, as one batch.
+                touches.mapper(self.mapper.as_dyn_mut().update_node(&self.space, node));
+                touches.host(node);
                 updated += 1;
             }
         }
+        let wiped = self.relevance.touch(touches);
         self.obs.registry.inc(self.obs.h.points_updated, updated);
         self.obs.registry.inc(self.obs.h.refresh_ns, t0.elapsed_ns());
         self.obs.point("churn.refresh", || {
-            vec![("dirty", refreshed.into()), ("updated", updated.into())]
+            vec![("dirty", refreshed.into()), ("updated", updated.into()), ("wiped", wiped.into())]
         });
     }
 }

@@ -27,8 +27,9 @@
 //! index ([`sbon_core::reopt::relevance`]) remembers the exact read set of
 //! every no-op circuit evaluation and invalidates it from the control-plane
 //! deltas above (each mapper maintenance call returns the
-//! [`MapperDelta`](sbon_core::placement::MapperDelta) it caused;
-//! `RelevanceIndex::touch_mapper` applies it), so each adaptation pass
+//! [`MapperDelta`](sbon_core::placement::MapperDelta) it caused; a step
+//! collects them with its changed hosts into one `Touches` batch that
+//! `RelevanceIndex::touch` applies in one pass), so each adaptation pass
 //! evaluates only the circuits a delta could actually have affected —
 //! bit-identically to evaluating everything. All three pass kinds run
 //! through one driver: evaluations are read-only (per-circuit

@@ -7,7 +7,8 @@
 //! bit-identical to one that evaluates every circuit at every pass. These
 //! properties pin that contract across random topologies, churn and jitter
 //! schedules, both latency backends, all three mapper backends, reuse on/off,
-//! and mid-run node failures.
+//! mid-run node failures, and 3 or 16 live circuits — with 16, a churn
+//! tick's batch of touches is tested against many surviving clean records.
 //!
 //! A second pin holds the sharded phases — read-only re-opt evaluation, the
 //! batch that faults a deployed circuit's latency rows in, and the join
@@ -48,11 +49,15 @@ struct Scenario {
     wave: bool,
     /// `RuntimeConfigBuilder::lazy_row_cache` (FIFO bound on resident rows).
     row_cache: Option<usize>,
+    /// Join stars deployed over the run (3 or 16); the last one arrives
+    /// mid-run.
+    stars: usize,
 }
 
 impl Scenario {
-    /// Decodes a strategy draw: `flags` carries the five booleans as bits so
-    /// the whole scenario fits the shim's tuple-strategy arity.
+    /// Decodes a strategy draw: `flags` carries the five booleans and the
+    /// star count as bits so the whole scenario fits the shim's
+    /// tuple-strategy arity.
     fn decode(seed: u64, nodes: usize, backend: u8, flags: u8) -> Scenario {
         Scenario {
             seed,
@@ -64,7 +69,14 @@ impl Scenario {
             reuse: flags & 8 != 0,
             wave: flags & 16 != 0,
             row_cache: None,
+            stars: if flags & 32 != 0 { 16 } else { 3 },
         }
+    }
+
+    /// Catalog-backed mapper (not the oracle scan, whose every cost-point
+    /// change touches the whole space, so no clean record survives a tick).
+    fn catalog_mapper(&self) -> bool {
+        !matches!(self.backend, 1 | 3)
     }
 }
 
@@ -85,15 +97,16 @@ fn star(hosts: &[NodeId], base: usize, rate: f64) -> QuerySpec {
 /// same-kind passes (cadences 2 s / 3 s / 4 s at a 1 s tick) every pass then
 /// evaluates every circuit. `threads` sets the worker pool for the parallel
 /// phases. All three re-optimization pass kinds fire within the 8-tick
-/// horizon, a third query is deployed after tick 3, and the optional failure
-/// lands between the first and second local pass. Returns the report and, on
-/// the lazy backend, the row cache's counters.
+/// horizon, the last star is deployed after tick 3, and the optional failure
+/// lands between the first and second local pass. Returns the report, on
+/// the lazy backend the row cache's counters, and the evaluations the dirty
+/// filter skipped.
 fn run_once(
     s: &Scenario,
     topo: &Topology,
     incremental: bool,
     threads: usize,
-) -> (RunReport, Option<LazyLatencyStats>) {
+) -> (RunReport, Option<LazyLatencyStats>, usize) {
     let routed = MapperBackend::Routed { bits: 12, scan_width: 8, proto: ProtoConfig::default() };
     let (latency, mapper) = match s.backend {
         0 => (LatencyBackend::Dense, MapperBackend::Dht { bits: 12, scan_width: 8 }),
@@ -151,6 +164,9 @@ fn run_once(
         topo.host_candidates().into_iter().filter(|&h| rt.is_arrived(h)).collect();
     rt.deploy(star(&hosts, 0, 10.0)).expect("first query must deploy");
     rt.deploy(star(&hosts, 3, 6.0)).expect("second query must deploy");
+    for k in 0..s.stars - 3 {
+        rt.deploy(star(&hosts, 11 + 2 * k, 4.0 + k as f64)).expect("extra query must deploy");
+    }
     reference(&mut rt);
     if s.failure {
         // Kill a producer host of the first query mid-run: evacuation (or
@@ -167,7 +183,8 @@ fn run_once(
         more = rt.advance_ticks(&mut session, 1);
         reference(&mut rt);
     }
-    (rt.finish_run(session), rt.lazy_latency_stats())
+    let skipped = rt.control_plane_stats().reopt_skipped;
+    (rt.finish_run(session), rt.lazy_latency_stats(), skipped)
 }
 
 proptest! {
@@ -177,16 +194,21 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12 })]
 
     /// Dirty-driven skipping is exact: skipping provably-clean circuits
-    /// produces the bit-identical `RunReport` to evaluating everything.
+    /// produces the bit-identical `RunReport` to evaluating everything. With
+    /// 16 circuits under sparse churn on a catalog mapper the incremental
+    /// run must actually skip, so the equivalence cannot hold vacuously.
     #[test]
     fn incremental_reopt_equals_full_scan(
-        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..32)
+        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..64)
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);
-        let (incremental, _) = run_once(&s, &topo, true, 1);
-        let (full_scan, _) = run_once(&s, &topo, false, 1);
+        let (incremental, _, skipped) = run_once(&s, &topo, true, 1);
+        let (full_scan, _, _) = run_once(&s, &topo, false, 1);
         prop_assert_eq!(incremental, full_scan);
+        if s.stars == 16 && s.sparse_churn && s.catalog_mapper() {
+            prop_assert!(skipped > 0, "nothing skipped in {s:?}");
+        }
     }
 }
 
@@ -200,7 +222,7 @@ proptest! {
     /// in the row cache.
     #[test]
     fn parallel_reopt_equals_serial(
-        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..32)
+        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..64)
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);
@@ -226,10 +248,11 @@ fn parallel_equals_serial_with_a_bounded_row_cache() {
             reuse,
             wave: false,
             row_cache: Some(4),
+            stars: 3,
         };
         let topo = topology(&s);
-        let (parallel, parallel_rows) = run_once(&s, &topo, true, 8);
-        let (serial, serial_rows) = run_once(&s, &topo, true, 1);
+        let (parallel, parallel_rows, _) = run_once(&s, &topo, true, 8);
+        let (serial, serial_rows, _) = run_once(&s, &topo, true, 1);
         assert_eq!(parallel, serial, "seed {seed}");
         assert_eq!(parallel_rows, serial_rows, "seed {seed}");
         assert!(serial_rows.expect("lazy backend").rows_evicted > 0, "the bound must bind");

@@ -81,8 +81,8 @@ fn main() {
     let mut routed = RoutedCatalog::from_catalog(fresh(), ProtoConfig::default());
     let mut omni = fresh();
     for v in 0..n as u32 {
-        let c = embedding.coord(NodeId(v)).to_vec();
-        routed.register_direct(v, c.clone());
+        let c = embedding.coord(NodeId(v));
+        routed.register_direct(v, c);
         omni.insert(v, c);
     }
     // Messages experience the live underlay's shortest-path delays.
@@ -141,7 +141,7 @@ fn main() {
         let at = routed.now();
         routed.register_routed(m, c.clone(), at, &link).expect("ring is populated");
         routed.run_to_quiescence(&link);
-        omni.insert(m, c);
+        omni.insert(m, &c);
     }
     let split = routed.stats().clone();
     let parked = split.deferred - cut_from.deferred;

@@ -658,7 +658,7 @@ proptest! {
         for _ in 0..nodes {
             let c = coord(&mut rng);
             if routed.catalog().is_empty() {
-                routed.register_direct(next_member, c.clone());
+                routed.register_direct(next_member, &c);
             } else {
                 let at = routed.now();
                 prop_assert!(
@@ -666,7 +666,7 @@ proptest! {
                 );
                 routed.run_to_quiescence(&link);
             }
-            omni.insert(next_member, c);
+            omni.insert(next_member, &c);
             live.push(next_member);
             next_member += 1;
         }
@@ -679,7 +679,7 @@ proptest! {
                     let at = routed.now();
                     prop_assert!(routed.register_routed(m, c.clone(), at, &link).is_some());
                     routed.run_to_quiescence(&link);
-                    omni.insert(m, c);
+                    omni.insert(m, &c);
                 }
                 // Join of a brand-new member.
                 2 => {
@@ -689,7 +689,7 @@ proptest! {
                         routed.register_routed(next_member, c.clone(), at, &link).is_some()
                     );
                     routed.run_to_quiescence(&link);
-                    omni.insert(next_member, c);
+                    omni.insert(next_member, &c);
                     live.push(next_member);
                     next_member += 1;
                 }

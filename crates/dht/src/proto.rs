@@ -82,7 +82,9 @@ pub type QueryId = u64;
 pub type RegSeq = u64;
 
 /// Per-link one-way latency in milliseconds. Implementations must be
-/// symmetric and zero on the diagonal (self-contacts are free).
+/// symmetric and zero on the diagonal (self-contacts are free). A
+/// non-finite value means the receiver is unreachable (a disconnected
+/// underlay): the message is dropped, like one crossing a partition.
 pub type LinkFn<'a> = dyn Fn(MemberId, MemberId) -> f64 + 'a;
 
 /// Timeout / retry policy for the routed control plane.
@@ -651,11 +653,16 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
     }
 
     /// Puts `msg` on the wire from `from` to `to` at time `at`. A message
-    /// crossing the partition boundary is dropped: paid for by its sender,
-    /// never delivered.
+    /// crossing the partition boundary, or priced non-finite by `link`, is
+    /// dropped: paid for by its sender, never delivered. The sender's
+    /// retransmit timer then retries, suspects, reroutes or defers.
     fn send(&mut self, at: SimTime, from: MemberId, to: MemberId, msg: ControlMsg, link: &LinkFn) {
-        if self.reachable(from, to) {
-            self.queue.schedule(at.after(link(from, to)), Event::Deliver(msg));
+        if !self.reachable(from, to) {
+            return;
+        }
+        let delay = link(from, to);
+        if delay.is_finite() {
+            self.queue.schedule(at.after(delay), Event::Deliver(msg));
         }
     }
 
@@ -1157,6 +1164,47 @@ mod tests {
         assert_eq!(routed.heal(routed.now(), &link), 1);
         routed.run_to_quiescence(&link);
         assert_eq!(routed.catalog().coord_of(2).unwrap(), coord.as_slice());
+    }
+
+    /// An underlay that cannot reach one member prices its links
+    /// `INFINITY`. Nothing panics: every message to or from it is dropped,
+    /// so a lookup whose route needs it times out and fails over, and a
+    /// registration it owns is deferred — exactly as across a partition.
+    #[test]
+    fn unreachable_member_is_suspected_and_its_registration_deferred() {
+        let mut rng = rng_from_seed(14);
+        let mut routed = populated(60, 14, 6);
+        let coord = vec![0.42, 0.42];
+        let key = routed.catalog().key_of(&coord);
+        let (_, cut) = first_live(routed.catalog().ring(), key.wrapping_add(1), &[]).unwrap();
+        let disconnected = |a: MemberId, b: MemberId| {
+            if a != b && (a == cut || b == cut) {
+                f64::INFINITY
+            } else {
+                link(a, b)
+            }
+        };
+        let before = routed.catalog().coord_of(2).unwrap().to_vec();
+        assert_ne!(cut, 2);
+        routed.register_routed(2, coord, routed.now(), &disconnected).unwrap();
+        routed.run_to_quiescence(&disconnected);
+        assert_eq!(routed.stats().deferred, 1);
+        assert_eq!(routed.catalog().coord_of(2).unwrap(), before.as_slice());
+        let mut failed_over = false;
+        for _ in 0..200 {
+            let target = [rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)];
+            let origin = rng.gen_range(0..60);
+            if origin == cut {
+                continue;
+            }
+            routed.lookup_routed(origin, &target, routed.now(), &disconnected).unwrap();
+            let done = routed.run_to_quiescence(&disconnected);
+            assert_eq!(done.len(), 1, "every lookup completes");
+            failed_over |= done[0].1.timeouts > 0;
+        }
+        assert!(failed_over, "no lookup needed the unreachable member");
+        assert!(routed.is_quiescent());
+        assert!(routed.stats().retries > 0);
     }
 
     #[test]

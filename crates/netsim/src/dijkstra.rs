@@ -12,12 +12,13 @@ use std::collections::BinaryHeap;
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::latency::LatencyMatrix;
 
-/// A heap entry: `Reverse`-ordered by distance so `BinaryHeap` pops minimums.
-/// `pub(crate)` so the dynamic repair in [`crate::lazy`] seeds [`settle`]'s
-/// heap itself.
+/// A heap entry: `Reverse`-ordered by key so `BinaryHeap` pops minimums.
+/// The key is the vertex's label when it was pushed, plus its
+/// [`Potential`] (none outside a goal-directed read). `pub(crate)` so the
+/// dynamic repair in [`crate::lazy`] seeds [`settle`]'s heap itself.
 #[derive(PartialEq)]
 pub(crate) struct HeapEntry {
-    pub(crate) dist: f64,
+    pub(crate) key: f64,
     pub(crate) node: NodeId,
 }
 
@@ -25,11 +26,11 @@ impl Eq for HeapEntry {}
 
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: smaller distance = greater priority. Distances are finite
-        // non-NaN by construction (edge weights validated on insert), so
+        // Reverse: smaller key = greater priority. Keys are finite non-NaN
+        // by construction (edge weights validated on insert), so
         // `total_cmp` agrees with the numeric order while staying a proper
         // total order even if that invariant is ever violated.
-        other.dist.total_cmp(&self.dist).then_with(|| other.node.0.cmp(&self.node.0))
+        other.key.total_cmp(&self.key).then_with(|| other.node.0.cmp(&self.node.0))
     }
 }
 
@@ -39,42 +40,67 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// What [`settle`] adds to a label to order its heap: a lower bound on the
+/// distance left from a vertex to the search's goal (A*). Labels never
+/// include it, so they stay fold-left sums from the root either way.
+pub(crate) trait Potential {
+    /// The heap key of label `d` at `v`.
+    fn key(&self, d: f64, v: NodeId) -> f64;
+}
+
+/// No potential: the key is the label. Zero-sized, so rows, repairs, path
+/// search and the bidirectional pair search compile to plain Dijkstra.
+pub(crate) struct NoPotential;
+
+impl Potential for NoPotential {
+    #[inline(always)]
+    fn key(&self, d: f64, _: NodeId) -> f64 {
+        d
+    }
+}
+
 /// The one Dijkstra relaxation loop: from-scratch rows, path search, both
-/// phases of [`crate::lazy`]'s row repair and both sides of its
-/// point-to-point search run it, so they pop in the same (distance, node
-/// id) order and relax by the same strict `<`.
+/// phases of [`crate::lazy`]'s row repair, both sides of its
+/// point-to-point search and its goal-directed read run it, so they pop in
+/// the same (key, node id) order and relax by the same strict `<`.
 ///
-/// The caller seeds `dist` and `heap`. Before each pop the loop asks
-/// `stop(dist, node)` of the heap's top entry; on `true` it returns and
+/// The caller seeds `dist` and `heap`, each entry keyed
+/// `potential.key(label, vertex)`. Before each pop the loop asks
+/// `stop(key, node)` of the heap's top entry; on `true` it returns and
 /// leaves that entry in the heap, so a caller can pause a search and resume
 /// it with another call (the point-to-point search alternates two heaps
-/// this way). The top is the heap's minimum, stale or not, so its distance
-/// is a lower bound on every label still to settle, and a vertex whose
-/// entry reaches the top has a final label. Otherwise the entry is popped:
-/// one above its vertex's label is stale and skipped; every other pop
-/// settles its vertex `v` and relaxes each neighbour `u` that is
-/// `in_scope`, reading edge `e` at `weight(e, current latency)`. A strict
-/// improvement stores the label `nd`, calls `on_improve(u, v, e, nd)` and
-/// pushes `u`. Rows and repairs stop only when the heap is empty (`|_, _|
-/// false`); [`shortest_path`] stops when its target reaches the top.
-/// Returns the number of vertices settled.
+/// this way). Without a potential the top is the heap's minimum label,
+/// stale or not, so it is a lower bound on every label still to settle,
+/// and a vertex whose entry reaches the top has a final label. Otherwise
+/// the entry is popped: one keyed above its vertex's current label's key is
+/// stale and skipped; every other pop settles its vertex `v` and relaxes
+/// each neighbour `u` that is `in_scope`, from `v`'s current label, reading
+/// edge `e` at `weight(e, current latency)`. A strict improvement stores
+/// the label `nd`, calls `on_improve(u, v, e, nd)` and pushes `u`. Rows and
+/// repairs stop only when the heap is empty (`|_, _| false`);
+/// [`shortest_path`] stops when its target reaches the top. Returns the
+/// number of vertices settled (a vertex whose label improved after it
+/// settled can settle again under a potential).
 #[inline]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn settle(
     graph: &Graph,
     dist: &mut [f64],
     heap: &mut BinaryHeap<HeapEntry>,
+    potential: impl Potential,
     stop: impl Fn(f64, NodeId) -> bool,
     weight: impl Fn(EdgeId, f64) -> f64,
     in_scope: impl Fn(NodeId) -> bool,
     mut on_improve: impl FnMut(NodeId, NodeId, EdgeId, f64),
 ) -> usize {
     let mut settled = 0;
-    while let Some(&HeapEntry { dist: d, node: v }) = heap.peek() {
-        if stop(d, v) {
+    while let Some(&HeapEntry { key, node: v }) = heap.peek() {
+        if stop(key, v) {
             break;
         }
         heap.pop();
-        if d > dist[v.index()] {
+        let d = dist[v.index()];
+        if key > potential.key(d, v) {
             continue; // stale entry
         }
         settled += 1;
@@ -86,7 +112,7 @@ pub(crate) fn settle(
             if nd < dist[u.index()] {
                 dist[u.index()] = nd;
                 on_improve(u, v, e, nd);
-                heap.push(HeapEntry { dist: nd, node: u });
+                heap.push(HeapEntry { key: potential.key(nd, u), node: u });
             }
         }
     }
@@ -114,8 +140,8 @@ pub(crate) fn fill_single_source(
 ) {
     dist.fill(f64::INFINITY);
     dist[src.index()] = 0.0;
-    heap.push(HeapEntry { dist: 0.0, node: src });
-    settle(graph, dist, heap, |_, _| false, |_, w| w, |_| true, |_, _, _, _| {});
+    heap.push(HeapEntry { key: 0.0, node: src });
+    settle(graph, dist, heap, NoPotential, |_, _| false, |_, w| w, |_| true, |_, _, _, _| {});
 }
 
 /// Shortest path from `src` to `dst` as the edges it walks, in order from
@@ -128,9 +154,10 @@ pub fn shortest_path(graph: &Graph, src: NodeId, dst: NodeId) -> Option<Vec<Edge
     let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
     let mut heap = BinaryHeap::new();
     dist[src.index()] = 0.0;
-    heap.push(HeapEntry { dist: 0.0, node: src });
+    heap.push(HeapEntry { key: 0.0, node: src });
     let keep_prev = |u: NodeId, v, e, _| prev[u.index()] = Some((v, e));
-    settle(graph, &mut dist, &mut heap, |_, v| v == dst, |_, w| w, |_| true, keep_prev);
+    let to_dst = |_, v| v == dst;
+    settle(graph, &mut dist, &mut heap, NoPotential, to_dst, |_, w| w, |_| true, keep_prev);
 
     if dist[dst.index()].is_infinite() {
         return None;

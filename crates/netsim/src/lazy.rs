@@ -96,22 +96,39 @@
 //!
 //! # Point-to-point reads
 //!
-//! [`LazyLatency::latency_pair`] answers one `(a, b)` without an SSSP row.
-//! **Contract:** its value is bit-identical to
-//! `single_source(graph, a)[b]` on the current graph — to what
-//! [`LatencyProvider::latency`] serves — and it never computes, inserts or
-//! evicts a row. When `a`'s row is resident it is read exactly as
-//! `latency` reads it (repaired first if stale, counted in `cache_hits`);
-//! `a == b` is `0.0`; any other pair runs one search, counted in
-//! `pairs_searched`, whose buffers are allocated on the first search,
-//! reset through touched-lists and never shrunk.
+//! [`LazyLatency::pair_reader`] hands out a [`PairReader`], which answers
+//! one `(a, b)` at a time without an SSSP row of its own. **Contract:**
+//! every value it serves is bit-identical to `single_source(graph, a)[b]`
+//! on the current graph — to what [`LatencyProvider::latency`] serves — and
+//! no read computes, inserts or evicts a row. A read takes the first of
+//! these cases that applies:
 //!
-//! The search is bidirectional, both sides running `settle`: a forward
-//! heap grows from `a` and a backward heap from `b`, the side with the
-//! smaller top advancing, and every label improvement updates
-//! `μ = min(d_f[u] + d_b[u])`. Phase 1 ends when `b` reaches the forward
-//! top (its label is final: done), when a side exhausts its component
-//! with `μ` still infinite (`b` is unreachable: `INFINITY`), or when
+//! 1. **`a`'s row is resident:** it is read exactly as `latency` reads it,
+//!    repaired first if stale and counted in `cache_hits`. Otherwise
+//!    `a == b` is `0.0`.
+//! 2. **The reader already knows `(a, b)`** — it served the pair before, or
+//!    derived it as the reverse of a bidirectional search: the memo answers
+//!    (`pair_memo_hits`).
+//! 3. **`b`'s row is resident and current:** one goal-directed search from
+//!    `a` (`pairs_goal_directed`).
+//! 4. **Otherwise:** one bidirectional search (`pairs_searched`). When `b`
+//!    has no resident row it also yields `(b, a)`, and the memo keeps that
+//!    value for the reply.
+//!
+//! The memo needs no epoch check and no size bound: the reader borrows the
+//! provider, so while it lives nothing can reach `apply_edge_deltas` (which
+//! takes `&mut self`) and every later read is on the graph each memoised
+//! value was computed on; the memo dies with the reader. Rows may still
+//! come and go through `&self` calls — case 1 serves whatever is resident,
+//! with the same value. The search buffers are allocated on the first
+//! search, reset through touched-lists and never shrunk.
+//!
+//! **Bidirectional search.** Both sides run `settle`: a forward heap grows
+//! from `a` and a backward heap from `b`, the side with the smaller top
+//! advancing, and every label improvement updates `μ = min(d_f[u] +
+//! d_b[u])`. Phase 1 ends when `b` reaches the forward top (its label is
+//! final: done), when a side exhausts its component with `μ` still
+//! infinite (`b` is unreachable: `INFINITY`), or when the tops cross,
 //! `top_f + top_b > μ + TIGHT_EPS_MS`. At that point a vertex `v` on any
 //! path no longer than `μ` has `d(a, v) + d(v, b) ≤ μ < top_f + top_b − ε`,
 //! so it lies below one of the two tops: one side has settled it. The
@@ -129,9 +146,39 @@
 //! `a` — the row's value — and not `d_f[u] + w + d_b[v]`, whose additions
 //! run in another order.
 //!
-//! For the same reason a resident row of the *receiver* `b` is not used:
-//! `row_b[a]` is the minimum of the fold-left sums from `b`, and summing a
-//! path's edges from the other end can round differently in the last bits.
+//! The **reverse** `(b, a)` is the mirror image: the backward side alone,
+//! relaxing only into vertices the forward side labelled, until `a`
+//! reaches its top. By the same argument with the sides swapped, `d_b[a]`
+//! is then the minimum fold-left sum from `b` — `single_source(graph,
+//! b)[a]` bit for bit. The argument needs crossed tops, so when phase 1
+//! ended with `b` on the forward top the backward side first continues,
+//! unscoped, until they cross; and a backward label at or below its own
+//! top is already final and needs no completion.
+//!
+//! **Goal-directed search.** With `b`'s row resident and current,
+//! `h(v) = row_b[v]` — the shortest distance between `v` and `b`, the graph
+//! being undirected — is an exact potential, and the read is one A* search
+//! from `a` through the same `settle`, keyed `d[v] + h(v)`, stopped when
+//! the top key exceeds `d[b] + TIGHT_EPS_MS`. The potential only orders the
+//! heap: labels stay fold-left sums of real paths from `a`, so `d[b]` is
+//! never below the row's value `D(b)`. Nor does the search stop above it.
+//! Take the path `single_source` reached `b` along, whose every prefix sum
+//! is the row's value `D(v)` at its end vertex. While `d[b] > D(b)`, the
+//! first vertex of that path not yet expanded with label `D(v)` holds that
+//! label (its predecessor was expanded with its own, and relaxed it), so
+//! its entry is in the heap keyed `D(v) + h(v)`: the length of the path up
+//! to `v` plus the shortest distance from `v` to `b`, which is at most the
+//! path's length, within float rounding of `D(b) < d[b]`. ε absorbs the
+//! rounding, so the top key is at most `d[b] + ε`. Rounding can let a
+//! stale entry's key equal its vertex's improved one; the vertex then
+//! settles twice and relaxes nothing new the second time. Only vertices
+//! within ε of a shortest `a`–`b` path settle at all: on the routed
+//! benchmark's topology a read settles about 7 against about 377 for a
+//! bidirectional search.
+//!
+//! `row_b[a]` itself is never served for `(a, b)`: it is the minimum of the
+//! fold-left sums from `b`, and summing a path's edges from the other end
+//! can round differently in the last bits.
 //!
 //! # Memory bound
 //!
@@ -146,11 +193,13 @@
 //! of the thread count. The delta log adds at most one entry per edge.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use rayon::prelude::*;
 
-use crate::dijkstra::{fill_single_source, settle, single_source, HeapEntry};
+use crate::dijkstra::{
+    fill_single_source, settle, single_source, HeapEntry, NoPotential, Potential,
+};
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::latency::LatencyProvider;
 
@@ -191,9 +240,17 @@ pub struct LazyLatencyStats {
     /// Repairs whose affected region exceeded the rebuild threshold and
     /// fell back to a full-row [`single_source`] recompute.
     pub rows_rebuilt: u64,
-    /// Point-to-point searches run by [`LazyLatency::latency_pair`]: its
-    /// reads of a pair whose source row was not resident.
+    /// Bidirectional searches run by a [`PairReader`]: its reads of a pair
+    /// whose sender row was not resident, that it had not memoised, and
+    /// whose receiver row was not resident and current.
     pub pairs_searched: u64,
+    /// Goal-directed searches run by a [`PairReader`]: its reads of a pair
+    /// whose sender row was not resident, that it had not memoised, and
+    /// whose receiver row was resident and current.
+    pub pairs_goal_directed: u64,
+    /// [`PairReader`] reads its memo served: a pair it had read before, or
+    /// the reverse of one of its bidirectional searches.
+    pub pair_memo_hits: u64,
     /// Rows currently resident.
     pub rows_cached: usize,
 }
@@ -225,8 +282,8 @@ struct RowCache {
     /// Boxed: only the (cold) repair path looks inside, and the provider
     /// stays small enough to sit inline next to a dense matrix.
     scratch: Box<RepairScratch>,
-    /// The point-to-point search's buffers, allocated by the first search:
-    /// a provider that only serves rows never holds them.
+    /// The point-to-point searches' buffers, allocated by the first
+    /// search: a provider that only serves rows never holds them.
     pair: Option<Box<PairScratch>>,
     /// The usage counters; `rows_cached` is filled in from `order` when
     /// [`LazyLatency::stats`] hands a copy out.
@@ -255,7 +312,7 @@ impl RowCache {
     #[inline(always)]
     fn read(&mut self, graph: &Graph, a: NodeId, b: NodeId) -> Option<f64> {
         let row = match self.rows[a.index()].as_deref() {
-            Some(row) if self.stale == 0 || self.epochs[a.index()] == self.head => row,
+            Some(row) if self.is_current(a) => row,
             Some(_) => {
                 self.sync_row(graph, a);
                 self.rows[a.index()].as_deref().expect("sync keeps the row resident")
@@ -264,6 +321,12 @@ impl RowCache {
         };
         self.stats.cache_hits += 1;
         Some(row[b.index()])
+    }
+
+    /// Whether a resident row of `v` is exact for the current graph.
+    #[inline(always)]
+    fn is_current(&self, v: NodeId) -> bool {
+        self.stale == 0 || self.epochs[v.index()] == self.head
     }
 
     /// Inserts a row freshly computed on the current graph, evicting FIFO
@@ -548,11 +611,9 @@ impl LazyLatency {
         cache.bound_log(self.graph.num_edges());
     }
 
-    /// The latency from `a` to `b` without an SSSP row: bit-identical to
-    /// [`LatencyProvider::latency`], served from `a`'s resident row when
-    /// there is one and otherwise by a bidirectional point-to-point search
-    /// that caches nothing (see the [module docs](self)). Never computes,
-    /// inserts or evicts a row.
+    /// A reader of point-to-point latencies on the current graph: each
+    /// value bit-identical to [`LatencyProvider::latency`], and no read
+    /// computes, inserts or evicts a row (see the [module docs](self)).
     ///
     /// ```
     /// use sbon_netsim::graph::{Graph, NodeId};
@@ -562,20 +623,14 @@ impl LazyLatency {
     /// g.add_edge(NodeId(0), NodeId(1), 2.0);
     /// g.add_edge(NodeId(1), NodeId(2), 3.0);
     /// let lat = LazyLatency::new(g);
-    /// assert_eq!(lat.latency_pair(NodeId(0), NodeId(2)), 5.0);
+    /// let pairs = lat.pair_reader();
+    /// assert_eq!(pairs.latency(NodeId(0), NodeId(2)), 5.0); // one search...
+    /// assert_eq!(pairs.latency(NodeId(2), NodeId(0)), 5.0); // ...and its reverse
     /// let stats = lat.stats();
-    /// assert_eq!((stats.pairs_searched, stats.rows_computed, stats.rows_cached), (1, 0, 0));
+    /// assert_eq!((stats.pairs_searched, stats.pair_memo_hits, stats.rows_computed), (1, 1, 0));
     /// ```
-    pub fn latency_pair(&self, a: NodeId, b: NodeId) -> f64 {
-        let cache = &mut *self.cache.borrow_mut();
-        if let Some(value) = cache.read(&self.graph, a, b) {
-            return value;
-        }
-        if a == b {
-            return 0.0;
-        }
-        cache.stats.pairs_searched += 1;
-        cache.pair.get_or_insert_with(Box::default).search(&self.graph, a, b)
+    pub fn pair_reader(&self) -> PairReader<'_> {
+        PairReader { lazy: self, memo: RefCell::default() }
     }
 
     /// Makes the rows for `sources` resident **and current**: resident
@@ -741,11 +796,12 @@ fn repair_increase(
         }
         if best < f64::INFINITY {
             row[x.index()] = best;
-            heap.push(HeapEntry { dist: best, node: x });
+            heap.push(HeapEntry { key: best, node: x });
         }
     }
     // Outside the region every label is fixed.
-    settle(graph, row, heap, |_, _| false, w_mid, |u| mark[u.index()] == stamp, |_, _, _, _| {});
+    let in_region = |u: NodeId| mark[u.index()] == stamp;
+    settle(graph, row, heap, NoPotential, |_, _| false, w_mid, in_region, |_, _, _, _| {});
     (region.len(), false)
 }
 
@@ -762,18 +818,81 @@ fn repair_decrease(graph: &Graph, row: &mut [f64], scratch: &mut RepairScratch) 
         let nd = row[d.a.index()] + d.w_new;
         if nd < row[d.b.index()] {
             row[d.b.index()] = nd;
-            heap.push(HeapEntry { dist: nd, node: d.b });
+            heap.push(HeapEntry { key: nd, node: d.b });
         }
         let nd = row[d.b.index()] + d.w_new;
         if nd < row[d.a.index()] {
             row[d.a.index()] = nd;
-            heap.push(HeapEntry { dist: nd, node: d.a });
+            heap.push(HeapEntry { key: nd, node: d.a });
         }
     }
-    settle(graph, row, heap, |_, _| false, |_, w| w, |_| true, |_, _, _, _| {})
+    settle(graph, row, heap, NoPotential, |_, _| false, |_, w| w, |_| true, |_, _, _, _| {})
 }
 
-/// One side of the point-to-point search: labels from its root, its heap,
+/// Point-to-point latencies without SSSP rows, from
+/// [`LazyLatency::pair_reader`]; see the [module docs](self) for the four
+/// cases a read goes through. The reader borrows its provider, so the graph
+/// cannot change under it:
+///
+/// ```compile_fail
+/// use sbon_netsim::graph::{Graph, NodeId};
+/// use sbon_netsim::lazy::LazyLatency;
+///
+/// let mut g = Graph::new(2);
+/// let e = g.add_edge(NodeId(0), NodeId(1), 2.0);
+/// let mut lat = LazyLatency::new(g);
+/// let pairs = lat.pair_reader();
+/// lat.apply_edge_deltas(&[(e, 4.0)]);
+/// pairs.latency(NodeId(0), NodeId(1));
+/// ```
+pub struct PairReader<'a> {
+    lazy: &'a LazyLatency,
+    /// `(a, b)` → `single_source(graph, a)[b]` for the pairs this reader
+    /// searched or derived; valid for as long as the borrow of `lazy`.
+    memo: RefCell<BTreeMap<(u32, u32), f64>>,
+}
+
+impl PairReader<'_> {
+    /// The latency from `a` to `b`, bit-identical to
+    /// [`LatencyProvider::latency`], by the first of the [module
+    /// docs](self)' four cases that applies.
+    pub fn latency(&self, a: NodeId, b: NodeId) -> f64 {
+        let LazyLatency { graph, cache, .. } = self.lazy;
+        let cache = &mut *cache.borrow_mut();
+        if let Some(value) = cache.read(graph, a, b) {
+            return value;
+        }
+        if a == b {
+            return 0.0;
+        }
+        let memo = &mut *self.memo.borrow_mut();
+        if let Some(&value) = memo.get(&(a.0, b.0)) {
+            cache.stats.pair_memo_hits += 1;
+            return value;
+        }
+        let current = cache.is_current(b);
+        let RowCache { rows, pair, stats, .. } = cache;
+        let pair = pair.get_or_insert_with(Box::default);
+        let value = match rows[b.index()].as_deref() {
+            Some(to_b) if current => {
+                stats.pairs_goal_directed += 1;
+                pair.toward(graph, a, b, to_b)
+            }
+            resident => {
+                stats.pairs_searched += 1;
+                let (value, reverse) = pair.search(graph, a, b, resident.is_none());
+                if let Some(reverse) = reverse {
+                    memo.insert((b.0, a.0), reverse);
+                }
+                value
+            }
+        };
+        memo.insert((a.0, b.0), value);
+        value
+    }
+}
+
+/// One side of a point-to-point search: labels from its root, its heap,
 /// and the vertices it labelled. Outside a search every label is
 /// `INFINITY` and the heap and the list are empty.
 #[derive(Default)]
@@ -785,40 +904,41 @@ struct Side {
 }
 
 impl Side {
-    /// Starts a search from `root` over `n` vertices, growing the labels
-    /// on first use.
-    fn begin(&mut self, n: usize, root: NodeId) {
+    /// Starts a search from `root`, keyed `key`, over `n` vertices, growing
+    /// the labels on first use.
+    fn begin(&mut self, n: usize, root: NodeId, key: f64) {
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
         }
         self.dist[root.index()] = 0.0;
         self.touched.push(root.0);
-        self.heap.push(HeapEntry { dist: 0.0, node: root });
+        self.heap.push(HeapEntry { key, node: root });
     }
 
-    /// The heap's smallest distance — a lower bound on every label this
-    /// side has still to settle — or `INFINITY` once it is exhausted.
+    /// The heap's smallest key — without a potential, a lower bound on
+    /// every label this side has still to settle — or `INFINITY` once it
+    /// is exhausted.
     fn top(&self) -> f64 {
-        self.heap.peek().map_or(f64::INFINITY, |e| e.dist)
+        self.heap.peek().map_or(f64::INFINITY, |e| e.key)
     }
 
-    /// Runs this side's `settle` until `stop`, relaxing into `in_scope`
-    /// vertices only; each improvement goes on the touched-list and into
-    /// `mu` against `other`'s label of the same vertex.
+    /// Runs this side's `settle` under `potential` until `stop`, relaxing
+    /// into `in_scope` vertices only; each improvement goes on the
+    /// touched-list and to `seen` with its new label.
     fn advance(
         &mut self,
         graph: &Graph,
-        other: &[f64],
-        mu: &Cell<f64>,
+        potential: impl Potential,
         stop: impl Fn(f64, NodeId) -> bool,
         in_scope: impl Fn(NodeId) -> bool,
+        mut seen: impl FnMut(NodeId, f64),
     ) {
         let Side { dist, heap, touched } = self;
         let improve = |u: NodeId, _, _, d: f64| {
             touched.push(u.0);
-            mu.set(mu.get().min(d + other[u.index()]));
+            seen(u, d);
         };
-        settle(graph, dist, heap, stop, |_, w| w, in_scope, improve);
+        settle(graph, dist, heap, potential, stop, |_, w| w, in_scope, improve);
     }
 
     /// Restores the between-searches state through the touched-list.
@@ -830,7 +950,19 @@ impl Side {
     }
 }
 
-/// The two sides of [`LazyLatency::latency_pair`]'s search.
+/// The potential of a goal-directed read: the goal's own current row.
+#[derive(Clone, Copy)]
+struct Toward<'r>(&'r [f64]);
+
+impl Potential for Toward<'_> {
+    #[inline(always)]
+    fn key(&self, d: f64, v: NodeId) -> f64 {
+        d + self.0[v.index()]
+    }
+}
+
+/// The buffers of a [`PairReader`]'s searches: two sides for the
+/// bidirectional one, the forward side alone for the goal-directed one.
 #[derive(Default)]
 struct PairScratch {
     fwd: Side,
@@ -840,38 +972,84 @@ struct PairScratch {
 impl PairScratch {
     /// `single_source(graph, a)[b]`, bit for bit, by the bidirectional
     /// search with the ε stop and the restricted forward completion the
-    /// [module docs](self) describe. Requires `a != b`.
-    fn search(&mut self, graph: &Graph, a: NodeId, b: NodeId) -> f64 {
+    /// [module docs](self) describe; with `reverse`, also
+    /// `single_source(graph, b)[a]` by the mirrored completion. Requires
+    /// `a != b`.
+    fn search(&mut self, graph: &Graph, a: NodeId, b: NodeId, reverse: bool) -> (f64, Option<f64>) {
         let PairScratch { fwd, bwd } = self;
-        fwd.begin(graph.num_nodes(), a);
-        bwd.begin(graph.num_nodes(), b);
+        fwd.begin(graph.num_nodes(), a, 0.0);
+        bwd.begin(graph.num_nodes(), b, 0.0);
         let mu = Cell::new(f64::INFINITY);
+        let meet = |other: &[f64], u: NodeId, d: f64| mu.set(mu.get().min(d + other[u.index()]));
         let past = |tf: f64, tb: f64| tf + tb > mu.get() + TIGHT_EPS_MS;
-        let value = loop {
+        let labelled = |side: &Side, u: NodeId| side.dist[u.index()] != f64::INFINITY;
+        // `crossed`: phase 1 did not end with `b` on the forward top.
+        let (value, crossed) = loop {
             if fwd.heap.peek().is_some_and(|e| e.node == b) {
-                break fwd.dist[b.index()];
+                break (fwd.dist[b.index()], false);
             }
             let (tf, tb) = (fwd.top(), bwd.top());
             if mu.get() == f64::INFINITY && (tf == f64::INFINITY || tb == f64::INFINITY) {
-                break f64::INFINITY; // a side exhausted its component unmet
+                break (f64::INFINITY, true); // a side exhausted its component unmet
             }
             if past(tf, tb) {
                 // The completion: the forward side alone, into the backward
                 // side's labelled vertices only, until `b` reaches its top.
-                let scope = |u: NodeId| bwd.dist[u.index()] != f64::INFINITY;
-                fwd.advance(graph, &bwd.dist, &mu, |_, v| v == b, scope);
-                break fwd.dist[b.index()];
+                let scope = |u| labelled(bwd, u);
+                fwd.advance(graph, NoPotential, |_, v| v == b, scope, |_, _| {});
+                break (fwd.dist[b.index()], true);
             }
             if tf <= tb {
                 let stop = |d: f64, v| v == b || d > tb || past(d, tb);
-                fwd.advance(graph, &bwd.dist, &mu, stop, |_| true);
+                fwd.advance(graph, NoPotential, stop, |_| true, |u, d| meet(&bwd.dist, u, d));
             } else {
-                bwd.advance(graph, &fwd.dist, &mu, |d, _| d > tf || past(tf, d), |_| true);
+                let stop = |d: f64, _| d > tf || past(tf, d);
+                bwd.advance(graph, NoPotential, stop, |_| true, |u, d| meet(&fwd.dist, u, d));
             }
         };
+        let reverse = reverse.then(|| {
+            if value == f64::INFINITY {
+                return value; // the graph is undirected
+            }
+            if !crossed {
+                // `b` topped the forward heap first: the backward side
+                // catches up, unscoped, until the tops cross.
+                let tf = fwd.top();
+                let stop = |d: f64, _| past(tf, d);
+                bwd.advance(graph, NoPotential, stop, |_| true, |u, d| meet(&fwd.dist, u, d));
+            }
+            if bwd.dist[a.index()] > bwd.top() {
+                // The mirrored completion.
+                let scope = |u| labelled(fwd, u);
+                bwd.advance(graph, NoPotential, |_, v| v == a, scope, |_, _| {});
+            }
+            bwd.dist[a.index()]
+        });
         fwd.end();
         bwd.end();
-        value
+        (value, reverse)
+    }
+
+    /// `single_source(graph, a)[b]`, bit for bit, by the goal-directed
+    /// search the [module docs](self) describe, `to_b` being `b`'s current
+    /// row. Requires `a != b`.
+    fn toward(&mut self, graph: &Graph, a: NodeId, b: NodeId, to_b: &[f64]) -> f64 {
+        if to_b[a.index()] == f64::INFINITY {
+            return f64::INFINITY; // another component
+        }
+        let (side, potential) = (&mut self.fwd, Toward(to_b));
+        side.begin(graph.num_nodes(), a, potential.key(0.0, a));
+        // `d[b]`, kept where the stop predicate can read it.
+        let reached = Cell::new(f64::INFINITY);
+        let stop = |key: f64, _| key > reached.get() + TIGHT_EPS_MS;
+        let seen = |u, d| {
+            if u == b {
+                reached.set(d);
+            }
+        };
+        side.advance(graph, potential, stop, |_| true, seen);
+        side.end();
+        reached.get()
     }
 }
 
@@ -1418,30 +1596,81 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Pair reads are bit-identical to a fresh `single_source` row on
-        /// the current graph — over the four graph families, with `a == b`
-        /// and adjacent pairs drawn on purpose, and with `a`'s row absent,
-        /// resident, or resident several delta batches (random
-        /// `apply_edge_deltas` and `scale_edges_clamped`) behind. A search
-        /// computes and caches no row; a resident row is read as a hit.
+        /// the current graph — over the four graph families, one reader per
+        /// delta batch (random `apply_edge_deltas` and
+        /// `scale_edges_clamped`), through read sequences that mix fresh,
+        /// reversed and repeated pairs, `a == b` and adjacent pairs, with
+        /// `a`'s and `b`'s rows absent, resident, or resident several
+        /// batches behind (rows are faulted in while a reader lives, too).
+        /// No read computes or caches a row, and each takes the case the
+        /// module docs give it: a resident sender row is a hit, then the
+        /// memo, then a current receiver row's goal-directed search, else
+        /// a bidirectional search.
         #[test]
         fn latency_pair_equals_the_single_source_row(
             kind in 0u8..4,
             seed in 0u64..1_000_000,
-            steps in vec((0u8..8, 0u32..1_000_000, 0u32..1_000_000), 1..40),
+            steps in vec((0u8..9, 0u32..1_000_000, 0u32..1_000_000), 1..60),
         ) {
             let mut lazy = LazyLatency::new(pair_test_graph(kind, seed));
             let mut rng = rng_from_seed(seed ^ 0x9a1);
             let (n, m) = (lazy.len() as u32, lazy.graph().num_edges() as u32);
-            for (op, x, y) in steps {
-                let (mut a, mut b) = (NodeId(x % n), NodeId(y % n));
-                match op {
-                    // Fault `a`'s row in, so later reads find it resident
-                    // and, after a delta, stale.
-                    0 => {
-                        lazy.latency(a, b);
-                        continue;
+            let mutates = |op: u8| m > 0 && (op == 1 || op == 2);
+            let mut steps = steps.into_iter().peekable();
+            while steps.peek().is_some() {
+                let pairs = lazy.pair_reader();
+                let mut last = (NodeId(0), NodeId(0));
+                while let Some((op, x, y)) = steps.next_if(|&(op, ..)| !mutates(op)) {
+                    let (mut a, mut b) = (NodeId(x % n), NodeId(y % n));
+                    match op {
+                        // Fault `a`'s row in, so later reads find it resident
+                        // and, after a delta, stale.
+                        0 => {
+                            lazy.latency(a, b);
+                            continue;
+                        }
+                        3 => b = a,
+                        4 if m > 0 => {
+                            let edge = lazy.graph().edge(EdgeId(x % m));
+                            (a, b) = if y % 2 == 0 { (edge.a, edge.b) } else { (edge.b, edge.a) };
+                        }
+                        5 => (a, b) = (last.1, last.0),
+                        6 => (a, b) = last,
+                        _ => {}
                     }
-                    1 if m > 0 => {
+                    last = (a, b);
+                    let expect = {
+                        let cache = lazy.cache.borrow();
+                        if cache.rows[a.index()].is_some() {
+                            "hit"
+                        } else if a == b {
+                            "zero"
+                        } else if pairs.memo.borrow().contains_key(&(a.0, b.0)) {
+                            "memo"
+                        } else if cache.rows[b.index()].is_some() && cache.is_current(b) {
+                            "goal-directed"
+                        } else {
+                            "bidirectional"
+                        }
+                    };
+                    let before = lazy.stats();
+                    let got = pairs.latency(a, b);
+                    let want = single_source(lazy.graph(), a)[b.index()];
+                    prop_assert_eq!((a, b, expect, got.to_bits()), (a, b, expect, want.to_bits()));
+                    let after = lazy.stats();
+                    prop_assert_eq!(after.rows_computed, before.rows_computed);
+                    prop_assert_eq!(after.rows_cached, before.rows_cached);
+                    let count = |case: &str| u64::from(expect == case);
+                    prop_assert_eq!(after.cache_hits, before.cache_hits + count("hit"));
+                    prop_assert_eq!(after.pair_memo_hits, before.pair_memo_hits + count("memo"));
+                    let goal = count("goal-directed");
+                    prop_assert_eq!(after.pairs_goal_directed, before.pairs_goal_directed + goal);
+                    let searched = count("bidirectional");
+                    prop_assert_eq!(after.pairs_searched, before.pairs_searched + searched);
+                }
+                drop(pairs);
+                match steps.next() {
+                    Some((1, ..)) => {
                         let batch: Vec<(EdgeId, f64)> = (0..rng.gen_range(1..6))
                             .map(|_| {
                                 let zero = rng.gen_range(0..4) == 0;
@@ -1450,48 +1679,85 @@ mod tests {
                             })
                             .collect();
                         lazy.apply_edge_deltas(&batch);
-                        continue;
                     }
-                    2 if m > 0 => {
+                    Some(_) => {
                         let draws: Vec<(EdgeId, f64)> = (0..rng.gen_range(1..6))
                             .map(|_| (EdgeId(rng.gen_range(0..m)), rng.gen_range(0.5..2.0)))
                             .collect();
                         lazy.scale_edges_clamped(&draws, (0.0, 3.0));
-                        continue;
                     }
-                    3 => b = a,
-                    4 if m > 0 => {
-                        let edge = lazy.graph().edge(EdgeId(x % m));
-                        (a, b) = if y % 2 == 0 { (edge.a, edge.b) } else { (edge.b, edge.a) };
-                    }
-                    _ => {}
+                    None => {}
                 }
-                let resident = lazy.cache.borrow().rows[a.index()].is_some();
-                let before = lazy.stats();
-                let got = lazy.latency_pair(a, b);
-                let want = single_source(lazy.graph(), a)[b.index()];
-                prop_assert_eq!((a, b, got.to_bits()), (a, b, want.to_bits()));
-                let after = lazy.stats();
-                prop_assert_eq!(after.rows_computed, before.rows_computed);
-                prop_assert_eq!(after.rows_cached, before.rows_cached);
-                let searched = u64::from(!resident && a != b);
-                prop_assert_eq!(after.pairs_searched, before.pairs_searched + searched);
-                prop_assert_eq!(after.cache_hits, before.cache_hits + u64::from(resident));
             }
         }
     }
 
-    /// The pair search's buffers exist only once a search has run, and
-    /// a search leaves them clean: every label back at `INFINITY`, both
-    /// heaps and touched-lists empty.
+    /// The goal-directed read and the reversed bidirectional search where
+    /// rounding decides: jittered transit-stub graphs, and grids whose
+    /// equal-length paths tie exactly (weight 1) or sum to different last
+    /// bits (weight 0.1). Every `(a, b)` read with `b`'s row resident and
+    /// `a`'s not, and every reverse a fresh reader derives, equals
+    /// `single_source` bit for bit.
+    #[test]
+    fn goal_directed_and_reversed_reads_equal_the_row_on_ties() {
+        let mut graphs: Vec<Graph> = vec![grid(9, 9, 1.0).graph, grid(9, 9, 0.1).graph];
+        for seed in [3, 41, 97] {
+            let mut lazy =
+                LazyLatency::new(generate(&TransitStubConfig::with_total_nodes(90), seed).graph);
+            let mut rng = rng_from_seed(seed);
+            let m = lazy.graph().num_edges() as u32;
+            let draws: Vec<(EdgeId, f64)> =
+                (0..m).map(|e| (EdgeId(e), rng.gen_range(0.5..2.0))).collect();
+            lazy.scale_edges_clamped(&draws, (0.25, 4.0));
+            graphs.push(lazy.graph().clone());
+        }
+        for graph in graphs {
+            let n = graph.num_nodes() as u32;
+            let rows: Vec<Vec<f64>> = (0..n).map(|v| single_source(&graph, NodeId(v))).collect();
+            let lazy = LazyLatency::new(graph);
+            for a in 0..n {
+                for b in 0..n {
+                    let pairs = lazy.pair_reader();
+                    let (a, b) = (NodeId(a), NodeId(b));
+                    assert_eq!(pairs.latency(a, b).to_bits(), rows[a.index()][b.index()].to_bits());
+                    assert_eq!(pairs.latency(b, a).to_bits(), rows[b.index()][a.index()].to_bits());
+                }
+            }
+            let s = lazy.stats();
+            let pairs = (n * (n - 1)) as u64;
+            assert_eq!(
+                (s.pairs_searched, s.pair_memo_hits),
+                (pairs, pairs),
+                "each reverse memoised"
+            );
+            let receivers: Vec<NodeId> = (0..n).step_by(7).map(NodeId).collect();
+            lazy.ensure_rows(&receivers, None);
+            let pairs = lazy.pair_reader();
+            for a in (0..n).map(NodeId).filter(|a| !receivers.contains(a)) {
+                for &b in &receivers {
+                    assert_eq!(pairs.latency(a, b).to_bits(), rows[a.index()][b.index()].to_bits());
+                }
+            }
+            let goal = lazy.stats().pairs_goal_directed;
+            assert_eq!(goal, (n as usize - receivers.len()) as u64 * receivers.len() as u64);
+        }
+    }
+
+    /// The search buffers exist only once a search has run, and every
+    /// search — goal-directed, bidirectional, reversed — leaves them
+    /// clean: every label back at `INFINITY`, both heaps and touched-lists
+    /// empty.
     #[test]
     fn pair_scratch_is_allocated_by_the_first_search_and_left_clean() {
         let lazy = LazyLatency::new(grid(6, 6, 1.0).graph);
         lazy.latency(NodeId(0), NodeId(35));
-        lazy.latency_pair(NodeId(0), NodeId(35));
-        lazy.latency_pair(NodeId(3), NodeId(3));
+        let pairs = lazy.pair_reader();
+        pairs.latency(NodeId(0), NodeId(35));
+        pairs.latency(NodeId(3), NodeId(3));
         assert!(lazy.cache.borrow().pair.is_none(), "row reads and a == b search nothing");
-        assert_eq!(lazy.latency_pair(NodeId(35), NodeId(0)), 10.0);
+        assert_eq!(pairs.latency(NodeId(35), NodeId(0)), 10.0);
+        assert_eq!(pairs.latency(NodeId(7), NodeId(20)), 3.0);
+        assert_eq!(pairs.latency(NodeId(20), NodeId(7)), 3.0);
         let cache = lazy.cache.borrow();
         let pair = cache.pair.as_deref().expect("allocated by the search");
         for side in [&pair.fwd, &pair.bwd] {
@@ -1499,7 +1765,8 @@ mod tests {
             assert!(side.dist.iter().all(|d| *d == f64::INFINITY));
             assert!(side.heap.is_empty() && side.touched.is_empty());
         }
-        assert_eq!(cache.stats.pairs_searched, 1);
+        let s = cache.stats;
+        assert_eq!((s.pairs_goal_directed, s.pairs_searched, s.pair_memo_hits), (1, 1, 1));
     }
 
     #[test]

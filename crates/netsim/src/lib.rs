@@ -54,16 +54,23 @@
 //!   shortest-path relaxation reads the graph through. The adjacency is
 //!   one CSR with the weights inline, derived on the first search and
 //!   dropped by `add_node` / `add_edge`; an unsearched graph holds none.
-//! * [`dijkstra`] — the one relaxation loop and its pop order (distance,
-//!   then node id): fresh rows, path search, both repair phases and both
-//!   sides of the point-to-point search run it.
+//! * [`dijkstra`] — the one relaxation loop and its pop order (key, then
+//!   node id): fresh rows, path search, both repair phases, both sides of
+//!   the bidirectional pair search and the goal-directed pair read run it.
+//!   The key is the label, plus — in the goal-directed read alone — a
+//!   potential, the goal's own resident row (A*).
 //! * [`lazy::LazyLatency`] — the mutable graph, the *base* edge weights,
 //!   the jitter step ([`lazy::LazyLatency::scale_edges_clamped`]), the
-//!   delta log with its one edge-batch dedup, the row cache, and the
-//!   row-free point-to-point read ([`lazy::LazyLatency::latency_pair`]).
+//!   delta log with its one edge-batch dedup, and the row cache.
+//! * [`lazy::PairReader`] — row-free point-to-point reads over a borrow of
+//!   that provider: a resident sender row, else its memo of the pairs it
+//!   already knows, else a goal-directed search toward a current receiver
+//!   row, else one bidirectional search, which also yields the reverse pair.
+//!   The borrow freezes the graph, so the memo lives exactly as long as the
+//!   reader.
 //! * `sbon_overlay`'s `LatencyState` — the backend choice, under the dense
-//!   backend the all-pairs matrix derived from that graph, and the pair
-//!   read routed messages are priced with.
+//!   backend the all-pairs matrix derived from that graph, and the reader
+//!   each routed settle prices its messages with.
 //! * `sbon_overlay`'s `LinkTraffic` — per-edge rate multisets, keyed by the
 //!   edges [`dijkstra::shortest_path`] returns.
 //! * [`latency::euclidean`] — the one Euclidean distance, shared by the

@@ -1,6 +1,7 @@
 //! Ground-truth latency state: the backend choice, the dense matrix it may
 //! call for, row prewarm for the lazy backend, the row-free point-to-point
-//! read that prices routed messages, and the per-tick jitter draw.
+//! reader that prices a settle's routed messages, and the per-tick jitter
+//! draw.
 //! `LatencyState` is self-contained — no method takes
 //! [`OverlayRuntime`]; the jitter step borrows the run RNG and
 //! [`RuntimeObs`] from its caller.
@@ -13,7 +14,7 @@ use rand::Rng;
 use sbon_netsim::dijkstra::all_pairs_latency;
 use sbon_netsim::graph::{EdgeId, Graph, NodeId};
 use sbon_netsim::latency::{LatencyMatrix, LatencyProvider};
-use sbon_netsim::lazy::{LazyLatency, LazyLatencyStats};
+use sbon_netsim::lazy::{LazyLatency, LazyLatencyStats, PairReader};
 
 use super::config::{JitterModel, LatencyBackend};
 use super::stats::RuntimeObs;
@@ -29,8 +30,8 @@ pub(super) struct LatencyState {
     /// every read — `lazy`'s row cache stays empty — and is re-derived
     /// from `lazy`'s graph after each jitter batch.
     dense: Option<LatencyMatrix>,
-    /// The reference `latency_pair` is pinned against: price every pair
-    /// with the row-faulting `provider().latency(a, b)` it replaced.
+    /// The reference [`PairRead`] is pinned against: price every pair with
+    /// the row-faulting `provider().latency(a, b)` it replaced.
     #[cfg(test)]
     pub(super) pairs_by_rows: bool,
 }
@@ -60,18 +61,18 @@ impl LatencyState {
         }
     }
 
-    /// One point-to-point latency, for a reader that needs no row of its
-    /// own — a routed message's delay: the matrix under the dense backend,
-    /// [`LazyLatency::latency_pair`] under the lazy one. Either way the
-    /// value is bit-identical to `provider().latency(a, b)`.
-    pub(super) fn latency_pair(&self, a: NodeId, b: NodeId) -> f64 {
+    /// Point-to-point latencies for readers that need no row of their own —
+    /// one settle's routed message delays: the matrix under the dense
+    /// backend, a [`PairReader`] under the lazy one. Either way each value
+    /// is bit-identical to `provider().latency(a, b)`.
+    pub(super) fn pair_reader(&self) -> PairRead<'_> {
         #[cfg(test)]
         if self.pairs_by_rows {
-            return self.provider().latency(a, b);
+            return PairRead::Rows(self.provider());
         }
         match &self.dense {
-            Some(matrix) => matrix.latency(a, b),
-            None => self.lazy.latency_pair(a, b),
+            Some(matrix) => PairRead::Matrix(matrix),
+            None => PairRead::Lazy(self.lazy.pair_reader()),
         }
     }
 
@@ -124,6 +125,27 @@ impl LatencyState {
             None => ("rows_stale", self.lazy.rows_stale().into()),
         };
         obs.point("latency.repair", || vec![("edges", edges.into()), derived]);
+    }
+}
+
+/// What [`LatencyState::pair_reader`] hands out. It borrows the state, so
+/// no jitter batch lands while it lives.
+pub(super) enum PairRead<'a> {
+    Matrix(&'a LatencyMatrix),
+    Lazy(PairReader<'a>),
+    #[cfg(test)]
+    Rows(&'a dyn LatencyProvider),
+}
+
+impl PairRead<'_> {
+    /// The latency from `a` to `b`.
+    pub(super) fn latency(&self, a: NodeId, b: NodeId) -> f64 {
+        match self {
+            PairRead::Matrix(matrix) => matrix.latency(a, b),
+            PairRead::Lazy(reader) => reader.latency(a, b),
+            #[cfg(test)]
+            PairRead::Rows(provider) => provider.latency(a, b),
+        }
     }
 }
 

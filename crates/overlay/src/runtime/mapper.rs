@@ -4,11 +4,15 @@
 //! method takes [`OverlayRuntime`]; `settle` borrows the [`LatencyState`]
 //! and [`RuntimeObs`] from its caller.
 //!
-//! A routed message's delay is `LatencyState::latency_pair(sender,
-//! receiver)` — the dense matrix, or the lazy backend's row-free
-//! point-to-point read, bit-identical to the row value — so settling faults
-//! in no latency row. The one row `settle` makes resident is the origin
-//! member's, which sends every lookup request of the run.
+//! A settle prices every routed message through one
+//! `LatencyState::pair_reader` — the dense matrix, or the lazy backend's
+//! row-free `PairReader`, each value bit-identical to the row's — so
+//! settling faults in no latency row. The one row `settle` makes resident
+//! is the origin member's, which sends every lookup request of the run:
+//! the reader serves those requests from it, and aims each reply to the
+//! origin at it (a goal-directed search of a few vertices). A registration
+//! is a `Register` and its `Ack`: when neither end has a row, the reader's
+//! one bidirectional search prices both, the `Ack` from its memo.
 //!
 //! `impl OverlayRuntime` here **reads** `mapper` and writes nothing.
 
@@ -121,10 +125,11 @@ impl MapperState {
     /// backends. Runs only on serial paths (tick boundaries, deploy,
     /// failure handling), so thread count never touches the routed clock.
     ///
-    /// Each message is priced by [`LatencyState::latency_pair`]. Iterative
-    /// routing sends every lookup request from the origin member, so its
-    /// row is prewarmed first and serves those; every other delay is a
-    /// point-to-point read that caches nothing.
+    /// Every message is priced by one [`LatencyState::pair_reader`], which
+    /// lives as long as the settle. Iterative routing sends every lookup
+    /// request from the origin member, so its row is prewarmed first and
+    /// serves those; every other delay is a point-to-point read that caches
+    /// no row.
     pub(super) fn settle(&mut self, at: SimTime, latency: &LatencyState, obs: &mut RuntimeObs) {
         let MapperState::Routed(m) = self else { return };
         if m.pending_traffic() == 0 && m.routed().is_quiescent() {
@@ -138,7 +143,8 @@ impl MapperState {
             [rs.messages, rs.lookups, rs.registrations, rs.timeouts]
         };
         let before = counts(m);
-        let link = |a: u32, b: u32| latency.latency_pair(NodeId(a), NodeId(b));
+        let pairs = latency.pair_reader();
+        let link = |a: u32, b: u32| pairs.latency(NodeId(a), NodeId(b));
         m.settle(at, &link);
         let after = counts(m);
         let [msgs, lookups, regs, timeouts] = std::array::from_fn(|i| after[i] - before[i]);

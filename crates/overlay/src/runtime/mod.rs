@@ -335,8 +335,10 @@ impl OverlayRuntime {
                 // Routed backend: replay the tick's parked registrations
                 // (and any deploy-time lookups since the last boundary) as
                 // message traffic over the *current* (possibly jittered)
-                // latencies.
+                // latencies. (A failure's settle bills to `evac_ns`.)
+                let t_settle = WallTimer::start();
                 self.mapper.settle(now, &self.latency, &mut self.obs);
+                self.obs.registry.inc(self.obs.h.settle_ns, t_settle.elapsed_ns());
                 // Accrue usage over the elapsed tick (usage·seconds). The
                 // prewarm shards the tick's missing shortest-path rows
                 // across the pool; the accounting pass then reads cached

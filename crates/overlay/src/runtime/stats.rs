@@ -64,8 +64,13 @@ pub struct ControlPlaneStats {
     /// Wall time in full re-optimization passes.
     pub full_reopt_ns: u128,
     /// Wall time in failure handling: teardown cascade plus service
-    /// evacuation.
+    /// evacuation (and the routed settle of its lookups).
     pub evac_ns: u128,
+    /// Wall time in the routed settle at each tick: pricing and replaying
+    /// the tick's parked lookups and registrations as messages, the origin
+    /// row's prewarm included. Near zero under the other backends, whose
+    /// settle is a no-op.
+    pub settle_ns: u128,
     /// Circuit evaluations actually run by the adaptation passes (summed
     /// over local/rewrite/full events).
     pub reopt_evaluated: usize,
@@ -114,13 +119,14 @@ impl std::fmt::Display for ControlPlaneStats {
         writeln!(
             f,
             "  wall time (ms): join {:.1} | refresh {:.1} | local re-opt {:.1} | rewrite {:.1} \
-             | full re-opt {:.1} | evac {:.1} | usage reads {:.1}",
+             | full re-opt {:.1} | evac {:.1} | settle {:.1} | usage reads {:.1}",
             ms(self.join_ns),
             ms(self.refresh_ns),
             ms(self.local_reopt_ns),
             ms(self.rewrite_ns),
             ms(self.full_reopt_ns),
             ms(self.evac_ns),
+            ms(self.settle_ns),
             ms(self.usage_ns),
         )?;
         let candidates = self.reopt_evaluated + self.reopt_skipped;
@@ -175,6 +181,7 @@ pub(super) struct StatHandles {
     pub(super) rewrite_ns: CounterId,
     pub(super) full_reopt_ns: CounterId,
     pub(super) evac_ns: CounterId,
+    pub(super) settle_ns: CounterId,
     pub(super) reopt_evaluated: CounterId,
     pub(super) reopt_skipped: CounterId,
     pub(super) candidates_pruned: CounterId,
@@ -222,6 +229,7 @@ impl RuntimeObs {
             rewrite_ns: registry.counter("control_plane", "rewrite_ns"),
             full_reopt_ns: registry.counter("control_plane", "full_reopt_ns"),
             evac_ns: registry.counter("control_plane", "evac_ns"),
+            settle_ns: registry.counter("control_plane", "settle_ns"),
             reopt_evaluated: registry.counter("control_plane", "reopt_evaluated"),
             reopt_skipped: registry.counter("control_plane", "reopt_skipped"),
             candidates_pruned: registry.counter("control_plane", "candidates_pruned"),
@@ -343,6 +351,7 @@ impl OverlayRuntime {
             rewrite_ns: u128::from(r.counter_value(h.rewrite_ns)),
             full_reopt_ns: u128::from(r.counter_value(h.full_reopt_ns)),
             evac_ns: u128::from(r.counter_value(h.evac_ns)),
+            settle_ns: u128::from(r.counter_value(h.settle_ns)),
             reopt_evaluated: r.counter_value(h.reopt_evaluated) as usize,
             reopt_skipped: r.counter_value(h.reopt_skipped) as usize,
             candidates_pruned: r.counter_value(h.candidates_pruned) as usize,

@@ -4,7 +4,8 @@
 //! winner's link-source hosts that are not resident yet. Under the routed
 //! mapper the deploy's lookups are then settled as messages, priced by
 //! row-free point-to-point reads; the one row that settle makes resident is
-//! the origin member's, which sends every lookup request.
+//! the origin member's, which sends every lookup request and receives every
+//! reply.
 
 use std::collections::BTreeSet;
 
@@ -60,7 +61,8 @@ fn deploy_rows(backend: MapperBackend) -> usize {
     }
     assert!(origin_rows <= 1, "the origin's row stays resident once computed");
     assert_eq!(rows(&rt).rows_cached, resident.len() + origin_rows);
-    assert_eq!(rows(&rt).pairs_searched > 0, rt.routed_stats().is_some());
+    // Every reply to the origin is aimed at its resident row.
+    assert_eq!(rows(&rt).pairs_goal_directed > 0, rt.routed_stats().is_some());
     origin_rows
 }
 

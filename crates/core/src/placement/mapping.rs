@@ -50,8 +50,6 @@
 //!   when routed traffic settles, and charging a view's deferred traffic
 //!   back ([`CoordinateCatalog::charge_stats`]).
 
-use std::collections::BTreeMap;
-
 use sbon_dht::catalog::{CatalogStats, CoordinateCatalog, ScanSpan, TracedLookup};
 use sbon_dht::proto::{LinkFn, ProtoConfig, QueryId, RoutedCatalog, RoutedLookup, RoutedStats};
 use sbon_dht::RingKey;
@@ -599,7 +597,8 @@ enum ViewSource<'a> {
 /// [`CoordinateCatalog::charge_stats`]) and every scanned ring region is
 /// recorded, so the evaluation's full read set is known when it finishes.
 /// A per-view memo collapses repeated lookups of **bit-identical** ideal
-/// points (keyed on the exact `f64` bit patterns). The catalog never
+/// points (keyed on the exact `f64` bit patterns, held flat and scanned in
+/// order, so a lookup allocates no key of its own). The catalog never
 /// mutates during a view's lifetime, so a memo hit returns exactly what the
 /// lookup would have; it charges no new traffic and records no new span —
 /// the first miss already recorded the covering span.
@@ -610,7 +609,11 @@ pub struct MapperReadView<'a> {
     source: ViewSource<'a>,
     stats: CatalogStats,
     spans: Vec<ScanSpan>,
-    memo: BTreeMap<Vec<u64>, (NodeId, usize)>,
+    /// The memo's keys: each answered ideal point's coordinate bits, flat
+    /// with stride `dims`, in the order of `memo`.
+    memo_keys: Vec<u64>,
+    /// The memo's answers.
+    memo: Vec<(NodeId, usize)>,
 }
 
 impl<'a> MapperReadView<'a> {
@@ -626,7 +629,8 @@ impl<'a> MapperReadView<'a> {
             source,
             stats: CatalogStats::default(),
             spans: Vec::new(),
-            memo: BTreeMap::new(),
+            memo_keys: Vec::new(),
+            memo: Vec::new(),
         }
     }
 
@@ -643,15 +647,17 @@ impl PhysicalMapper for MapperReadView<'_> {
             ViewSource::Catalog(catalog) => catalog,
             ViewSource::Oracle(live) => return live.map_point_ro(space, ideal),
         };
-        let key: Vec<u64> = ideal.as_slice().iter().map(|v| v.to_bits()).collect();
-        if let Some(&answer) = self.memo.get(&key) {
-            return answer;
+        let coords = ideal.as_slice();
+        let same = |key: &[u64]| key.iter().zip(coords).all(|(&bits, v)| bits == v.to_bits());
+        if let Some(i) = self.memo_keys.chunks_exact(coords.len()).position(same) {
+            return self.memo[i];
         }
         let traced = lookup_traced(catalog, ideal);
         self.stats.merge(traced.stats);
         self.spans.push(traced.span);
         let answer = (NodeId(traced.member), traced.hops);
-        self.memo.insert(key, answer);
+        self.memo_keys.extend(coords.iter().map(|v| v.to_bits()));
+        self.memo.push(answer);
         answer
     }
 

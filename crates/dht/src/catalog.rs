@@ -153,13 +153,16 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
         self.scan_width
     }
 
-    /// The ring key a coordinate maps to.
+    /// The ring key a coordinate maps to. Quantizes and encodes on the
+    /// stack: a curve has at most 128 dimensions (`dims × bits ≤ 128`).
     pub fn key_of(&self, coord: &[f64]) -> RingKey {
-        let cell = self.quantizer.quantize(coord);
+        let mut cell = [0u32; 128];
+        let cell = &mut cell[..self.quantizer.dims()];
+        self.quantizer.quantize_into(coord, cell);
         // Left-align the curve key in the 128-bit ring so keys spread over
         // the whole identifier circle.
         let used_bits = (self.curve.dims() as u32) * self.curve.bits();
-        let key = self.curve.encode(&cell);
+        let key = self.curve.encode(cell);
         if used_bits >= 128 {
             key
         } else {
@@ -233,22 +236,22 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
         let key = self.key_of(target);
         let start = self.ring.iter().next()?.0;
         let outcome = self.ring.lookup(start, key)?;
-        let neighborhood = self.ring.neighbors(key, self.scan_width);
-        let stats = CatalogStats {
-            lookups: 1,
-            hops: outcome.hops,
-            candidates_examined: neighborhood.len(),
-        };
-        let radius = neighborhood.iter().map(|&(k, _)| ring_proximity(k, key)).max().unwrap_or(0);
-        let span =
-            ScanSpan { center: key, radius, whole_ring: neighborhood.len() == self.ring.len() };
-
-        let best = neighborhood.into_iter().map(|(_, m)| m).min_by(|&a, &b| {
-            let da = self.distance_to(a, target);
-            let db = self.distance_to(b, target);
-            da.total_cmp(&db)
-        })?;
-        Some(TracedLookup { member: best, hops: outcome.hops, span, stats })
+        // One pass over the neighbourhood: its size, its ring radius, and
+        // the first member at the least cost-space distance.
+        let (mut examined, mut radius) = (0, 0);
+        let mut best: Option<(f64, MemberId)> = None;
+        for (k, m) in self.ring.walk_outward(key, self.scan_width) {
+            examined += 1;
+            radius = radius.max(ring_proximity(k, key));
+            let d = self.distance_to(m, target);
+            if best.is_none_or(|(bd, _)| d.total_cmp(&bd).is_lt()) {
+                best = Some((d, m));
+            }
+        }
+        let (_, member) = best?;
+        let stats = CatalogStats { lookups: 1, hops: outcome.hops, candidates_examined: examined };
+        let span = ScanSpan { center: key, radius, whole_ring: examined == self.ring.len() };
+        Some(TracedLookup { member, hops: outcome.hops, span, stats })
     }
 
     /// Applies a traffic delta observed by a read-only view (traced lookups

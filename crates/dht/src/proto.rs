@@ -910,10 +910,10 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
         target_key: RingKey,
         target: &[f64],
     ) -> (MemberId, u32) {
-        let hood = self.catalog.ring().neighbors(target_key, self.catalog.scan_width());
+        let hood = self.catalog.ring().walk_outward(target_key, self.catalog.scan_width());
         let mut best: Option<(f64, MemberId)> = None;
         let mut candidates = 0u32;
-        for &(_, m) in &hood {
+        for (_, m) in hood {
             if !self.reachable(answerer, m) {
                 continue;
             }

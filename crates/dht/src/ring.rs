@@ -9,27 +9,34 @@
 //!
 //! # Per-update cost model
 //!
-//! Members live in a `BTreeMap<RingKey, MemberId>` plus a member→key index
+//! Writes go to a `BTreeMap<RingKey, MemberId>` plus a member→key index
 //! that is dense by member id — a member holds exactly one key, and the
 //! index is sized by the highest id ever joined (callers number members
 //! densely: node ids, recycled instance ids). So **every maintenance
-//! primitive is `O(log n)`**: `join` is an ordered insert (plus a clockwise
-//! probe over the — almost always empty — run of colliding keys) and one
-//! slot write, `leave` is one slot read and one ordered removal, and
-//! `successor`/`predecessor`/`neighbors` are ordered range scans. The
-//! original `Vec`-backed ring answered the same queries from one sorted
-//! array, which made join/leave a binary search **plus an `O(n)` memmove**
-//! — fine at the paper's 600-node scale, the bottleneck at 100k+ members
-//! (`bench_control_plane` measures the difference). The two representations
-//! are behaviourally identical; the `btree_ring_matches_vec_reference`
-//! property test pins the new ring bit-for-bit against the seed Vec
-//! implementation over random join/leave/lookup interleavings.
+//! primitive is `O(log n)`**, at 100k members too: `join` is an ordered
+//! insert (plus a clockwise probe over the — almost always empty — run of
+//! colliding keys) and one slot write, `leave` is one slot read and one
+//! ordered removal. (The seed's sorted `Vec` paid an `O(n)` memmove per
+//! update; `bench_control_plane` measures the difference.)
+//!
+//! Reads go to the **derived order**: the members in key order as two
+//! parallel arrays (keys, members), built from the B-tree on the first read
+//! after a `join` or `leave` — which drop it — and shared by every read
+//! until the next write, like `Graph`'s derived adjacency in `sbon_netsim`.
+//! `successor` and `predecessor` are one binary search each, `neighbors` an
+//! index walk outward from one, and a `lookup` hop one binary search. A
+//! control-plane step writes its keys first and reads afterwards, so a
+//! write batch costs one `O(n)` rebuild, not one per write. The reads are
+//! pinned to the B-tree walks they replaced by
+//! `derived_order_reads_equal_the_btree_walks`, and the ring as a whole to
+//! the seed Vec ring by `btree_ring_matches_vec_reference`.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use rand::Rng;
 
-use crate::id::{clockwise_dist, in_open_closed, RingKey};
+use crate::id::{clockwise_dist, RingKey};
 
 /// External node identity stored on the ring (the simulator's physical node
 /// id). Kept distinct from [`RingKey`]: a node's *key* derives from its
@@ -62,24 +69,53 @@ pub struct LookupOutcome {
     pub hops: usize,
 }
 
+/// The members in key order as two parallel arrays — what every read walks.
+#[derive(Clone, Debug, Default)]
+struct Order {
+    keys: Vec<RingKey>,
+    members: Vec<MemberId>,
+}
+
+impl Order {
+    /// How many members hold a key below `key`: the index of `key`'s
+    /// successor, or `len` when it wraps to index 0.
+    fn rank(&self, key: RingKey) -> usize {
+        self.keys.partition_point(|&k| k < key)
+    }
+
+    /// The index of the first member with key ≥ `key`, wrapping. The ring
+    /// must not be empty.
+    fn successor(&self, key: RingKey) -> usize {
+        self.rank(key) % self.keys.len()
+    }
+
+    fn entry(&self, i: usize) -> (RingKey, MemberId) {
+        (self.keys[i], self.members[i])
+    }
+}
+
 /// A Chord-style ring over the full `u128` key space.
 ///
-/// See the [module docs](self) for the `O(log n)` per-update cost model.
+/// See the [module docs](self) for the cost model: `O(log n)` writes to a
+/// B-tree, reads from an order derived from it.
 #[derive(Clone, Debug, Default)]
 pub struct DhtRing {
-    /// Members ordered by ring key. Invariant: exactly the entries recorded
-    /// in `keys`, one per member.
+    /// Members ordered by ring key — the one write structure. Invariant:
+    /// exactly the entries recorded in `keys`, one per member.
     members: BTreeMap<RingKey, MemberId>,
     /// `keys[member]` = the key the member holds (dense by `MemberId`), so
     /// `leave` needs no ring scan.
     keys: Vec<Option<RingKey>>,
+    /// `members` as flat sorted arrays, derived on the first read after a
+    /// write and dropped by `join` / `leave`.
+    order: OnceLock<Order>,
     config: DhtConfig,
 }
 
 impl DhtRing {
     /// An empty ring.
     pub fn new(config: DhtConfig) -> Self {
-        DhtRing { members: BTreeMap::new(), keys: Vec::new(), config }
+        DhtRing { config, ..DhtRing::default() }
     }
 
     /// Number of members.
@@ -97,9 +133,18 @@ impl DhtRing {
         self.members.is_empty()
     }
 
+    /// The derived order, built from `members` if a write dropped it.
+    fn order(&self) -> &Order {
+        self.order.get_or_init(|| {
+            let (keys, members) = self.members.iter().map(|(&k, &m)| (k, m)).unzip();
+            Order { keys, members }
+        })
+    }
+
     /// Iterates `(key, member)` in ring order.
     pub fn iter(&self) -> impl Iterator<Item = (RingKey, MemberId)> + '_ {
-        self.members.iter().map(|(&k, &m)| (k, m))
+        let order = self.order();
+        order.keys.iter().copied().zip(order.members.iter().copied())
     }
 
     /// The key `member` currently holds (the exact post-probing key
@@ -119,6 +164,7 @@ impl DhtRing {
         let key = self.first_free_key(key);
         let evicted = self.members.insert(key, member);
         debug_assert!(evicted.is_none(), "probe must land on a free key");
+        self.order = OnceLock::new();
         let idx = member as usize;
         if self.keys.len() <= idx {
             self.keys.resize(idx + 1, None);
@@ -157,82 +203,66 @@ impl DhtRing {
         };
         let entry = self.members.remove(&key);
         debug_assert_eq!(entry, Some(member), "member→key index tracks ring entries");
+        self.order = OnceLock::new();
         usize::from(entry.is_some())
     }
 
     /// The member owning `key`: its successor on the ring (first member with
     /// key ≥ target, wrapping). `None` on an empty ring.
     pub fn successor(&self, key: RingKey) -> Option<(RingKey, MemberId)> {
-        self.members
-            .range(key..)
-            .next()
-            .or_else(|| self.members.iter().next())
-            .map(|(&k, &m)| (k, m))
+        let order = self.order();
+        (!order.keys.is_empty()).then(|| order.entry(order.successor(key)))
     }
 
     /// The member strictly preceding `key` on the ring (largest key < target,
     /// wrapping). `None` on an empty ring.
     pub fn predecessor(&self, key: RingKey) -> Option<(RingKey, MemberId)> {
-        self.members
-            .range(..key)
-            .next_back()
-            .or_else(|| self.members.iter().next_back())
-            .map(|(&k, &m)| (k, m))
+        let order = self.order();
+        let n = order.keys.len();
+        (n > 0).then(|| order.entry((order.rank(key) + n - 1) % n))
     }
 
     /// Walks the ring outward from `key` in both directions, yielding up to
     /// `count` distinct members in order of ring proximity. This is the
     /// catalog's radius-search primitive.
     ///
-    /// No ring entry can be emitted twice, for any `count` (including
-    /// `count ≥ n`) — and hence no member either, given each holds one key
-    /// ([`DhtRing::join`] rejects a second for the same member): the walk draws
-    /// from two full-cycle cursors — clockwise from the target's successor,
-    /// counter-clockwise from its predecessor — and stops after
-    /// `min(count, n)` picks. After `f` clockwise and `b` counter-clockwise
-    /// picks the two consumed arcs overlap only if `f + b > n`, which the
-    /// cap makes unreachable; at the boundary `f + b = n` the arcs exactly
-    /// tile the ring. (The seed Vec ring's index arithmetic relied on the
-    /// same invariant implicitly; the cursor form also terminates
-    /// structurally instead of trusting modular stepping, and is pinned by
-    /// regression tests at `count ∈ {n−1, n, n+1}`.)
+    /// Two cursors walk the derived order: clockwise from the target's
+    /// successor, counter-clockwise from its predecessor. Each step takes
+    /// the nearer one's entry — the clockwise one on a tie — and the walk
+    /// stops after `min(count, n)` picks. No ring entry can be emitted twice,
+    /// for any `count` (and hence no member, given each holds one key): after
+    /// `f` clockwise and `b` counter-clockwise picks the two consumed arcs
+    /// overlap only if `f + b > n`, which the cap makes unreachable; at
+    /// `f + b = n` they exactly tile the ring. Regression tests pin this at
+    /// `count ∈ {n−1, n, n+1}`.
     pub fn neighbors(&self, key: RingKey, count: usize) -> Vec<(RingKey, MemberId)> {
-        let n = self.members.len();
-        if n == 0 || count == 0 {
-            return Vec::new();
-        }
-        let take = count.min(n);
-        // Clockwise cycle starting at successor(key); counter-clockwise
-        // cycle starting at predecessor(key). Each cursor visits every
-        // member exactly once.
-        let mut fwd = self.members.range(key..).chain(self.members.range(..key)).peekable();
-        let mut bwd =
-            self.members.range(..key).rev().chain(self.members.range(key..).rev()).peekable();
-        let mut out = Vec::with_capacity(take);
-        while out.len() < take {
-            let pick_fwd = match (fwd.peek(), bwd.peek()) {
-                (Some(&(&fk, _)), Some(&(&bk, _))) => {
-                    clockwise_dist(key, fk) <= clockwise_dist(bk, key)
-                }
-                (Some(_), None) => true,
-                // Both cursors exhausted before `take` picks is impossible
-                // (each holds n ≥ take items); bail rather than spin.
-                (None, _) => false,
-            };
-            match if pick_fwd { fwd.next() } else { bwd.next() } {
-                Some((&k, &m)) => out.push((k, m)),
-                None => break,
+        self.walk_outward(key, count).collect()
+    }
+
+    /// [`DhtRing::neighbors`] without the `Vec`: the same picks in the same
+    /// order.
+    pub(crate) fn walk_outward(
+        &self,
+        key: RingKey,
+        count: usize,
+    ) -> impl Iterator<Item = (RingKey, MemberId)> + '_ {
+        let order = self.order();
+        let n = order.keys.len();
+        // The next clockwise pick is `cw % n`, the next counter-clockwise
+        // one `(ccw − 1) % n`; `ccw` starts a full turn up so it never
+        // underflows.
+        let mut cw = order.rank(key);
+        let mut ccw = cw + n;
+        (0..count.min(n)).map(move |_| {
+            let (fwd, bwd) = (cw % n, (ccw - 1) % n);
+            if clockwise_dist(key, order.keys[fwd]) <= clockwise_dist(order.keys[bwd], key) {
+                cw += 1;
+                order.entry(fwd)
+            } else {
+                ccw -= 1;
+                order.entry(bwd)
             }
-        }
-        debug_assert!(
-            {
-                let mut ks: Vec<RingKey> = out.iter().map(|&(k, _)| k).collect();
-                ks.sort_unstable();
-                ks.windows(2).all(|w| w[0] != w[1])
-            },
-            "neighbors must never emit a ring entry twice"
-        );
-        out
+        })
     }
 
     /// Iterative greedy finger lookup of `target`, starting from the member
@@ -242,105 +272,129 @@ impl DhtRing {
     /// Each member's finger `i` points at `successor(own_key + 2^i)`; greedy
     /// routing forwards to the finger most closely *preceding* the target,
     /// giving the classic O(log n) expected hops.
+    ///
+    /// Each hop is one binary search. With `p` the target's predecessor: a
+    /// probe `cur + 2^i` short of the target has its successor strictly
+    /// inside `(cur, target)` iff some member lies in `[probe, target)`, iff
+    /// `p` does, iff `cw(cur, p) ≥ 2^i`. So the largest finger inside is
+    /// level `min(⌊log2 cw(cur, p)⌋, finger_bits − 1)` — the hop a top-down
+    /// finger scan takes — and the target lies in `(cur, successor(cur)]`
+    /// iff `cur == p`.
     pub fn lookup(&self, start_key: RingKey, target: RingKey) -> Option<LookupOutcome> {
-        if self.members.is_empty() {
+        let order = self.order();
+        let n = order.keys.len();
+        if n == 0 {
             return None;
         }
-        let (mut cur_key, cur_member) = self.successor(start_key)?;
+        let (mut cur, start_member) = order.entry(order.successor(start_key));
         // The starting member already owns the target (exact hit on its key).
-        if target == cur_key {
-            return Some(LookupOutcome { owner: cur_member, owner_key: cur_key, hops: 0 });
+        if target == cur {
+            return Some(LookupOutcome { owner: start_member, owner_key: cur, hops: 0 });
         }
+        let owner = order.successor(target);
+        let pred = order.keys[(owner + n - 1) % n];
+        let found = |hops| {
+            let (owner_key, owner) = order.entry(owner);
+            Some(LookupOutcome { owner, owner_key, hops })
+        };
         let mut hops = 0usize;
         // Hard bound to guarantee termination even on adversarial inputs:
         // 2 × finger bits is far above the expected log2(n).
         let max_hops = (2 * self.config.finger_bits as usize).max(8);
-
         loop {
             // Chord: if target ∈ (cur, successor(cur)] the successor owns it.
-            let (succ_key, succ_member) = self.successor(cur_key.wrapping_add(1))?;
-            if in_open_closed(target, cur_key, succ_key) {
-                return Some(LookupOutcome {
-                    owner: succ_member,
-                    owner_key: succ_key,
-                    hops: hops + 1,
-                });
-            }
-            // Otherwise forward to the closest preceding finger: the largest
-            // finger of `cur` that lands strictly inside (cur, target).
-            let mut next: Option<RingKey> = None;
-            let levels = finger_levels_inside(clockwise_dist(cur_key, target));
-            for i in (0..levels.min(self.config.finger_bits)).rev() {
-                let probe = cur_key.wrapping_add(1u128 << i);
-                let (fk, _) = self.successor(probe)?;
-                if fk != cur_key && crate::id::in_open_open(fk, cur_key, target) {
-                    next = Some(fk);
-                    break;
-                }
+            if cur == pred {
+                return found(hops + 1);
             }
             hops += 1;
-            match next {
-                Some(nk) => cur_key = nk,
-                None => {
-                    // No finger precedes the target — the target's successor
-                    // is directly reachable.
-                    let (k, m) = self.successor(target)?;
-                    return Some(LookupOutcome { owner: m, owner_key: k, hops });
-                }
+            if self.config.finger_bits == 0 {
+                // No finger at all — the target's successor is directly
+                // reachable.
+                return found(hops);
             }
+            let level = clockwise_dist(cur, pred).ilog2().min(self.config.finger_bits - 1);
+            cur = order.keys[order.successor(cur.wrapping_add(1u128 << level))];
             if hops > max_hops {
                 // Unreachable in practice; fall back to the authoritative
                 // answer rather than looping (belt and braces).
-                let (k, m) = self.successor(target)?;
-                return Some(LookupOutcome { owner: m, owner_key: k, hops: hops + 1 });
+                return found(hops + 1);
             }
         }
     }
 
     /// A uniformly random member key, for choosing lookup start points.
-    /// `O(n)` ordered walk — a test/experiment helper, not a maintenance
-    /// primitive.
     pub fn random_member_key<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<RingKey> {
-        if self.members.is_empty() {
-            None
-        } else {
-            let idx = rng.gen_range(0..self.members.len());
-            self.members.keys().nth(idx).copied()
-        }
+        let keys = &self.order().keys;
+        (!keys.is_empty()).then(|| keys[rng.gen_range(0..keys.len())])
     }
-}
-
-/// How many finger levels of a member `dist` short of a target (clockwise)
-/// can land strictly inside the gap: level `i` probes `2^i` ahead, and a
-/// probe at or past the target has its successor in `[target, member]` — the
-/// member itself closes that arc — never in `(member, target)`. So only the
-/// levels with `2^i < dist`, i.e. `i ≤ log2(dist − 1)`, need a ring query.
-/// (`dist == 0` is the whole ring: all 128.) Holds only for a `member` that
-/// is on the ring.
-fn finger_levels_inside(dist: u128) -> u32 {
-    u128::BITS - dist.wrapping_sub(1).leading_zeros()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbon_netsim::rng::rng_from_seed;
+    use crate::id::{in_open_closed, in_open_open};
+    use proptest::prelude::*;
+    use sbon_netsim::rng::{derive_rng, rng_from_seed};
+
+    /// The B-tree walks every read made before the derived order: the
+    /// reference the order's reads are pinned to.
+    mod btree {
+        use super::*;
+
+        pub(super) fn successor(ring: &DhtRing, key: RingKey) -> Option<(RingKey, MemberId)> {
+            let m = &ring.members;
+            m.range(key..).next().or_else(|| m.iter().next()).map(|(&k, &v)| (k, v))
+        }
+
+        pub(super) fn predecessor(ring: &DhtRing, key: RingKey) -> Option<(RingKey, MemberId)> {
+            let m = &ring.members;
+            m.range(..key).next_back().or_else(|| m.iter().next_back()).map(|(&k, &v)| (k, v))
+        }
+
+        /// The two-cursor merge over full-cycle range iterators.
+        pub(super) fn neighbors(
+            ring: &DhtRing,
+            key: RingKey,
+            count: usize,
+        ) -> Vec<(RingKey, MemberId)> {
+            let m = &ring.members;
+            let take = count.min(m.len());
+            let mut fwd = m.range(key..).chain(m.range(..key)).peekable();
+            let mut bwd = m.range(..key).rev().chain(m.range(key..).rev()).peekable();
+            let mut out = Vec::with_capacity(take);
+            while out.len() < take {
+                let pick_fwd = match (fwd.peek(), bwd.peek()) {
+                    (Some(&(&fk, _)), Some(&(&bk, _))) => {
+                        clockwise_dist(key, fk) <= clockwise_dist(bk, key)
+                    }
+                    (Some(_), None) => true,
+                    (None, _) => false,
+                };
+                match if pick_fwd { fwd.next() } else { bwd.next() } {
+                    Some((&k, &v)) => out.push((k, v)),
+                    None => break,
+                }
+            }
+            out
+        }
+    }
 
     /// `DhtRing::lookup` as it was before the finger scan was capped: every
-    /// hop probes all `finger_bits` levels, top down.
+    /// hop probes all `finger_bits` levels, top down, each probe a B-tree
+    /// walk.
     fn lookup_scanning_every_level(
         ring: &DhtRing,
         start_key: RingKey,
         target: RingKey,
     ) -> Option<LookupOutcome> {
-        let (mut cur_key, cur_member) = ring.successor(start_key)?;
+        let (mut cur_key, cur_member) = btree::successor(ring, start_key)?;
         if target == cur_key {
             return Some(LookupOutcome { owner: cur_member, owner_key: cur_key, hops: 0 });
         }
         let mut hops = 0usize;
         let max_hops = (2 * ring.config.finger_bits as usize).max(8);
         loop {
-            let (succ_key, succ_member) = ring.successor(cur_key.wrapping_add(1))?;
+            let (succ_key, succ_member) = btree::successor(ring, cur_key.wrapping_add(1))?;
             if in_open_closed(target, cur_key, succ_key) {
                 return Some(LookupOutcome {
                     owner: succ_member,
@@ -349,19 +403,76 @@ mod tests {
                 });
             }
             let next = (0..ring.config.finger_bits).rev().find_map(|i| {
-                let (fk, _) = ring.successor(cur_key.wrapping_add(1u128 << i))?;
-                (fk != cur_key && crate::id::in_open_open(fk, cur_key, target)).then_some(fk)
+                let (fk, _) = btree::successor(ring, cur_key.wrapping_add(1u128 << i))?;
+                (fk != cur_key && in_open_open(fk, cur_key, target)).then_some(fk)
             });
             hops += 1;
             let Some(nk) = next else {
-                let (k, m) = ring.successor(target)?;
+                let (k, m) = btree::successor(ring, target)?;
                 return Some(LookupOutcome { owner: m, owner_key: k, hops });
             };
             cur_key = nk;
             if hops > max_hops {
-                let (k, m) = ring.successor(target)?;
+                let (k, m) = btree::successor(ring, target)?;
                 return Some(LookupOutcome { owner: m, owner_key: k, hops: hops + 1 });
             }
+        }
+    }
+
+    proptest! {
+        /// Every read of the derived order equals the B-tree walk it
+        /// replaced, over random join / leave interleavings with reads
+        /// between the writes (so each write's reset of the order is read
+        /// through), uniform or clustered keys, every `finger_bits` the
+        /// catalog and the tests use, and starts on and off the ring.
+        #[test]
+        fn derived_order_reads_equal_the_btree_walks(
+            seed in 0u64..1_000_000,
+            ops in 20usize..160,
+        ) {
+            let mut rng = derive_rng(seed, 0x02DE);
+            let finger_bits = [128, 64, 16, 3][rng.gen_range(0..4usize)];
+            // Clustered rings crowd a sliver of the key space, as Hilbert
+            // keys of nearby coordinates do.
+            let shift = if rng.gen_range(0..2) == 0 { 0 } else { 100 };
+            let mut ring = DhtRing::new(DhtConfig { finger_bits });
+            let mut live: Vec<MemberId> = Vec::new();
+            let mut next_member: MemberId = 0;
+            for _ in 0..ops {
+                let members: Vec<RingKey> = ring.members.keys().copied().collect();
+                let near = |rng: &mut rand::rngs::StdRng| match members.len() {
+                    0 => rng.gen::<u128>() >> shift,
+                    n => members[rng.gen_range(0..n)].wrapping_add(rng.gen_range(0..3u32).into()).wrapping_sub(1),
+                };
+                match rng.gen_range(0..6) {
+                    0 | 1 => {
+                        let key = if rng.gen_range(0..4) == 0 { near(&mut rng) } else { rng.gen::<u128>() >> shift };
+                        ring.join(key, next_member);
+                        live.push(next_member);
+                        next_member += 1;
+                    }
+                    2 if !live.is_empty() => {
+                        let member = live.swap_remove(rng.gen_range(0..live.len()));
+                        prop_assert_eq!(ring.leave(member), 1);
+                    }
+                    _ => {
+                        let key = if rng.gen_range(0..2) == 0 { near(&mut rng) } else { rng.gen::<u128>() >> shift };
+                        prop_assert_eq!(ring.successor(key), btree::successor(&ring, key));
+                        prop_assert_eq!(ring.predecessor(key), btree::predecessor(&ring, key));
+                        let n = members.len();
+                        for count in [n.saturating_sub(1), n, n + 1, rng.gen_range(0..n + 3)] {
+                            prop_assert_eq!(ring.neighbors(key, count), btree::neighbors(&ring, key, count));
+                        }
+                        let start = if rng.gen_range(0..3) == 0 { rng.gen() } else { near(&mut rng) };
+                        prop_assert_eq!(
+                            ring.lookup(start, key),
+                            lookup_scanning_every_level(&ring, start, key)
+                        );
+                    }
+                }
+            }
+            let walked: Vec<(RingKey, MemberId)> = ring.members.iter().map(|(&k, &m)| (k, m)).collect();
+            prop_assert_eq!(ring.iter().collect::<Vec<_>>(), walked);
         }
     }
 
@@ -403,16 +514,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn finger_levels_inside_counts_probes_short_of_the_target() {
-        assert_eq!(finger_levels_inside(1), 0, "nothing fits in a gap of one");
-        assert_eq!(finger_levels_inside(2), 1, "2^0 < 2");
-        assert_eq!(finger_levels_inside(4), 2, "2^2 is not < 4");
-        assert_eq!(finger_levels_inside(5), 3);
-        assert_eq!(finger_levels_inside(u128::MAX), 128);
-        assert_eq!(finger_levels_inside(0), 128, "cur == target spans the ring");
     }
 
     fn ring_with(keys: &[RingKey]) -> DhtRing {

@@ -153,9 +153,13 @@ impl SpaceFillingCurve for HilbertCurve {
         assert_eq!(cell.len(), self.dims, "cell dimensionality mismatch");
         let limit_ok = self.bits == 32 || cell.iter().all(|&c| c < (1u32 << self.bits));
         assert!(limit_ok, "cell coordinate out of range for {} bits", self.bits);
-        let mut x = cell.to_vec();
-        self.axes_to_transpose(&mut x);
-        self.pack(&x)
+        // `dims ≤ 128` (`dims × bits ≤ 128`, `bits ≥ 1`): the transpose
+        // fits a stack buffer.
+        let mut buf = [0u32; 128];
+        let x = &mut buf[..self.dims];
+        x.copy_from_slice(cell);
+        self.axes_to_transpose(x);
+        self.pack(x)
     }
 
     fn decode(&self, key: CurveKey) -> Vec<u32> {
@@ -245,7 +249,25 @@ mod tests {
         HilbertCurve::new(5, 32);
     }
 
+    /// `encode` as it was before the stack buffer: the transpose in a `Vec`.
+    fn encode_through_a_vec(c: &HilbertCurve, cell: &[u32]) -> CurveKey {
+        let mut x = cell.to_vec();
+        c.axes_to_transpose(&mut x);
+        c.pack(&x)
+    }
+
     proptest! {
+        #[test]
+        fn stack_encode_equals_the_vec_encode(
+            dims in 1usize..9,
+            bits in 1u32..13,
+            draws in proptest::collection::vec(0u32..u32::MAX, 8),
+        ) {
+            let c = HilbertCurve::new(dims, bits);
+            let cell: Vec<u32> = draws[..dims].iter().map(|d| d >> (32 - bits)).collect();
+            prop_assert_eq!(c.encode(&cell), encode_through_a_vec(&c, &cell));
+        }
+
         #[test]
         fn prop_roundtrip_3d(cell in proptest::collection::vec(0u32..256, 3)) {
             let c = HilbertCurve::new(3, 8);

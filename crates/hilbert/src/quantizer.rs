@@ -99,18 +99,25 @@ impl Quantizer {
     /// catalog position). Mirrors the event queue's non-finite time
     /// hardening: fail loudly where the poison enters.
     pub fn quantize(&self, point: &[f64]) -> Vec<u32> {
+        let mut cell = vec![0; point.len()];
+        self.quantize_into(point, &mut cell);
+        cell
+    }
+
+    /// [`Quantizer::quantize`] into a caller's buffer of `dims` cells, so a
+    /// hot caller can keep the cell on its stack.
+    pub fn quantize_into(&self, point: &[f64], cell: &mut [u32]) {
         assert_eq!(point.len(), self.dims(), "point dimensionality mismatch");
+        assert_eq!(cell.len(), self.dims(), "cell dimensionality mismatch");
         let cells = self.cells_per_dim() as f64;
-        point
-            .iter()
-            .zip(self.mins.iter().zip(&self.maxs))
-            .map(|(&v, (&lo, &hi))| {
-                assert!(!v.is_nan(), "cannot quantize a NaN coordinate");
-                let unit = ((v - lo) / (hi - lo)).clamp(0.0, 1.0);
-                // unit == 1.0 must land in the last cell, not one past it.
-                ((unit * cells) as u64).min(self.cells_per_dim() - 1) as u32
-            })
-            .collect()
+        for ((c, &v), (&lo, &hi)) in
+            cell.iter_mut().zip(point).zip(self.mins.iter().zip(&self.maxs))
+        {
+            assert!(!v.is_nan(), "cannot quantize a NaN coordinate");
+            let unit = ((v - lo) / (hi - lo)).clamp(0.0, 1.0);
+            // unit == 1.0 must land in the last cell, not one past it.
+            *c = ((unit * cells) as u64).min(self.cells_per_dim() - 1) as u32;
+        }
     }
 
     /// The center point of a grid cell.
@@ -220,6 +227,18 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn quantize_into_equals_quantize(
+            dims in 1usize..9,
+            bits in 1u32..13,
+            point in proptest::collection::vec(-2.0f64..3.0, 8),
+        ) {
+            let q = Quantizer::new(vec![-1.0; dims], vec![2.0; dims], bits);
+            let mut cell = [u32::MAX; 8];
+            q.quantize_into(&point[..dims], &mut cell[..dims]);
+            prop_assert_eq!(cell[..dims].to_vec(), q.quantize(&point[..dims]));
+        }
+
         #[test]
         fn prop_quantize_in_grid(x in -10.0f64..10.0, y in -10.0f64..10.0) {
             let q = Quantizer::new(vec![-1.0, -1.0], vec![1.0, 1.0], 6);

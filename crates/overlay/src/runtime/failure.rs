@@ -3,7 +3,8 @@
 //!
 //! `impl OverlayRuntime` here **reads** `space`, `optimizer` (its placer)
 //! and **writes** `alive`, `mapper`, `relevance`, `circuits` (keyed remove of
-//! every dead or orphaned circuit, evacuated placements), `retained` (the
+//! every dead or orphaned circuit, evacuated placements and their stored
+//! usage), `retained` (the
 //! torn-down owners' entries), `multiquery` (teardown, relocate),
 //! `failed_circuits`.
 
@@ -104,8 +105,9 @@ impl OverlayRuntime {
                 continue;
             }
             // Evacuation rewrites the placement: the circuit is dirty for
-            // every pass kind.
+            // every pass kind, and its stored usage is stale.
             self.relevance.mark_dirty(handle.id().0);
+            d.billed = None;
             let vp = self.optimizer.placer().place(&d.circuit, &self.space);
             for sid in stranded {
                 let ideal = self.space.ideal_point(vp.coord_of(sid));

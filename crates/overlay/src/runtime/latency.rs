@@ -1,7 +1,7 @@
 //! Ground-truth latency state: the backend choice, the dense matrix it may
 //! call for, row prewarm for the lazy backend, the row-free point-to-point
 //! reader that prices a settle's routed messages, and the per-tick jitter
-//! draw.
+//! draw with the epoch it bumps.
 //! `LatencyState` is self-contained — no method takes
 //! [`OverlayRuntime`]; the jitter step borrows the run RNG and
 //! [`RuntimeObs`] from its caller.
@@ -30,6 +30,9 @@ pub(super) struct LatencyState {
     /// every read — `lazy`'s row cache stays empty — and is re-derived
     /// from `lazy`'s graph after each jitter batch.
     dense: Option<LatencyMatrix>,
+    /// Bumped by every jitter batch that changed an edge: a usage read at
+    /// an older epoch may be stale.
+    epoch: u64,
     /// The reference [`PairRead`] is pinned against: price every pair with
     /// the row-faulting `provider().latency(a, b)` it replaced.
     #[cfg(test)]
@@ -48,6 +51,7 @@ impl LatencyState {
         LatencyState {
             lazy,
             dense,
+            epoch: 0,
             #[cfg(test)]
             pairs_by_rows: false,
         }
@@ -74,6 +78,11 @@ impl LatencyState {
             Some(matrix) => PairRead::Matrix(matrix),
             None => PairRead::Lazy(self.lazy.pair_reader()),
         }
+    }
+
+    /// The latency epoch: equal epochs serve equal latencies.
+    pub(super) fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// The lazy row cache; `None` under the dense backend.
@@ -115,6 +124,7 @@ impl LatencyState {
         if edges == 0 {
             return;
         }
+        self.epoch += 1;
         let derived = match &mut self.dense {
             Some(matrix) => {
                 *matrix = all_pairs_latency(self.lazy.graph());

@@ -8,15 +8,32 @@
 //!
 //! `impl OverlayRuntime` here **reads** `config.reuse`, `space`, `latency`,
 //! `pool`, `optimizer` and **writes** `circuits` (insert at deploy, keyed
-//! remove at undeploy, keyed pin / unpin of a subscribed owner), `retained`
-//! (push in departure order, drained by owner), `multiquery` (attach,
-//! register, release), `mapper`, `relevance`, `next_handle`, `obs`.
+//! remove at undeploy, keyed pin / unpin of a subscribed owner, each
+//! circuit's stored usage at a tick), `retained` (push in departure order,
+//! drained by owner, each entry's stored usage at a tick), `multiquery`
+//! (attach, register, release), `mapper`, `relevance`, `next_handle`, `obs`.
+//!
+//! # Stored usage
+//!
+//! Each live circuit and retained subtree keeps its charged usage —
+//! Σ `rate × latency` over its charged links, in link order — as a
+//! [`Billed`] stamped with the latency epoch it was read at. Deploy seeds it
+//! from the measured cost (`cost_with` sums the same products in the same
+//! order); the `Tick` arm's `bill_usage` re-reads only the entries without
+//! one or with one from an older epoch (a jitter batch bumps the epoch).
+//! Every writer of what the sum reads clears it: the `Migrate` and `Replace`
+//! commits of `reopt_pass` (placement, circuit, shared mask), evacuation in
+//! `fail_node` (placement) and `apply_drains` (a retained entry's charge
+//! mask). No other write reaches a charged link's endpoints or rate, so a
+//! stored value is always the sum a re-read would return, bit for bit —
+//! `runtime::tests::stored_usage_equals_rereading_every_link` pins it.
 
 use sbon_core::circuit::{Circuit, Link, Placement, ServiceId};
 use sbon_core::costspace::CostSpace;
 use sbon_core::multiquery::{CircuitId, MultiQueryOptimizer};
 use sbon_core::optimizer::{PlacedCircuit, QuerySpec};
 use sbon_netsim::graph::NodeId;
+use sbon_netsim::latency::LatencyProvider;
 use sbon_netsim::sim::SimTime;
 
 use super::OverlayRuntime;
@@ -48,6 +65,9 @@ pub(super) struct Deployed {
     /// when the circuit was deployed standalone. Usage accounting skips
     /// links whose downstream endpoint is shared.
     pub(super) shared: Vec<bool>,
+    /// The charged usage as last read; `None` after a migration, a
+    /// replacement or an evacuation.
+    pub(super) billed: Option<Billed>,
 }
 
 impl Deployed {
@@ -80,6 +100,8 @@ pub(super) struct RetainedShared {
     /// `charge[link]` — the link still carries data for a retained subtree
     /// and is billed to this entry.
     pub(super) charge: Vec<bool>,
+    /// The charged usage as last read; `None` after `charge` changed.
+    billed: Option<Billed>,
 }
 
 impl RetainedShared {
@@ -87,6 +109,30 @@ impl RetainedShared {
     fn charged_links(&self) -> impl Iterator<Item = &Link> {
         self.circuit.links().iter().zip(&self.charge).filter(|&(_, &c)| c).map(|(l, _)| l)
     }
+}
+
+/// An entry's charged usage as read at latency epoch `epoch`.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct Billed {
+    usage: f64,
+    epoch: u64,
+}
+
+/// The stored usage of an entry if it is current at `epoch`.
+fn current(billed: Option<Billed>, epoch: u64) -> Option<f64> {
+    billed.filter(|b| b.epoch == epoch).map(|b| b.usage)
+}
+
+/// Σ `rate × latency` over `links`, in link order: the one sum usage
+/// accounting bills per entry.
+fn read_usage<'a>(
+    placement: &Placement,
+    links: impl Iterator<Item = &'a Link>,
+    latency: &dyn LatencyProvider,
+) -> f64 {
+    links
+        .map(|l| l.rate * latency.latency(placement.node_of(l.from), placement.node_of(l.to)))
+        .sum()
 }
 
 /// The upstream host of each of `links`, in order — the node whose
@@ -120,6 +166,7 @@ impl OverlayRuntime {
                 self.retained.remove(pos);
             } else {
                 entry.charge = charge_mask(&entry.circuit, &entry.roots, &entry.owner_shared);
+                entry.billed = None;
             }
         }
     }
@@ -136,46 +183,89 @@ impl OverlayRuntime {
         }
     }
 
-    /// Prewarms every row the next usage accounting pass will read: the
-    /// upstream endpoint of each charged link.
-    pub(super) fn prewarm_usage_rows(&self) {
-        if self.latency.lazy().is_none() {
-            return;
+    /// Bills the tick: re-reads the charged usage of every entry whose
+    /// stored value was cleared or read at an older latency epoch — its
+    /// link-source rows prewarmed first, as one batch across the pool — and
+    /// stores it. Returns the usage [`OverlayRuntime::instantaneous_usage`]
+    /// reports and the number of entries re-read.
+    pub(super) fn bill_usage(&mut self) -> (f64, u64) {
+        let epoch = self.latency.epoch();
+        let stale = |billed: Option<Billed>| current(billed, epoch).is_none();
+        if self.latency.lazy().is_some() {
+            let mut sources: Vec<NodeId> = Vec::new();
+            for d in self.circuits.values().filter(|d| stale(d.billed)) {
+                sources.extend(link_sources(&d.placement, d.charged_links()));
+            }
+            for r in self.retained.iter().filter(|r| stale(r.billed)) {
+                sources.extend(link_sources(&r.placement, r.charged_links()));
+            }
+            self.latency.prewarm_rows(&sources, self.pool.as_ref());
         }
-        let mut sources: Vec<NodeId> = Vec::new();
-        for d in self.circuits.values() {
-            sources.extend(link_sources(&d.placement, d.charged_links()));
+        let latency = self.latency.provider();
+        let mut reread = 0;
+        for d in self.circuits.values_mut().filter(|d| stale(d.billed)) {
+            let usage = read_usage(&d.placement, d.charged_links(), latency);
+            d.billed = Some(Billed { usage, epoch });
+            reread += 1;
         }
-        for r in &self.retained {
-            sources.extend(link_sources(&r.placement, r.charged_links()));
+        for r in self.retained.iter_mut().filter(|r| stale(r.billed)) {
+            let usage = read_usage(&r.placement, r.charged_links(), latency);
+            r.billed = Some(Billed { usage, epoch });
+            reread += 1;
         }
-        self.latency.prewarm_rows(&sources, self.pool.as_ref());
+        self.obs.registry.inc(self.obs.h.usage_rereads, reread);
+        (self.instantaneous_usage(), reread)
     }
 
     /// Current instantaneous network usage: every live circuit's *charged*
     /// links (marginal links under reuse — links paid for by a reused
     /// instance's owner are skipped) plus the links of retained shared
     /// subtrees whose owners departed but whose subscribers remain.
+    ///
+    /// Each entry contributes its stored usage when that is current, and is
+    /// read on the fly — not stored — otherwise; either way the value is
+    /// the sum of its charged links' `rate × latency` in link order.
     pub fn instantaneous_usage(&self) -> f64 {
-        let latency = self.latency.provider();
-        let usage = |placement: &Placement, l: &Link| {
-            l.rate * latency.latency(placement.node_of(l.from), placement.node_of(l.to))
-        };
+        let (latency, epoch) = (self.latency.provider(), self.latency.epoch());
         // Summed per circuit, then across circuits: the order is part of the
         // bit-identical usage contract.
         let live: f64 = self
             .circuits
             .values()
-            .map(|d| d.charged_links().map(|l| usage(&d.placement, l)).sum::<f64>())
+            .map(|d| {
+                current(d.billed, epoch)
+                    .unwrap_or_else(|| read_usage(&d.placement, d.charged_links(), latency))
+            })
             .sum();
         let retained: f64 = self
             .retained
             .iter()
-            .map(|r| r.charged_links().map(|l| usage(&r.placement, l)).sum::<f64>())
+            .map(|r| {
+                current(r.billed, epoch)
+                    .unwrap_or_else(|| read_usage(&r.placement, r.charged_links(), latency))
+            })
             .sum();
         // `+ 0.0` normalizes the empty-sum identity `-0.0` to `+0.0` (and
         // changes nothing else), so idle baselines print and compare as
         // plain zero.
+        live + retained + 0.0
+    }
+
+    /// The reference the stored usage is pinned to: every charged link of
+    /// every entry re-read, whatever is stored.
+    #[cfg(test)]
+    pub(super) fn usage_by_rereading(&self) -> f64 {
+        let latency = self.latency.provider();
+        let live: f64 = self
+            .circuits
+            .values()
+            .map(|d| read_usage(&d.placement, d.charged_links(), latency))
+            .sum();
+        let retained: f64 = self
+            .retained
+            .iter()
+            .map(|r| read_usage(&r.placement, r.charged_links(), latency))
+            .sum();
         live + retained + 0.0
     }
 
@@ -244,8 +334,11 @@ impl OverlayRuntime {
         }
         self.next_handle += 1;
         self.obs.registry.inc(self.obs.h.arrivals, 1);
+        // `measured` summed the same products over the same links in the
+        // same order: the circuit's usage is billed as of now.
+        let billed = Some(Billed { usage: placed.cost.network_usage, epoch: self.latency.epoch() });
         let PlacedCircuit { plan: running_plan, circuit, placement, shared, .. } = placed;
-        let deployed = Deployed { query, running_plan, circuit, placement, shared };
+        let deployed = Deployed { query, running_plan, circuit, placement, shared, billed };
         self.circuits.insert(handle, Box::new(deployed));
         // Routed backend: the deployment's mapping lookups are parked in
         // the mapper's outbox — replay them as message traffic now (the
@@ -278,6 +371,7 @@ impl OverlayRuntime {
                         owner_shared: d.shared,
                         roots: rep.retained,
                         charge,
+                        billed: None,
                     });
                 }
                 self.apply_drains(&rep.drained);

@@ -44,7 +44,8 @@
 //! * `config` — the backend / bring-up enums, [`RuntimeConfig`], its builder.
 //! * `stats` — the stats structs and `RuntimeObs` (registry, tracer, flight).
 //! * `latency` — `LatencyState`: backend choice, the dense matrix, row
-//!   prewarm, the jitter draw (the graph and the step are `LazyLatency`'s).
+//!   prewarm, the jitter draw and the epoch it bumps (the graph and the step
+//!   are `LazyLatency`'s).
 //! * `mapper` — `MapperState`: read view, charge-back, routed settle.
 //! * `membership` — wave bring-up, join admission (gather, place across
 //!   the pool, commit in join order), churn refresh.
@@ -339,16 +340,22 @@ impl OverlayRuntime {
                 let t_settle = WallTimer::start();
                 self.mapper.settle(now, &self.latency, &mut self.obs);
                 self.obs.registry.inc(self.obs.h.settle_ns, t_settle.elapsed_ns());
-                // Accrue usage over the elapsed tick (usage·seconds). The
-                // prewarm shards the tick's missing shortest-path rows
-                // across the pool; the accounting pass then reads cached
-                // rows only, so both phases bill to `usage_ns`.
+                // Accrue usage over the elapsed tick (usage·seconds). Only
+                // entries whose stored usage a writer cleared or a jitter
+                // batch outdated are re-read: their missing shortest-path
+                // rows are prewarmed across the pool first, so both phases
+                // bill to `usage_ns`.
                 let t_usage = WallTimer::start();
-                self.prewarm_usage_rows();
-                let usage = self.instantaneous_usage();
+                let (usage, reread) = self.bill_usage();
                 self.obs.registry.inc(self.obs.h.usage_ns, t_usage.elapsed_ns());
                 let active = self.circuits.len();
-                self.obs.span_end(sp, || vec![("usage", usage.into()), ("active", active.into())]);
+                self.obs.span_end(sp, || {
+                    vec![
+                        ("usage", usage.into()),
+                        ("active", active.into()),
+                        ("reread", reread.into()),
+                    ]
+                });
                 s.cumulative += usage * self.config.tick_ms / 1_000.0;
                 s.report.samples.push(Sample {
                     time_ms: now.millis(),

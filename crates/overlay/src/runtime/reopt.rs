@@ -4,7 +4,8 @@
 //! `impl OverlayRuntime` here **reads** `config.{policy, *_interval_ms,
 //! *_penalty}`, `space`, `pool`, `optimizer` (candidate plans and placer of
 //! every kind) and **writes** `circuits` (keyed, in ascending handle order:
-//! placement on migrate, circuit / plan / shared mask on replace), `mapper`
+//! placement on migrate, circuit / plan / shared mask on replace, clearing
+//! the stored usage on either), `mapper`
 //! (traffic charge-back), `multiquery` (relocate, reregister — refcounts
 //! are only read), `relevance`, `obs`, plus the session's report and queue.
 
@@ -201,6 +202,7 @@ impl OverlayRuntime {
                 }
                 Verdict::Migrate(placement, migrations) => {
                     d.placement = placement;
+                    d.billed = None;
                     if let Some(mq) = &mut self.multiquery {
                         for m in &migrations {
                             mq.relocate(id, m.service, m.to, &self.space);
@@ -217,8 +219,8 @@ impl OverlayRuntime {
                     // Either kind records the plan that now runs: the next
                     // rewrite pass explores *its* neighbourhood.
                     let PlacedCircuit { plan, circuit, placement, shared, .. } = *replacement;
-                    (d.running_plan, d.circuit, d.placement, d.shared) =
-                        (plan, circuit, placement, shared);
+                    (d.running_plan, d.circuit, d.placement, d.shared, d.billed) =
+                        (plan, circuit, placement, shared, None);
                     changed += 1;
                 }
             }

@@ -84,6 +84,11 @@ pub struct ControlPlaneStats {
     /// Wall time reading the ground-truth latency provider for usage
     /// accounting (the data-plane proxy, for comparison).
     pub usage_ns: u128,
+    /// Entries (live circuits and retained subtrees) whose charged usage a
+    /// tick re-read: migrated, replaced, evacuated, retained or drained
+    /// since the last tick, or outdated by a jitter batch. The rest were
+    /// billed from their stored usage.
+    pub usage_rereads: u64,
     /// Routed control-plane messages sent (requests, replies, acks).
     /// Populated only under [`MapperBackend::Routed`](super::MapperBackend::Routed), from the settled
     /// message traffic; zero otherwise.
@@ -186,6 +191,7 @@ pub(super) struct StatHandles {
     pub(super) reopt_skipped: CounterId,
     pub(super) candidates_pruned: CounterId,
     pub(super) usage_ns: CounterId,
+    pub(super) usage_rereads: CounterId,
     pub(super) arrivals: CounterId,
     pub(super) departures: CounterId,
     pub(super) reuse_hits: CounterId,
@@ -234,6 +240,7 @@ impl RuntimeObs {
             reopt_skipped: registry.counter("control_plane", "reopt_skipped"),
             candidates_pruned: registry.counter("control_plane", "candidates_pruned"),
             usage_ns: registry.counter("control_plane", "usage_ns"),
+            usage_rereads: registry.counter("control_plane", "usage_rereads"),
             arrivals: registry.counter("lifecycle", "arrivals"),
             departures: registry.counter("lifecycle", "departures"),
             reuse_hits: registry.counter("lifecycle", "reuse_hits"),
@@ -356,6 +363,7 @@ impl OverlayRuntime {
             reopt_skipped: r.counter_value(h.reopt_skipped) as usize,
             candidates_pruned: r.counter_value(h.candidates_pruned) as usize,
             usage_ns: u128::from(r.counter_value(h.usage_ns)),
+            usage_rereads: r.counter_value(h.usage_rereads),
             ..ControlPlaneStats::default()
         };
         if let Some(rs) = self.routed_stats() {

@@ -2,6 +2,7 @@
 //! crate-private surface.
 
 use super::*;
+use rand::Rng;
 use sbon_coords::vivaldi::VivaldiConfig;
 use sbon_core::circuit::{Circuit, ServiceId};
 use sbon_core::optimizer::QuerySpec;
@@ -1503,4 +1504,104 @@ fn routed_backend_survives_failures_and_reconverges() {
     let routed = rt.routed_stats().unwrap();
     assert!(routed.messages > 0, "failure evacuation must re-register over the wire");
     assert_eq!(routed.timeouts, 0, "an unpartitioned underlay never times out");
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig { cases: 12 })]
+
+    /// The stored usage is exact: after every operation of a random
+    /// schedule — deploys, undeploys under reuse (so retained subtrees
+    /// appear and drain), each re-opt pass kind, node failures, ticks with
+    /// and without a jitter batch before them — the billed usage equals
+    /// re-reading every charged link, bit for bit, on both latency backends
+    /// at one and two threads.
+    #[test]
+    fn stored_usage_equals_rereading_every_link(
+        (seed, ops) in (0u64..1_000_000, 30usize..80)
+    ) {
+        let topo = generate(&TransitStubConfig::with_total_nodes(90), seed);
+        let hosts = topo.host_candidates();
+        for backend in [LatencyBackend::Dense, LatencyBackend::Lazy] {
+            for threads in [1, 2] {
+                let config = RuntimeConfig::builder()
+                    .horizon_ms(1e9)
+                    .churn(ChurnProcess::Step { p: 0.3 })
+                    .latency_backend(backend)
+                    .reuse(ReuseScope::All)
+                    .threads(threads)
+                    .build();
+                let jitter =
+                    JitterModel { edges_per_tick: 12, factor_range: (0.6, 1.8), band: (0.5, 3.0) };
+                let mut rt = OverlayRuntime::new(&topo, seed, config);
+                let mut session = rt.start_run();
+                let mut rng = derive_rng(seed, 0xB111);
+                let mut live: Vec<CircuitHandle> = Vec::new();
+                // An owner and two tenants of its nested joins; the owner
+                // departs, then the outer tenant: a retained subtree whose
+                // charge mask shrinks after a tick billed it.
+                const OPENING: [u32; 7] = [0, 0, 0, 9, 3, 9, 3];
+                for op in 0..ops {
+                    let now = SimTime(session.now_ms());
+                    let kind = OPENING.get(op).copied().unwrap_or_else(|| rng.gen_range(0..10));
+                    match kind {
+                        // Join stars over prefixes of one producer list, so
+                        // later ones reuse earlier ones' joins at nested
+                        // roots — or, for kind 2 past the opening, over
+                        // random hosts, so most stay untenanted and the
+                        // plan-replacing passes may swap them.
+                        0..=2 => {
+                            let prefix = |i: usize| hosts[(i * 7) % hosts.len()];
+                            let k = if op < 3 { 4 - op } else { rng.gen_range(2..5) };
+                            let producers: Vec<NodeId> = if kind == 2 && op >= 3 {
+                                (0..k).map(|_| hosts[rng.gen_range(0..hosts.len())]).collect()
+                            } else {
+                                (0..k).map(prefix).collect()
+                            };
+                            let q = QuerySpec::join_star(
+                                &producers,
+                                prefix(5 + op % 3),
+                                rng.gen_range(2.0..12.0),
+                                0.02,
+                            );
+                            live.extend(rt.deploy(q));
+                        }
+                        3 if op < OPENING.len() => {
+                            rt.undeploy(live.remove(0));
+                        }
+                        3 if !live.is_empty() => {
+                            rt.undeploy(live.swap_remove(rng.gen_range(0..live.len())));
+                        }
+                        4 => rt.reopt_pass(&mut session, now, ReoptKind::Local),
+                        5 => rt.reopt_pass(&mut session, now, ReoptKind::Rewrite),
+                        6 => rt.reopt_pass(&mut session, now, ReoptKind::Full),
+                        7 => {
+                            // A host of some live circuit's service, so the
+                            // failure evacuates (or tears down) something.
+                            let placed: Vec<NodeId> = live
+                                .iter()
+                                .filter_map(|&h| rt.placement(h))
+                                .flat_map(|p| p.as_slice().to_vec())
+                                .collect();
+                            if !placed.is_empty() {
+                                let node = placed[rng.gen_range(0..placed.len())];
+                                rt.handle_event(&mut session, now, Event::Fail(node));
+                            }
+                        }
+                        8 => {
+                            rt.latency.jitter(&jitter, &mut rt.rng, &mut rt.obs);
+                            rt.advance_ticks(&mut session, 1);
+                        }
+                        _ => {
+                            rt.advance_ticks(&mut session, 1);
+                        }
+                    }
+                    let (billed, reread) = (rt.instantaneous_usage(), rt.usage_by_rereading());
+                    proptest::prop_assert!(
+                        billed.to_bits() == reread.to_bits(),
+                        "op {op}: billed {billed} != re-read {reread} ({backend:?}, {threads} threads)"
+                    );
+                }
+            }
+        }
+    }
 }

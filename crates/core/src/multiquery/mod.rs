@@ -326,13 +326,13 @@ impl MultiQueryOptimizer {
     /// `scope` ([`Self::discover`]) is substituted, and its whole subtree —
     /// the largest reusable one wins — is marked shared, so its links are
     /// free. Under [`ReuseScope::None`] the candidate passes unchanged.
-    pub(crate) fn attach(
+    pub(crate) fn attach<'p>(
         &mut self,
-        mut candidate: Candidate,
+        mut candidate: Candidate<'p>,
         space: &CostSpace,
         scope: ReuseScope,
         placer: &dyn VirtualPlacer,
-    ) -> Candidate {
+    ) -> Candidate<'p> {
         if scope == ReuseScope::None {
             return candidate;
         }

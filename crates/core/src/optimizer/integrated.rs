@@ -19,6 +19,8 @@
 //! its bound, so it could not have been selected: the choice is the one the
 //! evaluate-everything loop makes, bit for bit.
 
+use std::borrow::Cow;
+
 use sbon_netsim::latency::LatencyProvider;
 use sbon_query::enumerate::{all_join_trees, dp_top_k_plans, MAX_EXHAUSTIVE_STREAMS};
 use sbon_query::plan::LogicalPlan;
@@ -73,7 +75,7 @@ impl IntegratedOptimizer {
     /// Candidate logical plans for a query: the full bushy space for small
     /// join sets, the k-best DP plans otherwise; source filters attached.
     pub fn candidate_plans(&self, query: &QuerySpec) -> Vec<LogicalPlan> {
-        let bare: Vec<LogicalPlan> = if query.join_set.len() <= self.config.exhaustive_below {
+        let bare: Vec<LogicalPlan> = if self.enumerates_exhaustively(query) {
             all_join_trees(&query.join_set)
         } else {
             dp_top_k_plans(&query.catalog, &query.join_set, self.config.candidate_plans)
@@ -82,6 +84,14 @@ impl IntegratedOptimizer {
                 .collect()
         };
         bare.into_iter().map(|p| query.apply_filters(p)).collect()
+    }
+
+    /// Whether [`Self::candidate_plans`] takes the exhaustive branch for
+    /// `query`: the bushy join trees of its join set, decorated with its
+    /// source filters and root aggregate — and nothing else. The k-best DP
+    /// branch reads the query's catalog too.
+    pub fn enumerates_exhaustively(&self, query: &QuerySpec) -> bool {
+        query.join_set.len() <= self.config.exhaustive_below
     }
 
     /// Optimizes with the centralized oracle mapper (the default for
@@ -132,7 +142,7 @@ impl IntegratedOptimizer {
         mut reuse: Option<(&mut MultiQueryOptimizer, ReuseScope)>,
     ) -> Option<PlacedCircuit> {
         let candidates = self.candidate_plans(query).into_iter().map(|plan| {
-            let bare = Candidate::bare(plan, query);
+            let bare = Candidate::bare(Cow::Owned(plan), query);
             match &mut reuse {
                 Some((registry, scope)) => registry.attach(bare, space, *scope, &self.placer),
                 None => bare,
@@ -164,18 +174,20 @@ impl IntegratedOptimizer {
 
 /// One entry of the candidate loop: a plan, its circuit, and what it
 /// reuses (the [`PlacedCircuit`] fields of the same names) — nothing, until
-/// the reuse registry's attach step fills them in.
-pub(crate) struct Candidate {
-    pub(crate) plan: LogicalPlan,
+/// the reuse registry's attach step fills them in. A deploy's plan is owned
+/// and moves into the winner; a re-opt pass's is borrowed from the pass's
+/// candidate list and cloned only when it becomes the incumbent best.
+pub(crate) struct Candidate<'p> {
+    pub(crate) plan: Cow<'p, LogicalPlan>,
     pub(crate) circuit: Circuit,
     pub(crate) shared: Vec<bool>,
     pub(crate) reused: Vec<ServiceInstance>,
     pub(crate) reused_at: Vec<ServiceId>,
 }
 
-impl Candidate {
+impl<'p> Candidate<'p> {
     /// `plan`'s circuit for `query`, reusing nothing.
-    pub(crate) fn bare(plan: LogicalPlan, query: &QuerySpec) -> Candidate {
+    pub(crate) fn bare(plan: Cow<'p, LogicalPlan>, query: &QuerySpec) -> Candidate<'p> {
         let circuit = Circuit::from_plan(&plan, &query.catalog, query.consumer);
         Candidate { plan, circuit, shared: Vec::new(), reused: Vec::new(), reused_at: Vec::new() }
     }
@@ -210,8 +222,8 @@ pub(crate) const BOUND_SLACK: f64 = 1e-9;
 /// some estimate pass that estimate, and must still apply their own test to
 /// what is returned (a survivor may sit above the ceiling). Every comparison
 /// with a NaN is false, so NaNs never prune.
-pub(crate) fn select_cheapest(
-    candidates: impl IntoIterator<Item = Candidate, IntoIter: ExactSizeIterator>,
+pub(crate) fn select_cheapest<'p>(
+    candidates: impl IntoIterator<Item = Candidate<'p>, IntoIter: ExactSizeIterator>,
     ceiling: f64,
     space: &CostSpace,
     placer: &dyn VirtualPlacer,
@@ -234,7 +246,7 @@ pub(crate) fn select_cheapest(
         let estimated = circuit.cost_with(&mapped.placement, &shared, dist);
         if best.as_ref().is_none_or(|b| estimated.network_usage < b.estimated.network_usage) {
             best = Some(PlacedCircuit {
-                plan,
+                plan: plan.into_owned(),
                 mapping_hops: mapped.total_hops(),
                 mean_mapping_error: mapped.mean_mapping_error(),
                 placement: mapped.placement,
@@ -365,7 +377,7 @@ pub(crate) mod tests {
     /// `latency` too when one is given, as deploy did before it measured the
     /// winner only — and the first of minimum estimate wins.
     pub(crate) fn select_exhaustive(
-        candidates: Vec<Candidate>,
+        candidates: Vec<Candidate<'_>>,
         space: &CostSpace,
         placer: &dyn VirtualPlacer,
         mapper: &mut dyn PhysicalMapper,
@@ -385,7 +397,7 @@ pub(crate) mod tests {
                 None => estimated,
             };
             let candidate = PlacedCircuit {
-                plan,
+                plan: plan.into_owned(),
                 mapping_hops: mapped.total_hops(),
                 mean_mapping_error: mapped.mean_mapping_error(),
                 placement: mapped.placement,
@@ -408,8 +420,8 @@ pub(crate) mod tests {
     }
 
     /// `plans` as bare candidates for `query`.
-    pub(crate) fn bare(plans: Vec<LogicalPlan>, query: &QuerySpec) -> Vec<Candidate> {
-        plans.into_iter().map(|plan| Candidate::bare(plan, query)).collect()
+    pub(crate) fn bare(plans: Vec<LogicalPlan>, query: &QuerySpec) -> Vec<Candidate<'static>> {
+        plans.into_iter().map(|plan| Candidate::bare(Cow::Owned(plan), query)).collect()
     }
 
     /// `optimize_with_mapper` as it was: cost every candidate under measured
@@ -590,7 +602,7 @@ pub(crate) mod tests {
                 Some(registry) => plans
                     .iter()
                     .map(|p| {
-                        let bare = Candidate::bare(p.clone(), &q);
+                        let bare = Candidate::bare(Cow::Borrowed(p), &q);
                         registry.attach(bare, &space, ReuseScope::All, placer)
                     })
                     .collect(),

@@ -7,6 +7,8 @@
 //! paper's example of the inefficiency this causes; the F1 experiment
 //! reproduces it against [`crate::optimizer::IntegratedOptimizer`].
 
+use std::borrow::Cow;
+
 use sbon_netsim::latency::LatencyProvider;
 use sbon_query::enumerate::dp_best_plan;
 
@@ -52,7 +54,7 @@ impl TwoStepOptimizer {
         // Step 2: place that single plan — the candidate loop over one
         // candidate, under a ceiling that never prunes.
         let placer = RelaxationPlacer::default();
-        let only = [Candidate::bare(plan, query)];
+        let only = [Candidate::bare(Cow::Owned(plan), query)];
         let only = select_cheapest(only, f64::INFINITY, space, &placer, mapper);
         only.best.map(|placed| placed.measured(latency))
     }

@@ -44,11 +44,40 @@
 //! hence the same candidates pruned. The read set of the survivors alone is
 //! a complete read set.
 //!
+//! # Per-pass candidate lists
+//!
+//! A plan-replacing pass builds every **distinct** candidate list once,
+//! serially and in circuit order, before its evaluations run
+//! ([`CandidateLists`]); each evaluation reads its list by reference, and a
+//! candidate borrows its plan, cloning it only when it becomes the incumbent
+//! best. The keys are exactly what each list is a function of:
+//!
+//! * a rewrite list ([`rewrite_neighbourhood`]) reads the running plan and
+//!   nothing else, so circuits running the same plan — exact structure,
+//!   [`LogicalPlan::same_structure`] within a
+//!   [`LogicalPlan::structural_hash`] bucket — share one list;
+//! * a full list on the exhaustive branch
+//!   ([`IntegratedOptimizer::enumerates_exhaustively`]) reads the join set,
+//!   the source filters and the root aggregate and nothing else, so queries
+//!   of one shape (all three equal, parameters by bits) share one plan
+//!   space;
+//! * a full list on the k-best DP branch ranks join orders by the query's
+//!   catalog — rates and selectivities, which two queries over equal join
+//!   sets need not share — so it is never shared.
+//!
+//! Sharing is therefore decision-identical: every circuit sees exactly the
+//! list, in exactly the order, it would have generated itself. A list is a
+//! function of the circuit itself, so it adds nothing to the read set above.
+//!
 //! [`ScanSpan`]: sbon_dht::catalog::ScanSpan
 
 pub mod relevance;
 
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+
 use sbon_query::plan::LogicalPlan;
+use sbon_query::stream::StreamId;
 
 use crate::circuit::{Circuit, Placement, ServiceId};
 use crate::costspace::CostSpace;
@@ -129,8 +158,99 @@ pub fn reoptimize_local(
     migrations
 }
 
-/// Result of a plan-replacing pass ([`reoptimize_rewrite`] or
-/// [`reoptimize_full`]).
+/// The paper's "limited plan re-writing" (Section 3.3): the rewrite pass's
+/// candidate list for a circuit running `running_plan` is its local rewrite
+/// neighbourhood — join reorderings, filter decomposition and
+/// re-composition (see [`sbon_query::rewrite`]) up to two rewrite steps, at
+/// most 128 plans. Cheaper than full re-optimization: the candidate set is
+/// the rewrite neighbourhood, not the whole plan space. (Depth two, because
+/// commutations are cost-neutral on their own but unlock rotations.) It
+/// reads `running_plan` and nothing else.
+pub fn rewrite_neighbourhood(running_plan: &LogicalPlan) -> Vec<LogicalPlan> {
+    sbon_query::rewrite::neighbors_within(running_plan, 2, 128)
+}
+
+/// The candidate lists of one plan-replacing pass: the `i`-th evaluated
+/// circuit's list is [`CandidateLists::of`]`(i)`, and each *distinct* list
+/// is built once, in circuit order, before any circuit is evaluated (see
+/// the module docs for the keys). It lives for one pass.
+#[derive(Debug, Default)]
+pub struct CandidateLists {
+    /// The distinct lists, in order of first use.
+    lists: Vec<Vec<LogicalPlan>>,
+    /// `list_of[i]`: the index into `lists` of the `i`-th circuit's list.
+    list_of: Vec<usize>,
+}
+
+impl CandidateLists {
+    /// A rewrite pass's lists: each circuit's [`rewrite_neighbourhood`] of
+    /// its running plan, one list per distinct plan
+    /// ([`LogicalPlan::same_structure`], bucketed by
+    /// [`LogicalPlan::structural_hash`]).
+    pub fn rewrite<'p>(running_plans: impl IntoIterator<Item = &'p LogicalPlan>) -> Self {
+        let mut table = CandidateLists::default();
+        let mut seen: BTreeMap<u64, Vec<(&LogicalPlan, usize)>> = BTreeMap::new();
+        for plan in running_plans {
+            let listed = seen.entry(plan.structural_hash()).or_default();
+            let at = match listed.iter().find(|(key, _)| key.same_structure(plan)) {
+                Some(&(_, at)) => at,
+                None => {
+                    let at = table.push(rewrite_neighbourhood(plan));
+                    listed.push((plan, at));
+                    at
+                }
+            };
+            table.list_of.push(at);
+        }
+        table
+    }
+
+    /// A full pass's lists: each circuit's
+    /// [`IntegratedOptimizer::candidate_plans`] for its query. Queries on
+    /// the exhaustive branch share one list per distinct join set, source
+    /// filters and root aggregate (parameters by bits); a query on the
+    /// k-best DP branch, which reads its catalog, gets a list of its own.
+    pub fn full<'q>(
+        optimizer: &IntegratedOptimizer,
+        queries: impl IntoIterator<Item = &'q QuerySpec>,
+    ) -> Self {
+        type Shape = (Vec<StreamId>, Vec<(StreamId, u64)>, Option<u64>);
+        let mut table = CandidateLists::default();
+        let mut seen: BTreeMap<Shape, usize> = BTreeMap::new();
+        for query in queries {
+            let at = if optimizer.enumerates_exhaustively(query) {
+                let shape = (
+                    query.join_set.clone(),
+                    query.source_filters.iter().map(|&(s, sel)| (s, sel.to_bits())).collect(),
+                    query.root_aggregate.map(f64::to_bits),
+                );
+                *seen.entry(shape).or_insert_with(|| table.push(optimizer.candidate_plans(query)))
+            } else {
+                table.push(optimizer.candidate_plans(query))
+            };
+            table.list_of.push(at);
+        }
+        table
+    }
+
+    /// Appends a distinct list; returns its index.
+    fn push(&mut self, list: Vec<LogicalPlan>) -> usize {
+        self.lists.push(list);
+        self.lists.len() - 1
+    }
+
+    /// The `i`-th circuit's candidate list.
+    pub fn of(&self, i: usize) -> &[LogicalPlan] {
+        &self.lists[self.list_of[i]]
+    }
+
+    /// How many distinct lists were built.
+    pub fn built(&self) -> usize {
+        self.lists.len()
+    }
+}
+
+/// Result of a plan-replacing pass ([`reoptimize_among`]).
 #[derive(Debug)]
 pub enum ReplaceOutcome {
     /// No candidate cleared the threshold: the running circuit stays.
@@ -151,59 +271,25 @@ pub enum ReplaceOutcome {
     },
 }
 
-/// The paper's "limited plan re-writing" (Section 3.3): explore the local
-/// rewrite neighbourhood — join reorderings, filter decomposition and
-/// re-composition (see [`sbon_query::rewrite`]) up to two rewrite steps —
-/// re-place each candidate that could still win, and return the best if it
-/// beats the running circuit's estimate by the replacement threshold.
-/// Cheaper than full re-optimization: the candidate set is the rewrite
-/// neighbourhood, not the whole plan space. (Depth two, because commutations
-/// are cost-neutral on their own but unlock rotations.) The returned
-/// circuit's `cost` is its estimate (see the module docs — measured latency
-/// is never a re-opt input).
-pub fn reoptimize_rewrite(
-    running_plan: &LogicalPlan,
-    running_cost_estimate: f64,
-    query: &QuerySpec,
-    space: &CostSpace,
-    placer: &dyn VirtualPlacer,
-    mapper: &mut dyn PhysicalMapper,
-    policy: ReoptPolicy,
-) -> ReplaceOutcome {
-    let plans = || sbon_query::rewrite::neighbors_within(running_plan, 2, 128);
-    replacement_among(plans, running_cost_estimate, query, space, placer, mapper, policy)
-}
-
-/// Re-runs the full integrated optimization against (possibly updated)
-/// statistics and compares with the running circuit's current cost. The
-/// caller supplies the optimizer and the physical mapper — typically the
-/// same long-lived instances that served the initial deployment — so full
-/// re-opt shares the control-plane state instead of instantiating either
-/// per call. Candidates are costed and selected by estimate only (see the
-/// module docs — measured latency is never a re-opt input).
-pub fn reoptimize_full(
-    running_cost_estimate: f64,
-    query: &QuerySpec,
-    space: &CostSpace,
-    optimizer: &IntegratedOptimizer,
-    mapper: &mut dyn PhysicalMapper,
-    policy: ReoptPolicy,
-) -> ReplaceOutcome {
-    let plans = || optimizer.candidate_plans(query);
-    let placer = optimizer.placer();
-    replacement_among(plans, running_cost_estimate, query, space, placer, mapper, policy)
-}
-
-/// The decision both plan-replacing passes make: the cheapest of `plans` by
-/// estimate, if it undercuts the running circuit's estimate by the
-/// replacement threshold — with its relative improvement — and how many
-/// candidates the bound pruned on the way.
+/// The decision both plan-replacing passes make: the cheapest of
+/// `candidates` by estimate, if it undercuts the running circuit's estimate
+/// by the replacement threshold — with its relative improvement — and how
+/// many candidates the bound pruned on the way. A rewrite pass hands in the
+/// running plan's [`rewrite_neighbourhood`]; a full pass re-runs the
+/// integrated optimization by handing in the optimizer's
+/// [`candidate_plans`](IntegratedOptimizer::candidate_plans) for the query
+/// against its (possibly updated) statistics, and the optimizer's placer.
+/// Either way a pass builds its lists once ([`CandidateLists`]) and every
+/// candidate borrows its plan: only a new incumbent best is cloned.
 ///
 /// The threshold is handed to the selection as a ceiling, so a candidate
 /// that provably cannot clear it is never placed or mapped; the threshold
-/// test itself still runs on whatever comes back.
-fn replacement_among(
-    plans: impl FnOnce() -> Vec<LogicalPlan>,
+/// test itself still runs on whatever comes back. Candidates are costed and
+/// selected by estimate only, and the returned circuit's `cost` is its
+/// estimate (see the module docs — measured latency is never a re-opt
+/// input).
+pub fn reoptimize_among(
+    candidates: &[LogicalPlan],
     running_cost_estimate: f64,
     query: &QuerySpec,
     space: &CostSpace,
@@ -212,13 +298,13 @@ fn replacement_among(
     policy: ReoptPolicy,
 ) -> ReplaceOutcome {
     // A non-positive running estimate is an unconditional Keep — bail out
-    // before paying for candidate enumeration whose answer is discarded.
+    // before any placement or mapping work whose answer is discarded.
     if running_cost_estimate <= 0.0 {
         return ReplaceOutcome::Keep { pruned: 0 };
     }
     let ceiling =
         (1.0 - policy.replacement_threshold) * running_cost_estimate * (1.0 + BOUND_SLACK);
-    let candidates = plans().into_iter().map(|plan| Candidate::bare(plan, query));
+    let candidates = candidates.iter().map(|plan| Candidate::bare(Cow::Borrowed(plan), query));
     let selection = select_cheapest(candidates, ceiling, space, placer, mapper);
     let pruned = selection.pruned;
     let improved = |best: PlacedCircuit| {
@@ -242,6 +328,35 @@ mod tests {
     use sbon_netsim::graph::NodeId;
     use sbon_netsim::latency::EuclideanLatency;
     use sbon_netsim::load::{Attr, NodeAttrs};
+
+    /// The per-circuit reference of a rewrite evaluation: the circuit
+    /// generates its own neighbourhood.
+    fn reoptimize_rewrite(
+        running_plan: &LogicalPlan,
+        running_cost_estimate: f64,
+        query: &QuerySpec,
+        space: &CostSpace,
+        placer: &dyn VirtualPlacer,
+        mapper: &mut dyn PhysicalMapper,
+        policy: ReoptPolicy,
+    ) -> ReplaceOutcome {
+        let plans = rewrite_neighbourhood(running_plan);
+        reoptimize_among(&plans, running_cost_estimate, query, space, placer, mapper, policy)
+    }
+
+    /// The per-circuit reference of a full evaluation: the circuit generates
+    /// its own plan space.
+    fn reoptimize_full(
+        running_cost_estimate: f64,
+        query: &QuerySpec,
+        space: &CostSpace,
+        optimizer: &IntegratedOptimizer,
+        mapper: &mut dyn PhysicalMapper,
+        policy: ReoptPolicy,
+    ) -> ReplaceOutcome {
+        let (plans, placer) = (optimizer.candidate_plans(query), optimizer.placer());
+        reoptimize_among(&plans, running_cost_estimate, query, space, placer, mapper, policy)
+    }
 
     /// Line world with a spare host at each end and one in the middle.
     fn world() -> (Vec<Vec<f64>>, EuclideanLatency) {
@@ -453,7 +568,7 @@ mod tests {
         }
     }
 
-    /// Regression: `reoptimize_full` used to run the whole integrated
+    /// Regression: full re-opt used to run the whole integrated
     /// optimization *before* checking `running_cost_estimate <= 0.0`,
     /// paying full optimization cost on circuits it then unconditionally
     /// kept. The guard must fire before any mapping work.
@@ -631,5 +746,166 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Parameters drawn for filters and aggregates: a small set, so equal
+    /// plans and equal query shapes recur, with 0.5's bit-neighbour so that
+    /// some differ only in bits.
+    const PARAMS: [f64; 4] = [0.25, 0.5, 0.500_000_000_000_000_1, 1.0];
+
+    /// A random running plan over 2–6 streams, drawn from `pick`: a bushy
+    /// join tree (some inner nodes unions), zero to two source filters per
+    /// leaf (so split and fuse fire) and an optional root aggregate.
+    fn random_plan(pick: &mut impl FnMut(usize) -> usize) -> LogicalPlan {
+        let ways = 2 + pick(5) as u32;
+        let mut forest: Vec<LogicalPlan> = (0..ways)
+            .map(|i| {
+                let mut leaf = LogicalPlan::source(StreamId(i));
+                for _ in 0..pick(3) {
+                    leaf = LogicalPlan::select(PARAMS[pick(PARAMS.len())], leaf);
+                }
+                leaf
+            })
+            .collect();
+        while forest.len() > 1 {
+            let a = forest.swap_remove(pick(forest.len()));
+            let b = forest.swap_remove(pick(forest.len()));
+            forest.push(if pick(6) == 0 {
+                LogicalPlan::union(a, b)
+            } else {
+                LogicalPlan::join(a, b)
+            });
+        }
+        let plan = forest.pop().unwrap();
+        match pick(3) {
+            0 => LogicalPlan::aggregate(PARAMS[pick(PARAMS.len())], plan),
+            _ => plan,
+        }
+    }
+
+    /// `plan` with every filter and aggregate parameter moved to the next
+    /// smaller `f64`: it renders alike and differs only in bits (or is
+    /// `plan` itself, when it has none).
+    fn bit_twin(plan: &LogicalPlan) -> LogicalPlan {
+        use sbon_query::plan::UnaryOp;
+        match plan {
+            LogicalPlan::Source(_) => plan.clone(),
+            LogicalPlan::Unary { op, input } => {
+                let twin = f64::from_bits(op.rate_ratio().to_bits() - 1);
+                let op = match op {
+                    UnaryOp::Select { .. } => UnaryOp::Select { selectivity: twin },
+                    UnaryOp::Aggregate { .. } => UnaryOp::Aggregate { ratio: twin },
+                };
+                LogicalPlan::Unary { op, input: Box::new(bit_twin(input)) }
+            }
+            LogicalPlan::Binary { op, left, right } => LogicalPlan::Binary {
+                op: *op,
+                left: Box::new(bit_twin(left)),
+                right: Box::new(bit_twin(right)),
+            },
+        }
+    }
+
+    /// A random query: a join star over 2–7 local streams (so equal join
+    /// sets recur, on both sides of `exhaustive_below`), its rate from two
+    /// values (so equal join sets come with equal and with different
+    /// catalogs), source filters and a root aggregate from [`PARAMS`].
+    fn random_query(pick: &mut impl FnMut(usize) -> usize) -> QuerySpec {
+        let ways = 2 + pick(6);
+        let producers: Vec<NodeId> = (0..ways as u32).map(NodeId).collect();
+        let rate = [6.0, 10.0][pick(2)];
+        let mut q = QuerySpec::join_star(&producers, NodeId(99), rate, 0.02);
+        for _ in 0..pick(3) {
+            q = q.with_source_filter(StreamId(pick(ways) as u32), PARAMS[pick(PARAMS.len())]);
+        }
+        if pick(3) == 0 {
+            q = q.with_root_aggregate(PARAMS[pick(PARAMS.len())]);
+        }
+        q
+    }
+
+    /// `got` and `want` list the same plans in the same order.
+    fn same_list(got: &[LogicalPlan], want: &[LogicalPlan]) -> bool {
+        got.len() == want.len() && got.iter().zip(want).all(|(g, w)| g.same_structure(w))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 40 })]
+        /// The per-pass table hands every circuit exactly the list it would
+        /// have generated itself — same length, same order, same plans by
+        /// [`LogicalPlan::same_structure`] — for multisets of running plans
+        /// in which some repeat exactly and some differ from another only
+        /// in their parameters' bits ([`bit_twin`]), and for queries on both
+        /// sides of `exhaustive_below`; a DP-branch list is never shared.
+        /// Rewrite lists are shared exactly between equal plans.
+        #[test]
+        fn candidate_lists_equal_per_circuit_generation(
+            (seed, distinct, circuits) in (0u64..u64::MAX, 1usize..8, 1usize..24)
+        ) {
+            let mut draws = 0;
+            let mut pick = |n: usize| {
+                draws += 1;
+                (sbon_netsim::rng::derive_seed(seed, draws) % n as u64) as usize
+            };
+
+            let mut pool: Vec<LogicalPlan> = Vec::new();
+            for i in 0..distinct {
+                let plan = if i % 2 == 1 { bit_twin(&pool[i - 1]) } else { random_plan(&mut pick) };
+                pool.push(plan);
+            }
+            let running: Vec<LogicalPlan> =
+                (0..circuits).map(|_| pool[pick(distinct)].clone()).collect();
+            let table = CandidateLists::rewrite(&running);
+            proptest::prop_assert!(table.built() <= distinct.min(circuits));
+            for (i, plan) in running.iter().enumerate() {
+                let own = sbon_query::rewrite::neighbors_within(plan, 2, 128);
+                proptest::prop_assert!(same_list(table.of(i), &own), "circuit {i}: {plan}");
+                for (j, other) in running.iter().enumerate() {
+                    let shared = table.list_of[i] == table.list_of[j];
+                    proptest::prop_assert_eq!(shared, plan.same_structure(other));
+                }
+            }
+
+            let opt = IntegratedOptimizer::new(OptimizerConfig::default());
+            let queries: Vec<QuerySpec> = (0..circuits).map(|_| random_query(&mut pick)).collect();
+            let table = CandidateLists::full(&opt, &queries);
+            for (i, query) in queries.iter().enumerate() {
+                let own = opt.candidate_plans(query);
+                proptest::prop_assert!(same_list(table.of(i), &own), "query {i}: {query:?}");
+                if !opt.enumerates_exhaustively(query) {
+                    let sharers = table.list_of.iter().filter(|&&at| at == table.list_of[i]);
+                    proptest::prop_assert!(sharers.count() == 1, "DP list {i} shared");
+                }
+            }
+        }
+    }
+
+    /// The draws above do share: over a fixed set of seeds, rewrite tables
+    /// build fewer lists than circuits, exhaustive queries of one shape
+    /// share a list, and DP queries with equal join sets occur (and are
+    /// kept apart by the property above).
+    #[test]
+    fn candidate_list_draws_exercise_sharing() {
+        let opt = IntegratedOptimizer::new(OptimizerConfig::default());
+        let (mut rewrite_shared, mut full_shared, mut dp_twins) = (0, 0, 0);
+        for seed in 0..40u64 {
+            let mut draws = 0;
+            let mut pick = |n: usize| {
+                draws += 1;
+                (sbon_netsim::rng::derive_seed(seed, draws) % n as u64) as usize
+            };
+            let pool: Vec<LogicalPlan> = (0..3).map(|_| random_plan(&mut pick)).collect();
+            let running: Vec<LogicalPlan> = (0..12).map(|_| pool[pick(3)].clone()).collect();
+            rewrite_shared += 12 - CandidateLists::rewrite(&running).built();
+            let queries: Vec<QuerySpec> = (0..12).map(|_| random_query(&mut pick)).collect();
+            full_shared += 12 - CandidateLists::full(&opt, &queries).built();
+            let dp: Vec<&QuerySpec> =
+                queries.iter().filter(|q| !opt.enumerates_exhaustively(q)).collect();
+            for (i, a) in dp.iter().enumerate() {
+                dp_twins += dp[i + 1..].iter().filter(|b| b.join_set == a.join_set).count();
+            }
+        }
+        assert!(rewrite_shared > 0 && full_shared > 0 && dp_twins > 0);
+        assert_eq!(PARAMS[2].to_bits(), PARAMS[1].to_bits() + 1);
     }
 }

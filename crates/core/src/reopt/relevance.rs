@@ -76,9 +76,11 @@ use crate::placement::MapperDelta;
 pub enum ReoptKind {
     /// Per-service migration checks ([`super::reoptimize_local`]).
     Local,
-    /// Rewrite-neighbourhood exploration ([`super::reoptimize_rewrite`]).
+    /// Rewrite-neighbourhood exploration: [`super::reoptimize_among`] the
+    /// running plan's [`super::rewrite_neighbourhood`].
     Rewrite,
-    /// Full integrated re-optimization ([`super::reoptimize_full`]).
+    /// Full integrated re-optimization: [`super::reoptimize_among`] the
+    /// optimizer's candidate plans for the query.
     Full,
 }
 

@@ -179,6 +179,11 @@ pub struct OverlayRuntime {
     /// Monotonic handle counter — the only circuit-id counter: the reuse
     /// registry is keyed by the handles it issues.
     next_handle: usize,
+    /// The reference the per-pass candidate lists are pinned against: each
+    /// evaluated circuit generates its own list, as before the lists were
+    /// shared.
+    #[cfg(test)]
+    lists_per_circuit: bool,
 }
 
 impl OverlayRuntime {
@@ -238,6 +243,8 @@ impl OverlayRuntime {
             pending_failures: Vec::new(),
             failed_circuits: Vec::new(),
             next_handle: 0,
+            #[cfg(test)]
+            lists_per_circuit: false,
         }
     }
 

@@ -3,9 +3,10 @@
 //!
 //! `impl OverlayRuntime` here **reads** `config.{policy, *_interval_ms,
 //! *_penalty}`, `space`, `pool`, `optimizer` (candidate plans and placer of
-//! every kind) and **writes** `circuits` (keyed, in ascending handle order:
-//! placement on migrate, circuit / plan / shared mask on replace, clearing
-//! the stored usage on either), `mapper`
+//! every kind; a plan-replacing pass builds each distinct candidate list
+//! once, before its evaluations) and **writes** `circuits` (keyed, in
+//! ascending handle order: placement on migrate, circuit / plan / shared
+//! mask on replace, clearing the stored usage on either), `mapper`
 //! (traffic charge-back), `multiquery` (relocate, reregister — refcounts
 //! are only read), `relevance`, `obs`, plus the session's report and queue.
 
@@ -17,7 +18,7 @@ use sbon_core::optimizer::PlacedCircuit;
 use sbon_core::placement::ReadObservation;
 use sbon_core::reopt::relevance::{ReadSet, ReoptKind};
 use sbon_core::reopt::{
-    reoptimize_full, reoptimize_local, reoptimize_rewrite, Migration, ReplaceOutcome,
+    reoptimize_among, reoptimize_local, CandidateLists, Migration, ReplaceOutcome,
 };
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::sim::SimTime;
@@ -48,20 +49,21 @@ impl Verdict {
     }
 }
 
-/// Runs `f` over `handles` on the pool when one is active (and there is
-/// enough work to shard), serially otherwise. Results come back in input
-/// order either way, and `f` is pure per circuit, so thread count never
-/// changes what the caller commits.
+/// Runs `f` over `handles` — each with its position — on the pool when one
+/// is active (and there is enough work to shard), serially otherwise.
+/// Results come back in input order either way, and `f` is pure per
+/// circuit, so thread count never changes what the caller commits.
 fn run_parallel<T: Send>(
     pool: &Option<rayon::ThreadPool>,
     handles: &[CircuitHandle],
-    f: impl Fn(CircuitHandle) -> T + Sync,
+    f: impl Fn(usize, CircuitHandle) -> T + Sync,
 ) -> Vec<T> {
     match pool {
         Some(pool) if handles.len() > 1 => {
-            pool.install(|| handles.par_iter().map(|&h| f(h)).collect())
+            let positions: Vec<usize> = (0..handles.len()).collect();
+            pool.install(|| positions.par_iter().map(|&i| f(i, handles[i])).collect())
         }
-        _ => handles.iter().map(|&h| f(h)).collect(),
+        _ => handles.iter().enumerate().map(|(i, &h)| f(i, h)).collect(),
     }
 }
 
@@ -119,6 +121,33 @@ impl OverlayRuntime {
         self.relevance.touch_all();
     }
 
+    /// The candidate lists of a `kind` pass over `eval` (none for a local
+    /// pass), built serially in handle order: circuits running the same
+    /// plan share one rewrite neighbourhood, queries of one shape one plan
+    /// space.
+    fn candidate_lists(&self, kind: ReoptKind, eval: &[CircuitHandle]) -> CandidateLists {
+        let deployed = eval.iter().map(|handle| &*self.circuits[handle]);
+        match kind {
+            ReoptKind::Local => CandidateLists::default(),
+            ReoptKind::Rewrite => CandidateLists::rewrite(deployed.map(|d| &d.running_plan)),
+            ReoptKind::Full => CandidateLists::full(&self.optimizer, deployed.map(|d| &d.query)),
+        }
+    }
+
+    /// The per-circuit reference of [`Self::candidate_lists`]: the list
+    /// circuit `d` generates for itself.
+    #[cfg(test)]
+    fn own_candidates(
+        kind: ReoptKind,
+        d: &Deployed,
+        optimizer: &sbon_core::optimizer::IntegratedOptimizer,
+    ) -> Vec<sbon_query::plan::LogicalPlan> {
+        match kind {
+            ReoptKind::Rewrite => sbon_core::reopt::rewrite_neighbourhood(&d.running_plan),
+            _ => optimizer.candidate_plans(&d.query),
+        }
+    }
+
     /// One adaptation pass — the skeleton all three kinds share.
     /// Tenancy-entangled circuits are left out of the plan-replacing kinds
     /// (a plan swap under live subscriptions would strand tenants), and
@@ -126,7 +155,8 @@ impl OverlayRuntime {
     /// their last no-op evaluation exactly. The rest are evaluated
     /// **read-only** — each with a fresh mapper view and nothing shared
     /// mutating, so the evaluations are independent and shard across the
-    /// pool — and then committed serially in circuit order: deferred catalog
+    /// pool; a plan-replacing kind's candidate lists are built once before
+    /// them — and then committed serially in circuit order: deferred catalog
     /// traffic, the mutation (keeping the reuse-discovery index truthful
     /// about hosts and registrations), and the relevance verdict — dirty on
     /// change, else a clean record with the evaluation's observed read set.
@@ -145,11 +175,14 @@ impl OverlayRuntime {
         let t0 = WallTimer::start();
         let sp = self.obs.span_start(span, Vec::new);
         let eval = self.dirty_circuits(kind, !migrates);
+        let lists = self.candidate_lists(kind, &eval);
         let results: Vec<(Verdict, usize, ReadObservation)> = {
             let (circuits, space, mapper) = (&self.circuits, &self.space, &self.mapper);
             let (optimizer, policy) = (&self.optimizer, self.config.policy);
             let placer = optimizer.placer();
-            run_parallel(&self.pool, &eval, |handle| {
+            #[cfg(test)]
+            let per_circuit = self.lists_per_circuit;
+            run_parallel(&self.pool, &eval, |at, handle| {
                 let d = &circuits[&handle];
                 let mut view = mapper.read_view();
                 let (verdict, pruned) = match kind {
@@ -163,23 +196,22 @@ impl OverlayRuntime {
                             (Verdict::Migrate(to, moved), 0)
                         }
                     }
-                    ReoptKind::Rewrite => Verdict::of_replacing(reoptimize_rewrite(
-                        &d.running_plan,
-                        d.running_est(space),
-                        &d.query,
-                        space,
-                        placer,
-                        &mut view,
-                        policy,
-                    )),
-                    ReoptKind::Full => Verdict::of_replacing(reoptimize_full(
-                        d.running_est(space),
-                        &d.query,
-                        space,
-                        optimizer,
-                        &mut view,
-                        policy,
-                    )),
+                    ReoptKind::Rewrite | ReoptKind::Full => {
+                        let candidates = lists.of(at);
+                        #[cfg(test)]
+                        let own = per_circuit.then(|| Self::own_candidates(kind, d, optimizer));
+                        #[cfg(test)]
+                        let candidates = own.as_deref().unwrap_or(candidates);
+                        Verdict::of_replacing(reoptimize_among(
+                            candidates,
+                            d.running_est(space),
+                            &d.query,
+                            space,
+                            placer,
+                            &mut view,
+                            policy,
+                        ))
+                    }
                 };
                 (verdict, pruned, view.into_observation())
             })
@@ -228,11 +260,13 @@ impl OverlayRuntime {
         }
         self.obs.registry.inc(wall_ns, t0.elapsed_ns());
         self.obs.registry.inc(self.obs.h.candidates_pruned, pruned as u64);
-        let evaluated = eval.len();
+        let (evaluated, built) = (eval.len(), lists.built());
+        self.obs.registry.inc(self.obs.h.candidate_lists, built as u64);
         self.obs.span_end(sp, || {
             let mut fields = vec![("evaluated", evaluated.into()), (changes, changed.into())];
             if !migrates {
                 fields.push(("pruned", pruned.into()));
+                fields.push(("lists", built.into()));
             }
             fields
         });

@@ -81,6 +81,10 @@ pub struct ControlPlaneStats {
     /// network-usage lower bound alone, before any placement or mapping
     /// work (see `sbon_core::optimizer`).
     pub candidates_pruned: usize,
+    /// Candidate lists the rewrite and full passes built: one per distinct
+    /// running plan (rewrite) or query shape (full), however many evaluated
+    /// circuits read it (see `sbon_core::reopt::CandidateLists`).
+    pub candidate_lists: u64,
     /// Wall time reading the ground-truth latency provider for usage
     /// accounting (the data-plane proxy, for comparison).
     pub usage_ns: u128,
@@ -190,6 +194,7 @@ pub(super) struct StatHandles {
     pub(super) reopt_evaluated: CounterId,
     pub(super) reopt_skipped: CounterId,
     pub(super) candidates_pruned: CounterId,
+    pub(super) candidate_lists: CounterId,
     pub(super) usage_ns: CounterId,
     pub(super) usage_rereads: CounterId,
     pub(super) arrivals: CounterId,
@@ -239,6 +244,7 @@ impl RuntimeObs {
             reopt_evaluated: registry.counter("control_plane", "reopt_evaluated"),
             reopt_skipped: registry.counter("control_plane", "reopt_skipped"),
             candidates_pruned: registry.counter("control_plane", "candidates_pruned"),
+            candidate_lists: registry.counter("control_plane", "candidate_lists"),
             usage_ns: registry.counter("control_plane", "usage_ns"),
             usage_rereads: registry.counter("control_plane", "usage_rereads"),
             arrivals: registry.counter("lifecycle", "arrivals"),
@@ -362,6 +368,7 @@ impl OverlayRuntime {
             reopt_evaluated: r.counter_value(h.reopt_evaluated) as usize,
             reopt_skipped: r.counter_value(h.reopt_skipped) as usize,
             candidates_pruned: r.counter_value(h.candidates_pruned) as usize,
+            candidate_lists: r.counter_value(h.candidate_lists),
             usage_ns: u128::from(r.counter_value(h.usage_ns)),
             usage_rereads: r.counter_value(h.usage_rereads),
             ..ControlPlaneStats::default()

@@ -1605,3 +1605,116 @@ proptest::proptest! {
         }
     }
 }
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig { cases: 6 })]
+
+    /// Per-pass candidate lists are decision-identical: a run whose
+    /// plan-replacing passes build each distinct list once equals, bit for
+    /// bit and in candidates pruned, the reference in which every evaluated
+    /// circuit generates its own (`lists_per_circuit`). The schedule deploys
+    /// join stars over local stream ids (so running plans and query shapes
+    /// repeat) — 3-, 4- and 6-way, the last on the DP branch and some of
+    /// those with a stream rate of their own, some with a source filter that
+    /// renders like another or differs from it only in its bits, some with a
+    /// root aggregate — then interleaves local, rewrite and full passes,
+    /// ticks under all-node churn, node failures, deploys and undeploys, at
+    /// one and two threads, under the default or an eager replacement
+    /// threshold. It is not vacuous: some pass replaces a plan (so a later
+    /// rewrite pass keys on the new one), and the passes build fewer lists
+    /// than they evaluate circuits.
+    #[test]
+    fn shared_candidate_lists_equal_per_circuit_generation(
+        (seed, ops, eager) in (0u64..1_000_000, 40usize..70, 0u8..2)
+    ) {
+        // An eager policy replaces a circuit whenever its list's best is no
+        // dearer, so any list that is not the circuit's own shows.
+        let policy = ReoptPolicy {
+            replacement_threshold: if eager == 1 { 0.0 } else { 0.1 },
+            ..ReoptPolicy::default()
+        };
+        let topo = generate(&TransitStubConfig::with_total_nodes(90), seed);
+        let hosts = topo.host_candidates();
+        let query = |rng: &mut rand::rngs::StdRng| {
+            let k = [3, 3, 4, 4, 6][rng.gen_range(0..5usize)];
+            let producers: Vec<NodeId> =
+                (0..k).map(|_| hosts[rng.gen_range(0..hosts.len())]).collect();
+            let consumer = hosts[rng.gen_range(0..hosts.len())];
+            let rate = [4.0, 10.0][rng.gen_range(0..2usize)];
+            let mut q = QuerySpec::join_star(&producers, consumer, rate, 0.02);
+            let stream = |i: usize| sbon_query::stream::StreamId(i as u32);
+            if k == 6 && rng.gen_bool(0.5) {
+                // Equal join sets, catalogs whose DP ranks differ.
+                q = q.with_rate(stream(rng.gen_range(0..k)), 40.0);
+            }
+            match rng.gen_range(0..6) {
+                0 => q.with_source_filter(stream(0), 0.5),
+                1 => q.with_source_filter(stream(0), f64::from_bits(0.5f64.to_bits() + 1)),
+                2 => q.with_source_filter(stream(0), 0.25),
+                3 => q.with_root_aggregate(0.3),
+                _ => q,
+            }
+        };
+        for threads in [1, 2] {
+            let run = |per_circuit: bool| {
+                let config = RuntimeConfig::builder()
+                    .horizon_ms(1e9)
+                    .churn(ChurnProcess::RandomWalk { std_dev: 0.2 })
+                    .policy(policy)
+                    .threads(threads)
+                    .build();
+                let mut rt = OverlayRuntime::new(&topo, seed, config);
+                rt.lists_per_circuit = per_circuit;
+                let mut session = rt.start_run();
+                let mut rng = derive_rng(seed, 0x115c);
+                let mut live: Vec<CircuitHandle> = Vec::new();
+                for _ in 0..12 {
+                    live.extend(rt.deploy(query(&mut rng)));
+                }
+                let (mut evaluated, mut lists) = (0, 0);
+                for _ in 0..ops {
+                    let now = SimTime(session.now_ms());
+                    match rng.gen_range(0..10) {
+                        0 => live.extend(rt.deploy(query(&mut rng))),
+                        1 if !live.is_empty() => {
+                            rt.undeploy(live.swap_remove(rng.gen_range(0..live.len())));
+                        }
+                        2 => rt.reopt_pass(&mut session, now, ReoptKind::Local),
+                        kind @ (3 | 4) => {
+                            let kind = if kind == 3 { ReoptKind::Rewrite } else { ReoptKind::Full };
+                            let before = rt.control_plane_stats();
+                            rt.reopt_pass(&mut session, now, kind);
+                            let after = rt.control_plane_stats();
+                            evaluated += after.reopt_evaluated - before.reopt_evaluated;
+                            lists += after.candidate_lists - before.candidate_lists;
+                        }
+                        5 => {
+                            let placed: Vec<NodeId> = live
+                                .iter()
+                                .filter_map(|&h| rt.placement(h))
+                                .flat_map(|p| p.as_slice().to_vec())
+                                .collect();
+                            if !placed.is_empty() {
+                                let node = placed[rng.gen_range(0..placed.len())];
+                                rt.handle_event(&mut session, now, Event::Fail(node));
+                            }
+                        }
+                        _ => {
+                            rt.advance_ticks(&mut session, 1);
+                        }
+                    }
+                }
+                let pruned = rt.control_plane_stats().candidates_pruned;
+                (rt.finish_run(session), pruned, evaluated, lists)
+            };
+            let (reference, reference_pruned, _, _) = run(true);
+            let (shared, pruned, evaluated, lists) = run(false);
+            proptest::prop_assert!(shared == reference, "{threads} threads: the runs differ");
+            // The bound prunes by list: a list not the circuit's own would
+            // show here even where its best is the same plan.
+            proptest::prop_assert_eq!(pruned, reference_pruned);
+            proptest::prop_assert!(lists < evaluated as u64, "{lists} lists, {evaluated} evaluated");
+            proptest::prop_assert!(shared.replacements > 0, "no plan was replaced");
+        }
+    }
+}

@@ -37,6 +37,10 @@
 //!   (`Circuit::signatures`) print. The rewrite neighbourhood prints
 //!   nothing: [`rewrite::neighbors_within`] dedups on exact structure
 //!   through a structural hash.
+//! * [`LogicalPlan::same_structure`] / [`LogicalPlan::structural_hash`] —
+//!   plan identity (exact structure, parameters by bits) and its bucket:
+//!   the rewrite neighbourhood's dedup and re-optimization's per-pass
+//!   candidate lists (`sbon-core`) key on them, and on nothing else.
 
 #![forbid(unsafe_code)]
 

@@ -189,6 +189,54 @@ impl LogicalPlan {
             }
         }
     }
+
+    /// Exact structural equality — plan identity: `==` with unary
+    /// parameters compared by bits. Two plans are the same exactly when
+    /// they build the same circuit (left/right order matters: a commuted
+    /// join is a different circuit).
+    pub fn same_structure(&self, other: &LogicalPlan) -> bool {
+        match (self, other) {
+            (LogicalPlan::Source(x), LogicalPlan::Source(y)) => x == y,
+            (LogicalPlan::Unary { op: p, input: x }, LogicalPlan::Unary { op: q, input: y }) => {
+                std::mem::discriminant(p) == std::mem::discriminant(q)
+                    && p.rate_ratio().to_bits() == q.rate_ratio().to_bits()
+                    && x.same_structure(y)
+            }
+            (
+                LogicalPlan::Binary { op: p, left: a, right: b },
+                LogicalPlan::Binary { op: q, left: c, right: d },
+            ) => p == q && a.same_structure(c) && b.same_structure(d),
+            _ => false,
+        }
+    }
+
+    /// A deterministic hash of what [`LogicalPlan::same_structure`]
+    /// compares: node kinds, stream ids, operators, unary parameters' bits,
+    /// children in order — the bucket to look a plan up in before an exact
+    /// comparison. Plain multiply-rotate word mixing with fixed constants —
+    /// no seed, no per-process state.
+    pub fn structural_hash(&self) -> u64 {
+        fn mix(h: u64, word: u64) -> u64 {
+            (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+        }
+        match self {
+            LogicalPlan::Source(id) => mix(mix(0, 1), u64::from(id.0)),
+            LogicalPlan::Unary { op, input } => {
+                let kind = match op {
+                    UnaryOp::Select { .. } => 2,
+                    UnaryOp::Aggregate { .. } => 3,
+                };
+                mix(mix(mix(0, kind), op.rate_ratio().to_bits()), input.structural_hash())
+            }
+            LogicalPlan::Binary { op, left, right } => {
+                let kind = match op {
+                    BinaryOp::Join => 4,
+                    BinaryOp::Union => 5,
+                };
+                mix(mix(mix(0, kind), left.structural_hash()), right.structural_hash())
+            }
+        }
+    }
 }
 
 impl std::fmt::Display for LogicalPlan {

@@ -107,17 +107,18 @@ pub fn neighbors(plan: &LogicalPlan) -> Vec<LogicalPlan> {
 /// cost-neutral on their own but open up rotations that one-step search
 /// cannot reach.
 ///
-/// Distinct means distinct in exact structure — shape, left/right order,
-/// operators and their parameters by bits — so two plans are one only if
-/// they build the same circuit. Plans are bucketed by a deterministic
-/// structural hash and compared exactly within a bucket: a hash collision
-/// costs one comparison and never drops a plan.
+/// Distinct means distinct in exact structure
+/// ([`LogicalPlan::same_structure`]) — shape, left/right order, operators
+/// and their parameters by bits — so two plans are one only if they build
+/// the same circuit. Plans are bucketed by
+/// [`LogicalPlan::structural_hash`] and compared exactly within a bucket: a
+/// hash collision costs one comparison and never drops a plan.
 pub fn neighbors_within(plan: &LogicalPlan, depth: usize, max_plans: usize) -> Vec<LogicalPlan> {
     // The start plan's slot in `seen`: it is listed, but not in `out`.
     const START: usize = usize::MAX;
     // Structural hash → indices into `out` of the plans listed under it.
     let mut seen: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    seen.insert(structural_hash(plan), vec![START]);
+    seen.insert(plan.structural_hash(), vec![START]);
     let mut out: Vec<LogicalPlan> = Vec::new();
     let mut generated = Vec::new();
     // The frontier is `plan` itself at the first level, then the slice of
@@ -132,9 +133,9 @@ pub fn neighbors_within(plan: &LogicalPlan, depth: usize, max_plans: usize) -> V
                 if out.len() >= max_plans {
                     return out;
                 }
-                let listed = seen.entry(structural_hash(&n)).or_default();
+                let listed = seen.entry(n.structural_hash()).or_default();
                 let plan_at = |i: usize| if i == START { plan } else { &out[i] };
-                if !listed.iter().any(|&i| same_structure(plan_at(i), &n)) {
+                if !listed.iter().any(|&i| plan_at(i).same_structure(&n)) {
                     listed.push(out.len());
                     out.push(n);
                 }
@@ -146,50 +147,6 @@ pub fn neighbors_within(plan: &LogicalPlan, depth: usize, max_plans: usize) -> V
         }
     }
     out
-}
-
-/// A deterministic hash of what [`same_structure`] compares: node kinds,
-/// stream ids, operators, unary parameters' bits, children in order. Plain
-/// multiply-rotate word mixing with fixed constants — no seed, no
-/// per-process state.
-fn structural_hash(plan: &LogicalPlan) -> u64 {
-    fn mix(h: u64, word: u64) -> u64 {
-        (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
-    }
-    match plan {
-        LogicalPlan::Source(id) => mix(mix(0, 1), u64::from(id.0)),
-        LogicalPlan::Unary { op, input } => {
-            let kind = match op {
-                UnaryOp::Select { .. } => 2,
-                UnaryOp::Aggregate { .. } => 3,
-            };
-            mix(mix(mix(0, kind), op.rate_ratio().to_bits()), structural_hash(input))
-        }
-        LogicalPlan::Binary { op, left, right } => {
-            let kind = match op {
-                BinaryOp::Join => 4,
-                BinaryOp::Union => 5,
-            };
-            mix(mix(mix(0, kind), structural_hash(left)), structural_hash(right))
-        }
-    }
-}
-
-/// Exact structural equality: `==` with unary parameters compared by bits.
-fn same_structure(a: &LogicalPlan, b: &LogicalPlan) -> bool {
-    match (a, b) {
-        (LogicalPlan::Source(x), LogicalPlan::Source(y)) => x == y,
-        (LogicalPlan::Unary { op: p, input: x }, LogicalPlan::Unary { op: q, input: y }) => {
-            std::mem::discriminant(p) == std::mem::discriminant(q)
-                && p.rate_ratio().to_bits() == q.rate_ratio().to_bits()
-                && same_structure(x, y)
-        }
-        (
-            LogicalPlan::Binary { op: p, left: a, right: b },
-            LogicalPlan::Binary { op: q, left: c, right: d },
-        ) => p == q && same_structure(a, c) && same_structure(b, d),
-        _ => false,
-    }
 }
 
 /// Applies every root rewrite at every position of the tree, collecting the

@@ -388,6 +388,7 @@ fn bench_reopt_pass(c: &mut Criterion) {
                             &placer,
                             &mut view,
                             policy,
+                            None,
                         ));
                     }
                     black_box(eval.len())

@@ -22,7 +22,10 @@
 //!   consumers (the Hilbert-DHT catalog re-registers via
 //!   `DhtMapper::update_node`).
 //! * [`CostSpace::set_vector_coord`] is the same delta path for embedding
-//!   refinement of the vector (latency) prefix.
+//!   refinement of the vector (latency) prefix, and the only writer of it:
+//!   a real change bumps [`CostSpace::vector_epoch`], which is how results
+//!   that read vector coordinates only (virtual placements, usage lower
+//!   bounds) know they are still exact.
 //! * [`CostSpace::refresh_scalars`] remains as the full-universe sweep.
 //!
 //! Both paths evaluate the identical weighting expression, so a sequence of

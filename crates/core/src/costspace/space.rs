@@ -38,6 +38,10 @@ pub struct CostSpace {
     vector_dims: usize,
     scalar_specs: Vec<DimensionSpec>,
     points: Vec<CostPoint>,
+    /// Bumped by every [`CostSpace::set_vector_coord`] that changed a bit:
+    /// equal epochs of one space (or of a clone and its original) mean
+    /// equal vector coordinates everywhere.
+    vector_epoch: u64,
 }
 
 impl CostSpace {
@@ -69,6 +73,15 @@ impl CostSpace {
     /// All coordinates, indexed by node id.
     pub fn points(&self) -> &[CostPoint] {
         &self.points
+    }
+
+    /// The vector epoch: how many [`CostSpace::set_vector_coord`] calls
+    /// have changed a vector coordinate. Scalar writes never move it, so a
+    /// result that reads only vector coordinates — a virtual placement, a
+    /// circuit's usage lower bound — computed at an epoch is still exact at
+    /// the same epoch, however the scalars churned in between.
+    pub fn vector_epoch(&self) -> u64 {
+        self.vector_epoch
     }
 
     /// Vector-only distance between two nodes (the latency estimate).
@@ -139,7 +152,8 @@ impl CostSpace {
     /// Replaces one node's vector (latency) coordinate — the delta path for
     /// embedding refinement, where a node "constantly refines" its network
     /// coordinate. Scalar components are untouched. Returns `true` when the
-    /// coordinate actually changed (bit-level).
+    /// coordinate actually changed (bit-level), and only then bumps the
+    /// [vector epoch](CostSpace::vector_epoch).
     pub fn set_vector_coord(&mut self, node: NodeId, coord: &[f64]) -> bool {
         assert_eq!(coord.len(), self.vector_dims, "vector coordinate dims");
         assert!(coord.iter().all(|c| c.is_finite()), "cost coordinates must be finite");
@@ -151,6 +165,7 @@ impl CostSpace {
                 changed = true;
             }
         }
+        self.vector_epoch += u64::from(changed);
         changed
     }
 }
@@ -167,6 +182,7 @@ impl CostSpaceBuilder {
             vector_dims: embedding.dims(),
             scalar_specs: Vec::new(),
             points: embedding.coords.iter().map(|c| CostPoint::new(c.clone())).collect(),
+            vector_epoch: 0,
         }
     }
 
@@ -216,7 +232,13 @@ impl CostSpaceBuilder {
             CostPoint::new(full)
         };
         let points = embedding.coords.iter().map(unweighted).collect();
-        let mut space = CostSpace { name: name.to_string(), vector_dims, scalar_specs, points };
+        let mut space = CostSpace {
+            name: name.to_string(),
+            vector_dims,
+            scalar_specs,
+            points,
+            vector_epoch: 0,
+        };
         space.refresh_scalars(attrs);
         space
     }
@@ -331,6 +353,28 @@ mod tests {
         assert!(s.set_vector_coord(NodeId(2), &[7.0, 8.0]));
         assert_eq!(s.point(NodeId(2)).as_slice(), &[7.0, 8.0, 0.0]);
         assert!(!s.set_vector_coord(NodeId(2), &[7.0, 8.0]), "identical coord is a no-op");
+    }
+
+    /// The vector epoch moves on a real vector write and on nothing else:
+    /// not on a same-bits write, not on scalar maintenance of either kind.
+    #[test]
+    fn vector_epoch_moves_only_on_a_real_vector_change() {
+        let mut attrs = NodeAttrs::idle(3);
+        let mut s = CostSpaceBuilder::latency_load_space_scaled(&embedding3(), &attrs, 100.0);
+        assert_eq!(s.vector_epoch(), 0);
+        assert!(!s.set_vector_coord(NodeId(1), &[10.0, 0.0]), "same bits");
+        assert_eq!(s.vector_epoch(), 0);
+        attrs.set(NodeId(1), Attr::CpuLoad, 0.9);
+        assert!(s.update_scalars(NodeId(1), &attrs), "a real scalar change");
+        s.refresh_scalars(&attrs);
+        assert_eq!(s.vector_epoch(), 0, "scalars never move the vector epoch");
+        assert!(s.set_vector_coord(NodeId(1), &[10.0, 0.5]));
+        assert_eq!(s.vector_epoch(), 1);
+        // -0.0 == 0.0, but the bits differ: a change.
+        assert!(s.set_vector_coord(NodeId(0), &[-0.0, 0.0]));
+        assert_eq!(s.vector_epoch(), 2);
+        let clone = s.clone();
+        assert_eq!(clone.vector_epoch(), s.vector_epoch(), "a clone keeps the epoch");
     }
 
     #[test]

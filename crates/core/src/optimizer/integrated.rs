@@ -30,8 +30,9 @@ use crate::costspace::CostSpace;
 use crate::multiquery::{MultiQueryOptimizer, ReuseScope, ServiceInstance};
 use crate::optimizer::{OptimizerConfig, PlacedCircuit, QuerySpec};
 use crate::placement::{
-    map_circuit, OracleMapper, PhysicalMapper, RelaxationPlacer, VirtualPlacer,
+    map_circuit, map_unpinned, OracleMapper, PhysicalMapper, RelaxationPlacer, VirtualPlacer,
 };
+use crate::reopt::MemoSlot;
 
 /// Integrated plan generation + service placement: every candidate plan is
 /// virtually placed, physically mapped, and costed as a *circuit*; the
@@ -141,14 +142,15 @@ impl IntegratedOptimizer {
         mapper: &mut dyn PhysicalMapper,
         mut reuse: Option<(&mut MultiQueryOptimizer, ReuseScope)>,
     ) -> Option<PlacedCircuit> {
-        let candidates = self.candidate_plans(query).into_iter().map(|plan| {
+        let build = |plan| {
             let bare = Candidate::bare(Cow::Owned(plan), query);
             match &mut reuse {
                 Some((registry, scope)) => registry.attach(bare, space, *scope, &self.placer),
                 None => bare,
             }
-        });
-        select_cheapest(candidates, f64::INFINITY, space, &self.placer, mapper).best
+        };
+        let plans = self.candidate_plans(query);
+        select_cheapest(plans, build, f64::INFINITY, space, &self.placer, mapper, None).best
     }
 
     /// The measured cost the [`measured`](PlacedCircuit::measured) `placed`
@@ -212,7 +214,7 @@ pub(crate) const BOUND_SLACK: f64 = 1e-9;
 /// The candidate loop: virtually places, physically maps and costs each
 /// candidate's circuit **by estimate** — its marginal estimate under its
 /// shared mask — and keeps the first of minimum estimated network usage
-/// (strict `<`).
+/// (strict `<`). Each of `items` becomes a candidate through `build`.
 ///
 /// Branch and bound: a candidate whose [`Circuit::usage_lower_bound`]
 /// exceeds `min(cheapest estimate so far, ceiling)` is skipped before
@@ -222,27 +224,52 @@ pub(crate) const BOUND_SLACK: f64 = 1e-9;
 /// some estimate pass that estimate, and must still apply their own test to
 /// what is returned (a survivor may sit above the ceiling). Every comparison
 /// with a NaN is false, so NaNs never prune.
-pub(crate) fn select_cheapest<'p>(
-    candidates: impl IntoIterator<Item = Candidate<'p>, IntoIter: ExactSizeIterator>,
+///
+/// A re-opt pass hands in its circuit's [`MemoSlot`], keyed by position in
+/// `items`: a candidate whose remembered bound prunes is never built, and a
+/// survivor's remembered placement stands in for `place` — each the value
+/// the loop would compute, bit for bit. Deploys pass `None`.
+pub(crate) fn select_cheapest<'p, I>(
+    items: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator>,
+    mut build: impl FnMut(I) -> Candidate<'p>,
     ceiling: f64,
     space: &CostSpace,
     placer: &dyn VirtualPlacer,
     mapper: &mut dyn PhysicalMapper,
+    mut memo: Option<&mut MemoSlot<'_>>,
 ) -> Selection {
     let dist = |a, b| space.vector_distance(a, b);
-    let candidates = candidates.into_iter();
-    let examined = candidates.len();
+    let prunes = |bound: f64, bar: f64| bound * (1.0 - BOUND_SLACK) > bar;
+    let items = items.into_iter();
+    let examined = items.len();
     let mut best: Option<PlacedCircuit> = None;
     let mut pruned = 0;
-    for Candidate { plan, circuit, shared, reused, reused_at } in candidates {
+    for (i, item) in items.enumerate() {
         let bar = best.as_ref().map_or(ceiling, |b| ceiling.min(b.estimated.network_usage));
-        let bound = circuit.usage_lower_bound(&shared, dist);
-        if bound * (1.0 - BOUND_SLACK) > bar {
+        let known = memo.as_deref_mut().and_then(|m| m.bound(i));
+        if known.is_some_and(|bound| prunes(bound, bar)) {
             pruned += 1;
             continue;
         }
-        let vp = placer.place(&circuit, space);
-        let mapped = map_circuit(&circuit, &vp, space, mapper);
+        let Candidate { plan, circuit, shared, reused, reused_at } = build(item);
+        let bound = known.unwrap_or_else(|| {
+            let bound = circuit.usage_lower_bound(&shared, dist);
+            if let Some(m) = memo.as_deref_mut() {
+                m.remember_bound(bound, examined);
+            }
+            bound
+        });
+        if prunes(bound, bar) {
+            pruned += 1;
+            continue;
+        }
+        let mapped = match memo.as_deref_mut() {
+            Some(m) => {
+                let coords = m.placement(i, &circuit, space, placer);
+                map_unpinned(&circuit, coords.chunks_exact(space.vector_dims()), space, mapper)
+            }
+            None => map_circuit(&circuit, &placer.place(&circuit, space), space, mapper),
+        };
         let estimated = circuit.cost_with(&mapped.placement, &shared, dist);
         if best.as_ref().is_none_or(|b| estimated.network_usage < b.estimated.network_usage) {
             best = Some(PlacedCircuit {
@@ -620,7 +647,7 @@ pub(crate) mod tests {
                 let run = |old: &mut dyn PhysicalMapper, new: &mut dyn PhysicalMapper| {
                     (
                         select_exhaustive(all, &space, placer, old, None),
-                        select_cheapest(again, ceiling, &space, placer, new),
+                        select_cheapest(again, |c| c, ceiling, &space, placer, new, None),
                     )
                 };
                 let (exhaustive, pruned) = if use_dht == 1 {

@@ -54,8 +54,8 @@ impl TwoStepOptimizer {
         // Step 2: place that single plan — the candidate loop over one
         // candidate, under a ceiling that never prunes.
         let placer = RelaxationPlacer::default();
-        let only = [Candidate::bare(Cow::Owned(plan), query)];
-        let only = select_cheapest(only, f64::INFINITY, space, &placer, mapper);
+        let bare = |plan| Candidate::bare(Cow::Owned(plan), query);
+        let only = select_cheapest([plan], bare, f64::INFINITY, space, &placer, mapper, None);
         only.best.map(|placed| placed.measured(latency))
     }
 }

@@ -26,7 +26,7 @@ impl VirtualPlacer for CentroidPlacer {
                 circuit.links().iter().filter(|l| l.to == s.id).map(|l| l.rate).sum::<f64>()
             }
         };
-        VirtualPlacement::new(seed_coords(circuit, space, weight))
+        seed_coords(circuit, space, weight)
     }
 
     fn name(&self) -> &'static str {

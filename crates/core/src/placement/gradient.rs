@@ -49,13 +49,13 @@ impl GradientPlacer {
 impl VirtualPlacer for GradientPlacer {
     fn place(&self, circuit: &Circuit, space: &CostSpace) -> VirtualPlacement {
         // Warm start from the spring solution.
-        let mut coords = RelaxationPlacer::default().place(circuit, space).coords;
+        let mut placement = RelaxationPlacer::default().place(circuit, space);
         let GradientConfig { max_iters, tolerance, epsilon } = self.config;
         // Weiszfeld weight: rate / distance.
         let weight =
             |rate: f64, here: &[f64], there: &[f64]| rate / euclidean(here, there).max(epsilon);
-        sweep(circuit, &mut coords, max_iters, tolerance, weight);
-        VirtualPlacement::new(coords)
+        sweep(circuit, &mut placement, max_iters, tolerance, weight);
+        placement
     }
 
     fn name(&self) -> &'static str {

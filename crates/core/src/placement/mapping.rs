@@ -748,13 +748,27 @@ pub fn map_circuit(
     space: &CostSpace,
     mapper: &mut dyn PhysicalMapper,
 ) -> MappedCircuit {
+    let unpinned = circuit.services().iter().filter(|s| s.is_unpinned());
+    map_unpinned(circuit, unpinned.map(|s| virtual_placement.coord_of(s.id)), space, mapper)
+}
+
+/// [`map_circuit`] over the unpinned services' virtual coordinates alone,
+/// one per unpinned service in id order — the form a remembered placement
+/// (`crate::reopt::ReoptMemo`) is kept in.
+pub(crate) fn map_unpinned<'c>(
+    circuit: &Circuit,
+    mut unpinned_coords: impl Iterator<Item = &'c [f64]>,
+    space: &CostSpace,
+    mapper: &mut dyn PhysicalMapper,
+) -> MappedCircuit {
     let mut nodes = Vec::with_capacity(circuit.len());
     let mut mapped = Vec::new();
     for s in circuit.services() {
         match s.pin {
             ServicePin::Pinned(n) => nodes.push(n),
             ServicePin::Unpinned => {
-                let ideal = space.ideal_point(virtual_placement.coord_of(s.id));
+                let coord = unpinned_coords.next().expect("one coordinate per unpinned service");
+                let ideal = space.ideal_point(coord);
                 let (node, hops) = mapper.map_point(space, &ideal);
                 let err = space.point(node).full_distance(&ideal);
                 mapped.push(MappedService {

@@ -25,11 +25,13 @@
 //! * **distance** — `costspace::euclidean`, behind `CostPoint`'s
 //!   `full_distance` / `vector_distance` and every placer.
 //! * **seed** — `traits::seed_coords`: pinned services at their hosts,
-//!   unpinned at a weighted centroid of the pinned. [`CentroidPlacer`] is
-//!   that seed under rate weights; relaxation starts from it unweighted.
+//!   unpinned at a weighted centroid of the pinned, in one flat
+//!   `services × dims` buffer (a [`VirtualPlacement`]). [`CentroidPlacer`]
+//!   is that seed under rate weights; relaxation starts from it unweighted.
 //! * **sweep** — `traits::sweep`, the one Gauss–Seidel loop (adjacency built
-//!   once, no allocation inside a sweep): [`RelaxationPlacer`] weighs a link
-//!   by its rate, [`GradientPlacer`] by `rate / distance`, warm-started.
+//!   once, straight from the links into one compressed table, no allocation
+//!   inside a sweep): [`RelaxationPlacer`] weighs a link by its rate,
+//!   [`GradientPlacer`] by `rate / distance`, warm-started.
 //! * **link pass** — [`Circuit::cost_with`](crate::circuit::Circuit::cost_with):
 //!   usage, stretch and longest path in one walk, `dist` read once per link,
 //!   shared (reused) links left out of usage, on the numbering invariant
@@ -38,7 +40,8 @@
 //! * **candidate body** — `optimizer::select_cheapest`: bound, place,
 //!   [`map_circuit`], estimate, keep the cheapest — for plain and reuse
 //!   deploys, the two-step baseline (one candidate) and both plan-replacing
-//!   re-opt passes.
+//!   re-opt passes, which read bounds and placements from the circuit's
+//!   memo when they are remembered (`crate::reopt::ReoptMemo`).
 
 mod centroid;
 mod exhaustive;
@@ -50,6 +53,7 @@ mod traits;
 pub use centroid::CentroidPlacer;
 pub use exhaustive::optimal_tree_placement;
 pub use gradient::{GradientConfig, GradientPlacer};
+pub(crate) use mapping::map_unpinned;
 pub use mapping::{
     map_circuit, DhtMapper, DhtMapperConfig, LiveOracleMapper, MappedCircuit, MappedService,
     MapperCatalog, MapperDelta, MapperReadView, OracleMapper, PhysicalMapper, ReadObservation,

@@ -50,10 +50,10 @@ impl RelaxationPlacer {
     /// Runs the relaxation and additionally reports the number of sweeps
     /// used (for the A2 ablation).
     pub fn place_counted(&self, circuit: &Circuit, space: &CostSpace) -> (VirtualPlacement, usize) {
-        let mut coords = seed_coords(circuit, space, |_| 1.0);
+        let mut placement = seed_coords(circuit, space, |_| 1.0);
         let RelaxationConfig { max_iters, tolerance } = self.config;
-        let sweeps = sweep(circuit, &mut coords, max_iters, tolerance, |rate, _, _| rate);
-        (VirtualPlacement::new(coords), sweeps)
+        let sweeps = sweep(circuit, &mut placement, max_iters, tolerance, |rate, _, _| rate);
+        (placement, sweeps)
     }
 }
 
@@ -120,7 +120,7 @@ mod tests {
         let circuit = join_circuit(30.0, 10.0);
         let space = space_line();
         let placer = RelaxationPlacer::default();
-        let seeded = VirtualPlacement::new(seed_coords(&circuit, &space, |_| 1.0));
+        let seeded = seed_coords(&circuit, &space, |_| 1.0);
         let relaxed = placer.place(&circuit, &space);
         assert!(relaxed.spring_energy(&circuit) <= seeded.spring_energy(&circuit) + 1e-9);
     }
@@ -163,7 +163,7 @@ mod tests {
         );
         let circuit = Circuit::from_plan(&plan, &stats, NodeId(3));
         let placer = RelaxationPlacer::default();
-        let seeded = VirtualPlacement::new(seed_coords(&circuit, &space, |_| 1.0));
+        let seeded = seed_coords(&circuit, &space, |_| 1.0);
         let relaxed = placer.place(&circuit, &space);
         assert!(relaxed.virtual_cost(&circuit) < seeded.virtual_cost(&circuit));
         let unpinned = circuit.unpinned_services();

@@ -69,6 +69,44 @@
 //! list, in exactly the order, it would have generated itself. A list is a
 //! function of the circuit itself, so it adds nothing to the read set above.
 //!
+//! # What a pass cannot change
+//!
+//! Half of a candidate's evaluation reads nothing that load churn moves. Its
+//! bound ([`Circuit::usage_lower_bound`]) and its virtual placement
+//! ([`VirtualPlacer::place`]) read the candidate circuit and the **vector**
+//! coordinates of its pinned hosts; only the mapping reads the scalar
+//! dimensions churn rewrites, and vector coordinates change only through
+//! [`CostSpace::set_vector_coord`], which bumps the space's
+//! [vector epoch](CostSpace::vector_epoch) on a bit-level change. So each
+//! deployed circuit keeps a [`ReoptMemo`] of those outputs — flat: one bound
+//! per candidate, one coordinate buffer for the unpinned services of every
+//! placed candidate — keyed as follows, with every entry stamped with the
+//! epoch it was computed at:
+//!
+//! * **full list** — by index into the query's
+//!   [`candidate_plans`](IntegratedOptimizer::candidate_plans), which are a
+//!   function of the query alone; never reset but by the epoch;
+//! * **rewrite list** — by index into the running plan's
+//!   [`rewrite_neighbourhood`]; reset by a `Replace` commit
+//!   ([`ReoptMemo::plan_changed`]), the one writer of the running plan;
+//! * **local** — the running circuit's own placement, which reads its pins;
+//!   reset wherever the circuit is written: a `Replace` commit, a tenancy
+//!   `pin_service` or `unpin_service` ([`ReoptMemo::circuit_changed`]).
+//!   Migrations and evacuations write the *physical* placement only, which
+//!   no virtual placement reads.
+//!
+//! A hit is bit-identical to recomputing: the same circuit (built from the
+//! same plan, query and consumer, or the same running circuit) placed by the
+//! same placer over bit-equal vector coordinates runs the same floating-point
+//! operations in the same order, and so does the bound. A stale epoch makes
+//! the whole memo read as empty. [`crate::optimizer`]'s candidate loop
+//! therefore never builds a candidate whose remembered bound prunes (a
+//! pruned candidate leaves no trace but the count), and maps a survivor
+//! from its remembered placement without a sweep; mapping and costing still
+//! run every time, so the read set above is unchanged. Evaluations read the
+//! memo through a [`MemoSlot`] and return what they computed; the owner
+//! stores it serially, so thread count changes nothing.
+//!
 //! [`ScanSpan`]: sbon_dht::catalog::ScanSpan
 
 pub mod relevance;
@@ -85,6 +123,7 @@ use crate::optimizer::{
     select_cheapest, Candidate, IntegratedOptimizer, PlacedCircuit, QuerySpec, BOUND_SLACK,
 };
 use crate::placement::{PhysicalMapper, VirtualPlacer};
+use relevance::ReoptKind;
 
 /// One executed migration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,7 +159,9 @@ impl Default for ReoptPolicy {
 /// of a running circuit, migrating those whose move clears the policy
 /// threshold. This is the cheap, local adaptation path — no plan rewrite.
 /// Returns the executed migrations, in application order; `placement` ends
-/// where they lead.
+/// where they lead. With a `memo` slot the circuit's virtual placement is
+/// read from it when remembered (it is entry 0 of the local list) and
+/// recorded in it when not.
 pub fn reoptimize_local(
     circuit: &Circuit,
     placement: &mut Placement,
@@ -128,15 +169,18 @@ pub fn reoptimize_local(
     placer: &dyn VirtualPlacer,
     mapper: &mut dyn PhysicalMapper,
     policy: ReoptPolicy,
+    memo: Option<&mut MemoSlot<'_>>,
 ) -> Vec<Migration> {
     let estimate =
         |p: &Placement| circuit.cost_with(p, &[], |a, b| space.vector_distance(a, b)).network_usage;
     let mut migrations = Vec::new();
     let mut standing = None;
 
-    let vp = placer.place(circuit, space);
-    for s in circuit.services().iter().filter(|s| s.is_unpinned()) {
-        let ideal = space.ideal_point(vp.coord_of(s.id));
+    let mut unplaced = MemoSlot::default();
+    let coords = memo.unwrap_or(&mut unplaced).placement(0, circuit, space, placer);
+    let unpinned = circuit.services().iter().filter(|s| s.is_unpinned());
+    for (s, coord) in unpinned.zip(coords.chunks_exact(space.vector_dims())) {
+        let ideal = space.ideal_point(coord);
         let (candidate, _hops) = mapper.map_point(space, &ideal);
         let current = placement.node_of(s.id);
         if candidate == current {
@@ -250,6 +294,238 @@ impl CandidateLists {
     }
 }
 
+/// What one circuit's evaluations remember between passes (see the module
+/// docs, "What a pass cannot change"): per candidate list, each candidate's
+/// [`Circuit::usage_lower_bound`] and the virtual coordinates of its
+/// unpinned services, all computed at one [vector
+/// epoch](CostSpace::vector_epoch). The owner keeps one per deployed circuit
+/// and resets its slots where the lists' inputs change:
+/// [`ReoptMemo::plan_changed`] when a replacement commits,
+/// [`ReoptMemo::circuit_changed`] when a tenancy pin is set or lifted.
+#[derive(Debug, Default)]
+pub struct ReoptMemo {
+    /// The vector epoch every entry below was computed at.
+    epoch: u64,
+    /// The running circuit's own placement, as entry 0 (no bounds).
+    local: ListMemo,
+    /// The running plan's rewrite neighbourhood, by list index.
+    rewrite: ListMemo,
+    /// The query's full candidate list, by list index.
+    full: ListMemo,
+}
+
+/// One candidate list's remembered outputs, keyed by list index: a pointer
+/// that stays empty until the list remembers something, so a circuit that
+/// never runs a kind of pass pays one word for it.
+#[derive(Debug, Default)]
+pub struct ListMemo(Option<Box<Entries>>);
+
+/// A list's entries, flat: one bound per candidate and one coordinate
+/// buffer for all placements.
+#[derive(Debug, Default)]
+struct Entries {
+    /// `bounds[i]`: candidate `i`'s usage lower bound. Every evaluation
+    /// bounds every candidate, so this is empty or covers the whole list.
+    bounds: Vec<f64>,
+    /// Where each placed candidate's coordinates sit, ascending in
+    /// candidate.
+    placed: Vec<Placed>,
+    /// The remembered unpinned coordinates, one placement after another.
+    coords: Vec<f64>,
+}
+
+/// Candidate `candidate`'s unpinned coordinates are `coords[start..end]`:
+/// `unpinned services × vector dims` values.
+#[derive(Clone, Copy, Debug)]
+struct Placed {
+    candidate: u32,
+    start: u32,
+    end: u32,
+}
+
+/// A memo index (candidate position or coordinate offset) in its stored
+/// width.
+fn index(n: usize) -> u32 {
+    u32::try_from(n).expect("a memo holds fewer than 2^32 candidates and coordinates")
+}
+
+/// The one empty list a memo reads as when its epoch is stale.
+static FORGOTTEN: ListMemo = ListMemo(None);
+
+impl ListMemo {
+    /// Candidate `i`'s remembered bound.
+    fn bound(&self, i: usize) -> Option<f64> {
+        self.0.as_ref()?.bounds.get(i).copied()
+    }
+
+    /// Candidate `i`'s remembered placement, which must be `len` values
+    /// long: a length that differs means an owner skipped a reset.
+    fn placement(&self, i: usize, len: usize) -> Option<&[f64]> {
+        let entries = self.0.as_ref()?;
+        let at = entries.placed.binary_search_by_key(&index(i), |p| p.candidate).ok()?;
+        let Placed { start, end, .. } = entries.placed[at];
+        assert_eq!((end - start) as usize, len, "candidate {i}'s remembered placement is stale");
+        Some(&entries.coords[start as usize..end as usize])
+    }
+
+    /// `(bounds, placements)` remembered.
+    fn counts(&self) -> (usize, usize) {
+        self.0.as_ref().map_or((0, 0), |e| (e.bounds.len(), e.placed.len()))
+    }
+
+    /// The entries, allocated on first write.
+    fn entries_mut(&mut self) -> &mut Entries {
+        self.0.get_or_insert_with(Box::default)
+    }
+
+    /// Stores the entries `fill` computed: they are exactly those this list
+    /// lacked. Stored buffers are sized exactly.
+    fn absorb(&mut self, fill: ListMemo) {
+        let Some(fill) = fill.0 else { return };
+        let entries = self.entries_mut();
+        if !fill.bounds.is_empty() {
+            entries.bounds = fill.bounds;
+            entries.bounds.shrink_to_fit();
+        }
+        let shift = entries.coords.len();
+        entries.coords.reserve_exact(fill.coords.len());
+        entries.coords.extend_from_slice(&fill.coords);
+        entries.placed.reserve_exact(fill.placed.len());
+        let shifted = |p: &Placed| Placed {
+            start: index(p.start as usize + shift),
+            end: index(p.end as usize + shift),
+            ..*p
+        };
+        entries.placed.extend(fill.placed.iter().map(shifted));
+        entries.placed.sort_unstable_by_key(|p| p.candidate);
+    }
+}
+
+impl ReoptMemo {
+    /// The slot a `kind` evaluation reads and fills: this memo's `kind` list
+    /// if it was computed at `space`'s current vector epoch, an empty one
+    /// otherwise.
+    pub fn slot(&self, kind: ReoptKind, space: &CostSpace) -> MemoSlot<'_> {
+        let current = self.epoch == space.vector_epoch();
+        MemoSlot { known: if current { self.list(kind) } else { &FORGOTTEN }, ..Default::default() }
+    }
+
+    /// Stores what a `kind` evaluation at `space`'s current vector epoch
+    /// computed ([`MemoSlot::into_fill`]); entries from an older epoch are
+    /// dropped first.
+    pub fn store(&mut self, kind: ReoptKind, space: &CostSpace, fill: ListMemo) {
+        if self.epoch != space.vector_epoch() {
+            *self = ReoptMemo { epoch: space.vector_epoch(), ..ReoptMemo::default() };
+        }
+        let list = match kind {
+            ReoptKind::Local => &mut self.local,
+            ReoptKind::Rewrite => &mut self.rewrite,
+            ReoptKind::Full => &mut self.full,
+        };
+        list.absorb(fill);
+    }
+
+    /// The running circuit's pins changed: its own placement is stale.
+    pub fn circuit_changed(&mut self) {
+        self.local = ListMemo::default();
+    }
+
+    /// A replacement committed: the running circuit and plan changed, so its
+    /// own placement and its rewrite neighbourhood are stale. The full list
+    /// is the query's and stays.
+    pub fn plan_changed(&mut self) {
+        self.circuit_changed();
+        self.rewrite = ListMemo::default();
+    }
+
+    /// What the `kind` list remembers: `(bounds, placements)`.
+    pub fn remembered(&self, kind: ReoptKind) -> (usize, usize) {
+        self.list(kind).counts()
+    }
+
+    fn list(&self, kind: ReoptKind) -> &ListMemo {
+        match kind {
+            ReoptKind::Local => &self.local,
+            ReoptKind::Rewrite => &self.rewrite,
+            ReoptKind::Full => &self.full,
+        }
+    }
+}
+
+/// One evaluation's view of a [`ReoptMemo`] list: it reads the remembered
+/// entries and collects the ones it computes, so evaluations of different
+/// circuits can run in parallel and the owner stores their fills serially.
+/// `MemoSlot::default()` remembers nothing.
+#[derive(Debug)]
+pub struct MemoSlot<'m> {
+    known: &'m ListMemo,
+    fill: ListMemo,
+    hits: usize,
+}
+
+impl Default for MemoSlot<'_> {
+    fn default() -> Self {
+        MemoSlot { known: &FORGOTTEN, fill: ListMemo::default(), hits: 0 }
+    }
+}
+
+impl MemoSlot<'_> {
+    /// Candidate `i`'s remembered bound, counted as a hit.
+    pub(crate) fn bound(&mut self, i: usize) -> Option<f64> {
+        let bound = self.known.bound(i);
+        self.hits += usize::from(bound.is_some());
+        bound
+    }
+
+    /// Records the bound of the next candidate of a `list_len` list (lists
+    /// are bounded in order, all of them).
+    pub(crate) fn remember_bound(&mut self, bound: f64, list_len: usize) {
+        let bounds = &mut self.fill.entries_mut().bounds;
+        if bounds.is_empty() {
+            bounds.reserve_exact(list_len);
+        }
+        bounds.push(bound);
+    }
+
+    /// Candidate `i`'s unpinned virtual coordinates (one per unpinned
+    /// service of `circuit`, in id order, `space.vector_dims()` values
+    /// each): remembered — a hit — or placed with `placer` now and recorded.
+    pub(crate) fn placement(
+        &mut self,
+        i: usize,
+        circuit: &Circuit,
+        space: &CostSpace,
+        placer: &dyn VirtualPlacer,
+    ) -> &[f64] {
+        let unpinned = circuit.services().iter().filter(|s| s.is_unpinned());
+        let len = unpinned.clone().count() * space.vector_dims();
+        let known = self.known;
+        if let Some(coords) = known.placement(i, len) {
+            self.hits += 1;
+            return coords;
+        }
+        let vp = placer.place(circuit, space);
+        let fill = self.fill.entries_mut();
+        let start = fill.coords.len();
+        for s in unpinned {
+            fill.coords.extend_from_slice(vp.coord_of(s.id));
+        }
+        let end = fill.coords.len();
+        fill.placed.push(Placed { candidate: index(i), start: index(start), end: index(end) });
+        &fill.coords[start..]
+    }
+
+    /// Remembered bounds and placements this evaluation reused.
+    pub fn hits(&self) -> usize {
+        self.hits
+    }
+
+    /// The entries this evaluation computed, for [`ReoptMemo::store`].
+    pub fn into_fill(self) -> ListMemo {
+        self.fill
+    }
+}
+
 /// Result of a plan-replacing pass ([`reoptimize_among`]).
 #[derive(Debug)]
 pub enum ReplaceOutcome {
@@ -287,7 +563,9 @@ pub enum ReplaceOutcome {
 /// test itself still runs on whatever comes back. Candidates are costed and
 /// selected by estimate only, and the returned circuit's `cost` is its
 /// estimate (see the module docs — measured latency is never a re-opt
-/// input).
+/// input). A `memo` slot keyed by index into `candidates` spares the bounds
+/// and placements it remembers and records the rest.
+#[allow(clippy::too_many_arguments)]
 pub fn reoptimize_among(
     candidates: &[LogicalPlan],
     running_cost_estimate: f64,
@@ -296,6 +574,7 @@ pub fn reoptimize_among(
     placer: &dyn VirtualPlacer,
     mapper: &mut dyn PhysicalMapper,
     policy: ReoptPolicy,
+    memo: Option<&mut MemoSlot<'_>>,
 ) -> ReplaceOutcome {
     // A non-positive running estimate is an unconditional Keep — bail out
     // before any placement or mapping work whose answer is discarded.
@@ -304,8 +583,8 @@ pub fn reoptimize_among(
     }
     let ceiling =
         (1.0 - policy.replacement_threshold) * running_cost_estimate * (1.0 + BOUND_SLACK);
-    let candidates = candidates.iter().map(|plan| Candidate::bare(Cow::Borrowed(plan), query));
-    let selection = select_cheapest(candidates, ceiling, space, placer, mapper);
+    let bare = |plan| Candidate::bare(Cow::Borrowed(plan), query);
+    let selection = select_cheapest(candidates, bare, ceiling, space, placer, mapper, memo);
     let pruned = selection.pruned;
     let improved = |best: PlacedCircuit| {
         (1.0 - best.estimated.network_usage / running_cost_estimate, Box::new(best))
@@ -341,7 +620,7 @@ mod tests {
         policy: ReoptPolicy,
     ) -> ReplaceOutcome {
         let plans = rewrite_neighbourhood(running_plan);
-        reoptimize_among(&plans, running_cost_estimate, query, space, placer, mapper, policy)
+        reoptimize_among(&plans, running_cost_estimate, query, space, placer, mapper, policy, None)
     }
 
     /// The per-circuit reference of a full evaluation: the circuit generates
@@ -355,7 +634,7 @@ mod tests {
         policy: ReoptPolicy,
     ) -> ReplaceOutcome {
         let (plans, placer) = (optimizer.candidate_plans(query), optimizer.placer());
-        reoptimize_among(&plans, running_cost_estimate, query, space, placer, mapper, policy)
+        reoptimize_among(&plans, running_cost_estimate, query, space, placer, mapper, policy, None)
     }
 
     /// Line world with a spare host at each end and one in the middle.
@@ -395,6 +674,7 @@ mod tests {
             // Load doesn't change the latency-estimate cost, so accept any
             // move the full-space mapper proposes.
             ReoptPolicy { migration_threshold: -1.0, replacement_threshold: 0.1 },
+            None,
         );
         assert_eq!(migrations.len(), 1);
         assert_ne!(placement.node_of(join), host0, "service must flee the hot node");
@@ -418,6 +698,7 @@ mod tests {
             &placer,
             &mut mapper,
             ReoptPolicy::default(),
+            None,
         );
         assert!(migrations.is_empty(), "{migrations:?}");
         assert_eq!(placement, placed.placement);
@@ -449,6 +730,7 @@ mod tests {
             &placer,
             &mut mapper,
             ReoptPolicy { migration_threshold: 0.9, replacement_threshold: 0.1 },
+            None,
         );
         assert!(migrations.is_empty(), "90% threshold must reject a one-hop gain");
         assert_eq!(placement.node_of(join), neighbour);
@@ -518,7 +800,15 @@ mod tests {
         ) {
             ReplaceOutcome::Replace { replacement, improvement, .. } => {
                 assert!(improvement > 0.05, "improvement {improvement}");
-                assert_ne!(replacement.plan.shape_key(), bad_plan.shape_key());
+                // Not a commutation of the bad order: s0 and s2 no longer
+                // meet first.
+                let LogicalPlan::Binary { left, right, .. } = &replacement.plan else {
+                    panic!("a 3-way join: {}", replacement.plan)
+                };
+                let inner = if matches!(**left, LogicalPlan::Binary { .. }) { left } else { right };
+                let mut met = inner.sources();
+                met.sort();
+                assert_ne!(met, [StreamId(0), StreamId(2)], "{}", replacement.plan);
             }
             ReplaceOutcome::Keep { .. } => panic!("a one-step reorder must beat the bad plan"),
         }
@@ -744,6 +1034,107 @@ mod tests {
                     };
                     proptest::prop_assert_eq!(new, old);
                 }
+            }
+        }
+    }
+
+    /// A pass's verdict, floats by bits.
+    fn verdict_of(
+        outcome: ReplaceOutcome,
+    ) -> (usize, Option<(impl PartialEq + std::fmt::Debug, u64)>) {
+        use crate::optimizer::oracle::selection_of;
+        match outcome {
+            ReplaceOutcome::Keep { pruned } => (pruned, None),
+            ReplaceOutcome::Replace { replacement, improvement, pruned } => {
+                (pruned, Some((selection_of(&replacement), improvement.to_bits())))
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 16 })]
+        /// A memo hit is what recomputing gives (see the module docs, "What a
+        /// pass cannot change"). One circuit's three lists are evaluated over
+        /// four rounds of scalar churn — each round every load is redrawn, so
+        /// mappings, estimates, bars and survivors move — with the memo slot
+        /// stored after every evaluation, and every verdict, pruned count and
+        /// migration equals the memo-free evaluation's. Then a vector
+        /// coordinate moves and the memo reads as empty.
+        #[test]
+        fn memo_passes_equal_recomputing(
+            seed in 0u64..1_000_000,
+            n in 24usize..56,
+            ways in 2usize..=5,
+            threshold in 0usize..3,
+        ) {
+            use crate::optimizer::oracle::{bare, random_query, select_exhaustive};
+            use sbon_netsim::rng::derive_seed;
+            let unit = |stream: u64| (derive_seed(seed, stream) % 10_000) as f64 / 10_000.0;
+            let points: Vec<Vec<f64>> =
+                (0..n as u64).map(|i| vec![150.0 * unit(2 * i), 150.0 * unit(2 * i + 1)]).collect();
+            let loads = |round: u64| {
+                let mut attrs = NodeAttrs::idle(n);
+                for i in 0..n as u32 {
+                    attrs.set(NodeId(i), Attr::CpuLoad, unit(1_000 * (round + 1) + u64::from(i)));
+                }
+                attrs
+            };
+            let emb = VivaldiEmbedding::exact(points);
+            let mut space = CostSpaceBuilder::latency_load_space_scaled(&emb, &loads(0), 60.0);
+            let q = random_query(n, ways, seed);
+            let opt = IntegratedOptimizer::new(OptimizerConfig::default());
+            let placer = opt.placer();
+            let plans = opt.candidate_plans(&q);
+            let running = select_exhaustive(
+                bare(vec![plans[seed as usize % plans.len()].clone()], &q),
+                &space, placer, &mut OracleMapper, None,
+            ).unwrap();
+            let neighbourhood = rewrite_neighbourhood(&running.plan);
+            let policy = ReoptPolicy {
+                migration_threshold: [-1.0, 0.0, 0.05][threshold],
+                replacement_threshold: [-0.5, 0.0, 0.1][threshold],
+            };
+            let estimate = running.estimated.network_usage;
+
+            let mut memo = ReoptMemo::default();
+            let mut hits = 0;
+            for round in 0..4 {
+                space.refresh_scalars(&loads(round));
+                for (kind, list) in [(ReoptKind::Full, &plans), (ReoptKind::Rewrite, &neighbourhood)] {
+                    let mut slot = memo.slot(kind, &space);
+                    let with = reoptimize_among(
+                        list, estimate, &q, &space, placer, &mut OracleMapper, policy, Some(&mut slot),
+                    );
+                    let without = reoptimize_among(
+                        list, estimate, &q, &space, placer, &mut OracleMapper, policy, None,
+                    );
+                    proptest::prop_assert_eq!(verdict_of(with), verdict_of(without));
+                    hits += slot.hits();
+                    memo.store(kind, &space, slot.into_fill());
+                }
+                let mut slot = memo.slot(ReoptKind::Local, &space);
+                let (mut with, mut without) = (running.placement.clone(), running.placement.clone());
+                let circuit = &running.circuit;
+                let moved = reoptimize_local(
+                    circuit, &mut with, &space, placer, &mut OracleMapper, policy, Some(&mut slot),
+                );
+                let reference =
+                    reoptimize_local(circuit, &mut without, &space, placer, &mut OracleMapper, policy, None);
+                proptest::prop_assert_eq!((moved, with), (reference, without));
+                hits += slot.hits();
+                memo.store(ReoptKind::Local, &space, slot.into_fill());
+            }
+            // Rounds 1–3 reread at least every full-list bound and the local
+            // placement.
+            proptest::prop_assert!(hits >= 3 * (plans.len() + 1), "{hits} hits");
+            proptest::prop_assert_eq!(memo.remembered(ReoptKind::Full).0, plans.len());
+
+            let moved = emb.coord(q.consumer).iter().map(|c| c + 1.0).collect::<Vec<_>>();
+            proptest::prop_assert!(space.set_vector_coord(q.consumer, &moved));
+            for kind in [ReoptKind::Local, ReoptKind::Rewrite, ReoptKind::Full] {
+                let mut slot = memo.slot(kind, &space);
+                proptest::prop_assert_eq!(slot.bound(0), None);
+                proptest::prop_assert_eq!(slot.hits(), 0);
             }
         }
     }

@@ -11,13 +11,24 @@
 //!    its lane (emission is serial per lane, so spans nest LIFO), span ids
 //!    are unique, and nothing is left open at EOF;
 //! 3. timestamps are monotone non-decreasing per lane (virtual time never
-//!    runs backwards on an emission lane).
+//!    runs backwards on an emission lane);
+//! 4. the span ends the runtime's re-optimization passes emit carry their
+//!    numeric attributes ([`END_FIELDS`]): what was evaluated and changed,
+//!    the memo hits, and for the plan-replacing kinds the candidates pruned
+//!    and the lists built.
 //!
 //! Usage: `trace_check <trace.jsonl>`; exits non-zero with a line-addressed
 //! message on the first violation.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+
+/// The numeric attributes a span end of each listed kind must carry.
+const END_FIELDS: [(&str, &[&str]); 3] = [
+    ("reopt.local", &["evaluated", "migrations", "memo"]),
+    ("reopt.rewrite", &["evaluated", "swaps", "memo", "pruned", "lists"]),
+    ("reopt.full", &["evaluated", "swaps", "memo", "pruned", "lists"]),
+];
 
 /// A parsed flat JSON value: only what the trace schema can contain.
 #[derive(Clone, Debug, PartialEq)]
@@ -143,9 +154,15 @@ fn check(text: &str) -> Result<(u64, u64), String> {
             Some(Value::Str(s)) => s.clone(),
             _ => return Err(format!("line {at}: missing or non-string \"ev\"")),
         };
-        match get("kind") {
-            Some(Value::Str(s)) if !s.is_empty() => {}
+        let kind = match get("kind") {
+            Some(Value::Str(s)) if !s.is_empty() => s.as_str(),
             _ => return Err(format!("line {at}: missing or empty \"kind\"")),
+        };
+        if ev == "end" {
+            let required = END_FIELDS.iter().filter(|(k, _)| *k == kind).flat_map(|(_, f)| *f);
+            for field in required {
+                num(field).map_err(|e| format!("{e} (a {kind} span end)"))?;
+            }
         }
         let lane = lanes.entry(lane_id).or_default();
         if t < lane.last_t {
@@ -265,6 +282,26 @@ mod tests {
         assert!(check("{\"t\":1,\"lane\":0,\"ev\":\"start\",\"kind\":\"p\"}\n")
             .unwrap_err()
             .contains("span"));
+    }
+
+    #[test]
+    fn reopt_span_ends_must_carry_their_attributes() {
+        let trace = |end_fields: &str| {
+            format!(
+                "{{\"t\":0,\"lane\":0,\"ev\":\"start\",\"kind\":\"reopt.full\",\"span\":1}}\n\
+                 {{\"t\":0,\"lane\":0,\"ev\":\"end\",\"kind\":\"reopt.full\",\"span\":1{end_fields}}}\n"
+            )
+        };
+        let complete = r#","evaluated":3,"swaps":0,"memo":12,"pruned":7,"lists":1"#;
+        assert_eq!(check(&trace(complete)), Ok((2, 1)));
+        let no_memo = r#","evaluated":3,"swaps":0,"pruned":7,"lists":1"#;
+        let err = check(&trace(no_memo)).unwrap_err();
+        assert!(err.contains("\"memo\"") && err.contains("reopt.full"), "{err}");
+        let text_memo = r#","evaluated":3,"swaps":0,"memo":"12","pruned":7,"lists":1"#;
+        assert!(check(&trace(text_memo)).unwrap_err().contains("must be a number"));
+        // Start and point events carry what they like.
+        let local_point = "{\"t\":0,\"lane\":0,\"ev\":\"point\",\"kind\":\"reopt.local\"}\n";
+        assert_eq!(check(local_point), Ok((1, 1)));
     }
 
     #[test]

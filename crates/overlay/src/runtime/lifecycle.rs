@@ -8,8 +8,9 @@
 //!
 //! `impl OverlayRuntime` here **reads** `config.reuse`, `space`, `latency`,
 //! `pool`, `optimizer` and **writes** `circuits` (insert at deploy, keyed
-//! remove at undeploy, keyed pin / unpin of a subscribed owner, each
-//! circuit's stored usage at a tick), `retained` (push in departure order,
+//! remove at undeploy, keyed pin / unpin of a subscribed owner — resetting
+//! its re-opt memo's placement slot — each circuit's stored usage at a
+//! tick), `retained` (push in departure order,
 //! drained by owner, each entry's stored usage at a tick), `multiquery`
 //! (attach, register, release), `mapper`, `relevance`, `next_handle`, `obs`.
 //!
@@ -32,6 +33,7 @@ use sbon_core::circuit::{Circuit, Link, Placement, ServiceId};
 use sbon_core::costspace::CostSpace;
 use sbon_core::multiquery::{CircuitId, MultiQueryOptimizer};
 use sbon_core::optimizer::{PlacedCircuit, QuerySpec};
+use sbon_core::reopt::ReoptMemo;
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::latency::LatencyProvider;
 use sbon_netsim::sim::SimTime;
@@ -68,6 +70,10 @@ pub(super) struct Deployed {
     /// The charged usage as last read; `None` after a migration, a
     /// replacement or an evacuation.
     pub(super) billed: Option<Billed>,
+    /// What the re-opt passes remember about this circuit's candidates:
+    /// reset in part by every write of `circuit` (a replacement, a tenancy
+    /// pin or unpin), wholly by a vector-coordinate change.
+    pub(super) memo: ReoptMemo,
 }
 
 impl Deployed {
@@ -177,6 +183,7 @@ impl OverlayRuntime {
         for &(owner, service) in idle {
             if let Some(d) = self.circuits.get_mut(&CircuitHandle::of(owner)) {
                 d.circuit.unpin_service(service);
+                d.memo.circuit_changed();
                 // The unpin changes what the passes may migrate/replace.
                 self.relevance.mark_dirty(owner.0);
             }
@@ -328,6 +335,7 @@ impl OverlayRuntime {
         for inst in &placed.reused {
             if let Some(owner) = self.circuits.get_mut(&CircuitHandle::of(inst.circuit)) {
                 owner.circuit.pin_service(inst.service, inst.node);
+                owner.memo.circuit_changed();
                 // The pin changes the owner's adaptation surface.
                 self.relevance.mark_dirty(inst.circuit.0);
             }
@@ -338,7 +346,8 @@ impl OverlayRuntime {
         // same order: the circuit's usage is billed as of now.
         let billed = Some(Billed { usage: placed.cost.network_usage, epoch: self.latency.epoch() });
         let PlacedCircuit { plan: running_plan, circuit, placement, shared, .. } = placed;
-        let deployed = Deployed { query, running_plan, circuit, placement, shared, billed };
+        let memo = ReoptMemo::default();
+        let deployed = Deployed { query, running_plan, circuit, placement, shared, billed, memo };
         self.circuits.insert(handle, Box::new(deployed));
         // Routed backend: the deployment's mapping lookups are parked in
         // the mapper's outbox — replay them as message traffic now (the

@@ -184,6 +184,10 @@ pub struct OverlayRuntime {
     /// shared.
     #[cfg(test)]
     lists_per_circuit: bool,
+    /// The reference the per-circuit re-opt memos are pinned against: every
+    /// evaluation recomputes every bound and placement.
+    #[cfg(test)]
+    memo_off: bool,
 }
 
 impl OverlayRuntime {
@@ -245,6 +249,8 @@ impl OverlayRuntime {
             next_handle: 0,
             #[cfg(test)]
             lists_per_circuit: false,
+            #[cfg(test)]
+            memo_off: false,
         }
     }
 

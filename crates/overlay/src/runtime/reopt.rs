@@ -5,8 +5,10 @@
 //! *_penalty}`, `space`, `pool`, `optimizer` (candidate plans and placer of
 //! every kind; a plan-replacing pass builds each distinct candidate list
 //! once, before its evaluations) and **writes** `circuits` (keyed, in
-//! ascending handle order: placement on migrate, circuit / plan / shared
-//! mask on replace, clearing the stored usage on either), `mapper`
+//! ascending handle order: the re-opt memo with what each evaluation
+//! computed, placement on migrate, circuit / plan / shared mask on replace,
+//! clearing the stored usage on either and the memo's plan-dependent slots
+//! on replace), `mapper`
 //! (traffic charge-back), `multiquery` (relocate, reregister — refcounts
 //! are only read), `relevance`, `obs`, plus the session's report and queue.
 
@@ -18,7 +20,7 @@ use sbon_core::optimizer::PlacedCircuit;
 use sbon_core::placement::ReadObservation;
 use sbon_core::reopt::relevance::{ReadSet, ReoptKind};
 use sbon_core::reopt::{
-    reoptimize_among, reoptimize_local, CandidateLists, Migration, ReplaceOutcome,
+    reoptimize_among, reoptimize_local, CandidateLists, ListMemo, Migration, ReplaceOutcome,
 };
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::sim::SimTime;
@@ -26,6 +28,11 @@ use sbon_obs::WallTimer;
 
 use super::lifecycle::{CircuitHandle, Deployed};
 use super::{Event, OverlayRuntime, RunSession};
+
+/// What one read-only circuit evaluation hands the serial commit: its
+/// verdict, the candidates it pruned, what its mapper view observed, and
+/// the memo entries it computed with the number it reused.
+type Evaluation = (Verdict, usize, ReadObservation, ListMemo, usize);
 
 /// What one read-only circuit evaluation asks the serial commit to do.
 enum Verdict {
@@ -176,20 +183,25 @@ impl OverlayRuntime {
         let sp = self.obs.span_start(span, Vec::new);
         let eval = self.dirty_circuits(kind, !migrates);
         let lists = self.candidate_lists(kind, &eval);
-        let results: Vec<(Verdict, usize, ReadObservation)> = {
+        let results: Vec<Evaluation> = {
             let (circuits, space, mapper) = (&self.circuits, &self.space, &self.mapper);
             let (optimizer, policy) = (&self.optimizer, self.config.policy);
             let placer = optimizer.placer();
             #[cfg(test)]
-            let per_circuit = self.lists_per_circuit;
+            let (per_circuit, memo_off) = (self.lists_per_circuit, self.memo_off);
             run_parallel(&self.pool, &eval, |at, handle| {
                 let d = &circuits[&handle];
                 let mut view = mapper.read_view();
+                let mut slot = d.memo.slot(kind, space);
+                let memo = Some(&mut slot);
+                #[cfg(test)]
+                let memo = memo.filter(|_| !memo_off);
                 let (verdict, pruned) = match kind {
                     ReoptKind::Local => {
                         let mut to = d.placement.clone();
-                        let moved =
-                            reoptimize_local(&d.circuit, &mut to, space, placer, &mut view, policy);
+                        let moved = reoptimize_local(
+                            &d.circuit, &mut to, space, placer, &mut view, policy, memo,
+                        );
                         if moved.is_empty() {
                             (Verdict::Keep, 0)
                         } else {
@@ -210,17 +222,21 @@ impl OverlayRuntime {
                             placer,
                             &mut view,
                             policy,
+                            memo,
                         ))
                     }
                 };
-                (verdict, pruned, view.into_observation())
+                let hits = slot.hits();
+                (verdict, pruned, view.into_observation(), slot.into_fill(), hits)
             })
         };
-        let (mut changed, mut pruned) = (0, 0);
-        for (&handle, (verdict, spared, obs)) in eval.iter().zip(results) {
+        let (mut changed, mut pruned, mut memo_hits) = (0, 0, 0);
+        for (&handle, (verdict, spared, obs, fill, hits)) in eval.iter().zip(results) {
             pruned += spared;
+            memo_hits += hits;
             self.mapper.charge_observed(&obs);
             let d = self.circuits.get_mut(&handle).expect("evaluated circuits are live");
+            d.memo.store(kind, &self.space, fill);
             let id = handle.id();
             match verdict {
                 Verdict::Keep => {
@@ -253,6 +269,7 @@ impl OverlayRuntime {
                     let PlacedCircuit { plan, circuit, placement, shared, .. } = *replacement;
                     (d.running_plan, d.circuit, d.placement, d.shared, d.billed) =
                         (plan, circuit, placement, shared, None);
+                    d.memo.plan_changed();
                     changed += 1;
                 }
             }
@@ -260,10 +277,15 @@ impl OverlayRuntime {
         }
         self.obs.registry.inc(wall_ns, t0.elapsed_ns());
         self.obs.registry.inc(self.obs.h.candidates_pruned, pruned as u64);
+        self.obs.registry.inc(self.obs.h.memo_hits, memo_hits as u64);
         let (evaluated, built) = (eval.len(), lists.built());
         self.obs.registry.inc(self.obs.h.candidate_lists, built as u64);
         self.obs.span_end(sp, || {
-            let mut fields = vec![("evaluated", evaluated.into()), (changes, changed.into())];
+            let mut fields = vec![
+                ("evaluated", evaluated.into()),
+                (changes, changed.into()),
+                ("memo", memo_hits.into()),
+            ];
             if !migrates {
                 fields.push(("pruned", pruned.into()));
                 fields.push(("lists", built.into()));

@@ -20,6 +20,7 @@ use proptest::prelude::*;
 use sbon_coords::vivaldi::VivaldiConfig;
 use sbon_core::multiquery::ReuseScope;
 use sbon_core::optimizer::QuerySpec;
+use sbon_core::reopt::ReoptPolicy;
 use sbon_dht::ProtoConfig;
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::lazy::LazyLatencyStats;
@@ -52,6 +53,10 @@ struct Scenario {
     /// Join stars deployed over the run (3 or 16); the last one arrives
     /// mid-run.
     stars: usize,
+    /// A replacement threshold of 0: plan-replacing passes swap whenever
+    /// a candidate ties the running estimate, so circuits are rewritten
+    /// pass after pass.
+    eager_replace: bool,
 }
 
 impl Scenario {
@@ -70,6 +75,7 @@ impl Scenario {
             wave: flags & 16 != 0,
             row_cache: None,
             stars: if flags & 32 != 0 { 16 } else { 3 },
+            eager_replace: false,
         }
     }
 
@@ -98,15 +104,17 @@ fn star(hosts: &[NodeId], base: usize, rate: f64) -> QuerySpec {
 /// evaluates every circuit. `threads` sets the worker pool for the parallel
 /// phases. All three re-optimization pass kinds fire within the 8-tick
 /// horizon, the last star is deployed after tick 3, and the optional failure
-/// lands between the first and second local pass. Returns the report, on
-/// the lazy backend the row cache's counters, and the evaluations the dirty
-/// filter skipped.
+/// lands between the first and second local pass. `memo = false` is the
+/// recompute-everything reference of the re-opt memos. Returns the report,
+/// on the lazy backend the row cache's counters, the evaluations the dirty
+/// filter skipped and the memo hits.
 fn run_once(
     s: &Scenario,
     topo: &Topology,
     incremental: bool,
     threads: usize,
-) -> (RunReport, Option<LazyLatencyStats>, usize) {
+    memo: bool,
+) -> (RunReport, Option<LazyLatencyStats>, usize, u64) {
     let routed = MapperBackend::Routed { bits: 12, scan_width: 8, proto: ProtoConfig::default() };
     let (latency, mapper) = match s.backend {
         0 => (LatencyBackend::Dense, MapperBackend::Dht { bits: 12, scan_width: 8 }),
@@ -145,6 +153,10 @@ fn run_once(
         .mapper_backend(mapper)
         .reuse(reuse)
         .threads(threads);
+    if s.eager_replace {
+        config =
+            config.policy(ReoptPolicy { migration_threshold: 0.05, replacement_threshold: 0.0 });
+    }
     if s.wave {
         let n = topo.num_nodes();
         config = config
@@ -153,6 +165,7 @@ fn run_once(
     }
 
     let mut rt = OverlayRuntime::new(topo, s.seed, config.build());
+    rt.memo_off = !memo;
     let reference = |rt: &mut OverlayRuntime| {
         if !incremental {
             rt.forget_clean_records();
@@ -183,8 +196,8 @@ fn run_once(
         more = rt.advance_ticks(&mut session, 1);
         reference(&mut rt);
     }
-    let skipped = rt.control_plane_stats().reopt_skipped;
-    (rt.finish_run(session), rt.lazy_latency_stats(), skipped)
+    let stats = rt.control_plane_stats();
+    (rt.finish_run(session), rt.lazy_latency_stats(), stats.reopt_skipped, stats.memo_hits)
 }
 
 proptest! {
@@ -203,8 +216,8 @@ proptest! {
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);
-        let (incremental, _, skipped) = run_once(&s, &topo, true, 1);
-        let (full_scan, _, _) = run_once(&s, &topo, false, 1);
+        let (incremental, _, skipped, _) = run_once(&s, &topo, true, 1, true);
+        let (full_scan, _, _, _) = run_once(&s, &topo, false, 1, true);
         prop_assert_eq!(incremental, full_scan);
         if s.stars == 16 && s.sparse_churn && s.catalog_mapper() {
             prop_assert!(skipped > 0, "nothing skipped in {s:?}");
@@ -226,9 +239,35 @@ proptest! {
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);
-        let parallel = run_once(&s, &topo, true, 8);
-        let serial = run_once(&s, &topo, true, 1);
+        let parallel = run_once(&s, &topo, true, 8, true);
+        let serial = run_once(&s, &topo, true, 1, true);
         prop_assert_eq!(parallel, serial);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12 })]
+
+    /// A memo hit is the value recomputing gives: with every circuit
+    /// evaluated at every pass (the full-scan reference, so each list is
+    /// evaluated again and again), the memo run sharded over 8 threads
+    /// reports exactly what the serial recompute-everything run reports.
+    /// Half the draws replace eagerly, so plans change under the memos.
+    /// Off the wave — whose joins move vector coordinates every tick, so the
+    /// memos forget every tick — it must have read something back.
+    #[test]
+    fn memo_reopt_equals_recomputing(
+        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..128)
+    ) {
+        let s = Scenario { eager_replace: flags & 64 != 0, ..Scenario::decode(seed, nodes, backend, flags) };
+        let topo = topology(&s);
+        let (with_memo, _, _, hits) = run_once(&s, &topo, false, 8, true);
+        let (recomputed, _, _, none) = run_once(&s, &topo, false, 1, false);
+        prop_assert_eq!(with_memo, recomputed);
+        prop_assert_eq!(none, 0);
+        if !s.wave {
+            prop_assert!(hits > 0, "no memo hit in {s:?}");
+        }
     }
 }
 
@@ -249,10 +288,11 @@ fn parallel_equals_serial_with_a_bounded_row_cache() {
             wave: false,
             row_cache: Some(4),
             stars: 3,
+            eager_replace: false,
         };
         let topo = topology(&s);
-        let (parallel, parallel_rows, _) = run_once(&s, &topo, true, 8);
-        let (serial, serial_rows, _) = run_once(&s, &topo, true, 1);
+        let (parallel, parallel_rows, _, _) = run_once(&s, &topo, true, 8, true);
+        let (serial, serial_rows, _, _) = run_once(&s, &topo, true, 1, true);
         assert_eq!(parallel, serial, "seed {seed}");
         assert_eq!(parallel_rows, serial_rows, "seed {seed}");
         assert!(serial_rows.expect("lazy backend").rows_evicted > 0, "the bound must bind");

@@ -85,6 +85,10 @@ pub struct ControlPlaneStats {
     /// running plan (rewrite) or query shape (full), however many evaluated
     /// circuits read it (see `sbon_core::reopt::CandidateLists`).
     pub candidate_lists: u64,
+    /// Candidate bounds and virtual placements the passes read from their
+    /// circuits' memos instead of recomputing (see
+    /// `sbon_core::reopt::ReoptMemo`).
+    pub memo_hits: u64,
     /// Wall time reading the ground-truth latency provider for usage
     /// accounting (the data-plane proxy, for comparison).
     pub usage_ns: u128,
@@ -195,6 +199,7 @@ pub(super) struct StatHandles {
     pub(super) reopt_skipped: CounterId,
     pub(super) candidates_pruned: CounterId,
     pub(super) candidate_lists: CounterId,
+    pub(super) memo_hits: CounterId,
     pub(super) usage_ns: CounterId,
     pub(super) usage_rereads: CounterId,
     pub(super) arrivals: CounterId,
@@ -245,6 +250,7 @@ impl RuntimeObs {
             reopt_skipped: registry.counter("control_plane", "reopt_skipped"),
             candidates_pruned: registry.counter("control_plane", "candidates_pruned"),
             candidate_lists: registry.counter("control_plane", "candidate_lists"),
+            memo_hits: registry.counter("control_plane", "memo_hits"),
             usage_ns: registry.counter("control_plane", "usage_ns"),
             usage_rereads: registry.counter("control_plane", "usage_rereads"),
             arrivals: registry.counter("lifecycle", "arrivals"),
@@ -369,6 +375,7 @@ impl OverlayRuntime {
             reopt_skipped: r.counter_value(h.reopt_skipped) as usize,
             candidates_pruned: r.counter_value(h.candidates_pruned) as usize,
             candidate_lists: r.counter_value(h.candidate_lists),
+            memo_hits: r.counter_value(h.memo_hits),
             usage_ns: u128::from(r.counter_value(h.usage_ns)),
             usage_rereads: r.counter_value(h.usage_rereads),
             ..ControlPlaneStats::default()

@@ -852,10 +852,73 @@ fn full_replacement_records_the_running_plan() {
     }
 }
 
+/// Every writer of a circuit resets exactly the memo slots whose lists it
+/// changes: a tenancy pin or unpin the circuit's own (local) placement; a
+/// replacement that and the rewrite neighbourhood of the old plan — never
+/// the query's full list, which a replacement leaves as it was.
+#[test]
+fn circuit_writers_reset_the_right_memo_slots() {
+    use sbon_core::reopt::relevance::ReoptKind::{self, Full, Local, Rewrite};
+    let topo = small_world(37);
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        37,
+        RuntimeConfig { horizon_ms: 5_000.0, reuse: ReuseScope::All, ..Default::default() },
+    );
+    let q = demo_query(&topo);
+    let owner = rt.deploy(q.clone()).unwrap();
+    let mut session = rt.start_run();
+    let mut pass = |rt: &mut OverlayRuntime, kind: ReoptKind| {
+        rt.forget_clean_records();
+        rt.reopt_pass(&mut session, SimTime::ZERO, kind);
+        session.report.replacements
+    };
+    let slots = |rt: &OverlayRuntime| {
+        let memo = &rt.circuits[&owner].memo;
+        [Local, Rewrite, Full].map(|kind| memo.remembered(kind))
+    };
+    for kind in [Local, Rewrite, Full] {
+        pass(&mut rt, kind);
+    }
+    let [local, rewrite, full] = slots(&rt);
+    assert_eq!(local, (0, 1), "the local list is the running circuit's placement");
+    assert!(rewrite.0 > 1 && full.0 > 1, "every candidate bounded: {rewrite:?} {full:?}");
+
+    // A second evaluation of each list reads it back.
+    let hits = rt.control_plane_stats().memo_hits;
+    for kind in [Local, Rewrite, Full] {
+        pass(&mut rt, kind);
+    }
+    let reread = rt.control_plane_stats().memo_hits - hits;
+    assert!(reread as usize >= 1 + rewrite.0 + full.0, "{reread} hits");
+    let [_, rewrite, full] = slots(&rt);
+
+    // Tenancy pin, then unpin: the local slot only.
+    let tenant = rt.deploy(q).unwrap();
+    assert_eq!(slots(&rt), [(0, 0), rewrite, full], "a pin resets the circuit's placement");
+    pass(&mut rt, Local);
+    assert_eq!(slots(&rt)[0], (0, 1));
+    assert!(rt.undeploy(tenant));
+    assert_eq!(slots(&rt), [(0, 0), rewrite, full], "an unpin resets the circuit's placement");
+    pass(&mut rt, Local);
+
+    // A forced replacement: the best candidate clears any threshold this
+    // far below zero.
+    rt.config.policy.replacement_threshold = -1e9;
+    assert_eq!(pass(&mut rt, Full), 1, "the pass replaced the circuit");
+    // (The threshold lifts the ceiling, so the pass may place candidates
+    // the old bar pruned: the full list keeps its entries and may gain.)
+    let [local, rewrite, kept] = slots(&rt);
+    assert_eq!((local, rewrite), ((0, 0), (0, 0)), "a replacement resets both");
+    assert!(kept.0 == full.0 && kept.1 >= full.1, "the full list is the query's: {kept:?}");
+}
+
 /// Branch-and-bound accounting: what the rewrite and full passes prune
 /// lands in `ControlPlaneStats::candidates_pruned`, and the same counts
 /// ride on those passes' span ends as `pruned` (local passes examine no
-/// candidate plans and carry no such attribute).
+/// candidate plans and carry no such attribute). Likewise for what the
+/// memos spare: `ControlPlaneStats::memo_hits`, and `memo` on every pass
+/// kind's span end.
 #[test]
 fn pruned_candidates_are_counted_and_traced() {
     let topo = small_world(41);
@@ -883,17 +946,27 @@ fn pruned_candidates_are_counted_and_traced() {
     drop(rt.finish_trace());
     let trace = std::fs::read_to_string(&path).expect("trace written");
     let _ = std::fs::remove_file(&path);
-    let mut traced = 0;
+    let (mut traced, mut memo) = (0, 0);
     for line in trace.lines().filter(|l| l.contains(r#""ev":"end""#)) {
-        let attr = line.split_once(r#""pruned":"#).map(|(_, rest)| {
-            rest.split(|c: char| !c.is_ascii_digit()).next().unwrap().parse::<usize>().unwrap()
-        });
+        let field = |name: &str| {
+            line.split_once(&format!(r#""{name}":"#)).map(|(_, rest)| {
+                rest.split(|c: char| !c.is_ascii_digit()).next().unwrap().parse::<usize>().unwrap()
+            })
+        };
         let plan_replacing =
             line.contains(r#""kind":"reopt.rewrite""#) || line.contains(r#""kind":"reopt.full""#);
-        assert_eq!(attr.is_some(), plan_replacing, "{line}");
-        traced += attr.unwrap_or(0);
+        assert_eq!(field("pruned").is_some(), plan_replacing, "{line}");
+        traced += field("pruned").unwrap_or(0);
+        // Every pass kind reports the bounds and placements its memos spared.
+        let reopt = plan_replacing || line.contains(r#""kind":"reopt.local""#);
+        assert_eq!(field("memo").is_some(), reopt, "{line}");
+        memo += field("memo").unwrap_or(0);
     }
     assert_eq!(traced, pruned, "span attributes add up to the counter");
+    let hits = rt.control_plane_stats().memo_hits;
+    assert!(hits > 0, "the passes reread what they remembered");
+    assert_eq!(memo as u64, hits, "span attributes add up to the counter");
+    assert_eq!(rt.metrics_snapshot().counters["control_plane.memo_hits"], hits);
 }
 
 /// The session API: a run can be advanced tick-by-tick with mid-run

@@ -185,6 +185,7 @@ pub fn dp_top_k_plans(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::tests::{depth, shape_key};
 
     fn streams(n: u32) -> Vec<StreamId> {
         (0..n).map(StreamId).collect()
@@ -319,7 +320,7 @@ mod tests {
     #[test]
     fn trees_are_structurally_distinct() {
         let trees = all_join_trees(&streams(4));
-        let mut keys: Vec<String> = trees.iter().map(|t| t.shape_key()).collect();
+        let mut keys: Vec<String> = trees.iter().map(shape_key).collect();
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), 15, "every enumerated tree must be unique");
@@ -395,14 +396,14 @@ mod tests {
     #[test]
     fn left_deep_trees_are_left_deep_and_distinct() {
         let trees = all_left_deep_trees(&streams(4));
-        let mut keys: Vec<String> = trees.iter().map(|t| t.shape_key()).collect();
+        let mut keys: Vec<String> = trees.iter().map(shape_key).collect();
         let total = keys.len();
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), total, "no duplicate shapes");
         for t in &trees {
             // Left-deep: depth == number of streams.
-            assert_eq!(t.depth(), 4, "{t}");
+            assert_eq!(depth(t), 4, "{t}");
             let mut srcs = t.sources();
             srcs.sort();
             assert_eq!(srcs, streams(4));
@@ -414,9 +415,9 @@ mod tests {
         // sbon-lint: allow(unordered-iteration): membership probes only
         // (`contains`), never iterated.
         let bushy: std::collections::HashSet<String> =
-            all_join_trees(&streams(4)).iter().map(|t| t.shape_key()).collect();
+            all_join_trees(&streams(4)).iter().map(shape_key).collect();
         for t in all_left_deep_trees(&streams(4)) {
-            assert!(bushy.contains(&t.shape_key()), "{t}");
+            assert!(bushy.contains(&shape_key(&t)), "{t}");
         }
     }
 
@@ -438,7 +439,7 @@ mod tests {
     fn top_k_plans_are_structurally_distinct() {
         let stats = uniform_stats(5, 10.0, 0.1);
         let top = dp_top_k_plans(&stats, &streams(5), 10);
-        let mut keys: Vec<String> = top.iter().map(|(p, _)| p.shape_key()).collect();
+        let mut keys: Vec<String> = top.iter().map(|(p, _)| shape_key(p)).collect();
         let before = keys.len();
         keys.sort();
         keys.dedup();
@@ -453,7 +454,7 @@ mod tests {
         let top = dp_top_k_plans(&stats, &ids, 1);
         let (best, cost) = dp_best_plan(&stats, &ids);
         assert_eq!(top.len(), 1);
-        assert_eq!(top[0].0.shape_key(), best.shape_key());
+        assert_eq!(shape_key(&top[0].0), shape_key(&best));
         assert!((top[0].1 - cost).abs() < 1e-12);
     }
 

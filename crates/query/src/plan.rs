@@ -128,27 +128,6 @@ impl LogicalPlan {
         out
     }
 
-    /// Number of operator (non-leaf) nodes — the services a circuit must
-    /// place.
-    pub fn num_services(&self) -> usize {
-        let mut n = 0;
-        self.visit(&mut |p| {
-            if !matches!(p, LogicalPlan::Source(_)) {
-                n += 1;
-            }
-        });
-        n
-    }
-
-    /// Depth of the tree (a single source has depth 1).
-    pub fn depth(&self) -> usize {
-        match self {
-            LogicalPlan::Source(_) => 1,
-            LogicalPlan::Unary { input, .. } => 1 + input.depth(),
-            LogicalPlan::Binary { left, right, .. } => 1 + left.depth().max(right.depth()),
-        }
-    }
-
     /// Pre-order traversal.
     pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a LogicalPlan)) {
         f(self);
@@ -172,20 +151,6 @@ impl LogicalPlan {
             LogicalPlan::Unary { op, input } => format!("{}({})", op.label(), input.render()),
             LogicalPlan::Binary { op, left, right } => {
                 format!("({} {} {})", left.render(), op.label(), right.render())
-            }
-        }
-    }
-
-    /// A *shape* key that ignores left/right order of commutative joins, so
-    /// `A ⋈ B` and `B ⋈ A` compare equal. Used to dedup enumeration output.
-    pub fn shape_key(&self) -> String {
-        match self {
-            LogicalPlan::Source(id) => id.to_string(),
-            LogicalPlan::Unary { op, input } => format!("{}({})", op.label(), input.shape_key()),
-            LogicalPlan::Binary { op, left, right } => {
-                let (a, b) = (left.shape_key(), right.shape_key());
-                let (a, b) = if a <= b { (a, b) } else { (b, a) };
-                format!("({a} {} {b})", op.label())
             }
         }
     }
@@ -246,11 +211,43 @@ impl std::fmt::Display for LogicalPlan {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn s(i: u32) -> LogicalPlan {
         LogicalPlan::source(StreamId(i))
+    }
+
+    /// A *shape* key that ignores left/right order of commutative joins, so
+    /// `A ⋈ B` and `B ⋈ A` compare equal — for tests that check enumeration
+    /// output up to commutation. Parameters are not printed.
+    pub(crate) fn shape_key(plan: &LogicalPlan) -> String {
+        match plan {
+            LogicalPlan::Source(id) => id.to_string(),
+            LogicalPlan::Unary { op, input } => format!("{}({})", op.label(), shape_key(input)),
+            LogicalPlan::Binary { op, left, right } => {
+                let (a, b) = (shape_key(left), shape_key(right));
+                let (a, b) = if a <= b { (a, b) } else { (b, a) };
+                format!("({a} {} {b})", op.label())
+            }
+        }
+    }
+
+    /// Depth of the tree (a single source has depth 1).
+    pub(crate) fn depth(plan: &LogicalPlan) -> usize {
+        match plan {
+            LogicalPlan::Source(_) => 1,
+            LogicalPlan::Unary { input, .. } => 1 + depth(input),
+            LogicalPlan::Binary { left, right, .. } => 1 + depth(left).max(depth(right)),
+        }
+    }
+
+    /// Number of operator (non-leaf) nodes — the services a circuit must
+    /// place.
+    pub(crate) fn num_services(plan: &LogicalPlan) -> usize {
+        let mut n = 0;
+        plan.visit(&mut |p| n += usize::from(!matches!(p, LogicalPlan::Source(_))));
+        n
     }
 
     #[test]
@@ -262,8 +259,8 @@ mod tests {
     #[test]
     fn num_services_counts_operators_only() {
         let p = LogicalPlan::select(0.5, LogicalPlan::join(s(0), s(1)));
-        assert_eq!(p.num_services(), 2);
-        assert_eq!(s(0).num_services(), 0);
+        assert_eq!(num_services(&p), 2);
+        assert_eq!(num_services(&s(0)), 0);
     }
 
     #[test]
@@ -271,8 +268,8 @@ mod tests {
         let left_deep =
             LogicalPlan::join(LogicalPlan::join(LogicalPlan::join(s(0), s(1)), s(2)), s(3));
         let bushy = LogicalPlan::join(LogicalPlan::join(s(0), s(1)), LogicalPlan::join(s(2), s(3)));
-        assert_eq!(left_deep.depth(), 4);
-        assert_eq!(bushy.depth(), 3);
+        assert_eq!(depth(&left_deep), 4);
+        assert_eq!(depth(&bushy), 3);
     }
 
     #[test]
@@ -287,7 +284,7 @@ mod tests {
     fn shape_key_ignores_join_order() {
         let ab = LogicalPlan::join(s(0), s(1));
         let ba = LogicalPlan::join(s(1), s(0));
-        assert_eq!(ab.shape_key(), ba.shape_key());
+        assert_eq!(shape_key(&ab), shape_key(&ba));
         assert_ne!(ab.render(), ba.render());
     }
 
@@ -295,7 +292,7 @@ mod tests {
     fn shape_key_distinguishes_association() {
         let l = LogicalPlan::join(LogicalPlan::join(s(0), s(1)), s(2));
         let r = LogicalPlan::join(s(0), LogicalPlan::join(s(1), s(2)));
-        assert_ne!(l.shape_key(), r.shape_key());
+        assert_ne!(shape_key(&l), shape_key(&r));
     }
 
     #[test]

@@ -194,12 +194,12 @@ proptest! {
                 }
             }
             for a in acc.iter_mut() { *a /= count as f64; }
-            let coords: Vec<Vec<f64>> = circuit.services().iter().map(|s| match s.pin {
+            let coords: Vec<f64> = circuit.services().iter().flat_map(|s| match s.pin {
                 sbon::core::circuit::ServicePin::Pinned(h) =>
                     space.point(h).vector_part(vd).to_vec(),
                 sbon::core::circuit::ServicePin::Unpinned => acc.clone(),
             }).collect();
-            VirtualPlacement::new(coords).spring_energy(&circuit)
+            VirtualPlacement::new(vd, coords).spring_energy(&circuit)
         };
         prop_assert!(vp.spring_energy(&circuit) <= seed_cost + 1e-6);
     }

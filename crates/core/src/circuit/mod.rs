@@ -249,23 +249,6 @@ impl Circuit {
         self.services.iter().filter(|s| s.is_unpinned()).map(|s| s.id).collect()
     }
 
-    /// Links incident to `sid` (both directions), as
-    /// `(other endpoint, rate)`.
-    pub fn incident(&self, sid: ServiceId) -> Vec<(ServiceId, f64)> {
-        self.links
-            .iter()
-            .filter_map(|l| {
-                if l.from == sid {
-                    Some((l.to, l.rate))
-                } else if l.to == sid {
-                    Some((l.from, l.rate))
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
     /// Children of `sid` in data-flow order (services streaming into it).
     pub fn children(&self, sid: ServiceId) -> Vec<ServiceId> {
         self.links.iter().filter(|l| l.to == sid).map(|l| l.from).collect()
@@ -522,8 +505,8 @@ pub(crate) mod tests {
         let c = Circuit::from_plan(&plan, &stats2(), NodeId(7));
         let join_sid = c.unpinned_services()[0];
         assert_eq!(c.children(join_sid).len(), 2);
-        // Incident: 2 children + 1 parent (consumer).
-        assert_eq!(c.incident(join_sid).len(), 3);
+        // Links touching the join: 2 children + 1 parent (consumer).
+        assert_eq!(c.links().iter().filter(|l| l.from == join_sid || l.to == join_sid).count(), 3);
     }
 
     #[test]

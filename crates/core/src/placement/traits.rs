@@ -114,8 +114,8 @@ pub(crate) fn seed_coords(
 /// fully pinned circuit).
 ///
 /// The adjacency is one compressed table built straight from
-/// [`Circuit::links`]: each unpinned service's neighbours in link order, as
-/// [`Circuit::incident`] lists them, so the sums run in the same order.
+/// [`Circuit::links`]: each unpinned service's neighbours in link order, so
+/// the sums run in the order the links are listed.
 pub(crate) fn sweep(
     circuit: &Circuit,
     placement: &mut VirtualPlacement,

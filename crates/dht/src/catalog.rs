@@ -234,7 +234,7 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
     /// answers are identical by construction.
     pub fn lookup_closest_traced(&self, target: &[f64]) -> Option<TracedLookup> {
         let key = self.key_of(target);
-        let start = self.ring.iter().next()?.0;
+        let start = self.ring.first_key()?;
         let outcome = self.ring.lookup(start, key)?;
         // One pass over the neighbourhood: its size, its ring radius, and
         // the first member at the least cost-space distance.
@@ -268,23 +268,23 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
     /// recall is high but not guaranteed 100% — exactly the trade-off the A1
     /// ablation measures. Results are sorted by ascending distance.
     pub fn k_nearest(&mut self, target: &[f64], k: usize) -> Vec<(MemberId, f64)> {
-        if k == 0 || self.ring.is_empty() {
+        let Some(start) = self.ring.first_key().filter(|_| k > 0) else {
             return Vec::new();
-        }
+        };
         let key = self.key_of(target);
         let scan = (k * 3).max(self.scan_width);
-        let neighborhood = self.ring.neighbors(key, scan);
+        let mut ranked: Vec<(MemberId, f64)> = self
+            .ring
+            .walk_outward(key, scan)
+            .map(|(_, m)| (m, self.distance_to(m, target)))
+            .collect();
         // Charge one routed lookup plus the scan.
-        if let Some(start) = self.ring.iter().next().map(|(k, _)| k) {
-            if let Some(outcome) = self.ring.lookup(start, key) {
-                self.stats.hops += outcome.hops;
-            }
+        if let Some(outcome) = self.ring.lookup(start, key) {
+            self.stats.hops += outcome.hops;
         }
         self.stats.lookups += 1;
-        self.stats.candidates_examined += neighborhood.len();
+        self.stats.candidates_examined += ranked.len();
 
-        let mut ranked: Vec<(MemberId, f64)> =
-            neighborhood.into_iter().map(|(_, m)| (m, self.distance_to(m, target))).collect();
         ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
         ranked.truncate(k);
         ranked

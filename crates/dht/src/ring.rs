@@ -26,12 +26,32 @@
 //! `successor` and `predecessor` are one binary search each, `neighbors` an
 //! index walk outward from one, and a `lookup` hop one binary search. A
 //! control-plane step writes its keys first and reads afterwards, so a
-//! write batch costs one `O(n)` rebuild, not one per write. The reads are
-//! pinned to the B-tree walks they replaced by
+//! write batch costs one `O(n)` rebuild, not one per write. Index
+//! arithmetic on the order wraps by compare-and-subtract, never `%`. The
+//! reads are pinned to the B-tree walks they replaced by
 //! `derived_order_reads_equal_the_btree_walks`, and the ring as a whole to
 //! the seed Vec ring by `btree_ring_matches_vec_reference`.
+//!
+//! The order also carries the **route memo**: one `AtomicU16` per member,
+//! keyed by the index of a lookup target's predecessor, holding the hop
+//! count of the route from the ring's first member (index 0) to it — the
+//! one start the coordinate catalog routes from. A lookup's hop count is a
+//! function of the current hop and the predecessor `p` alone: each hop
+//! jumps by the largest finger below `cw(cur, p)` and the walk stops when
+//! `cur == p` (see [`DhtRing::lookup`]), so from a fixed start every target
+//! behind the same predecessor takes the same hops. The first lookup to
+//! reach a predecessor walks and fills its slot; later ones read it. The
+//! memo lives and dies with the order: `join` / `leave` drop both, and a
+//! cloned ring derives both afresh. Slots are written with `Relaxed`
+//! stores — concurrent readers that miss the same slot walk the same route
+//! and store the same value. A paper-scale run routes about 28 lookups per
+//! distinct (order, predecessor) pair, so most lookups cost two binary
+//! searches and no walk. `memoized_lookup_equals_the_level_scan` pins the
+//! memoized hops to the finger scan over churning rings.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::OnceLock;
 
 use rand::Rng;
@@ -69,11 +89,16 @@ pub struct LookupOutcome {
     pub hops: usize,
 }
 
-/// The members in key order as two parallel arrays — what every read walks.
-#[derive(Clone, Debug, Default)]
+/// The members in key order as two parallel arrays — what every read walks
+/// — plus the route memo of lookups from index 0 (see the
+/// [module docs](self)).
+#[derive(Debug, Default)]
 struct Order {
     keys: Vec<RingKey>,
     members: Vec<MemberId>,
+    /// `route[p]`: 1 + the hops of the route from index 0 to a target
+    /// whose predecessor is index `p`; 0 until a lookup walks it.
+    route: Vec<AtomicU16>,
 }
 
 impl Order {
@@ -83,10 +108,23 @@ impl Order {
         self.keys.partition_point(|&k| k < key)
     }
 
-    /// The index of the first member with key ≥ `key`, wrapping. The ring
-    /// must not be empty.
+    /// The index of the first member with key ≥ `key`, wrapping.
     fn successor(&self, key: RingKey) -> usize {
-        self.rank(key) % self.keys.len()
+        let i = self.rank(key);
+        if i == self.keys.len() {
+            0
+        } else {
+            i
+        }
+    }
+
+    /// The index before `i` on the ring. `i < len`.
+    fn before(&self, i: usize) -> usize {
+        if i == 0 {
+            self.keys.len() - 1
+        } else {
+            i - 1
+        }
     }
 
     fn entry(&self, i: usize) -> (RingKey, MemberId) {
@@ -98,7 +136,7 @@ impl Order {
 ///
 /// See the [module docs](self) for the cost model: `O(log n)` writes to a
 /// B-tree, reads from an order derived from it.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct DhtRing {
     /// Members ordered by ring key — the one write structure. Invariant:
     /// exactly the entries recorded in `keys`, one per member.
@@ -110,6 +148,18 @@ pub struct DhtRing {
     /// write and dropped by `join` / `leave`.
     order: OnceLock<Order>,
     config: DhtConfig,
+}
+
+/// A clone derives its own order (and route memo) on its first read.
+impl Clone for DhtRing {
+    fn clone(&self) -> Self {
+        DhtRing {
+            members: self.members.clone(),
+            keys: self.keys.clone(),
+            order: OnceLock::new(),
+            config: self.config.clone(),
+        }
+    }
 }
 
 impl DhtRing {
@@ -136,9 +186,16 @@ impl DhtRing {
     /// The derived order, built from `members` if a write dropped it.
     fn order(&self) -> &Order {
         self.order.get_or_init(|| {
-            let (keys, members) = self.members.iter().map(|(&k, &m)| (k, m)).unzip();
-            Order { keys, members }
+            let (keys, members): (Vec<_>, _) = self.members.iter().map(|(&k, &m)| (k, m)).unzip();
+            let route = keys.iter().map(|_| AtomicU16::new(0)).collect();
+            Order { keys, members, route }
         })
+    }
+
+    /// The lowest key on the ring: the first member's, where the catalog's
+    /// lookups start.
+    pub(crate) fn first_key(&self) -> Option<RingKey> {
+        self.order().keys.first().copied()
     }
 
     /// Iterates `(key, member)` in ring order.
@@ -161,9 +218,19 @@ impl DhtRing {
     pub fn join(&mut self, key: RingKey, member: MemberId) -> RingKey {
         assert!(self.key_of(member).is_none(), "member {member} is already on the ring");
         assert!(self.members.len() < u32::MAX as usize, "ring is absurdly over-populated");
-        let key = self.first_free_key(key);
-        let evicted = self.members.insert(key, member);
-        debug_assert!(evicted.is_none(), "probe must land on a free key");
+        // One descent for the usual free key; a taken one probes onward.
+        let key = match self.members.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(member);
+                key
+            }
+            Entry::Occupied(_) => {
+                let key = self.first_free_key(key);
+                let evicted = self.members.insert(key, member);
+                debug_assert!(evicted.is_none(), "probe must land on a free key");
+                key
+            }
+        };
         self.order = OnceLock::new();
         let idx = member as usize;
         if self.keys.len() <= idx {
@@ -218,8 +285,7 @@ impl DhtRing {
     /// wrapping). `None` on an empty ring.
     pub fn predecessor(&self, key: RingKey) -> Option<(RingKey, MemberId)> {
         let order = self.order();
-        let n = order.keys.len();
-        (n > 0).then(|| order.entry((order.rank(key) + n - 1) % n))
+        (!order.keys.is_empty()).then(|| order.entry(order.before(order.successor(key))))
     }
 
     /// Walks the ring outward from `key` in both directions, yielding up to
@@ -248,18 +314,22 @@ impl DhtRing {
     ) -> impl Iterator<Item = (RingKey, MemberId)> + '_ {
         let order = self.order();
         let n = order.keys.len();
-        // The next clockwise pick is `cw % n`, the next counter-clockwise
-        // one `(ccw − 1) % n`; `ccw` starts a full turn up so it never
-        // underflows.
-        let mut cw = order.rank(key);
-        let mut ccw = cw + n;
+        // The next clockwise pick is `cw`, the next counter-clockwise one
+        // `ccw − 1`: `cw ∈ 0..n` and `ccw ∈ 1..=n`, each wrapped by one
+        // compare as it steps (neither is read on an empty ring).
+        let mut cw = order.successor(key);
+        let mut ccw = if cw == 0 { n } else { cw };
         (0..count.min(n)).map(move |_| {
-            let (fwd, bwd) = (cw % n, (ccw - 1) % n);
-            if clockwise_dist(key, order.keys[fwd]) <= clockwise_dist(order.keys[bwd], key) {
+            let bwd = ccw - 1;
+            if clockwise_dist(key, order.keys[cw]) <= clockwise_dist(order.keys[bwd], key) {
+                let fwd = cw;
                 cw += 1;
+                if cw == n {
+                    cw = 0;
+                }
                 order.entry(fwd)
             } else {
-                ccw -= 1;
+                ccw = if bwd == 0 { n } else { bwd };
                 order.entry(bwd)
             }
         })
@@ -279,24 +349,44 @@ impl DhtRing {
     /// `p` does, iff `cw(cur, p) ≥ 2^i`. So the largest finger inside is
     /// level `min(⌊log2 cw(cur, p)⌋, finger_bits − 1)` — the hop a top-down
     /// finger scan takes — and the target lies in `(cur, successor(cur)]`
-    /// iff `cur == p`.
+    /// iff `cur == p`. The hops are thus a function of the start and `p`:
+    /// from index 0 they are read from (or written to) the route memo.
     pub fn lookup(&self, start_key: RingKey, target: RingKey) -> Option<LookupOutcome> {
         let order = self.order();
-        let n = order.keys.len();
-        if n == 0 {
+        if order.keys.is_empty() {
             return None;
         }
-        let (mut cur, start_member) = order.entry(order.successor(start_key));
+        let start = order.successor(start_key);
+        let (cur, start_member) = order.entry(start);
         // The starting member already owns the target (exact hit on its key).
         if target == cur {
             return Some(LookupOutcome { owner: start_member, owner_key: cur, hops: 0 });
         }
         let owner = order.successor(target);
-        let pred = order.keys[(owner + n - 1) % n];
-        let found = |hops| {
-            let (owner_key, owner) = order.entry(owner);
-            Some(LookupOutcome { owner, owner_key, hops })
+        let pred = order.before(owner);
+        let hops = if start == 0 {
+            let slot = &order.route[pred];
+            match slot.load(Ordering::Relaxed) {
+                0 => {
+                    let hops = self.route_hops(order, cur, order.keys[pred]);
+                    // Every walk stays under `2 × finger_bits + 2` hops.
+                    if let Ok(stored) = u16::try_from(hops + 1) {
+                        slot.store(stored, Ordering::Relaxed);
+                    }
+                    hops
+                }
+                stored => usize::from(stored - 1),
+            }
+        } else {
+            self.route_hops(order, cur, order.keys[pred])
         };
+        let (owner_key, owner) = order.entry(owner);
+        Some(LookupOutcome { owner, owner_key, hops })
+    }
+
+    /// The hops greedy finger routing takes from the member at `cur` to a
+    /// target whose predecessor holds `pred`.
+    fn route_hops(&self, order: &Order, mut cur: RingKey, pred: RingKey) -> usize {
         let mut hops = 0usize;
         // Hard bound to guarantee termination even on adversarial inputs:
         // 2 × finger bits is far above the expected log2(n).
@@ -304,20 +394,20 @@ impl DhtRing {
         loop {
             // Chord: if target ∈ (cur, successor(cur)] the successor owns it.
             if cur == pred {
-                return found(hops + 1);
+                return hops + 1;
             }
             hops += 1;
             if self.config.finger_bits == 0 {
                 // No finger at all — the target's successor is directly
                 // reachable.
-                return found(hops);
+                return hops;
             }
             let level = clockwise_dist(cur, pred).ilog2().min(self.config.finger_bits - 1);
             cur = order.keys[order.successor(cur.wrapping_add(1u128 << level))];
             if hops > max_hops {
                 // Unreachable in practice; fall back to the authoritative
                 // answer rather than looping (belt and braces).
-                return found(hops + 1);
+                return hops + 1;
             }
         }
     }
@@ -474,6 +564,99 @@ mod tests {
             let walked: Vec<(RingKey, MemberId)> = ring.members.iter().map(|(&k, &m)| (k, m)).collect();
             prop_assert_eq!(ring.iter().collect::<Vec<_>>(), walked);
         }
+    }
+
+    proptest! {
+        /// Lookups read through the route memo equal the level scan: random
+        /// uniform or clustered rings, every `finger_bits`, targets repeated
+        /// (memo hits), fresh (memo fills) and next to members, starts that
+        /// resolve to the first member (the memoized start) and elsewhere,
+        /// interleaved with joins and leaves that drop the memo.
+        #[test]
+        fn memoized_lookup_equals_the_level_scan(
+            seed in 0u64..1_000_000,
+            ops in 20usize..200,
+        ) {
+            let mut rng = derive_rng(seed, 0x37E0);
+            let finger_bits = [128, 64, 16, 3][rng.gen_range(0..4usize)];
+            let shift = if rng.gen_range(0..2) == 0 { 0 } else { 100 };
+            let mut ring = DhtRing::new(DhtConfig { finger_bits });
+            let mut live: Vec<MemberId> = Vec::new();
+            let mut next_member: MemberId = 0;
+            let mut targets: Vec<RingKey> = Vec::new();
+            for _ in 0..ops {
+                match rng.gen_range(0..8) {
+                    0 => {
+                        ring.join(rng.gen::<u128>() >> shift, next_member);
+                        live.push(next_member);
+                        next_member += 1;
+                    }
+                    1 if !live.is_empty() => {
+                        let member = live.swap_remove(rng.gen_range(0..live.len()));
+                        prop_assert_eq!(ring.leave(member), 1);
+                    }
+                    _ => {
+                        let target = match rng.gen_range(0..4) {
+                            0 | 1 if !targets.is_empty() => targets[rng.gen_range(0..targets.len())],
+                            2 if !ring.is_empty() => {
+                                let (k, _) = ring.iter().nth(rng.gen_range(0..ring.len())).unwrap();
+                                k.wrapping_add(rng.gen_range(0..3u32).into()).wrapping_sub(1)
+                            }
+                            _ => rng.gen::<u128>() >> shift,
+                        };
+                        targets.push(target);
+                        let last = ring.iter().last().map_or(0, |(k, _)| k);
+                        let start = match rng.gen_range(0..5) {
+                            0 => 0,
+                            1 => last.wrapping_add(1),
+                            2 => rng.gen(),
+                            _ => ring.first_key().unwrap_or(0),
+                        };
+                        prop_assert_eq!(
+                            ring.lookup(start, target),
+                            lookup_scanning_every_level(&ring, start, target)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The filled slots of the route memo, if the order is derived.
+    fn memo(ring: &DhtRing) -> Option<Vec<u16>> {
+        let order = ring.order.get()?;
+        Some(order.route.iter().map(|slot| slot.load(Ordering::Relaxed)).collect())
+    }
+
+    /// A `join` or `leave` drops the route memo with the order, so a count
+    /// stored for one predecessor index is never served for the member that
+    /// holds that index afterwards.
+    #[test]
+    fn writes_drop_the_route_memo() {
+        let mut r = ring_with(&[0, 10, 20, 30]);
+        // From key 0: target 21 sits behind 20 (one finger hop, then the
+        // successor), target 31 behind 30 (two finger hops).
+        assert_eq!(r.lookup(0, 21).unwrap().hops, 2);
+        assert_eq!(r.lookup(0, 31).unwrap().hops, 3);
+        assert_eq!(memo(&r), Some(vec![0, 0, 3, 4]));
+        assert_eq!(r.lookup(0, 31).unwrap().hops, 3, "a memo hit");
+
+        // Without key 10, key 30 holds index 2, whose stale slot says 2 hops.
+        r.leave(1);
+        assert_eq!(memo(&r), None, "leave drops the memo");
+        assert_eq!(r.lookup(0, 31).unwrap().hops, 3);
+        assert_eq!(memo(&r), Some(vec![0, 0, 4]));
+
+        // With key 5, key 20 holds index 2, whose stale slot says 3 hops.
+        r.join(5, 4);
+        assert_eq!(memo(&r), None, "join drops the memo");
+        assert_eq!(r.lookup(0, 21).unwrap().hops, 2);
+        assert_eq!(memo(&r), Some(vec![0, 0, 3, 0]));
+
+        // A clone derives its own order and memo.
+        let c = r.clone();
+        assert_eq!(memo(&c), None);
+        assert_eq!(c.lookup(0, 21), r.lookup(0, 21));
     }
 
     /// The capped finger scan takes the same hops to the same owner as

@@ -5,6 +5,28 @@
 //! representation of a Hilbert index: an array of `dims` words where word `i`
 //! carries every `dims`-th bit of the index, starting at bit
 //! `dims·bits − 1 − i`.
+//!
+//! # The branch-free form
+//!
+//! Skilling's encoder branches twice on data: the inverse-undo loop either
+//! inverts the low bits of `x[0]` or exchanges them with `x[i]`, depending
+//! on bit `q` of `x[i]`, and the Gray-encode fix-up folds `q − 1` into its
+//! mask only where bit `q` of the last word is set. Both branches pick
+//! between two xors, so [`HilbertCurve::encode`] takes both with a mask —
+//! `m = 0 − (bit set)`, all ones or all zeros — and keeps the one the
+//! branch would have taken:
+//!
+//! * invert: `x[0] ^= p & m`;
+//! * exchange: `t = (x[0] ^ x[i]) & p & !m`, then `x[0] ^= t`, `x[i] ^= t`
+//!   (a zero `t` when the bit is set);
+//! * Gray mask: `t ^= (q − 1) & m`.
+//!
+//! Each step xors exactly the word the branch would have, so every key
+//! keeps its bits; the only change is that a pass no longer mispredicts on
+//! coordinate bits, which are noise to a branch predictor. (At `i = 0` the
+//! exchange is a no-op in both forms: `x[0] ^ x[0]` is zero.) The branchy
+//! loop stays as the test module's reference, and a property test pins
+//! `encode` to it over every `(dims, bits)` the curve admits.
 
 use crate::{CurveKey, SpaceFillingCurve};
 
@@ -42,37 +64,37 @@ impl HilbertCurve {
     }
 
     /// Converts axes (grid cell) to the transposed Hilbert representation,
-    /// in place. Direct port of Skilling's `AxestoTranspose`.
+    /// in place: Skilling's `AxestoTranspose` with its two data-dependent
+    /// branches turned into masks (see the [module docs](self)).
     fn axes_to_transpose(&self, x: &mut [u32]) {
-        let n = x.len();
         let m = 1u32 << (self.bits - 1);
 
-        // Inverse undo.
+        // Inverse undo, with `x[0]` held in a register across each pass.
+        let (first, rest) = x.split_first_mut().expect("a curve has at least one dimension");
         let mut q = m;
         while q > 1 {
             let p = q - 1;
-            for i in 0..n {
-                if x[i] & q != 0 {
-                    x[0] ^= p; // invert
-                } else {
-                    let t = (x[0] ^ x[i]) & p;
-                    x[0] ^= t;
-                    x[i] ^= t; // exchange
-                }
+            let mut x0 = *first;
+            x0 ^= p & set_mask(x0, q); // i = 0: invert or a no-op exchange
+            for xi in rest.iter_mut() {
+                let invert = set_mask(*xi, q);
+                let t = (x0 ^ *xi) & p & !invert;
+                x0 ^= (p & invert) | t;
+                *xi ^= t;
             }
+            *first = x0;
             q >>= 1;
         }
 
         // Gray encode.
-        for i in 1..n {
+        for i in 1..x.len() {
             x[i] ^= x[i - 1];
         }
+        let last = x[x.len() - 1];
         let mut t = 0;
         let mut q = m;
         while q > 1 {
-            if x[n - 1] & q != 0 {
-                t ^= q - 1;
-            }
+            t ^= (q - 1) & set_mask(last, q);
             q >>= 1;
         }
         for xi in x.iter_mut() {
@@ -114,11 +136,23 @@ impl HilbertCurve {
     /// `i` becomes bit `(j·dims + (dims−1−i))` of the key... concretely, the
     /// key's bits from most significant to least are
     /// `x[0]@(bits−1), x[1]@(bits−1), …, x[n−1]@(bits−1), x[0]@(bits−2), …`.
+    ///
+    /// Keys of at most 64 bits accumulate in a `u64`: the same shifts and
+    /// ors, at half the word width.
     fn pack(&self, x: &[u32]) -> CurveKey {
+        if self.dims as u32 * self.bits <= 64 {
+            let mut key: u64 = 0;
+            for j in (0..self.bits).rev() {
+                for xi in x {
+                    key = (key << 1) | u64::from((xi >> j) & 1);
+                }
+            }
+            return CurveKey::from(key);
+        }
         let mut key: u128 = 0;
         for j in (0..self.bits).rev() {
             for xi in x {
-                key = (key << 1) | (((xi >> j) & 1) as u128);
+                key = (key << 1) | u128::from((xi >> j) & 1);
             }
         }
         key
@@ -138,6 +172,11 @@ impl HilbertCurve {
         }
         x
     }
+}
+
+/// All ones when `x` has bit `q` set, all zeros otherwise.
+fn set_mask(x: u32, q: u32) -> u32 {
+    0u32.wrapping_sub(u32::from(x & q != 0))
 }
 
 impl SpaceFillingCurve for HilbertCurve {
@@ -249,6 +288,52 @@ mod tests {
         HilbertCurve::new(5, 32);
     }
 
+    /// Skilling's `AxestoTranspose` as published, one branch per bit: the
+    /// reference the branch-free transform is pinned to.
+    fn axes_to_transpose_branching(c: &HilbertCurve, x: &mut [u32]) {
+        let n = x.len();
+        let m = 1u32 << (c.bits - 1);
+        let mut q = m;
+        while q > 1 {
+            let p = q - 1;
+            for i in 0..n {
+                if x[i] & q != 0 {
+                    x[0] ^= p; // invert
+                } else {
+                    let t = (x[0] ^ x[i]) & p;
+                    x[0] ^= t;
+                    x[i] ^= t; // exchange
+                }
+            }
+            q >>= 1;
+        }
+        for i in 1..n {
+            x[i] ^= x[i - 1];
+        }
+        let mut t = 0;
+        let mut q = m;
+        while q > 1 {
+            if x[n - 1] & q != 0 {
+                t ^= q - 1;
+            }
+            q >>= 1;
+        }
+        for xi in x.iter_mut() {
+            *xi ^= t;
+        }
+    }
+
+    /// `pack` with a `u128` accumulator at every width.
+    fn pack_wide(c: &HilbertCurve, x: &[u32]) -> CurveKey {
+        let mut key: u128 = 0;
+        for j in (0..c.bits).rev() {
+            for xi in x {
+                key = (key << 1) | (((xi >> j) & 1) as u128);
+            }
+        }
+        key
+    }
+
     /// `encode` as it was before the stack buffer: the transpose in a `Vec`.
     fn encode_through_a_vec(c: &HilbertCurve, cell: &[u32]) -> CurveKey {
         let mut x = cell.to_vec();
@@ -266,6 +351,35 @@ mod tests {
             let c = HilbertCurve::new(dims, bits);
             let cell: Vec<u32> = draws[..dims].iter().map(|d| d >> (32 - bits)).collect();
             prop_assert_eq!(c.encode(&cell), encode_through_a_vec(&c, &cell));
+        }
+
+        /// The branch-free `encode` equals Skilling's branching loop with a
+        /// `u128` pack, for a random cell of every curve `new` admits:
+        /// each `(dims, bits)` with `dims × bits ≤ 128`, so 32-bit
+        /// coordinates, full 128-bit keys and both sides of the `u64` pack.
+        #[test]
+        fn branch_free_encode_equals_skillings_loop(
+            draws in proptest::collection::vec(0u32..=u32::MAX, 128),
+            all_ones in 0u32..8,
+        ) {
+            for dims in 1usize..=128 {
+                for bits in 1..=(128 / dims as u32).min(32) {
+                    let c = HilbertCurve::new(dims, bits);
+                    let shift = 32 - bits;
+                    // One case in eight checks the all-ones corner cell.
+                    let cell: Vec<u32> = draws
+                        .iter()
+                        .cycle()
+                        .skip(dims + bits as usize)
+                        .take(dims)
+                        .map(|&d| if all_ones == 0 { u32::MAX >> shift } else { d >> shift })
+                        .collect();
+                    let mut reference = cell.clone();
+                    axes_to_transpose_branching(&c, &mut reference);
+                    let (key, want) = (c.encode(&cell), pack_wide(&c, &reference));
+                    prop_assert!(key == want, "dims={dims} bits={bits}: {key} != {want}");
+                }
+            }
         }
 
         #[test]

@@ -30,7 +30,11 @@ impl Quantizer {
     }
 
     /// A quantizer sized to cover `points` with a proportional margin (e.g.
-    /// `0.25` adds 25% of each dimension's span on both sides).
+    /// `0.25` adds 25% of each dimension's span on both sides). A span
+    /// below `1e-9` pads as if it were `1e-9`; a dimension the padding
+    /// still leaves empty (a constant coordinate with margin 0, or one so
+    /// large that the pad vanishes below its ulp) widens by one relative
+    /// epsilon of its magnitude on each side.
     pub fn covering(points: &[Vec<f64>], bits: u32, margin: f64) -> Self {
         Self::covering_iter(points.iter().map(|p| p.as_slice()), bits, margin)
     }
@@ -58,8 +62,11 @@ impl Quantizer {
         }
         for i in 0..d {
             let span = (maxs[i] - mins[i]).max(1e-9);
-            mins[i] -= span * margin;
-            maxs[i] += span * margin;
+            let (lo, hi) = (mins[i] - span * margin, maxs[i] + span * margin);
+            // `|x|·ε` is at least one ulp of `x`, so the widened bounds
+            // differ; a non-empty interval keeps its bounds bit for bit.
+            let pad = if lo < hi { 0.0 } else { (lo.abs().max(hi.abs()) * f64::EPSILON).max(1e-9) };
+            (mins[i], maxs[i]) = (lo - pad, hi + pad);
         }
         Quantizer::new(mins, maxs, bits)
     }
@@ -213,6 +220,29 @@ mod tests {
         let q = Quantizer::covering(&pts, 4, 0.25);
         let cell = q.quantize(&pts[0]);
         assert_eq!(cell.len(), 2);
+    }
+
+    /// Regression: a constant coordinate of `1e7` used to panic, because the
+    /// `1e-9` span floor times the margin is below half its ulp and the
+    /// padded interval came out empty.
+    #[test]
+    fn covering_survives_a_constant_coordinate_above_the_span_floor() {
+        let pts: Vec<&[f64]> = vec![&[1e7, 0.0], &[1e7, 1.0], &[1e7, 0.5]];
+        let q = Quantizer::covering_iter(pts.iter().copied(), 12, 0.25);
+        assert!(q.mins()[0] < 1e7 && 1e7 < q.maxs()[0], "{q:?}");
+        assert_eq!((q.mins()[1], q.maxs()[1]), (-0.25, 1.25), "other dimensions keep their pad");
+        assert_eq!(q.quantize(&[1e7, 0.5])[0], 2048, "the constant lands mid-box");
+    }
+
+    /// Regression: points sharing a non-zero coordinate used to panic with
+    /// margin 0, which pads nothing.
+    #[test]
+    fn covering_survives_a_shared_coordinate_without_margin() {
+        let pts: Vec<&[f64]> = vec![&[-3.5, 2.0], &[-3.5, 4.0]];
+        let q = Quantizer::covering_iter(pts.iter().copied(), 8, 0.0);
+        assert!(q.mins()[0] < -3.5 && -3.5 < q.maxs()[0], "{q:?}");
+        assert_eq!((q.mins()[1], q.maxs()[1]), (2.0, 4.0), "a spread dimension is untouched");
+        assert_eq!(q.quantize(&[-3.5, 2.0]), vec![128, 0]);
     }
 
     #[test]

@@ -36,8 +36,11 @@
 //! out ≥ 5× faster per tick — that gap is what retired ROADMAP open
 //! item 1's "~200 ms/tick of invalidate-and-recompute" bottleneck.
 
-// Bench harness: wall-clock timing is the measurement itself.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "bench harness: wall-clock timing is the measurement itself"
+)]
 
 use std::time::Instant;
 

@@ -50,9 +50,7 @@ fn evaluate<C: SpaceFillingCurve>(
             excess.push(dht_d - oracle_d);
         }
         // k-nearest recall vs exhaustive top-k.
-        // sbon-lint: allow(unordered-iteration): membership probes only
-        // (recall check via `contains`), never iterated.
-        let approx: std::collections::HashSet<u32> =
+        let approx: std::collections::BTreeSet<u32> =
             catalog.k_nearest(&target, k).into_iter().map(|(m, _)| m).collect();
         let mut exact: Vec<(u32, f64)> =
             points.iter().enumerate().map(|(i, p)| (i as u32, euclidean(p, &target))).collect();

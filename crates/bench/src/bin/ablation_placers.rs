@@ -5,8 +5,11 @@
 //! three on the same circuits: final circuit network usage (after oracle
 //! mapping), the virtual (pre-mapping) objective, and placement time.
 
-// Bench binary: wall-clock timing is the measurement itself.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "bench binary: wall-clock timing is the measurement itself"
+)]
 
 use std::time::Instant;
 

@@ -10,8 +10,11 @@
 //! Reported per n: wall time of each step, DHT hops, and the quality gap of
 //! the cost-space circuit vs the optimal bound.
 
-// Bench binary: wall-clock timing is the measurement itself.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "bench binary: wall-clock timing is the measurement itself"
+)]
 
 use std::time::Instant;
 

@@ -13,8 +13,11 @@
 //! examined (the pruning win), reuse rate, marginal network usage (the
 //! quality cost of pruning), and wall time.
 
-// Bench binary: wall-clock timing is the measurement itself.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "bench binary: wall-clock timing is the measurement itself"
+)]
 
 use std::time::Instant;
 

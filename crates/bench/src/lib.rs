@@ -6,8 +6,6 @@
 //! embedding, a load assignment, and the Figure-2 latency+load² cost space.
 //! Worlds are deterministic in `(nodes, seed)`.
 
-#![forbid(unsafe_code)]
-
 use rand::seq::SliceRandom;
 use rand::Rng;
 

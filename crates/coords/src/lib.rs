@@ -37,8 +37,6 @@
 //! * `sbon_overlay`'s `membership` — when a node is placed: once at
 //!   bring-up for every arrived node, at its join tick for the rest.
 
-#![forbid(unsafe_code)]
-
 pub mod error;
 pub mod vivaldi;
 

@@ -27,8 +27,6 @@
 //!   migration when coordinates drift, and full re-optimization with a
 //!   parallel-circuit swap when estimates change.
 
-#![forbid(unsafe_code)]
-
 pub mod circuit;
 pub mod costspace;
 pub mod multiquery;

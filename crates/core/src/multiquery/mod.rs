@@ -226,7 +226,7 @@ pub struct MultiQueryOptimizer {
     examined: usize,
     // The registries are ordered maps: `.values()` folds over them feed
     // counts and cost sums into reports, and hash iteration order is
-    // process-random (sbon-lint: unordered-iteration).
+    // process-random.
     /// Running instances indexed by signature, each list in registration
     /// order (discovery breaks distance ties towards the first registered).
     by_signature: BTreeMap<String, Vec<ServiceInstance>>,

@@ -1026,8 +1026,8 @@ mod tests {
                 dists.iter().copied().enumerate().collect();
             let mut by_partial = by_total.clone();
             by_total.sort_by(|a, b| a.1.total_cmp(&b.1));
-            // sbon-lint: allow(float-partial-cmp): the pre-migration
-            // comparator, kept as the oracle this regression test is about.
+            // The pre-migration comparator, kept as the oracle this
+            // regression test is about.
             by_partial.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
             let total_order: Vec<usize> = by_total.iter().map(|p| p.0).collect();
             let partial_order: Vec<usize> = by_partial.iter().map(|p| p.0).collect();

@@ -565,7 +565,10 @@ pub enum ReplaceOutcome {
 /// estimate (see the module docs — measured latency is never a re-opt
 /// input). A `memo` slot keyed by index into `candidates` spares the bounds
 /// and placements it remembers and records the rest.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the one plan-replacing entry point; every argument is a distinct selection input"
+)]
 pub fn reoptimize_among(
     candidates: &[LogicalPlan],
     running_cost_estimate: f64,

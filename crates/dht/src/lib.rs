@@ -23,8 +23,6 @@
 //!   simulated underlay, with experienced latency, timeout/retry, and
 //!   partition semantics.
 
-#![forbid(unsafe_code)]
-
 pub mod catalog;
 pub mod id;
 pub mod proto;

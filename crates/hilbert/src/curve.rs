@@ -252,9 +252,7 @@ mod tests {
     #[test]
     fn decode_is_injective_small() {
         let c = HilbertCurve::new(3, 2);
-        // sbon-lint: allow(unordered-iteration): membership-only dedup set;
-        // only inserts and a final count, never iterated.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for key in 0..c.num_cells() {
             assert!(seen.insert(c.decode(key)), "duplicate cell for key {key}");
         }

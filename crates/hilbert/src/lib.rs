@@ -16,8 +16,6 @@
 //! * [`Quantizer`] — maps continuous cost-space coordinates to grid cells
 //!   and back (cell centers).
 
-#![forbid(unsafe_code)]
-
 pub mod curve;
 pub mod morton;
 pub mod quantizer;

@@ -82,7 +82,10 @@ impl Potential for NoPotential {
 /// number of vertices settled (a vertex whose label improved after it
 /// settled can settle again under a potential).
 #[inline]
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the one relaxation loop; its callers differ in exactly these inputs"
+)]
 pub(crate) fn settle(
     graph: &Graph,
     dist: &mut [f64],

@@ -76,8 +76,6 @@
 //! * [`latency::euclidean`] — the one Euclidean distance, shared by the
 //!   coordinate layer, the cost space and the DHT catalog.
 
-#![forbid(unsafe_code)]
-
 pub mod dijkstra;
 pub mod graph;
 pub mod latency;

@@ -26,11 +26,9 @@
 //! of `(topology, seed, config)`, byte-identical across thread counts.
 //! Wall-clock readings exist solely as reporting *output* (phase timings in
 //! nanoseconds) and the single non-harness read site is
-//! [`walltime::WallTimer`], the one module on `sbon_lint`'s `wall-clock`
-//! allowlist outside benches/examples. Sampling, likewise, is seeded and
+//! [`walltime::WallTimer`], the one module exempt from clippy's wall-clock
+//! ban (`clippy.toml`) outside benches/examples. Sampling, likewise, is seeded and
 //! per-kind ([`trace::Sampler`]) — never `thread_rng`.
-
-#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod flight;

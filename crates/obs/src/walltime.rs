@@ -5,14 +5,15 @@
 //! real nanoseconds a re-opt pass took) are observability data, so the
 //! wall-clock read lives here — in the obs stats module — and everything
 //! simulation-side consumes the opaque [`WallTimer`] instead of touching
-//! `std::time` itself. `sbon_lint`'s `wall-clock` rule allowlists exactly
-//! this file (plus benches, examples, and the criterion shim); the runtime
-//! no longer needs an exemption.
+//! `std::time` itself. Clippy's wall-clock ban (`clippy.toml`) is lifted
+//! for exactly this file, plus benches, examples and the criterion shim;
+//! the runtime needs no exemption.
 
-// The clippy `disallowed_methods` ban on `Instant::now` is the second
-// enforcement layer behind the sbon_lint wall-clock rule; this module is
-// the allowlisted stats-timing implementation both layers point at.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the one blessed wall-clock read outside harness code"
+)]
 
 use std::time::Instant;
 

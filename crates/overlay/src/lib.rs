@@ -40,8 +40,6 @@
 //! routes circuits over the underlay's shortest paths for per-physical-link
 //! stress accounting.
 
-#![forbid(unsafe_code)]
-
 pub mod dataplane;
 pub mod report;
 pub mod runtime;

@@ -32,9 +32,10 @@ use super::stats::RuntimeObs;
 use super::OverlayRuntime;
 
 /// The runtime-owned mapper behind [`MapperBackend`].
-// The runtime holds exactly one of these for its whole lifetime, so the
-// Dht/Oracle size gap costs one allocation's worth of slack, not N.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "the runtime holds exactly one for its whole lifetime, so the size gap costs one value's slack, not N"
+)]
 pub(super) enum MapperState {
     Dht(DhtMapper),
     Oracle(LiveOracleMapper),

@@ -412,9 +412,7 @@ mod tests {
 
     #[test]
     fn left_deep_is_a_subset_of_bushy() {
-        // sbon-lint: allow(unordered-iteration): membership probes only
-        // (`contains`), never iterated.
-        let bushy: std::collections::HashSet<String> =
+        let bushy: std::collections::BTreeSet<String> =
             all_join_trees(&streams(4)).iter().map(shape_key).collect();
         for t in all_left_deep_trees(&streams(4)) {
             assert!(bushy.contains(&shape_key(&t)), "{t}");

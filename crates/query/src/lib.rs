@@ -42,8 +42,6 @@
 //!   the rewrite neighbourhood's dedup and re-optimization's per-pass
 //!   candidate lists (`sbon-core`) key on them, and on nothing else.
 
-#![forbid(unsafe_code)]
-
 pub mod enumerate;
 pub mod plan;
 pub mod rewrite;

@@ -304,14 +304,12 @@ mod tests {
         fn reference_neighbors(plan: &LogicalPlan) -> Vec<LogicalPlan> {
             let mut out = Vec::new();
             rewrite_everywhere(plan, &mut out);
-            // sbon-lint: allow(unordered-iteration): membership-only dedup.
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             seen.insert(plan.render());
             out.retain(|p| seen.insert(p.render()));
             out
         }
-        // sbon-lint: allow(unordered-iteration): membership-only dedup.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         seen.insert(plan.render());
         let mut out: Vec<LogicalPlan> = Vec::new();
         let mut frontier = vec![plan.clone()];
@@ -372,9 +370,7 @@ mod tests {
         depth: usize,
         max_plans: usize,
     ) -> Vec<LogicalPlan> {
-        // sbon-lint: allow(unordered-iteration): membership-only BFS visited
-        // set; result order comes from `out` (a Vec), never from the set.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         seen.insert(identity_key(plan));
         let mut out: Vec<LogicalPlan> = Vec::new();
         let mut generated = Vec::new();
@@ -471,8 +467,7 @@ mod tests {
                 // differs only in its bits.
                 let keys = |ps: &[LogicalPlan]| ps.iter().map(identity_key).collect::<Vec<_>>();
                 assert_eq!(keys(&got), keys(&want), "case {case}: {plan} depth {depth}");
-                // sbon-lint: allow(unordered-iteration): distinct-count only.
-                let renders: std::collections::HashSet<String> =
+                let renders: std::collections::BTreeSet<String> =
                     got.iter().map(LogicalPlan::render).collect();
                 collisions += got.len() - renders.len();
             }
@@ -511,11 +506,8 @@ mod tests {
         // BFS over the rewrite graph from one 3-way plan must reach all 3
         // association classes (shape keys), walking rendered plans.
         let start = LogicalPlan::join(LogicalPlan::join(s(0), s(1)), s(2));
-        // sbon-lint: allow(unordered-iteration): membership + final counts
-        // only; neither set is iterated.
-        let mut rendered = std::collections::HashSet::new();
-        // sbon-lint: allow(unordered-iteration): as above.
-        let mut shapes = std::collections::HashSet::new();
+        let mut rendered = std::collections::BTreeSet::new();
+        let mut shapes = std::collections::BTreeSet::new();
         let mut frontier = vec![start];
         while let Some(p) = frontier.pop() {
             if rendered.insert(p.render()) {

@@ -61,8 +61,6 @@
 //! assert!(report.drained_to_baseline());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod arrival;
 pub mod scenario;
 pub mod session;

@@ -40,8 +40,11 @@
 //!                                           # 100k-tier shape, parallel-vs-serial
 //! ```
 
-// Example: wall-clock progress reporting only, never control-plane input.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "wall-clock progress reporting only, never control-plane input"
+)]
 
 use std::path::PathBuf;
 use std::time::Instant;

@@ -16,8 +16,11 @@
 //! flash-crowd arrival burst plus departures over a 30-tick run, asserting
 //! the active-query gauge returns to zero.
 
-// Example: wall-clock progress reporting only, never control-plane input.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "wall-clock progress reporting only, never control-plane input"
+)]
 
 use std::time::Instant;
 

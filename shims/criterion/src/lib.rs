@@ -12,9 +12,11 @@
 //! or result persistence — CI only compiles benches (`cargo bench --no-run`),
 //! and local runs just need a stable order-of-magnitude signal.
 
-#![forbid(unsafe_code)]
-// Timing shim: wall-clock measurement is this crate's entire purpose.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "timing shim: wall-clock measurement is this crate's entire purpose"
+)]
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

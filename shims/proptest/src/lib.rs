@@ -13,8 +13,6 @@
 //! * there is **no shrinking** — a failing case reports its case index and
 //!   seed instead of a minimized input.
 
-#![forbid(unsafe_code)]
-
 pub mod collection;
 pub mod prelude;
 pub mod strategy;

@@ -34,7 +34,10 @@ macro_rules! impl_tuple_strategy {
     ($($name:ident),+) => {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[expect(
+                non_snake_case,
+                reason = "the type-parameter names double as the tuple's bindings"
+            )]
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)

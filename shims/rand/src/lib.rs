@@ -13,8 +13,6 @@
 //! is **not** the same stream as the real `rand::rngs::StdRng` (ChaCha12) and
 //! is not cryptographically secure.
 
-#![forbid(unsafe_code)]
-
 pub mod rngs;
 pub mod seq;
 

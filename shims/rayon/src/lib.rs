@@ -28,8 +28,6 @@
 //! overhead is noise. Nested `par_iter` inside a worker runs serially: the
 //! pool's thread-count is a thread-local of the installing thread only.
 
-#![forbid(unsafe_code)]
-
 use std::cell::Cell;
 use std::fmt;
 use std::num::NonZeroUsize;

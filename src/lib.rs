@@ -58,8 +58,6 @@
 //! assert!(outcome.cost.network_usage > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use sbon_coords as coords;
 pub use sbon_core as core;
 pub use sbon_dht as dht;

@@ -13,9 +13,12 @@
 //! * **Skewed selectivities**: the statistics actively *mislead* — the
 //!   selective pair's producers sit on opposite sides of the network.
 //!
-//! Expected shape: integrated ≤ two-step always (same candidate space);
-//! strictly better in a large fraction of instances; both beaten only
-//! slightly by the omniscient exhaustive-DP placement bound.
+//! The paper's shape: integrated ≤ two-step always (same candidate space);
+//! strictly better in a large fraction of instances. The first clause is
+//! computed, not asserted: it holds for the cost-space estimates the
+//! optimizers rank by, and fails for the measured cost in some trials,
+//! because the estimate under-rates the circuit it picks (ROADMAP's
+//! "close the estimate gap" item).
 
 use rand::Rng;
 
@@ -30,6 +33,8 @@ use sbon_query::stream::StreamId;
 struct TrialResult {
     two_step: f64,
     integrated: f64,
+    two_step_estimated: f64,
+    integrated_estimated: f64,
     optimal_bound: f64,
     two_step_latency: f64,
     integrated_latency: f64,
@@ -63,16 +68,29 @@ fn run_trial(world: &sbon_bench::World, rng: &mut impl Rng, skewed: bool) -> Tri
     TrialResult {
         two_step: two.cost.network_usage,
         integrated: int.cost.network_usage,
+        two_step_estimated: two.estimated.network_usage,
+        integrated_estimated: int.estimated.network_usage,
         optimal_bound,
         two_step_latency: two.cost.max_path_latency,
         integrated_latency: int.cost.max_path_latency,
     }
 }
 
-fn report(label: &str, results: &[TrialResult]) {
+/// `a` is below `b` by more than 0.1 %: a strict win rather than a tie.
+fn strictly_below(a: f64, b: f64) -> bool {
+    a < b * 0.999
+}
+
+/// Prints one regime's table. Returns how many of its trials' integrated
+/// circuits are strictly worse than the two-step ones, in `(measured,
+/// estimated)` network usage.
+fn report(label: &str, results: &[TrialResult]) -> (usize, usize) {
     subsection(label);
     let ratios: Vec<f64> = results.iter().map(|r| r.two_step / r.integrated).collect();
-    let wins = results.iter().filter(|r| r.integrated < r.two_step * 0.999).count();
+    let wins = results.iter().filter(|r| strictly_below(r.integrated, r.two_step)).count();
+    let count = |worse: fn(&TrialResult) -> bool| results.iter().filter(|r| worse(r)).count();
+    let measured_worse = count(|r| strictly_below(r.two_step, r.integrated));
+    let estimated_worse = count(|r| strictly_below(r.two_step_estimated, r.integrated_estimated));
     let gap_to_optimal: Vec<f64> =
         results.iter().map(|r| r.integrated / r.optimal_bound.max(1e-9)).collect();
 
@@ -81,6 +99,11 @@ fn report(label: &str, results: &[TrialResult]) {
         results.len(),
         wins,
         pct(wins as f64 / results.len() as f64)
+    );
+    println!(
+        "integrated worse than two-step: measured {measured_worse} / {n}, estimated \
+         {estimated_worse} / {n}",
+        n = results.len()
     );
     println!(
         "two-step / integrated network usage:  geomean {:.3}×   {}",
@@ -101,6 +124,7 @@ fn report(label: &str, results: &[TrialResult]) {
     let int_lat = Summary::of(&results.iter().map(|r| r.integrated_latency).collect::<Vec<_>>());
     println!("two-step   worst-path ms: {}", two_lat.row());
     println!("integrated worst-path ms: {}", int_lat.row());
+    (measured_worse, estimated_worse)
 }
 
 fn main() {
@@ -124,10 +148,24 @@ fn main() {
         }
     }
 
-    report("uniform selectivities (the figure's 'roughly the same' assumption)", &uniform);
-    report("skewed selectivities (statistics actively mislead)", &skewed);
-
+    let regimes = [
+        report("uniform selectivities (the figure's 'roughly the same' assumption)", &uniform),
+        report("skewed selectivities (statistics actively mislead)", &skewed),
+    ];
+    let measured: usize = regimes.iter().map(|r| r.0).sum();
+    let estimated: usize = regimes.iter().map(|r| r.1).sum();
+    let n = uniform.len() + skewed.len();
+    let verdict = if measured == 0 { "PASS" } else { "FAIL" };
     println!();
-    println!("shape check (paper): integrated never worse; strictly better often;");
-    println!("the gap grows when statistics and network layout disagree.");
+    println!(
+        "shape check (paper): integrated never worse: {verdict} ({measured} / {n} trials \
+         measured worse, {estimated} / {n} estimated worse);"
+    );
+    if measured > 0 {
+        println!(
+            "  a known failure: the estimate under-rates the circuit it picks \
+             (ROADMAP: \"close the estimate gap\");"
+        );
+    }
+    println!("strictly better often; the gap grows when statistics and network layout disagree.");
 }

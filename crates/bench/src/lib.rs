@@ -1,5 +1,4 @@
-//! Shared harness utilities for the figure/claim regeneration binaries and
-//! the criterion benchmarks.
+//! Shared harness utilities for the figure/claim regeneration binaries.
 //!
 //! Every experiment builds a [`World`]: a transit-stub topology (the paper's
 //! evaluation substrate), its ground-truth all-pairs latency, a Vivaldi

@@ -58,7 +58,9 @@ pub struct VivaldiConfig {
     /// shortest-path backend only `k` Dijkstra rows are ever computed,
     /// instead of one per node. Costs accuracy — non-landmark nodes
     /// trilaterate against `k` references instead of gossiping with the
-    /// whole overlay (`bench_control_plane` records the trade-off).
+    /// whole overlay. The tests `landmark_embedding_is_accurate_on_embeddable_world`
+    /// and `landmark_mode_touches_only_k_lazy_rows` pin both sides of the
+    /// trade-off; the benchmark's `coords.embed_ms` probe times the embed.
     /// `None` (the default) runs the full decentralized protocol;
     /// `Some(k)` with `k ≥ n` falls back to it too.
     pub landmarks: Option<usize>,

@@ -29,7 +29,7 @@ use crate::multiquery::ServiceInstance;
 /// Virtual placement is not one of them — every optimizer places with the
 /// paper's reference algorithm, [`crate::placement::RelaxationPlacer`] at its
 /// defaults ([`IntegratedOptimizer::placer`]); the centroid and gradient
-/// placers are ablation subjects their benches call directly.
+/// placers are ablation subjects `ablation_placers` calls directly.
 #[derive(Clone, Debug)]
 pub struct OptimizerConfig {
     /// Candidate plans the integrated optimizer places (`k` of the k-best

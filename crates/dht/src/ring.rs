@@ -17,7 +17,8 @@
 //! insert (plus a clockwise probe over the — almost always empty — run of
 //! colliding keys) and one slot write, `leave` is one slot read and one
 //! ordered removal. (The seed's sorted `Vec` paid an `O(n)` memmove per
-//! update; `bench_control_plane` measures the difference.)
+//! update; the benchmark's `dht.ring_update_us` probe times one leave +
+//! join at each workload's membership.)
 //!
 //! Reads go to the **derived order**: the members in key order as two
 //! parallel arrays (keys, members), built from the B-tree on the first read

@@ -66,10 +66,10 @@
 //! `O(L + |A| log |A| + edges(A))`, where `L` is the length of the log
 //! suffix folded and `A` the affected region of the *net* change — against
 //! `O(n log n + m)` per row for dropping and recomputing it, and against
-//! one repair per resident row *per batch* for an eager scheme. The
-//! `bench_control_plane` `jitter_tick` group measures both ratios at 10k
-//! nodes. The two phases split one window so each phase's precondition
-//! (monotone effect on distances) holds exactly.
+//! one repair per resident row *per batch* for an eager scheme. The test
+//! `jitter_read_back_settles_a_fraction_of_recomputing` pins both by work
+//! at 2k nodes. The two phases split one window so each phase's
+//! precondition (monotone effect on distances) holds exactly.
 //!
 //! **The log is bounded by the graph's edge count, with no knob.** When an
 //! append outgrows that, the rows that still need the oldest entries are
@@ -1355,6 +1355,61 @@ mod tests {
         assert_eq!(s.rows_cached, 1);
         assert!(lazy.cache.borrow().log.len() <= 4, "a row that keeps up needs one batch");
         assert_matches_dense(&lazy);
+    }
+
+    /// The jitter-tick contract, by work rather than time: on a 2k-node
+    /// transit-stub with 64 resident rows, each batch changing 0.1 % of the
+    /// edges, reading all 64 rows back repairs them in place and settles at
+    /// least 5× fewer vertices than recomputing them would (64 × n a
+    /// batch); reading back 8 leaves the other 56 stale and unrepaired.
+    #[test]
+    fn jitter_read_back_settles_a_fraction_of_recomputing() {
+        const ROWS: usize = 64;
+        const BATCHES: u64 = 32;
+        let t = generate(&TransitStubConfig::with_total_nodes(2_000), 2_000);
+        let base: Vec<f64> = t.graph.edges().iter().map(|e| e.latency_ms).collect();
+        let mut lazy = LazyLatency::new(t.graph);
+        let (n, m) = (lazy.len(), base.len());
+        let sources: Vec<NodeId> = (0..ROWS).map(|i| NodeId((i * n / ROWS) as u32)).collect();
+        lazy.ensure_rows(&sources, None);
+        let mut rng = rng_from_seed(0x4e7a);
+        let mut jitter = |lazy: &mut LazyLatency| {
+            let deltas: Vec<(EdgeId, f64)> = (0..(m / 1_000).max(1))
+                .map(|_| {
+                    let e = rng.gen_range(0..m);
+                    (EdgeId(e as u32), base[e] * rng.gen_range(0.7..1.45))
+                })
+                .collect();
+            lazy.apply_edge_deltas(&deltas);
+            assert_eq!(lazy.rows_stale(), ROWS, "a batch leaves every resident row stale");
+        };
+        for _ in 0..BATCHES {
+            jitter(&mut lazy);
+            lazy.ensure_rows(&sources, None);
+            assert_eq!(lazy.rows_stale(), 0);
+        }
+        let s = lazy.stats();
+        // A read that dropped and recomputed its row would count here.
+        assert_eq!((s.rows_computed, s.rows_evicted, s.rows_invalidated), (ROWS as u64, 0, 0));
+        let recompute = BATCHES * (ROWS * n) as u64;
+        assert!(
+            s.vertices_settled * 5 <= recompute,
+            "{} vertices settled against {recompute} to recompute",
+            s.vertices_settled
+        );
+        for &src in &sources {
+            let fresh = single_source(lazy.graph(), src);
+            for (b, want) in fresh.iter().enumerate() {
+                assert_eq!(lazy.latency(src, NodeId(b as u32)).to_bits(), want.to_bits());
+            }
+        }
+
+        jitter(&mut lazy);
+        lazy.ensure_rows(&sources[..8], None);
+        assert_eq!(lazy.rows_stale(), ROWS - 8, "rows nobody read stay stale");
+        let after = lazy.stats();
+        assert_eq!((after.rows_computed, after.rows_cached), (ROWS as u64, ROWS));
+        assert!((after.vertices_settled - s.vertices_settled) * 5 <= (8 * n) as u64);
     }
 
     /// Runs `mutate`, which must panic, on the line 0 -4- 1 -4- 2 with row 0

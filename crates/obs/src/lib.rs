@@ -27,8 +27,8 @@
 //! Wall-clock readings exist solely as reporting *output* (phase timings in
 //! nanoseconds) and the single non-harness read site is
 //! [`walltime::WallTimer`], the one module exempt from clippy's wall-clock
-//! ban (`clippy.toml`) outside benches/examples. Sampling, likewise, is seeded and
-//! per-kind ([`trace::Sampler`]) — never `thread_rng`.
+//! ban (`clippy.toml`) outside the self-timing binaries. Sampling, likewise,
+//! is seeded and per-kind ([`trace::Sampler`]) — never `thread_rng`.
 
 pub mod config;
 pub mod flight;

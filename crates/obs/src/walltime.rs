@@ -6,8 +6,8 @@
 //! wall-clock read lives here — in the obs stats module — and everything
 //! simulation-side consumes the opaque [`WallTimer`] instead of touching
 //! `std::time` itself. Clippy's wall-clock ban (`clippy.toml`) is lifted
-//! for exactly this file, plus benches, examples and the criterion shim;
-//! the runtime needs no exemption.
+//! for exactly this file, plus the claim / figure binaries and examples
+//! that time themselves; the runtime needs no exemption.
 
 #![expect(
     clippy::disallowed_methods,

@@ -913,6 +913,51 @@ fn circuit_writers_reset_the_right_memo_slots() {
     assert!(kept.0 == full.0 && kept.1 >= full.1, "the full list is the query's: {kept:?}");
 }
 
+/// The re-opt pass contract, by work: a pass costs what its dirty set
+/// costs. With no churn, the first pass of each kind evaluates all K
+/// circuits (none is recorded clean for it yet); once a pass of that kind
+/// commits nothing, every circuit is clean for it, and the next pass
+/// evaluates none and skips all K — one relevance probe each.
+#[test]
+fn a_pass_after_a_quiet_one_evaluates_nothing_and_skips_every_circuit() {
+    use sbon_core::reopt::relevance::ReoptKind::{Full, Local, Rewrite};
+    const K: usize = 8;
+    let topo = small_world(40);
+    let hosts = topo.host_candidates();
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        40,
+        RuntimeConfig { horizon_ms: 5_000.0, churn: ChurnProcess::None, ..Default::default() },
+    );
+    for i in 0..K {
+        let producers = [hosts[i], hosts[10 + i], hosts[20 + i], hosts[30 + i]];
+        rt.deploy(QuerySpec::join_star(&producers, hosts[40 + i], 10.0, 0.02)).unwrap();
+    }
+    let mut session = rt.start_run();
+    let work = |rt: &OverlayRuntime| {
+        let s = rt.control_plane_stats();
+        (s.reopt_evaluated, s.reopt_skipped)
+    };
+    let committed = |s: &RunSession| s.report.migrations + s.report.replacements;
+    for kind in [Local, Rewrite, Full] {
+        let (evaluated, skipped) = work(&rt);
+        for passes in 1.. {
+            let before = committed(&session);
+            rt.reopt_pass(&mut session, SimTime::ZERO, kind);
+            if passes == 1 {
+                assert_eq!(work(&rt), (evaluated + K, skipped), "{kind:?}: the first pass");
+            }
+            if committed(&session) == before {
+                break;
+            }
+            assert!(passes < 16, "{kind:?} passes keep committing");
+        }
+        let (evaluated, skipped) = work(&rt);
+        rt.reopt_pass(&mut session, SimTime::ZERO, kind);
+        assert_eq!(work(&rt), (evaluated, skipped + K), "{kind:?}: a clean circuit costs a probe");
+    }
+}
+
 /// Branch-and-bound accounting: what the rewrite and full passes prune
 /// lands in `ControlPlaneStats::candidates_pruned`, and the same counts
 /// ride on those passes' span ends as `pruned` (local passes examine no

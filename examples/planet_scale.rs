@@ -478,7 +478,8 @@ fn main() {
         "\nthe lazy backend's steady state is O(touched rows × n); jitter costs O(affected \
          region) per resident row per tick (see `sbon_netsim::lazy`), and the landmark warm-up \
          bounded the bring-up peak at {} rows. membership maintenance is ring-size-insensitive: \
-         `bench_control_plane` measures B-tree join/leave flat from 2k to 100k members.",
+         the benchmark's `dht.ring_update_us` probe times B-tree join/leave from 2k to 100k \
+         members.",
         tier.landmarks
     );
 }

@@ -68,9 +68,9 @@
 //!   row, else one bidirectional search, which also yields the reverse pair.
 //!   The borrow freezes the graph, so the memo lives exactly as long as the
 //!   reader.
-//! * `sbon_overlay`'s `LatencyState` — the backend choice, under the dense
-//!   backend the all-pairs matrix derived from that graph, and the reader
-//!   each routed settle prices its messages with.
+//! * `sbon_overlay`'s `LatencyState` — one `LazyLatency` under either
+//!   backend (the dense one keeps every row resident from bring-up on), and
+//!   the reader each routed settle prices its messages with.
 //! * `sbon_overlay`'s `LinkTraffic` — per-edge rate multisets, keyed by the
 //!   edges [`dijkstra::shortest_path`] returns.
 //! * [`latency::euclidean`] — the one Euclidean distance, shared by the

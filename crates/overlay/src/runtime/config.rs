@@ -21,9 +21,8 @@ use sbon_obs::ObsConfig;
 /// unboundedly drifting network.
 ///
 /// Both backends sample the identical delta sequence from the shared run
-/// RNG and derive their pairwise latencies from the same mutated graph
-/// (re-running all-pairs Dijkstra under `Dense`, repairing cached rows in
-/// place under `Lazy`), so a jittered run is bit-identical across
+/// RNG into the one row cache, which repairs each resident row in place
+/// the next time it is read, so a jittered run is bit-identical across
 /// backends.
 #[derive(Clone, Copy, Debug)]
 pub struct JitterModel {
@@ -42,20 +41,19 @@ impl Default for JitterModel {
     }
 }
 
-/// Ground-truth latency data structure used by the runtime.
+/// Which ground-truth latency rows the runtime's one row cache
+/// ([`sbon_netsim::lazy::LazyLatency`]) holds; both serve identical values.
 ///
-/// `Dense` materializes the all-pairs matrix up front — `O(n²)` memory,
-/// `O(n·(m + n log n))` precompute — and stays the default for the paper's
-/// ≤600-node scale. `Lazy` keeps the topology graph and computes per-source
-/// shortest-path rows on demand ([`sbon_netsim::lazy::LazyLatency`]), which is what makes
-/// thousand-node runs with churn tractable; see the `sbon_netsim::lazy`
-/// module docs for the invalidation contract.
+/// `Dense` computes every row at build (`O(n²)` memory,
+/// `O(n·(m + n log n))` time) and keeps them: the default at the paper's
+/// ≤600-node scale. `Lazy` computes a row when it is first read, which is
+/// what makes thousand-node runs with churn tractable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LatencyBackend {
-    /// Eager all-pairs matrix (the historical behaviour).
+    /// Every row resident from construction on (the historical behaviour).
     #[default]
     Dense,
-    /// Demand-driven per-source rows with churn-aware invalidation.
+    /// Rows computed on first read; bring-up's rows evicted when it ends.
     Lazy,
 }
 
@@ -330,9 +328,10 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Caps resident shortest-path rows under [`LatencyBackend::Lazy`];
-    /// `None` leaves the cache unbounded. Bounds steady-state latency memory
-    /// at `O(cap · n)` instead of `O(n²)`; ignored by the dense backend.
+    /// Caps resident shortest-path rows under [`LatencyBackend::Lazy`] at
+    /// `cap ≥ 1` (FIFO); `None` leaves the cache unbounded. Bounds latency
+    /// memory at `O(cap · n)`; [`Self::build`] rejects a cap under the dense
+    /// backend, which keeps every row.
     pub fn lazy_row_cache(mut self, v: impl Into<Option<usize>>) -> Self {
         self.config.lazy_row_cache = v.into();
         self
@@ -416,7 +415,8 @@ impl RuntimeConfigBuilder {
     /// a policy threshold is not finite in `[0, 1)` (a NaN never adapts, a
     /// negative one adopts worse placements); or if a DHT-backed mapper has
     /// `bits` outside `1..=32` or a zero `scan_width` (the quantizer and
-    /// the catalog reject those without naming the field); if a routed
+    /// the catalog reject those without naming the field); if a
+    /// `lazy_row_cache` is 0 or set under the dense backend; if a routed
     /// mapper's `proto.timeout_ms` is not finite and positive (NaN or ∞
     /// dies at the first routed send, a negative one inside the event
     /// queue, and zero fires every retransmit timer at its send's instant,
@@ -459,6 +459,13 @@ impl RuntimeConfigBuilder {
             ("policy.replacement_threshold", c.policy.replacement_threshold),
         ] {
             assert!((0.0..1.0).contains(&v), "{field} must be finite in [0, 1), got {v}");
+        }
+        if let Some(cap) = c.lazy_row_cache {
+            let backend = c.latency_backend;
+            assert!(
+                cap >= 1 && backend == LatencyBackend::Lazy,
+                "lazy_row_cache must be at least 1 under Lazy, got {cap} under {backend:?}"
+            );
         }
         if let MapperBackend::Dht { bits, scan_width }
         | MapperBackend::Routed { bits, scan_width, .. } = c.mapper_backend

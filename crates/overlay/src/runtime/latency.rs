@@ -1,7 +1,7 @@
-//! Ground-truth latency state: the backend choice, the dense matrix it may
-//! call for, row prewarm for the lazy backend, the row-free point-to-point
-//! reader that prices a settle's routed messages, and the per-tick jitter
-//! draw with the epoch it bumps.
+//! Ground-truth latency state: the one row cache every read goes through,
+//! whether bring-up keeps every row (the backend's one choice), the
+//! row-free reader that prices a settle's routed messages, and the
+//! per-tick jitter draw with the epoch it bumps.
 //! `LatencyState` is self-contained — no method takes
 //! [`OverlayRuntime`]; the jitter step borrows the run RNG and
 //! [`RuntimeObs`] from its caller.
@@ -11,72 +11,79 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use sbon_netsim::dijkstra::all_pairs_latency;
 use sbon_netsim::graph::{EdgeId, Graph, NodeId};
-use sbon_netsim::latency::{LatencyMatrix, LatencyProvider};
-use sbon_netsim::lazy::{LazyLatency, LazyLatencyStats, PairReader};
+use sbon_netsim::latency::LatencyProvider;
+use sbon_netsim::lazy::{LazyLatency, LazyLatencyStats};
 
 use super::config::{JitterModel, LatencyBackend};
 use super::stats::RuntimeObs;
 use super::OverlayRuntime;
 
-/// Backend-selected ground-truth latency state.
+/// Ground-truth latency: one row cache under either backend.
 pub(super) struct LatencyState {
-    /// Owner of the mutable underlay graph, the base edge weights and the
-    /// jitter step under either backend; under [`LatencyBackend::Lazy`]
-    /// also the provider (demand-driven rows, repaired when next read).
+    /// The provider, owner of the mutable graph and the jitter step; a row
+    /// stale after a jitter batch is repaired when it is next read.
     lazy: LazyLatency,
-    /// Under [`LatencyBackend::Dense`]: the all-pairs matrix, which serves
-    /// every read — `lazy`'s row cache stays empty — and is re-derived
-    /// from `lazy`'s graph after each jitter batch.
-    dense: Option<LatencyMatrix>,
+    /// Under [`LatencyBackend::Dense`]: every row was made resident at
+    /// build, and bring-up keeps them.
+    resident: bool,
     /// Bumped by every jitter batch that changed an edge: a usage read at
     /// an older epoch may be stale.
     epoch: u64,
-    /// The reference [`PairRead`] is pinned against: price every pair with
-    /// the row-faulting `provider().latency(a, b)` it replaced.
+    /// The reference [`LatencyState::pair_reader`] is pinned against: every
+    /// pair read by the row-faulting `provider().latency(a, b)`.
     #[cfg(test)]
     pub(super) pairs_by_rows: bool,
 }
 
 impl LatencyState {
-    /// Builds the state over `graph`: the all-pairs matrix up front, or an
-    /// empty row cache bounded by `row_cache` (`None` = unbounded).
-    pub(super) fn build(graph: Graph, backend: LatencyBackend, row_cache: Option<usize>) -> Self {
-        let dense = (backend == LatencyBackend::Dense).then(|| all_pairs_latency(&graph));
+    /// Builds the state over `graph`, its row cache bounded by `row_cache`
+    /// (`None` = unbounded); under [`LatencyBackend::Dense`] every row is
+    /// computed up front, across `pool` when one is active.
+    pub(super) fn build(
+        graph: Graph,
+        backend: LatencyBackend,
+        row_cache: Option<usize>,
+        pool: Option<&rayon::ThreadPool>,
+    ) -> Self {
+        let n = graph.num_nodes() as u32;
         let lazy = match row_cache {
             Some(cap) => LazyLatency::with_capacity(graph, cap),
             None => LazyLatency::new(graph),
         };
+        let resident = backend == LatencyBackend::Dense;
+        if resident {
+            lazy.ensure_rows(&(0..n).map(NodeId).collect::<Vec<_>>(), pool);
+        }
         LatencyState {
             lazy,
-            dense,
+            resident,
             epoch: 0,
             #[cfg(test)]
             pairs_by_rows: false,
         }
     }
 
-    /// The active provider as a trait object.
-    pub(super) fn provider(&self) -> &dyn LatencyProvider {
-        match &self.dense {
-            Some(matrix) => matrix,
-            None => &self.lazy,
-        }
+    /// The provider.
+    pub(super) fn provider(&self) -> &LazyLatency {
+        &self.lazy
     }
 
     /// Point-to-point latencies for readers that need no row of their own —
-    /// one settle's routed message delays: the matrix under the dense
-    /// backend, a [`PairReader`] under the lazy one. Either way each value
-    /// is bit-identical to `provider().latency(a, b)`.
-    pub(super) fn pair_reader(&self) -> PairRead<'_> {
+    /// one settle's routed message delays — through one
+    /// [`PairReader`](sbon_netsim::lazy::PairReader), each bit-identical to
+    /// `provider().latency(a, b)`. It borrows the state, so no jitter batch
+    /// lands while it lives.
+    pub(super) fn pair_reader(&self) -> impl Fn(NodeId, NodeId) -> f64 + '_ {
+        let reader = self.lazy.pair_reader();
         #[cfg(test)]
-        if self.pairs_by_rows {
-            return PairRead::Rows(self.provider());
-        }
-        match &self.dense {
-            Some(matrix) => PairRead::Matrix(matrix),
-            None => PairRead::Lazy(self.lazy.pair_reader()),
+        let by_rows = self.pairs_by_rows;
+        move |a, b| {
+            #[cfg(test)]
+            if by_rows {
+                return self.lazy.latency(a, b);
+            }
+            reader.latency(a, b)
         }
     }
 
@@ -85,30 +92,19 @@ impl LatencyState {
         self.epoch
     }
 
-    /// The lazy row cache; `None` under the dense backend.
-    pub(super) fn lazy(&self) -> Option<&LazyLatency> {
-        self.dense.is_none().then_some(&self.lazy)
-    }
-
-    /// Makes the shortest-path rows of `sources` resident before they are
-    /// read, computing the missing ones in parallel across `pool` when one
-    /// is active. A no-op under the dense backend and for rows already
-    /// resident. Row *computation* is pure and order-free; insertion happens
-    /// on this thread in first-occurrence order — for sources listed in read
-    /// order, the order serial reads would first touch them — so cache state
-    /// and all served values are identical at any thread count.
-    pub(super) fn prewarm_rows(&self, sources: &[NodeId], pool: Option<&rayon::ThreadPool>) {
-        if let Some(lazy) = self.lazy() {
-            lazy.ensure_rows(sources, pool);
+    /// Ends bring-up: evicts the rows the embedding read — the steady state
+    /// only reads rows of circuit hosts — unless every row stays resident.
+    pub(super) fn end_bring_up(&self) {
+        if !self.resident {
+            self.lazy.evict_all();
         }
     }
 
     /// One tick of [`JitterModel`]: `edges_per_tick` uniform (edge, factor)
-    /// draws from the run RNG, applied by
-    /// [`LazyLatency::scale_edges_clamped`] as one delta batch — the same
-    /// draws and the same weights under either backend, which is what keeps
-    /// jittered runs bit-identical across them. The backends differ only
-    /// in what is derived afterwards.
+    /// draws from the run RNG, logged by [`LazyLatency::scale_edges_clamped`]
+    /// as one delta batch that each resident row folds in when next read —
+    /// the same under either backend, which keeps jittered runs
+    /// bit-identical across them. The point reports the rows now stale.
     pub(super) fn jitter(&mut self, model: &JitterModel, rng: &mut StdRng, obs: &mut RuntimeObs) {
         let m = self.lazy.graph().num_edges();
         if m == 0 {
@@ -125,83 +121,68 @@ impl LatencyState {
             return;
         }
         self.epoch += 1;
-        let derived = match &mut self.dense {
-            Some(matrix) => {
-                *matrix = all_pairs_latency(self.lazy.graph());
-                ("dense_rebuild", 1u64.into())
-            }
-            // The batch is only logged: each row is repaired by its next
-            // read, so the point reports how many now await one.
-            None => ("rows_stale", self.lazy.rows_stale().into()),
-        };
-        obs.point("latency.repair", || vec![("edges", edges.into()), derived]);
-    }
-}
-
-/// What [`LatencyState::pair_reader`] hands out. It borrows the state, so
-/// no jitter batch lands while it lives.
-pub(super) enum PairRead<'a> {
-    Matrix(&'a LatencyMatrix),
-    Lazy(PairReader<'a>),
-    #[cfg(test)]
-    Rows(&'a dyn LatencyProvider),
-}
-
-impl PairRead<'_> {
-    /// The latency from `a` to `b`.
-    pub(super) fn latency(&self, a: NodeId, b: NodeId) -> f64 {
-        match self {
-            PairRead::Matrix(matrix) => matrix.latency(a, b),
-            PairRead::Lazy(reader) => reader.latency(a, b),
-            #[cfg(test)]
-            PairRead::Rows(provider) => provider.latency(a, b),
-        }
+        let stale = self.lazy.rows_stale();
+        obs.point("latency.repair", || vec![("edges", edges.into()), ("rows_stale", stale.into())]);
     }
 }
 
 impl OverlayRuntime {
-    /// Ground-truth latency (for inspection). Backed by the dense matrix or
-    /// the lazy row cache depending on
-    /// [`RuntimeConfigBuilder::latency_backend`](super::RuntimeConfigBuilder::latency_backend);
-    /// both serve identical values.
+    /// Ground-truth latency (for inspection): the runtime's row cache, every
+    /// row resident since bring-up under [`LatencyBackend::Dense`]; both
+    /// backends serve identical values.
     pub fn latency(&self) -> &dyn LatencyProvider {
         self.latency.provider()
     }
 
-    /// Row-cache counters of the lazy backend; `None` under the dense one.
+    /// The row cache's counters; always `Some`.
     pub fn lazy_latency_stats(&self) -> Option<LazyLatencyStats> {
-        self.latency.lazy().map(LazyLatency::stats)
+        Some(self.latency.provider().stats())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use sbon_core::optimizer::QuerySpec;
+    use sbon_netsim::dijkstra::all_pairs_latency;
     use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
 
     use super::super::RuntimeConfig;
     use super::*;
 
-    /// Under the dense backend `LazyLatency` is the owner of the graph and
-    /// the jitter step only: the matrix serves every read, so a jittered
-    /// run leaves the row cache untouched and reports no lazy stats.
+    /// Under the dense backend every row is resident from `new` on. A
+    /// jittered run repairs the rows it reads in place and recomputes none,
+    /// and every read equals the all-pairs reference over the runtime's
+    /// jittered graph. Eight ticks of 10 edges log fewer deltas than the
+    /// graph has edges, so no row can fall behind the delta log.
     #[test]
-    fn dense_backend_jitters_through_lazy_but_never_fills_its_row_cache() {
+    fn dense_rows_are_repaired_to_the_all_pairs_reference() {
         let topo = generate(&TransitStubConfig::with_total_nodes(80), 40);
+        let n = topo.num_nodes();
         let config = RuntimeConfig::builder()
             .horizon_ms(8_000.0)
             .latency_backend(LatencyBackend::Dense)
-            .latency_jitter(JitterModel { edges_per_tick: 40, ..Default::default() })
+            .latency_jitter(JitterModel { edges_per_tick: 10, ..Default::default() })
             .build();
         let mut rt = OverlayRuntime::new(&topo, 40, config);
+        assert!(topo.graph.num_edges() > 80);
+        let stats = rt.lazy_latency_stats().expect("one store under either backend");
+        assert_eq!((stats.rows_computed, stats.rows_cached), (n as u64, n));
         let hosts = topo.host_candidates();
         rt.deploy(QuerySpec::join_star(&[hosts[0], hosts[10], hosts[20]], hosts[40], 10.0, 0.02))
             .unwrap();
         rt.run();
-        let lazy = &rt.latency.lazy;
-        assert_ne!(lazy.graph().total_edge_latency(), topo.graph.total_edge_latency());
-        let stats = lazy.stats();
-        assert_eq!((stats.rows_computed, stats.rows_cached, stats.cache_hits), (0, 0, 0));
-        assert!(rt.lazy_latency_stats().is_none());
+        let stats = rt.lazy_latency_stats().unwrap();
+        assert_eq!(stats.rows_computed, n as u64, "rows are repaired, never recomputed");
+        assert_eq!((stats.rows_cached, stats.rows_invalidated), (n, 0));
+        assert!(stats.rows_repaired > 0, "the circuit's rows were read after jitter");
+        let graph = rt.latency.provider().graph();
+        assert_ne!(graph.total_edge_latency(), topo.graph.total_edge_latency());
+        let reference = all_pairs_latency(graph);
+        for a in (0..n as u32).map(NodeId) {
+            for b in (0..n as u32).map(NodeId) {
+                let (read, want) = (rt.latency().latency(a, b), reference.latency(a, b));
+                assert_eq!(read.to_bits(), want.to_bits(), "{a} -> {b}");
+            }
+        }
     }
 }

@@ -198,16 +198,14 @@ impl OverlayRuntime {
     pub(super) fn bill_usage(&mut self) -> (f64, u64) {
         let epoch = self.latency.epoch();
         let stale = |billed: Option<Billed>| current(billed, epoch).is_none();
-        if self.latency.lazy().is_some() {
-            let mut sources: Vec<NodeId> = Vec::new();
-            for d in self.circuits.values().filter(|d| stale(d.billed)) {
-                sources.extend(link_sources(&d.placement, d.charged_links()));
-            }
-            for r in self.retained.iter().filter(|r| stale(r.billed)) {
-                sources.extend(link_sources(&r.placement, r.charged_links()));
-            }
-            self.latency.prewarm_rows(&sources, self.pool.as_ref());
+        let mut sources: Vec<NodeId> = Vec::new();
+        for d in self.circuits.values().filter(|d| stale(d.billed)) {
+            sources.extend(link_sources(&d.placement, d.charged_links()));
         }
+        for r in self.retained.iter().filter(|r| stale(r.billed)) {
+            sources.extend(link_sources(&r.placement, r.charged_links()));
+        }
+        self.latency.provider().ensure_rows(&sources, self.pool.as_ref());
         let latency = self.latency.provider();
         let mut reread = 0;
         for d in self.circuits.values_mut().filter(|d| stale(d.billed)) {
@@ -311,7 +309,7 @@ impl OverlayRuntime {
         let placed = self.optimizer.optimize_with_mapper_estimated(&query, space, mapper, reuse)?;
         let sources: Vec<NodeId> =
             link_sources(&placed.placement, placed.circuit.links().iter()).collect();
-        self.latency.prewarm_rows(&sources, self.pool.as_ref());
+        self.latency.provider().ensure_rows(&sources, self.pool.as_ref());
         let placed = placed.measured(self.latency.provider());
         let standalone = self.optimizer.standalone_cost(
             &placed,

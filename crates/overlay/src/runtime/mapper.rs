@@ -5,14 +5,14 @@
 //! and [`RuntimeObs`] from its caller.
 //!
 //! A settle prices every routed message through one
-//! `LatencyState::pair_reader` — the dense matrix, or the lazy backend's
-//! row-free `PairReader`, each value bit-identical to the row's — so
-//! settling faults in no latency row. The one row `settle` makes resident
-//! is the origin member's, which sends every lookup request of the run:
-//! the reader serves those requests from it, and aims each reply to the
-//! origin at it (a goal-directed search of a few vertices). A registration
-//! is a `Register` and its `Ack`: when neither end has a row, the reader's
-//! one bidirectional search prices both, the `Ack` from its memo.
+//! `LatencyState::pair_reader` — a row-free `PairReader`, each value
+//! bit-identical to the row's — so settling faults in no latency row. The
+//! one row `settle` makes resident is the origin member's, which sends
+//! every lookup request of the run: the reader serves those requests from
+//! it, and aims each reply to the origin at it (a goal-directed search of
+//! a few vertices). A registration is a `Register` and its `Ack`: when
+//! neither end has a row, the reader's one bidirectional search prices
+//! both, the `Ack` from its memo.
 //!
 //! `impl OverlayRuntime` here **reads** `mapper` and writes nothing.
 
@@ -137,7 +137,7 @@ impl MapperState {
             return;
         }
         if let Some(origin) = m.origin_member() {
-            latency.prewarm_rows(&[NodeId(origin)], None);
+            latency.provider().ensure_rows(&[NodeId(origin)], None);
         }
         let counts = |m: &RoutedMapper| {
             let rs = m.routed_stats();
@@ -145,7 +145,7 @@ impl MapperState {
         };
         let before = counts(m);
         let pairs = latency.pair_reader();
-        let link = |a: u32, b: u32| pairs.latency(NodeId(a), NodeId(b));
+        let link = |a: u32, b: u32| pairs(NodeId(a), NodeId(b));
         m.settle(at, &link);
         let after = counts(m);
         let [msgs, lookups, regs, timeouts] = std::array::from_fn(|i| after[i] - before[i]);

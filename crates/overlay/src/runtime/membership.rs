@@ -53,8 +53,8 @@ pub(super) fn arrival_order(
 /// the arrived nodes (every node under [`DeploymentModel::Full`]) are
 /// placed against the frozen landmarks; the rest are placed the tick they
 /// join, through the returned placer. Otherwise the full protocol embeds
-/// everyone. When no join is pending, the rows the embedding read are
-/// evicted — the steady state only reads rows of circuit hosts.
+/// everyone. When no join is pending, bring-up ends
+/// ([`LatencyState::end_bring_up`]).
 pub(super) fn embed(
     vivaldi: &VivaldiConfig,
     seed: u64,
@@ -69,7 +69,7 @@ pub(super) fn embed(
             // The landmark rows are the only latency sources the protocol
             // and every placement read: compute them in parallel up front.
             let sources: Vec<NodeId> = landmarks.iter().map(|&i| NodeId(i as u32)).collect();
-            latency.prewarm_rows(&sources, pool);
+            latency.provider().ensure_rows(&sources, pool);
             let placer = vivaldi.embed_landmarks_only(&latency.provider(), seed);
             let initial = (0..n as u32).map(NodeId).filter(|node| arrived[node.index()]);
             let placed = place_batch(&placer, latency, pool, initial);
@@ -77,8 +77,8 @@ pub(super) fn embed(
         }
     };
     let placer = placer.filter(|_| arrived.contains(&false));
-    if let (None, Some(lazy)) = (&placer, latency.lazy()) {
-        lazy.evict_all();
+    if placer.is_none() {
+        latency.end_bring_up();
     }
     (embedding, placer)
 }

@@ -43,9 +43,9 @@
 //!   below), the session API, `handle_event`, `Drop`.
 //! * `config` — the backend / bring-up enums, [`RuntimeConfig`], its builder.
 //! * `stats` — the stats structs and `RuntimeObs` (registry, tracer, flight).
-//! * `latency` — `LatencyState`: backend choice, the dense matrix, row
-//!   prewarm, the jitter draw and the epoch it bumps (the graph and the step
-//!   are `LazyLatency`'s).
+//! * `latency` — `LatencyState`: the one row cache (every row resident
+//!   under the dense backend), the pair reader, the jitter draw and the
+//!   epoch it bumps (the graph and the step are `LazyLatency`'s).
 //! * `mapper` — `MapperState`: read view, charge-back, routed settle.
 //! * `membership` — wave bring-up, join admission (gather, place across
 //!   the pool, commit in join order), churn refresh.
@@ -191,9 +191,9 @@ pub struct OverlayRuntime {
 }
 
 impl OverlayRuntime {
-    /// Builds the runtime: ground-truth latency from the topology (dense
-    /// matrix or lazy rows per [`RuntimeConfigBuilder::latency_backend`]), a
-    /// Vivaldi embedding over it, an initial load assignment, and the
+    /// Builds the runtime: ground-truth latency from the topology (rows up
+    /// front or on first read per [`RuntimeConfigBuilder::latency_backend`]),
+    /// a Vivaldi embedding over it, an initial load assignment, and the
     /// Figure-2-style latency+load² cost space. Deterministic in `seed`;
     /// both backends serve bit-identical latencies, so the backend choice
     /// does not change results — only the cost of obtaining them.
@@ -213,6 +213,7 @@ impl OverlayRuntime {
             topology.graph.clone(),
             config.latency_backend,
             config.lazy_row_cache,
+            pool.as_ref(),
         );
         let (arrived, pending_joins) = membership::arrival_order(config.deployment, n, seed);
         let (embedding, placer) =

@@ -347,10 +347,6 @@ fn lazy_row_cache_capacity_is_respected() {
     rt.run();
     let stats = rt.lazy_latency_stats().unwrap();
     assert!(stats.rows_cached <= 4, "cache holds {} rows", stats.rows_cached);
-    assert!(rt.lazy_latency_stats().is_some());
-    // Dense runtimes expose no lazy stats.
-    let dense = OverlayRuntime::new(&topo, 13, RuntimeConfig::default());
-    assert!(dense.lazy_latency_stats().is_none());
 }
 
 #[test]
@@ -1349,6 +1345,21 @@ fn builder_rejects_a_negative_routed_timeout() {
 #[should_panic(expected = "mapper_backend.proto.timeout_ms must be finite and positive, got 0")]
 fn builder_rejects_a_zero_routed_timeout() {
     build_routed_with_timeout(0.0);
+}
+
+/// A cap of 0 used to become 1 inside `LazyLatency::with_capacity`.
+#[test]
+#[should_panic(expected = "lazy_row_cache must be at least 1 under Lazy, got 0 under Lazy")]
+fn builder_rejects_a_zero_row_cache() {
+    RuntimeConfig::builder().latency_backend(LatencyBackend::Lazy).lazy_row_cache(0).build();
+}
+
+/// A cap under the dense backend used to be ignored; with every row
+/// resident in the one row cache it would evict the rows the backend keeps.
+#[test]
+#[should_panic(expected = "lazy_row_cache must be at least 1 under Lazy, got 16 under Dense")]
+fn builder_rejects_a_row_cache_under_the_dense_backend() {
+    RuntimeConfig::builder().lazy_row_cache(16).build();
 }
 
 /// Landmark mode under a deployment wave: construction computes only

@@ -356,10 +356,11 @@ proptest! {
 
     /// The unified `JitterModel` contract: with churn disabled, a jittered
     /// run is **bit-identical across latency backends** — both draw the
-    /// same edge-granular delta stream from the run RNG, the Dense backend
-    /// re-derives its matrix from the mutated graph, and the Lazy backend
-    /// repairs its rows, so every sample and counter in the `RunReport`
-    /// must agree exactly for arbitrary seeds and jitter intensities.
+    /// same edge-granular delta stream from the run RNG into one row cache
+    /// (every row resident under Dense, the rows read under Lazy), which
+    /// repairs a row when it is read, so every sample and counter in the
+    /// `RunReport` must agree exactly for arbitrary seeds and jitter
+    /// intensities.
     #[test]
     fn no_churn_jittered_run_is_backend_invariant(
         seed in 0u64..1_000_000,

@@ -82,19 +82,35 @@ fn main() {
     }
 
     subsection("summary (mean across seeds)");
-    let static_mean: f64 = totals[0].1.iter().sum::<f64>() / totals[0].1.len() as f64;
+    let mean = |costs: &[f64]| costs.iter().sum::<f64>() / costs.len() as f64;
+    let static_mean = mean(&totals[0].1);
+    let mut shares = Vec::new(); // each adaptive policy's printed % of static
     for (label, costs) in &totals {
-        let mean = costs.iter().sum::<f64>() / costs.len() as f64;
+        let share = 100.0 * mean(costs) / static_mean;
         println!(
             "{:<28} mean total cost {:>12.0}   vs static: {:>6.1}%",
             label,
-            mean,
-            100.0 * mean / static_mean
+            mean(costs),
+            share
         );
+        shares.push(format!("{share:.1}%"));
     }
 
+    // The clause is a predicate over the totals printed above: every
+    // adaptive policy costs less than static on every seed and in the mean.
+    let whole = |x: f64| format!("{x:.0}").parse::<f64>().expect("a formatted number parses");
+    let (fixed, adaptive) = totals.split_first().expect("static runs first");
+    let pays = adaptive.iter().all(|(_, costs)| {
+        costs.iter().zip(&fixed.1).all(|(&c, &s)| whole(c) < whole(s))
+            && whole(mean(costs)) < whole(static_mean)
+    });
     println!();
     println!("shape check (paper): adaptation lowers cumulative usage despite the");
-    println!("migration penalties — re-optimization pays for itself on long-running");
-    println!("queries, which is the paper's argument for revisiting the 'niche' view.");
+    println!(
+        "migration penalties: {} (on every seed; in the mean {} of static)",
+        if pays { "PASS" } else { "FAIL" },
+        shares[1..].join(", ")
+    );
+    println!("— re-optimization pays for itself on long-running queries, which is");
+    println!("the paper's argument for revisiting the 'niche' view.");
 }

@@ -1,63 +1,22 @@
 //! Declarative observability configuration, threaded through
 //! `RuntimeConfig::builder()`.
 //!
-//! The config is plain data (`Clone + Debug + PartialEq`) — sinks are
-//! described, not constructed, so a `RuntimeConfig` holding an
-//! [`ObsConfig`] stays cloneable and comparable. The runtime materializes
-//! the tracer/recorder from the spec at construction time.
+//! The config is plain data (`Clone + Debug + PartialEq`), so a
+//! `RuntimeConfig` holding an [`ObsConfig`] stays cloneable and comparable.
+//! The runtime builds the [`Tracer`] it describes at construction time.
 
 use std::path::PathBuf;
 
-use crate::trace::Sampler;
-
-/// Where trace events go.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SinkSpec {
-    /// Count events, emit nothing (overhead and invisibility testing).
-    Null,
-    /// Append JSON-lines to this file (truncated at open).
-    JsonlFile(PathBuf),
-}
-
-/// Span-tracing configuration.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TraceSpec {
-    /// Sampler seed — decisions are a pure function of
-    /// `(seed, kind, per-kind sequence)`.
-    pub seed: u64,
-    /// Keep 1 in `default_rate` events per kind (0 drops all, 1 keeps all).
-    pub default_rate: u64,
-    /// Per-kind rate overrides.
-    pub rates: Vec<(String, u64)>,
-    /// Destination sink.
-    pub sink: SinkSpec,
-}
-
-impl TraceSpec {
-    /// Keep-everything tracing into a counting null sink.
-    pub fn null(seed: u64) -> TraceSpec {
-        TraceSpec { seed, default_rate: 1, rates: Vec::new(), sink: SinkSpec::Null }
-    }
-
-    /// Keep-everything tracing into a JSONL file.
-    pub fn jsonl(seed: u64, path: PathBuf) -> TraceSpec {
-        TraceSpec { seed, default_rate: 1, rates: Vec::new(), sink: SinkSpec::JsonlFile(path) }
-    }
-
-    /// The sampler this spec describes.
-    pub fn sampler(&self) -> Sampler {
-        Sampler::new(self.seed, self.default_rate, self.rates.clone())
-    }
-}
+use crate::trace::Tracer;
 
 /// Top-level observability switchboard. `Default` is everything off: no
-/// tracer, no flight recorder, and the metrics registry alone (which the
-/// runtime keeps regardless, as the backing store of its stats views).
-#[derive(Clone, Debug, Default, PartialEq)]
+/// tracer, and the metrics registry alone (which the runtime keeps
+/// regardless, as the backing store of its stats views).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Span tracing; `None` disables it (the zero-cost path).
-    pub trace: Option<TraceSpec>,
-    /// Flight-recorder capacity in events; 0 disables recording.
+    /// Write the trace as JSON lines to this file (truncated at open).
+    pub trace: Option<PathBuf>,
+    /// Trace lines kept in memory for the post-mortem dump; 0 keeps none.
     pub flight_capacity: usize,
 }
 
@@ -67,10 +26,16 @@ impl ObsConfig {
         ObsConfig::default()
     }
 
-    /// Keep-everything tracing to a counting null sink plus a default
-    /// flight recorder — the fully instrumented configuration the
-    /// invisibility tests run under.
-    pub fn full_null(seed: u64) -> ObsConfig {
-        ObsConfig { trace: Some(TraceSpec::null(seed)), flight_capacity: 256 }
+    /// The tracer this config describes: `None` when it asks for neither a
+    /// trace file nor a ring.
+    pub fn tracer(&self) -> Option<Tracer> {
+        if self.trace.is_none() && self.flight_capacity == 0 {
+            return None;
+        }
+        let file = self.trace.as_ref().map(|path| {
+            std::fs::File::create(path)
+                .unwrap_or_else(|e| panic!("create trace file {}: {e}", path.display()))
+        });
+        Some(Tracer::new(file, self.flight_capacity))
     }
 }

@@ -3,9 +3,11 @@
 //! Every instrumented subsystem in this workspace (churn/refresh,
 //! dirty-driven re-optimization, the routed catalog protocol, the workload
 //! lifecycle) records what it did through this crate: a metrics
-//! [`registry`] of counters/gauges/histograms, virtual-time
-//! span [`trace`]s, and a crash-context
-//! [`flight`] recorder. ROADMAP items that *consume*
+//! [`registry`] of counters/gauges/histograms, and one virtual-time event
+//! stream, the [`trace`]. The [`Tracer`] formats each event once, as the
+//! JSON line [`check_trace`] validates; it writes the line to the trace file
+//! when one is configured and keeps the last few in a ring, the flight
+//! recorder the runtime dumps on panic. ROADMAP items that *consume*
 //! measurements — incremental re-optimization triggered by observed deltas,
 //! utilization/rejection reporting under admission control — build on this
 //! substrate rather than growing more ad-hoc stat structs.
@@ -20,31 +22,28 @@
 //! the rule is simple — obs calls may observe simulation state, never
 //! mutate it, and never influence a branch.
 //!
-//! **Virtual time.** Spans and flight events are stamped with *simulated*
-//! milliseconds (`SimTime`), never the wall clock, and are emitted only
-//! from serial orchestration paths — so a trace is a deterministic function
-//! of `(topology, seed, config)`, byte-identical across thread counts.
-//! Wall-clock readings exist solely as reporting *output* (phase timings in
-//! nanoseconds) and the single non-harness read site is
-//! [`walltime::WallTimer`], the one module exempt from clippy's wall-clock
-//! ban (`clippy.toml`) outside the self-timing binaries. Sampling, likewise,
-//! is seeded and per-kind ([`trace::Sampler`]) — never `thread_rng`.
+//! **Virtual time.** Trace events are stamped with *simulated* milliseconds
+//! (`SimTime`), never the wall clock, and are emitted only from serial
+//! orchestration paths — so a trace is a deterministic function of
+//! `(topology, seed, config)`, byte-identical across thread counts, and its
+//! timestamps are monotone over the one stream. Wall-clock readings exist
+//! solely as reporting *output* (phase timings in nanoseconds) and the
+//! single non-harness read site is [`walltime::WallTimer`], the one module
+//! exempt from clippy's wall-clock ban (`clippy.toml`) outside the
+//! self-timing binaries.
 
+pub mod check;
 pub mod config;
-pub mod flight;
 pub mod hist;
 pub mod registry;
 pub mod trace;
 pub mod walltime;
 
-pub use config::{ObsConfig, SinkSpec, TraceSpec};
-pub use flight::{FlightEvent, FlightRecorder};
+pub use check::check_trace;
+pub use config::ObsConfig;
 pub use hist::Histogram;
 pub use registry::{
-    CounterId, GaugeId, HistId, HistogramSnapshot, MetricKey, MetricsRegistry, MetricsSnapshot,
+    CounterId, GaugeId, HistId, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
-pub use trace::{
-    FieldValue, JsonlSink, NullSink, Sampler, SpanId, SpanPhase, TraceEvent, TraceSink, Tracer,
-    TreeSink,
-};
+pub use trace::{FieldValue, SpanId, Tracer};
 pub use walltime::WallTimer;

@@ -1,7 +1,7 @@
 //! The metrics registry: named counters, gauges, and histograms with a
 //! diffable point-in-time snapshot.
 //!
-//! Registration resolves a `(subsystem, name, labels)` key to a typed
+//! Registration resolves a `subsystem.name` key to a typed
 //! handle once; the hot path then increments through the handle — a plain
 //! `Vec` index, no map lookup, no allocation — so instrumented code costs
 //! the same as the ad-hoc struct fields it replaced. Keys live in
@@ -13,40 +13,9 @@ use std::fmt;
 
 use crate::hist::Histogram;
 
-/// The identity of one metric: subsystem, name, and an ordered label set.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricKey {
-    /// The owning subsystem (`"control_plane"`, `"lifecycle"`, …).
-    pub subsystem: String,
-    /// The metric name within the subsystem.
-    pub name: String,
-    /// Label pairs, in the order given at registration.
-    pub labels: Vec<(String, String)>,
-}
-
-impl MetricKey {
-    /// A label-free key.
-    pub fn plain(subsystem: &str, name: &str) -> MetricKey {
-        MetricKey { subsystem: subsystem.to_string(), name: name.to_string(), labels: Vec::new() }
-    }
-
-    /// Renders `subsystem.name{k=v,…}` (label block omitted when empty).
-    pub fn render(&self) -> String {
-        let mut s = format!("{}.{}", self.subsystem, self.name);
-        if !self.labels.is_empty() {
-            s.push('{');
-            for (i, (k, v)) in self.labels.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(k);
-                s.push('=');
-                s.push_str(v);
-            }
-            s.push('}');
-        }
-        s
-    }
+/// The rendered identity of one metric: `subsystem.name`.
+fn key(subsystem: &str, name: &str) -> String {
+    format!("{subsystem}.{name}")
 }
 
 /// Handle to a registered counter.
@@ -71,12 +40,12 @@ enum Slot {
 /// The registry. See the module docs for the handle-based design.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    index: BTreeMap<MetricKey, Slot>,
-    counter_keys: Vec<MetricKey>,
+    index: BTreeMap<String, Slot>,
+    counter_keys: Vec<String>,
     counters: Vec<u64>,
-    gauge_keys: Vec<MetricKey>,
+    gauge_keys: Vec<String>,
     gauges: Vec<f64>,
-    hist_keys: Vec<MetricKey>,
+    hist_keys: Vec<String>,
     hists: Vec<Histogram>,
 }
 
@@ -86,17 +55,13 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Registers (or re-resolves) a label-free counter.
+    /// Registers (or re-resolves) a counter. Panics if the key is already
+    /// registered as a different metric kind.
     pub fn counter(&mut self, subsystem: &str, name: &str) -> CounterId {
-        self.counter_keyed(MetricKey::plain(subsystem, name))
-    }
-
-    /// Registers (or re-resolves) a counter under a full key. Panics if
-    /// the key is already registered as a different metric kind.
-    pub fn counter_keyed(&mut self, key: MetricKey) -> CounterId {
+        let key = key(subsystem, name);
         match self.index.get(&key) {
             Some(Slot::Counter(i)) => CounterId(*i),
-            Some(_) => panic!("{} is already registered as a non-counter", key.render()),
+            Some(_) => panic!("{key} is already registered as a non-counter"),
             None => {
                 let i = self.counters.len();
                 self.counters.push(0);
@@ -118,12 +83,12 @@ impl MetricsRegistry {
         self.counters[id.0]
     }
 
-    /// Registers (or re-resolves) a label-free gauge.
+    /// Registers (or re-resolves) a gauge.
     pub fn gauge(&mut self, subsystem: &str, name: &str) -> GaugeId {
-        let key = MetricKey::plain(subsystem, name);
+        let key = key(subsystem, name);
         match self.index.get(&key) {
             Some(Slot::Gauge(i)) => GaugeId(*i),
-            Some(_) => panic!("{} is already registered as a non-gauge", key.render()),
+            Some(_) => panic!("{key} is already registered as a non-gauge"),
             None => {
                 let i = self.gauges.len();
                 self.gauges.push(0.0);
@@ -146,18 +111,18 @@ impl MetricsRegistry {
         self.gauges[id.0]
     }
 
-    /// Registers (or re-resolves) a label-free histogram with no fixed
-    /// buckets.
+    /// Registers (or re-resolves) a histogram with no fixed buckets.
     pub fn histogram(&mut self, subsystem: &str, name: &str) -> HistId {
-        self.histogram_with(MetricKey::plain(subsystem, name), Histogram::new())
+        self.histogram_with(subsystem, name, Histogram::new())
     }
 
-    /// Registers a histogram under a full key with an explicit (possibly
-    /// bucketed) prototype; re-resolves if already present.
-    pub fn histogram_with(&mut self, key: MetricKey, proto: Histogram) -> HistId {
+    /// Registers a histogram with an explicit (possibly bucketed)
+    /// prototype; re-resolves if already present.
+    pub fn histogram_with(&mut self, subsystem: &str, name: &str, proto: Histogram) -> HistId {
+        let key = key(subsystem, name);
         match self.index.get(&key) {
             Some(Slot::Hist(i)) => HistId(*i),
-            Some(_) => panic!("{} is already registered as a non-histogram", key.render()),
+            Some(_) => panic!("{key} is already registered as a non-histogram"),
             None => {
                 let i = self.hists.len();
                 self.hists.push(proto);
@@ -183,13 +148,13 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         for (key, v) in self.counter_keys.iter().zip(&self.counters) {
-            snap.counters.insert(key.render(), *v);
+            snap.counters.insert(key.clone(), *v);
         }
         for (key, v) in self.gauge_keys.iter().zip(&self.gauges) {
-            snap.gauges.insert(key.render(), *v);
+            snap.gauges.insert(key.clone(), *v);
         }
         for (key, h) in self.hist_keys.iter().zip(&self.hists) {
-            snap.histograms.insert(key.render(), HistogramSnapshot::of(h));
+            snap.histograms.insert(key.clone(), HistogramSnapshot::of(h));
         }
         snap
     }
@@ -319,10 +284,7 @@ mod tests {
     fn snapshot_diff_subtracts_counters_and_buckets() {
         let mut r = MetricsRegistry::new();
         let c = r.counter("cp", "ticks");
-        let h = r.histogram_with(
-            MetricKey::plain("cp", "lat"),
-            crate::hist::Histogram::with_bounds(vec![1.0]),
-        );
+        let h = r.histogram_with("cp", "lat", crate::hist::Histogram::with_bounds(vec![1.0]));
         r.inc(c, 4);
         r.observe(h, 0.5);
         let early = r.snapshot();
@@ -333,19 +295,5 @@ mod tests {
         assert_eq!(d.counters["cp.ticks"], 6);
         assert_eq!(d.histograms["cp.lat"].count, 1);
         assert_eq!(d.histograms["cp.lat"].bucket_counts, vec![0, 1]);
-    }
-
-    #[test]
-    fn labeled_keys_render_and_sort() {
-        let mut r = MetricsRegistry::new();
-        let key = MetricKey {
-            subsystem: "reopt".into(),
-            name: "passes".into(),
-            labels: vec![("kind".into(), "rewrite".into())],
-        };
-        let c = r.counter_keyed(key);
-        r.inc(c, 1);
-        let snap = r.snapshot();
-        assert_eq!(snap.counters["reopt.passes{kind=rewrite}"], 1);
     }
 }

@@ -53,5 +53,5 @@ pub use runtime::{
 };
 // Observability wiring: re-exported so drivers can configure tracing and
 // read snapshots without naming `sbon_obs` directly.
-pub use sbon_obs::{MetricsSnapshot, ObsConfig, SinkSpec, TraceSpec};
+pub use sbon_obs::{MetricsSnapshot, ObsConfig};
 pub use traffic::LinkTraffic;

@@ -387,8 +387,9 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Sets the observability configuration: virtual-time span tracing and
-    /// the flight recorder (see [`sbon_obs::ObsConfig`]). Defaults to
+    /// Sets the observability configuration: a virtual-time JSONL trace
+    /// file, the flight-recorder ring of its last lines, or both (see
+    /// [`sbon_obs::ObsConfig`]). Defaults to
     /// everything off — the metrics registry backing the stats views runs
     /// regardless. Instrumentation is **bit-invisible**: an instrumented
     /// run's [`RunReport`](crate::RunReport) is identical to an

@@ -285,16 +285,8 @@ impl OverlayRuntime {
         let sp = self.obs.span_start("deploy", Vec::new);
         let deployed = self.deploy_inner(query);
         match deployed {
-            Some(handle) => {
-                self.obs.span_end(sp, || vec![("handle", handle.0.into())]);
-                self.obs.flight("runtime", "deploy", || format!("handle {}", handle.0));
-            }
-            None => {
-                self.obs.span_end(sp, || vec![("failed", 1u64.into())]);
-                self.obs.flight_anomaly("runtime", "deploy_failed", || {
-                    "optimizer produced no deployable plan".to_string()
-                });
-            }
+            Some(handle) => self.obs.span_end(sp, || vec![("handle", handle.0.into())]),
+            None => self.obs.span_end(sp, || vec![("failed", 1u64.into())]),
         }
         deployed
     }

@@ -154,13 +154,9 @@ impl MapperState {
                 ("messages", msgs.into()),
                 ("lookups", lookups.into()),
                 ("registrations", regs.into()),
+                ("timeouts", timeouts.into()),
             ]
         });
-        if timeouts > 0 {
-            obs.flight_anomaly("routed", "timeout_storm", || {
-                format!("{timeouts} routed timeouts fired in one settle")
-            });
-        }
     }
 }
 

@@ -42,7 +42,7 @@
 //! * `mod.rs` — [`OverlayRuntime`], `new` (a composition of the owners
 //!   below), the session API, `handle_event`, `Drop`.
 //! * `config` — the backend / bring-up enums, [`RuntimeConfig`], its builder.
-//! * `stats` — the stats structs and `RuntimeObs` (registry, tracer, flight).
+//! * `stats` — the stats structs and `RuntimeObs` (registry, tracer).
 //! * `latency` — `LatencyState`: the one row cache (every row resident
 //!   under the dense backend), the pair reader, the jitter draw and the
 //!   epoch it bumps (the graph and the step are `LazyLatency`'s).
@@ -162,7 +162,7 @@ pub struct OverlayRuntime {
     /// pass may skip, and which control-plane deltas invalidate them.
     relevance: RelevanceIndex,
     /// Observability: the metrics registry behind the control-plane and
-    /// lifecycle stats views, plus the optional tracer/flight recorder.
+    /// lifecycle stats views, plus the optional tracer.
     obs: RuntimeObs,
     /// `alive[node]` — failed nodes host nothing and map to nothing.
     alive: Vec<bool>,
@@ -394,9 +394,6 @@ impl OverlayRuntime {
                 self.mapper.settle(now, &self.latency, &mut self.obs);
                 self.obs.registry.inc(self.obs.h.evac_ns, t0.elapsed_ns());
                 self.obs.span_end(sp, || vec![("evacuated", evacuated.into())]);
-                self.obs.flight("runtime", "node_fail", || {
-                    format!("node {} failed; {evacuated} operators evacuated", node.index())
-                });
                 // Evacuations are migrations: charge the same penalty.
                 s.report.migrations += evacuated;
                 s.report.adaptation_cost += evacuated as f64 * self.config.migration_penalty;
@@ -408,13 +405,14 @@ impl OverlayRuntime {
 impl Drop for OverlayRuntime {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            // Post-mortem: dump the flight recorder's ring to stderr so the
-            // last control-plane decisions survive the crash. The trace is
-            // deliberately NOT finished here — flushing a sink can itself
-            // panic, and a panic-during-panic aborts the process.
-            if let Some(flight) = &self.obs.flight {
-                if !flight.is_empty() {
-                    eprintln!("{}", flight.dump());
+            // Post-mortem: dump the tracer's ring — the trace's last lines —
+            // to stderr so the last control-plane decisions survive the
+            // crash. The trace is deliberately NOT finished here — flushing
+            // the file can itself panic, and a panic-during-panic aborts the
+            // process.
+            if let Some(tracer) = &self.obs.tracer {
+                if tracer.tail().next().is_some() {
+                    eprintln!("{}", tracer.dump());
                 }
             }
         } else if let Some(tracer) = self.obs.tracer.take() {

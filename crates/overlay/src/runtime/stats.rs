@@ -7,9 +7,8 @@
 //! **writes** `obs.tracer` (`finish_trace` only).
 
 use sbon_obs::{
-    CounterId, FieldValue, FlightRecorder, GaugeId, HistId, Histogram, HistogramSnapshot,
-    JsonlSink, MetricsRegistry, MetricsSnapshot, NullSink, ObsConfig, SinkSpec, SpanId, TraceSink,
-    Tracer,
+    CounterId, FieldValue, GaugeId, HistId, Histogram, HistogramSnapshot, MetricsRegistry,
+    MetricsSnapshot, ObsConfig, SpanId, Tracer,
 };
 
 use super::OverlayRuntime;
@@ -212,20 +211,20 @@ pub(super) struct StatHandles {
 }
 
 /// The runtime's observability state: the metrics registry backing the
-/// [`ControlPlaneStats`] / [`QueryLifecycleStats`] views, the optional
-/// virtual-time tracer, and the optional flight recorder.
+/// [`ControlPlaneStats`] / [`QueryLifecycleStats`] views, and the optional
+/// virtual-time tracer (a trace file, a flight-recorder ring of its last
+/// lines, or both).
 ///
 /// **Bit-invisibility contract:** nothing in here feeds back into the
 /// simulation. Counters are written, never read by control flow; spans are
 /// emitted only from the serial orchestration paths with `SimTime`
-/// stamps; the flight recorder is written and dumped, never consulted.
+/// stamps; the ring is written and dumped, never consulted.
 /// An instrumented run's [`RunReport`](crate::RunReport) is bit-identical to a
 /// bare one.
 pub(super) struct RuntimeObs {
     pub(super) registry: MetricsRegistry,
     pub(super) h: StatHandles,
     pub(super) tracer: Option<Tracer>,
-    pub(super) flight: Option<FlightRecorder>,
     /// Virtual time (ms) of the event currently being processed; deploys
     /// and undeploys between ticks stamp at the last processed event.
     pub(super) now_ms: f64,
@@ -260,30 +259,16 @@ impl RuntimeObs {
             marginal_usage: registry.gauge("lifecycle", "marginal_usage"),
             standalone_usage: registry.gauge("lifecycle", "standalone_usage"),
             dirty_per_tick: registry.histogram_with(
-                sbon_obs::MetricKey::plain("control_plane", "dirty_per_tick"),
+                "control_plane",
+                "dirty_per_tick",
                 Histogram::with_bounds(vec![8.0, 32.0, 128.0, 512.0, 4096.0]),
             ),
         };
-        let tracer = config.trace.as_ref().map(|spec| {
-            let mut t = Tracer::new(spec.sampler());
-            match &spec.sink {
-                SinkSpec::Null => t.add_sink(Box::new(NullSink::default())),
-                SinkSpec::JsonlFile(path) => {
-                    let file = std::fs::File::create(path)
-                        .unwrap_or_else(|e| panic!("create trace file {}: {e}", path.display()));
-                    t.add_sink(Box::new(JsonlSink::new(std::io::BufWriter::new(file))));
-                }
-            }
-            t
-        });
-        let flight =
-            (config.flight_capacity > 0).then(|| FlightRecorder::new(config.flight_capacity));
-        RuntimeObs { registry, h, tracer, flight, now_ms: 0.0 }
+        RuntimeObs { registry, h, tracer: config.tracer(), now_ms: 0.0 }
     }
 
     /// Opens a span at the current virtual time. The fields closure runs
-    /// only when tracing is on and the sampler keeps the span, so the
-    /// disabled path costs one branch.
+    /// only when tracing is on, so the disabled path costs one branch.
     #[inline]
     pub(super) fn span_start(
         &mut self,
@@ -291,20 +276,18 @@ impl RuntimeObs {
         fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>,
     ) -> Option<SpanId> {
         let t = self.tracer.as_mut()?;
-        t.span_start(kind, self.now_ms, fields())
+        Some(t.span_start(kind, self.now_ms, fields()))
     }
 
-    /// Closes a span; `None` (tracing off or sampled out) is free.
+    /// Closes a span; `None` (tracing off) is free.
     #[inline]
     pub(super) fn span_end(
         &mut self,
         span: Option<SpanId>,
         fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>,
     ) {
-        if span.is_some() {
-            if let Some(t) = self.tracer.as_mut() {
-                t.span_end(span, self.now_ms, fields());
-            }
+        if let (Some(span), Some(t)) = (span, self.tracer.as_mut()) {
+            t.span_end(span, self.now_ms, fields());
         }
     }
 
@@ -317,35 +300,6 @@ impl RuntimeObs {
     ) {
         if let Some(t) = self.tracer.as_mut() {
             t.point(kind, self.now_ms, fields());
-        }
-    }
-
-    /// Records a flight-recorder event (detail rendered only when one is
-    /// configured).
-    #[inline]
-    pub(super) fn flight(
-        &mut self,
-        subsystem: &'static str,
-        code: &'static str,
-        detail: impl FnOnce() -> String,
-    ) {
-        let now = self.now_ms;
-        if let Some(f) = self.flight.as_mut() {
-            f.record(now, subsystem, code, detail());
-        }
-    }
-
-    /// Records a flight-recorder anomaly.
-    #[inline]
-    pub(super) fn flight_anomaly(
-        &mut self,
-        subsystem: &'static str,
-        code: &'static str,
-        detail: impl FnOnce() -> String,
-    ) {
-        let now = self.now_ms;
-        if let Some(f) = self.flight.as_mut() {
-            f.record_anomaly(now, subsystem, code, detail());
         }
     }
 }
@@ -433,11 +387,13 @@ impl OverlayRuntime {
         self.obs.tracer.as_ref().map(|t| t.emitted)
     }
 
-    /// Finishes tracing: flushes every sink and detaches them (subsequent
-    /// spans are dropped). Returns the sinks for inspection. Dropping the
-    /// runtime flushes implicitly; call this to read a trace file while
-    /// the runtime is still alive.
-    pub fn finish_trace(&mut self) -> Option<Vec<Box<dyn TraceSink>>> {
-        self.obs.tracer.take().map(Tracer::finish)
+    /// Finishes tracing: flushes the trace file and detaches the tracer
+    /// (subsequent events are dropped). Dropping the runtime flushes
+    /// implicitly; call this to read a trace file while the runtime is
+    /// still alive.
+    pub fn finish_trace(&mut self) {
+        if let Some(tracer) = self.obs.tracer.take() {
+            tracer.finish();
+        }
     }
 }

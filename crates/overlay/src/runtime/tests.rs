@@ -972,10 +972,7 @@ fn pruned_candidates_are_counted_and_traced() {
             churn: ChurnProcess::RandomWalk { std_dev: 0.1 },
             full_reopt_interval_ms: Some(3_000.0),
             rewrite_interval_ms: Some(4_000.0),
-            obs: ObsConfig {
-                trace: Some(sbon_obs::TraceSpec::jsonl(41, path.clone())),
-                flight_capacity: 0,
-            },
+            obs: ObsConfig { trace: Some(path.clone()), flight_capacity: 0 },
             ..Default::default()
         },
     );
@@ -984,7 +981,7 @@ fn pruned_candidates_are_counted_and_traced() {
     let pruned = rt.control_plane_stats().candidates_pruned;
     assert!(pruned > 0, "a 4-way star has join orders no placement can rescue");
     assert_eq!(rt.metrics_snapshot().counters["control_plane.candidates_pruned"], pruned as u64);
-    drop(rt.finish_trace());
+    rt.finish_trace();
     let trace = std::fs::read_to_string(&path).expect("trace written");
     let _ = std::fs::remove_file(&path);
     let (mut traced, mut memo) = (0, 0);
@@ -1008,6 +1005,35 @@ fn pruned_candidates_are_counted_and_traced() {
     assert!(hits > 0, "the passes reread what they remembered");
     assert_eq!(memo as u64, hits, "span attributes add up to the counter");
     assert_eq!(rt.metrics_snapshot().counters["control_plane.memo_hits"], hits);
+}
+
+/// The flight recorder is the trace's tail: after a traced run, the ring's
+/// 16 lines are the JSONL file's last 16 lines, byte for byte.
+#[test]
+fn flight_ring_is_the_trace_files_tail() {
+    let topo = small_world(42);
+    let path = std::env::temp_dir().join(format!("sbon_ring_tail_{}.jsonl", std::process::id()));
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        42,
+        RuntimeConfig {
+            horizon_ms: 6_000.0,
+            churn: ChurnProcess::RandomWalk { std_dev: 0.1 },
+            full_reopt_interval_ms: Some(3_000.0),
+            obs: ObsConfig { trace: Some(path.clone()), flight_capacity: 16 },
+            ..Default::default()
+        },
+    );
+    rt.deploy(demo_query(&topo)).unwrap();
+    rt.run();
+    let tracer = rt.obs.tracer.as_ref().expect("tracing on");
+    let ring: Vec<String> = tracer.tail().map(str::to_string).collect();
+    rt.finish_trace();
+    let file = std::fs::read_to_string(&path).expect("trace written");
+    let _ = std::fs::remove_file(&path);
+    let lines: Vec<&str> = file.lines().collect();
+    assert!(lines.len() > 16, "the run must overflow the ring ({} lines)", lines.len());
+    assert_eq!(ring, lines[lines.len() - 16..]);
 }
 
 /// The session API: a run can be advanced tick-by-tick with mid-run

@@ -1,11 +1,11 @@
 //! Bit-invisibility pins for the observability layer.
 //!
-//! The contract (`sbon_obs` crate docs): metrics, span tracing, and the
-//! flight recorder may *watch* the control plane but never *steer* it. An
-//! instrumented run — keep-everything tracing, flight recorder armed — must
-//! produce the bit-identical [`RunReport`] to an uninstrumented run of the
-//! same scenario, across every latency backend × mapper backend pair, and
-//! the thread count must show up in neither the report nor the trace.
+//! The contract (`sbon_obs` crate docs): metrics and the trace (its file
+//! and its flight-recorder ring) may *watch* the control plane but never
+//! *steer* it. An instrumented run — every event formatted into the ring —
+//! must produce the bit-identical [`RunReport`] to an uninstrumented run of
+//! the same scenario, across every latency backend × mapper backend pair,
+//! and the thread count must show up in neither the report nor the trace.
 //!
 //! These properties draw random scenarios (topology, churn, jitter,
 //! failures, reuse) like `reopt_equivalence.rs` and pin:
@@ -14,7 +14,8 @@
 //!    actually emit events, so the pin cannot pass vacuously);
 //! 2. with obs on, `threads = 8` ≡ `threads = 1`, on the report *and* on
 //!    the emitted-event count;
-//! 3. the JSONL trace bytes are identical across thread counts.
+//! 3. the JSONL trace bytes are identical across thread counts, and the
+//!    trace — the one with every span kind — passes `check_trace`.
 
 use proptest::prelude::*;
 use sbon_core::multiquery::ReuseScope;
@@ -24,7 +25,7 @@ use sbon_netsim::graph::NodeId;
 use sbon_netsim::load::ChurnProcess;
 use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
 use sbon_netsim::topology::Topology;
-use sbon_obs::{ObsConfig, TraceSpec};
+use sbon_obs::{check_trace, ObsConfig};
 use sbon_overlay::{
     JitterModel, LatencyBackend, MapperBackend, OverlayRuntime, RunReport, RuntimeConfig,
 };
@@ -125,6 +126,9 @@ fn run_once(
     (report, emitted)
 }
 
+/// Ring-only tracing: every event is formatted, none is written anywhere.
+const RING: ObsConfig = ObsConfig { trace: None, flight_capacity: 256 };
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10 })]
 
@@ -137,7 +141,7 @@ proptest! {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);
         let (plain, no_trace) = run_once(&s, &topo, 1, ObsConfig::disabled());
-        let (watched, emitted) = run_once(&s, &topo, 1, ObsConfig::full_null(seed));
+        let (watched, emitted) = run_once(&s, &topo, 1, RING);
         prop_assert!(no_trace.is_none(), "disabled obs must not build a tracer");
         prop_assert!(
             emitted.expect("tracer on") > 0,
@@ -159,8 +163,8 @@ proptest! {
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);
-        let (parallel, emitted_p) = run_once(&s, &topo, 8, ObsConfig::full_null(seed));
-        let (serial, emitted_s) = run_once(&s, &topo, 1, ObsConfig::full_null(seed));
+        let (parallel, emitted_p) = run_once(&s, &topo, 8, RING);
+        let (serial, emitted_s) = run_once(&s, &topo, 1, RING);
         prop_assert_eq!(parallel, serial);
         prop_assert_eq!(emitted_p, emitted_s);
     }
@@ -186,9 +190,8 @@ fn jsonl_trace_bytes_are_identical_across_thread_counts() {
     };
     let mut reports = Vec::new();
     for threads in [8usize, 1] {
-        let obs =
-            ObsConfig { trace: Some(TraceSpec::jsonl(s.seed, path(threads))), flight_capacity: 64 };
-        // `run_once` drops the runtime on return, which flushes the sink.
+        let obs = ObsConfig { trace: Some(path(threads)), flight_capacity: 64 };
+        // `run_once` drops the runtime on return, which flushes the file.
         reports.push(run_once(&s, &topo, threads, obs));
     }
     assert_eq!(reports[0], reports[1], "traced runs stay thread-count invariant");
@@ -197,6 +200,15 @@ fn jsonl_trace_bytes_are_identical_across_thread_counts() {
     assert!(!a.is_empty(), "the trace must not be empty");
     assert_eq!(a, b, "JSONL trace bytes must not depend on the thread count");
     for threads in [8usize, 1] {
+        let text = std::fs::read_to_string(path(threads)).expect("trace written");
         let _ = std::fs::remove_file(path(threads));
+        let events = check_trace(&text).unwrap_or_else(|e| panic!("threads {threads}: {e}"));
+        assert_eq!(Some(events), reports[0].1);
+        for kind in
+            ["deploy", "fail", "routed.settle", "reopt.local", "reopt.rewrite", "reopt.full"]
+        {
+            let tag = format!(r#""kind":"{kind}""#);
+            assert!(text.contains(&tag), "the trace carries every span kind: no {kind}");
+        }
     }
 }

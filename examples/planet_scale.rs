@@ -58,7 +58,7 @@ use sbon::netsim::graph::NodeId;
 use sbon::netsim::rng::derive_rng;
 use sbon::overlay::{
     DeploymentModel, JitterModel, LatencyBackend, MapperBackend, ObsConfig, OverlayRuntime,
-    RunReport, RuntimeConfig, TraceSpec,
+    RunReport, RuntimeConfig,
 };
 use sbon::prelude::*;
 
@@ -368,10 +368,7 @@ fn main() {
     // The determinism pin below still holds — the serial re-run goes
     // untraced, so `assert_eq!` doubles as a live bit-invisibility check.
     let obs = match std::env::var_os("SBON_TRACE") {
-        Some(path) => ObsConfig {
-            trace: Some(TraceSpec::jsonl(seed, PathBuf::from(&path))),
-            flight_capacity: 256,
-        },
+        Some(path) => ObsConfig { trace: Some(PathBuf::from(&path)), flight_capacity: 256 },
         None => ObsConfig::disabled(),
     };
     let traced = obs.trace.is_some();

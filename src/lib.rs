@@ -29,9 +29,10 @@
 //!   distributions, Zipf query templates over a stream catalog, and the
 //!   declarative `Scenario` driver.
 //! * [`obs`] — deterministic observability: the metrics registry behind
-//!   every stats view, virtual-time span tracing with deterministic
-//!   sampling, and the crash-context flight recorder. Bit-invisible by
-//!   contract: instrumentation never changes a run's results.
+//!   every stats view, and one virtual-time event stream — a JSONL trace
+//!   whose last lines a ring keeps as the crash-context flight recorder.
+//!   Bit-invisible by contract: instrumentation never changes a run's
+//!   results.
 //!
 //! ## Quickstart
 //!

@@ -8,7 +8,7 @@
 
 use rand::Rng;
 
-use sbon_bench::{build_world, pct, section, WorldConfig};
+use sbon_bench::{build_world, known_failure_unless, pct, section, verdict, WorldConfig};
 use sbon_dht::catalog::CoordinateCatalog;
 use sbon_hilbert::{HilbertCurve, MortonCurve, Quantizer, SpaceFillingCurve};
 use sbon_netsim::latency::euclidean;
@@ -116,7 +116,7 @@ fn main() {
     // Each clause is a predicate over the rates printed above.
     let dominates = lead.iter().flatten().all(|&gap: &i64| gap > 0);
     let narrows = lead.windows(2).all(|w| w[1][0] <= w[0][0] && w[1][1] <= w[0][1]);
-    let [dominance, narrowing] = [dominates, narrows].map(|p| if p { "PASS" } else { "FAIL" });
+    let [dominance, narrowing] = [dominates, narrows].map(verdict);
     let points = |i: usize| {
         lead.iter().map(|g| format!("{:+.1}", g[i] as f64 / 10.0)).collect::<Vec<_>>().join(", ")
     };
@@ -129,7 +129,5 @@ fn main() {
         points(0),
         points(1)
     );
-    if !(dominates && narrows) {
-        println!("  a known failure (ROADMAP: \"every printed claim is a computed predicate\").");
-    }
+    known_failure_unless(dominates && narrows);
 }

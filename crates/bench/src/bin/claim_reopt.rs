@@ -8,7 +8,7 @@
 //! re-optimization. Reported: cumulative network usage (incl. adaptation
 //! penalties), migrations, and the usage time series' head/tail.
 
-use sbon_bench::{section, subsection};
+use sbon_bench::{printed, section, subsection, verdict};
 use sbon_core::optimizer::QuerySpec;
 use sbon_core::reopt::ReoptPolicy;
 use sbon_netsim::load::ChurnProcess;
@@ -98,7 +98,7 @@ fn main() {
 
     // The clause is a predicate over the totals printed above: every
     // adaptive policy costs less than static on every seed and in the mean.
-    let whole = |x: f64| format!("{x:.0}").parse::<f64>().expect("a formatted number parses");
+    let whole = |x: f64| printed(x, 0);
     let (fixed, adaptive) = totals.split_first().expect("static runs first");
     let pays = adaptive.iter().all(|(_, costs)| {
         costs.iter().zip(&fixed.1).all(|(&c, &s)| whole(c) < whole(s))
@@ -108,7 +108,7 @@ fn main() {
     println!("shape check (paper): adaptation lowers cumulative usage despite the");
     println!(
         "migration penalties: {} (on every seed; in the mean {} of static)",
-        if pays { "PASS" } else { "FAIL" },
+        verdict(pays),
         shares[1..].join(", ")
     );
     println!("— re-optimization pays for itself on long-running queries, which is");

@@ -22,7 +22,9 @@
 
 use rand::Rng;
 
-use sbon_bench::{build_world, geomean, pct, pick_hosts, section, subsection, WorldConfig};
+use sbon_bench::{
+    build_world, geomean, pct, pick_hosts, section, subsection, verdict, WorldConfig,
+};
 use sbon_core::optimizer::{IntegratedOptimizer, OptimizerConfig, QuerySpec, TwoStepOptimizer};
 use sbon_core::placement::optimal_tree_placement;
 use sbon_netsim::latency::LatencyProvider;
@@ -155,7 +157,7 @@ fn main() {
     let measured: usize = regimes.iter().map(|r| r.0).sum();
     let estimated: usize = regimes.iter().map(|r| r.1).sum();
     let n = uniform.len() + skewed.len();
-    let verdict = if measured == 0 { "PASS" } else { "FAIL" };
+    let verdict = verdict(measured == 0);
     println!();
     println!(
         "shape check (paper): integrated never worse: {verdict} ({measured} / {n} trials \

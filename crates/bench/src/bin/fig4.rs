@@ -7,7 +7,7 @@
 //! one (C3) is merged with.
 //!
 //! Reproduction: 120 running circuits drawn over a shared pool of 24
-//! popular streams (Zipf-weighted, so identical join signatures recur), then
+//! popular streams (Zipf-weighted, so identical join subtrees recur), then
 //! 40 fresh queries optimized under a radius sweep
 //! `r ∈ {0, 10, 20, 40, 80, 160, ∞}`. Reported per r: reuse candidates
 //! examined (the pruning win), reuse rate, marginal network usage (the
@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use rand::Rng;
 
-use sbon_bench::{build_world, pct, section, WorldConfig};
+use sbon_bench::{build_world, known_failure_unless, pct, printed, section, verdict, WorldConfig};
 use sbon_core::multiquery::{MultiQueryOptimizer, ReuseScope};
 use sbon_core::optimizer::{IntegratedOptimizer, OptimizerConfig, QuerySpec};
 use sbon_netsim::metrics::Summary;
@@ -125,7 +125,7 @@ fn main() {
         let reuse = reused_queries as f64 / new_queries.len() as f64;
         rows.push(
             [Summary::of(&candidates).mean, 100.0 * reuse, Summary::of(&marginal).mean]
-                .map(printed),
+                .map(|x| printed(x, 1)),
         );
         println!(
             "{:<20} {:>10.1} {:>9} {:>14.1} {:>14.1} {:>9.2}",
@@ -190,9 +190,8 @@ fn main() {
     let grows = rows.windows(2).all(|w| w[0][0] <= w[1][0]);
     let drops = rows[1..].iter().all(|row| row[2] < no_reuse[2]);
     let saturates_at = RADII.iter().zip(&rows[..6]).find(|(_, row)| row[2] == exhaustive[2]);
-    let dht = [100.0 * dht_reuse, dht_marginal].map(printed);
+    let dht = [100.0 * dht_reuse, dht_marginal].map(|x| printed(x, 1));
     let matches = dht == [registry_r40[1], registry_r40[2]];
-    let verdict = |p: bool| if p { "PASS" } else { "FAIL" };
     let at = saturates_at.map_or("at no finite r".to_string(), |(r, _)| format!("at r = {r}"));
     println!();
     println!("shape check (paper): candidates examined grows with r: {};", verdict(grows));
@@ -208,15 +207,8 @@ fn main() {
          marginal cost {:.1} against {:.1}.",
         dht[0], registry_r40[1], dht[1], registry_r40[2]
     );
-    if !matches {
-        println!("  a known failure (ROADMAP: \"every printed claim is a computed predicate\").");
-    }
+    known_failure_unless(matches);
 }
 
 /// The finite radii of the sweep, in row order (r = 0 is no reuse).
 const RADII: [u32; 6] = [0, 10, 20, 40, 80, 160];
-
-/// A value as the tables print it, to one decimal.
-fn printed(x: f64) -> f64 {
-    format!("{x:.1}").parse().expect("a formatted number parses")
-}

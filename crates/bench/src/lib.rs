@@ -195,6 +195,29 @@ pub fn geomean(samples: &[f64]) -> f64 {
     (log_sum / samples.len() as f64).exp()
 }
 
+/// A value as a table prints it, to `decimals` places: what a shape check's
+/// clause compares, so every verdict reads the figures the reader sees.
+pub fn printed(x: f64, decimals: usize) -> f64 {
+    format!("{x:.decimals$}").parse().expect("a formatted number parses")
+}
+
+/// The word a shape check prints for one computed clause.
+pub fn verdict(pass: bool) -> &'static str {
+    if pass {
+        "PASS"
+    } else {
+        "FAIL"
+    }
+}
+
+/// Prints the line marking a shape check with a failing clause as a known
+/// failure; prints nothing when every clause passed.
+pub fn known_failure_unless(all_pass: bool) {
+    if !all_pass {
+        println!("  a known failure (ROADMAP: \"every printed claim is a computed predicate\").");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

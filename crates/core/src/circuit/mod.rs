@@ -52,8 +52,9 @@ pub enum ServiceKind {
     Consumer,
     /// An operator service, carrying the plan operator it runs. Its reuse
     /// identity — the operator *and its whole input subtree* — is not
-    /// stored: [`Circuit::signatures`] derives it where multi-query reuse
-    /// reads it.
+    /// stored: the reuse registry interns it as a
+    /// [`SubtreeId`](crate::multiquery::SubtreeId) where it reads it, from
+    /// the circuit's producers and operators.
     Operator {
         /// The plan operator.
         op: Operator,
@@ -125,8 +126,8 @@ impl Circuit {
     /// pinned where the catalog says the stream is produced, one unpinned
     /// operator service per operator node (carrying its plan operator), and
     /// a pinned consumer service at `consumer` fed by the plan root. Link
-    /// rates come from the catalog's statistics. Nothing is formatted: reuse
-    /// signatures are derived on demand by [`Circuit::signatures`].
+    /// rates come from the catalog's statistics. No reuse identity is
+    /// stored: the reuse registry derives subtree ids where it reads them.
     pub fn from_plan(plan: &LogicalPlan, catalog: &StreamCatalog, consumer: NodeId) -> Circuit {
         // One service per plan node plus the consumer, one link out of each
         // but the consumer: reserve exactly that, nothing speculative.
@@ -266,26 +267,19 @@ impl Circuit {
         mask
     }
 
-    /// Every service's reuse signature, indexed by service id: the
-    /// operator *and its whole input subtree* as the plan's shape key with
-    /// every source leaf qualified by its producer node (`s0@n5`),
-    /// order-insensitive for commutative joins. Two circuits computing the
-    /// same sub-result over the same physical sources have equal signatures
-    /// — the identity multi-query reuse merges on ("merge identical
-    /// services (serving different queries) into one physical service
-    /// instance", Section 2.2); qualifying by producer prevents false
-    /// merges between queries that number their local streams alike. A
-    /// producer's entry is its qualified leaf, the consumer's is empty.
-    ///
-    /// One bottom-up pass: services ascend children-first and a service's
-    /// in-links sit together, left before right (the numbering invariant),
-    /// so walking services and links side by side hands each operator its
-    /// inputs' finished signatures. A signature reads producers' pins
-    /// only, and a producer is never re-pinned — [`Circuit::pin_service`]
-    /// and [`Circuit::unpin_service`] touch operators alone — so the
-    /// result is the same before and after any reuse pinning.
-    pub fn signatures(&self) -> Vec<String> {
-        let mut signatures: Vec<String> = Vec::with_capacity(self.len());
+    /// One bottom-up pass over the services: `step(service, inputs, done)`
+    /// returns the service's value, where `inputs` are its input services
+    /// (left before right) and `done` the values of every service before it,
+    /// its inputs' among them. Services ascend children-first and a
+    /// service's in-links sit together, left before right (the numbering
+    /// invariant), so walking services and links side by side hands each
+    /// service its inputs' finished values. Returns the values by service
+    /// id. Multi-query reuse derives subtree identities in it.
+    pub(crate) fn bottom_up<T>(
+        &self,
+        mut step: impl FnMut(&Service, &[ServiceId], &[T]) -> T,
+    ) -> Vec<T> {
+        let mut done = Vec::with_capacity(self.len());
         let mut links = self.links.iter().peekable();
         for s in &self.services {
             let mut inputs = [ServiceId(0); 2];
@@ -294,25 +288,46 @@ impl Circuit {
                 inputs[arity] = l.from;
                 arity += 1;
             }
-            let input = |i: usize| signatures[inputs[i].index()].as_str();
-            let signature = match (s.kind, s.pin) {
+            let value = step(s, &inputs[..arity], &done);
+            done.push(value);
+        }
+        done
+    }
+
+    /// Every service's reuse signature as a string, indexed by service id:
+    /// the reference the registry's interned subtree ids are pinned to. It
+    /// is the operator *and its whole input subtree* as the plan's shape key
+    /// with every source leaf qualified by its producer node (`s0@n5`),
+    /// order-insensitive for commutative joins. Two circuits computing the
+    /// same sub-result over the same physical sources have equal signatures
+    /// — the identity multi-query reuse merges on ("merge identical
+    /// services (serving different queries) into one physical service
+    /// instance", Section 2.2); qualifying by producer prevents false
+    /// merges between queries that number their local streams alike. A
+    /// producer's entry is its qualified leaf, the consumer's is empty.
+    ///
+    /// A signature reads producers' pins only, and a producer is never
+    /// re-pinned — [`Circuit::pin_service`] and [`Circuit::unpin_service`]
+    /// touch operators alone — so the result is the same before and after
+    /// any reuse pinning.
+    #[cfg(test)]
+    pub(crate) fn signatures(&self) -> Vec<String> {
+        self.bottom_up(|s, inputs, done: &[String]| {
+            let input = |i: usize| done[inputs[i].index()].as_str();
+            match (s.kind, s.pin) {
                 (ServiceKind::Producer(id), ServicePin::Pinned(node)) => source_signature(id, node),
                 (ServiceKind::Operator { op: Operator::Unary(op) }, _) => {
-                    debug_assert_eq!(arity, 1);
                     unary_signature(op, input(0))
                 }
                 (ServiceKind::Operator { op: Operator::Binary(op) }, _) => {
-                    debug_assert_eq!(arity, 2);
                     binary_signature(op, input(0), input(1))
                 }
                 (ServiceKind::Consumer, _) => String::new(),
                 (ServiceKind::Producer(_), ServicePin::Unpinned) => {
                     unreachable!("producers are pinned at construction and never unpinned")
                 }
-            };
-            signatures.push(signature);
-        }
-        signatures
+            }
+        })
     }
 
     /// Pins an operator service to a node — used when multi-query
@@ -331,7 +346,7 @@ impl Circuit {
         self.services[sid.index()].pin = ServicePin::Unpinned;
     }
 
-    /// [`Circuit::signatures`] reads producers' pins: only operators may be
+    /// Reuse identities read producers' pins: only operators may be
     /// re-pinned.
     fn debug_assert_operator(&self, sid: ServiceId) {
         debug_assert!(
@@ -347,26 +362,22 @@ impl Circuit {
     }
 }
 
+#[cfg(test)]
 fn source_signature(id: StreamId, producer: NodeId) -> String {
     format!("{id}@{producer}")
 }
 
 /// The shape-key operator label carrying its parameter, around the qualified
 /// child.
+#[cfg(test)]
 fn unary_signature(op: UnaryOp, inner: &str) -> String {
     format!("{}{}({inner})", op.label(), op.rate_ratio())
 }
 
+#[cfg(test)]
 fn binary_signature(op: BinaryOp, a: &str, b: &str) -> String {
     let (a, b) = if a <= b { (a, b) } else { (b, a) };
-    let label = op.label();
-    // `({a} {label} {b})`, allocated once at its exact length: a registered
-    // signature lives as long as its instance, and thousands can be live.
-    let mut signature = String::with_capacity(a.len() + label.len() + b.len() + 4);
-    for part in ["(", a, " ", label, " ", b, ")"] {
-        signature.push_str(part);
-    }
-    signature
+    format!("({a} {} {b})", op.label())
 }
 
 #[cfg(test)]
@@ -531,18 +542,18 @@ pub(crate) mod tests {
     }
 
     /// Uniform draws handed in by proptest, consumed in order.
-    struct Draws(std::vec::IntoIter<f64>);
+    pub(crate) struct Draws(pub(crate) std::vec::IntoIter<f64>);
 
     impl Draws {
-        fn unit(&mut self) -> f64 {
+        pub(crate) fn unit(&mut self) -> f64 {
             self.0.next().expect("enough draws")
         }
 
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             ((self.unit() * n as f64) as usize).min(n - 1)
         }
 
-        fn between(&mut self, lo: f64, hi: f64) -> f64 {
+        pub(crate) fn between(&mut self, lo: f64, hi: f64) -> f64 {
             lo + (hi - lo) * self.unit()
         }
     }
@@ -551,7 +562,7 @@ pub(crate) mod tests {
     /// and aggregates sprinkled on leaves and inner nodes; now and then a
     /// leaf repeats an earlier stream (a self-join), so source lists must
     /// dedup.
-    fn random_plan(d: &mut Draws, ways: usize) -> LogicalPlan {
+    pub(crate) fn random_plan(d: &mut Draws, ways: usize) -> LogicalPlan {
         fn decorate(d: &mut Draws, plan: LogicalPlan) -> LogicalPlan {
             match d.below(4) {
                 0 => LogicalPlan::select(d.between(0.05, 1.0), plan),
@@ -577,7 +588,7 @@ pub(crate) mod tests {
 
     /// Random rates, default and pairwise selectivities and window over one
     /// stream per producer.
-    fn random_stats(d: &mut Draws, producers: &[NodeId]) -> StreamCatalog {
+    pub(crate) fn random_stats(d: &mut Draws, producers: &[NodeId]) -> StreamCatalog {
         let mut stats = StreamCatalog::new();
         stats.set_default_selectivity(d.between(0.001, 0.5));
         stats.set_window(d.between(0.5, 3.0));

@@ -8,12 +8,16 @@
 //! space are less likely to be useful and thus can be ignored."
 //!
 //! Reuse identity: two operator services are mergeable when their
-//! [`Circuit::signatures`](crate::circuit::Circuit::signatures) match — the
-//! signature canonically encodes the operator *and its whole input
-//! subtree*, so reusing the instance also reuses everything beneath it.
-//! Circuits carry no signature; signatures are derived where they are read:
-//! once per candidate at the attach step (only when the scope allows reuse)
-//! and once per circuit at registration.
+//! [`SubtreeId`]s are equal — the id stands for the operator *and its whole
+//! input subtree* down to the producer nodes, so reusing the instance also
+//! reuses everything beneath it. The registry interns the ids in a
+//! hash-consed table it owns (keys compare exactly, so no collision merges
+//! two subtrees; `subtree.rs`' header has the rules). Circuits carry no id;
+//! ids are derived in one bottom-up pass where they are read. The attach
+//! step only looks them up, once per candidate when the scope allows reuse:
+//! a subtree with no live id has no instance to find. Registration interns
+//! them and holds its instances' ids; the last release of an instance gives
+//! its id back, so the table is bounded by the live instances' subtrees.
 //!
 //! # Who owns what
 //!
@@ -26,7 +30,7 @@
 //!   which operator instances each circuit registered (and where the
 //!   discovery index keeps them), the subscription refcount of every
 //!   instance, and each circuit's borrows;
-//! * **discovery**: the closest running instance of a signature inside a
+//! * **discovery**: the closest running instance of a subtree id inside a
 //!   [`ReuseScope`], by exact registry scan or Hilbert-DHT lookup;
 //! * **the attach step** the candidate loop runs on every candidate before
 //!   its bound: discovery top-down over the candidate's operators, each hit
@@ -72,10 +76,15 @@ use sbon_hilbert::{HilbertCurve, Quantizer};
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::latency::LatencyProvider;
 
-use crate::circuit::{CircuitCost, ServiceId, ServiceKind};
+use crate::circuit::{CircuitCost, Service, ServiceId, ServiceKind};
 use crate::costspace::CostSpace;
 use crate::optimizer::{Candidate, IntegratedOptimizer, PlacedCircuit, QuerySpec};
 use crate::placement::{DhtMapper, OracleMapper, VirtualPlacer};
+
+mod subtree;
+
+pub use subtree::SubtreeId;
+use subtree::SubtreeTable;
 
 /// Identifier of a deployed circuit in the [`MultiQueryOptimizer`]'s
 /// registry — chosen by whoever deploys ([`MultiQueryOptimizer::register`]).
@@ -83,7 +92,7 @@ use crate::placement::{DhtMapper, OracleMapper, VirtualPlacer};
 pub struct CircuitId(pub u64);
 
 /// A running service instance available for reuse.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServiceInstance {
     /// Which circuit deployed it.
     pub circuit: CircuitId,
@@ -91,8 +100,8 @@ pub struct ServiceInstance {
     pub service: ServiceId,
     /// Where it runs.
     pub node: NodeId,
-    /// Canonical subtree signature.
-    pub signature: String,
+    /// Its subtree's interned identity, valid while it stays registered.
+    pub subtree: SubtreeId,
 }
 
 /// How the reuse search is bounded.
@@ -156,8 +165,9 @@ pub struct ReleaseReport {
 #[derive(Clone)]
 struct Registered {
     service: ServiceId,
-    /// Key of the `by_signature` list holding the instance.
-    signature: String,
+    /// The subtree id whose table entry lists the instance; the
+    /// registration holds it.
+    subtree: SubtreeId,
     /// Its DHT member id, when the DHT index is configured.
     member: Option<MemberId>,
 }
@@ -227,9 +237,9 @@ pub struct MultiQueryOptimizer {
     // The registries are ordered maps: `.values()` folds over them feed
     // counts and cost sums into reports, and hash iteration order is
     // process-random.
-    /// Running instances indexed by signature, each list in registration
-    /// order (discovery breaks distance ties towards the first registered).
-    by_signature: BTreeMap<String, Vec<ServiceInstance>>,
+    /// The interned subtree ids — every registered instance's, and those of
+    /// the subtrees beneath them — each listing its running instances.
+    subtrees: SubtreeTable,
     /// All deployed circuits, including departed ones that still own
     /// retained (subscribed) subtrees.
     deployed: BTreeMap<CircuitId, CircuitRecord>,
@@ -274,7 +284,14 @@ impl MultiQueryOptimizer {
 
     /// Number of reusable operator instances.
     pub fn num_instances(&self) -> usize {
-        self.by_signature.values().map(Vec::len).sum()
+        self.subtrees.num_instances()
+    }
+
+    /// Number of live interned subtree ids: the registered instances'
+    /// subtrees and everything beneath them. Zero once every circuit has
+    /// been released.
+    pub fn num_subtree_ids(&self) -> usize {
+        self.subtrees.len()
     }
 
     /// Current subscriber count of one instance (0 when nothing reuses it).
@@ -322,10 +339,12 @@ impl MultiQueryOptimizer {
     /// The attach step of the candidate loop: substitutes running instances
     /// for `candidate`'s operators. It places the bare circuit virtually and
     /// walks its operators top-down (descending ids visit parents before
-    /// children); an operator with a running instance of its signature in
+    /// children); an operator with a running instance of its subtree id in
     /// `scope` ([`Self::discover`]) is substituted, and its whole subtree —
     /// the largest reusable one wins — is marked shared, so its links are
-    /// free. Under [`ReuseScope::None`] the candidate passes unchanged.
+    /// free. Under [`ReuseScope::None`] the candidate passes unchanged, and
+    /// so does one with nothing to find in the registry scan (no operator's
+    /// subtree has a running instance): it is not even placed.
     pub(crate) fn attach<'p>(
         &mut self,
         mut candidate: Candidate<'p>,
@@ -337,19 +356,22 @@ impl MultiQueryOptimizer {
             return candidate;
         }
         let circuit = &mut candidate.circuit;
+        // Looked up once, before any pin: the pins below touch operators
+        // only, which no subtree id reads.
+        let subtrees = self.subtrees.lookup(circuit);
+        let registered =
+            |id: &Option<SubtreeId>| id.is_some_and(|id| !self.subtrees.instances(id).is_empty());
+        if self.dht_index.is_none() && !subtrees.iter().any(registered) {
+            return candidate;
+        }
         let vp = placer.place(circuit, space);
-        // Derived once, before any pin: the pins below touch operators only,
-        // which no signature reads.
-        let signatures = circuit.signatures();
         for sid in (0..circuit.len() as u32).rev().map(ServiceId) {
             let is_operator = matches!(circuit.service(sid).kind, ServiceKind::Operator { .. });
             if !is_operator || candidate.shared.get(sid.index()) == Some(&true) {
                 continue;
             }
-            let ideal = space.ideal_point(vp.coord_of(sid));
-            let Some(inst) = self.discover(&signatures[sid.index()], &ideal, scope, space) else {
-                continue;
-            };
+            let found = self.discover(subtrees[sid.index()], vp.coord_of(sid), scope, space);
+            let Some(inst) = found else { continue };
             // The subtree's services are phantom copies of work that runs
             // inside the instance, so they are co-pinned at the instance's
             // host: the placer then anchors genuinely-new services against
@@ -370,13 +392,15 @@ impl MultiQueryOptimizer {
         candidate
     }
 
-    /// Finds the closest reusable instance with the given signature inside
-    /// `scope`, counting the candidates it examines. Uses the DHT index when
-    /// configured, otherwise the exact registry scan.
+    /// Finds the closest reusable instance of `subtree` inside `scope`
+    /// around the ideal point of `vector_coord`, counting the candidates it
+    /// examines; `None` is a subtree with no live id, which nothing runs.
+    /// Uses the DHT index when configured, otherwise the exact registry
+    /// scan.
     fn discover(
         &mut self,
-        signature: &str,
-        ideal: &crate::costspace::CostPoint,
+        subtree: Option<SubtreeId>,
+        vector_coord: &[f64],
         scope: ReuseScope,
         space: &CostSpace,
     ) -> Option<ServiceInstance> {
@@ -387,28 +411,29 @@ impl MultiQueryOptimizer {
         };
         if let Some(index) = &mut self.dht_index {
             // Decentralized path: k-nearest *hosting coordinates*, then
-            // filter by signature and radius. The DHT may miss a matching
+            // filter by subtree id and radius. The DHT may miss a matching
             // instance beyond the k nearest hosts — that is the paper's
-            // accepted approximation.
+            // accepted approximation. The lookup is the searcher's traffic,
+            // paid whether or not anything matches.
+            let ideal = space.ideal_point(vector_coord);
             let nearest = index.catalog.k_nearest(ideal.as_slice(), index.k);
             self.examined += nearest.len();
+            let members = &index.members;
             let best = nearest
                 .into_iter()
                 .filter(|&(_, d)| in_radius(d))
                 .filter_map(|(member, d)| {
-                    index
-                        .members
-                        .get(&member)
-                        .filter(|inst| inst.signature == signature)
-                        .map(|inst| (inst.clone(), d))
+                    let inst = members.get(&member)?;
+                    (Some(inst.subtree) == subtree).then_some((inst, d))
                 })
                 .min_by(|a, b| a.1.total_cmp(&b.1));
-            best.map(|(inst, _)| inst)
+            best.map(|(inst, _)| *inst)
         } else {
-            let instances = self.by_signature.get(signature)?;
+            let instances = self.subtrees.instances(subtree?);
+            let ideal = space.ideal_point(vector_coord);
             let mut best: Option<(&ServiceInstance, f64)> = None;
             for inst in instances {
-                let d = space.point(inst.node).full_distance(ideal);
+                let d = space.point(inst.node).full_distance(&ideal);
                 if !in_radius(d) {
                     continue;
                 }
@@ -417,7 +442,7 @@ impl MultiQueryOptimizer {
                     best = Some((inst, d));
                 }
             }
-            best.map(|(inst, _)| inst.clone())
+            best.map(|(inst, _)| *inst)
         }
     }
 
@@ -431,26 +456,25 @@ impl MultiQueryOptimizer {
     pub fn register(&mut self, id: CircuitId, placed: &PlacedCircuit, space: &CostSpace) {
         assert!(!self.deployed.contains_key(&id), "circuit {id:?} is already registered");
         let PlacedCircuit { circuit, placement, shared, reused, reused_at, .. } = placed;
-        let mut signatures = circuit.signatures();
+        let is_own = |s: &Service| {
+            matches!(s.kind, ServiceKind::Operator { .. })
+                && shared.get(s.id.index()) != Some(&true)
+        };
+        let subtrees = self.subtrees.intern(circuit, is_own);
         let mut instances = Vec::new();
-        for s in circuit.services() {
-            let is_operator = matches!(s.kind, ServiceKind::Operator { .. });
-            if !is_operator || shared.get(s.id.index()) == Some(&true) {
-                continue;
-            }
-            let signature = std::mem::take(&mut signatures[s.id.index()]);
+        for (s, subtree) in circuit.services().iter().zip(subtrees) {
+            let Some(subtree) = subtree.filter(|_| is_own(s)) else { continue };
             let node = placement.node_of(s.id);
-            let instance =
-                ServiceInstance { circuit: id, service: s.id, node, signature: signature.clone() };
+            let instance = ServiceInstance { circuit: id, service: s.id, node, subtree };
             let member = self.dht_index.as_mut().map(|index| {
                 // With no id to reissue, ids `0..members.len()` are all live.
                 let member = index.free.pop().unwrap_or(index.members.len() as MemberId);
-                index.members.insert(member, instance.clone());
+                index.members.insert(member, instance);
                 index.catalog.insert(member, space.point(node).as_slice());
                 member
             });
-            self.by_signature.entry(signature.clone()).or_default().push(instance);
-            instances.push(Registered { service: s.id, signature, member });
+            self.subtrees.instances_mut(subtree).push(instance);
+            instances.push(Registered { service: s.id, subtree, member });
         }
         let borrows: Vec<Borrow> = reused
             .iter()
@@ -498,14 +522,13 @@ impl MultiQueryOptimizer {
         freed
     }
 
-    /// Takes one instance out of the discovery index (registry list + DHT
-    /// member); its member id becomes reusable.
+    /// Takes one instance out of the discovery index (its subtree id's list
+    /// and its DHT member) and gives back its hold on the id; its member id
+    /// becomes reusable.
     fn unindex(&mut self, circuit: CircuitId, own: &Registered) {
-        let list = self.by_signature.get_mut(&own.signature).expect("listed under its signature");
+        let list = self.subtrees.instances_mut(own.subtree);
         list.retain(|inst| !(inst.circuit == circuit && inst.service == own.service));
-        if list.is_empty() {
-            self.by_signature.remove(&own.signature);
-        }
+        self.subtrees.release(own.subtree);
         if let (Some(index), Some(member)) = (&mut self.dht_index, own.member) {
             index.members.remove(&member);
             index.catalog.remove(member);
@@ -609,7 +632,7 @@ impl MultiQueryOptimizer {
         else {
             return;
         };
-        let list = self.by_signature.get_mut(&own.signature).expect("listed under its signature");
+        let list = self.subtrees.instances_mut(own.subtree);
         for inst in list.iter_mut().filter(|i| i.circuit == circuit && i.service == service) {
             inst.node = node;
         }
@@ -761,8 +784,8 @@ mod tests {
         // A join far to the right: its operator lives near x≈100+.
         let far = QuerySpec::join_star(&[NodeId(10), NodeId(11)], NodeId(9), 10.0, 0.01);
         mq.optimize_and_deploy(&opt(), &far, &space, &lat, ReuseScope::None).unwrap();
-        // A new query near x≈0 with a *different* join signature would not
-        // match anyway; use the same signature but far away:
+        // A new query near x≈0 with a *different* join subtree would not
+        // match anyway; use the same subtree but far away:
         let near = QuerySpec::join_star(&[NodeId(10), NodeId(11)], NodeId(0), 10.0, 0.01);
         let tiny =
             mq.optimize_and_deploy(&opt(), &near, &space, &lat, ReuseScope::Radius(5.0)).unwrap();
@@ -840,7 +863,7 @@ mod tests {
         assert_eq!(late.placed.reused[0].circuit, anchor.id);
     }
 
-    /// Among same-signature instances at equal distance the first
+    /// Among same-subtree instances at equal distance the first
     /// *registered* wins, and a re-registration queues behind older ones.
     #[test]
     fn equidistant_instances_tie_break_by_registration_order() {

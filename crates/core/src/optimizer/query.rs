@@ -9,7 +9,9 @@ use sbon_query::stream::{StreamCatalog, StreamId};
 #[derive(Clone, Debug)]
 pub struct QuerySpec {
     /// The source streams (rates + pinned producers), selectivities and
-    /// window.
+    /// window. Cloning a query shares the catalog's body; a write through
+    /// [`QuerySpec::with_rate`] or [`QuerySpec::with_selectivity`] unshares
+    /// this query's alone.
     pub catalog: StreamCatalog,
     /// The streams this query joins (ids into `catalog`).
     pub join_set: Vec<StreamId>,

@@ -237,7 +237,7 @@ mod tests {
                         let cross = cross_selectivity_masks(stats, streams, sub, other);
                         for (lp, lc, lr) in &dp[sub as usize] {
                             for (rp, rc, rr) in &dp[other as usize] {
-                                let out_rate = cross * lr * rr * stats.window;
+                                let out_rate = cross * lr * rr * stats.window();
                                 let cost = lc + rc + out_rate;
                                 candidates.push((
                                     LogicalPlan::join(lp.clone(), rp.clone()),

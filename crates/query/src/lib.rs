@@ -27,14 +27,16 @@
 //!   [`StreamId`]), the pairwise selectivities (an ordered map, a default for
 //!   unlisted pairs) and the window. Nothing else stores a rate; a
 //!   `QuerySpec` (in `sbon-core`) holds one catalog, and `Circuit::from_plan`
-//!   reads producers and rates from it.
+//!   reads producers and rates from it. A clone shares the catalog's body
+//!   until its first write (copy on write), so queries drawn from one
+//!   catalog hold one copy of it.
 //! * [`StreamCatalog::binary_output_rate`] — the one rate step of a join or
 //!   union, taken bottom-up by [`dp_top_k_plans`] and `Circuit::from_plan`;
 //!   [`StreamCatalog::output_rate`] and [`StreamCatalog::statistical_cost`]
 //!   recompute top-down, the per-node references both are tested against.
 //! * [`UnaryOp::label`] / [`BinaryOp::label`] — the σ/γ/⋈/∪ table that
-//!   [`LogicalPlan::render`] and circuit reuse signatures
-//!   (`Circuit::signatures`) print. The rewrite neighbourhood prints
+//!   [`LogicalPlan::render`] prints (and the test-only string reference of
+//!   circuit reuse identities). The rewrite neighbourhood prints
 //!   nothing: [`rewrite::neighbors_within`] dedups on exact structure
 //!   through a structural hash.
 //! * [`LogicalPlan::same_structure`] / [`LogicalPlan::structural_hash`] —

@@ -31,8 +31,7 @@ impl UnaryOp {
         }
     }
 
-    /// Short label: the one operator-symbol table plan rendering and
-    /// circuit reuse signatures print.
+    /// Short label: the one operator-symbol table plan rendering prints.
     pub fn label(self) -> &'static str {
         match self {
             UnaryOp::Select { .. } => "σ",

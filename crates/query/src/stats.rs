@@ -58,7 +58,7 @@ impl StreamCatalog {
         (rr, right): (f64, &[StreamId]),
     ) -> f64 {
         match op {
-            BinaryOp::Join => self.cross_selectivity(left, right) * rl * rr * self.window,
+            BinaryOp::Join => self.cross_selectivity(left, right) * rl * rr * self.window(),
             BinaryOp::Union => rl + rr,
         }
     }

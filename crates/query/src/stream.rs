@@ -10,6 +10,7 @@
 //! that follow from them.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use sbon_netsim::graph::NodeId;
 
@@ -45,8 +46,24 @@ pub struct StreamDef {
 /// selectivity estimates used to favor one plan over another may change as a
 /// circuit matures" (Section 3.3), and re-optimization reacts to such
 /// updates.
-#[derive(Clone, Debug)]
+///
+/// **Copy on write.** The streams, selectivities, default selectivity and
+/// window live in one shared body: a `clone` shares it (a reference-count
+/// bump, so every query drawn from one catalog costs no copy of it), and the
+/// first write through any writer — [`StreamCatalog::register`],
+/// [`StreamCatalog::set_rate`], [`StreamCatalog::set_default_selectivity`],
+/// [`StreamCatalog::set_join_selectivity`], [`StreamCatalog::set_window`] —
+/// unshares that one handle, leaving every other clone as it was. The body
+/// is behind an `Arc`, not an `Rc`: re-optimization reads queries' catalogs
+/// from the thread pool.
+#[derive(Clone, Debug, Default)]
 pub struct StreamCatalog {
+    body: Arc<CatalogBody>,
+}
+
+/// What a [`StreamCatalog`] shares between its clones.
+#[derive(Clone, Debug)]
+struct CatalogBody {
     /// Dense by [`StreamId`].
     streams: Vec<StreamDef>,
     /// Pairwise join selectivities keyed `(low id, high id)`; a pair not
@@ -54,12 +71,12 @@ pub struct StreamCatalog {
     selectivities: BTreeMap<(StreamId, StreamId), f64>,
     default_selectivity: f64,
     /// Seconds of stream state a join matches against.
-    pub(crate) window: f64,
+    window: f64,
 }
 
-impl Default for StreamCatalog {
+impl Default for CatalogBody {
     fn default() -> Self {
-        StreamCatalog {
+        CatalogBody {
             streams: Vec::new(),
             selectivities: BTreeMap::new(),
             default_selectivity: 1.0,
@@ -76,30 +93,35 @@ impl StreamCatalog {
         StreamCatalog::default()
     }
 
+    /// The body to write, unshared from every other clone first.
+    fn body_mut(&mut self) -> &mut CatalogBody {
+        Arc::make_mut(&mut self.body)
+    }
+
     /// Registers a stream and returns its id. Panics on a non-finite or
     /// non-positive rate.
     pub fn register(&mut self, name: impl Into<String>, rate: f64, producer: NodeId) -> StreamId {
         check_positive("stream rate", rate);
-        let id = StreamId(self.streams.len() as u32);
-        self.streams.push(StreamDef { name: name.into(), rate, producer });
+        let id = StreamId(self.len() as u32);
+        self.body_mut().streams.push(StreamDef { name: name.into(), rate, producer });
         id
     }
 
     /// Number of registered streams.
     pub fn len(&self) -> usize {
-        self.streams.len()
+        self.body.streams.len()
     }
 
     /// True when no stream is registered.
     pub fn is_empty(&self) -> bool {
-        self.streams.is_empty()
+        self.body.streams.is_empty()
     }
 
     /// Looks up one stream. Panics if it is unknown — the optimizer must
     /// never cost a plan over unregistered sources.
     pub fn get(&self, id: StreamId) -> &StreamDef {
         let len = self.len();
-        self.streams.get(id.index()).unwrap_or_else(|| unknown_stream(id, len))
+        self.body.streams.get(id.index()).unwrap_or_else(|| unknown_stream(id, len))
     }
 
     /// Base rate of a stream.
@@ -111,31 +133,38 @@ impl StreamCatalog {
     pub fn set_rate(&mut self, id: StreamId, rate: f64) {
         check_positive("stream rate", rate);
         let len = self.len();
-        self.streams.get_mut(id.index()).unwrap_or_else(|| unknown_stream(id, len)).rate = rate;
+        let stream = self.body_mut().streams.get_mut(id.index());
+        stream.unwrap_or_else(|| unknown_stream(id, len)).rate = rate;
     }
 
     /// Sets the selectivity of every pair that
     /// [`StreamCatalog::set_join_selectivity`] does not name.
     pub fn set_default_selectivity(&mut self, sel: f64) {
         check_positive("default join selectivity", sel);
-        self.default_selectivity = sel;
+        self.body_mut().default_selectivity = sel;
     }
 
     /// Sets the pairwise selectivity between two streams (symmetric).
     pub fn set_join_selectivity(&mut self, a: StreamId, b: StreamId, sel: f64) {
         check_positive("join selectivity", sel);
-        self.selectivities.insert((a.min(b), a.max(b)), sel);
+        self.body_mut().selectivities.insert((a.min(b), a.max(b)), sel);
     }
 
     /// Pairwise selectivity (falls back to the default).
     pub fn join_selectivity(&self, a: StreamId, b: StreamId) -> f64 {
-        *self.selectivities.get(&(a.min(b), a.max(b))).unwrap_or(&self.default_selectivity)
+        let body = &*self.body;
+        *body.selectivities.get(&(a.min(b), a.max(b))).unwrap_or(&body.default_selectivity)
     }
 
     /// Sets the join window factor (seconds of stream state joined against).
     pub fn set_window(&mut self, window: f64) {
         check_positive("join window", window);
-        self.window = window;
+        self.body_mut().window = window;
+    }
+
+    /// The join window factor.
+    pub(crate) fn window(&self) -> f64 {
+        self.body.window
     }
 }
 
@@ -182,5 +211,70 @@ mod tests {
         assert_eq!(c.rate(a), 7.0);
         c.set_rate(a, 3.0);
         assert_eq!((c.rate(a), c.get(a).rate), (3.0, 3.0));
+    }
+
+    /// A catalog with every field off its default: two streams, a default
+    /// and a pairwise selectivity, a window.
+    fn populated() -> StreamCatalog {
+        let mut c = StreamCatalog::new();
+        let a = c.register("a", 7.0, NodeId(1));
+        let b = c.register("b", 3.0, NodeId(2));
+        c.set_default_selectivity(0.2);
+        c.set_join_selectivity(a, b, 0.05);
+        c.set_window(1.5);
+        c
+    }
+
+    /// Every field, floats by bits: what "bit-identical" means for a body.
+    fn fingerprint(c: &StreamCatalog) -> String {
+        let b = &*c.body;
+        let streams: Vec<_> =
+            b.streams.iter().map(|s| (s.name.clone(), s.rate.to_bits(), s.producer)).collect();
+        let sels: Vec<_> = b.selectivities.iter().map(|(k, v)| (*k, v.to_bits())).collect();
+        format!("{streams:?} {sels:?} {} {}", b.default_selectivity.to_bits(), b.window.to_bits())
+    }
+
+    /// Each writer, applied to a catalog.
+    const WRITERS: [fn(&mut StreamCatalog); 5] = [
+        |c| {
+            c.register("c", 9.0, NodeId(3));
+        },
+        |c| c.set_rate(StreamId(0), 11.0),
+        |c| c.set_default_selectivity(0.7),
+        |c| c.set_join_selectivity(StreamId(1), StreamId(0), 0.9),
+        |c| c.set_window(4.0),
+    ];
+
+    #[test]
+    fn a_clone_shares_its_body_until_its_first_write() {
+        for write in WRITERS {
+            let original = populated();
+            let mut copy = original.clone();
+            assert!(Arc::ptr_eq(&original.body, &copy.body), "a clone is a refcount bump");
+            write(&mut copy);
+            assert!(!Arc::ptr_eq(&original.body, &copy.body), "a write unshares the clone");
+            let body = Arc::as_ptr(&copy.body);
+            write(&mut copy);
+            assert_eq!(Arc::as_ptr(&copy.body), body, "an unshared body is written in place");
+        }
+    }
+
+    /// A write through either handle leaves the other bit-identical, and the
+    /// written one differs.
+    #[test]
+    fn a_write_to_one_clone_leaves_the_other_bit_identical() {
+        for (i, write) in WRITERS.into_iter().enumerate() {
+            let before = fingerprint(&populated());
+            // The clone written, the original read; then the reverse.
+            let original = populated();
+            let mut copy = original.clone();
+            write(&mut copy);
+            assert_eq!(fingerprint(&original), before, "writer {i} on the clone");
+            assert_ne!(fingerprint(&copy), before, "writer {i} wrote nothing");
+            let mut original = populated();
+            let copy = original.clone();
+            write(&mut original);
+            assert_eq!(fingerprint(&copy), before, "writer {i} on the original");
+        }
     }
 }

@@ -45,6 +45,13 @@ pub enum QueryTemplate {
 ///
 /// All randomness flows through the caller's RNG: the same generator and
 /// RNG seed reproduce the same query sequence bit-for-bit.
+///
+/// Every drawn query's catalog is a clone of the generator's, and a
+/// [`StreamCatalog`] clone shares its body: a draw copies no stream, and
+/// thousands of live queries hold one catalog. A write to a drawn query's
+/// catalog ([`QuerySpec::with_rate`], [`QuerySpec::with_selectivity`])
+/// unshares that query's alone; the generator and every other draw keep
+/// theirs.
 #[derive(Clone, Debug)]
 pub struct QueryGenerator {
     catalog: StreamCatalog,
@@ -196,6 +203,26 @@ mod tests {
         let q = g.draw(&mut rng);
         assert_eq!(q.join_set.len(), 4);
         assert_eq!(q.root_aggregate, Some(0.1));
+    }
+
+    /// A drawn query shares the generator's catalog, and a rate written to
+    /// it lands in that query alone: the generator's catalog and an earlier
+    /// draw keep every stream as it was.
+    #[test]
+    fn a_rate_written_to_one_draw_stays_in_that_draw() {
+        let g = generator(&[(QueryTemplate::PopularFeedJoin { ways: 2 }, 1.0)]);
+        let mut rng = rng_from_seed(9);
+        let earlier = g.draw(&mut rng);
+        let later = g.draw(&mut rng).with_rate(StreamId(0), 99.0);
+        assert_eq!(later.catalog.rate(StreamId(0)), 99.0);
+        let untouched = catalog(12);
+        for seen in [g.catalog(), &earlier.catalog] {
+            assert_eq!(seen.len(), untouched.len());
+            for id in (0..12).map(StreamId) {
+                assert_eq!(seen.get(id), untouched.get(id), "stream {id}");
+            }
+            assert_eq!(seen.join_selectivity(StreamId(0), StreamId(1)), 0.02);
+        }
     }
 
     #[test]

@@ -3,9 +3,11 @@
 
 use rand::Rng;
 
+use sbon::core::circuit::{Operator, ServiceKind};
 use sbon::core::multiquery::{MultiQueryOptimizer, ReuseScope};
 use sbon::netsim::rng::derive_rng;
 use sbon::prelude::*;
+use sbon::query::plan::BinaryOp;
 use sbon::query::stream::{StreamCatalog, StreamId};
 
 struct Fixture {
@@ -188,14 +190,15 @@ fn three_way_queries_can_reuse_two_way_subjoins() {
     let f = fixture(6);
     let mut mq = MultiQueryOptimizer::default();
     // Deploy a 2-way join of feeds 0 and 1.
-    mq.optimize_and_deploy(
-        &f.optimizer,
-        &query(&f, &[0, 1], 5),
-        &f.space,
-        &f.latency,
-        ReuseScope::All,
-    )
-    .unwrap();
+    let first = mq
+        .optimize_and_deploy(
+            &f.optimizer,
+            &query(&f, &[0, 1], 5),
+            &f.space,
+            &f.latency,
+            ReuseScope::All,
+        )
+        .unwrap();
     // A 3-way query over feeds 0, 1, 2 can reuse the (0 ⋈ 1) instance when
     // its chosen plan contains that subtree.
     let out = mq
@@ -210,7 +213,14 @@ fn three_way_queries_can_reuse_two_way_subjoins() {
     // Reuse is plan-dependent, but the optimizer saw the candidates; at
     // minimum the accounting stayed consistent.
     assert!(out.placed.cost.network_usage <= out.standalone_cost.network_usage + 1e-6);
-    if !out.placed.reused.is_empty() {
-        assert!(out.placed.reused.iter().all(|r| r.signature.contains('⋈')));
+    // Whatever it reused stands for a join over feeds: in the new circuit
+    // and in its owner, the instance is a binary join operator.
+    let join = ServiceKind::Operator { op: Operator::Binary(BinaryOp::Join) };
+    for &at in &out.placed.reused_at {
+        assert_eq!(out.placed.circuit.service(at).kind, join);
+    }
+    for r in &out.placed.reused {
+        assert_eq!(r.circuit, first.id, "the only running instance is the first's");
+        assert_eq!(first.placed.circuit.service(r.service).kind, join);
     }
 }

@@ -16,7 +16,7 @@ fn world(seed: u64) -> Topology {
     transit_stub::generate(&TransitStubConfig::with_total_nodes(60), seed)
 }
 
-/// A small pool of queries over shared producer sets, so signatures collide
+/// A small pool of queries over shared producer sets, so subtree ids collide
 /// and reuse (including chains) actually happens.
 fn query_pool(topo: &Topology) -> Vec<QuerySpec> {
     let hosts = topo.host_candidates();
@@ -137,7 +137,7 @@ proptest! {
     /// passes and up to two node failures — shared-service refcounts never
     /// go negative (an underflow panics inside the registry) and fully
     /// drain to zero once every surviving query departs, with usage back at
-    /// the empty baseline.
+    /// the empty baseline and the registry's subtree-id table empty.
     #[test]
     fn random_interleavings_drain_refcounts_to_zero(
         seed in 0u64..1_000_000,
@@ -217,6 +217,7 @@ proptest! {
         let mq = rt.multiquery().unwrap();
         prop_assert_eq!(mq.total_subscriptions(), 0);
         prop_assert_eq!(mq.num_instances(), 0);
+        prop_assert_eq!(mq.num_subtree_ids(), 0);
         prop_assert_eq!(mq.num_retained(), 0);
         prop_assert_eq!(rt.retained_shared_subtrees(), 0);
         prop_assert_eq!(rt.active_queries(), 0);

@@ -19,10 +19,20 @@ def exact_facts(path):
     return facts
 
 
-fresh = exact_facts(sys.argv[1] if len(sys.argv) > 1 else "benchmark/out/quick.json")
-baseline = exact_facts(sys.argv[2] if len(sys.argv) > 2 else "BENCH_QUICK.json")
-moved = [k for k in sorted(fresh.keys() | baseline.keys()) if fresh.get(k) != baseline.get(k)]
-for workload, fact in moved:
-    print(f"{workload} {fact}: {baseline.get((workload, fact))} -> {fresh.get((workload, fact))}")
-print(f"bench gate: {len(baseline)} exact facts, {len(moved)} moved")
-sys.exit(1 if moved else 0)
+def moved(fresh, baseline):
+    """The facts whose values differ, one missing on either side included."""
+    return [k for k in sorted(fresh.keys() | baseline.keys()) if fresh.get(k) != baseline.get(k)]
+
+
+def main():
+    fresh = exact_facts(sys.argv[1] if len(sys.argv) > 1 else "benchmark/out/quick.json")
+    baseline = exact_facts(sys.argv[2] if len(sys.argv) > 2 else "BENCH_QUICK.json")
+    changed = moved(fresh, baseline)
+    for workload, fact in changed:
+        print(f"{workload} {fact}: {baseline.get((workload, fact))} -> {fresh.get((workload, fact))}")
+    print(f"bench gate: {len(baseline)} exact facts, {len(changed)} moved")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,11 +26,7 @@ use sbon_netsim::rng::derive_rng;
 
 fn main() {
     section("A2 — virtual placement ablation: relaxation vs centroid vs gradient");
-    // The omniscient tree-DP bound scans every host pair: dense workload.
-    let world = build_world(
-        &WorldConfig { backend: sbon_bench::GroundTruthBackend::Dense, ..Default::default() },
-        33,
-    );
+    let world = build_world(&WorldConfig::default(), 33);
     let mut rng = derive_rng(33, 0xA2);
     let hosts_all = world.topology.host_candidates();
 

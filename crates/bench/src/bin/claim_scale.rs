@@ -47,14 +47,7 @@ fn main() {
     for &nodes in sizes {
         // The centralized baseline being timed owns the dense matrix by
         // construction (that hidden cost is part of the claim).
-        let world = build_world(
-            &WorldConfig {
-                nodes,
-                backend: sbon_bench::GroundTruthBackend::Dense,
-                ..Default::default()
-            },
-            nodes as u64,
-        );
+        let world = build_world(&WorldConfig { nodes, ..Default::default() }, nodes as u64);
         let mut rng = derive_rng(nodes as u64, 0xC3);
         let hosts_all = world.topology.host_candidates();
 

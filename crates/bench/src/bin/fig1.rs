@@ -137,12 +137,7 @@ fn main() {
     let mut uniform = Vec::new();
     let mut skewed = Vec::new();
     for world_seed in 0..5u64 {
-        // The omniscient tree-DP bound scans every host pair: a dense
-        // workload, so own the matrix.
-        let world = build_world(
-            &WorldConfig { backend: sbon_bench::GroundTruthBackend::Dense, ..Default::default() },
-            world_seed,
-        );
+        let world = build_world(&WorldConfig::default(), world_seed);
         let mut rng = derive_rng(world_seed, 0xF1);
         for _ in 0..trials_per_world {
             uniform.push(run_trial(&world, &mut rng, false));

@@ -109,6 +109,33 @@ impl Default for ProtoConfig {
 }
 
 impl ProtoConfig {
+    /// The one validity check, run by [`RoutedCatalog::from_catalog`] and
+    /// by the runtime's config builder; `field` is where the caller keeps
+    /// this config (`"proto"`, `"mapper_backend.proto"`).
+    ///
+    /// # Panics
+    ///
+    /// Naming the field and the value, if `timeout_ms` is not finite and
+    /// positive (NaN or ∞ dies at the first send, a negative one inside the
+    /// event queue, and zero fires every retransmit timer at its send's
+    /// instant), or if the longest backoff it arms, `timeout_ms ·
+    /// 2^min(max_retries, 10)`, is not finite (it would die at the first
+    /// retransmit that reaches it).
+    pub fn validate(&self, field: &str) {
+        let t = self.timeout_ms;
+        assert!(
+            t.is_finite() && t > 0.0,
+            "{field}.timeout_ms must be finite and positive, got {t}"
+        );
+        let longest = self.backoff_ms(self.max_retries.saturating_add(1));
+        assert!(
+            longest.is_finite(),
+            "{field}.timeout_ms must keep the longest backoff finite under max_retries {}, \
+             got {t:e} (backoff {longest})",
+            self.max_retries
+        );
+    }
+
     /// The retransmit delay armed for attempt `k` (1-based).
     fn backoff_ms(&self, attempt: u32) -> f64 {
         self.timeout_ms * (1u64 << attempt.saturating_sub(1).min(10)) as f64
@@ -404,7 +431,7 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
     /// Wraps an already-populated catalog (bootstrap registrations are part
     /// of deployment, not runtime message traffic).
     pub fn from_catalog(catalog: CoordinateCatalog<C>, config: ProtoConfig) -> Self {
-        assert!(config.timeout_ms.is_finite() && config.timeout_ms > 0.0);
+        config.validate("proto");
         RoutedCatalog {
             catalog,
             queue: EventQueue::new(),
@@ -1003,6 +1030,16 @@ mod tests {
             routed.register_direct(m, &[rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]);
         }
         routed
+    }
+
+    /// A finite timeout whose doubling overflows used to pass and then die
+    /// in `SimTime::after` at the first retransmit after a dropped message.
+    #[test]
+    #[should_panic(expected = "proto.timeout_ms must keep the longest backoff finite \
+                               under max_retries 3, got 1e308 (backoff inf)")]
+    fn from_catalog_rejects_a_timeout_whose_backoff_overflows() {
+        let config = ProtoConfig { timeout_ms: 1e308, ..ProtoConfig::default() };
+        RoutedCatalog::from_catalog(unit_catalog(4), config);
     }
 
     /// Deterministic synthetic link latency: symmetric, zero diagonal.

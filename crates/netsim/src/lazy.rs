@@ -279,8 +279,8 @@ struct RowCache {
     /// Weight changes some resident row may not have absorbed yet, in
     /// epoch order.
     log: VecDeque<LogEntry>,
-    /// Boxed: only the (cold) repair path looks inside, and the provider
-    /// stays small enough to sit inline next to a dense matrix.
+    /// Boxed: only the (cold) repair path looks inside, so its buffer
+    /// handles do not widen the struct that every row read borrows.
     scratch: Box<RepairScratch>,
     /// The point-to-point searches' buffers, allocated by the first
     /// search: a provider that only serves rows never holds them.

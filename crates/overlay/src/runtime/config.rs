@@ -86,7 +86,6 @@ pub enum MapperBackend {
     /// replayed as routed `ControlMsg` traffic over the live latency
     /// provider, surfacing *experienced* per-query latency (ms), message
     /// counts, and retry behaviour through
-    /// [`ControlPlaneStats`](super::ControlPlaneStats) /
     /// [`OverlayRuntime::routed_stats`](super::OverlayRuntime::routed_stats).
     Routed {
         /// Per-dimension grid resolution (capped like the `Dht` variant).
@@ -417,12 +416,9 @@ impl RuntimeConfigBuilder {
     /// negative one adopts worse placements); or if a DHT-backed mapper has
     /// `bits` outside `1..=32` or a zero `scan_width` (the quantizer and
     /// the catalog reject those without naming the field); if a
-    /// `lazy_row_cache` is 0 or set under the dense backend; if a routed
-    /// mapper's `proto.timeout_ms` is not finite and positive (NaN or ∞
-    /// dies at the first routed send, a negative one inside the event
-    /// queue, and zero fires every retransmit timer at its send's instant,
-    /// so every hop is spuriously retried and suspected); or if the
-    /// Vivaldi configuration fails [`VivaldiConfig::validate`].
+    /// `lazy_row_cache` is 0 or set under the dense backend; or if a routed
+    /// mapper's `proto` fails [`ProtoConfig::validate`] or the Vivaldi
+    /// configuration fails [`VivaldiConfig::validate`].
     pub fn build(self) -> RuntimeConfig {
         let c = &self.config;
         for (field, value) in [
@@ -477,13 +473,8 @@ impl RuntimeConfigBuilder {
                 "mapper_backend.scan_width must be at least 1, got {scan_width}"
             );
         }
-        if let MapperBackend::Routed { proto: ProtoConfig { timeout_ms: t, .. }, .. } =
-            c.mapper_backend
-        {
-            assert!(
-                t.is_finite() && t > 0.0,
-                "mapper_backend.proto.timeout_ms must be finite and positive, got {t}"
-            );
+        if let MapperBackend::Routed { proto, .. } = c.mapper_backend {
+            proto.validate("mapper_backend.proto");
         }
         c.vivaldi.validate();
         self.config

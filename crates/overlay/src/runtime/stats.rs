@@ -96,30 +96,12 @@ pub struct ControlPlaneStats {
     /// since the last tick, or outdated by a jitter batch. The rest were
     /// billed from their stored usage.
     pub usage_rereads: u64,
-    /// Routed control-plane messages sent (requests, replies, acks).
-    /// Populated only under [`MapperBackend::Routed`](super::MapperBackend::Routed), from the settled
-    /// message traffic; zero otherwise.
-    pub routed_messages: u64,
-    /// Routed lookups completed.
-    pub routed_lookups: u64,
-    /// Routed retransmissions after first sends.
-    pub routed_retries: u64,
-    /// Routed retransmit timers that fired.
-    pub routed_timeouts: u64,
-    /// `routed_hop_histogram[h]` = routed lookups that took `h` round
-    /// trips.
-    pub routed_hop_histogram: Vec<u64>,
-    /// Median experienced routed-lookup latency (simulated ms); `None`
-    /// before the first settled lookup (and always under other backends).
-    pub routed_p50_latency_ms: Option<f64>,
-    /// Tail (p99) experienced routed-lookup latency (simulated ms).
-    pub routed_p99_latency_ms: Option<f64>,
 }
 
 /// A multi-line human-readable breakdown: maintenance volume, wall time per
-/// control-plane phase, re-opt dirty-filter effectiveness, and — when the
-/// routed backend ran — the experienced message traffic. The examples print
-/// this instead of hand-rolling their own tables.
+/// control-plane phase and re-opt dirty-filter effectiveness. The examples
+/// print this instead of hand-rolling their own tables; the routed message
+/// traffic prints through [`OverlayRuntime::routed_stats`].
 impl std::fmt::Display for ControlPlaneStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let ms = |ns: u128| ns as f64 / 1e6;
@@ -151,27 +133,6 @@ impl std::fmt::Display for ControlPlaneStats {
                 self.reopt_skipped,
                 100.0 * self.reopt_skipped as f64 / candidates as f64,
                 self.candidates_pruned,
-            )?;
-        }
-        if self.routed_messages > 0 {
-            let hops: u64 =
-                self.routed_hop_histogram.iter().enumerate().map(|(h, &c)| h as u64 * c).sum();
-            let mean_hops = if self.routed_lookups > 0 {
-                hops as f64 / self.routed_lookups as f64
-            } else {
-                0.0
-            };
-            writeln!(
-                f,
-                "  routed: {} messages, {} lookups ({:.2} hops/lookup), {} retries, \
-                 {} timeouts, p50 {:.2} ms, p99 {:.2} ms",
-                self.routed_messages,
-                self.routed_lookups,
-                mean_hops,
-                self.routed_retries,
-                self.routed_timeouts,
-                self.routed_p50_latency_ms.unwrap_or(0.0),
-                self.routed_p99_latency_ms.unwrap_or(0.0),
             )?;
         }
         Ok(())
@@ -307,13 +268,11 @@ impl RuntimeObs {
 impl OverlayRuntime {
     /// Accumulated control-plane accounting (refresh vs mapping vs
     /// latency-read time), assembled as a view over the metrics registry.
-    /// Under [`MapperBackend::Routed`](super::MapperBackend::Routed) the
-    /// routed message-traffic summary (experienced latency percentiles, hop
-    /// histogram, retries) is folded in at call time.
+    /// The routed message traffic is [`OverlayRuntime::routed_stats`].
     pub fn control_plane_stats(&self) -> ControlPlaneStats {
         let r = &self.obs.registry;
         let h = &self.obs.h;
-        let mut cp = ControlPlaneStats {
+        ControlPlaneStats {
             ticks: r.counter_value(h.ticks) as usize,
             dirty_nodes: r.counter_value(h.dirty_nodes) as usize,
             points_updated: r.counter_value(h.points_updated) as usize,
@@ -332,18 +291,7 @@ impl OverlayRuntime {
             memo_hits: r.counter_value(h.memo_hits),
             usage_ns: u128::from(r.counter_value(h.usage_ns)),
             usage_rereads: r.counter_value(h.usage_rereads),
-            ..ControlPlaneStats::default()
-        };
-        if let Some(rs) = self.routed_stats() {
-            cp.routed_messages = rs.messages;
-            cp.routed_lookups = rs.lookups;
-            cp.routed_retries = rs.retries;
-            cp.routed_timeouts = rs.timeouts;
-            cp.routed_hop_histogram = rs.hop_histogram();
-            cp.routed_p50_latency_ms = rs.p50_latency_ms();
-            cp.routed_p99_latency_ms = rs.p99_latency_ms();
         }
-        cp
     }
 
     /// Query-lifecycle accounting so far, assembled as a view over the

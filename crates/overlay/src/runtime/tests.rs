@@ -1388,6 +1388,15 @@ fn builder_rejects_a_zero_routed_timeout() {
     build_routed_with_timeout(0.0);
 }
 
+/// A finite timeout whose doubling overflows died at the first retransmit
+/// after a dropped message, in `SimTime::after`.
+#[test]
+#[should_panic(expected = "mapper_backend.proto.timeout_ms must keep the longest backoff finite \
+                           under max_retries 3, got 1e308 (backoff inf)")]
+fn builder_rejects_a_routed_timeout_whose_backoff_overflows() {
+    build_routed_with_timeout(1e308);
+}
+
 /// A cap of 0 used to become 1 inside `LazyLatency::with_capacity`.
 #[test]
 #[should_panic(expected = "lazy_row_cache must be at least 1 under Lazy, got 0 under Lazy")]
@@ -1526,22 +1535,23 @@ fn routed_backend_run_is_bit_identical_to_dht_backend() {
         let handle = rt.deploy(demo_query(&topo)).unwrap();
         let report = rt.run();
         let placement = rt.placement(handle).cloned();
-        (report, placement, rt.control_plane_stats())
+        (report, placement, rt.routed_stats().cloned())
     };
-    let (dht_report, dht_placement, dht_cp) = run(MapperBackend::Dht { bits: 12, scan_width: 8 });
-    let (routed_report, routed_placement, routed_cp) = run(routed_backend());
+    let (dht_report, dht_placement, dht_routed) =
+        run(MapperBackend::Dht { bits: 12, scan_width: 8 });
+    let (routed_report, routed_placement, routed) = run(routed_backend());
     assert_eq!(dht_report, routed_report, "routed answers must match the omniscient-state Dht");
     assert_eq!(dht_placement, routed_placement);
     // The Dht backend experiences nothing; the routed backend replayed
     // every deploy/reopt lookup and churn refresh over the underlay.
-    assert_eq!(dht_cp.routed_messages, 0);
-    assert!(routed_cp.routed_messages > 0, "routed traffic must be charged");
-    assert!(routed_cp.routed_lookups > 0);
-    assert!(routed_cp.routed_p50_latency_ms.is_some());
-    let p50 = routed_cp.routed_p50_latency_ms.unwrap();
-    let p99 = routed_cp.routed_p99_latency_ms.unwrap();
+    assert!(dht_routed.is_none());
+    let routed = routed.expect("the routed backend keeps routed stats");
+    assert!(routed.messages > 0, "routed traffic must be charged");
+    assert!(routed.lookups > 0);
+    let p50 = routed.p50_latency_ms().expect("a settled lookup");
+    let p99 = routed.p99_latency_ms().expect("a settled lookup");
     assert!(p50 > 0.0 && p99 >= p50, "experienced latency must be positive: {p50} / {p99}");
-    assert!(routed_cp.routed_hop_histogram.iter().sum::<u64>() > 0);
+    assert!(routed.hop_histogram().iter().sum::<u64>() > 0);
 }
 
 /// The routed protocol settles only on serial paths (tick boundary,
@@ -1565,35 +1575,11 @@ fn routed_run_is_bit_identical_across_thread_counts() {
         );
         rt.deploy(demo_query(&topo)).unwrap();
         let report = rt.run();
-        let routed = rt.routed_stats().cloned().unwrap();
-        (report, rt.control_plane_stats(), routed)
+        (report, rt.routed_stats().cloned().unwrap())
     };
-    let (serial, serial_cp, serial_routed) = run(1);
-    let (parallel, parallel_cp, parallel_routed) = run(8);
+    let (serial, serial_routed) = run(1);
+    let (parallel, parallel_routed) = run(8);
     assert_eq!(serial, parallel, "thread count must not change a routed run");
-    // ControlPlaneStats carries wall-clock timing fields; compare the
-    // deterministic routed summary only.
-    assert_eq!(
-        (
-            serial_cp.routed_messages,
-            serial_cp.routed_lookups,
-            serial_cp.routed_retries,
-            serial_cp.routed_timeouts,
-            &serial_cp.routed_hop_histogram,
-            serial_cp.routed_p50_latency_ms,
-            serial_cp.routed_p99_latency_ms,
-        ),
-        (
-            parallel_cp.routed_messages,
-            parallel_cp.routed_lookups,
-            parallel_cp.routed_retries,
-            parallel_cp.routed_timeouts,
-            &parallel_cp.routed_hop_histogram,
-            parallel_cp.routed_p50_latency_ms,
-            parallel_cp.routed_p99_latency_ms,
-        ),
-        "routed control-plane summary must match across thread counts"
-    );
     assert_eq!(serial_routed, parallel_routed, "full routed stats must match bit-for-bit");
     assert!(serial_routed.messages > 0);
 }

@@ -37,6 +37,10 @@ cd "$(dirname "$0")/.."
 # - claim_reopt: full re-opt swaps (C2; about 15 s).
 # - partition_heal: routed message delays through sever, failover and heal;
 #   it asserts reconvergence against an omniscient twin itself.
+# - quickstart: the first program a reader runs (`sbon::prelude`, one
+#   integrated and one two-step optimize on a 200-node world).
+# - volcano_monitoring: the paper's motivating scenario, source filters on
+#   a hand-built catalog with a default selectivity.
 ENTRIES='
 claim_mapping_error | SBON_SMOKE=1 | -p sbon_bench --bin claim_mapping_error |
 fig3                |              | -p sbon_bench --bin fig3                |
@@ -51,6 +55,8 @@ multi_tenant_cq     |              | --example multi_tenant_cq               |
 adaptive_reopt      |              | --example adaptive_reopt                |
 claim_reopt         |              | -p sbon_bench --bin claim_reopt         |
 partition_heal      | SBON_SMOKE=1 | --example partition_heal                |
+quickstart          |              | --example quickstart                    |
+volcano_monitoring  |              | --example volcano_monitoring            |
 '
 
 trim() { printf '%s' "$1" | sed 's/^ *//; s/ *$//'; }

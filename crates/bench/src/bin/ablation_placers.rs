@@ -13,7 +13,9 @@
 
 use std::time::Instant;
 
-use sbon_bench::{build_world, pick_hosts, section, WorldConfig};
+use sbon_bench::{
+    build_world, known_failure_unless, pick_hosts, printed, section, verdict, WorldConfig,
+};
 use sbon_core::circuit::Circuit;
 use sbon_core::optimizer::QuerySpec;
 use sbon_core::placement::{
@@ -53,6 +55,9 @@ fn main() {
         "{:<12} {:>14} {:>14} {:>12} {:>10}",
         "placer", "virtual cost", "mapped usage", "vs optimal", "µs/place"
     );
+    // Per placer, its means as the table prints them: virtual cost and
+    // mapped usage to one decimal, the ratio to optimal to three.
+    let mut rows = Vec::new();
     for (name, placer) in &placers {
         let mut virtual_cost = Vec::new();
         let mut mapped_usage = Vec::new();
@@ -79,10 +84,51 @@ fn main() {
             Summary::of(&vs_optimal).mean,
             Summary::of(&micros).mean,
         );
+        rows.push((
+            *name,
+            printed(Summary::of(&virtual_cost).mean, 1),
+            printed(Summary::of(&mapped_usage).mean, 1),
+            printed(Summary::of(&vs_optimal).mean, 3),
+        ));
     }
 
+    // "A modest factor" read as at most 2× the omniscient DP's usage; the
+    // paper gives no number.
+    const MODEST_FACTOR: f64 = 2.0;
+    let [relaxation, centroid, gradient] = [0, 1, 2].map(|i| rows[i]);
+    // Whether placer `a` is at or below placer `b` on both objectives.
+    let below = |(_, virtual_a, usage_a, _): (&str, f64, f64, f64),
+                 (_, virtual_b, usage_b, _): (&str, f64, f64, f64)| {
+        let pass = virtual_a <= virtual_b && usage_a <= usage_b;
+        let values = format!(
+            "virtual cost {virtual_a:.1} ≤ {virtual_b:.1}, mapped usage {usage_a:.1} ≤ {usage_b:.1}"
+        );
+        (Some(pass), values)
+    };
+    let worst = rows.iter().copied().max_by(|a, b| a.3.total_cmp(&b.3)).expect("three placers");
+    let (structure_aware, structure_values) = below(relaxation, centroid);
+    let (refines, refines_values) = below(gradient, relaxation);
+    let clauses = [
+        (
+            "shape check: relaxation ≤ centroid on deep circuits (structure-aware)",
+            structure_aware,
+            structure_values,
+        ),
+        ("gradient refines relaxation slightly on the linear objective", refines, refines_values),
+        (
+            "at extra iteration cost",
+            None,
+            "host time: the µs/place column is not part of the checked output".to_string(),
+        ),
+        (
+            "all remain within a modest factor of the omniscient DP",
+            Some(worst.3 <= MODEST_FACTOR),
+            format!("worst mean vs optimal {:.3} ({}) ≤ {MODEST_FACTOR:.1}", worst.3, worst.0),
+        ),
+    ];
     println!();
-    println!("shape check: relaxation ≤ centroid on deep circuits (structure-aware);");
-    println!("gradient refines relaxation slightly on the linear objective at extra");
-    println!("iteration cost; all remain within a modest factor of the omniscient DP.");
+    for (clause, pass, values) in &clauses {
+        println!("{clause}: {} ({values})", pass.map_or("not evaluated", verdict));
+    }
+    known_failure_unless(clauses.iter().all(|(_, pass, _)| *pass != Some(false)));
 }

@@ -6,37 +6,44 @@
 //! coordinate layer (`sbon-coords`) then embeds this matrix, and the cost
 //! space measures its embedding against it.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::latency::LatencyMatrix;
 
-/// A heap entry: `Reverse`-ordered by key so `BinaryHeap` pops minimums.
-/// The key is the vertex's label when it was pushed, plus its
-/// [`Potential`] (none outside a goal-directed read). `pub(crate)` so the
-/// dynamic repair in [`crate::lazy`] seeds [`settle`]'s heap itself.
-#[derive(PartialEq)]
-pub(crate) struct HeapEntry {
-    pub(crate) key: f64,
-    pub(crate) node: NodeId,
-}
+/// A heap entry: one `u128` packing `(key + 0.0).to_bits() << 32 | node`,
+/// `Reverse`-ordered so `BinaryHeap` pops the minimum (key, node id) with
+/// one integer comparison a sift. The key is the vertex's label when it
+/// was pushed, plus its [`Potential`] (none outside a goal-directed read).
+///
+/// Keys must be non-negative and not NaN (a `debug_assert!` checks it).
+/// Every key [`settle`] pushes is: labels are fold-left sums of validated
+/// weights, and a potential is a row value. On such keys the IEEE bit
+/// pattern read as an unsigned integer orders exactly as `f64::total_cmp`,
+/// so the packed order is the (key, node id) order. `+ 0.0` maps a `-0.0`
+/// key, the one value whose bits would sort out of place, to `+0.0`.
+/// `pub(crate)` so the dynamic repair in [`crate::lazy`] seeds
+/// [`settle`]'s heap itself.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct HeapEntry(Reverse<u128>);
 
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: smaller key = greater priority. Keys are finite non-NaN
-        // by construction (edge weights validated on insert), so
-        // `total_cmp` agrees with the numeric order while staying a proper
-        // total order even if that invariant is ever violated.
-        other.key.total_cmp(&self.key).then_with(|| other.node.0.cmp(&self.node.0))
+impl HeapEntry {
+    #[inline(always)]
+    pub(crate) fn new(key: f64, node: NodeId) -> Self {
+        debug_assert!(key >= 0.0, "heap keys are non-negative and not NaN, got {key}");
+        HeapEntry(Reverse(u128::from((key + 0.0).to_bits()) << 32 | u128::from(node.0)))
     }
-}
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    /// The key it was pushed with (`+0.0` for `-0.0`).
+    #[inline(always)]
+    pub(crate) fn key(self) -> f64 {
+        f64::from_bits((self.0 .0 >> 32) as u64)
+    }
+
+    #[inline(always)]
+    pub(crate) fn node(self) -> NodeId {
+        NodeId(self.0 .0 as u32)
     }
 }
 
@@ -62,7 +69,9 @@ impl Potential for NoPotential {
 /// The one Dijkstra relaxation loop: from-scratch rows, path search, both
 /// phases of [`crate::lazy`]'s row repair, both sides of its
 /// point-to-point search and its goal-directed read run it, so they pop in
-/// the same (key, node id) order and relax by the same strict `<`.
+/// the same (key, node id) order and relax by the same strict `<`. The heap
+/// holds packed [`HeapEntry`]s, so that order is one integer comparison;
+/// it requires every key to be non-negative and not NaN.
 ///
 /// The caller seeds `dist` and `heap`, each entry keyed
 /// `potential.key(label, vertex)`. Before each pop the loop asks
@@ -97,7 +106,8 @@ pub(crate) fn settle(
     mut on_improve: impl FnMut(NodeId, NodeId, EdgeId, f64),
 ) -> usize {
     let mut settled = 0;
-    while let Some(&HeapEntry { key, node: v }) = heap.peek() {
+    while let Some(&top) = heap.peek() {
+        let (key, v) = (top.key(), top.node());
         if stop(key, v) {
             break;
         }
@@ -115,7 +125,7 @@ pub(crate) fn settle(
             if nd < dist[u.index()] {
                 dist[u.index()] = nd;
                 on_improve(u, v, e, nd);
-                heap.push(HeapEntry { key: potential.key(nd, u), node: u });
+                heap.push(HeapEntry::new(potential.key(nd, u), u));
             }
         }
     }
@@ -143,7 +153,7 @@ pub(crate) fn fill_single_source(
 ) {
     dist.fill(f64::INFINITY);
     dist[src.index()] = 0.0;
-    heap.push(HeapEntry { key: 0.0, node: src });
+    heap.push(HeapEntry::new(0.0, src));
     settle(graph, dist, heap, NoPotential, |_, _| false, |_, w| w, |_| true, |_, _, _, _| {});
 }
 
@@ -157,7 +167,7 @@ pub fn shortest_path(graph: &Graph, src: NodeId, dst: NodeId) -> Option<Vec<Edge
     let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
     let mut heap = BinaryHeap::new();
     dist[src.index()] = 0.0;
-    heap.push(HeapEntry { key: 0.0, node: src });
+    heap.push(HeapEntry::new(0.0, src));
     let keep_prev = |u: NodeId, v, e, _| prev[u.index()] = Some((v, e));
     let to_dst = |_, v| v == dst;
     settle(graph, &mut dist, &mut heap, NoPotential, to_dst, |_, w| w, |_| true, keep_prev);
@@ -189,6 +199,8 @@ pub fn all_pairs_latency(graph: &Graph) -> LatencyMatrix {
 mod tests {
     use super::*;
     use crate::latency::LatencyProvider;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn line_graph() -> Graph {
         // 0 -1ms- 1 -2ms- 2 -4ms- 3
@@ -267,6 +279,110 @@ mod tests {
             assert_eq!(*nodes_along(&t.graph, a, &path).last().unwrap(), b);
             let total: f64 = path.iter().map(|&e| t.graph.edge(e).latency_ms).sum();
             assert!((total - m.latency(a, b)).abs() < 1e-9, "{a}->{b}");
+        }
+    }
+
+    /// The order `HeapEntry` had before it was packed — by `total_cmp` key,
+    /// then node id — as a min-order, the reference for the packed one.
+    fn reference_order(a: (f64, u32), b: (f64, u32)) -> std::cmp::Ordering {
+        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over non-negative keys — exact ties, `0.0` and `-0.0`,
+        /// subnormals, `+∞`, any finite value — and node ids that tie or
+        /// span the whole `u32` range, the packed entries sort every batch
+        /// exactly as the reference orders `(key + 0.0, node)`, pop from a
+        /// `BinaryHeap` in that order, and read back their key and node;
+        /// `+ 0.0` is the identity on every key but `-0.0`, which comes
+        /// back as `+0.0`.
+        #[test]
+        fn packed_entries_order_as_total_cmp_then_node(
+            batch in vec((0u8..6, 0u64..u64::MAX, 0u32..u32::MAX), 1..48),
+        ) {
+            let batch: Vec<(f64, u32)> = batch
+                .into_iter()
+                .map(|(kind, raw, node)| {
+                    let key = match kind {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => f64::from_bits(raw % (1 << 52)), // subnormal (or 0.0)
+                        3 => f64::INFINITY,
+                        4 => [0.1 + 0.2, 0.3, 1.0, f64::MAX][(raw % 4) as usize], // ties
+                        _ => f64::from_bits(raw % f64::INFINITY.to_bits()),
+                    };
+                    (key, if raw % 3 == 0 { node % 4 } else { node })
+                })
+                .collect();
+            let entries: Vec<HeapEntry> =
+                batch.iter().map(|&(key, node)| HeapEntry::new(key, NodeId(node))).collect();
+            for (&(key, node), entry) in batch.iter().zip(&entries) {
+                let stored = if key == 0.0 { 0.0 } else { key };
+                prop_assert_eq!((key + 0.0).to_bits(), stored.to_bits());
+                prop_assert_eq!(entry.key().to_bits(), stored.to_bits());
+                prop_assert_eq!(entry.node(), NodeId(node));
+            }
+            let bits = |v: Vec<(f64, u32)>| {
+                v.into_iter().map(|(k, n)| (k.to_bits(), n)).collect::<Vec<_>>()
+            };
+            let mut reference: Vec<(f64, u32)> =
+                batch.iter().map(|&(k, n)| (k + 0.0, n)).collect();
+            reference.sort_by(|&a, &b| reference_order(a, b));
+            let mut packed = entries.clone();
+            packed.sort_by(|a, b| b.cmp(a));
+            let packed: Vec<(f64, u32)> = packed.iter().map(|e| (e.key(), e.node().0)).collect();
+            let mut heap: BinaryHeap<HeapEntry> = entries.into_iter().collect();
+            let popped: Vec<(f64, u32)> =
+                std::iter::from_fn(|| heap.pop()).map(|e| (e.key(), e.node().0)).collect();
+            prop_assert_eq!(bits(packed), bits(reference.clone()));
+            prop_assert_eq!(bits(popped), bits(reference));
+        }
+    }
+
+    /// An edge of weight `-0.0`, which `Graph::add_edge` accepts, reads
+    /// exactly as one of `+0.0`: rows, pair reads (bidirectional, reversed
+    /// and goal-directed) and `shortest_path` edges are bit-identical.
+    #[test]
+    fn negative_zero_edges_read_as_positive_zero() {
+        use crate::lazy::LazyLatency;
+        use crate::topology::transit_stub::{generate, TransitStubConfig};
+        let t = generate(&TransitStubConfig::with_total_nodes(60), 45);
+        let with_zero = |zero: f64| {
+            let mut g = Graph::new(t.graph.num_nodes());
+            for (i, e) in t.graph.edges().iter().enumerate() {
+                g.add_edge(e.a, e.b, if i % 3 == 0 { zero } else { e.latency_ms });
+            }
+            g
+        };
+        let (pos, neg) = (with_zero(0.0), with_zero(-0.0));
+        let n = pos.num_nodes() as u32;
+        let receivers: Vec<NodeId> = (0..n).step_by(5).map(NodeId).collect();
+        let reads = |g: &Graph| {
+            let lazy = LazyLatency::new(g.clone());
+            let mut out = Vec::new();
+            for pass in 0..2 {
+                if pass == 1 {
+                    lazy.ensure_rows(&receivers, None); // goal-directed reads
+                }
+                let pairs = lazy.pair_reader();
+                for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (NodeId(a), NodeId(b)))) {
+                    out.push(pairs.latency(a, b).to_bits());
+                }
+            }
+            let s = lazy.stats();
+            assert!(s.pairs_searched > 0 && s.pairs_goal_directed > 0 && s.pair_memo_hits > 0);
+            out
+        };
+        assert_eq!(reads(&pos), reads(&neg));
+        for a in pos.nodes() {
+            let row =
+                |g: &Graph| single_source(g, a).iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            assert_eq!(row(&pos), row(&neg), "row {a}");
+            for b in pos.nodes() {
+                assert_eq!(shortest_path(&pos, a, b), shortest_path(&neg, a, b), "{a}->{b}");
+            }
         }
     }
 

@@ -505,8 +505,13 @@ struct EdgeDelta {
 /// ```
 pub struct LazyLatency {
     graph: Graph,
-    /// Edge latencies at construction time — the reference for jitter bands.
-    base_edges: Vec<f64>,
+    /// Construction-time latencies of the edges that have changed since,
+    /// sorted by edge, each recorded by the first batch that changed it:
+    /// the reference for jitter bands (an edge missing here still holds
+    /// its base). 16 B a changed edge where a dense copy would take 8 B an
+    /// edge: a run jitters a few thousand of `planet-100k`'s 2M edges and
+    /// about a third of `routed-5k`'s.
+    base_edges: Vec<(EdgeId, f64)>,
     capacity: Option<usize>,
     cache: RefCell<RowCache>,
 }
@@ -525,8 +530,12 @@ impl LazyLatency {
 
     fn build(graph: Graph, capacity: Option<usize>) -> Self {
         let n = graph.num_nodes();
-        let base_edges = graph.edges().iter().map(|e| e.latency_ms).collect();
-        LazyLatency { graph, base_edges, capacity, cache: RefCell::new(RowCache::new(n)) }
+        LazyLatency {
+            graph,
+            base_edges: Vec::new(),
+            capacity,
+            cache: RefCell::new(RowCache::new(n)),
+        }
     }
 
     /// The underlying (possibly mutated) topology graph.
@@ -536,7 +545,7 @@ impl LazyLatency {
 
     /// The latency an edge had at construction time.
     pub fn base_edge_latency(&self, id: EdgeId) -> f64 {
-        self.base_edges[id.index()]
+        base_weight(&self.base_edges, &self.graph, id)
     }
 
     /// Overwrites the latency of edge `id`; affected cached rows are
@@ -559,11 +568,12 @@ impl LazyLatency {
     /// number of distinct edges drawn. Panics if a result is not finite and
     /// non-negative (e.g. a NaN factor) — before anything is mutated.
     pub fn scale_edges_clamped(&mut self, draws: &[(EdgeId, f64)], band: (f64, f64)) -> usize {
-        let window = &mut self.cache.get_mut().scratch.window;
-        window.reset(&self.graph);
+        let LazyLatency { graph, base_edges, cache, .. } = self;
+        let window = &mut cache.get_mut().scratch.window;
+        window.reset(graph);
         for &(id, factor) in draws {
-            let base = self.base_edges[id.index()];
-            let delta = window.open(&self.graph, id, self.graph.edge(id).latency_ms);
+            let base = base_weight(base_edges, graph, id);
+            let delta = window.open(graph, id, graph.edge(id).latency_ms);
             delta.w_new = (delta.w_new * factor).clamp(base * band.0, base * band.1);
         }
         let net: Vec<(EdgeId, f64)> = window.deltas.iter().map(|d| (d.id, d.w_new)).collect();
@@ -604,9 +614,19 @@ impl LazyLatency {
         }
         cache.head += 1;
         cache.stale = cache.order.len();
+        // Grow exactly: at 16 B an entry, a doubled capacity could cost more
+        // than 8 B an edge.
+        let known = self.base_edges.len();
+        self.base_edges.reserve_exact(net().count());
         for d in net() {
             self.graph.set_edge_latency(d.id, d.w_new);
             cache.log.push_back(LogEntry { epoch: cache.head, edge: d.id, w_before: d.w_old });
+            if self.base_edges[..known].binary_search_by_key(&d.id.0, |&(id, _)| id.0).is_err() {
+                self.base_edges.push((d.id, d.w_old)); // its first change
+            }
+        }
+        if self.base_edges.len() > known {
+            self.base_edges.sort_unstable_by_key(|&(id, _)| id.0);
         }
         cache.bound_log(self.graph.num_edges());
     }
@@ -708,6 +728,15 @@ impl LazyLatency {
     }
 }
 
+/// The construction-time latency of edge `id`: its recorded base if it has
+/// changed, else the weight `graph` still holds.
+fn base_weight(base_edges: &[(EdgeId, f64)], graph: &Graph, id: EdgeId) -> f64 {
+    match base_edges.binary_search_by_key(&id.0, |&(e, _)| e.0) {
+        Ok(at) => base_edges[at].1,
+        Err(_) => graph.edge(id).latency_ms,
+    }
+}
+
 /// Phase 1 of row repair: the net raises of `scratch.window`. `row` holds
 /// labels exact for the graph at the window's start; `graph` already holds
 /// every change of the window. Returns `(labels recomputed, fell back to
@@ -753,10 +782,18 @@ fn repair_increase(
         return (0, false);
     }
 
-    // Propagate through old-tight edges (old labels, start weights).
+    // Propagate through old-tight edges (old labels, start weights). Past a
+    // quarter of the graph, a restricted Dijkstra stops paying for its
+    // bookkeeping; the region only grows, so the row is rebuilt outright,
+    // in place, as soon as it gets there.
     let mut qi = 0;
-    while qi < region.len() {
-        let x = NodeId(region[qi]);
+    loop {
+        if region.len() * 4 >= n {
+            fill_single_source(graph, src, row, heap);
+            return (n, true);
+        }
+        let Some(&x) = region.get(qi) else { break };
+        let x = NodeId(x);
         qi += 1;
         let dx = row[x.index()];
         for (y, e, w_now) in graph.neighbors(x) {
@@ -768,13 +805,6 @@ fn repair_increase(
                 region.push(y.0);
             }
         }
-    }
-
-    // Past a quarter of the graph, a restricted Dijkstra stops paying for
-    // its bookkeeping; rebuild the row outright, in place.
-    if region.len() * 4 >= n {
-        fill_single_source(graph, src, row, heap);
-        return (n, true);
     }
 
     // Recompute the region: unmarked labels are fixed and correct, so each
@@ -796,7 +826,7 @@ fn repair_increase(
         }
         if best < f64::INFINITY {
             row[x.index()] = best;
-            heap.push(HeapEntry { key: best, node: x });
+            heap.push(HeapEntry::new(best, x));
         }
     }
     // Outside the region every label is fixed.
@@ -818,12 +848,12 @@ fn repair_decrease(graph: &Graph, row: &mut [f64], scratch: &mut RepairScratch) 
         let nd = row[d.a.index()] + d.w_new;
         if nd < row[d.b.index()] {
             row[d.b.index()] = nd;
-            heap.push(HeapEntry { key: nd, node: d.b });
+            heap.push(HeapEntry::new(nd, d.b));
         }
         let nd = row[d.b.index()] + d.w_new;
         if nd < row[d.a.index()] {
             row[d.a.index()] = nd;
-            heap.push(HeapEntry { key: nd, node: d.a });
+            heap.push(HeapEntry::new(nd, d.a));
         }
     }
     settle(graph, row, heap, NoPotential, |_, _| false, |_, w| w, |_| true, |_, _, _, _| {})
@@ -912,14 +942,14 @@ impl Side {
         }
         self.dist[root.index()] = 0.0;
         self.touched.push(root.0);
-        self.heap.push(HeapEntry { key, node: root });
+        self.heap.push(HeapEntry::new(key, root));
     }
 
     /// The heap's smallest key — without a potential, a lower bound on
     /// every label this side has still to settle — or `INFINITY` once it
     /// is exhausted.
     fn top(&self) -> f64 {
-        self.heap.peek().map_or(f64::INFINITY, |e| e.key)
+        self.heap.peek().map_or(f64::INFINITY, |e| e.key())
     }
 
     /// Runs this side's `settle` under `potential` until `stop`, relaxing
@@ -985,7 +1015,7 @@ impl PairScratch {
         let labelled = |side: &Side, u: NodeId| side.dist[u.index()] != f64::INFINITY;
         // `crossed`: phase 1 did not end with `b` on the forward top.
         let (value, crossed) = loop {
-            if fwd.heap.peek().is_some_and(|e| e.node == b) {
+            if fwd.heap.peek().is_some_and(|e| e.node() == b) {
                 break (fwd.dist[b.index()], false);
             }
             let (tf, tb) = (fwd.top(), bwd.top());
@@ -1822,6 +1852,42 @@ mod tests {
         }
         let s = cache.stats;
         assert_eq!((s.pairs_goal_directed, s.pairs_searched, s.pair_memo_hits), (1, 1, 1));
+    }
+
+    /// An edge's base weight is recorded by its first change only: after
+    /// an edge moved away and back, a batch that nets to nothing and
+    /// several jitter batches, every edge's base is its construction-time
+    /// latency, and the record holds exactly the edges that ever changed,
+    /// sorted by edge.
+    #[test]
+    fn base_weights_are_the_construction_latencies() {
+        let t = generate(&TransitStubConfig::with_total_nodes(80), 45);
+        let built: Vec<f64> = t.graph.edges().iter().map(|e| e.latency_ms).collect();
+        let m = built.len() as u32;
+        let mut lazy = LazyLatency::new(t.graph);
+        lazy.latency(NodeId(0), NodeId(1));
+        let (back, net_zero) = (EdgeId(m - 1), EdgeId(0));
+        lazy.set_edge_latency(back, built[back.index()] * 2.0);
+        lazy.set_edge_latency(back, built[back.index()]);
+        lazy.apply_edge_deltas(&[(net_zero, 9.0), (net_zero, built[0])]);
+        assert_eq!(lazy.base_edges, vec![(back, built[back.index()])]);
+        let mut changed = vec![back.0];
+        let mut rng = rng_from_seed(45);
+        for _ in 0..6 {
+            let draws: Vec<(EdgeId, f64)> =
+                (0..8).map(|_| (EdgeId(rng.gen_range(0..m)), rng.gen_range(0.5..2.0))).collect();
+            lazy.scale_edges_clamped(&draws, (0.25, 4.0));
+            let moved = |&e: &u32| lazy.graph().edge(EdgeId(e)).latency_ms != built[e as usize];
+            changed.extend((0..m).filter(moved));
+        }
+        changed.sort_unstable();
+        changed.dedup();
+        let recorded: Vec<u32> = lazy.base_edges.iter().map(|(e, _)| e.0).collect();
+        assert_eq!(recorded, changed);
+        for e in 0..m {
+            assert_eq!(lazy.base_edge_latency(EdgeId(e)).to_bits(), built[e as usize].to_bits());
+        }
+        assert_matches_dense(&lazy);
     }
 
     #[test]

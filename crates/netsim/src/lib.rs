@@ -55,11 +55,13 @@
 //!   one CSR with the weights inline, derived on the first search and
 //!   dropped by `add_node` / `add_edge`; an unsearched graph holds none.
 //! * [`dijkstra`] — the one relaxation loop and its pop order (key, then
-//!   node id): fresh rows, path search, both repair phases, both sides of
-//!   the bidirectional pair search and the goal-directed pair read run it.
-//!   The key is the label, plus — in the goal-directed read alone — a
-//!   potential, the goal's own resident row (A*).
-//! * [`lazy::LazyLatency`] — the mutable graph, the *base* edge weights,
+//!   node id, packed into one integer a heap entry): fresh rows, path
+//!   search, both repair phases, both sides of the bidirectional pair
+//!   search and the goal-directed pair read run it. The key is the label,
+//!   plus — in the goal-directed read alone — a potential, the goal's own
+//!   resident row (A*).
+//! * [`lazy::LazyLatency`] — the mutable graph, the *base* edge weights
+//!   (recorded for an edge by its first change),
 //!   the jitter step ([`lazy::LazyLatency::scale_edges_clamped`]), the
 //!   delta log with its one edge-batch dedup, and the row cache.
 //! * [`lazy::PairReader`] — row-free point-to-point reads over a borrow of

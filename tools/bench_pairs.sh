@@ -1,22 +1,24 @@
 #!/bin/sh
-# Alternating parent / change pairs of one benchmark workload — the
+# Alternating parent / change pairs of benchmark workloads — the
 # measurement every performance claim in CHANGES.md rests on (the rule is in
 # benchmark/README.md: at least ten pairs, the change ahead in nine tenths
 # of them, medians apart by more than the parent's own q1–q3 distance).
 #
-# usage: tools/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS=10]
+# usage: tools/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD[,WORKLOAD...] [PAIRS=10]
 #
-# Builds the driver of both checkouts first (each into its own
-# benchmark/target, so nothing compiles while a measurement runs), then runs
-# the contract command (`--workload W --seed 2005 --seconds 15 --trace 0`)
-# PAIRS times per side, alternating which side goes first, and prints per
-# end-to-end metric each side's median [q1–q3] and the pairs the change won
-# (ties count for neither side). Exits 1 if any run reports `correct: false`.
+# Builds the driver of both checkouts once (each into its own
+# benchmark/target, so nothing compiles while a measurement runs). Then, per
+# workload in the comma-separated list, in order, runs the contract command
+# (`--workload W --seed 2005 --seconds 15 --trace 0`) PAIRS times per side,
+# alternating which side goes first, and prints per end-to-end metric each
+# side's median [q1–q3] and the pairs the change won (ties count for
+# neither side). Exits 1 if any run of any workload reports
+# `correct: false`.
 set -eu
-[ $# -ge 3 ] || { sed -n '2,14p' "$0"; exit 2; }
+[ $# -ge 3 ] || { sed -n '2,16p' "$0"; exit 2; }
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
-workload=$3
+workloads=$3
 pairs=${4:-10}
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
@@ -26,26 +28,16 @@ for dir in "$parent" "$change"; do
         cargo build --release --quiet --offline --manifest-path benchmark/Cargo.toml)
 done
 
-# One measurement of side $1 (a checkout), its result line appended to $2.
+# One measurement of side $1 (a checkout) on workload $2, its result line
+# appended to $3.
 measure() {
     (cd "$1" && "$1/benchmark/target/release/sbon_benchmark" \
-        --workload "$workload" --seed 2005 --seconds 15 --trace 0 | tail -n 1) >>"$2"
+        --workload "$2" --seed 2005 --seconds 15 --trace 0 | tail -n 1) >>"$3"
 }
 
-i=1
-while [ "$i" -le "$pairs" ]; do
-    if [ $((i % 2)) -eq 1 ]; then
-        measure "$parent" "$out/parent.jsonl"
-        measure "$change" "$out/change.jsonl"
-    else
-        measure "$change" "$out/change.jsonl"
-        measure "$parent" "$out/parent.jsonl"
-    fi
-    echo "pair $i/$pairs done" >&2
-    i=$((i + 1))
-done
-
-python3 - "$change/BENCHMARK.json" "$out/parent.jsonl" "$out/change.jsonl" "$workload" <<'EOF'
+# The table of workload $1's runs; returns 1 if a run reported incorrect.
+report() {
+    python3 - "$change/BENCHMARK.json" "$out/$1.parent.jsonl" "$out/$1.change.jsonl" "$1" <<'EOF'
 import json
 import statistics
 import sys
@@ -80,3 +72,22 @@ for side in incorrect:
     print(f"  {side}: a run reported correct: false")
 sys.exit(1 if incorrect else 0)
 EOF
+}
+
+status=0
+for workload in $(echo "$workloads" | tr ',' ' '); do
+    i=1
+    while [ "$i" -le "$pairs" ]; do
+        if [ $((i % 2)) -eq 1 ]; then
+            measure "$parent" "$workload" "$out/$workload.parent.jsonl"
+            measure "$change" "$workload" "$out/$workload.change.jsonl"
+        else
+            measure "$change" "$workload" "$out/$workload.change.jsonl"
+            measure "$parent" "$workload" "$out/$workload.parent.jsonl"
+        fi
+        echo "$workload: pair $i/$pairs done" >&2
+        i=$((i + 1))
+    done
+    report "$workload" || status=1
+done
+exit "$status"

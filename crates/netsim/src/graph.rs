@@ -11,6 +11,20 @@
 //! order, so equal-cost ties and the edges `shortest_path` walks are
 //! unchanged. Searched: 48 B an edge + 4 B a node. Ids and offsets are
 //! `u32`; a count past that panics before anything is mutated.
+//!
+//! The graph also derives its **pendant regions**, 4 B a node once
+//! derived: label 0 for the *core* — the largest 2-edge-connected class,
+//! ties going to the class that holds the lowest vertex id — and for every
+//! other vertex `1 +` the index of its component of G − core, numbered in
+//! order of each component's lowest vertex. A
+//! region in the core's component touches the core through exactly one
+//! edge, a bridge (two would close a cycle through the core, and their
+//! ends would be in it); a region in another component touches it through
+//! none. So a simple path between two vertices stays inside the core and
+//! their own regions: entering any third region leaves it by the bridge it
+//! came in on. One bridge pass over the CSR derives the labels, on the
+//! first point-to-point search ([`crate::lazy`]); `add_node` / `add_edge`
+//! drop them with the CSR, and a weight change keeps both.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -115,6 +129,9 @@ impl Csr {
     }
 }
 
+/// A node no label has been given yet, in [`Graph::flood`]'s tables.
+const UNLABELLED: u32 = u32::MAX;
+
 /// Panics, naming the count, unless `count` items of `width` `u32` ids or
 /// offsets each still fit a `u32`, where an `as` cast would wrap.
 fn assert_fits_u32(count: usize, width: usize, what: &str) {
@@ -139,6 +156,7 @@ pub struct Graph {
     nodes: u32,
     edges: Vec<Edge>,
     csr: OnceLock<Csr>,
+    regions: OnceLock<Box<[u32]>>,
     /// Times `csr` was derived (shared with clones): what the tests count.
     #[cfg(test)]
     pub(crate) csr_builds: std::sync::Arc<std::sync::atomic::AtomicUsize>,
@@ -178,6 +196,7 @@ impl Graph {
     pub fn add_node(&mut self) -> NodeId {
         assert_fits_u32(self.num_nodes() + 1, 1, "nodes");
         self.csr = OnceLock::new();
+        self.regions = OnceLock::new();
         self.nodes += 1;
         NodeId(self.nodes - 1)
     }
@@ -193,6 +212,7 @@ impl Graph {
         );
         assert_fits_u32(self.edges.len() + 1, 2, "edges");
         self.csr = OnceLock::new();
+        self.regions = OnceLock::new();
         self.edges.push(Edge { a, b, latency_ms });
         EdgeId(self.edges.len() as u32 - 1)
     }
@@ -233,12 +253,18 @@ impl Graph {
     /// it walked. The first call derives the adjacency.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, f64)> + '_ {
-        let csr = self.csr.get_or_init(|| {
+        let csr = self.csr();
+        csr.slots[csr.run(v)].iter().map(|s| (NodeId(s.to), EdgeId(s.edge), s.w))
+    }
+
+    /// The adjacency, derived by the first call.
+    #[inline]
+    fn csr(&self) -> &Csr {
+        self.csr.get_or_init(|| {
             #[cfg(test)]
             self.csr_builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             Csr::build(self.num_nodes(), &self.edges)
-        });
-        csr.slots[csr.run(v)].iter().map(|s| (NodeId(s.to), EdgeId(s.edge), s.w))
+        })
     }
 
     /// Returns true if every node can reach every other node.
@@ -248,18 +274,49 @@ impl Graph {
 
     /// Connected-component label of every node, numbered in order of each
     /// component's smallest node.
-    pub(crate) fn component_labels(&self) -> Vec<usize> {
-        let mut label = vec![usize::MAX; self.num_nodes()];
-        let mut next = 0;
-        for start in self.nodes() {
-            if label[start.index()] != usize::MAX {
+    pub(crate) fn component_labels(&self) -> Vec<u32> {
+        let mut label = vec![UNLABELLED; self.num_nodes()];
+        self.flood(&mut label, 0, |_| true);
+        label
+    }
+
+    /// The pendant-region label of every node (module docs): 0 for the
+    /// core, else its component of G − core, counted from 1. Derived by
+    /// the first call after the graph's last `add_node` / `add_edge`.
+    pub(crate) fn regions(&self) -> &[u32] {
+        self.regions.get_or_init(|| {
+            let bridges = self.bridges();
+            let mut label = vec![UNLABELLED; self.num_nodes()];
+            let classes = self.flood(&mut label, 0, |e| !bridges[e.index()]) as usize;
+            // Classes are numbered in order of their lowest vertex, so the
+            // first of the largest holds the lowest vertex id among them.
+            let mut size = vec![0u32; classes];
+            label.iter().for_each(|&c| size[c as usize] += 1);
+            let core = (0..classes).rev().max_by_key(|&c| size[c]).map_or(UNLABELLED, |c| c as u32);
+            for c in label.iter_mut() {
+                *c = if *c == core { 0 } else { UNLABELLED };
+            }
+            self.flood(&mut label, 1, |_| true);
+            label.into_boxed_slice()
+        })
+    }
+
+    /// Labels, by components over `passable` edges, every node `label`
+    /// still holds [`UNLABELLED`], counting from `first` in order of each
+    /// component's lowest node; labelled nodes are walls. Returns the next
+    /// unused label.
+    fn flood(&self, label: &mut [u32], first: u32, passable: impl Fn(EdgeId) -> bool) -> u32 {
+        let mut next = first;
+        let mut stack = Vec::new();
+        for start in 0..self.nodes {
+            if label[start as usize] != UNLABELLED {
                 continue;
             }
-            let mut stack = vec![start];
-            label[start.index()] = next;
+            label[start as usize] = next;
+            stack.push(NodeId(start));
             while let Some(v) = stack.pop() {
-                for (u, _, _) in self.neighbors(v) {
-                    if label[u.index()] == usize::MAX {
+                for (u, e, _) in self.neighbors(v) {
+                    if label[u.index()] == UNLABELLED && passable(e) {
                         label[u.index()] = next;
                         stack.push(u);
                     }
@@ -267,7 +324,57 @@ impl Graph {
             }
             next += 1;
         }
-        label
+        next
+    }
+
+    /// Which edges are bridges, by edge id: one iterative depth-first
+    /// low-link pass over the CSR. A search skips the tree edge it arrived
+    /// by, by id, so a parallel copy of it counts as the cycle it is, and a
+    /// self-loop leads back to its own vertex and lowers nothing.
+    fn bridges(&self) -> Vec<bool> {
+        let (n, csr) = (self.num_nodes(), self.csr());
+        let mut bridge = vec![false; self.num_edges()];
+        // `order[v]`: when the search reached `v`; `low[v]`: the earliest
+        // `order` that `v`'s subtree reaches by one non-tree edge.
+        let (mut order, mut low) = (vec![UNLABELLED; n], vec![0u32; n]);
+        // (vertex, the tree edge it was reached by, its next slot).
+        let mut path: Vec<(u32, u32, usize)> = Vec::new();
+        let mut clock = 0;
+        for root in 0..self.nodes {
+            if order[root as usize] != UNLABELLED {
+                continue;
+            }
+            (order[root as usize], low[root as usize]) = (clock, clock);
+            clock += 1;
+            path.push((root, u32::MAX, csr.offsets[root as usize] as usize));
+            while let Some((v, via, next)) = path.last_mut() {
+                let v = *v as usize;
+                if *next < csr.offsets[v + 1] as usize {
+                    let Slot { to, edge, .. } = csr.slots[*next];
+                    *next += 1;
+                    if edge == *via {
+                        continue;
+                    }
+                    let u = to as usize;
+                    if order[u] == UNLABELLED {
+                        (order[u], low[u]) = (clock, clock);
+                        clock += 1;
+                        path.push((to, edge, csr.offsets[u] as usize));
+                    } else {
+                        low[v] = low[v].min(order[u]);
+                    }
+                    continue;
+                }
+                let via = *via;
+                path.pop();
+                if let Some(&(parent, ..)) = path.last() {
+                    let parent = parent as usize;
+                    low[parent] = low[parent].min(low[v]);
+                    bridge[via as usize] = low[v] > order[parent];
+                }
+            }
+        }
+        bridge
     }
 
     /// Sum of all edge latencies; used by tests as a cheap fingerprint.
@@ -282,8 +389,10 @@ mod tests {
 
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use rand::Rng;
 
     use super::*;
+    use crate::topology::transit_stub::{generate, TransitStubConfig};
 
     fn builds(g: &Graph) -> usize {
         g.csr_builds.load(Ordering::Relaxed)
@@ -417,6 +526,144 @@ mod tests {
         assert_eq!(loop_weights, [30.0, 30.0]);
         assert_eq!(g.csr.get(), Some(&Csr::build(g.num_nodes(), g.edges())));
         assert_eq!(builds(&g), 1);
+    }
+
+    fn from_edges(n: usize, edges: &[(u32, u32)]) -> Graph {
+        let mut g = Graph::new(n);
+        for &(a, b) in edges {
+            g.add_edge(NodeId(a), NodeId(b), 1.0);
+        }
+        g
+    }
+
+    /// Checks `g.regions()` against a brute-force reading of the module
+    /// docs: an edge is a bridge iff removing it disconnects its ends; the
+    /// core is the largest class of the bridgeless graph, ties going to the
+    /// class holding the lowest vertex; two other vertices share a label iff
+    /// they are connected in G − core, labels counting from 1 in order of
+    /// lowest vertex; and each region touches the core through exactly one
+    /// edge if it lies in the core's component, else through none.
+    fn check_regions(g: &Graph) {
+        let n = g.num_nodes();
+        // Component labels of `g` with only the edges `keep` admits.
+        let components = |keep: &dyn Fn(usize, &Edge) -> bool| {
+            let mut h = Graph::new(n);
+            for (_, e) in g.edges().iter().enumerate().filter(|(i, e)| keep(*i, e)) {
+                h.add_edge(e.a, e.b, e.latency_ms);
+            }
+            h.component_labels()
+        };
+        let bridge: Vec<bool> = (0..g.num_edges())
+            .map(|i| {
+                let e = g.edge(EdgeId(i as u32));
+                let comp = components(&|j, _| j != i);
+                comp[e.a.index()] != comp[e.b.index()]
+            })
+            .collect();
+        let class = components(&|i, _| !bridge[i]);
+        let size = |c: u32| class.iter().filter(|&&x| x == c).count();
+        // The class of each vertex in turn: the first largest met holds the
+        // lowest vertex id among the largest.
+        let core =
+            class.iter().copied().reduce(|best, c| if size(c) > size(best) { c } else { best });
+        let in_core: Vec<bool> = class.iter().map(|&c| Some(c) == core).collect();
+        let rest = components(&|_, e| !in_core[e.a.index()] && !in_core[e.b.index()]);
+        let regions = g.regions();
+        assert_eq!(regions.len(), n);
+        let component = g.component_labels();
+        let mut expected = vec![0u32; n];
+        let mut seen = Vec::new();
+        for v in 0..n {
+            if in_core[v] {
+                continue;
+            }
+            if !seen.contains(&rest[v]) {
+                seen.push(rest[v]);
+            }
+            expected[v] = 1 + seen.iter().position(|&r| r == rest[v]).unwrap() as u32;
+        }
+        assert_eq!(regions, &expected[..]);
+        let core_component = (0..n).find(|&v| in_core[v]).map(|v| component[v]);
+        for label in 1..=seen.len() as u32 {
+            let touching = g
+                .edges()
+                .iter()
+                .filter(|e| {
+                    let (ra, rb) = (regions[e.a.index()], regions[e.b.index()]);
+                    (ra, rb) == (label, 0) || (ra, rb) == (0, label)
+                })
+                .count();
+            let member = regions.iter().position(|&r| r == label).unwrap();
+            let attached = Some(component[member]) == core_component;
+            assert_eq!(touching, usize::from(attached), "region {label}");
+        }
+    }
+
+    /// The labels on paths, trees, cycles joined by bridges (two of equal
+    /// size, in either id order), multigraphs, transit-stub graphs and
+    /// disconnected graphs.
+    #[test]
+    fn regions_label_the_core_and_the_regions_hanging_off_it() {
+        let path = from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(path.regions(), [0, 1, 1, 1], "every class is one vertex: the core is vertex 0");
+        // Two triangles and a bridge: the tie goes to the one holding 0.
+        let tied = from_edges(6, &[(1, 2), (2, 3), (3, 1), (4, 5), (5, 0), (0, 4), (3, 4)]);
+        assert_eq!(tied.regions(), [0, 1, 1, 1, 0, 0]);
+        // A parallel pair is a cycle; a self-loop is not.
+        let multi = from_edges(4, &[(0, 1), (1, 0), (1, 2), (2, 2), (2, 3)]);
+        assert_eq!(multi.regions(), [0, 0, 1, 1]);
+        // A square with a tail whose far end grows a triangle of its own.
+        let tail = from_edges(
+            9,
+            &[(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6), (6, 7), (7, 5)],
+        );
+        assert_eq!(tail.regions(), [0, 0, 0, 0, 1, 1, 1, 1, 2]);
+        let star_tree = from_edges(7, &[(3, 0), (3, 1), (3, 2), (0, 4), (4, 5), (1, 6)]);
+        assert_eq!(star_tree.regions(), [0, 1, 1, 1, 2, 2, 1], "a tree's core is vertex 0");
+        let mut graphs = vec![path, tied, multi, tail, star_tree, Graph::new(0), Graph::new(3)];
+        graphs.push(from_edges(7, &[(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)]));
+        for seed in [1, 7, 2005] {
+            let t = generate(&TransitStubConfig::with_total_nodes(200), seed);
+            let core: Vec<u32> =
+                t.transit_nodes().iter().map(|v| t.graph.regions()[v.index()]).collect();
+            assert!(core.iter().all(|&r| r == 0), "the backbone is the core");
+            assert_eq!(t.graph.regions().iter().filter(|&&r| r == 0).count(), core.len());
+            graphs.push(t.graph);
+        }
+        // Random forests and sparse multigraphs, a vertex or two isolated.
+        let mut rng = crate::rng::rng_from_seed(46);
+        for _ in 0..40 {
+            let n = rng.gen_range(1..24u32);
+            let mut g = Graph::new(n as usize + 1);
+            for v in 1..n {
+                if rng.gen_range(0..4) > 0 {
+                    g.add_edge(NodeId(v), NodeId(rng.gen_range(0..v)), 1.0);
+                }
+            }
+            for _ in 0..rng.gen_range(0..n / 2 + 1) {
+                g.add_edge(NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)), 1.0);
+            }
+            graphs.push(g);
+        }
+        for g in &graphs {
+            check_regions(g);
+        }
+    }
+
+    /// Labels are derived once, kept by a weight change and dropped with
+    /// the CSR by `add_edge` / `add_node`.
+    #[test]
+    fn regions_are_dropped_with_the_csr() {
+        let mut g = from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
+        assert_eq!(g.regions(), [0, 0, 0, 1]);
+        g.set_edge_latency(EdgeId(3), 7.0);
+        assert!(g.regions.get().is_some(), "a weight change keeps them");
+        g.add_edge(NodeId(3), NodeId(0), 1.0);
+        assert!(g.regions.get().is_none());
+        assert_eq!(g.regions(), [0, 0, 0, 0]);
+        g.add_node();
+        assert!(g.regions.get().is_none());
+        assert_eq!(g.regions(), [0, 0, 0, 0, 1]);
     }
 
     /// The representation the CSR replaced, as its reference: per-vertex

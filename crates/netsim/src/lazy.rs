@@ -172,9 +172,32 @@
 //! rounding, so the top key is at most `d[b] + ε`. Rounding can let a
 //! stale entry's key equal its vertex's improved one; the vertex then
 //! settles twice and relaxes nothing new the second time. Only vertices
-//! within ε of a shortest `a`–`b` path settle at all: on the routed
-//! benchmark's topology a read settles about 7 against about 377 for a
-//! bidirectional search.
+//! within ε of a shortest `a`–`b` path settle at all.
+//!
+//! **Scope.** Every search for `(a, b)` — both bidirectional phases, the
+//! backward catch-up and the goal-directed read — relaxes only into the
+//! vertices whose pendant-region label ([`crate::graph`]) is 0 (the core),
+//! `a`'s or `b`'s; the two completions relax into vertices the other side
+//! labelled, which lie in that set already. A region other than `a`'s and
+//! `b`'s touches the rest of the graph through one bridge, so no simple
+//! `a`–`b` path enters it, and every simple `a`–`b` path lies in the set.
+//! A walk is never below the simple path left by cutting out its cycles:
+//! adding a non-negative weight never lowers a fold-left sum, and the sum
+//! is monotone in where it starts. So the minimum fold-left sum over the
+//! walks of the induced subgraph is the minimum over the whole graph's,
+//! and each search above, run on that subgraph, serves
+//! `single_source(graph, a)[b]` bit for bit — the reverse too, the set
+//! being symmetric in `a` and `b`. The goal-directed potential is still the
+//! whole graph's row of `b`, a lower bound on every distance to `b` in the
+//! subgraph, which is all its argument uses. The labels live in the graph
+//! (4 B a node): the first search derives them, `add_node` / `add_edge`
+//! drop them with the adjacency and a weight change keeps them, so a
+//! provider that never runs a search never holds them. On a
+//! `routed-5k` benchmark pass (seed 2005, transit-stub, 4,672 nodes, each
+//! stub domain hanging off its router by one edge) the scope cut the
+//! settles of its 4,836 bidirectional searches from about 452 a search to
+//! about 45 (2,187,764 → 222,133 with the goal-directed ones), while its
+//! 408 goal-directed reads settle about 7 either way.
 //!
 //! `row_b[a]` itself is never served for `(a, b)`: it is the minimum of the
 //! fold-left sums from `b`, and summing a path's edges from the other end
@@ -251,6 +274,9 @@ pub struct LazyLatencyStats {
     /// [`PairReader`] reads its memo served: a pair it had read before, or
     /// the reverse of one of its bidirectional searches.
     pub pair_memo_hits: u64,
+    /// Vertices settled by [`PairReader`] searches, bidirectional and
+    /// goal-directed: the work their pair reads did.
+    pub pair_vertices_settled: u64,
     /// Rows currently resident.
     pub rows_cached: usize,
 }
@@ -514,6 +540,9 @@ pub struct LazyLatency {
     base_edges: Vec<(EdgeId, f64)>,
     capacity: Option<usize>,
     cache: RefCell<RowCache>,
+    /// Pair searches relax into every vertex, the scope's reference.
+    #[cfg(test)]
+    unscoped_pairs: bool,
 }
 
 impl LazyLatency {
@@ -535,6 +564,8 @@ impl LazyLatency {
             base_edges: Vec::new(),
             capacity,
             cache: RefCell::new(RowCache::new(n)),
+            #[cfg(test)]
+            unscoped_pairs: false,
         }
     }
 
@@ -903,14 +934,26 @@ impl PairReader<'_> {
         let current = cache.is_current(b);
         let RowCache { rows, pair, stats, .. } = cache;
         let pair = pair.get_or_insert_with(Box::default);
+        let regions = graph.regions();
+        let ends = [regions[a.index()], regions[b.index()]];
+        let scope = move |v: NodeId| {
+            let region = regions[v.index()];
+            region == 0 || region == ends[0] || region == ends[1]
+        };
+        #[cfg(test)]
+        let scope = {
+            let everywhere = self.lazy.unscoped_pairs;
+            move |v| everywhere || scope(v)
+        };
+        let settled = &mut stats.pair_vertices_settled;
         let value = match rows[b.index()].as_deref() {
             Some(to_b) if current => {
                 stats.pairs_goal_directed += 1;
-                pair.toward(graph, a, b, to_b)
+                pair.toward(graph, a, b, to_b, scope, settled)
             }
             resident => {
                 stats.pairs_searched += 1;
-                let (value, reverse) = pair.search(graph, a, b, resident.is_none());
+                let (value, reverse) = pair.search(graph, a, b, resident.is_none(), scope, settled);
                 if let Some(reverse) = reverse {
                     memo.insert((b.0, a.0), reverse);
                 }
@@ -954,7 +997,8 @@ impl Side {
 
     /// Runs this side's `settle` under `potential` until `stop`, relaxing
     /// into `in_scope` vertices only; each improvement goes on the
-    /// touched-list and to `seen` with its new label.
+    /// touched-list and to `seen` with its new label. Returns the number of
+    /// vertices settled.
     fn advance(
         &mut self,
         graph: &Graph,
@@ -962,13 +1006,13 @@ impl Side {
         stop: impl Fn(f64, NodeId) -> bool,
         in_scope: impl Fn(NodeId) -> bool,
         mut seen: impl FnMut(NodeId, f64),
-    ) {
+    ) -> u64 {
         let Side { dist, heap, touched } = self;
         let improve = |u: NodeId, _, _, d: f64| {
             touched.push(u.0);
             seen(u, d);
         };
-        settle(graph, dist, heap, potential, stop, |_, w| w, in_scope, improve);
+        settle(graph, dist, heap, potential, stop, |_, w| w, in_scope, improve) as u64
     }
 
     /// Restores the between-searches state through the touched-list.
@@ -1003,9 +1047,18 @@ impl PairScratch {
     /// `single_source(graph, a)[b]`, bit for bit, by the bidirectional
     /// search with the ε stop and the restricted forward completion the
     /// [module docs](self) describe; with `reverse`, also
-    /// `single_source(graph, b)[a]` by the mirrored completion. Requires
-    /// `a != b`.
-    fn search(&mut self, graph: &Graph, a: NodeId, b: NodeId, reverse: bool) -> (f64, Option<f64>) {
+    /// `single_source(graph, b)[a]` by the mirrored completion. Both sides
+    /// relax only into `scope`, which must hold every simple `a`–`b` path;
+    /// the vertices they settle are added to `settled`. Requires `a != b`.
+    fn search(
+        &mut self,
+        graph: &Graph,
+        a: NodeId,
+        b: NodeId,
+        reverse: bool,
+        scope: impl Fn(NodeId) -> bool + Copy,
+        settled: &mut u64,
+    ) -> (f64, Option<f64>) {
         let PairScratch { fwd, bwd } = self;
         fwd.begin(graph.num_nodes(), a, 0.0);
         bwd.begin(graph.num_nodes(), b, 0.0);
@@ -1024,18 +1077,19 @@ impl PairScratch {
             }
             if past(tf, tb) {
                 // The completion: the forward side alone, into the backward
-                // side's labelled vertices only, until `b` reaches its top.
-                let scope = |u| labelled(bwd, u);
-                fwd.advance(graph, NoPotential, |_, v| v == b, scope, |_, _| {});
+                // side's labelled vertices only (all in `scope`), until `b`
+                // reaches its top.
+                let into = |u| labelled(bwd, u);
+                *settled += fwd.advance(graph, NoPotential, |_, v| v == b, into, |_, _| {});
                 break (fwd.dist[b.index()], true);
             }
-            if tf <= tb {
+            *settled += if tf <= tb {
                 let stop = |d: f64, v| v == b || d > tb || past(d, tb);
-                fwd.advance(graph, NoPotential, stop, |_| true, |u, d| meet(&bwd.dist, u, d));
+                fwd.advance(graph, NoPotential, stop, scope, |u, d| meet(&bwd.dist, u, d))
             } else {
                 let stop = |d: f64, _| d > tf || past(tf, d);
-                bwd.advance(graph, NoPotential, stop, |_| true, |u, d| meet(&fwd.dist, u, d));
-            }
+                bwd.advance(graph, NoPotential, stop, scope, |u, d| meet(&fwd.dist, u, d))
+            };
         };
         let reverse = reverse.then(|| {
             if value == f64::INFINITY {
@@ -1043,15 +1097,16 @@ impl PairScratch {
             }
             if !crossed {
                 // `b` topped the forward heap first: the backward side
-                // catches up, unscoped, until the tops cross.
+                // catches up, over all of `scope`, until the tops cross.
                 let tf = fwd.top();
                 let stop = |d: f64, _| past(tf, d);
-                bwd.advance(graph, NoPotential, stop, |_| true, |u, d| meet(&fwd.dist, u, d));
+                *settled +=
+                    bwd.advance(graph, NoPotential, stop, scope, |u, d| meet(&fwd.dist, u, d));
             }
             if bwd.dist[a.index()] > bwd.top() {
                 // The mirrored completion.
-                let scope = |u| labelled(fwd, u);
-                bwd.advance(graph, NoPotential, |_, v| v == a, scope, |_, _| {});
+                let into = |u| labelled(fwd, u);
+                *settled += bwd.advance(graph, NoPotential, |_, v| v == a, into, |_, _| {});
             }
             bwd.dist[a.index()]
         });
@@ -1062,8 +1117,18 @@ impl PairScratch {
 
     /// `single_source(graph, a)[b]`, bit for bit, by the goal-directed
     /// search the [module docs](self) describe, `to_b` being `b`'s current
-    /// row. Requires `a != b`.
-    fn toward(&mut self, graph: &Graph, a: NodeId, b: NodeId, to_b: &[f64]) -> f64 {
+    /// row. It relaxes only into `scope`, which must hold every simple
+    /// `a`–`b` path, and adds the vertices it settles to `settled`.
+    /// Requires `a != b`.
+    fn toward(
+        &mut self,
+        graph: &Graph,
+        a: NodeId,
+        b: NodeId,
+        to_b: &[f64],
+        scope: impl Fn(NodeId) -> bool,
+        settled: &mut u64,
+    ) -> f64 {
         if to_b[a.index()] == f64::INFINITY {
             return f64::INFINITY; // another component
         }
@@ -1077,7 +1142,7 @@ impl PairScratch {
                 reached.set(d);
             }
         };
-        side.advance(graph, potential, stop, |_| true, seen);
+        *settled += side.advance(graph, potential, stop, scope, seen);
         side.end();
         reached.get()
     }
@@ -1109,6 +1174,8 @@ mod tests {
     use crate::topology::transit_stub::{generate, TransitStubConfig};
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::Rng;
     use std::sync::atomic::Ordering;
 
@@ -1638,10 +1705,10 @@ mod tests {
     /// 0 transit-stub; 1 an integer-weight grid (ties everywhere); 2 a
     /// random multigraph where a third of the edges weigh zero; 3 the same
     /// split into components plus isolated vertices (most pairs
-    /// unreachable).
+    /// unreachable); 4 pendant-heavy ([`pendant_graph`]).
     fn pair_test_graph(kind: u8, seed: u64) -> Graph {
         let mut rng = rng_from_seed(seed);
-        let weight = |rng: &mut rand::rngs::StdRng| {
+        let weight = |rng: &mut StdRng| {
             if rng.gen_range(0..3) == 0 {
                 0.0
             } else {
@@ -1657,6 +1724,7 @@ mod tests {
                 }
                 g
             }
+            4 => pendant_graph(&mut rng, weight),
             _ => {
                 let n = rng.gen_range(2..60u32);
                 let mut g = Graph::new(n as usize);
@@ -1677,11 +1745,62 @@ mod tests {
         }
     }
 
+    /// Pendant-heavy graphs, where the pair searches' scope cuts deepest:
+    /// one or two components, each a cycle — or two cycles of equal size
+    /// joined by a bridge, so the core is decided by the tie-break — with
+    /// cycles (a parallel pair and a lone vertex among them) and trees
+    /// hanging off it by one edge, off its pendants too, so regions have
+    /// bridges of their own; sometimes an isolated vertex. Every edge,
+    /// bridges included, weighs zero a third of the time; ids are shuffled.
+    fn pendant_graph(rng: &mut StdRng, weight: impl Fn(&mut StdRng) -> f64) -> Graph {
+        // `len` new vertices, after the `n` so far, as a cycle or a tree;
+        // returns the first.
+        fn grow(
+            edges: &mut Vec<(u32, u32)>,
+            n: &mut u32,
+            len: u32,
+            tree: bool,
+            rng: &mut StdRng,
+        ) -> u32 {
+            let first = *n;
+            *n += len;
+            for v in first + 1..*n {
+                edges.push((if tree { rng.gen_range(first..v) } else { v - 1 }, v));
+            }
+            if !tree && len > 1 {
+                edges.push((*n - 1, first)); // a parallel pair when `len` is 2
+            }
+            first
+        }
+        let (mut edges, mut n) = (Vec::new(), 0u32);
+        for _ in 0..rng.gen_range(1..3) {
+            let len = rng.gen_range(3..7);
+            let first = grow(&mut edges, &mut n, len, false, rng);
+            if rng.gen_bool(0.5) {
+                let twin = grow(&mut edges, &mut n, len, false, rng);
+                edges.push((rng.gen_range(first..twin), rng.gen_range(twin..n)));
+            }
+            for _ in 0..rng.gen_range(0..8) {
+                let at = rng.gen_range(first..n);
+                let (len, tree) = (rng.gen_range(1..5), rng.gen_bool(0.5));
+                let root = grow(&mut edges, &mut n, len, tree, rng);
+                edges.push((at, root));
+            }
+        }
+        let mut ids: Vec<u32> = (0..n + u32::from(rng.gen_bool(0.3))).collect();
+        ids.shuffle(rng);
+        let mut g = Graph::new(ids.len());
+        for (a, b) in edges {
+            g.add_edge(NodeId(ids[a as usize]), NodeId(ids[b as usize]), weight(rng));
+        }
+        g
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Pair reads are bit-identical to a fresh `single_source` row on
-        /// the current graph — over the four graph families, one reader per
+        /// the current graph — over the five graph families, one reader per
         /// delta batch (random `apply_edge_deltas` and
         /// `scale_edges_clamped`), through read sequences that mix fresh,
         /// reversed and repeated pairs, `a == b` and adjacent pairs, with
@@ -1693,7 +1812,7 @@ mod tests {
         /// a bidirectional search.
         #[test]
         fn latency_pair_equals_the_single_source_row(
-            kind in 0u8..4,
+            kind in 0u8..5,
             seed in 0u64..1_000_000,
             steps in vec((0u8..9, 0u32..1_000_000, 0u32..1_000_000), 1..60),
         ) {
@@ -1826,6 +1945,66 @@ mod tests {
             let goal = lazy.stats().pairs_goal_directed;
             assert_eq!(goal, (n as usize - receivers.len()) as u64 * receivers.len() as u64);
         }
+    }
+
+    /// The pair searches' scope, by work: on the `routed-5k` benchmark's
+    /// topology (8 × 8 backbone, 8 stub domains of 9 nodes a router, seed
+    /// 2005), a batch of cold reads between random stub nodes — each on a
+    /// fresh reader, its reverse from that reader's memo, then reads
+    /// toward resident receiver rows — serves bit-identical values with the
+    /// scope and with every vertex in it, the row's values, and settles at
+    /// least 5× fewer vertices.
+    #[test]
+    fn scoped_pair_reads_settle_a_fifth_of_the_unscoped_ones() {
+        let cfg = TransitStubConfig {
+            transit_domains: 8,
+            transit_nodes_per_domain: 8,
+            stub_domains_per_transit_node: 8,
+            stub_nodes_per_domain: 9,
+            ..Default::default()
+        };
+        let t = generate(&cfg, 2005);
+        let stubs = t.stub_nodes();
+        let mut rng = rng_from_seed(2005);
+        let mut draw = || *stubs.choose(&mut rng).expect("stub nodes");
+        let pairs: Vec<(NodeId, NodeId)> = (0..160).map(|_| (draw(), draw())).collect();
+        let receivers: Vec<NodeId> = (0..8).map(|_| draw()).collect();
+        let reads = |unscoped_pairs: bool| {
+            let lazy = LazyLatency { unscoped_pairs, ..LazyLatency::new(t.graph.clone()) };
+            let mut values = Vec::new();
+            for &(a, b) in &pairs {
+                let reader = lazy.pair_reader();
+                values.push([reader.latency(a, b), reader.latency(b, a)]);
+            }
+            lazy.ensure_rows(&receivers, None);
+            let reader = lazy.pair_reader();
+            for &(a, _) in &pairs {
+                values.extend(receivers.iter().map(|&r| [reader.latency(a, r), 0.0]));
+            }
+            let bits: Vec<[u64; 2]> = values.iter().map(|v| v.map(f64::to_bits)).collect();
+            (bits, lazy.stats())
+        };
+        let ((scoped, s), (unscoped, u)) = (reads(false), reads(true));
+        assert_eq!(scoped, unscoped);
+        assert_eq!(
+            (s.pairs_searched, s.pairs_goal_directed),
+            (u.pairs_searched, u.pairs_goal_directed)
+        );
+        assert!(s.pairs_searched > 150 && s.pairs_goal_directed > 1_000);
+        for (&(a, b), read) in pairs.iter().zip(&scoped).take(24) {
+            let (from_a, from_b) = (single_source(&t.graph, a), single_source(&t.graph, b));
+            assert_eq!(
+                *read,
+                [from_a[b.index()].to_bits(), from_b[a.index()].to_bits()],
+                "{a}<->{b}"
+            );
+        }
+        assert!(
+            s.pair_vertices_settled * 5 <= u.pair_vertices_settled,
+            "{} vertices settled in scope against {} without",
+            s.pair_vertices_settled,
+            u.pair_vertices_settled
+        );
     }
 
     /// The search buffers exist only once a search has run, and every

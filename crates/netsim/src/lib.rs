@@ -54,6 +54,8 @@
 //!   shortest-path relaxation reads the graph through. The adjacency is
 //!   one CSR with the weights inline, derived on the first search and
 //!   dropped by `add_node` / `add_edge`; an unsearched graph holds none.
+//!   Its pendant-region labels (the core, and what hangs off it by one
+//!   bridge) are derived by the first pair search and dropped with it.
 //! * [`dijkstra`] — the one relaxation loop and its pop order (key, then
 //!   node id, packed into one integer a heap entry): fresh rows, path
 //!   search, both repair phases, both sides of the bidirectional pair
@@ -68,8 +70,9 @@
 //!   that provider: a resident sender row, else its memo of the pairs it
 //!   already knows, else a goal-directed search toward a current receiver
 //!   row, else one bidirectional search, which also yields the reverse pair.
-//!   The borrow freezes the graph, so the memo lives exactly as long as the
-//!   reader.
+//!   Every search relaxes only into the core and the two endpoints' own
+//!   regions. The borrow freezes the graph, so the memo lives exactly as
+//!   long as the reader.
 //! * `sbon_overlay`'s `LatencyState` — one `LazyLatency` under either
 //!   backend (the dense one keeps every row resident from bring-up on), and
 //!   the reader each routed settle prices its messages with.

@@ -144,17 +144,21 @@ impl MapperState {
             [rs.messages, rs.lookups, rs.registrations, rs.timeouts]
         };
         let before = counts(m);
+        let pair_settles = || latency.provider().stats().pair_vertices_settled;
+        let settled_before = pair_settles();
         let pairs = latency.pair_reader();
         let link = |a: u32, b: u32| pairs(NodeId(a), NodeId(b));
         m.settle(at, &link);
         let after = counts(m);
         let [msgs, lookups, regs, timeouts] = std::array::from_fn(|i| after[i] - before[i]);
+        let settled = pair_settles() - settled_before;
         obs.point("routed.settle", || {
             vec![
                 ("messages", msgs.into()),
                 ("lookups", lookups.into()),
                 ("registrations", regs.into()),
                 ("timeouts", timeouts.into()),
+                ("settled", settled.into()),
             ]
         });
     }

@@ -5,11 +5,48 @@
 //! which [`all_pairs_latency`] materializes into a dense matrix. The network
 //! coordinate layer (`sbon-coords`) then embeds this matrix, and the cost
 //! space measures its embedding against it.
+//!
+//! # Rows, region by region
+//!
+//! Every row — [`single_source`], [`all_pairs_latency`], a
+//! [`crate::lazy::LazyLatency`] miss, its batch `ensure_rows` and its
+//! repair's in-place rebuild — comes from one kernel, `fill_rows`, over a
+//! batch of sources. It reads the graph's pendant regions ([`crate::graph`]:
+//! a core, and regions that each touch it through one bridge, or not at
+//! all) in two steps:
+//!
+//! 1. **Per source**, `settle` runs scoped to the core and the source's
+//!    own region (the core alone for a source in it).
+//! 2. **Per region**, in label order, for every source of the batch outside
+//!    it: the region's end of its bridge is seeded with the row's value at
+//!    the core end plus the bridge's current weight — unless that sum is
+//!    `INFINITY`, the core end being unreachable — and `settle` runs
+//!    unscoped. The only arc out of the region is the bridge back, which
+//!    cannot improve the core end, so the search stays inside.
+//!
+//! While step 2 walks one region for the whole batch, that region's
+//! adjacency stays in cache, and each heap holds one region's frontier, not
+//! the whole graph's.
+//!
+//! **Bit-identity.** With non-negative weights, float addition is monotone
+//! under rounding, so a row's value at `v` is the minimum over the paths to
+//! `v` of their fold-left sums, and no walk is below the simple path left by
+//! cutting out its cycles — whatever order a correct search relaxes edges
+//! in. Every simple path from the source to a vertex of the core or of its
+//! own region stays inside them (entering a third region leaves it by the
+//! bridge it came in on), so step 1 computes those values exactly. Every
+//! simple path into another region crosses its bridge, core end first, and
+//! its fold-left sum is monotone in the sum at the core end, which step 1
+//! left minimal; so the minimum over those paths is the minimum, from that
+//! seed, over walks inside the region — what step 2 computes. A region not
+//! touching the core lies in another component than the core; only a source
+//! inside it reaches it, in step 1. Each reachable vertex settles exactly
+//! once, as in the flat whole-graph search that is the tests' reference.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{EdgeId, Graph, NodeId, Regions};
 use crate::latency::LatencyMatrix;
 
 /// A heap entry: one `u128` packing `(key + 0.0).to_bits() << 32 | node`,
@@ -132,29 +169,67 @@ pub(crate) fn settle(
     settled
 }
 
+/// The rows of a batch of sources, region by region ([module
+/// docs](self)): overwrites all of `rows[i]` with the shortest-path
+/// latencies from `sources[i]` (`INFINITY` where unreachable), through
+/// `heap` (empty on entry and on return). Sources may repeat. Returns the
+/// number of vertices settled: each row's reachable ones, once each.
+pub(crate) fn fill_rows<R: AsMut<[f64]>>(
+    graph: &Graph,
+    sources: &[NodeId],
+    rows: &mut [R],
+    heap: &mut BinaryHeap<HeapEntry>,
+) -> usize {
+    assert_eq!(sources.len(), rows.len(), "one row a source");
+    let Regions { label, bridges } = graph.regions();
+    // Every search runs to an empty heap, reads weights as they are and
+    // keeps no predecessors.
+    let (never, current, ignore) = (|_, _| false, |_, w| w, |_, _, _, _| {});
+    let mut settled = 0;
+    for (&src, row) in sources.iter().zip(rows.iter_mut()) {
+        let row = row.as_mut();
+        row.fill(f64::INFINITY);
+        row[src.index()] = 0.0;
+        heap.push(HeapEntry::new(0.0, src));
+        let own = label[src.index()];
+        let scope = |u: NodeId| {
+            let region = label[u.index()];
+            region == 0 || region == own
+        };
+        settled += settle(graph, row, heap, NoPotential, never, current, scope, ignore);
+    }
+    for bridge in bridges.iter() {
+        let (region, w) = (label[bridge.end.index()], graph.edge(bridge.edge).latency_ms);
+        for (&src, row) in sources.iter().zip(rows.iter_mut()) {
+            if label[src.index()] == region {
+                continue; // step 1 settled it
+            }
+            let row = row.as_mut();
+            let seed = row[bridge.core.index()] + w;
+            if seed < f64::INFINITY {
+                row[bridge.end.index()] = seed;
+                heap.push(HeapEntry::new(seed, bridge.end));
+                settled += settle(graph, row, heap, NoPotential, never, current, |_| true, ignore);
+            }
+        }
+    }
+    settled
+}
+
+/// [`fill_rows`] into fresh rows, one a source, in order.
+pub(crate) fn rows(graph: &Graph, sources: &[NodeId]) -> Vec<Box<[f64]>> {
+    let mut rows = vec![vec![0.0; graph.num_nodes()].into_boxed_slice(); sources.len()];
+    fill_rows(graph, sources, &mut rows, &mut BinaryHeap::new());
+    rows
+}
+
 /// Single-source shortest path latencies from `src`.
 ///
 /// Unreachable nodes get `f64::INFINITY`.
 pub fn single_source(graph: &Graph, src: NodeId) -> Vec<f64> {
-    let n = graph.num_nodes();
-    let mut dist = vec![0.0; n];
-    fill_single_source(graph, src, &mut dist, &mut BinaryHeap::with_capacity(n));
-    dist
-}
-
-/// [`single_source`] into a row the caller owns: overwrites all of `dist`
-/// through `heap` (empty on entry and on return). Row repair rebuilds a
-/// cached row in place with it.
-pub(crate) fn fill_single_source(
-    graph: &Graph,
-    src: NodeId,
-    dist: &mut [f64],
-    heap: &mut BinaryHeap<HeapEntry>,
-) {
-    dist.fill(f64::INFINITY);
-    dist[src.index()] = 0.0;
-    heap.push(HeapEntry::new(0.0, src));
-    settle(graph, dist, heap, NoPotential, |_, _| false, |_, w| w, |_| true, |_, _, _, _| {});
+    let mut row = vec![0.0; graph.num_nodes()];
+    fill_rows(graph, &[src], std::slice::from_mut(&mut row), &mut BinaryHeap::new());
+    row
 }
 
 /// Shortest path from `src` to `dst` as the edges it walks, in order from
@@ -187,20 +262,178 @@ pub fn shortest_path(graph: &Graph, src: NodeId, dst: NodeId) -> Option<Vec<Edge
     Some(path)
 }
 
-/// Materializes the all-pairs shortest-path latency matrix.
+/// Materializes the all-pairs shortest-path latency matrix: one
+/// `fill_rows` batch over every node.
 ///
 /// O(n · (m log n)); fine for the paper's 600-node scale and the ≤2000-node
 /// sweeps in the bench harness.
 pub fn all_pairs_latency(graph: &Graph) -> LatencyMatrix {
-    LatencyMatrix::from_rows(graph.nodes().map(|v| single_source(graph, v)).collect())
+    let n = graph.num_nodes();
+    let mut rows = vec![vec![0.0; n]; n];
+    let sources: Vec<NodeId> = graph.nodes().collect();
+    fill_rows(graph, &sources, &mut rows, &mut BinaryHeap::new());
+    LatencyMatrix::from_rows(rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::latency::LatencyProvider;
+    use crate::lazy::tests::pair_test_graph;
+    use crate::rng::rng_from_seed;
+    use crate::topology::transit_stub::{generate, TransitStubConfig};
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use rand::Rng;
+
+    /// The row loop [`fill_rows`] replaced, as its reference: one flat
+    /// search over the whole graph through one graph-wide heap. Returns the
+    /// row and the vertices it settled.
+    fn flat_row(graph: &Graph, src: NodeId) -> (Vec<f64>, usize) {
+        let mut dist = vec![f64::INFINITY; graph.num_nodes()];
+        let mut heap = BinaryHeap::new();
+        dist[src.index()] = 0.0;
+        heap.push(HeapEntry::new(0.0, src));
+        let none = |_, _, _, _| {};
+        let settled = settle(
+            graph,
+            &mut dist,
+            &mut heap,
+            NoPotential,
+            |_, _| false,
+            |_, w| w,
+            |_| true,
+            none,
+        );
+        (dist, settled)
+    }
+
+    /// A transit-stub graph whose stub domains (5 to 11 nodes) outnumber
+    /// its 4 routers, so the largest 2-edge-connected class is a stub
+    /// domain; with `apart`, plus a small component of its own (a cycle
+    /// with a tail) that no bridge joins to the core, from the returned
+    /// vertex id on.
+    fn stub_heavy_graph(seed: u64, apart: bool) -> (Graph, u32) {
+        let mut rng = rng_from_seed(seed);
+        let cfg = TransitStubConfig {
+            transit_domains: 2,
+            transit_nodes_per_domain: 2,
+            stub_domains_per_transit_node: 2,
+            stub_nodes_per_domain: rng.gen_range(5..12),
+            ..TransitStubConfig::default()
+        };
+        let mut g = generate(&cfg, seed).graph;
+        let first = g.num_nodes() as u32;
+        if apart {
+            let len = rng.gen_range(1..6u32);
+            (0..len + 2).for_each(|_| _ = g.add_node());
+            for v in first..first + len {
+                let next = if v + 1 == first + len { first } else { v + 1 };
+                g.add_edge(NodeId(v), NodeId(next), rng.gen_range(0.5..9.0));
+            }
+            g.add_edge(NodeId(first), NodeId(first + len), rng.gen_range(0.5..9.0));
+            g.add_edge(NodeId(first + len), NodeId(first + len + 1), 0.0);
+        }
+        (g, first)
+    }
+
+    /// A batch of `len` sources on `g`: random vertices, core vertices,
+    /// vertices of the previous source's region, repeats of it, and — when
+    /// the graph has vertices after `small_from` — vertices of its small
+    /// component.
+    fn batch(g: &Graph, len: usize, small_from: u32, rng: &mut impl Rng) -> Vec<NodeId> {
+        let (n, label) = (g.num_nodes() as u32, &g.regions().label);
+        let pick = |rng: &mut dyn rand::RngCore, want: &dyn Fn(u32) -> bool| {
+            let hits: Vec<u32> = (0..n).filter(|&v| want(v)).collect();
+            (!hits.is_empty()).then(|| NodeId(hits[rng.gen_range(0..hits.len())]))
+        };
+        let mut sources: Vec<NodeId> = Vec::with_capacity(len);
+        while sources.len() < len {
+            let last = sources.last().copied().unwrap_or(NodeId(0));
+            let source = match rng.gen_range(0..5) {
+                0 => pick(rng, &|v| label[v as usize] == 0),
+                1 => pick(rng, &|v| label[v as usize] == label[last.index()]),
+                2 => sources.last().copied(),
+                3 => pick(rng, &|v| v >= small_from),
+                _ => Some(NodeId(rng.gen_range(0..n))),
+            };
+            sources.extend(source);
+        }
+        sources
+    }
+
+    /// Asserts `fill_rows` over `sources` equals the flat reference bit for
+    /// bit, row by row, and settles exactly the vertices it does.
+    fn same_as_flat(g: &Graph, sources: &[NodeId]) -> Result<(), TestCaseError> {
+        let mut rows = vec![vec![f64::NAN; g.num_nodes()]; sources.len()];
+        let mut heap = BinaryHeap::new();
+        let settled = fill_rows(g, sources, &mut rows, &mut heap);
+        prop_assert!(heap.is_empty());
+        let mut flat_settled = 0;
+        for (&src, row) in sources.iter().zip(&rows) {
+            let (flat, count) = flat_row(g, src);
+            flat_settled += count;
+            let bits = |r: &[f64]| r.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!((src, bits(row)), (src, bits(&flat)));
+        }
+        prop_assert_eq!(settled, flat_settled);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// The region-by-region kernel is bit-identical to the flat
+        /// whole-graph search, and settles exactly what it settles, on the
+        /// five pair-read graph families, stub-heavy transit-stub graphs
+        /// (alone, or beside a small component no bridge reaches), with
+        /// every zero weight read as `-0.0` half the time — before and
+        /// after random `set_edge_latency` changes that take bridges to
+        /// and from zero after the regions were derived. Batches of 1 to 9
+        /// sources mix core vertices, vertices sharing a region, repeats
+        /// and vertices of a small component.
+        #[test]
+        fn region_rows_equal_the_flat_reference(
+            kind in 0u8..7,
+            seed in 0u64..1_000_000,
+            negative_zero in 0u8..2,
+            changes in 0usize..12,
+        ) {
+            let (mut g, small_from) = match kind {
+                5 | 6 => stub_heavy_graph(seed, kind == 6),
+                _ => {
+                    let g = pair_test_graph(kind, seed);
+                    let n = g.num_nodes() as u32;
+                    (g, n)
+                }
+            };
+            let zero = if negative_zero == 1 { -0.0 } else { 0.0 };
+            for e in 0..g.num_edges() as u32 {
+                if g.edge(EdgeId(e)).latency_ms == 0.0 {
+                    g.set_edge_latency(EdgeId(e), zero);
+                }
+            }
+            let mut rng = rng_from_seed(seed ^ 0x47);
+            if g.num_nodes() == 0 {
+                return Ok(());
+            }
+            let len = rng.gen_range(1..10);
+            same_as_flat(&g, &batch(&g, len, small_from, &mut rng))?;
+            let bridges: Vec<EdgeId> = g.regions().bridges.iter().map(|b| b.edge).collect();
+            for _ in 0..changes {
+                let m = g.num_edges() as u32;
+                let e = match rng.gen_range(0..2) {
+                    0 if !bridges.is_empty() => bridges[rng.gen_range(0..bridges.len())],
+                    _ if m > 0 => EdgeId(rng.gen_range(0..m)),
+                    _ => continue,
+                };
+                let w = if rng.gen_range(0..3) == 0 { zero } else { rng.gen_range(0.1..40.0) };
+                g.set_edge_latency(e, w);
+            }
+            let len = rng.gen_range(1..10);
+            same_as_flat(&g, &batch(&g, len, small_from, &mut rng))?;
+        }
+    }
 
     fn line_graph() -> Graph {
         // 0 -1ms- 1 -2ms- 2 -4ms- 3

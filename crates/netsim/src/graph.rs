@@ -12,19 +12,35 @@
 //! unchanged. Searched: 48 B an edge + 4 B a node. Ids and offsets are
 //! `u32`; a count past that panics before anything is mutated.
 //!
-//! The graph also derives its **pendant regions**, 4 B a node once
-//! derived: label 0 for the *core* — the largest 2-edge-connected class,
-//! ties going to the class that holds the lowest vertex id — and for every
-//! other vertex `1 +` the index of its component of G − core, numbered in
-//! order of each component's lowest vertex. A
-//! region in the core's component touches the core through exactly one
-//! edge, a bridge (two would close a cycle through the core, and their
-//! ends would be in it); a region in another component touches it through
-//! none. So a simple path between two vertices stays inside the core and
-//! their own regions: entering any third region leaves it by the bridge it
-//! came in on. One bridge pass over the CSR derives the labels, on the
-//! first point-to-point search ([`crate::lazy`]); `add_node` / `add_edge`
-//! drop them with the CSR, and a weight change keeps both.
+//! The graph also derives its **pendant regions**: label 0 for the
+//! *core*, one 2-edge-connected class, and for every other vertex `1 +`
+//! the index of its component of G − core, numbered in order of each
+//! component's lowest vertex. A region in the core's component touches
+//! the core through exactly one edge, a bridge (two would close a cycle
+//! through the core, and their ends would be in it); a region in another
+//! component touches it through none. So a simple path between two
+//! vertices stays inside the core and their own regions: entering any
+//! third region leaves it by the bridge it came in on.
+//!
+//! The core is the **weighted centroid of the bridge forest** (the classes
+//! as its nodes, weighing their vertex counts; the bridges as its edges):
+//! the class whose removal leaves the smallest largest region, ties going
+//! to the class that holds the lowest vertex id. A search reaches past the
+//! core only into the regions it must — its endpoints' own ([`crate::lazy`])
+//! or, for a row, each region once from its bridge ([`crate::dijkstra`]) —
+//! so what bounds it is the largest region. The largest class is no
+//! centroid: on a transit-stub graph whose stub domains outnumber its
+//! backbone routers (43 against 16 at 2,048 nodes, 195 against 64 at 100k)
+//! it picks a stub domain, and the backbone with every other stub domain
+//! becomes one region holding nearly the whole graph.
+//!
+//! With the labels (4 B a node) the graph derives each touching region's
+//! bridge as (core end, region end, edge id), 12 B a region. One bridge
+//! pass over the CSR and one pass over the class forest derive both, on
+//! the first row or point-to-point search; their temporaries (1 B an edge
+//! and at most a few dozen bytes a node) are freed before it returns.
+//! `add_node` / `add_edge` drop the regions with the CSR, and a weight
+//! change keeps both: the table holds no weight.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -132,6 +148,27 @@ impl Csr {
 /// A node no label has been given yet, in [`Graph::flood`]'s tables.
 const UNLABELLED: u32 = u32::MAX;
 
+/// The pendant regions of a graph (module docs).
+#[derive(Clone, Debug)]
+pub(crate) struct Regions {
+    /// Each vertex's label: 0 for the core, else its region, from 1.
+    pub(crate) label: Box<[u32]>,
+    /// The bridge of every region that touches the core, in label order:
+    /// every region of the core's component, and no other.
+    pub(crate) bridges: Box<[Bridge]>,
+}
+
+/// The one edge between a region and the core.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Bridge {
+    /// Its end in the core.
+    pub(crate) core: NodeId,
+    /// Its end in the region.
+    pub(crate) end: NodeId,
+    /// The edge, whose current weight the graph's edge table holds.
+    pub(crate) edge: EdgeId,
+}
+
 /// Panics, naming the count, unless `count` items of `width` `u32` ids or
 /// offsets each still fit a `u32`, where an `as` cast would wrap.
 fn assert_fits_u32(count: usize, width: usize, what: &str) {
@@ -156,10 +193,13 @@ pub struct Graph {
     nodes: u32,
     edges: Vec<Edge>,
     csr: OnceLock<Csr>,
-    regions: OnceLock<Box<[u32]>>,
+    regions: OnceLock<Regions>,
     /// Times `csr` was derived (shared with clones): what the tests count.
     #[cfg(test)]
     pub(crate) csr_builds: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    /// Times `regions` was derived, likewise.
+    #[cfg(test)]
+    pub(crate) region_builds: std::sync::Arc<std::sync::atomic::AtomicUsize>,
 }
 
 impl Graph {
@@ -280,25 +320,115 @@ impl Graph {
         label
     }
 
-    /// The pendant-region label of every node (module docs): 0 for the
-    /// core, else its component of G − core, counted from 1. Derived by
-    /// the first call after the graph's last `add_node` / `add_edge`.
-    pub(crate) fn regions(&self) -> &[u32] {
+    /// The pendant regions (module docs): each node's label, 0 for the
+    /// core, else its component of G − core, counted from 1; and the bridge
+    /// of each region touching the core. Derived by the first call after
+    /// the graph's last `add_node` / `add_edge`.
+    pub(crate) fn regions(&self) -> &Regions {
         self.regions.get_or_init(|| {
-            let bridges = self.bridges();
+            #[cfg(test)]
+            self.region_builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             let mut label = vec![UNLABELLED; self.num_nodes()];
-            let classes = self.flood(&mut label, 0, |e| !bridges[e.index()]) as usize;
-            // Classes are numbered in order of their lowest vertex, so the
-            // first of the largest holds the lowest vertex id among them.
-            let mut size = vec![0u32; classes];
-            label.iter().for_each(|&c| size[c as usize] += 1);
-            let core = (0..classes).rev().max_by_key(|&c| size[c]).map_or(UNLABELLED, |c| c as u32);
+            let classes = {
+                let bridges = self.bridges();
+                self.flood(&mut label, 0, |e| !bridges[e.index()]) as usize
+            };
+            let core = self.centroid(&label, classes);
             for c in label.iter_mut() {
                 *c = if *c == core { 0 } else { UNLABELLED };
             }
             self.flood(&mut label, 1, |_| true);
-            label.into_boxed_slice()
+            let mut bridges: Vec<Bridge> = (self.edges.iter().zip(0..))
+                .filter_map(|(e, id)| match (label[e.a.index()], label[e.b.index()]) {
+                    (0, r) if r != 0 => Some(Bridge { core: e.a, end: e.b, edge: EdgeId(id) }),
+                    (r, 0) if r != 0 => Some(Bridge { core: e.b, end: e.a, edge: EdgeId(id) }),
+                    _ => None,
+                })
+                .collect();
+            bridges.sort_unstable_by_key(|b| label[b.end.index()]);
+            Regions { label: label.into_boxed_slice(), bridges: bridges.into_boxed_slice() }
         })
+    }
+
+    /// The core among the `classes` 2-edge-connected classes `class`
+    /// labels, numbered in order of their lowest vertex (module docs).
+    /// An edge between two classes is a bridge, so they form a forest;
+    /// rooted at its lowest class, removing class `c` from a tree leaves
+    /// `c`'s child subtrees, the rest of its tree and every other tree.
+    fn centroid(&self, class: &[u32], classes: usize) -> u32 {
+        // The forest's adjacency, by counting sort.
+        let bridges = || {
+            let ends = self.edges.iter().map(|e| (class[e.a.index()], class[e.b.index()]));
+            ends.filter(|(a, b)| a != b)
+        };
+        let mut offsets = vec![0u32; classes + 1];
+        for (a, b) in bridges() {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
+        }
+        for c in 0..classes {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut next = offsets.clone();
+        let mut adjacent = vec![0u32; offsets[classes] as usize];
+        for (a, b) in bridges() {
+            for (at, to) in [(a, b), (b, a)] {
+                adjacent[next[at as usize] as usize] = to;
+                next[at as usize] += 1;
+            }
+        }
+        // Each tree breadth-first from its lowest class: `root` marks the
+        // classes reached, `order` lists them parents first.
+        let (mut root, mut parent) = (vec![UNLABELLED; classes], vec![0u32; classes]);
+        let mut order: Vec<u32> = Vec::with_capacity(classes);
+        for r in 0..classes as u32 {
+            if root[r as usize] != UNLABELLED {
+                continue;
+            }
+            (root[r as usize], parent[r as usize]) = (r, r);
+            let mut at = order.len();
+            order.push(r);
+            while let Some(&c) = order.get(at) {
+                at += 1;
+                let c = c as usize;
+                for &d in &adjacent[offsets[c] as usize..offsets[c + 1] as usize] {
+                    if root[d as usize] == UNLABELLED {
+                        (root[d as usize], parent[d as usize]) = (r, c as u32);
+                        order.push(d);
+                    }
+                }
+            }
+        }
+        // `weight[c]`: the vertices of `c`'s subtree; `heaviest[c]`: those
+        // of its heaviest child subtree.
+        let mut weight = vec![0u32; classes];
+        class.iter().for_each(|&c| weight[c as usize] += 1);
+        let mut heaviest = vec![0u32; classes];
+        for &c in order.iter().rev() {
+            let (c, p) = (c as usize, parent[c as usize] as usize);
+            if p != c {
+                weight[p] += weight[c];
+                heaviest[p] = heaviest[p].max(weight[c]);
+            }
+        }
+        // The heaviest tree (the lowest root among equals) and the weight
+        // of the heaviest other one.
+        let (mut first, mut second) = ((0, UNLABELLED), 0);
+        for r in (0..classes as u32).filter(|&r| root[r as usize] == r) {
+            let w = weight[r as usize];
+            if w > first.0 {
+                (first, second) = ((w, r), first.0);
+            } else if w > second {
+                second = w;
+            }
+        }
+        let largest_left = |c: usize| {
+            let other_trees = if root[c] == first.1 { second } else { first.0 };
+            let above = weight[root[c] as usize] - weight[c];
+            above.max(heaviest[c]).max(other_trees)
+        };
+        // `min_by_key` keeps the first of equals: the lowest class.
+        (0..classes).min_by_key(|&c| largest_left(c)).map_or(UNLABELLED, |c| c as u32)
     }
 
     /// Labels, by components over `passable` edges, every node `label`
@@ -538,11 +668,11 @@ mod tests {
 
     /// Checks `g.regions()` against a brute-force reading of the module
     /// docs: an edge is a bridge iff removing it disconnects its ends; the
-    /// core is the largest class of the bridgeless graph, ties going to the
-    /// class holding the lowest vertex; two other vertices share a label iff
+    /// core is the class of the bridgeless graph whose removal from `g`
+    /// leaves the smallest largest component, ties going to the class
+    /// holding the lowest vertex; two other vertices share a label iff
     /// they are connected in G − core, labels counting from 1 in order of
-    /// lowest vertex; and each region touches the core through exactly one
-    /// edge if it lies in the core's component, else through none.
+    /// lowest vertex; and [`check_bridge_table`].
     fn check_regions(g: &Graph) {
         let n = g.num_nodes();
         // Component labels of `g` with only the edges `keep` admits.
@@ -561,16 +691,27 @@ mod tests {
             })
             .collect();
         let class = components(&|i, _| !bridge[i]);
-        let size = |c: u32| class.iter().filter(|&&x| x == c).count();
-        // The class of each vertex in turn: the first largest met holds the
-        // lowest vertex id among the largest.
-        let core =
-            class.iter().copied().reduce(|best, c| if size(c) > size(best) { c } else { best });
+        // The largest component left by removing class `c`: its vertices
+        // and every edge touching them.
+        let largest_left = |c: u32| {
+            let rest = components(&|_, e| class[e.a.index()] != c && class[e.b.index()] != c);
+            let mut size = vec![0usize; n];
+            (0..n).filter(|&v| class[v] != c).for_each(|v| size[rest[v] as usize] += 1);
+            size.into_iter().max().unwrap_or(0)
+        };
+        // The class of each vertex in turn: the first smallest met holds
+        // the lowest vertex id among the smallest.
+        let core = class.iter().copied().reduce(|best, c| {
+            if largest_left(c) < largest_left(best) {
+                c
+            } else {
+                best
+            }
+        });
         let in_core: Vec<bool> = class.iter().map(|&c| Some(c) == core).collect();
         let rest = components(&|_, e| !in_core[e.a.index()] && !in_core[e.b.index()]);
-        let regions = g.regions();
+        let regions = &g.regions().label;
         assert_eq!(regions.len(), n);
-        let component = g.component_labels();
         let mut expected = vec![0u32; n];
         let mut seen = Vec::new();
         for v in 0..n {
@@ -582,53 +723,82 @@ mod tests {
             }
             expected[v] = 1 + seen.iter().position(|&r| r == rest[v]).unwrap() as u32;
         }
-        assert_eq!(regions, &expected[..]);
-        let core_component = (0..n).find(|&v| in_core[v]).map(|v| component[v]);
-        for label in 1..=seen.len() as u32 {
-            let touching = g
-                .edges()
-                .iter()
-                .filter(|e| {
+        assert_eq!(&regions[..], &expected[..]);
+        check_bridge_table(g);
+    }
+
+    /// Each region touches the core through exactly one edge if it lies in
+    /// the core's component, else through none; and the bridge table lists
+    /// that edge, core end first, for each region that has one, in label
+    /// order.
+    fn check_bridge_table(g: &Graph) {
+        let Regions { label: regions, bridges } = g.regions();
+        let component = g.component_labels();
+        let core_component = regions.iter().position(|&r| r == 0).map(|v| component[v]);
+        let mut table = Vec::new();
+        for label in 1..=regions.iter().max().copied().unwrap_or(0) {
+            let touching: Vec<Bridge> = (g.edges().iter().zip(0..))
+                .filter_map(|(e, id)| {
                     let (ra, rb) = (regions[e.a.index()], regions[e.b.index()]);
-                    (ra, rb) == (label, 0) || (ra, rb) == (0, label)
+                    let edge = EdgeId(id);
+                    match (ra, rb) {
+                        (0, r) if r == label => Some(Bridge { core: e.a, end: e.b, edge }),
+                        (r, 0) if r == label => Some(Bridge { core: e.b, end: e.a, edge }),
+                        _ => None,
+                    }
                 })
-                .count();
+                .collect();
             let member = regions.iter().position(|&r| r == label).unwrap();
             let attached = Some(component[member]) == core_component;
-            assert_eq!(touching, usize::from(attached), "region {label}");
+            assert_eq!(touching.len(), usize::from(attached), "region {label}");
+            table.extend(touching);
         }
+        assert_eq!(&bridges[..], &table[..]);
     }
 
     /// The labels on paths, trees, cycles joined by bridges (two of equal
-    /// size, in either id order), multigraphs, transit-stub graphs and
-    /// disconnected graphs.
+    /// size, in either id order), multigraphs, transit-stub graphs — at
+    /// 2,048 nodes too, where its 43-node stub domains outnumber the 16
+    /// routers — and disconnected graphs.
     #[test]
     fn regions_label_the_core_and_the_regions_hanging_off_it() {
         let path = from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(path.regions(), [0, 1, 1, 1], "every class is one vertex: the core is vertex 0");
+        assert_eq!(
+            &*path.regions().label,
+            [1, 0, 2, 2],
+            "removing 1 or 2 leaves two vertices together: the tie goes to 1"
+        );
         // Two triangles and a bridge: the tie goes to the one holding 0.
         let tied = from_edges(6, &[(1, 2), (2, 3), (3, 1), (4, 5), (5, 0), (0, 4), (3, 4)]);
-        assert_eq!(tied.regions(), [0, 1, 1, 1, 0, 0]);
+        assert_eq!(&*tied.regions().label, [0, 1, 1, 1, 0, 0]);
         // A parallel pair is a cycle; a self-loop is not.
         let multi = from_edges(4, &[(0, 1), (1, 0), (1, 2), (2, 2), (2, 3)]);
-        assert_eq!(multi.regions(), [0, 0, 1, 1]);
+        assert_eq!(&*multi.regions().label, [0, 0, 1, 1]);
         // A square with a tail whose far end grows a triangle of its own.
         let tail = from_edges(
             9,
             &[(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6), (6, 7), (7, 5)],
         );
-        assert_eq!(tail.regions(), [0, 0, 0, 0, 1, 1, 1, 1, 2]);
+        assert_eq!(&*tail.regions().label, [0, 0, 0, 0, 1, 1, 1, 1, 2]);
         let star_tree = from_edges(7, &[(3, 0), (3, 1), (3, 2), (0, 4), (4, 5), (1, 6)]);
-        assert_eq!(star_tree.regions(), [0, 1, 1, 1, 2, 2, 1], "a tree's core is vertex 0");
+        assert_eq!(&*star_tree.regions().label, [1, 2, 3, 0, 1, 1, 2], "the tree's centroid is 3");
         let mut graphs = vec![path, tied, multi, tail, star_tree, Graph::new(0), Graph::new(3)];
         graphs.push(from_edges(7, &[(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)]));
-        for seed in [1, 7, 2005] {
-            let t = generate(&TransitStubConfig::with_total_nodes(200), seed);
-            let core: Vec<u32> =
-                t.transit_nodes().iter().map(|v| t.graph.regions()[v.index()]).collect();
+        for (nodes, seed) in [(200, 1), (200, 7), (200, 2005), (2048, 2005)] {
+            let t = generate(&TransitStubConfig::with_total_nodes(nodes), seed);
+            let Regions { label, bridges } = t.graph.regions();
+            let core: Vec<u32> = t.transit_nodes().iter().map(|v| label[v.index()]).collect();
             assert!(core.iter().all(|&r| r == 0), "the backbone is the core");
-            assert_eq!(t.graph.regions().iter().filter(|&&r| r == 0).count(), core.len());
-            graphs.push(t.graph);
+            assert_eq!(label.iter().filter(|&&r| r == 0).count(), core.len());
+            let regions = label.iter().max().copied().unwrap_or(0) as usize;
+            assert_eq!(bridges.len(), regions, "every stub domain hangs off the core");
+            if nodes > 200 {
+                // 43-node stub domains against 16 routers: the largest class
+                // would be a stub domain. Too large for the brute force.
+                check_bridge_table(&t.graph);
+            } else {
+                graphs.push(t.graph);
+            }
         }
         // Random forests and sparse multigraphs, a vertex or two isolated.
         let mut rng = crate::rng::rng_from_seed(46);
@@ -655,15 +825,15 @@ mod tests {
     #[test]
     fn regions_are_dropped_with_the_csr() {
         let mut g = from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        assert_eq!(g.regions(), [0, 0, 0, 1]);
+        assert_eq!(&*g.regions().label, [0, 0, 0, 1]);
         g.set_edge_latency(EdgeId(3), 7.0);
         assert!(g.regions.get().is_some(), "a weight change keeps them");
         g.add_edge(NodeId(3), NodeId(0), 1.0);
         assert!(g.regions.get().is_none());
-        assert_eq!(g.regions(), [0, 0, 0, 0]);
+        assert_eq!(&*g.regions().label, [0, 0, 0, 0]);
         g.add_node();
         assert!(g.regions.get().is_none());
-        assert_eq!(g.regions(), [0, 0, 0, 0, 1]);
+        assert_eq!(&*g.regions().label, [0, 0, 0, 0, 1]);
     }
 
     /// The representation the CSR replaced, as its reference: per-vertex

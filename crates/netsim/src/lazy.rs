@@ -178,9 +178,11 @@
 //! backward catch-up and the goal-directed read — relaxes only into the
 //! vertices whose pendant-region label ([`crate::graph`]) is 0 (the core),
 //! `a`'s or `b`'s; the two completions relax into vertices the other side
-//! labelled, which lie in that set already. A region other than `a`'s and
-//! `b`'s touches the rest of the graph through one bridge, so no simple
-//! `a`–`b` path enters it, and every simple `a`–`b` path lies in the set.
+//! labelled, which lie in that set already. Whichever 2-edge-connected
+//! class is the core (the graph picks the bridge forest's centroid), a
+//! region other than `a`'s and `b`'s touches the rest of the graph through
+//! one bridge, so no simple `a`–`b` path enters it, and every simple
+//! `a`–`b` path lies in the set.
 //! A walk is never below the simple path left by cutting out its cycles:
 //! adding a non-negative weight never lowers a fold-left sum, and the sum
 //! is monotone in where it starts. So the minimum fold-left sum over the
@@ -190,9 +192,9 @@
 //! being symmetric in `a` and `b`. The goal-directed potential is still the
 //! whole graph's row of `b`, a lower bound on every distance to `b` in the
 //! subgraph, which is all its argument uses. The labels live in the graph
-//! (4 B a node): the first search derives them, `add_node` / `add_edge`
-//! drop them with the adjacency and a weight change keeps them, so a
-//! provider that never runs a search never holds them. On a
+//! (4 B a node, and 12 B a region for its bridge): the first row or pair
+//! search derives them, `add_node` / `add_edge` drop them with the
+//! adjacency and a weight change keeps them. On a
 //! `routed-5k` benchmark pass (seed 2005, transit-stub, 4,672 nodes, each
 //! stub domain hanging off its router by one edge) the scope cut the
 //! settles of its 4,836 bidirectional searches from about 452 a search to
@@ -211,18 +213,29 @@
 //! a warm-up phase whose rows the steady state will never read again).
 //! [`LazyLatency::ensure_rows`] makes a set of rows resident and current:
 //! it repairs the stale ones and batch-computes the missing ones —
-//! optionally sharded across a thread pool, with insertion order (and
+//! optionally one batch per thread of a pool, with insertion order (and
 //! therefore FIFO order, statistics, and every served value) independent
 //! of the thread count. The delta log adds at most one entry per edge.
+//!
+//! # Where rows come from
+//!
+//! Every row this provider holds — a miss in [`LatencyProvider::latency`],
+//! a batch of [`LazyLatency::ensure_rows`], a repair's in-place rebuild —
+//! comes from [`crate::dijkstra`]'s one row kernel: per source a search of
+//! the core and the source's own region, then region by region the rest of
+//! the batch, each seeded across the region's bridge. Its rows are
+//! bit-identical to a flat whole-graph search (its module docs give the
+//! argument; the Scope paragraph above makes it for pairs), so batching
+//! changes no value, counter or cache state, only where the work runs: a
+//! flat row streams the whole adjacency through one graph-wide heap, a
+//! batch walks each region's adjacency once while it is in cache.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use rayon::prelude::*;
 
-use crate::dijkstra::{
-    fill_single_source, settle, single_source, HeapEntry, NoPotential, Potential,
-};
+use crate::dijkstra::{fill_rows, rows, settle, single_source, HeapEntry, NoPotential, Potential};
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::latency::LatencyProvider;
 
@@ -690,11 +703,13 @@ impl LazyLatency {
     /// first-occurrence order (duplicates ignored). Returns the number of
     /// rows computed.
     ///
-    /// With a `pool`, the independent [`single_source`] computations are
-    /// sharded across its threads; insertion happens afterwards on the
-    /// calling thread in the same deterministic order, so the cache state,
-    /// FIFO eviction sequence, statistics, and every subsequently served
-    /// value are identical at any thread count.
+    /// The missing rows come from the region-by-region kernel
+    /// ([`crate::dijkstra`]): one batch, or with a `pool` one contiguous
+    /// chunk of the missing list per pool thread. Insertion happens
+    /// afterwards on the calling thread in the same deterministic order, so
+    /// the cache state, FIFO eviction sequence, statistics, and every
+    /// subsequently served value are identical at any thread count (each
+    /// row is bit-identical whatever batch computed it).
     pub fn ensure_rows(&self, sources: &[NodeId], pool: Option<&rayon::ThreadPool>) -> u64 {
         let missing: Vec<NodeId> = {
             let mut cache = self.cache.borrow_mut();
@@ -720,12 +735,15 @@ impl LazyLatency {
             return 0;
         }
         let graph = &self.graph;
-        let compute = |s: &NodeId| single_source(graph, *s).into_boxed_slice();
         let rows: Vec<Box<[f64]>> = match pool {
             Some(pool) if missing.len() > 1 => {
-                pool.install(|| missing.par_iter().map(compute).collect())
+                let chunks: Vec<&[NodeId]> =
+                    missing.chunks(missing.len().div_ceil(pool.current_num_threads())).collect();
+                let batches: Vec<Vec<Box<[f64]>>> =
+                    pool.install(|| chunks.par_iter().map(|chunk| rows(graph, chunk)).collect());
+                batches.into_iter().flatten().collect()
             }
-            _ => missing.iter().map(compute).collect(),
+            _ => rows(graph, &missing),
         };
         let mut cache = self.cache.borrow_mut();
         for (&s, row) in missing.iter().zip(rows) {
@@ -820,7 +838,7 @@ fn repair_increase(
     let mut qi = 0;
     loop {
         if region.len() * 4 >= n {
-            fill_single_source(graph, src, row, heap);
+            fill_rows(graph, &[src], &mut [&mut *row], heap);
             return (n, true);
         }
         let Some(&x) = region.get(qi) else { break };
@@ -934,7 +952,7 @@ impl PairReader<'_> {
         let current = cache.is_current(b);
         let RowCache { rows, pair, stats, .. } = cache;
         let pair = pair.get_or_insert_with(Box::default);
-        let regions = graph.regions();
+        let regions = &graph.regions().label;
         let ends = [regions[a.index()], regions[b.index()]];
         let scope = move |v: NodeId| {
             let region = regions[v.index()];
@@ -1166,7 +1184,7 @@ impl LatencyProvider for LazyLatency {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::dijkstra::all_pairs_latency;
     use crate::rng::rng_from_seed;
@@ -1643,44 +1661,53 @@ mod tests {
         assert_matches_dense(&lazy);
     }
 
-    /// `ensure_rows` with a pool must leave cache state and served values
-    /// identical to the serial path — and FIFO eviction order too.
+    /// `ensure_rows` with a pool of 2, 3 or 6 threads — a batch per
+    /// thread, of unequal lengths when the count does not divide — must
+    /// leave cache state and served values identical to the serial path,
+    /// FIFO eviction order too, on a graph whose stub domains (21 nodes)
+    /// outnumber its 16 routers.
     #[test]
     fn ensure_rows_parallel_is_bit_identical_to_serial() {
-        let t = generate(&TransitStubConfig::with_total_nodes(60), 21);
-        let sources: Vec<NodeId> = (0..20u32).map(NodeId).collect();
+        let t = generate(&TransitStubConfig::with_total_nodes(980), 21);
+        let routers = t.transit_nodes().len();
+        assert!(t.stub_nodes().len() / (3 * routers) > routers, "3 stub domains a router");
+        let sources: Vec<NodeId> = (0..20u32).map(|v| NodeId(v * 47 % 980)).collect();
         let serial = LazyLatency::with_capacity(t.graph.clone(), 8);
         serial.ensure_rows(&sources, None);
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(6).build().expect("pool");
-        let parallel = LazyLatency::with_capacity(t.graph, 8);
-        parallel.ensure_rows(&sources, Some(&pool));
-        assert_eq!(serial.stats(), parallel.stats());
-        let n = serial.len();
-        for a in 0..n as u32 {
-            for b in 0..n as u32 {
-                let (a, b) = (NodeId(a), NodeId(b));
-                assert_eq!(
-                    serial.latency(a, b).to_bits(),
-                    parallel.latency(a, b).to_bits(),
-                    "{a}->{b}"
-                );
-            }
+        // Every source's row, twice over in opposite orders: with eight
+        // resident, the reads fault rows in and evict in FIFO order.
+        let (n, twice) = (serial.len() as u32, sources.iter().chain(sources.iter().rev()));
+        let read = |lazy: &LazyLatency| {
+            let reads = twice.clone().flat_map(|&a| (0..n).map(move |b| (a, NodeId(b))));
+            reads.map(|(a, b)| lazy.latency(a, b).to_bits()).collect::<Vec<_>>()
+        };
+        let (before, want) = (serial.stats(), read(&serial));
+        for threads in [2, 3, 6] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+            let parallel = LazyLatency::with_capacity(t.graph.clone(), 8);
+            parallel.ensure_rows(&sources, Some(&pool));
+            assert_eq!(before, parallel.stats(), "{threads} threads");
+            assert!(read(&parallel) == want, "{threads} threads");
         }
     }
 
     /// Eight pool threads computing the first rows at once derive the
-    /// graph's adjacency exactly once, and later searches reuse it.
+    /// graph's adjacency and its regions exactly once each, and later
+    /// searches reuse them.
     #[test]
     fn rows_first_computed_on_a_pool_derive_the_adjacency_once() {
         let lazy = LazyLatency::new(grid(8, 8, 1.0).graph);
-        let builds = || lazy.graph().csr_builds.load(Ordering::Relaxed);
-        assert_eq!(builds(), 0, "an unsearched graph holds no adjacency");
+        let builds = || {
+            let g = lazy.graph();
+            (g.csr_builds.load(Ordering::Relaxed), g.region_builds.load(Ordering::Relaxed))
+        };
+        assert_eq!(builds(), (0, 0), "an unsearched graph holds no adjacency and no regions");
         let pool = rayon::ThreadPoolBuilder::new().num_threads(8).build().expect("pool");
         let sources: Vec<NodeId> = (0..64u32).map(NodeId).collect();
         assert_eq!(lazy.ensure_rows(&sources, Some(&pool)), 64);
-        assert_eq!(builds(), 1);
+        assert_eq!(builds(), (1, 1));
         assert_matches_dense(&lazy);
-        assert_eq!(builds(), 1);
+        assert_eq!(builds(), (1, 1));
     }
 
     #[test]
@@ -1706,7 +1733,7 @@ mod tests {
     /// random multigraph where a third of the edges weigh zero; 3 the same
     /// split into components plus isolated vertices (most pairs
     /// unreachable); 4 pendant-heavy ([`pendant_graph`]).
-    fn pair_test_graph(kind: u8, seed: u64) -> Graph {
+    pub(crate) fn pair_test_graph(kind: u8, seed: u64) -> Graph {
         let mut rng = rng_from_seed(seed);
         let weight = |rng: &mut StdRng| {
             if rng.gen_range(0..3) == 0 {

@@ -7,8 +7,9 @@
 //! * [`graph`] — a compact weighted undirected graph.
 //! * [`topology`] — GT-ITM-style transit-stub topologies plus simpler
 //!   generators (Waxman, geometric, ring, star, grid) used by tests.
-//! * [`dijkstra`] — single-source shortest paths and the all-pairs latency
-//!   matrix that defines "true" network latency between overlay nodes.
+//! * [`dijkstra`] — single-source shortest paths, computed region by
+//!   region over a batch of sources, and the all-pairs latency matrix that
+//!   defines "true" network latency between overlay nodes.
 //! * [`latency`] — the [`latency::LatencyProvider`] abstraction consumed by
 //!   the coordinate and placement layers.
 //! * [`lazy`] — a demand-driven alternative to the dense matrix:
@@ -54,14 +55,18 @@
 //!   shortest-path relaxation reads the graph through. The adjacency is
 //!   one CSR with the weights inline, derived on the first search and
 //!   dropped by `add_node` / `add_edge`; an unsearched graph holds none.
-//!   Its pendant-region labels (the core, and what hangs off it by one
-//!   bridge) are derived by the first pair search and dropped with it.
+//!   Its pendant regions — the core (the bridge forest's weighted
+//!   centroid), each vertex's region label and each region's one bridge —
+//!   are derived by the first row or pair search and dropped with it.
 //! * [`dijkstra`] — the one relaxation loop and its pop order (key, then
 //!   node id, packed into one integer a heap entry): fresh rows, path
 //!   search, both repair phases, both sides of the bidirectional pair
 //!   search and the goal-directed pair read run it. The key is the label,
 //!   plus — in the goal-directed read alone — a potential, the goal's own
-//!   resident row (A*).
+//!   resident row (A*). It also owns the one row kernel every row comes
+//!   from (`single_source`, `all_pairs_latency`, a lazy miss, a batch, a
+//!   repair's rebuild): per source the core and its own region, then region
+//!   by region for the whole batch, seeded across each region's bridge.
 //! * [`lazy::LazyLatency`] — the mutable graph, the *base* edge weights
 //!   (recorded for an edge by its first change),
 //!   the jitter step ([`lazy::LazyLatency::scale_edges_clamped`]), the

@@ -12,10 +12,12 @@
 # (`--workload W --seed 2005 --seconds 15 --trace 0`) PAIRS times per side,
 # alternating which side goes first, and prints per end-to-end metric each
 # side's median [q1–q3] and the pairs the change won (ties count for
-# neither side). Exits 1 if any run of any workload reports
-# `correct: false`.
+# neither side), then whether `usage_ratio` — a virtual value, an exact
+# function of the seed — was bit-equal across every run of both sides, or
+# else each side's distinct values. Exits 1 if any run of any workload
+# reports `correct: false`.
 set -eu
-[ $# -ge 3 ] || { sed -n '2,16p' "$0"; exit 2; }
+[ $# -ge 3 ] || { sed -n '2,18p' "$0"; exit 2; }
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 workloads=$3
@@ -66,6 +68,15 @@ for metric in json.load(open(manifest))["end_to_end"]:
         f"  change won {wins}, lost {losses}; medians "
         + ("more than the parent's q1-q3 distance apart" if apart else "within the parent's q1-q3 distance")
     )
+# Bit-equality, by each value's exact hex spelling.
+ratios = {side: sorted({float.hex(run["metrics"]["usage_ratio"]["value"]) for run in runs})
+          for side, runs in (("parent", parent), ("change", change))}
+if len(set(ratios["parent"]) | set(ratios["change"])) == 1:
+    value = float.fromhex(ratios["parent"][0])
+    print(f"  usage_ratio bit-equal across all {len(parent) + len(change)} runs: {value!r}")
+else:
+    for side, values in ratios.items():
+        print(f"  usage_ratio differs: {side} " + ", ".join(repr(float.fromhex(v)) for v in values))
 incorrect = [side for side, runs in (("parent", parent), ("change", change))
              if not all(run["correct"] for run in runs)]
 for side in incorrect:

@@ -20,13 +20,23 @@
 //!   (the runtime's config builder calls it too).
 //! * `VivaldiConfig::gossip` — the one gossip loop, over all `n` nodes (the
 //!   full protocol) or over the landmarks (landmark mode's first phase),
-//!   and [`VivaldiNode::random_start`] the one node start.
+//!   keeping only its members' states, and [`VivaldiNode::random_start`]
+//!   the one node start (every node draws one, in id order).
 //! * [`LandmarkPlacer`] — the frozen landmarks and where every other node
-//!   lands: [`LandmarkPlacer::place_from_rtts`] is the one non-landmark
-//!   refinement loop, and [`LandmarkPlacer::place_node`] runs it on the
-//!   node's own RNG stream, a function of the seed and the node alone. So
-//!   [`VivaldiConfig::embed`] in landmark mode and `sbon_overlay`'s
-//!   join-time placement land a node on the same coordinate, bit for bit.
+//!   lands. Its private `refine` is the one non-landmark refinement loop,
+//!   a kernel that advances two nodes in lockstep, sample by sample, each
+//!   on its own RNG stream, with the coordinate in a fixed-size array whose
+//!   length ([`VivaldiConfig::dims`], at most [`vivaldi::MAX_DIMS`]) and
+//!   the height model are compile-time constants. Every lane performs the
+//!   float operations and draws of [`VivaldiNode::observe_with`] in their
+//!   order, so a landing spot does not depend on its lane partner.
+//!   [`LandmarkPlacer::place_nodes`] runs it over pairs of nodes reading
+//!   landmark rows in place; [`LandmarkPlacer::place_from_rtts`],
+//!   [`LandmarkPlacer::place_node`] (the node's own stream, a function of
+//!   the seed and the node alone) and [`LandmarkPlacer::place`] are its
+//!   one-lane calls. So [`VivaldiConfig::embed`] in landmark mode and
+//!   `sbon_overlay`'s join-time placement land a node on the same
+//!   coordinate, bit for bit.
 //! * `VivaldiEmbedding::from_states` — the one writer of an embedding's
 //!   coordinates, heights and errors, behind the full protocol and
 //!   [`LandmarkPlacer::embedding`].

@@ -24,6 +24,14 @@ const LANDMARK_STREAM: u64 = 0x1a4d_3a4c;
 /// `PLACE_STREAM ^ node` disjoint from every other derivation stream.
 const PLACE_STREAM: u64 = 0x517e_9a4e << 32;
 
+/// The largest [`VivaldiConfig::dims`]: the placement kernel keeps a node's
+/// coordinate in a fixed-size array and is compiled once per dimension up
+/// to this bound ([`VivaldiConfig::validate`] names it). Each dimension
+/// adds four copies of the kernel to every binary that places nodes; at a
+/// bound of 16 the benchmark driver's code grew by 0.3 MB and its peak
+/// resident memory by about 0.13 MiB on a workload that never places one.
+pub const MAX_DIMS: usize = 10;
+
 /// Tunables of the Vivaldi run. Defaults follow the SIGCOMM paper
 /// (`ce = cc = 0.25`).
 #[derive(Clone, Debug)]
@@ -89,7 +97,8 @@ impl VivaldiConfig {
     ///
     /// Naming the field and the value, if `dims`, `rounds` or
     /// `samples_per_round` is zero (no rounds or no samples would serve
-    /// every node its random start coordinate), if `ce` or `cc` is not
+    /// every node its random start coordinate), if `dims` exceeds
+    /// [`MAX_DIMS`] (the placement kernel's bound), if `ce` or `cc` is not
     /// finite and positive, if `min_height` is not finite and non-negative
     /// (a NaN floor poisons every height through `.max(min_height)`), or if
     /// `landmarks` is `Some(k)` with `k < 2`.
@@ -101,6 +110,11 @@ impl VivaldiConfig {
         ] {
             assert!(value >= 1, "vivaldi.{field} must be at least 1, got {value}");
         }
+        assert!(
+            self.dims <= MAX_DIMS,
+            "vivaldi.dims must be at most {MAX_DIMS}, got {}",
+            self.dims
+        );
         for (field, value) in [("ce", self.ce), ("cc", self.cc)] {
             assert!(
                 value.is_finite() && value > 0.0,
@@ -185,37 +199,50 @@ impl VivaldiConfig {
         assert!(k < n, "landmark set ({k}) must be smaller than the overlay ({n})");
         let mut rng = derive_rng(seed, LANDMARK_STREAM);
         let landmarks = draw_landmarks(&mut rng, n, k);
-        let nodes = self.gossip(latency, &mut rng, &landmarks);
-        let states = landmarks.iter().map(|&l| nodes[l].clone()).collect();
+        let states = self.gossip(latency, &mut rng, &landmarks);
         LandmarkPlacer { config: self.clone(), seed, landmarks, states }
     }
 
     /// The one gossip loop: `rounds` rounds in which every member takes
     /// `samples_per_round` latency samples against uniformly drawn other
     /// members — all `n` nodes under the full protocol, the landmarks in
-    /// landmark mode. All `n` nodes draw their random start first, members
-    /// or not. A non-finite latency (partitioned pair) skips the sample.
+    /// landmark mode. All `n` nodes draw their random start first, in id
+    /// order, members or not: the draws decide the members' coordinates,
+    /// but only the members' states are kept, index-aligned with
+    /// `members` (which must be distinct). A non-finite latency
+    /// (partitioned pair) skips the sample.
     fn gossip<L: LatencyProvider, R: Rng + ?Sized>(
         &self,
         latency: &L,
         rng: &mut R,
         members: &[usize],
     ) -> Vec<VivaldiNode> {
+        let mut by_id: Vec<(usize, usize)> = members.iter().copied().zip(0..).collect();
+        by_id.sort_unstable();
+        let mut starts = vec![None; members.len()];
+        let mut skipped = vec![0.0; self.dims];
+        let mut next = by_id.iter().peekable();
+        for v in 0..latency.len() {
+            match next.next_if(|&&(id, _)| id == v) {
+                Some(&(_, at)) => starts[at] = Some(VivaldiNode::random_start(self, rng)),
+                None => draw_start(rng, &mut skipped),
+            }
+        }
         let mut nodes: Vec<VivaldiNode> =
-            (0..latency.len()).map(|_| VivaldiNode::random_start(self, rng)).collect();
+            starts.into_iter().map(|start| start.expect("members are node ids")).collect();
         if members.len() < 2 {
             return nodes;
         }
         for _round in 0..self.rounds {
             for (mi, &i) in members.iter().enumerate() {
                 for _ in 0..self.samples_per_round {
-                    let j = members[gossip_partner(rng, mi, members.len())];
-                    let rtt = latency.latency(NodeId(i as u32), NodeId(j as u32));
+                    let mj = gossip_partner(rng, mi, members.len());
+                    let rtt = latency.latency(NodeId(i as u32), NodeId(members[mj] as u32));
                     if !rtt.is_finite() {
                         continue;
                     }
-                    let remote = nodes[j].clone();
-                    nodes[i].observe_with(&remote, rtt, self, rng);
+                    let remote = nodes[mj].clone();
+                    nodes[mi].observe_with(&remote, rtt, self, rng);
                 }
             }
         }
@@ -259,15 +286,17 @@ impl LandmarkPlacer {
     /// Places one node against the frozen landmarks: `k` latency reads —
     /// one per landmark, each with the landmark as the source, so a lazy
     /// provider serves them from the `k` already-computed rows — then the
-    /// rounds × samples refinement of [`LandmarkPlacer::place_from_rtts`]
-    /// over those `k` values, drawing from `rng`.
+    /// kernel of [`LandmarkPlacer::place_from_rtts`] over those `k`
+    /// values, drawing from `rng`.
     pub fn place<L: LatencyProvider, R: Rng + ?Sized>(
         &self,
         latency: &L,
         node: NodeId,
         rng: &mut R,
     ) -> VivaldiNode {
-        self.place_from_rtts(&self.gather_rtts(latency, &[node]), rng)
+        let rtts: Vec<f64> =
+            self.landmarks.iter().map(|&l| latency.latency(NodeId(l as u32), node)).collect();
+        self.place_from_rtts(&rtts, rng)
     }
 
     /// Where `node` lands, given its latency from each landmark (draw
@@ -282,47 +311,67 @@ impl LandmarkPlacer {
         derive_rng(self.seed, PLACE_STREAM ^ node.index() as u64)
     }
 
-    /// The latency reads of a batch of placements, as one flat
-    /// `nodes × k` table: `table[j * k + li]` is the latency from landmark
-    /// `li` (draw order) to `nodes[j]`, so `chunks(k)` yields what
-    /// [`LandmarkPlacer::place_from_rtts`] takes per node. Reads run
-    /// landmark-major — all of one landmark's row before the next — and
-    /// always with the landmark as the source: only landmark rows are ever
-    /// demanded from the provider, and a stale row is repaired by its
-    /// first read.
-    pub fn gather_rtts<L: LatencyProvider>(&self, latency: &L, nodes: &[NodeId]) -> Vec<f64> {
-        let k = self.landmarks.len();
-        let mut table = vec![0.0; nodes.len() * k];
-        for (li, &l) in self.landmarks.iter().enumerate() {
-            for (j, &node) in nodes.iter().enumerate() {
-                table[j * k + li] = latency.latency(NodeId(l as u32), node);
-            }
-        }
-        table
+    /// A batch of [`LandmarkPlacer::place_node`] calls over latency rows
+    /// read in place: `rows[li]` is landmark `li`'s row (draw order), so
+    /// `nodes[j]`'s latency from it is `rows[li][nodes[j].index()]`.
+    /// Consecutive nodes run through the kernel two at a time, each on its
+    /// own stream, so every state equals the one `place_node` gives it;
+    /// they come back in input order.
+    pub fn place_nodes(&self, nodes: &[NodeId], rows: &[&[f64]]) -> Vec<VivaldiNode> {
+        assert_eq!(rows.len(), self.landmarks.len(), "one row per landmark");
+        dispatch(&self.config, Batch { placer: self, nodes, rows })
     }
 
-    /// The placement kernel — the one non-landmark refinement loop: a
-    /// fresh start, then rounds × samples steps for a single node whose
-    /// latency from landmark `li` (draw order) is `rtts[li]`. Each sample
-    /// draws its landmark from `rng`; a non-finite latency (unreachable
-    /// landmark) skips the sample. Pure — it reads only the frozen
-    /// landmark states — so a batch of placements can run on any threads.
+    /// One lane of the placement kernel: a fresh start, then rounds ×
+    /// samples steps for a single node whose latency from landmark `li`
+    /// (draw order) is `rtts[li]`, drawing from `rng`. Pure — it reads only
+    /// the frozen landmark states — so placements can run on any threads.
     pub fn place_from_rtts<R: Rng + ?Sized>(&self, rtts: &[f64], rng: &mut R) -> VivaldiNode {
+        assert_eq!(rtts.len(), self.landmarks.len(), "one latency per landmark");
+        dispatch(&self.config, OneLane { placer: self, rtts, rng })
+    }
+
+    /// The frozen landmark states in the kernel's fixed-size form.
+    fn springs<const D: usize>(&self) -> Vec<Spring<D>> {
+        self.states.iter().map(Spring::of).collect()
+    }
+
+    /// The placement kernel — the one non-landmark refinement loop. `L`
+    /// nodes advance in lockstep, sample by sample: lane `l` starts fresh
+    /// from `rngs[l]`, then each of its rounds × samples steps draws a
+    /// landmark `li` from `rngs[l]` and, unless `rtts[l][li]` is not
+    /// finite (an unreachable landmark skips the sample), observes it.
+    /// Lanes share nothing but the frozen landmarks, so each performs the
+    /// float operations and draws of a node placed alone, in the same
+    /// order; running two at once only lets their dependency chains — the
+    /// division and the square root of every step — overlap. Never
+    /// inlined: one copy per lane count, dimension and height model serves
+    /// every caller (it runs for thousands of steps a call).
+    #[inline(never)]
+    fn refine<const L: usize, const D: usize, const H: bool, R: Rng + ?Sized>(
+        &self,
+        landmarks: &[Spring<D>],
+        rtts: [&[f64]; L],
+        mut rngs: [&mut R; L],
+    ) -> [Spring<D>; L] {
         let cfg = &self.config;
-        let k = self.landmarks.len();
-        assert_eq!(rtts.len(), k, "one latency per landmark");
-        let mut state = VivaldiNode::random_start(cfg, rng);
+        let k = landmarks.len();
+        let mut lanes = [Spring { coord: [0.0; D], height: 0.0, error: 0.0 }; L];
+        for (lane, rng) in lanes.iter_mut().zip(&mut rngs) {
+            *lane = Spring::start(cfg, &mut **rng);
+        }
         for _round in 0..cfg.rounds {
             for _ in 0..cfg.samples_per_round {
-                let li = rng.gen_range(0..k);
-                let rtt = rtts[li];
-                if !rtt.is_finite() {
-                    continue;
+                for l in 0..L {
+                    let li = rngs[l].gen_range(0..k);
+                    let rtt = rtts[l][li];
+                    if rtt.is_finite() {
+                        lanes[l].observe::<H, R>(&landmarks[li], rtt, cfg, &mut *rngs[l]);
+                    }
                 }
-                state.observe_with(&self.states[li], rtt, cfg, rng);
             }
         }
-        state
+        lanes
     }
 
     /// The embedding of an `n`-node overlay whose landmarks sit at their
@@ -333,6 +382,190 @@ impl LandmarkPlacer {
         let landmarks = self.landmarks.iter().copied().zip(&self.states);
         let placed = placed.iter().map(|(v, state)| (v.index(), state));
         VivaldiEmbedding::from_states(n, self.config.dims, landmarks.chain(placed))
+    }
+}
+
+/// A computation over node states whose dimension `D` and height model `H`
+/// are compile-time constants; [`dispatch`] picks them from a
+/// configuration, so the kernel's coordinate loops unroll and the height
+/// model's branches are resolved before its sample loop runs.
+trait Lockstep {
+    type Output;
+    fn run<const D: usize, const H: bool>(self) -> Self::Output;
+}
+
+/// Runs `kernel` with `cfg.dims` and `cfg.use_height` as constants.
+fn dispatch<K: Lockstep>(cfg: &VivaldiConfig, kernel: K) -> K::Output {
+    macro_rules! arms {
+        ($($d:literal)*) => {
+            match (cfg.dims, cfg.use_height) {
+                $(
+                    ($d, false) => kernel.run::<$d, false>(),
+                    ($d, true) => kernel.run::<$d, true>(),
+                )*
+                (dims, _) => panic!("vivaldi.dims must be in 1..={MAX_DIMS}, got {dims}"),
+            }
+        };
+    }
+    arms!(1 2 3 4 5 6 7 8 9 10)
+}
+
+/// [`LandmarkPlacer::place_nodes`]: pairs of nodes through two lanes, an
+/// odd last node through one.
+struct Batch<'a> {
+    placer: &'a LandmarkPlacer,
+    nodes: &'a [NodeId],
+    rows: &'a [&'a [f64]],
+}
+
+impl Lockstep for Batch<'_> {
+    type Output = Vec<VivaldiNode>;
+
+    fn run<const D: usize, const H: bool>(self) -> Vec<VivaldiNode> {
+        let Batch { placer, nodes, rows } = self;
+        let landmarks = placer.springs::<D>();
+        let k = landmarks.len();
+        // One node's k latencies per lane, read node-major from the rows.
+        let mut rtts = vec![0.0; 2 * k];
+        let gather = |node: NodeId, rtts: &mut [f64]| {
+            for (rtt, row) in rtts.iter_mut().zip(rows) {
+                *rtt = row[node.index()];
+            }
+        };
+        let mut out = Vec::with_capacity(nodes.len());
+        let mut pairs = nodes.chunks_exact(2);
+        for pair in &mut pairs {
+            let (a, b) = rtts.split_at_mut(k);
+            gather(pair[0], a);
+            gather(pair[1], b);
+            let rngs = [&mut placer.node_rng(pair[0]), &mut placer.node_rng(pair[1])];
+            let lanes = placer.refine::<2, D, H, StdRng>(&landmarks, [a, b], rngs);
+            out.extend(lanes.into_iter().map(Spring::to_node));
+        }
+        if let &[node] = pairs.remainder() {
+            let a = &mut rtts[..k];
+            gather(node, a);
+            let [lane] =
+                placer.refine::<1, D, H, StdRng>(&landmarks, [a], [&mut placer.node_rng(node)]);
+            out.push(lane.to_node());
+        }
+        out
+    }
+}
+
+/// [`LandmarkPlacer::place_from_rtts`]: one lane on the caller's stream.
+struct OneLane<'a, R: ?Sized> {
+    placer: &'a LandmarkPlacer,
+    rtts: &'a [f64],
+    rng: &'a mut R,
+}
+
+impl<R: Rng + ?Sized> Lockstep for OneLane<'_, R> {
+    type Output = VivaldiNode;
+
+    fn run<const D: usize, const H: bool>(self) -> VivaldiNode {
+        let OneLane { placer, rtts, rng } = self;
+        let [lane] = placer.refine::<1, D, H, R>(&placer.springs(), [rtts], [rng]);
+        lane.to_node()
+    }
+}
+
+/// A node's state inside the placement kernel: [`VivaldiNode`] with the
+/// coordinate in a fixed-size array.
+#[derive(Clone, Copy)]
+struct Spring<const D: usize> {
+    coord: [f64; D],
+    height: f64,
+    error: f64,
+}
+
+impl<const D: usize> Spring<D> {
+    fn of(state: &VivaldiNode) -> Self {
+        let mut coord = [0.0; D];
+        coord.copy_from_slice(&state.coord);
+        Spring { coord, height: state.height, error: state.error }
+    }
+
+    fn to_node(self) -> VivaldiNode {
+        VivaldiNode { coord: self.coord.to_vec(), height: self.height, error: self.error }
+    }
+
+    /// [`VivaldiNode::random_start`]: the same draws, the same state.
+    fn start<R: Rng + ?Sized>(cfg: &VivaldiConfig, rng: &mut R) -> Self {
+        let mut coord = [0.0; D];
+        draw_start(rng, &mut coord);
+        let height = if cfg.use_height { cfg.min_height } else { 0.0 };
+        Spring { coord, height, error: 1.0 }
+    }
+
+    /// [`VivaldiNode::observe_with`] with the height model `H` a constant:
+    /// the same float operations in the same order and the same draws.
+    /// Without the height model the planar fraction is the constant 1.0,
+    /// which the compiler folds away (multiplying by one is exact), and the
+    /// height block is not emitted.
+    #[inline(always)]
+    fn observe<const H: bool, R: Rng + ?Sized>(
+        &mut self,
+        remote: &Self,
+        rtt: f64,
+        cfg: &VivaldiConfig,
+        rng: &mut R,
+    ) {
+        debug_assert!(rtt.is_finite() && rtt >= 0.0);
+        // `euclidean`'s sum of squares, in its order. Adding the first
+        // square (+0.0 or positive) to -0.0 returns it unchanged, so the
+        // compiler can drop the start value.
+        let mut squares = -0.0;
+        for d in 0..D {
+            let diff = self.coord[d] - remote.coord[d];
+            squares += diff * diff;
+        }
+        let planar = squares.sqrt();
+        let dist = if H { planar + self.height + remote.height } else { planar };
+        let w = if self.error + remote.error > 0.0 {
+            self.error / (self.error + remote.error)
+        } else {
+            0.5
+        };
+        let es = if rtt > 1e-9 { (dist - rtt).abs() / rtt } else { 0.0 };
+        self.error = (es * cfg.cc * w + self.error * (1.0 - cfg.cc * w)).clamp(0.0, 10.0);
+        let push = cfg.ce * w * (rtt - dist);
+        let mut planar_frac = 1.0;
+        if H && dist > 1e-12 {
+            let height_frac = (self.height + remote.height) / dist.max(1e-12);
+            planar_frac = (1.0 - height_frac.min(1.0)).max(0.0);
+            self.height = (self.height + push * height_frac).max(cfg.min_height);
+        }
+        if planar < 1e-12 {
+            self.push_coincident(push, planar_frac, rng);
+        } else {
+            for d in 0..D {
+                let x = &mut self.coord[d];
+                *x += push * ((*x - remote.coord[d]) / planar) * planar_frac;
+            }
+        }
+    }
+
+    /// The coincident-points step of [`VivaldiNode::observe_with`]: a
+    /// random direction, `D` draws.
+    #[cold]
+    fn push_coincident<R: Rng + ?Sized>(&mut self, push: f64, planar_frac: f64, rng: &mut R) {
+        let mut dir = [0.0; D];
+        for u in &mut dir {
+            *u = rng.gen_range(-1.0..1.0);
+        }
+        let norm = dir.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-12);
+        for (x, u) in self.coord.iter_mut().zip(dir) {
+            *x += push * (u / norm) * planar_frac;
+        }
+    }
+}
+
+/// A random start coordinate: one uniform draw in `[-0.5, 0.5)` per
+/// component, in order.
+fn draw_start<R: Rng + ?Sized>(rng: &mut R, coord: &mut [f64]) {
+    for x in coord {
+        *x = rng.gen_range(-0.5..0.5);
     }
 }
 
@@ -353,11 +586,9 @@ impl VivaldiNode {
     /// tiny random jitter is the standard bootstrap), at the height floor
     /// when the height model is on.
     pub fn random_start<R: Rng + ?Sized>(cfg: &VivaldiConfig, rng: &mut R) -> Self {
-        VivaldiNode {
-            coord: (0..cfg.dims).map(|_| rng.gen_range(-0.5..0.5)).collect(),
-            height: if cfg.use_height { cfg.min_height } else { 0.0 },
-            error: 1.0,
-        }
+        let mut coord = vec![0.0; cfg.dims];
+        draw_start(rng, &mut coord);
+        VivaldiNode { coord, height: if cfg.use_height { cfg.min_height } else { 0.0 }, error: 1.0 }
     }
 
     /// Processes one latency sample against a remote node (height model
@@ -885,7 +1116,7 @@ mod tests {
     }
 
     /// The read-per-sample loop `place` was before it became gather +
-    /// kernel: the reference the split is pinned bit-identical to.
+    /// kernel: the reference the kernel is pinned bit-identical to.
     fn place_reading_every_sample<L: LatencyProvider, R: Rng + ?Sized>(
         placer: &LandmarkPlacer,
         latency: &L,
@@ -908,35 +1139,166 @@ mod tests {
         state
     }
 
-    /// Every non-landmark node placed three ways — one batch gather over
-    /// `fast` fed to the kernel chunk by chunk, `place` on `fast`, and the
-    /// read-per-sample reference on `truth` — with the same per-node RNG.
+    /// Landmark `li`'s row of `latency`, read one value at a time.
+    fn landmark_rows<L: LatencyProvider>(placer: &LandmarkPlacer, latency: &L) -> Vec<Vec<f64>> {
+        let landmark = |l: usize| NodeId(l as u32);
+        let row =
+            |l| (0..latency.len() as u32).map(move |v| latency.latency(landmark(l), NodeId(v)));
+        placer.landmarks.iter().map(|&l| row(l).collect()).collect()
+    }
+
+    /// Every non-landmark node placed four ways — the batch kernel over rows
+    /// read from `fast`, `place_node` on its own stream, `place` on `fast`
+    /// with another stream, and the read-per-sample reference on `truth`
+    /// with the same streams.
     fn placements_match_reference<A: LatencyProvider, B: LatencyProvider>(
         placer: &LandmarkPlacer,
         fast: &A,
         truth: &B,
         seed: u64,
     ) -> Result<(), TestCaseError> {
-        let k = placer.landmark_ids().len();
         let nodes: Vec<NodeId> = (0..fast.len())
             .filter(|i| !placer.landmark_ids().contains(i))
             .map(|i| NodeId(i as u32))
             .collect();
-        let table = placer.gather_rtts(fast, &nodes);
-        prop_assert_eq!(table.len(), nodes.len() * k);
-        for (&node, rtts) in nodes.iter().zip(table.chunks(k)) {
+        let rows = landmark_rows(placer, fast);
+        let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let batch = placer.place_nodes(&nodes, &rows);
+        prop_assert_eq!(batch.len(), nodes.len());
+        for (&node, state) in nodes.iter().zip(&batch) {
+            let reference =
+                place_reading_every_sample(placer, truth, node, &mut placer.node_rng(node));
+            let rtts: Vec<f64> = rows.iter().map(|row| row[node.index()]).collect();
+            prop_assert_eq!(bits(state), bits(&reference));
+            prop_assert_eq!(bits(&placer.place_node(node, &rtts)), bits(&reference));
             let rng = || derive_rng(seed, u64::from(node.0));
             let reference = bits(&place_reading_every_sample(placer, truth, node, &mut rng()));
-            prop_assert_eq!(bits(&placer.place_from_rtts(rtts, &mut rng())), reference.clone());
             prop_assert_eq!(bits(&placer.place(fast, node, &mut rng())), reference);
         }
         Ok(())
     }
 
+    /// Latencies served from explicit landmark rows: `rows[li][v]` is the
+    /// latency between landmark `li` (draw order) and node `v`.
+    struct FromRows<'a> {
+        landmarks: &'a [usize],
+        rows: &'a [Vec<f64>],
+    }
+
+    impl LatencyProvider for FromRows<'_> {
+        fn len(&self) -> usize {
+            self.rows[0].len()
+        }
+
+        fn latency(&self, a: NodeId, b: NodeId) -> f64 {
+            let li = self.landmarks.iter().position(|&l| l == a.index()).expect("a landmark");
+            self.rows[li][b.index()]
+        }
+    }
+
+    /// The batch kernel over hand-made rows, pinned to the read-per-sample
+    /// reference: rows of random latencies, some exactly zero, some (with
+    /// `nonfinite`) infinite or NaN — skipped samples — and (with
+    /// `coincident`) the first node's first landmark moved onto its start,
+    /// so its first sample takes the coincident-points step, whose
+    /// direction draws shift the rest of that lane's stream.
+    fn batch_matches_reference(
+        seed: u64,
+        batch: usize,
+        dims: usize,
+        use_height: bool,
+        nonfinite: bool,
+        coincident: bool,
+    ) -> Result<(), TestCaseError> {
+        let (n, k) = (24, 6);
+        let cfg =
+            VivaldiConfig { dims, use_height, rounds: 6, landmarks: Some(k), ..Default::default() };
+        let mut placer = cfg.embed_landmarks_only(&euclidean_world(n, seed), seed);
+        let mut rng = rng_from_seed(seed);
+        let mut rows: Vec<Vec<f64>> = (0..k)
+            .map(|_| {
+                (0..n)
+                    .map(|_| match rng.gen_range(0..10) {
+                        0 => 0.0,
+                        1 if nonfinite => f64::INFINITY,
+                        2 if nonfinite => f64::NAN,
+                        _ => rng.gen_range(0.0..100.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut nodes: Vec<NodeId> =
+            (0..n).filter(|i| !placer.landmarks.contains(i)).map(|i| NodeId(i as u32)).collect();
+        nodes.shuffle(&mut rng);
+        nodes.truncate(batch);
+        if coincident {
+            let node = nodes[0];
+            let mut rng = placer.node_rng(node);
+            let mut state = VivaldiNode::random_start(&cfg, &mut rng);
+            let li = rng.gen_range(0..k);
+            placer.states[li].coord = state.coord.clone();
+            rows[li][node.index()] = 5.0;
+            // The step draws a direction: the stream moves on by `dims`
+            // draws more than an ordinary step's none.
+            let mut ordinary = rng.clone();
+            state.observe_with(&placer.states[li].clone(), 5.0, &cfg, &mut rng);
+            for _ in 0..dims {
+                ordinary.gen::<u64>();
+            }
+            prop_assert_eq!(rng.gen::<u64>(), ordinary.gen::<u64>());
+        }
+        let lent: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let placed = placer.place_nodes(&nodes, &lent);
+        prop_assert_eq!(placed.len(), nodes.len());
+        let truth = FromRows { landmarks: &placer.landmarks, rows: &rows };
+        for (&node, state) in nodes.iter().zip(&placed) {
+            let reference =
+                place_reading_every_sample(&placer, &truth, node, &mut placer.node_rng(node));
+            prop_assert_eq!(bits(state), bits(&reference));
+        }
+        Ok(())
+    }
+
+    /// Every dimension `validate` accepts runs through the kernel.
+    #[test]
+    fn every_accepted_dimension_places_like_the_reference() {
+        for dims in 1..=MAX_DIMS {
+            VivaldiConfig { dims, ..Default::default() }.validate();
+            for use_height in [false, true] {
+                batch_matches_reference(
+                    u64::try_from(dims).unwrap(),
+                    3,
+                    dims,
+                    use_height,
+                    true,
+                    true,
+                )
+                .unwrap();
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "vivaldi.dims must be at most 10, got 11")]
+    fn dims_beyond_the_kernel_bound_are_rejected() {
+        VivaldiConfig { dims: MAX_DIMS + 1, ..Default::default() }.validate();
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 16 })]
 
-        /// Gather + kernel is the read-per-sample loop, bit for bit (coord,
+        /// The batch kernel is the read-per-sample loop, bit for bit
+        /// (coord, height, error): batches of 1–9 nodes (so the last pair
+        /// is sometimes half full) × `dims` 1–10 × height model on/off ×
+        /// non-finite latencies × the coincident-points step.
+        #[test]
+        fn batch_kernel_equals_reading_every_sample(
+            (seed, batch, dims, flags) in (0u64..u64::MAX, 1usize..10, 1usize..11, 0u8..8)
+        ) {
+            batch_matches_reference(seed, batch, dims, flags & 1 != 0, flags & 2 != 0, flags & 4 != 0)?;
+        }
+
+        /// Batch and one-lane kernels are the read-per-sample loop, bit for bit (coord,
         /// height, error): random worlds × seeds × height model on/off ×
         /// one unreachable landmark.
         #[test]

@@ -217,6 +217,20 @@
 //! therefore FIFO order, statistics, and every served value) independent
 //! of the thread count. The delta log adds at most one entry per edge.
 //!
+//! # Lending rows
+//!
+//! A caller that reads many values out of a few rows — a join tick places
+//! thousands of nodes against the same landmark rows — borrows the rows
+//! instead of reading value by value: [`LazyLatency::lend_rows`] makes
+//! them resident and current through `ensure_rows` (a stale row is
+//! repaired serially, in source order, as first reads would repair it),
+//! then lends them as `&[&[f64]]` to a closure, which may read them from
+//! any number of threads. The closure's reads bypass the cache, so the
+//! caller says how many values it will read and the call adds that count
+//! to `cache_hits`: the counter reads as if each value had been served by
+//! [`LatencyProvider::latency`]. A cache bounded below the number of rows
+//! could never hold them together, and the call panics naming both.
+//!
 //! # Where rows come from
 //!
 //! Every row this provider holds — a miss in [`LatencyProvider::latency`],
@@ -750,6 +764,55 @@ impl LazyLatency {
             cache.insert(s, row, self.capacity);
         }
         missing.len() as u64
+    }
+
+    /// Lends the rows of `sources` to `read` — `rows[i]` is `sources[i]`'s
+    /// row — made resident and current by [`LazyLatency::ensure_rows`]
+    /// (across `pool`), and counts `reads` cache hits: the values the
+    /// caller will read from them, each what [`LatencyProvider::latency`]
+    /// would have served and counted. A row inserted by the call can push
+    /// an older one of `sources` out of a bounded cache; the call then
+    /// faults that one back in, until all are resident together.
+    ///
+    /// The rows are plain slices, so `read` may share them across threads;
+    /// it must not call back into this provider, which stays borrowed
+    /// while it runs.
+    ///
+    /// # Panics
+    ///
+    /// Naming both numbers, if the row cache's capacity is below
+    /// `sources.len()`: the rows could never be resident together.
+    pub fn lend_rows<T>(
+        &self,
+        sources: &[NodeId],
+        reads: u64,
+        pool: Option<&rayon::ThreadPool>,
+        read: impl FnOnce(&[&[f64]]) -> T,
+    ) -> T {
+        if let Some(cap) = self.capacity {
+            assert!(
+                sources.len() <= cap,
+                "lending {} rows needs a row cache of at least {}, got {cap}",
+                sources.len(),
+                sources.len()
+            );
+        }
+        let mut pending = sources.to_vec();
+        while !pending.is_empty() {
+            self.ensure_rows(&pending, pool);
+            let cache = self.cache.borrow();
+            pending.retain(|s| cache.rows[s.index()].is_none());
+        }
+        self.cache.borrow_mut().stats.cache_hits += reads;
+        let cache = self.cache.borrow();
+        let rows: Vec<&[f64]> = sources
+            .iter()
+            .map(|s| {
+                debug_assert!(cache.is_current(*s));
+                cache.rows[s.index()].as_deref().expect("ensured rows are resident")
+            })
+            .collect();
+        read(&rows)
     }
 
     /// Drops every cached row. Counters other than `rows_cached` are kept.
@@ -1659,6 +1722,76 @@ pub(crate) mod tests {
         assert_eq!(s.rows_cached, 3);
         // Values match on-demand computation.
         assert_matches_dense(&lazy);
+    }
+
+    /// The lending read serves what `latency` would: stale rows repaired
+    /// first — the same repairs, counted alike, as reading each source once
+    /// in source order — missing ones computed, and every lent row equal to
+    /// a fresh `single_source` row of the mutated graph; it counts exactly `reads`
+    /// cache hits.
+    #[test]
+    fn lend_rows_lends_current_rows_and_counts_the_reads() {
+        let t = generate(&TransitStubConfig::with_total_nodes(120), 17);
+        let sources = [NodeId(40), NodeId(3), NodeId(77), NodeId(9)];
+        let mut lent = LazyLatency::new(t.graph.clone());
+        let mut read = LazyLatency::new(t.graph);
+        for lazy in [&mut lent, &mut read] {
+            lazy.ensure_rows(&sources[1..], None);
+            let batch: Vec<(EdgeId, f64)> = (0..12u32)
+                .map(|e| (EdgeId(e * 7), lazy.graph().edge(EdgeId(e * 7)).latency_ms * 3.0))
+                .collect();
+            lazy.apply_edge_deltas(&batch);
+            assert_eq!(lazy.rows_stale(), 3);
+        }
+        let before = lent.stats();
+        let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let seen = lent.lend_rows(&sources, 1234, None, |rows| {
+            for (&s, row) in sources.iter().zip(rows) {
+                assert_eq!(bits(row), bits(&single_source(lent.graph(), s)), "row {s:?}");
+            }
+            rows.len()
+        });
+        assert_eq!(seen, sources.len());
+        for &s in &sources {
+            read.latency(s, NodeId(0));
+        }
+        let (after, reference) = (lent.stats(), read.stats());
+        assert_eq!(after.cache_hits, before.cache_hits + 1234);
+        assert_eq!(lent.rows_stale(), 0);
+        let work = |s: LazyLatencyStats| {
+            (s.rows_computed, s.rows_repaired, s.vertices_settled, s.rows_rebuilt, s.rows_cached)
+        };
+        assert!(reference.rows_repaired > 0, "the batch must reach the resident rows");
+        assert_eq!(work(after), work(reference));
+    }
+
+    /// A bounded cache that holds the sources but evicts an older one of
+    /// them while inserting a missing one: the lending read faults it back
+    /// in, and lends every row current and exact.
+    #[test]
+    fn lend_rows_refaults_a_source_its_own_insert_evicted() {
+        let t = generate(&TransitStubConfig::with_total_nodes(60), 19);
+        let lazy = LazyLatency::with_capacity(t.graph, 3);
+        for s in [0, 1, 2] {
+            lazy.latency(NodeId(s), NodeId(5)); // FIFO: 0, 1, 2
+        }
+        let sources = [NodeId(0), NodeId(7)];
+        lazy.lend_rows(&sources, 0, None, |rows| {
+            for (&s, row) in sources.iter().zip(rows) {
+                assert_eq!(*row, single_source(lazy.graph(), s), "row {s:?}");
+            }
+        });
+        let s = lazy.stats();
+        // 7 evicted 0, whose re-fault evicted 1: resident 2, 7, 0.
+        assert_eq!((s.rows_computed, s.rows_evicted, s.rows_cached), (5, 2, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "lending 3 rows needs a row cache of at least 3, got 2")]
+    fn lend_rows_rejects_a_cache_smaller_than_the_sources() {
+        let t = generate(&TransitStubConfig::with_total_nodes(40), 21);
+        let lazy = LazyLatency::with_capacity(t.graph, 2);
+        lazy.lend_rows(&[NodeId(0), NodeId(1), NodeId(2)], 0, None, |_| ());
     }
 
     /// `ensure_rows` with a pool of 2, 3 or 6 threads — a batch per

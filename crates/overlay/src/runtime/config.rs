@@ -330,7 +330,9 @@ impl RuntimeConfigBuilder {
     /// Caps resident shortest-path rows under [`LatencyBackend::Lazy`] at
     /// `cap ≥ 1` (FIFO); `None` leaves the cache unbounded. Bounds latency
     /// memory at `O(cap · n)`; [`Self::build`] rejects a cap under the dense
-    /// backend, which keeps every row.
+    /// backend, which keeps every row, and one below
+    /// [`VivaldiConfig::landmarks`], whose rows every join tick reads
+    /// together.
     pub fn lazy_row_cache(mut self, v: impl Into<Option<usize>>) -> Self {
         self.config.lazy_row_cache = v.into();
         self
@@ -416,7 +418,9 @@ impl RuntimeConfigBuilder {
     /// negative one adopts worse placements); or if a DHT-backed mapper has
     /// `bits` outside `1..=32` or a zero `scan_width` (the quantizer and
     /// the catalog reject those without naming the field); if a
-    /// `lazy_row_cache` is 0 or set under the dense backend; or if a routed
+    /// `lazy_row_cache` is 0, set under the dense backend or below the
+    /// landmark count (every join tick reads the landmark rows together;
+    /// a smaller cache would recompute some of them each time); or if a routed
     /// mapper's `proto` fails [`ProtoConfig::validate`] or the Vivaldi
     /// configuration fails [`VivaldiConfig::validate`].
     pub fn build(self) -> RuntimeConfig {
@@ -463,6 +467,12 @@ impl RuntimeConfigBuilder {
                 cap >= 1 && backend == LatencyBackend::Lazy,
                 "lazy_row_cache must be at least 1 under Lazy, got {cap} under {backend:?}"
             );
+            if let Some(k) = c.vivaldi.landmarks {
+                assert!(
+                    cap >= k,
+                    "lazy_row_cache must hold the vivaldi.landmarks rows: {k} landmarks, got {cap}"
+                );
+            }
         }
         if let MapperBackend::Dht { bits, scan_width }
         | MapperBackend::Routed { bits, scan_width, .. } = c.mapper_backend

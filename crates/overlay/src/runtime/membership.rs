@@ -83,14 +83,17 @@ pub(super) fn embed(
     (embedding, placer)
 }
 
-/// The one placement call site — gather, place: every non-landmark of
-/// `nodes` (landmarks froze their coordinates at construction) placed
-/// against the frozen landmarks, in input order. The `nodes × k` latency
-/// table is gathered on the calling thread (the row cache is
-/// single-threaded, and a stale landmark row is repaired by its first
-/// read); the kernel is pure and draws from each node's own stream
-/// ([`LandmarkPlacer::place_node`]), so it shards across `pool` and
-/// neither batching, join order nor thread count can move a landing spot.
+/// The one placement call site: every non-landmark of `nodes` (landmarks
+/// froze their coordinates at construction) placed against the frozen
+/// landmarks, in input order. An empty batch reads no row. Otherwise one
+/// lending read ([`LazyLatency::lend_rows`](sbon_netsim::lazy::LazyLatency::lend_rows))
+/// makes the `k` landmark rows current — a stale one is repaired on the
+/// calling thread, in landmark order — and counts the `nodes × k` values
+/// read; the nodes are split into one contiguous chunk per pool thread,
+/// and each chunk reads its nodes' latencies from the rows in place and
+/// runs the kernel ([`LandmarkPlacer::place_nodes`]). Every node draws from
+/// its own stream, so neither batching, join order nor thread count can
+/// move a landing spot.
 fn place_batch(
     placer: &LandmarkPlacer,
     latency: &LatencyState,
@@ -99,14 +102,23 @@ fn place_batch(
 ) -> Vec<(NodeId, VivaldiNode)> {
     let landmarks = placer.landmark_ids();
     let nodes: Vec<NodeId> = nodes.filter(|node| !landmarks.contains(&node.index())).collect();
-    let rtts = placer.gather_rtts(&latency.provider(), &nodes);
-    let jobs: Vec<(NodeId, &[f64])> =
-        nodes.iter().copied().zip(rtts.chunks(landmarks.len())).collect();
-    let place = |&(node, rtts): &(NodeId, &[f64])| (node, placer.place_node(node, rtts));
-    match pool {
-        Some(pool) if jobs.len() > 1 => pool.install(|| jobs.par_iter().map(place).collect()),
-        _ => jobs.iter().map(place).collect(),
+    if nodes.is_empty() {
+        return Vec::new();
     }
+    let sources: Vec<NodeId> = landmarks.iter().map(|&l| NodeId(l as u32)).collect();
+    let reads = (nodes.len() * landmarks.len()) as u64;
+    let states = latency.provider().lend_rows(&sources, reads, pool, |rows| match pool {
+        Some(pool) if nodes.len() > 1 => {
+            let chunks: Vec<&[NodeId]> =
+                nodes.chunks(nodes.len().div_ceil(pool.current_num_threads())).collect();
+            let batches: Vec<Vec<VivaldiNode>> = pool.install(|| {
+                chunks.par_iter().map(|chunk| placer.place_nodes(chunk, rows)).collect()
+            });
+            batches.into_iter().flatten().collect()
+        }
+        _ => placer.place_nodes(&nodes, rows),
+    });
+    nodes.into_iter().zip(states).collect()
 }
 
 impl OverlayRuntime {
@@ -134,10 +146,11 @@ impl OverlayRuntime {
     /// Deployment wave: admits this tick's arrivals — before churn, so a
     /// node can report load the tick it joins. Under landmark mode the
     /// arrivals are first placed against the frozen landmarks as one batch
-    /// ([`place_batch`]: serial gather, kernel across the pool), so each
-    /// has its vector coordinate before it becomes mappable; then each is
-    /// committed, serially and in join order, by one O(log n) mapper
-    /// registration (`add_node`).
+    /// ([`place_batch`]: one lending read of the landmark rows, the kernel
+    /// across the pool reading them in place), so each has its vector
+    /// coordinate before it becomes mappable; then each is committed,
+    /// serially and in join order, by one O(log n) mapper registration
+    /// (`add_node`).
     pub(super) fn admit_joins(&mut self) {
         let DeploymentModel::Wave { joins_per_tick, .. } = self.config.deployment else { return };
         let t_join = WallTimer::start();

@@ -1320,6 +1320,8 @@ fn builder_rejects_non_positive_and_non_finite_times() {
     ] {
         rows.push((vivaldi(bad), format!("vivaldi.{field} must be at least 1, got 0")));
     }
+    let too_wide = VivaldiConfig { dims: 11, ..base() };
+    rows.push((vivaldi(too_wide), "vivaldi.dims must be at most 10, got 11".to_owned()));
     for bad in [0.0, -0.25, nan, f64::INFINITY] {
         for (field, config) in [
             ("ce", VivaldiConfig { ce: bad, ..base() }),
@@ -1410,6 +1412,57 @@ fn builder_rejects_a_zero_row_cache() {
 #[should_panic(expected = "lazy_row_cache must be at least 1 under Lazy, got 16 under Dense")]
 fn builder_rejects_a_row_cache_under_the_dense_backend() {
     RuntimeConfig::builder().lazy_row_cache(16).build();
+}
+
+/// A cap below the landmark count used to be accepted: every join tick then
+/// recomputed at least `k − cap` landmark rows. Join placement now reads
+/// the k rows together, which such a cache cannot hold.
+#[test]
+#[should_panic(
+    expected = "lazy_row_cache must hold the vivaldi.landmarks rows: 8 landmarks, got 7"
+)]
+fn builder_rejects_a_row_cache_smaller_than_the_landmark_set() {
+    RuntimeConfig::builder()
+        .latency_backend(LatencyBackend::Lazy)
+        .vivaldi(VivaldiConfig { landmarks: Some(8), ..Default::default() })
+        .lazy_row_cache(7)
+        .build();
+}
+
+/// A drained wave's join ticks place nobody and read no landmark row.
+/// With jitter and no circuit the only resident rows are the landmarks',
+/// stale after every tick; the wave's join ticks repair them, and once the
+/// last node has joined, further ticks repair nothing.
+#[test]
+fn drained_wave_ticks_repair_no_landmark_row() {
+    let topo = small_world(45);
+    let n = topo.num_nodes();
+    let mut rt = OverlayRuntime::new(
+        &topo,
+        45,
+        RuntimeConfig::builder()
+            .horizon_ms(20_000.0)
+            .latency_backend(LatencyBackend::Lazy)
+            .latency_jitter(JitterModel { edges_per_tick: 4, ..Default::default() })
+            .deployment(DeploymentModel::Wave { initial: 20, joins_per_tick: 20 })
+            .vivaldi(VivaldiConfig { landmarks: Some(8), ..Default::default() })
+            .build(),
+    );
+    let mut session = rt.start_run();
+    while rt.arrived_count() < n {
+        assert!(rt.advance_ticks(&mut session, 1), "the wave drains before the horizon");
+    }
+    let drained = rt.lazy_latency_stats().unwrap();
+    assert!(drained.rows_repaired > 0, "the join ticks repaired the landmark rows");
+    assert!(rt.advance_ticks(&mut session, 3));
+    let after = rt.lazy_latency_stats().unwrap();
+    assert_eq!(after.rows_cached, 8, "only the landmark rows are resident");
+    assert_eq!(rt.latency.provider().rows_stale(), 8, "and jitter left them stale");
+    assert_eq!(
+        (after.rows_repaired, after.vertices_settled),
+        (drained.rows_repaired, drained.vertices_settled),
+        "drained-wave ticks read no landmark row"
+    );
 }
 
 /// Landmark mode under a deployment wave: construction computes only

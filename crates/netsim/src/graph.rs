@@ -35,10 +35,12 @@
 //! becomes one region holding nearly the whole graph.
 //!
 //! With the labels (4 B a node) the graph derives each touching region's
-//! bridge as (core end, region end, edge id), 12 B a region. One bridge
-//! pass over the CSR and one pass over the class forest derive both, on
-//! the first row or point-to-point search; their temporaries (1 B an edge
-//! and at most a few dozen bytes a node) are freed before it returns.
+//! bridge as (core end, region end, edge id), 12 B a region. Two passes
+//! over the CSR derive both, on the first row or point-to-point search: one
+//! depth-first search finds the classes and the core, one flood of the
+//! other vertices the regions and their bridges. Their temporaries hold
+//! nothing an edge — 8 B a node, 16 B a class and 16 B a vertex on the
+//! search path — and are freed before it returns.
 //! `add_node` / `add_edge` drop the regions with the CSR, and a weight
 //! change keeps both: the table holds no weight.
 
@@ -145,7 +147,7 @@ impl Csr {
     }
 }
 
-/// A node no label has been given yet, in [`Graph::flood`]'s tables.
+/// A node no label (or search order) has been given yet.
 const UNLABELLED: u32 = u32::MAX;
 
 /// The pendant regions of a graph (module docs).
@@ -316,7 +318,24 @@ impl Graph {
     /// component's smallest node.
     pub(crate) fn component_labels(&self) -> Vec<u32> {
         let mut label = vec![UNLABELLED; self.num_nodes()];
-        self.flood(&mut label, 0, |_| true);
+        let mut stack = Vec::new();
+        let mut next = 0;
+        for start in 0..self.nodes {
+            if label[start as usize] != UNLABELLED {
+                continue;
+            }
+            label[start as usize] = next;
+            stack.push(NodeId(start));
+            while let Some(v) = stack.pop() {
+                for (u, ..) in self.neighbors(v) {
+                    if label[u.index()] == UNLABELLED {
+                        label[u.index()] = next;
+                        stack.push(u);
+                    }
+                }
+            }
+            next += 1;
+        }
         label
     }
 
@@ -328,183 +347,154 @@ impl Graph {
         self.regions.get_or_init(|| {
             #[cfg(test)]
             self.region_builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let mut label = vec![UNLABELLED; self.num_nodes()];
-            let classes = {
-                let bridges = self.bridges();
-                self.flood(&mut label, 0, |e| !bridges[e.index()]) as usize
-            };
-            let core = self.centroid(&label, classes);
+            let csr = self.csr();
+            let (mut label, core) = self.classes();
             for c in label.iter_mut() {
                 *c = if *c == core { 0 } else { UNLABELLED };
             }
-            self.flood(&mut label, 1, |_| true);
-            let mut bridges: Vec<Bridge> = (self.edges.iter().zip(0..))
-                .filter_map(|(e, id)| match (label[e.a.index()], label[e.b.index()]) {
-                    (0, r) if r != 0 => Some(Bridge { core: e.a, end: e.b, edge: EdgeId(id) }),
-                    (r, 0) if r != 0 => Some(Bridge { core: e.b, end: e.a, edge: EdgeId(id) }),
-                    _ => None,
-                })
-                .collect();
-            bridges.sort_unstable_by_key(|b| label[b.end.index()]);
+            // Each region flooded from its lowest vertex; the one edge by
+            // which it meets the core is its bridge.
+            let (mut bridges, mut stack, mut next) = (Vec::new(), Vec::new(), 1);
+            for start in 0..self.nodes {
+                if label[start as usize] != UNLABELLED {
+                    continue;
+                }
+                label[start as usize] = next;
+                stack.push(start);
+                while let Some(v) = stack.pop() {
+                    for &Slot { to, edge, .. } in &csr.slots[csr.run(NodeId(v))] {
+                        match label[to as usize] {
+                            UNLABELLED => {
+                                label[to as usize] = next;
+                                stack.push(to);
+                            }
+                            0 => bridges.push(Bridge {
+                                core: NodeId(to),
+                                end: NodeId(v),
+                                edge: EdgeId(edge),
+                            }),
+                            _ => {}
+                        }
+                    }
+                }
+                next += 1;
+            }
             Regions { label: label.into_boxed_slice(), bridges: bridges.into_boxed_slice() }
         })
     }
 
-    /// The core among the `classes` 2-edge-connected classes `class`
-    /// labels, numbered in order of their lowest vertex (module docs).
-    /// An edge between two classes is a bridge, so they form a forest;
-    /// rooted at its lowest class, removing class `c` from a tree leaves
-    /// `c`'s child subtrees, the rest of its tree and every other tree.
-    fn centroid(&self, class: &[u32], classes: usize) -> u32 {
-        // The forest's adjacency, by counting sort.
-        let bridges = || {
-            let ends = self.edges.iter().map(|e| (class[e.a.index()], class[e.b.index()]));
-            ends.filter(|(a, b)| a != b)
-        };
-        let mut offsets = vec![0u32; classes + 1];
-        for (a, b) in bridges() {
-            offsets[a as usize + 1] += 1;
-            offsets[b as usize + 1] += 1;
+    /// Each vertex's 2-edge-connected class, numbered as the classes close,
+    /// and which class is the core (module docs): one iterative depth-first
+    /// low-link pass over the CSR.
+    ///
+    /// A search skips the tree edge it arrived by, by id, so a parallel copy
+    /// of it counts as the cycle it is, and a self-loop leads back to its
+    /// own vertex and lowers nothing. A vertex goes on the `open` stack when
+    /// reached. When `v` is done and no edge out of its subtree climbs above
+    /// it, the edge it was reached by is a bridge (or `v` is a root), and
+    /// `v` with every vertex above it on the stack is its class. Rooted at
+    /// its lowest vertex, each tree of the bridge forest gives `v`'s class
+    /// exactly `v`'s search subtree as its subtree, whose size the clock
+    /// gives. Its heaviest child subtree is carried up the path: a closing
+    /// class hands its weight to its parent's frame, a member hands what it
+    /// holds to its parent. Removing class `c` leaves its child subtrees,
+    /// the rest of its tree and every other tree.
+    fn classes(&self) -> (Vec<u32>, u32) {
+        /// A vertex on the search path.
+        struct Frame {
+            v: u32,
+            /// The tree edge it was reached by.
+            via: u32,
+            /// Its next slot.
+            next: u32,
+            /// The heaviest subtree of a class closed below it or below a
+            /// finished member of its class.
+            heaviest: u32,
         }
-        for c in 0..classes {
-            offsets[c + 1] += offsets[c];
+        /// A closed class: its subtree's and heaviest child subtree's
+        /// vertex counts, its lowest vertex and its tree.
+        struct Class {
+            weight: u32,
+            heaviest: u32,
+            lowest: u32,
+            tree: u32,
         }
-        let mut next = offsets.clone();
-        let mut adjacent = vec![0u32; offsets[classes] as usize];
-        for (a, b) in bridges() {
-            for (at, to) in [(a, b), (b, a)] {
-                adjacent[next[at as usize] as usize] = to;
-                next[at as usize] += 1;
-            }
-        }
-        // Each tree breadth-first from its lowest class: `root` marks the
-        // classes reached, `order` lists them parents first.
-        let (mut root, mut parent) = (vec![UNLABELLED; classes], vec![0u32; classes]);
-        let mut order: Vec<u32> = Vec::with_capacity(classes);
-        for r in 0..classes as u32 {
-            if root[r as usize] != UNLABELLED {
-                continue;
-            }
-            (root[r as usize], parent[r as usize]) = (r, r);
-            let mut at = order.len();
-            order.push(r);
-            while let Some(&c) = order.get(at) {
-                at += 1;
-                let c = c as usize;
-                for &d in &adjacent[offsets[c] as usize..offsets[c + 1] as usize] {
-                    if root[d as usize] == UNLABELLED {
-                        (root[d as usize], parent[d as usize]) = (r, c as u32);
-                        order.push(d);
-                    }
-                }
-            }
-        }
-        // `weight[c]`: the vertices of `c`'s subtree; `heaviest[c]`: those
-        // of its heaviest child subtree.
-        let mut weight = vec![0u32; classes];
-        class.iter().for_each(|&c| weight[c as usize] += 1);
-        let mut heaviest = vec![0u32; classes];
-        for &c in order.iter().rev() {
-            let (c, p) = (c as usize, parent[c as usize] as usize);
-            if p != c {
-                weight[p] += weight[c];
-                heaviest[p] = heaviest[p].max(weight[c]);
-            }
-        }
-        // The heaviest tree (the lowest root among equals) and the weight
-        // of the heaviest other one.
-        let (mut first, mut second) = ((0, UNLABELLED), 0);
-        for r in (0..classes as u32).filter(|&r| root[r as usize] == r) {
-            let w = weight[r as usize];
-            if w > first.0 {
-                (first, second) = ((w, r), first.0);
-            } else if w > second {
-                second = w;
-            }
-        }
-        let largest_left = |c: usize| {
-            let other_trees = if root[c] == first.1 { second } else { first.0 };
-            let above = weight[root[c] as usize] - weight[c];
-            above.max(heaviest[c]).max(other_trees)
-        };
-        // `min_by_key` keeps the first of equals: the lowest class.
-        (0..classes).min_by_key(|&c| largest_left(c)).map_or(UNLABELLED, |c| c as u32)
-    }
-
-    /// Labels, by components over `passable` edges, every node `label`
-    /// still holds [`UNLABELLED`], counting from `first` in order of each
-    /// component's lowest node; labelled nodes are walls. Returns the next
-    /// unused label.
-    fn flood(&self, label: &mut [u32], first: u32, passable: impl Fn(EdgeId) -> bool) -> u32 {
-        let mut next = first;
-        let mut stack = Vec::new();
-        for start in 0..self.nodes {
-            if label[start as usize] != UNLABELLED {
-                continue;
-            }
-            label[start as usize] = next;
-            stack.push(NodeId(start));
-            while let Some(v) = stack.pop() {
-                for (u, e, _) in self.neighbors(v) {
-                    if label[u.index()] == UNLABELLED && passable(e) {
-                        label[u.index()] = next;
-                        stack.push(u);
-                    }
-                }
-            }
-            next += 1;
-        }
-        next
-    }
-
-    /// Which edges are bridges, by edge id: one iterative depth-first
-    /// low-link pass over the CSR. A search skips the tree edge it arrived
-    /// by, by id, so a parallel copy of it counts as the cycle it is, and a
-    /// self-loop leads back to its own vertex and lowers nothing.
-    fn bridges(&self) -> Vec<bool> {
         let (n, csr) = (self.num_nodes(), self.csr());
-        let mut bridge = vec![false; self.num_edges()];
         // `order[v]`: when the search reached `v`; `low[v]`: the earliest
-        // `order` that `v`'s subtree reaches by one non-tree edge.
+        // `order` that `v`'s subtree reaches by one non-tree edge, then, once
+        // `v`'s class closed, the class.
         let (mut order, mut low) = (vec![UNLABELLED; n], vec![0u32; n]);
-        // (vertex, the tree edge it was reached by, its next slot).
-        let mut path: Vec<(u32, u32, usize)> = Vec::new();
+        let (mut open, mut path) = (Vec::new(), Vec::<Frame>::new());
+        let (mut classes, mut trees) = (Vec::<Class>::new(), Vec::new());
         let mut clock = 0;
         for root in 0..self.nodes {
             if order[root as usize] != UNLABELLED {
                 continue;
             }
-            (order[root as usize], low[root as usize]) = (clock, clock);
-            clock += 1;
-            path.push((root, u32::MAX, csr.offsets[root as usize] as usize));
-            while let Some((v, via, next)) = path.last_mut() {
-                let v = *v as usize;
-                if *next < csr.offsets[v + 1] as usize {
-                    let Slot { to, edge, .. } = csr.slots[*next];
-                    *next += 1;
-                    if edge == *via {
+            // The vertex to reach next, and the tree edge it is reached by.
+            let mut reach = Some((root, u32::MAX));
+            loop {
+                if let Some((u, via)) = reach.take() {
+                    (order[u as usize], low[u as usize], clock) = (clock, clock, clock + 1);
+                    open.push(u);
+                    path.push(Frame { v: u, via, next: csr.offsets[u as usize], heaviest: 0 });
+                }
+                let Some(frame) = path.last_mut() else { break };
+                // `v`'s slots up to its next unreached neighbour, if any.
+                let v = frame.v as usize;
+                while frame.next < csr.offsets[v + 1] {
+                    let Slot { to, edge, .. } = csr.slots[frame.next as usize];
+                    frame.next += 1;
+                    if edge == frame.via {
                         continue;
+                    } else if order[to as usize] == UNLABELLED {
+                        reach = Some((to, edge));
+                        break;
                     }
-                    let u = to as usize;
-                    if order[u] == UNLABELLED {
-                        (order[u], low[u]) = (clock, clock);
-                        clock += 1;
-                        path.push((to, edge, csr.offsets[u] as usize));
-                    } else {
-                        low[v] = low[v].min(order[u]);
-                    }
+                    low[v] = low[v].min(order[to as usize]);
+                }
+                if reach.is_some() {
                     continue;
                 }
-                let via = *via;
+                let heaviest = frame.heaviest;
                 path.pop();
-                if let Some(&(parent, ..)) = path.last() {
-                    let parent = parent as usize;
-                    low[parent] = low[parent].min(low[v]);
-                    bridge[via as usize] = low[v] > order[parent];
+                match path.last_mut() {
+                    Some(p) if low[v] <= order[p.v as usize] => {
+                        low[p.v as usize] = low[p.v as usize].min(low[v]);
+                        p.heaviest = p.heaviest.max(heaviest);
+                    }
+                    parent => {
+                        let (id, mut lowest) = (classes.len() as u32, u32::MAX);
+                        let top = open.iter().rposition(|&u| u as usize == v).expect("v is open");
+                        for u in open.drain(top..) {
+                            (low[u as usize], lowest) = (id, lowest.min(u));
+                        }
+                        let weight = clock - order[v];
+                        classes.push(Class { weight, heaviest, lowest, tree: trees.len() as u32 });
+                        if let Some(p) = parent {
+                            p.heaviest = p.heaviest.max(weight);
+                        }
+                    }
                 }
             }
+            trees.push(clock - order[root as usize]);
         }
-        bridge
+        // The heaviest tree (the lowest root among equals) and the weight of
+        // the heaviest other one.
+        let (mut first, mut second) = ((0, u32::MAX), 0);
+        for (&w, t) in trees.iter().zip(0..) {
+            if w > first.0 {
+                (first, second) = ((w, t), first.0);
+            } else if w > second {
+                second = w;
+            }
+        }
+        let largest_left = |c: &Class| {
+            let other_trees = if c.tree == first.1 { second } else { first.0 };
+            (trees[c.tree as usize] - c.weight).max(c.heaviest).max(other_trees)
+        };
+        let core = (classes.iter().zip(0..)).min_by_key(|(c, _)| (largest_left(c), c.lowest));
+        (low, core.map_or(UNLABELLED, |(_, id)| id))
     }
 
     /// Sum of all edge latencies; used by tests as a cheap fingerprint.
@@ -818,6 +808,25 @@ mod tests {
         for g in &graphs {
             check_regions(g);
         }
+    }
+
+    /// A 100,000-vertex path, past the brute force's reach: the search runs
+    /// 100,000 frames deep, and its subtree weights put the core on the
+    /// lower of the two middle vertices.
+    #[test]
+    fn regions_of_a_long_path_split_it_at_its_centroid() {
+        let edges: Vec<(u32, u32)> = (1..100_000).map(|v| (v - 1, v)).collect();
+        let path = from_edges(100_000, &edges);
+        let Regions { label, bridges } = path.regions();
+        let expected = |v: usize| match v {
+            ..49_999 => 1,
+            49_999 => 0,
+            _ => 2,
+        };
+        assert!(label.iter().enumerate().all(|(v, &r)| r == expected(v)));
+        let bridge =
+            |end, edge| Bridge { core: NodeId(49_999), end: NodeId(end), edge: EdgeId(edge) };
+        assert_eq!(&bridges[..], [bridge(49_998, 49_998), bridge(50_000, 49_999)]);
     }
 
     /// Labels are derived once, kept by a weight change and dropped with

@@ -91,8 +91,8 @@
 //! they need is which labels may be wrong, which the net delta against
 //! the row's own epoch determines. The property suite in
 //! `tests/properties.rs` pins this equivalence across random topologies,
-//! delta batches, read patterns (rows lagging by differing numbers of
-//! batches), and cache capacities.
+//! delta batches and read patterns (rows lagging by differing numbers of
+//! batches).
 //!
 //! # Point-to-point reads
 //!
@@ -205,17 +205,17 @@
 //! fold-left sums from `b`, and summing a path's edges from the other end
 //! can round differently in the last bits.
 //!
-//! # Memory bound
+//! # Residency
 //!
-//! [`LazyLatency::with_capacity`] caps the number of resident rows with
-//! FIFO eviction, bounding memory at `O(capacity · n)` regardless of query
-//! pattern; [`LazyLatency::evict_all`] drops the whole cache (useful after
-//! a warm-up phase whose rows the steady state will never read again).
+//! A row stays resident, `8 n` bytes, from the read that computed it until
+//! [`LazyLatency::evict_all`] drops the whole cache (useful after a warm-up
+//! phase whose rows the steady state will never read again) or the delta
+//! log lets go of the entries it still needs. Nothing else evicts a row.
 //! [`LazyLatency::ensure_rows`] makes a set of rows resident and current:
 //! it repairs the stale ones and batch-computes the missing ones —
 //! optionally one batch per thread of a pool, with insertion order (and
-//! therefore FIFO order, statistics, and every served value) independent
-//! of the thread count. The delta log adds at most one entry per edge.
+//! therefore statistics and every served value) independent of the thread
+//! count. The delta log adds at most one entry per edge.
 //!
 //! # Lending rows
 //!
@@ -228,8 +228,7 @@
 //! any number of threads. The closure's reads bypass the cache, so the
 //! caller says how many values it will read and the call adds that count
 //! to `cache_hits`: the counter reads as if each value had been served by
-//! [`LatencyProvider::latency`]. A cache bounded below the number of rows
-//! could never hold them together, and the call panics naming both.
+//! [`LatencyProvider::latency`].
 //!
 //! # Where rows come from
 //!
@@ -276,9 +275,9 @@ pub struct LazyLatencyStats {
     /// behind that the bounded delta log had to let go of the entries they
     /// needed.
     pub rows_invalidated: u64,
-    /// Rows dropped while still valid: capacity-bound evictions plus
-    /// explicit [`LazyLatency::evict_all`] calls (e.g. the runtime's
-    /// post-embedding warm-up flush).
+    /// Rows dropped while still valid: the rows resident at each
+    /// [`LazyLatency::evict_all`] call (e.g. the runtime's post-embedding
+    /// warm-up flush).
     pub rows_evicted: u64,
     /// Repair phases that changed at least one distance: up to two (the
     /// raises, then the lowers) per read of a stale row, however many
@@ -327,8 +326,8 @@ struct RowCache {
     /// Resident rows behind `head`. While it is zero — always, for a graph
     /// nobody mutates — a cache hit never looks at `epochs`.
     stale: usize,
-    /// Insertion order of resident rows, for FIFO eviction.
-    order: VecDeque<u32>,
+    /// The sources of the resident rows, each once, in insertion order.
+    resident: Vec<u32>,
     /// Weight changes some resident row may not have absorbed yet, in
     /// epoch order.
     log: VecDeque<LogEntry>,
@@ -338,7 +337,7 @@ struct RowCache {
     /// The point-to-point searches' buffers, allocated by the first
     /// search: a provider that only serves rows never holds them.
     pair: Option<Box<PairScratch>>,
-    /// The usage counters; `rows_cached` is filled in from `order` when
+    /// The usage counters; `rows_cached` is filled in from `resident` when
     /// [`LazyLatency::stats`] hands a copy out.
     stats: LazyLatencyStats,
 }
@@ -350,7 +349,7 @@ impl RowCache {
             epochs: vec![0; n],
             head: 0,
             stale: 0,
-            order: VecDeque::new(),
+            resident: Vec::new(),
             log: VecDeque::new(),
             scratch: Box::default(),
             pair: None,
@@ -382,22 +381,15 @@ impl RowCache {
         self.stale == 0 || self.epochs[v.index()] == self.head
     }
 
-    /// Inserts a row freshly computed on the current graph, evicting FIFO
-    /// victims to stay under `capacity`. The single insertion path keeps
-    /// the `order` invariant (each resident source appears exactly once).
-    fn insert(&mut self, src: NodeId, row: Box<[f64]>, capacity: Option<usize>) {
+    /// Inserts a row, freshly computed on the current graph, of a source
+    /// with none resident. The single insertion path keeps the `resident`
+    /// invariant (each resident source appears exactly once).
+    fn insert(&mut self, src: NodeId, row: Box<[f64]>) {
+        debug_assert!(self.rows[src.index()].is_none(), "{src} already has a row");
         self.stats.rows_computed += 1;
-        if let Some(cap) = capacity {
-            while self.order.len() >= cap {
-                let victim = self.order.pop_front().expect("capacity >= 1") as usize;
-                self.rows[victim] = None;
-                self.stale -= usize::from(self.epochs[victim] != self.head);
-                self.stats.rows_evicted += 1;
-            }
-        }
         self.rows[src.index()] = Some(row);
         self.epochs[src.index()] = self.head;
-        self.order.push_back(src.0);
+        self.resident.push(src.0);
     }
 
     /// Keeps the delta log within `max_len` entries. If it has outgrown
@@ -412,8 +404,8 @@ impl RowCache {
         let cut = self.log[self.log.len() - max_len - 1].epoch;
         let (rows, epochs) = (&mut self.rows, &self.epochs);
         let mut oldest = u64::MAX;
-        let before = self.order.len();
-        self.order.retain(|&src| {
+        let before = self.resident.len();
+        self.resident.retain(|&src| {
             let epoch = epochs[src as usize];
             if epoch < cut {
                 rows[src as usize] = None;
@@ -422,7 +414,7 @@ impl RowCache {
             oldest = oldest.min(epoch);
             true
         });
-        let dropped = before - self.order.len();
+        let dropped = before - self.resident.len();
         self.stale -= dropped;
         self.stats.rows_invalidated += dropped as u64;
         let keep_from = self.log.partition_point(|entry| entry.epoch <= oldest);
@@ -565,7 +557,6 @@ pub struct LazyLatency {
     /// edge: a run jitters a few thousand of `planet-100k`'s 2M edges and
     /// about a third of `routed-5k`'s.
     base_edges: Vec<(EdgeId, f64)>,
-    capacity: Option<usize>,
     cache: RefCell<RowCache>,
     /// Pair searches relax into every vertex, the scope's reference.
     #[cfg(test)]
@@ -573,23 +564,12 @@ pub struct LazyLatency {
 }
 
 impl LazyLatency {
-    /// Wraps a topology graph with an unbounded row cache.
+    /// Wraps a topology graph; no row is resident yet.
     pub fn new(graph: Graph) -> Self {
-        Self::build(graph, None)
-    }
-
-    /// Wraps a topology graph keeping at most `capacity` rows resident
-    /// (FIFO eviction). `capacity` is clamped to at least 1.
-    pub fn with_capacity(graph: Graph, capacity: usize) -> Self {
-        Self::build(graph, Some(capacity.max(1)))
-    }
-
-    fn build(graph: Graph, capacity: Option<usize>) -> Self {
         let n = graph.num_nodes();
         LazyLatency {
             graph,
             base_edges: Vec::new(),
-            capacity,
             cache: RefCell::new(RowCache::new(n)),
             #[cfg(test)]
             unscoped_pairs: false,
@@ -671,7 +651,7 @@ impl LazyLatency {
             return;
         }
         cache.head += 1;
-        cache.stale = cache.order.len();
+        cache.stale = cache.resident.len();
         // Grow exactly: at 16 B an entry, a doubled capacity could cost more
         // than 8 B an edge.
         let known = self.base_edges.len();
@@ -721,9 +701,9 @@ impl LazyLatency {
     /// ([`crate::dijkstra`]): one batch, or with a `pool` one contiguous
     /// chunk of the missing list per pool thread. Insertion happens
     /// afterwards on the calling thread in the same deterministic order, so
-    /// the cache state, FIFO eviction sequence, statistics, and every
-    /// subsequently served value are identical at any thread count (each
-    /// row is bit-identical whatever batch computed it).
+    /// the cache state, statistics, and every subsequently served value are
+    /// identical at any thread count (each row is bit-identical whatever
+    /// batch computed it).
     pub fn ensure_rows(&self, sources: &[NodeId], pool: Option<&rayon::ThreadPool>) -> u64 {
         let missing: Vec<NodeId> = {
             let mut cache = self.cache.borrow_mut();
@@ -761,7 +741,7 @@ impl LazyLatency {
         };
         let mut cache = self.cache.borrow_mut();
         for (&s, row) in missing.iter().zip(rows) {
-            cache.insert(s, row, self.capacity);
+            cache.insert(s, row);
         }
         missing.len() as u64
     }
@@ -770,18 +750,11 @@ impl LazyLatency {
     /// row — made resident and current by [`LazyLatency::ensure_rows`]
     /// (across `pool`), and counts `reads` cache hits: the values the
     /// caller will read from them, each what [`LatencyProvider::latency`]
-    /// would have served and counted. A row inserted by the call can push
-    /// an older one of `sources` out of a bounded cache; the call then
-    /// faults that one back in, until all are resident together.
+    /// would have served and counted.
     ///
     /// The rows are plain slices, so `read` may share them across threads;
     /// it must not call back into this provider, which stays borrowed
     /// while it runs.
-    ///
-    /// # Panics
-    ///
-    /// Naming both numbers, if the row cache's capacity is below
-    /// `sources.len()`: the rows could never be resident together.
     pub fn lend_rows<T>(
         &self,
         sources: &[NodeId],
@@ -789,20 +762,7 @@ impl LazyLatency {
         pool: Option<&rayon::ThreadPool>,
         read: impl FnOnce(&[&[f64]]) -> T,
     ) -> T {
-        if let Some(cap) = self.capacity {
-            assert!(
-                sources.len() <= cap,
-                "lending {} rows needs a row cache of at least {}, got {cap}",
-                sources.len(),
-                sources.len()
-            );
-        }
-        let mut pending = sources.to_vec();
-        while !pending.is_empty() {
-            self.ensure_rows(&pending, pool);
-            let cache = self.cache.borrow();
-            pending.retain(|s| cache.rows[s.index()].is_none());
-        }
+        self.ensure_rows(sources, pool);
         self.cache.borrow_mut().stats.cache_hits += reads;
         let cache = self.cache.borrow();
         let rows: Vec<&[f64]> = sources
@@ -818,9 +778,9 @@ impl LazyLatency {
     /// Drops every cached row. Counters other than `rows_cached` are kept.
     pub fn evict_all(&self) {
         let mut cache = self.cache.borrow_mut();
-        let dropped = cache.order.len() as u64;
+        let dropped = cache.resident.len() as u64;
         cache.stats.rows_evicted += dropped;
-        cache.order.clear();
+        cache.resident.clear();
         cache.stale = 0;
         for row in cache.rows.iter_mut() {
             *row = None;
@@ -830,7 +790,7 @@ impl LazyLatency {
     /// Usage counters so far.
     pub fn stats(&self) -> LazyLatencyStats {
         let cache = self.cache.borrow();
-        LazyLatencyStats { rows_cached: cache.order.len(), ..cache.stats }
+        LazyLatencyStats { rows_cached: cache.resident.len(), ..cache.stats }
     }
 
     /// Resident rows that are behind the latest delta batch, i.e. whose
@@ -1241,7 +1201,7 @@ impl LatencyProvider for LazyLatency {
         }
         let row = single_source(&self.graph, a).into_boxed_slice();
         let value = row[b.index()];
-        cache.insert(a, row, self.capacity);
+        cache.insert(a, row);
         value
     }
 }
@@ -1266,7 +1226,13 @@ pub(crate) mod tests {
         {
             let cache = lazy.cache.borrow();
             let behind = |&&src: &&u32| cache.epochs[src as usize] != cache.head;
-            assert_eq!(cache.stale, cache.order.iter().filter(behind).count(), "stale-row count");
+            assert_eq!(
+                cache.stale,
+                cache.resident.iter().filter(behind).count(),
+                "stale-row count"
+            );
+            let rows = cache.rows.iter().flatten().count();
+            assert_eq!(cache.resident.len(), rows, "each resident source listed once");
         }
         let dense = all_pairs_latency(lazy.graph());
         let n = lazy.len();
@@ -1488,26 +1454,6 @@ pub(crate) mod tests {
         );
     }
 
-    /// A stale row pushed out by the capacity bound and faulted back in is
-    /// computed on the current graph and stamped current: no repair runs.
-    #[test]
-    fn evicted_stale_row_refaults_current() {
-        let t = generate(&TransitStubConfig::with_total_nodes(40), 33);
-        let mut lazy = LazyLatency::with_capacity(t.graph, 2);
-        lazy.latency(NodeId(0), NodeId(5));
-        lazy.latency(NodeId(1), NodeId(5));
-        let e = EdgeId(0);
-        lazy.set_edge_latency(e, lazy.graph().edge(e).latency_ms * 4.0);
-        assert_eq!(lazy.rows_stale(), 2);
-        lazy.latency(NodeId(2), NodeId(5)); // evicts stale row 0
-        lazy.latency(NodeId(0), NodeId(5)); // evicts stale row 1, re-faults 0
-        let s = lazy.stats();
-        assert_eq!((s.rows_computed, s.rows_evicted, s.rows_cached), (4, 2, 2));
-        assert_eq!(lazy.rows_stale(), 0, "rows computed after the delta are current");
-        assert_eq!(s.rows_repaired + s.rows_rebuilt, 0);
-        assert_matches_dense(&lazy);
-    }
-
     /// The delta log never outgrows the edge count: rows too far behind are
     /// let go (and recomputed if read again), rows that keep up survive,
     /// and every served value stays exact.
@@ -1532,6 +1478,13 @@ pub(crate) mod tests {
         assert_eq!(s.rows_invalidated, 1, "only the row nobody read fell behind the log");
         assert_eq!(s.rows_cached, 1);
         assert!(lazy.cache.borrow().log.len() <= 4, "a row that keeps up needs one batch");
+        // Read again, the dropped row is recomputed and counted once, and
+        // the next read of it is a hit.
+        lazy.latency(unread, NodeId(0));
+        let hits = lazy.stats().cache_hits;
+        lazy.latency(unread, NodeId(1));
+        let s = lazy.stats();
+        assert_eq!((s.rows_computed, s.rows_cached, s.cache_hits), (3, 2, hits + 1));
         assert_matches_dense(&lazy);
     }
 
@@ -1644,72 +1597,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn capacity_bounds_resident_rows() {
-        let t = generate(&TransitStubConfig::with_total_nodes(50), 7);
-        let lazy = LazyLatency::with_capacity(t.graph, 3);
-        for src in 0..10u32 {
-            lazy.latency(NodeId(src), NodeId(20));
-        }
-        let s = lazy.stats();
-        assert_eq!(s.rows_cached, 3);
-        assert_eq!(s.rows_computed, 10);
-        assert_eq!(s.rows_evicted, 7);
-        // Evicted rows recompute correctly.
-        assert_matches_dense(&lazy);
-    }
-
-    /// A row that is invalidated and then refetched must be *re-enqueued*
-    /// in the FIFO order, not duplicated: a stale duplicate entry would make
-    /// one capacity eviction pop the ghost and a later one over-evict a
-    /// still-valid row (and `rows_cached` would double-count). Pins the
-    /// invariant that `order` holds each resident source exactly once.
-    /// (The bounded delta log's drop in `bound_log` is the one path that
-    /// removes rows mid-order.)
-    #[test]
-    fn invalidated_then_refetched_row_does_not_duplicate_in_fifo() {
-        // Square: 0 —10— 1, 0 —1— 2 —1— 3 —1— 1. The (0,1) edge stays the
-        // long way round whatever it is re-weighted to below, so no served
-        // distance ever changes — only the log grows.
-        let mut g = Graph::new(4);
-        let e01 = g.add_edge(NodeId(0), NodeId(1), 10.0);
-        g.add_edge(NodeId(0), NodeId(2), 1.0);
-        g.add_edge(NodeId(2), NodeId(3), 1.0);
-        g.add_edge(NodeId(3), NodeId(1), 1.0);
-        let m = g.num_edges();
-        let mut lazy = LazyLatency::with_capacity(g, 2);
-        assert_eq!(lazy.latency(NodeId(0), NodeId(1)), 3.0); // order: [0]
-        assert_eq!(lazy.latency(NodeId(2), NodeId(1)), 2.0); // order: [0, 2]
-        assert_eq!(lazy.stats().rows_cached, 2);
-
-        // Row 2 is read after every batch and keeps up; row 0 is never read
-        // and falls one delta more than the log holds behind, so the log
-        // lets go of row 0 only. The FIFO order must become [2].
-        for step in 0..=m {
-            lazy.set_edge_latency(e01, 9.0 - step as f64);
-            assert_eq!(lazy.latency(NodeId(2), NodeId(1)), 2.0);
-        }
-        assert_eq!(lazy.stats().rows_invalidated, 1, "only row 0 fell behind the log");
-        assert_eq!(lazy.stats().rows_cached, 1);
-        // Refetch it: [2, 0], each source present exactly once.
-        assert_eq!(lazy.latency(NodeId(0), NodeId(1)), 3.0); // recompute
-        assert_eq!(lazy.stats().rows_computed, 3);
-        assert_eq!(lazy.stats().rows_cached, 2);
-
-        // One more source at capacity 2 evicts exactly one row — the
-        // oldest (2) — and must leave the refetched row 0 resident. A stale
-        // duplicate of 0 at the queue front would instead evict 0's fresh
-        // row (over-eviction) while `rows_cached` double-counted it.
-        let evicted_before = lazy.stats().rows_evicted;
-        lazy.latency(NodeId(3), NodeId(0)); // order: [0, 3]
-        assert_eq!(lazy.stats().rows_evicted, evicted_before + 1);
-        assert_eq!(lazy.stats().rows_cached, 2);
-        let hits_before = lazy.stats().cache_hits;
-        lazy.latency(NodeId(0), NodeId(2)); // must still be a cache hit
-        assert_eq!(lazy.stats().cache_hits, hits_before + 1);
-        assert_eq!(lazy.stats().rows_cached, 2, "no ghost entries inflate residency");
-    }
-
-    #[test]
     fn ensure_rows_dedups_and_counts() {
         let t = generate(&TransitStubConfig::with_total_nodes(40), 13);
         let lazy = LazyLatency::new(t.graph);
@@ -1765,50 +1652,19 @@ pub(crate) mod tests {
         assert_eq!(work(after), work(reference));
     }
 
-    /// A bounded cache that holds the sources but evicts an older one of
-    /// them while inserting a missing one: the lending read faults it back
-    /// in, and lends every row current and exact.
-    #[test]
-    fn lend_rows_refaults_a_source_its_own_insert_evicted() {
-        let t = generate(&TransitStubConfig::with_total_nodes(60), 19);
-        let lazy = LazyLatency::with_capacity(t.graph, 3);
-        for s in [0, 1, 2] {
-            lazy.latency(NodeId(s), NodeId(5)); // FIFO: 0, 1, 2
-        }
-        let sources = [NodeId(0), NodeId(7)];
-        lazy.lend_rows(&sources, 0, None, |rows| {
-            for (&s, row) in sources.iter().zip(rows) {
-                assert_eq!(*row, single_source(lazy.graph(), s), "row {s:?}");
-            }
-        });
-        let s = lazy.stats();
-        // 7 evicted 0, whose re-fault evicted 1: resident 2, 7, 0.
-        assert_eq!((s.rows_computed, s.rows_evicted, s.rows_cached), (5, 2, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "lending 3 rows needs a row cache of at least 3, got 2")]
-    fn lend_rows_rejects_a_cache_smaller_than_the_sources() {
-        let t = generate(&TransitStubConfig::with_total_nodes(40), 21);
-        let lazy = LazyLatency::with_capacity(t.graph, 2);
-        lazy.lend_rows(&[NodeId(0), NodeId(1), NodeId(2)], 0, None, |_| ());
-    }
-
     /// `ensure_rows` with a pool of 2, 3 or 6 threads — a batch per
     /// thread, of unequal lengths when the count does not divide — must
-    /// leave cache state and served values identical to the serial path,
-    /// FIFO eviction order too, on a graph whose stub domains (21 nodes)
-    /// outnumber its 16 routers.
+    /// leave cache state and served values identical to the serial path, on
+    /// a graph whose stub domains (21 nodes) outnumber its 16 routers.
     #[test]
     fn ensure_rows_parallel_is_bit_identical_to_serial() {
         let t = generate(&TransitStubConfig::with_total_nodes(980), 21);
         let routers = t.transit_nodes().len();
         assert!(t.stub_nodes().len() / (3 * routers) > routers, "3 stub domains a router");
         let sources: Vec<NodeId> = (0..20u32).map(|v| NodeId(v * 47 % 980)).collect();
-        let serial = LazyLatency::with_capacity(t.graph.clone(), 8);
+        let serial = LazyLatency::new(t.graph.clone());
         serial.ensure_rows(&sources, None);
-        // Every source's row, twice over in opposite orders: with eight
-        // resident, the reads fault rows in and evict in FIFO order.
+        // Every source's row, twice over in opposite orders.
         let (n, twice) = (serial.len() as u32, sources.iter().chain(sources.iter().rev()));
         let read = |lazy: &LazyLatency| {
             let reads = twice.clone().flat_map(|&a| (0..n).map(move |b| (a, NodeId(b))));
@@ -1817,7 +1673,7 @@ pub(crate) mod tests {
         let (before, want) = (serial.stats(), read(&serial));
         for threads in [2, 3, 6] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-            let parallel = LazyLatency::with_capacity(t.graph.clone(), 8);
+            let parallel = LazyLatency::new(t.graph.clone());
             parallel.ensure_rows(&sources, Some(&pool));
             assert_eq!(before, parallel.stats(), "{threads} threads");
             assert!(read(&parallel) == want, "{threads} threads");

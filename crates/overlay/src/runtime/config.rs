@@ -148,7 +148,6 @@ pub struct RuntimeConfig {
     pub(super) replacement_penalty: f64,
     pub(super) vivaldi: VivaldiConfig,
     pub(super) latency_backend: LatencyBackend,
-    pub(super) lazy_row_cache: Option<usize>,
     pub(super) mapper_backend: MapperBackend,
     pub(super) deployment: DeploymentModel,
     pub(super) reuse: ReuseScope,
@@ -171,7 +170,6 @@ impl Default for RuntimeConfig {
             replacement_penalty: 200.0,
             vivaldi: VivaldiConfig::default(),
             latency_backend: LatencyBackend::default(),
-            lazy_row_cache: None,
             mapper_backend: MapperBackend::default(),
             deployment: DeploymentModel::default(),
             reuse: ReuseScope::None,
@@ -327,17 +325,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Caps resident shortest-path rows under [`LatencyBackend::Lazy`] at
-    /// `cap ≥ 1` (FIFO); `None` leaves the cache unbounded. Bounds latency
-    /// memory at `O(cap · n)`; [`Self::build`] rejects a cap under the dense
-    /// backend, which keeps every row, and one below
-    /// [`VivaldiConfig::landmarks`], whose rows every join tick reads
-    /// together.
-    pub fn lazy_row_cache(mut self, v: impl Into<Option<usize>>) -> Self {
-        self.config.lazy_row_cache = v.into();
-        self
-    }
-
     /// Sets the physical-mapping backend for the runtime-owned mapper.
     pub fn mapper_backend(mut self, v: MapperBackend) -> Self {
         self.config.mapper_backend = v;
@@ -415,12 +402,9 @@ impl RuntimeConfigBuilder {
     /// and non-negative); if a reuse radius is NaN or negative (no instance
     /// is ever within it: reuse silently off, registry still paid for); if
     /// a policy threshold is not finite in `[0, 1)` (a NaN never adapts, a
-    /// negative one adopts worse placements); or if a DHT-backed mapper has
+    /// negative one adopts worse placements); if a DHT-backed mapper has
     /// `bits` outside `1..=32` or a zero `scan_width` (the quantizer and
-    /// the catalog reject those without naming the field); if a
-    /// `lazy_row_cache` is 0, set under the dense backend or below the
-    /// landmark count (every join tick reads the landmark rows together;
-    /// a smaller cache would recompute some of them each time); or if a routed
+    /// the catalog reject those without naming the field); or if a routed
     /// mapper's `proto` fails [`ProtoConfig::validate`] or the Vivaldi
     /// configuration fails [`VivaldiConfig::validate`].
     pub fn build(self) -> RuntimeConfig {
@@ -460,19 +444,6 @@ impl RuntimeConfigBuilder {
             ("policy.replacement_threshold", c.policy.replacement_threshold),
         ] {
             assert!((0.0..1.0).contains(&v), "{field} must be finite in [0, 1), got {v}");
-        }
-        if let Some(cap) = c.lazy_row_cache {
-            let backend = c.latency_backend;
-            assert!(
-                cap >= 1 && backend == LatencyBackend::Lazy,
-                "lazy_row_cache must be at least 1 under Lazy, got {cap} under {backend:?}"
-            );
-            if let Some(k) = c.vivaldi.landmarks {
-                assert!(
-                    cap >= k,
-                    "lazy_row_cache must hold the vivaldi.landmarks rows: {k} landmarks, got {cap}"
-                );
-            }
         }
         if let MapperBackend::Dht { bits, scan_width }
         | MapperBackend::Routed { bits, scan_width, .. } = c.mapper_backend

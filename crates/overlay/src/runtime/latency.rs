@@ -37,20 +37,15 @@ pub(super) struct LatencyState {
 }
 
 impl LatencyState {
-    /// Builds the state over `graph`, its row cache bounded by `row_cache`
-    /// (`None` = unbounded); under [`LatencyBackend::Dense`] every row is
-    /// computed up front, across `pool` when one is active.
+    /// Builds the state over `graph`; under [`LatencyBackend::Dense`] every
+    /// row is computed up front, across `pool` when one is active.
     pub(super) fn build(
         graph: Graph,
         backend: LatencyBackend,
-        row_cache: Option<usize>,
         pool: Option<&rayon::ThreadPool>,
     ) -> Self {
         let n = graph.num_nodes() as u32;
-        let lazy = match row_cache {
-            Some(cap) => LazyLatency::with_capacity(graph, cap),
-            None => LazyLatency::new(graph),
-        };
+        let lazy = LazyLatency::new(graph);
         let resident = backend == LatencyBackend::Dense;
         if resident {
             lazy.ensure_rows(&(0..n).map(NodeId).collect::<Vec<_>>(), pool);

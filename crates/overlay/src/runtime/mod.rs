@@ -209,12 +209,8 @@ impl OverlayRuntime {
                 .build()
                 .expect("runtime worker pool")
         });
-        let latency = LatencyState::build(
-            topology.graph.clone(),
-            config.latency_backend,
-            config.lazy_row_cache,
-            pool.as_ref(),
-        );
+        let latency =
+            LatencyState::build(topology.graph.clone(), config.latency_backend, pool.as_ref());
         let (arrived, pending_joins) = membership::arrival_order(config.deployment, n, seed);
         let (embedding, placer) =
             membership::embed(&config.vivaldi, seed, &latency, pool.as_ref(), &arrived);

@@ -48,8 +48,6 @@ struct Scenario {
     /// Deployment wave (about half the nodes initially, an eighth more per
     /// tick) with landmark Vivaldi and join-time placement.
     wave: bool,
-    /// `RuntimeConfigBuilder::lazy_row_cache` (FIFO bound on resident rows).
-    row_cache: Option<usize>,
     /// Join stars deployed over the run (3 or 16); the last one arrives
     /// mid-run.
     stars: usize,
@@ -73,7 +71,6 @@ impl Scenario {
             failure: flags & 4 != 0,
             reuse: flags & 8 != 0,
             wave: flags & 16 != 0,
-            row_cache: None,
             stars: if flags & 32 != 0 { 16 } else { 3 },
             eager_replace: false,
         }
@@ -149,7 +146,6 @@ fn run_once(
         .churn(churn)
         .latency_jitter(jitter)
         .latency_backend(latency)
-        .lazy_row_cache(s.row_cache)
         .mapper_backend(mapper)
         .reuse(reuse)
         .threads(threads);
@@ -268,33 +264,5 @@ proptest! {
         if !s.wave {
             prop_assert!(hits > 0, "no memo hit in {s:?}");
         }
-    }
-}
-
-/// The same pin with the row cache bounded below one circuit's link sources:
-/// the deploy batch then evicts as it inserts, so FIFO order — prewarm order
-/// = serial first-touch order — decides which rows survive.
-#[test]
-fn parallel_equals_serial_with_a_bounded_row_cache() {
-    for (seed, reuse) in [(11u64, false), (12, true)] {
-        let s = Scenario {
-            seed,
-            nodes: 100,
-            backend: 2, // Lazy + Dht
-            sparse_churn: true,
-            jitter: true,
-            failure: false,
-            reuse,
-            wave: false,
-            row_cache: Some(4),
-            stars: 3,
-            eager_replace: false,
-        };
-        let topo = topology(&s);
-        let (parallel, parallel_rows, _, _) = run_once(&s, &topo, true, 8, true);
-        let (serial, serial_rows, _, _) = run_once(&s, &topo, true, 1, true);
-        assert_eq!(parallel, serial, "seed {seed}");
-        assert_eq!(parallel_rows, serial_rows, "seed {seed}");
-        assert!(serial_rows.expect("lazy backend").rows_evicted > 0, "the bound must bind");
     }
 }

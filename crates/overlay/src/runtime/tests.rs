@@ -331,25 +331,6 @@ fn lazy_backend_jitter_run_is_deterministic_and_moves_usage() {
 }
 
 #[test]
-fn lazy_row_cache_capacity_is_respected() {
-    let topo = small_world(13);
-    let mut rt = OverlayRuntime::new(
-        &topo,
-        13,
-        RuntimeConfig {
-            horizon_ms: 5_000.0,
-            latency_backend: LatencyBackend::Lazy,
-            lazy_row_cache: Some(4),
-            ..Default::default()
-        },
-    );
-    rt.deploy(demo_query(&topo)).unwrap();
-    rt.run();
-    let stats = rt.lazy_latency_stats().unwrap();
-    assert!(stats.rows_cached <= 4, "cache holds {} rows", stats.rows_cached);
-}
-
-#[test]
 fn default_backend_is_dht_and_charges_catalog_traffic() {
     let topo = small_world(14);
     let mut rt =
@@ -1201,7 +1182,6 @@ fn builder_run_matches_struct_literal_run() {
         .churn(ChurnProcess::SparseWalk { nodes_per_tick: 6, std_dev: 0.1 })
         .reopt_interval_ms(2_000.0)
         .full_reopt_interval_ms(None)
-        .lazy_row_cache(16)
         .latency_backend(LatencyBackend::Lazy)
         .threads(1)
         .build();
@@ -1210,7 +1190,6 @@ fn builder_run_matches_struct_literal_run() {
         churn: ChurnProcess::SparseWalk { nodes_per_tick: 6, std_dev: 0.1 },
         reopt_interval_ms: Some(2_000.0),
         full_reopt_interval_ms: None,
-        lazy_row_cache: Some(16),
         latency_backend: LatencyBackend::Lazy,
         threads: 1,
         ..Default::default()
@@ -1397,36 +1376,6 @@ fn builder_rejects_a_zero_routed_timeout() {
                            under max_retries 3, got 1e308 (backoff inf)")]
 fn builder_rejects_a_routed_timeout_whose_backoff_overflows() {
     build_routed_with_timeout(1e308);
-}
-
-/// A cap of 0 used to become 1 inside `LazyLatency::with_capacity`.
-#[test]
-#[should_panic(expected = "lazy_row_cache must be at least 1 under Lazy, got 0 under Lazy")]
-fn builder_rejects_a_zero_row_cache() {
-    RuntimeConfig::builder().latency_backend(LatencyBackend::Lazy).lazy_row_cache(0).build();
-}
-
-/// A cap under the dense backend used to be ignored; with every row
-/// resident in the one row cache it would evict the rows the backend keeps.
-#[test]
-#[should_panic(expected = "lazy_row_cache must be at least 1 under Lazy, got 16 under Dense")]
-fn builder_rejects_a_row_cache_under_the_dense_backend() {
-    RuntimeConfig::builder().lazy_row_cache(16).build();
-}
-
-/// A cap below the landmark count used to be accepted: every join tick then
-/// recomputed at least `k − cap` landmark rows. Join placement now reads
-/// the k rows together, which such a cache cannot hold.
-#[test]
-#[should_panic(
-    expected = "lazy_row_cache must hold the vivaldi.landmarks rows: 8 landmarks, got 7"
-)]
-fn builder_rejects_a_row_cache_smaller_than_the_landmark_set() {
-    RuntimeConfig::builder()
-        .latency_backend(LatencyBackend::Lazy)
-        .vivaldi(VivaldiConfig { landmarks: Some(8), ..Default::default() })
-        .lazy_row_cache(7)
-        .build();
 }
 
 /// A drained wave's join ticks place nobody and read no landmark row.

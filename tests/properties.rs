@@ -225,8 +225,8 @@ proptest! {
 
     /// The lazy latency provider must return **bit-identical** values to
     /// the dense all-pairs matrix recomputed from the same (mutated) graph,
-    /// across random topology families, jitter sequences, invalidation
-    /// orders, and cache capacities — the contract that makes
+    /// across random topology families, jitter sequences and invalidation
+    /// orders — the contract that makes
     /// `LatencyBackend::Lazy` a drop-in for `Dense` in the overlay runtime.
     #[test]
     fn lazy_provider_is_bit_identical_to_all_pairs(
@@ -234,18 +234,14 @@ proptest! {
         nodes in 16usize..56,
         rounds in 1usize..5,
     ) {
-        // Alternate the topology family and cache capacity by seed so one
-        // strategy covers transit-stub + Waxman and bounded + unbounded.
+        // Alternate the topology family by seed so one strategy covers
+        // transit-stub and Waxman.
         let topo = if seed % 2 == 0 {
             transit_stub::generate(&TransitStubConfig::with_total_nodes(nodes), seed)
         } else {
             waxman::generate(&WaxmanConfig { nodes, ..Default::default() }, seed)
         };
-        let mut lazy = if seed % 3 == 0 {
-            LazyLatency::with_capacity(topo.graph.clone(), 1 + nodes / 8)
-        } else {
-            LazyLatency::new(topo.graph.clone())
-        };
+        let mut lazy = LazyLatency::new(topo.graph.clone());
         let n = lazy.len();
         let m = lazy.graph().num_edges();
         let mut rng = derive_rng(seed, 0x1a27);
@@ -282,9 +278,8 @@ proptest! {
     /// Batched edge-delta absorption — the overlay's jitter-tick path
     /// (`apply_edge_deltas`) — must leave every *served* value bit-identical
     /// to a fresh all-pairs Dijkstra of the mutated graph, across random
-    /// topology families, delta batches (with intra-batch duplicate edges,
-    /// where the last write wins) and cache capacities. Repair is
-    /// demand-driven, so
+    /// topology families and delta batches (with intra-batch duplicate
+    /// edges, where the last write wins). Repair is demand-driven, so
     /// between batches only `reads` random rows are read: rows reach the
     /// final full sweep anywhere from 1 to `batches` batches behind, and
     /// one repair has to absorb a window in which one edge was raised and
@@ -302,10 +297,7 @@ proptest! {
         } else {
             waxman::generate(&WaxmanConfig { nodes, ..Default::default() }, seed)
         };
-        let mut lazy = match seed % 3 {
-            0 => LazyLatency::with_capacity(topo.graph.clone(), 1 + nodes / 8),
-            _ => LazyLatency::new(topo.graph.clone()),
-        };
+        let mut lazy = LazyLatency::new(topo.graph.clone());
         let n = lazy.len();
         let m = lazy.graph().num_edges();
         let mut rng = derive_rng(seed, 0x5e9a);

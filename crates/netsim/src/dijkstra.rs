@@ -28,20 +28,20 @@
 //! adjacency stays in cache, and each heap holds one region's frontier, not
 //! the whole graph's.
 //!
-//! **Bit-identity.** With non-negative weights, float addition is monotone
-//! under rounding, so a row's value at `v` is the minimum over the paths to
-//! `v` of their fold-left sums, and no walk is below the simple path left by
-//! cutting out its cycles — whatever order a correct search relaxes edges
-//! in. Every simple path from the source to a vertex of the core or of its
-//! own region stays inside them (entering a third region leaves it by the
-//! bridge it came in on), so step 1 computes those values exactly. Every
-//! simple path into another region crosses its bridge, core end first, and
-//! its fold-left sum is monotone in the sum at the core end, which step 1
-//! left minimal; so the minimum over those paths is the minimum, from that
-//! seed, over walks inside the region — what step 2 computes. A region not
-//! touching the core lies in another component than the core; only a source
-//! inside it reaches it, in step 1. Each reachable vertex settles exactly
-//! once, as in the flat whole-graph search that is the tests' reference.
+//! **Exactness.** Every weight is on the graph's grid, and every simple
+//! path sums below 2³³ ms ([`crate::graph`]), so every sum a search forms
+//! along a simple path is exact: a row's value at `v` is the shortest
+//! distance itself, whatever order the edges were relaxed in. Every simple
+//! path from the source to a vertex of the core or of its own region stays
+//! inside them (entering a third region leaves it by the bridge it came in
+//! on), so step 1 finds those distances. Every simple path into another
+//! region crosses its bridge, core end first, so its shortest distance is
+//! the core end's, which step 1 found, plus the bridge, plus the shortest
+//! distance from the bridge's end inside the region — what step 2 computes
+//! from that seed. A region not touching the core lies in another component
+//! than the core; only a source inside it reaches it, in step 1. Each
+//! reachable vertex settles exactly once, as in the flat whole-graph search
+//! that is the tests' reference, and every row is bit-identical to it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -52,11 +52,11 @@ use crate::latency::LatencyMatrix;
 /// A heap entry: one `u128` packing `(key + 0.0).to_bits() << 32 | node`,
 /// `Reverse`-ordered so `BinaryHeap` pops the minimum (key, node id) with
 /// one integer comparison a sift. The key is the vertex's label when it
-/// was pushed, plus its [`Potential`] (none outside a goal-directed read).
+/// was pushed.
 ///
 /// Keys must be non-negative and not NaN (a `debug_assert!` checks it).
-/// Every key [`settle`] pushes is: labels are fold-left sums of validated
-/// weights, and a potential is a row value. On such keys the IEEE bit
+/// Every key [`settle`] pushes is: labels are sums of validated weights.
+/// On such keys the IEEE bit
 /// pattern read as an unsigned integer orders exactly as `f64::total_cmp`,
 /// so the packed order is the (key, node id) order. `+ 0.0` maps a `-0.0`
 /// key, the one value whose bits would sort out of place, to `+0.0`.
@@ -84,59 +84,33 @@ impl HeapEntry {
     }
 }
 
-/// What [`settle`] adds to a label to order its heap: a lower bound on the
-/// distance left from a vertex to the search's goal (A*). Labels never
-/// include it, so they stay fold-left sums from the root either way.
-pub(crate) trait Potential {
-    /// The heap key of label `d` at `v`.
-    fn key(&self, d: f64, v: NodeId) -> f64;
-}
-
-/// No potential: the key is the label. Zero-sized, so rows, repairs, path
-/// search and the bidirectional pair search compile to plain Dijkstra.
-pub(crate) struct NoPotential;
-
-impl Potential for NoPotential {
-    #[inline(always)]
-    fn key(&self, d: f64, _: NodeId) -> f64 {
-        d
-    }
-}
-
 /// The one Dijkstra relaxation loop: from-scratch rows, path search, both
-/// phases of [`crate::lazy`]'s row repair, both sides of its
-/// point-to-point search and its goal-directed read run it, so they pop in
-/// the same (key, node id) order and relax by the same strict `<`. The heap
-/// holds packed [`HeapEntry`]s, so that order is one integer comparison;
-/// it requires every key to be non-negative and not NaN.
+/// phases of [`crate::lazy`]'s row repair and both sides of its
+/// point-to-point search run it, so they pop in the same (key, node id)
+/// order and relax by the same strict `<`. The heap holds packed
+/// [`HeapEntry`]s, so that order is one integer comparison; it requires
+/// every key to be non-negative and not NaN.
 ///
-/// The caller seeds `dist` and `heap`, each entry keyed
-/// `potential.key(label, vertex)`. Before each pop the loop asks
-/// `stop(key, node)` of the heap's top entry; on `true` it returns and
-/// leaves that entry in the heap, so a caller can pause a search and resume
-/// it with another call (the point-to-point search alternates two heaps
-/// this way). Without a potential the top is the heap's minimum label,
-/// stale or not, so it is a lower bound on every label still to settle,
-/// and a vertex whose entry reaches the top has a final label. Otherwise
-/// the entry is popped: one keyed above its vertex's current label's key is
-/// stale and skipped; every other pop settles its vertex `v` and relaxes
-/// each neighbour `u` that is `in_scope`, from `v`'s current label, reading
-/// edge `e` at `weight(e, current latency)`. A strict improvement stores
-/// the label `nd`, calls `on_improve(u, v, e, nd)` and pushes `u`. Rows and
-/// repairs stop only when the heap is empty (`|_, _| false`);
+/// The caller seeds `dist` and `heap`, each entry keyed by its label.
+/// Before each pop the loop asks `stop(key, node)` of the heap's top entry;
+/// on `true` it returns and leaves that entry in the heap, so a caller can
+/// pause a search and resume it with another call (the point-to-point
+/// search alternates two heaps this way). The top is the heap's minimum
+/// label, stale or not, so it is a lower bound on every label still to
+/// settle, and a vertex whose entry reaches the top has a final label.
+/// Otherwise the entry is popped: one keyed above its vertex's current
+/// label is stale and skipped; every other pop settles its vertex `v` and
+/// relaxes each neighbour `u` that is `in_scope`, from `v`'s current label,
+/// reading edge `e` at `weight(e, current latency)`. A strict improvement
+/// stores the label `nd`, calls `on_improve(u, v, e, nd)` and pushes `u`.
+/// Rows and repairs stop only when the heap is empty (`|_, _| false`);
 /// [`shortest_path`] stops when its target reaches the top. Returns the
-/// number of vertices settled (a vertex whose label improved after it
-/// settled can settle again under a potential).
+/// number of vertices settled.
 #[inline]
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the one relaxation loop; its callers differ in exactly these inputs"
-)]
 pub(crate) fn settle(
     graph: &Graph,
     dist: &mut [f64],
     heap: &mut BinaryHeap<HeapEntry>,
-    potential: impl Potential,
     stop: impl Fn(f64, NodeId) -> bool,
     weight: impl Fn(EdgeId, f64) -> f64,
     in_scope: impl Fn(NodeId) -> bool,
@@ -150,7 +124,7 @@ pub(crate) fn settle(
         }
         heap.pop();
         let d = dist[v.index()];
-        if key > potential.key(d, v) {
+        if key > d {
             continue; // stale entry
         }
         settled += 1;
@@ -162,7 +136,7 @@ pub(crate) fn settle(
             if nd < dist[u.index()] {
                 dist[u.index()] = nd;
                 on_improve(u, v, e, nd);
-                heap.push(HeapEntry::new(potential.key(nd, u), u));
+                heap.push(HeapEntry::new(nd, u));
             }
         }
     }
@@ -196,7 +170,7 @@ pub(crate) fn fill_rows<R: AsMut<[f64]>>(
             let region = label[u.index()];
             region == 0 || region == own
         };
-        settled += settle(graph, row, heap, NoPotential, never, current, scope, ignore);
+        settled += settle(graph, row, heap, never, current, scope, ignore);
     }
     for bridge in bridges.iter() {
         let (region, w) = (label[bridge.end.index()], graph.edge(bridge.edge).latency_ms);
@@ -209,7 +183,7 @@ pub(crate) fn fill_rows<R: AsMut<[f64]>>(
             if seed < f64::INFINITY {
                 row[bridge.end.index()] = seed;
                 heap.push(HeapEntry::new(seed, bridge.end));
-                settled += settle(graph, row, heap, NoPotential, never, current, |_| true, ignore);
+                settled += settle(graph, row, heap, never, current, |_| true, ignore);
             }
         }
     }
@@ -245,7 +219,7 @@ pub fn shortest_path(graph: &Graph, src: NodeId, dst: NodeId) -> Option<Vec<Edge
     heap.push(HeapEntry::new(0.0, src));
     let keep_prev = |u: NodeId, v, e, _| prev[u.index()] = Some((v, e));
     let to_dst = |_, v| v == dst;
-    settle(graph, &mut dist, &mut heap, NoPotential, to_dst, |_, w| w, |_| true, keep_prev);
+    settle(graph, &mut dist, &mut heap, to_dst, |_, w| w, |_| true, keep_prev);
 
     if dist[dst.index()].is_infinite() {
         return None;
@@ -276,7 +250,7 @@ pub fn all_pairs_latency(graph: &Graph) -> LatencyMatrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::latency::LatencyProvider;
     use crate::lazy::tests::pair_test_graph;
@@ -289,22 +263,13 @@ mod tests {
     /// The row loop [`fill_rows`] replaced, as its reference: one flat
     /// search over the whole graph through one graph-wide heap. Returns the
     /// row and the vertices it settled.
-    fn flat_row(graph: &Graph, src: NodeId) -> (Vec<f64>, usize) {
+    pub(crate) fn flat_row(graph: &Graph, src: NodeId) -> (Vec<f64>, usize) {
         let mut dist = vec![f64::INFINITY; graph.num_nodes()];
         let mut heap = BinaryHeap::new();
         dist[src.index()] = 0.0;
         heap.push(HeapEntry::new(0.0, src));
         let none = |_, _, _, _| {};
-        let settled = settle(
-            graph,
-            &mut dist,
-            &mut heap,
-            NoPotential,
-            |_, _| false,
-            |_, w| w,
-            |_| true,
-            none,
-        );
+        let settled = settle(graph, &mut dist, &mut heap, |_, _| false, |_, w| w, |_| true, none);
         (dist, settled)
     }
 
@@ -575,8 +540,9 @@ mod tests {
     }
 
     /// An edge of weight `-0.0`, which `Graph::add_edge` accepts, reads
-    /// exactly as one of `+0.0`: rows, pair reads (bidirectional, reversed
-    /// and goal-directed) and `shortest_path` edges are bit-identical.
+    /// exactly as one of `+0.0`: rows, pair reads (searched, memoised and
+    /// served from the receiver's row) and `shortest_path` edges are
+    /// bit-identical.
     #[test]
     fn negative_zero_edges_read_as_positive_zero() {
         use crate::lazy::LazyLatency;
@@ -597,7 +563,7 @@ mod tests {
             let mut out = Vec::new();
             for pass in 0..2 {
                 if pass == 1 {
-                    lazy.ensure_rows(&receivers, None); // goal-directed reads
+                    lazy.ensure_rows(&receivers, None); // reads off the receiver's row
                 }
                 let pairs = lazy.pair_reader();
                 for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (NodeId(a), NodeId(b)))) {
@@ -605,7 +571,10 @@ mod tests {
                 }
             }
             let s = lazy.stats();
-            assert!(s.pairs_searched > 0 && s.pairs_goal_directed > 0 && s.pair_memo_hits > 0);
+            // Every read from or to a receiver, in the second pass.
+            let r = receivers.len() as u64;
+            assert_eq!(s.cache_hits, r * (2 * u64::from(n) - r));
+            assert!(s.pairs_searched > 0 && s.pair_memo_hits > 0);
             out
         };
         assert_eq!(reads(&pos), reads(&neg));

@@ -43,6 +43,18 @@
 //! search path — and are freed before it returns.
 //! `add_node` / `add_edge` drop the regions with the CSR, and a weight
 //! change keeps both: the table holds no weight.
+//!
+//! # The weight grid
+//!
+//! Every weight the graph holds is a whole multiple of [`LATENCY_GRID_MS`],
+//! 2⁻²⁰ ms: its two writers, `add_edge` and `set_edge_latency`, round what
+//! they are given to the nearest grid point ([`on_grid`]). A sum of grid
+//! weights below 2³³ ms is a whole number of grid steps below 2⁵³, so `f64`
+//! holds it exactly, whatever order it is added in; and where the CSR is
+//! built, or a weight is written to a built one, a weight `w` with
+//! `(n − 1) × w ≥ 2³³` ms panics, so every simple path of `n` or fewer
+//! vertices sums below that. The distance between two vertices is then one
+//! number, read off either end's row or met in the middle of a search.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -98,8 +110,9 @@ pub struct Edge {
     pub a: NodeId,
     /// The other endpoint.
     pub b: NodeId,
-    /// Propagation latency of the link, in milliseconds. Must be finite and
-    /// non-negative.
+    /// Propagation latency of the link, in milliseconds: finite,
+    /// non-negative and a whole multiple of [`LATENCY_GRID_MS`] (the
+    /// graph's writers round to it).
     pub latency_ms: f64,
 }
 
@@ -132,6 +145,7 @@ impl Csr {
         let mut next = offsets.clone();
         let mut slots = vec![Slot { to: 0, edge: 0, w: 0.0 }; 2 * edges.len()];
         for (id, e) in edges.iter().enumerate() {
+            assert_exact_sums(nodes, id as u32, e.latency_ms);
             for (at, to) in [(e.a, e.b), (e.b, e.a)] {
                 let slot = &mut next[at.index()];
                 slots[*slot as usize] = Slot { to: to.0, edge: id as u32, w: e.latency_ms };
@@ -145,6 +159,37 @@ impl Csr {
     fn run(&self, v: NodeId) -> std::ops::Range<usize> {
         self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize
     }
+}
+
+/// The weight grid, in ms: 2⁻²⁰, about a nanosecond. Every edge weight
+/// is a whole multiple of it (module docs).
+pub const LATENCY_GRID_MS: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// Grid weights sum exactly below this many ms: 2⁵³ grid steps.
+const EXACT_SUM_MS: f64 = (1u64 << 33) as f64;
+
+/// `latency_ms` rounded to the nearest multiple of [`LATENCY_GRID_MS`],
+/// halves away from zero: what the graph's weight writers store. From
+/// 2⁵² ms up every `f64` is a whole number, on the grid already, and is
+/// returned as it is.
+pub fn on_grid(latency_ms: f64) -> f64 {
+    const WHOLE_FROM: f64 = (1u64 << 52) as f64;
+    if latency_ms.abs() >= WHOLE_FROM {
+        return latency_ms;
+    }
+    (latency_ms / LATENCY_GRID_MS).round() * LATENCY_GRID_MS
+}
+
+/// Panics, naming the edge, the weight and `nodes`, unless a path of
+/// `nodes` vertices over edges weighing `w` sums below 2³³ ms, where every
+/// sum of grid weights is exact. [`crate::lazy`] checks a delta batch with
+/// it before writing any of it.
+pub(crate) fn assert_exact_sums(nodes: usize, edge: u32, w: f64) {
+    let longest = nodes.saturating_sub(1) as f64 * w;
+    assert!(
+        longest < EXACT_SUM_MS,
+        "edge {edge} latency {w} ms times n - 1 = {nodes} - 1 reaches 2^33 ms: path sums would not be exact"
+    );
 }
 
 /// A node no label (or search order) has been given yet.
@@ -243,8 +288,9 @@ impl Graph {
         NodeId(self.nodes - 1)
     }
 
-    /// Adds an undirected edge. Panics if an endpoint is out of range, the
-    /// latency is not finite, or the latency is negative.
+    /// Adds an undirected edge weighing `latency_ms` rounded to the grid
+    /// ([`on_grid`]). Panics if an endpoint is out of range, the latency is
+    /// not finite, or the latency is negative.
     pub fn add_edge(&mut self, a: NodeId, b: NodeId, latency_ms: f64) -> EdgeId {
         assert!(a.index() < self.num_nodes(), "edge endpoint {a} out of range");
         assert!(b.index() < self.num_nodes(), "edge endpoint {b} out of range");
@@ -255,7 +301,7 @@ impl Graph {
         assert_fits_u32(self.edges.len() + 1, 2, "edges");
         self.csr = OnceLock::new();
         self.regions = OnceLock::new();
-        self.edges.push(Edge { a, b, latency_ms });
+        self.edges.push(Edge { a, b, latency_ms: on_grid(latency_ms) });
         EdgeId(self.edges.len() as u32 - 1)
     }
 
@@ -265,21 +311,28 @@ impl Graph {
         self.edges[id.index()]
     }
 
-    /// Overwrites the latency of an existing edge, returning the previous
-    /// value. Panics if `id` is out of range, or the new latency is not
-    /// finite or is negative — the same contract as [`Graph::add_edge`].
+    /// Overwrites the latency of an existing edge with `latency_ms`
+    /// rounded to the grid ([`on_grid`]), returning the previous value.
+    /// Panics if `id` is out of range, or the new latency is not finite or
+    /// is negative — the same contract as [`Graph::add_edge`] — and, on a
+    /// built adjacency, if it leaves the range of exact path sums (module
+    /// docs).
     ///
     /// This is the mutation hook used by churn/jitter processes that perturb
-    /// the underlay over time, and the one weight writer: a derived
-    /// adjacency has both of the edge's slots rewritten, so nothing the
-    /// graph holds goes stale ([`crate::lazy`] logs the change for its rows).
+    /// the underlay over time, and the one weight writer after
+    /// construction: a derived adjacency has both of the edge's slots
+    /// rewritten, so nothing the graph holds goes stale ([`crate::lazy`]
+    /// logs the change for its rows).
     pub fn set_edge_latency(&mut self, id: EdgeId, latency_ms: f64) -> f64 {
         assert!(
             latency_ms.is_finite() && latency_ms >= 0.0,
             "edge latency must be finite and non-negative, got {latency_ms}"
         );
+        let latency_ms = on_grid(latency_ms);
+        let nodes = self.num_nodes();
         let edge = &mut self.edges[id.index()];
         if let Some(csr) = self.csr.get_mut() {
+            assert_exact_sums(nodes, id.0, latency_ms);
             for v in [edge.a, edge.b] {
                 let run = csr.run(v);
                 csr.slots[run].iter_mut().filter(|s| s.edge == id.0).for_each(|s| s.w = latency_ms);
@@ -845,8 +898,66 @@ mod tests {
         assert_eq!(&*g.regions().label, [0, 0, 0, 0, 1]);
     }
 
+    /// Writers round to the grid: an off-grid weight is stored at its
+    /// nearest grid point, halfway up for a tie, and what is on it already
+    /// (zero, whole and binary fractions down to 2⁻²⁰) is stored as given.
+    #[test]
+    fn writers_round_weights_to_the_grid() {
+        let step = LATENCY_GRID_MS;
+        let mut g = Graph::new(2);
+        let e = g.add_edge(NodeId(0), NodeId(1), 0.1);
+        let w = g.edge(e).latency_ms;
+        assert_eq!(w, (0.1 / step).round() * step);
+        assert_eq!(w / step, (w / step).round(), "on the grid");
+        assert!((w - 0.1).abs() <= step / 2.0);
+        let mut before = w;
+        for on in [0.0, 3.5, 12.0, 7.0 * step, 1e12] {
+            assert_eq!(g.set_edge_latency(e, on + step / 8.0).to_bits(), before.to_bits());
+            assert_eq!(g.edge(e).latency_ms, on, "{on} + 2^-23 rounds back to {on}");
+            assert_eq!(on_grid(on + step / 2.0), on + step, "a tie rounds away from zero");
+            before = on;
+        }
+        assert_eq!(on_grid(f64::MAX), f64::MAX, "whole numbers stay as they are");
+    }
+
+    /// A weight that `n − 1` copies of take to 2³³ ms panics where the CSR
+    /// is built, naming the edge, the value and `n`; one grid step less
+    /// passes.
+    #[test]
+    #[should_panic(
+        expected = "edge 1 latency 4294967296 ms times n - 1 = 3 - 1 reaches 2^33 ms: path sums would not be exact"
+    )]
+    fn a_weight_past_exact_path_sums_panics_where_the_csr_is_built() {
+        let mut g = Graph::new(3);
+        let e = g.add_edge(NodeId(0), NodeId(1), 1.0);
+        g.set_edge_latency(e, 2f64.powi(32) - LATENCY_GRID_MS);
+        g.add_edge(NodeId(1), NodeId(2), 2f64.powi(32));
+        g.neighbors(NodeId(0)).count();
+    }
+
+    /// On a built CSR, `set_edge_latency` checks the bound before it
+    /// writes anything.
+    #[test]
+    fn a_weight_past_exact_path_sums_panics_on_a_built_csr() {
+        let mut g = Graph::new(5);
+        let e = g.add_edge(NodeId(0), NodeId(1), 1.0);
+        g.neighbors(NodeId(0)).count();
+        g.set_edge_latency(e, 2f64.powi(31) - LATENCY_GRID_MS);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.set_edge_latency(e, 2f64.powi(31));
+        }));
+        let message = *caught.expect_err("past the bound").downcast::<String>().unwrap();
+        assert!(
+            message.starts_with("edge 0 latency 2147483648 ms times n - 1 = 5 - 1"),
+            "{message}"
+        );
+        assert_eq!(g.edge(e).latency_ms, 2f64.powi(31) - LATENCY_GRID_MS);
+        assert_eq!(g.neighbors(NodeId(1)).next().map(|(.., w)| w), Some(g.edge(e).latency_ms));
+    }
+
     /// The representation the CSR replaced, as its reference: per-vertex
-    /// lists pushed to by `add_edge`, weights read from their own table.
+    /// lists pushed to by `add_edge`, weights read from their own table —
+    /// rounded to the grid, as the graph's writers round them.
     struct PushBuilt {
         adjacency: Vec<Vec<(NodeId, EdgeId)>>,
         weights: Vec<f64>,
@@ -855,7 +966,7 @@ mod tests {
     impl PushBuilt {
         fn add_edge(&mut self, a: NodeId, b: NodeId, w: f64) {
             let id = EdgeId(self.weights.len() as u32);
-            self.weights.push(w);
+            self.weights.push(on_grid(w));
             self.adjacency[a.index()].push((b, id));
             self.adjacency[b.index()].push((a, id));
         }
@@ -914,7 +1025,7 @@ mod tests {
                     }
                     4 if m > 0 => {
                         g.set_edge_latency(EdgeId(x % m), w);
-                        reference.weights[(x % m) as usize] = w;
+                        reference.weights[(x % m) as usize] = on_grid(w);
                     }
                     5 => same_neighbors(&g, &reference)?,
                     _ => {}

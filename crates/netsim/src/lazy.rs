@@ -17,9 +17,11 @@
 //! Edge mutations go through [`LazyLatency::apply_edge_deltas`] (or the
 //! single-edge [`LazyLatency::set_edge_latency`] / the jitter step
 //! [`LazyLatency::scale_edges_clamped`], which both end in it). Weights
-//! must stay finite and non-negative — the precondition of the
-//! bit-identity argument below — and a hostile value panics before
-//! anything is mutated.
+//! must stay finite and non-negative — a hostile value panics before
+//! anything is mutated — and each is rounded to the graph's weight grid
+//! ([`crate::graph`]) before anything compares it with the weight it
+//! replaces, so a write that rounds to the edge's current weight changes
+//! nothing, logs nothing and stales no row.
 //!
 //! A weight change neither drops nor touches cached rows.
 //! `apply_edge_deltas` mutates the graph,
@@ -40,8 +42,8 @@
 //! * **Raises** (`w_now > w_start`) can only *increase* distances. The
 //!   vertices a raise can affect are exactly those reachable from a raised
 //!   edge's far endpoint by a chain of *old-tight* edges
-//!   (`d[x] + w_start(e) ≤ d[y] + ε`, with `ε = TIGHT_EPS_MS` (1e-9 ms) absorbing
-//!   float ties) — a cheap BFS over old labels marks that region. The
+//!   (`d[x] + w_start(e) = d[y]`, every sum being exact) — a cheap BFS over
+//!   old labels marks that region. The
 //!   marked labels are reset and recomputed by a Dijkstra *restricted to
 //!   the region* — [`crate::dijkstra`]'s one relaxation loop (`settle`),
 //!   with the region as its scope — seeded with the best boundary
@@ -81,15 +83,14 @@
 //!
 //! Repaired rows are **bit-identical** to recomputing with
 //! [`single_source`] on the mutated graph, whatever the number of batches
-//! one repair spans. This is not approximate: with non-negative weights,
-//! float addition is monotone under rounding, so a row's value at `v`
-//! equals the minimum over all paths of the fold-left float sum — a
-//! function of the *current* graph alone, independent of the order any
+//! one repair spans. This is not approximate: every sum is exact (the
+//! weights lie on the graph's grid, and every simple path sums within its
+//! exact range), so a row's value at `v` is the shortest distance itself —
+//! a function of the *current* graph alone, independent of the order any
 //! correct algorithm relaxes edges in and of the weights the graph passed
-//! through in between. Both the region recompute and the improvement
-//! propagation compose exactly such fold-left sums, and the only history
-//! they need is which labels may be wrong, which the net delta against
-//! the row's own epoch determines. The property suite in
+//! through in between. The only history a repair needs is which labels
+//! may be wrong, which the net delta against the row's own epoch
+//! determines. The property suite in
 //! `tests/properties.rs` pins this equivalence across random topologies,
 //! delta batches and read patterns (rows lagging by differing numbers of
 //! batches).
@@ -100,110 +101,61 @@
 //! one `(a, b)` at a time without an SSSP row of its own. **Contract:**
 //! every value it serves is bit-identical to `single_source(graph, a)[b]`
 //! on the current graph — to what [`LatencyProvider::latency`] serves — and
-//! no read computes, inserts or evicts a row. A read takes the first of
-//! these cases that applies:
+//! no read computes, inserts or evicts a row. Every sum being exact, the
+//! distance between `a` and `b` is one number, whichever end a row or a
+//! search starts from and however a path's edges are added up. A read
+//! takes the first of these cases that applies:
 //!
 //! 1. **`a`'s row is resident:** it is read exactly as `latency` reads it,
-//!    repaired first if stale and counted in `cache_hits`. Otherwise
-//!    `a == b` is `0.0`.
-//! 2. **The reader already knows `(a, b)`** — it served the pair before, or
-//!    derived it as the reverse of a bidirectional search: the memo answers
-//!    (`pair_memo_hits`).
-//! 3. **`b`'s row is resident and current:** one goal-directed search from
-//!    `a` (`pairs_goal_directed`).
-//! 4. **Otherwise:** one bidirectional search (`pairs_searched`). When `b`
-//!    has no resident row it also yields `(b, a)`, and the memo keeps that
-//!    value for the reply.
+//!    repaired first if stale and counted in `cache_hits`.
+//! 2. **`a == b`:** `0.0`.
+//! 3. **`b`'s row is resident and current:** `row_b[a]`, counted in
+//!    `cache_hits`. A stale one is left alone: repairing a whole row for
+//!    one value costs more than the search below.
+//! 4. **The reader already knows the pair, either way round:** the memo
+//!    answers (`pair_memo_hits`).
+//! 5. **Otherwise:** one bidirectional search (`pairs_searched`), whose
+//!    value the memo keeps for `(a, b)` and `(b, a)` alike.
 //!
 //! The memo needs no epoch check and no size bound: the reader borrows the
 //! provider, so while it lives nothing can reach `apply_edge_deltas` (which
 //! takes `&mut self`) and every later read is on the graph each memoised
 //! value was computed on; the memo dies with the reader. Rows may still
-//! come and go through `&self` calls — case 1 serves whatever is resident,
-//! with the same value. The search buffers are allocated on the first
-//! search, reset through touched-lists and never shrunk.
+//! come and go through `&self` calls — cases 1 and 3 serve whatever is
+//! resident, with the same value. The search buffers are allocated on the
+//! first search, reset through touched-lists and never shrunk.
 //!
 //! **Bidirectional search.** Both sides run `settle`: a forward heap grows
 //! from `a` and a backward heap from `b`, the side with the smaller top
 //! advancing, and every label improvement updates `μ = min(d_f[u] +
-//! d_b[u])`. Phase 1 ends when `b` reaches the forward top (its label is
-//! final: done), when a side exhausts its component with `μ` still
-//! infinite (`b` is unreachable: `INFINITY`), or when the tops cross,
-//! `top_f + top_b > μ + TIGHT_EPS_MS`. At that point a vertex `v` on any
-//! path no longer than `μ` has `d(a, v) + d(v, b) ≤ μ < top_f + top_b − ε`,
-//! so it lies below one of the two tops: one side has settled it. The
-//! fold-left-optimal path is such a path (its real length is within float
-//! rounding of the optimum, which is at most `μ`; ε absorbs the rounding,
-//! as it does for the repair's tight edges). Phase 2 continues the
-//! **forward** side alone until `b` reaches its top, relaxing only into
-//! vertices the backward side labelled. Forward-settled vertices are final
-//! and never improve, so that scope needs no second mark array. Every label
-//! is the fold-left sum of a real path from `a`, and the optimal path's
-//! prefix up to its last forward-settled vertex can be replaced by that
-//! vertex's settled path, whose fold-left sum is no larger (adding a
-//! non-negative weight is monotone under rounding), leaving the rest of the
-//! path inside the scope. So `d_f[b]` is the minimum fold-left sum from
-//! `a` — the row's value — and not `d_f[u] + w + d_b[v]`, whose additions
-//! run in another order.
+//! d_b[u])`. The search stops when `top_f + top_b ≥ μ` and returns `μ` —
+//! `INFINITY` when a side exhausts its component unmet. Take a shortest
+//! path from `a` to `b`, of length `D`, and suppose `μ > D` at the stop.
+//! Every vertex closer to `a` than `top_f` has settled forward, every one
+//! closer to `b` than `top_b` backward. If `b` is closer to `a` than
+//! `top_f`, its forward label reached `D` by an improvement, which met
+//! `d_b[b] = 0`. Otherwise let `v` be the first vertex of the path at
+//! least `top_f` from `a`: it is at most `D − top_f < top_b` from `b`, so
+//! settled backward, and its predecessor `u` (if any) settled forward. Its
+//! final forward label (`0` at `v = a`, else set when `u` settled) and its
+//! final backward label each came from a label write, and whichever came
+//! second met the other: `μ ≤ D`. Every `μ` is the length of a real walk,
+//! so at least `D`. So `μ = D`, exact — no slack and no completion phase.
 //!
-//! The **reverse** `(b, a)` is the mirror image: the backward side alone,
-//! relaxing only into vertices the forward side labelled, until `a`
-//! reaches its top. By the same argument with the sides swapped, `d_b[a]`
-//! is then the minimum fold-left sum from `b` — `single_source(graph,
-//! b)[a]` bit for bit. The argument needs crossed tops, so when phase 1
-//! ended with `b` on the forward top the backward side first continues,
-//! unscoped, until they cross; and a backward label at or below its own
-//! top is already final and needs no completion.
-//!
-//! **Goal-directed search.** With `b`'s row resident and current,
-//! `h(v) = row_b[v]` — the shortest distance between `v` and `b`, the graph
-//! being undirected — is an exact potential, and the read is one A* search
-//! from `a` through the same `settle`, keyed `d[v] + h(v)`, stopped when
-//! the top key exceeds `d[b] + TIGHT_EPS_MS`. The potential only orders the
-//! heap: labels stay fold-left sums of real paths from `a`, so `d[b]` is
-//! never below the row's value `D(b)`. Nor does the search stop above it.
-//! Take the path `single_source` reached `b` along, whose every prefix sum
-//! is the row's value `D(v)` at its end vertex. While `d[b] > D(b)`, the
-//! first vertex of that path not yet expanded with label `D(v)` holds that
-//! label (its predecessor was expanded with its own, and relaxed it), so
-//! its entry is in the heap keyed `D(v) + h(v)`: the length of the path up
-//! to `v` plus the shortest distance from `v` to `b`, which is at most the
-//! path's length, within float rounding of `D(b) < d[b]`. ε absorbs the
-//! rounding, so the top key is at most `d[b] + ε`. Rounding can let a
-//! stale entry's key equal its vertex's improved one; the vertex then
-//! settles twice and relaxes nothing new the second time. Only vertices
-//! within ε of a shortest `a`–`b` path settle at all.
-//!
-//! **Scope.** Every search for `(a, b)` — both bidirectional phases, the
-//! backward catch-up and the goal-directed read — relaxes only into the
-//! vertices whose pendant-region label ([`crate::graph`]) is 0 (the core),
-//! `a`'s or `b`'s; the two completions relax into vertices the other side
-//! labelled, which lie in that set already. Whichever 2-edge-connected
-//! class is the core (the graph picks the bridge forest's centroid), a
-//! region other than `a`'s and `b`'s touches the rest of the graph through
-//! one bridge, so no simple `a`–`b` path enters it, and every simple
-//! `a`–`b` path lies in the set.
-//! A walk is never below the simple path left by cutting out its cycles:
-//! adding a non-negative weight never lowers a fold-left sum, and the sum
-//! is monotone in where it starts. So the minimum fold-left sum over the
-//! walks of the induced subgraph is the minimum over the whole graph's,
-//! and each search above, run on that subgraph, serves
-//! `single_source(graph, a)[b]` bit for bit — the reverse too, the set
-//! being symmetric in `a` and `b`. The goal-directed potential is still the
-//! whole graph's row of `b`, a lower bound on every distance to `b` in the
-//! subgraph, which is all its argument uses. The labels live in the graph
-//! (4 B a node, and 12 B a region for its bridge): the first row or pair
-//! search derives them, `add_node` / `add_edge` drop them with the
-//! adjacency and a weight change keeps them. On a
-//! `routed-5k` benchmark pass (seed 2005, transit-stub, 4,672 nodes, each
-//! stub domain hanging off its router by one edge) the scope cut the
-//! settles of its 4,836 bidirectional searches from about 452 a search to
-//! about 45 (2,187,764 → 222,133 with the goal-directed ones), while its
-//! 408 goal-directed reads settle about 7 either way.
-//!
-//! `row_b[a]` itself is never served for `(a, b)`: it is the minimum of the
-//! fold-left sums from `b`, and summing a path's edges from the other end
-//! can round differently in the last bits.
+//! **Scope.** Every search for `(a, b)` relaxes only into the vertices
+//! whose pendant-region label ([`crate::graph`]) is 0 (the core), `a`'s or
+//! `b`'s. Whichever 2-edge-connected class is the core (the graph picks
+//! the bridge forest's centroid), a region other than `a`'s and `b`'s
+//! touches the rest of the graph through one bridge, so no simple `a`–`b`
+//! path enters it, and every shortest one lies in the set: the search,
+//! run on that induced subgraph, finds the whole graph's distance. The
+//! labels live in the graph (4 B a node, and 12 B a region for its
+//! bridge): the first row or pair search derives them, `add_node` /
+//! `add_edge` drop them with the adjacency and a weight change keeps them.
+//! On a `routed-5k` benchmark pass (seed 2005, transit-stub, 4,672 nodes,
+//! each stub domain hanging off its router by one edge) its 4,836
+//! searches settle 111,183 vertices, about 23 a search, inside scopes of
+//! 82 (the 64-vertex core and two 9-vertex stub domains).
 //!
 //! # Residency
 //!
@@ -238,7 +190,7 @@
 //! the core and the source's own region, then region by region the rest of
 //! the batch, each seeded across the region's bridge. Its rows are
 //! bit-identical to a flat whole-graph search (its module docs give the
-//! argument; the Scope paragraph above makes it for pairs), so batching
+//! argument, every sum being exact), so batching
 //! changes no value, counter or cache state, only where the work runs: a
 //! flat row streams the whole adjacency through one graph-wide heap, a
 //! batch walks each region's adjacency once while it is in cache.
@@ -248,14 +200,9 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use rayon::prelude::*;
 
-use crate::dijkstra::{fill_rows, rows, settle, single_source, HeapEntry, NoPotential, Potential};
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::dijkstra::{fill_rows, rows, settle, single_source, HeapEntry};
+use crate::graph::{assert_exact_sums, on_grid, EdgeId, Graph, NodeId, LATENCY_GRID_MS};
 use crate::latency::LatencyProvider;
-
-/// Absolute slack (ms) used when testing whether an edge is tight on a
-/// cached shortest-path row. Latencies are milliseconds-scale, so this is
-/// far below any real tie yet far above accumulated float error.
-const TIGHT_EPS_MS: f64 = 1e-9;
 
 /// Counters describing how a [`LazyLatency`] has been exercised.
 ///
@@ -269,7 +216,7 @@ pub struct LazyLatencyStats {
     /// Dijkstra rows computed (cache misses and [`LazyLatency::ensure_rows`]).
     pub rows_computed: u64,
     /// Queries answered from a cached row (current, or repaired on the
-    /// spot).
+    /// spot): the sender's, or a [`PairReader`]'s receiver's when current.
     pub cache_hits: u64,
     /// Rows dropped because edge mutations made them stale: rows so far
     /// behind that the bounded delta log had to let go of the entries they
@@ -290,18 +237,14 @@ pub struct LazyLatencyStats {
     /// fell back to a full-row [`single_source`] recompute.
     pub rows_rebuilt: u64,
     /// Bidirectional searches run by a [`PairReader`]: its reads of a pair
-    /// whose sender row was not resident, that it had not memoised, and
-    /// whose receiver row was not resident and current.
+    /// whose sender row was not resident, whose receiver row was not
+    /// resident and current, and that it had not memoised either way round.
     pub pairs_searched: u64,
-    /// Goal-directed searches run by a [`PairReader`]: its reads of a pair
-    /// whose sender row was not resident, that it had not memoised, and
-    /// whose receiver row was resident and current.
-    pub pairs_goal_directed: u64,
-    /// [`PairReader`] reads its memo served: a pair it had read before, or
-    /// the reverse of one of its bidirectional searches.
+    /// [`PairReader`] reads its memo served: a pair it had searched before,
+    /// either way round.
     pub pair_memo_hits: u64,
-    /// Vertices settled by [`PairReader`] searches, bidirectional and
-    /// goal-directed: the work their pair reads did.
+    /// Vertices settled by [`PairReader`] searches: the work their pair
+    /// reads did.
     pub pair_vertices_settled: u64,
     /// Rows currently resident.
     pub rows_cached: usize,
@@ -586,9 +529,10 @@ impl LazyLatency {
         base_weight(&self.base_edges, &self.graph, id)
     }
 
-    /// Overwrites the latency of edge `id`; affected cached rows are
-    /// repaired when next read. Returns the previous latency. No-op if the
-    /// value is unchanged; panics if it is not finite and non-negative.
+    /// Overwrites the latency of edge `id` with `latency_ms` rounded to the
+    /// grid; affected cached rows are repaired when next read. Returns the
+    /// previous latency. No-op if the rounded value is unchanged; panics if
+    /// it is not finite and non-negative.
     pub fn set_edge_latency(&mut self, id: EdgeId, latency_ms: f64) -> f64 {
         let old = self.graph.edge(id).latency_ms;
         if latency_ms != old {
@@ -597,11 +541,14 @@ impl LazyLatency {
         old
     }
 
-    /// The jitter step: multiplies each drawn edge by its factor and clamps
-    /// the result to `band` × the edge's *base* latency, giving
-    /// mean-reverting edge-granular jitter. Repeated draws of an edge
-    /// compose in order (the second factor applies to the first's clamped
-    /// result), and the net weights land as **one**
+    /// The jitter step: multiplies each drawn edge by its factor, rounds
+    /// the result to the grid and clamps it to the grid points inside
+    /// `band` × the edge's *base* latency — from the first at or above
+    /// `base × band.0` to the last at or below `base × band.1` (that last
+    /// one alone if the band holds none) — giving mean-reverting
+    /// edge-granular jitter. Repeated draws of an edge compose in order
+    /// (the second factor applies to the first's clamped result), and the
+    /// net weights land as **one**
     /// [`apply_edge_deltas`](Self::apply_edge_deltas) batch. Returns the
     /// number of distinct edges drawn. Panics if a result is not finite and
     /// non-negative (e.g. a NaN factor) — before anything is mutated.
@@ -609,10 +556,13 @@ impl LazyLatency {
         let LazyLatency { graph, base_edges, cache, .. } = self;
         let window = &mut cache.get_mut().scratch.window;
         window.reset(graph);
+        let grid = |ms: f64, to: fn(f64) -> f64| to(ms / LATENCY_GRID_MS) * LATENCY_GRID_MS;
         for &(id, factor) in draws {
             let base = base_weight(base_edges, graph, id);
+            let hi = grid(base * band.1, f64::floor);
+            let lo = grid(base * band.0, f64::ceil).min(hi);
             let delta = window.open(graph, id, graph.edge(id).latency_ms);
-            delta.w_new = (delta.w_new * factor).clamp(base * band.0, base * band.1);
+            delta.w_new = on_grid(delta.w_new * factor).clamp(lo, hi);
         }
         let net: Vec<(EdgeId, f64)> = window.deltas.iter().map(|d| (d.id, d.w_new)).collect();
         self.apply_edge_deltas(&net);
@@ -620,21 +570,23 @@ impl LazyLatency {
     }
 
     /// Applies a batch of edge-weight deltas `(edge, new_latency_ms)` to
-    /// the graph in `O(batch)`, touching no cached row.
+    /// the graph in `O(batch)`, touching no cached row. Each new latency is
+    /// rounded to the grid first, as the graph stores it.
     ///
     /// The batch is logged under a new epoch and each resident row absorbs
     /// it — together with every other batch
     /// it has missed — the next time it is read; a row that is never read
     /// again never pays. Duplicate edges collapse to their final value (no
     /// query can observe an intermediate weight), and a batch that changes
-    /// nothing does not advance the epoch. Values served afterwards are
+    /// nothing once rounded does not advance the epoch. Values served afterwards are
     /// bit-identical to fresh [`single_source`] rows on the mutated graph
     /// (see the [module docs](self)).
     ///
     /// # Panics
     ///
-    /// If any new latency is NaN, infinite or negative — before the graph
-    /// or the cache is touched.
+    /// If any new latency is NaN, infinite or negative, or past the range
+    /// of exact path sums ([`crate::graph`]) — before the graph or the
+    /// cache is touched.
     pub fn apply_edge_deltas(&mut self, deltas: &[(EdgeId, f64)]) {
         let cache = self.cache.get_mut();
         let window = &mut cache.scratch.window;
@@ -644,6 +596,8 @@ impl LazyLatency {
                 w.is_finite() && w >= 0.0,
                 "edge {id:?} latency must be finite and non-negative, got {w}"
             );
+            let w = on_grid(w);
+            assert_exact_sums(self.graph.num_nodes(), id.0, w);
             window.open(&self.graph, id, self.graph.edge(id).latency_ms).w_new = w;
         }
         let net = || window.deltas.iter().filter(|d| d.w_new != d.w_old);
@@ -683,7 +637,7 @@ impl LazyLatency {
     /// let lat = LazyLatency::new(g);
     /// let pairs = lat.pair_reader();
     /// assert_eq!(pairs.latency(NodeId(0), NodeId(2)), 5.0); // one search...
-    /// assert_eq!(pairs.latency(NodeId(2), NodeId(0)), 5.0); // ...and its reverse
+    /// assert_eq!(pairs.latency(NodeId(2), NodeId(0)), 5.0); // ...read back either way
     /// let stats = lat.stats();
     /// assert_eq!((stats.pairs_searched, stats.pair_memo_hits, stats.rows_computed), (1, 1, 0));
     /// ```
@@ -775,16 +729,15 @@ impl LazyLatency {
         read(&rows)
     }
 
-    /// Drops every cached row. Counters other than `rows_cached` are kept.
+    /// Drops every cached row, visiting the resident ones only. Counters
+    /// other than `rows_cached` are kept.
     pub fn evict_all(&self) {
-        let mut cache = self.cache.borrow_mut();
-        let dropped = cache.resident.len() as u64;
-        cache.stats.rows_evicted += dropped;
-        cache.resident.clear();
-        cache.stale = 0;
-        for row in cache.rows.iter_mut() {
-            *row = None;
+        let RowCache { rows, stale, resident, stats, .. } = &mut *self.cache.borrow_mut();
+        stats.rows_evicted += resident.len() as u64;
+        for src in resident.drain(..) {
+            rows[src as usize] = None;
         }
+        *stale = 0;
     }
 
     /// Usage counters so far.
@@ -841,11 +794,11 @@ fn repair_increase(
         if !da.is_finite() || !db.is_finite() {
             continue;
         }
-        if d.b != src && mark[d.b.index()] != stamp && da + d.w_old <= db + TIGHT_EPS_MS {
+        if d.b != src && mark[d.b.index()] != stamp && da + d.w_old <= db {
             mark[d.b.index()] = stamp;
             region.push(d.b.0);
         }
-        if d.a != src && mark[d.a.index()] != stamp && db + d.w_old <= da + TIGHT_EPS_MS {
+        if d.a != src && mark[d.a.index()] != stamp && db + d.w_old <= da {
             mark[d.a.index()] = stamp;
             region.push(d.a.0);
         }
@@ -872,7 +825,7 @@ fn repair_increase(
             if y == src || mark[y.index()] == stamp || !row[y.index()].is_finite() {
                 continue;
             }
-            if dx + w_start(e, w_now) <= row[y.index()] + TIGHT_EPS_MS {
+            if dx + w_start(e, w_now) <= row[y.index()] {
                 mark[y.index()] = stamp;
                 region.push(y.0);
             }
@@ -903,7 +856,7 @@ fn repair_increase(
     }
     // Outside the region every label is fixed.
     let in_region = |u: NodeId| mark[u.index()] == stamp;
-    settle(graph, row, heap, NoPotential, |_, _| false, w_mid, in_region, |_, _, _, _| {});
+    settle(graph, row, heap, |_, _| false, w_mid, in_region, |_, _, _, _| {});
     (region.len(), false)
 }
 
@@ -928,11 +881,11 @@ fn repair_decrease(graph: &Graph, row: &mut [f64], scratch: &mut RepairScratch) 
             heap.push(HeapEntry::new(nd, d.a));
         }
     }
-    settle(graph, row, heap, NoPotential, |_, _| false, |_, w| w, |_| true, |_, _, _, _| {})
+    settle(graph, row, heap, |_, _| false, |_, w| w, |_| true, |_, _, _, _| {})
 }
 
 /// Point-to-point latencies without SSSP rows, from
-/// [`LazyLatency::pair_reader`]; see the [module docs](self) for the four
+/// [`LazyLatency::pair_reader`]; see the [module docs](self) for the five
 /// cases a read goes through. The reader borrows its provider, so the graph
 /// cannot change under it:
 ///
@@ -949,15 +902,16 @@ fn repair_decrease(graph: &Graph, row: &mut [f64], scratch: &mut RepairScratch) 
 /// ```
 pub struct PairReader<'a> {
     lazy: &'a LazyLatency,
-    /// `(a, b)` → `single_source(graph, a)[b]` for the pairs this reader
-    /// searched or derived; valid for as long as the borrow of `lazy`.
+    /// The distance between the two vertices of each pair this reader
+    /// searched, keyed lower id first; valid for as long as the borrow of
+    /// `lazy`.
     memo: RefCell<BTreeMap<(u32, u32), f64>>,
 }
 
 impl PairReader<'_> {
     /// The latency from `a` to `b`, bit-identical to
     /// [`LatencyProvider::latency`], by the first of the [module
-    /// docs](self)' four cases that applies.
+    /// docs](self)' five cases that applies.
     pub fn latency(&self, a: NodeId, b: NodeId) -> f64 {
         let LazyLatency { graph, cache, .. } = self.lazy;
         let cache = &mut *cache.borrow_mut();
@@ -967,14 +921,18 @@ impl PairReader<'_> {
         if a == b {
             return 0.0;
         }
+        if let Some(to_b) = cache.rows[b.index()].as_deref().filter(|_| cache.is_current(b)) {
+            let value = to_b[a.index()];
+            cache.stats.cache_hits += 1;
+            return value;
+        }
+        let key = (a.0.min(b.0), a.0.max(b.0));
         let memo = &mut *self.memo.borrow_mut();
-        if let Some(&value) = memo.get(&(a.0, b.0)) {
+        if let Some(&value) = memo.get(&key) {
             cache.stats.pair_memo_hits += 1;
             return value;
         }
-        let current = cache.is_current(b);
-        let RowCache { rows, pair, stats, .. } = cache;
-        let pair = pair.get_or_insert_with(Box::default);
+        let RowCache { pair, stats, .. } = cache;
         let regions = &graph.regions().label;
         let ends = [regions[a.index()], regions[b.index()]];
         let scope = move |v: NodeId| {
@@ -986,22 +944,10 @@ impl PairReader<'_> {
             let everywhere = self.lazy.unscoped_pairs;
             move |v| everywhere || scope(v)
         };
-        let settled = &mut stats.pair_vertices_settled;
-        let value = match rows[b.index()].as_deref() {
-            Some(to_b) if current => {
-                stats.pairs_goal_directed += 1;
-                pair.toward(graph, a, b, to_b, scope, settled)
-            }
-            resident => {
-                stats.pairs_searched += 1;
-                let (value, reverse) = pair.search(graph, a, b, resident.is_none(), scope, settled);
-                if let Some(reverse) = reverse {
-                    memo.insert((b.0, a.0), reverse);
-                }
-                value
-            }
-        };
-        memo.insert((a.0, b.0), value);
+        stats.pairs_searched += 1;
+        let pair = pair.get_or_insert_with(Box::default);
+        let value = pair.search(graph, a, b, scope, &mut stats.pair_vertices_settled);
+        memo.insert(key, value);
         value
     }
 }
@@ -1018,32 +964,29 @@ struct Side {
 }
 
 impl Side {
-    /// Starts a search from `root`, keyed `key`, over `n` vertices, growing
-    /// the labels on first use.
-    fn begin(&mut self, n: usize, root: NodeId, key: f64) {
+    /// Starts a search from `root` over `n` vertices, growing the labels
+    /// on first use.
+    fn begin(&mut self, n: usize, root: NodeId) {
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
         }
         self.dist[root.index()] = 0.0;
         self.touched.push(root.0);
-        self.heap.push(HeapEntry::new(key, root));
+        self.heap.push(HeapEntry::new(0.0, root));
     }
 
-    /// The heap's smallest key — without a potential, a lower bound on
-    /// every label this side has still to settle — or `INFINITY` once it
-    /// is exhausted.
+    /// The heap's smallest key — a lower bound on every label this side has
+    /// still to settle — or `INFINITY` once it is exhausted.
     fn top(&self) -> f64 {
         self.heap.peek().map_or(f64::INFINITY, |e| e.key())
     }
 
-    /// Runs this side's `settle` under `potential` until `stop`, relaxing
-    /// into `in_scope` vertices only; each improvement goes on the
-    /// touched-list and to `seen` with its new label. Returns the number of
-    /// vertices settled.
+    /// Runs this side's `settle` until `stop`, relaxing into `in_scope`
+    /// vertices only; each improvement goes on the touched-list and to
+    /// `seen` with its new label. Returns the number of vertices settled.
     fn advance(
         &mut self,
         graph: &Graph,
-        potential: impl Potential,
         stop: impl Fn(f64, NodeId) -> bool,
         in_scope: impl Fn(NodeId) -> bool,
         mut seen: impl FnMut(NodeId, f64),
@@ -1053,7 +996,7 @@ impl Side {
             touched.push(u.0);
             seen(u, d);
         };
-        settle(graph, dist, heap, potential, stop, |_, w| w, in_scope, improve) as u64
+        settle(graph, dist, heap, stop, |_, w| w, in_scope, improve) as u64
     }
 
     /// Restores the between-searches state through the touched-list.
@@ -1065,19 +1008,7 @@ impl Side {
     }
 }
 
-/// The potential of a goal-directed read: the goal's own current row.
-#[derive(Clone, Copy)]
-struct Toward<'r>(&'r [f64]);
-
-impl Potential for Toward<'_> {
-    #[inline(always)]
-    fn key(&self, d: f64, v: NodeId) -> f64 {
-        d + self.0[v.index()]
-    }
-}
-
-/// The buffers of a [`PairReader`]'s searches: two sides for the
-/// bidirectional one, the forward side alone for the goal-directed one.
+/// The buffers of a [`PairReader`]'s bidirectional search.
 #[derive(Default)]
 struct PairScratch {
     fwd: Side,
@@ -1085,107 +1016,40 @@ struct PairScratch {
 }
 
 impl PairScratch {
-    /// `single_source(graph, a)[b]`, bit for bit, by the bidirectional
-    /// search with the ε stop and the restricted forward completion the
-    /// [module docs](self) describe; with `reverse`, also
-    /// `single_source(graph, b)[a]` by the mirrored completion. Both sides
-    /// relax only into `scope`, which must hold every simple `a`–`b` path;
-    /// the vertices they settle are added to `settled`. Requires `a != b`.
+    /// The distance between `a` and `b` — `single_source(graph, a)[b]`, bit
+    /// for bit — by the bidirectional search the [module docs](self)
+    /// describe. Both sides relax only into `scope`, which must hold every
+    /// simple `a`–`b` path; the vertices they settle are added to
+    /// `settled`. Requires `a != b`.
     fn search(
         &mut self,
         graph: &Graph,
         a: NodeId,
         b: NodeId,
-        reverse: bool,
         scope: impl Fn(NodeId) -> bool + Copy,
         settled: &mut u64,
-    ) -> (f64, Option<f64>) {
+    ) -> f64 {
         let PairScratch { fwd, bwd } = self;
-        fwd.begin(graph.num_nodes(), a, 0.0);
-        bwd.begin(graph.num_nodes(), b, 0.0);
+        fwd.begin(graph.num_nodes(), a);
+        bwd.begin(graph.num_nodes(), b);
         let mu = Cell::new(f64::INFINITY);
         let meet = |other: &[f64], u: NodeId, d: f64| mu.set(mu.get().min(d + other[u.index()]));
-        let past = |tf: f64, tb: f64| tf + tb > mu.get() + TIGHT_EPS_MS;
-        let labelled = |side: &Side, u: NodeId| side.dist[u.index()] != f64::INFINITY;
-        // `crossed`: phase 1 did not end with `b` on the forward top.
-        let (value, crossed) = loop {
-            if fwd.heap.peek().is_some_and(|e| e.node() == b) {
-                break (fwd.dist[b.index()], false);
-            }
+        loop {
             let (tf, tb) = (fwd.top(), bwd.top());
-            if mu.get() == f64::INFINITY && (tf == f64::INFINITY || tb == f64::INFINITY) {
-                break (f64::INFINITY, true); // a side exhausted its component unmet
-            }
-            if past(tf, tb) {
-                // The completion: the forward side alone, into the backward
-                // side's labelled vertices only (all in `scope`), until `b`
-                // reaches its top.
-                let into = |u| labelled(bwd, u);
-                *settled += fwd.advance(graph, NoPotential, |_, v| v == b, into, |_, _| {});
-                break (fwd.dist[b.index()], true);
+            if tf + tb >= mu.get() {
+                break; // `μ` is the distance (`INFINITY`: a side ran out unmet)
             }
             *settled += if tf <= tb {
-                let stop = |d: f64, v| v == b || d > tb || past(d, tb);
-                fwd.advance(graph, NoPotential, stop, scope, |u, d| meet(&bwd.dist, u, d))
+                let stop = |d: f64, _| d > tb || d + tb >= mu.get();
+                fwd.advance(graph, stop, scope, |u, d| meet(&bwd.dist, u, d))
             } else {
-                let stop = |d: f64, _| d > tf || past(tf, d);
-                bwd.advance(graph, NoPotential, stop, scope, |u, d| meet(&fwd.dist, u, d))
+                let stop = |d: f64, _| d > tf || tf + d >= mu.get();
+                bwd.advance(graph, stop, scope, |u, d| meet(&fwd.dist, u, d))
             };
-        };
-        let reverse = reverse.then(|| {
-            if value == f64::INFINITY {
-                return value; // the graph is undirected
-            }
-            if !crossed {
-                // `b` topped the forward heap first: the backward side
-                // catches up, over all of `scope`, until the tops cross.
-                let tf = fwd.top();
-                let stop = |d: f64, _| past(tf, d);
-                *settled +=
-                    bwd.advance(graph, NoPotential, stop, scope, |u, d| meet(&fwd.dist, u, d));
-            }
-            if bwd.dist[a.index()] > bwd.top() {
-                // The mirrored completion.
-                let into = |u| labelled(fwd, u);
-                *settled += bwd.advance(graph, NoPotential, |_, v| v == a, into, |_, _| {});
-            }
-            bwd.dist[a.index()]
-        });
+        }
         fwd.end();
         bwd.end();
-        (value, reverse)
-    }
-
-    /// `single_source(graph, a)[b]`, bit for bit, by the goal-directed
-    /// search the [module docs](self) describe, `to_b` being `b`'s current
-    /// row. It relaxes only into `scope`, which must hold every simple
-    /// `a`–`b` path, and adds the vertices it settles to `settled`.
-    /// Requires `a != b`.
-    fn toward(
-        &mut self,
-        graph: &Graph,
-        a: NodeId,
-        b: NodeId,
-        to_b: &[f64],
-        scope: impl Fn(NodeId) -> bool,
-        settled: &mut u64,
-    ) -> f64 {
-        if to_b[a.index()] == f64::INFINITY {
-            return f64::INFINITY; // another component
-        }
-        let (side, potential) = (&mut self.fwd, Toward(to_b));
-        side.begin(graph.num_nodes(), a, potential.key(0.0, a));
-        // `d[b]`, kept where the stop predicate can read it.
-        let reached = Cell::new(f64::INFINITY);
-        let stop = |key: f64, _| key > reached.get() + TIGHT_EPS_MS;
-        let seen = |u, d| {
-            if u == b {
-                reached.set(d);
-            }
-        };
-        *settled += side.advance(graph, potential, stop, scope, seen);
-        side.end();
-        reached.get()
+        mu.get()
     }
 }
 
@@ -1210,9 +1074,11 @@ impl LatencyProvider for LazyLatency {
 pub(crate) mod tests {
     use super::*;
     use crate::dijkstra::all_pairs_latency;
+    use crate::dijkstra::tests::flat_row;
     use crate::rng::rng_from_seed;
     use crate::topology::simple::grid;
     use crate::topology::transit_stub::{generate, TransitStubConfig};
+    use crate::topology::waxman::{self, WaxmanConfig};
     use proptest::collection::vec;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1581,6 +1447,18 @@ pub(crate) mod tests {
         });
     }
 
+    /// So does a weight past the range of exact path sums: on three nodes,
+    /// 2³² ms.
+    #[test]
+    #[should_panic(expected = "edge 1 latency 4294967296 ms times n - 1 = 3 - 1 reaches 2^33 ms")]
+    fn weight_past_exact_sums_is_rejected() {
+        rejected_leaving_all_untouched(|lazy, [e0, e1]| {
+            lazy.apply_edge_deltas(&[(e0, 2.0), (e1, 2f64.powi(32))]);
+        });
+    }
+
+    /// A write that rounds to the edge's current weight logs nothing,
+    /// advances no epoch and stales no row.
     #[test]
     fn unchanged_weight_is_a_noop() {
         let mut g = Graph::new(2);
@@ -1588,12 +1466,18 @@ pub(crate) mod tests {
         let mut lazy = LazyLatency::new(g);
         lazy.latency(NodeId(0), NodeId(1));
         lazy.set_edge_latency(e, 4.0);
+        let off_grid = 4.0 + LATENCY_GRID_MS / 8.0;
+        assert_eq!(lazy.set_edge_latency(e, off_grid), 4.0);
+        lazy.apply_edge_deltas(&[(e, off_grid)]);
         // Last write wins: a batch that ends where it started is one too.
         lazy.apply_edge_deltas(&[(e, 9.0), (e, 4.0)]);
+        lazy.apply_edge_deltas(&[(e, 9.0), (e, off_grid)]);
         assert_eq!(lazy.rows_stale(), 0, "no epoch advanced");
         assert!(lazy.cache.borrow().log.is_empty());
         assert_eq!(lazy.stats().rows_repaired, 0);
         assert_eq!(lazy.stats().rows_cached, 1);
+        assert_eq!(lazy.graph().edge(e).latency_ms, 4.0);
+        assert_eq!(lazy.cache.borrow().head, 0);
     }
 
     #[test]
@@ -1823,9 +1707,9 @@ pub(crate) mod tests {
         /// `a`'s and `b`'s rows absent, resident, or resident several
         /// batches behind (rows are faulted in while a reader lives, too).
         /// No read computes or caches a row, and each takes the case the
-        /// module docs give it: a resident sender row is a hit, then the
-        /// memo, then a current receiver row's goal-directed search, else
-        /// a bidirectional search.
+        /// module docs give it: a resident sender row is a hit, then
+        /// `a == b`, then a current receiver row is a hit too, then the
+        /// memo of either order of the pair, else a bidirectional search.
         #[test]
         fn latency_pair_equals_the_single_source_row(
             kind in 0u8..5,
@@ -1861,14 +1745,15 @@ pub(crate) mod tests {
                     last = (a, b);
                     let expect = {
                         let cache = lazy.cache.borrow();
+                        let key = (a.0.min(b.0), a.0.max(b.0));
                         if cache.rows[a.index()].is_some() {
                             "hit"
                         } else if a == b {
                             "zero"
-                        } else if pairs.memo.borrow().contains_key(&(a.0, b.0)) {
-                            "memo"
                         } else if cache.rows[b.index()].is_some() && cache.is_current(b) {
-                            "goal-directed"
+                            "receiver row"
+                        } else if pairs.memo.borrow().contains_key(&key) {
+                            "memo"
                         } else {
                             "bidirectional"
                         }
@@ -1881,10 +1766,9 @@ pub(crate) mod tests {
                     prop_assert_eq!(after.rows_computed, before.rows_computed);
                     prop_assert_eq!(after.rows_cached, before.rows_cached);
                     let count = |case: &str| u64::from(expect == case);
-                    prop_assert_eq!(after.cache_hits, before.cache_hits + count("hit"));
+                    let hits = count("hit") + count("receiver row");
+                    prop_assert_eq!(after.cache_hits, before.cache_hits + hits);
                     prop_assert_eq!(after.pair_memo_hits, before.pair_memo_hits + count("memo"));
-                    let goal = count("goal-directed");
-                    prop_assert_eq!(after.pairs_goal_directed, before.pairs_goal_directed + goal);
                     let searched = count("bidirectional");
                     prop_assert_eq!(after.pairs_searched, before.pairs_searched + searched);
                 }
@@ -1912,14 +1796,108 @@ pub(crate) mod tests {
         }
     }
 
-    /// The goal-directed read and the reversed bidirectional search where
-    /// rounding decides: jittered transit-stub graphs, and grids whose
-    /// equal-length paths tie exactly (weight 1) or sum to different last
-    /// bits (weight 0.1). Every `(a, b)` read with `b`'s row resident and
-    /// `a`'s not, and every reverse a fresh reader derives, equals
-    /// `single_source` bit for bit.
+    /// A graph of the grid property test's families, about a third of its
+    /// edges re-weighted off the grid through `Graph::set_edge_latency`: 0
+    /// pendant-heavy, 1 transit-stub, 2 Waxman, 3 a bridgeless grid.
+    fn off_grid_family(kind: u8, seed: u64, rng: &mut StdRng) -> Graph {
+        let mut g = match kind {
+            0 => pair_test_graph(4, seed),
+            1 => generate(&TransitStubConfig::with_total_nodes(rng.gen_range(30..80)), seed).graph,
+            2 => {
+                let cfg = WaxmanConfig { nodes: rng.gen_range(10..50), ..WaxmanConfig::default() };
+                waxman::generate(&cfg, seed).graph
+            }
+            _ => grid(rng.gen_range(2..8), rng.gen_range(2..8), 1.0).graph,
+        };
+        for e in 0..g.num_edges() as u32 {
+            if rng.gen_range(0..3) == 0 {
+                g.set_edge_latency(EdgeId(e), rng.gen_range(0.0..20.0));
+            }
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Grid weights make every read exact, so every read is the flat
+        /// reference's value bit for bit, and `d(a, b)` is one number: on
+        /// the four families of [`off_grid_family`], through batches of
+        /// off-grid `apply_edge_deltas` and jitter, every row read back
+        /// (repaired after differing numbers of batches, or fresh) and
+        /// every `PairReader` read — sender row, `a == b`, receiver row,
+        /// memo and search — equals `flat_row`, whose rows agree from
+        /// either end; and so does every row at the end.
+        #[test]
+        fn grid_weights_make_every_read_equal_the_flat_row(
+            kind in 0u8..4,
+            seed in 0u64..1_000_000,
+            batches in 1usize..6,
+        ) {
+            let mut rng = rng_from_seed(seed ^ 0x51d);
+            let mut lazy = LazyLatency::new(off_grid_family(kind, seed, &mut rng));
+            let (n, m) = (lazy.len() as u32, lazy.graph().num_edges() as u32);
+            let flat_rows = |g: &Graph| -> Vec<Vec<u64>> {
+                let row = |v| flat_row(g, NodeId(v)).0.iter().map(|d| d.to_bits()).collect();
+                (0..n).map(row).collect()
+            };
+            for _ in 0..rng.gen_range(1..4) {
+                lazy.latency(NodeId(rng.gen_range(0..n)), NodeId(0));
+            }
+            for batch in 0..=batches {
+                if batch > 0 && m > 0 {
+                    let deltas: Vec<(EdgeId, f64)> = (0..rng.gen_range(1..8))
+                        .map(|_| (EdgeId(rng.gen_range(0..m)), rng.gen_range(0.0..30.0)))
+                        .collect();
+                    lazy.apply_edge_deltas(&deltas);
+                    let draws: Vec<(EdgeId, f64)> = (0..rng.gen_range(0..8))
+                        .map(|_| (EdgeId(rng.gen_range(0..m)), rng.gen_range(0.3..3.0)))
+                        .collect();
+                    lazy.scale_edges_clamped(&draws, (0.3, 3.3));
+                }
+                let flat = flat_rows(lazy.graph());
+                for (a, b) in (0..n as usize).flat_map(|a| (0..n as usize).map(move |b| (a, b))) {
+                    prop_assert_eq!((a, b, flat[a][b]), (a, b, flat[b][a]));
+                }
+                // Some resident rows read back, repairing them, and a fresh one.
+                let resident = lazy.cache.borrow().resident.clone();
+                let fresh = rng.gen_range(0..n);
+                let read_back = resident.into_iter().filter(|_| rng.gen_bool(0.5));
+                for a in read_back.chain([fresh]) {
+                    for b in 0..n {
+                        let got = lazy.latency(NodeId(a), NodeId(b)).to_bits();
+                        prop_assert_eq!((a, b, got), (a, b, flat[a as usize][b as usize]));
+                    }
+                }
+                let pairs = lazy.pair_reader();
+                for _ in 0..3 * n {
+                    let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    for (a, b) in [(a, b), (b, a), (a, a)] {
+                        let got = pairs.latency(NodeId(a), NodeId(b)).to_bits();
+                        prop_assert_eq!((a, b, got), (a, b, flat[a as usize][b as usize]));
+                    }
+                }
+            }
+            let all: Vec<NodeId> = (0..n).map(NodeId).collect();
+            lazy.ensure_rows(&all, None);
+            let flat = flat_rows(lazy.graph());
+            let cache = lazy.cache.borrow();
+            for (a, want) in flat.iter().enumerate() {
+                let row = cache.rows[a].as_deref().expect("ensured");
+                let bits: Vec<u64> = row.iter().map(|d| d.to_bits()).collect();
+                prop_assert_eq!((a, &bits), (a, want));
+            }
+        }
+    }
+
+    /// Pair reads where ties decide which path a search finds: jittered
+    /// transit-stub graphs, and grids whose equal-length paths tie (weight
+    /// 1, and 0.1 rounded to the grid). Every `(a, b)` a fresh reader
+    /// searches, its reverse from that reader's memo, and every read off a
+    /// resident receiver row equal `single_source` bit for bit, and both
+    /// ends' rows agree.
     #[test]
-    fn goal_directed_and_reversed_reads_equal_the_row_on_ties() {
+    fn reads_from_either_end_equal_the_row_on_ties() {
         let mut graphs: Vec<Graph> = vec![grid(9, 9, 1.0).graph, grid(9, 9, 0.1).graph];
         for seed in [3, 41, 97] {
             let mut lazy =
@@ -1941,6 +1919,10 @@ pub(crate) mod tests {
                     let (a, b) = (NodeId(a), NodeId(b));
                     assert_eq!(pairs.latency(a, b).to_bits(), rows[a.index()][b.index()].to_bits());
                     assert_eq!(pairs.latency(b, a).to_bits(), rows[b.index()][a.index()].to_bits());
+                    assert_eq!(
+                        rows[a.index()][b.index()].to_bits(),
+                        rows[b.index()][a.index()].to_bits()
+                    );
                 }
             }
             let s = lazy.stats();
@@ -1958,18 +1940,20 @@ pub(crate) mod tests {
                     assert_eq!(pairs.latency(a, b).to_bits(), rows[a.index()][b.index()].to_bits());
                 }
             }
-            let goal = lazy.stats().pairs_goal_directed;
-            assert_eq!(goal, (n as usize - receivers.len()) as u64 * receivers.len() as u64);
+            let after = lazy.stats();
+            let reads = (n as usize - receivers.len()) as u64 * receivers.len() as u64;
+            assert_eq!(after.cache_hits, s.cache_hits + reads, "each read off the receiver's row");
+            assert_eq!(after.pairs_searched, s.pairs_searched);
         }
     }
 
     /// The pair searches' scope, by work: on the `routed-5k` benchmark's
     /// topology (8 × 8 backbone, 8 stub domains of 9 nodes a router, seed
     /// 2005), a batch of cold reads between random stub nodes — each on a
-    /// fresh reader, its reverse from that reader's memo, then reads
-    /// toward resident receiver rows — serves bit-identical values with the
-    /// scope and with every vertex in it, the row's values, and settles at
-    /// least 5× fewer vertices.
+    /// fresh reader, its reverse from that reader's memo, then reads from
+    /// a second fresh reader toward stale receiver rows, which search too —
+    /// serves bit-identical values with the scope and with every vertex in
+    /// it, the row's values, and settles at least 5× fewer vertices.
     #[test]
     fn scoped_pair_reads_settle_a_fifth_of_the_unscoped_ones() {
         let cfg = TransitStubConfig {
@@ -1986,13 +1970,18 @@ pub(crate) mod tests {
         let pairs: Vec<(NodeId, NodeId)> = (0..160).map(|_| (draw(), draw())).collect();
         let receivers: Vec<NodeId> = (0..8).map(|_| draw()).collect();
         let reads = |unscoped_pairs: bool| {
-            let lazy = LazyLatency { unscoped_pairs, ..LazyLatency::new(t.graph.clone()) };
+            let mut lazy = LazyLatency { unscoped_pairs, ..LazyLatency::new(t.graph.clone()) };
             let mut values = Vec::new();
             for &(a, b) in &pairs {
                 let reader = lazy.pair_reader();
                 values.push([reader.latency(a, b), reader.latency(b, a)]);
             }
+            // A stale receiver row is not read: the pair is searched.
             lazy.ensure_rows(&receivers, None);
+            let e = EdgeId(0);
+            let w = lazy.graph().edge(e).latency_ms;
+            lazy.set_edge_latency(e, w * 2.0);
+            lazy.set_edge_latency(e, w);
             let reader = lazy.pair_reader();
             for &(a, _) in &pairs {
                 values.extend(receivers.iter().map(|&r| [reader.latency(a, r), 0.0]));
@@ -2002,11 +1991,8 @@ pub(crate) mod tests {
         };
         let ((scoped, s), (unscoped, u)) = (reads(false), reads(true));
         assert_eq!(scoped, unscoped);
-        assert_eq!(
-            (s.pairs_searched, s.pairs_goal_directed),
-            (u.pairs_searched, u.pairs_goal_directed)
-        );
-        assert!(s.pairs_searched > 150 && s.pairs_goal_directed > 1_000);
+        assert_eq!((s.pairs_searched, s.pair_memo_hits), (u.pairs_searched, u.pair_memo_hits));
+        assert!(s.pairs_searched > 1_000);
         for (&(a, b), read) in pairs.iter().zip(&scoped).take(24) {
             let (from_a, from_b) = (single_source(&t.graph, a), single_source(&t.graph, b));
             assert_eq!(
@@ -2024,29 +2010,32 @@ pub(crate) mod tests {
     }
 
     /// The search buffers exist only once a search has run, and every
-    /// search — goal-directed, bidirectional, reversed — leaves them
-    /// clean: every label back at `INFINITY`, both heaps and touched-lists
-    /// empty.
+    /// search — a pair met in the middle, one whose sides run out unmet —
+    /// leaves them clean: every label back at `INFINITY`, both heaps and
+    /// touched-lists empty.
     #[test]
     fn pair_scratch_is_allocated_by_the_first_search_and_left_clean() {
-        let lazy = LazyLatency::new(grid(6, 6, 1.0).graph);
+        let mut g = grid(6, 6, 1.0).graph;
+        g.add_node();
+        let lazy = LazyLatency::new(g);
         lazy.latency(NodeId(0), NodeId(35));
         let pairs = lazy.pair_reader();
         pairs.latency(NodeId(0), NodeId(35));
         pairs.latency(NodeId(3), NodeId(3));
+        assert_eq!(pairs.latency(NodeId(35), NodeId(0)), 10.0, "off the receiver's row");
         assert!(lazy.cache.borrow().pair.is_none(), "row reads and a == b search nothing");
-        assert_eq!(pairs.latency(NodeId(35), NodeId(0)), 10.0);
         assert_eq!(pairs.latency(NodeId(7), NodeId(20)), 3.0);
         assert_eq!(pairs.latency(NodeId(20), NodeId(7)), 3.0);
+        assert_eq!(pairs.latency(NodeId(36), NodeId(7)), f64::INFINITY);
         let cache = lazy.cache.borrow();
         let pair = cache.pair.as_deref().expect("allocated by the search");
         for side in [&pair.fwd, &pair.bwd] {
-            assert_eq!(side.dist.len(), 36);
+            assert_eq!(side.dist.len(), 37);
             assert!(side.dist.iter().all(|d| *d == f64::INFINITY));
             assert!(side.heap.is_empty() && side.touched.is_empty());
         }
         let s = cache.stats;
-        assert_eq!((s.pairs_goal_directed, s.pairs_searched, s.pair_memo_hits), (1, 1, 1));
+        assert_eq!((s.cache_hits, s.pairs_searched, s.pair_memo_hits), (2, 2, 1));
     }
 
     /// An edge's base weight is recorded by its first change only: after
@@ -2101,6 +2090,22 @@ pub(crate) mod tests {
             lazy.scale_edges_clamped(&[(e, 0.5)], (0.5, 3.0));
         }
         assert_eq!(lazy.latency(NodeId(0), NodeId(1)), 5.0);
+
+        // Off-grid factors and band ends: every result is on the grid and
+        // inside the band, its ends rounded inwards; a band holding no grid
+        // point gives the one below it.
+        let step = LATENCY_GRID_MS;
+        let on_the_grid = |w: f64| w / step == (w / step).round();
+        let mut rng = rng_from_seed(2089);
+        for _ in 0..200 {
+            let band = (rng.gen_range(0.3..1.0), rng.gen_range(1.0..3.3));
+            lazy.scale_edges_clamped(&[(e, rng.gen_range(0.2..4.0))], band);
+            let w = lazy.graph().edge(e).latency_ms;
+            assert!(on_the_grid(w) && 10.0 * band.0 <= w && w <= 10.0 * band.1, "{w} {band:?}");
+        }
+        let sliver = (0.1 + step / 40.0, 0.1 + step / 20.0);
+        lazy.scale_edges_clamped(&[(e, 0.5)], sliver);
+        assert_eq!(lazy.graph().edge(e).latency_ms, 1.0, "the grid point below 1 + a quarter step");
 
         // Two draws of one edge in one call compose like two one-draw calls
         // (the first is clamped before the second applies: 10 → 30 → 27, not

@@ -32,7 +32,7 @@
 //! | backend | memory | precompute | best for |
 //! |---|---|---|---|
 //! | [`latency::LatencyMatrix`] (via [`dijkstra::all_pairs_latency`]) | `O(n²)` always | `O(n·(m + n log n))` up front | `n ≲ 1000`, query-everything workloads |
-//! | [`lazy::LazyLatency`] | `O(rows_touched · n)`, boundable via `with_capacity` | none — each row `O(m + n log n)` on first touch | thousand-node runs, churn, sparse query sets |
+//! | [`lazy::LazyLatency`] | `O(rows_touched · n)` | none — each row `O(m + n log n)` on first touch | thousand-node runs, churn, sparse query sets |
 //!
 //! Both produce bit-identical latencies for any query (rows come from the
 //! same Dijkstra); the lazy backend additionally survives edge churn by
@@ -50,8 +50,10 @@
 //! Every fact has one owner and every behaviour one spelling:
 //!
 //! * [`graph::Graph`] — the topology, the *current* edge weights (the edge
-//!   table; [`graph::Graph::set_edge_latency`] is their one writer), and
-//!   the one adjacency accessor ([`graph::Graph::neighbors`]) every
+//!   table; [`graph::Graph::set_edge_latency`] is their one writer after
+//!   construction), the weight grid they lie on
+//!   ([`graph::LATENCY_GRID_MS`]: both writers round to it, so every
+//!   shortest-path sum is exact), and the one adjacency accessor ([`graph::Graph::neighbors`]) every
 //!   shortest-path relaxation reads the graph through. The adjacency is
 //!   one CSR with the weights inline, derived on the first search and
 //!   dropped by `add_node` / `add_edge`; an unsearched graph holds none.
@@ -60,10 +62,8 @@
 //!   are derived by the first row or pair search and dropped with it.
 //! * [`dijkstra`] — the one relaxation loop and its pop order (key, then
 //!   node id, packed into one integer a heap entry): fresh rows, path
-//!   search, both repair phases, both sides of the bidirectional pair
-//!   search and the goal-directed pair read run it. The key is the label,
-//!   plus — in the goal-directed read alone — a potential, the goal's own
-//!   resident row (A*). It also owns the one row kernel every row comes
+//!   search, both repair phases and both sides of the bidirectional pair
+//!   search run it. It also owns the one row kernel every row comes
 //!   from (`single_source`, `all_pairs_latency`, a lazy miss, a batch, a
 //!   repair's rebuild): per source the core and its own region, then region
 //!   by region for the whole batch, seeded across each region's bridge.
@@ -72,9 +72,9 @@
 //!   the jitter step ([`lazy::LazyLatency::scale_edges_clamped`]), the
 //!   delta log with its one edge-batch dedup, and the row cache.
 //! * [`lazy::PairReader`] — row-free point-to-point reads over a borrow of
-//!   that provider: a resident sender row, else its memo of the pairs it
-//!   already knows, else a goal-directed search toward a current receiver
-//!   row, else one bidirectional search, which also yields the reverse pair.
+//!   that provider: a resident sender row, else a current receiver row,
+//!   else its memo of the pairs it already searched (either way round),
+//!   else one bidirectional search.
 //!   Every search relaxes only into the core and the two endpoints' own
 //!   regions. The borrow freezes the graph, so the memo lives exactly as
 //!   long as the reader.

@@ -8,11 +8,11 @@
 //! `LatencyState::pair_reader` — a row-free `PairReader`, each value
 //! bit-identical to the row's — so settling faults in no latency row. The
 //! one row `settle` makes resident is the origin member's, which sends
-//! every lookup request of the run: the reader serves those requests from
-//! it, and aims each reply to the origin at it (a goal-directed search of
-//! a few vertices). A registration is a `Register` and its `Ack`: when
-//! neither end has a row, the reader's one bidirectional search prices
-//! both, the `Ack` from its memo.
+//! every lookup request of the run: the reader serves those requests and
+//! each reply to the origin from it, the distance being the same from
+//! either end. A registration is a `Register` and its `Ack`: when neither
+//! end has a row, the reader's one bidirectional search prices both, the
+//! `Ack` from its memo.
 //!
 //! `impl OverlayRuntime` here **reads** `mapper` and writes nothing.
 
@@ -129,8 +129,8 @@ impl MapperState {
     /// Every message is priced by one [`LatencyState::pair_reader`], which
     /// lives as long as the settle. Iterative routing sends every lookup
     /// request from the origin member, so its row is prewarmed first and
-    /// serves those; every other delay is a point-to-point read that caches
-    /// no row.
+    /// serves those and their replies; every other delay is a
+    /// point-to-point read that caches no row.
     pub(super) fn settle(&mut self, at: SimTime, latency: &LatencyState, obs: &mut RuntimeObs) {
         let MapperState::Routed(m) = self else { return };
         if m.pending_traffic() == 0 && m.routed().is_quiescent() {

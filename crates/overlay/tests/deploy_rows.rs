@@ -61,8 +61,15 @@ fn deploy_rows(backend: MapperBackend) -> usize {
     }
     assert!(origin_rows <= 1, "the origin's row stays resident once computed");
     assert_eq!(rows(&rt).rows_cached, resident.len() + origin_rows);
-    // Every reply to the origin is aimed at its resident row.
-    assert_eq!(rows(&rt).pairs_goal_directed > 0, rt.routed_stats().is_some());
+    // Every request leaves the origin and every reply comes back to it:
+    // under `Routed` each is read off its resident row, from either end,
+    // and no pair is searched.
+    let stats = rows(&rt);
+    assert_eq!(
+        (stats.pairs_searched, stats.pair_memo_hits, stats.pair_vertices_settled),
+        (0, 0, 0)
+    );
+    assert!(rt.routed_stats().is_none_or(|routed| routed.messages > 0));
     origin_rows
 }
 

@@ -311,15 +311,17 @@ impl LandmarkPlacer {
         derive_rng(self.seed, PLACE_STREAM ^ node.index() as u64)
     }
 
-    /// A batch of [`LandmarkPlacer::place_node`] calls over latency rows
-    /// read in place: `rows[li]` is landmark `li`'s row (draw order), so
-    /// `nodes[j]`'s latency from it is `rows[li][nodes[j].index()]`.
-    /// Consecutive nodes run through the kernel two at a time, each on its
-    /// own stream, so every state equals the one `place_node` gives it;
-    /// they come back in input order.
-    pub fn place_nodes(&self, nodes: &[NodeId], rows: &[&[f64]]) -> Vec<VivaldiNode> {
-        assert_eq!(rows.len(), self.landmarks.len(), "one row per landmark");
-        dispatch(&self.config, Batch { placer: self, nodes, rows })
+    /// A batch of [`LandmarkPlacer::place_node`] calls over latencies read
+    /// in place: `rtt(li, v)` is node `v`'s latency from landmark `li`
+    /// (draw order). Consecutive nodes run through the kernel two at a
+    /// time, each on its own stream, so every state equals the one
+    /// `place_node` gives it; they come back in input order.
+    pub fn place_nodes(
+        &self,
+        nodes: &[NodeId],
+        rtt: impl Fn(usize, NodeId) -> f64 + Sync,
+    ) -> Vec<VivaldiNode> {
+        dispatch(&self.config, Batch { placer: self, nodes, rtt })
     }
 
     /// One lane of the placement kernel: a fresh start, then rounds ×
@@ -412,24 +414,24 @@ fn dispatch<K: Lockstep>(cfg: &VivaldiConfig, kernel: K) -> K::Output {
 
 /// [`LandmarkPlacer::place_nodes`]: pairs of nodes through two lanes, an
 /// odd last node through one.
-struct Batch<'a> {
+struct Batch<'a, F> {
     placer: &'a LandmarkPlacer,
     nodes: &'a [NodeId],
-    rows: &'a [&'a [f64]],
+    rtt: F,
 }
 
-impl Lockstep for Batch<'_> {
+impl<F: Fn(usize, NodeId) -> f64> Lockstep for Batch<'_, F> {
     type Output = Vec<VivaldiNode>;
 
     fn run<const D: usize, const H: bool>(self) -> Vec<VivaldiNode> {
-        let Batch { placer, nodes, rows } = self;
+        let Batch { placer, nodes, rtt } = self;
         let landmarks = placer.springs::<D>();
         let k = landmarks.len();
-        // One node's k latencies per lane, read node-major from the rows.
+        // One node's k latencies per lane, read node-major.
         let mut rtts = vec![0.0; 2 * k];
         let gather = |node: NodeId, rtts: &mut [f64]| {
-            for (rtt, row) in rtts.iter_mut().zip(rows) {
-                *rtt = row[node.index()];
+            for (li, x) in rtts.iter_mut().enumerate() {
+                *x = rtt(li, node);
             }
         };
         let mut out = Vec::with_capacity(nodes.len());
@@ -924,8 +926,10 @@ mod tests {
         VivaldiConfig { landmarks: Some(1), ..Default::default() }.embed(&world, 0);
     }
 
-    /// The point of landmark mode: under a lazy shortest-path backend the
-    /// warm-up demands exactly `k` Dijkstra rows — not one per node.
+    /// The point of landmark mode: under the lazy latency store the
+    /// warm-up searches nothing beyond the store's build but the landmarks'
+    /// own-region rows — at most `k` — where the full protocol reads
+    /// between every node and its gossip partners.
     #[test]
     fn landmark_mode_touches_only_k_lazy_rows() {
         use sbon_netsim::lazy::LazyLatency;
@@ -934,15 +938,16 @@ mod tests {
         let n = topo.num_nodes();
         let k = 8;
         let lazy = LazyLatency::new(topo.graph.clone());
+        let built = lazy.stats().rows_computed;
         let emb = VivaldiConfig { landmarks: Some(k), ..Default::default() }.embed(&lazy, 25);
         assert_eq!(emb.len(), n);
-        let rows = lazy.stats().rows_computed;
-        assert_eq!(rows, k as u64, "landmark warm-up must compute exactly k rows");
+        let rows = lazy.stats().rows_computed - built;
+        assert!(rows <= k as u64, "landmark warm-up computed {rows} rows for {k} landmarks");
 
-        // The full protocol on the same world touches every row.
+        // The full protocol on the same world searches from many more nodes.
         let lazy_full = LazyLatency::new(topo.graph.clone());
         VivaldiConfig::default().embed(&lazy_full, 25);
-        assert_eq!(lazy_full.stats().rows_computed, n as u64);
+        assert!(lazy_full.stats().rows_computed - built > k as u64);
     }
 
     #[test]
@@ -1069,8 +1074,9 @@ mod tests {
         assert!(p50 < 0.25, "median pairwise rel err of placed nodes: {p50}");
     }
 
-    /// Placement must demand no latency rows beyond the `k` landmark rows
-    /// the phase-1 embedding already computed.
+    /// Placement reads from the landmarks only: across the phase-1
+    /// embedding and every node's placement the lazy store searches nothing
+    /// beyond its build but the `k` landmarks' own-region rows.
     #[test]
     fn place_touches_only_landmark_lazy_rows() {
         use sbon_netsim::lazy::LazyLatency;
@@ -1078,17 +1084,14 @@ mod tests {
         let topo = generate(&TransitStubConfig::with_total_nodes(80), 33);
         let k = 8;
         let lazy = LazyLatency::new(topo.graph.clone());
+        let built = lazy.stats().rows_computed;
         let cfg = VivaldiConfig { landmarks: Some(k), ..Default::default() };
         let placer = cfg.embed_landmarks_only(&lazy, 33);
-        assert_eq!(lazy.stats().rows_computed, k as u64);
-        for i in 0..20u32 {
+        for i in 0..topo.num_nodes() as u32 {
             placer.place(&lazy, NodeId(i), &mut derive_rng(7, u64::from(i)));
         }
-        assert_eq!(
-            lazy.stats().rows_computed,
-            k as u64,
-            "placement must be served entirely from landmark rows"
-        );
+        let rows = lazy.stats().rows_computed - built;
+        assert!(rows <= k as u64, "placement must be served from the landmarks' rows: {rows}");
     }
 
     /// A provider with one node cut off: every latency to or from `cut`
@@ -1162,8 +1165,7 @@ mod tests {
             .map(|i| NodeId(i as u32))
             .collect();
         let rows = landmark_rows(placer, fast);
-        let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let batch = placer.place_nodes(&nodes, &rows);
+        let batch = placer.place_nodes(&nodes, |li, v| rows[li][v.index()]);
         prop_assert_eq!(batch.len(), nodes.len());
         for (&node, state) in nodes.iter().zip(&batch) {
             let reference =
@@ -1247,8 +1249,7 @@ mod tests {
             }
             prop_assert_eq!(rng.gen::<u64>(), ordinary.gen::<u64>());
         }
-        let lent: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let placed = placer.place_nodes(&nodes, &lent);
+        let placed = placer.place_nodes(&nodes, |li, v| rows[li][v.index()]);
         prop_assert_eq!(placed.len(), nodes.len());
         let truth = FromRows { landmarks: &placer.landmarks, rows: &rows };
         for (&node, state) in nodes.iter().zip(&placed) {
@@ -1319,9 +1320,9 @@ mod tests {
             placements_match_reference(&placer, &world, &world, seed)?;
         }
 
-        /// The same pin on a lazy provider whose landmark rows are all
-        /// stale when the gather runs (a delta batch is pending): the
-        /// reference reads the dense matrix of the mutated graph.
+        /// The same pin on a lazy provider after a delta batch landed
+        /// between the landmark embedding and the gather: the reference
+        /// reads the dense matrix of the mutated graph.
         #[test]
         fn place_equals_reading_every_sample_on_stale_lazy_rows(
             (seed, n, flags) in (0u64..u64::MAX, 40usize..90, 0u8..4)
@@ -1351,8 +1352,6 @@ mod tests {
                 })
                 .collect();
             lazy.apply_edge_deltas(&batch);
-            // `Severed` never reads the cut landmark's row: it is not resident.
-            prop_assert_eq!(lazy.rows_stale(), ids.len() - usize::from(cut.is_some()));
             let truth = all_pairs_latency(lazy.graph());
             placements_match_reference(
                 &placer,
@@ -1360,7 +1359,6 @@ mod tests {
                 &Severed { inner: &truth, cut },
                 seed,
             )?;
-            prop_assert_eq!(lazy.rows_stale(), 0);
         }
     }
 

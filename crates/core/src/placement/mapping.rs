@@ -519,7 +519,7 @@ impl RoutedMapper {
     /// The coordinator if it is still registered, else the first member
     /// clockwise from key 0 — settled lookups always have a live origin.
     /// Iterative routing sends every lookup request of a settle from it.
-    pub fn origin_member(&self) -> Option<sbon_dht::ring::MemberId> {
+    fn origin_member(&self) -> Option<sbon_dht::ring::MemberId> {
         let coord = self.coordinator.0;
         if self.routed.catalog().registered_key(coord).is_some() {
             return Some(coord);

@@ -6,48 +6,19 @@
 //! coordinate layer (`sbon-coords`) then embeds this matrix, and the cost
 //! space measures its embedding against it.
 //!
-//! # Rows, region by region
-//!
-//! Every row — [`single_source`], [`all_pairs_latency`], a
-//! [`crate::lazy::LazyLatency`] miss, its batch `ensure_rows` and its
-//! repair's in-place rebuild — comes from one kernel, `fill_rows`, over a
-//! batch of sources. It reads the graph's pendant regions ([`crate::graph`]:
-//! a core, and regions that each touch it through one bridge, or not at
-//! all) in two steps:
-//!
-//! 1. **Per source**, `settle` runs scoped to the core and the source's
-//!    own region (the core alone for a source in it).
-//! 2. **Per region**, in label order, for every source of the batch outside
-//!    it: the region's end of its bridge is seeded with the row's value at
-//!    the core end plus the bridge's current weight — unless that sum is
-//!    `INFINITY`, the core end being unreachable — and `settle` runs
-//!    unscoped. The only arc out of the region is the bridge back, which
-//!    cannot improve the core end, so the search stays inside.
-//!
-//! While step 2 walks one region for the whole batch, that region's
-//! adjacency stays in cache, and each heap holds one region's frontier, not
-//! the whole graph's.
-//!
-//! **Exactness.** Every weight is on the graph's grid, and every simple
-//! path sums below 2³³ ms ([`crate::graph`]), so every sum a search forms
-//! along a simple path is exact: a row's value at `v` is the shortest
-//! distance itself, whatever order the edges were relaxed in. Every simple
-//! path from the source to a vertex of the core or of its own region stays
-//! inside them (entering a third region leaves it by the bridge it came in
-//! on), so step 1 finds those distances. Every simple path into another
-//! region crosses its bridge, core end first, so its shortest distance is
-//! the core end's, which step 1 found, plus the bridge, plus the shortest
-//! distance from the bridge's end inside the region — what step 2 computes
-//! from that seed. A region not touching the core lies in another component
-//! than the core; only a source inside it reaches it, in step 1. Each
-//! reachable vertex settles exactly once, as in the flat whole-graph search
-//! that is the tests' reference, and every row is bit-identical to it.
+//! [`single_source`] and [`all_pairs_latency`] compose their rows from a
+//! [`crate::lazy`] store built for the call: per pair, the distance from
+//! each end to its region's bridge plus one core distance, or a search of
+//! the one region both ends share. The store's docs give the argument that
+//! every such value is the shortest distance bit for bit; `settle` below is
+//! the one relaxation loop all of its searches run.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::graph::{EdgeId, Graph, NodeId, Regions};
+use crate::graph::{EdgeId, Graph, NodeId};
 use crate::latency::LatencyMatrix;
+use crate::lazy::composed_rows;
 
 /// A heap entry: one `u128` packing `(key + 0.0).to_bits() << 32 | node`,
 /// `Reverse`-ordered so `BinaryHeap` pops the minimum (key, node id) with
@@ -60,8 +31,8 @@ use crate::latency::LatencyMatrix;
 /// pattern read as an unsigned integer orders exactly as `f64::total_cmp`,
 /// so the packed order is the (key, node id) order. `+ 0.0` maps a `-0.0`
 /// key, the one value whose bits would sort out of place, to `+0.0`.
-/// `pub(crate)` so the dynamic repair in [`crate::lazy`] seeds
-/// [`settle`]'s heap itself.
+/// `pub(crate)` so the store's searches and repairs in [`crate::lazy`]
+/// seed [`settle`]'s heap themselves.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct HeapEntry(Reverse<u128>);
 
@@ -84,18 +55,16 @@ impl HeapEntry {
     }
 }
 
-/// The one Dijkstra relaxation loop: from-scratch rows, path search, both
-/// phases of [`crate::lazy`]'s row repair and both sides of its
-/// point-to-point search run it, so they pop in the same (key, node id)
+/// The one Dijkstra relaxation loop: path search and every search of
+/// [`crate::lazy`]'s store — its tables, its own-region rows and both
+/// phases of its repair — run it, so they pop in the same (key, node id)
 /// order and relax by the same strict `<`. The heap holds packed
 /// [`HeapEntry`]s, so that order is one integer comparison; it requires
 /// every key to be non-negative and not NaN.
 ///
 /// The caller seeds `dist` and `heap`, each entry keyed by its label.
 /// Before each pop the loop asks `stop(key, node)` of the heap's top entry;
-/// on `true` it returns and leaves that entry in the heap, so a caller can
-/// pause a search and resume it with another call (the point-to-point
-/// search alternates two heaps this way). The top is the heap's minimum
+/// on `true` it returns and leaves that entry in the heap. The top is the heap's minimum
 /// label, stale or not, so it is a lower bound on every label still to
 /// settle, and a vertex whose entry reaches the top has a final label.
 /// Otherwise the entry is popped: one keyed above its vertex's current
@@ -103,7 +72,7 @@ impl HeapEntry {
 /// relaxes each neighbour `u` that is `in_scope`, from `v`'s current label,
 /// reading edge `e` at `weight(e, current latency)`. A strict improvement
 /// stores the label `nd`, calls `on_improve(u, v, e, nd)` and pushes `u`.
-/// Rows and repairs stop only when the heap is empty (`|_, _| false`);
+/// The store's searches stop only when the heap is empty (`|_, _| false`);
 /// [`shortest_path`] stops when its target reaches the top. Returns the
 /// number of vertices settled.
 #[inline]
@@ -143,67 +112,11 @@ pub(crate) fn settle(
     settled
 }
 
-/// The rows of a batch of sources, region by region ([module
-/// docs](self)): overwrites all of `rows[i]` with the shortest-path
-/// latencies from `sources[i]` (`INFINITY` where unreachable), through
-/// `heap` (empty on entry and on return). Sources may repeat. Returns the
-/// number of vertices settled: each row's reachable ones, once each.
-pub(crate) fn fill_rows<R: AsMut<[f64]>>(
-    graph: &Graph,
-    sources: &[NodeId],
-    rows: &mut [R],
-    heap: &mut BinaryHeap<HeapEntry>,
-) -> usize {
-    assert_eq!(sources.len(), rows.len(), "one row a source");
-    let Regions { label, bridges } = graph.regions();
-    // Every search runs to an empty heap, reads weights as they are and
-    // keeps no predecessors.
-    let (never, current, ignore) = (|_, _| false, |_, w| w, |_, _, _, _| {});
-    let mut settled = 0;
-    for (&src, row) in sources.iter().zip(rows.iter_mut()) {
-        let row = row.as_mut();
-        row.fill(f64::INFINITY);
-        row[src.index()] = 0.0;
-        heap.push(HeapEntry::new(0.0, src));
-        let own = label[src.index()];
-        let scope = |u: NodeId| {
-            let region = label[u.index()];
-            region == 0 || region == own
-        };
-        settled += settle(graph, row, heap, never, current, scope, ignore);
-    }
-    for bridge in bridges.iter() {
-        let (region, w) = (label[bridge.end.index()], graph.edge(bridge.edge).latency_ms);
-        for (&src, row) in sources.iter().zip(rows.iter_mut()) {
-            if label[src.index()] == region {
-                continue; // step 1 settled it
-            }
-            let row = row.as_mut();
-            let seed = row[bridge.core.index()] + w;
-            if seed < f64::INFINITY {
-                row[bridge.end.index()] = seed;
-                heap.push(HeapEntry::new(seed, bridge.end));
-                settled += settle(graph, row, heap, never, current, |_| true, ignore);
-            }
-        }
-    }
-    settled
-}
-
-/// [`fill_rows`] into fresh rows, one a source, in order.
-pub(crate) fn rows(graph: &Graph, sources: &[NodeId]) -> Vec<Box<[f64]>> {
-    let mut rows = vec![vec![0.0; graph.num_nodes()].into_boxed_slice(); sources.len()];
-    fill_rows(graph, sources, &mut rows, &mut BinaryHeap::new());
-    rows
-}
-
 /// Single-source shortest path latencies from `src`.
 ///
 /// Unreachable nodes get `f64::INFINITY`.
 pub fn single_source(graph: &Graph, src: NodeId) -> Vec<f64> {
-    let mut row = vec![0.0; graph.num_nodes()];
-    fill_rows(graph, &[src], std::slice::from_mut(&mut row), &mut BinaryHeap::new());
-    row
+    composed_rows(graph, &[src]).pop().expect("one row")
 }
 
 /// Shortest path from `src` to `dst` as the edges it walks, in order from
@@ -236,17 +149,14 @@ pub fn shortest_path(graph: &Graph, src: NodeId, dst: NodeId) -> Option<Vec<Edge
     Some(path)
 }
 
-/// Materializes the all-pairs shortest-path latency matrix: one
-/// `fill_rows` batch over every node.
+/// Materializes the all-pairs shortest-path latency matrix: every row
+/// composed from one store.
 ///
-/// O(n · (m log n)); fine for the paper's 600-node scale and the ≤2000-node
+/// `O(n²)` memory; fine for the paper's 600-node scale and the ≤2000-node
 /// sweeps in the bench harness.
 pub fn all_pairs_latency(graph: &Graph) -> LatencyMatrix {
-    let n = graph.num_nodes();
-    let mut rows = vec![vec![0.0; n]; n];
     let sources: Vec<NodeId> = graph.nodes().collect();
-    fill_rows(graph, &sources, &mut rows, &mut BinaryHeap::new());
-    LatencyMatrix::from_rows(rows)
+    LatencyMatrix::from_rows(composed_rows(graph, &sources))
 }
 
 #[cfg(test)]
@@ -260,9 +170,9 @@ pub(crate) mod tests {
     use proptest::prelude::*;
     use rand::Rng;
 
-    /// The row loop [`fill_rows`] replaced, as its reference: one flat
-    /// search over the whole graph through one graph-wide heap. Returns the
-    /// row and the vertices it settled.
+    /// The reference every composed value is pinned to: one flat search
+    /// over the whole graph through one graph-wide heap. Returns the row
+    /// and the vertices it settled.
     pub(crate) fn flat_row(graph: &Graph, src: NodeId) -> (Vec<f64>, usize) {
         let mut dist = vec![f64::INFINITY; graph.num_nodes()];
         let mut heap = BinaryHeap::new();
@@ -327,30 +237,26 @@ pub(crate) mod tests {
         sources
     }
 
-    /// Asserts `fill_rows` over `sources` equals the flat reference bit for
-    /// bit, row by row, and settles exactly the vertices it does.
+    /// Asserts the rows `single_source` composes for `sources`, and the
+    /// all-pairs matrix's rows of them, equal the flat reference bit for
+    /// bit.
     fn same_as_flat(g: &Graph, sources: &[NodeId]) -> Result<(), TestCaseError> {
-        let mut rows = vec![vec![f64::NAN; g.num_nodes()]; sources.len()];
-        let mut heap = BinaryHeap::new();
-        let settled = fill_rows(g, sources, &mut rows, &mut heap);
-        prop_assert!(heap.is_empty());
-        let mut flat_settled = 0;
-        for (&src, row) in sources.iter().zip(&rows) {
-            let (flat, count) = flat_row(g, src);
-            flat_settled += count;
-            let bits = |r: &[f64]| r.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!((src, bits(row)), (src, bits(&flat)));
+        let bits = |r: &[f64]| r.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        let all = all_pairs_latency(g);
+        for &src in sources {
+            let (flat, _) = flat_row(g, src);
+            prop_assert_eq!((src, bits(&single_source(g, src))), (src, bits(&flat)));
+            let row: Vec<f64> = g.nodes().map(|v| all.latency(src, v)).collect();
+            prop_assert_eq!((src, bits(&row)), (src, bits(&flat)));
         }
-        prop_assert_eq!(settled, flat_settled);
         Ok(())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(160))]
 
-        /// The region-by-region kernel is bit-identical to the flat
-        /// whole-graph search, and settles exactly what it settles, on the
-        /// five pair-read graph families, stub-heavy transit-stub graphs
+        /// Rows composed from the store are bit-identical to the flat
+        /// whole-graph search on the five read-test graph families, stub-heavy transit-stub graphs
         /// (alone, or beside a small component no bridge reaches), with
         /// every zero weight read as `-0.0` half the time — before and
         /// after random `set_edge_latency` changes that take bridges to
@@ -540,9 +446,8 @@ pub(crate) mod tests {
     }
 
     /// An edge of weight `-0.0`, which `Graph::add_edge` accepts, reads
-    /// exactly as one of `+0.0`: rows, pair reads (searched, memoised and
-    /// served from the receiver's row) and `shortest_path` edges are
-    /// bit-identical.
+    /// exactly as one of `+0.0`: store reads (composed, own-region and
+    /// through a view), rows and `shortest_path` edges are bit-identical.
     #[test]
     fn negative_zero_edges_read_as_positive_zero() {
         use crate::lazy::LazyLatency;
@@ -557,24 +462,18 @@ pub(crate) mod tests {
         };
         let (pos, neg) = (with_zero(0.0), with_zero(-0.0));
         let n = pos.num_nodes() as u32;
-        let receivers: Vec<NodeId> = (0..n).step_by(5).map(NodeId).collect();
+        let sources: Vec<NodeId> = (0..n).step_by(5).map(NodeId).collect();
         let reads = |g: &Graph| {
             let lazy = LazyLatency::new(g.clone());
             let mut out = Vec::new();
-            for pass in 0..2 {
-                if pass == 1 {
-                    lazy.ensure_rows(&receivers, None); // reads off the receiver's row
-                }
-                let pairs = lazy.pair_reader();
-                for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (NodeId(a), NodeId(b)))) {
-                    out.push(pairs.latency(a, b).to_bits());
-                }
+            for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (NodeId(a), NodeId(b)))) {
+                out.push(lazy.latency(a, b).to_bits());
             }
-            let s = lazy.stats();
-            // Every read from or to a receiver, in the second pass.
-            let r = receivers.len() as u64;
-            assert_eq!(s.cache_hits, r * (2 * u64::from(n) - r));
-            assert!(s.pairs_searched > 0 && s.pair_memo_hits > 0);
+            let view = lazy.view(&sources, 0);
+            for i in 0..sources.len() {
+                out.extend(g.nodes().map(|v| view.latency(i, v).to_bits()));
+            }
+            assert!(lazy.stats().rows_computed > 0);
             out
         };
         assert_eq!(reads(&pos), reads(&neg));

@@ -25,10 +25,9 @@
 //! The core is the **weighted centroid of the bridge forest** (the classes
 //! as its nodes, weighing their vertex counts; the bridges as its edges):
 //! the class whose removal leaves the smallest largest region, ties going
-//! to the class that holds the lowest vertex id. A search reaches past the
-//! core only into the regions it must — its endpoints' own ([`crate::lazy`])
-//! or, for a row, each region once from its bridge ([`crate::dijkstra`]) —
-//! so what bounds it is the largest region. The largest class is no
+//! to the class that holds the lowest vertex id. The latency store
+//! ([`crate::lazy`]) searches one region at a time, so what bounds a
+//! search is the largest region. The largest class is no
 //! centroid: on a transit-stub graph whose stub domains outnumber its
 //! backbone routers (43 against 16 at 2,048 nodes, 195 against 64 at 100k)
 //! it picks a stub domain, and the backbone with every other stub domain
@@ -36,7 +35,7 @@
 //!
 //! With the labels (4 B a node) the graph derives each touching region's
 //! bridge as (core end, region end, edge id), 12 B a region. Two passes
-//! over the CSR derive both, on the first row or point-to-point search: one
+//! over the CSR derive both, when a latency store is first built: one
 //! depth-first search finds the classes and the core, one flood of the
 //! other vertices the regions and their bridges. Their temporaries hold
 //! nothing an edge — 8 B a node, 16 B a class and 16 B a vertex on the
@@ -322,7 +321,7 @@ impl Graph {
     /// the underlay over time, and the one weight writer after
     /// construction: a derived adjacency has both of the edge's slots
     /// rewritten, so nothing the graph holds goes stale ([`crate::lazy`]
-    /// logs the change for its rows).
+    /// repairs its store for each batch of changes).
     pub fn set_edge_latency(&mut self, id: EdgeId, latency_ms: f64) -> f64 {
         assert!(
             latency_ms.is_finite() && latency_ms >= 0.0,

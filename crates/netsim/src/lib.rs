@@ -7,14 +7,16 @@
 //! * [`graph`] — a compact weighted undirected graph.
 //! * [`topology`] — GT-ITM-style transit-stub topologies plus simpler
 //!   generators (Waxman, geometric, ring, star, grid) used by tests.
-//! * [`dijkstra`] — single-source shortest paths, computed region by
-//!   region over a batch of sources, and the all-pairs latency matrix that
-//!   defines "true" network latency between overlay nodes.
+//! * [`dijkstra`] — the one relaxation loop, path search, and
+//!   single-source rows and the all-pairs latency matrix that defines
+//!   "true" network latency between overlay nodes, both composed from a
+//!   [`lazy`] store.
 //! * [`latency`] — the [`latency::LatencyProvider`] abstraction consumed by
 //!   the coordinate and placement layers.
-//! * [`lazy`] — a demand-driven alternative to the dense matrix:
-//!   per-source shortest-path rows computed on first use, cached, and
-//!   *repaired in place* (dynamic SSSP) when churn mutates edges.
+//! * [`lazy`] — the latency store, the alternative to the dense matrix:
+//!   every node's distance to its region's bridge into the graph's core,
+//!   one core distance matrix, and small same-region rows, *repaired in
+//!   place* (dynamic SSSP) once per batch of edge changes.
 //! * [`load`] — per-node scalar attributes (CPU load, ...) and the churn
 //!   processes that drive the paper's "dynamic node and network
 //!   characteristics" challenge.
@@ -31,19 +33,18 @@
 //!
 //! | backend | memory | precompute | best for |
 //! |---|---|---|---|
-//! | [`latency::LatencyMatrix`] (via [`dijkstra::all_pairs_latency`]) | `O(n²)` always | `O(n·(m + n log n))` up front | `n ≲ 1000`, query-everything workloads |
-//! | [`lazy::LazyLatency`] | `O(rows_touched · n)` | none — each row `O(m + n log n)` on first touch | thousand-node runs, churn, sparse query sets |
+//! | [`latency::LatencyMatrix`] (via [`dijkstra::all_pairs_latency`]) | `8 n²` B | every pair, up front | `n ≲ 1000`, reading a plain matrix |
+//! | [`lazy::LazyLatency`] | about `32 n` B, `8 c²` B for a core of `c` vertices, and same-region rows | one search per region and per core vertex | everything else: churn, thousand- to 100k-node runs |
 //!
-//! Both produce bit-identical latencies for any query (rows come from the
-//! same Dijkstra); the lazy backend additionally survives edge churn by
-//! *repairing* each affected row in place. A weight raise recomputes only
-//! the old-tight region downstream of the edge (`O(|region| log |region| +
-//! edges(region))` per row); a weight lower seeds an improvement
-//! propagation from the edge's endpoints; untouched labels are provably
-//! exact, and repaired rows are bit-identical to fresh Dijkstra on the
-//! mutated graph. A row is dropped only when it falls a whole edge-count of
-//! deltas behind the bounded log. See the [`lazy`] module docs for the full
-//! repair contract and complexity.
+//! Both produce bit-identical latencies for any query: every edge weight
+//! lies on one grid, so every path sum is exact and a composition of
+//! shortest parts is the shortest distance itself. The store additionally
+//! survives edge churn: each delta batch repairs the part of its tables
+//! the batch touched (a raise recomputes only the old-tight set
+//! downstream of the edge, a lower seeds an improvement propagation from
+//! its endpoints), and after every batch the tables equal a fresh build.
+//! See the [`lazy`] module docs for the store, its exactness argument and
+//! its repair.
 //!
 //! # Who owns what in the latency substrate
 //!
@@ -59,28 +60,21 @@
 //!   dropped by `add_node` / `add_edge`; an unsearched graph holds none.
 //!   Its pendant regions — the core (the bridge forest's weighted
 //!   centroid), each vertex's region label and each region's one bridge —
-//!   are derived by the first row or pair search and dropped with it.
+//!   are derived when a store is built and dropped with the adjacency.
 //! * [`dijkstra`] — the one relaxation loop and its pop order (key, then
-//!   node id, packed into one integer a heap entry): fresh rows, path
-//!   search, both repair phases and both sides of the bidirectional pair
-//!   search run it. It also owns the one row kernel every row comes
-//!   from (`single_source`, `all_pairs_latency`, a lazy miss, a batch, a
-//!   repair's rebuild): per source the core and its own region, then region
-//!   by region for the whole batch, seeded across each region's bridge.
+//!   node id, packed into one integer a heap entry): path search and every
+//!   search of the store (its tables, its same-region rows, both repair
+//!   phases) run it.
 //! * [`lazy::LazyLatency`] — the mutable graph, the *base* edge weights
-//!   (recorded for an edge by its first change),
-//!   the jitter step ([`lazy::LazyLatency::scale_edges_clamped`]), the
-//!   delta log with its one edge-batch dedup, and the row cache.
-//! * [`lazy::PairReader`] — row-free point-to-point reads over a borrow of
-//!   that provider: a resident sender row, else a current receiver row,
-//!   else its memo of the pairs it already searched (either way round),
-//!   else one bidirectional search.
-//!   Every search relaxes only into the core and the two endpoints' own
-//!   regions. The borrow freezes the graph, so the memo lives exactly as
-//!   long as the reader.
+//!   (recorded for an edge by its first change), the jitter step
+//!   ([`lazy::LazyLatency::scale_edges_clamped`]), the one edge-batch
+//!   dedup, and the store: T (each vertex's distance from its anchor), D
+//!   (the core's distances) and the own-region rows. Every read composes
+//!   them; [`lazy::SourceView`] composes a few sources' reads for any
+//!   number of threads.
 //! * `sbon_overlay`'s `LatencyState` — one `LazyLatency` under either
-//!   backend (the dense one keeps every row resident from bring-up on), and
-//!   the reader each routed settle prices its messages with.
+//!   backend, which every read goes through (a routed settle's message
+//!   delays and the wave join's landmark view included).
 //! * `sbon_overlay`'s `LinkTraffic` — per-edge rate multisets, keyed by the
 //!   edges [`dijkstra::shortest_path`] returns.
 //! * [`latency::euclidean`] — the one Euclidean distance, shared by the

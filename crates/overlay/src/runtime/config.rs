@@ -20,10 +20,9 @@ use sbon_obs::ObsConfig;
 /// base latency, so jitter models congestion episodes rather than an
 /// unboundedly drifting network.
 ///
-/// Both backends sample the identical delta sequence from the shared run
-/// RNG into the one row cache, which repairs each resident row in place
-/// the next time it is read, so a jittered run is bit-identical across
-/// backends.
+/// Each tick's draws land as one delta batch on the runtime's one latency
+/// store, which repairs its tables once for the batch; both backends build
+/// that same store, so a jittered run is bit-identical across them.
 #[derive(Clone, Copy, Debug)]
 pub struct JitterModel {
     /// Underlay edges rescaled per tick (drawn with replacement; repeated
@@ -41,19 +40,17 @@ impl Default for JitterModel {
     }
 }
 
-/// Which ground-truth latency rows the runtime's one row cache
-/// ([`sbon_netsim::lazy::LazyLatency`]) holds; both serve identical values.
-///
-/// `Dense` computes every row at build (`O(n²)` memory,
-/// `O(n·(m + n log n))` time) and keeps them: the default at the paper's
-/// ≤600-node scale. `Lazy` computes a row when it is first read, which is
-/// what makes thousand-node runs with churn tractable.
+/// The ground-truth latency backend — inert: both variants build the same
+/// store ([`sbon_netsim::lazy::LazyLatency`]: per-node distances to the
+/// graph's core plus one core distance matrix) and serve identical values
+/// at identical cost. The enum and its builder setter stay because the
+/// benchmark (`benchmark/`) names them; ROADMAP item 1(d) removes them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LatencyBackend {
-    /// Every row resident from construction on (the historical behaviour).
+    /// The store (historically: every row resident from construction on).
     #[default]
     Dense,
-    /// Rows computed on first read; bring-up's rows evicted when it ends.
+    /// The store (historically: rows computed on first read).
     Lazy,
 }
 
@@ -362,10 +359,10 @@ impl RuntimeConfigBuilder {
     }
 
     /// Sets the worker threads for the embarrassingly parallel per-tick
-    /// work (shortest-path row computation, re-opt evaluation, the join
-    /// wave's landmark placements): `0` sizes
-    /// the pool to the machine's available parallelism, `1` runs everything
-    /// on the calling thread, any other value is an explicit pool size.
+    /// work (re-opt evaluation, the join wave's landmark placements): `0`
+    /// sizes the pool to the machine's available parallelism, `1` runs
+    /// everything on the calling thread, any other value is an explicit
+    /// pool size.
     ///
     /// Thread count never changes results: parallel stages compute pure
     /// values and commit them serially in a deterministic order, so a run

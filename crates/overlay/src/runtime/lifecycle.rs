@@ -7,7 +7,7 @@
 //! the same id ([`CircuitHandle::id`]); nothing is stored on both sides.
 //!
 //! `impl OverlayRuntime` here **reads** `config.reuse`, `space`, `latency`,
-//! `pool`, `optimizer` and **writes** `circuits` (insert at deploy, keyed
+//! `optimizer` and **writes** `circuits` (insert at deploy, keyed
 //! remove at undeploy, keyed pin / unpin of a subscribed owner — resetting
 //! its re-opt memo's placement slot — each circuit's stored usage at a
 //! tick), `retained` (push in departure order,
@@ -34,7 +34,6 @@ use sbon_core::costspace::CostSpace;
 use sbon_core::multiquery::{CircuitId, MultiQueryOptimizer};
 use sbon_core::optimizer::{PlacedCircuit, QuerySpec};
 use sbon_core::reopt::ReoptMemo;
-use sbon_netsim::graph::NodeId;
 use sbon_netsim::latency::LatencyProvider;
 use sbon_netsim::sim::SimTime;
 
@@ -141,15 +140,6 @@ fn read_usage<'a>(
         .sum()
 }
 
-/// The upstream host of each of `links`, in order — the node whose
-/// shortest-path row a ground-truth latency read of that link is served from.
-fn link_sources<'a>(
-    placement: &'a Placement,
-    links: impl Iterator<Item = &'a Link> + 'a,
-) -> impl Iterator<Item = NodeId> + 'a {
-    links.map(|l| placement.node_of(l.from))
-}
-
 /// `charge[link]`: the link feeds a subtree rooted at one of `roots` and the
 /// owner actually paid for it (it is not inside a subtree the owner itself
 /// borrowed).
@@ -191,21 +181,12 @@ impl OverlayRuntime {
     }
 
     /// Bills the tick: re-reads the charged usage of every entry whose
-    /// stored value was cleared or read at an older latency epoch — its
-    /// link-source rows prewarmed first, as one batch across the pool — and
+    /// stored value was cleared or read at an older latency epoch, and
     /// stores it. Returns the usage [`OverlayRuntime::instantaneous_usage`]
     /// reports and the number of entries re-read.
     pub(super) fn bill_usage(&mut self) -> (f64, u64) {
         let epoch = self.latency.epoch();
         let stale = |billed: Option<Billed>| current(billed, epoch).is_none();
-        let mut sources: Vec<NodeId> = Vec::new();
-        for d in self.circuits.values().filter(|d| stale(d.billed)) {
-            sources.extend(link_sources(&d.placement, d.charged_links()));
-        }
-        for r in self.retained.iter().filter(|r| stale(r.billed)) {
-            sources.extend(link_sources(&r.placement, r.charged_links()));
-        }
-        self.latency.provider().ensure_rows(&sources, self.pool.as_ref());
         let latency = self.latency.provider();
         let mut reread = 0;
         for d in self.circuits.values_mut().filter(|d| stale(d.billed)) {
@@ -294,14 +275,10 @@ impl OverlayRuntime {
     fn deploy_inner(&mut self, query: QuerySpec) -> Option<CircuitHandle> {
         let handle = CircuitHandle(self.next_handle);
         // Select in the cost space — candidates attached to running
-        // instances first when reuse is on — then measure the winner alone,
-        // its link-source rows faulted in as one batch in link order.
+        // instances first when reuse is on — then measure the winner alone.
         let reuse = self.multiquery.as_mut().map(|mq| (mq, self.config.reuse));
         let (space, mapper) = (&self.space, self.mapper.as_dyn_mut());
         let placed = self.optimizer.optimize_with_mapper_estimated(&query, space, mapper, reuse)?;
-        let sources: Vec<NodeId> =
-            link_sources(&placed.placement, placed.circuit.links().iter()).collect();
-        self.latency.provider().ensure_rows(&sources, self.pool.as_ref());
         let placed = placed.measured(self.latency.provider());
         let standalone = self.optimizer.standalone_cost(
             &placed,

@@ -4,15 +4,10 @@
 //! method takes [`OverlayRuntime`]; `settle` borrows the [`LatencyState`]
 //! and [`RuntimeObs`] from its caller.
 //!
-//! A settle prices every routed message through one
-//! `LatencyState::pair_reader` — a row-free `PairReader`, each value
-//! bit-identical to the row's — so settling faults in no latency row. The
-//! one row `settle` makes resident is the origin member's, which sends
-//! every lookup request of the run: the reader serves those requests and
-//! each reply to the origin from it, the distance being the same from
-//! either end. A registration is a `Register` and its `Ack`: when neither
-//! end has a row, the reader's one bidirectional search prices both, the
-//! `Ack` from its memo.
+//! A settle prices every routed message with one read of the latency
+//! store (`provider().latency(a, b)`): a composition of its tables, or a
+//! row of the one region both ends share. So settling runs no table
+//! search.
 //!
 //! `impl OverlayRuntime` here **reads** `mapper` and writes nothing.
 
@@ -24,6 +19,7 @@ use sbon_core::placement::{
 use sbon_dht::catalog::CatalogStats;
 use sbon_dht::proto::RoutedStats;
 use sbon_netsim::graph::NodeId;
+use sbon_netsim::latency::LatencyProvider;
 use sbon_netsim::sim::SimTime;
 
 use super::config::MapperBackend;
@@ -126,39 +122,28 @@ impl MapperState {
     /// backends. Runs only on serial paths (tick boundaries, deploy,
     /// failure handling), so thread count never touches the routed clock.
     ///
-    /// Every message is priced by one [`LatencyState::pair_reader`], which
-    /// lives as long as the settle. Iterative routing sends every lookup
-    /// request from the origin member, so its row is prewarmed first and
-    /// serves those and their replies; every other delay is a
-    /// point-to-point read that caches no row.
+    /// Every message is priced by one read of the latency store.
     pub(super) fn settle(&mut self, at: SimTime, latency: &LatencyState, obs: &mut RuntimeObs) {
         let MapperState::Routed(m) = self else { return };
         if m.pending_traffic() == 0 && m.routed().is_quiescent() {
             return;
-        }
-        if let Some(origin) = m.origin_member() {
-            latency.provider().ensure_rows(&[NodeId(origin)], None);
         }
         let counts = |m: &RoutedMapper| {
             let rs = m.routed_stats();
             [rs.messages, rs.lookups, rs.registrations, rs.timeouts]
         };
         let before = counts(m);
-        let pair_settles = || latency.provider().stats().pair_vertices_settled;
-        let settled_before = pair_settles();
-        let pairs = latency.pair_reader();
-        let link = |a: u32, b: u32| pairs(NodeId(a), NodeId(b));
+        let provider = latency.provider();
+        let link = |a: u32, b: u32| provider.latency(NodeId(a), NodeId(b));
         m.settle(at, &link);
         let after = counts(m);
         let [msgs, lookups, regs, timeouts] = std::array::from_fn(|i| after[i] - before[i]);
-        let settled = pair_settles() - settled_before;
         obs.point("routed.settle", || {
             vec![
                 ("messages", msgs.into()),
                 ("lookups", lookups.into()),
                 ("registrations", regs.into()),
                 ("timeouts", timeouts.into()),
-                ("settled", settled.into()),
             ]
         });
     }

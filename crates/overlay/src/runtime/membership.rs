@@ -49,12 +49,11 @@ pub(super) fn arrival_order(
 }
 
 /// Embedding bring-up, one path whatever the deployment model. In landmark
-/// mode the landmark half of the protocol runs once over prewarmed rows and
-/// the arrived nodes (every node under [`DeploymentModel::Full`]) are
-/// placed against the frozen landmarks; the rest are placed the tick they
-/// join, through the returned placer. Otherwise the full protocol embeds
-/// everyone. When no join is pending, bring-up ends
-/// ([`LatencyState::end_bring_up`]).
+/// mode the landmark half of the protocol runs once and the arrived nodes
+/// (every node under [`DeploymentModel::Full`]) are placed against the
+/// frozen landmarks; the rest are placed the tick they join, through the
+/// returned placer, which is kept only while a join is pending. Otherwise
+/// the full protocol embeds everyone.
 pub(super) fn embed(
     vivaldi: &VivaldiConfig,
     seed: u64,
@@ -65,35 +64,28 @@ pub(super) fn embed(
     let n = arrived.len();
     let (embedding, placer) = match vivaldi.landmark_ids(n, seed) {
         None => (vivaldi.embed(&latency.provider(), seed), None),
-        Some(landmarks) => {
-            // The landmark rows are the only latency sources the protocol
-            // and every placement read: compute them in parallel up front.
-            let sources: Vec<NodeId> = landmarks.iter().map(|&i| NodeId(i as u32)).collect();
-            latency.provider().ensure_rows(&sources, pool);
+        Some(_) => {
             let placer = vivaldi.embed_landmarks_only(&latency.provider(), seed);
             let initial = (0..n as u32).map(NodeId).filter(|node| arrived[node.index()]);
             let placed = place_batch(&placer, latency, pool, initial);
             (placer.embedding(n, &placed), Some(placer))
         }
     };
-    let placer = placer.filter(|_| arrived.contains(&false));
-    if placer.is_none() {
-        latency.end_bring_up();
-    }
-    (embedding, placer)
+    (embedding, placer.filter(|_| arrived.contains(&false)))
 }
 
 /// The one placement call site: every non-landmark of `nodes` (landmarks
 /// froze their coordinates at construction) placed against the frozen
-/// landmarks, in input order. An empty batch reads no row. Otherwise one
-/// lending read ([`LazyLatency::lend_rows`](sbon_netsim::lazy::LazyLatency::lend_rows))
-/// makes the `k` landmark rows current — a stale one is repaired on the
-/// calling thread, in landmark order — and counts the `nodes × k` values
-/// read; the nodes are split into one contiguous chunk per pool thread,
-/// and each chunk reads its nodes' latencies from the rows in place and
-/// runs the kernel ([`LandmarkPlacer::place_nodes`]). Every node draws from
-/// its own stream, so neither batching, join order nor thread count can
-/// move a landing spot.
+/// landmarks, in input order. An empty batch reads nothing. Otherwise one
+/// landmark view ([`LazyLatency::view`](sbon_netsim::lazy::LazyLatency::view))
+/// holds, per landmark, its distance to every core vertex and its
+/// own-region row, and counts the `nodes × k` values read; the nodes are
+/// split into one contiguous chunk per pool thread, and each chunk reads
+/// its nodes' latencies from the view in place — the landmark's row of the
+/// view at the node's anchor plus the node's distance from it — and runs
+/// the kernel ([`LandmarkPlacer::place_nodes`]). Every node draws from its
+/// own stream, so neither batching, join order nor thread count can move a
+/// landing spot.
 fn place_batch(
     placer: &LandmarkPlacer,
     latency: &LatencyState,
@@ -106,18 +98,19 @@ fn place_batch(
         return Vec::new();
     }
     let sources: Vec<NodeId> = landmarks.iter().map(|&l| NodeId(l as u32)).collect();
-    let reads = (nodes.len() * landmarks.len()) as u64;
-    let states = latency.provider().lend_rows(&sources, reads, pool, |rows| match pool {
+    let view = latency.provider().view(&sources, (nodes.len() * landmarks.len()) as u64);
+    let rtt = |li: usize, node: NodeId| view.latency(li, node);
+    let states = match pool {
         Some(pool) if nodes.len() > 1 => {
             let chunks: Vec<&[NodeId]> =
                 nodes.chunks(nodes.len().div_ceil(pool.current_num_threads())).collect();
             let batches: Vec<Vec<VivaldiNode>> = pool.install(|| {
-                chunks.par_iter().map(|chunk| placer.place_nodes(chunk, rows)).collect()
+                chunks.par_iter().map(|chunk| placer.place_nodes(chunk, rtt)).collect()
             });
             batches.into_iter().flatten().collect()
         }
-        _ => placer.place_nodes(&nodes, rows),
-    });
+        _ => placer.place_nodes(&nodes, rtt),
+    };
     nodes.into_iter().zip(states).collect()
 }
 
@@ -146,8 +139,8 @@ impl OverlayRuntime {
     /// Deployment wave: admits this tick's arrivals — before churn, so a
     /// node can report load the tick it joins. Under landmark mode the
     /// arrivals are first placed against the frozen landmarks as one batch
-    /// ([`place_batch`]: one lending read of the landmark rows, the kernel
-    /// across the pool reading them in place), so each has its vector
+    /// ([`place_batch`]: one landmark view, the kernel across the pool
+    /// reading it in place), so each has its vector
     /// coordinate before it becomes mappable; then each is committed,
     /// serially and in join order, by one O(log n) mapper registration
     /// (`add_node`).

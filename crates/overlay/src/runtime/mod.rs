@@ -43,9 +43,8 @@
 //!   below), the session API, `handle_event`, `Drop`.
 //! * `config` — the backend / bring-up enums, [`RuntimeConfig`], its builder.
 //! * `stats` — the stats structs and `RuntimeObs` (registry, tracer).
-//! * `latency` — `LatencyState`: the one row cache (every row resident
-//!   under the dense backend), the pair reader, the jitter draw and the
-//!   epoch it bumps (the graph and the step are `LazyLatency`'s).
+//! * `latency` — `LatencyState`: the one latency store, the jitter draw
+//!   and the epoch it bumps (the graph and the step are `LazyLatency`'s).
 //! * `mapper` — `MapperState`: read view, charge-back, routed settle.
 //! * `membership` — wave bring-up, join admission (gather, place across
 //!   the pool, commit in join order), churn refresh.
@@ -146,7 +145,7 @@ pub struct OverlayRuntime {
     /// Worker pool for the parallel per-tick stages; `None` runs serial.
     pool: Option<rayon::ThreadPool>,
     /// The one table of live circuits. Ascending handle order is deploy
-    /// order, which usage sums, row prewarm and re-opt commits all follow;
+    /// order, which usage sums and re-opt commits all follow;
     /// boxed, so removing one circuit moves no other.
     circuits: BTreeMap<CircuitHandle, Box<Deployed>>,
     rng: rand::rngs::StdRng,
@@ -191,12 +190,10 @@ pub struct OverlayRuntime {
 }
 
 impl OverlayRuntime {
-    /// Builds the runtime: ground-truth latency from the topology (rows up
-    /// front or on first read per [`RuntimeConfigBuilder::latency_backend`]),
-    /// a Vivaldi embedding over it, an initial load assignment, and the
-    /// Figure-2-style latency+load² cost space. Deterministic in `seed`;
-    /// both backends serve bit-identical latencies, so the backend choice
-    /// does not change results — only the cost of obtaining them.
+    /// Builds the runtime: ground-truth latency from the topology (one
+    /// store, whatever [`RuntimeConfigBuilder::latency_backend`] says), a
+    /// Vivaldi embedding over it, an initial load assignment, and the
+    /// Figure-2-style latency+load² cost space. Deterministic in `seed`.
     pub fn new(topology: &Topology, seed: u64, config: RuntimeConfig) -> Self {
         let n = topology.num_nodes();
         let threads = match config.threads {
@@ -209,8 +206,7 @@ impl OverlayRuntime {
                 .build()
                 .expect("runtime worker pool")
         });
-        let latency =
-            LatencyState::build(topology.graph.clone(), config.latency_backend, pool.as_ref());
+        let latency = LatencyState::build(topology.graph.clone());
         let (arrived, pending_joins) = membership::arrival_order(config.deployment, n, seed);
         let (embedding, placer) =
             membership::embed(&config.vivaldi, seed, &latency, pool.as_ref(), &arrived);
@@ -352,9 +348,7 @@ impl OverlayRuntime {
                 self.obs.registry.inc(self.obs.h.settle_ns, t_settle.elapsed_ns());
                 // Accrue usage over the elapsed tick (usage·seconds). Only
                 // entries whose stored usage a writer cleared or a jitter
-                // batch outdated are re-read: their missing shortest-path
-                // rows are prewarmed across the pool first, so both phases
-                // bill to `usage_ns`.
+                // batch outdated are re-read, billed to `usage_ns`.
                 let t_usage = WallTimer::start();
                 let (usage, reread) = self.bill_usage();
                 self.obs.registry.inc(self.obs.h.usage_ns, t_usage.elapsed_ns());

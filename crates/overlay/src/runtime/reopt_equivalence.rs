@@ -10,11 +10,11 @@
 //! mid-run node failures, and 3 or 16 live circuits — with 16, a churn
 //! tick's batch of touches is tested against many surviving clean records.
 //!
-//! A second pin holds the sharded phases — read-only re-opt evaluation, the
-//! batch that faults a deployed circuit's latency rows in, and the join
-//! wave's placement batch (wave scenarios admit `n / 8` ≥ 7 joiners a tick)
-//! — to the serial ones: `threads = 8` ≡ `threads = 1`, on the whole report
-//! and on the lazy row cache's counters, with a query deployed mid-run.
+//! A second pin holds the sharded phases — read-only re-opt evaluation and
+//! the join wave's placement batch (wave scenarios admit `n / 8` ≥ 7
+//! joiners a tick) — to the serial ones: `threads = 8` ≡ `threads = 1`, on
+//! the whole report and on the latency store's counters, with a query
+//! deployed mid-run.
 
 use proptest::prelude::*;
 use sbon_coords::vivaldi::VivaldiConfig;
@@ -103,7 +103,7 @@ fn star(hosts: &[NodeId], base: usize, rate: f64) -> QuerySpec {
 /// horizon, the last star is deployed after tick 3, and the optional failure
 /// lands between the first and second local pass. `memo = false` is the
 /// recompute-everything reference of the re-opt memos. Returns the report,
-/// on the lazy backend the row cache's counters, the evaluations the dirty
+/// the latency store's counters, the evaluations the dirty
 /// filter skipped and the memo hits.
 fn run_once(
     s: &Scenario,
@@ -225,10 +225,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
     /// The sharded read-only evaluation phase commits serially in circuit
-    /// order, a deploy's row batch inserts in link order, and a tick's
-    /// joiners are placed from a serially gathered table and committed in
-    /// join order, so the thread count must never show up in the report or
-    /// in the row cache.
+    /// order, and a tick's joiners are placed from one landmark view and
+    /// committed in join order, so the thread count must never show up in
+    /// the report or in the latency store.
     #[test]
     fn parallel_reopt_equals_serial(
         (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..64)

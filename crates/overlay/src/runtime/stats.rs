@@ -66,8 +66,8 @@ pub struct ControlPlaneStats {
     /// evacuation (and the routed settle of its lookups).
     pub evac_ns: u128,
     /// Wall time in the routed settle at each tick: pricing and replaying
-    /// the tick's parked lookups and registrations as messages, the origin
-    /// row's prewarm included. Near zero under the other backends, whose
+    /// the tick's parked lookups and registrations as messages. Near zero
+    /// under the other backends, whose
     /// settle is a no-op.
     pub settle_ns: u128,
     /// Circuit evaluations actually run by the adaptation passes (summed

@@ -1,11 +1,11 @@
-//! A deploy pays shortest-path rows for the circuit it deploys, and for
-//! nothing else: candidates are ranked in the cost space, so on the lazy
-//! latency backend the only rows a `deploy` may fault in are those of the
-//! winner's link-source hosts that are not resident yet. Under the routed
-//! mapper the deploy's lookups are then settled as messages, priced by
-//! row-free point-to-point reads; the one row that settle makes resident is
-//! the origin member's, which sends every lookup request and receives every
-//! reply.
+//! A deploy pays for the circuit it deploys, and for nothing else:
+//! candidates are ranked in the cost space, and only the winner is
+//! measured, by reading the latency store, whose tables the runtime built
+//! once. So a deploy — and, under the routed mapper, the settle of its
+//! lookups as messages — searches no table: the only searches it may run
+//! are own-region rows, for a link whose two hosts share a stub domain
+//! (one per upstream host at most), and the store grows by those rows
+//! alone.
 
 use std::collections::BTreeSet;
 
@@ -13,14 +13,28 @@ use sbon_core::multiquery::ReuseScope;
 use sbon_core::optimizer::QuerySpec;
 use sbon_dht::proto::ProtoConfig;
 use sbon_netsim::graph::NodeId;
+use sbon_netsim::lazy::LazyLatencyStats;
 use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
 use sbon_overlay::{LatencyBackend, MapperBackend, OverlayRuntime, RuntimeConfig};
 
+/// The store's counters.
+fn store(rt: &OverlayRuntime) -> LazyLatencyStats {
+    rt.lazy_latency_stats().expect("one store under either backend")
+}
+
+/// Asserts that between `before` and `after` no table was searched,
+/// repaired or rebuilt, and returns the own-region rows computed.
+fn own_rows(before: LazyLatencyStats, after: LazyLatencyStats) -> u64 {
+    let tables = |s: LazyLatencyStats| (s.rows_repaired, s.vertices_settled, s.rows_rebuilt);
+    assert_eq!(tables(after), tables(before), "a deploy repairs and rebuilds no table");
+    after.rows_computed - before.rows_computed
+}
+
 /// Deploys two overlapping join queries under `backend` and checks that
-/// each computes exactly its missing link-source rows, plus — routed only,
-/// once over the run — the origin member's row. Returns how many origin
-/// rows were computed.
-fn deploy_rows(backend: MapperBackend) -> usize {
+/// each computes at most one own-region row per upstream host of its
+/// circuit, and that the deploys leave the store's size, in rows' worth,
+/// where bring-up left it. Returns the rows the deploys computed.
+fn deploy_rows(backend: MapperBackend) -> u64 {
     let topo = generate(&TransitStubConfig::with_total_nodes(200), 2005);
     let config = RuntimeConfig::builder()
         .latency_backend(LatencyBackend::Lazy)
@@ -28,21 +42,15 @@ fn deploy_rows(backend: MapperBackend) -> usize {
         .threads(2)
         .build();
     let mut rt = OverlayRuntime::new(&topo, 2005, config);
-    let rows = |rt: &OverlayRuntime| rt.lazy_latency_stats().expect("lazy backend");
-    // Full-membership bring-up embeds over every row, then drops them all.
-    assert_eq!(rows(&rt).rows_cached, 0);
-
+    let brought_up = store(&rt);
     let hosts = topo.host_candidates();
-    let mut resident: BTreeSet<NodeId> = BTreeSet::new();
-    let mut origin_rows = 0;
-    // The second query shares two producers with the first, so some of its
-    // link sources are already resident when it deploys.
+    // The second query shares two producers with the first.
     for producers in [[0usize, 9, 18, 27], [9, 18, 40, 51]] {
         let consumer = hosts[63];
         let query = QuerySpec::join_star(&producers.map(|i| hosts[i]), consumer, 10.0, 0.02);
-        let before = rows(&rt).rows_computed;
+        let before = store(&rt);
         let handle = rt.deploy(query).expect("query must deploy");
-        let computed = (rows(&rt).rows_computed - before) as usize;
+        let computed = own_rows(before, store(&rt));
 
         // A circuit is a tree: every service but the root (the consumer,
         // built last) is the upstream end of exactly one link.
@@ -50,49 +58,34 @@ fn deploy_rows(backend: MapperBackend) -> usize {
             rt.placement(handle).expect("deployed").as_slice().split_last().expect("services");
         assert_eq!(*root, consumer);
         let sources: BTreeSet<NodeId> = upstream.iter().copied().collect();
-        let missing = sources.difference(&resident).count();
-        assert!(missing > 0, "each query brings at least one new producer");
-        let extra = computed.checked_sub(missing).unwrap_or_else(|| {
-            panic!("{computed} rows for link sources {sources:?}, resident {resident:?}")
-        });
-        assert!(extra <= 1, "{computed} rows for {missing} missing link sources");
-        origin_rows += extra;
-        resident.extend(sources);
+        assert!(computed <= sources.len() as u64, "{computed} rows for link sources {sources:?}");
     }
-    assert!(origin_rows <= 1, "the origin's row stays resident once computed");
-    assert_eq!(rows(&rt).rows_cached, resident.len() + origin_rows);
-    // Every request leaves the origin and every reply comes back to it:
-    // under `Routed` each is read off its resident row, from either end,
-    // and no pair is searched.
-    let stats = rows(&rt);
-    assert_eq!(
-        (stats.pairs_searched, stats.pair_memo_hits, stats.pair_vertices_settled),
-        (0, 0, 0)
-    );
+    let deployed = store(&rt);
+    assert_eq!(deployed.rows_cached, brought_up.rows_cached, "the store does not grow");
+    assert!(deployed.cache_hits > brought_up.cache_hits, "the deploys read the store");
     assert!(rt.routed_stats().is_none_or(|routed| routed.messages > 0));
-    origin_rows
+    deployed.rows_computed - brought_up.rows_computed
 }
 
 #[test]
 fn deploy_computes_only_the_deployed_circuits_missing_link_source_rows() {
-    assert_eq!(deploy_rows(MapperBackend::Dht { bits: 12, scan_width: 8 }), 0);
+    deploy_rows(MapperBackend::Dht { bits: 12, scan_width: 8 });
 }
 
-/// Settling the deploys' lookups as routed messages faults in no sender's
-/// row: the bound is the link sources plus the origin member, which hosts
-/// no service here, so its row is the one extra, computed once.
+/// Settling the deploys' lookups as routed messages prices every message
+/// off the store's tables: it adds no search to the deploys' own.
 #[test]
 fn routed_deploy_computes_its_link_source_rows_plus_at_most_the_origins() {
     let proto = ProtoConfig::default();
-    assert_eq!(deploy_rows(MapperBackend::Routed { bits: 12, scan_width: 8, proto }), 1);
+    let dht = deploy_rows(MapperBackend::Dht { bits: 12, scan_width: 8 });
+    assert_eq!(deploy_rows(MapperBackend::Routed { bits: 12, scan_width: 8, proto }), dht);
 }
 
 /// A reuse deploy ranks its attached candidates in the cost space as well,
-/// so it computes only the winner's missing link-source rows: those of its
-/// marginal placement, plus — when it reused something — those of its
-/// standalone placement, whose link sources are the same producers and one
-/// host per operator at most. The second query here reuses the first one's
-/// join.
+/// so it reads only the winner's links: those of its marginal placement,
+/// plus — when it reused something — those of its standalone placement,
+/// whose link sources are the same producers and one host per operator at
+/// most. The second query here reuses the first one's join.
 #[test]
 fn reuse_deploy_computes_only_the_winners_missing_link_source_rows() {
     let topo = generate(&TransitStubConfig::with_total_nodes(200), 2005);
@@ -103,28 +96,25 @@ fn reuse_deploy_computes_only_the_winners_missing_link_source_rows() {
         .threads(2)
         .build();
     let mut rt = OverlayRuntime::new(&topo, 2005, config);
-    let rows = |rt: &OverlayRuntime| rt.lazy_latency_stats().expect("lazy backend").rows_computed;
     let hosts = topo.host_candidates();
-    let mut resident: BTreeSet<NodeId> = BTreeSet::new();
     for (producers, consumer) in [(&[0usize, 9][..], 63), (&[0, 9, 40, 51][..], 70)] {
         let producers: Vec<NodeId> = producers.iter().map(|&i| hosts[i]).collect();
         let query = QuerySpec::join_star(&producers, hosts[consumer], 10.0, 0.02);
-        let (before, hits) = (rows(&rt), rt.lifecycle_stats().reuse_hits);
+        let (before, hits) = (store(&rt), rt.lifecycle_stats().reuse_hits);
         let handle = rt.deploy(query).expect("query must deploy");
-        let computed = (rows(&rt) - before) as usize;
+        let computed = own_rows(before, store(&rt));
         let reused = rt.lifecycle_stats().reuse_hits > hits;
 
         let placement = rt.placement(handle).expect("deployed").as_slice();
         let (_, upstream) = placement.split_last().expect("services");
         let sources: BTreeSet<NodeId> = upstream.iter().copied().collect();
-        let missing = sources.difference(&resident).count();
         let operators = placement.len() - producers.len() - 1;
         let standalone = if reused { operators } else { 0 };
         assert!(
-            (missing..=missing + standalone).contains(&computed),
-            "{computed} rows for {missing} missing link sources (reused: {reused})"
+            computed <= (sources.len() + standalone) as u64,
+            "{computed} rows for {} link sources (reused: {reused})",
+            sources.len()
         );
-        resident.extend(sources);
     }
     assert_eq!(rt.lifecycle_stats().reuse_hits, 1, "the 4-way query reuses the 2-way join");
 }

@@ -210,14 +210,5 @@ fn jsonl_trace_bytes_are_identical_across_thread_counts() {
             let tag = format!(r#""kind":"{kind}""#);
             assert!(text.contains(&tag), "the trace carries every span kind: no {kind}");
         }
-        // Every routed settle reports the vertices its pair reads settled.
-        let settled = |line: &str| {
-            let rest = line.split(r#""settled":"#).nth(1)?;
-            rest.split([',', '}']).next()?.parse::<u64>().ok()
-        };
-        let settles: Vec<Option<u64>> =
-            text.lines().filter(|l| l.contains(r#""kind":"routed.settle""#)).map(settled).collect();
-        assert!(settles.iter().all(Option::is_some), "every routed.settle carries `settled`");
-        assert!(settles.iter().any(|&s| s > Some(0)), "some settle searched a pair");
     }
 }

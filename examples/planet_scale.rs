@@ -5,23 +5,24 @@
 //!
 //! Four scaling mechanisms compose to make the run tractable:
 //!
-//! * **Lazy latency backend with row repair** — ground-truth shortest-path
-//!   rows are computed on demand, and when jitter rescales underlay edges
-//!   a resident row is *repaired in place when next read* (dynamic SSSP
-//!   over the affected region) instead of dropped and recomputed; a steady
-//!   tick touches only the vertices whose distances actually changed in
-//!   rows somebody still reads, never the `O(n²)` matrix.
+//! * **One latency store** — every ground-truth distance is a node's
+//!   distance to its stub domain's backbone router, plus one backbone
+//!   distance, plus the other end's (`sbon_netsim::lazy`): about 32 B a
+//!   node instead of an `8 n`-byte row per source. When jitter rescales
+//!   underlay edges, each batch repairs the labels it changed in the
+//!   domains it touched (dynamic SSSP over the affected set), never the
+//!   `O(n²)` matrix.
 //! * **Landmark Vivaldi with join-time placement** — the embedding warm-up
-//!   samples against `k` frozen landmarks instead of gossiping all-pairs,
-//!   so only `k` Dijkstra rows are ever demanded during bring-up; every
-//!   wave arrival embeds itself against those landmarks at join time, so
-//!   no coordinate is computed before its node exists.
+//!   samples against `k` frozen landmarks instead of gossiping all-pairs;
+//!   every wave arrival embeds itself against those landmarks at join
+//!   time, reading them through one view of the store, so no coordinate
+//!   is computed before its node exists.
 //! * **Deployment wave + B-tree ring** — membership starts from an initial
 //!   subset and grows on a per-tick join budget; every arrival, coordinate
 //!   re-registration, and failure is one `O(log n)` B-tree ring update in
 //!   the runtime's Hilbert-DHT catalog.
-//! * **Parallel tick loop** — per-source row computation and re-opt
-//!   evaluation shard across a deterministic threadpool
+//! * **Parallel tick loop** — join-time placement and re-opt evaluation
+//!   shard across a deterministic threadpool
 //!   (`RuntimeConfigBuilder::threads`, default all cores); the reduction
 //!   order is pinned so a parallel run is *bit-identical* to a serial one,
 //!   which this example asserts by running the same tier twice.
@@ -53,8 +54,8 @@ use rand::seq::SliceRandom;
 
 use sbon::core::reopt::ReoptPolicy;
 use sbon::dht::ProtoConfig;
-use sbon::netsim::dijkstra::single_source;
 use sbon::netsim::graph::NodeId;
+use sbon::netsim::lazy::LazyLatency;
 use sbon::netsim::rng::derive_rng;
 use sbon::overlay::{
     DeploymentModel, JitterModel, LatencyBackend, MapperBackend, ObsConfig, OverlayRuntime,
@@ -168,11 +169,11 @@ impl Tier {
             // maintenance cost tracks churn, not overlay size.
             .churn(ChurnProcess::SparseWalk { nodes_per_tick: 64, std_dev: 0.1 })
             // Edge-granular jitter: congestion on a link perturbs every
-            // path crossing it; resident rows are repaired, not dropped.
+            // path crossing it; each batch repairs the latency store.
             .latency_jitter(JitterModel { edges_per_tick: self.jitter_edges, ..Default::default() })
             .latency_backend(LatencyBackend::Lazy)
-            // Landmark embedding: bring-up demands `landmarks` Dijkstra
-            // rows, not n; wave joiners place themselves against the
+            // Landmark embedding: bring-up reads latencies from the
+            // landmarks only; wave joiners place themselves against the
             // frozen landmarks as they arrive.
             .vivaldi(VivaldiConfig { landmarks: Some(self.landmarks), ..Default::default() })
             .deployment(DeploymentModel::Wave {
@@ -182,6 +183,30 @@ impl Tier {
             .threads(threads)
             .build()
     }
+}
+
+/// The latency store's resident bytes, checked against the bound its
+/// layout gives (`sbon_netsim::lazy`): 32 B a node — T (8 B), the anchor
+/// and the node's slot in the region table (4 B each), and two search
+/// buffers of 8 B — plus D's 8 B a pair of backbone routers and 24 B a stub
+/// domain for the region table, plus the own-region rows: 8 B a member of
+/// the source's stub domain and 24 B of bookkeeping each, one for each
+/// search run since the build at most.
+fn checked_store_bytes(rt: &OverlayRuntime, tier: &Tier, n: usize, when: &str) -> usize {
+    let stats = rt.lazy_latency_stats().expect("one latency store");
+    let cfg = &tier.topo;
+    let routers = cfg.transit_domains * cfg.transit_nodes_per_domain;
+    let domains = routers * cfg.stub_domains_per_transit_node;
+    let built = (routers + domains) as u64;
+    let own = stats.rows_computed.saturating_sub(built) as usize;
+    let bound =
+        32 * n + 8 * routers * routers + 24 * domains + own * (8 * cfg.stub_nodes_per_domain + 24);
+    assert!(
+        stats.resident_bytes <= bound,
+        "{when}: the store holds {} B, over its bound of {bound} B",
+        stats.resident_bytes
+    );
+    stats.resident_bytes
 }
 
 /// Builds the runtime, deploys the tier's query set, and runs to the
@@ -199,15 +224,14 @@ fn run_tier(
     let n = topo.num_nodes();
     let start = Instant::now();
     let mut rt = OverlayRuntime::new(topo, seed, tier.config(threads, backend, obs));
+    let bytes = checked_store_bytes(&rt, tier, n, "bring-up");
     if chatty {
-        let warmup = rt.lazy_latency_stats().expect("lazy backend");
         println!(
-            "  built in {:.2} s — {} Dijkstra rows computed for the embedding (full gossip would \
-             need {}), {} resident; {} of {} nodes registered",
+            "  built in {:.2} s — latency store {:.2} MiB ({:.1} B a node); {} of {} nodes \
+             registered",
             start.elapsed().as_secs_f64(),
-            warmup.rows_computed,
-            n,
-            warmup.rows_cached,
+            bytes as f64 / (1024.0 * 1024.0),
+            bytes as f64 / n as f64,
             rt.arrived_count(),
             n
         );
@@ -218,35 +242,19 @@ fn run_tier(
         topo.host_candidates().into_iter().filter(|&h| rt.is_arrived(h)).collect();
     let mut rng = derive_rng(seed, 0x9a7e);
     let start = Instant::now();
-    let rows_before = rt.lazy_latency_stats().expect("lazy backend").rows_computed;
-    let mut link_sources = 0;
     for q in 0..tier.queries {
         let mut picked = hosts.clone();
         picked.shuffle(&mut rng);
         let query = QuerySpec::join_star(&picked[..4], picked[4], 10.0, 0.02);
-        let handle = rt.deploy(query).unwrap_or_else(|| panic!("query {q} deploys"));
-        // Every service but the consumer is the upstream end of one link.
-        link_sources += rt.placement(handle).expect("just deployed").as_slice().len() - 1;
+        rt.deploy(query).unwrap_or_else(|| panic!("query {q} deploys"));
     }
-    // Work-counter gate (exact in the seed, so it cannot flake): candidates
-    // are ranked in the cost space, so a deploy may fault in rows for the
-    // deployed circuit's link sources only — never for a rejected candidate.
-    // The routed backend settles each deploy's lookups as messages priced
-    // by row-free point-to-point reads; its one extra row is the origin
-    // member's, which sends every lookup request.
-    let deploy_rows = rt.lazy_latency_stats().expect("lazy backend").rows_computed - rows_before;
-    let bound = link_sources + usize::from(rt.routed_stats().is_some());
-    assert!(
-        deploy_rows as usize <= bound,
-        "the deploy phase computed {deploy_rows} rows for {link_sources} link sources \
-         (bound {bound})"
-    );
+    let bytes = checked_store_bytes(&rt, tier, n, "deploys");
     if chatty {
         println!(
-            "  deployed {} join circuits in {:.2} s — {deploy_rows} Dijkstra rows computed \
-             (bound: {bound})",
+            "  deployed {} join circuits in {:.2} s — latency store {:.2} MiB",
             tier.queries,
-            start.elapsed().as_secs_f64()
+            start.elapsed().as_secs_f64(),
+            bytes as f64 / (1024.0 * 1024.0),
         );
     }
 
@@ -254,10 +262,11 @@ fn run_tier(
     let report = rt.run();
     let t_run = start.elapsed().as_secs_f64();
     let ticks = report.samples.len();
+    let bytes = checked_store_bytes(&rt, tier, n, "the run's end");
     if !chatty {
         return report;
     }
-    let stats = rt.lazy_latency_stats().expect("lazy backend");
+    let stats = rt.lazy_latency_stats().expect("one latency store");
 
     println!("\ndeployment-wave run:");
     println!(
@@ -276,18 +285,17 @@ fn run_tier(
         report.replacements
     );
     println!(
-        "  latency rows: {} computed total, {} resident ({:.2} MiB)",
+        "  latency store: {:.2} MiB ({:.1} B a node), {} searches from scratch in all",
+        bytes as f64 / (1024.0 * 1024.0),
+        bytes as f64 / n as f64,
         stats.rows_computed,
-        stats.rows_cached,
-        (stats.rows_cached * n * 8) as f64 / (1024.0 * 1024.0),
     );
     println!(
-        "  jitter absorption: {} row repairs settled {} vertices ({:.0} per repair; a \
-         recompute would settle {} each), {} repairs escalated to full rebuilds",
+        "  jitter absorption: {} repair phases settled {} labels ({:.1} per phase), {} region \
+         rebuilds and backbone recomputes",
         stats.rows_repaired,
         stats.vertices_settled,
         stats.vertices_settled as f64 / stats.rows_repaired.max(1) as f64,
-        n,
         stats.rows_rebuilt,
     );
 
@@ -357,7 +365,7 @@ fn main() {
     // on single-core CI, where "auto" would degenerate to serial.
     let parallel_threads = if smoke_xl { 8 } else { 0 };
     println!(
-        "\nbuilding runtime (landmark Vivaldi: {} of {n} rows; wave: {} initial nodes, \
+        "\nbuilding runtime (landmark Vivaldi: {} of {n} nodes; wave: {} initial nodes, \
          {} joins/tick; threads: {})...",
         tier.landmarks,
         tier.initial,
@@ -379,8 +387,8 @@ fn main() {
     }
 
     // ── Determinism pin: the serial run must be bit-identical ────────────
-    // The parallel-tick contract: sharding per-source row computation and
-    // re-opt evaluation across a threadpool changes wall time only.
+    // The parallel-tick contract: sharding join-time placement and re-opt
+    // evaluation across a threadpool changes wall time only.
     // `RunReport` equality is bit-for-bit over every sample and counter.
     println!("\nre-running the tier serially (threads: 1) to pin determinism...");
     let start = Instant::now();
@@ -445,38 +453,36 @@ fn main() {
     println!("  routed ≡ omniscient: RunReports are bit-identical ✓");
 
     // ── The dense baseline at the same scale (extrapolated) ──────────────
-    // A full all-pairs precompute at this scale runs for hours; time a few
-    // sampled rows and extrapolate instead of stalling the example.
+    // A full all-pairs matrix at this scale does not fit in memory; time a
+    // few rows composed from one store and extrapolate instead.
     let sample_rows = 8.min(n);
     println!("\ndense baseline at {n} nodes (extrapolated from {sample_rows} sampled rows):");
     let start = Instant::now();
+    let store = LazyLatency::new(topo.graph.clone());
+    let t_build = start.elapsed().as_secs_f64();
+    let sources: Vec<NodeId> = (0..sample_rows as u32).map(NodeId).collect();
+    let start = Instant::now();
+    let view = store.view(&sources, 0);
     let mut acc = 0.0f64;
-    for src in 0..sample_rows {
-        acc += single_source(&topo.graph, NodeId(src as u32))[n - 1];
+    for i in 0..sample_rows {
+        acc += topo.graph.nodes().map(|v| view.latency(i, v)).fold(0.0, f64::max);
     }
     let t_row = start.elapsed().as_secs_f64() / sample_rows as f64;
-    let t_allpairs = t_row * n as f64;
     let dense_mib = (2 * n * n * 8) as f64 / (1024.0 * 1024.0);
     println!(
-        "  all-pairs precompute ≈ {:.1} s; matrix + jitter-band copy: {:.0} MiB resident forever",
-        t_allpairs, dense_mib
-    );
-    println!(
-        "  keeping it truthful under edge churn: {:.1} s × {} ticks ≈ {:.0} s of recompute\n  \
-         (the lazy deployment-wave run above did the whole simulation while repairing rows \
-         in place)",
-        t_allpairs,
-        report.samples.len(),
-        t_allpairs * report.samples.len() as f64,
+        "  all-pairs matrix ≈ {:.1} s to fill (store {:.2} s + {:.2} ms a row); it and its \
+         jitter-band copy: {:.0} MiB resident forever",
+        t_build + t_row * n as f64,
+        t_build,
+        1e3 * t_row,
+        dense_mib
     );
     let _ = acc;
 
     println!(
-        "\nthe lazy backend's steady state is O(touched rows × n); jitter costs O(affected \
-         region) per resident row per tick (see `sbon_netsim::lazy`), and the landmark warm-up \
-         bounded the bring-up peak at {} rows. membership maintenance is ring-size-insensitive: \
-         the benchmark's `dht.ring_update_us` probe times B-tree join/leave from 2k to 100k \
-         members.",
-        tier.landmarks
+        "\nthe latency store holds about 32 B a node plus a backbone matrix; jitter costs the \
+         labels it changes in the stub domains it touches (see `sbon_netsim::lazy`). \
+         membership maintenance is ring-size-insensitive: the benchmark's \
+         `dht.ring_update_us` probe times B-tree join/leave from 2k to 100k members."
     );
 }

@@ -225,7 +225,7 @@ proptest! {
 
     /// The lazy latency provider must return **bit-identical** values to
     /// the dense all-pairs matrix recomputed from the same (mutated) graph,
-    /// across random topology families, jitter sequences and invalidation
+    /// across random topology families, jitter sequences and read
     /// orders — the contract that makes
     /// `LatencyBackend::Lazy` a drop-in for `Dense` in the overlay runtime.
     #[test]
@@ -246,9 +246,9 @@ proptest! {
         let m = lazy.graph().num_edges();
         let mut rng = derive_rng(seed, 0x1a27);
         for _ in 0..rounds {
-            // Random interleaving of row-warming queries and edge jitter:
-            // each op is either a query (possibly of a stale row) or a
-            // mutation (possibly of an edge whose rows are cached).
+            // Random interleaving of queries and edge jitter: each op is
+            // either a query (possibly computing an own-region row) or a
+            // mutation (possibly of a region whose rows are resident).
             for _ in 0..24 {
                 if rng.gen_range(0..2) == 0 {
                     let a = NodeId(rng.gen_range(0..n as u32));
@@ -279,11 +279,11 @@ proptest! {
     /// (`apply_edge_deltas`) — must leave every *served* value bit-identical
     /// to a fresh all-pairs Dijkstra of the mutated graph, across random
     /// topology families and delta batches (with intra-batch duplicate
-    /// edges, where the last write wins). Repair is demand-driven, so
-    /// between batches only `reads` random rows are read: rows reach the
-    /// final full sweep anywhere from 1 to `batches` batches behind, and
-    /// one repair has to absorb a window in which one edge was raised and
-    /// then lowered below its start and another returned exactly to it.
+    /// edges, where the last write wins). Each batch repairs the store;
+    /// between batches only `reads` random sources are read, so own-region
+    /// rows are computed before, between and after batches, and the
+    /// scripted edges go up in one batch, then one below its start and the
+    /// other exactly back to it in the next.
     #[test]
     fn repaired_rows_match_fresh_dijkstra_under_delta_batches(
         seed in 0u64..1_000_000,
@@ -301,7 +301,7 @@ proptest! {
         let n = lazy.len();
         let m = lazy.graph().num_edges();
         let mut rng = derive_rng(seed, 0x5e9a);
-        // Warm a random working set so the batches hit resident rows.
+        // Read a random working set so the batches hit resident rows.
         for _ in 0..12 {
             let a = NodeId(rng.gen_range(0..n as u32));
             let b = NodeId(rng.gen_range(0..n as u32));
@@ -348,11 +348,10 @@ proptest! {
 
     /// The unified `JitterModel` contract: with churn disabled, a jittered
     /// run is **bit-identical across latency backends** — both draw the
-    /// same edge-granular delta stream from the run RNG into one row cache
-    /// (every row resident under Dense, the rows read under Lazy), which
-    /// repairs a row when it is read, so every sample and counter in the
-    /// `RunReport` must agree exactly for arbitrary seeds and jitter
-    /// intensities.
+    /// same edge-granular delta stream from the run RNG into one latency
+    /// store, which repairs its tables for each batch, so every sample and
+    /// counter in the `RunReport` must agree exactly for arbitrary seeds
+    /// and jitter intensities.
     #[test]
     fn no_churn_jittered_run_is_backend_invariant(
         seed in 0u64..1_000_000,

@@ -6,11 +6,16 @@
 //! unsearched graph holds. The adjacency is derived: a CSR built by
 //! counting sort on the first [`Graph::neighbors`] call (once, even from a
 //! pool), dropped by `add_node` / `add_edge`. Vertex `v`'s slots,
-//! `slots[offsets[v]..offsets[v + 1]]`, are 16 B `(neighbour, edge,
-//! weight)`, one per edge end, in edge-id order — the push-built lists'
-//! order, so equal-cost ties and the edges `shortest_path` walks are
-//! unchanged. Searched: 48 B an edge + 4 B a node. Ids and offsets are
-//! `u32`; a count past that panics before anything is mutated.
+//! `slots[offsets[v]..offsets[v + 1]]`, are 4 B edge ids, one per edge
+//! end, in edge-id order — the push-built lists' order, so equal-cost ties
+//! and the edges `shortest_path` walks are unchanged. A slot reads its far
+//! end and weight from the edge table: the far end of edge `(a, b)` seen
+//! from `v` is `a ^ b ^ v`, with no branch, and `v` itself for a
+//! self-loop. Searched: 24 B an edge + 4 B a node. Each weight lies in the
+//! table once, so its writer writes one place; copies in the slots paid
+//! only for 100k-wide row searches, which the store ([`crate::lazy`]) no
+//! longer runs. Ids and offsets are `u32`; a count past that panics before
+//! anything is mutated.
 //!
 //! The graph also derives its **pendant regions**: label 0 for the
 //! *core*, one 2-edge-connected class, and for every other vertex `1 +`
@@ -41,7 +46,7 @@
 //! nothing an edge — 8 B a node, 16 B a class and 16 B a vertex on the
 //! search path — and are freed before it returns.
 //! `add_node` / `add_edge` drop the regions with the CSR, and a weight
-//! change keeps both: the table holds no weight.
+//! change keeps both: neither holds a weight.
 //!
 //! # The weight grid
 //!
@@ -115,13 +120,8 @@ pub struct Edge {
     pub latency_ms: f64,
 }
 
-/// One edge end as its vertex sees it.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Slot {
-    to: u32,
-    edge: u32,
-    w: f64,
-}
+/// One edge end as its vertex sees it: the edge's id.
+type Slot = u32;
 
 /// The derived adjacency (module docs).
 #[derive(Clone, Debug, PartialEq)]
@@ -142,12 +142,12 @@ impl Csr {
             offsets[v + 1] += offsets[v];
         }
         let mut next = offsets.clone();
-        let mut slots = vec![Slot { to: 0, edge: 0, w: 0.0 }; 2 * edges.len()];
-        for (id, e) in edges.iter().enumerate() {
-            assert_exact_sums(nodes, id as u32, e.latency_ms);
-            for (at, to) in [(e.a, e.b), (e.b, e.a)] {
+        let mut slots = vec![0; 2 * edges.len()];
+        for (id, e) in (0..).zip(edges) {
+            assert_exact_sums(nodes, id, e.latency_ms);
+            for at in [e.a, e.b] {
                 let slot = &mut next[at.index()];
-                slots[*slot as usize] = Slot { to: to.0, edge: id as u32, w: e.latency_ms };
+                slots[*slot as usize] = id;
                 *slot += 1;
             }
         }
@@ -158,6 +158,16 @@ impl Csr {
     fn run(&self, v: NodeId) -> std::ops::Range<usize> {
         self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize
     }
+
+    fn bytes(&self) -> usize {
+        size_of_val(&*self.offsets) + size_of_val(&*self.slots)
+    }
+}
+
+/// The far end of `edge` from its end `v` (`v` for a self-loop).
+#[inline]
+fn far_end(edge: &Edge, v: u32) -> u32 {
+    edge.a.0 ^ edge.b.0 ^ v
 }
 
 /// The weight grid, in ms: 2⁻²⁰, about a nanosecond. Every edge weight
@@ -319,25 +329,19 @@ impl Graph {
     ///
     /// This is the mutation hook used by churn/jitter processes that perturb
     /// the underlay over time, and the one weight writer after
-    /// construction: a derived adjacency has both of the edge's slots
-    /// rewritten, so nothing the graph holds goes stale ([`crate::lazy`]
-    /// repairs its store for each batch of changes).
+    /// construction. It writes one place, the edge table, which every
+    /// search reads the weight from, so nothing the graph derives goes
+    /// stale ([`crate::lazy`] repairs its store for each batch of changes).
     pub fn set_edge_latency(&mut self, id: EdgeId, latency_ms: f64) -> f64 {
         assert!(
             latency_ms.is_finite() && latency_ms >= 0.0,
             "edge latency must be finite and non-negative, got {latency_ms}"
         );
         let latency_ms = on_grid(latency_ms);
-        let nodes = self.num_nodes();
-        let edge = &mut self.edges[id.index()];
-        if let Some(csr) = self.csr.get_mut() {
-            assert_exact_sums(nodes, id.0, latency_ms);
-            for v in [edge.a, edge.b] {
-                let run = csr.run(v);
-                csr.slots[run].iter_mut().filter(|s| s.edge == id.0).for_each(|s| s.w = latency_ms);
-            }
+        if self.csr.get().is_some() {
+            assert_exact_sums(self.num_nodes(), id.0, latency_ms);
         }
-        std::mem::replace(&mut edge.latency_ms, latency_ms)
+        std::mem::replace(&mut self.edges[id.index()].latency_ms, latency_ms)
     }
 
     /// Neighbors of `v` with the connecting edge's id and current latency —
@@ -348,7 +352,10 @@ impl Graph {
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, f64)> + '_ {
         let csr = self.csr();
-        csr.slots[csr.run(v)].iter().map(|s| (NodeId(s.to), EdgeId(s.edge), s.w))
+        csr.slots[csr.run(v)].iter().map(move |&id| {
+            let edge = &self.edges[id as usize];
+            (NodeId(far_end(edge, v.0)), EdgeId(id), edge.latency_ms)
+        })
     }
 
     /// The adjacency, derived by the first call.
@@ -414,7 +421,8 @@ impl Graph {
                 label[start as usize] = next;
                 stack.push(start);
                 while let Some(v) = stack.pop() {
-                    for &Slot { to, edge, .. } in &csr.slots[csr.run(NodeId(v))] {
+                    for &edge in &csr.slots[csr.run(NodeId(v))] {
+                        let to = far_end(&self.edges[edge as usize], v);
                         match label[to as usize] {
                             UNLABELLED => {
                                 label[to as usize] = next;
@@ -495,7 +503,8 @@ impl Graph {
                 // `v`'s slots up to its next unreached neighbour, if any.
                 let v = frame.v as usize;
                 while frame.next < csr.offsets[v + 1] {
-                    let Slot { to, edge, .. } = csr.slots[frame.next as usize];
+                    let edge = csr.slots[frame.next as usize];
+                    let to = far_end(&self.edges[edge as usize], frame.v);
                     frame.next += 1;
                     if edge == frame.via {
                         continue;
@@ -547,6 +556,15 @@ impl Graph {
         };
         let core = (classes.iter().zip(0..)).min_by_key(|(c, _)| (largest_left(c), c.lowest));
         (low, core.map_or(UNLABELLED, |(_, id)| id))
+    }
+
+    /// Bytes the graph holds: its edge table, and its CSR and regions once
+    /// derived (module docs).
+    pub(crate) fn bytes(&self) -> usize {
+        let region_bytes = |r: &Regions| size_of_val(&*r.label) + size_of_val(&*r.bridges);
+        self.edges.capacity() * size_of::<Edge>()
+            + self.csr.get().map_or(0, Csr::bytes)
+            + self.regions.get().map_or(0, region_bytes)
     }
 
     /// Sum of all edge latencies; used by tests as a cheap fingerprint.
@@ -680,11 +698,12 @@ mod tests {
         assert_eq!(builds(&g), 3);
     }
 
-    /// Written through a built CSR, an edge's weight lands in both of its
-    /// slots — a self-loop's two included — and nowhere else: the CSR stays
-    /// what a fresh derivation from the edge table gives.
+    /// Written through a built CSR, an edge's weight is read from both of
+    /// its ends — both slots of a self-loop included — and the CSR, which
+    /// holds no weight, stays what a fresh derivation from the edge table
+    /// gives, with nothing rebuilt.
     #[test]
-    fn set_edge_latency_on_a_built_csr_rewrites_both_slots() {
+    fn set_edge_latency_on_a_built_csr_is_read_from_both_ends() {
         let mut g = Graph::new(3);
         g.add_edge(NodeId(0), NodeId(1), 1.0);
         let parallel = g.add_edge(NodeId(1), NodeId(0), 2.0);
@@ -693,11 +712,33 @@ mod tests {
         g.neighbors(NodeId(0)).count();
         g.set_edge_latency(parallel, 20.0);
         g.set_edge_latency(self_loop, 30.0);
-        let loop_weights: Vec<f64> =
-            g.neighbors(NodeId(1)).filter(|&(_, e, _)| e == self_loop).map(|(.., w)| w).collect();
-        assert_eq!(loop_weights, [30.0, 30.0]);
+        let weights = |v, id| -> Vec<(NodeId, f64)> {
+            g.neighbors(NodeId(v)).filter(|&(_, e, _)| e == id).map(|(u, _, w)| (u, w)).collect()
+        };
+        assert_eq!(weights(0, parallel), [(NodeId(1), 20.0)]);
+        assert_eq!(weights(1, parallel), [(NodeId(0), 20.0)]);
+        assert_eq!(weights(1, self_loop), [(NodeId(1), 30.0), (NodeId(1), 30.0)]);
         assert_eq!(g.csr.get(), Some(&Csr::build(g.num_nodes(), g.edges())));
         assert_eq!(builds(&g), 1);
+    }
+
+    /// An unsearched graph holds its edge table alone (16 B an edge); a
+    /// searched one adds a 4 B slot an edge end, `n + 1` offsets, and with
+    /// its regions a 4 B label a node and a 12 B bridge a touching region;
+    /// `add_edge` drops both again.
+    #[test]
+    fn searched_graph_bytes_follow_the_layout() {
+        let mut g = from_edges(5, &[(0, 1), (1, 0), (1, 2), (2, 2), (2, 3), (3, 1), (3, 4)]);
+        let table = |g: &Graph| g.edges.capacity() * 16;
+        assert_eq!(g.bytes(), table(&g), "the edge table only");
+        g.neighbors(NodeId(0)).count();
+        let csr = 8 * g.num_edges() + 4 * (g.num_nodes() + 1);
+        assert_eq!(g.bytes(), table(&g) + csr);
+        let bridges = g.regions().bridges.len();
+        assert_eq!(bridges, 1, "vertex 4 hangs off the core by one bridge");
+        assert_eq!(g.bytes(), table(&g) + csr + 4 * g.num_nodes() + 12 * bridges);
+        g.add_edge(NodeId(4), NodeId(0), 1.0);
+        assert_eq!(g.bytes(), table(&g), "back to the table");
     }
 
     fn from_edges(n: usize, edges: &[(u32, u32)]) -> Graph {

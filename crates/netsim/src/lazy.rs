@@ -153,6 +153,10 @@ pub struct LazyLatencyStats {
     /// resident own-region rows and the search buffers (the graph not
     /// included).
     pub resident_bytes: usize,
+    /// Bytes the graph holds: its edge table, the CSR's offsets and slots,
+    /// and the region labels and bridges ([`crate::graph`]). Not part of
+    /// [`resident_bytes`](Self::resident_bytes).
+    pub graph_bytes: usize,
 }
 
 /// Which vertices each label holds, and each region's bridge.
@@ -596,6 +600,7 @@ impl LazyLatency {
             cache_hits: self.hits.get(),
             rows_cached: resident_bytes.div_ceil(8 * self.graph.num_nodes().max(1)),
             resident_bytes,
+            graph_bytes: self.graph.bytes(),
             ..cache.stats
         }
     }

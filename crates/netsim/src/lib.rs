@@ -56,8 +56,9 @@
 //!   ([`graph::LATENCY_GRID_MS`]: both writers round to it, so every
 //!   shortest-path sum is exact), and the one adjacency accessor ([`graph::Graph::neighbors`]) every
 //!   shortest-path relaxation reads the graph through. The adjacency is
-//!   one CSR with the weights inline, derived on the first search and
-//!   dropped by `add_node` / `add_edge`; an unsearched graph holds none.
+//!   one CSR of edge ids, which read far end and weight from the edge
+//!   table, derived on the first search and dropped by `add_node` /
+//!   `add_edge`; an unsearched graph holds none.
 //!   Its pendant regions — the core (the bridge forest's weighted
 //!   centroid), each vertex's region label and each region's one bridge —
 //!   are derived when a store is built and dropped with the adjacency.

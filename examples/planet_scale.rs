@@ -209,6 +209,29 @@ fn checked_store_bytes(rt: &OverlayRuntime, tier: &Tier, n: usize, when: &str) -
     stats.resident_bytes
 }
 
+/// The graph's bytes, checked against the bound its layout gives
+/// (`sbon_netsim::graph`): 24 B an edge — the edge table's 16 B and two
+/// 4 B CSR slots — plus 8 B a node for the CSR's offsets and the region
+/// labels, one more offset (4 B), and a 12 B bridge a stub domain.
+fn checked_graph_bytes(rt: &OverlayRuntime, tier: &Tier, topo: &Topology, when: &str) -> usize {
+    let stats = rt.lazy_latency_stats().expect("one latency store");
+    let cfg = &tier.topo;
+    let domains =
+        cfg.transit_domains * cfg.transit_nodes_per_domain * cfg.stub_domains_per_transit_node;
+    let bound = 24 * topo.graph.num_edges() + 8 * topo.num_nodes() + 12 * domains + 4;
+    assert!(
+        stats.graph_bytes <= bound,
+        "{when}: the graph holds {} B, over its bound of {bound} B",
+        stats.graph_bytes
+    );
+    stats.graph_bytes
+}
+
+/// `bytes` in MiB.
+fn mib(bytes: usize) -> f64 {
+    bytes as f64 / (1024.0 * 1024.0)
+}
+
 /// Builds the runtime, deploys the tier's query set, and runs to the
 /// horizon. Deterministic in `seed` (and, by the parallel-tick contract,
 /// in `threads`).
@@ -221,17 +244,20 @@ fn run_tier(
     chatty: bool,
     obs: ObsConfig,
 ) -> RunReport {
-    let n = topo.num_nodes();
+    let (n, m) = (topo.num_nodes(), topo.graph.num_edges());
     let start = Instant::now();
     let mut rt = OverlayRuntime::new(topo, seed, tier.config(threads, backend, obs));
     let bytes = checked_store_bytes(&rt, tier, n, "bring-up");
+    let graph = checked_graph_bytes(&rt, tier, topo, "bring-up");
     if chatty {
         println!(
-            "  built in {:.2} s — latency store {:.2} MiB ({:.1} B a node); {} of {} nodes \
-             registered",
+            "  built in {:.2} s — latency store {:.2} MiB ({:.1} B a node), graph {:.2} MiB \
+             ({:.1} B an edge); {} of {} nodes registered",
             start.elapsed().as_secs_f64(),
-            bytes as f64 / (1024.0 * 1024.0),
+            mib(bytes),
             bytes as f64 / n as f64,
+            mib(graph),
+            graph as f64 / m as f64,
             rt.arrived_count(),
             n
         );
@@ -249,12 +275,14 @@ fn run_tier(
         rt.deploy(query).unwrap_or_else(|| panic!("query {q} deploys"));
     }
     let bytes = checked_store_bytes(&rt, tier, n, "deploys");
+    let graph = checked_graph_bytes(&rt, tier, topo, "deploys");
     if chatty {
         println!(
-            "  deployed {} join circuits in {:.2} s — latency store {:.2} MiB",
+            "  deployed {} join circuits in {:.2} s — latency store {:.2} MiB, graph {:.2} MiB",
             tier.queries,
             start.elapsed().as_secs_f64(),
-            bytes as f64 / (1024.0 * 1024.0),
+            mib(bytes),
+            mib(graph),
         );
     }
 
@@ -263,6 +291,7 @@ fn run_tier(
     let t_run = start.elapsed().as_secs_f64();
     let ticks = report.samples.len();
     let bytes = checked_store_bytes(&rt, tier, n, "the run's end");
+    let graph = checked_graph_bytes(&rt, tier, topo, "the run's end");
     if !chatty {
         return report;
     }
@@ -285,10 +314,13 @@ fn run_tier(
         report.replacements
     );
     println!(
-        "  latency store: {:.2} MiB ({:.1} B a node), {} searches from scratch in all",
-        bytes as f64 / (1024.0 * 1024.0),
+        "  latency store: {:.2} MiB ({:.1} B a node), {} searches from scratch in all; graph \
+         {:.2} MiB ({:.1} B an edge)",
+        mib(bytes),
         bytes as f64 / n as f64,
         stats.rows_computed,
+        mib(graph),
+        graph as f64 / m as f64,
     );
     println!(
         "  jitter absorption: {} repair phases settled {} labels ({:.1} per phase), {} region \

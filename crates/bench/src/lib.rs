@@ -6,10 +6,12 @@
 //! Worlds are deterministic in `(nodes, seed)`.
 //!
 //! The ground truth is one dense [`LatencyMatrix`]: a world is static (no
-//! jitter, no churn of the underlay) and at most a few thousand nodes, and
-//! its Vivaldi warm-up reads every row, so an on-demand store would hold
-//! all `n²` entries anyway and only make each read slower. On-demand rows
-//! are the runtime's store, for jittered underlays of up to 100k nodes.
+//! jitter, no churn of the underlay) and at most a few thousand nodes, so
+//! its `n²` entries fit (about 20 MB at `claim_scale`'s 1,600-node world),
+//! and every figure golden was generated over it. The runtime's latency
+//! store serves the same values bit for bit in a few tens of KB; moving the
+//! worlds onto it, with every golden kept byte-identical, is ROADMAP item
+//! 23.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -65,7 +67,7 @@ impl Default for WorldConfig {
 }
 
 /// Builds a deterministic world: computes the all-pairs latency once and
-/// embeds over it (the warm-up reads every row, see the crate header).
+/// embeds over it (why a dense matrix: see the crate header).
 pub fn build_world(config: &WorldConfig, seed: u64) -> World {
     let topology = generate(&TransitStubConfig::with_total_nodes(config.nodes), seed);
     let latency = all_pairs_latency(&topology.graph);

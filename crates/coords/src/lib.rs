@@ -18,23 +18,26 @@
 //!
 //! * [`VivaldiConfig::validate`] — whether a configuration can embed at all
 //!   (the runtime's config builder calls it too).
-//! * `VivaldiConfig::gossip` — the one gossip loop, over all `n` nodes (the
-//!   full protocol) or over the landmarks (landmark mode's first phase),
-//!   keeping only its members' states, and [`VivaldiNode::random_start`]
-//!   the one node start (every node draws one, in id order).
+//! * `Spring` — a node's state with the coordinate in a fixed-size array
+//!   whose length ([`VivaldiConfig::dims`], at most [`vivaldi::MAX_DIMS`])
+//!   and the height model are compile-time constants, picked by one
+//!   `dispatch`. Its `start` is the one node start and its `observe` the
+//!   one spring step; the tests pin both, bit for bit, to a `VivaldiNode`
+//!   reference that spells them over a `Vec`.
+//! * `VivaldiConfig::gossip` — the one gossip loop, a kernel over
+//!   `Spring`s, over all `n` nodes (the full protocol) or over the
+//!   landmarks (landmark mode's first phase), keeping only its members'
+//!   states; every node draws its start, in id order.
 //! * [`LandmarkPlacer`] — the frozen landmarks and where every other node
 //!   lands. Its private `refine` is the one non-landmark refinement loop,
 //!   a kernel that advances two nodes in lockstep, sample by sample, each
-//!   on its own RNG stream, with the coordinate in a fixed-size array whose
-//!   length ([`VivaldiConfig::dims`], at most [`vivaldi::MAX_DIMS`]) and
-//!   the height model are compile-time constants. Every lane performs the
-//!   float operations and draws of [`VivaldiNode::observe_with`] in their
-//!   order, so a landing spot does not depend on its lane partner.
-//!   [`LandmarkPlacer::place_nodes`] runs it over pairs of nodes reading
-//!   landmark rows in place; [`LandmarkPlacer::place_from_rtts`],
-//!   [`LandmarkPlacer::place_node`] (the node's own stream, a function of
-//!   the seed and the node alone) and [`LandmarkPlacer::place`] are its
-//!   one-lane calls. So [`VivaldiConfig::embed`] in landmark mode and
+//!   on its own RNG stream; every lane performs the float operations and
+//!   draws of a node placed alone, in their order, so a landing spot does
+//!   not depend on its lane partner. [`LandmarkPlacer::place_nodes`] runs
+//!   it over pairs of nodes reading landmark rows in place, each node on
+//!   its own stream (a function of the seed and the node alone);
+//!   [`LandmarkPlacer::place`] is its one-lane call on the caller's
+//!   stream. So [`VivaldiConfig::embed`] in landmark mode and
 //!   `sbon_overlay`'s join-time placement land a node on the same
 //!   coordinate, bit for bit.
 //! * `VivaldiEmbedding::from_states` — the one writer of an embedding's

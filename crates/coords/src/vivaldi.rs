@@ -24,12 +24,14 @@ const LANDMARK_STREAM: u64 = 0x1a4d_3a4c;
 /// `PLACE_STREAM ^ node` disjoint from every other derivation stream.
 const PLACE_STREAM: u64 = 0x517e_9a4e << 32;
 
-/// The largest [`VivaldiConfig::dims`]: the placement kernel keeps a node's
-/// coordinate in a fixed-size array and is compiled once per dimension up
-/// to this bound ([`VivaldiConfig::validate`] names it). Each dimension
-/// adds four copies of the kernel to every binary that places nodes; at a
-/// bound of 16 the benchmark driver's code grew by 0.3 MB and its peak
-/// resident memory by about 0.13 MiB on a workload that never places one.
+/// The largest [`VivaldiConfig::dims`]: the gossip and placement kernels
+/// keep a node's coordinate in a fixed-size array and are compiled once per
+/// dimension up to this bound ([`VivaldiConfig::validate`] names it). Each
+/// dimension adds six copies of the kernels to every binary that embeds —
+/// the gossip and the one- and two-lane placement, each with and without
+/// the height model; at a bound of 16 (with four copies a dimension) the
+/// benchmark driver's code grew by 0.3 MB and its peak resident memory by
+/// about 0.13 MiB on a workload that never places a node.
 pub const MAX_DIMS: usize = 10;
 
 /// Tunables of the Vivaldi run. Defaults follow the SIGCOMM paper
@@ -61,12 +63,12 @@ pub struct VivaldiConfig {
     /// `Some(k)`: **landmark mode** — embed `k` landmark nodes with the
     /// full all-pairs gossip protocol, then place every remaining node
     /// against the (frozen) landmarks only, each on its own RNG stream
-    /// ([`LandmarkPlacer::place_node`]). Cuts the warm-up's latency
-    /// sampling from all `n` sources to `k` sources: under a lazy
-    /// shortest-path backend only `k` Dijkstra rows are ever computed,
-    /// instead of one per node. Costs accuracy — non-landmark nodes
-    /// trilaterate against `k` references instead of gossiping with the
-    /// whole overlay. The tests `landmark_embedding_is_accurate_on_embeddable_world`
+    /// ([`LandmarkPlacer::place_nodes`]). Cuts the warm-up's latency
+    /// sampling from all `n` sources to `k` sources: a node's placement
+    /// reads its `k` latencies from the landmarks and nothing else. Costs
+    /// accuracy — non-landmark nodes trilaterate against `k` references
+    /// instead of gossiping with the whole overlay. The tests
+    /// `landmark_embedding_is_accurate_on_embeddable_world`
     /// and `landmark_mode_touches_only_k_lazy_rows` pin both sides of the
     /// trade-off; the benchmark's `coords.embed_ms` probe times the embed.
     /// `None` (the default) runs the full decentralized protocol;
@@ -98,7 +100,7 @@ impl VivaldiConfig {
     /// Naming the field and the value, if `dims`, `rounds` or
     /// `samples_per_round` is zero (no rounds or no samples would serve
     /// every node its random start coordinate), if `dims` exceeds
-    /// [`MAX_DIMS`] (the placement kernel's bound), if `ce` or `cc` is not
+    /// [`MAX_DIMS`] (the kernels' bound), if `ce` or `cc` is not
     /// finite and positive, if `min_height` is not finite and non-negative
     /// (a NaN floor poisons every height through `.max(min_height)`), or if
     /// `landmarks` is `Some(k)` with `k < 2`.
@@ -135,9 +137,9 @@ impl VivaldiConfig {
     /// when landmark mode is off (or would fall back to the full
     /// protocol because `k ≥ n`). The same ids — in the same order — that
     /// [`VivaldiConfig::embed`] and
-    /// [`VivaldiConfig::embed_landmarks_only`] use for this `(n, seed)`,
-    /// so callers can pre-warm exactly the latency rows the embedding
-    /// will demand.
+    /// [`VivaldiConfig::embed_landmarks_only`] use for this `(n, seed)`:
+    /// the runtime asks it whether to bring the overlay up in landmark
+    /// mode.
     pub fn landmark_ids(&self, n: usize, seed: u64) -> Option<Vec<usize>> {
         self.validate();
         let k = self.landmarks.filter(|&k| k < n)?;
@@ -148,7 +150,7 @@ impl VivaldiConfig {
     /// embedding: the full decentralized gossip by default; in landmark
     /// mode, [`VivaldiConfig::embed_landmarks_only`] followed by
     /// [`LandmarkPlacer::place`] for every non-landmark on its own stream —
-    /// the coordinate [`LandmarkPlacer::place_node`] gives it at a join.
+    /// the coordinate [`LandmarkPlacer::place_nodes`] gives it at a join.
     /// Deterministic in `seed`.
     pub fn embed<L: LatencyProvider>(&self, latency: &L, seed: u64) -> VivaldiEmbedding {
         self.validate();
@@ -172,19 +174,20 @@ impl VivaldiConfig {
     /// Runs only the landmark half of the protocol and returns a
     /// [`LandmarkPlacer`]: the `k` deterministically drawn landmarks,
     /// frozen at their converged coordinates, ready to place individual
-    /// nodes on demand via [`LandmarkPlacer::place_node`].
+    /// nodes on demand via [`LandmarkPlacer::place_nodes`].
     ///
     /// This is the bring-up path for incremental deployments: instead of
-    /// embedding all `n` coordinates up front (and touching `n` rows of
-    /// the latency provider), the runtime embeds the landmarks once and
-    /// places each node when it actually joins. [`VivaldiConfig::embed`]
-    /// runs the same two steps for every node at once, so a node lands on
-    /// the same coordinate whichever way it is placed.
+    /// embedding all `n` coordinates up front (and reading latencies from
+    /// all `n` nodes), the runtime embeds the landmarks once and places
+    /// each node when it actually joins. [`VivaldiConfig::embed`] runs the
+    /// same two steps for every node at once, so a node lands on the same
+    /// coordinate whichever way it is placed.
     ///
     /// Latency is only ever queried **with a landmark as the source**
-    /// (here and by every placement; the underlay is undirected, so rows
-    /// are symmetric) — that is what caps a lazy backend's warm-up at `k`
-    /// shortest-path rows total.
+    /// (here and by every placement; the underlay is undirected, so
+    /// latencies are symmetric), so under the lazy store the warm-up
+    /// searches at most the `k` landmarks' own-region rows beyond the
+    /// store's build.
     ///
     /// Panics unless [`VivaldiConfig::landmarks`] is `Some(k)` with
     /// `2 ≤ k < n`.
@@ -203,50 +206,66 @@ impl VivaldiConfig {
         LandmarkPlacer { config: self.clone(), seed, landmarks, states }
     }
 
-    /// The one gossip loop: `rounds` rounds in which every member takes
-    /// `samples_per_round` latency samples against uniformly drawn other
-    /// members — all `n` nodes under the full protocol, the landmarks in
-    /// landmark mode. All `n` nodes draw their random start first, in id
-    /// order, members or not: the draws decide the members' coordinates,
-    /// but only the members' states are kept, index-aligned with
-    /// `members` (which must be distinct). A non-finite latency
-    /// (partitioned pair) skips the sample.
-    fn gossip<L: LatencyProvider, R: Rng + ?Sized>(
+    /// The one gossip loop, run by the [`Gossip`] kernel over `members`
+    /// (distinct node ids): all `n` nodes under the full protocol, the
+    /// landmarks in landmark mode. Their states come back index-aligned
+    /// with `members`.
+    fn gossip(
         &self,
-        latency: &L,
-        rng: &mut R,
+        latency: &dyn LatencyProvider,
+        rng: &mut StdRng,
         members: &[usize],
     ) -> Vec<VivaldiNode> {
+        dispatch(self, Gossip { cfg: self, latency, rng, members })
+    }
+}
+
+/// [`VivaldiConfig::gossip`]: `rounds` rounds in which every member takes
+/// `samples_per_round` latency samples against uniformly drawn other
+/// members. All `n` nodes draw their random start first, in id order,
+/// members or not: the draws decide the members' coordinates, but only the
+/// members' states are kept. A non-finite latency (partitioned pair) skips
+/// the sample. The provider is a trait object and the stream a [`StdRng`],
+/// so there is one copy of the loop per dimension and height model.
+struct Gossip<'a> {
+    cfg: &'a VivaldiConfig,
+    latency: &'a dyn LatencyProvider,
+    rng: &'a mut StdRng,
+    members: &'a [usize],
+}
+
+impl Lockstep for Gossip<'_> {
+    type Output = Vec<VivaldiNode>;
+
+    fn run<const D: usize, const H: bool>(self) -> Vec<VivaldiNode> {
+        let Gossip { cfg, latency, rng, members } = self;
         let mut by_id: Vec<(usize, usize)> = members.iter().copied().zip(0..).collect();
         by_id.sort_unstable();
-        let mut starts = vec![None; members.len()];
-        let mut skipped = vec![0.0; self.dims];
+        let mut nodes =
+            vec![Spring::<D> { coord: [0.0; D], height: 0.0, error: 0.0 }; members.len()];
         let mut next = by_id.iter().peekable();
         for v in 0..latency.len() {
-            match next.next_if(|&&(id, _)| id == v) {
-                Some(&(_, at)) => starts[at] = Some(VivaldiNode::random_start(self, rng)),
-                None => draw_start(rng, &mut skipped),
+            let start = Spring::start(cfg, rng);
+            if let Some(&(_, at)) = next.next_if(|&&(id, _)| id == v) {
+                nodes[at] = start;
             }
         }
-        let mut nodes: Vec<VivaldiNode> =
-            starts.into_iter().map(|start| start.expect("members are node ids")).collect();
-        if members.len() < 2 {
-            return nodes;
-        }
-        for _round in 0..self.rounds {
-            for (mi, &i) in members.iter().enumerate() {
-                for _ in 0..self.samples_per_round {
-                    let mj = gossip_partner(rng, mi, members.len());
-                    let rtt = latency.latency(NodeId(i as u32), NodeId(members[mj] as u32));
-                    if !rtt.is_finite() {
-                        continue;
+        assert!(next.next().is_none(), "members are node ids");
+        if members.len() >= 2 {
+            for _round in 0..cfg.rounds {
+                for (mi, &i) in members.iter().enumerate() {
+                    for _ in 0..cfg.samples_per_round {
+                        let mj = gossip_partner(rng, mi, members.len());
+                        let rtt = latency.latency(NodeId(i as u32), NodeId(members[mj] as u32));
+                        if rtt.is_finite() {
+                            let remote = nodes[mj];
+                            nodes[mi].observe::<H, StdRng>(&remote, rtt, cfg, rng);
+                        }
                     }
-                    let remote = nodes[mj].clone();
-                    nodes[mi].observe_with(&remote, rtt, self, rng);
                 }
             }
         }
-        nodes
+        nodes.into_iter().map(Spring::to_node).collect()
     }
 }
 
@@ -283,11 +302,10 @@ impl LandmarkPlacer {
         &self.landmarks
     }
 
-    /// Places one node against the frozen landmarks: `k` latency reads —
-    /// one per landmark, each with the landmark as the source, so a lazy
-    /// provider serves them from the `k` already-computed rows — then the
-    /// kernel of [`LandmarkPlacer::place_from_rtts`] over those `k`
-    /// values, drawing from `rng`.
+    /// Places one node against the frozen landmarks, drawing from `rng`:
+    /// `k` latency reads — one per landmark, each with the landmark as the
+    /// source — then one lane of the placement kernel over those `k`
+    /// values.
     pub fn place<L: LatencyProvider, R: Rng + ?Sized>(
         &self,
         latency: &L,
@@ -296,41 +314,27 @@ impl LandmarkPlacer {
     ) -> VivaldiNode {
         let rtts: Vec<f64> =
             self.landmarks.iter().map(|&l| latency.latency(NodeId(l as u32), node)).collect();
-        self.place_from_rtts(&rtts, rng)
+        dispatch(&self.config, OneLane { placer: self, rtts: &rtts, rng })
     }
 
-    /// Where `node` lands, given its latency from each landmark (draw
-    /// order): the kernel on the node's own RNG stream, derived from the
-    /// embedding seed and the node id alone — so neither the bring-up
-    /// model, batching, join order nor thread count can move it.
-    pub fn place_node(&self, node: NodeId, rtts: &[f64]) -> VivaldiNode {
-        self.place_from_rtts(rtts, &mut self.node_rng(node))
-    }
-
+    /// A node's own placement stream, derived from the embedding seed and
+    /// the node id alone — so neither the bring-up model, batching, join
+    /// order nor thread count can move where it lands.
     fn node_rng(&self, node: NodeId) -> StdRng {
         derive_rng(self.seed, PLACE_STREAM ^ node.index() as u64)
     }
 
-    /// A batch of [`LandmarkPlacer::place_node`] calls over latencies read
-    /// in place: `rtt(li, v)` is node `v`'s latency from landmark `li`
-    /// (draw order). Consecutive nodes run through the kernel two at a
-    /// time, each on its own stream, so every state equals the one
-    /// `place_node` gives it; they come back in input order.
+    /// Places `nodes`, each on its own stream, over latencies read in
+    /// place: `rtt(li, v)` is node `v`'s latency from landmark `li` (draw
+    /// order). Consecutive nodes run through the kernel two at a time, so
+    /// every state equals the one `place` gives the node on its own
+    /// stream; they come back in input order.
     pub fn place_nodes(
         &self,
         nodes: &[NodeId],
         rtt: impl Fn(usize, NodeId) -> f64 + Sync,
     ) -> Vec<VivaldiNode> {
         dispatch(&self.config, Batch { placer: self, nodes, rtt })
-    }
-
-    /// One lane of the placement kernel: a fresh start, then rounds ×
-    /// samples steps for a single node whose latency from landmark `li`
-    /// (draw order) is `rtts[li]`, drawing from `rng`. Pure — it reads only
-    /// the frozen landmark states — so placements can run on any threads.
-    pub fn place_from_rtts<R: Rng + ?Sized>(&self, rtts: &[f64], rng: &mut R) -> VivaldiNode {
-        assert_eq!(rtts.len(), self.landmarks.len(), "one latency per landmark");
-        dispatch(&self.config, OneLane { placer: self, rtts, rng })
     }
 
     /// The frozen landmark states in the kernel's fixed-size form.
@@ -455,7 +459,7 @@ impl<F: Fn(usize, NodeId) -> f64> Lockstep for Batch<'_, F> {
     }
 }
 
-/// [`LandmarkPlacer::place_from_rtts`]: one lane on the caller's stream.
+/// [`LandmarkPlacer::place`]: one lane on the caller's stream.
 struct OneLane<'a, R: ?Sized> {
     placer: &'a LandmarkPlacer,
     rtts: &'a [f64],
@@ -472,8 +476,10 @@ impl<R: Rng + ?Sized> Lockstep for OneLane<'_, R> {
     }
 }
 
-/// A node's state inside the placement kernel: [`VivaldiNode`] with the
-/// coordinate in a fixed-size array.
+/// A node's state inside the gossip and placement kernels: [`VivaldiNode`]
+/// with the coordinate in a fixed-size array. `start` and `observe` are the
+/// one node start and the one spring step; the tests pin both to a
+/// `VivaldiNode` reference that spells them over a `Vec`.
 #[derive(Clone, Copy)]
 struct Spring<const D: usize> {
     coord: [f64; D],
@@ -492,17 +498,26 @@ impl<const D: usize> Spring<D> {
         VivaldiNode { coord: self.coord.to_vec(), height: self.height, error: self.error }
     }
 
-    /// [`VivaldiNode::random_start`]: the same draws, the same state.
+    /// A fresh node at a small random coordinate — one uniform draw in
+    /// `[-0.5, 0.5)` per component, in order (symmetric starts at the exact
+    /// origin make the force direction degenerate for every pair, so a tiny
+    /// random jitter is the standard bootstrap) — at the height floor when
+    /// the height model is on, with error 1.
     fn start<R: Rng + ?Sized>(cfg: &VivaldiConfig, rng: &mut R) -> Self {
-        let mut coord = [0.0; D];
-        draw_start(rng, &mut coord);
+        let coord = std::array::from_fn(|_| rng.gen_range(-0.5..0.5));
         let height = if cfg.use_height { cfg.min_height } else { 0.0 };
         Spring { coord, height, error: 1.0 }
     }
 
-    /// [`VivaldiNode::observe_with`] with the height model `H` a constant:
-    /// the same float operations in the same order and the same draws.
-    /// Without the height model the planar fraction is the constant 1.0,
+    /// Processes one latency sample against a remote node, with the height
+    /// model `H` a constant; `rtt` must be finite and non-negative. The
+    /// sample's weight balances the two nodes' confidence, the local error
+    /// estimate moves toward the sample's relative error (taken as 0 at
+    /// `rtt ≈ 0`, the same host), and the coordinate moves along the unit
+    /// vector away from (or toward) the remote. Under the height model the
+    /// unit vector of `(v, h)` scales the planar part by `v/‖·‖` and pushes
+    /// the height by `h_sum/‖·‖` (heights only ever push *apart*; Dabek et
+    /// al., §5.4). Without it the planar fraction is the constant 1.0,
     /// which the compiler folds away (multiplying by one is exact), and the
     /// height block is not emitted.
     #[inline(always)]
@@ -548,8 +563,8 @@ impl<const D: usize> Spring<D> {
         }
     }
 
-    /// The coincident-points step of [`VivaldiNode::observe_with`]: a
-    /// random direction, `D` draws.
+    /// The coincident-points step: a random direction, `D` draws (rare;
+    /// the one case that needs every component before it can normalize).
     #[cold]
     fn push_coincident<R: Rng + ?Sized>(&mut self, push: f64, planar_frac: f64, rng: &mut R) {
         let mut dir = [0.0; D];
@@ -563,14 +578,6 @@ impl<const D: usize> Spring<D> {
     }
 }
 
-/// A random start coordinate: one uniform draw in `[-0.5, 0.5)` per
-/// component, in order.
-fn draw_start<R: Rng + ?Sized>(rng: &mut R, coord: &mut [f64]) {
-    for x in coord {
-        *x = rng.gen_range(-0.5..0.5);
-    }
-}
-
 /// Per-node Vivaldi state.
 #[derive(Clone, Debug)]
 pub struct VivaldiNode {
@@ -580,72 +587,6 @@ pub struct VivaldiNode {
     pub height: f64,
     /// Local relative-error estimate in `[0, ~1]`; lower is more confident.
     pub error: f64,
-}
-
-impl VivaldiNode {
-    /// A fresh node at a small random coordinate (symmetric starts at the
-    /// exact origin make the force direction degenerate for every pair, so a
-    /// tiny random jitter is the standard bootstrap), at the height floor
-    /// when the height model is on.
-    pub fn random_start<R: Rng + ?Sized>(cfg: &VivaldiConfig, rng: &mut R) -> Self {
-        let mut coord = vec![0.0; cfg.dims];
-        draw_start(rng, &mut coord);
-        VivaldiNode { coord, height: if cfg.use_height { cfg.min_height } else { 0.0 }, error: 1.0 }
-    }
-
-    /// Processes one latency sample against a remote node (height model
-    /// honoured when `cfg` enables it). `rtt` must be finite and
-    /// non-negative.
-    pub fn observe_with<R: Rng + ?Sized>(
-        &mut self,
-        remote: &VivaldiNode,
-        rtt: f64,
-        cfg: &VivaldiConfig,
-        rng: &mut R,
-    ) {
-        debug_assert!(rtt.is_finite() && rtt >= 0.0);
-        let planar = euclidean(&self.coord, &remote.coord);
-        let dist = if cfg.use_height { planar + self.height + remote.height } else { planar };
-
-        // Confidence-balanced sample weight.
-        let w = if self.error + remote.error > 0.0 {
-            self.error / (self.error + remote.error)
-        } else {
-            0.5
-        };
-
-        // Update the local error estimate with the sample's relative error.
-        // Guard rtt≈0 (same host): treat relative error as 0 there.
-        let es = if rtt > 1e-9 { (dist - rtt).abs() / rtt } else { 0.0 };
-        self.error = (es * cfg.cc * w + self.error * (1.0 - cfg.cc * w)).clamp(0.0, 10.0);
-
-        // Move along the unit vector away from (or toward) the remote. In
-        // the height model, the "unit vector" of `(v, h)` scales the planar
-        // part by `v/‖·‖` and pushes the height by `h_sum/‖·‖` (heights only
-        // ever push *apart*; Dabek et al., §5.4).
-        let push = cfg.ce * w * (rtt - dist);
-        let mut planar_frac = 1.0;
-        if cfg.use_height && dist > 1e-12 {
-            let height_frac = (self.height + remote.height) / dist.max(1e-12);
-            planar_frac = (1.0 - height_frac.min(1.0)).max(0.0);
-            self.height = (self.height + push * height_frac).max(cfg.min_height);
-        }
-        // The direction `(self − remote) / planar` is written straight into
-        // the update: no per-sample buffer.
-        if planar < 1e-12 {
-            // Coincident points: pick a random direction (rare; the one
-            // case that needs every component before it can normalize).
-            let dir: Vec<f64> = self.coord.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let norm = dir.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-12);
-            for (x, u) in self.coord.iter_mut().zip(dir) {
-                *x += push * (u / norm) * planar_frac;
-            }
-        } else {
-            for (x, r) in self.coord.iter_mut().zip(&remote.coord) {
-                *x += push * ((*x - r) / planar) * planar_frac;
-            }
-        }
-    }
 }
 
 /// The finished embedding: one coordinate per node.
@@ -743,6 +684,59 @@ mod tests {
     use sbon_netsim::latency::EuclideanLatency;
     use sbon_netsim::metrics::Summary;
     use sbon_netsim::rng::rng_from_seed;
+
+    /// The reference the gossip and placement kernels are pinned to: the
+    /// node start and the spring step spelled over a `Vec` coordinate, the
+    /// height model read from `cfg` at every step.
+    impl VivaldiNode {
+        fn random_start<R: Rng + ?Sized>(cfg: &VivaldiConfig, rng: &mut R) -> Self {
+            let coord = (0..cfg.dims).map(|_| rng.gen_range(-0.5..0.5)).collect();
+            VivaldiNode {
+                coord,
+                height: if cfg.use_height { cfg.min_height } else { 0.0 },
+                error: 1.0,
+            }
+        }
+
+        /// Processes one latency sample against a remote node; `rtt` must
+        /// be finite and non-negative.
+        fn observe_with<R: Rng + ?Sized>(
+            &mut self,
+            remote: &VivaldiNode,
+            rtt: f64,
+            cfg: &VivaldiConfig,
+            rng: &mut R,
+        ) {
+            debug_assert!(rtt.is_finite() && rtt >= 0.0);
+            let planar = euclidean(&self.coord, &remote.coord);
+            let dist = if cfg.use_height { planar + self.height + remote.height } else { planar };
+            let w = if self.error + remote.error > 0.0 {
+                self.error / (self.error + remote.error)
+            } else {
+                0.5
+            };
+            let es = if rtt > 1e-9 { (dist - rtt).abs() / rtt } else { 0.0 };
+            self.error = (es * cfg.cc * w + self.error * (1.0 - cfg.cc * w)).clamp(0.0, 10.0);
+            let push = cfg.ce * w * (rtt - dist);
+            let mut planar_frac = 1.0;
+            if cfg.use_height && dist > 1e-12 {
+                let height_frac = (self.height + remote.height) / dist.max(1e-12);
+                planar_frac = (1.0 - height_frac.min(1.0)).max(0.0);
+                self.height = (self.height + push * height_frac).max(cfg.min_height);
+            }
+            if planar < 1e-12 {
+                let dir: Vec<f64> = self.coord.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let norm = dir.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-12);
+                for (x, u) in self.coord.iter_mut().zip(dir) {
+                    *x += push * (u / norm) * planar_frac;
+                }
+            } else {
+                for (x, r) in self.coord.iter_mut().zip(&remote.coord) {
+                    *x += push * ((*x - r) / planar) * planar_frac;
+                }
+            }
+        }
+    }
 
     fn euclidean_world(n: usize, seed: u64) -> EuclideanLatency {
         let mut rng = rng_from_seed(seed);
@@ -1151,9 +1145,9 @@ mod tests {
     }
 
     /// Every non-landmark node placed four ways — the batch kernel over rows
-    /// read from `fast`, `place_node` on its own stream, `place` on `fast`
-    /// with another stream, and the read-per-sample reference on `truth`
-    /// with the same streams.
+    /// read from `fast`, a batch of that node alone (one lane on its own
+    /// stream), `place` on `fast` with another stream, and the
+    /// read-per-sample reference on `truth` with the same streams.
     fn placements_match_reference<A: LatencyProvider, B: LatencyProvider>(
         placer: &LandmarkPlacer,
         fast: &A,
@@ -1172,7 +1166,8 @@ mod tests {
                 place_reading_every_sample(placer, truth, node, &mut placer.node_rng(node));
             let rtts: Vec<f64> = rows.iter().map(|row| row[node.index()]).collect();
             prop_assert_eq!(bits(state), bits(&reference));
-            prop_assert_eq!(bits(&placer.place_node(node, &rtts)), bits(&reference));
+            let alone = placer.place_nodes(&[node], |li, _| rtts[li]);
+            prop_assert_eq!(bits(&alone[0]), bits(&reference));
             let rng = || derive_rng(seed, u64::from(node.0));
             let reference = bits(&place_reading_every_sample(placer, truth, node, &mut rng()));
             prop_assert_eq!(bits(&placer.place(fast, node, &mut rng())), reference);
@@ -1260,6 +1255,125 @@ mod tests {
         Ok(())
     }
 
+    /// The gossip as the reference spells it: every node's start drawn by
+    /// `random_start` in id order, the members' kept, then `observe_with`
+    /// for every finite sample. Also returns how many samples were taken
+    /// between coincident coordinates (the coincident-points step).
+    fn gossip_reading_every_sample<L: LatencyProvider>(
+        cfg: &VivaldiConfig,
+        latency: &L,
+        rng: &mut StdRng,
+        members: &[usize],
+    ) -> (Vec<VivaldiNode>, usize) {
+        let starts: Vec<VivaldiNode> =
+            (0..latency.len()).map(|_| VivaldiNode::random_start(cfg, rng)).collect();
+        let mut nodes: Vec<VivaldiNode> = members.iter().map(|&m| starts[m].clone()).collect();
+        let mut coincident = 0;
+        if members.len() < 2 {
+            return (nodes, coincident);
+        }
+        for _round in 0..cfg.rounds {
+            for mi in 0..members.len() {
+                for _ in 0..cfg.samples_per_round {
+                    let mj = gossip_partner(rng, mi, members.len());
+                    let rtt =
+                        latency.latency(NodeId(members[mi] as u32), NodeId(members[mj] as u32));
+                    if rtt.is_finite() {
+                        let remote = nodes[mj].clone();
+                        coincident +=
+                            usize::from(euclidean(&nodes[mi].coord, &remote.coord) < 1e-12);
+                        nodes[mi].observe_with(&remote, rtt, cfg, rng);
+                    }
+                }
+            }
+        }
+        (nodes, coincident)
+    }
+
+    /// Both gossips pinned to the reference loop, bit for bit (coord,
+    /// height, error): the full protocol's `embed` on `n` nodes and, for
+    /// `n ≥ 3`, the landmark states of `embed_landmarks_only`. With
+    /// `severed`, one node — a landmark — reads ∞ to every other, so its
+    /// samples are skipped; with `coincident`, all `n` nodes sit on one
+    /// point, so the gossip pulls their coordinates together until the
+    /// coincident-points step fires (asserted whenever two nodes can
+    /// sample each other).
+    fn gossip_matches_reference(
+        seed: u64,
+        n: usize,
+        dims: usize,
+        use_height: bool,
+        severed: bool,
+        coincident: bool,
+    ) -> Result<(), TestCaseError> {
+        let world = if coincident {
+            EuclideanLatency::new(vec![vec![50.0, 50.0]; n])
+        } else {
+            euclidean_world(n, seed)
+        };
+        let k = (n.saturating_sub(1)).min(6);
+        let cfg = VivaldiConfig { dims, use_height, rounds: 40, ..Default::default() };
+        let landmarks = VivaldiConfig { landmarks: Some(k), ..cfg.clone() };
+        let ids = (k >= 2).then(|| landmarks.landmark_ids(n, seed).expect("k < n"));
+        let cut = severed.then(|| NodeId(ids.as_ref().map_or(0, |ids| ids[0]) as u32));
+        let world = Severed { inner: &world, cut };
+
+        let embedded = cfg.embed(&world, seed);
+        let members: Vec<usize> = (0..n).collect();
+        let (reference, steps) = gossip_reading_every_sample(
+            &cfg,
+            &world,
+            &mut derive_rng(seed, GOSSIP_STREAM),
+            &members,
+        );
+        for (v, reference) in reference.iter().enumerate() {
+            let state = VivaldiNode {
+                coord: embedded.coords[v].clone(),
+                height: embedded.heights[v],
+                error: embedded.errors[v],
+            };
+            prop_assert_eq!(bits(&state), bits(reference));
+        }
+        if coincident && n - usize::from(severed) >= 2 {
+            prop_assert!(steps > 0, "no coincident-points step on {n} coincident nodes");
+        }
+
+        if let Some(ids) = ids {
+            let placer = landmarks.embed_landmarks_only(&world, seed);
+            let mut rng = derive_rng(seed, LANDMARK_STREAM);
+            prop_assert_eq!(&draw_landmarks(&mut rng, n, k), &ids);
+            let (reference, _) = gossip_reading_every_sample(&landmarks, &world, &mut rng, &ids);
+            prop_assert_eq!(placer.states.len(), k);
+            for (state, reference) in placer.states.iter().zip(&reference) {
+                prop_assert_eq!(bits(state), bits(reference));
+            }
+        }
+        Ok(())
+    }
+
+    /// Every dimension `validate` accepts gossips through the kernel, on
+    /// one node, two and a few — one of them severed or not, on coincident
+    /// points or spread ones.
+    #[test]
+    fn every_accepted_dimension_gossips_like_the_reference() {
+        for dims in 1..=MAX_DIMS {
+            for n in [1, 2, 7] {
+                for flags in 0u8..8 {
+                    let seed = u64::try_from(dims * 100 + n).unwrap();
+                    gossip_matches_reference(
+                        seed,
+                        n,
+                        dims,
+                        flags & 1 != 0,
+                        flags & 2 != 0,
+                        flags & 4 != 0,
+                    )
+                    .unwrap();
+                }
+            }
+        }
+    }
+
     /// Every dimension `validate` accepts runs through the kernel.
     #[test]
     fn every_accepted_dimension_places_like_the_reference() {
@@ -1297,6 +1411,17 @@ mod tests {
             (seed, batch, dims, flags) in (0u64..u64::MAX, 1usize..10, 1usize..11, 0u8..8)
         ) {
             batch_matches_reference(seed, batch, dims, flags & 1 != 0, flags & 2 != 0, flags & 4 != 0)?;
+        }
+
+        /// The gossip kernel is the reference loop, bit for bit (coord,
+        /// height, error), in `embed` and in `embed_landmarks_only`:
+        /// 1–12 nodes × `dims` 1–10 × height model on/off × one severed
+        /// node × coincident points.
+        #[test]
+        fn gossip_equals_reference_loop(
+            (seed, n, dims, flags) in (0u64..u64::MAX, 1usize..13, 1usize..11, 0u8..8)
+        ) {
+            gossip_matches_reference(seed, n, dims, flags & 1 != 0, flags & 2 != 0, flags & 4 != 0)?;
         }
 
         /// Batch and one-lane kernels are the read-per-sample loop, bit for bit (coord,

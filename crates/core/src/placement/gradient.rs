@@ -1,5 +1,5 @@
 //! Gradient-descent virtual placement on the *linear* network-usage
-//! objective (Section 3.2 mentions "a gradient descent [18] within the cost
+//! objective (Section 3.2 mentions "a gradient descent \[18\] within the cost
 //! space" as another placement option).
 //!
 //! Relaxation minimizes the smooth spring proxy `Σ rate·d²`; this placer

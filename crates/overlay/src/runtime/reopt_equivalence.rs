@@ -6,7 +6,7 @@
 //! every migration, every usage figure — a run with skipping enabled must be
 //! bit-identical to one that evaluates every circuit at every pass. These
 //! properties pin that contract across random topologies, churn and jitter
-//! schedules, both latency backends, all three mapper backends, reuse on/off,
+//! schedules, all three mapper backends, reuse on/off,
 //! mid-run node failures, and 3 or 16 live circuits — with 16, a churn
 //! tick's batch of touches is tested against many surviving clean records.
 //!
@@ -29,8 +29,7 @@ use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
 use sbon_netsim::topology::Topology;
 
 use crate::{
-    DeploymentModel, JitterModel, LatencyBackend, MapperBackend, OverlayRuntime, RunReport,
-    RuntimeConfig,
+    DeploymentModel, JitterModel, MapperBackend, OverlayRuntime, RunReport, RuntimeConfig,
 };
 
 /// One randomly drawn run scenario. Everything that shapes the simulation is
@@ -39,7 +38,8 @@ use crate::{
 struct Scenario {
     seed: u64,
     nodes: usize,
-    /// Selects (latency backend, mapper backend) out of the 2×3 grid.
+    /// Selects the mapper backend: DHT catalog, oracle scan or routed
+    /// catalog.
     backend: u8,
     sparse_churn: bool,
     jitter: bool,
@@ -79,7 +79,7 @@ impl Scenario {
     /// Catalog-backed mapper (not the oracle scan, whose every cost-point
     /// change touches the whole space, so no clean record survives a tick).
     fn catalog_mapper(&self) -> bool {
-        !matches!(self.backend, 1 | 3)
+        self.backend != 1
     }
 }
 
@@ -112,14 +112,10 @@ fn run_once(
     threads: usize,
     memo: bool,
 ) -> (RunReport, Option<LazyLatencyStats>, usize, u64) {
-    let routed = MapperBackend::Routed { bits: 12, scan_width: 8, proto: ProtoConfig::default() };
-    let (latency, mapper) = match s.backend {
-        0 => (LatencyBackend::Dense, MapperBackend::Dht { bits: 12, scan_width: 8 }),
-        1 => (LatencyBackend::Dense, MapperBackend::Oracle),
-        2 => (LatencyBackend::Lazy, MapperBackend::Dht { bits: 12, scan_width: 8 }),
-        3 => (LatencyBackend::Lazy, MapperBackend::Oracle),
-        4 => (LatencyBackend::Dense, routed),
-        _ => (LatencyBackend::Lazy, routed),
+    let mapper = match s.backend {
+        0 => MapperBackend::Dht { bits: 12, scan_width: 8 },
+        1 => MapperBackend::Oracle,
+        _ => MapperBackend::Routed { bits: 12, scan_width: 8, proto: ProtoConfig::default() },
     };
     // Kept light on purpose: heavy churn dirties every circuit every tick
     // and the skip path never fires. At ~2 touched nodes per tick a good
@@ -145,7 +141,6 @@ fn run_once(
         .full_reopt_interval_ms(4_000.0)
         .churn(churn)
         .latency_jitter(jitter)
-        .latency_backend(latency)
         .mapper_backend(mapper)
         .reuse(reuse)
         .threads(threads);
@@ -208,7 +203,7 @@ proptest! {
     /// run must actually skip, so the equivalence cannot hold vacuously.
     #[test]
     fn incremental_reopt_equals_full_scan(
-        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..64)
+        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..3, 0u8..64)
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);
@@ -230,7 +225,7 @@ proptest! {
     /// the report or in the latency store.
     #[test]
     fn parallel_reopt_equals_serial(
-        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..64)
+        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..3, 0u8..64)
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);
@@ -252,7 +247,7 @@ proptest! {
     /// memos forget every tick — it must have read something back.
     #[test]
     fn memo_reopt_equals_recomputing(
-        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..128)
+        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..3, 0u8..128)
     ) {
         let s = Scenario { eager_replace: flags & 64 != 0, ..Scenario::decode(seed, nodes, backend, flags) };
         let topo = topology(&s);

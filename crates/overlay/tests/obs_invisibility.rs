@@ -4,7 +4,7 @@
 //! and its flight-recorder ring) may *watch* the control plane but never
 //! *steer* it. An instrumented run — every event formatted into the ring —
 //! must produce the bit-identical [`RunReport`] to an uninstrumented run of
-//! the same scenario, across every latency backend × mapper backend pair,
+//! the same scenario, across every mapper backend,
 //! and the thread count must show up in neither the report nor the trace.
 //!
 //! These properties draw random scenarios (topology, churn, jitter,
@@ -26,16 +26,15 @@ use sbon_netsim::load::ChurnProcess;
 use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
 use sbon_netsim::topology::Topology;
 use sbon_obs::{check_trace, ObsConfig};
-use sbon_overlay::{
-    JitterModel, LatencyBackend, MapperBackend, OverlayRuntime, RunReport, RuntimeConfig,
-};
+use sbon_overlay::{JitterModel, MapperBackend, OverlayRuntime, RunReport, RuntimeConfig};
 
 /// One randomly drawn run scenario (see `reopt_equivalence.rs`).
 #[derive(Clone, Debug)]
 struct Scenario {
     seed: u64,
     nodes: usize,
-    /// Selects (latency backend, mapper backend) out of the 2×3 grid.
+    /// Selects the mapper backend: DHT catalog, oracle scan or routed
+    /// catalog.
     backend: u8,
     sparse_churn: bool,
     jitter: bool,
@@ -56,14 +55,12 @@ impl Scenario {
         }
     }
 
-    fn backends(&self) -> (LatencyBackend, MapperBackend) {
-        let mapper = match self.backend % 3 {
+    fn mapper(&self) -> MapperBackend {
+        match self.backend {
             0 => MapperBackend::Dht { bits: 12, scan_width: 8 },
             1 => MapperBackend::Oracle,
             _ => MapperBackend::Routed { bits: 12, scan_width: 8, proto: ProtoConfig::default() },
-        };
-        let latency = if self.backend < 3 { LatencyBackend::Dense } else { LatencyBackend::Lazy };
-        (latency, mapper)
+        }
     }
 }
 
@@ -87,7 +84,6 @@ fn run_once(
     threads: usize,
     obs: ObsConfig,
 ) -> (RunReport, Option<u64>) {
-    let (latency, mapper) = s.backends();
     let churn = if s.sparse_churn {
         ChurnProcess::SparseWalk { nodes_per_tick: 2, std_dev: 0.08 }
     } else {
@@ -107,8 +103,7 @@ fn run_once(
         .full_reopt_interval_ms(4_000.0)
         .churn(churn)
         .latency_jitter(jitter)
-        .latency_backend(latency)
-        .mapper_backend(mapper)
+        .mapper_backend(s.mapper())
         .reuse(reuse)
         .threads(threads)
         .obs(obs)
@@ -136,7 +131,7 @@ proptest! {
     /// report is bit-identical to the uninstrumented run's.
     #[test]
     fn instrumented_run_is_bit_identical_to_uninstrumented(
-        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..16)
+        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..3, 0u8..16)
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);
@@ -159,7 +154,7 @@ proptest! {
     /// only from serial orchestration paths).
     #[test]
     fn traced_run_is_thread_count_invariant(
-        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..16)
+        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..3, 0u8..16)
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);
@@ -177,7 +172,7 @@ fn jsonl_trace_bytes_are_identical_across_thread_counts() {
     let s = Scenario {
         seed: 0x000b_171d,
         nodes: 90,
-        backend: 5, // Lazy × Routed: the most instrumentation sites
+        backend: 2, // Routed: the most instrumentation sites
         sparse_churn: true,
         jitter: true,
         failure: true,

@@ -1278,13 +1278,12 @@ mod tests {
         let stats = routed.stats().clone();
         assert_eq!(stats.lookups, 60);
         assert_eq!(stats.hop_histogram().iter().sum::<u64>(), 60);
-        assert_eq!(stats.latency_ms.samples().len(), 60);
+        let sorted = stats.latency_ms.sorted();
+        assert_eq!(sorted.len(), 60);
         let p50 = stats.p50_latency_ms().unwrap();
         let p99 = stats.p99_latency_ms().unwrap();
         assert!(p50 <= p99, "p50 {p50} must not exceed p99 {p99}");
         assert!(stats.mean_hops() > 0.0);
-        let mut sorted = stats.latency_ms.samples().to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
         assert_eq!(stats.latency_percentile_ms(1.0), sorted.last().copied());
     }
 

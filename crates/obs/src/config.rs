@@ -10,8 +10,8 @@ use std::path::PathBuf;
 use crate::trace::Tracer;
 
 /// Top-level observability switchboard. `Default` is everything off: no
-/// tracer, and the metrics registry alone (which the runtime keeps
-/// regardless, as the backing store of its stats views).
+/// tracer. The runtime's stats structs are counted regardless; nothing
+/// here configures them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Write the trace as JSON lines to this file (truncated at open).

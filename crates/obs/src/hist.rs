@@ -5,25 +5,20 @@
 //! percentile conventions: `sbon_netsim::metrics` interpolated linearly
 //! between order statistics, `sbon_dht`'s routed stats used nearest-rank,
 //! and the hop histogram was a hand-resized `Vec<u64>`. [`Histogram`]
-//! subsumes all three — it keeps the exact sample sequence (so *both*
-//! quantile conventions stay available, bit-for-bit), plus optional fixed
-//! bucket counts for cheap shape summaries that diff across snapshots.
+//! subsumes the routed two — it keeps the exact sample sequence, so its
+//! nearest-rank quantiles and per-value counts are bit-for-bit the old
+//! ones — and [`interpolated_sorted`] is the interpolating convention,
+//! over a slice the caller already sorted.
 
-/// A recording histogram: exact samples plus optional fixed buckets.
+/// A recording histogram: the exact samples and their running sum.
 ///
-/// Samples are stored in record order; nothing is lost to bucketing, so
-/// quantiles are exact. `record` rejects NaN by assertion — every
-/// distribution in this workspace is of finite simulated quantities, and a
-/// NaN reaching a sort comparator is the PR 2 bug class the lint exists
-/// for. All internal ordering uses `total_cmp`.
+/// Samples are stored in record order, so quantiles are exact. `record`
+/// rejects NaN by assertion — every distribution in this workspace is of
+/// finite simulated quantities, and a NaN reaching a sort comparator is the
+/// PR 2 bug class the lint exists for. All internal ordering uses
+/// `total_cmp`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Histogram {
-    /// Upper bounds (inclusive) of the fixed buckets, strictly increasing;
-    /// one overflow bucket past the last bound. Empty = no fixed buckets.
-    bounds: Vec<f64>,
-    /// `counts[i]` = samples `v` with `v <= bounds[i]` (first matching
-    /// bucket); `counts[bounds.len()]` is the overflow bucket.
-    counts: Vec<u64>,
     /// Every recorded sample, in record order.
     samples: Vec<f64>,
     /// Running sum, accumulated in record order (deterministic on the
@@ -32,75 +27,16 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A histogram with no fixed buckets (exact samples only).
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    /// A histogram with fixed buckets at the given inclusive upper bounds.
-    /// Bounds must be finite and strictly increasing; an overflow bucket is
-    /// added automatically.
-    pub fn with_bounds(bounds: Vec<f64>) -> Histogram {
-        assert!(bounds.iter().all(|b| b.is_finite()), "bucket bounds must be finite");
-        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bucket bounds must be increasing");
-        let counts = vec![0; bounds.len() + 1];
-        Histogram { bounds, counts, samples: Vec::new(), sum: 0.0 }
-    }
-
     /// Records one sample. Panics on NaN.
     pub fn record(&mut self, v: f64) {
         assert!(!v.is_nan(), "NaN sample");
-        if !self.bounds.is_empty() {
-            let b = self.bounds.partition_point(|&ub| ub < v);
-            self.counts[b] += 1;
-        }
         self.samples.push(v);
         self.sum += v;
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.samples.len() as u64
     }
 
     /// Sum of all samples (0 when empty).
     pub fn sum(&self) -> f64 {
         self.sum
-    }
-
-    /// Arithmetic mean (0 when empty, matching the conventions of the
-    /// summaries this type replaced).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.sum / self.samples.len() as f64
-    }
-
-    /// Smallest sample, `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::min)
-    }
-
-    /// Largest sample, `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::max)
-    }
-
-    /// The exact samples, in record order.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Fixed-bucket upper bounds (empty when none were configured).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Fixed-bucket counts (`bounds().len() + 1` entries, last = overflow;
-    /// empty when no buckets were configured).
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
     }
 
     /// The samples sorted ascending under `total_cmp`.
@@ -123,14 +59,6 @@ impl Histogram {
         Some(sorted[rank.min(sorted.len()) - 1])
     }
 
-    /// Linearly interpolated quantile (`q` in `[0, 1]`, asserted): the
-    /// convention `sbon_netsim::metrics::percentile` always used. Returns
-    /// 0 when empty (matching the all-zero empty `Summary`).
-    pub fn quantile_interpolated(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q));
-        interpolated_sorted(&self.sorted(), q)
-    }
-
     /// Per-integer-value counts: `v[i]` = samples equal to `i` after
     /// truncation. This reproduces the hop histogram the routed stats used
     /// to hand-maintain (`hop_histogram[h]` = lookups that took `h` round
@@ -147,22 +75,12 @@ impl Histogram {
         }
         counts
     }
-
-    /// Folds another histogram's samples into this one, in the other's
-    /// record order (bucket layouts need not match; this histogram's
-    /// buckets are applied to the incoming samples).
-    pub fn merge(&mut self, other: &Histogram) {
-        for &s in &other.samples {
-            self.record(s);
-        }
-    }
 }
 
 /// Linearly interpolated percentile of an already-sorted slice (`q` in
-/// `[0, 1]`, asserted). Empty input yields 0; a singleton yields itself.
-/// This free function is the shared core `sbon_netsim::metrics` delegates
-/// to — kept public so call sites that already hold a sorted slice skip
-/// the copy.
+/// `[0, 1]`, asserted): the convention `sbon_netsim::metrics::percentile`
+/// always used, and the function it delegates to. Empty input yields 0
+/// (matching the all-zero empty `Summary`); a singleton yields itself.
 pub fn interpolated_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q));
     if sorted.is_empty() {
@@ -184,17 +102,16 @@ mod tests {
 
     #[test]
     fn empty_histogram_conventions() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
+        let h = Histogram::default();
+        assert_eq!(h.sum(), 0.0);
         assert_eq!(h.quantile_nearest_rank(0.5), None);
-        assert_eq!(h.quantile_interpolated(0.5), 0.0);
+        assert_eq!(interpolated_sorted(&h.sorted(), 0.5), 0.0);
         assert!(h.unit_counts().is_empty());
     }
 
     #[test]
     fn nearest_rank_extremes() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         for v in [3.0, 1.0, 2.0] {
             h.record(v);
         }
@@ -205,24 +122,12 @@ mod tests {
 
     #[test]
     fn interpolated_matches_midpoint() {
-        let mut h = Histogram::new();
-        h.record(0.0);
-        h.record(10.0);
-        assert_eq!(h.quantile_interpolated(0.5), 5.0);
-    }
-
-    #[test]
-    fn fixed_buckets_count_inclusively_with_overflow() {
-        let mut h = Histogram::with_bounds(vec![1.0, 2.0]);
-        for v in [0.5, 1.0, 1.5, 2.0, 9.0] {
-            h.record(v);
-        }
-        assert_eq!(h.bucket_counts(), &[2, 2, 1]);
+        assert_eq!(interpolated_sorted(&[0.0, 10.0], 0.5), 5.0);
     }
 
     #[test]
     fn unit_counts_reproduce_hand_rolled_hop_histogram() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         let mut hand = Vec::<u64>::new();
         for hops in [0u32, 3, 1, 3, 3] {
             h.record(hops as f64);
@@ -236,19 +141,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_concatenates_in_record_order() {
-        let mut a = Histogram::new();
-        a.record(1.0);
-        let mut b = Histogram::new();
-        b.record(2.0);
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.samples(), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "NaN")]
     fn record_rejects_nan() {
-        Histogram::new().record(f64::NAN);
+        Histogram::default().record(f64::NAN);
     }
 }

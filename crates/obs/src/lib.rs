@@ -2,15 +2,15 @@
 //!
 //! Every instrumented subsystem in this workspace (churn/refresh,
 //! dirty-driven re-optimization, the routed catalog protocol, the workload
-//! lifecycle) records what it did through this crate: a metrics
-//! [`registry`] of counters/gauges/histograms, and one virtual-time event
-//! stream, the [`trace`]. The [`Tracer`] formats each event once, as the
-//! JSON line [`check_trace`] validates; it writes the line to the trace file
-//! when one is configured and keeps the last few in a ring, the flight
-//! recorder the runtime dumps on panic. ROADMAP items that *consume*
-//! measurements — incremental re-optimization triggered by observed deltas,
-//! utilization/rejection reporting under admission control — build on this
-//! substrate rather than growing more ad-hoc stat structs.
+//! lifecycle) counts what it did in plain fields of its own stats struct
+//! (`ControlPlaneStats`, `QueryLifecycleStats`, `RoutedStats`, …) and
+//! narrates it through this crate's one virtual-time event stream, the
+//! [`trace`]. The [`Tracer`] formats each event once, as the JSON line
+//! [`check_trace`] validates; it writes the line to the trace file when
+//! one is configured and keeps the last few in a ring, the flight recorder
+//! the runtime dumps on panic. Distributions are [`Histogram`]s: exact
+//! samples, nearest-rank quantiles; [`hist::interpolated_sorted`] is the
+//! interpolating convention.
 //!
 //! # The two contracts
 //!
@@ -35,15 +35,11 @@
 pub mod check;
 pub mod config;
 pub mod hist;
-pub mod registry;
 pub mod trace;
 pub mod walltime;
 
 pub use check::check_trace;
 pub use config::ObsConfig;
 pub use hist::Histogram;
-pub use registry::{
-    CounterId, GaugeId, HistId, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-};
 pub use trace::{FieldValue, SpanId, Tracer};
 pub use walltime::WallTimer;

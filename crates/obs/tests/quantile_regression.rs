@@ -3,14 +3,16 @@
 //! Three call sites used to carry private percentile/histogram code:
 //! `sbon_netsim::metrics` (linear interpolation), `sbon_dht`'s routed
 //! stats (nearest-rank latency percentiles), and the routed hop histogram
-//! (a hand-resized `Vec<u64>`). All three now delegate to
-//! [`sbon_obs::Histogram`]; this test keeps **verbatim copies of the old
-//! implementations** and asserts the unified type reproduces their outputs
-//! bit-for-bit on the kinds of data the old call sites fed them —
-//! including ties, duplicates, singletons, and adversarial quantiles.
+//! (a hand-resized `Vec<u64>`). All three now delegate to `sbon_obs::hist`
+//! ([`interpolated_sorted`], [`Histogram`]); this test keeps **verbatim
+//! copies of the old implementations** and asserts the live code
+//! reproduces their outputs bit-for-bit on the kinds of data the old call
+//! sites fed them — including ties, duplicates, singletons, and
+//! adversarial quantiles.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sbon_obs::hist::interpolated_sorted;
 use sbon_obs::Histogram;
 
 /// Verbatim copy of the pre-unification
@@ -76,15 +78,11 @@ const QS: [f64; 9] = [0.0, 0.01, 0.25, 0.50, 0.90, 0.99, 0.999, 1.0, 0.5000001];
 #[test]
 fn interpolated_quantiles_match_the_old_netsim_percentile() {
     for data in latency_like_datasets() {
-        let mut h = Histogram::new();
         let mut sorted = data.clone();
         sorted.sort_by(|a, b| a.total_cmp(b));
-        for &v in &data {
-            h.record(v);
-        }
         for q in QS {
             let old = old_percentile_sorted(&sorted, q);
-            let new = h.quantile_interpolated(q);
+            let new = interpolated_sorted(&sorted, q);
             assert_eq!(old.to_bits(), new.to_bits(), "q={q} on n={}", data.len());
         }
     }
@@ -93,7 +91,7 @@ fn interpolated_quantiles_match_the_old_netsim_percentile() {
 #[test]
 fn nearest_rank_quantiles_match_the_old_routed_percentile() {
     for data in latency_like_datasets() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         for &v in &data {
             h.record(v);
         }
@@ -113,7 +111,7 @@ fn unit_counts_match_the_old_hop_histogram() {
     let mut rng = StdRng::seed_from_u64(0x409);
     for n in [0usize, 1, 5, 64, 512] {
         let hops: Vec<u32> = (0..n).map(|_| rng.gen_range(0..14)).collect();
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         for &hop in &hops {
             h.record(hop as f64);
         }

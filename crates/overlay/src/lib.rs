@@ -51,7 +51,7 @@ pub use runtime::{
     CircuitHandle, ControlPlaneStats, DeploymentModel, JitterModel, LatencyBackend, MapperBackend,
     OverlayRuntime, QueryLifecycleStats, RunSession, RuntimeConfig, RuntimeConfigBuilder,
 };
-// Observability wiring: re-exported so drivers can configure tracing and
-// read snapshots without naming `sbon_obs` directly.
-pub use sbon_obs::{MetricsSnapshot, ObsConfig};
+// Observability wiring: re-exported so drivers can configure tracing
+// without naming `sbon_obs` directly.
+pub use sbon_obs::ObsConfig;
 pub use traffic::LinkTraffic;

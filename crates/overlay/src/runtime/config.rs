@@ -374,11 +374,10 @@ impl RuntimeConfigBuilder {
 
     /// Sets the observability configuration: a virtual-time JSONL trace
     /// file, the flight-recorder ring of its last lines, or both (see
-    /// [`sbon_obs::ObsConfig`]). Defaults to
-    /// everything off — the metrics registry backing the stats views runs
-    /// regardless. Instrumentation is **bit-invisible**: an instrumented
-    /// run's [`RunReport`](crate::RunReport) is identical to an
-    /// uninstrumented one.
+    /// [`sbon_obs::ObsConfig`]). Defaults to everything off — the stats
+    /// are counted regardless. Instrumentation is **bit-invisible**: an
+    /// instrumented run's [`RunReport`](crate::RunReport) is identical to
+    /// an uninstrumented one.
     pub fn obs(mut self, v: ObsConfig) -> Self {
         self.config.obs = v;
         self

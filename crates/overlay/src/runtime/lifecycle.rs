@@ -199,7 +199,7 @@ impl OverlayRuntime {
             r.billed = Some(Billed { usage, epoch });
             reread += 1;
         }
-        self.obs.registry.inc(self.obs.h.usage_rereads, reread);
+        self.obs.cp.usage_rereads += reread;
         (self.instantaneous_usage(), reread)
     }
 
@@ -287,15 +287,15 @@ impl OverlayRuntime {
             self.mapper.as_dyn_mut(),
             self.latency.provider(),
         );
-        let h = &self.obs.h;
-        self.obs.registry.gauge_add(h.marginal_usage, placed.cost.network_usage);
-        self.obs.registry.gauge_add(h.standalone_usage, standalone.network_usage);
+        let life = &mut self.obs.lifecycle;
+        life.marginal_usage += placed.cost.network_usage;
+        life.standalone_usage += standalone.network_usage;
         if let Some(mq) = &mut self.multiquery {
             mq.register(handle.id(), &placed, &self.space);
             if !placed.reused.is_empty() {
-                self.obs.registry.inc(h.reuse_hits, 1);
+                life.reuse_hits += 1;
             }
-            self.obs.registry.inc(h.reused_services, placed.reused.len() as u64);
+            life.reused_services += placed.reused.len();
         }
         // Tenancy pin: a subscribed instance is load-bearing for its new
         // tenant, so its owner must stop migrating it.
@@ -308,7 +308,7 @@ impl OverlayRuntime {
             }
         }
         self.next_handle += 1;
-        self.obs.registry.inc(self.obs.h.arrivals, 1);
+        self.obs.lifecycle.arrivals += 1;
         // `measured` summed the same products over the same links in the
         // same order: the circuit's usage is billed as of now.
         let billed = Some(Billed { usage: placed.cost.network_usage, epoch: self.latency.epoch() });
@@ -333,7 +333,7 @@ impl OverlayRuntime {
         let Some(d) = self.circuits.remove(&handle).map(|boxed| *boxed) else {
             return false;
         };
-        self.obs.registry.inc(self.obs.h.departures, 1);
+        self.obs.lifecycle.departures += 1;
         self.obs.point("undeploy", || vec![("handle", handle.0.into())]);
         self.relevance.remove(handle.id().0);
         if let Some(mq) = &mut self.multiquery {

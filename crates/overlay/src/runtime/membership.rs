@@ -178,8 +178,8 @@ impl OverlayRuntime {
         }
         let wiped = self.relevance.touch(touches);
         let joined = joiners.len();
-        self.obs.registry.inc(self.obs.h.nodes_joined, joined as u64);
-        self.obs.registry.inc(self.obs.h.join_ns, t_join.elapsed_ns());
+        self.obs.cp.nodes_joined += joined;
+        self.obs.cp.join_ns += u128::from(t_join.elapsed_ns());
         if joined > 0 {
             self.obs
                 .point("join.admit", || vec![("joined", joined.into()), ("wiped", wiped.into())]);
@@ -196,10 +196,9 @@ impl OverlayRuntime {
         // Timing starts after the churn simulation itself: refresh_ns bills
         // only the control plane's reaction (point refresh + mapper sync).
         let t0 = WallTimer::start();
-        self.obs.registry.inc(self.obs.h.ticks, 1);
-        self.obs.registry.inc(self.obs.h.dirty_nodes, dirty.len() as u64);
-        self.obs.registry.observe(self.obs.h.dirty_per_tick, dirty.len() as f64);
-        let (mut refreshed, mut updated) = (0usize, 0u64);
+        self.obs.cp.ticks += 1;
+        self.obs.cp.dirty_nodes += dirty.len();
+        let (mut refreshed, mut updated) = (0usize, 0usize);
         let mut touches = Touches::default();
         for node in dirty {
             // Dead nodes must not be re-registered with the mapper — their
@@ -221,8 +220,8 @@ impl OverlayRuntime {
             }
         }
         let wiped = self.relevance.touch(touches);
-        self.obs.registry.inc(self.obs.h.points_updated, updated);
-        self.obs.registry.inc(self.obs.h.refresh_ns, t0.elapsed_ns());
+        self.obs.cp.points_updated += updated;
+        self.obs.cp.refresh_ns += u128::from(t0.elapsed_ns());
         self.obs.point("churn.refresh", || {
             vec![("dirty", refreshed.into()), ("updated", updated.into()), ("wiped", wiped.into())]
         });

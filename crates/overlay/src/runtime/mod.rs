@@ -42,7 +42,7 @@
 //! * `mod.rs` — [`OverlayRuntime`], `new` (a composition of the owners
 //!   below), the session API, `handle_event`, `Drop`.
 //! * `config` — the backend / bring-up enums, [`RuntimeConfig`], its builder.
-//! * `stats` — the stats structs and `RuntimeObs` (registry, tracer).
+//! * `stats` — the stats structs and `RuntimeObs` (the stats, the tracer).
 //! * `latency` — `LatencyState`: the one latency store, the jitter draw
 //!   and the epoch it bumps (the graph and the step are `LazyLatency`'s).
 //! * `mapper` — `MapperState`: read view, charge-back, routed settle.
@@ -160,8 +160,8 @@ pub struct OverlayRuntime {
     /// Dirty tracking for re-optimization: which circuits each adaptation
     /// pass may skip, and which control-plane deltas invalidate them.
     relevance: RelevanceIndex,
-    /// Observability: the metrics registry behind the control-plane and
-    /// lifecycle stats views, plus the optional tracer.
+    /// Observability: the control-plane and lifecycle stats, plus the
+    /// optional tracer.
     obs: RuntimeObs,
     /// `alive[node]` — failed nodes host nothing and map to nothing.
     alive: Vec<bool>,
@@ -317,7 +317,7 @@ impl OverlayRuntime {
     /// report.
     pub fn finish_run(&mut self, session: RunSession) -> RunReport {
         let mut report = session.report;
-        let lifecycle = self.lifecycle_stats();
+        let lifecycle = &self.obs.lifecycle;
         report.arrivals = lifecycle.arrivals;
         report.departures = lifecycle.departures;
         report.reuse_hits = lifecycle.reuse_hits;
@@ -345,13 +345,13 @@ impl OverlayRuntime {
                 // latencies. (A failure's settle bills to `evac_ns`.)
                 let t_settle = WallTimer::start();
                 self.mapper.settle(now, &self.latency, &mut self.obs);
-                self.obs.registry.inc(self.obs.h.settle_ns, t_settle.elapsed_ns());
+                self.obs.cp.settle_ns += u128::from(t_settle.elapsed_ns());
                 // Accrue usage over the elapsed tick (usage·seconds). Only
                 // entries whose stored usage a writer cleared or a jitter
                 // batch outdated are re-read, billed to `usage_ns`.
                 let t_usage = WallTimer::start();
                 let (usage, reread) = self.bill_usage();
-                self.obs.registry.inc(self.obs.h.usage_ns, t_usage.elapsed_ns());
+                self.obs.cp.usage_ns += u128::from(t_usage.elapsed_ns());
                 let active = self.circuits.len();
                 self.obs.span_end(sp, || {
                     vec![
@@ -382,7 +382,7 @@ impl OverlayRuntime {
                 // Evacuation lookups ran through the live mapper: replay
                 // them as routed traffic at the failure time.
                 self.mapper.settle(now, &self.latency, &mut self.obs);
-                self.obs.registry.inc(self.obs.h.evac_ns, t0.elapsed_ns());
+                self.obs.cp.evac_ns += u128::from(t0.elapsed_ns());
                 self.obs.span_end(sp, || vec![("evacuated", evacuated.into())]);
                 // Evacuations are migrations: charge the same penalty.
                 s.report.migrations += evacuated;

@@ -104,7 +104,7 @@ impl OverlayRuntime {
     fn dirty_circuits(&mut self, kind: ReoptKind, skip_entangled: bool) -> Vec<CircuitHandle> {
         let tenancy = self.multiquery.as_ref().filter(|_| skip_entangled);
         let mut eval = Vec::new();
-        let mut skipped = 0u64;
+        let mut skipped = 0;
         for (&handle, d) in &self.circuits {
             if tenancy.is_some_and(|mq| Self::is_entangled(mq, handle.id(), d)) {
                 continue;
@@ -115,8 +115,8 @@ impl OverlayRuntime {
             }
             eval.push(handle);
         }
-        self.obs.registry.inc(self.obs.h.reopt_skipped, skipped);
-        self.obs.registry.inc(self.obs.h.reopt_evaluated, eval.len() as u64);
+        self.obs.cp.reopt_skipped += skipped;
+        self.obs.cp.reopt_evaluated += eval.len();
         eval
     }
 
@@ -168,11 +168,11 @@ impl OverlayRuntime {
     /// about hosts and registrations), and the relevance verdict — dirty on
     /// change, else a clean record with the evaluation's observed read set.
     pub(super) fn reopt_pass(&mut self, s: &mut RunSession, now: SimTime, kind: ReoptKind) {
-        let (c, h) = (&self.config, &self.obs.h);
-        let (span, wall_ns, interval, migrates) = match kind {
-            ReoptKind::Local => ("reopt.local", h.local_reopt_ns, c.reopt_interval_ms, true),
-            ReoptKind::Rewrite => ("reopt.rewrite", h.rewrite_ns, c.rewrite_interval_ms, false),
-            ReoptKind::Full => ("reopt.full", h.full_reopt_ns, c.full_reopt_interval_ms, false),
+        let c = &self.config;
+        let (span, interval, migrates) = match kind {
+            ReoptKind::Local => ("reopt.local", c.reopt_interval_ms, true),
+            ReoptKind::Rewrite => ("reopt.rewrite", c.rewrite_interval_ms, false),
+            ReoptKind::Full => ("reopt.full", c.full_reopt_interval_ms, false),
         };
         let (changes, penalty) = if migrates {
             ("migrations", c.migration_penalty)
@@ -275,11 +275,17 @@ impl OverlayRuntime {
             }
             self.relevance.mark_dirty(id.0);
         }
-        self.obs.registry.inc(wall_ns, t0.elapsed_ns());
-        self.obs.registry.inc(self.obs.h.candidates_pruned, pruned as u64);
-        self.obs.registry.inc(self.obs.h.memo_hits, memo_hits as u64);
+        let cp = &mut self.obs.cp;
+        let wall_ns = match kind {
+            ReoptKind::Local => &mut cp.local_reopt_ns,
+            ReoptKind::Rewrite => &mut cp.rewrite_ns,
+            ReoptKind::Full => &mut cp.full_reopt_ns,
+        };
+        *wall_ns += u128::from(t0.elapsed_ns());
+        cp.candidates_pruned += pruned;
+        cp.memo_hits += memo_hits as u64;
         let (evaluated, built) = (eval.len(), lists.built());
-        self.obs.registry.inc(self.obs.h.candidate_lists, built as u64);
+        cp.candidate_lists += built as u64;
         self.obs.span_end(sp, || {
             let mut fields = vec![
                 ("evaluated", evaluated.into()),

@@ -1,15 +1,12 @@
-//! Control-plane and lifecycle accounting: the public stats structs, the
-//! registry handles behind them, [`RuntimeObs`] — the runtime's whole
-//! observability state, no method of which takes [`OverlayRuntime`] — and
-//! the stats views.
+//! Control-plane and lifecycle accounting: the public stats structs, which
+//! are the record — the runtime adds to their fields where the work
+//! happens — and [`RuntimeObs`], the runtime's whole observability state,
+//! no method of which takes [`OverlayRuntime`].
 //!
-//! `impl OverlayRuntime` here **reads** `obs`, `mapper` (routed traffic) and
-//! **writes** `obs.tracer` (`finish_trace` only).
+//! `impl OverlayRuntime` here **reads** `obs` and **writes** `obs.tracer`
+//! (`finish_trace` only).
 
-use sbon_obs::{
-    CounterId, FieldValue, GaugeId, HistId, Histogram, HistogramSnapshot, MetricsRegistry,
-    MetricsSnapshot, ObsConfig, SpanId, Tracer,
-};
+use sbon_obs::{FieldValue, ObsConfig, SpanId, Tracer};
 
 use super::OverlayRuntime;
 
@@ -139,52 +136,22 @@ impl std::fmt::Display for ControlPlaneStats {
     }
 }
 
-/// Registry handles for every control-plane and lifecycle counter the
-/// runtime maintains. Resolved once at construction; the hot paths
-/// increment through these (a plain `Vec` index in the registry), so the
-/// migration off ad-hoc struct fields costs nothing measurable.
-pub(super) struct StatHandles {
-    pub(super) ticks: CounterId,
-    pub(super) dirty_nodes: CounterId,
-    pub(super) points_updated: CounterId,
-    pub(super) nodes_joined: CounterId,
-    pub(super) join_ns: CounterId,
-    pub(super) refresh_ns: CounterId,
-    pub(super) local_reopt_ns: CounterId,
-    pub(super) rewrite_ns: CounterId,
-    pub(super) full_reopt_ns: CounterId,
-    pub(super) evac_ns: CounterId,
-    pub(super) settle_ns: CounterId,
-    pub(super) reopt_evaluated: CounterId,
-    pub(super) reopt_skipped: CounterId,
-    pub(super) candidates_pruned: CounterId,
-    pub(super) candidate_lists: CounterId,
-    pub(super) memo_hits: CounterId,
-    pub(super) usage_ns: CounterId,
-    pub(super) usage_rereads: CounterId,
-    pub(super) arrivals: CounterId,
-    pub(super) departures: CounterId,
-    pub(super) reuse_hits: CounterId,
-    pub(super) reused_services: CounterId,
-    pub(super) marginal_usage: GaugeId,
-    pub(super) standalone_usage: GaugeId,
-    pub(super) dirty_per_tick: HistId,
-}
-
-/// The runtime's observability state: the metrics registry backing the
-/// [`ControlPlaneStats`] / [`QueryLifecycleStats`] views, and the optional
-/// virtual-time tracer (a trace file, a flight-recorder ring of its last
-/// lines, or both).
+/// The runtime's observability state: the [`ControlPlaneStats`] and
+/// [`QueryLifecycleStats`] the runtime counts into directly — the record,
+/// read back by copy — and the optional virtual-time tracer (a trace file,
+/// a flight-recorder ring of its last lines, or both).
 ///
 /// **Bit-invisibility contract:** nothing in here feeds back into the
-/// simulation. Counters are written, never read by control flow; spans are
+/// simulation. The stats are written, never read by control flow; spans are
 /// emitted only from the serial orchestration paths with `SimTime`
 /// stamps; the ring is written and dumped, never consulted.
 /// An instrumented run's [`RunReport`](crate::RunReport) is bit-identical to a
 /// bare one.
 pub(super) struct RuntimeObs {
-    pub(super) registry: MetricsRegistry,
-    pub(super) h: StatHandles,
+    pub(super) cp: ControlPlaneStats,
+    /// The usage sums accumulate in call order (deploys are serial), so
+    /// they are bit-deterministic.
+    pub(super) lifecycle: QueryLifecycleStats,
     pub(super) tracer: Option<Tracer>,
     /// Virtual time (ms) of the event currently being processed; deploys
     /// and undeploys between ticks stamp at the last processed event.
@@ -193,39 +160,12 @@ pub(super) struct RuntimeObs {
 
 impl RuntimeObs {
     pub(super) fn new(config: &ObsConfig) -> RuntimeObs {
-        let mut registry = MetricsRegistry::new();
-        let h = StatHandles {
-            ticks: registry.counter("control_plane", "ticks"),
-            dirty_nodes: registry.counter("control_plane", "dirty_nodes"),
-            points_updated: registry.counter("control_plane", "points_updated"),
-            nodes_joined: registry.counter("control_plane", "nodes_joined"),
-            join_ns: registry.counter("control_plane", "join_ns"),
-            refresh_ns: registry.counter("control_plane", "refresh_ns"),
-            local_reopt_ns: registry.counter("control_plane", "local_reopt_ns"),
-            rewrite_ns: registry.counter("control_plane", "rewrite_ns"),
-            full_reopt_ns: registry.counter("control_plane", "full_reopt_ns"),
-            evac_ns: registry.counter("control_plane", "evac_ns"),
-            settle_ns: registry.counter("control_plane", "settle_ns"),
-            reopt_evaluated: registry.counter("control_plane", "reopt_evaluated"),
-            reopt_skipped: registry.counter("control_plane", "reopt_skipped"),
-            candidates_pruned: registry.counter("control_plane", "candidates_pruned"),
-            candidate_lists: registry.counter("control_plane", "candidate_lists"),
-            memo_hits: registry.counter("control_plane", "memo_hits"),
-            usage_ns: registry.counter("control_plane", "usage_ns"),
-            usage_rereads: registry.counter("control_plane", "usage_rereads"),
-            arrivals: registry.counter("lifecycle", "arrivals"),
-            departures: registry.counter("lifecycle", "departures"),
-            reuse_hits: registry.counter("lifecycle", "reuse_hits"),
-            reused_services: registry.counter("lifecycle", "reused_services"),
-            marginal_usage: registry.gauge("lifecycle", "marginal_usage"),
-            standalone_usage: registry.gauge("lifecycle", "standalone_usage"),
-            dirty_per_tick: registry.histogram_with(
-                "control_plane",
-                "dirty_per_tick",
-                Histogram::with_bounds(vec![8.0, 32.0, 128.0, 512.0, 4096.0]),
-            ),
-        };
-        RuntimeObs { registry, h, tracer: config.tracer(), now_ms: 0.0 }
+        RuntimeObs {
+            cp: ControlPlaneStats::default(),
+            lifecycle: QueryLifecycleStats::default(),
+            tracer: config.tracer(),
+            now_ms: 0.0,
+        }
     }
 
     /// Opens a span at the current virtual time. The fields closure runs
@@ -267,67 +207,15 @@ impl RuntimeObs {
 
 impl OverlayRuntime {
     /// Accumulated control-plane accounting (refresh vs mapping vs
-    /// latency-read time), assembled as a view over the metrics registry.
-    /// The routed message traffic is [`OverlayRuntime::routed_stats`].
+    /// latency-read time). The routed message traffic is
+    /// [`OverlayRuntime::routed_stats`].
     pub fn control_plane_stats(&self) -> ControlPlaneStats {
-        let r = &self.obs.registry;
-        let h = &self.obs.h;
-        ControlPlaneStats {
-            ticks: r.counter_value(h.ticks) as usize,
-            dirty_nodes: r.counter_value(h.dirty_nodes) as usize,
-            points_updated: r.counter_value(h.points_updated) as usize,
-            nodes_joined: r.counter_value(h.nodes_joined) as usize,
-            join_ns: u128::from(r.counter_value(h.join_ns)),
-            refresh_ns: u128::from(r.counter_value(h.refresh_ns)),
-            local_reopt_ns: u128::from(r.counter_value(h.local_reopt_ns)),
-            rewrite_ns: u128::from(r.counter_value(h.rewrite_ns)),
-            full_reopt_ns: u128::from(r.counter_value(h.full_reopt_ns)),
-            evac_ns: u128::from(r.counter_value(h.evac_ns)),
-            settle_ns: u128::from(r.counter_value(h.settle_ns)),
-            reopt_evaluated: r.counter_value(h.reopt_evaluated) as usize,
-            reopt_skipped: r.counter_value(h.reopt_skipped) as usize,
-            candidates_pruned: r.counter_value(h.candidates_pruned) as usize,
-            candidate_lists: r.counter_value(h.candidate_lists),
-            memo_hits: r.counter_value(h.memo_hits),
-            usage_ns: u128::from(r.counter_value(h.usage_ns)),
-            usage_rereads: r.counter_value(h.usage_rereads),
-        }
+        self.obs.cp.clone()
     }
 
-    /// Query-lifecycle accounting so far, assembled as a view over the
-    /// metrics registry.
+    /// Query-lifecycle accounting so far.
     pub fn lifecycle_stats(&self) -> QueryLifecycleStats {
-        let r = &self.obs.registry;
-        let h = &self.obs.h;
-        QueryLifecycleStats {
-            arrivals: r.counter_value(h.arrivals) as usize,
-            departures: r.counter_value(h.departures) as usize,
-            reuse_hits: r.counter_value(h.reuse_hits) as usize,
-            reused_services: r.counter_value(h.reused_services) as usize,
-            marginal_usage: r.gauge_value(h.marginal_usage),
-            standalone_usage: r.gauge_value(h.standalone_usage),
-        }
-    }
-
-    /// A point-in-time snapshot of the runtime's metrics registry. Under
-    /// [`MapperBackend::Routed`](super::MapperBackend::Routed) the routed
-    /// traffic counters and the hop/latency histograms are folded in under
-    /// `routed.*` keys. Two snapshots [`MetricsSnapshot::diff`] into a
-    /// per-interval view.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.obs.registry.snapshot();
-        if let Some(rs) = self.routed_stats() {
-            snap.counters.insert("routed.messages".into(), rs.messages);
-            snap.counters.insert("routed.lookups".into(), rs.lookups);
-            snap.counters.insert("routed.registrations".into(), rs.registrations);
-            snap.counters.insert("routed.unregistrations".into(), rs.unregistrations);
-            snap.counters.insert("routed.retries".into(), rs.retries);
-            snap.counters.insert("routed.timeouts".into(), rs.timeouts);
-            snap.histograms.insert("routed.hops".into(), HistogramSnapshot::of(&rs.hops));
-            snap.histograms
-                .insert("routed.latency_ms".into(), HistogramSnapshot::of(&rs.latency_ms));
-        }
-        snap
+        self.obs.lifecycle
     }
 
     /// Trace events emitted so far; `None` when tracing is off.

@@ -950,7 +950,10 @@ fn a_pass_after_a_quiet_one_evaluates_nothing_and_skips_every_circuit() {
 /// ride on those passes' span ends as `pruned` (local passes examine no
 /// candidate plans and carry no such attribute). Likewise for what the
 /// memos spare: `ControlPlaneStats::memo_hits`, and `memo` on every pass
-/// kind's span end.
+/// kind's span end. Every other counter the passes and ticks add to is
+/// checked against the event its own site emits: `evaluated` and `lists`
+/// on the pass span ends, `updated` on the `churn.refresh` points, and one
+/// `tick` span end per tick.
 #[test]
 fn pruned_candidates_are_counted_and_traced() {
     let topo = small_world(41);
@@ -969,33 +972,52 @@ fn pruned_candidates_are_counted_and_traced() {
     );
     rt.deploy(demo_query(&topo)).unwrap();
     rt.run();
-    let pruned = rt.control_plane_stats().candidates_pruned;
-    assert!(pruned > 0, "a 4-way star has join orders no placement can rescue");
-    assert_eq!(rt.metrics_snapshot().counters["control_plane.candidates_pruned"], pruned as u64);
     rt.finish_trace();
     let trace = std::fs::read_to_string(&path).expect("trace written");
     let _ = std::fs::remove_file(&path);
-    let (mut traced, mut memo) = (0, 0);
-    for line in trace.lines().filter(|l| l.contains(r#""ev":"end""#)) {
+    let (mut pruned, mut memo, mut evaluated, mut lists, mut updated, mut ticks) =
+        (0, 0, 0, 0, 0, 0);
+    for line in trace.lines() {
         let field = |name: &str| {
             line.split_once(&format!(r#""{name}":"#)).map(|(_, rest)| {
                 rest.split(|c: char| !c.is_ascii_digit()).next().unwrap().parse::<usize>().unwrap()
             })
         };
+        if line.contains(r#""ev":"point""#) {
+            if line.contains(r#""kind":"churn.refresh""#) {
+                updated += field("updated").expect(line);
+            }
+            continue;
+        }
+        if !line.contains(r#""ev":"end""#) {
+            continue;
+        }
+        ticks += usize::from(line.contains(r#""kind":"tick""#));
         let plan_replacing =
             line.contains(r#""kind":"reopt.rewrite""#) || line.contains(r#""kind":"reopt.full""#);
         assert_eq!(field("pruned").is_some(), plan_replacing, "{line}");
-        traced += field("pruned").unwrap_or(0);
-        // Every pass kind reports the bounds and placements its memos spared.
+        assert_eq!(field("lists").is_some(), plan_replacing, "{line}");
+        pruned += field("pruned").unwrap_or(0);
+        lists += field("lists").unwrap_or(0);
+        // Every pass kind reports the circuits it evaluated and the bounds
+        // and placements its memos spared.
         let reopt = plan_replacing || line.contains(r#""kind":"reopt.local""#);
         assert_eq!(field("memo").is_some(), reopt, "{line}");
+        assert_eq!(field("evaluated").is_some(), reopt, "{line}");
         memo += field("memo").unwrap_or(0);
+        evaluated += field("evaluated").unwrap_or(0);
     }
-    assert_eq!(traced, pruned, "span attributes add up to the counter");
-    let hits = rt.control_plane_stats().memo_hits;
-    assert!(hits > 0, "the passes reread what they remembered");
-    assert_eq!(memo as u64, hits, "span attributes add up to the counter");
-    assert_eq!(rt.metrics_snapshot().counters["control_plane.memo_hits"], hits);
+    let stats = rt.control_plane_stats();
+    assert!(stats.candidates_pruned > 0, "a 4-way star has join orders no placement can rescue");
+    assert!(stats.memo_hits > 0, "the passes reread what they remembered");
+    assert!(stats.ticks > 0 && stats.points_updated > 0 && stats.candidate_lists > 0);
+    // The span attributes add up to the counters.
+    assert_eq!(pruned, stats.candidates_pruned);
+    assert_eq!(memo as u64, stats.memo_hits);
+    assert_eq!(evaluated, stats.reopt_evaluated);
+    assert_eq!(lists as u64, stats.candidate_lists);
+    assert_eq!(updated, stats.points_updated);
+    assert_eq!(ticks, stats.ticks);
 }
 
 /// The flight recorder is the trace's tail: after a traced run, the ring's

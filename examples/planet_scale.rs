@@ -332,8 +332,8 @@ fn run_tier(
     );
 
     // ── Per-tick control-plane breakdown ─────────────────────────────────
-    // Every counter below lives in the runtime's metrics registry; the
-    // stats structs are read-only views that print themselves.
+    // Every counter below is a field the runtime adds to where the work
+    // happens; the stats structs print themselves.
     println!("\n[{} mapper]", rt.mapper_name());
     print!("{}", rt.control_plane_stats());
     if let Some(dht) = rt.dht_stats() {

@@ -28,9 +28,9 @@
 //!   processes (Poisson / flash crowd / diurnal), session-duration
 //!   distributions, Zipf query templates over a stream catalog, and the
 //!   declarative `Scenario` driver.
-//! * [`obs`] — deterministic observability: the metrics registry behind
-//!   every stats view, and one virtual-time event stream — a JSONL trace
-//!   whose last lines a ring keeps as the crash-context flight recorder.
+//! * [`obs`] — deterministic observability: exact-sample histograms and
+//!   one virtual-time event stream — a JSONL trace whose last lines a ring
+//!   keeps as the crash-context flight recorder.
 //!   Bit-invisible by contract: instrumentation never changes a run's
 //!   results.
 //!

@@ -39,8 +39,12 @@
 //!
 //! * **ring** ([`sbon_dht::ring`]) — membership order and the member→key
 //!   index (`DhtRing::key_of`); nothing above re-keeps a key.
-//! * **catalog** ([`CoordinateCatalog`]) — the registered coordinates and
-//!   the traffic statistics; `insert` / `remove` report the keys they moved.
+//! * **catalog** ([`CoordinateCatalog`]) — the registered coordinates, the
+//!   neighbourhood ranking every answer comes from (the routed owner's
+//!   included) and the traffic statistics, which every lookup charges
+//!   through [`CoordinateCatalog::charge_stats`] (`lookup_closest` and
+//!   `k_nearest` at once, a read view's owner later); `insert` / `remove`
+//!   report the keys they moved.
 //! * **routed catalog** ([`RoutedCatalog`]) — last-writer-wins stamps,
 //!   partition state and the message queue, around the catalog it wraps.
 //! * **mapper** (this module) — the [`CostSpace`] → registration sync and
@@ -50,7 +54,7 @@
 //!   when routed traffic settles, and charging a view's deferred traffic
 //!   back ([`CoordinateCatalog::charge_stats`]).
 
-use sbon_dht::catalog::{CatalogStats, CoordinateCatalog, ScanSpan, TracedLookup};
+use sbon_dht::catalog::{CatalogStats, CoordinateCatalog, ScanSpan};
 use sbon_dht::proto::{LinkFn, ProtoConfig, QueryId, RoutedCatalog, RoutedLookup, RoutedStats};
 use sbon_dht::RingKey;
 use sbon_hilbert::{HilbertCurve, Quantizer};
@@ -532,7 +536,9 @@ impl PhysicalMapper for RoutedMapper {
     fn map_point(&mut self, space: &CostSpace, ideal: &CostPoint) -> (NodeId, usize) {
         let _ = space; // coordinates were registered at build/update time
         self.pending_lookups.push(ideal.as_slice().to_vec());
-        lookup_charged(self.routed.catalog_mut(), ideal)
+        let (member, hops) =
+            self.routed.catalog_mut().lookup_closest(ideal.as_slice()).expect(NON_EMPTY);
+        (NodeId(member), hops)
     }
 
     fn name(&self) -> &'static str {
@@ -552,19 +558,8 @@ impl PhysicalMapper for RoutedMapper {
     }
 }
 
-/// The one catalog lookup every catalog-backed answer comes from: the
-/// member closest to `ideal`, with its traffic and scanned span for the
-/// caller to charge or record.
-fn lookup_traced(catalog: &MapperCatalog, ideal: &CostPoint) -> TracedLookup {
-    catalog.lookup_closest_traced(ideal.as_slice()).expect("catalog is non-empty by construction")
-}
-
-/// A live mapper's lookup: [`lookup_traced`], charged to the catalog at once.
-fn lookup_charged(catalog: &mut MapperCatalog, ideal: &CostPoint) -> (NodeId, usize) {
-    let traced = lookup_traced(catalog, ideal);
-    catalog.charge_stats(traced.stats);
-    (NodeId(traced.member), traced.hops)
-}
+/// Why a catalog-backed mapper's lookup always answers.
+const NON_EMPTY: &str = "catalog is non-empty by construction";
 
 /// What a read-only mapping phase observed: the traffic it would have
 /// charged and the region of the catalog it depended on. The owner charges
@@ -652,10 +647,10 @@ impl PhysicalMapper for MapperReadView<'_> {
         if let Some(i) = self.memo_keys.chunks_exact(coords.len()).position(same) {
             return self.memo[i];
         }
-        let traced = lookup_traced(catalog, ideal);
+        let traced = catalog.lookup_closest_traced(coords).expect(NON_EMPTY);
         self.stats.merge(traced.stats);
         self.spans.push(traced.span);
-        let answer = (NodeId(traced.member), traced.hops);
+        let answer = (NodeId(traced.member), traced.stats.hops);
         self.memo_keys.extend(coords.iter().map(|v| v.to_bits()));
         self.memo.push(answer);
         answer
@@ -680,7 +675,8 @@ impl PhysicalMapper for MapperReadView<'_> {
 impl PhysicalMapper for DhtMapper {
     fn map_point(&mut self, space: &CostSpace, ideal: &CostPoint) -> (NodeId, usize) {
         let _ = space; // coordinates were registered at build/update time
-        lookup_charged(&mut self.catalog, ideal)
+        let (member, hops) = self.catalog.lookup_closest(ideal.as_slice()).expect(NON_EMPTY);
+        (NodeId(member), hops)
     }
 
     fn name(&self) -> &'static str {

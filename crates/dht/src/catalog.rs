@@ -13,7 +13,7 @@
 use sbon_hilbert::{Quantizer, SpaceFillingCurve};
 use sbon_netsim::latency::euclidean;
 
-use crate::ring::{DhtConfig, DhtRing, MemberId};
+use crate::ring::{DhtRing, MemberId};
 use crate::RingKey;
 
 /// Running statistics of catalog traffic, so experiments can charge for
@@ -75,11 +75,10 @@ impl ScanSpan {
 pub struct TracedLookup {
     /// The member closest to the target among the scanned neighborhood.
     pub member: MemberId,
-    /// DHT routing hops the lookup took.
-    pub hops: usize,
     /// Ring region the neighborhood scan covered.
     pub span: ScanSpan,
-    /// Traffic to charge via [`CoordinateCatalog::charge_stats`].
+    /// Traffic to charge via [`CoordinateCatalog::charge_stats`]: one
+    /// lookup, its routing hops and the members the scan examined.
     pub stats: CatalogStats,
 }
 
@@ -113,7 +112,7 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
         CoordinateCatalog {
             curve,
             quantizer,
-            ring: DhtRing::new(DhtConfig::default()),
+            ring: DhtRing::default(),
             coords: Vec::new(),
             scan_width,
             stats: CatalogStats::default(),
@@ -146,11 +145,6 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
     /// re-registers or leaves), if registered.
     pub fn registered_key(&self, member: MemberId) -> Option<RingKey> {
         self.ring.key_of(member)
-    }
-
-    /// Neighborhood size examined around a lookup's landing point.
-    pub fn scan_width(&self) -> usize {
-        self.scan_width
     }
 
     /// The ring key a coordinate maps to. Quantizes and encodes on the
@@ -223,7 +217,7 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
     pub fn lookup_closest(&mut self, target: &[f64]) -> Option<(MemberId, usize)> {
         let traced = self.lookup_closest_traced(target)?;
         self.charge_stats(traced.stats);
-        Some((traced.member, traced.hops))
+        Some((traced.member, traced.stats.hops))
     }
 
     /// Read-only [`CoordinateCatalog::lookup_closest`]: the same routing,
@@ -236,22 +230,37 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
         let key = self.key_of(target);
         let start = self.ring.first_key()?;
         let outcome = self.ring.lookup(start, key)?;
-        // One pass over the neighbourhood: its size, its ring radius, and
-        // the first member at the least cost-space distance.
-        let (mut examined, mut radius) = (0, 0);
+        let (member, examined, radius) = self.scan(key, target, |_| true)?;
+        let stats = CatalogStats { lookups: 1, hops: outcome.hops, candidates_examined: examined };
+        let span = ScanSpan { center: key, radius, whole_ring: examined == self.ring.len() };
+        Some(TracedLookup { member, span, stats })
+    }
+
+    /// The ranking every answer comes from, the routed owner's included:
+    /// of the `scan_width` ring neighbours of `key` that `admit` lets
+    /// through, the first at the least `total_cmp` distance to `target`,
+    /// how many were admitted, and their largest ring distance from `key`;
+    /// `None` when none was.
+    pub(crate) fn scan(
+        &self,
+        key: RingKey,
+        target: &[f64],
+        admit: impl Fn(MemberId) -> bool,
+    ) -> Option<(MemberId, usize, RingKey)> {
+        let (mut admitted, mut radius) = (0, 0);
         let mut best: Option<(f64, MemberId)> = None;
         for (k, m) in self.ring.walk_outward(key, self.scan_width) {
-            examined += 1;
+            if !admit(m) {
+                continue;
+            }
+            admitted += 1;
             radius = radius.max(ring_proximity(k, key));
             let d = self.distance_to(m, target);
             if best.is_none_or(|(bd, _)| d.total_cmp(&bd).is_lt()) {
                 best = Some((d, m));
             }
         }
-        let (_, member) = best?;
-        let stats = CatalogStats { lookups: 1, hops: outcome.hops, candidates_examined: examined };
-        let span = ScanSpan { center: key, radius, whole_ring: examined == self.ring.len() };
-        Some(TracedLookup { member, hops: outcome.hops, span, stats })
+        best.map(|(_, m)| (m, admitted, radius))
     }
 
     /// Applies a traffic delta observed by a read-only view (traced lookups
@@ -272,19 +281,16 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
             return Vec::new();
         };
         let key = self.key_of(target);
+        let hops = self.ring.lookup(start, key).map_or(0, |outcome| outcome.hops);
         let scan = (k * 3).max(self.scan_width);
         let mut ranked: Vec<(MemberId, f64)> = self
             .ring
             .walk_outward(key, scan)
             .map(|(_, m)| (m, self.distance_to(m, target)))
             .collect();
-        // Charge one routed lookup plus the scan.
-        if let Some(outcome) = self.ring.lookup(start, key) {
-            self.stats.hops += outcome.hops;
-        }
-        self.stats.lookups += 1;
-        self.stats.candidates_examined += ranked.len();
-
+        // One routed lookup plus the scan, charged as `lookup_closest` is.
+        let candidates_examined = ranked.len();
+        self.charge_stats(CatalogStats { lookups: 1, hops, candidates_examined });
         ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
         ranked.truncate(k);
         ranked
@@ -301,7 +307,7 @@ impl<C: SpaceFillingCurve> CoordinateCatalog<C> {
 
     /// Euclidean distance from a ring member's registered coordinate to
     /// `target` (every ring member registered one: only `insert` joins).
-    pub(crate) fn distance_to(&self, member: MemberId, target: &[f64]) -> f64 {
+    fn distance_to(&self, member: MemberId, target: &[f64]) -> f64 {
         euclidean(self.stored_coord(member), target)
     }
 }
@@ -432,6 +438,33 @@ mod tests {
         assert!(s.candidates_examined >= 2);
     }
 
+    /// Once `scan_width ≥ 3`, `k_nearest(target, 1)` scans exactly
+    /// `lookup_closest`'s neighbourhood (it scans `max(3k, scan_width)`
+    /// members) and charges through the same path: the same member and the
+    /// same `CatalogStats` delta, ties between co-located members included.
+    #[test]
+    fn k_nearest_of_one_is_lookup_closest() {
+        let mut rng = rng_from_seed(15);
+        let mut grid = || f64::from(rng.gen_range(0..8u32)) / 8.0;
+        for scan in 3..=10 {
+            let mut c = unit_catalog(scan);
+            // A coarse grid: co-located members tie on distance and collide
+            // on keys.
+            for m in 0..20 * scan as MemberId {
+                c.insert(m, &[grid(), grid()]);
+            }
+            for trial in 0..60 {
+                let target =
+                    if trial % 2 == 0 { [grid(), grid()] } else { [grid() + 0.03, grid() + 0.07] };
+                let (mut one, mut nearest) = (c.clone(), c.clone());
+                let (m, _) = one.lookup_closest(&target).unwrap();
+                let ranked = nearest.k_nearest(&target, 1);
+                assert_eq!(ranked.iter().map(|&(m, _)| m).collect::<Vec<_>>(), vec![m]);
+                assert_eq!(one.stats(), nearest.stats(), "scan {scan} trial {trial}");
+            }
+        }
+    }
+
     #[test]
     fn works_with_morton_curve_too() {
         let mut c = CoordinateCatalog::new(
@@ -468,7 +501,7 @@ mod tests {
             let traced = c.lookup_closest_traced(&target).unwrap();
             assert_eq!(c.stats(), before, "traced lookup must not mutate stats");
             let (m, hops) = c.lookup_closest(&target).unwrap();
-            assert_eq!((traced.member, traced.hops), (m, hops));
+            assert_eq!((traced.member, traced.stats.hops), (m, hops));
             // The mutable path charges exactly the traced delta.
             let mut expected = before;
             expected.merge(traced.stats);

@@ -11,17 +11,20 @@
 //!
 //! * [`id`] — 128-bit ring-key arithmetic (clockwise distance, interval
 //!   tests).
-//! * [`ring`] — the ring itself: membership, successor/predecessor,
-//!   iterative greedy finger routing with hop accounting, join/leave churn.
+//! * [`ring`] — the ring itself: membership, successor/predecessor, the
+//!   outward neighbourhood walk, iterative greedy finger routing (full
+//!   128-level Chord fingers) with hop accounting, join/leave churn.
 //! * [`catalog`] — the coordinate catalog on top: nodes register their
 //!   cost-space coordinates under their Hilbert key; `lookup_closest`
 //!   resolves a target coordinate to the nearest registered node, and
 //!   `k_nearest` implements the paper's radius search ("use the Hilbert DHT
-//!   to look up the closest n nodes", Section 3.4).
+//!   to look up the closest n nodes", Section 3.4). It owns the one
+//!   neighbourhood ranking and the one path that charges lookup traffic.
 //! * [`proto`] — the message-passing control plane: the same lookups and
 //!   registrations executed as routed `ControlMsg` traffic on the
 //!   simulated underlay, with experienced latency, timeout/retry, and
-//!   partition semantics.
+//!   partition semantics. Owners answer through the catalog's ranking over
+//!   the members they reach: unpartitioned, the omniscient answer.
 
 pub mod catalog;
 pub mod id;

@@ -57,12 +57,15 @@
 //! order along each lookup's own message chain (concurrent lookups never
 //! exchange state, so interleaving cannot change any per-lookup result).
 //! On a quiescent, unpartitioned network the routed answer is *identical*
-//! to the omniscient [`CoordinateCatalog`] answer: both rank the same
-//! `scan_width` ring neighborhood of the target key by true cost-space
-//! distance with first-wins ties. There is one lookup automaton — the
-//! queue-driven one above. Read-only parallel passes do not route at all:
-//! they answer from the catalog through `sbon_core`'s `MapperReadView`,
-//! and only the serial settle points replay lookups as message traffic.
+//! to the omniscient [`CoordinateCatalog`] answer by construction: the
+//! owner answers through the catalog's own neighbourhood ranking (the
+//! crate-internal `CoordinateCatalog::scan`), admitting the members it can
+//! reach — with nobody severed, every member, which is the scan
+//! [`CoordinateCatalog::lookup_closest_traced`] runs. There is one lookup
+//! automaton — the queue-driven one above. Read-only parallel passes do
+//! not route at all: they answer from the catalog through `sbon_core`'s
+//! `MapperReadView`, and only the serial settle points replay lookups as
+//! message traffic.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
@@ -72,7 +75,7 @@ use sbon_obs::Histogram;
 
 use crate::catalog::CoordinateCatalog;
 use crate::id::{in_open_closed, in_open_open};
-use crate::ring::{DhtRing, MemberId};
+use crate::ring::{DhtRing, MemberId, FINGER_BITS, MAX_HOPS};
 use crate::RingKey;
 
 /// Identifier of one in-flight (or completed) routed lookup.
@@ -172,12 +175,13 @@ pub enum LookupStep {
         /// The next hop to contact.
         member: MemberId,
     },
-    /// The hop owns the key and answers from its neighborhood.
+    /// The hop owns the key and answers from its neighborhood, through
+    /// the catalog's ranking.
     Answer {
         /// The registered member closest to the target in cost space
-        /// among the owner's reachable neighborhood.
+        /// among the neighborhood members the owner can reach.
         member: MemberId,
-        /// Neighborhood candidates the owner examined.
+        /// Reachable neighborhood members the owner ranked.
         candidates: u32,
     },
 }
@@ -245,8 +249,9 @@ enum Event {
 /// the querier experienced obtaining it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RoutedLookup {
-    /// The member answered (identical to the omniscient catalog's answer
-    /// on a quiescent, unpartitioned network).
+    /// The member answered: the catalog's neighbourhood ranking over the
+    /// members the owner can reach (so the omniscient catalog's answer on
+    /// a quiescent, unpartitioned network).
     pub member: MemberId,
     /// Completed round trips (0 when the querier owned the key itself).
     pub hops: u32,
@@ -260,7 +265,7 @@ pub struct RoutedLookup {
     /// final answer delivery, including every timeout the querier waited
     /// out.
     pub latency_ms: f64,
-    /// Neighborhood candidates the answering owner examined.
+    /// Reachable neighborhood members the answering owner ranked.
     pub candidates: u32,
 }
 
@@ -566,10 +571,6 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
 
     fn clamp(&self, at: SimTime) -> SimTime {
         SimTime(at.millis().max(self.queue.now().millis()))
-    }
-
-    fn max_hops(&self) -> u32 {
-        (2 * self.catalog.ring().finger_bits()).max(8)
     }
 
     /// Issues a routed lookup of `target` from `origin` at simulated time
@@ -908,7 +909,7 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
         p: &PendingLookup,
         hint: Option<(RingKey, MemberId)>,
     ) -> Option<(RingKey, MemberId)> {
-        if p.hops >= self.max_hops() {
+        if p.hops >= MAX_HOPS {
             // Termination backstop, mirroring `DhtRing::lookup`: contact
             // the key's live successor directly — it owns by construction.
             return Some(
@@ -925,37 +926,20 @@ impl<C: SpaceFillingCurve> RoutedCatalog<C> {
         }
     }
 
-    /// The owner-side answer: the registered member closest to `target`
-    /// among the `scan_width` ring neighborhood of `target_key`, filtered
-    /// to members the answerer can reach. First-wins ties in neighborhood
-    /// order — identical ranking to the omniscient
-    /// `lookup_closest_traced`, which makes the two answers equal on an
-    /// unpartitioned network.
+    /// The owner-side answer `(member, candidates)`: the catalog's own
+    /// neighbourhood ranking ([`CoordinateCatalog::scan`]) of `target_key`,
+    /// admitting only the members the answerer can reach. With nobody
+    /// severed it admits every member — the omniscient lookup's scan.
     fn answer_at(
         &self,
         answerer: MemberId,
         target_key: RingKey,
         target: &[f64],
     ) -> (MemberId, u32) {
-        let hood = self.catalog.ring().walk_outward(target_key, self.catalog.scan_width());
-        let mut best: Option<(f64, MemberId)> = None;
-        let mut candidates = 0u32;
-        for (_, m) in hood {
-            if !self.reachable(answerer, m) {
-                continue;
-            }
-            candidates += 1;
-            let d = self.catalog.distance_to(m, target);
-            if best.as_ref().is_none_or(|(bd, _)| d.total_cmp(bd).is_lt()) {
-                best = Some((d, m));
-            }
-        }
-        match best {
-            Some((_, m)) => (m, candidates),
-            // Degenerate: nothing reachable in the neighborhood — the
-            // answerer vouches for itself.
-            None => (answerer, 0),
-        }
+        let scan = self.catalog.scan(target_key, target, |m| self.reachable(answerer, m));
+        // Degenerate: nothing reachable in the neighbourhood — the answerer
+        // vouches for itself.
+        scan.map_or((answerer, 0), |(member, admitted, _)| (member, admitted as u32))
     }
 }
 
@@ -997,7 +981,7 @@ fn member_step(ring: &DhtRing, at_key: RingKey, target: RingKey, excl: &[RingKey
     // `at_key` need not be — it is excluded once suspected, and gone from the
     // ring if a registration re-keyed the member mid-flight — and then a far
     // probe's live successor can wrap round into (me, target).
-    for i in (0..ring.finger_bits()).rev() {
+    for i in (0..FINGER_BITS).rev() {
         let probe = at_key.wrapping_add(1u128 << i);
         let (fk, fm) = first_live(ring, probe, excl)?;
         if fk != at_key && in_open_open(fk, at_key, target) {
@@ -1013,6 +997,7 @@ mod tests {
     use super::*;
     use rand::Rng;
     use sbon_hilbert::{HilbertCurve, Quantizer};
+    use sbon_netsim::latency::euclidean;
     use sbon_netsim::rng::rng_from_seed;
 
     fn unit_catalog(scan: usize) -> CoordinateCatalog<HilbertCurve> {
@@ -1073,7 +1058,7 @@ mod tests {
     }
 
     /// Under a partition the routed answer must come from the querier's
-    /// side — `answer_at` filters the neighbourhood by reachability.
+    /// side: the owner ranks only the neighbourhood members it can reach.
     #[test]
     fn partitioned_lookup_answers_from_the_queriers_side() {
         let mut rng = rng_from_seed(5);
@@ -1095,6 +1080,24 @@ mod tests {
                 "trial {trial} origin {origin}: answer must come from the querier's side"
             );
         }
+        // Severed: the member that wins the unfiltered ranking. The answer
+        // is the ranking over the reachable neighbourhood members, and only
+        // they are counted.
+        let mut routed = populated(80, 99, 6);
+        let target = [0.4, 0.6];
+        let key = routed.catalog().key_of(&target);
+        let winner = routed.catalog().lookup_closest_traced(&target).unwrap().member;
+        routed.sever([winner]);
+        let hood = routed.catalog().ring().walk_outward(key, 6);
+        let reachable: Vec<MemberId> = hood.map(|(_, m)| m).filter(|&m| m != winner).collect();
+        assert_eq!(reachable.len(), 5, "the severed winner sits in the neighbourhood");
+        let dist = |m| euclidean(routed.catalog().coord_of(m).unwrap(), &target);
+        let expected = reachable.iter().copied().min_by(|&a, &b| dist(a).total_cmp(&dist(b)));
+        let origin = if winner == 0 { 1 } else { 0 };
+        routed.lookup_routed(origin, &target, routed.now(), &link).unwrap();
+        let (_, res) = routed.run_to_quiescence(&link).last().copied().unwrap();
+        assert_eq!(Some(res.member), expected);
+        assert_eq!(res.candidates, 5);
     }
 
     #[test]

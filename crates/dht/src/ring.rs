@@ -24,8 +24,8 @@
 //! parallel arrays (keys, members), built from the B-tree on the first read
 //! after a `join` or `leave` — which drop it — and shared by every read
 //! until the next write, like `Graph`'s derived adjacency in `sbon_netsim`.
-//! `successor` and `predecessor` are one binary search each, `neighbors` an
-//! index walk outward from one, and a `lookup` hop one binary search. A
+//! `successor` and `predecessor` are one binary search each, `walk_outward`
+//! an index walk outward from one, and a `lookup` hop one binary search. A
 //! control-plane step writes its keys first and reads afterwards, so a
 //! write batch costs one `O(n)` rebuild, not one per write. Index
 //! arithmetic on the order wraps by compare-and-subtract, never `%`. The
@@ -55,8 +55,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::OnceLock;
 
-use rand::Rng;
-
 use crate::id::{clockwise_dist, RingKey};
 
 /// External node identity stored on the ring (the simulator's physical node
@@ -64,19 +62,19 @@ use crate::id::{clockwise_dist, RingKey};
 /// coordinate and changes when the coordinate drifts.
 pub type MemberId = u32;
 
-/// Ring configuration.
-#[derive(Clone, Debug)]
-pub struct DhtConfig {
-    /// Number of finger levels to use in greedy routing. 128 = full Chord
-    /// fingers on the u128 ring.
-    pub finger_bits: u32,
-}
+/// Finger levels of greedy routing: full Chord fingers on the `u128` ring.
+pub(crate) const FINGER_BITS: u32 = 128;
 
-impl Default for DhtConfig {
-    fn default() -> Self {
-        DhtConfig { finger_bits: 128 }
-    }
-}
+/// The hop bound of every lookup walk, the ring's and the routed
+/// automaton's: far above the expected `log2 n`.
+pub(crate) const MAX_HOPS: u32 = 2 * FINGER_BITS;
+
+/// Ring configuration — field-less: the ring always routes over full Chord
+/// fingers, every level of the 128-bit key space. The type stays because
+/// the benchmark (`benchmark/`) builds its ring with
+/// `DhtRing::new(DhtConfig::default())`; ROADMAP item 1(d) removes it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DhtConfig;
 
 /// Result of an iterative lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -131,6 +129,26 @@ impl Order {
     fn entry(&self, i: usize) -> (RingKey, MemberId) {
         (self.keys[i], self.members[i])
     }
+
+    /// The hops greedy finger routing takes from the member at `cur` to a
+    /// target whose predecessor holds `pred` (see [`DhtRing::lookup`]).
+    fn route_hops(&self, mut cur: RingKey, pred: RingKey) -> usize {
+        let mut hops = 0usize;
+        loop {
+            // Chord: if target ∈ (cur, successor(cur)] the successor owns it.
+            if cur == pred {
+                return hops + 1;
+            }
+            hops += 1;
+            let level = clockwise_dist(cur, pred).ilog2();
+            cur = self.keys[self.successor(cur.wrapping_add(1u128 << level))];
+            if hops > MAX_HOPS as usize {
+                // Unreachable in practice; fall back to the authoritative
+                // answer rather than looping (belt and braces).
+                return hops + 1;
+            }
+        }
+    }
 }
 
 /// A Chord-style ring over the full `u128` key space.
@@ -148,35 +166,24 @@ pub struct DhtRing {
     /// `members` as flat sorted arrays, derived on the first read after a
     /// write and dropped by `join` / `leave`.
     order: OnceLock<Order>,
-    config: DhtConfig,
 }
 
 /// A clone derives its own order (and route memo) on its first read.
 impl Clone for DhtRing {
     fn clone(&self) -> Self {
-        DhtRing {
-            members: self.members.clone(),
-            keys: self.keys.clone(),
-            order: OnceLock::new(),
-            config: self.config.clone(),
-        }
+        DhtRing { members: self.members.clone(), keys: self.keys.clone(), order: OnceLock::new() }
     }
 }
 
 impl DhtRing {
     /// An empty ring.
-    pub fn new(config: DhtConfig) -> Self {
-        DhtRing { config, ..DhtRing::default() }
+    pub fn new(_config: DhtConfig) -> Self {
+        DhtRing::default()
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
         self.members.len()
-    }
-
-    /// Finger levels used in greedy routing (see [`DhtConfig`]).
-    pub fn finger_bits(&self) -> u32 {
-        self.config.finger_bits
     }
 
     /// True when the ring has no members.
@@ -302,13 +309,7 @@ impl DhtRing {
     /// overlap only if `f + b > n`, which the cap makes unreachable; at
     /// `f + b = n` they exactly tile the ring. Regression tests pin this at
     /// `count ∈ {n−1, n, n+1}`.
-    pub fn neighbors(&self, key: RingKey, count: usize) -> Vec<(RingKey, MemberId)> {
-        self.walk_outward(key, count).collect()
-    }
-
-    /// [`DhtRing::neighbors`] without the `Vec`: the same picks in the same
-    /// order.
-    pub(crate) fn walk_outward(
+    pub fn walk_outward(
         &self,
         key: RingKey,
         count: usize,
@@ -348,10 +349,11 @@ impl DhtRing {
     /// probe `cur + 2^i` short of the target has its successor strictly
     /// inside `(cur, target)` iff some member lies in `[probe, target)`, iff
     /// `p` does, iff `cw(cur, p) ≥ 2^i`. So the largest finger inside is
-    /// level `min(⌊log2 cw(cur, p)⌋, finger_bits − 1)` — the hop a top-down
-    /// finger scan takes — and the target lies in `(cur, successor(cur)]`
-    /// iff `cur == p`. The hops are thus a function of the start and `p`:
-    /// from index 0 they are read from (or written to) the route memo.
+    /// level `⌊log2 cw(cur, p)⌋` (at most 127, so always a finger) — the hop
+    /// a top-down finger scan takes — and the target lies in
+    /// `(cur, successor(cur)]` iff `cur == p`. The hops are thus a function
+    /// of the start and `p`: from index 0 they are read from (or written
+    /// to) the route memo.
     pub fn lookup(&self, start_key: RingKey, target: RingKey) -> Option<LookupOutcome> {
         let order = self.order();
         if order.keys.is_empty() {
@@ -369,54 +371,18 @@ impl DhtRing {
             let slot = &order.route[pred];
             match slot.load(Ordering::Relaxed) {
                 0 => {
-                    let hops = self.route_hops(order, cur, order.keys[pred]);
-                    // Every walk stays under `2 × finger_bits + 2` hops.
-                    if let Ok(stored) = u16::try_from(hops + 1) {
-                        slot.store(stored, Ordering::Relaxed);
-                    }
+                    let hops = order.route_hops(cur, order.keys[pred]);
+                    // Every walk stays under `MAX_HOPS + 2` hops.
+                    slot.store(hops as u16 + 1, Ordering::Relaxed);
                     hops
                 }
                 stored => usize::from(stored - 1),
             }
         } else {
-            self.route_hops(order, cur, order.keys[pred])
+            order.route_hops(cur, order.keys[pred])
         };
         let (owner_key, owner) = order.entry(owner);
         Some(LookupOutcome { owner, owner_key, hops })
-    }
-
-    /// The hops greedy finger routing takes from the member at `cur` to a
-    /// target whose predecessor holds `pred`.
-    fn route_hops(&self, order: &Order, mut cur: RingKey, pred: RingKey) -> usize {
-        let mut hops = 0usize;
-        // Hard bound to guarantee termination even on adversarial inputs:
-        // 2 × finger bits is far above the expected log2(n).
-        let max_hops = (2 * self.config.finger_bits as usize).max(8);
-        loop {
-            // Chord: if target ∈ (cur, successor(cur)] the successor owns it.
-            if cur == pred {
-                return hops + 1;
-            }
-            hops += 1;
-            if self.config.finger_bits == 0 {
-                // No finger at all — the target's successor is directly
-                // reachable.
-                return hops;
-            }
-            let level = clockwise_dist(cur, pred).ilog2().min(self.config.finger_bits - 1);
-            cur = order.keys[order.successor(cur.wrapping_add(1u128 << level))];
-            if hops > max_hops {
-                // Unreachable in practice; fall back to the authoritative
-                // answer rather than looping (belt and braces).
-                return hops + 1;
-            }
-        }
-    }
-
-    /// A uniformly random member key, for choosing lookup start points.
-    pub fn random_member_key<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<RingKey> {
-        let keys = &self.order().keys;
-        (!keys.is_empty()).then(|| keys[rng.gen_range(0..keys.len())])
     }
 }
 
@@ -425,6 +391,7 @@ mod tests {
     use super::*;
     use crate::id::{in_open_closed, in_open_open};
     use proptest::prelude::*;
+    use rand::Rng;
     use sbon_netsim::rng::{derive_rng, rng_from_seed};
 
     /// The B-tree walks every read made before the derived order: the
@@ -443,7 +410,7 @@ mod tests {
         }
 
         /// The two-cursor merge over full-cycle range iterators.
-        pub(super) fn neighbors(
+        pub(super) fn walk_outward(
             ring: &DhtRing,
             key: RingKey,
             count: usize,
@@ -471,7 +438,7 @@ mod tests {
     }
 
     /// `DhtRing::lookup` as it was before the finger scan was capped: every
-    /// hop probes all `finger_bits` levels, top down, each probe a B-tree
+    /// hop probes all `FINGER_BITS` levels, top down, each probe a B-tree
     /// walk.
     fn lookup_scanning_every_level(
         ring: &DhtRing,
@@ -483,7 +450,6 @@ mod tests {
             return Some(LookupOutcome { owner: cur_member, owner_key: cur_key, hops: 0 });
         }
         let mut hops = 0usize;
-        let max_hops = (2 * ring.config.finger_bits as usize).max(8);
         loop {
             let (succ_key, succ_member) = btree::successor(ring, cur_key.wrapping_add(1))?;
             if in_open_closed(target, cur_key, succ_key) {
@@ -493,7 +459,7 @@ mod tests {
                     hops: hops + 1,
                 });
             }
-            let next = (0..ring.config.finger_bits).rev().find_map(|i| {
+            let next = (0..FINGER_BITS).rev().find_map(|i| {
                 let (fk, _) = btree::successor(ring, cur_key.wrapping_add(1u128 << i))?;
                 (fk != cur_key && in_open_open(fk, cur_key, target)).then_some(fk)
             });
@@ -503,7 +469,7 @@ mod tests {
                 return Some(LookupOutcome { owner: m, owner_key: k, hops });
             };
             cur_key = nk;
-            if hops > max_hops {
+            if hops > MAX_HOPS as usize {
                 let (k, m) = btree::successor(ring, target)?;
                 return Some(LookupOutcome { owner: m, owner_key: k, hops: hops + 1 });
             }
@@ -514,19 +480,18 @@ mod tests {
         /// Every read of the derived order equals the B-tree walk it
         /// replaced, over random join / leave interleavings with reads
         /// between the writes (so each write's reset of the order is read
-        /// through), uniform or clustered keys, every `finger_bits` the
-        /// catalog and the tests use, and starts on and off the ring.
+        /// through), uniform or clustered keys, and starts on and off the
+        /// ring.
         #[test]
         fn derived_order_reads_equal_the_btree_walks(
             seed in 0u64..1_000_000,
             ops in 20usize..160,
         ) {
             let mut rng = derive_rng(seed, 0x02DE);
-            let finger_bits = [128, 64, 16, 3][rng.gen_range(0..4usize)];
             // Clustered rings crowd a sliver of the key space, as Hilbert
             // keys of nearby coordinates do.
             let shift = if rng.gen_range(0..2) == 0 { 0 } else { 100 };
-            let mut ring = DhtRing::new(DhtConfig { finger_bits });
+            let mut ring = DhtRing::default();
             let mut live: Vec<MemberId> = Vec::new();
             let mut next_member: MemberId = 0;
             for _ in 0..ops {
@@ -552,7 +517,8 @@ mod tests {
                         prop_assert_eq!(ring.predecessor(key), btree::predecessor(&ring, key));
                         let n = members.len();
                         for count in [n.saturating_sub(1), n, n + 1, rng.gen_range(0..n + 3)] {
-                            prop_assert_eq!(ring.neighbors(key, count), btree::neighbors(&ring, key, count));
+                            let walked: Vec<_> = ring.walk_outward(key, count).collect();
+                            prop_assert_eq!(walked, btree::walk_outward(&ring, key, count));
                         }
                         let start = if rng.gen_range(0..3) == 0 { rng.gen() } else { near(&mut rng) };
                         prop_assert_eq!(
@@ -569,7 +535,7 @@ mod tests {
 
     proptest! {
         /// Lookups read through the route memo equal the level scan: random
-        /// uniform or clustered rings, every `finger_bits`, targets repeated
+        /// uniform or clustered rings, targets repeated
         /// (memo hits), fresh (memo fills) and next to members, starts that
         /// resolve to the first member (the memoized start) and elsewhere,
         /// interleaved with joins and leaves that drop the memo.
@@ -579,9 +545,8 @@ mod tests {
             ops in 20usize..200,
         ) {
             let mut rng = derive_rng(seed, 0x37E0);
-            let finger_bits = [128, 64, 16, 3][rng.gen_range(0..4usize)];
             let shift = if rng.gen_range(0..2) == 0 { 0 } else { 100 };
-            let mut ring = DhtRing::new(DhtConfig { finger_bits });
+            let mut ring = DhtRing::default();
             let mut live: Vec<MemberId> = Vec::new();
             let mut next_member: MemberId = 0;
             let mut targets: Vec<RingKey> = Vec::new();
@@ -661,16 +626,14 @@ mod tests {
     }
 
     /// The capped finger scan takes the same hops to the same owner as
-    /// scanning every level — over random and clustered rings, every
-    /// `finger_bits`, member and off-ring starts, and targets on, next to
-    /// and far from members.
+    /// scanning every level — over random and clustered rings, member and
+    /// off-ring starts, and targets on, next to and far from members.
     #[test]
     fn capped_finger_scan_matches_scanning_every_level() {
         let mut rng = rng_from_seed(33);
         for case in 0..60 {
             let n = rng.gen_range(1..200usize);
-            let finger_bits = [128, 128, 64, 16, 3][case % 5];
-            let mut ring = DhtRing::new(DhtConfig { finger_bits });
+            let mut ring = DhtRing::default();
             for m in 0..n {
                 // Every third ring is clustered into a sliver of the key
                 // space (Hilbert keys of nearby coordinates look like this).
@@ -694,14 +657,19 @@ mod tests {
                 assert_eq!(
                     ring.lookup(start, target),
                     lookup_scanning_every_level(&ring, start, target),
-                    "case {case}: n={n} bits={finger_bits} start={start} target={target}"
+                    "case {case}: n={n} start={start} target={target}"
                 );
             }
         }
     }
 
+    /// A uniformly random member key, for choosing lookup start points.
+    fn random_member_key(ring: &DhtRing, rng: &mut impl Rng) -> RingKey {
+        ring.order().keys[rng.gen_range(0..ring.len())]
+    }
+
     fn ring_with(keys: &[RingKey]) -> DhtRing {
-        let mut r = DhtRing::new(DhtConfig::default());
+        let mut r = DhtRing::default();
         for (i, &k) in keys.iter().enumerate() {
             r.join(k, i as MemberId);
         }
@@ -726,7 +694,7 @@ mod tests {
 
     #[test]
     fn join_probes_on_collision() {
-        let mut r = DhtRing::new(DhtConfig::default());
+        let mut r = DhtRing::default();
         assert_eq!(r.join(7, 0), 7);
         assert_eq!(r.join(7, 1), 8);
         assert_eq!(r.join(7, 2), 9);
@@ -735,7 +703,7 @@ mod tests {
 
     #[test]
     fn join_probe_wraps_past_key_space_end() {
-        let mut r = DhtRing::new(DhtConfig::default());
+        let mut r = DhtRing::default();
         assert_eq!(r.join(u128::MAX, 0), u128::MAX);
         // MAX is taken: the probe must wrap to 0, exactly like the seed
         // ring's wrapping_add probe.
@@ -765,7 +733,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "member 7 is already on the ring")]
     fn double_join_is_rejected() {
-        let mut r = DhtRing::new(DhtConfig::default());
+        let mut r = DhtRing::default();
         r.join(10, 7);
         r.join(500, 7);
     }
@@ -776,7 +744,7 @@ mod tests {
         let keys: Vec<RingKey> = (0..64).map(|_| rng.gen::<u128>()).collect();
         let r = ring_with(&keys);
         for _ in 0..200 {
-            let start = r.random_member_key(&mut rng).unwrap();
+            let start = random_member_key(&r, &mut rng);
             let target: RingKey = rng.gen();
             let out = r.lookup(start, target).unwrap();
             let truth = r.successor(target).unwrap();
@@ -793,7 +761,7 @@ mod tests {
         let mut total_hops = 0usize;
         let trials = 200;
         for _ in 0..trials {
-            let start = r.random_member_key(&mut rng).unwrap();
+            let start = random_member_key(&r, &mut rng);
             let target: RingKey = rng.gen();
             total_hops += r.lookup(start, target).unwrap().hops;
         }
@@ -812,7 +780,7 @@ mod tests {
 
     #[test]
     fn lookup_on_empty_ring_is_none() {
-        let r = DhtRing::new(DhtConfig::default());
+        let r = DhtRing::default();
         assert!(r.lookup(0, 0).is_none());
         assert!(r.successor(0).is_none());
         assert!(r.predecessor(0).is_none());
@@ -821,7 +789,7 @@ mod tests {
     #[test]
     fn neighbors_returns_ring_proximate_members() {
         let r = ring_with(&[10, 20, 30, 40, 50]);
-        let n = r.neighbors(22, 3);
+        let n: Vec<_> = r.walk_outward(22, 3).collect();
         let keys: Vec<RingKey> = n.iter().map(|&(k, _)| k).collect();
         // Closest on the ring to 22: 30 (dist 8 clockwise), 20 (dist 2
         // counter-clockwise), 10 or 40 next.
@@ -832,13 +800,13 @@ mod tests {
     #[test]
     fn neighbors_caps_at_member_count() {
         let r = ring_with(&[10, 20]);
-        assert_eq!(r.neighbors(0, 10).len(), 2);
+        assert_eq!(r.walk_outward(0, 10).count(), 2);
     }
 
     #[test]
     fn neighbors_of_empty_ring() {
-        let r = DhtRing::new(DhtConfig::default());
-        assert!(r.neighbors(0, 3).is_empty());
+        let r = DhtRing::default();
+        assert_eq!(r.walk_outward(0, 3).next(), None);
     }
 
     /// The fwd-meets-bwd regression the walk's no-duplicate argument must
@@ -857,7 +825,7 @@ mod tests {
             targets.extend([0u128, u128::MAX, rng.gen()]);
             for &key in &targets {
                 for count in [n.saturating_sub(1), n, n + 1] {
-                    let out = r.neighbors(key, count);
+                    let out: Vec<_> = r.walk_outward(key, count).collect();
                     assert_eq!(out.len(), count.min(n), "n={n} count={count} key={key}");
                     let mut members: Vec<MemberId> = out.iter().map(|&(_, m)| m).collect();
                     members.sort_unstable();
@@ -865,7 +833,7 @@ mod tests {
                     assert_eq!(
                         members.len(),
                         count.min(n),
-                        "duplicate member in neighbors(n={n}, count={count}, key={key})"
+                        "duplicate member in walk_outward(n={n}, count={count}, key={key})"
                     );
                 }
             }
@@ -878,7 +846,7 @@ mod tests {
     fn neighbors_count_n_covers_the_whole_ring() {
         let r = ring_with(&[10, 20, 30, 40]);
         for key in [0u128, 10, 15, 39, 200] {
-            let mut members: Vec<MemberId> = r.neighbors(key, 4).iter().map(|&(_, m)| m).collect();
+            let mut members: Vec<MemberId> = r.walk_outward(key, 4).map(|(_, m)| m).collect();
             members.sort_unstable();
             assert_eq!(members, vec![0, 1, 2, 3], "key={key}");
         }
@@ -889,7 +857,7 @@ mod tests {
         let r = ring_with(&[10, 20, 30, 40, 50]);
         // From 22, by ring proximity: 20 (ccw 2), 30 (cw 8), 10 (ccw 12),
         // 40 (cw 18), then 50 (cw 28; counter-clockwise it would wrap).
-        let out = r.neighbors(22, 5);
+        let out: Vec<_> = r.walk_outward(22, 5).collect();
         let keys: Vec<RingKey> = out.iter().map(|&(k, _)| k).collect();
         assert_eq!(keys, vec![20, 30, 10, 40, 50]);
     }
@@ -900,7 +868,7 @@ mod tests {
         // change, greedy finger routing must still agree with the
         // authoritative successor.
         let mut rng = rng_from_seed(9);
-        let mut r = DhtRing::new(DhtConfig::default());
+        let mut r = DhtRing::default();
         let mut next_member: MemberId = 0;
         let mut live: Vec<MemberId> = Vec::new();
         for step in 0..400 {
@@ -915,7 +883,7 @@ mod tests {
                 let member = live.swap_remove(idx);
                 assert_eq!(r.leave(member), 1);
             } else {
-                let start = r.random_member_key(&mut rng).unwrap();
+                let start = random_member_key(&r, &mut rng);
                 let target: RingKey = rng.gen();
                 let out = r.lookup(start, target).unwrap();
                 let truth = r.successor(target).unwrap();
@@ -934,7 +902,7 @@ mod tests {
             let trials = 100;
             let mut total = 0usize;
             for _ in 0..trials {
-                let start = r.random_member_key(rng).unwrap();
+                let start = random_member_key(r, rng);
                 let target: RingKey = rng.gen();
                 total += r.lookup(start, target).unwrap().hops;
             }

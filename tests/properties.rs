@@ -13,7 +13,7 @@ use sbon::core::placement::{
     map_circuit, optimal_tree_placement, DhtMapper, OracleMapper, PhysicalMapper, RelaxationPlacer,
     VirtualPlacer,
 };
-use sbon::dht::{CoordinateCatalog, DhtConfig, DhtRing, ProtoConfig, RingKey, RoutedCatalog};
+use sbon::dht::{CoordinateCatalog, DhtRing, ProtoConfig, RingKey, RoutedCatalog};
 use sbon::hilbert::{HilbertCurve, Quantizer};
 use sbon::netsim::dijkstra::all_pairs_latency;
 use sbon::netsim::graph::{EdgeId, NodeId};
@@ -81,7 +81,7 @@ impl VecRing {
         Some(self.members[idx])
     }
 
-    fn neighbors(&self, key: RingKey, count: usize) -> Vec<(RingKey, u32)> {
+    fn walk_outward(&self, key: RingKey, count: usize) -> Vec<(RingKey, u32)> {
         let cw = |a: RingKey, b: RingKey| b.wrapping_sub(a);
         let n = self.members.len();
         if n == 0 || count == 0 {
@@ -531,7 +531,7 @@ proptest! {
         ops in 20usize..140,
     ) {
         let mut rng = derive_rng(seed, 0xB7EE);
-        let mut ring = DhtRing::new(DhtConfig::default());
+        let mut ring = DhtRing::default();
         let mut reference = VecRing::default();
         let mut next_member: u32 = 0;
         let mut live: Vec<u32> = Vec::new();
@@ -579,7 +579,8 @@ proptest! {
                     };
                     let n = reference.members.len();
                     for count in [n.saturating_sub(1), n, n + 1, rng.gen_range(0..n + 3)] {
-                        prop_assert_eq!(ring.neighbors(key, count), reference.neighbors(key, count));
+                        let walked: Vec<_> = ring.walk_outward(key, count).collect();
+                        prop_assert_eq!(walked, reference.walk_outward(key, count));
                     }
                 }
                 _ => {

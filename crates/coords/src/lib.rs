@@ -22,22 +22,27 @@
 //!   whose length ([`VivaldiConfig::dims`], at most [`vivaldi::MAX_DIMS`])
 //!   and the height model are compile-time constants, picked by one
 //!   `dispatch`. Its `start` is the one node start and its `observe` the
-//!   one spring step; the tests pin both, bit for bit, to a `VivaldiNode`
-//!   reference that spells them over a `Vec`.
+//!   one spring step, laid out lane by lane over `L` nodes (every branch a
+//!   per-lane select, then a per-lane commit) so that the placement
+//!   kernel's lanes share each division and square root; the tests pin
+//!   both, bit for bit, to a `VivaldiNode` reference that spells them over
+//!   a `Vec`.
 //! * `VivaldiConfig::gossip` — the one gossip loop, a kernel over
-//!   `Spring`s, over all `n` nodes (the full protocol) or over the
-//!   landmarks (landmark mode's first phase), keeping only its members'
-//!   states; every node draws its start, in id order.
+//!   `Spring`s (the step at one lane), over all `n` nodes (the full
+//!   protocol) or over the landmarks (landmark mode's first phase),
+//!   keeping only its members' states; every node draws its start, in id
+//!   order.
 //! * [`LandmarkPlacer`] — the frozen landmarks and where every other node
 //!   lands. Its private `refine` is the one non-landmark refinement loop,
-//!   a kernel that advances two nodes in lockstep, sample by sample, each
-//!   on its own RNG stream; every lane performs the float operations and
-//!   draws of a node placed alone, in their order, so a landing spot does
-//!   not depend on its lane partner. [`LandmarkPlacer::place_nodes`] runs
-//!   it over pairs of nodes reading landmark rows in place, each node on
-//!   its own stream (a function of the seed and the node alone);
-//!   [`LandmarkPlacer::place`] is its one-lane call on the caller's
-//!   stream. So [`VivaldiConfig::embed`] in landmark mode and
+//!   a kernel that advances four nodes in lockstep (or one), sample by
+//!   sample, each on its own RNG stream; every lane performs the float
+//!   operations and draws of a node placed alone, in their order, so a
+//!   landing spot does not depend on its lane partners.
+//!   [`LandmarkPlacer::place_nodes`] runs it over quads of nodes reading
+//!   landmark rows in place, the one to three left over through one lane,
+//!   each node on its own stream (a function of the seed and the node
+//!   alone); [`LandmarkPlacer::place`] is its one-lane call on the
+//!   caller's stream. So [`VivaldiConfig::embed`] in landmark mode and
 //!   `sbon_overlay`'s join-time placement land a node on the same
 //!   coordinate, bit for bit.
 //! * `VivaldiEmbedding::from_states` — the one writer of an embedding's

@@ -7,6 +7,8 @@
 //! along the spring force `(rtt − |x_i − x_j|)·u(x_i − x_j)` with a step
 //! size weighted by how confident `i` is relative to `j`.
 
+use std::array::from_fn;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -28,7 +30,7 @@ const PLACE_STREAM: u64 = 0x517e_9a4e << 32;
 /// keep a node's coordinate in a fixed-size array and are compiled once per
 /// dimension up to this bound ([`VivaldiConfig::validate`] names it). Each
 /// dimension adds six copies of the kernels to every binary that embeds —
-/// the gossip and the one- and two-lane placement, each with and without
+/// the gossip and the one- and four-lane placement, each with and without
 /// the height model; at a bound of 16 (with four copies a dimension) the
 /// benchmark driver's code grew by 0.3 MB and its peak resident memory by
 /// about 0.13 MiB on a workload that never places a node.
@@ -257,10 +259,9 @@ impl Lockstep for Gossip<'_> {
                     for _ in 0..cfg.samples_per_round {
                         let mj = gossip_partner(rng, mi, members.len());
                         let rtt = latency.latency(NodeId(i as u32), NodeId(members[mj] as u32));
-                        if rtt.is_finite() {
-                            let remote = nodes[mj];
-                            nodes[mi].observe::<H, StdRng>(&remote, rtt, cfg, rng);
-                        }
+                        let remote = nodes[mj];
+                        let lane = std::array::from_mut(&mut nodes[mi]);
+                        Spring::observe::<1, H, StdRng>(lane, [&remote], [rtt], cfg, &mut [rng]);
                     }
                 }
             }
@@ -319,16 +320,20 @@ impl LandmarkPlacer {
 
     /// A node's own placement stream, derived from the embedding seed and
     /// the node id alone — so neither the bring-up model, batching, join
-    /// order nor thread count can move where it lands.
+    /// order nor thread count can move where it lands. Out of line: it runs
+    /// once a node, and inlined it would be copied into every lane of every
+    /// kernel instance.
+    #[inline(never)]
     fn node_rng(&self, node: NodeId) -> StdRng {
         derive_rng(self.seed, PLACE_STREAM ^ node.index() as u64)
     }
 
     /// Places `nodes`, each on its own stream, over latencies read in
     /// place: `rtt(li, v)` is node `v`'s latency from landmark `li` (draw
-    /// order). Consecutive nodes run through the kernel two at a time, so
-    /// every state equals the one `place` gives the node on its own
-    /// stream; they come back in input order.
+    /// order). Consecutive nodes run through the kernel four at a time, the
+    /// one to three left over one at a time, so every state equals the one
+    /// `place` gives the node on its own stream; they come back in input
+    /// order.
     pub fn place_nodes(
         &self,
         nodes: &[NodeId],
@@ -345,14 +350,16 @@ impl LandmarkPlacer {
     /// The placement kernel — the one non-landmark refinement loop. `L`
     /// nodes advance in lockstep, sample by sample: lane `l` starts fresh
     /// from `rngs[l]`, then each of its rounds × samples steps draws a
-    /// landmark `li` from `rngs[l]` and, unless `rtts[l][li]` is not
-    /// finite (an unreachable landmark skips the sample), observes it.
-    /// Lanes share nothing but the frozen landmarks, so each performs the
-    /// float operations and draws of a node placed alone, in the same
-    /// order; running two at once only lets their dependency chains — the
-    /// division and the square root of every step — overlap. Never
-    /// inlined: one copy per lane count, dimension and height model serves
-    /// every caller (it runs for thousands of steps a call).
+    /// landmark `li` from `rngs[l]` and observes it through the lane-wise
+    /// [`Spring::observe`], which leaves a lane whose `rtts[l][li]` is not
+    /// finite as it was (an unreachable landmark skips the sample). Lanes
+    /// share nothing but the frozen landmarks, so each performs the float
+    /// operations and draws of a node placed alone, in the same order;
+    /// running four at once lets the step pack their divisions and square
+    /// roots two to an instruction and overlap the rest. Compiled for
+    /// `L` ∈ {1, 4} only, and never inlined: one copy per lane count,
+    /// dimension and height model serves every caller (it runs for
+    /// thousands of steps a call).
     #[inline(never)]
     fn refine<const L: usize, const D: usize, const H: bool, R: Rng + ?Sized>(
         &self,
@@ -368,13 +375,10 @@ impl LandmarkPlacer {
         }
         for _round in 0..cfg.rounds {
             for _ in 0..cfg.samples_per_round {
-                for l in 0..L {
-                    let li = rngs[l].gen_range(0..k);
-                    let rtt = rtts[l][li];
-                    if rtt.is_finite() {
-                        lanes[l].observe::<H, R>(&landmarks[li], rtt, cfg, &mut *rngs[l]);
-                    }
-                }
+                let li: [usize; L] = from_fn(|l| rngs[l].gen_range(0..k));
+                let remotes = from_fn(|l| &landmarks[li[l]]);
+                let rtt = from_fn(|l| rtts[l][li[l]]);
+                Spring::observe::<L, H, R>(&mut lanes, remotes, rtt, cfg, &mut rngs);
             }
         }
         lanes
@@ -416,43 +420,55 @@ fn dispatch<K: Lockstep>(cfg: &VivaldiConfig, kernel: K) -> K::Output {
     arms!(1 2 3 4 5 6 7 8 9 10)
 }
 
-/// [`LandmarkPlacer::place_nodes`]: pairs of nodes through two lanes, an
-/// odd last node through one.
+/// The lane count of [`LandmarkPlacer::place_nodes`]: four nodes share
+/// each pass of the lane-wise step, so every division and square root of a
+/// step packs two lanes to an SSE2 instruction; a tail of one to three nodes
+/// runs one lane at a time.
+const LANES: usize = 4;
+
+/// [`LandmarkPlacer::place_nodes`]: quads of nodes through [`LANES`] lanes,
+/// the one to three last nodes through one lane each.
 struct Batch<'a, F> {
     placer: &'a LandmarkPlacer,
     nodes: &'a [NodeId],
     rtt: F,
 }
 
+impl<F: Fn(usize, NodeId) -> f64> Batch<'_, F> {
+    /// Runs the `L` nodes of `group` through `L` lanes, gathering each
+    /// node's `k` latencies into its slice of `rtts` (node-major).
+    fn lanes<const L: usize, const D: usize, const H: bool>(
+        &self,
+        group: &[NodeId],
+        landmarks: &[Spring<D>],
+        rtts: &mut [f64],
+    ) -> [Spring<D>; L] {
+        let k = landmarks.len();
+        for (row, &node) in rtts.chunks_exact_mut(k).zip(group) {
+            for (li, x) in row.iter_mut().enumerate() {
+                *x = (self.rtt)(li, node);
+            }
+        }
+        let rows = from_fn(|l| &rtts[l * k..][..k]);
+        let mut streams: [StdRng; L] = from_fn(|l| self.placer.node_rng(group[l]));
+        self.placer.refine::<L, D, H, StdRng>(landmarks, rows, streams.each_mut())
+    }
+}
+
 impl<F: Fn(usize, NodeId) -> f64> Lockstep for Batch<'_, F> {
     type Output = Vec<VivaldiNode>;
 
     fn run<const D: usize, const H: bool>(self) -> Vec<VivaldiNode> {
-        let Batch { placer, nodes, rtt } = self;
-        let landmarks = placer.springs::<D>();
-        let k = landmarks.len();
-        // One node's k latencies per lane, read node-major.
-        let mut rtts = vec![0.0; 2 * k];
-        let gather = |node: NodeId, rtts: &mut [f64]| {
-            for (li, x) in rtts.iter_mut().enumerate() {
-                *x = rtt(li, node);
-            }
-        };
-        let mut out = Vec::with_capacity(nodes.len());
-        let mut pairs = nodes.chunks_exact(2);
-        for pair in &mut pairs {
-            let (a, b) = rtts.split_at_mut(k);
-            gather(pair[0], a);
-            gather(pair[1], b);
-            let rngs = [&mut placer.node_rng(pair[0]), &mut placer.node_rng(pair[1])];
-            let lanes = placer.refine::<2, D, H, StdRng>(&landmarks, [a, b], rngs);
+        let landmarks = self.placer.springs::<D>();
+        let mut rtts = vec![0.0; LANES * landmarks.len()];
+        let mut out = Vec::with_capacity(self.nodes.len());
+        let mut quads = self.nodes.chunks_exact(LANES);
+        for quad in &mut quads {
+            let lanes = self.lanes::<LANES, D, H>(quad, &landmarks, &mut rtts);
             out.extend(lanes.into_iter().map(Spring::to_node));
         }
-        if let &[node] = pairs.remainder() {
-            let a = &mut rtts[..k];
-            gather(node, a);
-            let [lane] =
-                placer.refine::<1, D, H, StdRng>(&landmarks, [a], [&mut placer.node_rng(node)]);
+        for node in quads.remainder() {
+            let [lane] = self.lanes::<1, D, H>(std::slice::from_ref(node), &landmarks, &mut rtts);
             out.push(lane.to_node());
         }
         out
@@ -509,63 +525,108 @@ impl<const D: usize> Spring<D> {
         Spring { coord, height, error: 1.0 }
     }
 
-    /// Processes one latency sample against a remote node, with the height
-    /// model `H` a constant; `rtt` must be finite and non-negative. The
-    /// sample's weight balances the two nodes' confidence, the local error
-    /// estimate moves toward the sample's relative error (taken as 0 at
-    /// `rtt ≈ 0`, the same host), and the coordinate moves along the unit
-    /// vector away from (or toward) the remote. Under the height model the
-    /// unit vector of `(v, h)` scales the planar part by `v/‖·‖` and pushes
-    /// the height by `h_sum/‖·‖` (heights only ever push *apart*; Dabek et
-    /// al., §5.4). Without it the planar fraction is the constant 1.0,
-    /// which the compiler folds away (multiplying by one is exact), and the
-    /// height block is not emitted.
+    /// The one spring step: lane `l` processes one latency sample
+    /// `rtts[l]` against `remotes[l]`, with the height model `H` a constant.
+    /// The sample's weight balances the two nodes' confidence, the local
+    /// error estimate moves toward the sample's relative error (taken as 0
+    /// at `rtt ≈ 0`, the same host), and the coordinate moves along the
+    /// unit vector away from (or toward) the remote. Under the height model
+    /// the unit vector of `(v, h)` scales the planar part by `v/‖·‖` and
+    /// pushes the height by `h_sum/‖·‖` (heights only ever push *apart*;
+    /// Dabek et al., §5.4). Without it the planar fraction is the constant
+    /// 1.0, which the compiler folds away (multiplying by one is exact), and
+    /// the height block is not emitted.
+    ///
+    /// The step is laid out lane by lane, so the placement kernel's lanes
+    /// can share instructions: every quantity is an `[f64; L]` and every
+    /// branch a select that each lane computes both sides of, so the
+    /// compiler packs two lanes into each division and square root. Each
+    /// lane then commits on its own: a lane whose `rtt` is not finite keeps
+    /// its state and draws nothing (the sample is skipped); a lane whose
+    /// points coincide takes the cold [`Spring::push_coincident`] on its own
+    /// stream; every other lane writes its error, height and coordinate. A
+    /// lane's committed values are the very float operations, in the same
+    /// order, of the step taken alone — a select only discards the side its
+    /// branch would not have run — so a state does not depend on its lane
+    /// partners, and at `L = 1` the step is the scalar one.
     #[inline(always)]
-    fn observe<const H: bool, R: Rng + ?Sized>(
-        &mut self,
-        remote: &Self,
-        rtt: f64,
+    fn observe<const L: usize, const H: bool, R: Rng + ?Sized>(
+        lanes: &mut [Self; L],
+        remotes: [&Self; L],
+        rtts: [f64; L],
         cfg: &VivaldiConfig,
-        rng: &mut R,
+        rngs: &mut [&mut R; L],
     ) {
-        debug_assert!(rtt.is_finite() && rtt >= 0.0);
         // `euclidean`'s sum of squares, in its order. Adding the first
         // square (+0.0 or positive) to -0.0 returns it unchanged, so the
         // compiler can drop the start value.
-        let mut squares = -0.0;
+        let mut squares = [-0.0; L];
         for d in 0..D {
-            let diff = self.coord[d] - remote.coord[d];
-            squares += diff * diff;
+            for l in 0..L {
+                let diff = lanes[l].coord[d] - remotes[l].coord[d];
+                squares[l] += diff * diff;
+            }
         }
-        let planar = squares.sqrt();
-        let dist = if H { planar + self.height + remote.height } else { planar };
-        let w = if self.error + remote.error > 0.0 {
-            self.error / (self.error + remote.error)
-        } else {
-            0.5
-        };
-        let es = if rtt > 1e-9 { (dist - rtt).abs() / rtt } else { 0.0 };
-        self.error = (es * cfg.cc * w + self.error * (1.0 - cfg.cc * w)).clamp(0.0, 10.0);
-        let push = cfg.ce * w * (rtt - dist);
-        let mut planar_frac = 1.0;
-        if H && dist > 1e-12 {
-            let height_frac = (self.height + remote.height) / dist.max(1e-12);
-            planar_frac = (1.0 - height_frac.min(1.0)).max(0.0);
-            self.height = (self.height + push * height_frac).max(cfg.min_height);
+        let planar: [f64; L] = from_fn(|l| squares[l].sqrt());
+        let dist: [f64; L] =
+            if H { from_fn(|l| planar[l] + lanes[l].height + remotes[l].height) } else { planar };
+        let w: [f64; L] = from_fn(|l| {
+            let sum = lanes[l].error + remotes[l].error;
+            let w = lanes[l].error / sum;
+            if sum > 0.0 {
+                w
+            } else {
+                0.5
+            }
+        });
+        let error: [f64; L] = from_fn(|l| {
+            let es = (dist[l] - rtts[l]).abs() / rtts[l];
+            let es = if rtts[l] > 1e-9 { es } else { 0.0 };
+            (es * cfg.cc * w[l] + lanes[l].error * (1.0 - cfg.cc * w[l])).clamp(0.0, 10.0)
+        });
+        let push: [f64; L] = from_fn(|l| cfg.ce * w[l] * (rtts[l] - dist[l]));
+        let mut planar_frac = [1.0; L];
+        let mut height: [f64; L] = from_fn(|l| lanes[l].height);
+        if H {
+            for l in 0..L {
+                let height_frac = (lanes[l].height + remotes[l].height) / dist[l].max(1e-12);
+                let raised = (lanes[l].height + push[l] * height_frac).max(cfg.min_height);
+                let tall = dist[l] > 1e-12;
+                planar_frac[l] = if tall { (1.0 - height_frac.min(1.0)).max(0.0) } else { 1.0 };
+                height[l] = if tall { raised } else { lanes[l].height };
+            }
         }
-        if planar < 1e-12 {
-            self.push_coincident(push, planar_frac, rng);
-        } else {
-            for d in 0..D {
-                let x = &mut self.coord[d];
-                *x += push * ((*x - remote.coord[d]) / planar) * planar_frac;
+        let mut coord = [[0.0; L]; D];
+        for (d, moved) in coord.iter_mut().enumerate() {
+            for l in 0..L {
+                let x = lanes[l].coord[d];
+                moved[l] = x + push[l] * ((x - remotes[l].coord[d]) / planar[l]) * planar_frac[l];
+            }
+        }
+        for l in 0..L {
+            if !rtts[l].is_finite() {
+                continue;
+            }
+            debug_assert!(rtts[l] >= 0.0);
+            let lane = &mut lanes[l];
+            lane.error = error[l];
+            lane.height = height[l];
+            if planar[l] < 1e-12 {
+                lane.push_coincident(push[l], planar_frac[l], &mut *rngs[l]);
+            } else {
+                for (x, moved) in lane.coord.iter_mut().zip(&coord) {
+                    *x = moved[l];
+                }
             }
         }
     }
 
     /// The coincident-points step: a random direction, `D` draws (rare;
     /// the one case that needs every component before it can normalize).
+    /// Out of line, so the four-lane step holds one call a lane, not four
+    /// copies of it.
     #[cold]
+    #[inline(never)]
     fn push_coincident<R: Rng + ?Sized>(&mut self, push: f64, planar_frac: f64, rng: &mut R) {
         let mut dir = [0.0; D];
         for u in &mut dir {
@@ -1194,11 +1255,14 @@ mod tests {
     }
 
     /// The batch kernel over hand-made rows, pinned to the read-per-sample
-    /// reference: rows of random latencies, some exactly zero, some (with
-    /// `nonfinite`) infinite or NaN — skipped samples — and (with
-    /// `coincident`) the first node's first landmark moved onto its start,
+    /// reference: rows of random latencies, some exactly zero; with
+    /// `nonfinite`, the latencies of a seed-drawn set of nodes (at least
+    /// one) are sometimes infinite or NaN — skipped samples — so lanes that
+    /// skip share a quad with lanes that commit; with `coincident`, the
+    /// first landmark of a seed-drawn node is moved onto that node's start,
     /// so its first sample takes the coincident-points step, whose
-    /// direction draws shift the rest of that lane's stream.
+    /// direction draws shift the rest of that lane's stream. Either node may
+    /// sit in any lane of a quad or in the tail.
     fn batch_matches_reference(
         seed: u64,
         batch: usize,
@@ -1212,24 +1276,27 @@ mod tests {
             VivaldiConfig { dims, use_height, rounds: 6, landmarks: Some(k), ..Default::default() };
         let mut placer = cfg.embed_landmarks_only(&euclidean_world(n, seed), seed);
         let mut rng = rng_from_seed(seed);
+        let mut nodes: Vec<NodeId> =
+            (0..n).filter(|i| !placer.landmarks.contains(i)).map(|i| NodeId(i as u32)).collect();
+        nodes.shuffle(&mut rng);
+        nodes.truncate(batch);
+        let severed_at = rng.gen_range(0..batch);
+        let severed: Vec<bool> =
+            (0..n).map(|v| nonfinite && (v == nodes[severed_at].index() || rng.gen())).collect();
         let mut rows: Vec<Vec<f64>> = (0..k)
             .map(|_| {
                 (0..n)
-                    .map(|_| match rng.gen_range(0..10) {
+                    .map(|v| match rng.gen_range(0..10) {
                         0 => 0.0,
-                        1 if nonfinite => f64::INFINITY,
-                        2 if nonfinite => f64::NAN,
+                        1 if severed[v] => f64::INFINITY,
+                        2 if severed[v] => f64::NAN,
                         _ => rng.gen_range(0.0..100.0),
                     })
                     .collect()
             })
             .collect();
-        let mut nodes: Vec<NodeId> =
-            (0..n).filter(|i| !placer.landmarks.contains(i)).map(|i| NodeId(i as u32)).collect();
-        nodes.shuffle(&mut rng);
-        nodes.truncate(batch);
         if coincident {
-            let node = nodes[0];
+            let node = nodes[rng.gen_range(0..batch)];
             let mut rng = placer.node_rng(node);
             let mut state = VivaldiNode::random_start(&cfg, &mut rng);
             let li = rng.gen_range(0..k);
@@ -1374,7 +1441,8 @@ mod tests {
         }
     }
 
-    /// Every dimension `validate` accepts runs through the kernel.
+    /// Every dimension `validate` accepts runs through the kernel: a batch
+    /// of seven, one quad and a tail of three.
     #[test]
     fn every_accepted_dimension_places_like_the_reference() {
         for dims in 1..=MAX_DIMS {
@@ -1382,7 +1450,7 @@ mod tests {
             for use_height in [false, true] {
                 batch_matches_reference(
                     u64::try_from(dims).unwrap(),
-                    3,
+                    7,
                     dims,
                     use_height,
                     true,
@@ -1403,12 +1471,12 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 16 })]
 
         /// The batch kernel is the read-per-sample loop, bit for bit
-        /// (coord, height, error): batches of 1–9 nodes (so the last pair
-        /// is sometimes half full) × `dims` 1–10 × height model on/off ×
-        /// non-finite latencies × the coincident-points step.
+        /// (coord, height, error): batches of 1–13 nodes (0–3 full quads,
+        /// each with every tail length 0–3) × `dims` 1–10 × height model
+        /// on/off × non-finite latencies × the coincident-points step.
         #[test]
         fn batch_kernel_equals_reading_every_sample(
-            (seed, batch, dims, flags) in (0u64..u64::MAX, 1usize..10, 1usize..11, 0u8..8)
+            (seed, batch, dims, flags) in (0u64..u64::MAX, 1usize..14, 1usize..11, 0u8..8)
         ) {
             batch_matches_reference(seed, batch, dims, flags & 1 != 0, flags & 2 != 0, flags & 4 != 0)?;
         }

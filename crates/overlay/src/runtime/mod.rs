@@ -19,9 +19,10 @@
 //! pending nodes arrive on a per-tick budget and register through the same
 //! maintenance contract (`add_node`), so bring-up is incremental rather
 //! than one bulk build. A tick's arrivals get their vector coordinates as
-//! one batch: their landmark latencies are gathered serially (`k` reads
-//! each), the placements computed across the worker pool, and the results
-//! committed serially in join order.
+//! one batch: one landmark view holds the landmarks' latencies, each pool
+//! thread places one contiguous chunk of the arrivals reading their `k`
+//! latencies from the view in place, and the results are committed
+//! serially in join order.
 //!
 //! Re-optimization is **dirty-driven**: a runtime-maintained relevance
 //! index ([`sbon_core::reopt::relevance`]) remembers the exact read set of

@@ -1133,13 +1133,17 @@ fn jittered_run_is_bit_identical_across_backends() {
     );
 }
 
-/// The tentpole determinism contract: a run on an 8-thread pool is
+/// The tentpole determinism contract: a run on a 3- or an 8-thread pool is
 /// bit-identical to a serial run, across seeds, with every parallel
 /// stage active (scalar refresh, jitter-driven store repair,
-/// and the landmark placement wave: 16 joiners a tick sharded over the
+/// and the landmark placement wave: 22 joiners a tick sharded over the
 /// pool, one pending node failed before its turn) — on the report, every
 /// node's final cost point, the latency store's counters and the control
-/// plane's.
+/// plane's. A tick places its up to 22 joiners bar the landmarks among
+/// them: serially as one chunk (quads and a tail), on three threads in
+/// chunks of 4–7 (a quad and a tail of 0–3) and on eight in chunks of at
+/// most 3 (tails only), so the kernel's four lanes and its one-lane tail
+/// meet in every shape.
 #[test]
 fn parallel_run_is_bit_identical_to_serial() {
     let topo = small_world(41);
@@ -1152,7 +1156,7 @@ fn parallel_run_is_bit_identical_to_serial() {
                 .horizon_ms(10_000.0)
                 .threads(threads)
                 .latency_backend(LatencyBackend::Lazy)
-                .deployment(DeploymentModel::Wave { initial: 30, joins_per_tick: 16 })
+                .deployment(DeploymentModel::Wave { initial: 30, joins_per_tick: 22 })
                 .vivaldi(VivaldiConfig { landmarks: Some(8), ..Default::default() })
                 .churn(ChurnProcess::SparseWalk { nodes_per_tick: 12, std_dev: 0.15 })
                 .latency_jitter(JitterModel { edges_per_tick: 30, ..Default::default() })
@@ -1176,16 +1180,19 @@ fn parallel_run_is_bit_identical_to_serial() {
     };
     for seed in [41u64, 97, 1234] {
         let (serial, serial_points, serial_stats, serial_cp) = run(seed, 1);
-        let (parallel, parallel_points, parallel_stats, parallel_cp) = run(seed, 8);
-        assert_eq!(serial, parallel, "seed {seed}: thread count must not change the run");
-        assert_eq!(serial_points, parallel_points, "seed {seed}: nor where any node landed");
-        assert_eq!(serial_stats, parallel_stats, "seed {seed}: cache traffic must match");
-        assert_eq!(
-            (serial_cp.points_updated, serial_cp.nodes_joined, serial_cp.dirty_nodes),
-            (parallel_cp.points_updated, parallel_cp.nodes_joined, parallel_cp.dirty_nodes),
-            "seed {seed}: control-plane counters must match"
-        );
         assert_eq!(serial_cp.nodes_joined, n - 1 - 30);
+        for threads in [3, 8] {
+            let (parallel, parallel_points, parallel_stats, parallel_cp) = run(seed, threads);
+            let at = format!("seed {seed}, {threads} threads");
+            assert_eq!(serial, parallel, "{at}: thread count must not change the run");
+            assert_eq!(serial_points, parallel_points, "{at}: nor where any node landed");
+            assert_eq!(serial_stats, parallel_stats, "{at}: cache traffic must match");
+            assert_eq!(
+                (serial_cp.points_updated, serial_cp.nodes_joined, serial_cp.dirty_nodes),
+                (parallel_cp.points_updated, parallel_cp.nodes_joined, parallel_cp.dirty_nodes),
+                "{at}: control-plane counters must match"
+            );
+        }
     }
 }
 
